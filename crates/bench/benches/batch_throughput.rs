@@ -16,8 +16,7 @@
 //! Shape check: the batch fast path must beat the traced single-packet
 //! path (it skips both per-packet environment setup and trace/event
 //! allocation), and batch must never lose to its single-packet
-//! equivalent. The printed speedups are the seam later scaling PRs
-//! (sharding, worker pools) multiply.
+//! equivalent.
 
 use netdebug_bench::{banner, routable_frame};
 use netdebug_dataplane::Dataplane;

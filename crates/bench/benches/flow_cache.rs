@@ -23,15 +23,14 @@
 //! through every batch — all-hit after warm-up) and **uniform-random**
 //! (65,536 LCG-scattered flow keys, far beyond the cache's slots — the
 //! all-miss adversarial bound). Each runs cache-on and cache-off,
-//! untraced at 1 shard (`process_batch`) and 4 shards
-//! (`process_batch_parallel`, per-worker caches) and on the streaming
+//! untraced (`process_batch`) and on the streaming
 //! traced path (`process_batch_with`, flat traces, no per-packet
 //! decode). Numbers and end-of-run `CacheStats` land in
 //! `BENCH_flowcache.json`.
 //!
-//! Smoke gates (run in CI), on `exact_router`, untraced, 1 shard — pure
-//! engine effect, no thread scheduling: cache-on ≥ 2× cache-off on the
-//! repeated stream, and ≤ 5% penalty on the all-miss stream (a filtered
+//! Smoke gates (run in CI), on `exact_router`, untraced: cache-on ≥ 2×
+//! cache-off on the repeated stream, and ≤ 5% penalty on the all-miss
+//! stream (a filtered
 //! first-time miss costs one hash + two filter words). `l2_switch` gets
 //! no-collapse floors (repeated must still win; random must stay within
 //! noise of its floor-bound baseline), and every configuration must
@@ -294,7 +293,7 @@ fn batches(frames: &[Vec<u8>]) -> Vec<Vec<(u16, &[u8])>> {
 /// How a sweep drives the engine and consumes its results.
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
-    /// Tracing off, `process_batch` / `process_batch_parallel`.
+    /// Tracing off, `process_batch`.
     Untraced,
     /// Tracing on, `process_batch_with` + `NullSink`: the streaming path
     /// — traces stay flat, nothing is decoded or allocated per packet.
@@ -304,7 +303,7 @@ enum Mode {
 /// Best-of-`TRIALS` sustained rate over `ROUNDS` batches. The first trial
 /// doubles as warm-up (cache population, allocator steady state); taking
 /// the max filters scheduler noise the same way the other benches do.
-fn measure(dp: &mut Dataplane, frames: &[Vec<u8>], shards: usize, mode: Mode) -> f64 {
+fn measure(dp: &mut Dataplane, frames: &[Vec<u8>], mode: Mode) -> f64 {
     let prebuilt = batches(frames);
     let mut sink = NullSink;
     let mut best = 0.0f64;
@@ -314,10 +313,8 @@ fn measure(dp: &mut Dataplane, frames: &[Vec<u8>], shards: usize, mode: Mode) ->
             let pkts = &prebuilt[round % prebuilt.len()];
             if mode == Mode::Streamed {
                 std::hint::black_box(dp.process_batch_with(pkts, 0, &mut sink));
-            } else if shards <= 1 {
-                std::hint::black_box(dp.process_batch(pkts, 0));
             } else {
-                std::hint::black_box(dp.process_batch_parallel(pkts, 0, shards));
+                std::hint::black_box(dp.process_batch(pkts, 0));
             }
         }
         best = best.max((ROUNDS * BATCH) as f64 / t0.elapsed().as_secs_f64());
@@ -375,40 +372,34 @@ fn main() {
         "configuration", "sustained pps", "hits/misses"
     );
     for (prog, build, repeated, random) in &programs {
-        for (mode_name, mode, shard_counts) in [
-            ("untraced", Mode::Untraced, &[1usize, 4][..]),
-            // The streaming path is sequential by construction.
-            ("streamed", Mode::Streamed, &[1][..]),
-        ] {
+        for (mode_name, mode) in [("untraced", Mode::Untraced), ("streamed", Mode::Streamed)] {
             for (stream_name, frames) in [("repeated", repeated), ("random", random)] {
-                for &shards in shard_counts {
-                    for cache_on in [false, true] {
-                        let mut dp = build(mode == Mode::Streamed);
-                        dp.set_flow_cache(cache_on);
-                        let pps = measure(&mut dp, frames, shards, mode);
-                        let stats = dp.cache_stats();
-                        let label = format!(
-                            "{prog} / {mode_name} / {stream_name} / {shards} shard(s) / cache {}",
-                            if cache_on { "on" } else { "off" }
-                        );
-                        println!(
-                            "{label:<58} {pps:>13.0} {:>18}",
-                            format!("{}/{}", stats.hits, stats.misses)
-                        );
-                        json_rows.push(format!(
-                            "    {{\"program\": \"{prog}\", \"mode\": \"{mode_name}\", \
-                             \"stream\": \"{stream_name}\", \"shards\": {shards}, \
-                             \"cache\": {cache_on}, \"pps\": {pps:.0}, \
-                             \"cache_stats\": {{\"hits\": {}, \"misses\": {}, \
-                             \"invalidations\": {}, \"occupancy\": {}, \"capacity\": {}}}}}",
-                            stats.hits,
-                            stats.misses,
-                            stats.invalidations,
-                            stats.occupancy,
-                            stats.capacity
-                        ));
-                        rates.insert((*prog, mode_name, stream_name, shards, cache_on), pps);
-                    }
+                for cache_on in [false, true] {
+                    let mut dp = build(mode == Mode::Streamed);
+                    dp.set_flow_cache(cache_on);
+                    let pps = measure(&mut dp, frames, mode);
+                    let stats = dp.cache_stats();
+                    let label = format!(
+                        "{prog} / {mode_name} / {stream_name} / cache {}",
+                        if cache_on { "on" } else { "off" }
+                    );
+                    println!(
+                        "{label:<58} {pps:>13.0} {:>18}",
+                        format!("{}/{}", stats.hits, stats.misses)
+                    );
+                    json_rows.push(format!(
+                        "    {{\"program\": \"{prog}\", \"mode\": \"{mode_name}\", \
+                         \"stream\": \"{stream_name}\", \
+                         \"cache\": {cache_on}, \"pps\": {pps:.0}, \
+                         \"cache_stats\": {{\"hits\": {}, \"misses\": {}, \
+                         \"invalidations\": {}, \"occupancy\": {}, \"capacity\": {}}}}}",
+                        stats.hits,
+                        stats.misses,
+                        stats.invalidations,
+                        stats.occupancy,
+                        stats.capacity
+                    ));
+                    rates.insert((*prog, mode_name, stream_name, cache_on), pps);
                 }
             }
         }
@@ -447,13 +438,13 @@ fn main() {
     }
 
     // ---- Smoke assertions (run in CI) ----
-    // The headline, on the exact-match router, untraced, 1 shard (pure
-    // engine effect — no thread scheduling): replaying a memoized
-    // outcome must be at least twice as fast as re-running the pipeline.
-    let rep_on = rates[&("exact_router", "untraced", "repeated", 1, true)];
-    let rep_off = rates[&("exact_router", "untraced", "repeated", 1, false)];
+    // The headline, on the exact-match router, untraced: replaying a
+    // memoized outcome must be at least twice as fast as re-running the
+    // pipeline.
+    let rep_on = rates[&("exact_router", "untraced", "repeated", true)];
+    let rep_off = rates[&("exact_router", "untraced", "repeated", false)];
     let rep_speedup = rep_on / rep_off;
-    println!("exact_router repeated-flow speedup (untraced, 1 shard): {rep_speedup:.2}x");
+    println!("exact_router repeated-flow speedup (untraced): {rep_speedup:.2}x");
     assert!(
         rep_speedup >= 2.0,
         "flow cache must give >= 2x on the repeated-flow sweep: \
@@ -461,10 +452,10 @@ fn main() {
     );
     // The bound: on the all-miss stream the lookup + tag-filter overhead
     // must stay within 5% of the cache-off rate.
-    let rnd_on = rates[&("exact_router", "untraced", "random", 1, true)];
-    let rnd_off = rates[&("exact_router", "untraced", "random", 1, false)];
+    let rnd_on = rates[&("exact_router", "untraced", "random", true)];
+    let rnd_off = rates[&("exact_router", "untraced", "random", false)];
     println!(
-        "exact_router uniform-random penalty (untraced, 1 shard): {:.1}%",
+        "exact_router uniform-random penalty (untraced): {:.1}%",
         (1.0 - rnd_on / rnd_off) * 100.0
     );
     assert!(
@@ -476,10 +467,10 @@ fn main() {
     // allocation floor, so the margin is structurally thinner — but
     // repeated flows must still win outright and the all-miss stream
     // must not collapse.
-    let u_rep = rates[&("l2_switch", "untraced", "repeated", 1, true)]
-        / rates[&("l2_switch", "untraced", "repeated", 1, false)];
-    let u_rnd = rates[&("l2_switch", "untraced", "random", 1, true)]
-        / rates[&("l2_switch", "untraced", "random", 1, false)];
+    let u_rep = rates[&("l2_switch", "untraced", "repeated", true)]
+        / rates[&("l2_switch", "untraced", "repeated", false)];
+    let u_rnd = rates[&("l2_switch", "untraced", "random", true)]
+        / rates[&("l2_switch", "untraced", "random", false)];
     println!("l2_switch untraced: repeated speedup {u_rep:.2}x, random ratio {u_rnd:.2}");
     assert!(
         u_rep >= 1.05,

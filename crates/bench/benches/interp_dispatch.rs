@@ -6,16 +6,15 @@
 //! binary trace buffer behind every traced path. This bench measures the
 //! dispatch seam itself on `l2_switch` — parse + exact-hash table apply +
 //! counter + deparse per packet — sweeping {reference, compiled
-//! unoptimized, compiled optimized} × {1, 4} shards × {traced, untraced}
-//! `process_batch` / `process_batch_parallel`, the single-packet
-//! `process_untraced` path, the streaming traced path
+//! unoptimized, compiled optimized} × {traced, untraced} `process_batch`,
+//! the single-packet `process_untraced` path, the streaming traced path
 //! (`process_batch_with` + a name-walking sink, i.e. what a device tap
 //! actually runs), and a per-pass leave-one-out sweep attributing the
 //! optimizer's margin. Numbers land in `BENCH_dispatch.json`.
 //!
 //! Smoke assertions (the headline of this PR sequence):
 //! * compiled optimized must sustain **≥ 1.3×** the reference engine's
-//!   untraced single-shard throughput, and **≥ 1.5×** its streamed
+//!   untraced batch throughput, and **≥ 1.5×** its streamed
 //!   traced one (the flat trace buffer is what buys the traced edge);
 //! * the optimizer must never lose to the raw lowering (small tolerance
 //!   for timer noise);
@@ -51,21 +50,17 @@ fn switch_dataplane(v: Variant) -> Dataplane {
 }
 
 /// Best-of-`PASSES` sustained packet rate for one configuration.
-fn measure(v: Variant, shards: usize, traced: bool, pkts: &[(u16, &[u8])]) -> f64 {
+fn measure(v: Variant, traced: bool, pkts: &[(u16, &[u8])]) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..PASSES {
         let mut dp = switch_dataplane(v);
         dp.set_tracing(traced);
-        // Warm up: pin snapshots, resolve views, spawn pool workers.
-        std::hint::black_box(dp.process_batch_parallel(pkts, 0, shards));
+        // Warm up: pin snapshots, fill the flow cache.
+        std::hint::black_box(dp.process_batch(pkts, 0));
         let mut n = 0usize;
         let t0 = Instant::now();
         while t0.elapsed().as_secs_f64() < MIN_MEASURE_S {
-            if shards > 1 {
-                std::hint::black_box(dp.process_batch_parallel(pkts, 0, shards));
-            } else {
-                std::hint::black_box(dp.process_batch(pkts, 0));
-            }
+            std::hint::black_box(dp.process_batch(pkts, 0));
             n += pkts.len();
         }
         best = best.max(n as f64 / t0.elapsed().as_secs_f64());
@@ -168,46 +163,34 @@ fn main() {
         "configuration", "sustained pps", "vs ref"
     );
     for v in variants {
-        for shards in [1usize, 4] {
-            for traced in [false, true] {
-                let rate = measure(v, shards, traced, &pkts);
-                rates.insert((v.name, shards, traced), rate);
-                let vs = rate
-                    / rates
-                        .get(&("reference", shards, traced))
-                        .copied()
-                        .unwrap_or(rate);
-                println!(
-                    "{:<46} {rate:>14.0} {vs:>11.2}x",
-                    format!(
-                        "{} process_batch ({} shard{}, {})",
-                        v.name,
-                        shards,
-                        if shards == 1 { "" } else { "s" },
-                        if traced { "traced" } else { "untraced" }
-                    )
-                );
-                json_rows.push(format!(
-                    "    {{\"engine\": \"{}\", \"shards\": {shards}, \"traced\": {traced}, \"pps\": {rate:.0}}}",
-                    v.name
-                ));
-            }
+        for traced in [false, true] {
+            let mode = if traced { "traced" } else { "untraced" };
+            let rate = measure(v, traced, &pkts);
+            rates.insert((v.name, mode), rate);
+            let vs = rate / rates.get(&("reference", mode)).copied().unwrap_or(rate);
+            println!(
+                "{:<46} {rate:>14.0} {vs:>11.2}x",
+                format!("{} process_batch ({mode})", v.name)
+            );
+            json_rows.push(format!(
+                "    {{\"engine\": \"{}\", \"mode\": \"batch\", \"traced\": {traced}, \"pps\": {rate:.0}}}",
+                v.name
+            ));
         }
         let single = measure_single(v, &frame);
-        rates.insert((v.name, 0, false), single);
         println!(
             "{:<46} {single:>14.0}",
             format!("{} process_untraced (single packet)", v.name)
         );
         json_rows.push(format!(
-            "    {{\"engine\": \"{}\", \"shards\": 0, \"traced\": false, \"pps\": {single:.0}}}",
+            "    {{\"engine\": \"{}\", \"mode\": \"single\", \"traced\": false, \"pps\": {single:.0}}}",
             v.name
         ));
         let streamed = measure_streamed(v, &pkts);
-        rates.insert((v.name, 99, true), streamed);
+        rates.insert((v.name, "streamed"), streamed);
         let vs = streamed
             / rates
-                .get(&("reference", 99, true))
+                .get(&("reference", "streamed"))
                 .copied()
                 .unwrap_or(streamed);
         println!(
@@ -215,15 +198,15 @@ fn main() {
             format!("{} process_batch_with (streamed traced)", v.name)
         );
         json_rows.push(format!(
-            "    {{\"engine\": \"{}\", \"shards\": 1, \"traced\": true, \"mode\": \"streamed\", \"pps\": {streamed:.0}}}",
+            "    {{\"engine\": \"{}\", \"mode\": \"streamed\", \"traced\": true, \"pps\": {streamed:.0}}}",
             v.name
         ));
     }
 
     // Per-pass attribution: disable one pass at a time and report the
-    // untraced 1-shard delta against the full pipeline.
-    let opt_fast = rates[&("compiled-opt", 1, false)];
-    println!("\nper-pass leave-one-out (untraced, 1 shard):");
+    // untraced batch delta against the full pipeline.
+    let opt_fast = rates[&("compiled-opt", "untraced")];
+    println!("\nper-pass leave-one-out (untraced):");
     let all = PassConfig::default();
     let leave_one_out = [
         (
@@ -255,21 +238,21 @@ fn main() {
             engine: Engine::Compiled,
             passes,
         };
-        let rate = measure(v, 1, false, &pkts);
+        let rate = measure(v, false, &pkts);
         let delta = (opt_fast - rate) / opt_fast * 100.0;
         println!("  without {pass:<12} {rate:>14.0} pps  ({delta:>+6.2}% attributed)");
         json_rows.push(format!(
-            "    {{\"engine\": \"compiled-without-{pass}\", \"shards\": 1, \"traced\": false, \"pps\": {rate:.0}}}"
+            "    {{\"engine\": \"compiled-without-{pass}\", \"mode\": \"batch\", \"traced\": false, \"pps\": {rate:.0}}}"
         ));
     }
 
-    let ref_fast = rates[&("reference", 1, false)];
-    let unopt_fast = rates[&("compiled-unopt", 1, false)];
-    let ref_traced = rates[&("reference", 1, true)];
-    let unopt_traced = rates[&("compiled-unopt", 1, true)];
-    let opt_traced = rates[&("compiled-opt", 1, true)];
-    let ref_streamed = rates[&("reference", 99, true)];
-    let opt_streamed = rates[&("compiled-opt", 99, true)];
+    let ref_fast = rates[&("reference", "untraced")];
+    let unopt_fast = rates[&("compiled-unopt", "untraced")];
+    let ref_traced = rates[&("reference", "traced")];
+    let unopt_traced = rates[&("compiled-unopt", "traced")];
+    let opt_traced = rates[&("compiled-opt", "traced")];
+    let ref_streamed = rates[&("reference", "streamed")];
+    let opt_streamed = rates[&("compiled-opt", "streamed")];
     let speedup = opt_fast / ref_fast;
     // The representative traced path is the streaming one: both engines
     // record into the flat buffer, both consumers walk it lazily, and
@@ -277,7 +260,7 @@ fn main() {
     // rows above decode every trace into owned events — that decode
     // dominates and is identical work for both engines.)
     let traced_speedup = opt_streamed / ref_streamed;
-    println!("\ncompiled-opt/reference speedup (1 shard, untraced): {speedup:.2}x");
+    println!("\ncompiled-opt/reference speedup (untraced batch):    {speedup:.2}x");
     println!("compiled-opt/reference speedup (streamed traced):   {traced_speedup:.2}x");
     println!(
         "optimizer margin (untraced): {:.2}x; (traced): {:.2}x; streamed traced: {opt_streamed:.0} pps",
@@ -286,7 +269,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"interp_dispatch\",\n  \"meta\": {},\n  \"program\": \"l2_switch\",\n  \"batch\": {BATCH},\n  \"cores\": {cores},\n  \"speedup_untraced_1shard\": {speedup:.3},\n  \"speedup_traced_1shard\": {traced_speedup:.3},\n  \"streamed_traced_pps\": {opt_streamed:.0},\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"interp_dispatch\",\n  \"meta\": {},\n  \"program\": \"l2_switch\",\n  \"batch\": {BATCH},\n  \"cores\": {cores},\n  \"speedup_untraced\": {speedup:.3},\n  \"speedup_streamed_traced\": {traced_speedup:.3},\n  \"streamed_traced_pps\": {opt_streamed:.0},\n  \"results\": [\n{}\n  ]\n}}\n",
         netdebug_bench::meta_json(BATCH, &netdebug_dataplane::PassConfig::default().to_string()),
         json_rows.join(",\n")
     );
@@ -322,8 +305,8 @@ fn main() {
     let opt_v = variants[2];
     let (mut best_unopt, mut best_opt) = (0.0f64, 0.0f64);
     for _ in 0..PASSES {
-        best_unopt = best_unopt.max(measure(unopt_v, 1, false, &pkts));
-        best_opt = best_opt.max(measure(opt_v, 1, false, &pkts));
+        best_unopt = best_unopt.max(measure(unopt_v, false, &pkts));
+        best_opt = best_opt.max(measure(opt_v, false, &pkts));
     }
     println!(
         "head-to-head (untraced, interleaved): opt {best_opt:.0} vs unopt {best_unopt:.0} \
@@ -338,11 +321,11 @@ fn main() {
     let opt_best_fast = opt_fast.max(best_opt);
     assert!(
         opt_best_fast >= 7_000_000.0,
-        "untraced 1-shard floor: {opt_best_fast:.0} pps < 7 Mpps"
+        "untraced floor: {opt_best_fast:.0} pps < 7 Mpps"
     );
     assert!(
         opt_streamed >= 3_400_000.0,
-        "streamed traced 1-shard floor: {opt_streamed:.0} pps < 3.4 Mpps \
+        "streamed traced floor: {opt_streamed:.0} pps < 3.4 Mpps \
          (2x the PR-5 materialized-trace baseline)"
     );
 }

@@ -6,7 +6,7 @@
 //! epoch-snapshot tables each mutation publishes atomically between
 //! batch windows (or even mid-window, through
 //! `netdebug_hw::Device::inject_batch_concurrent`), so a churn-heavy
-//! workload stays on the sharded parallel path the whole way.
+//! workload stays on the batched path the whole way.
 //!
 //! A [`ChurnSchedule`] scripts the mutations against window indices;
 //! [`crate::session::NetDebug::run_stream_churn`] drives a single device
@@ -20,8 +20,8 @@
 //! control-plane side of the epoch swap, so churned tables keep their
 //! O(1)/bucketed applies on the packet path and the in-flight window's
 //! flattened `TableView`s still read the index generation they pinned —
-//! shard-invariance under churn is property-tested against exactly this
-//! republication path.
+//! engine and flow-cache parity under churn are property-tested against
+//! exactly this republication path.
 
 use netdebug_dataplane::ControlError;
 use netdebug_hw::Device;
@@ -275,7 +275,6 @@ mod tests {
         // installed before window 1. Window 0 must drop (no route),
         // windows 1 and 2 must forward — the checker sees both phases.
         let mut nd = NetDebug::deploy(&Backend::reference(), corpus::IPV4_FORWARD).unwrap();
-        nd.set_shards(4);
         let spec = StreamSpec::simple(
             1,
             frame(Ipv4Address::new(10, 0, 0, 9)),
@@ -299,13 +298,11 @@ mod tests {
     }
 
     #[test]
-    fn churn_is_shard_invariant() {
-        // The same churned stream on a 1-shard and an 8-shard device must
-        // produce identical checker statistics: epoch publication between
-        // windows is deterministic on every path.
-        let run = |shards: usize| {
+    fn churn_phases_follow_the_schedule() {
+        // Install, overlapping install, clear: each publication lands
+        // before its window and the run repeats exactly.
+        let run = || {
             let mut nd = NetDebug::deploy(&Backend::reference(), corpus::IPV4_FORWARD).unwrap();
-            nd.set_shards(shards);
             let spec = StreamSpec::simple(
                 1,
                 frame(Ipv4Address::new(10, 1, 2, 3)),
@@ -333,16 +330,9 @@ mod tests {
             nd.run_stream_churn(&spec, &schedule).unwrap();
             nd.checker().streams()[&1].clone()
         };
-        let one = run(1);
-        for shards in [2, 4, 8] {
-            assert_eq!(
-                one,
-                run(shards),
-                "churned stream diverged at {shards} shards"
-            );
-        }
-        // Sanity on the phases: dropped in windows 0 and 3, forwarded in
-        // 1 and 2.
+        let one = run();
+        assert_eq!(one, run(), "churned stream must be deterministic");
+        // The phases: dropped in windows 0 and 3, forwarded in 1 and 2.
         assert_eq!(one.dropped, 2 * NetDebug::STREAM_WINDOW);
         assert_eq!(one.received, 2 * NetDebug::STREAM_WINDOW);
     }
@@ -455,39 +445,5 @@ mod tests {
         );
         let err = fleet.run_churn(&spec, &schedule, NetDebug::STREAM_WINDOW);
         assert!(matches!(err, Err(ChurnError::UnreachableWindow { .. })));
-    }
-
-    #[test]
-    fn fleet_churn_agrees_across_shard_counts() {
-        let build = |shards: usize| {
-            let mut dev =
-                Device::deploy_source(&Backend::reference(), corpus::IPV4_FORWARD).unwrap();
-            dev.set_shards(shards);
-            dev
-        };
-        let mut fleet = DifferentialFleet::new()
-            .with("one-shard", build(1))
-            .with("four-shards", build(4))
-            .with("eight-shards", build(8));
-        let spec = StreamSpec::simple(
-            3,
-            frame(Ipv4Address::new(10, 0, 0, 9)),
-            48,
-            Expectation::Any,
-        );
-        let schedule = ChurnSchedule::new()
-            .before_window(1, route_op())
-            .before_window(
-                2,
-                ChurnOp::Clear {
-                    table: "ipv4_lpm".into(),
-                },
-            );
-        let report = fleet.run_churn(&spec, &schedule, 16).unwrap();
-        assert!(
-            report.equivalent(),
-            "shard count must not leak into churned verdicts: {:#?}",
-            report.divergences
-        );
     }
 }

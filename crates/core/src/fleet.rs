@@ -288,8 +288,7 @@ impl DifferentialFleet {
     }
 
     /// Pool threads the runtime has actually spawned so far (they are
-    /// created lazily and reused across windows, like
-    /// `Device::pool_workers` for shards).
+    /// created lazily and reused across windows).
     pub fn runtime_pool_workers(&self) -> usize {
         self.runtime.pool_workers()
     }
@@ -779,25 +778,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_members_report_identically() {
-        // Fleet reports are deterministic even when members themselves
-        // shard their batches across threads.
-        let mut plain = three_member_fleet();
-        let mut sharded = three_member_fleet();
-        for label in ["reference", "sdnet-fixed", "sdnet-2018"] {
-            sharded.device_mut(label).unwrap().set_shards(4);
-        }
-        let spec = StreamSpec::simple(3, frame(5), 32, Expectation::Any);
-        let a = plain.run_window(&spec);
-        let b = sharded.run_window(&spec);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn runtime_workers_are_reused_across_windows() {
-        // Like `pool_workers` for shards: the fleet's worker set spawns
-        // lazily on first use and is reused by every subsequent window —
-        // no per-window thread churn.
+        // The fleet's worker set spawns lazily on first use and is reused
+        // by every subsequent window — no per-window thread churn.
         let mut fleet = three_member_fleet();
         fleet.set_runtime_workers(3);
         assert_eq!(fleet.runtime_workers(), 3);

@@ -37,6 +37,7 @@ use crate::generator::GeneratedPacket;
 use netdebug_dataplane::ControlError;
 use netdebug_hw::{Device, FaultPanic, Processed};
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -102,9 +103,7 @@ pub trait DeviceSink {
 }
 
 /// Observability counters for one event-loop run (or, via
-/// [`FleetRuntime::stats`], accumulated across a whole fleet). These sit
-/// alongside the existing `sharded_batches`/`pool_workers` counters one
-/// layer down.
+/// [`FleetRuntime::stats`], accumulated across a whole fleet).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Distinct virtual instants the loop dispatched at.
@@ -529,87 +528,241 @@ enum FlushOutcome {
     Stalled,
 }
 
-/// Dispatch the pending frames. Without a guard this is the plain hot
-/// path: one batch-engine call chain, with a delivered-count acting as
-/// the **liveness watchdog** — a device that returns fewer outcomes than
-/// frames has silently wedged, and the dispatch reports
-/// [`FlushOutcome::Stalled`] instead of pretending the frames were
-/// processed. With a guard (isolation replay only) the batch is
-/// **bisected under `catch_unwind`**: every frame dispatches solo, and
-/// the first one to die — by panic or by silent swallow — is recorded as
-/// the culprit, bytes attached, instead of unwinding.
-fn flush<S: DeviceSink + ?Sized>(
-    device: &mut Device,
-    pkts: &mut Vec<(u16, &[u8])>,
-    dues: &mut Vec<u64>,
-    meta: &mut Vec<(u32, u64)>,
-    sink: &mut S,
-    stats: &mut RuntimeStats,
-    guard: Option<&mut GuardState>,
-) -> FlushOutcome {
-    if pkts.is_empty() {
-        return FlushOutcome::Clean;
+/// How a drive ends before its last frame: the [`DriveEnd`], or the
+/// control error of a rejected churn op.
+type DriveExit = Result<DriveEnd, ControlError>;
+
+/// The state one [`drive_device_inner`] call threads through its emission
+/// and flush sites: where frames go (device, sink, stats), the fault
+/// hooks, and the frames emitted but not yet dispatched.
+struct Drive<'a, 'f, S: ?Sized> {
+    device: &'a mut Device,
+    sink: &'a mut S,
+    stats: &'a mut RuntimeStats,
+    guard: Option<&'a mut GuardState>,
+    recover: Option<&'a mut RecoverCtl>,
+    pkts: Vec<(u16, &'f [u8])>,
+    dues: Vec<u64>,
+    meta: Vec<(u32, u64)>,
+}
+
+impl<'f, S: DeviceSink + ?Sized> Drive<'_, 'f, S> {
+    /// Queue frame `seq` of `flow`, due at `due`.
+    fn push(&mut self, flow: &'f FlowRun, seq: u64, due: u64) {
+        self.pkts
+            .push((flow.as_port, flow.frames[seq as usize].data.as_slice()));
+        self.dues.push(due);
+        self.meta.push((flow.id, seq));
     }
-    stats.dispatches += 1;
-    stats.packets += pkts.len() as u64;
-    stats.max_batch = stats.max_batch.max(pkts.len() as u64);
-    let mut outcome = FlushOutcome::Clean;
-    match guard {
-        None => {
-            let labels: &[(u32, u64)] = meta;
-            let mut seen = 0usize;
-            device
-                .inject_batch_at(pkts, dues, |i, p| {
-                    seen += 1;
-                    let (flow, seq) = labels[i];
-                    sink.on_packet(flow, seq, p);
-                })
-                .expect("frame and due lists are built in lockstep");
-            if seen < pkts.len() {
-                outcome = FlushOutcome::Stalled;
-            }
+
+    /// Dispatch the pending frames. Without a guard this is the plain hot
+    /// path: one batch-engine call chain, with a delivered-count acting as
+    /// the **liveness watchdog** — a device that returns fewer outcomes
+    /// than frames has silently wedged, and the dispatch reports
+    /// [`FlushOutcome::Stalled`] instead of pretending the frames were
+    /// processed. With a guard (isolation replay only) the batch is
+    /// **bisected under `catch_unwind`**: every frame dispatches solo, and
+    /// the first one to die — by panic or by silent swallow — is recorded
+    /// as the culprit, bytes attached, instead of unwinding.
+    fn dispatch(&mut self) -> FlushOutcome {
+        let Drive {
+            device,
+            sink,
+            stats,
+            guard,
+            pkts,
+            dues,
+            meta,
+            ..
+        } = self;
+        if pkts.is_empty() {
+            return FlushOutcome::Clean;
         }
-        Some(g) => {
-            for i in 0..pkts.len() {
-                let one_pkt = [pkts[i]];
-                let one_due = [dues[i]];
-                let (flow, seq) = meta[i];
+        stats.dispatches += 1;
+        stats.packets += pkts.len() as u64;
+        stats.max_batch = stats.max_batch.max(pkts.len() as u64);
+        let mut outcome = FlushOutcome::Clean;
+        match guard.as_deref_mut() {
+            None => {
+                let labels: &[(u32, u64)] = meta;
                 let mut seen = 0usize;
-                let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    device
-                        .inject_batch_at(&one_pkt, &one_due, |_, p| {
-                            seen += 1;
-                            sink.on_packet(flow, seq, p);
-                        })
-                        .expect("one frame, one due time");
-                }));
-                let caught = match solo {
-                    Err(payload) => {
-                        g.payload = Some(payload);
-                        FlushOutcome::Caught
-                    }
-                    // A solo frame that came back without an outcome was
-                    // swallowed by a stall wedge: same culprit treatment,
-                    // no payload.
-                    Ok(()) if seen == 0 => FlushOutcome::Stalled,
-                    Ok(()) => continue,
-                };
-                g.culprit = Some(CulpritFrame {
-                    flow,
-                    seq,
-                    port: one_pkt[0].0,
-                    bytes: one_pkt[0].1.to_vec(),
-                    prior_stage: None,
-                });
-                outcome = caught;
-                break;
+                device
+                    .inject_batch_at(pkts, dues, |i, p| {
+                        seen += 1;
+                        let (flow, seq) = labels[i];
+                        sink.on_packet(flow, seq, p);
+                    })
+                    .expect("frame and due lists are built in lockstep");
+                if seen < pkts.len() {
+                    outcome = FlushOutcome::Stalled;
+                }
+            }
+            Some(g) => {
+                for i in 0..pkts.len() {
+                    let one_pkt = [pkts[i]];
+                    let one_due = [dues[i]];
+                    let (flow, seq) = meta[i];
+                    let mut seen = 0usize;
+                    let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        device
+                            .inject_batch_at(&one_pkt, &one_due, |_, p| {
+                                seen += 1;
+                                sink.on_packet(flow, seq, p);
+                            })
+                            .expect("one frame, one due time");
+                    }));
+                    let caught = match solo {
+                        Err(payload) => {
+                            g.payload = Some(payload);
+                            FlushOutcome::Caught
+                        }
+                        // A solo frame that came back without an outcome
+                        // was swallowed by a stall wedge: same culprit
+                        // treatment, no payload.
+                        Ok(()) if seen == 0 => FlushOutcome::Stalled,
+                        Ok(()) => continue,
+                    };
+                    g.culprit = Some(CulpritFrame {
+                        flow,
+                        seq,
+                        port: one_pkt[0].0,
+                        bytes: one_pkt[0].1.to_vec(),
+                        prior_stage: None,
+                    });
+                    outcome = caught;
+                    break;
+                }
             }
         }
+        pkts.clear();
+        dues.clear();
+        meta.clear();
+        outcome
     }
-    pkts.clear();
-    dues.clear();
-    meta.clear();
-    outcome
+
+    /// One flush step: dispatch the pending frames and either continue
+    /// or end the drive. A clean flush folds its frame count into the
+    /// checkpoint cadence and, when `checkpoint_at` is given, takes a
+    /// fresh checkpoint once one is due. Pass the cursors only at flush
+    /// sites where they exactly describe the device's consumed frames —
+    /// NOT at trigger-drain flushes: there the trigger index has advanced
+    /// past an op that has not been applied yet, so a checkpoint would
+    /// replay without it.
+    fn flush(&mut self, checkpoint_at: Option<&[FlowCursor]>) -> ControlFlow<DriveExit> {
+        let n = self.pkts.len() as u64;
+        match self.dispatch() {
+            FlushOutcome::Clean => {
+                if let Some(ctl) = self.recover.as_deref_mut() {
+                    ctl.delivered += n;
+                    if let Some(cursors) = checkpoint_at {
+                        if ctl.delivered >= ctl.next_at {
+                            ctl.take(self.device, cursors);
+                        }
+                    }
+                }
+                ControlFlow::Continue(())
+            }
+            FlushOutcome::Caught => ControlFlow::Break(Ok(DriveEnd::Interrupted)),
+            FlushOutcome::Stalled => ControlFlow::Break(Ok(DriveEnd::Stalled)),
+        }
+    }
+
+    /// Publish the triggers of `flow` due at or before seq `s`, each
+    /// after flushing the frames emitted ahead of it.
+    fn drain_triggers(
+        &mut self,
+        flow: &FlowRun,
+        cursor: &mut FlowCursor,
+        s: u64,
+    ) -> ControlFlow<DriveExit> {
+        while cursor.trigger < flow.triggers.len() && flow.triggers[cursor.trigger].0 <= s {
+            let t = cursor.trigger;
+            cursor.trigger += 1;
+            self.flush(None)?;
+            match apply_trigger(self.device, flow, t, s, self.guard.as_deref_mut()) {
+                TriggerOutcome::Applied => {}
+                TriggerOutcome::Rejected(e) => return ControlFlow::Break(Err(e)),
+                TriggerOutcome::Caught => return ControlFlow::Break(Ok(DriveEnd::Interrupted)),
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Single-flow fast path: the wheel degenerates to "next seq" — skip
+    /// it entirely so paced single-stream drivers (NetDebug sessions,
+    /// fleet members) pay no scheduling overhead per packet. Emission
+    /// order is identical by construction.
+    fn run_single(
+        &mut self,
+        flow: &'f FlowRun,
+        cursors: &mut [FlowCursor],
+        max_batch: usize,
+    ) -> ControlFlow<DriveExit> {
+        let count = flow.frames.len() as u64;
+        let mut last_due: Option<u64> = None;
+        while cursors[0].next_seq < count {
+            let s = cursors[0].next_seq;
+            self.drain_triggers(flow, &mut cursors[0], s)?;
+            let due = flow.due(s);
+            if last_due != Some(due) {
+                self.stats.instants += 1;
+                last_due = Some(due);
+            }
+            self.push(flow, s, due);
+            cursors[0].next_seq += 1;
+            if self.pkts.len() >= max_batch {
+                self.flush(Some(cursors))?;
+            }
+        }
+        self.flush(None)?;
+        self.stats.max_ready_depth = self.stats.max_ready_depth.max(1);
+        ControlFlow::Continue(())
+    }
+
+    /// The general path: pop each virtual instant off the wheel and
+    /// coalesce every frame due at it, flow by flow in declaration order.
+    fn run_wheel(
+        &mut self,
+        flows: &'f [FlowRun],
+        cursors: &mut [FlowCursor],
+        max_batch: usize,
+        wheel: &mut TimerWheel,
+    ) -> ControlFlow<DriveExit> {
+        for (i, flow) in flows.iter().enumerate() {
+            if cursors[i].next_seq < flow.frames.len() as u64 {
+                wheel.schedule(flow.due(cursors[i].next_seq), i as u32);
+            }
+        }
+        let mut ready: Vec<TimerEntry> = Vec::new();
+        while let Some(instant) = wheel.pop_next(&mut ready) {
+            self.stats.instants += 1;
+            self.stats.max_ready_depth = self.stats.max_ready_depth.max(ready.len() as u64);
+            for entry in &ready {
+                let fi = entry.flow as usize;
+                let flow = &flows[fi];
+                let count = flow.frames.len() as u64;
+                loop {
+                    let s = cursors[fi].next_seq;
+                    self.drain_triggers(flow, &mut cursors[fi], s)?;
+                    if s >= count || flow.due(s) != instant {
+                        break;
+                    }
+                    self.push(flow, s, instant);
+                    cursors[fi].next_seq += 1;
+                    if self.pkts.len() >= max_batch {
+                        self.flush(Some(cursors))?;
+                    }
+                }
+                if cursors[fi].next_seq < count {
+                    wheel.schedule(flow.due(cursors[fi].next_seq), entry.flow);
+                }
+            }
+            // Flush at the instant boundary: dispatches never span a clock
+            // step, so `inject_batch_at` groups stay whole-instant batches.
+            self.flush(Some(cursors))?;
+        }
+        ControlFlow::Continue(())
+    }
 }
 
 /// Drive one device's flows to completion on the **caller's thread**: the
@@ -855,6 +1008,42 @@ pub fn drive_device_recovering<S: DeviceSink + ?Sized>(
     }
     fold_cache_delta(&mut stats, device, cache_before);
     (stats, result, recoveries, fault)
+}
+
+/// What one [`drive_device_with`] call produced.
+pub(crate) struct DriveReport {
+    pub(crate) stats: RuntimeStats,
+    pub(crate) result: Result<(), ControlError>,
+    /// Quarantine rejoins (always empty without a recovery policy).
+    pub(crate) recoveries: Vec<DeviceRecovery>,
+    /// The permanent quarantine record, if the device was lost.
+    pub(crate) fault: Option<DeviceFault>,
+}
+
+/// Drive one device under the fault policy `recovery` selects:
+/// [`drive_device_recovering`] with a policy, [`drive_device_guarded`]
+/// (quarantine on the first trip) without one. The single policy
+/// dispatch behind [`FleetRuntime::run`] and `NetDebug` stream runs.
+pub(crate) fn drive_device_with<S: DeviceSink + ?Sized>(
+    device: &mut Device,
+    flows: &[FlowRun],
+    max_batch: usize,
+    sink: &mut S,
+    recovery: Option<RecoveryPolicy>,
+) -> DriveReport {
+    let (stats, result, recoveries, fault) = match recovery {
+        Some(policy) => drive_device_recovering(device, flows, max_batch, sink, policy),
+        None => {
+            let (stats, result, fault) = drive_device_guarded(device, flows, max_batch, sink);
+            (stats, result, Vec::new(), fault)
+        }
+    };
+    DriveReport {
+        stats,
+        result,
+        recoveries,
+        fault,
+    }
 }
 
 /// A fault record for a device that cannot (or may no longer) be
@@ -1120,34 +1309,6 @@ fn isolate_fault(
     }
 }
 
-/// Fold a clean flush of `n` frames into the checkpoint cadence, taking
-/// a fresh checkpoint when it comes due. Only called at flush sites
-/// where the cursors exactly describe the device's consumed frames (NOT
-/// at trigger-drain flushes: there the trigger index has advanced past
-/// an op that has not been applied yet, so a checkpoint would replay
-/// without it).
-fn checkpoint_if_due(
-    device: &Device,
-    cursors: &[FlowCursor],
-    recover: &mut Option<&mut RecoverCtl>,
-    n: usize,
-) {
-    if let Some(ctl) = recover.as_deref_mut() {
-        ctl.delivered += n as u64;
-        if ctl.delivered >= ctl.next_at {
-            ctl.take(device, cursors);
-        }
-    }
-}
-
-/// Count a clean trigger-site flush without checkpointing (see
-/// [`checkpoint_if_due`]).
-fn note_delivered(recover: &mut Option<&mut RecoverCtl>, n: usize) {
-    if let Some(ctl) = recover.as_deref_mut() {
-        ctl.delivered += n as u64;
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn drive_device_inner<S: DeviceSink + ?Sized>(
     device: &mut Device,
@@ -1155,8 +1316,8 @@ fn drive_device_inner<S: DeviceSink + ?Sized>(
     max_batch: usize,
     sink: &mut S,
     stats: &mut RuntimeStats,
-    mut guard: Option<&mut GuardState>,
-    mut recover: Option<&mut RecoverCtl>,
+    guard: Option<&mut GuardState>,
+    recover: Option<&mut RecoverCtl>,
     cursors: &mut [FlowCursor],
 ) -> Result<DriveEnd, ControlError> {
     // Checkpoints are only taken at flush boundaries, so with recovery
@@ -1170,201 +1331,29 @@ fn drive_device_inner<S: DeviceSink + ?Sized>(
         None => max_batch.max(1),
     };
     debug_assert_eq!(cursors.len(), flows.len());
-    let mut pkts: Vec<(u16, &[u8])> = Vec::new();
-    let mut dues: Vec<u64> = Vec::new();
-    let mut meta: Vec<(u32, u64)> = Vec::new();
-
-    // Single-flow fast path: the wheel degenerates to "next seq" — skip
-    // it entirely so paced single-stream drivers (NetDebug sessions,
-    // fleet members) pay no scheduling overhead per packet. Emission
-    // order is identical by construction.
-    if flows.len() == 1 {
-        let flow = &flows[0];
-        let count = flow.frames.len() as u64;
-        let mut last_due: Option<u64> = None;
-        while cursors[0].next_seq < count {
-            let s = cursors[0].next_seq;
-            while cursors[0].trigger < flow.triggers.len()
-                && flow.triggers[cursors[0].trigger].0 <= s
-            {
-                let t = cursors[0].trigger;
-                cursors[0].trigger += 1;
-                let n = pkts.len();
-                match flush(
-                    device,
-                    &mut pkts,
-                    &mut dues,
-                    &mut meta,
-                    sink,
-                    stats,
-                    guard.as_deref_mut(),
-                ) {
-                    FlushOutcome::Clean => note_delivered(&mut recover, n),
-                    FlushOutcome::Caught => return Ok(DriveEnd::Interrupted),
-                    FlushOutcome::Stalled => return Ok(DriveEnd::Stalled),
-                }
-                match apply_trigger(device, flow, t, s, guard.as_deref_mut()) {
-                    TriggerOutcome::Applied => {}
-                    TriggerOutcome::Rejected(e) => return Err(e),
-                    TriggerOutcome::Caught => return Ok(DriveEnd::Interrupted),
-                }
-            }
-            let due = flow.due(s);
-            if last_due != Some(due) {
-                stats.instants += 1;
-                last_due = Some(due);
-            }
-            pkts.push((flow.as_port, flow.frames[s as usize].data.as_slice()));
-            dues.push(due);
-            meta.push((flow.id, s));
-            cursors[0].next_seq += 1;
-            if pkts.len() >= max_batch {
-                let n = pkts.len();
-                match flush(
-                    device,
-                    &mut pkts,
-                    &mut dues,
-                    &mut meta,
-                    sink,
-                    stats,
-                    guard.as_deref_mut(),
-                ) {
-                    FlushOutcome::Clean => checkpoint_if_due(device, cursors, &mut recover, n),
-                    FlushOutcome::Caught => return Ok(DriveEnd::Interrupted),
-                    FlushOutcome::Stalled => return Ok(DriveEnd::Stalled),
-                }
-            }
+    let mut drive = Drive {
+        device,
+        sink,
+        stats,
+        guard,
+        recover,
+        pkts: Vec::new(),
+        dues: Vec::new(),
+        meta: Vec::new(),
+    };
+    let exit = match flows {
+        [flow] => drive.run_single(flow, cursors, max_batch),
+        _ => {
+            let mut wheel = TimerWheel::new(drive.device.now());
+            let exit = drive.run_wheel(flows, cursors, max_batch, &mut wheel);
+            drive.stats.wheel_cascades += wheel.cascades;
+            exit
         }
-        let n = pkts.len();
-        match flush(
-            device,
-            &mut pkts,
-            &mut dues,
-            &mut meta,
-            sink,
-            stats,
-            guard.as_deref_mut(),
-        ) {
-            FlushOutcome::Clean => note_delivered(&mut recover, n),
-            FlushOutcome::Caught => return Ok(DriveEnd::Interrupted),
-            FlushOutcome::Stalled => return Ok(DriveEnd::Stalled),
-        }
-        stats.max_ready_depth = stats.max_ready_depth.max(u64::from(!flows.is_empty()));
-        return Ok(DriveEnd::Completed);
+    };
+    match exit {
+        ControlFlow::Continue(()) => Ok(DriveEnd::Completed),
+        ControlFlow::Break(exit) => exit,
     }
-
-    let mut wheel = TimerWheel::new(device.now());
-    for (i, flow) in flows.iter().enumerate() {
-        if cursors[i].next_seq < flow.frames.len() as u64 {
-            wheel.schedule(flow.due(cursors[i].next_seq), i as u32);
-        }
-    }
-    let mut ready: Vec<TimerEntry> = Vec::new();
-    while let Some(instant) = wheel.pop_next(&mut ready) {
-        stats.instants += 1;
-        stats.max_ready_depth = stats.max_ready_depth.max(ready.len() as u64);
-        for entry in &ready {
-            let fi = entry.flow as usize;
-            let flow = &flows[fi];
-            let count = flow.frames.len() as u64;
-            loop {
-                let s = cursors[fi].next_seq;
-                while cursors[fi].trigger < flow.triggers.len()
-                    && flow.triggers[cursors[fi].trigger].0 <= s
-                {
-                    let t = cursors[fi].trigger;
-                    cursors[fi].trigger += 1;
-                    let n = pkts.len();
-                    match flush(
-                        device,
-                        &mut pkts,
-                        &mut dues,
-                        &mut meta,
-                        sink,
-                        stats,
-                        guard.as_deref_mut(),
-                    ) {
-                        FlushOutcome::Clean => note_delivered(&mut recover, n),
-                        FlushOutcome::Caught => {
-                            stats.wheel_cascades += wheel.cascades;
-                            return Ok(DriveEnd::Interrupted);
-                        }
-                        FlushOutcome::Stalled => {
-                            stats.wheel_cascades += wheel.cascades;
-                            return Ok(DriveEnd::Stalled);
-                        }
-                    }
-                    match apply_trigger(device, flow, t, s, guard.as_deref_mut()) {
-                        TriggerOutcome::Applied => {}
-                        TriggerOutcome::Rejected(e) => {
-                            stats.wheel_cascades += wheel.cascades;
-                            return Err(e);
-                        }
-                        TriggerOutcome::Caught => {
-                            stats.wheel_cascades += wheel.cascades;
-                            return Ok(DriveEnd::Interrupted);
-                        }
-                    }
-                }
-                if s >= count || flow.due(s) != instant {
-                    break;
-                }
-                pkts.push((flow.as_port, flow.frames[s as usize].data.as_slice()));
-                dues.push(instant);
-                meta.push((flow.id, s));
-                cursors[fi].next_seq += 1;
-                if pkts.len() >= max_batch {
-                    let n = pkts.len();
-                    match flush(
-                        device,
-                        &mut pkts,
-                        &mut dues,
-                        &mut meta,
-                        sink,
-                        stats,
-                        guard.as_deref_mut(),
-                    ) {
-                        FlushOutcome::Clean => checkpoint_if_due(device, cursors, &mut recover, n),
-                        FlushOutcome::Caught => {
-                            stats.wheel_cascades += wheel.cascades;
-                            return Ok(DriveEnd::Interrupted);
-                        }
-                        FlushOutcome::Stalled => {
-                            stats.wheel_cascades += wheel.cascades;
-                            return Ok(DriveEnd::Stalled);
-                        }
-                    }
-                }
-            }
-            if cursors[fi].next_seq < count {
-                wheel.schedule(flow.due(cursors[fi].next_seq), entry.flow);
-            }
-        }
-        // Flush at the instant boundary: dispatches never span a clock
-        // step, so `inject_batch_at` groups stay whole-instant batches.
-        let n = pkts.len();
-        match flush(
-            device,
-            &mut pkts,
-            &mut dues,
-            &mut meta,
-            sink,
-            stats,
-            guard.as_deref_mut(),
-        ) {
-            FlushOutcome::Clean => checkpoint_if_due(device, cursors, &mut recover, n),
-            FlushOutcome::Caught => {
-                stats.wheel_cascades += wheel.cascades;
-                return Ok(DriveEnd::Interrupted);
-            }
-            FlushOutcome::Stalled => {
-                stats.wheel_cascades += wheel.cascades;
-                return Ok(DriveEnd::Stalled);
-            }
-        }
-    }
-    stats.wheel_cascades += wheel.cascades;
-    Ok(DriveEnd::Completed)
 }
 
 /// How one control-plane trigger application ended.
@@ -1460,10 +1449,9 @@ struct PoolWorker {
 }
 
 /// A persistent, lazily-spawned worker set that multiplexes any number of
-/// [`DeviceTask`]s onto at most `workers` OS threads (mirroring the shard
-/// pool in `netdebug_dataplane::pool`, but untyped so one pool serves
-/// every task shape). Workers survive across runs — a fleet no longer
-/// spawns fresh threads every window — and are joined on drop. With
+/// [`DeviceTask`]s onto at most `workers` OS threads (untyped, so one
+/// pool serves every task shape). Workers survive across runs — a fleet
+/// no longer spawns fresh threads every window — and are joined on drop. With
 /// `workers <= 1` (or a single task) everything runs inline on the
 /// caller's thread: no threads, identical results, which is what makes
 /// the 1-worker run the reference for the determinism contract.
@@ -1525,8 +1513,7 @@ impl FleetRuntime {
     }
 
     /// OS threads currently alive (0 until the first multi-task run;
-    /// observability for the reuse regression tests, like
-    /// `Dataplane::pool_workers`).
+    /// observability for the reuse regression tests).
     pub fn pool_workers(&self) -> usize {
         self.workers.len()
     }
@@ -1652,37 +1639,26 @@ impl FleetRuntime {
             .enumerate()
             .map(|(i, mut task)| {
                 move || {
-                    let (stats, result, mut recoveries, mut fault) = match recovery {
-                        Some(policy) => drive_device_recovering(
-                            &mut task.device,
-                            &task.flows,
-                            max_batch,
-                            &mut task.sink,
-                            policy,
-                        ),
-                        None => {
-                            let (stats, result, fault) = drive_device_guarded(
-                                &mut task.device,
-                                &task.flows,
-                                max_batch,
-                                &mut task.sink,
-                            );
-                            (stats, result, Vec::new(), fault)
-                        }
-                    };
-                    if let Some(f) = fault.as_mut() {
+                    let mut run = drive_device_with(
+                        &mut task.device,
+                        &task.flows,
+                        max_batch,
+                        &mut task.sink,
+                        recovery,
+                    );
+                    if let Some(f) = run.fault.as_mut() {
                         f.member = format!("device-{i}");
                     }
-                    for r in recoveries.iter_mut() {
+                    for r in run.recoveries.iter_mut() {
                         r.member = format!("device-{i}");
                     }
                     DeviceDone {
                         device: task.device,
                         sink: task.sink,
-                        stats,
-                        result,
-                        fault,
-                        recoveries,
+                        stats: run.stats,
+                        result: run.result,
+                        fault: run.fault,
+                        recoveries: run.recoveries,
                     }
                 }
             })

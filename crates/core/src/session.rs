@@ -8,8 +8,8 @@
 use crate::checker::{Checker, StreamStats, Violation};
 use crate::generator::{Expectation, Generator, StreamSpec};
 use crate::runtime::{
-    drive_device_guarded, drive_device_recovering, DeviceFault, DeviceRecovery, DeviceSink,
-    FlowRun, RecoveryPolicy, RuntimeStats, DEFAULT_MAX_BATCH,
+    drive_device_with, DeviceFault, DeviceRecovery, DeviceSink, FlowRun, RecoveryPolicy,
+    RuntimeStats, DEFAULT_MAX_BATCH,
 };
 use netdebug_hw::{Backend, DeployError, Device, Processed};
 use serde::{Deserialize, Serialize};
@@ -83,11 +83,8 @@ impl NetDebug {
     /// ([`netdebug_hw::Device::inject_batch_with`]), and each outcome is
     /// handed to the checker ([`Checker::observe_processed`]) the moment
     /// the device accounts it — no window of outcomes is ever
-    /// materialised. Back-to-back windows additionally shard across OS
-    /// threads when the device is configured with `shards > 1`
-    /// ([`netdebug_hw::DeviceConfig::shards`]) and the deployed program is
-    /// parallel-safe. Verdicts, statistics and violations are identical to
-    /// the historical packet-at-a-time loop on every path.
+    /// materialised. Verdicts, statistics and violations are identical to
+    /// the historical packet-at-a-time loop.
     pub fn run_stream(&mut self, spec: &StreamSpec) {
         self.run_stream_churn(spec, &crate::churn::ChurnSchedule::new())
             .expect("an empty churn schedule cannot fail");
@@ -101,10 +98,8 @@ impl NetDebug {
     /// publishes through the device's epoch-snapshot control plane at the
     /// scheduled virtual time, after the preceding frames flush and
     /// before the window's first frame dispatches. The traffic keeps
-    /// flowing through the batched (and, with [`NetDebug::set_shards`],
-    /// parallel) path throughout — installs land as atomic epoch
-    /// publications between dispatches, never by falling back to
-    /// sequential execution.
+    /// flowing through the batched path throughout — installs land as
+    /// atomic epoch publications between dispatches.
     ///
     /// A schedule keying an op to a window this stream will never run is
     /// rejected up front ([`crate::churn::ChurnError::UnreachableWindow`])
@@ -155,36 +150,25 @@ impl NetDebug {
             stream: spec.stream,
             last_done: 0,
         };
-        let (stats, result, recoveries, fault) = match self.recovery {
-            Some(policy) => drive_device_recovering(
-                &mut self.device,
-                std::slice::from_ref(&flow),
-                DEFAULT_MAX_BATCH,
-                &mut sink,
-                policy,
-            ),
-            None => {
-                let (stats, result, fault) = drive_device_guarded(
-                    &mut self.device,
-                    std::slice::from_ref(&flow),
-                    DEFAULT_MAX_BATCH,
-                    &mut sink,
-                );
-                (stats, result, Vec::new(), fault)
-            }
-        };
+        let run = drive_device_with(
+            &mut self.device,
+            std::slice::from_ref(&flow),
+            DEFAULT_MAX_BATCH,
+            &mut sink,
+            self.recovery,
+        );
         let last_done = sink.last_done;
-        self.runtime.absorb(&stats);
+        self.runtime.absorb(&run.stats);
         let label = format!("stream-{}", spec.stream);
-        self.last_recoveries = recoveries;
+        self.last_recoveries = run.recoveries;
         for r in &mut self.last_recoveries {
             r.member = label.clone();
         }
-        if let Some(mut f) = fault {
+        if let Some(mut f) = run.fault {
             f.member = label;
             self.last_fault = Some(f);
         }
-        result.map_err(crate::churn::ChurnError::Control)?;
+        run.result.map_err(crate::churn::ChurnError::Control)?;
         if let Some(first) = first_ts {
             self.windows.insert(spec.stream, (first, last_done));
         }
@@ -218,14 +202,6 @@ impl NetDebug {
         &self.last_recoveries
     }
 
-    /// Configure the device's batched injection to shard across `shards`
-    /// worker threads (see [`netdebug_hw::DeviceConfig::shards`]). Streams
-    /// driven by [`NetDebug::run_stream`] pick this up on their next
-    /// window.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.device.set_shards(shards);
-    }
-
     /// Switch the device's packet-execution engine (see
     /// [`netdebug_dataplane::Engine`]): the flat compiled engine is the
     /// default on every path; [`netdebug_dataplane::Engine::Reference`]
@@ -242,9 +218,7 @@ impl NetDebug {
 
     /// Event-loop runtime counters accumulated across every stream this
     /// session ran ([`RuntimeStats`]): coalesced-dispatch sizes,
-    /// ready-queue depth, wheel cascades — surfaced alongside the
-    /// device-level [`netdebug_hw::Device::sharded_batches`] and the data
-    /// plane's `pool_workers`.
+    /// ready-queue depth, wheel cascades.
     pub fn runtime_stats(&self) -> RuntimeStats {
         self.runtime
     }

@@ -122,78 +122,18 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Indexed lookups stay shard-invariant under arbitrary
-    /// `ChurnSchedule`s: every scheduled publication recompiles the
-    /// exact-hash index of `l2_switch`'s dmac table between windows, and
-    /// the churned stream's checker statistics must be identical at every
-    /// shard count 1..=8.
-    #[test]
-    fn churned_index_republication_is_shard_invariant(
-        raw_ops in proptest::collection::vec((0u64..3, 0u8..3, 0u8..4), 0..10),
-        dst in 0u8..4,
-        shards in 2usize..=8,
-    ) {
-        use netdebug::churn::{ChurnOp, ChurnSchedule};
-        let mut schedule = ChurnSchedule::new();
-        for &(window, op_sel, mac) in &raw_ops {
-            let key = 0x0200_0000_0000u128 + u128::from(mac);
-            let op = match op_sel {
-                0 => ChurnOp::Exact {
-                    table: "dmac".into(),
-                    keys: vec![key],
-                    action: "forward".into(),
-                    args: vec![u128::from(mac % 4)],
-                },
-                // Removing an absent entry is a scheduled no-op; clears
-                // republish the empty index.
-                1 => ChurnOp::Remove {
-                    table: "dmac".into(),
-                    patterns: vec![netdebug_p4::ir::IrPattern::Value(key)],
-                    priority: 0,
-                },
-                _ => ChurnOp::Clear { table: "dmac".into() },
-            };
-            schedule = schedule.before_window(window, op);
-        }
-        let template = PacketBuilder::ethernet(
-            EthernetAddress::new(2, 0, 0, 0, 0, 1),
-            EthernetAddress::new(2, 0, 0, 0, 0, dst),
-        )
-        .payload(b"churned-index")
-        .build();
-        let run = |shards: usize| {
-            let mut nd = NetDebug::deploy(&Backend::reference(), corpus::L2_SWITCH).unwrap();
-            nd.set_shards(shards);
-            let spec = StreamSpec::simple(
-                1,
-                template.clone(),
-                3 * NetDebug::STREAM_WINDOW,
-                Expectation::Any,
-            );
-            nd.run_stream_churn(&spec, &schedule).unwrap();
-            nd.checker().streams()[&1].clone()
-        };
-        let sequential = run(1);
-        prop_assert_eq!(
-            &sequential,
-            &run(shards),
-            "churned exact-index stream diverged at {} shards",
-            shards
-        );
-    }
-
     /// Engine parity end to end: a whole NetDebug session — generator,
     /// device taps, checker — driven over an arbitrary `ChurnSchedule`
     /// produces identical checker statistics whether the device's data
     /// plane runs the flat compiled engine (the default) or the
-    /// tree-walking reference oracle, at any shard count. This is the
-    /// fleet/churn-driver face of the parity obligation the dataplane
-    /// proptests pin packet by packet.
+    /// tree-walking reference oracle. Every scheduled publication
+    /// recompiles the exact-hash index of `l2_switch`'s dmac table between
+    /// windows. This is the fleet/churn-driver face of the parity
+    /// obligation the dataplane proptests pin packet by packet.
     #[test]
     fn churned_streams_identical_across_engines(
         raw_ops in proptest::collection::vec((0u64..3, 0u8..3, 0u8..4), 0..10),
         dst in 0u8..4,
-        shards in 1usize..=4,
     ) {
         use netdebug::churn::{ChurnOp, ChurnSchedule};
         use netdebug_dataplane::Engine;
@@ -225,7 +165,6 @@ proptest! {
         let run = |engine: Engine| {
             let mut nd = NetDebug::deploy(&Backend::reference(), corpus::L2_SWITCH).unwrap();
             nd.set_engine(engine);
-            nd.set_shards(shards);
             let spec = StreamSpec::simple(
                 1,
                 template.clone(),
@@ -238,8 +177,7 @@ proptest! {
         prop_assert_eq!(
             &run(Engine::Compiled),
             &run(Engine::Reference),
-            "churned stream diverged between engines at {} shards",
-            shards
+            "churned stream diverged between engines"
         );
     }
 
@@ -255,7 +193,6 @@ proptest! {
     fn churned_streams_identical_with_flow_cache(
         raw_ops in proptest::collection::vec((0u64..3, 0u8..3, 0u8..4), 0..10),
         dst in 0u8..4,
-        shards in 1usize..=4,
     ) {
         use netdebug::churn::{ChurnOp, ChurnSchedule};
         use netdebug_dataplane::Engine;
@@ -292,7 +229,6 @@ proptest! {
                 Some(on) => nd.device_mut().set_flow_cache(on),
                 None => nd.set_engine(Engine::Reference),
             }
-            nd.set_shards(shards);
             let spec = StreamSpec::simple(
                 1,
                 template.clone(),
@@ -306,14 +242,12 @@ proptest! {
         prop_assert_eq!(
             &cached,
             &run(Some(false)),
-            "churned stream diverged cache-on vs cache-off at {} shards",
-            shards
+            "churned stream diverged cache-on vs cache-off"
         );
         prop_assert_eq!(
             &cached,
             &run(None),
-            "churned stream diverged cache-on vs reference at {} shards",
-            shards
+            "churned stream diverged cache-on vs reference"
         );
     }
 }

@@ -34,9 +34,8 @@
 //! Programs whose verdicts read meter/register state or the ingress
 //! timestamp, and programs whose parser can loop (so no finite key
 //! prefix bounds the parse), classify as `Uncacheable` and bypass the
-//! cache entirely — mirroring how `ParallelClass` gates sharding. The
-//! reference engine also always bypasses: it stays the unmemoized
-//! oracle the parity property tests compare against.
+//! cache entirely. The reference engine also always bypasses: it stays
+//! the unmemoized oracle the parity property tests compare against.
 
 use crate::externs::ExternState;
 use crate::table::{FxHasher, TableStats};
@@ -46,10 +45,7 @@ use std::hash::Hasher;
 /// Flow-cache observability counters ([`crate::Dataplane::cache_stats`]).
 ///
 /// Hit/miss/invalidation counts are cumulative since construction;
-/// occupancy and capacity are instantaneous. For a data plane that has
-/// run sharded batches, the numbers aggregate the per-shard worker
-/// caches on top of the sequential one (occupancy and capacity sum over
-/// the caches seen in the most recent sharded batch).
+/// occupancy and capacity are instantaneous.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Packets replayed from a cached outcome.
@@ -62,30 +58,6 @@ pub struct CacheStats {
     pub occupancy: usize,
     /// Total slots.
     pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Counter deltas since `before` (occupancy/capacity stay absolute —
-    /// they are instantaneous, not cumulative).
-    pub(crate) fn delta_since(&self, before: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - before.hits,
-            misses: self.misses - before.misses,
-            invalidations: self.invalidations - before.invalidations,
-            occupancy: self.occupancy,
-            capacity: self.capacity,
-        }
-    }
-
-    /// Fold another cache's numbers in: counters sum, occupancy and
-    /// capacity sum too (the aggregate spans disjoint caches).
-    pub(crate) fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.invalidations += other.invalidations;
-        self.occupancy += other.occupancy;
-        self.capacity += other.capacity;
-    }
 }
 
 /// The replayable side effects one miss records while the engine runs.
@@ -153,7 +125,7 @@ struct Entry {
 /// Number of direct-mapped slots (power of two).
 const SLOTS: usize = 4096;
 
-/// A per-dataplane (and per-shard-worker) direct-mapped flow cache.
+/// A per-dataplane direct-mapped flow cache.
 ///
 /// Collisions overwrite — repeated flows keep their slot hot, one-off
 /// keys cycle through without evicting more than one entry each. Slot
@@ -212,11 +184,6 @@ impl FlowCache {
             invalidations: 0,
             occupied: 0,
         }
-    }
-
-    /// Bytes of frame prefix the key covers.
-    pub(crate) fn key_cap(&self) -> usize {
-        self.key_cap
     }
 
     /// Current counters and occupancy.

@@ -263,7 +263,7 @@ impl CompiledProgram {
     /// Lower `prog` into the flat engine and run the default optimization
     /// pipeline over it. Called once per [`crate::Dataplane`]
     /// construction; the result is immutable and shared (`Arc`) across
-    /// clones, shards and pool workers.
+    /// clones.
     pub fn compile(prog: &ir::Program) -> CompiledProgram {
         Self::compile_with(prog, PassConfig::default())
     }
@@ -657,7 +657,7 @@ impl<'p> Compiler<'p> {
 /// Run one packet through the flat engine.
 ///
 /// The single non-recursive dispatch loop behind every compiled-engine
-/// path (single packet, batch, parallel shard, pool worker). Semantics —
+/// path (single packet, batch, streaming). Semantics —
 /// including trace event order, drop reasons, statistics updates and
 /// extern effects — replicate the tree-walker arm for arm; the parity
 /// property tests in `tests/prop.rs` pin the equivalence over the whole

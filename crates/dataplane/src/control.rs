@@ -5,21 +5,20 @@
 //! program (for validation and name resolution), the shared table cells,
 //! and the publication generation/lock. It can be handed to another
 //! thread and used to `install`/`remove`/`clear` entries while the owning
-//! [`crate::Dataplane`] is mid-`process_batch_parallel`: each mutation
-//! publishes a fresh [`crate::EntrySnapshot`] atomically, in-flight
-//! shards keep reading the snapshot they pinned at batch start, and the
-//! next batch (or the next sequential packet) observes the new epochs.
+//! [`crate::Dataplane`] is mid-`process_batch`: each mutation publishes
+//! a fresh [`crate::EntrySnapshot`] atomically, the in-flight batch
+//! keeps reading the snapshots it pinned at batch start, and the next
+//! batch (or the next single packet) observes the new epochs.
 //!
 //! Publication is also the **index compile point**: every published
 //! snapshot carries a [`crate::LookupIndex`] built from the table's
 //! declared [`netdebug_p4::ir::KeySignature`] (exact → hash, LPM →
 //! prefix-length buckets, anything else → priority scan), so the packet
 //! path never pays per-lookup compilation and the control plane pays it
-//! once per mutation — off the packet threads entirely.
-//! Mutations never force the packet path off the parallel engine; the
-//! only synchronisation between the two is the brief publication lock a
-//! pin point takes when (and only when) a publication actually landed
-//! since it last pinned.
+//! once per mutation — off the packet thread entirely. The only
+//! synchronisation between the two is the brief publication lock a pin
+//! point takes when (and only when) a publication actually landed since
+//! it last pinned.
 
 use crate::table::{RuntimeEntry, TableError, TableState};
 use netdebug_p4::ir::{self, IrPattern, KeySignature};

@@ -181,74 +181,6 @@ impl ExternState {
         }
     }
 
-    /// Clone this state for a parallel shard: registers and meter state
-    /// are carried over (registers may be *read* by the shard; meter cells
-    /// are only executed by the shard that *owns* them under the
-    /// meter-partitioned path — see `Program::parallel_class` — and flow
-    /// back via [`ExternState::adopt_meter_cell`]), while counters start
-    /// from zero so each shard accumulates a pure delta.
-    pub fn shard_clone(&self) -> ExternState {
-        let instances = self
-            .instances
-            .iter()
-            .map(|inst| match inst {
-                ExternCells::Counter { packets, bytes } => ExternCells::Counter {
-                    packets: vec![0; packets.len()],
-                    bytes: vec![0; bytes.len()],
-                },
-                other => other.clone(),
-            })
-            .collect();
-        ExternState { instances }
-    }
-
-    /// Fold a shard's counter deltas back in (commutative sum). Registers
-    /// and meters are left untouched: registers cannot have been written
-    /// on any parallel path, and meter cells flow back separately through
-    /// [`ExternState::adopt_meter_cell`] under per-shard cell ownership.
-    pub fn absorb_counters(&mut self, shard: &ExternState) {
-        for (mine, theirs) in self.instances.iter_mut().zip(&shard.instances) {
-            if let (
-                ExternCells::Counter { packets, bytes },
-                ExternCells::Counter {
-                    packets: dp,
-                    bytes: db,
-                },
-            ) = (mine, theirs)
-            {
-                for (c, d) in packets.iter_mut().zip(dp) {
-                    *c += d;
-                }
-                for (b, d) in bytes.iter_mut().zip(db) {
-                    *b += d;
-                }
-            }
-        }
-    }
-
-    /// Copy one meter cell's full state (config, token levels, last
-    /// execution cycle) from a shard back into this state.
-    ///
-    /// Used by the meter-partitioned parallel path: the batch partitioning
-    /// guarantees every meter cell was executed by at most one shard, so
-    /// adopting each shard's owned cells reproduces the sequential
-    /// per-cell token-bucket evolution exactly. Out-of-range indices (a
-    /// runtime `meter.execute` past the declared size mutates nothing) and
-    /// non-meter externs are no-ops.
-    pub fn adopt_meter_cell(&mut self, shard: &ExternState, id: usize, index: usize) {
-        let Some(ExternCells::Meter { cells: theirs }) = shard.instances.get(id) else {
-            return;
-        };
-        let Some(theirs) = theirs.get(index) else {
-            return;
-        };
-        if let Some(ExternCells::Meter { cells }) = self.instances.get_mut(id) {
-            if let Some(mine) = cells.get_mut(index) {
-                *mine = theirs.clone();
-            }
-        }
-    }
-
     /// Reset all counters and registers (meters keep their configs).
     pub fn clear(&mut self) {
         for inst in &mut self.instances {
@@ -340,28 +272,6 @@ mod tests {
 
         // After a long quiet period tokens refill: green again.
         assert_eq!(s.meter_execute(2, 0, 50_000), COLOR_GREEN);
-    }
-
-    #[test]
-    fn shard_clone_zeroes_counters_and_keeps_registers() {
-        let mut s = ExternState::new(&externs());
-        s.register_write(0, 1, 0x42);
-        s.counter_inc(1, 0, 100);
-        let mut shard = s.shard_clone();
-        // Registers visible read-only; counters start from zero.
-        assert_eq!(shard.register_read(0, 1), 0x42);
-        assert_eq!(shard.counter_read(1, 0), (0, 0));
-        // Two shards accumulate independently; absorption sums them.
-        let mut shard2 = s.shard_clone();
-        shard.counter_inc(1, 0, 64);
-        shard2.counter_inc(1, 0, 36);
-        shard2.counter_inc(1, 1, 8);
-        s.absorb_counters(&shard);
-        s.absorb_counters(&shard2);
-        assert_eq!(s.counter_read(1, 0), (3, 200));
-        assert_eq!(s.counter_read(1, 1), (1, 8));
-        // Master registers untouched by absorption.
-        assert_eq!(s.register_read(0, 1), 0x42);
     }
 
     #[test]

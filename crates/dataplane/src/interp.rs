@@ -31,19 +31,17 @@
 //!
 //! Execution is split into `ExecCtx`-style borrows internally: the
 //! read-mostly state (program IR, compiled code, table entry lists) is
-//! borrowed shared, the per-shard mutable state (table statistics, extern
-//! cells) is borrowed exclusively, so the hot path runs with **zero
-//! per-packet clones** of parser ops, control bodies, table keys or
-//! action bodies, and the unparsed payload is carried as a borrowed slice
-//! until the deparser copies it into the output frame. All packet paths
-//! reuse one per-dataplane scratch `Env`; tracing is opt-out on the batch
-//! paths (see [`Dataplane::set_tracing`]) so throughput runs skip event
-//! allocation entirely. The same read/write split is what lets
-//! [`Dataplane::process_batch_parallel`] shard a batch across a
-//! **persistent worker pool** (`crate::pool` — shard-pinned threads
-//! spawned once, reused every batch; shared entries, per-shard stats
-//! merged commutatively on join) and [`Dataplane::process_batch_with`]
-//! stream traces through a [`TraceSink`] without materialising them.
+//! borrowed shared, the mutable state (table statistics, extern cells)
+//! is borrowed exclusively, so the hot path runs with **zero per-packet
+//! clones** of parser ops, control bodies, table keys or action bodies,
+//! and the unparsed payload is carried as a borrowed slice until the
+//! deparser copies it into the output frame. All packet paths reuse one
+//! per-dataplane scratch `Env`; tracing is opt-out on the batch paths
+//! (see [`Dataplane::set_tracing`]) so throughput runs skip event
+//! allocation entirely, and [`Dataplane::process_batch_with`] streams
+//! traces through a [`TraceSink`] without materialising them. A batch
+//! runs on the calling thread; parallelism lives one level up, across
+//! devices (`netdebug-core`'s `FleetRuntime`).
 //!
 //! Egress conventions (documented device-model behaviour):
 //! * `egress_spec` 0..510 — forward out of that port;
@@ -56,13 +54,11 @@ use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
 use crate::opt::PassConfig;
-use crate::pool::{Job, PacketArena, ShardSpan, WorkerPool};
 use crate::table::{EntrySnapshot, RuntimeEntry, TableState, TableStats, TableView};
 use crate::trace::{DropReason, LazyTrace, Trace, TraceBuf, TraceSink, Verdict};
 use netdebug_p4::ast::{BinOp, UnOp};
 use netdebug_p4::ir::{
-    self, truncate, Cacheability, IrExpr, IrStmt, IrTransition, LValue, Op, ParallelClass,
-    TransTarget,
+    self, truncate, Cacheability, IrExpr, IrStmt, IrTransition, LValue, Op, TransTarget,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -178,43 +174,24 @@ impl Env {
     }
 }
 
-/// Reusable buffers for the meter-partitioning pre-pass: the union-find
-/// parent array, the cell→first-packet map, the component size and
-/// placement maps, and the per-shard load counters. Hoisted out of
-/// `partition_by_cells` so the steady state of a metered stream reuses
-/// one allocation set per data plane instead of three `HashMap`s (plus
-/// two `Vec`s) per batch.
-#[derive(Debug, Default)]
-struct MeterScratch {
-    parent: Vec<usize>,
-    cell_owner: std::collections::HashMap<(usize, usize), usize>,
-    comp_size: std::collections::HashMap<usize, usize>,
-    comp_shard: std::collections::HashMap<usize, usize>,
-    load: Vec<usize>,
-}
-
 /// A program plus its runtime state — one simulated data plane.
 ///
 /// The state is deliberately split along the read/write axis:
 ///
 /// * **read-mostly** — the program (immutable, behind an `Arc`), its
 ///   load-time-compiled bytecode ([`CompiledProgram`], also `Arc`-shared
-///   with pool workers and clones) and the table entry lists: each table
-///   publishes an immutable [`EntrySnapshot`] that the packet path pins
-///   per batch, while the control plane — possibly from another thread,
-///   through a detached [`ControlPlane`] handle — publishes successor
-///   snapshots atomically. Parallel shards share the pinned snapshots by
-///   reference; mid-batch installs never touch them.
-/// * **per-shard mutable** — table hit/miss statistics (`table_stats`) and
-///   extern state (`externs`); counters merge commutatively on shard join,
-///   meter cells merge by per-shard cell ownership on the
-///   meter-partitioned path, and register writers force the sequential
-///   fallback (see [`Dataplane::process_batch_parallel`]).
+///   with clones) and the table entry lists: each table publishes an
+///   immutable [`EntrySnapshot`] that the packet path pins per batch,
+///   while the control plane — possibly from another thread, through a
+///   detached [`ControlPlane`] handle — publishes successor snapshots
+///   atomically; mid-batch installs never touch the pinned ones.
+/// * **mutable** — table hit/miss statistics (`table_stats`) and extern
+///   state (`externs`), owned by the one thread running the batch.
 #[derive(Debug)]
 pub struct Dataplane {
     program: Arc<ir::Program>,
     /// The flat bytecode the default engine executes (compiled once at
-    /// construction, shared with clones and pool workers).
+    /// construction, shared with clones).
     compiled: Arc<CompiledProgram>,
     /// Which engine the packet paths run ([`Engine::Compiled`] default).
     engine: Engine,
@@ -222,23 +199,7 @@ pub struct Dataplane {
     table_stats: Vec<TableStats>,
     externs: ExternState,
     packets_processed: u64,
-    /// Batches that actually ran sharded (parallel path taken, not the
-    /// sequential fallback) — observability for tests and benches.
-    sharded_batches: u64,
-    /// Packets quarantined as [`DropReason::EngineFault`] because their
-    /// shard worker panicked and the solo replay panicked again.
-    engine_faults: u64,
     tracing: bool,
-    /// Cached `Program::parallel_class` — the program is immutable here.
-    parallel_class: ParallelClass,
-    /// Cached `Program::meter_sites` for the meter-partitioning pre-pass
-    /// (empty unless `parallel_class` is `MeterPartitionable`).
-    meter_sites: Vec<(usize, IrExpr)>,
-    /// Whether any meter index expression reads packet contents (header
-    /// fields, validity, parser-assigned metadata/locals). When false —
-    /// e.g. a meter keyed purely on the ingress port — the pre-pass skips
-    /// the parser replay entirely.
-    meter_sites_read_packet: bool,
     /// Publication generation shared with every [`ControlPlane`] handle:
     /// bumped after each snapshot publication. The packet path re-pins
     /// `pin_cache` only when it moves, so steady-state processing pays
@@ -261,25 +222,12 @@ pub struct Dataplane {
     /// reused by every traced path; it grows to the batch's high-water
     /// event volume and stays there (see [`crate::trace::TraceBuf`]).
     trace_buf: TraceBuf,
-    /// Meter pre-pass scratch (see [`MeterScratch`]).
-    meter_scratch: MeterScratch,
     /// The epoch-keyed flow cache ([`crate::cache`]): present when the
-    /// program is cacheable and caching is enabled. Memoizes the
-    /// sequential packet paths; pool workers keep their own.
+    /// program is cacheable and caching is enabled.
     flow_cache: Option<FlowCache>,
     /// Key-prefix bytes for this program's cache (None = program
     /// classified [`Cacheability::Uncacheable`], cache impossible).
     cache_key_cap: Option<usize>,
-    /// Accumulated counters from pool-worker caches, merged on each
-    /// sharded batch join (occupancy/capacity reflect the most recent
-    /// sharded batch).
-    shard_cache: CacheStats,
-    /// Persistent shard workers, spawned lazily by the first parallel
-    /// batch and reused for every one after (not cloned; a clone spawns
-    /// its own on first use).
-    pool: Option<WorkerPool>,
-    /// Recycled packet arena for the pool paths (see `crate::pool`).
-    arena_slot: Option<PacketArena>,
 }
 
 impl Clone for Dataplane {
@@ -287,8 +235,7 @@ impl Clone for Dataplane {
     /// and publication counter (sharing the immutable current snapshots
     /// is safe — mutation always publishes fresh ones) so control-plane
     /// handles and installs on one copy never leak into the other. The
-    /// compiled program and bytecode are shared; the worker pool is not
-    /// (the clone spawns its own lazily). The table snapshots are
+    /// compiled program and bytecode are shared. The table snapshots are
     /// captured under the publication lock, so even a clone taken during
     /// concurrent multi-table churn observes a publication-order prefix,
     /// never a torn cross-table cut.
@@ -313,19 +260,13 @@ impl Clone for Dataplane {
             table_stats: self.table_stats.clone(),
             externs: self.externs.clone(),
             packets_processed: self.packets_processed,
-            sharded_batches: self.sharded_batches,
-            engine_faults: self.engine_faults,
             tracing: self.tracing,
-            parallel_class: self.parallel_class,
-            meter_sites: self.meter_sites.clone(),
-            meter_sites_read_packet: self.meter_sites_read_packet,
             generation,
             pin_cache: self.pin_cache.clone(),
             pin_gen: self.pin_gen,
             publish_lock: Arc::new(std::sync::Mutex::new(())),
             env_scratch: Env::new(&self.program),
             trace_buf: TraceBuf::default(),
-            meter_scratch: MeterScratch::default(),
             // The clone caches independently (its table state may diverge
             // immediately); it starts cold with its own counters.
             flow_cache: if self.flow_cache.is_some() {
@@ -334,9 +275,6 @@ impl Clone for Dataplane {
                 None
             },
             cache_key_cap: self.cache_key_cap,
-            shard_cache: CacheStats::default(),
-            pool: None,
-            arena_slot: None,
         }
     }
 }
@@ -356,8 +294,6 @@ pub struct DataplaneCheckpoint {
     externs: ExternState,
     table_stats: Vec<TableStats>,
     packets_processed: u64,
-    sharded_batches: u64,
-    engine_faults: u64,
 }
 
 impl DataplaneCheckpoint {
@@ -376,9 +312,8 @@ impl DataplaneCheckpoint {
 /// holding the pinned entry state through `&[TableView]` — resolved
 /// **once per batch** from the pinned `Arc<EntrySnapshot>`s — is what
 /// makes a table apply one slice index plus an index probe, no per-apply
-/// `Arc` dereference, while parallel shards share the views read-only
-/// and the control plane publishes new epochs mid-batch without
-/// perturbing in-flight packets.
+/// `Arc` dereference, while the control plane publishes new epochs
+/// mid-batch without perturbing in-flight packets.
 pub(crate) struct ExecCtx<'p> {
     pub(crate) program: &'p ir::Program,
     pub(crate) compiled: &'p CompiledProgram,
@@ -452,13 +387,6 @@ impl Dataplane {
     fn assemble(program: ir::Program, tables: Vec<TableState>, passes: PassConfig) -> Self {
         let externs = ExternState::new(&program.externs);
         let table_stats = vec![TableStats::default(); program.tables.len()];
-        let parallel_class = program.parallel_class();
-        let meter_sites = if parallel_class == ParallelClass::MeterPartitionable {
-            program.meter_sites()
-        } else {
-            Vec::new()
-        };
-        let meter_sites_read_packet = program.meter_pre_pass_needs_parse();
         let compiled = Arc::new(CompiledProgram::compile_with(&program, passes));
         let env_scratch = Env::new(&program);
         let cache_key_cap = match program.cacheability() {
@@ -475,49 +403,16 @@ impl Dataplane {
             table_stats,
             externs,
             packets_processed: 0,
-            sharded_batches: 0,
-            engine_faults: 0,
             tracing: true,
-            parallel_class,
-            meter_sites,
-            meter_sites_read_packet,
             generation: Arc::new(AtomicU64::new(1)),
             pin_cache: Vec::new(),
             pin_gen: 0,
             publish_lock: Arc::new(std::sync::Mutex::new(())),
             env_scratch,
             trace_buf: TraceBuf::default(),
-            meter_scratch: MeterScratch::default(),
             flow_cache: cache_key_cap.map(FlowCache::new),
             cache_key_cap,
-            shard_cache: CacheStats::default(),
-            pool: None,
-            arena_slot: None,
         }
-    }
-
-    /// Instantiate with the optimization configuration
-    /// [`crate::opt::autotune`] picks by micro-benchmarking every pass
-    /// combination on `sample` (a small `(port, frame)` batch shaped
-    /// like the expected traffic). Falls back to [`PassConfig::default`]
-    /// on an empty sample.
-    pub fn with_autotuned_passes(program: ir::Program, sample: &[(u16, Vec<u8>)]) -> Self {
-        let passes = crate::opt::autotune(&program, sample);
-        Self::with_passes(program, passes)
-    }
-
-    /// Whether batches of this program may be split into arbitrary
-    /// contiguous chunks across threads ([`ParallelClass::Safe`]). Meter
-    /// programs are *also* shardable (by meter-cell partitioning) — see
-    /// [`Dataplane::parallel_class`] for the full picture.
-    pub fn parallel_safe(&self) -> bool {
-        self.parallel_class == ParallelClass::Safe
-    }
-
-    /// How [`Dataplane::process_batch_parallel`] may shard this program's
-    /// batches (cached [`netdebug_p4::ir::Program::parallel_class`]).
-    pub fn parallel_class(&self) -> ParallelClass {
-        self.parallel_class
     }
 
     /// Which engine the packet paths execute ([`Engine::Compiled`] unless
@@ -529,7 +424,7 @@ impl Dataplane {
     /// Switch the execution engine.
     ///
     /// [`Engine::Compiled`] is the default on every path (single-packet,
-    /// batch, parallel, streaming). [`Engine::Reference`] selects the
+    /// batch, streaming). [`Engine::Reference`] selects the
     /// tree-walking oracle — differential self-validation runs the same
     /// traffic through both and asserts bit-identical verdicts, traces,
     /// statistics and extern state (see the parity property tests).
@@ -539,8 +434,8 @@ impl Dataplane {
 
     /// A detached control-plane handle: clone it onto any thread and
     /// install/remove/clear entries **while batches run**; every mutation
-    /// publishes a new table epoch atomically, and in-flight shards keep
-    /// the snapshot they pinned. Priority semantics are the data plane's
+    /// publishes a new table epoch atomically, and the in-flight batch
+    /// keeps the snapshots it pinned. Priority semantics are the data plane's
     /// own (hardware-bug transforms such as priority inversion live in
     /// `netdebug-hw`'s `Device::install`, not here).
     pub fn control_plane(&self) -> ControlPlane {
@@ -568,8 +463,6 @@ impl Dataplane {
             externs: self.externs.clone(),
             table_stats: self.table_stats.clone(),
             packets_processed: self.packets_processed,
-            sharded_batches: self.sharded_batches,
-            engine_faults: self.engine_faults,
         }
     }
 
@@ -590,8 +483,6 @@ impl Dataplane {
         self.externs = checkpoint.externs.clone();
         self.table_stats = checkpoint.table_stats.clone();
         self.packets_processed = checkpoint.packets_processed;
-        self.sharded_batches = checkpoint.sharded_batches;
-        self.engine_faults = checkpoint.engine_faults;
     }
 
     /// The compiled program.
@@ -617,36 +508,19 @@ impl Dataplane {
         self.packets_processed
     }
 
-    /// Batches that actually executed on the sharded parallel path (i.e.
-    /// did not take the sequential fallback) since construction.
-    pub fn sharded_batches(&self) -> u64 {
-        self.sharded_batches
-    }
-
-    /// Packets quarantined as [`DropReason::EngineFault`] (their shard
-    /// worker panicked and the sequential solo replay panicked again)
-    /// since construction. Zero on a healthy engine.
-    pub fn engine_faults(&self) -> u64 {
-        self.engine_faults
-    }
-
     /// The optimization passes the bytecode was compiled with.
     pub fn passes(&self) -> PassConfig {
         self.compiled.passes()
     }
 
     /// Flow-cache counters: hits, misses, invalidations, occupancy and
-    /// capacity, aggregated over the sequential cache and every
-    /// pool-worker cache seen so far. All-zero when the program is
-    /// uncacheable or the cache is disabled.
+    /// capacity. All-zero when the program is uncacheable or the cache
+    /// is disabled.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut s = self
-            .flow_cache
+        self.flow_cache
             .as_ref()
             .map(|c| c.stats())
-            .unwrap_or_default();
-        s.absorb(&self.shard_cache);
-        s
+            .unwrap_or_default()
     }
 
     /// Whether the flow cache is active (the program classified
@@ -657,22 +531,17 @@ impl Dataplane {
     }
 
     /// Enable or disable the flow cache. Enabling is a no-op for
-    /// programs the cacheability analysis rejects; disabling drops the
-    /// resident entries (re-enabling starts cold) but keeps the
-    /// accumulated [`Dataplane::cache_stats`] counters from pool
-    /// workers.
+    /// programs the cacheability analysis rejects **and for a cache that
+    /// is already enabled** (resident entries and the cumulative
+    /// [`Dataplane::cache_stats`] counters are kept, so `hits` never
+    /// runs backwards); disabling drops the resident entries and the
+    /// counters with them (re-enabling starts cold).
     pub fn set_flow_cache(&mut self, enabled: bool) {
-        self.flow_cache = if enabled {
-            self.cache_key_cap.map(FlowCache::new)
-        } else {
-            None
-        };
-    }
-
-    /// Live worker threads in the persistent shard pool (0 until the
-    /// first parallel batch spawns them) — observability for tests.
-    pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.worker_count())
+        if !enabled {
+            self.flow_cache = None;
+        } else if self.flow_cache.is_none() {
+            self.flow_cache = self.cache_key_cap.map(FlowCache::new);
+        }
     }
 
     /// Whether [`Dataplane::process_batch`] records per-packet traces.
@@ -828,59 +697,61 @@ impl Dataplane {
     // Packet processing
     // ------------------------------------------------------------------
 
-    /// Process a packet arriving on `port` at device time `now_cycles`,
-    /// recording a full trace.
-    pub fn process(&mut self, port: u16, data: &[u8], now_cycles: u64) -> (Verdict, Trace) {
-        self.packets_processed += 1;
+    /// The one prologue under every `process*` entry point: count the
+    /// `n` packets, pin the current epochs ([`Dataplane::refresh_pins`]),
+    /// align the flow cache, build the execution context, then hand
+    /// `body` the context plus the flow cache, scratch environment and
+    /// trace buffer every [`ExecCtx::run_one`] call takes. The entry
+    /// points differ only in what `body` does with each packet's
+    /// verdict and trace records.
+    fn with_pins<R>(
+        &mut self,
+        n: usize,
+        body: impl FnOnce(&mut ExecCtx<'_>, Option<&mut FlowCache>, &mut Env, &mut TraceBuf) -> R,
+    ) -> R {
+        self.packets_processed += n as u64;
         self.refresh_pins();
         self.sync_cache();
-        let buf = &mut self.trace_buf;
-        let cache = self.flow_cache.as_mut();
+        // A batch amortises one flat view array over its packets; a lone
+        // packet has nothing to amortise it against and reads through
+        // the pinned `Arc`s instead (no allocation).
+        let views;
+        let tables = if n > 1 {
+            views = resolve_views(&self.pin_cache);
+            TablesRef::Views(&views)
+        } else {
+            TablesRef::Pinned(&self.pin_cache)
+        };
         let mut ctx = ExecCtx {
             program: &self.program,
             compiled: &self.compiled,
             engine: self.engine,
-            tables: TablesRef::Pinned(&self.pin_cache),
+            tables,
             table_stats: &mut self.table_stats,
             externs: &mut self.externs,
         };
-        let verdict = ctx.run_one(
-            cache,
-            port,
-            data,
-            now_cycles,
+        body(
+            &mut ctx,
+            self.flow_cache.as_mut(),
             &mut self.env_scratch,
-            buf,
-            true,
-        );
-        let trace = LazyTrace::over(buf, ctx.compiled.names()).decode();
-        (verdict, trace)
+            &mut self.trace_buf,
+        )
+    }
+
+    /// Process a packet arriving on `port` at device time `now_cycles`,
+    /// recording a full trace.
+    pub fn process(&mut self, port: u16, data: &[u8], now_cycles: u64) -> (Verdict, Trace) {
+        self.with_pins(1, |ctx, cache, env, buf| {
+            let verdict = ctx.run_one(cache, port, data, now_cycles, env, buf, true);
+            (verdict, ctx.trace(buf).decode())
+        })
     }
 
     /// Process without tracing (fast path for throughput benchmarks).
     pub fn process_untraced(&mut self, port: u16, data: &[u8], now_cycles: u64) -> Verdict {
-        self.packets_processed += 1;
-        self.refresh_pins();
-        self.sync_cache();
-        let buf = &mut self.trace_buf;
-        let cache = self.flow_cache.as_mut();
-        let mut ctx = ExecCtx {
-            program: &self.program,
-            compiled: &self.compiled,
-            engine: self.engine,
-            tables: TablesRef::Pinned(&self.pin_cache),
-            table_stats: &mut self.table_stats,
-            externs: &mut self.externs,
-        };
-        ctx.run_one(
-            cache,
-            port,
-            data,
-            now_cycles,
-            &mut self.env_scratch,
-            buf,
-            false,
-        )
+        self.with_pins(1, |ctx, cache, env, buf| {
+            ctx.run_one(cache, port, data, now_cycles, env, buf, false)
+        })
     }
 
     /// Process a whole batch of `(ingress port, frame)` pairs arriving at
@@ -888,49 +759,28 @@ impl Dataplane {
     ///
     /// Semantically identical to calling [`Dataplane::process`] once per
     /// packet in order (table/extern state threads through the batch), but
-    /// the per-packet execution environment is allocated once and reused,
-    /// and when tracing is disabled ([`Dataplane::set_tracing`]) no trace
-    /// events are recorded at all. Each element of the result is the
-    /// packet's verdict plus its trace (`None` when tracing is off).
+    /// the epochs are pinned once for the whole batch, and when tracing
+    /// is disabled ([`Dataplane::set_tracing`]) no trace events are
+    /// recorded at all. Each element of the result is the packet's
+    /// verdict plus its trace (`None` when tracing is off).
     pub fn process_batch(
         &mut self,
         pkts: &[(u16, &[u8])],
         now_cycles: u64,
     ) -> Vec<(Verdict, Option<Trace>)> {
-        self.packets_processed += pkts.len() as u64;
         let tracing = self.tracing;
-        self.refresh_pins();
-        self.sync_cache();
-        let views = resolve_views(&self.pin_cache);
-        let env = &mut self.env_scratch;
-        let buf = &mut self.trace_buf;
-        let mut cache = self.flow_cache.as_mut();
-        let mut ctx = ExecCtx {
-            program: &self.program,
-            compiled: &self.compiled,
-            engine: self.engine,
-            tables: TablesRef::Views(&views),
-            table_stats: &mut self.table_stats,
-            externs: &mut self.externs,
-        };
-        // Each packet records into the one reused flat buffer; the
-        // returned owned trace is decoded from it, pre-sized exactly
-        // from the record count (no predecessor heuristic).
-        pkts.iter()
-            .map(|&(port, data)| {
-                let verdict = ctx.run_one(
-                    cache.as_deref_mut(),
-                    port,
-                    data,
-                    now_cycles,
-                    env,
-                    buf,
-                    tracing,
-                );
-                let trace = tracing.then(|| LazyTrace::over(buf, ctx.compiled.names()).decode());
-                (verdict, trace)
-            })
-            .collect()
+        self.with_pins(pkts.len(), |ctx, mut cache, env, buf| {
+            // Each packet records into the one reused flat buffer; the
+            // returned owned trace is decoded from it, pre-sized exactly
+            // from the record count.
+            pkts.iter()
+                .map(|&(port, data)| {
+                    let cache = cache.as_deref_mut();
+                    let verdict = ctx.run_one(cache, port, data, now_cycles, env, buf, tracing);
+                    (verdict, tracing.then(|| ctx.trace(buf).decode()))
+                })
+                .collect()
+        })
     }
 
     /// Process a batch, streaming each packet's trace into `sink` instead
@@ -951,504 +801,35 @@ impl Dataplane {
         now_cycles: u64,
         sink: &mut dyn TraceSink,
     ) -> Vec<Verdict> {
-        self.packets_processed += pkts.len() as u64;
         let tracing = self.tracing;
-        self.refresh_pins();
-        self.sync_cache();
-        let views = resolve_views(&self.pin_cache);
-        let env = &mut self.env_scratch;
-        let buf = &mut self.trace_buf;
-        let mut cache = self.flow_cache.as_mut();
-        let mut ctx = ExecCtx {
-            program: &self.program,
-            compiled: &self.compiled,
-            engine: self.engine,
-            tables: TablesRef::Views(&views),
-            table_stats: &mut self.table_stats,
-            externs: &mut self.externs,
-        };
-        pkts.iter()
-            .enumerate()
-            .map(|(i, &(port, data))| {
-                let verdict = ctx.run_one(
-                    cache.as_deref_mut(),
-                    port,
-                    data,
-                    now_cycles,
-                    env,
-                    buf,
-                    tracing,
-                );
-                sink.observe(i, &verdict, &LazyTrace::over(buf, ctx.compiled.names()));
-                verdict
-            })
-            .collect()
-    }
-
-    /// Process a batch sharded across up to `shards` worker threads of
-    /// the persistent pool.
-    ///
-    /// Workers are spawned **once** (lazily, by the first parallel batch)
-    /// and reused for every batch after — `crate::pool` — so the steady
-    /// state pays no thread spawn/join; the batch's frames are copied
-    /// once into a recycled arena the workers share. Every worker shares
-    /// the program, compiled bytecode and the **pinned** table snapshots
-    /// read-only (control-plane installs landing mid-batch publish new
-    /// epochs without touching the pins) and owns its shard's mutable
-    /// state — zeroed [`TableStats`] and an [`ExternState`] clone with
-    /// zeroed counters ([`ExternState::shard_clone`]). On join the
-    /// statistics merge commutatively (counter sums, hit/miss sums), so
-    /// repeated runs produce identical state regardless of thread
-    /// scheduling. How the batch splits follows
-    /// [`Dataplane::parallel_class`]:
-    ///
-    /// * [`ParallelClass::Safe`] — contiguous balanced chunks (ceil/floor
-    ///   split; every spawned shard receives at least one packet).
-    /// * [`ParallelClass::MeterPartitionable`] — a pre-pass replays the
-    ///   parser to evaluate each packet's meter-cell indices, then packets
-    ///   are partitioned so that all packets touching a given meter cell
-    ///   land on the same shard (batch order preserved within a shard, and
-    ///   hence within every cell). Each shard's meter cells evolve exactly
-    ///   as they would sequentially; on join the owned cells are copied
-    ///   back and the results scattered into batch order.
-    /// * [`ParallelClass::Sequential`] (register writers), `shards <= 1`,
-    ///   or a batch of fewer than 2 packets — the sequential path runs
-    ///   instead.
-    ///
-    /// Results are **bit-identical** to [`Dataplane::process_batch`] on
-    /// every path and under either [`Engine`];
-    /// [`Dataplane::sharded_batches`] reports whether the parallel engine
-    /// actually ran.
-    pub fn process_batch_parallel(
-        &mut self,
-        pkts: &[(u16, &[u8])],
-        now_cycles: u64,
-        shards: usize,
-    ) -> Vec<(Verdict, Option<Trace>)> {
-        let shards = shards.min(pkts.len());
-        if shards <= 1 || self.parallel_class == ParallelClass::Sequential {
-            return self.process_batch(pkts, now_cycles);
-        }
-        match self.parallel_class {
-            ParallelClass::Safe => self.parallel_contiguous(pkts, now_cycles, shards),
-            ParallelClass::MeterPartitionable => {
-                self.parallel_meter_partitioned(pkts, now_cycles, shards)
-            }
-            ParallelClass::Sequential => unreachable!("handled above"),
-        }
-    }
-
-    /// Copy the batch into the recycled arena and build one pool job per
-    /// shard span. `refresh_pins` must have run (the jobs share the
-    /// current pin set).
-    fn build_jobs(
-        &mut self,
-        pkts: &[(u16, &[u8])],
-        now_cycles: u64,
-        spans: Vec<ShardSpan>,
-    ) -> (Arc<PacketArena>, Vec<Job>) {
-        let mut arena = self.arena_slot.take().unwrap_or_default();
-        arena.fill(pkts);
-        let arena = Arc::new(arena);
-        let pins = Arc::new(self.pin_cache.clone());
-        let jobs = spans
-            .into_iter()
-            .map(|span| Job {
-                program: Arc::clone(&self.program),
-                compiled: Arc::clone(&self.compiled),
-                pins: Arc::clone(&pins),
-                arena: Arc::clone(&arena),
-                span,
-                externs: self.externs.shard_clone(),
-                tracing: self.tracing,
-                engine: self.engine,
-                now_cycles,
-                // Workers cache only while the owning data plane does.
-                cache_key_cap: self.flow_cache.as_ref().map(|c| c.key_cap()),
-                pin_gen: self.pin_gen,
-            })
-            .collect();
-        (arena, jobs)
-    }
-
-    /// Run the jobs on the persistent pool and reclaim the arena buffer
-    /// for the next batch. A shard whose worker panicked comes back as
-    /// `Err(span)`; the caller replays it via [`Dataplane::recover_shard`].
-    fn dispatch_jobs(
-        &mut self,
-        arena: Arc<PacketArena>,
-        jobs: Vec<Job>,
-    ) -> Vec<Result<ShardResult, ShardSpan>> {
-        let results = self.pool.get_or_insert_with(WorkerPool::new).run(jobs);
-        // Every worker dropped its handle before reporting, so the arena
-        // is ours again — recycle its buffers.
-        if let Ok(arena) = Arc::try_unwrap(arena) {
-            self.arena_slot = Some(arena);
-        }
-        results
-    }
-
-    /// Sequential replay of a shard whose worker panicked: each packet of
-    /// the span runs **solo** under `catch_unwind`, so one poisoned frame
-    /// cannot take the batch (or the process) down. A packet that panics
-    /// again is quarantined as [`Verdict::Drop`]`(`[`DropReason::EngineFault`]`)`
-    /// with no trace and counted in [`Dataplane::engine_faults`]; the
-    /// others produce their normal verdicts through the sequential path.
-    ///
-    /// Best-effort semantics, documented trade-offs: the panicked shard's
-    /// partial work died with its shard-cloned state (no double counting),
-    /// the replay runs against the *live* epoch (a mid-batch publication
-    /// may be visible to replayed packets where the doomed shard had
-    /// pinned an earlier one), and a packet that dies mid-flight may
-    /// leave partial statistics from the work it completed before dying.
-    fn recover_shard(
-        &mut self,
-        pkts: &[(u16, &[u8])],
-        span: &ShardSpan,
-        now_cycles: u64,
-    ) -> Vec<(Verdict, Option<Trace>)> {
-        let indices: Vec<usize> = match span {
-            ShardSpan::Contiguous(range) => range.clone().collect(),
-            ShardSpan::Indexed(list) => list.clone(),
-        };
-        // The per-packet `process_batch` calls below re-count their
-        // packets; the parallel dispatcher already counted the whole
-        // batch, so compensate up front.
-        self.packets_processed -= indices.len() as u64;
-        let mut out = Vec::with_capacity(indices.len());
-        for i in indices {
-            let one = [pkts[i]];
-            let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.process_batch(&one, now_cycles)
-            }));
-            match replay {
-                Ok(mut verdicts) => {
-                    out.push(verdicts.pop().expect("one packet in, one verdict out"))
-                }
-                Err(_) => {
-                    self.packets_processed += 1;
-                    self.engine_faults += 1;
-                    out.push((Verdict::Drop(DropReason::EngineFault), None));
-                }
-            }
-        }
-        out
-    }
-
-    /// The `Safe` parallel path: contiguous balanced chunks.
-    fn parallel_contiguous(
-        &mut self,
-        pkts: &[(u16, &[u8])],
-        now_cycles: u64,
-        shards: usize,
-    ) -> Vec<(Verdict, Option<Trace>)> {
-        self.packets_processed += pkts.len() as u64;
-        self.sharded_batches += 1;
-        self.refresh_pins();
-        let spans = chunk_ranges(pkts.len(), shards)
-            .into_iter()
-            .map(ShardSpan::Contiguous)
-            .collect();
-        let (arena, jobs) = self.build_jobs(pkts, now_cycles, spans);
-        let shard_results = self.dispatch_jobs(arena, jobs);
-
-        let mut out = Vec::with_capacity(pkts.len());
-        // Occupancy/capacity are instantaneous: re-derive them from this
-        // batch's shards while the counters keep accumulating.
-        self.shard_cache.occupancy = 0;
-        self.shard_cache.capacity = 0;
-        for shard in shard_results {
-            match shard {
-                Ok(shard) => {
-                    out.extend(shard.results);
-                    for (mine, theirs) in self.table_stats.iter_mut().zip(&shard.stats) {
-                        mine.absorb(theirs);
-                    }
-                    self.externs.absorb_counters(&shard.externs);
-                    self.shard_cache.absorb(&shard.cache);
-                }
-                // Worker panicked: replay this span's packets solo, in
-                // batch order (contiguous spans arrive in shard order, so
-                // the merge order is unchanged).
-                Err(span) => out.extend(self.recover_shard(pkts, &span, now_cycles)),
-            }
-        }
-        out
-    }
-
-    /// The `MeterPartitionable` parallel path: pre-evaluate meter cells,
-    /// partition by cell, run shards on index lists, scatter back.
-    fn parallel_meter_partitioned(
-        &mut self,
-        pkts: &[(u16, &[u8])],
-        now_cycles: u64,
-        shards: usize,
-    ) -> Vec<(Verdict, Option<Trace>)> {
-        let cells = self.meter_cells_for_batch(pkts, now_cycles);
-        let shard_indices = partition_by_cells(&mut self.meter_scratch, &cells, shards);
-        if shard_indices.len() <= 1 {
-            // Every packet shares one meter-cell component: sharding would
-            // put the whole batch on one thread anyway.
-            return self.process_batch(pkts, now_cycles);
-        }
-        self.packets_processed += pkts.len() as u64;
-        self.sharded_batches += 1;
-        self.refresh_pins();
-        let spans = shard_indices
-            .iter()
-            .map(|indices| ShardSpan::Indexed(indices.clone()))
-            .collect();
-        let (arena, jobs) = self.build_jobs(pkts, now_cycles, spans);
-        let shard_results = self.dispatch_jobs(arena, jobs);
-
-        // Scatter results back to batch order and merge state. Each meter
-        // cell is owned by exactly one shard (the partitioning invariant),
-        // so copying owned cells back reproduces the sequential per-cell
-        // token-bucket evolution exactly.
-        let mut slots: Vec<Option<(Verdict, Option<Trace>)>> = Vec::new();
-        slots.resize_with(pkts.len(), || None);
-        self.shard_cache.occupancy = 0;
-        self.shard_cache.capacity = 0;
-        for (indices, shard) in shard_indices.iter().zip(shard_results) {
-            match shard {
-                Ok(shard) => {
-                    for (&i, res) in indices.iter().zip(shard.results) {
-                        slots[i] = Some(res);
-                    }
-                    for (mine, theirs) in self.table_stats.iter_mut().zip(&shard.stats) {
-                        mine.absorb(theirs);
-                    }
-                    self.externs.absorb_counters(&shard.externs);
-                    self.shard_cache.absorb(&shard.cache);
-                    let owned: std::collections::BTreeSet<(usize, usize)> = indices
-                        .iter()
-                        .flat_map(|&i| cells[i].iter().copied())
-                        .collect();
-                    for &(id, idx) in &owned {
-                        self.externs.adopt_meter_cell(&shard.externs, id, idx);
-                    }
-                }
-                // Worker panicked. The replay runs on the live externs, so
-                // this shard's owned meter cells evolve in place (per-cell
-                // order preserved — each cell is owned by one shard).
-                Err(span) => {
-                    let recovered = self.recover_shard(pkts, &span, now_cycles);
-                    for (&i, res) in indices.iter().zip(recovered) {
-                        slots[i] = Some(res);
-                    }
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every packet assigned to exactly one shard"))
-            .collect()
-    }
-
-    /// Pre-pass for the meter-partitioned path: replay the parser for each
-    /// packet (no table applies, no extern effects, no statistics) and
-    /// evaluate every meter site's index expression. Sound because
-    /// `MeterPartitionable` classification guarantees the indices depend
-    /// only on parser-determined state. Always runs the reference parser
-    /// regardless of [`Engine`] — partitioning only decides *placement*,
-    /// so both engines shard identically by construction.
-    fn meter_cells_for_batch(
-        &mut self,
-        pkts: &[(u16, &[u8])],
-        now_cycles: u64,
-    ) -> Vec<Vec<(usize, usize)>> {
-        let prog: &ir::Program = &self.program;
-        let env = &mut self.env_scratch;
-        pkts.iter()
-            .map(|&(port, data)| {
-                env.reset(port, data.len(), now_cycles);
-                // Indices that never read packet contents (e.g. a meter
-                // keyed on the ingress port) need no parser replay at all.
-                if self.meter_sites_read_packet {
-                    let mut no_trace: Option<&mut TraceBuf> = None;
-                    // A rejected parse means no meter ever executes for
-                    // this packet; the (deterministic) partially-parsed
-                    // evaluation below merely over-constrains placement.
-                    let _ = parse_packet(prog, data, env, &mut no_trace);
-                }
-                self.meter_sites
-                    .iter()
-                    .map(|(id, idx)| (*id, eval(prog, idx, env) as usize))
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-/// Contiguous balanced split of `len` items into exactly `shards`
-/// non-empty ranges (requires `shards <= len`): the first `len % shards`
-/// ranges take one extra item. No shard ever receives zero packets, even
-/// when `len` is barely above `shards`.
-fn chunk_ranges(len: usize, shards: usize) -> Vec<core::ops::Range<usize>> {
-    let base = len / shards;
-    let rem = len % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0;
-    for s in 0..shards {
-        let size = base + usize::from(s < rem);
-        ranges.push(start..start + size);
-        start += size;
-    }
-    ranges
-}
-
-/// Partition packet indices into at most `shards` non-empty lists such
-/// that all packets touching the same meter cell share a list, preserving
-/// batch order within each list. Packets are connected into components via
-/// union-find over shared cells; components are placed (in order of first
-/// appearance) onto the currently least-loaded shard, which is
-/// deterministic by construction. All working storage lives in the
-/// caller's [`MeterScratch`] and is reused batch to batch.
-fn partition_by_cells(
-    scratch: &mut MeterScratch,
-    cells: &[Vec<(usize, usize)>],
-    shards: usize,
-) -> Vec<Vec<usize>> {
-    let n = cells.len();
-    let parent = &mut scratch.parent;
-    parent.clear();
-    parent.extend(0..n);
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let cell_owner = &mut scratch.cell_owner;
-    cell_owner.clear();
-    for (i, pkt_cells) in cells.iter().enumerate() {
-        for cell in pkt_cells {
-            match cell_owner.entry(*cell) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let a = find(parent, i);
-                    let b = find(parent, *e.get());
-                    // Union by lower root for determinism.
-                    let (lo, hi) = (a.min(b), a.max(b));
-                    parent[hi] = lo;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(i);
-                }
-            }
-        }
-    }
-    let comp_size = &mut scratch.comp_size;
-    comp_size.clear();
-    for i in 0..n {
-        let root = find(parent, i);
-        *comp_size.entry(root).or_default() += 1;
-    }
-    let comp_shard = &mut scratch.comp_shard;
-    comp_shard.clear();
-    let load = &mut scratch.load;
-    load.clear();
-    load.resize(shards, 0);
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for i in 0..n {
-        let root = find(parent, i);
-        let shard = *comp_shard.entry(root).or_insert_with(|| {
-            let s = (0..shards)
-                .min_by_key(|&s| (load[s], s))
-                .expect("shards > 0");
-            load[s] += comp_size[&root];
-            s
-        });
-        out[shard].push(i);
-    }
-    out.retain(|v| !v.is_empty());
-    out
-}
-
-/// Run one shard's packet list against the batch's flattened table views
-/// with freshly zeroed per-shard statistics and the given shard-cloned
-/// extern state. Shared by the pool workers (contiguous and
-/// meter-partitioned spans alike); the views borrow snapshots pinned
-/// before dispatch, so every shard reads one coherent epoch set whatever
-/// the control plane does.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_shard<'a>(
-    program: &ir::Program,
-    compiled: &CompiledProgram,
-    engine: Engine,
-    pinned: &[TableView<'_>],
-    mut externs: ExternState,
-    pkts: impl Iterator<Item = (u16, &'a [u8])>,
-    tracing: bool,
-    now_cycles: u64,
-    env: &mut Env,
-    scratch: &mut TraceBuf,
-    mut cache: Option<&mut FlowCache>,
-    pin_gen: u64,
-) -> ShardResult {
-    let mut stats = vec![TableStats::default(); pinned.len()];
-    // The worker cache persists across batches; align it with the epoch
-    // the dispatching data plane pinned this batch at, and report only
-    // this batch's counter deltas back for the merge.
-    let cache_before = cache.as_deref_mut().map(|c| {
-        c.sync_generation(pin_gen);
-        c.stats()
-    });
-    let mut ctx = ExecCtx {
-        program,
-        compiled,
-        engine,
-        tables: TablesRef::Views(pinned),
-        table_stats: &mut stats,
-        externs: &mut externs,
-    };
-    let results = pkts
-        .map(|(port, data)| {
-            // The flat record buffer sizes the decoded trace exactly —
-            // one record walk counts events before a single allocation.
-            let verdict = ctx.run_one(
-                cache.as_deref_mut(),
-                port,
-                data,
-                now_cycles,
-                env,
-                scratch,
-                tracing,
-            );
-            let trace = tracing.then(|| LazyTrace::over(scratch, ctx.compiled.names()).decode());
-            (verdict, trace)
+        self.with_pins(pkts.len(), |ctx, mut cache, env, buf| {
+            pkts.iter()
+                .enumerate()
+                .map(|(i, &(port, data))| {
+                    let cache = cache.as_deref_mut();
+                    let verdict = ctx.run_one(cache, port, data, now_cycles, env, buf, tracing);
+                    sink.observe(i, &verdict, &ctx.trace(buf));
+                    verdict
+                })
+                .collect()
         })
-        .collect();
-    let cache_delta = match (cache, cache_before) {
-        (Some(c), Some(before)) => c.stats().delta_since(&before),
-        _ => CacheStats::default(),
-    };
-    ShardResult {
-        results,
-        stats,
-        externs,
-        cache: cache_delta,
     }
-}
-
-/// What one parallel shard hands back on join.
-pub(crate) struct ShardResult {
-    pub(crate) results: Vec<(Verdict, Option<Trace>)>,
-    pub(crate) stats: Vec<TableStats>,
-    pub(crate) externs: ExternState,
-    /// This batch's flow-cache counter deltas (plus the worker cache's
-    /// instantaneous occupancy/capacity).
-    pub(crate) cache: CacheStats,
 }
 
 impl ExecCtx<'_> {
+    /// The undecoded view of the records the last [`ExecCtx::run_one`]
+    /// left in `buf`.
+    fn trace<'b>(&'b self, buf: &'b TraceBuf) -> LazyTrace<'b> {
+        LazyTrace::over(buf, self.compiled.names())
+    }
+
     /// Run one packet with full tracing: clears the flat record buffer,
     /// records every event and appends the final verdict summary. The
     /// single finalisation point shared by every traced path —
-    /// single-packet, batch, streaming and parallel shards, under either
-    /// engine — which is what keeps their traces bit-identical (the
+    /// single-packet, batch and streaming, under either engine — which
+    /// is what keeps their traces bit-identical (the
     /// equivalence the proptests pin down).
-    pub(crate) fn run_traced(
+    fn run_traced(
         &mut self,
         port: u16,
         data: &[u8],
@@ -1473,7 +854,7 @@ impl ExecCtx<'_> {
     /// record included) and empty otherwise, so streaming consumers see
     /// identical event streams either way.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_one(
+    fn run_one(
         &mut self,
         cache: Option<&mut FlowCache>,
         port: u16,
@@ -1521,7 +902,7 @@ impl ExecCtx<'_> {
     /// replayable outcome on a flow-cache miss (compiled engine only —
     /// the reference engine never records, and never needs to: the cache
     /// is gated to [`Engine::Compiled`]).
-    pub(crate) fn run(
+    fn run(
         &mut self,
         port: u16,
         data: &[u8],
@@ -1771,8 +1152,7 @@ impl ExecCtx<'_> {
 /// compiled program's interned set when a trace is actually decoded, so
 /// both engines' traces stay content-identical at zero per-event cost.
 ///
-/// Pure with respect to tables, externs and statistics — which is why the
-/// meter-partitioning pre-pass can replay it safely ahead of execution.
+/// Pure with respect to tables, externs and statistics.
 fn parse_packet(
     prog: &ir::Program,
     data: &[u8],

@@ -41,7 +41,6 @@ pub mod disasm;
 pub mod externs;
 pub mod interp;
 pub mod opt;
-mod pool;
 pub mod table;
 pub mod trace;
 
@@ -205,6 +204,28 @@ mod tests {
         assert!(matches!(v, Verdict::Flood { .. }));
         // Per-port rx counter counted both packets on port 0.
         assert_eq!(dp.counter("port_rx", 0).unwrap().0, 2);
+    }
+
+    #[test]
+    fn enabling_an_enabled_flow_cache_keeps_entries_and_counters() {
+        let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
+        let mut dp = Dataplane::new(ir);
+        let (s, d) = macs();
+        let frame = PacketBuilder::ethernet(s, d).payload(b"k").build();
+        for _ in 0..8 {
+            dp.process_untraced(0, &frame, 0);
+        }
+        let before = dp.cache_stats();
+        assert!(before.hits > 0 && before.occupancy > 0, "{before:?}");
+        dp.set_flow_cache(true);
+        assert_eq!(dp.cache_stats(), before, "re-enabling must be a no-op");
+        dp.process_untraced(0, &frame, 0);
+        assert_eq!(dp.cache_stats().hits, before.hits + 1, "entry survived");
+        // Disabling still drops everything; re-enabling then starts cold.
+        dp.set_flow_cache(false);
+        dp.set_flow_cache(true);
+        assert_eq!(dp.cache_stats().hits, 0);
+        assert_eq!(dp.cache_stats().occupancy, 0);
     }
 
     #[test]

@@ -82,19 +82,6 @@ impl PassConfig {
             jump_thread: false,
         }
     }
-
-    /// All 16 pass combinations, in a fixed order ([`PassConfig::none`]
-    /// first, all-on last) — the autotuner's search space.
-    pub fn all_combinations() -> [PassConfig; 16] {
-        let mut out = [PassConfig::none(); 16];
-        for (bits, cfg) in out.iter_mut().enumerate() {
-            cfg.const_fold = bits & 1 != 0;
-            cfg.dead_store = bits & 2 != 0;
-            cfg.fuse = bits & 4 != 0;
-            cfg.jump_thread = bits & 8 != 0;
-        }
-        out
-    }
 }
 
 impl core::fmt::Display for PassConfig {
@@ -122,60 +109,6 @@ impl core::fmt::Display for PassConfig {
         }
         Ok(())
     }
-}
-
-/// Micro-benchmark every [`PassConfig`] combination on `sample` (a small
-/// `(port, frame)` batch shaped like the expected traffic) and return
-/// the fastest. Each configuration compiles the program once and times
-/// several untraced passes over the whole sample against fresh runtime
-/// state (zeroed externs/statistics, const entries only), taking the
-/// best-of-reps wall time; ties keep the earlier configuration in
-/// [`PassConfig::all_combinations`] order, so results are deterministic
-/// for a deterministic timer. An empty sample skips the search and
-/// returns [`PassConfig::default`]. This is a seed of Parasol-style
-/// per-program tuning: the engine's own knobs, chosen by measurement
-/// rather than by hand.
-pub fn autotune(program: &netdebug_p4::ir::Program, sample: &[(u16, Vec<u8>)]) -> PassConfig {
-    use crate::externs::ExternState;
-    use crate::interp::{Env, TablesRef};
-    use crate::table::{TableState, TableStats};
-
-    if sample.is_empty() {
-        return PassConfig::default();
-    }
-    const REPS: usize = 5;
-    let tables: Vec<TableState> = program.tables.iter().map(TableState::new).collect();
-    let snapshots: Vec<_> = tables.iter().map(|t| t.snapshot()).collect();
-    let mut env = Env::new(program);
-    let mut best = (PassConfig::default(), std::time::Duration::MAX);
-    for passes in PassConfig::all_combinations() {
-        let cp = CompiledProgram::compile_with(program, passes);
-        let mut stats = vec![TableStats::default(); program.tables.len()];
-        let mut externs = ExternState::new(&program.externs);
-        let mut elapsed = std::time::Duration::MAX;
-        for _ in 0..REPS {
-            let start = std::time::Instant::now();
-            for &(port, ref frame) in sample {
-                let _ = crate::compile::exec(
-                    &cp,
-                    TablesRef::Pinned(&snapshots),
-                    &mut stats,
-                    &mut externs,
-                    &mut env,
-                    port,
-                    frame,
-                    0,
-                    None,
-                    None,
-                );
-            }
-            elapsed = elapsed.min(start.elapsed());
-        }
-        if elapsed < best.1 {
-            best = (passes, elapsed);
-        }
-    }
-    best.0
 }
 
 /// Pipeline iteration cap: folding/fusion cascades (each iteration can

@@ -23,9 +23,9 @@
 //! epoch. Readers pin a snapshot once (per packet on the single-packet
 //! path, per batch on the batch paths) and keep reading it no matter what
 //! the control plane does concurrently — which is what lets installs land
-//! *mid-batch* without pausing, locking against, or serialising the
-//! parallel packet path. The batch paths flatten the pins further into
-//! [`TableView`]s — direct borrows of the index and entry list — so a
+//! *mid-batch* without pausing or locking against the packet path. The
+//! batch paths flatten the pins further into [`TableView`]s — direct
+//! borrows of the index and entry list — so a
 //! table apply costs one slice index, not an `Arc` dereference.
 
 use netdebug_p4::ast::MatchKind;
@@ -161,9 +161,8 @@ pub struct RuntimeEntry {
 
 /// Hit/miss statistics for one table.
 ///
-/// Kept separate from [`TableState`] so the entry list can be shared
-/// read-only across parallel shards while each shard accumulates its own
-/// statistics; shard stats merge commutatively on join.
+/// Kept separate from [`TableState`] so the packet path borrows the
+/// entry list shared and the statistics exclusively.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableStats {
     /// Lookup hit counter.
@@ -180,12 +179,6 @@ impl TableStats {
         } else {
             self.misses += 1;
         }
-    }
-
-    /// Fold another shard's statistics in (commutative sum).
-    pub fn absorb(&mut self, other: &TableStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
     }
 }
 
@@ -371,8 +364,7 @@ impl EntrySnapshot {
     /// Look up the given key values through the compiled index; returns
     /// the matched entry.
     ///
-    /// Pure read — callers record the outcome in their own [`TableStats`]
-    /// (per-shard on the parallel path).
+    /// Pure read — callers record the outcome in their own [`TableStats`].
     pub fn lookup(&self, keys: &[u128]) -> Option<&RuntimeEntry> {
         self.view().lookup(keys)
     }
@@ -411,10 +403,9 @@ impl EntrySnapshot {
 ///
 /// The batch paths resolve every pinned `Arc<EntrySnapshot>` into a
 /// `TableView` **once at batch entry**; each table apply then costs one
-/// slice index plus the index probe. Views are `Copy` and shared read-only
-/// across parallel shards, and stay epoch-atomic by construction: they
-/// borrow the pinned snapshot, which mid-batch control-plane publications
-/// never touch.
+/// slice index plus the index probe. Views are `Copy` and stay
+/// epoch-atomic by construction: they borrow the pinned snapshot, which
+/// mid-batch control-plane publications never touch.
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
     index: &'a LookupIndex,
@@ -790,14 +781,6 @@ mod tests {
         stats.record(s.lookup(&[43]).is_some());
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
-    fn stats_absorb_is_a_sum() {
-        let mut a = TableStats { hits: 3, misses: 1 };
-        let b = TableStats { hits: 2, misses: 5 };
-        a.absorb(&b);
-        assert_eq!(a, TableStats { hits: 5, misses: 6 });
     }
 
     #[test]

@@ -46,16 +46,15 @@ pub enum DropReason {
     NoEgress,
     /// The chosen egress port does not exist on the device.
     BadEgress,
-    /// The engine worker processing the packet panicked; the recovery
-    /// path quarantined the packet instead of unwinding the caller.
-    EngineFault,
     /// The frame was the isolated culprit of a device fault and was
     /// skipped by checkpoint/restore recovery instead of being replayed.
     Faulted,
 }
 
 impl DropReason {
-    /// Stable wire code inside a [`TraceBuf`] `FINAL` record.
+    /// Stable wire code inside a [`TraceBuf`] `FINAL` record. Code 5 is
+    /// retired (it named a drop reason that no longer exists) and is
+    /// never reused.
     fn code(self) -> u32 {
         match self {
             DropReason::ParserReject => 0,
@@ -63,7 +62,6 @@ impl DropReason {
             DropReason::ActionDrop => 2,
             DropReason::NoEgress => 3,
             DropReason::BadEgress => 4,
-            DropReason::EngineFault => 5,
             DropReason::Faulted => 6,
         }
     }
@@ -74,7 +72,6 @@ impl DropReason {
             1 => DropReason::PacketTooShort,
             2 => DropReason::ActionDrop,
             3 => DropReason::NoEgress,
-            5 => DropReason::EngineFault,
             6 => DropReason::Faulted,
             _ => DropReason::BadEgress,
         }
@@ -89,7 +86,6 @@ impl core::fmt::Display for DropReason {
             DropReason::ActionDrop => "mark_to_drop",
             DropReason::NoEgress => "no egress chosen",
             DropReason::BadEgress => "egress port out of range",
-            DropReason::EngineFault => "engine fault (worker panicked)",
             DropReason::Faulted => "culprit frame skipped by recovery",
         };
         write!(f, "{s}")
@@ -727,6 +723,26 @@ impl TraceSink for CollectSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn drop_reason_codes_round_trip_and_five_stays_retired() {
+        let all = [
+            DropReason::ParserReject,
+            DropReason::PacketTooShort,
+            DropReason::ActionDrop,
+            DropReason::NoEgress,
+            DropReason::BadEgress,
+            DropReason::Faulted,
+        ];
+        for reason in all {
+            assert_eq!(DropReason::from_code(reason.code()), reason);
+            assert_ne!(reason.code(), 5, "{reason:?} reuses retired code 5");
+        }
+        assert_eq!(DropReason::Faulted.code(), 6);
+        // A stale record carrying the retired code decodes through the
+        // fallback arm, like any other unknown code.
+        assert_eq!(DropReason::from_code(5), DropReason::BadEgress);
+    }
 
     #[test]
     fn trace_queries() {

@@ -6,10 +6,9 @@ use netdebug_dataplane::{
 };
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::corpus;
-use netdebug_p4::ir::{ActionCall, ActionIr, IrExpr, IrPattern, ParallelClass, TableIr, TableKey};
+use netdebug_p4::ir::{ActionCall, ActionIr, IrExpr, IrPattern, TableIr, TableKey};
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// A routable IPv4/UDP frame for the `ipv4_forward` program.
 fn routed_frame(dst: Ipv4Address, ttl: u8) -> Vec<u8> {
@@ -109,192 +108,15 @@ proptest! {
             prop_assert_eq!(&batch[i].0, &seq_dp.process_untraced(port, data, 0));
         }
     }
-    /// `process_batch_parallel` is bit-identical to `process_batch` for
-    /// every shard count 1..=8 on a parallel-safe program (no register
-    /// writes): same verdicts, same traces, and the same merged runtime
-    /// state (table hit/miss statistics) afterwards — for arbitrary
-    /// interleavings of routable, unroutable, malformed and garbage frames.
-    #[test]
-    fn parallel_matches_sequential(
-        frames in proptest::collection::vec(
-            (0u16..4, 0u8..4, proptest::collection::vec(any::<u8>(), 0..96)), 1..48),
-        shards in 1usize..=8,
-        now in any::<u32>(),
-        tracing in any::<bool>(),
-    ) {
-        let built: Vec<(u16, Vec<u8>)> = frames
-            .iter()
-            .map(|(port, kind, soup)| {
-                let frame = match kind {
-                    0 => {
-                        let dst = Ipv4Address::new(10, 0, 0, soup.first().copied().unwrap_or(9));
-                        routed_frame(dst, 64)
-                    }
-                    1 => routed_frame(Ipv4Address::new(10, 1, 2, 3), 64),
-                    2 => {
-                        let mut f = routed_frame(Ipv4Address::new(10, 0, 0, 5), 64);
-                        f[14] = 0x55; // version 5: parser must reject
-                        f
-                    }
-                    _ => soup.clone(),
-                };
-                (*port, frame)
-            })
-            .collect();
-        let pkts: Vec<(u16, &[u8])> = built.iter().map(|(p, f)| (*p, f.as_slice())).collect();
-        let now = u64::from(now);
 
-        let mut par_dp = router();
-        let mut seq_dp = router();
-        prop_assert!(par_dp.parallel_safe(), "ipv4_forward writes no registers");
-        par_dp.set_tracing(tracing);
-        seq_dp.set_tracing(tracing);
-        let par = par_dp.process_batch_parallel(&pkts, now, shards);
-        let seq = seq_dp.process_batch(&pkts, now);
-        prop_assert_eq!(par.len(), seq.len());
-        for (i, (p, s)) in par.iter().zip(&seq).enumerate() {
-            prop_assert_eq!(p, s, "packet {} diverged with {} shards", i, shards);
-        }
-        prop_assert_eq!(par_dp.packets_processed(), seq_dp.packets_processed());
-        prop_assert_eq!(
-            par_dp.table_stats("ipv4_lpm").unwrap(),
-            seq_dp.table_stats("ipv4_lpm").unwrap()
-        );
-    }
-
-    /// Counter merges across shard joins are exact: a counter-carrying
-    /// program (`l2_switch`'s per-port rx counter) accumulates identical
-    /// packet/byte totals whether the batch ran on 1 thread or N.
-    #[test]
-    fn parallel_counter_merge_is_exact(
-        dsts in proptest::collection::vec((any::<u8>(), 0u16..4), 1..64),
-        shards in 1usize..=8,
-    ) {
-        let deploy = || {
-            let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
-            let mut dp = Dataplane::new(ir);
-            dp.install_exact("dmac", vec![0x0200_0000_0002], "forward", vec![3])
-                .unwrap();
-            dp
-        };
-        let built: Vec<(u16, Vec<u8>)> = dsts
-            .iter()
-            .map(|(last, port)| {
-                // Half the MACs hit the installed entry, the rest flood.
-                let dst = EthernetAddress::new(2, 0, 0, 0, 0, *last);
-                let f = PacketBuilder::ethernet(
-                    EthernetAddress::new(2, 0, 0, 0, 0, 1), dst)
-                    .payload(b"x")
-                    .build();
-                (*port, f)
-            })
-            .collect();
-        let pkts: Vec<(u16, &[u8])> = built.iter().map(|(p, f)| (*p, f.as_slice())).collect();
-
-        let mut par_dp = deploy();
-        let mut seq_dp = deploy();
-        prop_assert!(par_dp.parallel_safe());
-        let par = par_dp.process_batch_parallel(&pkts, 7, shards);
-        let seq = seq_dp.process_batch(&pkts, 7);
-        prop_assert_eq!(par, seq);
-        for port in 0..4 {
-            prop_assert_eq!(
-                par_dp.counter("port_rx", port).unwrap(),
-                seq_dp.counter("port_rx", port).unwrap(),
-                "port_rx[{}] diverged with {} shards", port, shards
-            );
-        }
-        prop_assert_eq!(
-            par_dp.table_stats("dmac").unwrap(),
-            seq_dp.table_stats("dmac").unwrap()
-        );
-    }
-
-    /// A meter-executing program (`rate_limiter`: per-port srTCM policing,
-    /// red packets dropped) runs through `process_batch_parallel` **on the
-    /// sharded path** — no sequential fallback — with results bit-identical
-    /// to `process_batch` for every shard count 1..=8: same verdicts (the
-    /// meter colours decide drops, so any per-cell reordering would show),
-    /// same traces, same merged meter/counter/statistics state after.
-    #[test]
-    fn meter_program_shards_bit_identically(
-        pkt_ports in proptest::collection::vec(0u16..4, 2..64),
-        cir in 1u64..400,
-        cbs in 1u64..6,
-        shards in 1usize..=8,
-        now in 0u64..1_000_000,
-        tracing in any::<bool>(),
-    ) {
-        let deploy = || {
-            let ir = netdebug_p4::compile(corpus::RATE_LIMITER).unwrap();
-            let mut dp = Dataplane::new(ir);
-            for port in 0..4u128 {
-                dp.install_exact("fwd", vec![port], "forward", vec![(port + 1) % 4])
-                    .unwrap();
-                // Tight buckets so colours actually progress under load.
-                dp.configure_meter("port_meter", port as usize, MeterConfig {
-                    cir_per_mcycle: cir,
-                    cbs,
-                    pir_per_mcycle: cir * 2,
-                    pbs: cbs * 2,
-                }).unwrap();
-            }
-            dp
-        };
-        let frame = PacketBuilder::ethernet(
-            EthernetAddress::new(2, 0, 0, 0, 0, 1),
-            EthernetAddress::new(2, 0, 0, 0, 0, 2),
-        )
-        .payload(b"meterme")
-        .build();
-        // Force at least two meter cells so the partitioner has work.
-        let mut ports = pkt_ports.clone();
-        ports[0] = 0;
-        ports[1] = 1;
-        let pkts: Vec<(u16, &[u8])> = ports.iter().map(|p| (*p, frame.as_slice())).collect();
-
-        let mut par_dp = deploy();
-        let mut seq_dp = deploy();
-        prop_assert_eq!(par_dp.parallel_class(), ParallelClass::MeterPartitionable);
-        par_dp.set_tracing(tracing);
-        seq_dp.set_tracing(tracing);
-        let par = par_dp.process_batch_parallel(&pkts, now, shards);
-        let seq = seq_dp.process_batch(&pkts, now);
-        prop_assert_eq!(par.len(), seq.len());
-        for (i, (p, s)) in par.iter().zip(&seq).enumerate() {
-            prop_assert_eq!(p, s, "packet {} diverged with {} shards", i, shards);
-        }
-        if shards >= 2 {
-            prop_assert_eq!(
-                par_dp.sharded_batches(), 1,
-                "meter program must take the sharded path, not the fallback"
-            );
-        }
-        prop_assert_eq!(par_dp.packets_processed(), seq_dp.packets_processed());
-        prop_assert_eq!(
-            par_dp.table_stats("fwd").unwrap(),
-            seq_dp.table_stats("fwd").unwrap()
-        );
-        // The merged meter state is the sequential one: replaying more
-        // traffic after the join stays bit-identical too.
-        let replay: Vec<(u16, &[u8])> = (0..8u16).map(|i| (i % 4, frame.as_slice())).collect();
-        prop_assert_eq!(
-            par_dp.process_batch(&replay, now + 10),
-            seq_dp.process_batch(&replay, now + 10),
-            "post-join meter state diverged"
-        );
-    }
-
-    /// Mid-batch rule churn is epoch-atomic: installing between windows on
-    /// the sequential path produces bit-identical results to publishing
-    /// the same epoch (through the detached `ControlPlane` handle) before
-    /// the parallel window, for every shard count 1..=8.
+    /// Rule churn between windows is epoch-atomic: installing through the
+    /// data plane's own API produces bit-identical results to publishing
+    /// the same epoch through the detached `ControlPlane` handle.
     #[test]
     fn install_between_windows_matches_epoch_publication(
         frames in proptest::collection::vec(
             (0u16..4, 0u8..4, proptest::collection::vec(any::<u8>(), 0..64)), 2..32),
         split in 1usize..31,
-        shards in 1usize..=8,
         now in any::<u32>(),
     ) {
         let built: Vec<(u16, Vec<u8>)> = frames
@@ -336,116 +158,21 @@ proptest! {
             .unwrap();
         let seq2 = seq_dp.process_batch(w2, now);
 
-        let mut par_dp = deploy();
-        let cp = par_dp.control_plane();
+        let mut cp_dp = deploy();
+        let cp = cp_dp.control_plane();
         prop_assert_eq!(cp.epoch("ipv4_lpm").unwrap(), 1, "deploy-time install = epoch 1");
-        let par1 = par_dp.process_batch_parallel(w1, now, shards);
+        let cp1 = cp_dp.process_batch(w1, now);
         let epoch = cp
             .install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
             .unwrap();
         prop_assert_eq!(epoch, 2, "handle publication bumps the epoch");
-        let par2 = par_dp.process_batch_parallel(w2, now, shards);
+        let cp2 = cp_dp.process_batch(w2, now);
 
-        prop_assert_eq!(&par1, &seq1, "pre-install window diverged");
-        prop_assert_eq!(&par2, &seq2, "post-install window diverged");
+        prop_assert_eq!(&cp1, &seq1, "pre-install window diverged");
+        prop_assert_eq!(&cp2, &seq2, "post-install window diverged");
         prop_assert_eq!(
-            par_dp.table_stats("ipv4_lpm").unwrap(),
+            cp_dp.table_stats("ipv4_lpm").unwrap(),
             seq_dp.table_stats("ipv4_lpm").unwrap()
-        );
-    }
-
-    /// Shard-join merges are deterministic and shard-count-invariant with
-    /// the snapshot tables: for every shard count 1..=8 the verdict-level
-    /// drop counts (by reason), the `TableStats::absorb`-merged hit/miss
-    /// statistics and the per-cell counters all equal the sequential
-    /// outcome — the merge is a commutative sum, so the split cannot show.
-    #[test]
-    fn shard_merges_are_count_invariant(
-        frames in proptest::collection::vec(
-            (0u16..4, 0u8..4, proptest::collection::vec(any::<u8>(), 0..64)), 1..48),
-        now in any::<u32>(),
-    ) {
-        let built: Vec<(u16, Vec<u8>)> = frames
-            .iter()
-            .map(|(port, kind, soup)| {
-                let frame = match kind {
-                    0 => {
-                        let dst = Ipv4Address::new(10, 0, 0, soup.first().copied().unwrap_or(9));
-                        routed_frame(dst, 64)
-                    }
-                    1 => routed_frame(Ipv4Address::new(10, 1, 2, 3), 64),
-                    2 => {
-                        let mut f = routed_frame(Ipv4Address::new(10, 0, 0, 5), 64);
-                        f[14] = 0x55;
-                        f
-                    }
-                    _ => soup.clone(),
-                };
-                (*port, frame)
-            })
-            .collect();
-        let pkts: Vec<(u16, &[u8])> = built.iter().map(|(p, f)| (*p, f.as_slice())).collect();
-        let now = u64::from(now);
-
-        let drop_histogram = |results: &[(Verdict, Option<netdebug_dataplane::Trace>)]| {
-            let mut h: BTreeMap<String, u64> = BTreeMap::new();
-            for (v, _) in results {
-                if let Verdict::Drop(reason) = v {
-                    *h.entry(reason.to_string()).or_default() += 1;
-                }
-            }
-            h
-        };
-
-        let mut seq_dp = router();
-        let seq = seq_dp.process_batch(&pkts, now);
-        let seq_drops = drop_histogram(&seq);
-        let seq_stats = seq_dp.table_stats("ipv4_lpm").unwrap();
-
-        for shards in 1usize..=8 {
-            let mut dp = router();
-            let par = dp.process_batch_parallel(&pkts, now, shards);
-            prop_assert_eq!(
-                drop_histogram(&par), seq_drops.clone(),
-                "drop counts diverged at {} shards", shards
-            );
-            prop_assert_eq!(
-                dp.table_stats("ipv4_lpm").unwrap(), seq_stats,
-                "absorbed table stats diverged at {} shards", shards
-            );
-        }
-    }
-
-    /// Programs with register writes fall back to the sequential path and
-    /// therefore stay bit-identical too — including the final register
-    /// state, which only an order-preserving execution can guarantee.
-    #[test]
-    fn register_writers_parallel_still_sequential_semantics(
-        n in 1usize..48,
-        shards in 2usize..=8,
-    ) {
-        let deploy = || {
-            let ir = netdebug_p4::compile(corpus::FLOW_COUNTER).unwrap();
-            let mut dp = Dataplane::new(ir);
-            dp.install_exact("fwd", vec![0], "forward", vec![1]).unwrap();
-            dp
-        };
-        let frame = PacketBuilder::ethernet(
-            EthernetAddress::new(2, 0, 0, 0, 0, 1),
-            EthernetAddress::new(2, 0, 0, 0, 0, 2),
-        )
-        .payload(&[0u8; 40])
-        .build();
-        let pkts: Vec<(u16, &[u8])> = (0..n).map(|_| (0u16, frame.as_slice())).collect();
-        let mut par_dp = deploy();
-        let mut seq_dp = deploy();
-        prop_assert!(!par_dp.parallel_safe(), "flow_counter writes registers");
-        let par = par_dp.process_batch_parallel(&pkts, 0, shards);
-        let seq = seq_dp.process_batch(&pkts, 0);
-        prop_assert_eq!(par, seq);
-        prop_assert_eq!(
-            par_dp.register("rx_bytes", 0).unwrap(),
-            seq_dp.register("rx_bytes", 0).unwrap()
         );
     }
 
@@ -784,14 +511,14 @@ proptest! {
     }
 
     /// The flattened per-batch views stay equivalent end to end: an
-    /// exact-indexed program (`l2_switch`) processed in parallel at
-    /// 1..=8 shards matches the sequential path bit for bit, before and
-    /// after an epoch republication lands between the windows.
+    /// exact-indexed program (`l2_switch`) processed as one batch matches
+    /// the packet-at-a-time path (which reads through the pinned
+    /// snapshots, no views) bit for bit, before and after an epoch
+    /// republication lands between the windows.
     #[test]
-    fn exact_index_parallel_and_republication_equivalence(
+    fn exact_index_batch_and_republication_equivalence(
         macs in proptest::collection::vec(0u8..32, 1..24),
         stream in proptest::collection::vec((0u8..48, 0u16..4), 1..48),
-        shards in 1usize..=8,
     ) {
         let deploy = |macs: &[u8]| {
             let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
@@ -818,22 +545,28 @@ proptest! {
             .collect();
         let pkts: Vec<(u16, &[u8])> = built.iter().map(|(p, f)| (*p, f.as_slice())).collect();
 
-        let mut par_dp = deploy(&macs);
+        let mut batch_dp = deploy(&macs);
         let mut seq_dp = deploy(&macs);
-        prop_assert_eq!(par_dp.process_batch_parallel(&pkts, 0, shards),
-            seq_dp.process_batch(&pkts, 0));
+        let one_by_one = |dp: &mut Dataplane, now: u64| -> Vec<_> {
+            pkts.iter()
+                .map(|&(port, data)| {
+                    let (verdict, trace) = dp.process(port, data, now);
+                    (verdict, Some(trace))
+                })
+                .collect()
+        };
+        prop_assert_eq!(batch_dp.process_batch(&pkts, 0), one_by_one(&mut seq_dp, 0));
 
         // Republication between the windows: remove one entry, add one.
-        for dp in [&mut par_dp, &mut seq_dp] {
+        for dp in [&mut batch_dp, &mut seq_dp] {
             let cp = dp.control_plane();
             cp.remove("dmac",
                 &[IrPattern::Value(0x0200_0000_0000 + u128::from(macs[0]))], 0).unwrap();
             cp.install_exact("dmac", vec![0x0200_0000_0000 + 40], "forward", vec![1]).unwrap();
         }
-        prop_assert_eq!(par_dp.process_batch_parallel(&pkts, 1, shards),
-            seq_dp.process_batch(&pkts, 1));
+        prop_assert_eq!(batch_dp.process_batch(&pkts, 1), one_by_one(&mut seq_dp, 1));
         prop_assert_eq!(
-            par_dp.table_stats("dmac").unwrap(),
+            batch_dp.table_stats("dmac").unwrap(),
             seq_dp.table_stats("dmac").unwrap()
         );
     }
@@ -944,15 +677,13 @@ proptest! {
     }
 
     /// Batched parity on a deployed router (installed LPM entries, every
-    /// drop path, truncations at arbitrary cuts): `process_batch` and
-    /// `process_batch_parallel` at 1..=8 shards on the compiled engine
-    /// equal the reference engine's sequential batch bit for bit —
+    /// drop path, truncations at arbitrary cuts): `process_batch` on the
+    /// compiled engine equals the reference engine's batch bit for bit —
     /// verdicts, traces, statistics.
     #[test]
-    fn engines_agree_on_batches_and_shards(
+    fn engines_agree_on_batches(
         frames in proptest::collection::vec(
             (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 1..48),
-        shards in 1usize..=8,
         now in any::<u32>(),
         tracing in any::<bool>(),
     ) {
@@ -968,26 +699,24 @@ proptest! {
         reference_dp.set_engine(Engine::Reference);
         compiled_dp.set_tracing(tracing);
         reference_dp.set_tracing(tracing);
-        let par = compiled_dp.process_batch_parallel(&pkts, now, shards);
-        let seq = reference_dp.process_batch(&pkts, now);
-        prop_assert_eq!(par.len(), seq.len());
-        for (i, (c, r)) in par.iter().zip(&seq).enumerate() {
-            prop_assert_eq!(c, r, "packet {} diverged (compiled, {} shards)", i, shards);
+        let compiled = compiled_dp.process_batch(&pkts, now);
+        let reference = reference_dp.process_batch(&pkts, now);
+        prop_assert_eq!(compiled.len(), reference.len());
+        for (i, (c, r)) in compiled.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(c, r, "packet {} diverged between engines", i);
         }
         assert_runtime_state_matches(&compiled_dp, &reference_dp)?;
     }
 
     /// Meter parity: a token-bucket program (per-cell order dependence is
     /// the hardest state to reproduce) gives identical verdicts, traces
-    /// and post-batch meter behaviour under both engines, sequential and
-    /// meter-partitioned alike — including a replay batch that would
-    /// expose any divergent bucket state.
+    /// and post-batch meter behaviour under both engines — including a
+    /// replay batch that would expose any divergent bucket state.
     #[test]
     fn engines_agree_on_meter_programs(
         pkt_ports in proptest::collection::vec(0u16..4, 2..48),
         cir in 1u64..400,
         cbs in 1u64..6,
-        shards in 1usize..=8,
         now in 0u64..1_000_000,
     ) {
         let deploy = |engine: Engine| {
@@ -1017,28 +746,29 @@ proptest! {
 
         let mut compiled_dp = deploy(Engine::Compiled);
         let mut reference_dp = deploy(Engine::Reference);
-        let par = compiled_dp.process_batch_parallel(&pkts, now, shards);
-        let seq = reference_dp.process_batch(&pkts, now);
-        prop_assert_eq!(&par, &seq, "meter batch diverged at {} shards", shards);
-        // Replay after the join: any divergent token-bucket state shows.
+        prop_assert_eq!(
+            compiled_dp.process_batch(&pkts, now),
+            reference_dp.process_batch(&pkts, now),
+            "meter batch diverged between engines"
+        );
+        // Replay: any divergent token-bucket state shows.
         let replay: Vec<(u16, &[u8])> = (0..8u16).map(|i| (i % 4, frame.as_slice())).collect();
         prop_assert_eq!(
             compiled_dp.process_batch(&replay, now + 10),
             reference_dp.process_batch(&replay, now + 10),
-            "post-join meter state diverged between engines"
+            "post-batch meter state diverged between engines"
         );
         assert_runtime_state_matches(&compiled_dp, &reference_dp)?;
     }
 
     /// Mid-batch epoch republication parity: installs landing between
     /// windows through the detached `ControlPlane` handle produce
-    /// identical windows under both engines, for every shard count.
+    /// identical windows under both engines.
     #[test]
     fn engines_agree_under_republication(
         frames in proptest::collection::vec(
             (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 2..32),
         split in 1usize..31,
-        shards in 1usize..=8,
         now in any::<u32>(),
     ) {
         let built: Vec<(u16, Vec<u8>)> = frames
@@ -1061,10 +791,10 @@ proptest! {
         let run = |engine: Engine| {
             let mut dp = deploy(engine);
             let cp = dp.control_plane();
-            let win1 = dp.process_batch_parallel(w1, now, shards);
+            let win1 = dp.process_batch(w1, now);
             cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
                 .unwrap();
-            let win2 = dp.process_batch_parallel(w2, now, shards);
+            let win2 = dp.process_batch(w2, now);
             (win1, win2, dp)
         };
         let (c1, c2, compiled_dp) = run(Engine::Compiled);
@@ -1293,180 +1023,9 @@ fn parser_budget_exhaustion_identical_across_engines() {
     );
 }
 
-/// The persistent pool spawns its shard workers once and reuses them:
-/// back-to-back parallel batches leave the worker count at the shard
-/// count (no per-batch spawn), results stay bit-identical throughout,
-/// and a clone starts with a fresh, empty pool.
-#[test]
-fn worker_pool_persists_across_batches() {
-    let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let mut dp = Dataplane::new(ir);
-    dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
-    assert_eq!(dp.pool_workers(), 0, "pool is lazy");
-    let frames: Vec<Vec<u8>> = (0..64)
-        .map(|i| routed_frame(Ipv4Address::new(10, 0, 0, i as u8), 64))
-        .collect();
-    let pkts: Vec<(u16, &[u8])> = frames.iter().map(|f| (0u16, f.as_slice())).collect();
-    let mut seq_dp = dp.clone();
-    let expected = seq_dp.process_batch(&pkts, 0);
-    for round in 0..10u64 {
-        let got = dp.process_batch_parallel(&pkts, 0, 4);
-        assert_eq!(got, expected, "round {round} diverged");
-        assert_eq!(dp.pool_workers(), 4, "workers spawned once, reused");
-    }
-    assert_eq!(dp.sharded_batches(), 10);
-    // Growing the shard count grows the pool; shrinking reuses a subset.
-    dp.process_batch_parallel(&pkts, 0, 6);
-    assert_eq!(dp.pool_workers(), 6);
-    dp.process_batch_parallel(&pkts, 0, 2);
-    assert_eq!(dp.pool_workers(), 6);
-    let clone = dp.clone();
-    assert_eq!(clone.pool_workers(), 0, "clones spawn their own pool");
-}
-
-/// The three-way sharding classification: pure match-action/counter
-/// programs split anywhere; meter programs with pre-evaluable cell
-/// indices shard by meter-cell partition; register writers are the only
-/// programs left on the sequential fallback.
-#[test]
-fn parallel_safety_classification() {
-    let safe = ["ipv4_forward", "l2_switch", "reflector", "acl_firewall"];
-    let meter_partitionable = ["rate_limiter"];
-    let sequential = ["flow_counter"];
-    for prog in netdebug_p4::corpus::corpus() {
-        let ir = netdebug_p4::compile(prog.source).unwrap();
-        let dp = Dataplane::new(ir);
-        if safe.contains(&prog.name) {
-            assert_eq!(
-                dp.parallel_class(),
-                ParallelClass::Safe,
-                "{} must shard anywhere",
-                prog.name
-            );
-            assert!(dp.parallel_safe());
-        }
-        if meter_partitionable.contains(&prog.name) {
-            assert_eq!(
-                dp.parallel_class(),
-                ParallelClass::MeterPartitionable,
-                "{} must shard by meter cell",
-                prog.name
-            );
-            assert!(!dp.parallel_safe(), "meter programs are not Safe-class");
-        }
-        if sequential.contains(&prog.name) {
-            assert_eq!(
-                dp.parallel_class(),
-                ParallelClass::Sequential,
-                "{} must fall back",
-                prog.name
-            );
-        }
-    }
-}
-
-/// A policer whose **parser assigns standard metadata from packet
-/// contents** and whose meter is indexed by that standard field: the
-/// pre-pass must replay the parser (reset-only evaluation would compute
-/// wrong cells and break the per-cell partition invariant).
-const PARSER_STD_METER: &str = r#"
-    header ethernet_t {
-        bit<48> dstAddr;
-        bit<48> srcAddr;
-        bit<16> etherType;
-    }
-    struct headers_t { ethernet_t ethernet; }
-    struct metadata_t { bit<2> color; }
-    parser PsParser(packet_in pkt, out headers_t hdr,
-                    inout metadata_t meta,
-                    inout standard_metadata_t standard_metadata) {
-        state start {
-            pkt.extract(hdr.ethernet);
-            standard_metadata.packet_length = (bit<32>) hdr.ethernet.etherType;
-            transition accept;
-        }
-    }
-    control PsIngress(inout headers_t hdr, inout metadata_t meta,
-                      inout standard_metadata_t standard_metadata) {
-        meter(4) m;
-        apply {
-            m.execute(standard_metadata.packet_length, meta.color);
-            if (meta.color == 2) {
-                mark_to_drop();
-            } else {
-                standard_metadata.egress_spec = 1;
-            }
-        }
-    }
-    control PsDeparser(packet_out pkt, in headers_t hdr) {
-        apply { pkt.emit(hdr.ethernet); }
-    }
-    V1Switch(PsParser(), PsIngress(), PsDeparser()) main;
-"#;
-
-/// Regression: a meter indexed by parser-*assigned* standard metadata.
-/// Packets on different ports share meter cells (the cell comes from the
-/// etherType, not the port), so a pre-pass that skipped the parser replay
-/// would partition by the wrong key, split one real cell across shards,
-/// and diverge from the sequential path.
-#[test]
-fn meter_on_parser_assigned_std_shards_bit_identically() {
-    let deploy = || {
-        let ir = netdebug_p4::compile(PARSER_STD_METER).unwrap();
-        let mut dp = Dataplane::new(ir);
-        for cell in 0..4 {
-            dp.configure_meter(
-                "m",
-                cell,
-                MeterConfig {
-                    cir_per_mcycle: 100,
-                    cbs: 2,
-                    pir_per_mcycle: 200,
-                    pbs: 4,
-                },
-            )
-            .unwrap();
-        }
-        dp
-    };
-    // etherType cycles 4 meter cells while the port cycles independently:
-    // reset-only cell evaluation (frame length + port) would both split
-    // real cells across shards and merge distinct ones.
-    let mixed: Vec<Vec<u8>> = (0..48u16)
-        .map(|i| {
-            let mut f = vec![0u8; 16];
-            f[13] = (i % 4) as u8;
-            f[15] = i as u8;
-            f
-        })
-        .collect();
-    let pkts: Vec<(u16, &[u8])> = mixed
-        .iter()
-        .enumerate()
-        .map(|(i, f)| ((i % 3) as u16, f.as_slice()))
-        .collect();
-
-    let mut seq_dp = deploy();
-    let seq = seq_dp.process_batch(&pkts, 5);
-    assert!(
-        seq.iter().any(|(v, _)| matches!(v, Verdict::Drop(_))),
-        "tight meters must go red under same-cell bursts"
-    );
-    for shards in 1usize..=8 {
-        let mut par_dp = deploy();
-        assert_eq!(par_dp.parallel_class(), ParallelClass::MeterPartitionable);
-        let par = par_dp.process_batch_parallel(&pkts, 5, shards);
-        assert_eq!(par, seq, "diverged at {shards} shards");
-        if shards >= 2 {
-            assert_eq!(par_dp.sharded_batches(), 1, "must not fall back");
-        }
-    }
-}
-
-/// A control-plane thread hammering installs *while* a parallel batch is
-/// in flight: memory-safe, every packet gets a verdict consistent with
-/// *some* published epoch (the pinned one), and the batch after the joins
+/// A control-plane thread hammering installs *while* a batch is in
+/// flight: memory-safe, every packet gets a verdict consistent with
+/// *some* published epoch (the pinned one), and the batch after the join
 /// observes the final epoch.
 #[test]
 fn concurrent_installs_mid_batch_are_epoch_atomic() {
@@ -1499,7 +1058,7 @@ fn concurrent_installs_mid_batch_are_epoch_atomic() {
             cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
                 .unwrap()
         });
-        let results = dp.process_batch_parallel(&pkts, 0, 4);
+        let results = dp.process_batch(&pkts, 0);
         let final_epoch = churn.join().expect("churn thread panicked");
         assert_eq!(final_epoch, 1 + 64 * 2 + 1);
         results
@@ -1520,42 +1079,13 @@ fn concurrent_installs_mid_batch_are_epoch_atomic() {
         "one batch, one pinned epoch: mixed egress ports {ports:?}"
     );
     // The next batch observes the final epoch: /16 wins, port 2.
-    let after = dp.process_batch_parallel(&pkts[..4], 0, 2);
+    let after = dp.process_batch(&pkts[..4], 0);
     for (v, _) in &after {
         assert!(
             matches!(v, Verdict::Forward { port: 2, .. }),
             "post-churn batch must see the /16 route: {v:?}"
         );
     }
-}
-
-/// A register-writing program fed through `process_batch_parallel` takes
-/// the sequential fallback: order-dependent register state comes out
-/// exactly as the one-at-a-time oracle produces it, which sharded
-/// execution could not guarantee.
-#[test]
-fn register_writing_program_takes_sequential_fallback() {
-    let ir = netdebug_p4::compile(corpus::FLOW_COUNTER).unwrap();
-    let mut dp = Dataplane::new(ir);
-    dp.install_exact("fwd", vec![0], "forward", vec![1])
-        .unwrap();
-    assert!(!dp.parallel_safe());
-    let frame = PacketBuilder::ethernet(
-        EthernetAddress::new(2, 0, 0, 0, 0, 1),
-        EthernetAddress::new(2, 0, 0, 0, 0, 2),
-    )
-    .payload(&[0u8; 50])
-    .build();
-    let pkts: Vec<(u16, &[u8])> = (0..10).map(|_| (0u16, frame.as_slice())).collect();
-    let results = dp.process_batch_parallel(&pkts, 0, 8);
-    assert_eq!(dp.sharded_batches(), 0, "register writers must not shard");
-    assert!(results.iter().all(|(v, _)| v.is_forwarded()));
-    // Sequential semantics: every packet's bytes accumulated, in order.
-    assert_eq!(
-        dp.register("rx_bytes", 0).unwrap(),
-        10 * frame.len() as u128
-    );
-    assert_eq!(dp.counter("rx_pkts", 0).unwrap().0, 10);
 }
 
 // ---------------------------------------------------------------------
@@ -1627,21 +1157,20 @@ proptest! {
         prop_assert_eq!(uncached_dp.cache_stats().hits, 0, "disabled cache must not hit");
     }
 
-    /// Cache parity under shards and mid-batch republication on a
-    /// deployed router: for every shard count 1..=8 the cached compiled
-    /// engine, the cache-off compiled engine and the sequential
-    /// reference produce identical windows when an LPM route publishes
+    /// Cache parity under batches and mid-stream republication on a
+    /// deployed router: the cached compiled engine, the cache-off
+    /// compiled engine and the reference produce identical windows when
+    /// an LPM route publishes
     /// between them through the detached `ControlPlane` handle — the
     /// epoch bump must invalidate resident entries, never replay a
     /// pre-install outcome. Streams repeat frames from a small pool
     /// (routable, unroutable, malformed, truncated, soup) so the cache
     /// genuinely replays within and across windows.
     #[test]
-    fn flow_cache_parity_on_shards_and_republication(
+    fn flow_cache_parity_on_batches_and_republication(
         pool in proptest::collection::vec(
             (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 1..6),
         picks in proptest::collection::vec(any::<u16>(), 2..48),
-        shards in 1usize..=8,
         now in any::<u32>(),
     ) {
         let built: Vec<(u16, Vec<u8>)> = pool
@@ -1668,19 +1197,19 @@ proptest! {
                 .unwrap();
             dp
         };
-        let run = |engine: Engine, cache: bool, shards: usize| {
+        let run = |engine: Engine, cache: bool| {
             let mut dp = deploy(engine, cache);
             let cp = dp.control_plane();
-            let win1 = dp.process_batch_parallel(w1, now, shards);
+            let win1 = dp.process_batch(w1, now);
             cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
                 .unwrap();
-            let win2 = dp.process_batch_parallel(w2, now, shards);
+            let win2 = dp.process_batch(w2, now);
             (win1, win2, dp)
         };
-        let (c1, c2, cached_dp) = run(Engine::Compiled, true, shards);
+        let (c1, c2, cached_dp) = run(Engine::Compiled, true);
         prop_assert!(cached_dp.flow_cache_enabled(), "ipv4_forward is cacheable");
-        let (u1, u2, uncached_dp) = run(Engine::Compiled, false, shards);
-        let (r1, r2, reference_dp) = run(Engine::Reference, false, 1);
+        let (u1, u2, uncached_dp) = run(Engine::Compiled, false);
+        let (r1, r2, reference_dp) = run(Engine::Reference, false);
         prop_assert_eq!(&c1, &u1, "pre-install window: cache-on vs cache-off");
         prop_assert_eq!(&c2, &u2, "post-install window: cache-on vs cache-off");
         prop_assert_eq!(&c1, &r1, "pre-install window: cache-on vs reference");

@@ -33,13 +33,6 @@ pub struct DeviceConfig {
     pub core_clock_hz: f64,
     /// Per-port line rate in Gbit/s.
     pub link_gbps: f64,
-    /// Worker shards for batched internal injection: back-to-back windows
-    /// in [`Device::inject_batch`] are partitioned across this many OS
-    /// threads when the deployed program is shardable — split anywhere, or
-    /// partitioned by meter cell (see
-    /// [`netdebug_dataplane::Dataplane::parallel_class`]). `1` (the
-    /// default) keeps the streaming single-thread path.
-    pub shards: usize,
 }
 
 impl Default for DeviceConfig {
@@ -49,7 +42,6 @@ impl Default for DeviceConfig {
             ports: 4,
             core_clock_hz: 200e6,
             link_gbps: 10.0,
-            shards: 1,
         }
     }
 }
@@ -495,11 +487,6 @@ impl Device {
         &self.taps.drop_counts
     }
 
-    /// Set the number of worker shards batched injection may use.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.config.shards = shards.max(1);
-    }
-
     /// Switch the embedded data plane's execution engine (the flat
     /// compiled engine by default; [`Engine::Reference`] selects the
     /// tree-walking oracle for differential self-validation). Hardware
@@ -514,13 +501,6 @@ impl Device {
         self.dataplane.engine()
     }
 
-    /// Batches the embedded data plane actually ran on the sharded
-    /// parallel path (no sequential fallback) — see
-    /// [`netdebug_dataplane::Dataplane::sharded_batches`].
-    pub fn sharded_batches(&self) -> u64 {
-        self.dataplane.sharded_batches()
-    }
-
     /// Flow-cache counters of the embedded data plane (hits, misses,
     /// invalidations, occupancy, capacity) — see
     /// [`netdebug_dataplane::Dataplane::cache_stats`]. All-zero when the
@@ -529,8 +509,9 @@ impl Device {
         self.dataplane.cache_stats()
     }
 
-    /// Enable or disable the embedded data plane's flow cache — see
-    /// [`netdebug_dataplane::Dataplane::set_flow_cache`].
+    /// Enable or disable the embedded data plane's flow cache (enabling
+    /// an already-enabled cache is a no-op: entries and counters stay) —
+    /// see [`netdebug_dataplane::Dataplane::set_flow_cache`].
     pub fn set_flow_cache(&mut self, enabled: bool) {
         self.dataplane.set_flow_cache(enabled);
     }
@@ -587,14 +568,10 @@ impl Device {
     /// without a `Vec<Processed>` ever materialising.
     ///
     /// Back-to-back windows (`gap_cycles == 0`) run through the data
-    /// plane's batch engine as one group: with `DeviceConfig::shards > 1`
-    /// and a shardable program (anywhere-splittable or
-    /// meter-partitionable — register writers take the sequential
-    /// fallback) the window is sharded across OS threads
-    /// ([`Dataplane::process_batch_parallel`]); otherwise it streams
-    /// through one reused trace buffer
-    /// ([`Dataplane::process_batch_with`]), so tap accounting allocates
-    /// nothing per packet. Paced windows (`gap_cycles > 0`) schedule
+    /// plane's batch engine as one group, streamed through one reused
+    /// trace buffer ([`Dataplane::process_batch_with`]), so tap
+    /// accounting allocates nothing per packet. Paced windows
+    /// (`gap_cycles > 0`) schedule
     /// frame `i` at `now + gap_cycles * (i + 1)` and go through
     /// [`Device::inject_batch_at`], which coalesces every run of equal
     /// due-cycles into one batch-engine dispatch — the historical
@@ -629,10 +606,9 @@ impl Device {
     /// runtime drives: `due_cycles` must be non-decreasing (window order
     /// is virtual-time order), the clock jumps forward to each due instant
     /// (it never moves backwards), and every **run of equal due-cycles is
-    /// coalesced into a single batch-engine dispatch** — sharded when the
-    /// device is configured with `shards > 1` and the group has more than
-    /// one frame, streaming otherwise. Results and statistics are
-    /// bit-identical to advancing the clock to each due time and calling
+    /// coalesced into a single batch-engine dispatch**. Results and
+    /// statistics are bit-identical to advancing the clock to each due
+    /// time and calling
     /// [`Device::inject`] per frame.
     ///
     /// Mismatched `pkts`/`due_cycles` lengths return
@@ -713,33 +689,7 @@ impl Device {
         visit: &mut impl FnMut(usize, Processed),
     ) {
         let latency = &self.compiled.latency;
-        if self.config.shards > 1 && pkts.len() > 1 {
-            let results = self.dataplane.process_batch_parallel(
-                pkts,
-                self.taps.now_cycles,
-                self.config.shards,
-            );
-            for (i, (verdict, trace)) in results.into_iter().enumerate() {
-                let summary = match &trace {
-                    Some(t) => self.taps.tap_packet(t, latency),
-                    None => self.taps.untraced_summary(latency),
-                };
-                visit(
-                    base + i,
-                    self.taps.finish(
-                        &self.config,
-                        latency,
-                        pkts[i].0,
-                        verdict,
-                        summary,
-                        0.0,
-                        false,
-                    ),
-                );
-            }
-            return;
-        }
-        // Streaming path: the sink turns each (borrowed, reused) trace
+        // The sink turns each (borrowed, reused) trace
         // into a tiny Copy summary while counting stage taps, so the only
         // per-group allocations are the verdicts and summaries.
         let mut sink = TapSink {
@@ -809,8 +759,7 @@ impl Device {
     /// `mutate` on its own OS thread — handed a detached
     /// [`netdebug_dataplane::ControlPlane`] — while the window streams
     /// through the device. Table mutations land as atomic epoch
-    /// publications, and the parallel path never falls back to sequential
-    /// execution on account of the churn.
+    /// publications.
     ///
     /// With `gap_cycles == 0` the window runs through the batch engine,
     /// which pins its snapshots **once**: every packet of the window
@@ -1151,8 +1100,7 @@ impl TapState {
 
     /// Post-verdict bookkeeping: pipeline timing, deparser/egress taps,
     /// port statistics and drop counters. Runs in packet order on every
-    /// path (the parallel path accounts after the shards join), so the
-    /// resulting statistics are deterministic.
+    /// path, so the resulting statistics are deterministic.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &mut self,
@@ -1563,144 +1511,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_injection_matches_streaming_exactly() {
-        // The same window through a 1-shard (streaming) and a 4-shard
-        // (parallel) device must produce identical outcomes AND identical
-        // statistics — port counters, stage taps and drop counters merge
-        // deterministically across shard joins.
-        let mixed: Vec<Vec<u8>> = (0..97)
-            .map(|i| match i % 3 {
-                0 => ipv4(Ipv4Address::new(10, 0, 0, (i % 250) as u8), 4),
-                1 => ipv4(Ipv4Address::new(192, 168, 0, 1), 4), // miss -> drop
-                _ => ipv4(Ipv4Address::new(10, 0, 0, 9), 5),    // malformed -> reject
-            })
-            .collect();
-        let frames: Vec<&[u8]> = mixed.iter().map(|f| f.as_slice()).collect();
-
-        let mut streaming = deploy(&Backend::reference());
-        let mut sharded = deploy(&Backend::reference());
-        sharded.set_shards(4);
-
-        let a = streaming.inject_batch(0, &frames, 0);
-        let b = sharded.inject_batch(0, &frames, 0);
-        assert_eq!(a, b, "sharded outcomes must be bit-identical");
-        assert_eq!(streaming.stage_counts(), sharded.stage_counts());
-        assert_eq!(streaming.drop_counts(), sharded.drop_counts());
-        for p in 0..4 {
-            assert_eq!(streaming.port_stats(p), sharded.port_stats(p));
-        }
-        // Deterministic across repeated runs of the same seed: a third
-        // sharded device produces the very same report inputs.
-        let mut again = deploy(&Backend::reference());
-        again.set_shards(4);
-        let c = again.inject_batch(0, &frames, 0);
-        assert_eq!(b, c);
-        assert_eq!(sharded.drop_counts(), again.drop_counts());
-    }
-
-    /// A policer metering on a *header field* (the low etherType bits),
-    /// so one injected window spreads over several meter cells and the
-    /// meter-partitioned parallel path genuinely engages (injection
-    /// impersonates a single ingress port, which would collapse a
-    /// port-keyed meter like `rate_limiter` into one cell/one component).
-    const FLOW_POLICER: &str = r#"
-        header ethernet_t {
-            bit<48> dstAddr;
-            bit<48> srcAddr;
-            bit<16> etherType;
-        }
-        struct headers_t { ethernet_t ethernet; }
-        struct metadata_t { bit<2> color; }
-        parser FpParser(packet_in pkt, out headers_t hdr,
-                        inout metadata_t meta,
-                        inout standard_metadata_t standard_metadata) {
-            state start {
-                pkt.extract(hdr.ethernet);
-                transition accept;
-            }
-        }
-        control FpIngress(inout headers_t hdr, inout metadata_t meta,
-                          inout standard_metadata_t standard_metadata) {
-            meter(4) flow_meter;
-            apply {
-                flow_meter.execute((bit<32>) hdr.ethernet.etherType, meta.color);
-                if (meta.color == 2) {
-                    mark_to_drop();
-                } else {
-                    standard_metadata.egress_spec = 1;
-                }
-            }
-        }
-        control FpDeparser(packet_out pkt, in headers_t hdr) {
-            apply { pkt.emit(hdr.ethernet); }
-        }
-        V1Switch(FpParser(), FpIngress(), FpDeparser()) main;
-    "#;
-
-    #[test]
-    fn metered_program_shards_at_device_level() {
-        // With the meter-partitioned path the sharded device must match
-        // the streaming device bit for bit — outcomes, taps, drop
-        // counters — and must actually shard, not fall back.
-        let deploy_fp = |shards: usize| {
-            let mut dev = Device::deploy_source(&Backend::reference(), FLOW_POLICER).unwrap();
-            for cell in 0..4 {
-                dev.configure_meter(
-                    "flow_meter",
-                    cell,
-                    netdebug_dataplane::MeterConfig {
-                        cir_per_mcycle: 100,
-                        cbs: 3,
-                        pir_per_mcycle: 200,
-                        pbs: 6,
-                    },
-                )
-                .unwrap();
-            }
-            dev.set_shards(shards);
-            dev
-        };
-        // Raw ethernet frames whose etherType cycles the 4 meter cells.
-        let mixed: Vec<Vec<u8>> = (0..64u16)
-            .map(|i| {
-                let mut f = vec![0u8; 16];
-                f[..6].copy_from_slice(&[2, 0, 0, 0, 0, 2]);
-                f[6..12].copy_from_slice(&[2, 0, 0, 0, 0, 1]);
-                f[13] = (i % 4) as u8; // etherType low byte = meter cell
-                f
-            })
-            .collect();
-        let frames: Vec<&[u8]> = mixed.iter().map(|f| f.as_slice()).collect();
-        let mut streaming = deploy_fp(1);
-        let mut sharded = deploy_fp(4);
-        // Each cell sees a same-cell burst that saturates into red drops;
-        // any per-cell reorder or double-execution would change the
-        // colour sequence and show up here.
-        let a = streaming.inject_batch(0, &frames, 0);
-        let b = sharded.inject_batch(0, &frames, 0);
-        assert_eq!(a, b, "metered outcomes must be bit-identical");
-        assert_eq!(streaming.sharded_batches(), 0);
-        assert_eq!(
-            sharded.sharded_batches(),
-            1,
-            "the window must take the meter-partitioned path, not the fallback"
-        );
-        assert_eq!(streaming.drop_counts(), sharded.drop_counts());
-        assert_eq!(streaming.stage_counts(), sharded.stage_counts());
-        assert!(
-            a.iter().any(|p| !p.outcome.transmitted()),
-            "tight meters must go red under same-cell bursts"
-        );
-        assert!(
-            a.iter().any(|p| p.outcome.transmitted()),
-            "early packets in each cell burst stay green"
-        );
-    }
-
-    #[test]
     fn concurrent_install_lands_mid_batch() {
         let mut dev = deploy(&Backend::reference());
-        dev.set_shards(4);
         let frame = ipv4(Ipv4Address::new(10, 1, 0, 7), 4);
         let frames: Vec<&[u8]> = (0..256).map(|_| frame.as_slice()).collect();
         // Before churn: 10.1.0.7 matches only the /8 route (port 1).
@@ -1737,11 +1549,10 @@ mod tests {
         // The batch path flattens its pinned snapshots into per-batch
         // table views; a concurrent install into a hash-indexed exact
         // table (l2_switch's dmac) publishes a recompiled index mid-batch
-        // and must never tear the window: every packet of the sharded
-        // window resolves against one index generation.
+        // and must never tear the window: every packet of the window
+        // resolves against one index generation.
         let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
         let mut dev = Device::deploy(&Backend::reference(), &ir).unwrap();
-        dev.set_shards(4);
         let dst = 0x0200_0000_0007u128;
         let frame = PacketBuilder::ethernet(
             EthernetAddress::new(2, 0, 0, 0, 0, 1),

@@ -86,116 +86,6 @@ impl Program {
         self.headers.iter().map(|h| h.bit_width).sum()
     }
 
-    /// True when per-packet execution is free of *any* order-dependent
-    /// state mutation ([`ParallelClass::Safe`]): a batch may be split into
-    /// arbitrary contiguous chunks across shards with bit-identical
-    /// results. See [`Program::parallel_class`] for the full three-way
-    /// classification (meter programs are shardable too, under a
-    /// partitioning constraint).
-    pub fn parallel_safe(&self) -> bool {
-        self.parallel_class() == ParallelClass::Safe
-    }
-
-    /// Classify how batches of this program may be sharded across threads
-    /// while staying bit-identical to sequential execution:
-    ///
-    /// * [`ParallelClass::Safe`] — counters only accumulate (commutative
-    ///   merges), registers are only *read*, no meter executes. Any
-    ///   contiguous split of the batch works.
-    /// * [`ParallelClass::MeterPartitionable`] — the program executes
-    ///   meters (token buckets consume tokens in per-cell packet order)
-    ///   but writes no registers, and every `meter.execute` index
-    ///   expression is **pre-evaluable**: it depends only on state the
-    ///   parser determines (header fields, parser-assigned metadata,
-    ///   standard metadata, constants) — never on action parameters or on
-    ///   metadata/locals written by the match-action pipeline. The batch
-    ///   engine can then compute each packet's meter cells up front and
-    ///   partition the batch so that all packets hitting a given cell land
-    ///   on the same shard, preserving per-cell execution order.
-    /// * [`ParallelClass::Sequential`] — the program writes registers (or
-    ///   executes a meter through a non-pre-evaluable index); only the
-    ///   sequential batch path reproduces its semantics.
-    pub fn parallel_class(&self) -> ParallelClass {
-        let mut writes_register = false;
-        let mut meter_sites = Vec::new();
-        self.visit_ops(|op| match op {
-            Op::RegisterWrite(..) => writes_register = true,
-            Op::MeterExecute(id, idx, _) => meter_sites.push((*id, idx.clone())),
-            _ => {}
-        });
-        if writes_register {
-            return ParallelClass::Sequential;
-        }
-        if meter_sites.is_empty() {
-            return ParallelClass::Safe;
-        }
-        let pipeline_written = self.pipeline_written_state();
-        if meter_sites
-            .iter()
-            .all(|(_, idx)| pre_evaluable(idx, &pipeline_written))
-        {
-            ParallelClass::MeterPartitionable
-        } else {
-            ParallelClass::Sequential
-        }
-    }
-
-    /// Every `meter.execute` site in the program, in deterministic
-    /// (control-then-action, body) order: the extern instance and the cell
-    /// index expression. Used by the batch engine's meter-partitioning
-    /// pre-pass.
-    pub fn meter_sites(&self) -> Vec<(ExternId, IrExpr)> {
-        let mut sites = Vec::new();
-        self.visit_ops(|op| {
-            if let Op::MeterExecute(id, idx, _) = op {
-                sites.push((*id, idx.clone()));
-            }
-        });
-        sites
-    }
-
-    /// Whether the meter-partitioning pre-pass must **replay the parser**
-    /// to evaluate this program's meter indices, or can evaluate them
-    /// from per-packet constants (port, frame length, timestamp) alone.
-    ///
-    /// The companion to [`Program::parallel_class`]'s pre-evaluability
-    /// rule, kept here so the whole contract lives in one place: an index
-    /// needs the replay if it reads header fields, header validity, or
-    /// metadata/locals (parser-assigned under the `MeterPartitionable`
-    /// rules) — and also if it reads *standard* metadata while the parser
-    /// assigns any standard field from packet contents (otherwise
-    /// standard fields are fixed by per-packet reset alone).
-    pub fn meter_pre_pass_needs_parse(&self) -> bool {
-        fn lv_is_std(lv: &LValue) -> bool {
-            match lv {
-                LValue::Std(_) => true,
-                LValue::Slice(inner, ..) => lv_is_std(inner),
-                _ => false,
-            }
-        }
-        fn reads_packet(e: &IrExpr, std_tainted: bool) -> bool {
-            match e {
-                IrExpr::Const { .. } | IrExpr::Param { .. } => false,
-                IrExpr::Std(_) => std_tainted,
-                IrExpr::Field(..) | IrExpr::IsValid(_) | IrExpr::Meta(_) | IrExpr::Local(_) => true,
-                IrExpr::Un { a, .. } => reads_packet(a, std_tainted),
-                IrExpr::Bin { a, b, .. } => {
-                    reads_packet(a, std_tainted) || reads_packet(b, std_tainted)
-                }
-                IrExpr::Slice { base, .. } => reads_packet(base, std_tainted),
-                IrExpr::Cast { expr, .. } => reads_packet(expr, std_tainted),
-            }
-        }
-        let std_tainted = self.parser.states.iter().any(|st| {
-            st.ops
-                .iter()
-                .any(|op| matches!(op, ParserOp::Assign(lv, _) if lv_is_std(lv)))
-        });
-        self.meter_sites()
-            .iter()
-            .any(|(_, e)| reads_packet(e, std_tainted))
-    }
-
     /// Classify whether per-packet outcomes of this program may be
     /// **memoized** by a flow cache keyed on the ingress port, the frame
     /// bytes the parser can observe, and the pinned snapshot generation
@@ -213,12 +103,11 @@ impl Program {
     ///   within a flow), or the parser FSM has a cycle, in which case the
     ///   bytes that steer parsing are not bounded by any static prefix and
     ///   the parsed key **under-determines the execution path**. Such
-    ///   programs bypass the cache entirely, the way
-    ///   [`ParallelClass::Sequential`] programs bypass sharding.
+    ///   programs bypass the cache entirely.
     ///
-    /// Like [`Program::parallel_class`] this is flow-insensitive: a
-    /// disqualifying read anywhere — reachable or not — classifies the
-    /// whole program `Uncacheable`. Conservative, but sound, and cheap
+    /// The analysis is flow-insensitive: a disqualifying read anywhere —
+    /// reachable or not — classifies the whole program `Uncacheable`.
+    /// Conservative, but sound, and cheap
     /// enough to run once at load.
     pub fn cacheability(&self) -> Cacheability {
         let mut stateful = false;
@@ -399,118 +288,6 @@ impl Program {
             }
         }
     }
-
-    /// The set of metadata fields and locals the match-action pipeline can
-    /// write (anything assigned in a control body or an action, including
-    /// register-read and meter-colour destinations, plus `hit_into`
-    /// locals). Parser-only assignments are deliberately excluded: the
-    /// meter pre-pass replays the parser, so parser-derived state is safe
-    /// to read when pre-evaluating a meter index.
-    fn pipeline_written_state(&self) -> WrittenState {
-        let mut written = WrittenState {
-            meta: vec![false; self.metadata.len()],
-            locals: vec![false; self.locals.len()],
-            fields: std::collections::HashSet::new(),
-            validity: std::collections::HashSet::new(),
-            std: std::collections::HashSet::new(),
-        };
-        fn mark(lv: &LValue, w: &mut WrittenState) {
-            match lv {
-                LValue::Meta(m) => w.meta[*m] = true,
-                LValue::Local(l) => w.locals[*l] = true,
-                LValue::Field(h, f) => {
-                    w.fields.insert((*h, *f));
-                }
-                LValue::Slice(inner, ..) => mark(inner, w),
-                LValue::Std(s) => {
-                    w.std.insert(*s);
-                }
-            }
-        }
-        self.visit_ops(|op| match op {
-            Op::Assign(lv, _) | Op::RegisterRead(lv, ..) | Op::MeterExecute(_, _, lv) => {
-                mark(lv, &mut written)
-            }
-            Op::SetValid(h, _) => {
-                written.validity.insert(*h);
-            }
-            _ => {}
-        });
-        fn hit_locals(body: &[IrStmt], w: &mut WrittenState) {
-            for stmt in body {
-                match stmt {
-                    IrStmt::ApplyTable {
-                        hit_into: Some(l), ..
-                    } => w.locals[*l] = true,
-                    IrStmt::If {
-                        then_branch,
-                        else_branch,
-                        ..
-                    } => {
-                        hit_locals(then_branch, w);
-                        hit_locals(else_branch, w);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        for c in &self.controls {
-            hit_locals(&c.body, &mut written);
-        }
-        written
-    }
-}
-
-/// Metadata/locals/header-fields the match-action pipeline writes (see
-/// [`Program::parallel_class`]).
-struct WrittenState {
-    meta: Vec<bool>,
-    locals: Vec<bool>,
-    fields: std::collections::HashSet<(HeaderId, FieldId)>,
-    validity: std::collections::HashSet<HeaderId>,
-    std: std::collections::HashSet<StdField>,
-}
-
-/// True when `expr` can be evaluated from parser-determined state alone:
-/// no action parameters, and no metadata, local or header field the
-/// match-action pipeline writes. The meter pre-pass replays the parser, so
-/// anything the parser fixes (extracted fields, parser assignments,
-/// standard metadata, header validity) is observable up front; anything
-/// the pipeline may have rewritten by the time the meter executes is not.
-/// (`SetValid`/conditional writes are treated flow-insensitively — a write
-/// anywhere disqualifies — which is conservative but sound.)
-fn pre_evaluable(expr: &IrExpr, written: &WrittenState) -> bool {
-    match expr {
-        IrExpr::Const { .. } => true,
-        IrExpr::Param { .. } => false,
-        // `egress_spec`/`egress_port` alias the same runtime slot.
-        IrExpr::Std(StdField::EgressSpec | StdField::EgressPort) => {
-            !written.std.contains(&StdField::EgressSpec)
-                && !written.std.contains(&StdField::EgressPort)
-        }
-        IrExpr::Std(s) => !written.std.contains(s),
-        IrExpr::IsValid(h) => !written.validity.contains(h),
-        IrExpr::Field(h, f) => !written.fields.contains(&(*h, *f)) && !written.validity.contains(h),
-        IrExpr::Meta(m) => !written.meta[*m],
-        IrExpr::Local(l) => !written.locals[*l],
-        IrExpr::Un { a, .. } => pre_evaluable(a, written),
-        IrExpr::Bin { a, b, .. } => pre_evaluable(a, written) && pre_evaluable(b, written),
-        IrExpr::Slice { base, .. } => pre_evaluable(base, written),
-        IrExpr::Cast { expr, .. } => pre_evaluable(expr, written),
-    }
-}
-
-/// How a program's batches may be sharded across threads. See
-/// [`Program::parallel_class`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ParallelClass {
-    /// No order-dependent state at all: split the batch anywhere.
-    Safe,
-    /// Meters execute but their cell indices are pre-evaluable: shard by
-    /// meter cell, preserving per-cell order.
-    MeterPartitionable,
-    /// Register writes (or opaque meter indices): sequential only.
-    Sequential,
 }
 
 /// Whether a program's per-packet outcomes may be memoized by a flow
@@ -1176,7 +953,7 @@ mod tests {
     }
 
     /// A minimal meter program parameterised over a second action's body
-    /// and the ingress `apply` block, for probing the pre-evaluability
+    /// and the ingress `apply` block, for probing the cacheability
     /// analysis.
     fn meter_program(other_action_body: &str, apply_body: &str) -> Program {
         let src = format!(
@@ -1223,52 +1000,6 @@ mod tests {
     }
 
     const BENIGN_ACTION: &str = "standard_metadata.egress_spec = 2;";
-
-    #[test]
-    fn meter_on_parser_state_is_partitionable() {
-        // Index from standard metadata: fixed before the pipeline runs.
-        let p = meter_program(
-            BENIGN_ACTION,
-            "m.execute((bit<32>) standard_metadata.ingress_port, meta.color); t.apply();",
-        );
-        assert_eq!(p.parallel_class(), ParallelClass::MeterPartitionable);
-        assert_eq!(p.meter_sites().len(), 1);
-        // Index from an extracted header field no action rewrites.
-        let p = meter_program(
-            BENIGN_ACTION,
-            "m.execute((bit<32>) hdr.ethernet.etherType, meta.color);",
-        );
-        assert_eq!(p.parallel_class(), ParallelClass::MeterPartitionable);
-    }
-
-    #[test]
-    fn meter_on_pipeline_written_state_is_sequential() {
-        // The index flows through metadata the control block writes: the
-        // pre-pass could not see the assignment, so the program must stay
-        // on the sequential path.
-        let p = meter_program(
-            BENIGN_ACTION,
-            "meta.idx = (bit<32>) standard_metadata.ingress_port;\n\
-             m.execute(meta.idx, meta.color); t.apply();",
-        );
-        assert_eq!(p.parallel_class(), ParallelClass::Sequential);
-        // The index reads a header field that *an action rewrites*. The
-        // analysis is flow-insensitive — a write anywhere in the pipeline
-        // disqualifies the field, table-reachable or not.
-        let p = meter_program(
-            "hdr.ethernet.etherType = 16w0x86DD;",
-            "t.apply(); m.execute((bit<32>) hdr.ethernet.etherType, meta.color);",
-        );
-        assert_eq!(p.parallel_class(), ParallelClass::Sequential);
-    }
-
-    #[test]
-    fn safe_and_sequential_classes_unchanged_by_refinement() {
-        // No meters, no register writes: Safe, and parallel_safe() agrees.
-        let p = meter_program(BENIGN_ACTION, "t.apply();");
-        assert_eq!(p.parallel_class(), ParallelClass::Safe);
-        assert!(p.parallel_safe());
-    }
 
     #[test]
     fn stateless_pipeline_is_cacheable() {

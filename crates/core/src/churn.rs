@@ -4,9 +4,9 @@
 //! plane *while the control plane keeps installing rules* — routes
 //! arriving as traffic flows, policies swapping mid-test. With the
 //! epoch-snapshot tables each mutation publishes atomically between
-//! batch windows (or even mid-window, through
-//! `netdebug_hw::Device::inject_batch_concurrent`), so a churn-heavy
-//! workload stays on the batched path the whole way.
+//! batch windows (or even mid-window, through a detached
+//! `netdebug_hw::Device::control_plane` handle on another thread), so a
+//! churn-heavy workload stays on the batched path the whole way.
 //!
 //! A [`ChurnSchedule`] scripts the mutations against window indices;
 //! [`crate::session::NetDebug::run_stream_churn`] drives a single device
@@ -221,6 +221,20 @@ impl ChurnSchedule {
             }
         }
         Ok(applied)
+    }
+
+    /// The schedule as seq-keyed [`crate::runtime::FlowRun::triggers`]
+    /// for a stream cut into `window`-packet windows: an op keyed to
+    /// window `w` fires at seq `w * window`. Sorted by seq; the sort is
+    /// stable, so schedule order holds within a window.
+    pub fn triggers(&self, window: u64) -> Vec<(u64, ChurnOp)> {
+        let mut triggers: Vec<(u64, ChurnOp)> = self
+            .ops
+            .iter()
+            .map(|(w, op)| (w * window, op.clone()))
+            .collect();
+        triggers.sort_by_key(|(s, _)| *s);
+        triggers
     }
 
     /// Check that every scheduled op is keyed to a window a stream of

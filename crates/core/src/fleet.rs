@@ -26,8 +26,8 @@ use crate::differential::{outcome_divergence, stages_reached};
 use crate::generator::{Generator, StreamSpec};
 use crate::probes::Probe;
 use crate::runtime::{
-    describe_panic, CulpritFrame, DeviceFault, DeviceRecovery, DeviceSink, DeviceTask,
-    FleetRuntime, FlowRun, RecoveryPolicy, RuntimeStats,
+    CulpritFrame, DeviceFault, DeviceRecovery, DeviceSink, DeviceTask, DriveReport, FleetRuntime,
+    FlowRun, RecoveryPolicy, RuntimeStats, DEFAULT_WATCHDOG_CYCLES,
 };
 use netdebug_dataplane::DropReason;
 use netdebug_hw::{Device, Outcome, Processed};
@@ -194,7 +194,6 @@ pub struct DifferentialFleet {
     members: Vec<FleetMember>,
     runtime: FleetRuntime,
     last_stats: RuntimeStats,
-    recovery: Option<RecoveryPolicy>,
 }
 
 impl DifferentialFleet {
@@ -265,26 +264,26 @@ impl DifferentialFleet {
     /// bit-identical at any setting.
     pub fn set_runtime_workers(&mut self, workers: usize) {
         if workers.max(1) != self.runtime.target_workers() {
+            let recovery = self.runtime.recovery();
             self.runtime = FleetRuntime::new(workers);
-            self.runtime.set_recovery(self.recovery);
+            self.runtime.set_recovery(recovery);
         }
     }
 
-    /// Enable (or disable with `None`) checkpoint/restore recovery on the
-    /// fleet's window path. With a policy set, a member that crashes or
-    /// stalls mid-run is restored from its last checkpoint, replayed, its
-    /// culprit frame skipped and the member re-admitted to the diff; the
-    /// recovery records land in [`FleetReport::recoveries`]. The setting
-    /// survives [`DifferentialFleet::set_runtime_workers`]. Off by
-    /// default: faults quarantine exactly as before.
+    /// Set the recovery policy of the fleet's window path. With a budget,
+    /// a member that crashes or stalls mid-run is restored from its last
+    /// checkpoint, replayed, its culprit frame skipped and the member
+    /// re-admitted to the diff; the recovery records land in
+    /// [`FleetReport::recoveries`]. `None` (the default) is budget 0: the
+    /// first trip quarantines the member. The setting survives
+    /// [`DifferentialFleet::set_runtime_workers`].
     pub fn set_recovery(&mut self, policy: Option<RecoveryPolicy>) {
-        self.recovery = policy;
         self.runtime.set_recovery(policy);
     }
 
     /// The fleet's current recovery policy (`None` when recovery is off).
     pub fn recovery(&self) -> Option<RecoveryPolicy> {
-        self.recovery
+        self.runtime.recovery()
     }
 
     /// Pool threads the runtime has actually spawned so far (they are
@@ -349,14 +348,7 @@ impl DifferentialFleet {
             seq += n;
         }
         let frames = Arc::new(frames);
-        // Window-keyed churn ops become seq-keyed triggers on every
-        // member's flow (stable sort keeps schedule order per window).
-        let mut triggers: Vec<(u64, crate::churn::ChurnOp)> = schedule
-            .ops
-            .iter()
-            .map(|(w, op)| (w * window, op.clone()))
-            .collect();
-        triggers.sort_by_key(|(s, _)| *s);
+        let triggers = schedule.triggers(window);
 
         let members = std::mem::take(&mut self.members);
         let mut labels = Vec::with_capacity(members.len());
@@ -395,16 +387,19 @@ impl DifferentialFleet {
         let mut first_err: Option<netdebug_dataplane::ControlError> = None;
         for (label, d) in labels.into_iter().zip(done) {
             stats.absorb(&d.stats);
-            for mut r in d.recoveries {
-                r.member = label.clone();
-                recoveries.push(r);
-            }
-            if let Some(mut f) = d.fault {
-                f.member = label.clone();
+            let mut run = DriveReport {
+                stats: d.stats,
+                result: d.result,
+                recoveries: d.recoveries,
+                fault: d.fault,
+            };
+            run.label(&label);
+            recoveries.extend(run.recoveries);
+            if let Some(f) = run.fault {
                 faults.push(f);
                 per_member.push(None);
             } else {
-                match d.result {
+                match run.result {
                     Ok(()) => per_member.push(Some(d.sink.obs)),
                     Err(e) => {
                         per_member.push(None);
@@ -446,37 +441,42 @@ impl DifferentialFleet {
                 let mut device = m.device;
                 move || {
                     // Each probe runs under `catch_unwind`: a member that
-                    // crashes on probe `i` is quarantined with probe `i`
-                    // as its culprit, and the device (in whatever state
-                    // the panic left it) still comes back to the fleet.
+                    // crashes on probe `i` — or swallows it in a silent
+                    // stall wedge, charged the watchdog deadline like any
+                    // permanent stall — is quarantined with probe `i` as
+                    // its culprit, and the device (in whatever state the
+                    // trip left it) still comes back to the fleet.
                     let mut obs: MemberObservations = Vec::with_capacity(probes.len());
                     let mut fault: Option<DeviceFault> = None;
                     for (i, p) in probes.iter().enumerate() {
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             stages_reached(&mut device, 0, &p.data)
                         }));
-                        match out {
-                            Ok(o) => obs.push(o),
-                            Err(payload) => {
-                                let (fault_id, stage, detail) = describe_panic(payload.as_ref());
-                                fault = Some(DeviceFault {
-                                    member: String::new(),
-                                    fault: fault_id,
-                                    stage,
-                                    detail,
-                                    packets_delivered: i as u64,
-                                    culprit: Some(CulpritFrame {
-                                        flow: 0,
-                                        seq: i as u64,
-                                        port: 0,
-                                        bytes: p.data.clone(),
-                                        prior_stage: None,
-                                    }),
-                                    trigger: None,
-                                });
-                                break;
+                        let payload = match out {
+                            Ok(o) if !device.is_wedged() => {
+                                obs.push(o);
+                                continue;
                             }
-                        }
+                            Ok(_) => {
+                                device.advance(DEFAULT_WATCHDOG_CYCLES);
+                                None
+                            }
+                            Err(payload) => Some(payload),
+                        };
+                        let culprit = CulpritFrame {
+                            flow: 0,
+                            seq: i as u64,
+                            port: 0,
+                            bytes: p.data.clone(),
+                            prior_stage: None,
+                        };
+                        fault = Some(DeviceFault::from_trip(
+                            payload.as_deref(),
+                            Some(culprit),
+                            None,
+                            i as u64,
+                        ));
+                        break;
                     }
                     (device, obs, fault)
                 }
@@ -1047,6 +1047,31 @@ mod tests {
         assert_eq!(culprit.bytes, probes[1].data);
         assert!(report.divergences.is_empty(), "no healthy member diverges");
         assert_eq!(fleet.len(), 2, "the crashed device returns to the fleet");
+    }
+
+    #[test]
+    fn probe_diffing_quarantines_a_stalled_member() {
+        use netdebug_hw::FaultSpec;
+        let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
+        let probes = parser_path_probes(&ir);
+        assert!(probes.len() > 1);
+        let mut faulty = router(&Backend::reference());
+        faulty.arm_fault(FaultSpec::Stall { after: 1 });
+        let mut fleet = DifferentialFleet::new()
+            .with("reference", router(&Backend::reference()))
+            .with("wedges-on-probe-1", faulty);
+        let report = fleet.diff_probes(&probes);
+        assert_eq!(report.faulted_members(), vec!["wedges-on-probe-1"]);
+        let f = &report.faults[0];
+        assert_eq!((f.fault.as_str(), f.stage.as_str()), ("stall", "watchdog"));
+        assert_eq!(f.packets_delivered, 1);
+        let culprit = f.culprit.as_ref().expect("the probe is the culprit");
+        assert_eq!(culprit.seq, 1);
+        assert_eq!(culprit.bytes, probes[1].data);
+        assert!(report.divergences.is_empty(), "no healthy member diverges");
+        let wedged = fleet.device_mut("wedges-on-probe-1").unwrap();
+        assert!(wedged.is_wedged());
+        assert_eq!(wedged.now(), DEFAULT_WATCHDOG_CYCLES, "watchdog charged");
     }
 
     /// Two-member fleet for the bisection tests: a reference and a

@@ -93,8 +93,7 @@ pub use fleet::{ChurnBisection, DifferentialFleet, FleetDivergence, FleetError, 
 pub use generator::{Expectation, FieldSweep, Generator, StreamSpec};
 pub use localize::{localize, Localization};
 pub use runtime::{
-    drive_device_guarded, drive_device_recovering, CulpritFrame, DeviceFault, DeviceRecovery,
-    DeviceSink, DeviceTask, FleetRuntime, FlowRun, RecoveryPolicy, RuntimeStats,
-    DEFAULT_WATCHDOG_CYCLES,
+    drive_device_with, CulpritFrame, DeviceFault, DeviceRecovery, DeviceSink, DeviceTask,
+    DriveReport, FleetRuntime, FlowRun, RecoveryPolicy, RuntimeStats, DEFAULT_WATCHDOG_CYCLES,
 };
 pub use session::{NetDebug, SessionReport};

@@ -128,9 +128,9 @@ pub struct RuntimeStats {
     /// Device flow-cache invalidations (epoch bumps that dropped a
     /// non-empty cache) over the run — churn triggers show up here.
     pub cache_invalidations: u64,
-    /// Devices quarantined by the guarded driver (a crash-class fault or
-    /// genuine panic caught mid-run; see [`DeviceFault`]). With recovery
-    /// enabled this counts trips, recovered or not.
+    /// Trips [`drive_device_with`] contained (a crash-class fault, a
+    /// genuine panic or a silent stall caught mid-run), recovered or not;
+    /// see [`DeviceFault`].
     pub faults: u64,
     /// Successful checkpoint/restore rejoins (see [`DeviceRecovery`]):
     /// each one is a trip that did **not** cost the run a device.
@@ -331,47 +331,37 @@ impl TimerWheel {
 // Per-device event loop
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
+/// Where one flow's emission stands: the next frame and the next churn
+/// trigger. A drive starts every flow at the default, zero.
+#[derive(Debug, Clone, Default)]
 struct FlowCursor {
     next_seq: u64,
     trigger: usize,
 }
 
-/// Fresh per-flow cursors at the start of a drive (or a replay from the
-/// beginning).
-fn fresh_cursors(flows: &[FlowRun]) -> Vec<FlowCursor> {
-    flows
-        .iter()
-        .map(|_| FlowCursor {
-            next_seq: 0,
-            trigger: 0,
-        })
-        .collect()
-}
-
-/// Virtual-cycle deadline the guarded drivers charge to a device that
+/// Virtual-cycle deadline [`drive_device_with`] charges to a device that
 /// went silent before declaring it dead: models the liveness watchdog's
 /// time-to-detection, exactly as `WedgeParser` charges its burned budget.
+/// A rejoin restores the pre-wedge clock, so the burn is observable only
+/// on permanently quarantined members.
 pub const DEFAULT_WATCHDOG_CYCLES: u64 = 4096;
 
-/// How checkpoint/restore recovery behaves under
-/// [`drive_device_recovering`] (and a [`FleetRuntime`] with
-/// [`FleetRuntime::set_recovery`] enabled).
+/// How [`drive_device_with`] (and a [`FleetRuntime`] through
+/// [`FleetRuntime::set_recovery`]) contains a tripped device. Quarantine
+/// is the `max_recoveries == 0` case: the first trip is located and
+/// reported, never rejoined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryPolicy {
     /// Recoveries allowed per device per run before the device is
     /// permanently quarantined (a device that keeps dying is reported,
-    /// not retried forever).
+    /// not retried forever). With 0 the driver keeps only a start-of-run
+    /// checkpoint, and only for devices with armed faults.
     pub max_recoveries: u32,
     /// Checkpoint cadence in **delivered frames**: a bounded-replay knob
     /// — after a trip, at most this many frames (plus the failed batch)
-    /// replay silently from the last checkpoint.
+    /// replay silently from the last checkpoint. Unused with a zero
+    /// budget.
     pub checkpoint_interval: u64,
-    /// Virtual-cycle liveness deadline: the watchdog burn charged to a
-    /// wedged device's clock before it is declared dead. Recovery
-    /// restores the pre-wedge clock, so the burn is observable only on
-    /// permanently quarantined members.
-    pub watchdog_cycles: u64,
 }
 
 impl Default for RecoveryPolicy {
@@ -379,7 +369,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_recoveries: 4,
             checkpoint_interval: 64,
-            watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
         }
     }
 }
@@ -420,28 +409,20 @@ struct DriveCheckpoint {
     delivered: u64,
 }
 
-/// Checkpoint cadence state threaded through [`drive_device_inner`] when
-/// recovery is enabled.
-struct RecoverCtl {
+/// The checkpoint state of one [`drive_device_with`] call: the last
+/// checkpoint, plus the delivered-frame cadence that schedules the next
+/// one while a recovery budget remains.
+struct Checkpoints {
     interval: u64,
     delivered: u64,
     next_at: u64,
-    ckpt: Option<DriveCheckpoint>,
+    last: Option<DriveCheckpoint>,
 }
 
-impl RecoverCtl {
-    fn new(interval: u64) -> Self {
-        RecoverCtl {
-            interval: interval.max(1),
-            delivered: 0,
-            next_at: 0,
-            ckpt: None,
-        }
-    }
-
+impl Checkpoints {
     /// Capture a checkpoint at the current drive position.
     fn take(&mut self, device: &Device, cursors: &[FlowCursor]) {
-        self.ckpt = Some(DriveCheckpoint {
+        self.last = Some(DriveCheckpoint {
             device: device.checkpoint(),
             cursors: cursors.to_vec(),
             delivered: self.delivered,
@@ -450,12 +431,13 @@ impl RecoverCtl {
     }
 }
 
-/// How one [`drive_device_inner`] call ended (short of a control error).
+/// How one [`Drive::run`] ended (short of a control error).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DriveEnd {
     /// Every frame of every flow was dispatched.
     Completed,
-    /// The isolation guard caught a panic; the guard holds the evidence.
+    /// The locating replay caught a trip; its [`Caught`] holds the
+    /// evidence.
     Interrupted,
     /// The device went silent mid-run (a [`netdebug_hw::FaultSpec::Stall`]
     /// wedge): frames were dispatched but swallowed without outcomes.
@@ -476,7 +458,7 @@ pub struct CulpritFrame {
     /// The frame bytes.
     pub bytes: Vec<u8>,
     /// Last pipeline stage reached by the final packet delivered before
-    /// the culprit (from the isolation replay's trace taps), when any
+    /// the culprit (from the locating replay's trace taps), when any
     /// packet was delivered at all.
     pub prior_stage: Option<String>,
 }
@@ -489,15 +471,17 @@ pub struct DeviceFault {
     /// for bare [`FleetRuntime::run`] tasks.
     pub member: String,
     /// Stable fault id (a [`netdebug_hw::FaultSpec`] id via the typed
-    /// panic payload, or `"panic"` for an untyped panic).
+    /// panic payload, `"stall"` for a silent wedge, or `"panic"` for an
+    /// untyped panic).
     pub fault: String,
     /// Pipeline position the fault fired at (`"ingress"`, `"parser"`,
-    /// `"driver"`, or `"unknown"` for untyped panics).
+    /// `"driver"`, `"watchdog"` for stalls, or `"unknown"` for untyped
+    /// panics).
     pub stage: String,
     /// Human-readable payload detail.
     pub detail: String,
     /// Packets the device delivered before the trip (exact when the
-    /// isolation replay ran; the dispatched count otherwise).
+    /// locating replay ran; the dispatched count otherwise).
     pub packets_delivered: u64,
     /// The single culprit frame, when the fault keyed on a frame.
     pub culprit: Option<CulpritFrame>,
@@ -506,47 +490,89 @@ pub struct DeviceFault {
     pub trigger: Option<String>,
 }
 
-/// What the guarded replay caught while bisecting: the culprit (frame or
-/// trigger) and the panic payload it raised.
+type PanicPayload = Box<dyn std::any::Any + Send>;
+
+/// What the locating replay caught: the culprit (frame or trigger) and
+/// the panic payload it raised (none for a silent stall).
 #[derive(Default)]
-struct GuardState {
+struct Caught {
     culprit: Option<CulpritFrame>,
     trigger: Option<String>,
-    payload: Option<Box<dyn std::any::Any + Send>>,
+    payload: Option<PanicPayload>,
 }
 
-/// How one coalesced dispatch ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlushOutcome {
-    /// Every frame delivered an outcome.
-    Clean,
-    /// The guard caught a panic; the guard holds the evidence.
-    Caught,
-    /// The device swallowed at least one frame without an outcome (a
-    /// silent stall wedge). With a guard armed, the first swallowed frame
-    /// is recorded as the culprit.
-    Stalled,
+/// What a [`Drive`] does around each dispatch.
+enum Mode<'a> {
+    /// Whole-batch dispatch and nothing else: the hot path.
+    Plain,
+    /// Whole-batch dispatch; clean flushes feed the checkpoint cadence.
+    Checkpointing(&'a mut Checkpoints),
+    /// The locating replay: every frame and every churn trigger runs
+    /// solo under `catch_unwind`, and the first to die — by panic or by
+    /// silent swallow — is recorded instead of unwinding.
+    Locating(&'a mut Caught),
 }
 
 /// How a drive ends before its last frame: the [`DriveEnd`], or the
 /// control error of a rejected churn op.
 type DriveExit = Result<DriveEnd, ControlError>;
 
-/// The state one [`drive_device_inner`] call threads through its emission
-/// and flush sites: where frames go (device, sink, stats), the fault
-/// hooks, and the frames emitted but not yet dispatched.
+/// The state one drive threads through its emission and flush sites:
+/// where frames go (device, sink, stats), what happens around each
+/// dispatch, and the frames emitted but not yet dispatched.
 struct Drive<'a, 'f, S: ?Sized> {
     device: &'a mut Device,
     sink: &'a mut S,
     stats: &'a mut RuntimeStats,
-    guard: Option<&'a mut GuardState>,
-    recover: Option<&'a mut RecoverCtl>,
+    mode: Mode<'a>,
     pkts: Vec<(u16, &'f [u8])>,
     dues: Vec<u64>,
     meta: Vec<(u32, u64)>,
 }
 
-impl<'f, S: DeviceSink + ?Sized> Drive<'_, 'f, S> {
+impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
+    fn new(
+        device: &'a mut Device,
+        sink: &'a mut S,
+        stats: &'a mut RuntimeStats,
+        mode: Mode<'a>,
+    ) -> Self {
+        Drive {
+            device,
+            sink,
+            stats,
+            mode,
+            pkts: Vec::new(),
+            dues: Vec::new(),
+            meta: Vec::new(),
+        }
+    }
+
+    /// Emit every frame of `flows` from `cursors` on, in the determinism
+    /// contract's order, in dispatches of at most `max_batch` frames.
+    fn run(
+        mut self,
+        flows: &'f [FlowRun],
+        cursors: &mut [FlowCursor],
+        max_batch: usize,
+    ) -> DriveExit {
+        debug_assert_eq!(cursors.len(), flows.len());
+        let max_batch = max_batch.max(1);
+        let exit = match flows {
+            [flow] => self.run_single(flow, cursors, max_batch),
+            _ => {
+                let mut wheel = TimerWheel::new(self.device.now());
+                let exit = self.run_wheel(flows, cursors, max_batch, &mut wheel);
+                self.stats.wheel_cascades += wheel.cascades;
+                exit
+            }
+        };
+        match exit {
+            ControlFlow::Continue(()) => Ok(DriveEnd::Completed),
+            ControlFlow::Break(exit) => exit,
+        }
+    }
+
     /// Queue frame `seq` of `flow`, due at `due`.
     fn push(&mut self, flow: &'f FlowRun, seq: u64, due: u64) {
         self.pkts
@@ -555,89 +581,81 @@ impl<'f, S: DeviceSink + ?Sized> Drive<'_, 'f, S> {
         self.meta.push((flow.id, seq));
     }
 
-    /// Dispatch the pending frames. Without a guard this is the plain hot
-    /// path: one batch-engine call chain, with a delivered-count acting as
-    /// the **liveness watchdog** — a device that returns fewer outcomes
-    /// than frames has silently wedged, and the dispatch reports
-    /// [`FlushOutcome::Stalled`] instead of pretending the frames were
-    /// processed. With a guard (isolation replay only) the batch is
-    /// **bisected under `catch_unwind`**: every frame dispatches solo, and
-    /// the first one to die — by panic or by silent swallow — is recorded
-    /// as the culprit, bytes attached, instead of unwinding.
-    fn dispatch(&mut self) -> FlushOutcome {
+    /// Dispatch the pending frames; `Some` ends the drive. Outside the
+    /// locating replay this is one batch-engine call chain, with a
+    /// delivered-count acting as the **liveness watchdog** — a device
+    /// that returns fewer outcomes than frames has silently wedged, and
+    /// the dispatch reports [`DriveEnd::Stalled`] instead of pretending
+    /// the frames were processed. The locating replay **bisects** the
+    /// batch: every frame dispatches solo under `catch_unwind`, and the
+    /// first one to die is recorded as the culprit, bytes attached.
+    fn dispatch(&mut self) -> Option<DriveEnd> {
         let Drive {
             device,
             sink,
             stats,
-            guard,
+            mode,
             pkts,
             dues,
             meta,
-            ..
         } = self;
         if pkts.is_empty() {
-            return FlushOutcome::Clean;
+            return None;
         }
         stats.dispatches += 1;
         stats.packets += pkts.len() as u64;
         stats.max_batch = stats.max_batch.max(pkts.len() as u64);
-        let mut outcome = FlushOutcome::Clean;
-        match guard.as_deref_mut() {
-            None => {
-                let labels: &[(u32, u64)] = meta;
-                let mut seen = 0usize;
-                device
-                    .inject_batch_at(pkts, dues, |i, p| {
-                        seen += 1;
-                        let (flow, seq) = labels[i];
-                        sink.on_packet(flow, seq, p);
-                    })
-                    .expect("frame and due lists are built in lockstep");
-                if seen < pkts.len() {
-                    outcome = FlushOutcome::Stalled;
-                }
+        let mut end = None;
+        if let Mode::Locating(caught) = mode {
+            for i in 0..pkts.len() {
+                let (flow, seq) = meta[i];
+                let mut seen = false;
+                let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    device
+                        .inject_batch_at(&pkts[i..=i], &dues[i..=i], |_, p| {
+                            seen = true;
+                            sink.on_packet(flow, seq, p);
+                        })
+                        .expect("one frame, one due time");
+                }));
+                end = match solo {
+                    Err(payload) => {
+                        caught.payload = Some(payload);
+                        Some(DriveEnd::Interrupted)
+                    }
+                    // A solo frame that came back without an outcome was
+                    // swallowed by a stall wedge: same culprit treatment,
+                    // no payload.
+                    Ok(()) if !seen => Some(DriveEnd::Stalled),
+                    Ok(()) => continue,
+                };
+                caught.culprit = Some(CulpritFrame {
+                    flow,
+                    seq,
+                    port: pkts[i].0,
+                    bytes: pkts[i].1.to_vec(),
+                    prior_stage: None,
+                });
+                break;
             }
-            Some(g) => {
-                for i in 0..pkts.len() {
-                    let one_pkt = [pkts[i]];
-                    let one_due = [dues[i]];
-                    let (flow, seq) = meta[i];
-                    let mut seen = 0usize;
-                    let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        device
-                            .inject_batch_at(&one_pkt, &one_due, |_, p| {
-                                seen += 1;
-                                sink.on_packet(flow, seq, p);
-                            })
-                            .expect("one frame, one due time");
-                    }));
-                    let caught = match solo {
-                        Err(payload) => {
-                            g.payload = Some(payload);
-                            FlushOutcome::Caught
-                        }
-                        // A solo frame that came back without an outcome
-                        // was swallowed by a stall wedge: same culprit
-                        // treatment, no payload.
-                        Ok(()) if seen == 0 => FlushOutcome::Stalled,
-                        Ok(()) => continue,
-                    };
-                    g.culprit = Some(CulpritFrame {
-                        flow,
-                        seq,
-                        port: one_pkt[0].0,
-                        bytes: one_pkt[0].1.to_vec(),
-                        prior_stage: None,
-                    });
-                    outcome = caught;
-                    break;
-                }
+        } else {
+            let labels: &[(u32, u64)] = meta;
+            let mut seen = 0usize;
+            device
+                .inject_batch_at(pkts, dues, |i, p| {
+                    seen += 1;
+                    let (flow, seq) = labels[i];
+                    sink.on_packet(flow, seq, p);
+                })
+                .expect("frame and due lists are built in lockstep");
+            if seen < pkts.len() {
+                end = Some(DriveEnd::Stalled);
             }
         }
         pkts.clear();
         dues.clear();
         meta.clear();
-        outcome
+        end
     }
 
     /// One flush step: dispatch the pending frames and either continue
@@ -650,25 +668,25 @@ impl<'f, S: DeviceSink + ?Sized> Drive<'_, 'f, S> {
     /// replay without it.
     fn flush(&mut self, checkpoint_at: Option<&[FlowCursor]>) -> ControlFlow<DriveExit> {
         let n = self.pkts.len() as u64;
-        match self.dispatch() {
-            FlushOutcome::Clean => {
-                if let Some(ctl) = self.recover.as_deref_mut() {
-                    ctl.delivered += n;
-                    if let Some(cursors) = checkpoint_at {
-                        if ctl.delivered >= ctl.next_at {
-                            ctl.take(self.device, cursors);
-                        }
-                    }
-                }
-                ControlFlow::Continue(())
-            }
-            FlushOutcome::Caught => ControlFlow::Break(Ok(DriveEnd::Interrupted)),
-            FlushOutcome::Stalled => ControlFlow::Break(Ok(DriveEnd::Stalled)),
+        if let Some(end) = self.dispatch() {
+            return ControlFlow::Break(Ok(end));
         }
+        if let Mode::Checkpointing(ckpts) = &mut self.mode {
+            ckpts.delivered += n;
+            if let Some(cursors) = checkpoint_at {
+                if ckpts.delivered >= ckpts.next_at {
+                    ckpts.take(self.device, cursors);
+                }
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Publish the triggers of `flow` due at or before seq `s`, each
-    /// after flushing the frames emitted ahead of it.
+    /// after flushing the frames emitted ahead of it. The locating replay
+    /// catches a device panic inside the op (e.g. a `FailPublication`
+    /// fault) so the publication that tripped can be named in the
+    /// [`DeviceFault`] record.
     fn drain_triggers(
         &mut self,
         flow: &FlowRun,
@@ -676,13 +694,27 @@ impl<'f, S: DeviceSink + ?Sized> Drive<'_, 'f, S> {
         s: u64,
     ) -> ControlFlow<DriveExit> {
         while cursor.trigger < flow.triggers.len() && flow.triggers[cursor.trigger].0 <= s {
-            let t = cursor.trigger;
+            let op = &flow.triggers[cursor.trigger].1;
             cursor.trigger += 1;
             self.flush(None)?;
-            match apply_trigger(self.device, flow, t, s, self.guard.as_deref_mut()) {
-                TriggerOutcome::Applied => {}
-                TriggerOutcome::Rejected(e) => return ControlFlow::Break(Err(e)),
-                TriggerOutcome::Caught => return ControlFlow::Break(Ok(DriveEnd::Interrupted)),
+            let applied = match &mut self.mode {
+                Mode::Locating(caught) => {
+                    let device = &mut *self.device;
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        op.apply(device)
+                    })) {
+                        Ok(applied) => applied,
+                        Err(payload) => {
+                            caught.trigger = Some(format!("flow {} seq {s}: {op:?}", flow.id));
+                            caught.payload = Some(payload);
+                            return ControlFlow::Break(Ok(DriveEnd::Interrupted));
+                        }
+                    }
+                }
+                _ => op.apply(self.device),
+            };
+            if let Err(e) = applied {
+                return ControlFlow::Break(Err(e));
             }
         }
         ControlFlow::Continue(())
@@ -765,9 +797,10 @@ impl<'f, S: DeviceSink + ?Sized> Drive<'_, 'f, S> {
     }
 }
 
-/// Drive one device's flows to completion on the **caller's thread**: the
-/// single-device core of the runtime (a [`FleetRuntime`] runs one of
-/// these per device task). Emission order is the determinism contract —
+/// Drive one device's flows to completion on the **caller's thread**,
+/// with no fault containment: a device panic unwinds the caller and a
+/// silent stall wedge just ends the drive early (every later frame would
+/// be swallowed anyway). Emission order is the determinism contract —
 /// virtual time, then flow declaration order, then seq — and every run of
 /// frames due at one instant coalesces into batch-engine dispatches of at
 /// most `max_batch` frames. Churn triggers flush pending frames, publish
@@ -784,20 +817,10 @@ pub fn drive_device<S: DeviceSink + ?Sized>(
     // deltas into the returned stats whichever way the loop exits.
     let cache_before = device.cache_stats();
     let mut stats = RuntimeStats::default();
-    let mut cursors = fresh_cursors(flows);
-    // A silent stall wedge ends the drive early — every later frame
-    // would be swallowed anyway; the unguarded driver just stops.
-    let result = drive_device_inner(
-        device,
-        flows,
-        max_batch,
-        sink,
-        &mut stats,
-        None,
-        None,
-        &mut cursors,
-    )
-    .map(|_| ());
+    let mut cursors = vec![FlowCursor::default(); flows.len()];
+    let result = Drive::new(device, sink, &mut stats, Mode::Plain)
+        .run(flows, &mut cursors, max_batch)
+        .map(|_| ());
     fold_cache_delta(&mut stats, device, cache_before);
     (stats, result)
 }
@@ -813,173 +836,170 @@ fn fold_cache_delta(
     stats.cache_invalidations = after.invalidations.saturating_sub(before.invalidations);
 }
 
-/// [`drive_device`] hardened against hostile devices: the whole drive
-/// runs under `catch_unwind`, so a crash-class fault
-/// ([`netdebug_hw::FaultSpec`]) — or a genuine engine panic — quarantines
-/// the device instead of unwinding the caller.
-///
-/// On a trip, the offending run is re-driven on a **pre-run clone** of
-/// the device (taken only when faults are armed; healthy devices never
-/// pay the clone) with `max_batch = 1` and the bisection guard engaged:
-/// every frame of the offending batch replays **solo under
-/// `catch_unwind`**, and the first to die is reported as the
-/// [`CulpritFrame`] — frame bytes and the last trace stage attached —
-/// inside a structured [`DeviceFault`]. Determinism of the armed
-/// counters (see [`netdebug_hw::FaultState`]) guarantees the replay
-/// trips on the same frame the original run did.
-///
-/// The returned `Result` stays `Ok` on a fault (the fault record *is*
-/// the outcome); `stats.faults` counts 1. The device is left in its
-/// post-panic state — quarantine it (fleets exclude faulted members from
-/// diffing) rather than reusing it.
-///
-/// Fault-free runs take exactly the [`drive_device`] path plus one
-/// `catch_unwind` frame and one `armed_faults` check — the measured
-/// overhead is gated ≤ 5% in `BENCH_fault.json`.
-pub fn drive_device_guarded<S: DeviceSink + ?Sized>(
-    device: &mut Device,
-    flows: &[FlowRun],
-    max_batch: usize,
-    sink: &mut S,
-) -> (RuntimeStats, Result<(), ControlError>, Option<DeviceFault>) {
-    let snapshot = if device.armed_faults().is_empty() {
-        None
-    } else {
-        Some(device.clone())
-    };
-    let cache_before = device.cache_stats();
-    let mut stats = RuntimeStats::default();
-    let mut cursors = fresh_cursors(flows);
-    let outcome = {
-        let device = &mut *device;
-        let sink = &mut *sink;
-        let stats = &mut stats;
-        let cursors = &mut cursors;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            drive_device_inner(device, flows, max_batch, sink, stats, None, None, cursors)
-        }))
-    };
-    fold_cache_delta(&mut stats, device, cache_before);
-    match outcome {
-        Ok(Ok(DriveEnd::Stalled)) => {
-            // The liveness watchdog: the device missed its instant (a
-            // frame went in, no outcome came out). Charge the virtual
-            // deadline the watchdog waited before declaring it dead,
-            // then quarantine exactly like a panic — the snapshot replay
-            // bisects the wedging frame.
-            stats.faults += 1;
-            device.advance(DEFAULT_WATCHDOG_CYCLES);
-            let fault = isolate_fault(snapshot, flows, None, stats.packets);
-            (stats, Ok(()), Some(fault))
+/// What one [`drive_device_with`] call produced.
+#[derive(Debug)]
+pub struct DriveReport {
+    /// Event-loop counters for the run; `faults` counts trips, recovered
+    /// or not.
+    pub stats: RuntimeStats,
+    /// `Err` if a churn trigger was rejected mid-run. Stays `Ok` on a
+    /// device fault — the fault record *is* the outcome.
+    pub result: Result<(), ControlError>,
+    /// Quarantine rejoins (always empty with a zero recovery budget).
+    pub recoveries: Vec<DeviceRecovery>,
+    /// The permanent quarantine record, if the device was lost.
+    pub fault: Option<DeviceFault>,
+}
+
+impl DriveReport {
+    /// Name `member` as the device in the fault and recovery records.
+    pub fn label(&mut self, member: &str) {
+        if let Some(f) = &mut self.fault {
+            f.member = member.to_string();
         }
-        Ok(result) => (stats, result.map(|_| ()), None),
-        Err(payload) => {
-            stats.faults += 1;
-            let fault = isolate_fault(snapshot, flows, Some(payload), stats.packets);
-            (stats, Ok(()), Some(fault))
+        for r in &mut self.recoveries {
+            r.member = member.to_string();
         }
     }
 }
 
-/// [`drive_device_guarded`] upgraded from quarantine to **recovery**:
-/// instead of losing a faulted device for the rest of the run, the
-/// driver checkpoints the device at `policy.checkpoint_interval`
-/// delivered frames (cheap: table state pins the published `Arc`
-/// snapshot chain) and, when a crash-class fault trips — or the
-/// virtual-time liveness watchdog catches a silent
-/// [`netdebug_hw::FaultSpec::Stall`] wedge — it:
+/// [`drive_device`] with **fault containment**: the drive runs under
+/// `catch_unwind`, so a crash-class fault ([`netdebug_hw::FaultSpec`]),
+/// a genuine engine panic, or a silent [`netdebug_hw::FaultSpec::Stall`]
+/// wedge caught by the virtual-time liveness watchdog costs the run a
+/// record instead of unwinding the caller. One loop serves quarantine and
+/// recovery; `policy` only sets the budget (`None` is budget 0). A
+/// tripped device is:
 ///
-/// 1. restores the device from the last checkpoint (tables, externs,
-///    taps, clock, fault counters all rewind);
-/// 2. silently replays the frames the sink already received, which
-///    re-trips deterministically on the same culprit and leaves the
-///    emission cursors exactly past it;
-/// 3. skips the culprit — booked as a
+/// 1. **Located** — restored from the last checkpoint (tables, externs,
+///    taps, clock, fault counters all rewind) and silently replayed with
+///    every frame and churn trigger solo under `catch_unwind`.
+///    Determinism of the armed counters (see
+///    [`netdebug_hw::FaultState`]) re-trips on the same [`CulpritFrame`].
+/// 2. **Rejoined**, if the culprit is a frame and budget remains: the
+///    frame is skipped — booked as a
 ///    [`netdebug_dataplane::DropReason::Faulted`] drop that occupies the
 ///    pipeline slot a normal frame would have, so every later frame's
-///    timing matches the fault-free run — and hands the sink its record;
-/// 4. re-checkpoints and resumes the drive where it left off.
+///    timing matches the fault-free run — the sink gets its record, the
+///    device is re-checkpointed, and the drive resumes with a
+///    [`DeviceRecovery`] logged.
+/// 3. **Quarantined** otherwise — out of budget, tripped *inside a churn
+///    publication* (the retry in [`netdebug_hw::Device::install`] is the
+///    recovery path for those; skipping a publication would fork the
+///    table state from the schedule), or not reproducible on replay (the
+///    panic came from the caller's sink): the run ends with the
+///    [`DeviceFault`] the replay located, a stall first charging
+///    [`DEFAULT_WATCHDOG_CYCLES`] to the device clock. The device is left
+///    where the replay stopped, just short of the culprit; fleets exclude
+///    it from diffing rather than reusing it.
 ///
-/// Each rejoin is recorded as a [`DeviceRecovery`]. Devices that exceed
-/// `policy.max_recoveries`, trip *inside a churn publication* (the
-/// device-level retry in [`netdebug_hw::Device::install`] is the
-/// recovery path for those; a panic surviving it is permanent), or whose
-/// fault does not reproduce on replay are permanently quarantined with a
-/// [`DeviceFault`], exactly like [`drive_device_guarded`].
-pub fn drive_device_recovering<S: DeviceSink + ?Sized>(
+/// With a budget, checkpoints are taken every `checkpoint_interval`
+/// delivered frames (cheap: table state pins the published `Arc` snapshot
+/// chain). With budget 0 only the start of the run is checkpointed, and
+/// only when faults are armed — a healthy device pays one `armed_faults`
+/// check and one `catch_unwind` frame, and an engine panic on it is
+/// reported without a culprit. Both overheads are gated ≤ 5% in
+/// `BENCH_fault.json`.
+pub fn drive_device_with<S: DeviceSink + ?Sized>(
     device: &mut Device,
     flows: &[FlowRun],
     max_batch: usize,
     sink: &mut S,
-    policy: RecoveryPolicy,
-) -> (
-    RuntimeStats,
-    Result<(), ControlError>,
-    Vec<DeviceRecovery>,
-    Option<DeviceFault>,
-) {
+    policy: Option<RecoveryPolicy>,
+) -> DriveReport {
+    let policy = policy.unwrap_or(RecoveryPolicy {
+        max_recoveries: 0,
+        ..RecoveryPolicy::default()
+    });
+    let recovering = policy.max_recoveries > 0;
     let cache_before = device.cache_stats();
     let retried_before = device.retried_publications();
     let mut stats = RuntimeStats::default();
-    let mut cursors = fresh_cursors(flows);
-    let mut ctl = RecoverCtl::new(policy.checkpoint_interval);
-    ctl.take(device, &cursors);
+    let mut cursors = vec![FlowCursor::default(); flows.len()];
+    let mut ckpts = Checkpoints {
+        interval: policy.checkpoint_interval.max(1),
+        delivered: 0,
+        next_at: 0,
+        last: None,
+    };
+    if recovering || !device.armed_faults().is_empty() {
+        ckpts.take(device, &cursors);
+    }
+    // Checkpoints are only taken at flush boundaries, so the cadence
+    // clamps the batch to the checkpoint interval — otherwise a short run
+    // inside one big batch would never re-checkpoint and every recovery
+    // would replay from the start. Batch size never changes device
+    // outcomes (the locating replay depends on that), so the clamp only
+    // affects dispatch accounting.
+    let max_batch = if recovering {
+        max_batch.min(usize::try_from(ckpts.interval).unwrap_or(usize::MAX))
+    } else {
+        max_batch
+    };
     let mut recoveries: Vec<DeviceRecovery> = Vec::new();
     let mut fault = None;
     let result = loop {
-        let outcome = {
-            let device = &mut *device;
-            let sink = &mut *sink;
-            let stats = &mut stats;
-            let cursors = &mut cursors;
-            let ctl = &mut ctl;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                drive_device_inner(
-                    device,
-                    flows,
-                    max_batch,
-                    sink,
-                    stats,
-                    None,
-                    Some(ctl),
-                    cursors,
-                )
-            }))
-        };
-        let payload = match outcome {
+        let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mode = if recovering {
+                Mode::Checkpointing(&mut ckpts)
+            } else {
+                Mode::Plain
+            };
+            Drive::new(&mut *device, &mut *sink, &mut stats, mode).run(
+                flows,
+                &mut cursors,
+                max_batch,
+            )
+        }));
+        let payload = match end {
             Ok(Err(e)) => break Err(e),
-            // `Interrupted` cannot happen without a guard; treat it as
-            // completion rather than looping.
-            Ok(Ok(DriveEnd::Completed)) | Ok(Ok(DriveEnd::Interrupted)) => break Ok(()),
             Ok(Ok(DriveEnd::Stalled)) => None,
+            // `Interrupted` is the locating replay's exit only.
+            Ok(Ok(DriveEnd::Completed | DriveEnd::Interrupted)) => break Ok(()),
             Err(payload) => Some(payload),
         };
         stats.faults += 1;
-        if recoveries.len() >= policy.max_recoveries as usize {
-            let mut f = permanent_fault(&ctl, payload);
-            f.detail.push_str(" (recovery budget exhausted)");
-            fault = Some(f);
-            break Ok(());
-        }
-        match try_recover(
-            device,
-            flows,
-            &mut cursors,
-            &mut ctl,
-            policy,
-            sink,
-            &mut stats,
-            payload,
-        ) {
-            Ok(rec) => {
+        let stalled = payload.is_none();
+        let ckpt = ckpts.last.as_ref();
+        let trip = locate(device, flows, &mut cursors, ckpt, payload, stats.packets);
+        let mut record = trip.fault;
+        let budget_left = recoveries.len() < policy.max_recoveries as usize;
+        if budget_left && record.trigger.is_none() {
+            if let Some(culprit) = record.culprit.take() {
+                let fi = flows
+                    .iter()
+                    .position(|f| f.id == culprit.flow)
+                    .expect("culprit flow comes from this drive's flow list");
+                // Skip the culprit: account it as a Faulted drop at its
+                // due instant and move the emission cursor past it.
+                let p = device.skip_faulted(culprit.port, flows[fi].due(culprit.seq));
+                stats.packets += 1;
+                sink.on_packet(culprit.flow, culprit.seq, p);
+                cursors[fi].next_seq = culprit.seq + 1;
+                ckpts.delivered = record.packets_delivered + 1;
+                ckpts.take(device, &cursors);
                 stats.recoveries += 1;
-                recoveries.push(rec);
-            }
-            Err(f) => {
-                fault = Some(f);
-                break Ok(());
+                recoveries.push(DeviceRecovery {
+                    member: record.member,
+                    fault: record.fault,
+                    stage: record.stage,
+                    detail: record.detail,
+                    checkpoint_cycle: trip.checkpoint_cycle,
+                    frames_replayed: trip.frames_replayed,
+                    culprit: Some(culprit),
+                    recovered_at_cycle: device.now(),
+                });
+                continue;
             }
         }
+        if stalled {
+            device.advance(DEFAULT_WATCHDOG_CYCLES);
+        }
+        if recovering && !budget_left {
+            record.detail.push_str(" (recovery budget exhausted)");
+        }
+        fault = Some(record);
+        break Ok(());
     };
     // Publication retries are the device-level arm of the same recovery
     // machinery: a transient driver crash absorbed by
@@ -987,7 +1007,7 @@ pub fn drive_device_recovering<S: DeviceSink + ?Sized>(
     // consistent snapshot instead of quarantining the device. Surface the
     // convergence as a recovery record so fleet reports account for it.
     let retried = device.retried_publications() - retried_before;
-    if retried > 0 && fault.is_none() {
+    if recovering && retried > 0 && fault.is_none() {
         let detail = match device.last_retried_epoch() {
             Some(e) => format!(
                 "{retried} publication(s) converged after transient driver crashes (last reconciled at table epoch {e})"
@@ -1007,37 +1027,6 @@ pub fn drive_device_recovering<S: DeviceSink + ?Sized>(
         });
     }
     fold_cache_delta(&mut stats, device, cache_before);
-    (stats, result, recoveries, fault)
-}
-
-/// What one [`drive_device_with`] call produced.
-pub(crate) struct DriveReport {
-    pub(crate) stats: RuntimeStats,
-    pub(crate) result: Result<(), ControlError>,
-    /// Quarantine rejoins (always empty without a recovery policy).
-    pub(crate) recoveries: Vec<DeviceRecovery>,
-    /// The permanent quarantine record, if the device was lost.
-    pub(crate) fault: Option<DeviceFault>,
-}
-
-/// Drive one device under the fault policy `recovery` selects:
-/// [`drive_device_recovering`] with a policy, [`drive_device_guarded`]
-/// (quarantine on the first trip) without one. The single policy
-/// dispatch behind [`FleetRuntime::run`] and `NetDebug` stream runs.
-pub(crate) fn drive_device_with<S: DeviceSink + ?Sized>(
-    device: &mut Device,
-    flows: &[FlowRun],
-    max_batch: usize,
-    sink: &mut S,
-    recovery: Option<RecoveryPolicy>,
-) -> DriveReport {
-    let (stats, result, recoveries, fault) = match recovery {
-        Some(policy) => drive_device_recovering(device, flows, max_batch, sink, policy),
-        None => {
-            let (stats, result, fault) = drive_device_guarded(device, flows, max_batch, sink);
-            (stats, result, Vec::new(), fault)
-        }
-    };
     DriveReport {
         stats,
         result,
@@ -1046,169 +1035,121 @@ pub(crate) fn drive_device_with<S: DeviceSink + ?Sized>(
     }
 }
 
-/// A fault record for a device that cannot (or may no longer) be
-/// recovered, built without a fresh isolation replay.
-fn permanent_fault(
-    ctl: &RecoverCtl,
-    payload: Option<Box<dyn std::any::Any + Send>>,
-) -> DeviceFault {
-    let (fault, stage, detail) = match payload {
-        Some(p) => describe_panic(p.as_ref()),
-        None => describe_stall(None),
-    };
-    DeviceFault {
-        member: String::new(),
-        fault,
-        stage,
-        detail,
-        packets_delivered: ctl.delivered,
-        culprit: None,
-        trigger: None,
-    }
+/// A trip as [`locate`] pinned it down: the quarantine record as it
+/// would stand, plus the replay figures a [`DeviceRecovery`] adds when
+/// the device rejoins instead.
+struct Located {
+    fault: DeviceFault,
+    /// Virtual cycle the restored checkpoint was taken at.
+    checkpoint_cycle: u64,
+    /// Frames the replay delivered between the checkpoint and the trip.
+    frames_replayed: u64,
 }
 
-/// One quarantine-rejoin attempt: restore from the last checkpoint,
-/// silently replay up to the deterministic re-trip, skip the culprit,
-/// re-checkpoint. Returns the recovery record, or the permanent
-/// [`DeviceFault`] when the trip is unrecoverable (a publication fault,
-/// a fault that does not reproduce, or no checkpoint to rewind to).
-// The Err arm carries the full quarantine evidence (fault id, stage,
-// detail, culprit frame) by design; it is built once per permanent
-// quarantine, never on the hot path, so the size lint does not apply.
-#[allow(clippy::too_many_arguments, clippy::result_large_err)]
-fn try_recover<S: DeviceSink + ?Sized>(
+/// The one containment step: restore `ckpt`, then replay silently from
+/// it at `max_batch = 1` in [`Mode::Locating`] until the trip recurs. The
+/// sink already holds every pre-culprit outcome from the original attempt
+/// (batching does not change device results), so the replay counts frames
+/// instead of re-delivering them; the solo dispatch leaves `cursors`
+/// exactly one past a culprit frame. `payload` is what the original
+/// attempt raised (`None` for a watchdog-detected stall) and speaks only
+/// when the replay catches nothing itself: without a checkpoint (a
+/// genuine engine panic on an unarmed device; `dispatched` then stands in
+/// for the delivered count), or when the replay runs clean because the
+/// panic came from the caller's sink, not the device.
+fn locate(
     device: &mut Device,
     flows: &[FlowRun],
     cursors: &mut Vec<FlowCursor>,
-    ctl: &mut RecoverCtl,
-    policy: RecoveryPolicy,
-    sink: &mut S,
-    stats: &mut RuntimeStats,
-    payload: Option<Box<dyn std::any::Any + Send>>,
-) -> Result<DeviceRecovery, DeviceFault> {
-    let Some(ckpt) = ctl.ckpt.take() else {
-        return Err(permanent_fault(ctl, payload));
-    };
-    device.restore(&ckpt.device);
-    *cursors = ckpt.cursors.clone();
-    // Silent replay at max_batch = 1 with the bisection guard engaged:
-    // the sink already holds every pre-culprit outcome from the original
-    // attempt (batching does not change device results), so the replay
-    // counts frames instead of re-delivering them. Determinism of the
-    // restored fault counters re-trips on the same culprit, and the solo
-    // dispatch leaves `cursors` exactly one past it.
-    let mut guard = GuardState::default();
+    ckpt: Option<&DriveCheckpoint>,
+    payload: Option<PanicPayload>,
+    dispatched: u64,
+) -> Located {
+    let mut caught = Caught::default();
     let mut counter = LastStageSink::default();
-    let mut replay_stats = RuntimeStats::default();
-    let replayed = {
-        let device = &mut *device;
-        let counter = &mut counter;
-        let replay_stats = &mut replay_stats;
-        let guard = &mut guard;
-        let cursors = &mut *cursors;
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            drive_device_inner(
-                device,
-                flows,
-                1,
-                counter,
-                replay_stats,
-                Some(guard),
-                None,
-                cursors,
-            )
-        }))
+    let mut reproduced = true;
+    let (checkpoint_cycle, delivered_before) = match ckpt {
+        Some(ckpt) => {
+            device.restore(&ckpt.device);
+            cursors.clone_from(&ckpt.cursors);
+            let mut scratch = RuntimeStats::default();
+            // Frames and triggers trip solo inside the replay, so this
+            // outer catch is defensive only (a panic escaping it would be
+            // a harness bug, not a device fault).
+            let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mode = Mode::Locating(&mut caught);
+                Drive::new(&mut *device, &mut counter, &mut scratch, mode).run(flows, cursors, 1)
+            }));
+            reproduced = !matches!(end, Ok(Ok(DriveEnd::Completed)));
+            (ckpt.device.at_cycle(), ckpt.delivered)
+        }
+        None => (0, dispatched),
     };
-    if let Some(t) = guard.trigger {
-        // The fault fired inside a churn publication. The device-level
-        // retry policy already had its chance inside `Device::install`;
-        // a panic that survived it is permanent, and skipping a
-        // *publication* (unlike a frame) would silently fork the table
-        // state away from the schedule.
-        let (fault, stage, detail) = match &guard.payload {
-            Some(p) => describe_panic(p.as_ref()),
-            None => describe_stall(None),
-        };
-        return Err(DeviceFault {
-            member: String::new(),
-            fault,
-            stage,
-            detail,
-            packets_delivered: ckpt.delivered + counter.delivered,
-            culprit: None,
-            trigger: Some(t),
-        });
+    if let Some(c) = &mut caught.culprit {
+        c.prior_stage = counter.last_stage.take();
     }
-    let Some(mut culprit) = guard.culprit else {
-        // The replay ran clean (or ended some other way): the original
-        // panic did not come from the device — e.g. the caller's sink —
-        // so there is nothing to skip. Quarantine with the original
-        // evidence.
-        let mut f = permanent_fault(ctl, payload);
-        if matches!(replayed, Ok(Ok(DriveEnd::Completed))) {
-            f.detail.push_str(" (did not reproduce on device replay)");
-        }
-        return Err(f);
-    };
-    culprit.prior_stage = counter.last_stage.clone();
-    let (fault, stage, detail) = match &guard.payload {
-        Some(p) => describe_panic(p.as_ref()),
-        None => {
-            let (f, s, _) = describe_stall(Some(&culprit));
-            let d = format!(
-                "device went silent at flow {} seq {}; virtual watchdog fired after {} cycles",
-                culprit.flow, culprit.seq, policy.watchdog_cycles
-            );
-            (f, s, d)
-        }
-    };
-    let fi = flows
-        .iter()
-        .position(|f| f.id == culprit.flow)
-        .expect("culprit flow comes from this drive's flow list");
-    // Skip the culprit: account it as a Faulted drop at its due instant
-    // (occupying the pipeline slot a clean frame would have) and move
-    // the emission cursor past it.
-    let p = device.skip_faulted(culprit.port, flows[fi].due(culprit.seq));
-    stats.packets += 1;
-    sink.on_packet(culprit.flow, culprit.seq, p);
-    cursors[fi].next_seq = culprit.seq + 1;
-    ctl.delivered = ckpt.delivered + counter.delivered + 1;
-    ctl.take(device, cursors);
-    Ok(DeviceRecovery {
-        member: String::new(),
+    let mut fault = DeviceFault::from_trip(
+        caught.payload.or(payload).as_deref(),
+        caught.culprit,
+        caught.trigger,
+        delivered_before + counter.delivered,
+    );
+    if !reproduced {
+        fault
+            .detail
+            .push_str(" (did not reproduce on device replay)");
+    }
+    Located {
         fault,
-        stage,
-        detail,
-        checkpoint_cycle: ckpt.device.at_cycle(),
+        checkpoint_cycle,
         frames_replayed: counter.delivered,
-        culprit: Some(culprit),
-        recovered_at_cycle: device.now(),
-    })
-}
-
-/// Decode a caught panic payload into `(fault id, stage, detail)`.
-pub(crate) fn describe_panic(payload: &(dyn std::any::Any + Send)) -> (String, String, String) {
-    if let Some(fp) = payload.downcast_ref::<FaultPanic>() {
-        (
-            fp.fault.to_string(),
-            fp.stage.to_string(),
-            fp.detail.clone(),
-        )
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        ("panic".into(), "unknown".into(), s.clone())
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        ("panic".into(), "unknown".into(), (*s).to_string())
-    } else {
-        (
-            "panic".into(),
-            "unknown".into(),
-            "non-string panic payload".into(),
-        )
     }
 }
 
-/// Counting sink for the isolation replay: remembers how many packets
+impl DeviceFault {
+    /// The record of one trip: fault id, stage and detail decoded from
+    /// the caught panic `payload`, or — with none — the watchdog's verdict
+    /// on a silent wedge, naming the wedging frame when `culprit` is
+    /// known. `member` is left for [`DriveReport::label`].
+    pub(crate) fn from_trip(
+        payload: Option<&(dyn std::any::Any + Send)>,
+        culprit: Option<CulpritFrame>,
+        trigger: Option<String>,
+        packets_delivered: u64,
+    ) -> Self {
+        let (fault, stage, detail) = if let Some(payload) = payload {
+            if let Some(fp) = payload.downcast_ref::<FaultPanic>() {
+                (fp.fault, fp.stage, fp.detail.clone())
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                ("panic", "unknown", s.clone())
+            } else if let Some(s) = payload.downcast_ref::<&str>() {
+                ("panic", "unknown", (*s).to_string())
+            } else {
+                ("panic", "unknown", "non-string panic payload".into())
+            }
+        } else {
+            let at = match &culprit {
+                Some(c) => format!(" at flow {} seq {}", c.flow, c.seq),
+                None => String::new(),
+            };
+            let detail = format!(
+                "device went silent{at}; virtual watchdog fired after {DEFAULT_WATCHDOG_CYCLES} cycles"
+            );
+            ("stall", "watchdog", detail)
+        };
+        DeviceFault {
+            member: String::new(),
+            fault: fault.into(),
+            stage: stage.into(),
+            detail,
+            packets_delivered,
+            culprit,
+            trigger,
+        }
+    }
+}
+
+/// Counting sink for the locating replay: remembers how many packets
 /// were delivered before the trip and the last stage the final one
 /// reached (the "last trace record" attached to the culprit).
 #[derive(Default)]
@@ -1221,185 +1162,6 @@ impl DeviceSink for LastStageSink {
     fn on_packet(&mut self, _flow: u32, _seq: u64, p: Processed) {
         self.delivered += 1;
         self.last_stage = Some(p.last_stage);
-    }
-}
-
-/// Render the watchdog's verdict on a silent wedge as `(fault id,
-/// stage, detail)`, naming the wedging frame when the replay found it.
-fn describe_stall(culprit: Option<&CulpritFrame>) -> (String, String, String) {
-    let detail = match culprit {
-        Some(c) => format!(
-            "device went silent at flow {} seq {}; virtual watchdog fired after {} cycles",
-            c.flow, c.seq, DEFAULT_WATCHDOG_CYCLES
-        ),
-        None => format!(
-            "device went silent; virtual watchdog fired after {DEFAULT_WATCHDOG_CYCLES} cycles"
-        ),
-    };
-    ("stall".into(), "watchdog".into(), detail)
-}
-
-/// Bisect a caught device fault down to its culprit by re-driving a
-/// pre-run snapshot with the guard engaged (frame-at-a-time dispatch,
-/// every frame solo under `catch_unwind`). `payload` is the caught panic
-/// payload, or `None` when the liveness watchdog caught a silent stall
-/// (no panic to decode — the culprit alone names the wedge). Without a
-/// snapshot (no armed faults — a genuine engine panic) the record
-/// carries the payload but no culprit.
-fn isolate_fault(
-    snapshot: Option<Device>,
-    flows: &[FlowRun],
-    payload: Option<Box<dyn std::any::Any + Send>>,
-    packets_dispatched: u64,
-) -> DeviceFault {
-    let (mut fault, mut stage, mut detail) = match payload {
-        Some(p) => describe_panic(p.as_ref()),
-        None => describe_stall(None),
-    };
-    let mut culprit = None;
-    let mut trigger = None;
-    let mut delivered = packets_dispatched;
-    if let Some(mut replay) = snapshot {
-        let mut guard = GuardState::default();
-        let mut counter = LastStageSink::default();
-        let mut replay_stats = RuntimeStats::default();
-        let mut replay_cursors = fresh_cursors(flows);
-        // The guard catches every frame and trigger trip solo, so this
-        // outer catch is defensive only (a panic escaping it would be a
-        // harness bug, not a device fault).
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drive_device_inner(
-                &mut replay,
-                flows,
-                1,
-                &mut counter,
-                &mut replay_stats,
-                Some(&mut guard),
-                None,
-                &mut replay_cursors,
-            )
-        }));
-        if let Some(p) = guard.payload {
-            let (f, s, d) = describe_panic(p.as_ref());
-            fault = f;
-            stage = s;
-            detail = d;
-        }
-        if let Some(mut c) = guard.culprit {
-            c.prior_stage = counter.last_stage.clone();
-            if fault == "stall" {
-                let (f, s, d) = describe_stall(Some(&c));
-                fault = f;
-                stage = s;
-                detail = d;
-            }
-            culprit = Some(c);
-        }
-        trigger = guard.trigger;
-        delivered = counter.delivered;
-    }
-    DeviceFault {
-        member: String::new(),
-        fault,
-        stage,
-        detail,
-        packets_delivered: delivered,
-        culprit,
-        trigger,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_device_inner<S: DeviceSink + ?Sized>(
-    device: &mut Device,
-    flows: &[FlowRun],
-    max_batch: usize,
-    sink: &mut S,
-    stats: &mut RuntimeStats,
-    guard: Option<&mut GuardState>,
-    recover: Option<&mut RecoverCtl>,
-    cursors: &mut [FlowCursor],
-) -> Result<DriveEnd, ControlError> {
-    // Checkpoints are only taken at flush boundaries, so with recovery
-    // enabled the batch is clamped to the checkpoint interval — otherwise
-    // a short run inside one big batch would never re-checkpoint and
-    // every recovery would replay from the start. Batch size never
-    // changes device outcomes (the isolation replay depends on that), so
-    // the clamp only affects dispatch accounting.
-    let max_batch = match recover.as_ref() {
-        Some(ctl) => max_batch.clamp(1, ctl.interval.max(1) as usize),
-        None => max_batch.max(1),
-    };
-    debug_assert_eq!(cursors.len(), flows.len());
-    let mut drive = Drive {
-        device,
-        sink,
-        stats,
-        guard,
-        recover,
-        pkts: Vec::new(),
-        dues: Vec::new(),
-        meta: Vec::new(),
-    };
-    let exit = match flows {
-        [flow] => drive.run_single(flow, cursors, max_batch),
-        _ => {
-            let mut wheel = TimerWheel::new(drive.device.now());
-            let exit = drive.run_wheel(flows, cursors, max_batch, &mut wheel);
-            drive.stats.wheel_cascades += wheel.cascades;
-            exit
-        }
-    };
-    match exit {
-        ControlFlow::Continue(()) => Ok(DriveEnd::Completed),
-        ControlFlow::Break(exit) => exit,
-    }
-}
-
-/// How one control-plane trigger application ended.
-enum TriggerOutcome {
-    /// Applied cleanly (or rejected cleanly — see `Rejected`).
-    Applied,
-    /// The control plane refused the op; surfaced to the caller as usual.
-    Rejected(ControlError),
-    /// The device panicked inside the op (e.g. a `FailPublication` fault)
-    /// and a guard was armed: the panic was caught and recorded, and the
-    /// drive loop should stop replaying this device.
-    Caught,
-}
-
-/// Apply `flow.triggers[t]` to the device, catching a device panic when a
-/// fault-isolation guard is armed so the publication that tripped the
-/// fault can be named in the [`DeviceFault`] record.
-fn apply_trigger(
-    device: &mut Device,
-    flow: &FlowRun,
-    t: usize,
-    s: u64,
-    guard: Option<&mut GuardState>,
-) -> TriggerOutcome {
-    match guard {
-        None => match flow.triggers[t].1.apply(device) {
-            Ok(()) => TriggerOutcome::Applied,
-            Err(e) => TriggerOutcome::Rejected(e),
-        },
-        Some(g) => {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                flow.triggers[t].1.apply(device)
-            }));
-            match outcome {
-                Ok(Ok(())) => TriggerOutcome::Applied,
-                Ok(Err(e)) => TriggerOutcome::Rejected(e),
-                Err(payload) => {
-                    g.trigger = Some(format!(
-                        "flow {} seq {}: {:?}",
-                        flow.id, s, flow.triggers[t].1
-                    ));
-                    g.payload = Some(payload);
-                    TriggerOutcome::Caught
-                }
-            }
-        }
     }
 }
 
@@ -1523,12 +1285,11 @@ impl FleetRuntime {
         self.max_batch = max_batch.max(1);
     }
 
-    /// Enable (or disable, with `None`) checkpoint/restore recovery:
-    /// every [`FleetRuntime::run`] device is driven through
-    /// [`drive_device_recovering`], so a crash-class fault costs one
-    /// skipped frame and a [`DeviceRecovery`] record instead of the
-    /// device. Off by default — quarantine-only runs keep the exact
-    /// pre-recovery semantics (and pay zero checkpoint overhead).
+    /// The [`RecoveryPolicy`] every [`FleetRuntime::run`] device is
+    /// driven under ([`drive_device_with`]): with a budget, a crash-class
+    /// fault costs one skipped frame and a [`DeviceRecovery`] record
+    /// instead of the device. `None` (the default) is budget 0 — the
+    /// first trip quarantines, and no periodic checkpoint is taken.
     pub fn set_recovery(&mut self, policy: Option<RecoveryPolicy>) {
         self.recovery = policy;
     }
@@ -1646,12 +1407,7 @@ impl FleetRuntime {
                         &mut task.sink,
                         recovery,
                     );
-                    if let Some(f) = run.fault.as_mut() {
-                        f.member = format!("device-{i}");
-                    }
-                    for r in run.recoveries.iter_mut() {
-                        r.member = format!("device-{i}");
-                    }
+                    run.label(&format!("device-{i}"));
                     DeviceDone {
                         device: task.device,
                         sink: task.sink,
@@ -1668,7 +1424,7 @@ impl FleetRuntime {
             .into_iter()
             .map(|res| match res {
                 Ok(d) => d,
-                // `drive_device_guarded` catches device panics itself, so
+                // `drive_device_with` catches device panics itself, so
                 // a panic escaping the job means the sink (or harness)
                 // itself blew up — that is a caller bug, not a device
                 // fault, and hiding it would mask broken tests.
@@ -1836,6 +1592,43 @@ mod tests {
             .collect();
         assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
         assert!(rt.pool_workers() > 0, "jobs ran on the pooled workers");
+    }
+
+    /// A stall that ends permanent charges the watchdog deadline to the
+    /// device clock whether the budget was zero from the start or ran out
+    /// on the way, and the record names the frame that wedged it.
+    #[test]
+    fn permanent_stall_charges_the_watchdog_under_any_budget() {
+        use netdebug_hw::{Backend, FaultSpec};
+        let frames: Vec<GeneratedPacket> = (0..16)
+            .map(|seq| GeneratedPacket {
+                data: vec![seq as u8; 64],
+                stream: 1,
+                seq,
+                ts_cycles: 0,
+            })
+            .collect();
+        let flows = [FlowRun::new(1, 0, Arc::new(frames))];
+        for (budget, stalls, last) in [(0u32, &[5u64][..], 5u64), (1, &[5, 9][..], 9)] {
+            let mut dev =
+                Device::deploy_source(&Backend::reference(), netdebug_p4::corpus::L2_SWITCH)
+                    .unwrap();
+            for &after in stalls {
+                dev.arm_fault(FaultSpec::Stall { after });
+            }
+            let policy = RecoveryPolicy {
+                max_recoveries: budget,
+                ..RecoveryPolicy::default()
+            };
+            let mut sink = LastStageSink::default();
+            let run = drive_device_with(&mut dev, &flows, 8, &mut sink, Some(policy));
+            assert_eq!(run.recoveries.len(), budget as usize);
+            let fault = run.fault.expect("the last stall is permanent");
+            assert_eq!((&*fault.fault, &*fault.stage), ("stall", "watchdog"));
+            assert_eq!(fault.culprit.expect("culprit named").seq, last);
+            assert_eq!(fault.packets_delivered, last);
+            assert_eq!(dev.now(), DEFAULT_WATCHDOG_CYCLES, "budget {budget}");
+        }
     }
 
     #[test]

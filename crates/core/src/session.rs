@@ -28,8 +28,8 @@ pub struct NetDebug {
     /// The most recent crash-class fault the device tripped mid-stream
     /// (`None` while the device behaves). See [`NetDebug::last_fault`].
     last_fault: Option<DeviceFault>,
-    /// Checkpoint/restore recovery policy for stream runs (`None` keeps
-    /// the quarantine-only guarded driver).
+    /// Recovery policy for stream runs (`None` is budget 0: the first
+    /// trip quarantines).
     recovery: Option<RecoveryPolicy>,
     /// Recoveries the most recent stream run performed.
     last_recoveries: Vec<DeviceRecovery>,
@@ -92,7 +92,7 @@ impl NetDebug {
 
     /// Run one stream with **rule churn**: the stream becomes one
     /// [`FlowRun`] on the virtual-time event loop
-    /// ([`crate::runtime::drive_device`]), and every
+    /// ([`crate::runtime::drive_device_with`]), and every
     /// [`crate::churn::ChurnOp`] the schedule keys to a window index
     /// becomes a trigger at that window's first sequence number — it
     /// publishes through the device's epoch-snapshot control plane at the
@@ -130,27 +130,20 @@ impl NetDebug {
             seq += n;
         }
         let first_ts = frames.first().map(|p| p.ts_cycles);
-        // Window-keyed churn ops become seq-keyed triggers on the flow.
-        let mut triggers: Vec<(u64, crate::churn::ChurnOp)> = schedule
-            .ops
-            .iter()
-            .map(|(w, op)| (w * Self::STREAM_WINDOW, op.clone()))
-            .collect();
-        triggers.sort_by_key(|(s, _)| *s); // stable: schedule order within a window
         let flow = FlowRun {
             id: u32::from(spec.stream),
             as_port: spec.as_port,
             frames: std::sync::Arc::new(frames),
             origin,
             gap,
-            triggers,
+            triggers: schedule.triggers(Self::STREAM_WINDOW),
         };
         let mut sink = StreamSink {
             checker: &mut self.checker,
             stream: spec.stream,
             last_done: 0,
         };
-        let run = drive_device_with(
+        let mut run = drive_device_with(
             &mut self.device,
             std::slice::from_ref(&flow),
             DEFAULT_MAX_BATCH,
@@ -159,14 +152,10 @@ impl NetDebug {
         );
         let last_done = sink.last_done;
         self.runtime.absorb(&run.stats);
-        let label = format!("stream-{}", spec.stream);
+        run.label(&format!("stream-{}", spec.stream));
         self.last_recoveries = run.recoveries;
-        for r in &mut self.last_recoveries {
-            r.member = label.clone();
-        }
-        if let Some(mut f) = run.fault {
-            f.member = label;
-            self.last_fault = Some(f);
+        if run.fault.is_some() {
+            self.last_fault = run.fault;
         }
         run.result.map_err(crate::churn::ChurnError::Control)?;
         if let Some(first) = first_ts {

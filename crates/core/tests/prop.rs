@@ -466,7 +466,9 @@ proptest! {
     /// fault-free run — same outcomes, stages and completion cycles —
     /// except the skipped culprit frame, which surfaces as a `Faulted`
     /// drop. Holds for every worker count 1..=4 and every checkpoint
-    /// interval 1..=64, and healthy members are never perturbed.
+    /// interval 1..=64, and healthy members are never perturbed. A second
+    /// needle past a budget of one recovery ends the member permanently,
+    /// and the fault record names that second frame exactly.
     #[test]
     fn recovered_member_matches_fault_free_except_culprit(
         culprit_raw in 0u64..48,
@@ -504,17 +506,21 @@ proptest! {
             expect: Expectation::Any,
         };
         let frames = Arc::new(Generator::new().build_batch(&spec, 0, count, 0, 0));
-        let fault = if stall {
-            FaultSpec::Stall { after: culprit_at }
-        } else {
-            FaultSpec::PanicAfterN { n: culprit_at }
+        let fault_at = |at: u64| {
+            if stall {
+                FaultSpec::Stall { after: at }
+            } else {
+                FaultSpec::PanicAfterN { n: at }
+            }
         };
-        let build_tasks = |armed: bool| -> Vec<DeviceTask<Rec>> {
+        let build_tasks_with = |faults: &[FaultSpec]| -> Vec<DeviceTask<Rec>> {
             (0..4usize)
                 .map(|i| {
                     let mut dev = router(&Backend::reference());
-                    if armed && i == 2 {
-                        dev.arm_fault(fault);
+                    if i == 2 {
+                        for &f in faults {
+                            dev.arm_fault(f);
+                        }
                     }
                     DeviceTask {
                         device: dev,
@@ -524,6 +530,8 @@ proptest! {
                 })
                 .collect()
         };
+        let needle = [fault_at(culprit_at)];
+        let build_tasks = |armed: bool| build_tasks_with(if armed { &needle } else { &[] });
         let policy = RecoveryPolicy {
             checkpoint_interval: interval,
             ..RecoveryPolicy::default()
@@ -564,6 +572,29 @@ proptest! {
                 prop_assert_eq!(&s.sink.0, &c.sink.0, "healthy device {} perturbed", i);
             }
         }
+
+        // Budget exhaustion: two needles, one recovery allowed.
+        let first = culprit_at.min(count - 2);
+        let second = first + 1 + culprit_raw % (count - 1 - first);
+        let mut rt_short = FleetRuntime::new(workers);
+        rt_short.set_recovery(Some(RecoveryPolicy { max_recoveries: 1, ..policy }));
+        let exhausted = rt_short.run(build_tasks_with(&[fault_at(first), fault_at(second)]));
+        for (i, (s, c)) in exhausted.iter().zip(&clean).enumerate() {
+            if i != 2 {
+                prop_assert!(s.fault.is_none() && s.recoveries.is_empty());
+                prop_assert_eq!(&s.sink.0, &c.sink.0, "healthy device {} perturbed", i);
+                continue;
+            }
+            prop_assert_eq!(s.recoveries.len(), 1);
+            prop_assert_eq!(s.recoveries[0].culprit.as_ref().unwrap().seq, first);
+            let f = s.fault.as_ref().expect("the second needle is permanent");
+            prop_assert!(f.detail.contains("budget exhausted"), "{}", f.detail);
+            prop_assert_eq!(f.packets_delivered, second);
+            let culprit = f.culprit.as_ref().expect("budget exhaustion still names the frame");
+            prop_assert_eq!(culprit.seq, second);
+            prop_assert_eq!(&culprit.bytes, &frames[second as usize].data);
+            prop_assert_eq!(s.sink.0.len() as u64, second, "frames before the second needle");
+        }
     }
 
     /// Fault isolation invariant: seed `k` devices of an 8-member fleet
@@ -572,7 +603,8 @@ proptest! {
     /// is bit-identical to the same fleet run entirely fault-free — for
     /// every worker count 1..=4 and every fault kind. The faulted devices
     /// are quarantined with a `DeviceFault` record, never by unwinding
-    /// the caller.
+    /// the caller — and the same records and digests come out whether the
+    /// runtime has no recovery policy or one with a zero budget.
     #[test]
     fn faulty_members_never_perturb_healthy_digests(
         faulty_raw in proptest::collection::vec(0usize..8, 1..=3),
@@ -582,7 +614,7 @@ proptest! {
         workers in 1usize..=4,
     ) {
         use netdebug::generator::Generator;
-        use netdebug::{DeviceSink, DeviceTask, FleetRuntime, FlowRun};
+        use netdebug::{DeviceSink, DeviceTask, FleetRuntime, FlowRun, RecoveryPolicy};
         use netdebug_hw::{FaultSpec, Processed};
         use std::collections::BTreeSet;
         use std::sync::Arc;
@@ -648,7 +680,18 @@ proptest! {
         let seeded = rt.run(build_tasks(true));
         let mut rt_clean = FleetRuntime::new(workers);
         let clean = rt_clean.run(build_tasks(false));
+        let mut rt_zero = FleetRuntime::new(workers);
+        rt_zero.set_recovery(Some(RecoveryPolicy {
+            max_recoveries: 0,
+            ..RecoveryPolicy::default()
+        }));
+        let zero = rt_zero.run(build_tasks(true));
         prop_assert_eq!(seeded.len(), 8);
+        for (i, (s, z)) in seeded.iter().zip(&zero).enumerate() {
+            prop_assert_eq!(&s.fault, &z.fault, "device {}: None vs zero budget", i);
+            prop_assert!(z.recoveries.is_empty());
+            prop_assert_eq!(s.sink.0, z.sink.0, "device {}: None vs zero budget digest", i);
+        }
         for (i, (s, c)) in seeded.iter().zip(&clean).enumerate() {
             prop_assert!(c.fault.is_none(), "fault-free run faulted at {}", i);
             if faulty_positions.contains(&i) {

@@ -18,11 +18,12 @@
 use crate::backend::{Backend, Compiled, LatencyModel};
 use crate::faults::{silence_fault_panics, FaultError, FaultSpec, FaultState};
 use netdebug_dataplane::{
-    Dataplane, DropReason, Engine, LazyTrace, MeterConfig, Trace, TraceSink, Verdict,
+    Dataplane, DropReason, Engine, LazyTrace, MeterConfig, TraceSink, Verdict,
 };
 use netdebug_p4::ir::IrPattern;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Physical configuration of the board.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -231,12 +232,12 @@ struct TapState {
     /// is pipelined: packets start `initiation_interval` apart and overlap).
     pipe_next_start: u64,
     port_stats: Vec<PortStats>,
-    stage_names: Vec<String>,
+    stage_names: Arc<[String]>,
     /// Tap index keyed by bare parser-state name (no `parser:` prefix), so
     /// per-packet accounting needs no string formatting.
-    parser_tap: HashMap<String, usize>,
+    parser_tap: Arc<HashMap<String, usize>>,
     /// Tap index keyed by bare table name (no `table:` prefix).
-    table_tap: HashMap<String, usize>,
+    table_tap: Arc<HashMap<String, usize>>,
     stage_counts: Vec<u64>,
     /// Drops by reason. Ordered map so iteration (reports, serialisation)
     /// is deterministic run to run regardless of insertion order.
@@ -246,7 +247,7 @@ struct TapState {
 }
 
 /// Trace-derived per-packet accounting, produced while the trace buffer is
-/// still live ([`TapState::tap_packet`]) and consumed once the verdict is
+/// still live ([`TapState::tap_packet_lazy`]) and consumed once the verdict is
 /// known ([`TapState::finish`]). Small and `Copy` so the streaming batch
 /// path materialises nothing else per packet.
 #[derive(Debug, Clone, Copy)]
@@ -307,13 +308,13 @@ impl Device {
             .states
             .iter()
             .map(|s| (s.name.clone(), stage_index[&format!("parser:{}", s.name)]))
-            .collect();
+            .collect::<HashMap<_, _>>();
         let table_tap = compiled
             .program
             .tables
             .iter()
             .map(|t| (t.name.clone(), stage_index[&format!("table:{}", t.name)]))
-            .collect();
+            .collect::<HashMap<_, _>>();
         let stage_counts = vec![0; stage_names.len()];
         let deparser_tap = stage_index["deparser"];
         let egress_tap = stage_index["egress"];
@@ -323,9 +324,9 @@ impl Device {
                 now_cycles: 0,
                 pipe_next_start: 0,
                 port_stats: vec![PortStats::default(); config.ports as usize],
-                stage_names,
-                parser_tap,
-                table_tap,
+                stage_names: stage_names.into(),
+                parser_tap: Arc::new(parser_tap),
+                table_tap: Arc::new(table_tap),
                 stage_counts,
                 drop_counts: BTreeMap::new(),
                 deparser_tap,
@@ -347,7 +348,7 @@ impl Device {
 
     /// Arm a crash-class fault on this device. Faults raise a typed
     /// panic ([`crate::faults::FaultPanic`]) when they trip; drive the
-    /// device through `netdebug_core::drive_device_guarded` (or your own
+    /// device through `netdebug::runtime::drive_device_with` (or your own
     /// `catch_unwind`) to survive them. Arming the first fault installs
     /// a process-wide panic-hook filter so the *expected* trips do not
     /// print backtraces.
@@ -435,8 +436,7 @@ impl Device {
             port,
             Verdict::Drop(DropReason::Faulted),
             summary,
-            0.0,
-            false,
+            None,
         )
     }
 
@@ -537,14 +537,35 @@ impl Device {
         self.taps.port_stats[port as usize].rx_bytes += data.len() as u64;
         let mac_in_ns = MAC_FIXED_NS + self.config.wire_ns(data.len());
         self.taps.now_cycles += self.config.ns_to_cycles(self.config.wire_ns(data.len()));
-        self.process_internal(port, data, mac_in_ns, true)
+        self.inject_one(port, data, Some(mac_in_ns))
     }
 
     /// Internal path: NetDebug's generator injects directly into the data
     /// plane under test, impersonating `as_port`. Back-to-back injections
     /// queue at the pipeline's initiation interval.
+    ///
+    /// A device wedged by a [`FaultSpec::Stall`] swallows the frame: no
+    /// tap, counter or pipeline slot is booked, and the returned record is
+    /// a placeholder [`DropReason::Faulted`] drop — check
+    /// [`Device::is_wedged`] to tell it from a processed frame.
     pub fn inject(&mut self, as_port: u16, data: &[u8]) -> Processed {
-        self.process_internal(as_port, data, 0.0, false)
+        self.inject_one(as_port, data, None)
+    }
+
+    /// [`Device::rx`] and [`Device::inject`] are one-frame groups on the
+    /// batch path, so armed faults behave identically on every path.
+    fn inject_one(&mut self, port: u16, data: &[u8], mac_in_ns: Option<f64>) -> Processed {
+        let mut out = None;
+        self.inject_group(&[(port, data)], 0, mac_in_ns, &mut |_, p| out = Some(p));
+        out.unwrap_or_else(|| Processed {
+            outcome: Outcome::Dropped {
+                reason: DropReason::Faulted,
+            },
+            pipeline_cycles: 0,
+            total_ns: 0.0,
+            done_at_cycle: self.taps.now_cycles,
+            last_stage: "ingress".to_string(),
+        })
     }
 
     /// Internal path, batched: inject every frame as `as_port`, advancing
@@ -596,7 +617,7 @@ impl Device {
                 .expect("due list built in lockstep with the frame list");
             return;
         }
-        self.inject_group(&pkts, 0, &mut visit);
+        self.inject_group(&pkts, 0, None, &mut visit);
     }
 
     /// Internal batched path with **explicit per-frame due times**: frame
@@ -635,7 +656,7 @@ impl Device {
             if due > self.taps.now_cycles {
                 self.taps.now_cycles = due;
             }
-            self.inject_group(&pkts[start..end], start, &mut visit);
+            self.inject_group(&pkts[start..end], start, None, &mut visit);
             start = end;
         }
         Ok(())
@@ -643,76 +664,64 @@ impl Device {
 
     /// One same-instant group through the batch engine. `base` offsets the
     /// window indices handed to `visit` so grouped dispatches still report
-    /// positions in the caller's frame order.
+    /// positions in the caller's frame order; `mac_in_ns` is the ingress
+    /// MAC latency on the external path, `None` on the internal one.
     ///
     /// Armed faults are checked at admission, frame by frame, before the
     /// group dispatches: the clean prefix ahead of a tripping frame is
     /// processed normally, then the trip raises its typed panic — so a
     /// guarded caller observes every outcome the device produced before
     /// it died, and the admission counters (advanced only for clean
-    /// frames) replay deterministically.
+    /// frames) replay deterministically. A stalled device wedges
+    /// *silently*: the clean prefix is processed, then every later frame
+    /// is swallowed without a panic — only a liveness watchdog can tell a
+    /// wedged member from a slow one.
     fn inject_group(
         &mut self,
         pkts: &[(u16, &[u8])],
         base: usize,
+        mac_in_ns: Option<f64>,
         visit: &mut impl FnMut(usize, Processed),
     ) {
+        let mut admitted = pkts.len();
+        let mut trip = None;
         if !self.faults.is_empty() {
             for (i, &(port, _)) in pkts.iter().enumerate() {
-                // A stalled device wedges *silently*: the clean prefix is
-                // processed, then every later frame is swallowed without a
-                // panic — only a liveness watchdog can tell a wedged member
-                // from a slow one.
-                if self.faults.check_stall() {
-                    if i > 0 {
-                        self.inject_group_clean(&pkts[..i], base, visit);
+                if !self.faults.check_stall() {
+                    trip = self.faults.check_packet(port);
+                    if trip.is_none() {
+                        continue;
                     }
-                    return;
                 }
-                if let Some(trip) = self.faults.check_packet(port) {
-                    if i > 0 {
-                        self.inject_group_clean(&pkts[..i], base, visit);
-                    }
-                    self.taps.now_cycles += trip.wedge_cycles;
-                    std::panic::panic_any(trip.panic);
-                }
+                admitted = i;
+                break;
             }
         }
-        self.inject_group_clean(pkts, base, visit);
-    }
-
-    /// The fault-free group dispatch body.
-    fn inject_group_clean(
-        &mut self,
-        pkts: &[(u16, &[u8])],
-        base: usize,
-        visit: &mut impl FnMut(usize, Processed),
-    ) {
-        let latency = &self.compiled.latency;
-        // The sink turns each (borrowed, reused) trace
-        // into a tiny Copy summary while counting stage taps, so the only
-        // per-group allocations are the verdicts and summaries.
-        let mut sink = TapSink {
-            taps: &mut self.taps,
-            latency,
-            summaries: Vec::with_capacity(pkts.len()),
-        };
-        let now = sink.taps.now_cycles;
-        let verdicts = self.dataplane.process_batch_with(pkts, now, &mut sink);
-        let summaries = sink.summaries;
-        for (i, (verdict, summary)) in verdicts.into_iter().zip(summaries).enumerate() {
-            visit(
-                base + i,
-                self.taps.finish(
-                    &self.config,
-                    latency,
-                    pkts[i].0,
-                    verdict,
-                    summary,
-                    0.0,
-                    false,
-                ),
-            );
+        if admitted > 0 {
+            let pkts = &pkts[..admitted];
+            let latency = &self.compiled.latency;
+            // The sink turns each (borrowed, reused) trace into a tiny Copy
+            // summary while counting stage taps, so the only per-group
+            // allocations are the verdicts and summaries.
+            let mut sink = TapSink {
+                taps: &mut self.taps,
+                latency,
+                summaries: Vec::with_capacity(pkts.len()),
+            };
+            let now = sink.taps.now_cycles;
+            let verdicts = self.dataplane.process_batch_with(pkts, now, &mut sink);
+            let summaries = sink.summaries;
+            for (i, (verdict, summary)) in verdicts.into_iter().zip(summaries).enumerate() {
+                let port = pkts[i].0;
+                let p = self
+                    .taps
+                    .finish(&self.config, latency, port, verdict, summary, mac_in_ns);
+                visit(base + i, p);
+            }
+        }
+        if let Some(trip) = trip {
+            self.taps.now_cycles += trip.wedge_cycles;
+            std::panic::panic_any(trip.panic);
         }
     }
 
@@ -729,77 +738,13 @@ impl Device {
         self.dataplane.set_tracing(tracing);
     }
 
-    fn process_internal(
-        &mut self,
-        port: u16,
-        data: &[u8],
-        mac_in_ns: f64,
-        external: bool,
-    ) -> Processed {
-        if !self.faults.is_empty() {
-            if let Some(trip) = self.faults.check_packet(port) {
-                self.taps.now_cycles += trip.wedge_cycles;
-                std::panic::panic_any(trip.panic);
-            }
-        }
-        let (verdict, trace) = self.dataplane.process(port, data, self.taps.now_cycles);
-        let summary = self.taps.tap_packet(&trace, &self.compiled.latency);
-        self.taps.finish(
-            &self.config,
-            &self.compiled.latency,
-            port,
-            verdict,
-            summary,
-            mac_in_ns,
-            external,
-        )
-    }
-
-    /// Internal batched path with **concurrent control-plane churn**: runs
-    /// `mutate` on its own OS thread — handed a detached
-    /// [`netdebug_dataplane::ControlPlane`] — while the window streams
-    /// through the device. Table mutations land as atomic epoch
-    /// publications.
-    ///
-    /// With `gap_cycles == 0` the window runs through the batch engine,
-    /// which pins its snapshots **once**: every packet of the window
-    /// observes one coherent table state and installs are never torn
-    /// across it. A paced window (`gap_cycles > 0`) dispatches one
-    /// batch-engine group per due instant ([`Device::inject_batch_at`]),
-    /// so each group pins the snapshots current at its injection instant —
-    /// mutations then land *between* instants (still atomically, never
-    /// torn within a group), which is exactly what rule churn against a
-    /// paced stream means physically.
-    ///
-    /// Returns the window's outcomes (in window order, exactly as
-    /// [`Device::inject_batch`] would) and the mutator's result.
-    /// A panicking mutator returns [`FaultError::MutatorPanicked`]
-    /// (after the window has fully streamed) instead of unwinding.
-    pub fn inject_batch_concurrent<R: Send>(
-        &mut self,
-        as_port: u16,
-        frames: &[&[u8]],
-        gap_cycles: u64,
-        mutate: impl FnOnce(netdebug_dataplane::ControlPlane) -> R + Send,
-    ) -> Result<(Vec<Processed>, R), FaultError> {
-        let handle = self.dataplane.control_plane();
-        std::thread::scope(|scope| {
-            let mutator = scope.spawn(move || mutate(handle));
-            let out = self.inject_batch(as_port, frames, gap_cycles);
-            match mutator.join() {
-                Ok(r) => Ok((out, r)),
-                Err(_) => Err(FaultError::MutatorPanicked),
-            }
-        })
-    }
-
     // ------------------------------------------------------------------
     // Control plane
     // ------------------------------------------------------------------
 
     /// A detached control-plane handle onto the deployed data plane:
     /// clonable, thread-safe, and usable **while batches are in flight**
-    /// (see [`Device::inject_batch_concurrent`]). Mutations through the
+    /// on another thread. Mutations through the
     /// handle speak to the true data plane — backend bug transforms such
     /// as [`crate::bugs::BugSpec::PriorityInverted`] model the vendor
     /// *driver* stack and therefore apply only to [`Device::install`].
@@ -1048,37 +993,22 @@ impl TraceSink for TapSink<'_> {
 
 impl TapState {
     /// Count the stages a trace visited and derive the packet's
-    /// [`TapSummary`]. An empty trace (tracing disabled) yields the
-    /// parser-less base latency, matching the historical fast path.
-    fn tap_packet(&mut self, trace: &Trace, latency: &LatencyModel) -> TapSummary {
-        let states = trace.states_visited();
-        let tables = trace.tables_applied();
-        self.tap_counts(&states, &tables, latency)
-    }
-
-    /// [`Self::tap_packet`] over the flat record buffer: walks the
-    /// zero-alloc name iterators of a [`LazyTrace`] without ever decoding
-    /// it into [`TraceEvent`](netdebug_dataplane::TraceEvent)s.
+    /// [`TapSummary`], walking the zero-alloc name iterators of a
+    /// [`LazyTrace`] without ever decoding it into
+    /// [`TraceEvent`](netdebug_dataplane::TraceEvent)s. An empty trace
+    /// (tracing disabled) yields the parser-less base latency, matching
+    /// the historical fast path.
     fn tap_packet_lazy(&mut self, trace: &LazyTrace<'_>, latency: &LatencyModel) -> TapSummary {
         let states: Vec<&str> = trace.states().collect();
         let tables: Vec<&str> = trace.tables().collect();
-        self.tap_counts(&states, &tables, latency)
-    }
-
-    fn tap_counts(
-        &mut self,
-        states: &[&str],
-        tables: &[&str],
-        latency: &LatencyModel,
-    ) -> TapSummary {
         let mut last_stage_tap: Option<usize> = None;
-        for s in states {
+        for s in &states {
             if let Some(&i) = self.parser_tap.get(*s) {
                 self.stage_counts[i] += 1;
                 last_stage_tap = Some(i);
             }
         }
-        for t in tables {
+        for t in &tables {
             if let Some(&i) = self.table_tap.get(*t) {
                 self.stage_counts[i] += 1;
                 last_stage_tap = Some(i);
@@ -1086,7 +1016,7 @@ impl TapState {
         }
         TapSummary {
             last_stage_tap,
-            pipeline_cycles: latency.packet_cycles(states, tables),
+            pipeline_cycles: latency.packet_cycles(&states, &tables),
         }
     }
 
@@ -1100,8 +1030,9 @@ impl TapState {
 
     /// Post-verdict bookkeeping: pipeline timing, deparser/egress taps,
     /// port statistics and drop counters. Runs in packet order on every
-    /// path, so the resulting statistics are deterministic.
-    #[allow(clippy::too_many_arguments)]
+    /// path, so the resulting statistics are deterministic. `mac_in_ns`
+    /// is the ingress MAC latency of an external-path packet (which also
+    /// pays the egress MAC); `None` on the internal path.
     fn finish(
         &mut self,
         config: &DeviceConfig,
@@ -1109,8 +1040,7 @@ impl TapState {
         port: u16,
         verdict: Verdict,
         summary: TapSummary,
-        mac_in_ns: f64,
-        external: bool,
+        mac_in_ns: Option<f64>,
     ) -> Processed {
         let mut last_stage = match summary.last_stage_tap {
             Some(i) => self.stage_names[i].clone(),
@@ -1163,7 +1093,7 @@ impl TapState {
             }
         };
 
-        let mac_out_ns = if external && outcome.transmitted() {
+        let mac_out_ns = if mac_in_ns.is_some() && outcome.transmitted() {
             MAC_FIXED_NS
                 + config.wire_ns(match &outcome {
                     Outcome::Tx { data, .. } | Outcome::Flood { data } => data.len(),
@@ -1177,7 +1107,7 @@ impl TapState {
         Processed {
             outcome,
             pipeline_cycles,
-            total_ns: mac_in_ns + pipeline_ns + mac_out_ns,
+            total_ns: mac_in_ns.unwrap_or(0.0) + pipeline_ns + mac_out_ns,
             done_at_cycle: done_at,
             last_stage,
         }
@@ -1292,6 +1222,28 @@ mod tests {
             replay.inject(0, &frame);
         }))
         .is_err());
+    }
+
+    #[test]
+    fn stalled_device_swallows_single_injections_too() {
+        let mut dev = deploy(&Backend::reference());
+        dev.arm_fault(FaultSpec::Stall { after: 1 });
+        let frame = ipv4(Ipv4Address::new(10, 0, 0, 9), 4);
+        assert!(matches!(dev.inject(0, &frame).outcome, Outcome::Tx { .. }));
+        assert!(!dev.is_wedged());
+        let taps = dev.stage_counts().to_vec();
+        for p in [dev.inject(0, &frame), dev.rx(0, &frame)] {
+            assert_eq!(
+                p.outcome,
+                Outcome::Dropped {
+                    reason: DropReason::Faulted
+                }
+            );
+        }
+        assert!(dev.is_wedged(), "frame #1 wedges the one-frame path");
+        assert_eq!(dev.stage_counts(), taps, "a swallowed frame books nothing");
+        assert!(dev.drop_counts().is_empty());
+        assert_eq!(dev.port_stats(1).tx_packets, 1);
     }
 
     #[test]
@@ -1516,12 +1468,15 @@ mod tests {
         let frame = ipv4(Ipv4Address::new(10, 1, 0, 7), 4);
         let frames: Vec<&[u8]> = (0..256).map(|_| frame.as_slice()).collect();
         // Before churn: 10.1.0.7 matches only the /8 route (port 1).
-        let (outcomes, epoch) = dev
-            .inject_batch_concurrent(0, &frames, 0, |cp| {
+        let cp = dev.control_plane();
+        let (outcomes, epoch) = std::thread::scope(|scope| {
+            let mutator = scope.spawn(move || {
                 cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
                     .unwrap()
-            })
-            .unwrap();
+            });
+            let outcomes = dev.inject_batch(0, &frames, 0);
+            (outcomes, mutator.join().expect("mutator thread"))
+        });
         assert_eq!(epoch, 2, "deploy install was epoch 1, churn is epoch 2");
         assert_eq!(outcomes.len(), 256);
         // The window pinned one snapshot: uniform egress, port 1 or 2.
@@ -1563,12 +1518,14 @@ mod tests {
         let frames: Vec<&[u8]> = (0..256).map(|_| frame.as_slice()).collect();
         // Before the install the destination is unknown (flood); after,
         // the dmac hash forwards to port 3.
-        let (outcomes, _) = dev
-            .inject_batch_concurrent(0, &frames, 0, |cp| {
+        let cp = dev.control_plane();
+        let outcomes = std::thread::scope(|scope| {
+            scope.spawn(move || {
                 cp.install_exact("dmac", vec![dst], "forward", vec![3])
                     .unwrap()
-            })
-            .unwrap();
+            });
+            dev.inject_batch(0, &frames, 0)
+        });
         let forwarded = matches!(outcomes[0].outcome, Outcome::Tx { port: 3, .. });
         for p in &outcomes {
             match (&p.outcome, forwarded) {

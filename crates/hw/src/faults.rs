@@ -9,15 +9,15 @@
 //! devices armed with the same specs trip on exactly the same frame, so
 //! fault runs replay bit-identically — which is what lets the fleet
 //! runtime *bisect* an offending batch down to the single culprit frame
-//! (`netdebug_core::drive_device_guarded`).
+//! (`netdebug::runtime::drive_device_with`).
 //!
 //! Faults compose freely with bug transforms: a `SdnetSim` profile can
 //! carry both, because a mis-compiled pipeline and a crashing driver are
 //! independent failure axes.
 //!
 //! Mechanically, a trip raises a typed panic payload ([`FaultPanic`])
-//! via `std::panic::panic_any`; the guarded drivers in `netdebug_core`
-//! catch it with `catch_unwind`, quarantine the device and attach the
+//! via `std::panic::panic_any`; the containing driver in `netdebug`
+//! catches it with `catch_unwind`, quarantines the device and attaches the
 //! payload to a structured `DeviceFault` record. The first call to
 //! [`Device::arm_fault`](crate::Device::arm_fault) installs a panic-hook
 //! filter so these *expected* panics do not spray backtraces over test
@@ -126,8 +126,8 @@ impl FaultSpec {
 
 /// Typed panic payload raised by a tripped fault.
 ///
-/// Carried through `std::panic::panic_any`, downcast by the guarded
-/// drivers to recover *which* fault fired and *where* without parsing
+/// Carried through `std::panic::panic_any`, downcast by the containing
+/// driver to recover *which* fault fired and *where* without parsing
 /// panic strings.
 #[derive(Debug, Clone)]
 pub struct FaultPanic {
@@ -169,9 +169,6 @@ pub enum FaultError {
         /// Due times supplied.
         dues: usize,
     },
-    /// The control-plane mutator thread of `inject_batch_concurrent`
-    /// panicked.
-    MutatorPanicked,
 }
 
 impl std::fmt::Display for FaultError {
@@ -180,7 +177,6 @@ impl std::fmt::Display for FaultError {
             FaultError::MismatchedBatch { pkts, dues } => {
                 write!(f, "batch of {pkts} frames given {dues} due times")
             }
-            FaultError::MutatorPanicked => write!(f, "control-plane mutator thread panicked"),
         }
     }
 }
@@ -194,7 +190,7 @@ impl std::error::Error for FaultError {}
 /// tripping frame leaves it untouched — so replaying the same frame
 /// sequence on a clone of the pre-run device re-trips on exactly the
 /// same frame. That invariant is what the culprit-isolation replay in
-/// `netdebug_core` relies on.
+/// `netdebug` relies on.
 #[derive(Debug, Clone, Default)]
 pub struct FaultState {
     specs: Vec<FaultSpec>,
@@ -379,7 +375,7 @@ fn splitmix64(mut z: u64) -> u64 {
 
 /// Install (once, process-wide) a panic-hook filter that suppresses the
 /// default "thread panicked" report for [`FaultPanic`] payloads only.
-/// Injected faults are *expected* panics — the guarded drivers catch
+/// Injected faults are *expected* panics — the containing driver catches
 /// them — and printing a backtrace per trip would bury real failures in
 /// noise. Any other payload goes to the previous hook unchanged.
 pub(crate) fn silence_fault_panics() {

@@ -8,7 +8,7 @@
 //! counter + deparse per packet — sweeping {reference, compiled
 //! unoptimized, compiled optimized} × {traced, untraced} `process_batch`,
 //! the single-packet `process_untraced` path, the streaming traced path
-//! (`process_batch_with` + a name-walking sink, i.e. what a device tap
+//! (`process_batch_with` + a stage-walking sink, i.e. what a device tap
 //! actually runs), and a per-pass leave-one-out sweep attributing the
 //! optimizer's margin. Numbers land in `BENCH_dispatch.json`.
 //!
@@ -88,28 +88,28 @@ fn measure_single(v: Variant, frame: &[u8]) -> f64 {
     best
 }
 
-/// What a device tap does per packet: walk the lazy trace's interned
-/// state/table names without ever decoding it. Keeps the consumer honest
+/// What a device tap does per packet: walk the lazy trace's state/table
+/// stage ids without ever decoding it. Keeps the consumer honest
 /// — the streamed row measures trace *production and inspection*, not a
 /// discarded buffer.
-struct NameCountSink {
+struct StageCountSink {
     stages: u64,
 }
 
-impl TraceSink for NameCountSink {
+impl TraceSink for StageCountSink {
     fn observe(&mut self, _index: usize, _verdict: &Verdict, trace: &LazyTrace<'_>) {
-        self.stages += trace.states().count() as u64 + trace.tables().count() as u64;
+        self.stages += trace.stages().count() as u64;
     }
 }
 
 /// Best-of-`PASSES` rate for the streaming traced path
-/// (`process_batch_with` + lazy name-walking sink — the device tap spine).
+/// (`process_batch_with` + lazy stage-walking sink — the device tap spine).
 fn measure_streamed(v: Variant, pkts: &[(u16, &[u8])]) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..PASSES {
         let mut dp = switch_dataplane(v);
         dp.set_tracing(true);
-        let mut sink = NameCountSink { stages: 0 };
+        let mut sink = StageCountSink { stages: 0 };
         std::hint::black_box(dp.process_batch_with(pkts, 0, &mut sink));
         let mut n = 0usize;
         let t0 = Instant::now();

@@ -51,7 +51,7 @@ pub(crate) fn stages_reached(dev: &mut Device, port: u16, data: &[u8]) -> (Outco
         .iter()
         .zip(before.iter().zip(&after))
         .filter(|(_, (b, a))| a > b)
-        .map(|(n, _)| n.clone())
+        .map(|(n, _)| n.to_string())
         .collect();
     (processed.outcome, stages)
 }

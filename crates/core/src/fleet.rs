@@ -179,7 +179,7 @@ struct FleetSink {
 
 impl DeviceSink for FleetSink {
     fn on_packet(&mut self, _flow: u32, _seq: u64, p: Processed) {
-        self.obs.push((p.outcome, vec![p.last_stage]));
+        self.obs.push((p.outcome, vec![p.last_stage.to_string()]));
     }
 }
 

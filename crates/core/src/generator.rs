@@ -185,13 +185,18 @@ impl Generator {
 /// Find a test header inside (possibly rewritten) output bytes.
 ///
 /// The data plane may have added or removed headers in front of the
-/// payload, so the checker scans for the magic. Returns the byte offset of
-/// the header.
+/// payload, so the checker scans for the magic. The generator appends the
+/// header last, so the frame's tail is probed first — one probe for every
+/// frame the data plane did not lengthen behind the header, and the probe
+/// that tells the real header from a template that happens to contain the
+/// magic. Otherwise the scan runs from the front. Returns the byte offset
+/// of the header.
 pub fn find_test_header(data: &[u8]) -> Option<usize> {
-    if data.len() < TEST_HEADER_LEN {
-        return None;
-    }
-    (0..=data.len() - TEST_HEADER_LEN).find(|&off| TestHeader::new_checked(&data[off..]).is_ok())
+    let tail = data.len().checked_sub(TEST_HEADER_LEN)?;
+    let is_header = |&off: &usize| TestHeader::new_checked(&data[off..]).is_ok();
+    Some(tail)
+        .filter(is_header)
+        .or_else(|| (0..tail).find(is_header))
 }
 
 #[cfg(test)]
@@ -265,5 +270,25 @@ mod tests {
         assert_eq!(find_test_header(&p.data[6..]), Some(14));
         // Absent in unrelated bytes.
         assert_eq!(find_test_header(&[0u8; 64]), None);
+        assert_eq!(find_test_header(&[0u8; TEST_HEADER_LEN - 1]), None);
+    }
+
+    #[test]
+    fn tail_probe_beats_a_magic_in_the_template() {
+        // A template that itself carries `NTDG` (here: as its first four
+        // bytes, with room for a whole bogus header after it).
+        let mut s = spec();
+        s.template = vec![0u8; 40];
+        s.template[..4].copy_from_slice(&testhdr::TEST_MAGIC.to_be_bytes());
+        let p = Generator::new().build(&s, 2, 9);
+        let off = find_test_header(&p.data).unwrap();
+        assert_eq!(off, 40, "the appended header, not the template's magic");
+        let h = TestHeader::new_checked(&p.data[off..]).unwrap();
+        assert_eq!((h.stream(), h.seq(), h.ts_cycles()), (7, 2, 9));
+        // A trailer behind the header (the data plane padded the frame)
+        // defeats the tail probe; the forward scan still finds a header.
+        let mut padded = p.data[4..].to_vec();
+        padded.extend_from_slice(&[0u8; 3]);
+        assert_eq!(find_test_header(&padded), Some(36));
     }
 }

@@ -49,7 +49,7 @@ impl core::fmt::Display for Localization {
 /// Inject a probe packet and localise how far it got, using only the
 /// register bus (exactly what the host tool can do against real hardware).
 pub fn localize(device: &mut Device, as_port: u16, packet: &[u8]) -> Localization {
-    let stage_names: Vec<String> = device.stage_names().to_vec();
+    let stage_names: Vec<String> = device.stage_names().iter().map(|n| n.to_string()).collect();
     let before: Vec<u64> = device.stage_counts().to_vec();
     let processed = device.inject(as_port, packet);
     let after: Vec<u64> = device.stage_counts().to_vec();

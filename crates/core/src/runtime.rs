@@ -1086,7 +1086,7 @@ fn locate(
         None => (0, dispatched),
     };
     if let Some(c) = &mut caught.culprit {
-        c.prior_stage = counter.last_stage.take();
+        c.prior_stage = counter.last_stage.take().map(|s| s.to_string());
     }
     let mut fault = DeviceFault::from_trip(
         caught.payload.or(payload).as_deref(),
@@ -1155,7 +1155,7 @@ impl DeviceFault {
 #[derive(Default)]
 struct LastStageSink {
     delivered: u64,
-    last_stage: Option<String>,
+    last_stage: Option<Arc<str>>,
 }
 
 impl DeviceSink for LastStageSink {

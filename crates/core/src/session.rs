@@ -223,7 +223,7 @@ impl NetDebug {
             .checker
             .streams()
             .iter()
-            .map(|(k, v)| (*k, v.clone()))
+            .map(|(k, v)| (*k, StreamStats::clone(v)))
             .collect();
         streams.sort_by_key(|(k, _)| *k);
         let violations = self.checker.violations().to_vec();

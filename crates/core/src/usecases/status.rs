@@ -70,7 +70,7 @@ pub fn snapshot(nd: &NetDebug, injected: u64) -> StatusSample {
     let stages = dev
         .stage_names()
         .iter()
-        .cloned()
+        .map(|n| n.to_string())
         .zip(dev.stage_counts().iter().copied())
         .collect();
     let tables = dev

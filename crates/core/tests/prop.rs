@@ -394,7 +394,7 @@ proptest! {
         use netdebug_hw::{Outcome, Processed};
         use std::sync::Arc;
 
-        struct Rec(Vec<(u32, u64, Outcome, String)>);
+        struct Rec(Vec<(u32, u64, Outcome, Arc<str>)>);
         impl DeviceSink for Rec {
             fn on_packet(&mut self, flow: u32, seq: u64, p: Processed) {
                 self.0.push((flow, seq, p.outcome, p.last_stage));
@@ -482,7 +482,7 @@ proptest! {
         use netdebug_hw::{FaultSpec, Processed};
         use std::sync::Arc;
 
-        struct Rec(Vec<(u32, u64, String, String, u64)>);
+        struct Rec(Vec<(u32, u64, String, Arc<str>, u64)>);
         impl DeviceSink for Rec {
             fn on_packet(&mut self, flow: u32, seq: u64, p: Processed) {
                 self.0.push((

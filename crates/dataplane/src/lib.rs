@@ -56,8 +56,8 @@ pub use table::{
     TableStats, TableView,
 };
 pub use trace::{
-    CollectSink, DropReason, LazyTrace, NullSink, Trace, TraceEvent, TraceName, TraceSink, Verdict,
-    VerdictSummary,
+    CollectSink, DropReason, LazyTrace, NullSink, Stage, Trace, TraceEvent, TraceName, TraceSink,
+    Verdict, VerdictSummary,
 };
 
 #[cfg(test)]

@@ -76,19 +76,24 @@ impl DropReason {
             _ => DropReason::BadEgress,
         }
     }
-}
 
-impl core::fmt::Display for DropReason {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = match self {
+    /// The reason as report text (what `Display` prints), borrowed so
+    /// per-packet drop accounting can key on it without allocating.
+    pub fn as_str(self) -> &'static str {
+        match self {
             DropReason::ParserReject => "parser reject",
             DropReason::PacketTooShort => "packet too short",
             DropReason::ActionDrop => "mark_to_drop",
             DropReason::NoEgress => "no egress chosen",
             DropReason::BadEgress => "egress port out of range",
             DropReason::Faulted => "culprit frame skipped by recovery",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl core::fmt::Display for DropReason {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -453,6 +458,17 @@ fn u128_at(bytes: &[u8], off: usize) -> u128 {
     u128::from_le_bytes(bytes[off..off + 16].try_into().expect("u128 record word"))
 }
 
+/// A tapped pipeline stage a packet reached, by its IR id — the index of
+/// the parser state in `Program::parser.states` or of the table in
+/// `Program::tables` — which is what the engines record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Entered the parser state with this id.
+    State(u32),
+    /// Applied the table with this id.
+    Table(u32),
+}
+
 /// One parsed record of a [`TraceBuf`]; table keys stay in the buffer
 /// (offset + count) so walking records allocates nothing.
 #[derive(Clone, Copy)]
@@ -555,8 +571,8 @@ impl Iterator for Records<'_> {
 /// program's interned name tables.
 ///
 /// This is what a [`TraceSink`] observes on the streaming batch path.
-/// Consumers that only need counts or names iterate the records in place
-/// ([`LazyTrace::states`], [`LazyTrace::tables`]) without allocating;
+/// Consumers that only need counts or stage ids iterate the records in
+/// place ([`LazyTrace::stages`]) without allocating or touching a name;
 /// consumers that keep the trace decode it ([`LazyTrace::decode`]) into a
 /// semantic [`Trace`], pre-sized exactly from the record count. Decoding
 /// is the only point that clones name `Arc`s or allocates key vectors —
@@ -604,20 +620,12 @@ impl<'a> LazyTrace<'a> {
         })
     }
 
-    /// Names of parser states visited, in order, without decoding.
-    pub fn states(&self) -> impl Iterator<Item = &'a str> + '_ {
-        let names = self.names;
-        self.records().filter_map(move |r| match r {
-            Rec::State(sid) => Some(names.states[sid as usize].as_ref()),
-            _ => None,
-        })
-    }
-
-    /// Names of tables applied, in order, without decoding.
-    pub fn tables(&self) -> impl Iterator<Item = &'a str> + '_ {
-        let names = self.names;
-        self.records().filter_map(move |r| match r {
-            Rec::Table { tid, .. } => Some(names.tables[tid as usize].as_ref()),
+    /// The parser states entered and tables applied, in execution order,
+    /// by IR id — one walk over the records, no decode, no name lookup.
+    pub fn stages(&self) -> impl Iterator<Item = Stage> + 'a {
+        self.records().filter_map(|r| match r {
+            Rec::State(sid) => Some(Stage::State(sid)),
+            Rec::Table { tid, .. } => Some(Stage::Table(tid)),
             _ => None,
         })
     }
@@ -817,10 +825,9 @@ mod tests {
         assert_eq!(lazy.event_count(), 11);
         assert!(!lazy.parser_rejected());
         assert_eq!(
-            lazy.states().collect::<Vec<_>>(),
-            vec!["start", "parse_ipv4"]
+            lazy.stages().collect::<Vec<_>>(),
+            vec![Stage::State(0), Stage::State(1), Stage::Table(0)]
         );
-        assert_eq!(lazy.tables().collect::<Vec<_>>(), vec!["ipv4_lpm"]);
         assert_eq!(
             lazy.final_verdict(),
             Some(VerdictSummary::Forward { port: 7, len: 33 })
@@ -828,6 +835,8 @@ mod tests {
 
         let t = lazy.decode();
         assert_eq!(t.events.len(), 11);
+        assert_eq!(t.states_visited(), vec!["start", "parse_ipv4"]);
+        assert_eq!(t.tables_applied(), vec!["ipv4_lpm"]);
         assert_eq!(
             t.events[6],
             TraceEvent::TableApply {

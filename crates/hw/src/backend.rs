@@ -21,7 +21,6 @@ use crate::resources::{self, ResourceReport, SUME_BUDGET};
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::ir;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Architecture limits enforced (with diagnostics) at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -325,10 +324,11 @@ pub struct Compiled {
 /// deparse `ceil(emitted_bits/64)`; plus any bug-injected extra.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
-    /// Cost of each parser state by name.
-    pub state_cycles: HashMap<String, u64>,
-    /// Cost of each table by name.
-    pub table_cycles: HashMap<String, u64>,
+    /// `(name, cost)` of each parser state, indexed by IR state id — the
+    /// id trace records carry, so the device charges a packet by index.
+    pub state_cycles: Vec<(String, u64)>,
+    /// `(name, cost)` of each table, indexed by IR table id.
+    pub table_cycles: Vec<(String, u64)>,
     /// Deparser cost (worst case: all headers valid).
     pub deparse_cycles: u64,
     /// Fixed per-packet overhead (ingress arbitration + egress queue).
@@ -342,7 +342,7 @@ pub struct LatencyModel {
 impl LatencyModel {
     /// Derive the model from a program.
     pub fn for_program(program: &ir::Program, extra_cycles: u64) -> Self {
-        let mut state_cycles = HashMap::new();
+        let mut state_cycles = Vec::with_capacity(program.parser.states.len());
         let mut max_state_cost = 1u64;
         for state in &program.parser.states {
             let extracted: u64 = state
@@ -355,9 +355,9 @@ impl LatencyModel {
                 .sum();
             let cost = 1 + extracted.div_ceil(64);
             max_state_cost = max_state_cost.max(cost);
-            state_cycles.insert(state.name.clone(), cost);
+            state_cycles.push((state.name.clone(), cost));
         }
-        let mut table_cycles = HashMap::new();
+        let mut table_cycles = Vec::with_capacity(program.tables.len());
         for table in &program.tables {
             let is_tcam = table
                 .keys
@@ -371,7 +371,7 @@ impl LatencyModel {
             } else {
                 2
             } + 1; // +1 for the action
-            table_cycles.insert(table.name.clone(), cost);
+            table_cycles.push((table.name.clone(), cost));
         }
         let emitted_bits: u64 = program
             .deparse
@@ -390,17 +390,24 @@ impl LatencyModel {
         }
     }
 
-    /// Latency of a packet that visited the given states and tables.
+    /// Latency of a packet that visited no parser state and no table:
+    /// what every packet pays before its per-stage costs.
+    pub fn base_cycles(&self) -> u64 {
+        self.fixed_cycles + self.deparse_cycles + self.extra_cycles
+    }
+
+    /// Latency of a packet that visited the given states and tables, by
+    /// name (unknown names cost 1 and 2 cycles). The device charges by id
+    /// as it walks the trace; this is the by-name statement of the same
+    /// model that its parity test recomputes from decoded traces.
     pub fn packet_cycles(&self, states: &[&str], tables: &[&str]) -> u64 {
-        let parse: u64 = states
-            .iter()
-            .map(|s| self.state_cycles.get(*s).copied().unwrap_or(1))
-            .sum();
-        let match_action: u64 = tables
-            .iter()
-            .map(|t| self.table_cycles.get(*t).copied().unwrap_or(2))
-            .sum();
-        self.fixed_cycles + parse + match_action + self.deparse_cycles + self.extra_cycles
+        let cost = |costs: &[(String, u64)], name: &str, unknown: u64| {
+            let known = costs.iter().find(|(n, _)| n == name);
+            known.map_or(unknown, |&(_, cycles)| cycles)
+        };
+        let parse: u64 = states.iter().map(|s| cost(&self.state_cycles, s, 1)).sum();
+        let match_action: u64 = tables.iter().map(|t| cost(&self.table_cycles, t, 2)).sum();
+        self.base_cycles() + parse + match_action
     }
 
     /// Peak packets per second the pipeline sustains at `clock_hz`.
@@ -490,11 +497,11 @@ mod tests {
         let compiled = Backend::reference().compile(&ir).unwrap();
         let m = &compiled.latency;
         // start extracts ethernet (112 bits -> 2 flits): 1 + 2 = 3 cycles.
-        assert_eq!(m.state_cycles["start"], 3);
+        assert_eq!(m.state_cycles[0], ("start".to_string(), 3));
         // parse_ipv4 extracts 160 bits -> 3 flits: 4 cycles.
-        assert_eq!(m.state_cycles["parse_ipv4"], 4);
+        assert_eq!(m.state_cycles[1], ("parse_ipv4".to_string(), 4));
         // LPM table: 4 + 1 action.
-        assert_eq!(m.table_cycles["ipv4_lpm"], 5);
+        assert_eq!(m.table_cycles[0], ("ipv4_lpm".to_string(), 5));
         let lat = m.packet_cycles(&["start", "parse_ipv4"], &["ipv4_lpm"]);
         assert_eq!(lat, 6 + 3 + 4 + 5 + m.deparse_cycles);
         // 200 MHz, II = 4 (parse_ipv4 dominates) -> 50 Mpps.

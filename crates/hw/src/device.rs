@@ -18,11 +18,11 @@
 use crate::backend::{Backend, Compiled, LatencyModel};
 use crate::faults::{silence_fault_panics, FaultError, FaultSpec, FaultState};
 use netdebug_dataplane::{
-    Dataplane, DropReason, Engine, LazyTrace, MeterConfig, TraceSink, Verdict,
+    Dataplane, DropReason, Engine, LazyTrace, MeterConfig, Stage, TraceSink, Verdict,
 };
 use netdebug_p4::ir::IrPattern;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Physical configuration of the board.
@@ -123,8 +123,9 @@ pub struct Processed {
     pub total_ns: f64,
     /// Device time (cycles) when processing finished.
     pub done_at_cycle: u64,
-    /// Name of the last pipeline stage the packet reached.
-    pub last_stage: String,
+    /// Name of the last pipeline stage the packet reached — shared with
+    /// the device's stage-name table, so recording it copies no string.
+    pub last_stage: Arc<str>,
 }
 
 /// Errors when deploying onto the device.
@@ -232,18 +233,20 @@ struct TapState {
     /// is pipelined: packets start `initiation_interval` apart and overlap).
     pipe_next_start: u64,
     port_stats: Vec<PortStats>,
-    stage_names: Arc<[String]>,
-    /// Tap index keyed by bare parser-state name (no `parser:` prefix), so
-    /// per-packet accounting needs no string formatting.
-    parser_tap: Arc<HashMap<String, usize>>,
-    /// Tap index keyed by bare table name (no `table:` prefix).
-    table_tap: Arc<HashMap<String, usize>>,
+    /// Tap names in IR order — parser states, tables, deparser, egress —
+    /// so the tap of parser state `sid` is `sid` and the tap of table
+    /// `tid` is `first_table_tap + tid`: trace records carry those ids and
+    /// per-packet accounting never sees a name.
+    stage_names: Arc<[Arc<str>]>,
+    first_table_tap: usize,
     stage_counts: Vec<u64>,
     /// Drops by reason. Ordered map so iteration (reports, serialisation)
     /// is deterministic run to run regardless of insertion order.
     drop_counts: BTreeMap<String, u64>,
     deparser_tap: usize,
     egress_tap: usize,
+    /// Per-group scratch of [`TapSink`], kept for its allocation.
+    summaries: Vec<TapSummary>,
 }
 
 /// Trace-derived per-packet accounting, produced while the trace buffer is
@@ -287,50 +290,29 @@ impl Device {
         let dataplane =
             Dataplane::with_table_capacities(compiled.program.clone(), &compiled.capacities);
 
-        // Stage map: parser states, tables (program order), deparser, egress.
-        let mut stage_names = Vec::new();
-        for s in &compiled.program.parser.states {
-            stage_names.push(format!("parser:{}", s.name));
-        }
-        for t in &compiled.program.tables {
-            stage_names.push(format!("table:{}", t.name));
-        }
-        stage_names.push("deparser".to_string());
-        stage_names.push("egress".to_string());
-        let stage_index: HashMap<String, usize> = stage_names
+        // Stage map: parser states, tables (IR order), deparser, egress.
+        let (states, tables) = (&compiled.program.parser.states, &compiled.program.tables);
+        let stage_names: Arc<[Arc<str>]> = states
             .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
+            .map(|s| format!("parser:{}", s.name))
+            .chain(tables.iter().map(|t| format!("table:{}", t.name)))
+            .map(Arc::from)
+            .chain(["deparser".into(), "egress".into()])
             .collect();
-        let parser_tap = compiled
-            .program
-            .parser
-            .states
-            .iter()
-            .map(|s| (s.name.clone(), stage_index[&format!("parser:{}", s.name)]))
-            .collect::<HashMap<_, _>>();
-        let table_tap = compiled
-            .program
-            .tables
-            .iter()
-            .map(|t| (t.name.clone(), stage_index[&format!("table:{}", t.name)]))
-            .collect::<HashMap<_, _>>();
-        let stage_counts = vec![0; stage_names.len()];
-        let deparser_tap = stage_index["deparser"];
-        let egress_tap = stage_index["egress"];
+        let deparser_tap = states.len() + tables.len();
 
         let mut device = Device {
             taps: TapState {
                 now_cycles: 0,
                 pipe_next_start: 0,
                 port_stats: vec![PortStats::default(); config.ports as usize],
-                stage_names: stage_names.into(),
-                parser_tap: Arc::new(parser_tap),
-                table_tap: Arc::new(table_tap),
-                stage_counts,
+                first_table_tap: states.len(),
+                stage_counts: vec![0; stage_names.len()],
+                stage_names,
                 drop_counts: BTreeMap::new(),
                 deparser_tap,
-                egress_tap,
+                egress_tap: deparser_tap + 1,
+                summaries: Vec::new(),
             },
             config,
             compiled,
@@ -429,7 +411,10 @@ impl Device {
             self.taps.now_cycles = due_cycles;
         }
         let latency = &self.compiled.latency;
-        let summary = self.taps.untraced_summary(latency);
+        let summary = TapSummary {
+            last_stage_tap: None,
+            pipeline_cycles: latency.base_cycles(),
+        };
         self.taps.finish(
             &self.config,
             latency,
@@ -472,7 +457,7 @@ impl Device {
     }
 
     /// Names of all tap stages, in pipeline order.
-    pub fn stage_names(&self) -> &[String] {
+    pub fn stage_names(&self) -> &[Arc<str>] {
         &self.taps.stage_names
     }
 
@@ -530,7 +515,7 @@ impl Device {
                 pipeline_cycles: 0,
                 total_ns: 0.0,
                 done_at_cycle: self.taps.now_cycles,
-                last_stage: "mac".to_string(),
+                last_stage: "mac".into(),
             };
         }
         self.taps.port_stats[port as usize].rx_packets += 1;
@@ -564,7 +549,7 @@ impl Device {
             pipeline_cycles: 0,
             total_ns: 0.0,
             done_at_cycle: self.taps.now_cycles,
-            last_stage: "ingress".to_string(),
+            last_stage: "ingress".into(),
         })
     }
 
@@ -701,23 +686,28 @@ impl Device {
             let pkts = &pkts[..admitted];
             let latency = &self.compiled.latency;
             // The sink turns each (borrowed, reused) trace into a tiny Copy
-            // summary while counting stage taps, so the only per-group
-            // allocations are the verdicts and summaries.
+            // summary while counting stage taps, into a buffer the taps keep
+            // (drained) from group to group, so the only per-group
+            // allocation is the verdict vector and the only per-packet one
+            // the egress frame. (Cleared first: a dispatch that unwound
+            // mid-group leaves its summaries behind.)
+            self.taps.summaries.clear();
+            let now = self.taps.now_cycles;
             let mut sink = TapSink {
                 taps: &mut self.taps,
                 latency,
-                summaries: Vec::with_capacity(pkts.len()),
             };
-            let now = sink.taps.now_cycles;
             let verdicts = self.dataplane.process_batch_with(pkts, now, &mut sink);
-            let summaries = sink.summaries;
-            for (i, (verdict, summary)) in verdicts.into_iter().zip(summaries).enumerate() {
+            let mut summaries = std::mem::take(&mut self.taps.summaries);
+            for (i, (verdict, summary)) in verdicts.into_iter().zip(summaries.drain(..)).enumerate()
+            {
                 let port = pkts[i].0;
                 let p = self
                     .taps
                     .finish(&self.config, latency, port, verdict, summary, mac_in_ns);
                 visit(base + i, p);
             }
+            self.taps.summaries = summaries;
         }
         if let Some(trip) = trip {
             self.taps.now_cycles += trip.wedge_cycles;
@@ -981,50 +971,43 @@ impl Device {
 struct TapSink<'a> {
     taps: &'a mut TapState,
     latency: &'a LatencyModel,
-    summaries: Vec<TapSummary>,
 }
 
 impl TraceSink for TapSink<'_> {
     fn observe(&mut self, _index: usize, _verdict: &Verdict, trace: &LazyTrace<'_>) {
         let summary = self.taps.tap_packet_lazy(trace, self.latency);
-        self.summaries.push(summary);
+        self.taps.summaries.push(summary);
     }
 }
 
 impl TapState {
     /// Count the stages a trace visited and derive the packet's
-    /// [`TapSummary`], walking the zero-alloc name iterators of a
-    /// [`LazyTrace`] without ever decoding it into
-    /// [`TraceEvent`](netdebug_dataplane::TraceEvent)s. An empty trace
-    /// (tracing disabled) yields the parser-less base latency, matching
-    /// the historical fast path.
+    /// [`TapSummary`] in one walk over the stage ids of a [`LazyTrace`],
+    /// without decoding it into
+    /// [`TraceEvent`](netdebug_dataplane::TraceEvent)s or resolving a
+    /// name: an id is both the tap index and the index of the stage's
+    /// cost in the latency model. An empty trace (tracing disabled) yields
+    /// the parser-less base latency, matching the historical fast path.
     fn tap_packet_lazy(&mut self, trace: &LazyTrace<'_>, latency: &LatencyModel) -> TapSummary {
-        let states: Vec<&str> = trace.states().collect();
-        let tables: Vec<&str> = trace.tables().collect();
-        let mut last_stage_tap: Option<usize> = None;
-        for s in &states {
-            if let Some(&i) = self.parser_tap.get(*s) {
-                self.stage_counts[i] += 1;
-                last_stage_tap = Some(i);
-            }
-        }
-        for t in &tables {
-            if let Some(&i) = self.table_tap.get(*t) {
-                self.stage_counts[i] += 1;
-                last_stage_tap = Some(i);
-            }
+        let (mut last_state, mut last_table) = (None, None);
+        let mut pipeline_cycles = latency.base_cycles();
+        for stage in trace.stages() {
+            let tap = match stage {
+                Stage::State(sid) => {
+                    pipeline_cycles += latency.state_cycles[sid as usize].1;
+                    *last_state.insert(sid as usize)
+                }
+                Stage::Table(tid) => {
+                    pipeline_cycles += latency.table_cycles[tid as usize].1;
+                    *last_table.insert(self.first_table_tap + tid as usize)
+                }
+            };
+            self.stage_counts[tap] += 1;
         }
         TapSummary {
-            last_stage_tap,
-            pipeline_cycles: latency.packet_cycles(&states, &tables),
-        }
-    }
-
-    /// The summary an untraced packet gets: no taps, base latency.
-    fn untraced_summary(&self, latency: &LatencyModel) -> TapSummary {
-        TapSummary {
-            last_stage_tap: None,
-            pipeline_cycles: latency.packet_cycles(&[], &[]),
+            // The last table applied, else the last parser state entered.
+            last_stage_tap: last_table.or(last_state),
+            pipeline_cycles,
         }
     }
 
@@ -1042,10 +1025,6 @@ impl TapState {
         summary: TapSummary,
         mac_in_ns: Option<f64>,
     ) -> Processed {
-        let mut last_stage = match summary.last_stage_tap {
-            Some(i) => self.stage_names[i].clone(),
-            None => "parser:start".to_string(),
-        };
         let pipeline_cycles = summary.pipeline_cycles;
         // Pipelined execution: this packet starts once the pipeline frees
         // up, and completes `pipeline_cycles` later. Wall-clock time (the
@@ -1055,42 +1034,41 @@ impl TapState {
         let done_at = start + pipeline_cycles;
         let wait_cycles = done_at - self.now_cycles;
 
-        let outcome = match verdict {
+        // The last tap the packet reached, alongside its fate.
+        let (outcome, last_tap) = match verdict {
             Verdict::Forward { port: out, data } => {
                 self.stage_counts[self.deparser_tap] += 1;
                 if usize::from(out) >= self.port_stats.len() {
-                    *self
-                        .drop_counts
-                        .entry(DropReason::BadEgress.to_string())
-                        .or_default() += 1;
-                    last_stage = "deparser".to_string();
-                    Outcome::Dropped {
-                        reason: DropReason::BadEgress,
-                    }
+                    let reason = DropReason::BadEgress;
+                    self.count_drop(reason);
+                    (Outcome::Dropped { reason }, Some(self.deparser_tap))
                 } else {
                     self.stage_counts[self.egress_tap] += 1;
-                    last_stage = "egress".to_string();
                     self.port_stats[out as usize].tx_packets += 1;
                     self.port_stats[out as usize].tx_bytes += data.len() as u64;
-                    Outcome::Tx { port: out, data }
+                    (Outcome::Tx { port: out, data }, Some(self.egress_tap))
                 }
             }
             Verdict::Flood { data } => {
                 self.stage_counts[self.deparser_tap] += 1;
                 self.stage_counts[self.egress_tap] += 1;
-                last_stage = "egress".to_string();
                 for p in 0..self.port_stats.len() {
                     if p != usize::from(port) {
                         self.port_stats[p].tx_packets += 1;
                         self.port_stats[p].tx_bytes += data.len() as u64;
                     }
                 }
-                Outcome::Flood { data }
+                (Outcome::Flood { data }, Some(self.egress_tap))
             }
             Verdict::Drop(reason) => {
-                *self.drop_counts.entry(reason.to_string()).or_default() += 1;
-                Outcome::Dropped { reason }
+                self.count_drop(reason);
+                (Outcome::Dropped { reason }, summary.last_stage_tap)
             }
+        };
+        let last_stage = match last_tap {
+            Some(i) => self.stage_names[i].clone(),
+            // Dropped with no tap recorded: tracing off, or a skipped frame.
+            None => "parser:start".into(),
         };
 
         let mac_out_ns = if mac_in_ns.is_some() && outcome.transmitted() {
@@ -1110,6 +1088,16 @@ impl TapState {
             total_ns: mac_in_ns.unwrap_or(0.0) + pipeline_ns + mac_out_ns,
             done_at_cycle: done_at,
             last_stage,
+        }
+    }
+
+    /// Bump a drop counter; only a reason's first drop allocates its key.
+    fn count_drop(&mut self, reason: DropReason) {
+        match self.drop_counts.get_mut(reason.as_str()) {
+            Some(n) => *n += 1,
+            None => {
+                self.drop_counts.insert(reason.as_str().to_string(), 1);
+            }
         }
     }
 }
@@ -1147,7 +1135,7 @@ mod tests {
         let mut dev = deploy(&Backend::reference());
         let p = dev.rx(0, &ipv4(Ipv4Address::new(10, 0, 0, 9), 4));
         assert!(matches!(p.outcome, Outcome::Tx { port: 1, .. }));
-        assert_eq!(p.last_stage, "egress");
+        assert_eq!(&*p.last_stage, "egress");
         assert!(p.pipeline_cycles > 0);
         assert!(p.total_ns > 500.0, "MAC latency must show: {}", p.total_ns);
         assert_eq!(dev.port_stats(0).rx_packets, 1);
@@ -1171,11 +1159,11 @@ mod tests {
         ));
         // The packet reached parse_ipv4 and vanished there — the tap
         // counters localise the drop.
-        assert_eq!(p.last_stage, "parser:parse_ipv4");
+        assert_eq!(&*p.last_stage, "parser:parse_ipv4");
         let idx = dev
             .stage_names()
             .iter()
-            .position(|n| n == "deparser")
+            .position(|n| &**n == "deparser")
             .unwrap();
         assert_eq!(dev.stage_counts()[idx], 0);
     }

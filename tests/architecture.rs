@@ -33,7 +33,7 @@ fn internal_path_bypasses_ingress_macs() {
     let parser_tap = dev
         .stage_names()
         .iter()
-        .position(|n| n == "parser:start")
+        .position(|n| &**n == "parser:start")
         .unwrap();
     assert_eq!(dev.stage_counts()[parser_tap], 1, "pipeline saw the packet");
 }

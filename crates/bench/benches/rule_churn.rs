@@ -1,23 +1,32 @@
 //! Experiment E11 — rule churn under load.
 //!
 //! The epoch-snapshot tables let the control plane install/remove entries
-//! between (or during) batches: each mutation clones the entry list,
-//! publishes a fresh `Arc`-swapped snapshot, and the in-flight batch keeps
-//! its pins. This bench measures that seam two ways:
+//! between (or during) batches: each mutation edits the table's snapshot
+//! in place unless someone has it pinned (then it copies it once, and the
+//! in-flight batch keeps its pin). This bench measures that seam three
+//! ways:
 //!
 //! 1. **Churned routing** (`ipv4_forward`): windows of traffic
 //!    interleaved with bursts of LPM install/remove publications —
-//!    sustained packets/sec *and* publications/sec.
-//! 2. **Metered policing** (`rate_limiter`): the order-dependent
+//!    sustained packets/sec *and* publications/sec, at ~9 resident
+//!    routes.
+//! 2. **Publication cost against occupancy**: ns per `install` and per
+//!    `remove` at 16 / 2 048 / 32 768 resident entries, exact
+//!    (`l2_switch.dmac`) and LPM (`ipv4_forward.ipv4_lpm`), unpinned and
+//!    with a checkpoint pinning the table before every publication.
+//! 3. **Metered policing** (`rate_limiter`): the order-dependent
 //!    token-bucket workload on the batch path.
 //!
-//! Numbers land in `BENCH_churn.json` at the repo root. The shape check
-//! is that every scheduled publication really landed as its own epoch
-//! while the batches ran.
+//! Numbers land in `BENCH_churn.json` at the repo root. The shape checks
+//! are that every scheduled publication really landed as its own epoch
+//! while the batches ran, and that an unpinned exact install costs the
+//! same at 32 768 resident entries as at 16 (a publication that clones or
+//! re-indexes the table fails it) while a pinned one pays for its copy.
 
 use netdebug_bench::banner;
-use netdebug_dataplane::Dataplane;
+use netdebug_dataplane::{lpm_pattern, ControlPlane, Dataplane};
 use netdebug_p4::corpus;
+use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::time::Instant;
 
@@ -34,6 +43,118 @@ fn router_dataplane() -> Dataplane {
         .unwrap();
     dp.set_tracing(false);
     dp
+}
+
+/// Resident entry counts of the publication-cost sweep.
+const OCCUPANCIES: [usize; 3] = [16, 2048, 32_768];
+/// Fresh entries installed, then withdrawn, per sweep round.
+const FRESH: usize = 32;
+/// Prefix lengths the resident LPM routes cycle through (the fresh
+/// routes are /24s, so they land mid-list).
+const LENS: [u16; 5] = [16, 20, 24, 28, 32];
+/// Minimum summed publication time per sweep cell, seconds.
+const MIN_MEASURE_S: f64 = 0.05;
+
+/// One table shape of the publication-cost sweep: how to install and
+/// withdraw its `i`-th entry. Residents are `0..n`; the fresh entries
+/// churned on top of them start at [`FRESH_BASE`].
+struct SweepTable {
+    kind: &'static str,
+    program: &'static str,
+    table: &'static str,
+    install: fn(&ControlPlane, usize),
+    remove: fn(&ControlPlane, usize),
+}
+
+const FRESH_BASE: usize = 1 << 20;
+
+fn mac(i: usize) -> u128 {
+    0x0200_0000_0000 + i as u128
+}
+
+/// Resident route `i`: a distinct prefix at `LENS[i % 5]` with a clear
+/// top bit; fresh routes are /24s with it set.
+fn route(i: usize) -> (u128, u16) {
+    if i >= FRESH_BASE {
+        return (0x8000_0000 | ((i - FRESH_BASE) as u128) << 8, 24);
+    }
+    let len = LENS[i % LENS.len()];
+    (((i / LENS.len()) as u128) << (32 - len), len)
+}
+
+const SWEEP_TABLES: [SweepTable; 2] = [
+    SweepTable {
+        kind: "exact",
+        program: corpus::L2_SWITCH,
+        table: "dmac",
+        install: |cp, i| {
+            cp.install_exact("dmac", vec![mac(i)], "forward", vec![(i % 4) as u128])
+                .unwrap();
+        },
+        remove: |cp, i| {
+            cp.remove("dmac", &[IrPattern::Value(mac(i))], 0)
+                .unwrap()
+                .expect("resident");
+        },
+    },
+    SweepTable {
+        kind: "lpm",
+        program: corpus::IPV4_FORWARD,
+        table: "ipv4_lpm",
+        install: |cp, i| {
+            let (prefix, len) = route(i);
+            cp.install_lpm("ipv4_lpm", prefix, len, "ipv4_forward", vec![0xCC, 2])
+                .unwrap();
+        },
+        remove: |cp, i| {
+            let (prefix, len) = route(i);
+            cp.remove("ipv4_lpm", &[lpm_pattern(prefix, len, 32)], i32::from(len))
+                .unwrap()
+                .expect("resident");
+        },
+    },
+];
+
+/// ns per `install` and per `remove` on `shape`'s table held at
+/// `resident` entries. With `pinned`, a checkpoint pins the table before
+/// every publication (outside the timed region), so each one copies it.
+fn publication_ns(shape: &SweepTable, resident: usize, pinned: bool) -> (f64, f64) {
+    let ir = netdebug_p4::compile(shape.program).unwrap();
+    let caps = vec![1u64 << 16; ir.tables.len()];
+    let dp = Dataplane::with_table_capacities(ir, &caps);
+    let cp = dp.control_plane();
+    (0..resident).for_each(|i| (shape.install)(&cp, i));
+    let epoch_before = cp.epoch(shape.table).unwrap();
+
+    let mut pin = None;
+    let (mut install_s, mut remove_s, mut rounds) = (0.0f64, 0.0f64, 0u64);
+    let mut timed = |op: fn(&ControlPlane, usize), spent: &mut f64| {
+        for i in FRESH_BASE..FRESH_BASE + FRESH {
+            if pinned {
+                pin = Some(dp.checkpoint());
+            }
+            let t0 = Instant::now();
+            op(&cp, i);
+            *spent += t0.elapsed().as_secs_f64();
+        }
+    };
+    // One untimed round first: the list and the hash table grow to their
+    // steady capacity.
+    timed(shape.install, &mut 0.0);
+    timed(shape.remove, &mut 0.0);
+    while install_s + remove_s < MIN_MEASURE_S {
+        timed(shape.install, &mut install_s);
+        timed(shape.remove, &mut remove_s);
+        rounds += 1;
+    }
+    assert_eq!(
+        cp.epoch(shape.table).unwrap(),
+        epoch_before + 2 * (rounds + 1) * FRESH as u64,
+        "every sweep publication must land as its own epoch"
+    );
+    assert_eq!(cp.occupancy(shape.table).unwrap().0, resident);
+    let per_op = 1e9 / (rounds * FRESH as u64) as f64;
+    (install_s * per_op, remove_s * per_op)
 }
 
 fn limiter_dataplane() -> Dataplane {
@@ -132,7 +253,32 @@ fn main() {
         "every install/remove must land as its own epoch while batches run"
     );
 
-    // ---- Part 2: metered policing ----
+    // ---- Part 2: publication cost against occupancy ----
+    println!("\npublication cost vs resident entries ({FRESH} fresh entries installed, then withdrawn, per round)");
+    println!(
+        "{:<8} {:>9} {:>9} {:>14} {:>14}",
+        "kind", "resident", "pinned", "install ns", "remove ns"
+    );
+    // (kind, resident, pinned) -> install ns, for the smoke assertions.
+    let mut install_cost: Vec<((&str, usize, bool), f64)> = Vec::new();
+    for shape in &SWEEP_TABLES {
+        for resident in OCCUPANCIES {
+            for pinned in [false, true] {
+                let (install_ns, remove_ns) = publication_ns(shape, resident, pinned);
+                println!(
+                    "{:<8} {:>9} {:>9} {:>14.0} {:>14.0}",
+                    shape.kind, resident, pinned, install_ns, remove_ns
+                );
+                json_rows.push(format!(
+                    "    {{\"workload\": \"publication_cost\", \"kind\": \"{}\", \"resident\": {resident}, \"pinned\": {pinned}, \"install_ns\": {install_ns:.0}, \"remove_ns\": {remove_ns:.0}}}",
+                    shape.kind
+                ));
+                install_cost.push(((shape.kind, resident, pinned), install_ns));
+            }
+        }
+    }
+
+    // ---- Part 3: metered policing ----
     println!("\nmetered policing (rate_limiter)");
     println!("{:<28} {:>14}", "configuration", "pkts/sec");
     let mut dp = limiter_dataplane();
@@ -156,4 +302,31 @@ fn main() {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => println!("\ncould not write {path}: {e}"),
     }
+
+    // ---- Smoke assertions (run in CI): publication stays O(delta) ----
+    let install_ns = |cell| {
+        install_cost
+            .iter()
+            .find(|(c, _)| *c == cell)
+            .expect("measured above")
+            .1
+    };
+    let (small, large) = (OCCUPANCIES[0], OCCUPANCIES[2]);
+    let (flat_small, flat_large) = (
+        install_ns(("exact", small, false)),
+        install_ns(("exact", large, false)),
+    );
+    // An unpinned exact install appends one slot and inserts one hash key
+    // however many entries are resident. The 4x slack is timer noise and
+    // colder cache lines, not a linear factor (the sweep spans 2048x).
+    assert!(
+        flat_large < flat_small * 4.0,
+        "unpinned exact install grew with occupancy: {flat_small:.0} ns at {small} entries vs {flat_large:.0} ns at {large} — publication copies or re-indexes the table again"
+    );
+    // And the pinned column really measures the copy-on-write path.
+    let copied = install_ns(("exact", large, true));
+    assert!(
+        copied > flat_large * 8.0,
+        "a pinned install at {large} entries ({copied:.0} ns) costs like an unpinned one ({flat_large:.0} ns): the pin did not force a copy, the measurement is broken"
+    );
 }

@@ -15,11 +15,12 @@
 //! virtual-time flow (churn ops become seq-keyed triggers, paced frames
 //! coalesce per due instant) and results are joined and diffed in member
 //! order, making reports deterministic regardless of worker count. Each
-//! member's tables carry their own compiled lookup indexes (published
-//! per epoch, see `netdebug_dataplane::LookupIndex`), so churned fleet
-//! runs ([`DifferentialFleet::run_churn`]) recompile per member and per
-//! publication — divergence between members is always a semantic
-//! difference, never a shared-index artefact.
+//! member's tables carry their own lookup indexes (see
+//! `netdebug_dataplane::LookupIndex`), so churned fleet runs
+//! ([`DifferentialFleet::run_churn`]) maintain them per member — one
+//! key per publication, whatever the occupancy — and divergence between
+//! members is always a semantic difference, never a shared-index
+//! artefact.
 
 use crate::churn::{ChurnError, ChurnSchedule};
 use crate::differential::{outcome_divergence, stages_reached};

@@ -6,19 +6,23 @@
 //! and the publication generation/lock. It can be handed to another
 //! thread and used to `install`/`remove`/`clear` entries while the owning
 //! [`crate::Dataplane`] is mid-`process_batch`: each mutation publishes
-//! a fresh [`crate::EntrySnapshot`] atomically, the in-flight batch
-//! keeps reading the snapshots it pinned at batch start, and the next
+//! the table's next epoch atomically, the in-flight batch keeps reading
+//! the [`crate::EntrySnapshot`]s it pinned at batch start, and the next
 //! batch (or the next single packet) observes the new epochs.
 //!
-//! Publication is also the **index compile point**: every published
-//! snapshot carries a [`crate::LookupIndex`] built from the table's
-//! declared [`netdebug_p4::ir::KeySignature`] (exact → hash, LPM →
-//! prefix-length buckets, anything else → priority scan), so the packet
-//! path never pays per-lookup compilation and the control plane pays it
-//! once per mutation — off the packet thread entirely. The only
-//! synchronisation between the two is the brief publication lock a pin
-//! point takes when (and only when) a publication actually landed since
-//! it last pinned.
+//! A publication costs **what changed**: the snapshot's
+//! [`crate::LookupIndex`] (exact → hash, LPM → prefix-length levels,
+//! anything else → priority scan, picked by the table's declared
+//! [`netdebug_p4::ir::KeySignature`]) is maintained by inserting or
+//! removing the one entry, in place while nobody has the snapshot
+//! pinned. The first publication after a pin — the packet path re-pins
+//! once per generation, checkpoints and device clones pin too — copies
+//! the snapshot once (refcount bumps, not entry copies) and leaves the
+//! pin on its epoch; see [`crate::table`] for why that is race-free.
+//! Either way the packet path never pays for index maintenance, and the
+//! only synchronisation between the two sides is the brief publication
+//! lock a pin point takes when (and only when) a publication actually
+//! landed since it last pinned.
 
 use crate::table::{RuntimeEntry, TableError, TableState};
 use netdebug_p4::ir::{self, IrPattern, KeySignature};
@@ -63,7 +67,7 @@ impl From<TableError> for ControlError {
 /// `Device::control_plane` in `netdebug-hw`). All methods take `&self`:
 /// the handle can live on a control-plane thread and mutate tables
 /// concurrently with packet processing — mutations land as atomic epoch
-/// publications, never as in-place edits.
+/// publications, never as edits to a snapshot a reader has pinned.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     program: Arc<ir::Program>,
@@ -96,17 +100,17 @@ impl ControlPlane {
     }
 
     /// Run `publish` under the publication lock and bump the generation
-    /// after it succeeds, so a reader observing the new generation always
-    /// sees the new snapshot and no reader can pin a snapshot set that
-    /// interleaves two publications.
-    fn publishing<T>(
-        &self,
-        publish: impl FnOnce() -> Result<T, TableError>,
-    ) -> Result<T, TableError> {
+    /// if `published` says a snapshot went out (a rejected install or the
+    /// removal of an absent entry publishes nothing), so a reader
+    /// observing the new generation always sees the new snapshot and no
+    /// reader can pin a snapshot set that interleaves two publications.
+    fn publishing<T>(&self, publish: impl FnOnce() -> T, published: impl FnOnce(&T) -> bool) -> T {
         let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-        let out = publish()?;
-        self.generation.fetch_add(1, Ordering::Release);
-        Ok(out)
+        let out = publish();
+        if published(&out) {
+            self.generation.fetch_add(1, Ordering::Release);
+        }
+        out
     }
 
     /// The program these tables belong to.
@@ -142,9 +146,10 @@ impl ControlPlane {
             action: ir::ActionCall { action: aid, args },
             priority,
         };
-        let epoch = self.publishing(|| {
-            self.tables[tid].install(&self.program.tables[tid], &self.program.actions, entry)
-        })?;
+        let epoch = self.publishing(
+            || self.tables[tid].install(&self.program.tables[tid], &self.program.actions, entry),
+            Result::is_ok,
+        )?;
         Ok(epoch)
     }
 
@@ -190,20 +195,16 @@ impl ControlPlane {
         priority: i32,
     ) -> Result<Option<u64>, ControlError> {
         let tid = self.table_id(table)?;
-        let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-        let removed = self.tables[tid].remove(patterns, priority);
-        if removed.is_some() {
-            // Bump only on an actual publication (absent entry = no-op).
-            self.generation.fetch_add(1, Ordering::Release);
-        }
-        Ok(removed)
+        Ok(self.publishing(
+            || self.tables[tid].remove(patterns, priority),
+            Option::is_some,
+        ))
     }
 
     /// Remove all entries from a table; returns the new epoch.
     pub fn clear(&self, table: &str) -> Result<u64, ControlError> {
         let tid = self.table_id(table)?;
-        let epoch = self.publishing(|| Ok(self.tables[tid].clear()))?;
-        Ok(epoch)
+        Ok(self.publishing(|| self.tables[tid].clear(), |_| true))
     }
 
     /// The current epoch of a table.
@@ -224,8 +225,8 @@ impl ControlPlane {
         Ok((t.len(), t.capacity()))
     }
 
-    /// The key signature a table's lookup indexes compile from — which
-    /// structure ([`crate::LookupIndex`]) every publication builds.
+    /// The key signature a table's lookup index is shaped by — which
+    /// structure ([`crate::LookupIndex`]) its snapshots carry.
     pub fn key_signature(&self, table: &str) -> Result<KeySignature, ControlError> {
         let tid = self.table_id(table)?;
         Ok(self.tables[tid].key_signature())

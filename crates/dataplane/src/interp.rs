@@ -180,11 +180,12 @@ impl Env {
 ///
 /// * **read-mostly** — the program (immutable, behind an `Arc`), its
 ///   load-time-compiled bytecode ([`CompiledProgram`], also `Arc`-shared
-///   with clones) and the table entry lists: each table publishes an
-///   immutable [`EntrySnapshot`] that the packet path pins per batch,
-///   while the control plane — possibly from another thread, through a
-///   detached [`ControlPlane`] handle — publishes successor snapshots
-///   atomically; mid-batch installs never touch the pinned ones.
+///   with clones) and the table entry lists: each table publishes
+///   [`EntrySnapshot`]s that the packet path pins per batch, while the
+///   control plane — possibly from another thread, through a detached
+///   [`ControlPlane`] handle — publishes successor epochs atomically;
+///   a pinned snapshot is never edited (a mid-batch install copies it
+///   first, see [`crate::table`]).
 /// * **mutable** — table hit/miss statistics (`table_stats`) and extern
 ///   state (`externs`), owned by the one thread running the batch.
 #[derive(Debug)]
@@ -232,10 +233,11 @@ pub struct Dataplane {
 
 impl Clone for Dataplane {
     /// Deep-copies the runtime state: the clone gets its own table cells
-    /// and publication counter (sharing the immutable current snapshots
-    /// is safe — mutation always publishes fresh ones) so control-plane
-    /// handles and installs on one copy never leak into the other. The
-    /// compiled program and bytecode are shared. The table snapshots are
+    /// and publication counter (sharing the current snapshots is safe —
+    /// a mutation on either side copies a shared snapshot before editing
+    /// it) so control-plane handles and installs on one copy never leak
+    /// into the other. The compiled program and bytecode are shared. The
+    /// table snapshots are
     /// captured under the publication lock, so even a clone taken during
     /// concurrent multi-table churn observes a publication-order prefix,
     /// never a torn cross-table cut.
@@ -283,9 +285,10 @@ impl Clone for Dataplane {
 /// [`Dataplane::checkpoint`] and reinstated by [`Dataplane::restore`].
 ///
 /// Table entry state is held as pinned `Arc<EntrySnapshot>`s — the same
-/// immutable epochs the packet path pins — so a checkpoint costs one
-/// `Arc` clone per table plus the extern/statistics copies, not a deep
-/// copy of the entry lists. Checkpoints are the substrate of the
+/// epochs the packet path pins — so a checkpoint costs one `Arc` clone
+/// per table plus the extern/statistics copies, not a deep copy of the
+/// entry lists (the first publication after it pays for one shallow
+/// copy of the table it touches). Checkpoints are the substrate of the
 /// fault-recovery path: quarantined devices rewind to their last
 /// checkpoint and replay forward past the culprit frame.
 #[derive(Debug, Clone)]

@@ -1,5 +1,5 @@
 //! Runtime match-action table state, published as **epoch snapshots**
-//! that carry a **compiled lookup index**.
+//! that carry an **incrementally maintained lookup index**.
 //!
 //! Tables hold [`RuntimeEntry`]s installed either at compile time (const
 //! entries) or through the control-plane API. Lookup is match-kind aware:
@@ -7,41 +7,63 @@
 //! ternary/range tables resolve by explicit priority. A single sorted
 //! entry list *defines* all three — the seed semantics is "scan the
 //! priority-sorted list, first full match wins" — but scanning is O(n)
-//! per apply, so publication is also the compile point: each snapshot
-//! carries a [`LookupIndex`] shaped by the table's
-//! [`netdebug_p4::ir::KeySignature`], the way real targets compile match
-//! kinds into hardware memories (exact → hash unit, LPM → per-prefix-length
-//! buckets, ternary → priority TCAM order). The index is built once per
-//! publication and answers exactly what the scan would — bit-identical by
-//! construction (and pinned by property tests), falling back to the scan
-//! for anything it cannot prove equivalent.
+//! per apply, so each snapshot also carries a [`LookupIndex`] shaped by
+//! the table's [`netdebug_p4::ir::KeySignature`], the way real targets
+//! compile match kinds into hardware memories (exact → hash unit, LPM →
+//! per-prefix-length levels, ternary → priority TCAM order). The index
+//! answers exactly what the scan would — bit-identical by construction
+//! (and pinned by property tests), falling back to the scan for anything
+//! it cannot prove equivalent.
 //!
-//! The entry list itself is **immutable once published**: a [`TableState`]
-//! holds an [`Arc`]`<`[`EntrySnapshot`]`>` and every control-plane
-//! mutation (`install`/`remove`/`clear`) builds a fresh entry list plus
-//! its index and swaps the `Arc` atomically, bumping the snapshot's
-//! epoch. Readers pin a snapshot once (per packet on the single-packet
-//! path, per batch on the batch paths) and keep reading it no matter what
-//! the control plane does concurrently — which is what lets installs land
+//! **A publication costs what changed, not what is resident.** A
+//! [`TableState`] holds an [`Arc`]`<`[`EntrySnapshot`]`>` behind a mutex
+//! and `install`/`remove` edit it through [`Arc::make_mut`]:
+//!
+//! * nobody holds a pin → the snapshot is edited **in place**: one slot
+//!   inserted into (or removed from) the sorted list, one key inserted
+//!   into (or removed from) the index, the epoch bumped;
+//! * somebody holds a pin (a reader batch, a checkpoint, a device clone)
+//!   → the snapshot is **copied exactly once** — refcount bumps, the
+//!   list holds `Arc<RuntimeEntry>` — the copy is edited, and the pin
+//!   keeps reading its epoch bit for bit. Publications that follow edit
+//!   the copy in place until someone pins again.
+//!
+//! The uniqueness check is race-free because every pin is handed out by
+//! [`TableState::snapshot`] **under the same mutex** the mutation holds:
+//! a reference count of one, observed with the lock held, means no other
+//! thread has the snapshot and none can get it before the edit is done.
+//! (A pin dropped concurrently can only make the check pessimistic — one
+//! copy that was not strictly needed.) The index is position-free —
+//! hash values are the winning entry itself, LPM levels are keyed by
+//! priority — so editing the list never invalidates it, and the
+//! from-scratch build (const entries, `clear`, shapes that demote to
+//! [`LookupIndex::Scan`]) is the fold of the same one-entry insert. What stays O(n) per publication is the
+//! sorted list's `memmove` (64 bytes per resident entry behind the edit
+//! point) and, for `remove`, the pointer walk over the victim's
+//! equal-priority run.
+//!
+//! Readers pin a snapshot once (per packet on the single-packet path,
+//! per batch on the batch paths) and keep reading it no matter what the
+//! control plane does concurrently — which is what lets installs land
 //! *mid-batch* without pausing or locking against the packet path. The
 //! batch paths flatten the pins further into [`TableView`]s — direct
-//! borrows of the index and entry list — so a
-//! table apply costs one slice index, not an `Arc` dereference.
+//! borrows of the index and entry list — so a table apply costs one
+//! slice index, not an `Arc` dereference.
 
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::ir::{self, ActionCall, IrPattern, KeySignature};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A multiply-rotate hasher in the fxhash family: a few cycles per key
 /// word instead of SipHash's DoS-resistant but ~20 ns setup. Table keys
 /// here are attacker-independent (they come from the program's own key
-/// expressions over already-parsed packets, and the index is rebuilt per
-/// publication), so the fast non-cryptographic hash is the right
-/// trade-off — it is what keeps a hash probe competitive with scanning
-/// even a one-entry table.
+/// expressions over already-parsed packets), so the fast
+/// non-cryptographic hash is the right trade-off — it is what keeps a
+/// hash probe competitive with scanning even a one-entry table.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FxHasher {
     hash: u64,
@@ -88,17 +110,95 @@ impl Hasher for FxHasher {
     }
 }
 
+/// One hash slot of a [`LookupIndex`]: the entry the scan would return
+/// for the slot's key, and how many more resident entries carry the same
+/// key behind it in priority order. The count is what keeps removal
+/// O(1) in the common case: a departing winner with nothing shadowed
+/// just vacates its key, no rescan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Winner {
+    entry: Arc<RuntimeEntry>,
+    shadowed: usize,
+}
+
 /// The hash map flavour every [`LookupIndex`] uses.
-type FxMap<K> = HashMap<K, usize, BuildHasherDefault<FxHasher>>;
+type FxMap<K> = HashMap<K, Winner, BuildHasherDefault<FxHasher>>;
+
+/// Index `entry` under `key`. An insert lands behind every resident
+/// entry of equal or higher priority, so it wins the key only from a
+/// strictly lower-priority winner — exactly how the scan resolves
+/// duplicate keys, decided without knowing anyone's list position.
+fn claim<K: Hash + Eq>(map: &mut FxMap<K>, key: K, entry: &Arc<RuntimeEntry>) {
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(Winner {
+                entry: Arc::clone(entry),
+                shadowed: 0,
+            });
+        }
+        Entry::Occupied(slot) => {
+            let winner = slot.into_mut();
+            winner.shadowed += 1;
+            if entry.priority > winner.entry.priority {
+                winner.entry = Arc::clone(entry);
+            }
+        }
+    }
+}
+
+/// Take `entry` out from under `key`. `successor` names the first
+/// remaining resident entry with the key; it runs only when the winner
+/// itself leaves while a duplicate is shadowed.
+fn release<'a, K: Hash + Eq>(
+    map: &mut FxMap<K>,
+    key: &K,
+    entry: &Arc<RuntimeEntry>,
+    successor: impl FnOnce() -> Option<&'a Slot>,
+) {
+    let winner = map.get_mut(key).expect("every resident entry is indexed");
+    if winner.shadowed == 0 {
+        map.remove(key);
+        return;
+    }
+    winner.shadowed -= 1;
+    if Arc::ptr_eq(&winner.entry, entry) {
+        let next = successor().expect("a shadowed duplicate is resident");
+        winner.entry = Arc::clone(&next.entry);
+    }
+}
 
 /// The one canonical match predicate of the seed scan: patterns zipped
-/// against keys, missing keys matching vacuously. Every scan flavour —
-/// [`EntrySnapshot::lookup_scan`], [`TableView`]'s fallbacks — and the
-/// index compiler's equivalence contract refer to this single function,
-/// so the semantics cannot drift between copies.
+/// against keys, missing keys matching vacuously. The scan and the index
+/// maintenance's equivalence contract refer to this single function, so
+/// the semantics cannot drift between copies.
 #[inline]
 fn entry_matches(e: &RuntimeEntry, keys: &[u128]) -> bool {
     e.patterns.iter().zip(keys).all(|(p, k)| p.matches(*k))
+}
+
+/// The maskable form of a single-key pattern: `key & mask == value`.
+fn maskable(p: &IrPattern) -> Option<(u128, u128)> {
+    match *p {
+        IrPattern::Value(v) => Some((u128::MAX, v)),
+        IrPattern::Mask { value, mask } => Some((mask, value & mask)),
+        IrPattern::Any => Some((0, 0)),
+        IrPattern::Range { .. } => None,
+    }
+}
+
+/// The packed key of an all-exact entry, if it is one: `key_count`
+/// value patterns.
+fn exact_tuple(patterns: &[IrPattern], key_count: usize) -> Option<Vec<u128>> {
+    if patterns.len() != key_count {
+        return None;
+    }
+    patterns
+        .iter()
+        .map(|p| match *p {
+            IrPattern::Value(v) => Some(v),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Errors from control-plane table manipulation.
@@ -182,32 +282,95 @@ impl TableStats {
     }
 }
 
-/// One priority level of a compiled LPM index: a contiguous run of the
-/// sorted entry list, optionally accelerated by a uniform-mask hash.
+/// One element of a snapshot's priority-sorted list: the shared entry
+/// plus an inline copy of what the list walks compare — its priority and
+/// its first pattern. Entries are immutable once installed, so the copy
+/// cannot go stale; it keeps the priority scan and the binary searches a
+/// contiguous walk that only follows the `Arc` for a rule whose first
+/// pattern already matched. One cache line per slot.
+#[derive(Debug, Clone, PartialEq)]
+struct Slot {
+    /// `entry.patterns[0]` ([`IrPattern::Any`] for a pattern-less entry,
+    /// which matches as vacuously as the zip does).
+    first: IrPattern,
+    /// `entry.priority`.
+    priority: i32,
+    entry: Arc<RuntimeEntry>,
+}
+
+impl Slot {
+    fn new(entry: Arc<RuntimeEntry>) -> Slot {
+        Slot {
+            first: entry.patterns.first().copied().unwrap_or(IrPattern::Any),
+            priority: entry.priority,
+            entry,
+        }
+    }
+
+    /// Does this slot hold exactly these patterns? (Callers have already
+    /// narrowed to one priority.)
+    fn holds(&self, patterns: &[IrPattern]) -> bool {
+        patterns.first().is_none_or(|p| *p == self.first) && self.entry.patterns == patterns
+    }
+}
+
+/// The contiguous run of the sorted list at `priority`, and where it
+/// starts.
+fn priority_run(entries: &[Slot], priority: i32) -> (usize, &[Slot]) {
+    let start = entries.partition_point(|s| s.priority > priority);
+    let run = &entries[start..];
+    (
+        start,
+        &run[..run.partition_point(|s| s.priority == priority)],
+    )
+}
+
+/// One priority level of an LPM index, optionally accelerated by a
+/// uniform-mask hash.
 ///
 /// `install_lpm`-shaped entries give every entry of a priority level the
 /// same mask (the prefix length *is* the priority), so the whole level
 /// resolves with one `key & mask` hash probe. Levels whose entries carry
-/// mixed masks (possible through the raw `install` API) keep the scan —
-/// the index never guesses.
+/// mixed masks (possible through the raw `install` API) scan their run
+/// of the sorted list — the index never guesses.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LpmBucket {
-    /// Start of the level's run in the sorted entry list.
-    start: usize,
-    /// One past the end of the run.
-    end: usize,
-    /// `(mask, masked value → first matching entry)` when every entry in
-    /// the run shares `mask`; `None` keeps the per-level scan.
+pub struct LpmLevel {
+    priority: i32,
+    /// `(mask, masked value → winner)` while every entry of the level
+    /// shares `mask`; `None` keeps the per-level scan.
     hash: Option<(u128, FxMap<u128>)>,
 }
 
-/// The lookup structure compiled into an [`EntrySnapshot`] at publication.
+impl LpmLevel {
+    /// An empty level at `priority`, hashed on `first`'s mask if it has
+    /// one.
+    fn new(priority: i32, first: &IrPattern) -> LpmLevel {
+        LpmLevel {
+            priority,
+            hash: maskable(first).map(|(mask, _)| (mask, FxMap::default())),
+        }
+    }
+
+    /// Add one single-pattern entry; a mask that differs from the
+    /// level's demotes the level to its scan.
+    fn insert(&mut self, entry: &Arc<RuntimeEntry>) {
+        match (&mut self.hash, maskable(&entry.patterns[0])) {
+            (Some((mask, map)), Some((m, value))) if *mask == m => claim(map, value, entry),
+            _ => self.hash = None,
+        }
+    }
+}
+
+/// The lookup structure an [`EntrySnapshot`] carries, maintained one
+/// entry at a time.
 ///
 /// Chosen per table from the [`KeySignature`] of its declared keys, then
-/// *verified* against the actual entries — an entry shape the structure
-/// cannot represent exactly (e.g. a masked const entry in an exact table)
-/// demotes the snapshot to [`LookupIndex::Scan`], so every variant answers
-/// bit-identically to the seed priority-ordered linear scan.
+/// *verified* against each entry as it arrives — an entry shape the
+/// structure cannot represent exactly (e.g. a masked const entry in an
+/// exact table) demotes the snapshot to [`LookupIndex::Scan`], so every
+/// variant answers bit-identically to the seed priority-ordered linear
+/// scan. No variant stores a list position: inserting into or removing
+/// from the sorted list never invalidates the index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LookupIndex {
     /// Single exact key: one hash probe on the key value.
@@ -219,131 +382,225 @@ pub enum LookupIndex {
         /// Packed key tuple → first matching entry in priority order.
         map: FxMap<Vec<u128>>,
     },
-    /// Single-key LPM table: priority-descending buckets, probed
+    /// Single-key LPM table: levels in descending priority, probed
     /// longest-prefix-first.
-    Lpm(Vec<LpmBucket>),
+    Lpm(Vec<LpmLevel>),
     /// General fallback: the seed priority-ordered scan over the entries.
     Scan,
 }
 
 impl LookupIndex {
-    /// Compile the index for a freshly published entry list (sorted by
-    /// descending priority). Falls back to [`LookupIndex::Scan`] whenever
-    /// the entries do not fit the signature's structure exactly.
-    fn build(signature: KeySignature, key_count: usize, entries: &[RuntimeEntry]) -> LookupIndex {
+    /// The index of an empty table with this signature.
+    fn empty(signature: KeySignature, key_count: usize) -> LookupIndex {
         match signature {
-            KeySignature::AllExact => Self::build_exact(key_count, entries),
-            KeySignature::SingleLpm => Self::build_lpm(entries),
+            KeySignature::AllExact if key_count == 1 => LookupIndex::ExactOne(FxMap::default()),
+            KeySignature::AllExact => LookupIndex::ExactTuple {
+                tuple_len: key_count,
+                map: FxMap::default(),
+            },
+            KeySignature::SingleLpm => LookupIndex::Lpm(Vec::new()),
             KeySignature::Generic => LookupIndex::Scan,
         }
     }
 
-    fn build_exact(key_count: usize, entries: &[RuntimeEntry]) -> LookupIndex {
-        let all_values = entries.iter().all(|e| {
-            e.patterns.len() == key_count
-                && e.patterns.iter().all(|p| matches!(p, IrPattern::Value(_)))
-        });
-        if !all_values {
-            // Entry shapes the hash cannot represent (only reachable via
-            // unvalidated const entries): keep the scan, stay exact.
-            return LookupIndex::Scan;
-        }
-        let value = |p: &IrPattern| match *p {
-            IrPattern::Value(v) => v,
-            _ => unreachable!("checked all-values above"),
-        };
-        if key_count == 1 {
-            let mut map = FxMap::with_capacity_and_hasher(entries.len(), Default::default());
-            for (i, e) in entries.iter().enumerate() {
-                // First entry in priority order wins, exactly as the scan
-                // resolves duplicate key tuples.
-                map.entry(value(&e.patterns[0])).or_insert(i);
+    /// Account for one entry joining the sorted list (behind every
+    /// resident entry of equal or higher priority). An entry the
+    /// structure cannot represent — only reachable through unvalidated
+    /// const entries — demotes the index to the scan.
+    fn insert(&mut self, entry: &Arc<RuntimeEntry>) {
+        match self {
+            LookupIndex::ExactOne(map) => match entry.patterns[..] {
+                [IrPattern::Value(v)] => claim(map, v, entry),
+                _ => *self = LookupIndex::Scan,
+            },
+            LookupIndex::ExactTuple { tuple_len, map } => {
+                match exact_tuple(&entry.patterns, *tuple_len) {
+                    Some(tuple) => claim(map, tuple, entry),
+                    None => *self = LookupIndex::Scan,
+                }
             }
-            LookupIndex::ExactOne(map)
-        } else {
-            let mut map = FxMap::with_capacity_and_hasher(entries.len(), Default::default());
-            for (i, e) in entries.iter().enumerate() {
-                let tuple: Vec<u128> = e.patterns.iter().map(value).collect();
-                map.entry(tuple).or_insert(i);
+            LookupIndex::Lpm(levels) => {
+                if entry.patterns.len() != 1 {
+                    *self = LookupIndex::Scan;
+                    return;
+                }
+                let at = levels.partition_point(|l| l.priority > entry.priority);
+                if levels.get(at).is_none_or(|l| l.priority != entry.priority) {
+                    levels.insert(at, LpmLevel::new(entry.priority, &entry.patterns[0]));
+                }
+                levels[at].insert(entry);
             }
-            LookupIndex::ExactTuple {
-                tuple_len: key_count,
-                map,
-            }
+            LookupIndex::Scan => {}
         }
     }
 
-    fn build_lpm(entries: &[RuntimeEntry]) -> LookupIndex {
-        if entries.iter().any(|e| e.patterns.len() != 1) {
-            return LookupIndex::Scan;
-        }
-        // The maskable form of a single-key pattern: `key & mask == value`.
-        let maskable = |p: &IrPattern| match *p {
-            IrPattern::Value(v) => Some((u128::MAX, v)),
-            IrPattern::Mask { value, mask } => Some((mask, value & mask)),
-            IrPattern::Any => Some((0, 0)),
-            IrPattern::Range { .. } => None,
+    /// Account for `gone` having left position `pos` of the sorted list
+    /// (`entries` is the list without it). Returns `false` when the
+    /// index is the scan: the caller decides whether the remaining
+    /// entries deserve a structure again.
+    fn remove(&mut self, gone: &Slot, entries: &[Slot], pos: usize) -> bool {
+        // The first entry behind the edit point that carries the same
+        // key takes over a departing winner's slot.
+        let same_patterns = || {
+            entries[pos..]
+                .iter()
+                .find(|s| s.holds(&gone.entry.patterns))
         };
-        let mut buckets: Vec<LpmBucket> = Vec::new();
-        let mut start = 0;
-        while start < entries.len() {
-            let priority = entries[start].priority;
-            let mut end = start + 1;
-            while end < entries.len() && entries[end].priority == priority {
-                end += 1;
+        match self {
+            LookupIndex::ExactOne(map) => {
+                let IrPattern::Value(key) = gone.first else {
+                    unreachable!("an exact index holds value patterns only")
+                };
+                release(map, &key, &gone.entry, same_patterns);
             }
-            // One hash per level if (and only if) every entry of the level
-            // shares one mask; a mixed level keeps its scan run.
-            let level = &entries[start..end];
-            let hash = maskable(&level[0].patterns[0])
-                .filter(|&(mask, _)| {
-                    level
-                        .iter()
-                        .all(|e| matches!(maskable(&e.patterns[0]), Some((m, _)) if m == mask))
-                })
-                .map(|(mask, _)| {
-                    let mut map = FxMap::with_capacity_and_hasher(level.len(), Default::default());
-                    for (i, e) in level.iter().enumerate() {
-                        let (_, v) = maskable(&e.patterns[0]).expect("filtered maskable");
-                        map.entry(v).or_insert(start + i);
-                    }
-                    (mask, map)
-                });
-            buckets.push(LpmBucket { start, end, hash });
-            start = end;
+            LookupIndex::ExactTuple { tuple_len, map } => {
+                let key = exact_tuple(&gone.entry.patterns, *tuple_len)
+                    .expect("an exact index holds value tuples only");
+                release(map, &key, &gone.entry, same_patterns);
+            }
+            LookupIndex::Lpm(levels) => {
+                let at = levels.partition_point(|l| l.priority > gone.priority);
+                let (_, run) = priority_run(entries, gone.priority);
+                if run.is_empty() {
+                    levels.remove(at);
+                } else if let Some((_, map)) = &mut levels[at].hash {
+                    let key = maskable(&gone.first).expect("a hashed level is maskable");
+                    // One mask per hashed level: equal masked values are
+                    // equal keys, and a shadowed duplicate sits in the
+                    // level's own run, ahead of any lower level.
+                    release(map, &key.1, &gone.entry, || {
+                        entries[pos..]
+                            .iter()
+                            .find(|s| maskable(&s.first) == Some(key))
+                    });
+                } else {
+                    // The departed entry may have been the odd mask out:
+                    // refold the level over what is left of its run.
+                    let mut level = LpmLevel::new(gone.priority, &run[0].first);
+                    run.iter().for_each(|s| level.insert(&s.entry));
+                    levels[at] = level;
+                }
+            }
+            LookupIndex::Scan => return false,
         }
-        LookupIndex::Lpm(buckets)
+        true
+    }
+
+    /// What the index knows about resident entries holding exactly
+    /// `patterns` at `priority`: `None` — it cannot say (scan, mixed
+    /// level); `Some(None)` — there is none; `Some(Some(w))` — they
+    /// share `w`'s key, and `w` is the first of them in list order if it
+    /// is one of them.
+    fn probe(&self, patterns: &[IrPattern], priority: i32) -> Option<Option<&Winner>> {
+        match self {
+            LookupIndex::ExactOne(map) => Some(match patterns {
+                [IrPattern::Value(v)] => map.get(v),
+                _ => None,
+            }),
+            LookupIndex::ExactTuple { tuple_len, map } => {
+                Some(exact_tuple(patterns, *tuple_len).and_then(|t| map.get(&t)))
+            }
+            LookupIndex::Lpm(levels) => {
+                let at = levels.partition_point(|l| l.priority > priority);
+                let Some(level) = levels.get(at).filter(|l| l.priority == priority) else {
+                    return Some(None);
+                };
+                let (mask, map) = level.hash.as_ref()?;
+                Some(match patterns {
+                    [p] => maskable(p)
+                        .filter(|(m, _)| m == mask)
+                        .and_then(|(_, value)| map.get(&value)),
+                    _ => None,
+                })
+            }
+            LookupIndex::Scan => None,
+        }
     }
 }
 
-/// One immutable, epoch-stamped published entry list plus its compiled
-/// [`LookupIndex`].
+/// One epoch-stamped published entry list plus its [`LookupIndex`].
 ///
-/// Snapshots are never mutated after publication: the packet path pins one
-/// with an [`Arc`] clone and reads it lock-free for as long as it likes,
-/// while the control plane publishes successors through
-/// [`TableState::install`]/[`TableState::remove`]/[`TableState::clear`].
+/// A snapshot someone has pinned is never mutated: the packet path pins
+/// one with an [`Arc`] clone and reads it lock-free for as long as it
+/// likes, while the control plane publishes successors through
+/// [`TableState::install`]/[`TableState::remove`]/[`TableState::clear`]
+/// — editing the snapshot in place only while nobody but the table
+/// holds it (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntrySnapshot {
     /// Publication sequence number: 0 for the const-entry snapshot, +1 per
     /// control-plane mutation.
     epoch: u64,
-    /// Entries sorted by descending priority.
-    entries: Vec<RuntimeEntry>,
-    /// Lookup structure compiled from the entries at publication.
+    /// Entries sorted by descending priority, earlier install first
+    /// among equals.
+    entries: Vec<Slot>,
+    /// Lookup structure over the entries, maintained by
+    /// [`EntrySnapshot::insert`]/[`EntrySnapshot::remove`].
     index: LookupIndex,
 }
 
 impl EntrySnapshot {
-    /// Build a published snapshot: sort invariant already established by
-    /// the caller, index compiled here (the single compile point).
-    fn publish(epoch: u64, entries: Vec<RuntimeEntry>, sig: KeySignature, keys: usize) -> Self {
-        let index = LookupIndex::build(sig, keys, &entries);
-        EntrySnapshot {
+    /// Build a snapshot from scratch as the fold of
+    /// [`EntrySnapshot::insert`] over `entries` in install order: the
+    /// same code path that maintains every index builds every index.
+    fn publish(
+        epoch: u64,
+        entries: impl IntoIterator<Item = Arc<RuntimeEntry>>,
+        signature: KeySignature,
+        key_count: usize,
+    ) -> Self {
+        let mut snapshot = EntrySnapshot {
             epoch,
-            entries,
-            index,
+            entries: Vec::new(),
+            index: LookupIndex::empty(signature, key_count),
+        };
+        entries.into_iter().for_each(|e| snapshot.insert(e));
+        snapshot
+    }
+
+    /// Place one entry behind every entry of equal or higher priority
+    /// and index it.
+    fn insert(&mut self, entry: Arc<RuntimeEntry>) {
+        let pos = self
+            .entries
+            .partition_point(|s| s.priority >= entry.priority);
+        self.index.insert(&entry);
+        self.entries.insert(pos, Slot::new(entry));
+    }
+
+    /// Take out the entry at `pos`. Leaving a table whose index is the
+    /// scan although its signature has a structure (an unvalidated shape
+    /// demoted it) refolds the rest: the odd entry may be the one that
+    /// left.
+    fn remove(&mut self, pos: usize, signature: KeySignature, key_count: usize) {
+        let gone = self.entries.remove(pos);
+        if !self.index.remove(&gone, &self.entries, pos) && signature != KeySignature::Generic {
+            let rest = std::mem::take(&mut self.entries);
+            let rest = rest.into_iter().map(|s| s.entry);
+            *self = EntrySnapshot::publish(self.epoch, rest, signature, key_count);
         }
+    }
+
+    /// Position of the first entry holding exactly `patterns` at
+    /// `priority`. The search never leaves the equal-priority run, and
+    /// where the index knows the key it decides first: no such key — no
+    /// walk at all; the key's winner is the victim — a pointer walk to
+    /// its slot; only a shadowed duplicate compares patterns.
+    fn position_of(&self, patterns: &[IrPattern], priority: i32) -> Option<usize> {
+        let victim = match self.index.probe(patterns, priority) {
+            Some(None) => return None,
+            Some(Some(w)) if w.entry.priority == priority && w.entry.patterns == patterns => {
+                Some(&w.entry)
+            }
+            Some(Some(w)) if w.shadowed == 0 => return None,
+            _ => None,
+        };
+        let (start, run) = priority_run(&self.entries, priority);
+        let at = match victim {
+            Some(victim) => run.iter().position(|s| Arc::ptr_eq(&s.entry, victim)),
+            None => run.iter().position(|s| s.holds(patterns)),
+        };
+        at.map(|i| start + i)
     }
 
     /// The epoch this snapshot was published at.
@@ -361,8 +618,8 @@ impl EntrySnapshot {
         self.entries.is_empty()
     }
 
-    /// Look up the given key values through the compiled index; returns
-    /// the matched entry.
+    /// Look up the given key values through the index; returns the
+    /// matched entry.
     ///
     /// Pure read — callers record the outcome in their own [`TableStats`].
     pub fn lookup(&self, keys: &[u128]) -> Option<&RuntimeEntry> {
@@ -374,10 +631,10 @@ impl EntrySnapshot {
     /// benches measure it as the pre-index baseline and property tests
     /// pin `lookup == lookup_scan` for arbitrary entry sets.
     pub fn lookup_scan(&self, keys: &[u128]) -> Option<&RuntimeEntry> {
-        self.entries.iter().find(|e| entry_matches(e, keys))
+        self.view().scan(keys).map(|e| &**e)
     }
 
-    /// The compiled lookup structure.
+    /// The lookup structure.
     pub fn index(&self) -> &LookupIndex {
         &self.index
     }
@@ -394,11 +651,11 @@ impl EntrySnapshot {
 
     /// Iterate installed entries in priority order.
     pub fn entries(&self) -> impl Iterator<Item = &RuntimeEntry> {
-        self.entries.iter()
+        self.entries.iter().map(|s| &*s.entry)
     }
 }
 
-/// A per-batch resolved view of one pinned table: the snapshot's compiled
+/// A per-batch resolved view of one pinned table: the snapshot's
 /// [`LookupIndex`] and entry list, borrowed directly.
 ///
 /// The batch paths resolve every pinned `Arc<EntrySnapshot>` into a
@@ -409,40 +666,47 @@ impl EntrySnapshot {
 #[derive(Debug, Clone, Copy)]
 pub struct TableView<'a> {
     index: &'a LookupIndex,
-    entries: &'a [RuntimeEntry],
+    entries: &'a [Slot],
 }
 
 impl<'a> TableView<'a> {
     /// Look up the given key values; returns the matched entry.
     ///
     /// Bit-identical to [`EntrySnapshot::lookup_scan`] on every path: the
-    /// hash/bucket structures store the first matching entry in priority
-    /// order, and any key or entry shape outside a structure's contract
-    /// (short key slices, unvalidated const-entry patterns) falls back to
-    /// the scan itself.
+    /// hash structures store the first matching entry in priority order,
+    /// and any key or entry shape outside a structure's contract (short
+    /// key slices, unvalidated const-entry patterns) falls back to the
+    /// scan itself.
+    #[inline]
     pub fn lookup(&self, keys: &[u128]) -> Option<&'a RuntimeEntry> {
-        let entries: &'a [RuntimeEntry] = self.entries;
+        self.find(keys).map(|e| &**e)
+    }
+
+    fn find(&self, keys: &[u128]) -> Option<&'a Arc<RuntimeEntry>> {
+        let entries: &'a [Slot] = self.entries;
         match self.index {
             // The scan zips patterns against keys and a shorter key slice
             // vacuously matches the leftover patterns, so the hash paths
             // only engage once every stored pattern has a key to check.
             LookupIndex::ExactOne(map) => match keys.first() {
-                Some(k) => map.get(k).map(|&i| &entries[i]),
+                Some(k) => map.get(k).map(|w| &w.entry),
                 None => self.scan(keys),
             },
             LookupIndex::ExactTuple { tuple_len, map } => {
                 if keys.len() >= *tuple_len {
-                    map.get(&keys[..*tuple_len]).map(|&i| &entries[i])
+                    map.get(&keys[..*tuple_len]).map(|w| &w.entry)
                 } else {
                     self.scan(keys)
                 }
             }
-            LookupIndex::Lpm(buckets) => match keys.first() {
-                Some(k) => buckets.iter().find_map(|b| match &b.hash {
-                    Some((mask, map)) => map.get(&(k & mask)).map(|&i| &entries[i]),
-                    None => entries[b.start..b.end]
+            LookupIndex::Lpm(levels) => match keys.first() {
+                Some(k) => levels.iter().find_map(|level| match &level.hash {
+                    Some((mask, map)) => map.get(&(k & mask)).map(|w| &w.entry),
+                    None => priority_run(entries, level.priority)
+                        .1
                         .iter()
-                        .find(|e| e.patterns[0].matches(*k)),
+                        .find(|s| s.first.matches(*k))
+                        .map(|s| &s.entry),
                 }),
                 None => self.scan(keys),
             },
@@ -450,17 +714,19 @@ impl<'a> TableView<'a> {
         }
     }
 
-    /// Position of the matched entry in the priority-sorted list —
-    /// cold-path variant of [`TableView::lookup`] used by [`EntryRef`].
-    /// The plain position scan is correct because the index answers
-    /// exactly what the scan answers (the first match in priority order).
-    fn lookup_at(&self, keys: &[u128]) -> Option<usize> {
-        self.entries.iter().position(|e| entry_matches(e, keys))
-    }
-
-    /// The seed scan, returning the matched entry directly.
-    fn scan(&self, keys: &[u128]) -> Option<&'a RuntimeEntry> {
-        self.entries.iter().find(|e| entry_matches(e, keys))
+    /// The seed scan. It walks the contiguous list on the slots' inline
+    /// first pattern and follows the `Arc` only for a rule that passed
+    /// it (`entry_matches` then rechecks the whole rule).
+    fn scan(&self, keys: &[u128]) -> Option<&'a Arc<RuntimeEntry>> {
+        let entries: &'a [Slot] = self.entries;
+        let hit = match keys.first() {
+            Some(&k) => entries
+                .iter()
+                .find(|s| s.first.matches(k) && entry_matches(&s.entry, keys)),
+            // No key to check: every pattern matches vacuously.
+            None => entries.first(),
+        };
+        hit.map(|s| &s.entry)
     }
 }
 
@@ -470,18 +736,22 @@ impl<'a> TableView<'a> {
 /// All mutation goes through `&self` (the snapshot pointer sits behind a
 /// mutex that only the control plane ever contends on): the packet path
 /// never locks per lookup, it pins the current snapshot once via
-/// [`TableState::snapshot`] and works off that. Lookup statistics live in
-/// [`TableStats`], owned by the caller. `Clone` shares the current
-/// snapshot (snapshots are immutable — a later mutation on either copy
-/// publishes a fresh one) but gives the clone its own publication cell.
+/// [`TableState::snapshot`] and works off that. `snapshot` is the only
+/// thing that hands out pins — the scalar readers (`epoch`, `len`,
+/// `is_empty`) read under the lock instead, because a pin that outlives
+/// the lock, however briefly, makes a concurrent publication copy the
+/// table. Lookup statistics live in [`TableStats`], owned by the caller.
+/// `Clone` pins the current snapshot for the clone (a later mutation on
+/// either copy takes its own copy first) and gives the clone its own
+/// publication cell.
 #[derive(Debug)]
 pub struct TableState {
-    /// Currently published snapshot; swapped whole on every mutation.
+    /// Currently published snapshot; edited in place while unpinned,
+    /// copied once before the edit otherwise.
     snapshot: Mutex<Arc<EntrySnapshot>>,
     /// Capacity from the IR (may be further limited by a backend).
     capacity: u64,
-    /// Declared key signature: picks the [`LookupIndex`] structure every
-    /// publication compiles.
+    /// Declared key signature: picks the [`LookupIndex`] structure.
     signature: KeySignature,
     /// Declared key count (tuple length of the exact-hash index).
     key_count: usize,
@@ -506,16 +776,13 @@ impl TableState {
 
     /// Build with an explicit capacity override (backends quantize/truncate).
     pub fn with_capacity(table: &ir::TableIr, capacity: u64) -> Self {
-        let mut entries: Vec<RuntimeEntry> = table
-            .const_entries
-            .iter()
-            .map(|e| RuntimeEntry {
+        let entries = table.const_entries.iter().map(|e| {
+            Arc::new(RuntimeEntry {
                 patterns: e.patterns.clone(),
                 action: e.action.clone(),
                 priority: e.priority,
             })
-            .collect();
-        entries.sort_by_key(|e| core::cmp::Reverse(e.priority));
+        });
         let signature = table.key_signature();
         let key_count = table.keys.len();
         TableState {
@@ -528,34 +795,36 @@ impl TableState {
         }
     }
 
-    /// The key signature the table's lookup indexes compile from.
+    /// The key signature the table's lookup indexes are shaped by.
     pub fn key_signature(&self) -> KeySignature {
         self.signature
     }
 
+    fn current(&self) -> MutexGuard<'_, Arc<EntrySnapshot>> {
+        self.snapshot.lock().expect("table snapshot poisoned")
+    }
+
     /// Pin the currently published snapshot. The returned `Arc` stays
     /// valid (and unchanged) however many epochs the control plane
-    /// publishes afterwards.
+    /// publishes afterwards; the first of those publications pays for
+    /// one copy of the snapshot.
     pub fn snapshot(&self) -> Arc<EntrySnapshot> {
-        self.snapshot
-            .lock()
-            .expect("table snapshot poisoned")
-            .clone()
+        self.current().clone()
     }
 
     /// The currently published epoch.
     pub fn epoch(&self) -> u64 {
-        self.snapshot().epoch
+        self.current().epoch
     }
 
     /// Number of installed entries (in the current snapshot).
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.current().len()
     }
 
     /// True if no entries are installed (in the current snapshot).
     pub fn is_empty(&self) -> bool {
-        self.snapshot().is_empty()
+        self.current().is_empty()
     }
 
     /// The configured capacity.
@@ -601,54 +870,40 @@ impl TableState {
                 return Err(TableError::BadPattern);
             }
         }
-        let mut current = self.snapshot.lock().expect("table snapshot poisoned");
+        let mut current = self.current();
         if current.entries.len() as u64 >= self.capacity {
             return Err(TableError::Full {
                 capacity: self.capacity,
             });
         }
-        let mut entries = current.entries.clone();
-        let pos = entries.partition_point(|e| e.priority >= entry.priority);
-        entries.insert(pos, entry);
-        let epoch = current.epoch + 1;
-        *current = Arc::new(EntrySnapshot::publish(
-            epoch,
-            entries,
-            self.signature,
-            self.key_count,
-        ));
-        Ok(epoch)
+        // In place unless pinned; pins are only handed out under the
+        // lock held here, so "unpinned" cannot change under the edit.
+        let successor = Arc::make_mut(&mut current);
+        successor.insert(Arc::new(entry));
+        successor.epoch += 1;
+        Ok(successor.epoch)
     }
 
     /// Remove the first installed entry with exactly these patterns and
     /// priority; publishes a successor snapshot and returns its epoch, or
-    /// `None` if no such entry exists (no epoch is spent).
+    /// `None` if no such entry exists (no epoch is spent, no copy made).
     pub fn remove(&self, patterns: &[IrPattern], priority: i32) -> Option<u64> {
-        let mut current = self.snapshot.lock().expect("table snapshot poisoned");
-        let pos = current
-            .entries
-            .iter()
-            .position(|e| e.priority == priority && e.patterns == patterns)?;
-        let mut entries = current.entries.clone();
-        entries.remove(pos);
-        let epoch = current.epoch + 1;
-        *current = Arc::new(EntrySnapshot::publish(
-            epoch,
-            entries,
-            self.signature,
-            self.key_count,
-        ));
-        Some(epoch)
+        let mut current = self.current();
+        let pos = current.position_of(patterns, priority)?;
+        let successor = Arc::make_mut(&mut current);
+        successor.remove(pos, self.signature, self.key_count);
+        successor.epoch += 1;
+        Some(successor.epoch)
     }
 
     /// Remove all installed entries (const entries included) and publish
     /// the empty successor snapshot. Returns the new epoch.
     pub fn clear(&self) -> u64 {
-        let mut current = self.snapshot.lock().expect("table snapshot poisoned");
+        let mut current = self.current();
         let epoch = current.epoch + 1;
         *current = Arc::new(EntrySnapshot::publish(
             epoch,
-            Vec::new(),
+            [],
             self.signature,
             self.key_count,
         ));
@@ -659,43 +914,46 @@ impl TableState {
     ///
     /// Checkpoint/restore recovery rewinds a table to the exact epoch a
     /// checkpoint pinned: the `Arc` swap is O(1) and later publications
-    /// resume counting from the restored epoch, so a replayed churn
-    /// schedule republishes the same epoch sequence it produced the
-    /// first time.
+    /// resume counting from the restored epoch — copying first, the
+    /// checkpoint still pins it — so a replayed churn schedule
+    /// republishes the same epoch sequence it produced the first time.
     pub fn restore(&self, snapshot: Arc<EntrySnapshot>) {
-        let mut current = self.snapshot.lock().expect("table snapshot poisoned");
-        *current = snapshot;
+        *self.current() = snapshot;
     }
 
-    /// Look up against the *current* snapshot; the matched entry is
-    /// returned **by reference through the pinned snapshot** (an
-    /// [`EntryRef`] guard), not cloned.
+    /// Look up against the *current* snapshot, through its index; the
+    /// matched entry is returned **shared** (an [`EntryRef`] guard), not
+    /// cloned.
     ///
     /// Convenience for control-plane introspection and tests; the packet
     /// path pins a snapshot once per batch instead and resolves it into a
     /// [`TableView`].
     pub fn lookup(&self, keys: &[u128]) -> Option<EntryRef> {
-        let snapshot = self.snapshot();
-        let index = snapshot.view().lookup_at(keys)?;
-        Some(EntryRef { snapshot, index })
+        let current = self.current();
+        let entry = Arc::clone(current.view().find(keys)?);
+        Some(EntryRef {
+            entry,
+            epoch: current.epoch,
+        })
     }
 }
 
-/// A matched table entry, held alive through the pinned [`EntrySnapshot`]
-/// it lives in — no [`RuntimeEntry`] clone.
+/// A matched table entry, shared with the snapshot it was found in — no
+/// [`RuntimeEntry`] clone, and no pin on the snapshot either: the guard
+/// keeps the one entry alive, not the table.
 ///
-/// Dereferences to the entry; the pin keeps reading the same epoch however
-/// many publications the control plane lands afterwards.
+/// Dereferences to the entry, which stays as it was matched however many
+/// publications the control plane lands afterwards.
 #[derive(Debug, Clone)]
 pub struct EntryRef {
-    snapshot: Arc<EntrySnapshot>,
-    index: usize,
+    entry: Arc<RuntimeEntry>,
+    epoch: u64,
 }
 
 impl EntryRef {
     /// The epoch of the snapshot the match came from.
     pub fn epoch(&self) -> u64 {
-        self.snapshot.epoch()
+        self.epoch
     }
 }
 
@@ -703,7 +961,7 @@ impl core::ops::Deref for EntryRef {
     type Target = RuntimeEntry;
 
     fn deref(&self) -> &RuntimeEntry {
-        &self.snapshot.entries[self.index]
+        &self.entry
     }
 }
 
@@ -1163,5 +1421,195 @@ mod tests {
         assert_eq!(err, TableError::Full { capacity: 1 });
         // A rejected install publishes nothing.
         assert_eq!(s.epoch(), before);
+    }
+
+    /// A table of one of six shapes, with the const entries that make
+    /// the last two start life demoted: (4) a masked entry in an exact
+    /// table, (5) a range entry (mixed level) and a two-pattern entry
+    /// (whole index on the scan) in an LPM table.
+    fn shaped_table(shape: u8) -> (TableIr, Vec<ActionIr>) {
+        let odd = |patterns: Vec<IrPattern>, priority: i32| ir::IrEntry {
+            patterns,
+            action: ActionCall {
+                action: 1,
+                args: vec![77],
+            },
+            priority,
+        };
+        let (kinds, consts): (&[MatchKind], _) = match shape {
+            0 => (&[MatchKind::Exact], vec![]),
+            1 => (&[MatchKind::Exact, MatchKind::Exact], vec![]),
+            2 => (&[MatchKind::Lpm], vec![]),
+            3 => (&[MatchKind::Ternary], vec![]),
+            4 => {
+                let masked = IrPattern::Mask {
+                    value: 3,
+                    mask: 0xF,
+                };
+                (&[MatchKind::Exact], vec![odd(vec![masked], 1)])
+            }
+            _ => (
+                &[MatchKind::Lpm],
+                vec![
+                    odd(vec![IrPattern::Range { lo: 5, hi: 9 }], 16),
+                    odd(vec![IrPattern::Any, IrPattern::Any], 2),
+                ],
+            ),
+        };
+        let (mut table, actions) = table_ir_keys(kinds, 4096);
+        table.const_entries = consts;
+        (table, actions)
+    }
+
+    /// One installable entry for `shape`, from small domains so that
+    /// duplicate keys meet at equal and at higher priority.
+    fn shaped_entry(shape: u8, sel: u8, x: u32, y: u32, p: u8) -> RuntimeEntry {
+        let small = IrPattern::Value(u128::from(x % 12));
+        let (patterns, priority) = match shape {
+            0 | 4 => (vec![small], i32::from(p % 3)),
+            1 => (
+                vec![small, IrPattern::Value(u128::from(y % 3))],
+                i32::from(p % 3),
+            ),
+            2 | 5 => {
+                let len = (y % 5) as u16 * 8;
+                let pattern =
+                    lpm_pattern(u128::from(x % 4) << 28 | u128::from(x % 3) << 8, len, 32);
+                // Mostly the `install_lpm` convention; sometimes a raw
+                // priority, which mixes masks within one level.
+                let priority = if sel.is_multiple_of(3) {
+                    i32::from(p % 3) * 8
+                } else {
+                    i32::from(len)
+                };
+                (vec![pattern], priority)
+            }
+            _ => {
+                let pattern = match sel % 3 {
+                    0 => small,
+                    1 => IrPattern::Mask {
+                        value: u128::from(x % 12),
+                        mask: u128::from(y % 4) * 5,
+                    },
+                    _ => IrPattern::Any,
+                };
+                (vec![pattern], i32::from(p % 3))
+            }
+        };
+        RuntimeEntry {
+            patterns,
+            action: ActionCall {
+                action: 1,
+                args: vec![u128::from(x)],
+            },
+            priority,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The incrementally maintained snapshot equals the from-scratch
+        /// fold over the same entries after every step of a random
+        /// `install`/`remove`/`clear` sequence — list, index and epoch,
+        /// whether the step edited in place or copied under a pin — and
+        /// every pin taken along the way keeps equalling a value copy
+        /// built when it was taken. Lookups are checked against a scan
+        /// written over the test's own model.
+        #[test]
+        fn incremental_snapshot_equals_the_from_scratch_fold(
+            shape in 0u8..6,
+            ops in proptest::collection::vec(
+                (0u8..16, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>(), 0u8..6),
+                1..64,
+            ),
+            probes in proptest::collection::vec(proptest::prelude::any::<u32>(), 1..12),
+        ) {
+            use proptest::prelude::*;
+            let (t, a) = shaped_table(shape);
+            let s = TableState::new(&t);
+            // The model: entries in install order. List order is its
+            // stable sort by descending priority.
+            let mut installed: Vec<RuntimeEntry> = t
+                .const_entries
+                .iter()
+                .map(|e| RuntimeEntry {
+                    patterns: e.patterns.clone(),
+                    action: e.action.clone(),
+                    priority: e.priority,
+                })
+                .collect();
+            let mut epoch = 0;
+            let mut pins: Vec<(Arc<EntrySnapshot>, EntrySnapshot)> = Vec::new();
+            for &(sel, x, y, p) in &ops {
+                match sel {
+                    0..=8 => {
+                        let entry = shaped_entry(shape, sel, x, y, p);
+                        epoch += 1;
+                        prop_assert_eq!(s.install(&t, &a, entry.clone()), Ok(epoch));
+                        installed.push(entry);
+                    }
+                    9..=12 if !installed.is_empty() => {
+                        // Mostly a resident entry (const ones included),
+                        // sometimes one that is absent.
+                        let mut victim = installed[x as usize % installed.len()].clone();
+                        if sel == 12 {
+                            victim.priority += 1;
+                        }
+                        let at = installed.iter().position(|e| {
+                            e.priority == victim.priority && e.patterns == victim.patterns
+                        });
+                        let removed = s.remove(&victim.patterns, victim.priority);
+                        match at {
+                            Some(at) => {
+                                epoch += 1;
+                                prop_assert_eq!(removed, Some(epoch));
+                                installed.remove(at);
+                            }
+                            None => prop_assert_eq!(removed, None),
+                        }
+                    }
+                    13 if x % 4 == 0 => {
+                        epoch += 1;
+                        prop_assert_eq!(s.clear(), epoch);
+                        installed.clear();
+                    }
+                    14 if !pins.is_empty() => {
+                        pins.remove(x as usize % pins.len());
+                    }
+                    _ => {}
+                }
+                let oracle = EntrySnapshot::publish(
+                    epoch,
+                    installed.iter().cloned().map(Arc::new),
+                    s.signature,
+                    s.key_count,
+                );
+                prop_assert_eq!(&**s.current(), &oracle, "after {:?}", (sel, x, y, p));
+                if sel == 15 || y % 7 == 0 {
+                    pins.push((s.snapshot(), oracle));
+                }
+                for (pin, copy) in &pins {
+                    prop_assert_eq!(&**pin, copy, "a pin moved");
+                }
+
+                let mut sorted: Vec<&RuntimeEntry> = installed.iter().collect();
+                sorted.sort_by_key(|e| core::cmp::Reverse(e.priority));
+                let current = s.snapshot();
+                prop_assert_eq!(current.entries().collect::<Vec<_>>(), sorted.clone());
+                let keys = probes.iter().map(|k| u128::from(*k)).chain(0..12);
+                for k in keys {
+                    for keys in [&[k, 1][..], &[k][..], &[][..]] {
+                        let want = sorted
+                            .iter()
+                            .find(|e| e.patterns.iter().zip(keys).all(|(p, k)| p.matches(*k)));
+                        prop_assert_eq!(current.lookup(keys), want.copied(), "keys {:?}", keys);
+                        prop_assert_eq!(current.lookup_scan(keys), want.copied());
+                        let live = s.lookup(keys);
+                        prop_assert_eq!(live.as_deref(), want.copied());
+                    }
+                }
+            }
+        }
     }
 }

@@ -1088,6 +1088,88 @@ fn concurrent_installs_mid_batch_are_epoch_atomic() {
     }
 }
 
+/// One step of a random control/packet interleaving on the router:
+/// installs and removals over a small prefix domain (duplicates, absent
+/// victims), a batch (which re-pins the packet path's snapshots), a rare
+/// `clear`.
+fn churn_step(dp: &mut Dataplane, (sel, x, len): (u8, u8, u8), probes: &[(u16, &[u8])]) {
+    let prefix = 0x0A00_0000 | u128::from(x % 4) << 16 | u128::from(x % 3) << 8;
+    let len = [8u16, 16, 24, 32][usize::from(len % 4)];
+    let cp = dp.control_plane();
+    match sel {
+        0..=3 => {
+            let args = vec![u128::from(x), u128::from(x % 4)];
+            cp.install_lpm("ipv4_lpm", prefix, len, "ipv4_forward", args)
+                .unwrap();
+        }
+        4 | 5 => {
+            cp.remove("ipv4_lpm", &[lpm_pattern(prefix, len, 32)], i32::from(len))
+                .unwrap();
+        }
+        6 => {
+            dp.process_batch(probes, 0);
+        }
+        _ if x % 8 == 0 => {
+            cp.clear("ipv4_lpm").unwrap();
+        }
+        _ => {}
+    }
+}
+
+proptest! {
+    /// Copy-on-write publication never reaches a pin. Checkpoints and
+    /// clones taken at random steps of a random churn sequence — with
+    /// publications before and after them landing in place or on a copy
+    /// as the pins dictate — still read, at the end, the epochs and the
+    /// verdicts recorded when they were taken; and restoring a checkpoint
+    /// then replaying the steps since republishes the same epochs and
+    /// ends in the same state.
+    #[test]
+    fn pins_survive_churn_and_restore_replays_the_same_epochs(
+        steps in proptest::collection::vec((0u8..8, any::<u8>(), 0u8..4), 1..48),
+        pin_at in proptest::collection::vec(0usize..48, 0..6),
+    ) {
+        let frames: Vec<Vec<u8>> = (0..4u8)
+            .flat_map(|b| (0..3u8).map(move |c| routed_frame(Ipv4Address::new(10, b, c, 1), 64)))
+            .collect();
+        let probes: Vec<(u16, &[u8])> = frames.iter().map(|f| (0u16, f.as_slice())).collect();
+        // Epochs and probe verdicts, read off a throwaway clone so that
+        // observing leaves no trace (and no lasting pin) on `dp`.
+        let observe = |dp: &Dataplane| {
+            let mut probe = dp.clone();
+            (probe.control_plane().epochs(), probe.process_batch(&probes, 0))
+        };
+
+        let mut dp = router();
+        let mut checkpoints = Vec::new();
+        let mut clones = Vec::new();
+        for (i, step) in steps.iter().enumerate() {
+            if pin_at.contains(&i) {
+                if i % 2 == 0 {
+                    checkpoints.push((i, dp.checkpoint(), observe(&dp)));
+                } else {
+                    clones.push((dp.clone(), observe(&dp)));
+                }
+            }
+            churn_step(&mut dp, *step, &probes);
+        }
+        let end = observe(&dp);
+
+        for (clone, seen) in &clones {
+            prop_assert_eq!(&observe(clone), seen, "a clone moved");
+        }
+        for (i, checkpoint, seen) in &checkpoints {
+            prop_assert_eq!(&checkpoint.epochs(), &seen.0);
+            dp.restore(checkpoint);
+            prop_assert_eq!(&observe(&dp), seen, "the checkpoint taken at step {} moved", i);
+            for step in &steps[*i..] {
+                churn_step(&mut dp, *step, &probes);
+            }
+            prop_assert_eq!(&observe(&dp), &end, "replay from step {} diverged", i);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Flow-cache parity: the memoized fast path against the uncached
 // compiled engine and the tree-walking reference oracle. The cache is on

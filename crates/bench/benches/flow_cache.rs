@@ -29,12 +29,18 @@
 //! `BENCH_flowcache.json`.
 //!
 //! Smoke gates (run in CI), on `exact_router`, untraced: cache-on ≥ 2×
-//! cache-off on the repeated stream, and ≤ 5% penalty on the all-miss
-//! stream (a filtered
-//! first-time miss costs one hash + two filter words). `l2_switch` gets
-//! no-collapse floors (repeated must still win; random must stay within
-//! noise of its floor-bound baseline), and every configuration must
-//! produce FNV-identical verdict streams with the cache on and off.
+//! cache-off on the repeated stream, and a filtered first-time miss (one
+//! hash + two filter words) adds ≤ 40 ns/packet on the all-miss stream —
+//! an absolute cost, `1/on − 1/off`, because a percentage of the
+//! cache-off rate tightens every time the pipeline behind it gets faster.
+//! `l2_switch` gets no-collapse floors (repeated must still win; random
+//! must stay within noise of its floor-bound baseline), and every
+//! configuration must produce FNV-identical verdict streams with the
+//! cache on and off. The two cache-off random rows also gate what
+//! bit-packed headers cost: `exact_router` (Ethernet + IPv4's nibbles and
+//! 3+13-bit pair + UDP, three tables) must reach ≥ 0.25× `l2_switch`
+//! (Ethernet only, one table) — it read 0.17× while field access looped
+//! over single bits.
 
 use netdebug_bench::{banner, fnv, FNV_OFFSET};
 use netdebug_dataplane::{Dataplane, NullSink, Verdict};
@@ -450,18 +456,26 @@ fn main() {
         "flow cache must give >= 2x on the repeated-flow sweep: \
          {rep_on:.0} vs {rep_off:.0} pps ({rep_speedup:.2}x)"
     );
-    // The bound: on the all-miss stream the lookup + tag-filter overhead
-    // must stay within 5% of the cache-off rate.
+    // The bound: on the all-miss stream a filtered miss (lookup + tag
+    // filter) must add at most 40 ns per packet to the pipeline run.
     let rnd_on = rates[&("exact_router", "untraced", "random", true)];
     let rnd_off = rates[&("exact_router", "untraced", "random", false)];
-    println!(
-        "exact_router uniform-random penalty (untraced): {:.1}%",
-        (1.0 - rnd_on / rnd_off) * 100.0
-    );
+    let miss_ns = (1.0 / rnd_on - 1.0 / rnd_off) * 1e9;
+    println!("exact_router uniform-random miss cost (untraced): {miss_ns:.1} ns/packet");
     assert!(
-        rnd_on >= rnd_off * 0.95,
-        "flow cache must cost <= 5% on the uniform-random sweep: \
-         {rnd_on:.0} vs {rnd_off:.0} pps"
+        miss_ns <= 40.0,
+        "a filtered flow-cache miss must cost <= 40 ns/packet on the uniform-random sweep: \
+         {rnd_on:.0} vs {rnd_off:.0} pps ({miss_ns:.1} ns)"
+    );
+    // Bit-packed headers at word width: three headers and three tables
+    // deep must stay within 4x of the corpus minimum on the same stream.
+    let l2_rnd_off = rates[&("l2_switch", "untraced", "random", false)];
+    let depth_ratio = rnd_off / l2_rnd_off;
+    println!("exact_router / l2_switch uniform-random cache-off (untraced): {depth_ratio:.2}x");
+    assert!(
+        depth_ratio >= 0.25,
+        "exact_router must reach >= 0.25x l2_switch with the cache off: \
+         {rnd_off:.0} vs {l2_rnd_off:.0} pps ({depth_ratio:.2}x)"
     );
     // l2_switch floors: its engine cost sits near the per-packet
     // allocation floor, so the margin is structurally thinner — but

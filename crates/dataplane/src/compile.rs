@@ -17,10 +17,11 @@
 //!   by jumping to its pre-compiled address (actions cannot apply tables,
 //!   so a single link register replaces a call stack);
 //! * header extraction and deparsing run from per-header
-//!   `HeaderPlan`s; byte-aligned headers (Ethernet, VLAN, tunnel
-//!   shims…) move whole bytes instead of shifting bit-by-bit, the way a
-//!   real target's deparser crossbar would, while bit-packed headers
-//!   (IPv4's nibbles) keep the exact `read_bits`/`write_bits` path;
+//!   `HeaderPlan`s: a header always starts on a byte, so each field's
+//!   byte span, shift and mask relative to the header start are resolved
+//!   here, once, and every field of every header — Ethernet's whole
+//!   bytes, IPv4's nibbles and its 3+13-bit pair alike — is one
+//!   word-wide load or store through the same loop;
 //! * every trace-visible name (parser states, headers, controls, tables,
 //!   actions) is interned as an `Arc<str>` at compile time, so traced
 //!   execution clones pointers, never strings.
@@ -33,7 +34,7 @@
 //! reference-interpreter-as-ground-truth methodology the paper applies
 //! to hardware: the fast data plane is itself a validated data plane.
 
-use crate::bits::{read_bits, write_bits};
+use crate::bits::FieldPlan;
 use crate::cache::MissRecord;
 use crate::externs::ExternState;
 use crate::interp::{Env, TablesRef, FLOOD_PORT, PARSER_STATE_BUDGET};
@@ -210,29 +211,14 @@ pub(crate) struct CompiledSelect {
     pub(crate) default: u32,
 }
 
-/// Byte-aligned half of a [`FieldPlan`], pre-resolved so extraction and
-/// deparsing of aligned headers move whole bytes.
-#[derive(Debug, Clone, Copy)]
-struct FieldPlan {
-    /// Offset from the header start, bits.
-    offset_bits: u32,
-    /// Width, bits.
-    width_bits: u16,
-    /// Offset from the header start, whole bytes (valid when aligned).
-    byte_off: u32,
-    /// Width in whole bytes (valid when aligned).
-    byte_len: u16,
-}
-
 /// Extraction/emission plan for one header instance.
 #[derive(Debug, Clone)]
 pub(crate) struct HeaderPlan {
-    /// Total width in bits.
-    bit_width: u32,
-    /// Field moves in declaration order.
+    /// Total width in bytes (the front end rejects headers that are not
+    /// whole bytes, so extraction and emission always start on one).
+    byte_width: usize,
+    /// Field moves in declaration order, relative to the header start.
     fields: Vec<FieldPlan>,
-    /// Every field (and the total) is byte-aligned: whole-byte moves.
-    byte_aligned: bool,
 }
 
 /// An [`ir::Program`] lowered to the flat instruction array, plus the
@@ -434,19 +420,21 @@ impl<'p> Compiler<'p> {
         let headers = prog
             .headers
             .iter()
-            .map(|h| HeaderPlan {
-                bit_width: h.bit_width,
-                byte_aligned: h.is_byte_aligned(),
-                fields: h
-                    .fields
-                    .iter()
-                    .map(|f| FieldPlan {
-                        offset_bits: f.offset_bits,
-                        width_bits: f.width_bits,
-                        byte_off: f.offset_bits / 8,
-                        byte_len: f.width_bits / 8,
-                    })
-                    .collect(),
+            .map(|h| {
+                assert!(
+                    h.bit_width.is_multiple_of(8),
+                    "header `{}` is {} bits — headers must be whole bytes",
+                    h.name,
+                    h.bit_width
+                );
+                HeaderPlan {
+                    byte_width: h.byte_width(),
+                    fields: h
+                        .fields
+                        .iter()
+                        .map(|f| FieldPlan::new(f.offset_bits as usize, f.width_bits as usize))
+                        .collect(),
+                }
             })
             .collect();
         let intern = |s: &str| -> TraceName { s.into() };
@@ -678,10 +666,10 @@ pub(crate) fn exec(
     env.reset(port, data.len(), now_cycles);
     env.stack.clear();
     let code = &cp.code[..];
-    let total_bits = data.len() * 8;
     let mut pc = 0usize;
     let mut link = 0usize;
-    let mut cursor_bits = 0usize;
+    // Parser cursor in bytes: headers are whole bytes (see `HeaderPlan`).
+    let mut cursor = 0usize;
     let mut payload_start = 0usize;
     let mut visited = 0usize;
     loop {
@@ -925,38 +913,21 @@ pub(crate) fn exec(
             OpCode::Extract(hid) => {
                 let hid = hid as usize;
                 let plan = &cp.headers[hid];
-                let width = plan.bit_width as usize;
-                if cursor_bits + width > total_bits {
+                let Some(bytes) = data.get(cursor..cursor + plan.byte_width) else {
                     if let Some(tr) = trace.as_deref_mut() {
                         tr.reject();
                     }
                     return Verdict::Drop(DropReason::PacketTooShort);
-                }
+                };
                 if let Some(tr) = trace.as_deref_mut() {
-                    tr.extract(hid as u32, cursor_bits as u32);
+                    tr.extract(hid as u32, (cursor * 8) as u32);
                 }
                 let hv = &mut env.headers[hid];
                 hv.valid = true;
-                if plan.byte_aligned && cursor_bits.is_multiple_of(8) {
-                    let base = cursor_bits / 8;
-                    for (slot, f) in hv.fields.iter_mut().zip(&plan.fields) {
-                        let off = base + f.byte_off as usize;
-                        let mut v = 0u128;
-                        for &b in &data[off..off + f.byte_len as usize] {
-                            v = (v << 8) | u128::from(b);
-                        }
-                        *slot = v;
-                    }
-                } else {
-                    for (slot, f) in hv.fields.iter_mut().zip(&plan.fields) {
-                        *slot = read_bits(
-                            data,
-                            cursor_bits + f.offset_bits as usize,
-                            f.width_bits as usize,
-                        );
-                    }
+                for (slot, f) in hv.fields.iter_mut().zip(&plan.fields) {
+                    *slot = f.load(bytes);
                 }
-                cursor_bits += width;
+                cursor += plan.byte_width;
             }
             OpCode::Select(sel) => {
                 let s = &cp.selects[sel as usize];
@@ -976,7 +947,7 @@ pub(crate) fn exec(
                 if let Some(tr) = trace.as_deref_mut() {
                     tr.accept();
                 }
-                payload_start = (cursor_bits / 8).min(data.len());
+                payload_start = cursor;
                 if let Some(r) = rec.as_deref_mut() {
                     r.payload_start = payload_start;
                 }
@@ -1086,21 +1057,21 @@ pub(crate) fn bin_op(op: BinOp, x: u128, y: u128, w: u16) -> u128 {
 }
 
 /// Emit valid headers in deparse order from the compiled plans, then the
-/// payload. Byte-identical to the reference deparser: aligned headers
-/// take whole-byte stores, everything else the exact `write_bits` path.
+/// payload. Byte-identical to the reference deparser; the output starts
+/// zeroed, so each field is stored by XOR and sub-byte neighbours merge.
 fn deparse(
     cp: &CompiledProgram,
     env: &Env,
     payload: &[u8],
     trace: &mut Option<&mut TraceBuf>,
 ) -> Vec<u8> {
-    let mut out_bits = 0usize;
+    let mut header_bytes = 0usize;
     for &hid in &cp.deparse {
         if env.headers[hid as usize].valid {
-            out_bits += cp.headers[hid as usize].bit_width as usize;
+            header_bytes += cp.headers[hid as usize].byte_width;
         }
     }
-    let mut out = vec![0u8; out_bits / 8 + payload.len()];
+    let mut out = vec![0u8; header_bytes + payload.len()];
     let mut cursor = 0usize;
     for &hid in &cp.deparse {
         let hid = hid as usize;
@@ -1111,30 +1082,13 @@ fn deparse(
         if let Some(t) = trace.as_deref_mut() {
             t.emit(hid as u32);
         }
-        if plan.byte_aligned && cursor.is_multiple_of(8) {
-            let base = cursor / 8;
-            for (f, value) in plan.fields.iter().zip(&env.headers[hid].fields) {
-                let off = base + f.byte_off as usize;
-                let len = f.byte_len as usize;
-                let mut v = *value;
-                for i in (0..len).rev() {
-                    out[off + i] = v as u8;
-                    v >>= 8;
-                }
-            }
-        } else {
-            for (f, value) in plan.fields.iter().zip(&env.headers[hid].fields) {
-                write_bits(
-                    &mut out,
-                    cursor + f.offset_bits as usize,
-                    f.width_bits as usize,
-                    *value,
-                );
-            }
+        let bytes = &mut out[cursor..cursor + plan.byte_width];
+        for (f, value) in plan.fields.iter().zip(&env.headers[hid].fields) {
+            f.xor_into(bytes, *value);
         }
-        cursor += plan.bit_width as usize;
+        cursor += plan.byte_width;
     }
-    out[cursor / 8..].copy_from_slice(payload);
+    out[cursor..].copy_from_slice(payload);
     out
 }
 
@@ -1231,17 +1185,41 @@ mod tests {
         );
     }
 
-    /// Byte-aligned planning: Ethernet moves whole bytes, IPv4 keeps the
-    /// bit path (nibble fields).
+    /// For every header of every corpus program, extracting through the
+    /// compiled field plans reads what the bit loop reads, and emitting
+    /// the extracted values into a zeroed buffer writes what the bit loop
+    /// writes — on random header bytes.
     #[test]
-    fn header_plans_classify_alignment() {
-        let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-        let cp = CompiledProgram::compile(&ir);
-        let eth = ir.header_by_name("ethernet").unwrap();
-        let ipv4 = ir.header_by_name("ipv4").unwrap();
-        assert!(cp.headers[eth].byte_aligned);
-        assert!(!cp.headers[ipv4].byte_aligned);
-        assert_eq!(cp.headers[eth].fields[2].byte_off, 12);
-        assert_eq!(cp.headers[eth].fields[2].byte_len, 2);
+    fn header_plans_match_the_bit_loop() {
+        use crate::bits::oracle;
+        let mut next = oracle::noise(0x2545_F491_4F6C_DD1D);
+        for prog in corpus::corpus() {
+            let ir = netdebug_p4::compile(prog.source).unwrap();
+            let cp = CompiledProgram::compile(&ir);
+            for (layout, plan) in ir.headers.iter().zip(&cp.headers) {
+                let what = format!("{}: header {}", prog.name, layout.name);
+                assert_eq!(plan.byte_width * 8, layout.bit_width as usize, "{what}");
+                assert_eq!(plan.fields.len(), layout.fields.len(), "{what}");
+                for _ in 0..32 {
+                    let wire: Vec<u8> = (0..plan.byte_width).map(|_| next()).collect();
+                    let (mut fast, mut slow) = (vec![0u8; wire.len()], vec![0u8; wire.len()]);
+                    for (f, field) in plan.fields.iter().zip(&layout.fields) {
+                        let (off, width) = (field.offset_bits as usize, field.width_bits as usize);
+                        let value = f.load(&wire);
+                        assert_eq!(
+                            value,
+                            oracle::read_bits(&wire, off, width),
+                            "{what}.{}",
+                            field.name
+                        );
+                        f.xor_into(&mut fast, value);
+                        oracle::write_bits(&mut slow, off, width, value);
+                    }
+                    assert_eq!(fast, slow, "{what}: emit");
+                    // Fields tile the header, so emission reproduces it.
+                    assert_eq!(fast, wire, "{what}: round trip");
+                }
+            }
+        }
     }
 }

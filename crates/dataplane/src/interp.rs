@@ -21,8 +21,8 @@
 //!   lowered to a flat instruction array ([`crate::compile`]) executed by
 //!   a tight non-recursive loop: pre-resolved jumps instead of recursive
 //!   statement walks, a value stack instead of expression-tree recursion,
-//!   whole-byte header moves where the layout allows. This is the fast
-//!   path every batch and fleet driver takes.
+//!   header fields moved from byte spans, shifts and masks resolved at
+//!   load time. This is the fast path every batch and fleet driver takes.
 //! * [`Engine::Reference`] — the original tree-walking interpreter, kept
 //!   as the executable specification. It is the differential oracle the
 //!   parity property tests run the compiled engine against (same

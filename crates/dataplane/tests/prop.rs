@@ -1023,6 +1023,159 @@ fn parser_budget_exhaustion_identical_across_engines() {
     );
 }
 
+/// A layout the corpus lacks: widths 1, 3, 4, 7, 9, 13, 33, 64 and 65, a
+/// 128-bit field starting at bit 4 (a 17-byte span), and a second header
+/// that starts 41 bytes in. Ingress rewrites one sub-byte field (`c`),
+/// one field that straddles byte boundaries on both sides (`g`) and one
+/// field of the trailing header, and keys a table on a 13-bit field.
+const PACKED_FIELDS: &str = r#"
+    header packed_t {
+        bit<1>   a;
+        bit<3>   b;
+        bit<128> wide;
+        bit<4>   c;
+        bit<7>   d;
+        bit<9>   e;
+        bit<13>  f;
+        bit<33>  g;
+        bit<64>  h;
+        bit<65>  i;
+        bit<1>   j;
+    }
+    header trail_t {
+        bit<3>  x;
+        bit<13> y;
+        bit<16> z;
+    }
+    struct headers_t { packed_t packed; trail_t trail; }
+    struct metadata_t { bit<1> unused; }
+    parser PackedParser(packet_in pkt, out headers_t hdr,
+                        inout metadata_t meta,
+                        inout standard_metadata_t standard_metadata) {
+        state start {
+            pkt.extract(hdr.packed);
+            transition select(hdr.packed.a) {
+                1: parse_trail;
+                default: accept;
+            }
+        }
+        state parse_trail {
+            pkt.extract(hdr.trail);
+            transition accept;
+        }
+    }
+    control PackedIngress(inout headers_t hdr, inout metadata_t meta,
+                          inout standard_metadata_t standard_metadata) {
+        action bump() { hdr.packed.g = hdr.packed.g + 1; }
+        table by_f {
+            key = { hdr.packed.f: exact; }
+            actions = { bump; NoAction; }
+            size = 16;
+            default_action = bump();
+        }
+        apply {
+            standard_metadata.egress_spec = 1;
+            hdr.packed.c = hdr.packed.c + 1;
+            by_f.apply();
+            if (hdr.trail.isValid()) {
+                hdr.trail.y = hdr.trail.y + 1;
+            }
+        }
+    }
+    control PackedDeparser(packet_out pkt, in headers_t hdr) {
+        apply {
+            pkt.emit(hdr.packed);
+            pkt.emit(hdr.trail);
+        }
+    }
+    V1Switch(PackedParser(), PackedIngress(), PackedDeparser()) main;
+"#;
+
+/// `field = field + 1` at `width` bits, `bit_off` bits into `data`, one
+/// bit at a time — the test's own statement of the wire layout, sharing
+/// nothing with `netdebug_dataplane::bits`.
+fn bump_bits(data: &mut [u8], bit_off: usize, width: usize) {
+    // Ripple-carry increment from the field's least significant bit.
+    for bit in (bit_off..bit_off + width).rev() {
+        let mask = 0x80u8 >> (bit % 8);
+        data[bit / 8] ^= mask;
+        if data[bit / 8] & mask != 0 {
+            return;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Engine parity on the packed layout, over arbitrary bytes of
+    /// arbitrary length (so every truncation point of both headers):
+    /// verdict bytes, traces and statistics are identical, single-packet
+    /// and batched.
+    #[test]
+    fn engines_agree_on_packed_fields(
+        frames in proptest::collection::vec(
+            (0u16..4, proptest::collection::vec(any::<u8>(), 0..80)), 1..16),
+        installed in proptest::collection::vec(0u16..(1 << 13), 0..4),
+        tracing in any::<bool>(),
+    ) {
+        let ir = netdebug_p4::compile(PACKED_FIELDS).unwrap();
+        let mut compiled_dp = Dataplane::new(ir.clone());
+        let mut reference_dp = Dataplane::new(ir);
+        reference_dp.set_engine(Engine::Reference);
+        for dp in [&mut compiled_dp, &mut reference_dp] {
+            for f in &installed {
+                // A duplicate key is refused by both engines alike.
+                let _ = dp.install_exact("by_f", vec![u128::from(*f)], "NoAction", vec![]);
+            }
+        }
+        for (port, data) in &frames {
+            let (cv, ct) = compiled_dp.process(*port, data, 0);
+            let (rv, rt) = reference_dp.process(*port, data, 0);
+            prop_assert_eq!(&cv, &rv, "verdict diverged");
+            prop_assert_eq!(&ct, &rt, "trace diverged");
+        }
+        compiled_dp.set_tracing(tracing);
+        reference_dp.set_tracing(tracing);
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|(p, f)| (*p, f.as_slice())).collect();
+        prop_assert_eq!(
+            compiled_dp.process_batch(&pkts, 0),
+            reference_dp.process_batch(&pkts, 0)
+        );
+        assert_runtime_state_matches(&compiled_dp, &reference_dp)?;
+    }
+
+    /// A rewritten field changes and nothing else does: the compiled
+    /// engine's output equals the input with `c`, `g` and (when the
+    /// trailing header parses) `y` incremented by the test's own bit loop
+    /// — every neighbouring field, the 17-byte `wide` and the payload
+    /// come out bit for bit as they went in.
+    #[test]
+    fn packed_rewrites_leave_neighbours_unchanged(
+        bytes in proptest::collection::vec(any::<u8>(), 45..80),
+        with_trail in any::<bool>(),
+    ) {
+        let mut frame = bytes;
+        frame[0] = (frame[0] & 0x7F) | (u8::from(with_trail) << 7); // field `a`
+        let ir = netdebug_p4::compile(PACKED_FIELDS).unwrap();
+        let packed = &ir.headers[ir.header_by_name("packed").unwrap()];
+        let trail = &ir.headers[ir.header_by_name("trail").unwrap()];
+        let mut expected = frame.clone();
+        for name in ["c", "g"] {
+            let f = &packed.fields[packed.field_by_name(name).unwrap()];
+            bump_bits(&mut expected, f.offset_bits as usize, f.width_bits as usize);
+        }
+        if with_trail {
+            let y = &trail.fields[trail.field_by_name("y").unwrap()];
+            let off = packed.bit_width as usize + y.offset_bits as usize;
+            bump_bits(&mut expected, off, y.width_bits as usize);
+        }
+        let mut dp = Dataplane::new(ir);
+        let (verdict, _) = dp.process(0, &frame, 0);
+        prop_assert_eq!(verdict, Verdict::Forward { port: 1, data: expected });
+    }
+}
+
 /// A control-plane thread hammering installs *while* a batch is in
 /// flight: memory-safe, every packet gets a verdict consistent with
 /// *some* published epoch (the pinned one), and the batch after the join

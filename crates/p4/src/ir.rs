@@ -325,15 +325,6 @@ impl HeaderLayout {
     pub fn byte_width(&self) -> usize {
         (self.bit_width as usize) / 8
     }
-
-    /// True when the header occupies a whole number of bytes **and** every
-    /// field sits on byte boundaries. Backend compilers (the bytecode
-    /// engine in `netdebug-dataplane`) use this to plan whole-byte
-    /// extract/emit moves instead of per-bit shifting; bit-packed headers
-    /// (e.g. IPv4's version/ihl nibbles) keep the bit path.
-    pub fn is_byte_aligned(&self) -> bool {
-        self.bit_width.is_multiple_of(8) && self.fields.iter().all(FieldLayout::is_byte_aligned)
-    }
 }
 
 /// One field of a header.
@@ -345,15 +336,6 @@ pub struct FieldLayout {
     pub offset_bits: u32,
     /// Width in bits.
     pub width_bits: u16,
-}
-
-impl FieldLayout {
-    /// True when the field starts on a byte boundary and spans whole
-    /// bytes, so a compiler may move it with byte loads/stores instead of
-    /// bit twiddling.
-    pub fn is_byte_aligned(&self) -> bool {
-        self.offset_bits.is_multiple_of(8) && self.width_bits.is_multiple_of(8)
-    }
 }
 
 /// One flattened user-metadata field.
@@ -908,29 +890,6 @@ mod tests {
         );
         // A keyless table is vacuously all-exact (first entry always wins).
         assert_eq!(table(vec![]).key_signature(), KeySignature::AllExact);
-    }
-
-    #[test]
-    fn byte_alignment_classifies() {
-        let field = |off, w| FieldLayout {
-            name: "f".into(),
-            offset_bits: off,
-            width_bits: w,
-        };
-        assert!(field(0, 8).is_byte_aligned());
-        assert!(field(48, 16).is_byte_aligned());
-        assert!(!field(0, 4).is_byte_aligned());
-        assert!(!field(4, 8).is_byte_aligned());
-        let hdr = |fields: Vec<FieldLayout>, bits| HeaderLayout {
-            name: "h".into(),
-            ty_name: "h_t".into(),
-            fields,
-            bit_width: bits,
-        };
-        // Ethernet-shaped: whole-byte fields, byte-multiple total.
-        assert!(hdr(vec![field(0, 48), field(48, 48), field(96, 16)], 112).is_byte_aligned());
-        // IPv4-shaped: nibble fields force the bit path.
-        assert!(!hdr(vec![field(0, 4), field(4, 4)], 8).is_byte_aligned());
     }
 
     #[test]

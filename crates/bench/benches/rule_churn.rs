@@ -12,8 +12,9 @@
 //!    routes.
 //! 2. **Publication cost against occupancy**: ns per `install` and per
 //!    `remove` at 16 / 2 048 / 32 768 resident entries, exact
-//!    (`l2_switch.dmac`) and LPM (`ipv4_forward.ipv4_lpm`), unpinned and
-//!    with a checkpoint pinning the table before every publication.
+//!    (`l2_switch.dmac`), LPM (`ipv4_forward.ipv4_lpm`) and ternary
+//!    (`acl_firewall.acl`, eight mask tuples dealt round-robin), unpinned
+//!    and with a checkpoint pinning the table before every publication.
 //! 3. **Metered policing** (`rate_limiter`): the order-dependent
 //!    token-bucket workload on the batch path.
 //!
@@ -21,7 +22,10 @@
 //! are that every scheduled publication really landed as its own epoch
 //! while the batches ran, and that an unpinned exact install costs the
 //! same at 32 768 resident entries as at 16 (a publication that clones or
-//! re-indexes the table fails it) while a pinned one pays for its copy.
+//! re-indexes the table fails it) while a pinned one pays for its copy —
+//! and so do a ternary install and a ternary removal, whose tuple-space
+//! group is touched at one bucket (a removal that walks the list, or that
+//! rescans its group to keep the group's highest priority, fails it).
 
 use netdebug_bench::banner;
 use netdebug_dataplane::{lpm_pattern, ControlPlane, Dataplane};
@@ -82,7 +86,48 @@ fn route(i: usize) -> (u128, u16) {
     (((i / LENS.len()) as u128) << (32 - len), len)
 }
 
-const SWEEP_TABLES: [SweepTable; 2] = [
+/// Ternary rule `i` of `acl_firewall.acl` and its priority: one of eight
+/// mask tuples, dealt round-robin, every rule its own key. Residents
+/// take distinct priorities above the fresh rules', so a fresh rule
+/// joins and leaves at the list's tail: what the sweep times is the
+/// index, not the list's `memmove`.
+fn acl_rule(i: usize) -> (Vec<IrPattern>, i32) {
+    const TUPLES: [(u32, u32, bool, bool); 8] = [
+        (0xFFFF_FFFF, 0xFFFF_FFFF, true, true),
+        (0xFFFF_FF00, 0xFFFF_FFFF, true, true),
+        (0xFFFF_FFFF, 0xFFFF_FF00, true, true),
+        (0xFFFF_FF00, 0xFFFF_FF00, true, true),
+        (0xFFFF_0000, 0, true, true),
+        (0, 0xFFFF_0000, true, true),
+        (0xFFFF_FF00, 0xFFFF_FF00, false, true),
+        (0xFFFF_FFFF, 0xFFFF_FFFF, true, false),
+    ];
+    let (src_mask, dst_mask, proto, dport) = TUPLES[i % 8];
+    let masked = |seed: u32, mask: u32| match mask {
+        0 => IrPattern::Any,
+        mask => IrPattern::Mask {
+            value: u128::from((i as u32).wrapping_mul(seed) & mask),
+            mask: u128::from(mask),
+        },
+    };
+    let exact = |on: bool, value: usize| match on {
+        true => IrPattern::Value(value as u128),
+        false => IrPattern::Any,
+    };
+    let patterns = vec![
+        masked(0x9E37_79B1, src_mask),
+        masked(0x85EB_CA6B, dst_mask),
+        exact(proto, 6 + 11 * (i / 8 % 2)),
+        exact(dport, i / 8 % (1 << 16)),
+    ];
+    let priority = match i.checked_sub(FRESH_BASE) {
+        Some(fresh) => fresh,
+        None => FRESH + i,
+    };
+    (patterns, priority as i32)
+}
+
+const SWEEP_TABLES: [SweepTable; 3] = [
     SweepTable {
         kind: "exact",
         program: corpus::L2_SWITCH,
@@ -109,6 +154,22 @@ const SWEEP_TABLES: [SweepTable; 2] = [
         remove: |cp, i| {
             let (prefix, len) = route(i);
             cp.remove("ipv4_lpm", &[lpm_pattern(prefix, len, 32)], i32::from(len))
+                .unwrap()
+                .expect("resident");
+        },
+    },
+    SweepTable {
+        kind: "ternary",
+        program: corpus::ACL_FIREWALL,
+        table: "acl",
+        install: |cp, i| {
+            let (patterns, priority) = acl_rule(i);
+            cp.install("acl", patterns, "allow", vec![(i % 4) as u128], priority)
+                .unwrap();
+        },
+        remove: |cp, i| {
+            let (patterns, priority) = acl_rule(i);
+            cp.remove("acl", &patterns, priority)
                 .unwrap()
                 .expect("resident");
         },
@@ -259,8 +320,9 @@ fn main() {
         "{:<8} {:>9} {:>9} {:>14} {:>14}",
         "kind", "resident", "pinned", "install ns", "remove ns"
     );
-    // (kind, resident, pinned) -> install ns, for the smoke assertions.
-    let mut install_cost: Vec<((&str, usize, bool), f64)> = Vec::new();
+    // (kind, resident, pinned, install ns, remove ns), for the smoke
+    // assertions.
+    let mut cost: Vec<(&str, usize, bool, f64, f64)> = Vec::new();
     for shape in &SWEEP_TABLES {
         for resident in OCCUPANCIES {
             for pinned in [false, true] {
@@ -273,7 +335,7 @@ fn main() {
                     "    {{\"workload\": \"publication_cost\", \"kind\": \"{}\", \"resident\": {resident}, \"pinned\": {pinned}, \"install_ns\": {install_ns:.0}, \"remove_ns\": {remove_ns:.0}}}",
                     shape.kind
                 ));
-                install_cost.push(((shape.kind, resident, pinned), install_ns));
+                cost.push((shape.kind, resident, pinned, install_ns, remove_ns));
             }
         }
     }
@@ -304,13 +366,14 @@ fn main() {
     }
 
     // ---- Smoke assertions (run in CI): publication stays O(delta) ----
-    let install_ns = |cell| {
-        install_cost
+    let cost_ns = |(kind, resident, pinned)| {
+        let cell = cost
             .iter()
-            .find(|(c, _)| *c == cell)
-            .expect("measured above")
-            .1
+            .find(|c| (c.0, c.1, c.2) == (kind, resident, pinned));
+        let &(.., install_ns, remove_ns) = cell.expect("measured above");
+        (install_ns, remove_ns)
     };
+    let install_ns = |cell| cost_ns(cell).0;
     let (small, large) = (OCCUPANCIES[0], OCCUPANCIES[2]);
     let (flat_small, flat_large) = (
         install_ns(("exact", small, false)),
@@ -322,6 +385,25 @@ fn main() {
     assert!(
         flat_large < flat_small * 4.0,
         "unpinned exact install grew with occupancy: {flat_small:.0} ns at {small} entries vs {flat_large:.0} ns at {large} — publication copies or re-indexes the table again"
+    );
+    // A ternary install finds its mask tuple's group and claims one
+    // bucket there; a removal vacates one and, at most, reads the group's
+    // next priority off the list. Neither may see the other 32 752 rules.
+    let (ternary_small, ternary_large) = (
+        cost_ns(("ternary", small, false)),
+        cost_ns(("ternary", large, false)),
+    );
+    assert!(
+        ternary_large.0 < ternary_small.0 * 4.0,
+        "unpinned ternary install grew with occupancy: {:.0} ns at {small} entries vs {:.0} ns at {large} — the tuple-space index is rebuilt, not maintained",
+        ternary_small.0,
+        ternary_large.0
+    );
+    assert!(
+        ternary_large.1 < ternary_small.1 * 4.0,
+        "unpinned ternary remove grew with occupancy: {:.0} ns at {small} entries vs {:.0} ns at {large} — the removal walks the list or rescans its group",
+        ternary_small.1,
+        ternary_large.1
     );
     // And the pinned column really measures the copy-on-write path.
     let copied = install_ns(("exact", large, true));

@@ -1,21 +1,28 @@
 //! Experiment E12 — compiled lookup indexes vs the seed linear scan.
 //!
-//! Every published `EntrySnapshot` now carries a `LookupIndex` compiled
-//! from the table's key signature: exact tables hash the packed key
-//! tuple, single-key LPM tables bucket by priority (prefix length) with a
-//! uniform-mask hash per level, and ternary tables keep the
-//! priority-ordered scan that *defines* the semantics. This bench sweeps
-//! entry counts {1, 16, 256, 4096} × {exact, lpm, ternary} and measures
-//! ns/lookup through the index (`EntrySnapshot::lookup`) against the
-//! seed scan (`EntrySnapshot::lookup_scan`), plus end-to-end
-//! `process_batch` throughput on an exact-table program as the table
-//! fills.
+//! Every published `EntrySnapshot` carries a `LookupIndex` shaped by the
+//! table's key signature: exact tables hash the packed key tuple,
+//! single-key LPM tables bucket by priority (prefix length) with a
+//! uniform-mask hash per level, and ternary tables group their entries
+//! by mask tuple and probe one hash per group (tuple-space search); the
+//! priority-ordered scan that *defines* the semantics stays as the
+//! oracle. This bench sweeps entry counts {1, 16, 256, 4096} × {exact,
+//! lpm, ternary, ternary8} and measures ns/lookup through the index
+//! (`EntrySnapshot::lookup`) against the seed scan
+//! (`EntrySnapshot::lookup_scan`), plus end-to-end `process_batch`
+//! throughput on an exact-table program as the table fills. `ternary`
+//! holds full-mask entries only — one mask tuple, one probe; `ternary8`
+//! deals its entries over eight mask tuples, which is what a rule set
+//! looks like and what a lookup's cost actually scales with.
 //!
 //! Numbers land in `BENCH_lookup.json`. The smoke assertions guard the
-//! index itself: exact-match lookup cost must stay flat across 1 → 4096
-//! entries (losing the index would reintroduce O(n) applies silently),
-//! while the measured scan must grow with the entry count — that pair is
-//! the headline of the PR that introduced index compilation.
+//! index itself: exact-match and single-tuple ternary lookup cost must
+//! stay flat across 1 → 4096 entries (losing the index would reintroduce
+//! O(n) applies silently), the eight-tuple table must stay within a
+//! small factor of its own 256-entry cost and far ahead of its scan,
+//! the exact and LPM cells must sit where they sat before the ternary
+//! index arrived, while the measured scan must grow with the entry
+//! count.
 
 use netdebug_bench::banner;
 use netdebug_dataplane::{lpm_pattern, Dataplane, RuntimeEntry, TableState};
@@ -34,6 +41,57 @@ const PROBES: usize = 1024;
 const LENS: [u16; 7] = [8, 12, 16, 20, 24, 28, 32];
 /// Minimum wall time per measured cell, seconds.
 const MIN_MEASURE_S: f64 = 0.05;
+
+/// One row family of the sweep.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Sweep {
+    Exact,
+    Lpm,
+    /// Full-mask ternary entries: one mask tuple.
+    Ternary,
+    /// Ternary entries dealt round-robin over [`MASKS8`].
+    Ternary8,
+}
+
+impl Sweep {
+    fn name(self) -> &'static str {
+        match self {
+            Sweep::Exact => "exact",
+            Sweep::Lpm => "lpm",
+            Sweep::Ternary => "ternary",
+            Sweep::Ternary8 => "ternary8",
+        }
+    }
+
+    fn match_kind(self) -> MatchKind {
+        match self {
+            Sweep::Exact => MatchKind::Exact,
+            Sweep::Lpm => MatchKind::Lpm,
+            Sweep::Ternary | Sweep::Ternary8 => MatchKind::Ternary,
+        }
+    }
+}
+
+/// The eight masks of the `ternary8` sweep: each hides a different
+/// nibble (or none).
+const MASKS8: [u128; 8] = [
+    0xFFFF_FFFF,
+    0xFFFF_FFF0,
+    0xFFFF_FF0F,
+    0xFFFF_F0FF,
+    0xFFFF_0FFF,
+    0xFFF0_FFFF,
+    0xFF0F_FFFF,
+    0xF0FF_FFFF,
+];
+
+/// The value of `ternary8` entry `i`: two copies of `i` (12 bits at the
+/// sweep's largest), so whichever nibble the entry's mask hides, the
+/// other copy keeps the masked values of a group distinct. The top
+/// nibble stays clear, which is what keeps the miss probes misses.
+fn value8(i: usize) -> u128 {
+    (i | i << 16) as u128
+}
 
 fn standalone_table(kind: MatchKind) -> (TableIr, Vec<ActionIr>) {
     let actions = vec![ActionIr {
@@ -61,14 +119,14 @@ fn standalone_table(kind: MatchKind) -> (TableIr, Vec<ActionIr>) {
     (table, actions)
 }
 
-/// Install `n` kind-shaped entries and return the filled state.
-fn filled_state(kind: MatchKind, n: usize) -> TableState {
-    let (table, actions) = standalone_table(kind);
+/// Install `n` sweep-shaped entries and return the filled state.
+fn filled_state(sweep: Sweep, n: usize) -> TableState {
+    let (table, actions) = standalone_table(sweep.match_kind());
     let state = TableState::new(&table);
     for i in 0..n {
-        let (pattern, priority) = match kind {
-            MatchKind::Exact => (IrPattern::Value(i as u128), 0),
-            MatchKind::Lpm => {
+        let (pattern, priority) = match sweep {
+            Sweep::Exact => (IrPattern::Value(i as u128), 0),
+            Sweep::Lpm => {
                 let len = LENS[i % LENS.len()];
                 // Keep the prefix's leading bit clear so the 0xFE... miss
                 // probes stay outside every level, whatever the sweep size
@@ -80,10 +138,18 @@ fn filled_state(kind: MatchKind, n: usize) -> TableState {
             // Full-mask ternary entries with distinct priorities: the
             // worst case for the scan, and exactly what a priority TCAM
             // would hold.
-            _ => (
+            Sweep::Ternary => (
                 IrPattern::Mask {
                     value: i as u128,
                     mask: 0xFFFF_FFFF,
+                },
+                i as i32,
+            ),
+            // Eight mask tuples dealt round-robin, distinct priorities.
+            Sweep::Ternary8 => (
+                IrPattern::Mask {
+                    value: value8(i),
+                    mask: MASKS8[i % 8],
                 },
                 i as i32,
             ),
@@ -107,14 +173,17 @@ fn filled_state(kind: MatchKind, n: usize) -> TableState {
 }
 
 /// Probe keys for a filled table: alternating hits (installed values /
-/// prefixes) and misses (values past the installed range).
-fn probe_keys(kind: MatchKind, n: usize) -> Vec<u128> {
+/// prefixes) and misses (values past the installed range). The
+/// `ternary8` hits are stratified over the whole priority order, so the
+/// scan's mean depth is half the table whatever its size.
+fn probe_keys(sweep: Sweep, n: usize) -> Vec<u128> {
     (0..PROBES)
         .map(|p| {
             let i = p % n.max(1);
             if p % 2 == 0 {
-                match kind {
-                    MatchKind::Lpm => {
+                match sweep {
+                    Sweep::Ternary8 => value8(p * n / PROBES),
+                    Sweep::Lpm => {
                         let len = LENS[i % LENS.len()];
                         let j = (i / LENS.len()) as u128 % (1u128 << (len - 1));
                         // A key inside the prefix; /32 entries only match
@@ -156,12 +225,12 @@ fn main() {
         "\n{:<10} {:>8} {:>14} {:>14} {:>10}",
         "kind", "entries", "indexed ns/op", "scan ns/op", "speedup"
     );
-    // indexed/scan ns per (kind, size), for the smoke assertions below.
-    let mut measured: Vec<(MatchKind, usize, f64, f64)> = Vec::new();
-    for kind in [MatchKind::Exact, MatchKind::Lpm, MatchKind::Ternary] {
+    // indexed/scan ns per (sweep, size), for the smoke assertions below.
+    let mut measured: Vec<(Sweep, usize, f64, f64)> = Vec::new();
+    for sweep in [Sweep::Exact, Sweep::Lpm, Sweep::Ternary, Sweep::Ternary8] {
         for &n in &SIZES {
-            let state = filled_state(kind, n);
-            let keys = probe_keys(kind, n);
+            let state = filled_state(sweep, n);
+            let keys = probe_keys(sweep, n);
             let snap = state.snapshot();
             let indexed = measure_ns_per_lookup(|| {
                 for k in &keys {
@@ -181,14 +250,10 @@ fn main() {
                 assert_eq!(
                     snap.lookup(std::slice::from_ref(k)),
                     snap.lookup_scan(std::slice::from_ref(k)),
-                    "index/scan divergence at key {k:#x} ({kind:?}, {n} entries)"
+                    "index/scan divergence at key {k:#x} ({sweep:?}, {n} entries)"
                 );
             }
-            let kind_name = match kind {
-                MatchKind::Exact => "exact",
-                MatchKind::Lpm => "lpm",
-                _ => "ternary",
-            };
+            let kind_name = sweep.name();
             println!(
                 "{:<10} {:>8} {:>14.1} {:>14.1} {:>9.1}x",
                 kind_name,
@@ -200,7 +265,7 @@ fn main() {
             json_rows.push(format!(
                 "    {{\"kind\": \"{kind_name}\", \"entries\": {n}, \"indexed_ns\": {indexed:.1}, \"scan_ns\": {scan:.1}}}"
             ));
-            measured.push((kind, n, indexed, scan));
+            measured.push((sweep, n, indexed, scan));
         }
     }
 
@@ -269,15 +334,15 @@ fn main() {
     }
 
     // ---- Smoke assertions (run in CI): losing the index must fail loudly ----
-    let cell = |kind: MatchKind, n: usize| {
+    let cell = |sweep: Sweep, n: usize| {
         measured
             .iter()
-            .find(|(k, m, _, _)| *k == kind && *m == n)
+            .find(|(k, m, _, _)| *k == sweep && *m == n)
             .map(|(_, _, i, s)| (*i, *s))
             .expect("measured above")
     };
-    let (exact_idx_1, exact_scan_1) = cell(MatchKind::Exact, 1);
-    let (exact_idx_4k, exact_scan_4k) = cell(MatchKind::Exact, 4096);
+    let (exact_idx_1, exact_scan_1) = cell(Sweep::Exact, 1);
+    let (exact_idx_4k, exact_scan_4k) = cell(Sweep::Exact, 4096);
     // Exact-match lookup cost must not grow with entry count: both ends
     // of the sweep are one hash probe. The 8x slack absorbs timer noise
     // on shared single-core CI hosts, not a linear factor (the scan's
@@ -296,6 +361,33 @@ fn main() {
     assert!(
         exact_idx_4k * 4.0 < exact_scan_4k,
         "indexed exact lookup ({exact_idx_4k:.1} ns) must clearly beat the {exact_scan_4k:.1} ns scan at 4096 entries"
+    );
+    // The exact and LPM cells did not move when ternary tables got their
+    // index: ≈ 5.5 ns and ≈ 17-24 ns on the 2-core box it arrived on.
+    // The ceilings leave a shared CI host a factor of four.
+    let lpm_idx_4k = cell(Sweep::Lpm, 4096).0;
+    assert!(
+        exact_idx_4k < 22.0 && lpm_idx_4k < 96.0,
+        "indexed exact ({exact_idx_4k:.1} ns) or LPM ({lpm_idx_4k:.1} ns) lookup at 4096 entries left its band (≈ 5.5 / ≈ 24 ns)"
+    );
+    // One mask tuple is one hash probe, however many entries share it.
+    let ternary_idx_1 = cell(Sweep::Ternary, 1).0;
+    let ternary_idx_4k = cell(Sweep::Ternary, 4096).0;
+    assert!(
+        ternary_idx_4k < ternary_idx_1 * 8.0,
+        "single-tuple ternary lookup grew with entry count: {ternary_idx_1:.1} ns at 1 entry vs {ternary_idx_4k:.1} ns at 4096 — the tuple-space index is gone"
+    );
+    // Eight tuples are eight probes at 256 entries and at 4096 (colder
+    // buckets aside), and nowhere near the scan of half the table.
+    let ternary8_idx_256 = cell(Sweep::Ternary8, 256).0;
+    let (ternary8_idx_4k, ternary8_scan_4k) = cell(Sweep::Ternary8, 4096);
+    assert!(
+        ternary8_idx_4k < ternary8_idx_256 * 4.0,
+        "eight-tuple ternary lookup grew with entry count: {ternary8_idx_256:.1} ns at 256 entries vs {ternary8_idx_4k:.1} ns at 4096"
+    );
+    assert!(
+        ternary8_idx_4k * 8.0 < ternary8_scan_4k,
+        "eight-tuple ternary lookup ({ternary8_idx_4k:.1} ns) must clearly beat the {ternary8_scan_4k:.1} ns scan at 4096 entries"
     );
     // End-to-end batch throughput stays flat (within generous noise)
     // while the table fills 1 -> 4096.

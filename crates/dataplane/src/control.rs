@@ -12,10 +12,11 @@
 //!
 //! A publication costs **what changed**: the snapshot's
 //! [`crate::LookupIndex`] (exact → hash, LPM → prefix-length levels,
-//! anything else → priority scan, picked by the table's declared
-//! [`netdebug_p4::ir::KeySignature`]) is maintained by inserting or
-//! removing the one entry, in place while nobody has the snapshot
-//! pinned. The first publication after a pin — the packet path re-pins
+//! ternary and mixed kinds → one hash per mask tuple, picked by the
+//! table's declared [`netdebug_p4::ir::KeySignature`]; a `Range` pattern
+//! puts its table on the priority scan while it is resident) is
+//! maintained by inserting or removing the one entry, in place while
+//! nobody has the snapshot pinned. The first publication after a pin — the packet path re-pins
 //! once per generation, checkpoints and device clones pin too — copies
 //! the snapshot once (refcount bumps, not entry copies) and leaves the
 //! pin on its epoch; see [`crate::table`] for why that is race-free.

@@ -10,10 +10,25 @@
 //! per apply, so each snapshot also carries a [`LookupIndex`] shaped by
 //! the table's [`netdebug_p4::ir::KeySignature`], the way real targets
 //! compile match kinds into hardware memories (exact → hash unit, LPM →
-//! per-prefix-length levels, ternary → priority TCAM order). The index
-//! answers exactly what the scan would — bit-identical by construction
-//! (and pinned by property tests), falling back to the scan for anything
-//! it cannot prove equivalent.
+//! per-prefix-length levels, ternary → TCAM, here tuple-space search).
+//! The index answers exactly what the scan would — bit-identical by
+//! construction (and pinned by property tests), falling back to the scan
+//! for anything it cannot prove equivalent.
+//!
+//! **Ternary and mixed-kind tables: tuple-space search.** Every maskable
+//! pattern is `key & mask == value` (`Value` → all ones, `Any` → zero),
+//! so the entries of a table fall into groups by their tuple of masks,
+//! and within a group a lookup is an exact match on the masked key: one
+//! hash probe per [`TupleGroup`] instead of one comparison per rule. The
+//! groups' answers are merged by priority — a group whose best priority
+//! is below the best hit so far is not probed at all — and where two
+//! groups answer with *equal* priority the list's equal-priority run
+//! decides, because install order lives there and nowhere else. A rule
+//! set's lookup cost scales with its distinct mask tuples (a handful to
+//! a few dozen for an ACL), not with its rules. What the groups cannot
+//! express exactly — a `Range` pattern, a pattern list of the wrong
+//! arity, more than eight declared keys, a probe with fewer keys
+//! than the table declares — takes the scan.
 //!
 //! **A publication costs what changed, not what is resident.** A
 //! [`TableState`] holds an [`Arc`]`<`[`EntrySnapshot`]`>` behind a mutex
@@ -35,12 +50,12 @@
 //! (A pin dropped concurrently can only make the check pessimistic — one
 //! copy that was not strictly needed.) The index is position-free —
 //! hash values are the winning entry itself, LPM levels are keyed by
-//! priority — so editing the list never invalidates it, and the
-//! from-scratch build (const entries, `clear`, shapes that demote to
-//! [`LookupIndex::Scan`]) is the fold of the same one-entry insert. What stays O(n) per publication is the
-//! sorted list's `memmove` (64 bytes per resident entry behind the edit
-//! point) and, for `remove`, the pointer walk over the victim's
-//! equal-priority run.
+//! priority, tuple groups by their masks — so editing the list never
+//! invalidates it, and the from-scratch build (const entries, `clear`)
+//! is the fold of the same one-entry insert. What stays O(n) per
+//! publication is the sorted list's `memmove` (16 bytes per resident
+//! entry behind the edit point) and, for `remove`, the pointer walk over
+//! the victim's equal-priority run.
 //!
 //! Readers pin a snapshot once (per packet on the single-packet path,
 //! per batch on the batch paths) and keep reading it no matter what the
@@ -53,6 +68,7 @@
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::ir::{self, ActionCall, IrPattern, KeySignature};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -75,6 +91,15 @@ impl FxHasher {
     #[inline]
     fn add(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+
+    /// One round for a whole key value: the high half, zero for every
+    /// key narrower than 65 bits, is folded into the low one off the
+    /// dependency chain. (A tuple-space lookup hashes every key once per
+    /// group; the round is most of what a probe costs.)
+    #[inline]
+    fn add_folded(&mut self, value: u128) {
+        self.add(value as u64 ^ ((value >> 64) as u64).wrapping_mul(Self::SEED));
     }
 }
 
@@ -121,34 +146,63 @@ pub struct Winner {
     shadowed: usize,
 }
 
-/// The hash map flavour every [`LookupIndex`] uses.
-type FxMap<K> = HashMap<K, Winner, BuildHasherDefault<FxHasher>>;
+impl Winner {
+    /// The first entry on a key.
+    fn new(entry: &Arc<RuntimeEntry>) -> Winner {
+        Winner {
+            entry: Arc::clone(entry),
+            shadowed: 0,
+        }
+    }
 
-/// Index `entry` under `key`. An insert lands behind every resident
-/// entry of equal or higher priority, so it wins the key only from a
-/// strictly lower-priority winner — exactly how the scan resolves
-/// duplicate keys, decided without knowing anyone's list position.
-fn claim<K: Hash + Eq>(map: &mut FxMap<K>, key: K, entry: &Arc<RuntimeEntry>) {
-    match map.entry(key) {
-        Entry::Vacant(slot) => {
-            slot.insert(Winner {
-                entry: Arc::clone(entry),
-                shadowed: 0,
-            });
+    /// One more resident entry carries the key. An insert lands behind
+    /// every resident entry of equal or higher priority, so it wins the
+    /// key only from a strictly lower-priority winner — exactly how the
+    /// scan resolves duplicate keys, decided without knowing anyone's
+    /// list position.
+    fn join(&mut self, entry: &Arc<RuntimeEntry>) {
+        self.shadowed += 1;
+        if entry.priority > self.entry.priority {
+            self.entry = Arc::clone(entry);
         }
-        Entry::Occupied(slot) => {
-            let winner = slot.into_mut();
-            winner.shadowed += 1;
-            if entry.priority > winner.entry.priority {
-                winner.entry = Arc::clone(entry);
-            }
+    }
+
+    /// `entry` leaves the key. Returns `false` when it was the only one
+    /// on it (the caller vacates the slot). `successor` names the first
+    /// remaining resident entry with the key; it runs only when the
+    /// winner itself leaves while a duplicate is shadowed.
+    fn leave<'a>(
+        &mut self,
+        entry: &Arc<RuntimeEntry>,
+        successor: impl FnOnce() -> Option<&'a Slot>,
+    ) -> bool {
+        if self.shadowed == 0 {
+            return false;
         }
+        self.shadowed -= 1;
+        if Arc::ptr_eq(&self.entry, entry) {
+            let next = successor().expect("a shadowed duplicate is resident");
+            self.entry = Arc::clone(&next.entry);
+        }
+        true
     }
 }
 
-/// Take `entry` out from under `key`. `successor` names the first
-/// remaining resident entry with the key; it runs only when the winner
-/// itself leaves while a duplicate is shadowed.
+/// The hash map flavour the exact and LPM arms of [`LookupIndex`] use.
+type FxMap<K> = HashMap<K, Winner, BuildHasherDefault<FxHasher>>;
+
+/// Index `entry` under `key`.
+fn claim<K: Hash + Eq>(map: &mut FxMap<K>, key: K, entry: &Arc<RuntimeEntry>) {
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(Winner::new(entry));
+        }
+        Entry::Occupied(slot) => slot.into_mut().join(entry),
+    }
+}
+
+/// Take `entry` out from under `key` (see [`Winner::leave`] for
+/// `successor`).
 fn release<'a, K: Hash + Eq>(
     map: &mut FxMap<K>,
     key: &K,
@@ -156,14 +210,8 @@ fn release<'a, K: Hash + Eq>(
     successor: impl FnOnce() -> Option<&'a Slot>,
 ) {
     let winner = map.get_mut(key).expect("every resident entry is indexed");
-    if winner.shadowed == 0 {
+    if !winner.leave(entry, successor) {
         map.remove(key);
-        return;
-    }
-    winner.shadowed -= 1;
-    if Arc::ptr_eq(&winner.entry, entry) {
-        let next = successor().expect("a shadowed duplicate is resident");
-        winner.entry = Arc::clone(&next.entry);
     }
 }
 
@@ -283,16 +331,14 @@ impl TableStats {
 }
 
 /// One element of a snapshot's priority-sorted list: the shared entry
-/// plus an inline copy of what the list walks compare — its priority and
-/// its first pattern. Entries are immutable once installed, so the copy
-/// cannot go stale; it keeps the priority scan and the binary searches a
-/// contiguous walk that only follows the `Arc` for a rule whose first
-/// pattern already matched. One cache line per slot.
+/// plus an inline copy of its priority, so the binary searches that place
+/// an entry or find its equal-priority run walk sixteen contiguous bytes
+/// per element and follow no pointer. (Entries are immutable once
+/// installed; the copy cannot go stale.) The matching itself is the
+/// index's business: only the scan — the oracle, and the fallback for
+/// shapes no structure holds — follows the `Arc` of every rule it passes.
 #[derive(Debug, Clone, PartialEq)]
 struct Slot {
-    /// `entry.patterns[0]` ([`IrPattern::Any`] for a pattern-less entry,
-    /// which matches as vacuously as the zip does).
-    first: IrPattern,
     /// `entry.priority`.
     priority: i32,
     entry: Arc<RuntimeEntry>,
@@ -301,7 +347,6 @@ struct Slot {
 impl Slot {
     fn new(entry: Arc<RuntimeEntry>) -> Slot {
         Slot {
-            first: entry.patterns.first().copied().unwrap_or(IrPattern::Any),
             priority: entry.priority,
             entry,
         }
@@ -310,7 +355,7 @@ impl Slot {
     /// Does this slot hold exactly these patterns? (Callers have already
     /// narrowed to one priority.)
     fn holds(&self, patterns: &[IrPattern]) -> bool {
-        patterns.first().is_none_or(|p| *p == self.first) && self.entry.patterns == patterns
+        self.entry.patterns == patterns
     }
 }
 
@@ -361,13 +406,239 @@ impl LpmLevel {
     }
 }
 
+/// Most keys a table may declare and still get a tuple-space index;
+/// wider tables keep the scan. Sized so a group's masks sit inline.
+const MAX_TUPLE_KEYS: usize = 8;
+
+/// Fewest buckets a [`TupleGroup`] allocates.
+const MIN_BUCKETS: usize = 8;
+
+/// How many times its buckets a full [`TupleGroup`] (half of them
+/// occupied) grows to. Four, not two: a rule set's set-up is mostly
+/// installs, and halving the number of rehashes — each an allocation of
+/// a new size — is worth more there than the slack (a group runs between
+/// an eighth and a half full) costs in bytes next to the entries.
+const GROWTH: usize = 4;
+
+/// The hash of a tuple of masked key values.
+#[inline]
+fn tuple_hash(values: impl Iterator<Item = u128>) -> u64 {
+    let mut hasher = FxHasher::default();
+    values.for_each(|v| hasher.add_folded(v));
+    hasher.finish()
+}
+
+/// The hash of the key a pattern list is in its tuple-space group — its
+/// masked values — or `None` for a list no group can hold: one maskable
+/// pattern per declared key is the shape. One pass, nothing allocated.
+fn tuple_key(patterns: &[IrPattern], key_count: usize) -> Option<u64> {
+    if patterns.len() != key_count {
+        return None;
+    }
+    let mut hasher = FxHasher::default();
+    for p in patterns {
+        hasher.add_folded(maskable(p)?.1);
+    }
+    Some(hasher.finish())
+}
+
+/// Do two pattern lists spell the same masks and masked values? (`a` is
+/// tuple-shaped; a range pattern in `b` then never compares equal.)
+fn same_tuple(a: &[IrPattern], b: &[IrPattern]) -> bool {
+    a.iter().zip(b).all(|(a, b)| maskable(a) == maskable(b))
+}
+
+/// One occupied slot of a [`TupleGroup`]: the key's winner and the hash
+/// of the key, cached so that a probe compares eight bytes before it
+/// follows a pointer and growth never re-derives a hash.
+#[derive(Debug, Clone)]
+struct Bucket {
+    hash: u64,
+    winner: Winner,
+}
+
+/// One group of a tuple-space index: every resident entry whose patterns
+/// carry this tuple of masks, hashed on its masked values.
+///
+/// **The entry is its own key.** An entry of the group matches a key
+/// tuple iff the tuple's masked values equal the entry's, so the table —
+/// open addressing, linear probing, backward-shift delete, at most half
+/// full — stores no key copy: a probe compares the cached hash and then
+/// asks the winner itself (the scan's match predicate for a packet's keys, the
+/// masked values of the two pattern lists for an install or a removal).
+/// Nothing is allocated per entry and no masked key is materialised per
+/// probe.
+#[derive(Debug, Clone)]
+pub struct TupleGroup {
+    /// One mask per declared key; the tail past the key count is zero.
+    masks: [u128; MAX_TUPLE_KEYS],
+    /// The highest priority among the group's resident entries, exactly:
+    /// a lookup skips the group once it holds a better hit.
+    max_priority: i32,
+    /// Occupied buckets (distinct keys).
+    len: usize,
+    /// A power of two of slots.
+    buckets: Vec<Option<Bucket>>,
+}
+
+/// Groups are equal when they hold the same keys with the same winners;
+/// where a key sits in its table is history (growth, probe collisions,
+/// deletions), not state, exactly as for the hash maps of the other arms.
+impl PartialEq for TupleGroup {
+    fn eq(&self, other: &TupleGroup) -> bool {
+        let within = |a: &TupleGroup, b: &TupleGroup| {
+            a.buckets.iter().flatten().all(|bucket| {
+                let patterns = &bucket.winner.entry.patterns;
+                b.winner(bucket.hash, patterns) == Some(&bucket.winner)
+            })
+        };
+        self.masks == other.masks
+            && self.max_priority == other.max_priority
+            && self.len == other.len
+            && within(self, other)
+            && within(other, self)
+    }
+}
+
+impl TupleGroup {
+    /// An empty group for entries masked like the tuple-shaped
+    /// `patterns`.
+    fn new(patterns: &[IrPattern]) -> TupleGroup {
+        let mut masks = [0; MAX_TUPLE_KEYS];
+        for (mask, p) in masks.iter_mut().zip(patterns) {
+            *mask = maskable(p).map_or(0, |(m, _)| m);
+        }
+        TupleGroup {
+            masks,
+            max_priority: i32::MIN,
+            len: 0,
+            buckets: vec![None; MIN_BUCKETS],
+        }
+    }
+
+    /// This group's masks against those of a tuple-shaped pattern list,
+    /// compared in place: the canonical group order.
+    fn cmp_masks(&self, patterns: &[IrPattern]) -> Ordering {
+        for (mask, p) in self.masks.iter().zip(patterns) {
+            let order = mask.cmp(&maskable(p).map_or(0, |(m, _)| m));
+            if order.is_ne() {
+                return order;
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Where a key's probe sequence starts. The top bits: the hash ends
+    /// in a multiplication, whose low bits see only the low bits of the
+    /// last word.
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.buckets.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding the key with this hash that `same` recognises
+    /// its winner by, or the empty slot that ends the key's probe
+    /// sequence (the table is never more than half full).
+    #[inline]
+    fn slot_of(&self, hash: u64, same: impl Fn(&RuntimeEntry) -> bool) -> usize {
+        let wrap = self.buckets.len() - 1;
+        let mut at = self.home(hash);
+        while let Some(bucket) = &self.buckets[at] {
+            if bucket.hash == hash && same(&bucket.winner.entry) {
+                break;
+            }
+            at = (at + 1) & wrap;
+        }
+        at
+    }
+
+    /// The winner for a packet's keys (exactly as many as the table
+    /// declares).
+    #[inline]
+    fn get(&self, keys: &[u128]) -> Option<&Winner> {
+        let hash = tuple_hash(keys.iter().zip(&self.masks).map(|(k, m)| k & m));
+        let at = self.slot_of(hash, |e| entry_matches(e, keys));
+        self.buckets[at].as_ref().map(|b| &b.winner)
+    }
+
+    /// The slot of the key `patterns` (of this group, hashing to
+    /// `hash`) are.
+    fn slot_of_patterns(&self, hash: u64, patterns: &[IrPattern]) -> usize {
+        self.slot_of(hash, |e| same_tuple(patterns, &e.patterns))
+    }
+
+    /// The winner on the key `patterns` are.
+    fn winner(&self, hash: u64, patterns: &[IrPattern]) -> Option<&Winner> {
+        self.buckets[self.slot_of_patterns(hash, patterns)]
+            .as_ref()
+            .map(|b| &b.winner)
+    }
+
+    /// Index `entry`, whose key hashes to `hash`.
+    fn claim(&mut self, hash: u64, entry: &Arc<RuntimeEntry>) {
+        self.max_priority = self.max_priority.max(entry.priority);
+        let at = self.slot_of_patterns(hash, &entry.patterns);
+        if let Some(bucket) = &mut self.buckets[at] {
+            bucket.winner.join(entry);
+            return;
+        }
+        self.buckets[at] = Some(Bucket {
+            hash,
+            winner: Winner::new(entry),
+        });
+        self.len += 1;
+        if self.len * 2 > self.buckets.len() {
+            let grown = vec![None; self.buckets.len() * GROWTH];
+            let old = std::mem::replace(&mut self.buckets, grown);
+            for bucket in old.into_iter().flatten() {
+                // Distinct keys all: the first empty slot is the place.
+                let at = self.slot_of(bucket.hash, |_| false);
+                self.buckets[at] = Some(bucket);
+            }
+        }
+    }
+
+    /// Take `entry`, whose key hashes to `hash`, out of the group (see
+    /// [`Winner::leave`] for `successor`).
+    fn release<'a>(
+        &mut self,
+        hash: u64,
+        entry: &Arc<RuntimeEntry>,
+        successor: impl FnOnce() -> Option<&'a Slot>,
+    ) {
+        let mut hole = self.slot_of_patterns(hash, &entry.patterns);
+        let bucket = self.buckets[hole]
+            .as_mut()
+            .expect("every resident entry is indexed");
+        if bucket.winner.leave(entry, successor) {
+            return;
+        }
+        // Backward-shift delete: pull every later bucket of the cluster
+        // that may legally sit in the hole — its home is not past it —
+        // one step closer to its home, so no probe sequence is cut.
+        let wrap = self.buckets.len() - 1;
+        let mut next = (hole + 1) & wrap;
+        while let Some(bucket) = &self.buckets[next] {
+            let from_home = next.wrapping_sub(self.home(bucket.hash)) & wrap;
+            if from_home >= (next.wrapping_sub(hole) & wrap) {
+                self.buckets.swap(hole, next);
+                hole = next;
+            }
+            next = (next + 1) & wrap;
+        }
+        self.buckets[hole] = None;
+        self.len -= 1;
+    }
+}
+
 /// The lookup structure an [`EntrySnapshot`] carries, maintained one
 /// entry at a time.
 ///
 /// Chosen per table from the [`KeySignature`] of its declared keys, then
 /// *verified* against each entry as it arrives — an entry shape the
-/// structure cannot represent exactly (e.g. a masked const entry in an
-/// exact table) demotes the snapshot to [`LookupIndex::Scan`], so every
+/// structure cannot represent exactly (a range pattern in a ternary
+/// table, a masked const entry in an exact one) demotes the snapshot to
+/// [`LookupIndex::Scan`] for as long as that entry is resident, so every
 /// variant answers bit-identically to the seed priority-ordered linear
 /// scan. No variant stores a list position: inserting into or removing
 /// from the sorted list never invalidates the index.
@@ -385,6 +656,17 @@ pub enum LookupIndex {
     /// Single-key LPM table: levels in descending priority, probed
     /// longest-prefix-first.
     Lpm(Vec<LpmLevel>),
+    /// Ternary, range-free and mixed-kind tables: tuple-space search.
+    /// One [`TupleGroup`] per distinct tuple of masks among the resident
+    /// entries, one hash probe per group; the best-priority answer wins
+    /// and the list's equal-priority run settles a tie between groups.
+    Tuples {
+        /// Declared key count (every group masks this many keys).
+        key_count: usize,
+        /// Groups sorted by mask tuple: a canonical order, so a
+        /// maintained index equals the from-scratch one.
+        groups: Vec<TupleGroup>,
+    },
     /// General fallback: the seed priority-ordered scan over the entries.
     Scan,
 }
@@ -399,14 +681,21 @@ impl LookupIndex {
                 map: FxMap::default(),
             },
             KeySignature::SingleLpm => LookupIndex::Lpm(Vec::new()),
+            KeySignature::Generic if (1..=MAX_TUPLE_KEYS).contains(&key_count) => {
+                LookupIndex::Tuples {
+                    key_count,
+                    groups: Vec::new(),
+                }
+            }
             KeySignature::Generic => LookupIndex::Scan,
         }
     }
 
     /// Account for one entry joining the sorted list (behind every
     /// resident entry of equal or higher priority). An entry the
-    /// structure cannot represent — only reachable through unvalidated
-    /// const entries — demotes the index to the scan.
+    /// structure cannot represent — a range pattern in a tuple-space
+    /// table; for the other arms only unvalidated const entries —
+    /// demotes the index to the scan.
     fn insert(&mut self, entry: &Arc<RuntimeEntry>) {
         match self {
             LookupIndex::ExactOne(map) => match entry.patterns[..] {
@@ -430,6 +719,21 @@ impl LookupIndex {
                 }
                 levels[at].insert(entry);
             }
+            LookupIndex::Tuples { key_count, groups } => {
+                let patterns = &entry.patterns[..];
+                let Some(hash) = tuple_key(patterns, *key_count) else {
+                    *self = LookupIndex::Scan;
+                    return;
+                };
+                let at = match groups.binary_search_by(|g| g.cmp_masks(patterns)) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        groups.insert(at, TupleGroup::new(patterns));
+                        at
+                    }
+                };
+                groups[at].claim(hash, entry);
+            }
             LookupIndex::Scan => {}
         }
     }
@@ -448,7 +752,7 @@ impl LookupIndex {
         };
         match self {
             LookupIndex::ExactOne(map) => {
-                let IrPattern::Value(key) = gone.first else {
+                let [IrPattern::Value(key)] = gone.entry.patterns[..] else {
                     unreachable!("an exact index holds value patterns only")
                 };
                 release(map, &key, &gone.entry, same_patterns);
@@ -464,21 +768,51 @@ impl LookupIndex {
                 if run.is_empty() {
                     levels.remove(at);
                 } else if let Some((_, map)) = &mut levels[at].hash {
-                    let key = maskable(&gone.first).expect("a hashed level is maskable");
+                    let key =
+                        maskable(&gone.entry.patterns[0]).expect("a hashed level is maskable");
                     // One mask per hashed level: equal masked values are
                     // equal keys, and a shadowed duplicate sits in the
                     // level's own run, ahead of any lower level.
                     release(map, &key.1, &gone.entry, || {
                         entries[pos..]
                             .iter()
-                            .find(|s| maskable(&s.first) == Some(key))
+                            .find(|s| maskable(&s.entry.patterns[0]) == Some(key))
                     });
                 } else {
                     // The departed entry may have been the odd mask out:
                     // refold the level over what is left of its run.
-                    let mut level = LpmLevel::new(gone.priority, &run[0].first);
+                    let mut level = LpmLevel::new(gone.priority, &run[0].entry.patterns[0]);
                     run.iter().for_each(|s| level.insert(&s.entry));
                     levels[at] = level;
+                }
+            }
+            LookupIndex::Tuples { key_count, groups } => {
+                let patterns = &gone.entry.patterns[..];
+                let hash = tuple_key(patterns, *key_count)
+                    .expect("a tuple index holds tuple-shaped entries only");
+                let at = groups
+                    .binary_search_by(|g| g.cmp_masks(patterns))
+                    .expect("every resident entry has its group");
+                let group = &mut groups[at];
+                // Same masks, same masked values: the duplicate need not
+                // spell its patterns the way the winner did.
+                group.release(hash, &gone.entry, || {
+                    entries[pos..]
+                        .iter()
+                        .find(|s| same_tuple(patterns, &s.entry.patterns))
+                });
+                if group.len == 0 {
+                    groups.remove(at);
+                } else if gone.priority == group.max_priority {
+                    // The list is sorted: the group's first entry at or
+                    // behind the start of the departed one's run holds
+                    // the group's new maximum.
+                    let (start, _) = priority_run(entries, gone.priority);
+                    group.max_priority = entries[start..]
+                        .iter()
+                        .find(|s| group.cmp_masks(&s.entry.patterns).is_eq())
+                        .expect("a group with a bucket has a resident entry")
+                        .priority;
                 }
             }
             LookupIndex::Scan => return false,
@@ -513,6 +847,12 @@ impl LookupIndex {
                     _ => None,
                 })
             }
+            LookupIndex::Tuples { key_count, groups } => {
+                Some(tuple_key(patterns, *key_count).and_then(|hash| {
+                    let at = groups.binary_search_by(|g| g.cmp_masks(patterns));
+                    groups[at.ok()?].winner(hash, patterns)
+                }))
+            }
             LookupIndex::Scan => None,
         }
     }
@@ -531,12 +871,15 @@ pub struct EntrySnapshot {
     /// Publication sequence number: 0 for the const-entry snapshot, +1 per
     /// control-plane mutation.
     epoch: u64,
+    /// Lookup structure over the entries, maintained by
+    /// [`EntrySnapshot::insert`]/[`EntrySnapshot::remove`]. Declared —
+    /// so dropped — ahead of the list: the index lets go of its shares
+    /// and the list then frees the entries in the order they were
+    /// allocated, not in hash order.
+    index: LookupIndex,
     /// Entries sorted by descending priority, earlier install first
     /// among equals.
     entries: Vec<Slot>,
-    /// Lookup structure over the entries, maintained by
-    /// [`EntrySnapshot::insert`]/[`EntrySnapshot::remove`].
-    index: LookupIndex,
 }
 
 impl EntrySnapshot {
@@ -568,16 +911,34 @@ impl EntrySnapshot {
         self.entries.insert(pos, Slot::new(entry));
     }
 
-    /// Take out the entry at `pos`. Leaving a table whose index is the
-    /// scan although its signature has a structure (an unvalidated shape
-    /// demoted it) refolds the rest: the odd entry may be the one that
-    /// left.
+    /// Take out the entry at `pos`. A table whose index is the scan
+    /// although its signature has a structure holds an entry the
+    /// structure cannot (a range pattern, an unvalidated const shape),
+    /// so only such an entry's departure can bring the structure back:
+    /// when `gone` alone would demote a fresh index, the index is
+    /// refolded over the list — which is the install-order fold, since
+    /// an insert only ever wins a key from a lower priority — up to the
+    /// first entry that demotes it again.
     fn remove(&mut self, pos: usize, signature: KeySignature, key_count: usize) {
         let gone = self.entries.remove(pos);
-        if !self.index.remove(&gone, &self.entries, pos) && signature != KeySignature::Generic {
-            let rest = std::mem::take(&mut self.entries);
-            let rest = rest.into_iter().map(|s| s.entry);
-            *self = EntrySnapshot::publish(self.epoch, rest, signature, key_count);
+        if self.index.remove(&gone, &self.entries, pos) {
+            return;
+        }
+        let is_scan = |index: &LookupIndex| matches!(index, LookupIndex::Scan);
+        let mut alone = LookupIndex::empty(signature, key_count);
+        if is_scan(&alone) {
+            return;
+        }
+        alone.insert(&gone.entry);
+        if is_scan(&alone) {
+            let mut index = LookupIndex::empty(signature, key_count);
+            for slot in &self.entries {
+                index.insert(&slot.entry);
+                if is_scan(&index) {
+                    break;
+                }
+            }
+            self.index = index;
         }
     }
 
@@ -705,29 +1066,54 @@ impl<'a> TableView<'a> {
                     None => priority_run(entries, level.priority)
                         .1
                         .iter()
-                        .find(|s| s.first.matches(*k))
+                        .find(|s| s.entry.patterns[0].matches(*k))
                         .map(|s| &s.entry),
                 }),
                 None => self.scan(keys),
             },
+            LookupIndex::Tuples { key_count, groups } => {
+                let Some(keys) = keys.get(..*key_count) else {
+                    return self.scan(keys);
+                };
+                let mut best: Option<&'a Winner> = None;
+                let mut tied = false;
+                for group in groups {
+                    if best.is_some_and(|b| group.max_priority < b.entry.priority) {
+                        continue;
+                    }
+                    let Some(w) = group.get(keys) else { continue };
+                    match best.map(|b| w.entry.priority.cmp(&b.entry.priority)) {
+                        None | Some(Ordering::Greater) => {
+                            best = Some(w);
+                            tied = false;
+                        }
+                        Some(Ordering::Equal) => tied = true,
+                        Some(Ordering::Less) => {}
+                    }
+                }
+                match best {
+                    // Equal priorities in two groups: install order
+                    // decides, and only the list knows it.
+                    Some(w) if tied => first_match(priority_run(entries, w.entry.priority).1, keys),
+                    best => best.map(|w| &w.entry),
+                }
+            }
             LookupIndex::Scan => self.scan(keys),
         }
     }
 
-    /// The seed scan. It walks the contiguous list on the slots' inline
-    /// first pattern and follows the `Arc` only for a rule that passed
-    /// it (`entry_matches` then rechecks the whole rule).
+    /// The seed scan: the first entry of the whole list that matches.
     fn scan(&self, keys: &[u128]) -> Option<&'a Arc<RuntimeEntry>> {
-        let entries: &'a [Slot] = self.entries;
-        let hit = match keys.first() {
-            Some(&k) => entries
-                .iter()
-                .find(|s| s.first.matches(k) && entry_matches(&s.entry, keys)),
-            // No key to check: every pattern matches vacuously.
-            None => entries.first(),
-        };
-        hit.map(|s| &s.entry)
+        first_match(self.entries, keys)
     }
+}
+
+/// The first of `slots` whose entry matches `keys`.
+fn first_match<'a>(slots: &'a [Slot], keys: &[u128]) -> Option<&'a Arc<RuntimeEntry>> {
+    slots
+        .iter()
+        .map(|s| &s.entry)
+        .find(|e| entry_matches(e, keys))
 }
 
 /// Runtime state of one table: the current [`EntrySnapshot`] plus the
@@ -1230,9 +1616,166 @@ mod tests {
             .unwrap();
         assert!(matches!(s.snapshot().index(), LookupIndex::Lpm(_)));
 
-        let (t, _) = table_ir(MatchKind::Ternary, 8);
+        // Ternary and mixed-kind tables: tuple-space groups, one per
+        // mask tuple, for as long as every entry is maskable. A range
+        // pattern demotes the table to the scan; its departure refolds.
+        let (t, a) = table_ir_keys(&[MatchKind::Ternary, MatchKind::Exact, MatchKind::Lpm], 8);
+        let s = TableState::new(&t);
+        let groups = |s: &TableState| match s.snapshot().index() {
+            LookupIndex::Tuples { key_count, groups } => {
+                assert_eq!(*key_count, 3);
+                Some(groups.len())
+            }
+            LookupIndex::Scan => None,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(groups(&s), Some(0));
+        let masked = IrPattern::Mask {
+            value: 0x0800,
+            mask: 0xFF00,
+        };
+        for (first, third) in [
+            (masked, IrPattern::Any),
+            (IrPattern::Any, lpm_pattern(0x0A00_0000, 8, 32)),
+            (IrPattern::Value(7), IrPattern::Any),
+            (IrPattern::Value(8), IrPattern::Any),
+        ] {
+            s.install(
+                &t,
+                &a,
+                fwd_entry(vec![first, IrPattern::Value(1), third], 0),
+            )
+            .unwrap();
+        }
+        assert_eq!(groups(&s), Some(3), "two value entries share a group");
+        let range = vec![
+            IrPattern::Range { lo: 1, hi: 9 },
+            IrPattern::Value(1),
+            IrPattern::Any,
+        ];
+        s.install(&t, &a, fwd_entry(range.clone(), 4)).unwrap();
+        assert_eq!(groups(&s), None, "a range pattern has no mask");
+        assert_eq!(s.lookup(&[5, 1, 0]).unwrap().priority, 4);
+        s.remove(&range, 4).unwrap();
+        assert_eq!(groups(&s), Some(3));
+        s.remove(&[masked, IrPattern::Value(1), IrPattern::Any], 0)
+            .unwrap();
+        assert_eq!(groups(&s), Some(2), "an emptied group is dropped");
+
+        // More keys than a group's inline masks hold: the scan.
+        let (t, _) = table_ir_keys(&[MatchKind::Ternary; MAX_TUPLE_KEYS + 1], 8);
         let s = TableState::new(&t);
         assert!(matches!(s.snapshot().index(), LookupIndex::Scan));
+    }
+
+    /// A two-key ternary table with these `(patterns, priority)` entries;
+    /// entry `i` forwards to port `i`.
+    fn ternary_pairs(entries: &[([IrPattern; 2], i32)]) -> TableState {
+        let (t, a) = table_ir_keys(&[MatchKind::Ternary, MatchKind::Ternary], 64);
+        let s = TableState::new(&t);
+        for (i, (patterns, priority)) in entries.iter().enumerate() {
+            let mut entry = fwd_entry(patterns.to_vec(), *priority);
+            entry.action.args = vec![i as u128];
+            s.install(&t, &a, entry).unwrap();
+        }
+        s
+    }
+
+    #[test]
+    fn equal_priority_across_two_groups_earlier_install_wins() {
+        let low = IrPattern::Mask {
+            value: 0x12,
+            mask: 0xFF,
+        };
+        let high = IrPattern::Mask {
+            value: 0x3400,
+            mask: 0xFF00,
+        };
+        // Entries 0 and 1 sit in different groups, match the same keys
+        // and tie on priority: the list's run decides, whichever group is
+        // probed first. Entry 2 outranks both where it matches.
+        for flip in [false, true] {
+            let (first, second) = if flip { (high, low) } else { (low, high) };
+            let s = ternary_pairs(&[
+                ([first, IrPattern::Any], 5),
+                ([second, IrPattern::Any], 5),
+                ([IrPattern::Any, IrPattern::Value(9)], 6),
+            ]);
+            let snap = s.snapshot();
+            assert!(
+                matches!(snap.index(), LookupIndex::Tuples { groups, .. } if groups.len() == 3)
+            );
+            assert_eq!(snap.lookup(&[0x3412, 0]).unwrap().action.args, vec![0]);
+            assert_eq!(snap.lookup(&[0x3412, 9]).unwrap().action.args, vec![2]);
+            assert_eq!(
+                snap.lookup(&[0x3400, 0]).unwrap().action.args,
+                [u128::from(!flip)]
+            );
+            for keys in [[0x3412, 0], [0x3412, 9], [0x3400, 0], [0x12, 9], [0, 0]] {
+                assert_eq!(snap.lookup(&keys), snap.lookup_scan(&keys), "keys {keys:?}");
+            }
+            // The earlier one gone, the later one answers.
+            s.remove(&[first, IrPattern::Any], 5).unwrap();
+            assert_eq!(s.lookup(&[0x3412, 0]).unwrap().action.args, vec![1]);
+        }
+    }
+
+    #[test]
+    fn stray_value_bits_outside_the_mask_land_on_the_masked_twin() {
+        let stray = IrPattern::Mask {
+            value: 0xAB12,
+            mask: 0x00FF,
+        };
+        let clean = IrPattern::Mask {
+            value: 0x0012,
+            mask: 0x00FF,
+        };
+        let s = ternary_pairs(&[
+            ([stray, IrPattern::Value(1)], 3),
+            ([clean, IrPattern::Value(1)], 3),
+            ([clean, IrPattern::Value(1)], 7),
+        ]);
+        let keys_in_one_group = |s: &TableState| match s.snapshot().index() {
+            LookupIndex::Tuples { groups, .. } => {
+                assert_eq!(groups.len(), 1);
+                groups[0].len
+            }
+            other => panic!("{other:?}"),
+        };
+        // One key, one winner, two shadowed behind it.
+        assert_eq!(keys_in_one_group(&s), 1);
+        assert_eq!(s.lookup(&[0xFF12, 1]).unwrap().action.args, vec![2]);
+        // Each spelling is removable as itself, and the key passes on in
+        // list order: the stray-bit entry was installed first.
+        s.remove(&[clean, IrPattern::Value(1)], 7).unwrap();
+        assert_eq!(s.lookup(&[0x12, 1]).unwrap().action.args, vec![0]);
+        assert_eq!(s.remove(&[stray, IrPattern::Value(2)], 3), None);
+        s.remove(&[stray, IrPattern::Value(1)], 3).unwrap();
+        assert_eq!(s.lookup(&[0x12, 1]).unwrap().action.args, vec![1]);
+        assert_eq!(keys_in_one_group(&s), 1);
+        s.remove(&[clean, IrPattern::Value(1)], 3).unwrap();
+        assert!(s.lookup(&[0x12, 1]).is_none());
+        assert!(
+            matches!(s.snapshot().index(), LookupIndex::Tuples { groups, .. } if groups.is_empty())
+        );
+    }
+
+    #[test]
+    fn short_key_slice_falls_back_to_the_scan() {
+        // The zip lets a missing key match vacuously, which no group's
+        // hash can express: fewer keys than the table declares scan.
+        let s = ternary_pairs(&[
+            ([IrPattern::Value(1), IrPattern::Value(2)], 1),
+            ([IrPattern::Value(3), IrPattern::Any], 9),
+        ]);
+        let snap = s.snapshot();
+        assert!(matches!(snap.index(), LookupIndex::Tuples { .. }));
+        assert_eq!(snap.lookup(&[1]).unwrap().action.args, vec![0]);
+        assert_eq!(snap.lookup(&[]).unwrap().action.args, vec![1]);
+        assert!(snap.lookup(&[1, 3]).is_none());
+        for keys in [&[][..], &[1], &[3], &[1, 2], &[1, 3], &[1, 2, 99]] {
+            assert_eq!(snap.lookup(keys), snap.lookup_scan(keys), "keys {keys:?}");
+        }
     }
 
     #[test]
@@ -1423,10 +1966,24 @@ mod tests {
         assert_eq!(s.epoch(), before);
     }
 
-    /// A table of one of six shapes, with the const entries that make
-    /// the last two start life demoted: (4) a masked entry in an exact
-    /// table, (5) a range entry (mixed level) and a two-pattern entry
-    /// (whole index on the scan) in an LPM table.
+    /// Key kinds of the mixed-kind, multi-key shapes (6..): tuple-space
+    /// tables of two to four keys.
+    const MIXED: [&[MatchKind]; 3] = [
+        &[MatchKind::Lpm, MatchKind::Ternary],
+        &[MatchKind::Ternary, MatchKind::Exact, MatchKind::Lpm],
+        &[
+            MatchKind::Ternary,
+            MatchKind::Ternary,
+            MatchKind::Lpm,
+            MatchKind::Exact,
+        ],
+    ];
+    const SHAPES: u8 = 6 + MIXED.len() as u8;
+
+    /// A table of one of [`SHAPES`] shapes, with the const entries that
+    /// make shapes 4 and 5 start life demoted: (4) a masked entry in an
+    /// exact table, (5) a range entry (mixed level) and a two-pattern
+    /// entry (whole index on the scan) in an LPM table.
     fn shaped_table(shape: u8) -> (TableIr, Vec<ActionIr>) {
         let odd = |patterns: Vec<IrPattern>, priority: i32| ir::IrEntry {
             patterns,
@@ -1448,6 +2005,7 @@ mod tests {
                 };
                 (&[MatchKind::Exact], vec![odd(vec![masked], 1)])
             }
+            6.. => (MIXED[usize::from(shape) - 6], vec![]),
             _ => (
                 &[MatchKind::Lpm],
                 vec![
@@ -1462,10 +2020,33 @@ mod tests {
     }
 
     /// One installable entry for `shape`, from small domains so that
-    /// duplicate keys meet at equal and at higher priority.
+    /// duplicate keys meet at equal and at higher priority — for the
+    /// mixed shapes inside one mask tuple's group and across groups.
     fn shaped_entry(shape: u8, sel: u8, x: u32, y: u32, p: u8) -> RuntimeEntry {
         let small = IrPattern::Value(u128::from(x % 12));
         let (patterns, priority) = match shape {
+            6.. => {
+                // Per key: two bits of `y` pick the mask, two of `x` the
+                // value (stray bits outside the mask included). Now and
+                // then a ternary key takes a range, which demotes the
+                // table until that entry is removed again.
+                const MASKS: [u128; 4] = [0, 0x1, 0x6, u128::MAX];
+                let kinds = MIXED[usize::from(shape) - 6];
+                let patterns = kinds.iter().enumerate().map(|(i, kind)| {
+                    let value = u128::from(x >> (2 * i) & 3);
+                    match (kind, MASKS[(y >> (2 * i) & 3) as usize]) {
+                        (MatchKind::Exact, _) => IrPattern::Value(value % 2),
+                        (MatchKind::Ternary, _) if sel == 8 && p >= 4 => IrPattern::Range {
+                            lo: value,
+                            hi: value + 1,
+                        },
+                        (_, 0) if x & 0x100 == 0 => IrPattern::Any,
+                        (_, u128::MAX) if x & 0x200 == 0 => IrPattern::Value(value),
+                        (_, mask) => IrPattern::Mask { value, mask },
+                    }
+                });
+                (patterns.collect(), i32::from(p % 3))
+            }
             0 | 4 => (vec![small], i32::from(p % 3)),
             1 => (
                 vec![small, IrPattern::Value(u128::from(y % 3))],
@@ -1507,7 +2088,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        // 256 cases per table shape.
+        #![proptest_config(proptest::ProptestConfig::with_cases(256 * SHAPES as u32))]
 
         /// The incrementally maintained snapshot equals the from-scratch
         /// fold over the same entries after every step of a random
@@ -1518,7 +2100,7 @@ mod tests {
         /// written over the test's own model.
         #[test]
         fn incremental_snapshot_equals_the_from_scratch_fold(
-            shape in 0u8..6,
+            shape in 0u8..SHAPES,
             ops in proptest::collection::vec(
                 (0u8..16, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>(), 0u8..6),
                 1..64,
@@ -1599,7 +2181,10 @@ mod tests {
                 prop_assert_eq!(current.entries().collect::<Vec<_>>(), sorted.clone());
                 let keys = probes.iter().map(|k| u128::from(*k)).chain(0..12);
                 for k in keys {
-                    for keys in [&[k, 1][..], &[k][..], &[][..]] {
+                    // Every prefix of a four-key probe: the declared
+                    // count, more, and fewer (the zip's vacuous match).
+                    let full = [k % 8, 1, k >> 3 & 3, k >> 5 & 1];
+                    for keys in [&[k, 1][..], &[k], &[], &full, &full[..3], &full[..2]] {
                         let want = sorted
                             .iter()
                             .find(|e| e.patterns.iter().zip(keys).all(|(p, k)| p.matches(*k)));

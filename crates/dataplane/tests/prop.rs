@@ -404,26 +404,60 @@ fn assert_index_matches_oracle(
 }
 
 proptest! {
+    // 256 cases per table shape of `index_matches_scan_for_arbitrary_entries`.
+    #![proptest_config(ProptestConfig::with_cases(6 * 256))]
+
     /// The compiled lookup index is bit-identical to the seed linear scan
-    /// for arbitrary single-key entry sets of every match kind —
-    /// duplicate keys, priority ties (earlier install wins, pinned in
-    /// `table.rs` unit tests), unconventional LPM priorities — and for
-    /// arbitrary key streams, across install/remove/clear republications
-    /// (each of which recompiles the index).
+    /// for arbitrary entry sets of every match kind — single-key exact,
+    /// LPM and ternary tables, and two- to four-key tables mixing the
+    /// three (the tuple-space index, with the occasional range pattern
+    /// that demotes it) — with duplicate keys, priority ties (earlier
+    /// install wins, pinned in `table.rs` unit tests), unconventional LPM
+    /// priorities, and for arbitrary key streams, across
+    /// install/remove/clear republications (each of which maintains the
+    /// index).
     #[test]
     fn index_matches_scan_for_arbitrary_entries(
-        kind_sel in 0u8..3,
+        kind_sel in 0usize..6,
         raw in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>(), 0u8..4), 1..48),
         raw_keys in proptest::collection::vec(any::<u32>(), 1..24),
         removals in 0usize..8,
     ) {
-        let kind = [MatchKind::Exact, MatchKind::Lpm, MatchKind::Ternary][kind_sel as usize];
-        let (t, a) = standalone_table(&[kind]);
+        const KINDS: [&[MatchKind]; 6] = [
+            &[MatchKind::Exact],
+            &[MatchKind::Lpm],
+            &[MatchKind::Ternary],
+            &[MatchKind::Lpm, MatchKind::Ternary],
+            &[MatchKind::Ternary, MatchKind::Exact, MatchKind::Lpm],
+            &[MatchKind::Ternary, MatchKind::Ternary, MatchKind::Lpm, MatchKind::Exact],
+        ];
+        let kinds = KINDS[kind_sel];
+        let kind = kinds[0];
+        let (t, a) = standalone_table(kinds);
         let s = TableState::new(&t);
-        let mut installed: Vec<(IrPattern, i32)> = Vec::new();
+        let mut installed: Vec<(Vec<IrPattern>, i32)> = Vec::new();
         for &(sel, x, y, p) in &raw {
             // Small domains force duplicate keys and priority ties.
-            let (pattern, priority) = match kind {
+            let (patterns, priority) = if kinds.len() > 1 {
+                // Per key: a mask from a four-value alphabet (two bits of
+                // `y`) and a two-bit value, stray bits included; one
+                // install in 24 puts a range on a ternary key.
+                const MASKS: [u128; 4] = [0, 0x1, 0x6, u128::MAX];
+                let patterns = kinds.iter().enumerate().map(|(i, kind)| {
+                    let value = u128::from(x >> (2 * i) & 3);
+                    match (kind, MASKS[(y >> (2 * i) & 3) as usize]) {
+                        (MatchKind::Exact, _) => IrPattern::Value(value % 2),
+                        (MatchKind::Ternary, _) if sel == 5 && p == 3 => {
+                            IrPattern::Range { lo: value, hi: value + 1 }
+                        }
+                        (_, 0) if x & 0x100 == 0 => IrPattern::Any,
+                        (_, u128::MAX) if x & 0x200 == 0 => IrPattern::Value(value),
+                        (_, mask) => IrPattern::Mask { value, mask },
+                    }
+                });
+                (patterns.collect(), i32::from(p))
+            } else {
+                let (pattern, priority) = match kind {
                 MatchKind::Exact => (IrPattern::Value(u128::from(x % 24)), i32::from(p)),
                 MatchKind::Lpm => {
                     let len = (y % 33) as u16;
@@ -446,37 +480,111 @@ proptest! {
                     };
                     (pattern, i32::from(p))
                 }
+                };
+                (vec![pattern], priority)
             };
             s.install(
                 &t,
                 &a,
                 RuntimeEntry {
-                    patterns: vec![pattern],
+                    patterns: patterns.clone(),
                     action: ActionCall { action: 0, args: vec![u128::from(x)] },
                     priority,
                 },
             )
             .unwrap();
-            installed.push((pattern, priority));
+            installed.push((patterns, priority));
         }
-        // Probe with the raw keys plus the small exact domain (hits).
+        // Probe with the raw keys plus the small exact domain (hits); the
+        // further keys of a multi-key table come from the key's own bits
+        // (a single-key table ignores them, as the scan's zip does), and
+        // every other probe is cut short of the declared key count.
         let probes: Vec<Vec<u128>> = raw_keys
             .iter()
-            .map(|k| vec![u128::from(*k)])
-            .chain((0..24).map(|k| vec![k]))
+            .map(|k| u128::from(*k))
+            .chain(0..24)
+            .enumerate()
+            .map(|(i, k)| {
+                let tuple = [k & 7, k >> 3 & 3, k >> 5 & 3, k >> 7 & 1];
+                let full = if kinds.len() > 1 { tuple.to_vec() } else { vec![k] };
+                let cut = if i % 2 == 1 { i % full.len() } else { full.len() };
+                full[..cut.max(1)].to_vec()
+            })
             .collect();
         assert_index_matches_oracle(&s.snapshot(), &probes)?;
 
-        // Republication: removals recompile the index; equivalence holds
+        // Republication: removals maintain the index; equivalence holds
         // at every epoch.
-        for (pattern, priority) in installed.iter().take(removals) {
-            s.remove(&[*pattern], *priority);
+        for (patterns, priority) in installed.iter().take(removals) {
+            s.remove(patterns, *priority);
+            assert_index_matches_oracle(&s.snapshot(), &probes)?;
         }
-        assert_index_matches_oracle(&s.snapshot(), &probes)?;
         s.clear();
         assert_index_matches_oracle(&s.snapshot(), &probes)?;
     }
 
+    /// The same oracle on a four-key ternary table (`acl_firewall`) whose
+    /// entries spread over many mask tuples: per key a mask from a small
+    /// alphabet, values and priorities from small domains, so equal keys
+    /// meet inside one tuple's group and across groups, at equal priority
+    /// (earlier install wins) and at higher. End to end through parse,
+    /// the tuple-space index and the action.
+    #[test]
+    fn ternary_priority_oracle_multi_key(
+        entries in proptest::collection::vec(
+            (any::<u16>(), any::<u8>(), 0i32..4), 1..24),
+        keys in proptest::collection::vec(any::<u8>(), 1..12),
+    ) {
+        const MASKS: [u32; 4] = [0, 0x0000_00FF, 0xFFFF_FF00, 0xFFFF_FFFF];
+        let pattern = |value: u32, mask: u32| match mask {
+            0 => IrPattern::Any,
+            mask => IrPattern::Mask { value: u128::from(value), mask: u128::from(mask) },
+        };
+        // Key bytes come from {0, 1, 2, 3}: src = dst = 10.0.b.b.
+        let addr = |b: u16| 0x0A00_0000 | u32::from(b & 3) << 8 | u32::from(b & 3);
+        let ir = netdebug_p4::compile(corpus::ACL_FIREWALL).unwrap();
+        let mut dp = Dataplane::new(ir);
+        let mut rules = Vec::new();
+        for (i, &(bits, masks, priority)) in entries.iter().enumerate() {
+            let masks = usize::from(masks);
+            let patterns = vec![
+                pattern(addr(bits), MASKS[masks & 3]),
+                pattern(addr(bits >> 2), MASKS[masks >> 2 & 3]),
+                if masks & 16 == 0 { IrPattern::Value(17) } else { IrPattern::Any },
+                pattern(u32::from(bits >> 4 & 3), [0, 0xFFFF][masks >> 5 & 1]),
+            ];
+            dp.install("acl", patterns.clone(), "allow", vec![(i % 8) as u128], priority)
+                .unwrap();
+            rules.push((patterns, priority, i % 8));
+        }
+        // List order: priority descending, install order among equals.
+        let mut sorted: Vec<_> = rules.iter().collect();
+        sorted.sort_by_key(|(_, priority, _)| core::cmp::Reverse(*priority));
+        for key in keys {
+            let (src, dst, dport) = (addr(u16::from(key)), addr(u16::from(key >> 2)), key >> 4 & 3);
+            let frame = PacketBuilder::ethernet(
+                EthernetAddress::new(2, 0, 0, 0, 0, 1),
+                EthernetAddress::new(2, 0, 0, 0, 0, 2),
+            )
+            .ipv4(Ipv4Address::from_u32(src), Ipv4Address::from_u32(dst))
+            .udp(999, u16::from(dport))
+            .build();
+            let tuple = [u128::from(src), u128::from(dst), 17, u128::from(dport)];
+            let winner = sorted
+                .iter()
+                .find(|(patterns, _, _)| patterns.iter().zip(tuple).all(|(p, k)| p.matches(k)));
+            match (winner, dp.process_untraced(0, &frame, 0)) {
+                (Some((_, _, port)), Verdict::Forward { port: got, .. }) => {
+                    prop_assert_eq!(usize::from(got), *port);
+                }
+                (None, Verdict::Drop(_)) => {}
+                (want, got) => prop_assert!(false, "oracle {:?}, dataplane {:?}", want, got),
+            }
+        }
+    }
+}
+
+proptest! {
     /// Multi-key all-exact tables (the packed-tuple hash) agree with the
     /// scan for arbitrary tuples, duplicates and ties.
     #[test]

@@ -1,7 +1,9 @@
 //! What a publication costs, counted instead of timed: an unpinned
 //! snapshot is edited in place (same `Arc`, a constant number of
 //! allocations per install however many entries are resident), a pinned
-//! one is copied exactly once, by reference count rather than by value.
+//! one is copied exactly once, by reference count rather than by value —
+//! on an exact table (one hash map) and on a four-key ternary one (a
+//! tuple-space group per mask tuple, which stores no key).
 //!
 //! Its own test binary because it installs a counting global allocator;
 //! one `#[test]` so nothing else allocates while it counts.
@@ -42,6 +44,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 fn exact_table(size: u64) -> (TableIr, Vec<ActionIr>) {
+    table(&[MatchKind::Exact], size)
+}
+
+fn table(kinds: &[MatchKind], size: u64) -> (TableIr, Vec<ActionIr>) {
     let actions = vec![ActionIr {
         name: "fwd".into(),
         control: "I".into(),
@@ -51,11 +57,14 @@ fn exact_table(size: u64) -> (TableIr, Vec<ActionIr>) {
     let table = TableIr {
         name: "t".into(),
         control: "I".into(),
-        keys: vec![TableKey {
-            expr: IrExpr::konst(0, 48),
-            kind: MatchKind::Exact,
-            width: 48,
-        }],
+        keys: kinds
+            .iter()
+            .map(|&kind| TableKey {
+                expr: IrExpr::konst(0, 48),
+                kind,
+                width: 48,
+            })
+            .collect(),
         actions: vec![0],
         default_action: ActionCall {
             action: 0,
@@ -76,6 +85,68 @@ fn entry(key: u128) -> RuntimeEntry {
         },
         priority: 0,
     }
+}
+
+/// Ternary rule `i` of a four-key table: one of eight mask tuples, dealt
+/// round-robin, at its own priority.
+fn rule(i: u128) -> RuntimeEntry {
+    let masked = |value: u128, wild: bool| match wild {
+        true => IrPattern::Any,
+        false => IrPattern::Mask {
+            value,
+            mask: 0xFFFF_FF00,
+        },
+    };
+    RuntimeEntry {
+        patterns: vec![
+            masked(i << 8, i & 1 != 0),
+            masked(i << 12, i & 2 != 0),
+            IrPattern::Value(i % 3),
+            masked(i << 9, i & 4 != 0),
+        ],
+        action: ActionCall {
+            action: 0,
+            args: vec![i % 8],
+        },
+        priority: i as i32,
+    }
+}
+
+/// Allocations of `fresh` unpinned installs into, then removals from, a
+/// ternary table of `resident` rules over eight mask tuples — taken
+/// after one untimed round of the same installs and removals, so the
+/// list and the groups sit at their steady capacity.
+fn ternary_churn_allocs(resident: u128, fresh: u128) -> (u64, u64) {
+    let (t, a) = table(&[MatchKind::Ternary; 4], 1 << 16);
+    let s = TableState::new(&t);
+    (0..resident).for_each(|i| {
+        s.install(&t, &a, rule(i)).unwrap();
+    });
+    let home = Arc::as_ptr(&s.snapshot());
+    let churn = || {
+        // The rules are built outside the count: what remains is what
+        // the table itself allocates.
+        let rules: Vec<RuntimeEntry> = (resident..resident + fresh).map(rule).collect();
+        let installs = allocs_in(|| {
+            for rule in rules.clone() {
+                s.install(&t, &a, rule).unwrap();
+            }
+        });
+        // Cloning `fresh` rules: the list, and a pattern and an
+        // argument list each.
+        let installs = installs - (1 + 2 * fresh as u64);
+        let removes = allocs_in(|| {
+            for rule in &rules {
+                s.remove(&rule.patterns, rule.priority).unwrap();
+            }
+        });
+        (installs, removes)
+    };
+    churn();
+    let counted = churn();
+    assert_eq!(Arc::as_ptr(&s.snapshot()), home, "edited in place");
+    assert_eq!(s.len() as u128, resident);
+    counted
 }
 
 /// Allocations made by `body`.
@@ -155,4 +226,48 @@ fn publication_costs_the_change_not_the_table() {
         pin.lookup(&[7]).unwrap(),
         s.snapshot().lookup(&[7]).unwrap()
     ));
+
+    // A ternary table: the same constant at 4 096 resident rules as at
+    // 16, and that constant is the entry's own shared cell — a group
+    // stores no key, an install or a removal builds none to find its
+    // group or its bucket, and a removal allocates nothing at all.
+    const FRESH: u128 = 64;
+    for resident in [16, 4096] {
+        let (installs, removes) = ternary_churn_allocs(resident, FRESH);
+        assert_eq!(
+            installs, FRESH as u64,
+            "{FRESH} ternary installs into {resident} resident rules"
+        );
+        assert_eq!(
+            removes, 0,
+            "a ternary removal from {resident} resident rules allocated"
+        );
+    }
+
+    // Pinned: one copy — the snapshot's cell, the list (which then grows
+    // for the new rule), the group list and one bucket array per group —
+    // and in place again after it.
+    let (t, a) = table(&[MatchKind::Ternary; 4], 1 << 16);
+    let s = TableState::new(&t);
+    (0..4096).for_each(|i| {
+        s.install(&t, &a, rule(i)).unwrap();
+    });
+    let pin = s.snapshot();
+    let first = allocs_in(|| {
+        s.install(&t, &a, rule(5000)).unwrap();
+    });
+    assert!(
+        first <= 3 + 4 + 8,
+        "{first} allocations to copy 4096 rules in 8 groups"
+    );
+    let rest = allocs_in(|| {
+        for i in 5001..5010 {
+            s.install(&t, &a, rule(i)).unwrap();
+        }
+    });
+    assert_eq!(rest, 3 * 9, "9 installs after the copy");
+    assert_eq!(pin.len(), 4096);
+    let keys = [5000 << 8, 5000 << 12, 5000 % 3, 5000 << 9];
+    assert!(pin.lookup(&keys).unwrap().priority < 4096);
+    assert_eq!(s.lookup(&keys).unwrap().priority, 5000);
 }

@@ -578,7 +578,8 @@ pub enum KeySignature {
     /// probes descending prefix lengths (longest prefix first).
     SingleLpm,
     /// Anything else — ternary or range keys, or mixed kinds: resolved by
-    /// a priority-ordered scan.
+    /// priority, through one hash per mask tuple while every entry is
+    /// maskable and by the priority-ordered scan otherwise.
     Generic,
 }
 

@@ -432,10 +432,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"fault_storm\",\n  \"meta\": {},\n  \"overhead_gate_pct\": {OVERHEAD_GATE_PCT},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(
-            packets as usize,
-            &netdebug_dataplane::PassConfig::default().to_string(),
-        ),
+        netdebug_bench::meta_json(packets as usize),
         json_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault.json");

@@ -268,10 +268,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"fleet_rate\",\n  \"meta\": {},\n  \"devices\": {DEVICES},\n  \"flows_per_device\": {FLOWS_PER_DEVICE},\n  \"frames_per_flow\": {FRAMES_PER_FLOW},\n  \"workers\": {WORKERS},\n  \"results\": [\n{}\n  ],\n  \"runtime\": {{\"instants\": {}, \"dispatches\": {}, \"mean_batch\": {:.2}, \"max_batch\": {}, \"max_ready_depth\": {}, \"wheel_cascades\": {}}}\n}}\n",
-        netdebug_bench::meta_json(
-            FLOWS_PER_DEVICE * FRAMES_PER_FLOW as usize,
-            &netdebug_dataplane::PassConfig::default().to_string(),
-        ),
+        netdebug_bench::meta_json(FLOWS_PER_DEVICE * FRAMES_PER_FLOW as usize),
         json_rows.join(",\n"),
         stats.instants,
         stats.dispatches,

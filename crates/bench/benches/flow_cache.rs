@@ -431,10 +431,9 @@ fn main() {
         }
     }
 
-    let passes = switch(false).passes().to_string();
     let json = format!(
         "{{\n  \"experiment\": \"flow_cache\",\n  \"meta\": {},\n  \"programs\": [\"l2_switch\", \"exact_router\"],\n  \"batch\": {BATCH},\n  \"rounds\": {ROUNDS},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(BATCH, &passes),
+        netdebug_bench::meta_json(BATCH),
         json_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flowcache.json");

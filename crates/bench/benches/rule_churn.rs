@@ -356,7 +356,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"rule_churn\",\n  \"meta\": {},\n  \"batch\": {BATCH},\n  \"rounds\": {ROUNDS},\n  \"installs_per_round\": {INSTALLS_PER_ROUND},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(BATCH, &netdebug_dataplane::PassConfig::default().to_string()),
+        netdebug_bench::meta_json(BATCH),
         json_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_churn.json");

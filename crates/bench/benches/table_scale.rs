@@ -324,7 +324,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"table_scale\",\n  \"meta\": {},\n  \"probes\": {PROBES},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(PROBES, &netdebug_dataplane::PassConfig::default().to_string()),
+        netdebug_bench::meta_json(PROBES),
         json_rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lookup.json");

@@ -71,11 +71,11 @@ pub fn git_rev() -> String {
 
 /// The shared metadata block every `BENCH_*.json` artifact embeds as its
 /// `"meta"` member: host cores, the bench's batch size (or equivalent
-/// work unit), the active optimization-pass configuration and the git
-/// revision — enough to judge whether two artifacts are comparable.
-pub fn meta_json(batch: usize, passes: &str) -> String {
+/// work unit) and the git revision — enough to judge whether two
+/// artifacts are comparable.
+pub fn meta_json(batch: usize) -> String {
     format!(
-        "{{\"cores\": {}, \"batch\": {batch}, \"passes\": \"{passes}\", \"git_rev\": \"{}\"}}",
+        "{{\"cores\": {}, \"batch\": {batch}, \"git_rev\": \"{}\"}}",
         host_cores(),
         git_rev()
     )

@@ -16,6 +16,10 @@
 //!   keys are already on the stack, the matched action's body is entered
 //!   by jumping to its pre-compiled address (actions cannot apply tables,
 //!   so a single link register replaces a call stack);
+//! * where the IR shape in hand has a fused form — a constant right
+//!   operand, a comparison under an `if`, a one-header-field table key —
+//!   that superinstruction is emitted in place of the generic sequence
+//!   (nothing rewrites the code afterwards);
 //! * header extraction and deparsing run from per-header
 //!   `HeaderPlan`s: a header always starts on a byte, so each field's
 //!   byte span, shift and mask relative to the header start are resolved
@@ -38,7 +42,6 @@ use crate::bits::FieldPlan;
 use crate::cache::MissRecord;
 use crate::externs::ExternState;
 use crate::interp::{Env, TablesRef, FLOOD_PORT, PARSER_STATE_BUDGET};
-use crate::opt::PassConfig;
 use crate::table::TableStats;
 use crate::trace::{DropReason, TraceBuf, TraceName, TraceTables, Verdict};
 use netdebug_p4::ast::{BinOp, UnOp};
@@ -166,28 +169,25 @@ pub enum OpCode {
     /// Pipeline epilogue: drop checks, deparse, verdict. Terminal.
     Finish,
 
-    // -------- optimizer-introduced --------
-    /// No-op: a pass-eliminated instruction awaiting compaction. Never
-    /// present in a finished [`CompiledProgram`] (the optimizer compacts
-    /// after every pass), but executable all the same.
-    Nop,
-    /// Superinstruction `push-const + binop`: replaces the top of stack
-    /// `x` with `op(x, k)` at the given width — one dispatch instead of
-    /// a push and a pop.
+    // -------- superinstructions (selected by the lowering) --------
+    /// Superinstruction `push-const + binop`, selected for a binary
+    /// expression whose right operand is a constant: replaces the top of
+    /// stack `x` with `op(x, k)` at the given width — one dispatch
+    /// instead of a push and a pop.
     ConstBin(BinOp, u16, u128),
-    /// Superinstruction `compare + branch`: pops rhs then lhs, jumps to
-    /// the target when `op(lhs, rhs)` is zero. Fused from
-    /// [`OpCode::Bin`] + [`OpCode::BranchIfZero`]; nothing is pushed.
+    /// Superinstruction `compare + branch`, selected for an `if` whose
+    /// condition is a binary expression: pops rhs then lhs, jumps to the
+    /// target when `op(lhs, rhs)` is zero; nothing is pushed.
     CmpBranch(BinOp, u16, u32),
-    /// Superinstruction `compare-with-constant + branch`: pops the lhs,
-    /// jumps to the target when `op(lhs, k)` is zero. The second fusion
-    /// step of `Const; Bin; BranchIfZero`.
+    /// Superinstruction `compare-with-constant + branch`, selected when
+    /// that condition's right operand is a constant: pops the lhs, jumps
+    /// to the target when `op(lhs, k)` is zero.
     ConstCmpBranch(BinOp, u16, u128, u32),
-    /// Superinstruction `extract-field + apply`: evaluates a single
-    /// header-field key (0 when the header is invalid, as
-    /// [`OpCode::LoadField`] defines) straight into the key scratch and
-    /// applies the table — the l2_switch/corpus hot pair, skipping the
-    /// value stack entirely.
+    /// Superinstruction `load-field + apply`, selected for a table whose
+    /// single key is a header field: evaluates the key (0 when the header
+    /// is invalid, as [`OpCode::LoadField`] defines) straight into the
+    /// key scratch and applies the table — the l2_switch/corpus hot
+    /// pair, skipping the value stack entirely.
     FieldApply {
         /// Header id of the key field.
         h: u32,
@@ -239,33 +239,14 @@ pub struct CompiledProgram {
     /// indexed by the corresponding IR id — the tables a `LazyTrace`
     /// resolves flat record ids against.
     pub(crate) names: TraceTables,
-    /// The optimization passes this program was compiled with
-    /// (observability: the disassembly header and bench metadata report
-    /// it).
-    pub(crate) passes: PassConfig,
 }
 
 impl CompiledProgram {
-    /// Lower `prog` into the flat engine and run the default optimization
-    /// pipeline over it. Called once per [`crate::Dataplane`]
-    /// construction; the result is immutable and shared (`Arc`) across
-    /// clones.
+    /// Lower `prog` into the flat engine. Called once per
+    /// [`crate::Dataplane`] construction; the result is immutable and
+    /// shared (`Arc`) across clones.
     pub fn compile(prog: &ir::Program) -> CompiledProgram {
-        Self::compile_with(prog, PassConfig::default())
-    }
-
-    /// Lower `prog` and run only the optimization passes enabled in
-    /// `passes` ([`PassConfig::none`] yields the raw lowering).
-    pub fn compile_with(prog: &ir::Program, passes: PassConfig) -> CompiledProgram {
-        let mut cp = Compiler::new(prog).run();
-        crate::opt::optimize(&mut cp, passes);
-        cp.passes = passes;
-        cp
-    }
-
-    /// The optimization passes this program was compiled with.
-    pub fn passes(&self) -> PassConfig {
-        self.passes
+        Compiler::new(prog).run()
     }
 
     /// Number of flat instructions (observability for tests/benches).
@@ -461,7 +442,6 @@ impl<'p> Compiler<'p> {
                 actions: prog.actions.iter().map(|a| intern(&a.name)).collect(),
                 headers: prog.headers.iter().map(|h| intern(&h.name)).collect(),
             },
-            passes: PassConfig::none(),
         }
     }
 
@@ -476,23 +456,36 @@ impl<'p> Compiler<'p> {
             match stmt {
                 IrStmt::ApplyTable { table, hit_into } => {
                     let keys = &self.prog.tables[*table].keys;
-                    for k in keys {
-                        self.emit_expr(&k.expr);
+                    let tid = *table as u32;
+                    let hit_into = hit_into.map_or(NO_HIT_LOCAL, |l| l as u32);
+                    match keys.as_slice() {
+                        [ir::TableKey {
+                            expr: IrExpr::Field(h, f),
+                            ..
+                        }] => self.code.push(OpCode::FieldApply {
+                            h: *h as u32,
+                            f: *f as u32,
+                            tid,
+                            hit_into,
+                        }),
+                        _ => {
+                            for k in keys {
+                                self.emit_expr(&k.expr);
+                            }
+                            self.code.push(OpCode::Apply {
+                                tid,
+                                nkeys: keys.len() as u16,
+                                hit_into,
+                            });
+                        }
                     }
-                    self.code.push(OpCode::Apply {
-                        tid: *table as u32,
-                        nkeys: keys.len() as u16,
-                        hit_into: hit_into.map_or(NO_HIT_LOCAL, |l| l as u32),
-                    });
                 }
                 IrStmt::If {
                     cond,
                     then_branch,
                     else_branch,
                 } => {
-                    self.emit_expr(cond);
-                    let br = self.code.len();
-                    self.code.push(OpCode::BranchIfZero(u32::MAX));
+                    let br = self.emit_branch(cond);
                     self.emit_block(then_branch);
                     if else_branch.is_empty() {
                         let end = self.code.len() as u32;
@@ -516,9 +509,45 @@ impl<'p> Compiler<'p> {
         }
     }
 
+    /// Emit `cond` and the branch taken when it is zero, comparing in the
+    /// branch itself when the condition is a binary expression. Returns
+    /// the branch's index for [`Self::patch_jump`].
+    fn emit_branch(&mut self, cond: &IrExpr) -> usize {
+        let branch = match cond {
+            IrExpr::Bin { op, a, b, width } if *op != BinOp::Concat => {
+                self.emit_expr(a);
+                match self.emit_rhs(b) {
+                    Some(k) => OpCode::ConstCmpBranch(*op, *width, k, u32::MAX),
+                    None => OpCode::CmpBranch(*op, *width, u32::MAX),
+                }
+            }
+            _ => {
+                self.emit_expr(cond);
+                OpCode::BranchIfZero(u32::MAX)
+            }
+        };
+        self.code.push(branch);
+        self.code.len() - 1
+    }
+
+    /// A constant right operand rides in the instruction: returns it, or
+    /// emits `b` and returns `None`.
+    fn emit_rhs(&mut self, b: &IrExpr) -> Option<u128> {
+        match *b {
+            IrExpr::Const { value, .. } => Some(value),
+            _ => {
+                self.emit_expr(b);
+                None
+            }
+        }
+    }
+
     fn patch_jump(&mut self, at: usize, target: u32) {
         match &mut self.code[at] {
-            OpCode::Jump(t) | OpCode::BranchIfZero(t) => *t = target,
+            OpCode::Jump(t)
+            | OpCode::BranchIfZero(t)
+            | OpCode::CmpBranch(_, _, t)
+            | OpCode::ConstCmpBranch(_, _, _, t) => *t = target,
             other => unreachable!("patch on non-jump {other:?}"),
         }
     }
@@ -581,8 +610,11 @@ impl<'p> Compiler<'p> {
             }
             IrExpr::Bin { op, a, b, width } => {
                 self.emit_expr(a);
-                self.emit_expr(b);
-                self.code.push(OpCode::Bin(*op, *width));
+                let bin = match self.emit_rhs(b) {
+                    Some(k) => OpCode::ConstBin(*op, *width, k),
+                    None => OpCode::Bin(*op, *width),
+                };
+                self.code.push(bin);
             }
             IrExpr::Slice { base, hi, lo } => {
                 self.emit_expr(base);
@@ -764,7 +796,6 @@ pub(crate) fn exec(
             }
 
             // -------- superinstructions --------
-            OpCode::Nop => {}
             OpCode::ConstBin(op, w, k) => {
                 let x = env.stack.last_mut().expect("const-bin lhs");
                 *x = bin_op(op, *x, k, w);
@@ -1029,10 +1060,9 @@ fn apply_keys(
     aid
 }
 
-/// Binary operator semantics, shared verbatim with the reference `eval`
-/// (and reused by the optimizer's constant folder).
+/// Binary operator semantics, shared verbatim with the reference `eval`.
 #[inline]
-pub(crate) fn bin_op(op: BinOp, x: u128, y: u128, w: u16) -> u128 {
+fn bin_op(op: BinOp, x: u128, y: u128, w: u16) -> u128 {
     match op {
         BinOp::Add => truncate(x.wrapping_add(y), w),
         BinOp::Sub => truncate(x.wrapping_sub(y), w),
@@ -1098,91 +1128,93 @@ mod tests {
     use netdebug_p4::corpus;
 
     /// Every corpus program lowers to a flat program whose action table
-    /// and name tables line up with the IR — raw and under every single
-    /// optimization pass, with no `Nop` residue and all targets in range.
+    /// and name tables line up with the IR, with all targets in range.
     #[test]
     fn corpus_compiles_flat() {
-        let configs = [
-            PassConfig::none(),
-            PassConfig {
-                const_fold: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                dead_store: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                fuse: true,
-                ..PassConfig::none()
-            },
-            PassConfig {
-                jump_thread: true,
-                ..PassConfig::none()
-            },
-            PassConfig::default(),
-        ];
         for prog in corpus::corpus() {
             let ir = netdebug_p4::compile(prog.source).unwrap();
-            for passes in configs {
-                let cp = CompiledProgram::compile_with(&ir, passes);
-                assert!(cp.code_len() > 0, "{}: empty code", prog.name);
-                assert_eq!(cp.action_pcs.len(), ir.actions.len(), "{}", prog.name);
-                assert_eq!(cp.names.tables.len(), ir.tables.len(), "{}", prog.name);
-                assert_eq!(
-                    cp.names.states.len(),
-                    ir.parser.states.len(),
-                    "{}",
-                    prog.name
-                );
-                // Every jump/branch/action target lands inside the code,
-                // and compaction left no Nops behind.
-                let len = cp.code_len() as u32;
-                for op in &cp.code {
-                    match *op {
-                        OpCode::Jump(t)
-                        | OpCode::BranchIfZero(t)
-                        | OpCode::Exit(t)
-                        | OpCode::CmpBranch(_, _, t)
-                        | OpCode::ConstCmpBranch(_, _, _, t) => {
-                            assert!(t < len, "{}: target {t} out of range", prog.name)
-                        }
-                        OpCode::Nop => panic!("{}: Nop residue after optimize", prog.name),
-                        _ => {}
+            let cp = CompiledProgram::compile(&ir);
+            assert!(cp.code_len() > 0, "{}: empty code", prog.name);
+            assert_eq!(cp.action_pcs.len(), ir.actions.len(), "{}", prog.name);
+            assert_eq!(cp.names.tables.len(), ir.tables.len(), "{}", prog.name);
+            assert_eq!(
+                cp.names.states.len(),
+                ir.parser.states.len(),
+                "{}",
+                prog.name
+            );
+            // Every jump/branch/action target lands inside the code.
+            let len = cp.code_len() as u32;
+            for op in &cp.code {
+                match *op {
+                    OpCode::Jump(t)
+                    | OpCode::BranchIfZero(t)
+                    | OpCode::Exit(t)
+                    | OpCode::CmpBranch(_, _, t)
+                    | OpCode::ConstCmpBranch(_, _, _, t) => {
+                        assert!(t < len, "{}: target {t} out of range", prog.name)
                     }
+                    _ => {}
                 }
-                for sel in &cp.selects {
-                    assert!(sel.default < len, "{}: select default", prog.name);
-                    for (_, t) in &sel.arms {
-                        assert!(*t < len, "{}: select arm", prog.name);
-                    }
+            }
+            for sel in &cp.selects {
+                assert!(sel.default < len, "{}: select default", prog.name);
+                for (_, t) in &sel.arms {
+                    assert!(*t < len, "{}: select arm", prog.name);
                 }
-                for &a in &cp.action_pcs {
-                    assert!(a < len, "{}: action pc", prog.name);
-                }
+            }
+            for &a in &cp.action_pcs {
+                assert!(a < len, "{}: action pc", prog.name);
             }
         }
     }
 
-    /// The optimizer actually shrinks the hot corpus programs, and the
-    /// fused extract+apply superinstruction appears in l2_switch.
+    /// Which opcode each IR shape selects, pinned on a program with one
+    /// statement per shape (pcs as `disassemble` prints them).
     #[test]
-    fn optimizer_shrinks_and_fuses() {
-        let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
-        let raw = CompiledProgram::compile_with(&ir, PassConfig::none());
-        let opt = CompiledProgram::compile_with(&ir, PassConfig::default());
-        assert!(
-            opt.code_len() < raw.code_len(),
-            "optimizer did not shrink l2_switch: {} -> {}",
-            raw.code_len(),
-            opt.code_len()
+    fn selection_is_pinned() {
+        use BinOp::{Add, Eq, Lt, Sub};
+        use OpCode::*;
+        let ir = netdebug_p4::compile(include_str!("../tests/selection_shapes.p4")).unwrap();
+        let code = CompiledProgram::compile(&ir).code;
+        let (a, b, x) = (LoadField(0, 0), LoadField(0, 1), LoadField(0, 2));
+        // `if (a == b)`: the comparison is the branch.
+        assert_eq!(code[8..11], [a, b, CmpBranch(Eq, 1, 13)]);
+        // `if (a < 5)`: so is the constant.
+        assert_eq!(code[13..15], [a, ConstCmpBranch(Lt, 1, 5, 18)]);
+        // `if (5 < b)`: a constant on the left stays a push.
+        assert_eq!(code[18..21], [Const(5), b, CmpBranch(Lt, 1, 24)]);
+        // `x = 1 - x` against `x = x - 1`.
+        assert_eq!(code[24..27], [Const(1), x, Bin(Sub, 8)]);
+        assert_eq!(code[28..30], [x, ConstBin(Sub, 8, 1)]);
+        // Metadata-keyed and two-key tables apply from the stack; the
+        // header-field key fuses and keeps its hit capture, and the
+        // captured local — not a comparison — takes the plain branch.
+        let apply = |tid, nkeys| Apply {
+            tid,
+            nkeys,
+            hit_into: NO_HIT_LOCAL,
+        };
+        let by_field = FieldApply {
+            h: 0,
+            f: 0,
+            tid: 0,
+            hit_into: 0,
+        };
+        assert_eq!(
+            code[33..41],
+            [
+                LoadMeta(0),
+                apply(1, 1),
+                a,
+                b,
+                apply(2, 2),
+                by_field,
+                LoadLocal(0),
+                BranchIfZero(44),
+            ]
         );
-        assert!(
-            opt.code
-                .iter()
-                .any(|op| matches!(op, OpCode::FieldApply { .. })),
-            "l2_switch single-field table applies should fuse"
-        );
+        assert_eq!(code[42], ConstBin(Add, 8, 8));
     }
 
     /// For every header of every corpus program, extracting through the

@@ -53,7 +53,6 @@ use crate::cache::{CacheStats, FlowCache};
 use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
-use crate::opt::PassConfig;
 use crate::table::{EntrySnapshot, RuntimeEntry, TableState, TableStats, TableView};
 use crate::trace::{DropReason, LazyTrace, Trace, TraceBuf, TraceSink, Verdict};
 use netdebug_p4::ast::{BinOp, UnOp};
@@ -360,37 +359,32 @@ fn resolve_views(pinned: &[Arc<EntrySnapshot>]) -> Vec<TableView<'_>> {
 
 impl Dataplane {
     /// Instantiate a data plane for a compiled program (const entries
-    /// installed, externs zeroed), with the default optimization
-    /// pipeline applied to the bytecode.
+    /// installed, externs zeroed).
     pub fn new(program: ir::Program) -> Self {
-        Self::with_passes(program, PassConfig::default())
-    }
-
-    /// Instantiate with an explicit bytecode optimization configuration
-    /// ([`PassConfig::none`] runs the raw lowering; individual passes
-    /// toggle independently). Everything else matches
-    /// [`Dataplane::new`].
-    pub fn with_passes(program: ir::Program, passes: PassConfig) -> Self {
         let tables = program.tables.iter().map(TableState::new).collect();
-        Self::assemble(program, tables, passes)
+        Self::assemble(program, tables)
     }
 
     /// Instantiate with per-table capacity overrides (used by hardware
-    /// backends that quantize or truncate table memories).
+    /// backends that quantize or truncate table memories). Tables past
+    /// the end of `capacities` keep their declared size.
     pub fn with_table_capacities(program: ir::Program, capacities: &[u64]) -> Self {
         let tables = program
             .tables
             .iter()
-            .zip(capacities)
-            .map(|(t, cap)| TableState::with_capacity(t, *cap))
+            .enumerate()
+            .map(|(tid, t)| match capacities.get(tid) {
+                Some(&cap) => TableState::with_capacity(t, cap),
+                None => TableState::new(t),
+            })
             .collect();
-        Self::assemble(program, tables, PassConfig::default())
+        Self::assemble(program, tables)
     }
 
-    fn assemble(program: ir::Program, tables: Vec<TableState>, passes: PassConfig) -> Self {
+    fn assemble(program: ir::Program, tables: Vec<TableState>) -> Self {
         let externs = ExternState::new(&program.externs);
         let table_stats = vec![TableStats::default(); program.tables.len()];
-        let compiled = Arc::new(CompiledProgram::compile_with(&program, passes));
+        let compiled = Arc::new(CompiledProgram::compile(&program));
         let env_scratch = Env::new(&program);
         let cache_key_cap = match program.cacheability() {
             Cacheability::Cacheable => program
@@ -498,10 +492,8 @@ impl Dataplane {
         &self.compiled
     }
 
-    /// A printable disassembly of the (optimized) bytecode — one line
-    /// per instruction with mnemonic, resolved names and jump targets.
-    /// Compare against `Dataplane::with_passes(.., PassConfig::none())`
-    /// to inspect what the optimization pipeline changed.
+    /// A printable disassembly of the bytecode — one line per
+    /// instruction with mnemonic, resolved names and jump targets.
     pub fn disassemble(&self) -> crate::disasm::Disassembly<'_> {
         self.compiled.disassemble()
     }
@@ -509,11 +501,6 @@ impl Dataplane {
     /// Packets processed since construction.
     pub fn packets_processed(&self) -> u64 {
         self.packets_processed
-    }
-
-    /// The optimization passes the bytecode was compiled with.
-    pub fn passes(&self) -> PassConfig {
-        self.compiled.passes()
     }
 
     /// Flow-cache counters: hits, misses, invalidations, occupancy and

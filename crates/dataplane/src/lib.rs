@@ -10,10 +10,9 @@
 //! Two engines implement the semantics ([`Engine`]): the default flat
 //! bytecode engine compiled at load time ([`compile`]) and the
 //! tree-walking reference interpreter it is differentially validated
-//! against, bit for bit, by the parity property tests. The bytecode is
-//! run through a peephole/superinstruction optimization pipeline
-//! ([`PassConfig`], module [`opt`]) and can be inspected with
-//! [`Dataplane::disassemble`].
+//! against, bit for bit, by the parity property tests. The lowering
+//! selects a few superinstructions as it emits; the result can be
+//! inspected with [`Dataplane::disassemble`].
 //!
 //! ```
 //! use netdebug_dataplane::Dataplane;
@@ -40,7 +39,6 @@ pub mod control;
 pub mod disasm;
 pub mod externs;
 pub mod interp;
-pub mod opt;
 pub mod table;
 pub mod trace;
 
@@ -50,7 +48,6 @@ pub use control::{ControlError, ControlPlane};
 pub use disasm::Disassembly;
 pub use externs::MeterConfig;
 pub use interp::{Dataplane, DataplaneCheckpoint, Engine, FLOOD_PORT};
-pub use opt::PassConfig;
 pub use table::{
     lpm_pattern, EntryRef, EntrySnapshot, LookupIndex, RuntimeEntry, TableError, TableState,
     TableStats, TableView,
@@ -417,6 +414,24 @@ mod tests {
             err,
             ControlError::Table(TableError::Full { capacity: 2 })
         ));
+    }
+
+    /// A capacity slice shorter than the table list overrides the leading
+    /// tables only: the last of twelve still installs and applies.
+    #[test]
+    fn short_capacity_slice_keeps_the_tail_tables() {
+        for engine in [Engine::Compiled, Engine::Reference] {
+            let ir = netdebug_p4::compile(corpus::FEATURE_MANY_TABLES).unwrap();
+            let mut dp = Dataplane::with_table_capacities(ir, &[1]);
+            dp.set_engine(engine);
+            dp.install_exact("t11", vec![7], "NoAction", vec![])
+                .unwrap();
+            // Eleven default `bump`s, then t11 hits `NoAction`.
+            let (v, _) = dp.process(0, &[7], 0);
+            let data = vec![7];
+            assert_eq!(v, Verdict::Forward { port: 11, data }, "{engine:?}");
+            assert_eq!(dp.table_stats("t11").unwrap().0, 1, "{engine:?} hits");
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property-based tests for the reference interpreter.
 
 use netdebug_dataplane::{
-    lpm_pattern, Dataplane, Engine, EntrySnapshot, MeterConfig, PassConfig, RuntimeEntry,
-    TableState, Verdict,
+    lpm_pattern, Dataplane, Engine, EntrySnapshot, MeterConfig, RuntimeEntry, TableState, Verdict,
 };
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::corpus;
@@ -913,139 +912,39 @@ proptest! {
     }
 }
 
-/// Every optimization-pass toggle the parity sweep exercises: the full
-/// pipeline, the raw lowering, each pass alone, and each pass
-/// individually disabled (leave-one-out). A pass that is only ever
-/// correct *in combination* with another would slip past an
-/// all-on/all-off check; this sweep pins each one independently.
-fn pass_sweep() -> Vec<(&'static str, PassConfig)> {
-    let all = PassConfig::default();
-    let none = PassConfig::none();
-    vec![
-        ("all", all),
-        ("none", none),
-        (
-            "const_fold only",
-            PassConfig {
-                const_fold: true,
-                ..none
-            },
-        ),
-        (
-            "dead_store only",
-            PassConfig {
-                dead_store: true,
-                ..none
-            },
-        ),
-        ("fuse only", PassConfig { fuse: true, ..none }),
-        (
-            "jump_thread only",
-            PassConfig {
-                jump_thread: true,
-                ..none
-            },
-        ),
-        (
-            "no const_fold",
-            PassConfig {
-                const_fold: false,
-                ..all
-            },
-        ),
-        (
-            "no dead_store",
-            PassConfig {
-                dead_store: false,
-                ..all
-            },
-        ),
-        ("no fuse", PassConfig { fuse: false, ..all }),
-        (
-            "no jump_thread",
-            PassConfig {
-                jump_thread: false,
-                ..all
-            },
-        ),
-    ]
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Optimization passes preserve the reference semantics bit for bit,
-    /// each pass toggled independently: for every corpus program and
-    /// every sweep configuration, verdicts, traces and runtime state
-    /// match the tree-walking oracle exactly.
+    /// Engine parity where the lowering selects superinstructions: one
+    /// statement per selected (and per deliberately unselected) IR shape.
+    /// Keys and installed entries share a small domain, so the fused and
+    /// the stack-keyed applies both hit and miss; a short `tail` cuts
+    /// some frames inside the header.
     #[test]
-    fn pass_sweep_agrees_across_corpus(
-        prog_idx in 0usize..corpus::corpus().len(),
+    fn engines_agree_on_selection_shapes(
         frames in proptest::collection::vec(
-            (0u16..4, proptest::collection::vec(any::<u8>(), 0..96)), 1..8),
-        now in any::<u32>(),
+            (0u16..4, 0u8..8, 0u8..8, proptest::collection::vec(any::<u8>(), 0..4)), 1..16),
+        installed in proptest::collection::vec((0u8..8, 0u8..8), 0..4),
     ) {
-        let programs = corpus::corpus();
-        let prog = &programs[prog_idx % programs.len()];
-        let ir = netdebug_p4::compile(prog.source).unwrap();
-        let mut reference_dp = Dataplane::new(ir.clone());
+        let ir = netdebug_p4::compile(include_str!("selection_shapes.p4")).unwrap();
+        let mut compiled_dp = Dataplane::new(ir.clone());
+        let mut reference_dp = Dataplane::new(ir);
         reference_dp.set_engine(Engine::Reference);
-        let mut expected = Vec::new();
-        for (port, data) in &frames {
-            expected.push(reference_dp.process(*port, data, u64::from(now)));
-        }
-        for (label, passes) in pass_sweep() {
-            let mut dp = Dataplane::with_passes(ir.clone(), passes);
-            for ((port, data), (rv, rt)) in frames.iter().zip(&expected) {
-                let (cv, ct) = dp.process(*port, data, u64::from(now));
-                prop_assert_eq!(&cv, rv, "verdict diverged on {} [{}]", prog.name, label);
-                prop_assert_eq!(&ct, rt, "trace diverged on {} [{}]", prog.name, label);
+        for dp in [&mut compiled_dp, &mut reference_dp] {
+            for &(a, b) in &installed {
+                let (a, b) = (u128::from(a), u128::from(b));
+                // A duplicate key is refused by both engines alike.
+                let _ = dp.install_exact("by_field", vec![a], "mark", vec![0x10]);
+                let _ = dp.install_exact("by_meta", vec![b], "mark", vec![0x20]);
+                let _ = dp.install_exact("by_pair", vec![a, b], "mark", vec![0x40]);
             }
-            assert_runtime_state_matches(&dp, &reference_dp)?;
         }
-    }
-
-    /// The sweep under batch pressure: a deployed router fed malformed and
-    /// truncated frames with a mid-stream epoch republication landing
-    /// between two windows. Every pass configuration must equal the
-    /// reference engine's windows bit for bit — verdicts, traces and
-    /// post-stream statistics.
-    #[test]
-    fn pass_sweep_agrees_under_batches_and_republication(
-        frames in proptest::collection::vec(
-            (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 2..24),
-        split in 1usize..23,
-        now in any::<u32>(),
-    ) {
-        let built: Vec<(u16, Vec<u8>)> = frames
-            .iter()
-            .map(|(port, kind, soup)| (*port, mixed_frame(*kind, soup)))
-            .collect();
-        let pkts: Vec<(u16, &[u8])> = built.iter().map(|(p, f)| (*p, f.as_slice())).collect();
-        let split = split.min(pkts.len() - 1).max(1);
-        let (w1, w2) = pkts.split_at(split);
-        let now = u64::from(now);
-
-        let run = |mut dp: Dataplane| {
-            dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-                .unwrap();
-            let cp = dp.control_plane();
-            let win1 = dp.process_batch(w1, now);
-            cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
-                .unwrap();
-            let win2 = dp.process_batch(w2, now);
-            (win1, win2, dp)
-        };
-        let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-        let mut reference_dp = Dataplane::new(ir.clone());
-        reference_dp.set_engine(Engine::Reference);
-        let (r1, r2, reference_dp) = run(reference_dp);
-        for (label, passes) in pass_sweep() {
-            let (c1, c2, dp) = run(Dataplane::with_passes(ir.clone(), passes));
-            prop_assert_eq!(&c1, &r1, "pre-install window diverged [{}]", label);
-            prop_assert_eq!(&c2, &r2, "post-install window diverged [{}]", label);
-            assert_runtime_state_matches(&dp, &reference_dp)?;
+        for (port, a, b, tail) in &frames {
+            let data = [&[*a, *b][..], tail].concat();
+            let (cv, ct) = compiled_dp.process(*port, &data, 0);
+            let (rv, rt) = reference_dp.process(*port, &data, 0);
+            prop_assert_eq!(&cv, &rv, "verdict diverged");
+            prop_assert_eq!(&ct, &rt, "trace diverged");
         }
+        assert_runtime_state_matches(&compiled_dp, &reference_dp)?;
     }
 }
 

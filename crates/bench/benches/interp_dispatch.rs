@@ -132,7 +132,7 @@ struct StageCountSink {
 }
 
 impl TraceSink for StageCountSink {
-    fn observe(&mut self, _index: usize, _verdict: &Verdict, trace: &LazyTrace<'_>) {
+    fn observe(&mut self, _index: usize, _verdict: Verdict, trace: &LazyTrace<'_>) {
         self.stages += trace.stages().count() as u64;
     }
 }
@@ -145,11 +145,11 @@ fn measure_streamed(bed: &Bed, engine: Engine, pkts: &[(u16, &[u8])]) -> f64 {
         let mut dp = bed.dataplane(engine);
         dp.set_tracing(true);
         let mut sink = StageCountSink { stages: 0 };
-        std::hint::black_box(dp.process_batch_with(pkts, 0, &mut sink));
+        dp.process_batch_with(pkts, 0, &mut sink);
         let mut n = 0usize;
         let t0 = Instant::now();
         while t0.elapsed().as_secs_f64() < MIN_MEASURE_S {
-            std::hint::black_box(dp.process_batch_with(pkts, 0, &mut sink));
+            dp.process_batch_with(pkts, 0, &mut sink);
             n += pkts.len();
         }
         assert!(sink.stages > 0, "streamed sink must see real events");

@@ -28,7 +28,7 @@ fn make_outcome() -> Outcome {
     let pkt = g.build(&spec, 0, 0);
     Outcome::Tx {
         port: 1,
-        data: pkt.data,
+        data: pkt.data.to_vec(),
     }
 }
 

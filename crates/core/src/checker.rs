@@ -404,7 +404,7 @@ mod tests {
     fn gen_frame(stream: u16, seq: u64, ts: u64, expect: Expectation) -> Vec<u8> {
         let mut g = Generator::new();
         let spec = StreamSpec::simple(stream, vec![0x55; 18], 100, expect);
-        g.build(&spec, seq, ts).data
+        g.build(&spec, seq, ts).data.to_vec()
     }
 
     #[test]

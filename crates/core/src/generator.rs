@@ -16,6 +16,7 @@
 use netdebug_packet::testhdr::{self, TEST_HEADER_LEN};
 use netdebug_packet::TestHeader;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// What the stream's packets are expected to do in the data plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,11 +81,79 @@ pub struct Generator {
     emitted: u64,
 }
 
+/// One frame's bytes: a cheap handle onto one slot of a buffer shared by
+/// every frame stamped in the same call.
+///
+/// The generator writes a whole window into one allocation, so a frame
+/// costs no allocation of its own and cloning one copies no bytes. Reads
+/// go through [`Frame::as_slice`] or `Deref<Target = [u8]>`; equality and
+/// `Debug` are byte-wise, so two frames compare equal whichever buffers
+/// hold them. Hand-built packets come in through `From<Vec<u8>>` (the
+/// vector becomes a one-slot buffer; its bytes are not copied).
+#[derive(Clone)]
+pub struct Frame {
+    window: Arc<Window>,
+    /// Byte offset of this frame's slot.
+    start: usize,
+}
+
+/// The frames of one stamping call, back to back: equal-length slots, so a
+/// handle is the buffer plus one offset.
+struct Window {
+    bytes: Vec<u8>,
+    frame_len: usize,
+}
+
+impl Frame {
+    /// The frame's bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.window.bytes[self.start..self.start + self.window.frame_len]
+    }
+}
+
+impl std::ops::Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl From<Vec<u8>> for Frame {
+    fn from(bytes: Vec<u8>) -> Frame {
+        Frame {
+            start: 0,
+            window: Arc::new(Window {
+                frame_len: bytes.len(),
+                bytes,
+            }),
+        }
+    }
+}
+
+impl PartialEq for Frame {
+    fn eq(&self, other: &Frame) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl PartialEq<Frame> for Vec<u8> {
+    fn eq(&self, other: &Frame) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for Frame {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// One generated frame, ready for injection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedPacket {
     /// Frame bytes (template + test header + CRC).
-    pub data: Vec<u8>,
+    pub data: Frame,
     /// Stream id.
     pub stream: u16,
     /// Sequence number within the stream.
@@ -110,46 +179,14 @@ impl Generator {
     /// program under test parses the template exactly as it would parse
     /// live traffic, while the header rides in the payload region.
     pub fn build(&mut self, spec: &StreamSpec, seq: u64, now_cycles: u64) -> GeneratedPacket {
-        let mut template = spec.template.clone();
-        for sweep in &spec.sweeps {
-            if sweep.offset < template.len() {
-                template[sweep.offset] =
-                    template[sweep.offset].wrapping_add(sweep.step.wrapping_mul(seq as u8));
-            }
-        }
-        let flags = match spec.expect {
-            Expectation::Drop => testhdr::FLAG_EXPECT_DROP,
-            _ => 0,
-        } | if seq + 1 == spec.count {
-            testhdr::FLAG_LAST
-        } else {
-            0
-        };
-
-        let mut data = Vec::with_capacity(template.len() + TEST_HEADER_LEN);
-        data.extend_from_slice(&template);
-        let hdr_start = data.len();
-        data.resize(hdr_start + TEST_HEADER_LEN, 0);
-        {
-            let mut h = TestHeader::new_unchecked(&mut data[hdr_start..]);
-            h.set_magic();
-            h.set_stream(spec.stream);
-            h.set_flags(flags);
-            h.set_seq(seq);
-            h.set_ts_cycles(now_cycles);
-            h.fill_payload_crc();
-        }
-        self.emitted += 1;
-        GeneratedPacket {
-            data,
-            stream: spec.stream,
-            seq,
-            ts_cycles: now_cycles,
-        }
+        self.stamp(spec, seq, 1, now_cycles, 0)
+            .next()
+            .expect("a one-frame window holds one frame")
     }
 
     /// Build a whole window of a stream's frames in one call: sequence
-    /// numbers `first_seq .. first_seq + n`.
+    /// numbers `first_seq .. first_seq + n`, all in one shared buffer
+    /// (see [`Frame`]).
     ///
     /// Timestamps follow the injection schedule [`run_stream`] uses: the
     /// device clock advances by one inter-packet gap *before* each
@@ -168,9 +205,74 @@ impl Generator {
         start_cycles: u64,
         gap_cycles: u64,
     ) -> Vec<GeneratedPacket> {
-        (0..n)
-            .map(|k| self.build(spec, first_seq + k, start_cycles + gap_cycles * (k + 1)))
+        self.stamp(spec, first_seq, n, start_cycles, gap_cycles)
             .collect()
+    }
+
+    /// Stamp frames `first_seq .. first_seq + n` into one buffer —
+    /// template copied into its slot, sweeps applied in place, test header
+    /// written behind it — and hand out one [`Frame`] per slot. Slot
+    /// offsets are `usize`: a window whose bytes do not fit the address
+    /// space panics here instead of truncating.
+    fn stamp(
+        &mut self,
+        spec: &StreamSpec,
+        first_seq: u64,
+        n: u64,
+        start_cycles: u64,
+        gap_cycles: u64,
+    ) -> impl Iterator<Item = GeneratedPacket> {
+        let body = spec.template.len();
+        let frame_len = body + TEST_HEADER_LEN;
+        let total = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(frame_len))
+            .expect("the window's bytes fit the address space");
+        let ts_of = move |k: u64| start_cycles + gap_cycles * (k + 1);
+        let expect_flags = match spec.expect {
+            Expectation::Drop => testhdr::FLAG_EXPECT_DROP,
+            _ => 0,
+        };
+
+        // Appended slot by slot, so no byte of the buffer is written twice.
+        let mut bytes = Vec::with_capacity(total);
+        for k in 0..n {
+            let seq = first_seq + k;
+            let at = bytes.len();
+            bytes.extend_from_slice(&spec.template);
+            for sweep in &spec.sweeps {
+                if let Some(byte) = bytes[at..].get_mut(sweep.offset) {
+                    *byte = byte.wrapping_add(sweep.step.wrapping_mul(seq as u8));
+                }
+            }
+            let last = if seq + 1 == spec.count {
+                testhdr::FLAG_LAST
+            } else {
+                0
+            };
+            let mut header = [0u8; TEST_HEADER_LEN];
+            let mut h = TestHeader::new_unchecked(&mut header[..]);
+            h.set_magic();
+            h.set_stream(spec.stream);
+            h.set_flags(expect_flags | last);
+            h.set_seq(seq);
+            h.set_ts_cycles(ts_of(k));
+            h.fill_payload_crc();
+            bytes.extend_from_slice(&header);
+        }
+        self.emitted += n;
+
+        let window = Arc::new(Window { bytes, frame_len });
+        let stream = spec.stream;
+        (0..n).map(move |k| GeneratedPacket {
+            data: Frame {
+                window: Arc::clone(&window),
+                start: k as usize * frame_len,
+            },
+            stream,
+            seq: first_seq + k,
+            ts_cycles: ts_of(k),
+        })
     }
 
     /// Inter-packet gap for a stream at a given core clock, in cycles.

@@ -1602,7 +1602,7 @@ mod tests {
         use netdebug_hw::{Backend, FaultSpec};
         let frames: Vec<GeneratedPacket> = (0..16)
             .map(|seq| GeneratedPacket {
-                data: vec![seq as u8; 64],
+                data: vec![seq as u8; 64].into(),
                 stream: 1,
                 seq,
                 ts_cycles: 0,

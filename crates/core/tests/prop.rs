@@ -110,6 +110,72 @@ proptest! {
         let _ = find_test_header(&data);
     }
 
+    /// Frames are what they were: a window stamped into one shared buffer
+    /// equals, frame for frame, the one-frame `build` on the injection
+    /// schedule, and both equal the frame built the long way — template
+    /// cloned, swept, header appended. Windows start before, straddle and
+    /// pass `count`, so `FLAG_LAST` lands mid-window, on its last frame or
+    /// nowhere; sweep offsets reach past the template; an empty window is
+    /// an empty vector.
+    #[test]
+    fn windows_are_the_frames_they_were(
+        template in proptest::collection::vec(any::<u8>(), 0..=1600),
+        sweeps in proptest::collection::vec((0usize..1700, any::<u8>()), 0..=3),
+        expect_drop in any::<bool>(),
+        count in 0u64..40,
+        first in 0u64..40,
+        n in 0u64..24,
+        start in 0u64..1_000_000,
+        gap in proptest::option::of(1u64..5000),
+    ) {
+        use netdebug::generator::Generator;
+        use netdebug_packet::testhdr::{FLAG_EXPECT_DROP, FLAG_LAST};
+        let gap = gap.unwrap_or(0);
+        let spec = StreamSpec {
+            stream: 9,
+            template,
+            count,
+            rate_pps: None,
+            as_port: 0,
+            sweeps: sweeps.into_iter().map(|(offset, step)| FieldSweep { offset, step }).collect(),
+            expect: if expect_drop { Expectation::Drop } else { Expectation::Any },
+        };
+        let the_long_way = |seq: u64, ts: u64| {
+            let mut data = spec.template.clone();
+            for s in &spec.sweeps {
+                if s.offset < data.len() {
+                    data[s.offset] = data[s.offset].wrapping_add(s.step.wrapping_mul(seq as u8));
+                }
+            }
+            let at = data.len();
+            data.resize(at + TEST_HEADER_LEN, 0);
+            let mut h = TestHeader::new_unchecked(&mut data[at..]);
+            h.set_magic();
+            h.set_stream(spec.stream);
+            h.set_flags(
+                if expect_drop { FLAG_EXPECT_DROP } else { 0 }
+                    | if seq + 1 == count { FLAG_LAST } else { 0 },
+            );
+            h.set_seq(seq);
+            h.set_ts_cycles(ts);
+            h.fill_payload_crc();
+            data
+        };
+
+        let mut batched = Generator::new();
+        let window = batched.build_batch(&spec, first, n, start, gap);
+        prop_assert_eq!(window.len() as u64, n);
+        prop_assert_eq!(batched.emitted(), n);
+        let mut single = Generator::new();
+        for (k, got) in window.iter().enumerate() {
+            let (seq, ts) = (first + k as u64, start + gap * (k as u64 + 1));
+            let one = single.build(&spec, seq, ts);
+            prop_assert_eq!(got, &one);
+            prop_assert_eq!((got.stream, got.seq, got.ts_cycles), (9, seq, ts));
+            prop_assert_eq!(the_long_way(seq, ts), got.data, "frame {}", k);
+        }
+    }
+
     /// Parser-path probes are deterministic and never panic, for every
     /// corpus program.
     #[test]

@@ -1101,7 +1101,10 @@ fn deparse(
             header_bytes += cp.headers[hid as usize].byte_width;
         }
     }
-    let mut out = vec![0u8; header_bytes + payload.len()];
+    // Only the header bytes are zeroed (fields are XORed in); the payload
+    // region is written once, by the copy.
+    let mut out = Vec::with_capacity(header_bytes + payload.len());
+    out.resize(header_bytes, 0);
     let mut cursor = 0usize;
     for &hid in &cp.deparse {
         let hid = hid as usize;
@@ -1118,7 +1121,7 @@ fn deparse(
         }
         cursor += plan.byte_width;
     }
-    out[cursor..].copy_from_slice(payload);
+    out.extend_from_slice(payload);
     out
 }
 

@@ -39,9 +39,9 @@
 //! per-dataplane scratch `Env`; tracing is opt-out on the batch paths
 //! (see [`Dataplane::set_tracing`]) so throughput runs skip event
 //! allocation entirely, and [`Dataplane::process_batch_with`] streams
-//! traces through a [`TraceSink`] without materialising them. A batch
-//! runs on the calling thread; parallelism lives one level up, across
-//! devices (`netdebug-core`'s `FleetRuntime`).
+//! each packet's verdict and trace through a [`TraceSink`] without
+//! materialising either. A batch runs on the calling thread; parallelism
+//! lives one level up, across devices (`netdebug-core`'s `FleetRuntime`).
 //!
 //! Egress conventions (documented device-model behaviour):
 //! * `egress_spec` 0..510 — forward out of that port;
@@ -773,35 +773,33 @@ impl Dataplane {
         })
     }
 
-    /// Process a batch, streaming each packet's trace into `sink` instead
-    /// of materialising it.
+    /// Process a batch, streaming each packet's verdict and trace into
+    /// `sink` instead of materialising them.
     ///
-    /// One flat record buffer is reused for the whole batch; the sink
-    /// observes each packet's events as an undecoded [`LazyTrace`]
-    /// borrowing that buffer ([`LazyTrace::decode`] to keep). Verdicts
-    /// come back in batch order. When tracing is disabled
-    /// ([`Dataplane::set_tracing`]) the sink still sees every packet,
-    /// with an empty trace. Semantically identical to
-    /// [`Dataplane::process_batch`] — this is the zero-allocation spine
-    /// under traced device batching: a sink that only counts or inspects
-    /// names never allocates per packet at all.
+    /// One flat record buffer is reused for the whole batch; the sink is
+    /// handed each packet's verdict by value, with its events as an
+    /// undecoded [`LazyTrace`] borrowing that buffer
+    /// ([`LazyTrace::decode`] to keep), before the next packet executes —
+    /// so at most one egress frame of the batch is alive unless the sink
+    /// keeps them. When tracing is disabled ([`Dataplane::set_tracing`])
+    /// the sink still sees every packet, with an empty trace.
+    /// Semantically identical to [`Dataplane::process_batch`] — this is
+    /// the zero-allocation spine under traced device batching: a sink
+    /// that only counts or inspects names never allocates per packet at
+    /// all.
     pub fn process_batch_with(
         &mut self,
         pkts: &[(u16, &[u8])],
         now_cycles: u64,
         sink: &mut dyn TraceSink,
-    ) -> Vec<Verdict> {
+    ) {
         let tracing = self.tracing;
         self.with_pins(pkts.len(), |ctx, mut cache, env, buf| {
-            pkts.iter()
-                .enumerate()
-                .map(|(i, &(port, data))| {
-                    let cache = cache.as_deref_mut();
-                    let verdict = ctx.run_one(cache, port, data, now_cycles, env, buf, tracing);
-                    sink.observe(i, &verdict, &ctx.trace(buf));
-                    verdict
-                })
-                .collect()
+            for (i, &(port, data)) in pkts.iter().enumerate() {
+                let cache = cache.as_deref_mut();
+                let verdict = ctx.run_one(cache, port, data, now_cycles, env, buf, tracing);
+                sink.observe(i, verdict, &ctx.trace(buf));
+            }
         })
     }
 }
@@ -979,7 +977,9 @@ impl ExecCtx<'_> {
                 out_bits += prog.headers[hid].bit_width as usize;
             }
         }
-        let mut out = vec![0u8; out_bits / 8 + payload.len()];
+        // As in the compiled engine: zero the header bytes only.
+        let mut out = Vec::with_capacity(out_bits / 8 + payload.len());
+        out.resize(out_bits / 8, 0);
         let mut cursor = 0usize;
         for &hid in &prog.deparse {
             if !env.headers[hid].valid {
@@ -999,7 +999,7 @@ impl ExecCtx<'_> {
             }
             cursor += layout.bit_width as usize;
         }
-        out[cursor / 8..].copy_from_slice(payload);
+        out.extend_from_slice(payload);
         out
     }
 

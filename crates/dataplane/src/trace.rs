@@ -691,39 +691,45 @@ impl<'a> LazyTrace<'a> {
 /// A streaming consumer of batch-path results.
 ///
 /// `Dataplane::process_batch_with` records each packet's events into **one
-/// reused flat buffer** and hands it to the sink as an undecoded
-/// [`LazyTrace`], so traced batch runs allocate nothing per packet beyond
-/// the output frame unless the sink itself decodes: tap accounting and
-/// counters can walk the records in place, checkers and log writers call
-/// [`LazyTrace::decode`] (or [`LazyTrace::decode_into`] a reused
-/// [`Trace`]) when they need the semantic events.
+/// reused flat buffer** and hands the sink the packet's [`Verdict`] — by
+/// value, the moment it is produced: the sink owns it, egress frame
+/// included — with that buffer as an undecoded [`LazyTrace`]. Nothing of a
+/// batch outlives its packet unless the sink keeps it, so traced batch
+/// runs allocate nothing per packet beyond the output frame: tap
+/// accounting and counters can walk the records in place, checkers and log
+/// writers call [`LazyTrace::decode`] (or [`LazyTrace::decode_into`] a
+/// reused [`Trace`]) when they need the semantic events.
 pub trait TraceSink {
-    /// Observe packet `index`'s verdict and (undecoded) trace.
+    /// Observe packet `index`'s verdict and (undecoded) trace, before the
+    /// next packet of the batch executes.
     ///
     /// The borrow is only valid for the duration of the call — the buffer
     /// is cleared and reused for the next packet. When tracing is disabled
     /// on the data plane the trace is empty.
-    fn observe(&mut self, index: usize, verdict: &Verdict, trace: &LazyTrace<'_>);
+    fn observe(&mut self, index: usize, verdict: Verdict, trace: &LazyTrace<'_>);
 }
 
-/// A sink that ignores everything (pure-throughput runs).
+/// A sink that drops everything (pure-throughput runs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
-    fn observe(&mut self, _index: usize, _verdict: &Verdict, _trace: &LazyTrace<'_>) {}
+    fn observe(&mut self, _index: usize, _verdict: Verdict, _trace: &LazyTrace<'_>) {}
 }
 
-/// A sink that decodes every trace into a vector — the compatibility shim
-/// behind APIs that still return materialised `Vec<Trace>` results.
+/// A sink that keeps every verdict and decodes every trace — the
+/// compatibility shim behind APIs that still return materialised results.
 #[derive(Debug, Clone, Default)]
 pub struct CollectSink {
+    /// Collected verdicts, one per observed packet, in batch order.
+    pub verdicts: Vec<Verdict>,
     /// Collected traces, one per observed packet, in batch order.
     pub traces: Vec<Trace>,
 }
 
 impl TraceSink for CollectSink {
-    fn observe(&mut self, _index: usize, _verdict: &Verdict, trace: &LazyTrace<'_>) {
+    fn observe(&mut self, _index: usize, verdict: Verdict, trace: &LazyTrace<'_>) {
+        self.verdicts.push(verdict);
         self.traces.push(trace.decode());
     }
 }

@@ -245,14 +245,14 @@ struct TapState {
     drop_counts: BTreeMap<String, u64>,
     deparser_tap: usize,
     egress_tap: usize,
-    /// Per-group scratch of [`TapSink`], kept for its allocation.
-    summaries: Vec<TapSummary>,
+    /// `last_stage` of a packet that recorded no tap (tracing off, or a
+    /// skipped frame): interned once here, like the names above.
+    untapped_stage: Arc<str>,
 }
 
-/// Trace-derived per-packet accounting, produced while the trace buffer is
-/// still live ([`TapState::tap_packet_lazy`]) and consumed once the verdict is
-/// known ([`TapState::finish`]). Small and `Copy` so the streaming batch
-/// path materialises nothing else per packet.
+/// Trace-derived per-packet accounting, produced from the live trace
+/// buffer ([`TapState::tap_packet_lazy`]) and consumed with the verdict
+/// ([`TapState::finish`]).
 #[derive(Debug, Clone, Copy)]
 struct TapSummary {
     /// Tap index of the last parser/table stage the packet reached.
@@ -312,7 +312,7 @@ impl Device {
                 drop_counts: BTreeMap::new(),
                 deparser_tap,
                 egress_tap: deparser_tap + 1,
-                summaries: Vec::new(),
+                untapped_stage: "parser:start".into(),
             },
             config,
             compiled,
@@ -570,8 +570,10 @@ impl Device {
 
     /// Internal batched path, streaming: like [`Device::inject_batch`] but
     /// each [`Processed`] outcome is handed to `visit` (with its window
-    /// index) as soon as it is accounted, so callers consume the window
-    /// without a `Vec<Processed>` ever materialising.
+    /// index) as soon as it is accounted — before the next frame of the
+    /// window executes — so callers consume the window without a
+    /// `Vec<Processed>` ever materialising and one egress frame is alive
+    /// at a time.
     ///
     /// Back-to-back windows (`gap_cycles == 0`) run through the data
     /// plane's batch engine as one group, streamed through one reused
@@ -684,30 +686,17 @@ impl Device {
         }
         if admitted > 0 {
             let pkts = &pkts[..admitted];
-            let latency = &self.compiled.latency;
-            // The sink turns each (borrowed, reused) trace into a tiny Copy
-            // summary while counting stage taps, into a buffer the taps keep
-            // (drained) from group to group, so the only per-group
-            // allocation is the verdict vector and the only per-packet one
-            // the egress frame. (Cleared first: a dispatch that unwound
-            // mid-group leaves its summaries behind.)
-            self.taps.summaries.clear();
             let now = self.taps.now_cycles;
             let mut sink = TapSink {
                 taps: &mut self.taps,
-                latency,
+                config: &self.config,
+                latency: &self.compiled.latency,
+                pkts,
+                base,
+                mac_in_ns,
+                visit,
             };
-            let verdicts = self.dataplane.process_batch_with(pkts, now, &mut sink);
-            let mut summaries = std::mem::take(&mut self.taps.summaries);
-            for (i, (verdict, summary)) in verdicts.into_iter().zip(summaries.drain(..)).enumerate()
-            {
-                let port = pkts[i].0;
-                let p = self
-                    .taps
-                    .finish(&self.config, latency, port, verdict, summary, mac_in_ns);
-                visit(base + i, p);
-            }
-            self.taps.summaries = summaries;
+            self.dataplane.process_batch_with(pkts, now, &mut sink);
         }
         if let Some(trip) = trip {
             self.taps.now_cycles += trip.wedge_cycles;
@@ -965,18 +954,37 @@ impl Device {
 }
 
 /// The device's half of the streaming batch path: a [`TraceSink`] that
-/// folds each packet's (borrowed) trace into the stage tap counters and a
-/// per-packet [`TapSummary`], leaving nothing trace-shaped alive after the
-/// call returns.
-struct TapSink<'a> {
+/// turns each packet — its (borrowed) trace folded into the stage tap
+/// counters, its verdict into the post-verdict accounting — into a
+/// [`Processed`] and hands that to the caller's visitor before the next
+/// packet of the group executes. Nothing of a packet stays behind: the
+/// only per-packet allocation of a group is the egress frame, and only one
+/// of those is alive at a time.
+struct TapSink<'a, V> {
     taps: &'a mut TapState,
+    config: &'a DeviceConfig,
     latency: &'a LatencyModel,
+    /// The group, for each packet's ingress port.
+    pkts: &'a [(u16, &'a [u8])],
+    /// Window index of the group's first packet.
+    base: usize,
+    mac_in_ns: Option<f64>,
+    visit: &'a mut V,
 }
 
-impl TraceSink for TapSink<'_> {
-    fn observe(&mut self, _index: usize, _verdict: &Verdict, trace: &LazyTrace<'_>) {
+impl<V: FnMut(usize, Processed)> TraceSink for TapSink<'_, V> {
+    fn observe(&mut self, index: usize, verdict: Verdict, trace: &LazyTrace<'_>) {
         let summary = self.taps.tap_packet_lazy(trace, self.latency);
-        self.taps.summaries.push(summary);
+        let port = self.pkts[index].0;
+        let p = self.taps.finish(
+            self.config,
+            self.latency,
+            port,
+            verdict,
+            summary,
+            self.mac_in_ns,
+        );
+        (self.visit)(self.base + index, p);
     }
 }
 
@@ -1067,8 +1075,7 @@ impl TapState {
         };
         let last_stage = match last_tap {
             Some(i) => self.stage_names[i].clone(),
-            // Dropped with no tap recorded: tracing off, or a skipped frame.
-            None => "parser:start".into(),
+            None => self.untapped_stage.clone(),
         };
 
         let mac_out_ns = if mac_in_ns.is_some() && outcome.transmitted() {
@@ -1561,13 +1568,7 @@ mod tests {
         // batch engine; it must stay bit-identical to the historical
         // advance-then-inject loop — outcomes, clock, taps, port stats
         // and drop counters.
-        let mixed: Vec<Vec<u8>> = (0..37)
-            .map(|i| match i % 3 {
-                0 => ipv4(Ipv4Address::new(10, 0, 0, (i % 250) as u8), 4),
-                1 => ipv4(Ipv4Address::new(192, 168, 0, 1), 4), // miss -> drop
-                _ => ipv4(Ipv4Address::new(10, 0, 0, 9), 5),    // malformed -> reject
-            })
-            .collect();
+        let mixed = mixed_frames(37);
         let frames: Vec<&[u8]> = mixed.iter().map(|f| f.as_slice()).collect();
         for gap in [1u64, 7, 1000] {
             let mut batched = deploy(&Backend::reference());
@@ -1647,6 +1648,89 @@ mod tests {
         });
         assert_eq!(seen.len(), 8);
         assert!(seen.iter().enumerate().all(|(k, (i, tx))| k == *i && *tx));
+    }
+
+    /// Frames that forward, miss and get rejected, so every tap, drop
+    /// counter and latency term differs along the window.
+    fn mixed_frames(n: usize) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| match i % 3 {
+                0 => ipv4(Ipv4Address::new(10, 0, 0, (i % 250) as u8), 4),
+                1 => ipv4(Ipv4Address::new(192, 168, 0, 1), 4), // miss -> drop
+                _ => ipv4(Ipv4Address::new(10, 0, 0, 9), 5),    // malformed -> reject
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_outcome_is_delivered_before_the_next_frame_executes() {
+        let mixed = mixed_frames(8);
+        let frames: Vec<&[u8]> = mixed.iter().map(|f| f.as_slice()).collect();
+        for engine in [Engine::Compiled, Engine::Reference] {
+            // A visitor that unwinds at outcome 4 stops the group there:
+            // frames 5.. never reached the parser.
+            let mut dev = deploy(&Backend::reference());
+            dev.set_engine(engine);
+            let mut seen = Vec::new();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                dev.inject_batch_with(0, &frames, 0, |i, _| {
+                    seen.push(i);
+                    if i == 4 {
+                        std::panic::resume_unwind(Box::new("visitor stops"));
+                    }
+                });
+            }))
+            .expect_err("the visitor unwound");
+            assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+            assert_eq!(dev.stage_counts()[0], 5, "{engine:?}: parser:start tap");
+
+            // The streamed window equals one-at-a-time injection on a
+            // twin: cycles, latency, last stage, bytes, and every counter.
+            let mut batched = deploy(&Backend::reference());
+            batched.set_engine(engine);
+            let mut looped = batched.clone();
+            let a = batched.inject_batch(0, &frames, 0);
+            let b: Vec<Processed> = frames.iter().map(|f| looped.inject(0, f)).collect();
+            assert_eq!(a, b, "{engine:?}");
+            assert_eq!(batched.now(), looped.now());
+            assert_eq!(batched.stage_counts(), looped.stage_counts());
+            assert_eq!(batched.drop_counts(), looped.drop_counts());
+            for p in 0..4 {
+                assert_eq!(batched.port_stats(p), looped.port_stats(p));
+            }
+
+            // A fault armed mid-group: exactly the clean prefix, then the
+            // typed panic.
+            for n in [0u64, 3, 7] {
+                let mut dev = deploy(&Backend::reference());
+                dev.set_engine(engine);
+                dev.arm_fault(FaultSpec::PanicAfterN { n });
+                let mut delivered = Vec::new();
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    dev.inject_batch_with(0, &frames, 0, |_, p| delivered.push(p));
+                }))
+                .expect_err("the fault trips inside the group");
+                assert!(err.downcast_ref::<crate::faults::FaultPanic>().is_some());
+                assert_eq!(delivered, b[..n as usize], "{engine:?}: prefix of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn untapped_packets_share_one_last_stage() {
+        let mut dev = deploy(&Backend::reference());
+        dev.set_batch_tracing(false);
+        let reject = ipv4(Ipv4Address::new(10, 0, 0, 9), 5);
+        let dropped = dev.inject_batch(0, &[&reject, &reject], 0);
+        let skipped = dev.skip_faulted(0, 0);
+        for p in [&dropped[0], &dropped[1], &skipped] {
+            assert!(matches!(p.outcome, Outcome::Dropped { .. }));
+            assert_eq!(&*p.last_stage, "parser:start");
+            assert!(
+                Arc::ptr_eq(&p.last_stage, &dropped[0].last_stage),
+                "interned once, not built per packet"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The "millions of users" fleet shape: hundreds of devices, tens of
 //! thousands of paced flows, multiplexed onto a handful of runtime
-//! workers by the hierarchical timer wheel (`netdebug::runtime`). Three
+//! workers by the virtual-time event loop (`netdebug::runtime`). Three
 //! experiments:
 //!
 //! 1. **Determinism digest** — a 16-device × 32-flow fleet driven at
@@ -34,7 +34,7 @@ const FLOWS_PER_DEVICE: usize = 64;
 const FRAMES_PER_FLOW: u64 = 10;
 const WORKERS: usize = 4;
 /// Four pacing classes; flows of the same class collide at the same
-/// virtual instants, which is what the wheel coalesces into one dispatch.
+/// virtual instants, which is what the loop coalesces into one dispatch.
 const PACING: [u64; 4] = [80, 160, 320, 640];
 
 const BASELINE_DEVICES: usize = 4;
@@ -234,13 +234,12 @@ fn main() {
     );
     println!(
         "runtime counters: {} instants, {} dispatches (mean batch {:.1}, max {}), \
-         ready-depth {}, {} wheel cascades",
+         ready-depth {}",
         stats.instants,
         stats.dispatches,
         stats.mean_batch(),
         stats.max_batch,
-        stats.max_ready_depth,
-        stats.wheel_cascades
+        stats.max_ready_depth
     );
     json_rows.push(format!(
         "    {{\"config\": \"fleet_runtime\", \"devices\": {DEVICES}, \"workers\": {WORKERS}, \"pps\": {fleet_pps:.0}, \"speedup\": {speedup:.2}}}"
@@ -267,15 +266,14 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"experiment\": \"fleet_rate\",\n  \"meta\": {},\n  \"devices\": {DEVICES},\n  \"flows_per_device\": {FLOWS_PER_DEVICE},\n  \"frames_per_flow\": {FRAMES_PER_FLOW},\n  \"workers\": {WORKERS},\n  \"results\": [\n{}\n  ],\n  \"runtime\": {{\"instants\": {}, \"dispatches\": {}, \"mean_batch\": {:.2}, \"max_batch\": {}, \"max_ready_depth\": {}, \"wheel_cascades\": {}}}\n}}\n",
+        "{{\n  \"experiment\": \"fleet_rate\",\n  \"meta\": {},\n  \"devices\": {DEVICES},\n  \"flows_per_device\": {FLOWS_PER_DEVICE},\n  \"frames_per_flow\": {FRAMES_PER_FLOW},\n  \"workers\": {WORKERS},\n  \"results\": [\n{}\n  ],\n  \"runtime\": {{\"instants\": {}, \"dispatches\": {}, \"mean_batch\": {:.2}, \"max_batch\": {}, \"max_ready_depth\": {}}}\n}}\n",
         netdebug_bench::meta_json(FLOWS_PER_DEVICE * FRAMES_PER_FLOW as usize),
         json_rows.join(",\n"),
         stats.instants,
         stats.dispatches,
         stats.mean_batch(),
         stats.max_batch,
-        stats.max_ready_depth,
-        stats.wheel_cascades
+        stats.max_ready_depth
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
     match std::fs::write(path, &json) {

@@ -294,8 +294,8 @@ impl DifferentialFleet {
     }
 
     /// Observability counters from the most recent fleet run, summed over
-    /// members: scheduled instants, coalesced-batch sizes, ready-queue
-    /// depth and wheel cascades.
+    /// members: scheduled instants, coalesced-batch sizes and
+    /// ready-queue depth.
     pub fn runtime_stats(&self) -> RuntimeStats {
         self.last_stats
     }

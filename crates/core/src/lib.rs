@@ -36,8 +36,8 @@
 //! * [`churn`] — rule churn under load: scripted control-plane mutations
 //!   interleaved with traffic windows (epoch-snapshot tables keep the
 //!   traffic on the parallel path throughout);
-//! * [`runtime`] — the virtual-time event-loop fleet runtime: a timer
-//!   wheel over device cycles, same-instant injection coalescing, and a
+//! * [`runtime`] — the virtual-time event-loop fleet runtime: a
+//!   scheduler over device cycles, same-instant injection coalescing, and a
 //!   persistent worker set that multiplexes hundreds of devices onto a
 //!   few threads with bit-reproducible ordering;
 //! * [`usecases`] — one measurable driver per §3 use-case, plus the

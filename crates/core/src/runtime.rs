@@ -4,8 +4,8 @@
 //! this module each paced stream serialised packet-at-a-time on that
 //! clock while `DifferentialFleet` burned one OS thread per device per
 //! window. The runtime replaces both with an **event loop over virtual
-//! device cycles**: each device owns a hierarchical timer wheel holding
-//! one entry per active flow, the loop pops the earliest pending virtual
+//! device cycles**: each device's drive keeps one scheduler entry per
+//! active flow in a binary heap, the loop pops the earliest pending virtual
 //! instant, coalesces *every* injection due at that instant into one
 //! batch-engine dispatch ([`netdebug_hw::Device::inject_batch_at`]), and
 //! a small fixed pool of persistent workers ([`FleetRuntime`]) multiplexes
@@ -37,6 +37,8 @@ use crate::generator::GeneratedPacket;
 use netdebug_dataplane::ControlError;
 use netdebug_hw::{Device, FaultPanic, Processed};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -85,13 +87,11 @@ impl FlowRun {
         }
     }
 
-    /// The virtual cycle frame `seq` is due at.
+    /// The virtual cycle frame `seq` is due at, saturating at the end of
+    /// virtual time rather than wrapping back to its start.
     pub fn due(&self, seq: u64) -> u64 {
-        if self.gap == 0 {
-            self.origin
-        } else {
-            self.origin + self.gap * (seq + 1)
-        }
+        self.origin
+            .saturating_add(self.gap.saturating_mul(seq.saturating_add(1)))
     }
 }
 
@@ -118,7 +118,8 @@ pub struct RuntimeStats {
     pub max_ready_depth: u64,
     /// Largest coalesced dispatch, in frames.
     pub max_batch: u64,
-    /// Timer-wheel cascades (an upper-level slot drained and re-filed).
+    /// Always 0; kept because serialized reports and the repo benchmark
+    /// read it.
     pub wheel_cascades: u64,
     /// Device flow-cache hits over the run (memoized fast-path replays —
     /// see `netdebug_dataplane::Dataplane::cache_stats`).
@@ -146,7 +147,6 @@ impl RuntimeStats {
         self.dispatches += other.dispatches;
         self.max_ready_depth = self.max_ready_depth.max(other.max_ready_depth);
         self.max_batch = self.max_batch.max(other.max_batch);
-        self.wheel_cascades += other.wheel_cascades;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_invalidations += other.cache_invalidations;
@@ -165,165 +165,49 @@ impl RuntimeStats {
 }
 
 // ---------------------------------------------------------------------
-// Hierarchical timer wheel
+// The per-device scheduler
 // ---------------------------------------------------------------------
 
-const WHEEL_BITS: u32 = 8;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-const WHEEL_LEVELS: usize = 4;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TimerEntry {
-    due: u64,
-    flow: u32,
-}
-
-/// A 4-level × 256-slot hierarchical timer wheel over virtual device
-/// cycles. Level 0 is cycle-granular; each level up covers 256× the span
-/// below it; anything further than `2^32` cycles out waits in an overflow
-/// list. `pop_next` returns all entries due at the earliest pending
-/// instant, cascading upper-level slots down only when the near wheel is
-/// empty — entries never sit more than one cascade away from exact
-/// placement because the clock jumps straight to the next due instant.
-struct TimerWheel {
-    slots: Vec<Vec<TimerEntry>>,
-    overflow: Vec<TimerEntry>,
+/// The flows of one drive that still have frames to emit, keyed by the
+/// virtual instant each one's next frame is due at. A device carries at
+/// most a few dozen flows, so a binary heap is all the structure the
+/// determinism contract needs: it yields (due, flow) in exactly that
+/// order.
+struct Scheduler {
+    pending: BinaryHeap<Reverse<(u64, u32)>>,
     now: u64,
-    pending: usize,
-    cascades: u64,
 }
 
-impl TimerWheel {
+impl Scheduler {
     fn new(now: u64) -> Self {
-        TimerWheel {
-            slots: (0..WHEEL_LEVELS * WHEEL_SLOTS)
-                .map(|_| Vec::new())
-                .collect(),
-            overflow: Vec::new(),
+        Scheduler {
+            pending: BinaryHeap::new(),
             now,
-            pending: 0,
-            cascades: 0,
         }
     }
 
     /// File `flow` to fire at `due` (clamped to `now`: virtual time never
     /// runs backwards).
     fn schedule(&mut self, due: u64, flow: u32) {
-        let due = due.max(self.now);
-        self.pending += 1;
-        let delta = due - self.now;
-        let entry = TimerEntry { due, flow };
-        for level in 0..WHEEL_LEVELS {
-            let span_bits = WHEEL_BITS * (level as u32 + 1);
-            if delta < (1u64 << span_bits) {
-                let slot =
-                    ((due >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-                self.slots[level * WHEEL_SLOTS + slot].push(entry);
-                return;
-            }
-        }
-        self.overflow.push(entry);
+        self.pending.push(Reverse((due.max(self.now), flow)));
     }
 
-    /// Pop every entry due at the earliest pending instant into `out`
+    /// Pop every flow due at the earliest pending instant into `out`
     /// (sorted by flow), advancing `now` to that instant. Returns the
     /// instant, or `None` when nothing is pending.
-    fn pop_next(&mut self, out: &mut Vec<TimerEntry>) -> Option<u64> {
+    fn pop_next(&mut self, out: &mut Vec<u32>) -> Option<u64> {
         out.clear();
-        if self.pending == 0 {
-            return None;
+        let Reverse((instant, first)) = self.pending.pop()?;
+        self.now = instant;
+        out.push(first);
+        while let Some(&Reverse((due, flow))) = self.pending.peek() {
+            if due != instant {
+                break;
+            }
+            self.pending.pop();
+            out.push(flow);
         }
-        loop {
-            // Near wheel: level 0 holds at most the next 256 cycles, and
-            // every entry in slot (now + i) & 255 is due exactly at
-            // now + i — the first non-empty slot in time order is the
-            // near minimum. (It is NOT necessarily the global minimum:
-            // an upper-level entry filed long ago can be due sooner.)
-            let mut near: Option<u64> = None;
-            for i in 0..WHEEL_SLOTS as u64 {
-                let t = self.now + i;
-                let slot = (t & (WHEEL_SLOTS as u64 - 1)) as usize;
-                if !self.slots[slot].is_empty() {
-                    near = Some(t);
-                    break;
-                }
-            }
-            // Far wheels: find the earliest pending due across the upper
-            // levels and the overflow list. Within a level, buckets in
-            // time order from `now` hold the level's earliest entries, so
-            // the first non-empty *absolute* bucket (slot index alone can
-            // alias near and far entries) bounds that level's minimum.
-            let mut far: Option<(u64, usize, u64)> = None; // (due, level, bucket)
-            for level in 1..WHEEL_LEVELS {
-                let shift = WHEEL_BITS * level as u32;
-                let base = self.now >> shift;
-                for j in 0..=WHEEL_SLOTS as u64 {
-                    let bucket = base + j;
-                    let slot = (bucket & (WHEEL_SLOTS as u64 - 1)) as usize;
-                    let min = self.slots[level * WHEEL_SLOTS + slot]
-                        .iter()
-                        .filter(|e| (e.due >> shift) == bucket)
-                        .map(|e| e.due)
-                        .min();
-                    if let Some(due) = min {
-                        if far.is_none_or(|(d, _, _)| due < d) {
-                            far = Some((due, level, bucket));
-                        }
-                        break;
-                    }
-                }
-            }
-            if let Some(due) = self.overflow.iter().map(|e| e.due).min() {
-                if far.is_none_or(|(d, _, _)| due < d) {
-                    far = Some((due, WHEEL_LEVELS, 0));
-                }
-            }
-            // Drain level 0 only when it is *strictly* earliest —
-            // otherwise a far entry due at (or before) the near minimum
-            // must cascade down first, so every entry at one instant
-            // coalesces into one pop and `now` never overshoots a
-            // pending due.
-            if let Some(t) = near {
-                if far.is_none_or(|(d, _, _)| t < d) {
-                    self.now = t;
-                    let slot = (t & (WHEEL_SLOTS as u64 - 1)) as usize;
-                    out.append(&mut self.slots[slot]);
-                    self.pending -= out.len();
-                    out.sort_unstable_by_key(|e| e.flow);
-                    return Some(t);
-                }
-            }
-            let (due, level, bucket) =
-                far.expect("pending entries must be filed somewhere in the wheel");
-            // Jump to the far minimum (nothing is pending earlier) and
-            // cascade the winning slot down; its minimum lands in level 0
-            // and the next lap drains it together with anything already
-            // there at the same instant.
-            self.now = due;
-            self.cascades += 1;
-            let drained: Vec<TimerEntry> = if level == WHEEL_LEVELS {
-                std::mem::take(&mut self.overflow)
-            } else {
-                let shift = WHEEL_BITS * level as u32;
-                let slot = (bucket & (WHEEL_SLOTS as u64 - 1)) as usize;
-                let vec = &mut self.slots[level * WHEEL_SLOTS + slot];
-                let mut matching = Vec::with_capacity(vec.len());
-                let mut rest = Vec::new();
-                for e in vec.drain(..) {
-                    if (e.due >> shift) == bucket {
-                        matching.push(e);
-                    } else {
-                        rest.push(e);
-                    }
-                }
-                *vec = rest;
-                matching
-            };
-            self.pending -= drained.len();
-            for e in drained {
-                self.schedule(e.due, e.flow);
-            }
-        }
+        Some(instant)
     }
 }
 
@@ -560,12 +444,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         let max_batch = max_batch.max(1);
         let exit = match flows {
             [flow] => self.run_single(flow, cursors, max_batch),
-            _ => {
-                let mut wheel = TimerWheel::new(self.device.now());
-                let exit = self.run_wheel(flows, cursors, max_batch, &mut wheel);
-                self.stats.wheel_cascades += wheel.cascades;
-                exit
-            }
+            _ => self.run_scheduled(flows, cursors, max_batch),
         };
         match exit {
             ControlFlow::Continue(()) => Ok(DriveEnd::Completed),
@@ -720,8 +599,8 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         ControlFlow::Continue(())
     }
 
-    /// Single-flow fast path: the wheel degenerates to "next seq" — skip
-    /// it entirely so paced single-stream drivers (NetDebug sessions,
+    /// Single-flow fast path: the scheduler degenerates to "next seq" —
+    /// skip it entirely so paced single-stream drivers (NetDebug sessions,
     /// fleet members) pay no scheduling overhead per packet. Emission
     /// order is identical by construction.
     fn run_single(
@@ -751,32 +630,34 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         ControlFlow::Continue(())
     }
 
-    /// The general path: pop each virtual instant off the wheel and
+    /// The general path: pop each virtual instant off the scheduler and
     /// coalesce every frame due at it, flow by flow in declaration order.
-    fn run_wheel(
+    fn run_scheduled(
         &mut self,
         flows: &'f [FlowRun],
         cursors: &mut [FlowCursor],
         max_batch: usize,
-        wheel: &mut TimerWheel,
     ) -> ControlFlow<DriveExit> {
+        let mut scheduler = Scheduler::new(self.device.now());
         for (i, flow) in flows.iter().enumerate() {
             if cursors[i].next_seq < flow.frames.len() as u64 {
-                wheel.schedule(flow.due(cursors[i].next_seq), i as u32);
+                scheduler.schedule(flow.due(cursors[i].next_seq), i as u32);
             }
         }
-        let mut ready: Vec<TimerEntry> = Vec::new();
-        while let Some(instant) = wheel.pop_next(&mut ready) {
+        let mut ready: Vec<u32> = Vec::new();
+        while let Some(instant) = scheduler.pop_next(&mut ready) {
             self.stats.instants += 1;
             self.stats.max_ready_depth = self.stats.max_ready_depth.max(ready.len() as u64);
-            for entry in &ready {
-                let fi = entry.flow as usize;
+            for &ready_flow in &ready {
+                let fi = ready_flow as usize;
                 let flow = &flows[fi];
                 let count = flow.frames.len() as u64;
                 loop {
                     let s = cursors[fi].next_seq;
                     self.drain_triggers(flow, &mut cursors[fi], s)?;
-                    if s >= count || flow.due(s) != instant {
+                    // A frame whose due instant the device clock had
+                    // already passed when it was filed fires now.
+                    if s >= count || flow.due(s) > instant {
                         break;
                     }
                     self.push(flow, s, instant);
@@ -786,7 +667,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                     }
                 }
                 if cursors[fi].next_seq < count {
-                    wheel.schedule(flow.due(cursors[fi].next_seq), entry.flow);
+                    scheduler.schedule(flow.due(cursors[fi].next_seq), ready_flow);
                 }
             }
             // Flush at the instant boundary: dispatches never span a clock
@@ -1454,7 +1335,6 @@ impl Drop for FleetRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BinaryHeap;
 
     /// Deterministic splitmix64 for model comparison inputs.
     struct Rng(u64);
@@ -1468,100 +1348,139 @@ mod tests {
         }
     }
 
-    /// The wheel must pop entries in exactly (due, flow) order, instant by
-    /// instant — compared against a BinaryHeap model over schedules that
-    /// exercise every level and the overflow list, including re-schedules
+    /// The scheduler must pop entries in exactly (due, flow) order, instant
+    /// by instant — compared against a plain sorted `Vec` over schedules
+    /// whose dues sit past 2^8, 2^16 and 2^32 cycles from `now`, in the
+    /// past (clamped to `now`) and at `u64::MAX`, including re-schedules
     /// after pops (the event loop's steady state).
     #[test]
-    fn wheel_matches_heap_model() {
+    fn scheduler_matches_sorted_vec_model() {
         for seed in 0..16u64 {
             let mut rng = Rng(seed.wrapping_mul(0x5DEECE66D).wrapping_add(11));
-            let mut wheel = TimerWheel::new(0);
-            let mut model: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-            let mut pendings: Vec<(u64, u32)> = Vec::new();
-            for flow in 0..48u32 {
-                // Deltas spanning level 0 (tiny), mid levels, and overflow.
-                let due = match flow % 5 {
-                    0 => rng.next() % 16,
-                    1 => rng.next() % (1 << 8),
-                    2 => rng.next() % (1 << 17),
-                    3 => rng.next() % (1 << 30),
-                    _ => (1u64 << 33) + rng.next() % (1 << 34),
+            let start = rng.next() % (1 << 20);
+            let mut scheduler = Scheduler::new(start);
+            // The model: every pending (clamped due, flow), kept sorted.
+            let mut model: Vec<(u64, u32)> = Vec::new();
+            let mut now = start;
+            for flow in 0..56u32 {
+                let due = match flow % 7 {
+                    0 => start + rng.next() % 16,
+                    1 => start + (1 << 8) + rng.next() % 3,
+                    2 => start + (1 << 16) + rng.next() % 3,
+                    3 => start + (1 << 32) + rng.next() % 3,
+                    4 => rng.next() % (start + 1), // past: fires at `start`
+                    5 => u64::MAX,
+                    _ => start + rng.next() % (1 << 34),
                 };
-                wheel.schedule(due, flow);
-                model.push(std::cmp::Reverse((due, flow)));
-                pendings.push((due, flow));
+                scheduler.schedule(due, flow);
+                model.push((due.max(now), flow));
             }
             let mut ready = Vec::new();
-            let mut popped = 0usize;
-            let mut reschedules = 96usize;
-            while let Some(t) = wheel.pop_next(&mut ready) {
-                for e in &ready {
-                    let std::cmp::Reverse((due, flow)) =
-                        model.pop().expect("wheel popped more than scheduled");
-                    assert_eq!((t, e.flow), (due, flow), "seed {seed}");
-                    assert_eq!(e.due, due);
-                    popped += 1;
-                }
-                // Steady state: fired flows re-file at a later instant.
-                // Half the deltas are sub-256 so freshly-filed level-0
-                // entries routinely land *behind* older upper-level ones —
-                // the pop must still take the global minimum.
-                if reschedules > 0 {
-                    reschedules -= ready.len().min(reschedules);
-                    for e in &ready {
-                        let delta = if e.flow % 2 == 0 {
-                            1 + rng.next() % 255
-                        } else {
-                            1 + rng.next() % (1 << 20)
-                        };
-                        let due = t + delta;
-                        wheel.schedule(due, e.flow);
-                        model.push(std::cmp::Reverse((due, e.flow)));
+            let mut reschedules = 112usize;
+            while let Some(t) = scheduler.pop_next(&mut ready) {
+                model.sort_unstable();
+                assert!(t >= now, "seed {seed}: virtual time ran backwards");
+                now = t;
+                let at_t = model.iter().take_while(|&&(due, _)| due == t).count();
+                let expected: Vec<u32> = model.drain(..at_t).map(|(_, flow)| flow).collect();
+                assert!(!expected.is_empty(), "seed {seed}: popped an empty instant");
+                assert_eq!(ready, expected, "seed {seed} at {t}");
+                // Steady state: fired flows re-file, some behind `now`.
+                for &flow in &ready {
+                    if reschedules == 0 {
+                        break;
                     }
+                    reschedules -= 1;
+                    let due = match flow % 3 {
+                        0 => t.saturating_add(1 + rng.next() % 255),
+                        1 => t.saturating_add(1 + rng.next() % (1 << 33)),
+                        _ => t / 2,
+                    };
+                    scheduler.schedule(due, flow);
+                    model.push((due.max(now), flow));
                 }
             }
-            assert!(model.is_empty(), "seed {seed}: wheel lost entries");
-            assert!(popped >= pendings.len());
+            assert!(model.is_empty(), "seed {seed}: scheduler lost entries");
         }
     }
 
-    /// Regression: pacing classes 80 and 320 from origin 0 put the
-    /// gap-320 flow at level 1 while the gap-80 flow laps level 0; at
-    /// cycle 320 both are due and must come out of ONE pop in flow
-    /// order — and the near wheel must never overshoot the far entry
-    /// (which used to strand it behind the bucket scan and panic).
+    /// Pacing classes 80 and 320 from origin 0: at cycle 320 both flows
+    /// are due and must come out of ONE pop in flow order, and an entry
+    /// filed later never jumps one filed earlier for a sooner instant.
     #[test]
-    fn wheel_merges_near_and_far_entries_due_at_one_instant() {
-        let mut wheel = TimerWheel::new(0);
-        wheel.schedule(80, 0); // paced at 80, will lap
-        wheel.schedule(320, 1); // files at level 1
+    fn scheduler_merges_entries_due_at_one_instant() {
+        let mut scheduler = Scheduler::new(0);
+        scheduler.schedule(80, 0);
+        scheduler.schedule(320, 1);
         let mut ready = Vec::new();
         for k in 1..=3u64 {
-            assert_eq!(wheel.pop_next(&mut ready), Some(80 * k));
-            assert_eq!(ready.iter().map(|e| e.flow).collect::<Vec<_>>(), vec![0]);
-            wheel.schedule(80 * (k + 1), 0);
+            assert_eq!(scheduler.pop_next(&mut ready), Some(80 * k));
+            assert_eq!(ready, vec![0]);
+            scheduler.schedule(80 * (k + 1), 0);
         }
-        // Cycle 320: the lapped level-0 entry and the cascaded level-1
-        // entry fire together, sorted by flow.
-        assert_eq!(wheel.pop_next(&mut ready), Some(320));
-        assert_eq!(ready.iter().map(|e| e.flow).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(wheel.pop_next(&mut ready), None);
+        assert_eq!(scheduler.pop_next(&mut ready), Some(320));
+        assert_eq!(ready, vec![0, 1]);
+        assert_eq!(scheduler.pop_next(&mut ready), None);
 
-        // And a near entry filed *later* than a far one must not be
-        // popped first: 350 sits in level 0, 320 still at level 1.
-        let mut wheel = TimerWheel::new(0);
-        wheel.schedule(320, 1);
-        let mut ready = Vec::new();
-        assert_eq!(wheel.pop_next(&mut ready), Some(320));
-        let mut wheel = TimerWheel::new(0);
-        wheel.schedule(300, 1); // level 1 relative to 0
-        wheel.schedule(260, 0);
-        assert_eq!(wheel.pop_next(&mut ready), Some(260));
-        wheel.schedule(290, 0); // level 0 now, later than the far 300
-        assert_eq!(wheel.pop_next(&mut ready), Some(290));
-        assert_eq!(wheel.pop_next(&mut ready), Some(300));
-        assert_eq!(ready.iter().map(|e| e.flow).collect::<Vec<_>>(), vec![1]);
+        let mut scheduler = Scheduler::new(0);
+        scheduler.schedule(300, 1);
+        scheduler.schedule(260, 0);
+        assert_eq!(scheduler.pop_next(&mut ready), Some(260));
+        scheduler.schedule(290, 0);
+        assert_eq!(scheduler.pop_next(&mut ready), Some(290));
+        assert_eq!(scheduler.pop_next(&mut ready), Some(300));
+        assert_eq!(ready, vec![1]);
+    }
+
+    /// A gap large enough to overflow `origin + gap * (seq + 1)` saturates
+    /// at the end of virtual time: the drive completes, in (due, flow,
+    /// seq) order, instead of wrapping a late frame round to an early due.
+    #[test]
+    fn due_saturates_instead_of_wrapping() {
+        use netdebug_hw::Backend;
+        const GAP: u64 = u64::MAX / 2;
+        let frames: Arc<Vec<GeneratedPacket>> = Arc::new(
+            (0..4)
+                .map(|seq| GeneratedPacket {
+                    data: vec![seq as u8; 64].into(),
+                    stream: 1,
+                    seq,
+                    ts_cycles: 0,
+                })
+                .collect(),
+        );
+        let flows: Vec<FlowRun> = (0..2u32)
+            .map(|id| FlowRun {
+                origin: u64::from(id),
+                gap: GAP,
+                ..FlowRun::new(id, 0, Arc::clone(&frames))
+            })
+            .collect();
+        assert_eq!(flows[0].due(1), u64::MAX - 1);
+        assert_eq!(flows[1].due(1), u64::MAX);
+        assert_eq!(flows[0].due(2), u64::MAX, "saturated, not wrapped");
+
+        struct Order(Vec<(u32, u64)>);
+        impl DeviceSink for Order {
+            fn on_packet(&mut self, flow: u32, seq: u64, _p: Processed) {
+                self.0.push((flow, seq));
+            }
+        }
+        let mut dev =
+            Device::deploy_source(&Backend::reference(), netdebug_p4::corpus::L2_SWITCH).unwrap();
+        let mut sink = Order(Vec::new());
+        let (stats, result) = drive_device(&mut dev, &flows, 8, &mut sink);
+        assert!(result.is_ok());
+        let mut expected: Vec<(u64, u32, u64)> = flows
+            .iter()
+            .flat_map(|f| (0..4).map(|seq| (f.due(seq), f.id, seq)))
+            .collect();
+        expected.sort_unstable();
+        let expected: Vec<(u32, u64)> = expected.into_iter().map(|(_, f, s)| (f, s)).collect();
+        assert_eq!(sink.0, expected);
+        // GAP, GAP + 1, MAX - 1, then everything left at MAX.
+        assert_eq!((stats.packets, stats.instants), (8, 4));
+        assert_eq!(dev.now(), u64::MAX);
     }
 
     /// A worker that dies while holding the pool's job-queue lock leaves
@@ -1632,20 +1551,17 @@ mod tests {
     }
 
     #[test]
-    fn wheel_coalesces_same_instant_entries_sorted_by_flow() {
-        let mut wheel = TimerWheel::new(100);
-        wheel.schedule(500, 7);
-        wheel.schedule(500, 3);
-        wheel.schedule(500, 5);
-        wheel.schedule(90, 9); // past: clamped to now
+    fn scheduler_coalesces_same_instant_entries_sorted_by_flow() {
+        let mut scheduler = Scheduler::new(100);
+        scheduler.schedule(500, 7);
+        scheduler.schedule(500, 3);
+        scheduler.schedule(500, 5);
+        scheduler.schedule(90, 9); // past: clamped to now
         let mut ready = Vec::new();
-        assert_eq!(wheel.pop_next(&mut ready), Some(100));
-        assert_eq!(ready.iter().map(|e| e.flow).collect::<Vec<_>>(), vec![9]);
-        assert_eq!(wheel.pop_next(&mut ready), Some(500));
-        assert_eq!(
-            ready.iter().map(|e| e.flow).collect::<Vec<_>>(),
-            vec![3, 5, 7]
-        );
-        assert_eq!(wheel.pop_next(&mut ready), None);
+        assert_eq!(scheduler.pop_next(&mut ready), Some(100));
+        assert_eq!(ready, vec![9]);
+        assert_eq!(scheduler.pop_next(&mut ready), Some(500));
+        assert_eq!(ready, vec![3, 5, 7]);
+        assert_eq!(scheduler.pop_next(&mut ready), None);
     }
 }

@@ -206,8 +206,8 @@ impl NetDebug {
     }
 
     /// Event-loop runtime counters accumulated across every stream this
-    /// session ran ([`RuntimeStats`]): coalesced-dispatch sizes,
-    /// ready-queue depth, wheel cascades.
+    /// session ran ([`RuntimeStats`]): coalesced-dispatch sizes and
+    /// ready-queue depth.
     pub fn runtime_stats(&self) -> RuntimeStats {
         self.runtime
     }

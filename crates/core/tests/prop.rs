@@ -449,11 +449,15 @@ proptest! {
     /// flat sorted schedule: inject every frame singly in
     /// (virtual time, flow id, seq) order on a twin device and the
     /// per-packet verdicts, clock and taps must match exactly, for any
-    /// `max_batch` and any mix of paced and back-to-back flows.
+    /// `max_batch` and any mix of back-to-back flows and paced ones whose
+    /// gaps sit on either side of 2^8, 2^16 and 2^32 cycles. The device
+    /// clock starts ahead of some origins: a frame already due fires at
+    /// once.
     #[test]
     fn multi_flow_drive_matches_sorted_reference(
-        flows_raw in proptest::collection::vec((0u64..40, 0u64..120, 1u64..16), 1..5),
+        flows_raw in proptest::collection::vec((0u64..40, 0u64..5, 0u64..357, 1u64..16), 1..=64),
         max_batch in 1usize..32,
+        ahead in 0u64..40,
     ) {
         use netdebug::generator::Generator;
         use netdebug::runtime::{drive_device, DeviceSink, FlowRun};
@@ -471,7 +475,14 @@ proptest! {
         let flows: Vec<FlowRun> = flows_raw
             .iter()
             .enumerate()
-            .map(|(i, &(origin, gap, n))| {
+            .map(|(i, &(origin, gap_class, gap_raw, n))| {
+                let gap = match gap_class {
+                    0 => 0,
+                    1 => 1 + gap_raw % 119,
+                    2 => 255 + gap_raw % 3,
+                    3 => 65_535 + gap_raw % 3,
+                    _ => (1 << 32) - 1 + gap_raw % 3,
+                };
                 let spec = StreamSpec {
                     stream: i as u16,
                     template: router_frame(if i % 3 == 2 { 5 } else { 4 }),
@@ -493,6 +504,7 @@ proptest! {
             .collect();
 
         let mut driven = router(&Backend::reference());
+        driven.advance(ahead);
         let mut sink = Rec(Vec::new());
         let (stats, result) = drive_device(&mut driven, &flows, max_batch, &mut sink);
         prop_assert!(result.is_ok());
@@ -503,10 +515,11 @@ proptest! {
         // per event, clock advanced to each due instant.
         let mut events: Vec<(u64, u32, u64)> = flows
             .iter()
-            .flat_map(|f| (0..f.frames.len() as u64).map(|k| (f.due(k), f.id, k)))
+            .flat_map(|f| (0..f.frames.len() as u64).map(|k| (f.due(k).max(ahead), f.id, k)))
             .collect();
         events.sort_unstable();
         let mut twin = router(&Backend::reference());
+        twin.advance(ahead);
         let mut expected = Vec::with_capacity(total);
         for &(due, id, k) in &events {
             if due > twin.now() {

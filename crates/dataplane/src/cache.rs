@@ -22,6 +22,13 @@
 //!   the shared generation; the next `FlowCache::sync_generation`
 //!   observes the move and drops every entry. There is no explicit
 //!   flush path — invalidation *is* the PR-3/PR-4 epoch machinery.
+//! * **Storage** — 4 096 logical direct-mapped slots, but resident
+//!   memory follows resident flows: a slot is one `u32` in an index
+//!   (16 KiB) pointing into a dense arena of entries that grows with
+//!   occupancy, so an empty cache is the index plus the second-chance
+//!   tags (32 KiB) and a device that sees 64 flows holds 64 entries.
+//!   Dropping every entry zeroes the index and keeps the arena's buffers
+//!   for the flows that come back.
 //! * **Outcome** — a miss runs the compiled bytecode normally while a
 //!   `MissRecord` captures the replayable side effects: the per-apply
 //!   hit/miss sequence (table statistics), the counter increments, the
@@ -95,9 +102,9 @@ enum OutcomeKind {
 
 /// One memoized execution: everything needed to replay a packet with
 /// this key without entering the interpreter loop.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Outcome {
-    kind: Option<OutcomeKind>,
+    kind: OutcomeKind,
     /// Output bytes **before** the payload (the deparsed headers).
     header: Vec<u8>,
     /// Where the live packet's payload starts.
@@ -111,8 +118,8 @@ struct Outcome {
     trace: Option<Vec<u8>>,
 }
 
-/// One direct-mapped slot.
-#[derive(Debug, Default)]
+/// One resident flow: its key and what to replay for it.
+#[derive(Debug)]
 struct Entry {
     hash: u64,
     port: u16,
@@ -122,25 +129,49 @@ struct Entry {
     outcome: Outcome,
 }
 
+impl Entry {
+    /// An entry with empty buffers; [`FlowCache::commit`] fills it in.
+    fn new(kind: OutcomeKind) -> Entry {
+        Entry {
+            hash: 0,
+            port: 0,
+            len: 0,
+            key: Vec::new(),
+            outcome: Outcome {
+                kind,
+                header: Vec::new(),
+                payload_start: 0,
+                applies: Vec::new(),
+                counters: Vec::new(),
+                trace: None,
+            },
+        }
+    }
+}
+
 /// Number of direct-mapped slots (power of two).
 const SLOTS: usize = 4096;
 
 /// A per-dataplane direct-mapped flow cache.
 ///
 /// Collisions overwrite — repeated flows keep their slot hot, one-off
-/// keys cycle through without evicting more than one entry each. Slot
-/// buffers are reused on overwrite, so the steady state of both the
-/// all-hit and the all-miss extreme allocates nothing per packet beyond
-/// the output frame.
+/// keys cycle through without evicting more than one entry each. Entry
+/// buffers are reused on overwrite and across invalidations, so the
+/// steady state of both the all-hit and the all-miss extreme allocates
+/// nothing per packet beyond the output frame.
 #[derive(Debug)]
 pub(crate) struct FlowCache {
-    slots: Vec<Option<Entry>>,
-    /// Dense mirror of each resident entry's key hash (0 when empty).
-    /// Misses are decided here — one word read in a 32 KiB array —
-    /// without ever touching the ~10× larger [`Entry`] slab; only a
-    /// mirror match pays the full probe. Hash collisions are resolved by
-    /// the entry's own byte-exact key compare.
-    entry_hash: Vec<u64>,
+    /// Per slot, the resident entry's arena position plus one (0 = empty).
+    /// An empty slot — every slot, when every packet misses — is decided
+    /// by this one word in a 16 KiB array without touching an entry; a
+    /// resident one is verified by the entry's own hash and byte-exact
+    /// key compare.
+    index: Vec<u32>,
+    /// The entries, dense, in installation order: `arena[..live]` are
+    /// resident, anything behind them was dropped by a generation bump
+    /// and is kept for its buffers.
+    arena: Vec<Entry>,
+    live: usize,
     /// Second-chance filter: the key hash of each slot's most recent
     /// miss. A full entry is installed only when a key misses twice, so
     /// one-off keys (the uniform-random worst case) cost one word write
@@ -162,16 +193,14 @@ pub(crate) struct FlowCache {
     hits: u64,
     misses: u64,
     invalidations: u64,
-    occupied: usize,
 }
 
 impl FlowCache {
     pub(crate) fn new(key_cap: usize) -> FlowCache {
-        let mut slots = Vec::new();
-        slots.resize_with(SLOTS, || None);
         FlowCache {
-            slots,
-            entry_hash: vec![0; SLOTS],
+            index: vec![0; SLOTS],
+            arena: Vec::new(),
+            live: 0,
             tags: vec![0; SLOTS],
             key_cap,
             generation: 0,
@@ -182,7 +211,6 @@ impl FlowCache {
             hits: 0,
             misses: 0,
             invalidations: 0,
-            occupied: 0,
         }
     }
 
@@ -192,8 +220,8 @@ impl FlowCache {
             hits: self.hits,
             misses: self.misses,
             invalidations: self.invalidations,
-            occupancy: self.occupied,
-            capacity: self.slots.len(),
+            occupancy: self.live,
+            capacity: self.index.len(),
         }
     }
 
@@ -205,13 +233,10 @@ impl FlowCache {
         if generation == self.generation {
             return;
         }
-        if self.occupied > 0 {
-            for slot in &mut self.slots {
-                *slot = None;
-            }
-            self.occupied = 0;
+        if self.live > 0 {
+            self.index.fill(0);
+            self.live = 0;
             self.invalidations += 1;
-            self.entry_hash.fill(0);
         }
         self.tags.fill(0);
         self.generation = generation;
@@ -248,50 +273,43 @@ impl FlowCache {
     ) -> Option<Verdict> {
         let key = self.key_of(data);
         let hash = Self::hash_key(port, data.len(), key);
-        let slot = (hash as usize) & (self.slots.len() - 1);
+        let slot = (hash as usize) & (self.index.len() - 1);
         self.last_hash = hash;
         self.last_slot = slot;
-        // 0 = no resident entry for this key, 1 = key resident but
-        // recorded untraced (re-record with trace), 2 = hit. The mirror
-        // check keeps the all-miss path out of the entry slab entirely.
-        let matched = if self.entry_hash[slot] != hash {
-            0
-        } else {
-            match self.slots[slot].as_ref() {
-                Some(e)
-                    if e.hash == hash
-                        && e.port == port
-                        && e.len as usize == data.len()
-                        && e.key.as_slice() == key =>
-                {
-                    if !tracing || e.outcome.trace.is_some() {
-                        2
-                    } else {
-                        1
-                    }
-                }
-                _ => 0,
-            }
+        let resident = match self.index[slot] {
+            0 => None,
+            at => Some(&self.arena[at as usize - 1]),
+        }
+        .filter(|e| {
+            e.hash == hash
+                && e.port == port
+                && e.len as usize == data.len()
+                && e.key.as_slice() == key
+        });
+        // A traced hit needs the trace bytes too: an entry recorded
+        // untraced is resident but not a hit (re-record with trace).
+        let hit = match resident {
+            Some(e) if tracing => e.outcome.trace.as_deref().map(|t| (&e.outcome, Some(t))),
+            Some(e) => Some((&e.outcome, None)),
+            None => None,
         };
-        if matched != 2 {
+        let Some((outcome, trace)) = hit else {
             self.misses += 1;
-            self.install = matched == 1 || self.tags[slot] == hash;
+            self.install = resident.is_some() || self.tags[slot] == hash;
             self.tags[slot] = hash;
             self.scratch.clear();
             return None;
-        }
+        };
         self.hits += 1;
-        let outcome = &self.slots[slot].as_ref().expect("probed entry").outcome;
         for &(tid, was_hit) in &outcome.applies {
             table_stats[tid as usize].record(was_hit);
         }
         for &(id, idx) in &outcome.counters {
             externs.counter_inc(id as usize, idx as usize, data.len());
         }
-        if tracing {
-            buf.load(outcome.trace.as_deref().expect("traced entry"));
-        } else {
-            buf.clear();
+        match trace {
+            Some(bytes) => buf.load(bytes),
+            None => buf.clear(),
         }
         let rebuild = |header: &[u8], payload_start: usize| {
             let payload = &data[payload_start..];
@@ -300,7 +318,7 @@ impl FlowCache {
             out.extend_from_slice(payload);
             out
         };
-        Some(match outcome.kind.expect("committed entry has a verdict") {
+        Some(match outcome.kind {
             OutcomeKind::Drop(reason) => Verdict::Drop(reason),
             OutcomeKind::Forward(p) => Verdict::Forward {
                 port: p,
@@ -328,56 +346,57 @@ impl FlowCache {
     /// directly follow the [`FlowCache::lookup`] that missed (the key
     /// hash and slot are carried over). First-time misses are filtered
     /// to a tag write in `lookup` and return without installing; a key's
-    /// second miss overwrites the slot (direct-mapped), reusing its
-    /// buffers. `trace` carries the packet's flat trace record bytes
+    /// second miss overwrites the slot's entry (direct-mapped), reusing
+    /// its buffers. `trace` carries the packet's flat trace record bytes
     /// when the run was traced.
-    pub(crate) fn commit(
+    pub(crate) fn commit<'v>(
         &mut self,
         port: u16,
         data: &[u8],
-        verdict: &Verdict,
+        verdict: &'v Verdict,
         trace: Option<&[u8]>,
     ) {
         if !self.install {
             return;
         }
         let key = self.key_of(data);
-        let hash = self.last_hash;
-        let slot = self.last_slot;
-        self.entry_hash[slot] = hash;
-        if self.slots[slot].is_none() {
-            self.slots[slot] = Some(Entry::default());
-            self.occupied += 1;
-        }
-        let e = self.slots[slot].as_mut().expect("just ensured");
-        e.hash = hash;
+        let rec = &self.scratch;
+        // The output bytes ahead of the payload the parser left unread.
+        let header = |frame: &'v [u8]| &frame[..frame.len() - (data.len() - rec.payload_start)];
+        let (kind, header): (OutcomeKind, &[u8]) = match verdict {
+            Verdict::Drop(reason) => (OutcomeKind::Drop(*reason), &[]),
+            Verdict::Forward { port, data: frame } => (OutcomeKind::Forward(*port), header(frame)),
+            Verdict::Flood { data: frame } => (OutcomeKind::Flood, header(frame)),
+        };
+        // A resident slot is overwritten where it is; an empty one takes
+        // the next arena position, buffers and all if a dropped entry is
+        // parked there.
+        let at = match self.index[self.last_slot] {
+            0 => {
+                if self.live == self.arena.len() {
+                    self.arena.push(Entry::new(kind));
+                }
+                self.live += 1;
+                self.index[self.last_slot] = self.live as u32;
+                self.live - 1
+            }
+            at => at as usize - 1,
+        };
+        let e = &mut self.arena[at];
+        e.hash = self.last_hash;
         e.port = port;
         e.len = data.len() as u32;
         e.key.clear();
         e.key.extend_from_slice(key);
-        let rec = &mut self.scratch;
         let out = &mut e.outcome;
+        out.kind = kind;
+        out.header.clear();
+        out.header.extend_from_slice(header);
         out.payload_start = rec.payload_start;
         out.applies.clear();
         out.applies.extend_from_slice(&rec.applies);
         out.counters.clear();
         out.counters.extend_from_slice(&rec.counters);
-        out.header.clear();
-        out.kind = Some(match verdict {
-            Verdict::Drop(reason) => OutcomeKind::Drop(*reason),
-            Verdict::Forward { port, data: frame } => {
-                let payload_len = data.len() - rec.payload_start;
-                out.header
-                    .extend_from_slice(&frame[..frame.len() - payload_len]);
-                OutcomeKind::Forward(*port)
-            }
-            Verdict::Flood { data: frame } => {
-                let payload_len = data.len() - rec.payload_start;
-                out.header
-                    .extend_from_slice(&frame[..frame.len() - payload_len]);
-                OutcomeKind::Flood
-            }
-        });
         match (trace, &mut out.trace) {
             (Some(bytes), Some(stored)) => {
                 stored.clear();
@@ -526,5 +545,103 @@ mod tests {
         assert!(c
             .lookup(0, &hot, false, &mut stats, &mut ext, &mut buf)
             .is_some());
+    }
+
+    /// Miss on `frame` with a `Forward` verdict to `out_port` until the
+    /// tag filter lets it in.
+    fn install(c: &mut FlowCache, frame: &[u8], out_port: u16) {
+        let (mut stats, mut ext, mut buf) = (vec![], ExternState::new(&[]), TraceBuf::default());
+        while c
+            .lookup(0, frame, false, &mut stats, &mut ext, &mut buf)
+            .is_none()
+        {
+            c.commit(
+                0,
+                frame,
+                &Verdict::Forward {
+                    port: out_port,
+                    data: frame.to_vec(),
+                },
+                None,
+            );
+        }
+    }
+
+    fn probe(c: &mut FlowCache, frame: &[u8]) -> Option<Verdict> {
+        let (mut stats, mut ext, mut buf) = (vec![], ExternState::new(&[]), TraceBuf::default());
+        c.lookup(0, frame, false, &mut stats, &mut ext, &mut buf)
+    }
+
+    #[test]
+    fn colliding_key_overwrites_its_arena_entry_in_place() {
+        let slot_of = |f: &[u8; 4]| FlowCache::hash_key(0, 4, f) as usize & (SLOTS - 1);
+        let a = 0u32.to_be_bytes();
+        let b = (1u32..)
+            .map(u32::to_be_bytes)
+            .find(|f| slot_of(f) == slot_of(&a))
+            .expect("some key shares a slot with key 0");
+        let other = (1u32..)
+            .map(u32::to_be_bytes)
+            .find(|f| slot_of(f) != slot_of(&a))
+            .expect("some key does not");
+        let mut c = FlowCache::new(4);
+        install(&mut c, &a, 1);
+        install(&mut c, &other, 2);
+        assert_eq!((c.stats().occupancy, c.arena.len()), (2, 2));
+        // `b` evicts `a` from the slot they share: same arena position,
+        // nothing grows, and `other` is untouched.
+        let at = c.index[slot_of(&a)];
+        install(&mut c, &b, 3);
+        assert_eq!(c.index[slot_of(&a)], at);
+        assert_eq!((c.stats().occupancy, c.arena.len()), (2, 2));
+        assert!(probe(&mut c, &a).is_none());
+        assert!(matches!(
+            probe(&mut c, &b),
+            Some(Verdict::Forward { port: 3, .. })
+        ));
+        assert!(matches!(
+            probe(&mut c, &other),
+            Some(Verdict::Forward { port: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn dropped_entries_never_resurface_from_reused_buffers() {
+        // 64 keys in 64 different slots, so none evicts another.
+        let mut slots = std::collections::HashSet::new();
+        let frames: Vec<[u8; 4]> = (0u32..)
+            .map(u32::to_be_bytes)
+            .filter(|f| slots.insert(FlowCache::hash_key(0, 4, f) as usize & (SLOTS - 1)))
+            .take(64)
+            .collect();
+        let mut c = FlowCache::new(4);
+        c.sync_generation(1);
+        for f in &frames {
+            install(&mut c, f, 1);
+        }
+        assert_eq!((c.stats().occupancy, c.arena.len()), (64, 64));
+        c.sync_generation(2);
+        assert_eq!((c.stats().occupancy, c.arena.len()), (0, 64));
+        // Every old key misses — twice, so it is not the tag filter
+        // talking — although its entry still sits in the arena.
+        for f in &frames {
+            assert!(probe(&mut c, f).is_none());
+            assert!(probe(&mut c, f).is_none());
+        }
+        // New entries move into the parked ones, first come first served,
+        // and replay their own verdicts, not the previous tenant's.
+        for f in frames.iter().rev() {
+            install(&mut c, f, 2);
+        }
+        assert_eq!((c.stats().occupancy, c.arena.len()), (64, 64));
+        for f in &frames {
+            assert_eq!(
+                probe(&mut c, f),
+                Some(Verdict::Forward {
+                    port: 2,
+                    data: f.to_vec()
+                })
+            );
+        }
     }
 }

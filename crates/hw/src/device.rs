@@ -1038,8 +1038,9 @@ impl TapState {
         // up, and completes `pipeline_cycles` later. Wall-clock time (the
         // device clock) does not stall — the caller controls arrivals.
         let start = self.now_cycles.max(self.pipe_next_start);
-        self.pipe_next_start = start + latency.initiation_interval;
-        let done_at = start + pipeline_cycles;
+        // Saturating: a caller may schedule arrivals up to `u64::MAX`.
+        self.pipe_next_start = start.saturating_add(latency.initiation_interval);
+        let done_at = start.saturating_add(pipeline_cycles);
         let wait_cycles = done_at - self.now_cycles;
 
         // The last tap the packet reached, alongside its fate.

@@ -5,18 +5,11 @@
 use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::localize::localize;
 use netdebug::session::NetDebug;
-use netdebug_bench::{banner, malformed_frame};
-use netdebug_hw::{Backend, Device};
+use netdebug_bench::{banner, malformed_frame, router_device};
+use netdebug_hw::Backend;
 use netdebug_p4::corpus;
 use netdebug_tester::{check_forwarding, ExternalView};
 use netdebug_verify::{verify, Options};
-
-fn deploy(backend: &Backend) -> Device {
-    let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).unwrap();
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
-    dev
-}
 
 fn main() {
     banner("E1: the SDNet reject-state bug (paper §4)");
@@ -37,7 +30,7 @@ fn main() {
 
     // Tool 2: external tester.
     let t0 = std::time::Instant::now();
-    let mut dev = deploy(&Backend::sdnet_2018());
+    let mut dev = router_device(&Backend::sdnet_2018());
     let detected_ext = {
         let mut view = ExternalView::attach(&mut dev);
         check_forwarding(&mut view, 0, &malformed, None).is_err()
@@ -50,7 +43,7 @@ fn main() {
 
     // Tool 3: NetDebug.
     let t0 = std::time::Instant::now();
-    let mut nd = NetDebug::new(deploy(&Backend::sdnet_2018()));
+    let mut nd = NetDebug::new(router_device(&Backend::sdnet_2018()));
     let report = nd.run_session(&[StreamSpec {
         stream: 1,
         template: malformed.clone(),
@@ -71,7 +64,7 @@ fn main() {
     );
 
     // Ground truth contrast.
-    let mut reference = deploy(&Backend::reference());
+    let mut reference = router_device(&Backend::reference());
     let ref_loc = localize(&mut reference, 0, &malformed);
     println!("\nreference localisation of the same packet: {ref_loc}");
     println!("buggy     localisation of the same packet: {loc}");

@@ -35,17 +35,18 @@
 //! run as smoke assertions in CI.
 
 use netdebug::churn::{ChurnOp, ChurnSchedule};
-use netdebug::generator::{Expectation, Generator, StreamSpec};
+use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::runtime::{
-    drive_device, drive_device_with, DeviceDone, DeviceSink, DeviceTask, FleetRuntime, FlowRun,
-    RecoveryPolicy,
+    drive_device, drive_device_with, DeviceDone, DeviceTask, FleetRuntime, FlowRun, RecoveryPolicy,
 };
 use netdebug::DifferentialFleet;
-use netdebug_bench::{banner, fnv, routable_frame, FNV_OFFSET};
-use netdebug_hw::{ArchLimits, Backend, BugSpec, Device, FaultSpec, Processed, SdnetProfile};
+use netdebug_bench::{
+    banner, dec, routable_frame, router_device, router_flows, row, DigestSink, Report, Value,
+};
+use netdebug_hw::{ArchLimits, Backend, BugSpec, Device, FaultSpec, SdnetProfile};
 use netdebug_p4::corpus;
 use netdebug_packet::Ipv4Address;
-use std::sync::Arc;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Overhead workload: one device, this many back-to-back flows x frames.
@@ -80,75 +81,13 @@ const EPOCHS: u64 = 24;
 const BAD_EPOCH: u64 = 17;
 
 fn router() -> Device {
-    let mut dev = Device::deploy_source(&Backend::reference(), corpus::IPV4_FORWARD)
-        .expect("deploy ipv4_forward");
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .expect("install default route");
-    dev
+    router_device(&Backend::reference())
 }
 
 /// `gap` paces the flows in virtual cycles per frame (0 = back-to-back).
 fn build_flows(flows: usize, frames: u64, gap: u64) -> Vec<FlowRun> {
-    let mut generator = Generator::new();
-    (0..flows)
-        .map(|j| {
-            let spec = StreamSpec {
-                stream: j as u16,
-                template: routable_frame(Ipv4Address::new(10, 0, 1, (j % 250) as u8)),
-                count: frames,
-                rate_pps: None,
-                as_port: (j % 4) as u16,
-                sweeps: vec![],
-                expect: Expectation::Any,
-            };
-            FlowRun {
-                id: j as u32,
-                as_port: spec.as_port,
-                frames: Arc::new(generator.build_batch(&spec, 0, frames, 0, gap)),
-                origin: 0,
-                gap,
-                triggers: vec![],
-            }
-        })
-        .collect()
-}
-
-/// Sink folding every verdict into an FNV-1a digest.
-struct DigestSink {
-    digest: u64,
-    packets: u64,
-}
-
-impl DigestSink {
-    fn new() -> Self {
-        Self {
-            digest: FNV_OFFSET,
-            packets: 0,
-        }
-    }
-}
-
-impl DeviceSink for DigestSink {
-    fn on_packet(&mut self, flow: u32, seq: u64, p: Processed) {
-        self.packets += 1;
-        let mut h = fnv(self.digest, &flow.to_le_bytes());
-        h = fnv(h, &seq.to_le_bytes());
-        match &p.outcome {
-            netdebug_hw::Outcome::Tx { port, data } => {
-                h = fnv(h, &[1]);
-                h = fnv(h, &port.to_le_bytes());
-                h = fnv(h, data);
-            }
-            netdebug_hw::Outcome::Flood { data } => {
-                h = fnv(h, &[2]);
-                h = fnv(h, data);
-            }
-            netdebug_hw::Outcome::Dropped { .. } => h = fnv(h, &[3]),
-        }
-        h = fnv(h, p.last_stage.as_bytes());
-        h = fnv(h, &p.done_at_cycle.to_le_bytes());
-        self.digest = h;
-    }
+    let dst = |j: usize| Ipv4Address::new(10, 0, 1, (j % 250) as u8);
+    router_flows(flows, frames, dst, |_| gap)
 }
 
 /// One 16-device storm: every device drives `flow` under `policy`; `arm`
@@ -165,7 +104,7 @@ fn run_storm(
             DeviceTask {
                 device: dev,
                 flows: vec![flow.clone()],
-                sink: DigestSink::new(),
+                sink: DigestSink::default(),
             }
         })
         .collect();
@@ -176,20 +115,14 @@ fn run_storm(
     (done, start.elapsed().as_secs_f64())
 }
 
-/// Assert every device outside `armed` ended digest-identical to `clean`.
-fn assert_healthy_untouched(
+/// Whether every device outside `armed` ended digest-identical to `clean`.
+fn healthy_untouched(
     storm: &[DeviceDone<DigestSink>],
     clean: &[DeviceDone<DigestSink>],
     armed: &[usize],
-) {
-    for (i, (s, c)) in storm.iter().zip(clean).enumerate() {
-        if !armed.contains(&i) {
-            assert_eq!(
-                s.sink.digest, c.sink.digest,
-                "healthy device {i} perturbed by its faulty peers"
-            );
-        }
-    }
+) -> bool {
+    let mut pairs = storm.iter().zip(clean).enumerate();
+    pairs.all(|(i, (s, c))| armed.contains(&i) || s.sink.digest == c.sink.digest)
 }
 
 /// The bisection fleet: reference vs priority-inverted, empty tables so
@@ -235,27 +168,29 @@ fn bisect_schedule() -> ChurnSchedule {
     schedule
 }
 
-fn main() {
-    let mut json_rows: Vec<String> = Vec::new();
+fn main() -> ExitCode {
+    let packets = OVERHEAD_FLOWS as u64 * OVERHEAD_FRAMES;
+    let mut report = Report::new("fault_storm", "BENCH_fault.json", packets as usize);
+    report.set("overhead_gate_pct", Value::Dec(OVERHEAD_GATE_PCT, 0));
 
     banner("fault_storm: fault-free overhead of the containing driver");
     let flows = build_flows(OVERHEAD_FLOWS, OVERHEAD_FRAMES, 0);
-    let packets = OVERHEAD_FLOWS as u64 * OVERHEAD_FRAMES;
     let contained = |policy: Option<RecoveryPolicy>| {
         let mut dev = router();
-        let mut sink = DigestSink::new();
+        let mut sink = DigestSink::default();
         let start = Instant::now();
         let run = drive_device_with(&mut dev, &flows, 256, &mut sink, policy);
         assert!(run.result.is_ok() && run.fault.is_none() && run.recoveries.is_empty());
         assert_eq!(run.stats.packets, packets);
         start.elapsed().as_secs_f64()
     };
-    // Interleaved, so host drift hits the three configurations alike.
+    // Best-of-N, interleaved, so host drift hits the three configurations
+    // alike.
     let [mut raw_secs, mut budget0_secs, mut default_secs] = [f64::INFINITY; 3];
     for _ in 0..OVERHEAD_REPS {
         raw_secs = raw_secs.min({
             let mut dev = router();
-            let mut sink = DigestSink::new();
+            let mut sink = DigestSink::default();
             let start = Instant::now();
             let (stats, result) = drive_device(&mut dev, &flows, 256, &mut sink);
             assert!(result.is_ok());
@@ -267,19 +202,14 @@ fn main() {
     }
     let quarantine_pct = (budget0_secs / raw_secs - 1.0) * 100.0;
     let checkpoint_pct = (default_secs / budget0_secs - 1.0) * 100.0;
-    println!(
-        "{packets} pkts best-of-{OVERHEAD_REPS}: raw {:.3}ms, budget 0 {:.3}ms ({quarantine_pct:+.2}%), \
-         default policy {:.3}ms ({checkpoint_pct:+.2}% over budget 0)",
-        raw_secs * 1e3,
-        budget0_secs * 1e3,
-        default_secs * 1e3
+    let ms = |secs: f64| dec(secs * 1e3, 3);
+    report.row(
+        row!["config" => "fault_free_overhead", "packets" => packets,
+        "raw_ms" => ms(raw_secs), "budget0_ms" => ms(budget0_secs),
+        "default_policy_ms" => ms(default_secs),
+        "quarantine_overhead_pct" => dec(quarantine_pct, 2),
+        "checkpoint_overhead_pct" => dec(checkpoint_pct, 2)],
     );
-    json_rows.push(format!(
-        "    {{\"config\": \"fault_free_overhead\", \"packets\": {packets}, \"raw_ms\": {:.3}, \"budget0_ms\": {:.3}, \"default_policy_ms\": {:.3}, \"quarantine_overhead_pct\": {quarantine_pct:.2}, \"checkpoint_overhead_pct\": {checkpoint_pct:.2}}}",
-        raw_secs * 1e3,
-        budget0_secs * 1e3,
-        default_secs * 1e3
-    ));
 
     banner("fault_storm: time-to-culprit in a 16-device storm");
     let needle_flow = build_flows(1, NEEDLE_FRAMES, 0).remove(0);
@@ -295,17 +225,11 @@ fn main() {
         .as_ref()
         .expect("the armed device must be quarantined");
     let culprit = fault.culprit.as_ref().expect("culprit frame isolated");
-    println!(
-        "armed run: {needle_secs:.3}s (clean {needle_clean_secs:.3}s); device-{FAULTY_DEVICE} \
-         quarantined: [{}@{}] culprit seq {} after {} clean frames",
-        fault.fault, fault.stage, culprit.seq, fault.packets_delivered
+    report.row(
+        row!["config" => "time_to_culprit", "devices" => STORM_DEVICES,
+        "frames" => NEEDLE_FRAMES, "needle_at" => NEEDLE_AT, "run_ms" => ms(needle_secs),
+        "clean_run_ms" => ms(needle_clean_secs), "culprit_seq" => culprit.seq],
     );
-    json_rows.push(format!(
-        "    {{\"config\": \"time_to_culprit\", \"devices\": {STORM_DEVICES}, \"frames\": {NEEDLE_FRAMES}, \"needle_at\": {NEEDLE_AT}, \"run_ms\": {:.3}, \"clean_run_ms\": {:.3}, \"culprit_seq\": {}}}",
-        needle_secs * 1e3,
-        needle_clean_secs * 1e3,
-        culprit.seq
-    ));
 
     banner("fault_storm: 16-device recovery storm, three faults, zero quarantines");
     // Every device carries the same mid-stream churn publication so the
@@ -335,40 +259,32 @@ fn main() {
         _ => {}
     });
     let rec_of = |i: usize| &recovered[i].recoveries[0];
+    // Recovery latency in virtual cycles, checkpoint to rejoin.
     let latency = |i: usize| {
         let r = rec_of(i);
         r.recovered_at_cycle.saturating_sub(r.checkpoint_cycle)
     };
     let recoveries_total: usize = recovered.iter().map(|d| d.recoveries.len()).sum();
     let permanent_total = recovered.iter().filter(|d| d.fault.is_some()).count();
-    println!(
-        "armed run: {recovered_secs:.3}s (clean {recovery_clean_secs:.3}s); device-{PANIC_DEVICE} [{}] \
-         rejoined in {} virtual cycles, device-{STALL_DEVICE} [{}] in {}, \
-         device-{PUB_DEVICE} [{}] converged in-place",
-        rec_of(PANIC_DEVICE).fault,
-        latency(PANIC_DEVICE),
-        rec_of(STALL_DEVICE).fault,
-        latency(STALL_DEVICE),
-        rec_of(PUB_DEVICE).fault,
+    report.row(
+        row!["config" => "recovery_storm", "devices" => STORM_DEVICES,
+        "frames" => RECOVERY_FRAMES, "recoveries" => recoveries_total,
+        "permanent_quarantines" => permanent_total,
+        "panic_latency_cycles" => latency(PANIC_DEVICE),
+        "stall_latency_cycles" => latency(STALL_DEVICE), "run_ms" => ms(recovered_secs),
+        "clean_run_ms" => ms(recovery_clean_secs)],
     );
-    json_rows.push(format!(
-        "    {{\"config\": \"recovery_storm\", \"devices\": {STORM_DEVICES}, \"frames\": {RECOVERY_FRAMES}, \"recoveries\": {recoveries_total}, \"permanent_quarantines\": {permanent_total}, \"panic_latency_cycles\": {}, \"stall_latency_cycles\": {}, \"run_ms\": {:.3}, \"clean_run_ms\": {:.3}}}",
-        latency(PANIC_DEVICE),
-        latency(STALL_DEVICE),
-        recovered_secs * 1e3,
-        recovery_clean_secs * 1e3
-    ));
 
     banner("fault_storm: churn bisection vs linear scan");
     let mut fleet = bisect_fleet();
     let spec = StreamSpec {
-        stream: 9,
-        template: routable_frame(Ipv4Address::new(10, 0, 0, 9)),
-        count: EPOCHS * 4,
-        rate_pps: None,
         as_port: 1,
-        sweeps: vec![],
-        expect: Expectation::Any,
+        ..StreamSpec::simple(
+            9,
+            routable_frame(Ipv4Address::new(10, 0, 0, 9)),
+            EPOCHS * 4,
+            Expectation::Any,
+        )
     };
     let start = Instant::now();
     let bisection = fleet
@@ -376,17 +292,15 @@ fn main() {
         .expect("bisection runs");
     let bisect_secs = start.elapsed().as_secs_f64();
     let linear_probes = EPOCHS + 1;
-    println!(
-        "first failing epoch {:?} in {} probes ({} epochs; linear scan = {linear_probes} runs), {bisect_secs:.3}s",
-        bisection.first_epoch, bisection.probes, bisection.epochs_total
+    report.row(
+        row!["config" => "bisect_churn", "epochs" => EPOCHS, "bad_epoch" => BAD_EPOCH,
+        "probes" => bisection.probes, "linear_probes" => linear_probes,
+        "secs" => dec(bisect_secs, 3)],
     );
-    json_rows.push(format!(
-        "    {{\"config\": \"bisect_churn\", \"epochs\": {EPOCHS}, \"bad_epoch\": {BAD_EPOCH}, \"probes\": {}, \"linear_probes\": {linear_probes}, \"secs\": {bisect_secs:.3}}}",
-        bisection.probes
-    ));
 
     banner("fault_storm: publication-retry convergence");
     let mut retry_rows = Vec::new();
+    let mut retries_converged = true;
     for fail_first in 1..=3u32 {
         let mut twin = router();
         let mut dev = router();
@@ -410,110 +324,116 @@ fn main() {
             .control_plane()
             .epoch("ipv4_lpm")
             .expect("table exists");
-        assert_eq!(
-            epoch, twin_epoch,
-            "retried publications must reconcile to the unfaulted epoch"
-        );
-        assert_eq!(dev.retried_publications(), 1, "one publication retried");
-        assert_eq!(dev.last_retried_epoch(), Some(epoch - 3));
-        println!(
-            "fail_first={fail_first}: converged on attempt {}, {backoff} backoff cycles, epoch {epoch} == twin",
-            fail_first + 1
-        );
-        retry_rows.push(format!(
-            "{{\"fail_first\": {fail_first}, \"attempts\": {}, \"backoff_cycles\": {backoff}, \"epoch\": {epoch}, \"converged\": true}}",
-            fail_first + 1
-        ));
+        // Retried publications reconcile to the unfaulted epoch, and
+        // exactly one publication (the first) was retried.
+        let converged = epoch == twin_epoch
+            && dev.retried_publications() == 1
+            && dev.last_retried_epoch() == Some(epoch - 3);
+        retries_converged &= converged;
+        retry_rows.push(Value::Obj(row!["fail_first" => u64::from(fail_first),
+            "attempts" => u64::from(fail_first + 1), "backoff_cycles" => backoff,
+            "epoch" => epoch, "converged" => converged]));
     }
-    json_rows.push(format!(
-        "    {{\"config\": \"publication_retry\", \"sweep\": [{}]}}",
-        retry_rows.join(", ")
-    ));
+    report.row(row!["config" => "publication_retry", "sweep" => Value::List(retry_rows)]);
 
-    let json = format!(
-        "{{\n  \"experiment\": \"fault_storm\",\n  \"meta\": {},\n  \"overhead_gate_pct\": {OVERHEAD_GATE_PCT},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(packets as usize),
-        json_rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
-
-    // ---- Smoke assertions (run in CI) ----
+    // ---- Gates (run in CI) ----
     // 1. Containment must be free until a device trips, and keeping a
     //    recovery budget must stay cheap on fault-free traffic.
-    assert!(
+    report.gate(
+        &format!("budget-0 containment costs <= {OVERHEAD_GATE_PCT}% over the raw event loop"),
         quarantine_pct <= OVERHEAD_GATE_PCT,
-        "budget-0 overhead {quarantine_pct:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate \
-         ({budget0_secs:.4}s vs {raw_secs:.4}s)"
+        format!("{quarantine_pct:+.2}% ({budget0_secs:.4}s vs {raw_secs:.4}s)"),
     );
-    assert!(
+    report.gate(
+        &format!("the default recovery policy costs <= {OVERHEAD_GATE_PCT}% over budget 0"),
         checkpoint_pct <= OVERHEAD_GATE_PCT,
-        "checkpoint overhead {checkpoint_pct:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate \
-         ({default_secs:.4}s vs {budget0_secs:.4}s)"
+        format!("{checkpoint_pct:+.2}% ({default_secs:.4}s vs {budget0_secs:.4}s)"),
     );
     // 2. Needle: exactly one member quarantined, with the exact culprit
     //    frame, and the other 15 bit-identical to the fault-free run.
-    assert_eq!(
-        needle.iter().filter(|d| d.fault.is_some()).count(),
-        1,
-        "exactly the armed device is quarantined"
+    let quarantined = needle.iter().filter(|d| d.fault.is_some()).count();
+    report.gate(
+        "needle: exactly the armed device is quarantined, with frame #2048 as culprit",
+        quarantined == 1
+            && fault.fault == "panic-after-n"
+            && culprit.seq == NEEDLE_AT
+            && fault.packets_delivered == NEEDLE_AT,
+        format!(
+            "{quarantined} quarantined; device-{FAULTY_DEVICE} [{}@{}] culprit seq {} after {} clean frames",
+            fault.fault, fault.stage, culprit.seq, fault.packets_delivered
+        ),
     );
-    assert_eq!(fault.fault, "panic-after-n");
-    assert_eq!(culprit.seq, NEEDLE_AT, "culprit must be the exact frame");
-    assert_eq!(fault.packets_delivered, NEEDLE_AT);
-    assert_healthy_untouched(&needle, &needle_clean, &[FAULTY_DEVICE]);
+    report.gate(
+        "needle: the 15 healthy digests match the fault-free run",
+        healthy_untouched(&needle, &needle_clean, &[FAULTY_DEVICE]),
+        "digest comparison".into(),
+    );
     // 3. Recovery storm: zero permanent quarantines — all 16 members
     //    finish the run — and exactly three recoveries, each naming its
     //    fault and culprit.
-    assert_eq!(
-        permanent_total, 0,
-        "no member may be permanently quarantined"
+    let names_culprit = |i: usize, fault: &str, seq: Option<u64>| {
+        rec_of(i).fault == fault && rec_of(i).culprit.as_ref().map(|c| c.seq) == seq
+    };
+    report.gate(
+        "storm: zero permanent quarantines, exactly three recoveries, each naming its fault and culprit",
+        permanent_total == 0
+            && recoveries_total == 3
+            && names_culprit(PANIC_DEVICE, "panic-after-n", Some(PANIC_AT))
+            && names_culprit(STALL_DEVICE, "stall", Some(STALL_AT))
+            && rec_of(STALL_DEVICE).stage == "watchdog"
+            && names_culprit(PUB_DEVICE, "transient-publication", None),
+        format!(
+            "{permanent_total} quarantined, {recoveries_total} recoveries: [{}] [{}] [{}]",
+            rec_of(PANIC_DEVICE).fault,
+            rec_of(STALL_DEVICE).fault,
+            rec_of(PUB_DEVICE).fault
+        ),
     );
-    assert_eq!(
-        recoveries_total, 3,
-        "exactly the three armed members recover"
-    );
-    assert_eq!(rec_of(PANIC_DEVICE).fault, "panic-after-n");
-    assert_eq!(rec_of(PANIC_DEVICE).culprit.as_ref().unwrap().seq, PANIC_AT);
-    assert_eq!(rec_of(STALL_DEVICE).fault, "stall");
-    assert_eq!(rec_of(STALL_DEVICE).stage, "watchdog");
-    assert_eq!(rec_of(STALL_DEVICE).culprit.as_ref().unwrap().seq, STALL_AT);
-    assert_eq!(rec_of(PUB_DEVICE).fault, "transient-publication");
-    assert!(rec_of(PUB_DEVICE).culprit.is_none());
     // 4. Recovery is bounded: at most one checkpoint interval replayed,
     //    and the rejoin happened at a real virtual instant.
-    for i in [PANIC_DEVICE, STALL_DEVICE] {
-        assert!(
-            rec_of(i).frames_replayed <= RecoveryPolicy::default().checkpoint_interval,
-            "device {i} replayed {} frames",
-            rec_of(i).frames_replayed
-        );
-        assert!(latency(i) > 0, "device {i} rejoin must advance the clock");
-    }
+    let interval = RecoveryPolicy::default().checkpoint_interval;
+    report.gate(
+        "storm: each recovery replays at most one checkpoint interval and rejoins at a later virtual instant",
+        [PANIC_DEVICE, STALL_DEVICE]
+            .iter()
+            .all(|&i| rec_of(i).frames_replayed <= interval && latency(i) > 0),
+        format!(
+            "replayed {} / {} frames, rejoined in {} / {} virtual cycles",
+            rec_of(PANIC_DEVICE).frames_replayed,
+            rec_of(STALL_DEVICE).frames_replayed,
+            latency(PANIC_DEVICE),
+            latency(STALL_DEVICE)
+        ),
+    );
     // 5. Every member — recovered ones included — delivered every frame,
     //    and the 13 untouched members match the clean run.
-    for (i, d) in recovered.iter().enumerate() {
-        assert_eq!(d.sink.packets, RECOVERY_FRAMES, "device {i} fell short");
-    }
-    assert_healthy_untouched(
-        &recovered,
-        &recovery_clean,
-        &[PANIC_DEVICE, STALL_DEVICE, PUB_DEVICE],
+    report.gate(
+        "storm: all 16 members deliver every frame and the 13 untouched digests match the clean run",
+        recovered.iter().all(|d| d.sink.packets == RECOVERY_FRAMES)
+            && healthy_untouched(
+                &recovered,
+                &recovery_clean,
+                &[PANIC_DEVICE, STALL_DEVICE, PUB_DEVICE],
+            ),
+        "packet counts and digest comparison".into(),
     );
     // 6. Bisection beats the linear scan and lands on the right epoch.
-    assert_eq!(bisection.first_epoch, Some(BAD_EPOCH));
-    assert!(!bisection.fails_without_churn);
-    assert!(
-        bisection.probes < linear_probes,
-        "bisection ({} probes) must beat the linear scan ({linear_probes})",
-        bisection.probes
+    report.gate(
+        "bisection lands on the bad epoch in <= 2 + ceil(log2(epochs)) fleet runs, under the linear scan",
+        bisection.first_epoch == Some(BAD_EPOCH)
+            && !bisection.fails_without_churn
+            && bisection.probes < linear_probes
+            && bisection.probes <= 2 + (EPOCHS as f64).log2().ceil() as u64,
+        format!(
+            "first failing epoch {:?} in {} probes over {} epochs (linear scan = {linear_probes})",
+            bisection.first_epoch, bisection.probes, bisection.epochs_total
+        ),
     );
-    assert!(
-        bisection.probes <= 2 + (EPOCHS as f64).log2().ceil() as u64,
-        "bisection must stay logarithmic: {} probes over {EPOCHS} epochs",
-        bisection.probes
+    // 7. The driver's bounded backoff converges for k = 1..3.
+    report.gate(
+        "every transient publication converges to its unfaulted twin's epoch with one retried publication",
+        retries_converged,
+        "fail_first 1..=3".into(),
     );
+    report.finish()
 }

@@ -16,17 +16,18 @@
 //!    widens (more distinct virtual instants, smaller coalesced batches).
 //!
 //! Numbers land in `BENCH_fleet.json` at the repo root. The ≥ 5×
-//! speedup gate applies on hosts with ≥ 4 cores (the acceptance
-//! criterion's shape); smaller hosts still must beat the per-packet
-//! path on coalescing alone.
+//! speedup gate applies on hosts with enough cores to back 4 workers;
+//! smaller hosts still must hold the per-packet path's rate on
+//! coalescing alone.
 
-use netdebug::generator::{Expectation, Generator, StreamSpec};
-use netdebug::runtime::{DeviceSink, DeviceTask, FleetRuntime, FlowRun};
-use netdebug_bench::{banner, fnv, routable_frame, FNV_OFFSET};
-use netdebug_hw::{Backend, Device, Processed};
-use netdebug_p4::corpus;
+use netdebug::runtime::{DeviceTask, FleetRuntime, FlowRun, RuntimeStats};
+use netdebug_bench::{
+    banner, dec, fnv, host_cores, router_device, router_flows, row, DigestSink, Report, Value,
+    FNV_OFFSET,
+};
+use netdebug_hw::{Backend, Device};
 use netdebug_packet::Ipv4Address;
-use std::sync::Arc;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const DEVICES: usize = 256;
@@ -43,84 +44,17 @@ const DIGEST_FLOWS: usize = 32;
 const DIGEST_FRAMES: u64 = 8;
 
 fn router() -> Device {
-    let mut dev = Device::deploy_source(&Backend::reference(), corpus::IPV4_FORWARD)
-        .expect("deploy ipv4_forward");
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .expect("install default route");
-    dev
+    router_device(&Backend::reference())
 }
 
-/// Build one device's worth of flows: mixed pacing classes, phase-aligned
-/// origins, a sprinkle of LPM misses so the pipeline takes both verdicts.
-fn build_flows(generator: &mut Generator, flows: usize, frames: u64) -> Vec<FlowRun> {
-    (0..flows)
-        .map(|j| {
-            let dst = if j % 5 == 4 {
-                Ipv4Address::new(192, 168, 0, (j % 250) as u8) // LPM miss -> drop
-            } else {
-                Ipv4Address::new(10, 0, (j / 250) as u8, (j % 250) as u8)
-            };
-            let spec = StreamSpec {
-                stream: j as u16,
-                template: routable_frame(dst),
-                count: frames,
-                rate_pps: None,
-                as_port: (j % 4) as u16,
-                sweeps: vec![],
-                expect: Expectation::Any,
-            };
-            let gap = PACING[j % PACING.len()];
-            FlowRun {
-                id: j as u32,
-                as_port: spec.as_port,
-                frames: Arc::new(generator.build_batch(&spec, 0, frames, 0, gap)),
-                origin: 0,
-                gap,
-                triggers: vec![],
-            }
-        })
-        .collect()
-}
-
-/// Sink that folds every verdict into an FNV-1a digest (determinism) and
-/// counts packets (throughput) without storing anything.
-struct DigestSink {
-    digest: u64,
-    packets: u64,
-}
-
-impl DigestSink {
-    fn new() -> Self {
-        Self {
-            digest: FNV_OFFSET,
-            packets: 0,
-        }
-    }
-}
-
-impl DeviceSink for DigestSink {
-    fn on_packet(&mut self, flow: u32, seq: u64, p: Processed) {
-        self.packets += 1;
-        let mut h = fnv(self.digest, &flow.to_le_bytes());
-        h = fnv(h, &seq.to_le_bytes());
-        // Hash the actual wire behaviour, allocation-free: an outcome tag,
-        // the egress port and the transmitted bytes (drop reasons show up
-        // in the drop counters folded in by `device_digest`).
-        match &p.outcome {
-            netdebug_hw::Outcome::Tx { port, data } => {
-                h = fnv(h, &[1]);
-                h = fnv(h, &port.to_le_bytes());
-                h = fnv(h, data);
-            }
-            netdebug_hw::Outcome::Flood { data } => {
-                h = fnv(h, &[2]);
-                h = fnv(h, data);
-            }
-            netdebug_hw::Outcome::Dropped { .. } => h = fnv(h, &[3]),
-        }
-        h = fnv(h, p.last_stage.as_bytes());
-        self.digest = h;
-    }
+/// One device's worth of flows: phase-aligned origins, a sprinkle of LPM
+/// misses so the pipeline takes both verdicts, paced at `gap(j)`.
+fn build_flows(flows: usize, frames: u64, gap: impl Fn(usize) -> u64) -> Vec<FlowRun> {
+    let dst = |j: usize| match j % 5 {
+        4 => Ipv4Address::new(192, 168, 0, (j % 250) as u8), // LPM miss -> drop
+        _ => Ipv4Address::new(10, 0, (j / 250) as u8, (j % 250) as u8),
+    };
+    router_flows(flows, frames, dst, gap)
 }
 
 /// Fold a finished device's observable end state into a digest: clock,
@@ -138,18 +72,14 @@ fn device_digest(mut h: u64, dev: &Device) -> u64 {
 }
 
 /// Run `devices` × `flows` on `workers` runtime threads; return the fleet
-/// digest (task order), total packets, elapsed seconds and runtime stats.
-fn run_fleet(
-    devices: usize,
-    flows: &[FlowRun],
-    workers: usize,
-) -> (u64, u64, f64, netdebug::runtime::RuntimeStats) {
+/// digest (task order), the sustained packet rate and the runtime stats.
+fn run_fleet(devices: usize, flows: &[FlowRun], workers: usize) -> (u64, f64, RuntimeStats) {
     let mut runtime = FleetRuntime::new(workers);
     let tasks: Vec<DeviceTask<DigestSink>> = (0..devices)
         .map(|_| DeviceTask {
             device: router(),
             flows: flows.to_vec(),
-            sink: DigestSink::new(),
+            sink: DigestSink::default(),
         })
         .collect();
     let start = Instant::now();
@@ -162,131 +92,80 @@ fn run_fleet(
         digest = device_digest(digest, &d.device);
         packets += d.sink.packets;
     }
-    (digest, packets, secs, runtime.stats())
+    (digest, packets as f64 / secs, runtime.stats())
 }
 
 /// The historical paced path: one device at a time, the flat
 /// (due, flow, seq)-sorted schedule injected one packet per `process`
 /// call with the clock advanced to each due instant.
-fn run_serialized(devices: usize, flows: &[FlowRun]) -> (u64, f64) {
+fn run_serialized(devices: usize, flows: &[FlowRun]) -> f64 {
     let mut events: Vec<(u64, u32, u64)> = flows
         .iter()
         .flat_map(|f| (0..f.frames.len() as u64).map(|k| (f.due(k), f.id, k)))
         .collect();
     events.sort_unstable();
     let mut boards: Vec<Device> = (0..devices).map(|_| router()).collect();
-    let mut packets = 0u64;
     let start = Instant::now();
     for dev in &mut boards {
         for &(due, id, k) in &events {
-            if due > dev.now() {
-                let delta = due - dev.now();
-                dev.advance(delta);
-            }
+            dev.advance(due.saturating_sub(dev.now()));
             let f = &flows[id as usize];
-            let p = dev.inject(f.as_port, &f.frames[k as usize].data);
-            std::hint::black_box(&p);
-            packets += 1;
+            std::hint::black_box(dev.inject(f.as_port, &f.frames[k as usize].data));
         }
     }
-    (packets, start.elapsed().as_secs_f64())
+    (devices * events.len()) as f64 / start.elapsed().as_secs_f64()
 }
 
-fn main() {
-    let cores = netdebug_bench::host_cores();
-    let mut generator = Generator::new();
-    let mut json_rows: Vec<String> = Vec::new();
+fn main() -> ExitCode {
+    let cores = host_cores();
+    let batch = FLOWS_PER_DEVICE * FRAMES_PER_FLOW as usize;
+    let mut report = Report::new("fleet_rate", "BENCH_fleet.json", batch);
+    report.set("devices", DEVICES);
+    report.set("flows_per_device", FLOWS_PER_DEVICE);
+    report.set("frames_per_flow", FRAMES_PER_FLOW);
+    report.set("workers", WORKERS);
+    let paced = |j: usize| PACING[j % PACING.len()];
 
-    banner("fleet_rate: determinism digest across worker counts 1..=4");
-    let digest_flows = build_flows(&mut Generator::new(), DIGEST_FLOWS, DIGEST_FRAMES);
+    banner("fleet_rate: determinism digest, 16 devices x 32 flows, worker counts 1..=4");
+    let digest_flows = build_flows(DIGEST_FLOWS, DIGEST_FRAMES, paced);
     let mut digests = Vec::new();
     for workers in 1..=4usize {
-        let (digest, packets, secs, _) = run_fleet(DIGEST_DEVICES, &digest_flows, workers);
-        println!(
-            "{DIGEST_DEVICES} devices x {DIGEST_FLOWS} flows, {workers} worker(s): \
-             digest 0x{digest:016x} ({packets} pkts, {secs:.3}s)"
-        );
-        json_rows.push(format!(
-            "    {{\"config\": \"digest\", \"workers\": {workers}, \"digest\": \"0x{digest:016x}\"}}"
-        ));
+        let (digest, ..) = run_fleet(DIGEST_DEVICES, &digest_flows, workers);
+        report.row(row!["config" => "digest", "workers" => workers,
+            "digest" => format!("0x{digest:016x}")]);
         digests.push(digest);
     }
 
     banner("fleet_rate: 256 devices x 16,384 paced flows on 4 workers");
-    let flows = build_flows(&mut generator, FLOWS_PER_DEVICE, FRAMES_PER_FLOW);
-    let (base_packets, base_secs) = run_serialized(BASELINE_DEVICES, &flows);
-    let base_pps = base_packets as f64 / base_secs;
-    println!(
-        "serialized per-packet paced path: {BASELINE_DEVICES} devices, \
-         {base_packets} pkts in {base_secs:.3}s = {base_pps:.0} pps"
+    let flows = build_flows(FLOWS_PER_DEVICE, FRAMES_PER_FLOW, paced);
+    let base_pps = run_serialized(BASELINE_DEVICES, &flows);
+    report.row(
+        row!["config" => "per_packet_serialized", "devices" => BASELINE_DEVICES,
+        "pps" => dec(base_pps, 0)],
     );
-    json_rows.push(format!(
-        "    {{\"config\": \"per_packet_serialized\", \"devices\": {BASELINE_DEVICES}, \"pps\": {base_pps:.0}}}"
-    ));
-
-    let (_, fleet_packets, fleet_secs, stats) = run_fleet(DEVICES, &flows, WORKERS);
-    let fleet_pps = fleet_packets as f64 / fleet_secs;
+    let (_, fleet_pps, stats) = run_fleet(DEVICES, &flows, WORKERS);
     let speedup = fleet_pps / base_pps;
-    println!(
-        "fleet runtime ({WORKERS} workers): {DEVICES} devices x {} flows, \
-         {fleet_packets} pkts in {fleet_secs:.3}s = {fleet_pps:.0} pps ({speedup:.2}x)",
-        DEVICES * FLOWS_PER_DEVICE
+    report.row(
+        row!["config" => "fleet_runtime", "devices" => DEVICES, "workers" => WORKERS,
+        "pps" => dec(fleet_pps, 0), "speedup" => dec(speedup, 2)],
     );
-    println!(
-        "runtime counters: {} instants, {} dispatches (mean batch {:.1}, max {}), \
-         ready-depth {}",
-        stats.instants,
-        stats.dispatches,
-        stats.mean_batch(),
-        stats.max_batch,
-        stats.max_ready_depth
-    );
-    json_rows.push(format!(
-        "    {{\"config\": \"fleet_runtime\", \"devices\": {DEVICES}, \"workers\": {WORKERS}, \"pps\": {fleet_pps:.0}, \"speedup\": {speedup:.2}}}"
-    ));
+    let runtime = Value::Obj(row!["instants" => stats.instants,
+        "dispatches" => stats.dispatches, "mean_batch" => dec(stats.mean_batch(), 2),
+        "max_batch" => stats.max_batch, "max_ready_depth" => stats.max_ready_depth]);
+    println!("runtime counters: {}", runtime.json());
+    report.set("runtime", runtime);
 
     banner("fleet_rate: pacing sweep (32 devices x 16 flows x 16 frames)");
     for gap in [0u64, 100, 400, 1600] {
-        let sweep_flows: Vec<FlowRun> = build_flows(&mut Generator::new(), 16, 16)
-            .into_iter()
-            .map(|mut f| {
-                f.gap = gap;
-                f
-            })
-            .collect();
-        let (_, packets, secs, sweep_stats) = run_fleet(32, &sweep_flows, WORKERS);
-        let pps = packets as f64 / secs;
-        println!(
-            "gap {gap:>5} cycles: {pps:>12.0} pps (mean batch {:.1})",
-            sweep_stats.mean_batch()
-        );
-        json_rows.push(format!(
-            "    {{\"config\": \"pacing_sweep\", \"gap_cycles\": {gap}, \"pps\": {pps:.0}}}"
-        ));
+        let (_, pps, _) = run_fleet(32, &build_flows(16, 16, |_| gap), WORKERS);
+        report.row(row!["config" => "pacing_sweep", "gap_cycles" => gap, "pps" => dec(pps, 0)]);
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"fleet_rate\",\n  \"meta\": {},\n  \"devices\": {DEVICES},\n  \"flows_per_device\": {FLOWS_PER_DEVICE},\n  \"frames_per_flow\": {FRAMES_PER_FLOW},\n  \"workers\": {WORKERS},\n  \"results\": [\n{}\n  ],\n  \"runtime\": {{\"instants\": {}, \"dispatches\": {}, \"mean_batch\": {:.2}, \"max_batch\": {}, \"max_ready_depth\": {}}}\n}}\n",
-        netdebug_bench::meta_json(FLOWS_PER_DEVICE * FRAMES_PER_FLOW as usize),
-        json_rows.join(",\n"),
-        stats.instants,
-        stats.dispatches,
-        stats.mean_batch(),
-        stats.max_batch,
-        stats.max_ready_depth
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
-
-    // ---- Smoke assertions (run in CI) ----
-    // Determinism is unconditional: worker count must never change a bit
-    // of the fleet's observable behaviour.
-    assert!(
+    // ---- Gates (run in CI) ----
+    report.gate(
+        "worker count never changes a bit of the fleet's observable behaviour",
         digests.windows(2).all(|w| w[0] == w[1]),
-        "fleet digests diverged across worker counts: {digests:#018x?}"
+        format!("digests {digests:016x?}"),
     );
     // Throughput gate, scaled to what the host can physically back. The
     // headline ≥ 5× target presumed the pre-flat-trace per-packet path;
@@ -297,16 +176,17 @@ fn main() {
     // give the 4 workers real headroom, proportionally below that, and
     // no-collapse (coalescing must roughly hold the per-packet rate on a
     // time-shared core) when the host can't parallelize at all.
-    let floor = if cores >= 6 {
-        5.0
-    } else if cores >= 4 {
-        2.5
-    } else {
-        0.7
+    let floor = match cores {
+        6.. => 5.0,
+        4.. => 2.5,
+        _ => 0.7,
     };
-    assert!(
+    report.gate(
+        &format!(
+            "the fleet runtime sustains >= {floor}x the per-packet paced path on {cores} core(s)"
+        ),
         speedup >= floor,
-        "fleet runtime must sustain >= {floor}x the per-packet paced path on \
-         {cores} core(s): {fleet_pps:.0} vs {base_pps:.0} pps ({speedup:.2}x)"
+        format!("{fleet_pps:.0} vs {base_pps:.0} pps ({speedup:.2}x)"),
     );
+    report.finish()
 }

@@ -42,11 +42,13 @@
 //! (Ethernet only, one table) — it read 0.17× while field access looped
 //! over single bits.
 
-use netdebug_bench::{banner, fnv, FNV_OFFSET};
+use netdebug_bench::{
+    banner, dec, fnv, host_cores, row, switch_dataplane, time_ops, Report, Value, FNV_OFFSET,
+};
 use netdebug_dataplane::{Dataplane, NullSink, Verdict};
-use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
-use std::time::Instant;
+use std::hint::black_box;
+use std::process::ExitCode;
 
 const BATCH: usize = 4096;
 const ROUNDS: usize = 50;
@@ -177,23 +179,11 @@ fn mac(low: u64) -> EthernetAddress {
     EthernetAddress::new(b[2], b[3], b[4], b[5], b[6], b[7])
 }
 
-fn switch(traced: bool) -> Dataplane {
-    let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
-    let mut dp = Dataplane::new(ir);
-    for j in 0..FLOWS as u128 {
-        dp.install_exact(
-            "dmac",
-            vec![0x0200_0000_0010 + j],
-            "forward",
-            vec![j % 4 + 1],
-        )
-        .unwrap();
-    }
-    dp.set_tracing(traced);
-    dp
+fn switch() -> Dataplane {
+    switch_dataplane(0x0200_0000_0010, FLOWS)
 }
 
-fn router(traced: bool) -> Dataplane {
+fn router() -> Dataplane {
     let ir = netdebug_p4::compile(EXACT_ROUTER).unwrap();
     let mut dp = Dataplane::new(ir);
     for j in 0..FLOWS as u128 {
@@ -209,7 +199,6 @@ fn router(traced: bool) -> Dataplane {
         dp.install_exact("svc", vec![4000 + j], "mark", vec![])
             .unwrap();
     }
-    dp.set_tracing(traced);
     dp
 }
 
@@ -296,36 +285,27 @@ fn batches(frames: &[Vec<u8>]) -> Vec<Vec<(u16, &[u8])>> {
     (0..distinct).map(|round| batch_of(frames, round)).collect()
 }
 
-/// How a sweep drives the engine and consumes its results.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Tracing off, `process_batch`.
-    Untraced,
-    /// Tracing on, `process_batch_with` + `NullSink`: the streaming path
-    /// — traces stay flat, nothing is decoded or allocated per packet.
-    Streamed,
-}
-
-/// Best-of-`TRIALS` sustained rate over `ROUNDS` batches. The first trial
-/// doubles as warm-up (cache population, allocator steady state); taking
-/// the max filters scheduler noise the same way the other benches do.
-fn measure(dp: &mut Dataplane, frames: &[Vec<u8>], mode: Mode) -> f64 {
+/// Best-of-`TRIALS` sustained rate, each trial one sweep of `ROUNDS`
+/// batches (so the end-of-run `CacheStats` repeat exactly). The harness's
+/// untimed first pass is the warm-up: cache population, allocator steady
+/// state. `streamed` drives `process_batch_with` + `NullSink` with tracing
+/// on — traces stay flat, nothing is decoded or allocated per packet —
+/// instead of untraced `process_batch`.
+fn measure(dp: &mut Dataplane, frames: &[Vec<u8>], streamed: bool) -> f64 {
     let prebuilt = batches(frames);
     let mut sink = NullSink;
-    let mut best = 0.0f64;
-    for _ in 0..=TRIALS {
-        let t0 = Instant::now();
+    let sweep = || {
         for round in 0..ROUNDS {
             let pkts = &prebuilt[round % prebuilt.len()];
-            if mode == Mode::Streamed {
+            if streamed {
                 dp.process_batch_with(pkts, 0, &mut sink);
             } else {
-                std::hint::black_box(dp.process_batch(pkts, 0));
+                black_box(dp.process_batch(pkts, 0));
             }
         }
-        best = best.max((ROUNDS * BATCH) as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
+        ROUNDS * BATCH
+    };
+    time_ops(TRIALS, 0.0, sweep).rate()
 }
 
 /// FNV digest over the verdict stream of one pass — the parity witness
@@ -356,55 +336,39 @@ fn digest(dp: &mut Dataplane, frames: &[Vec<u8>]) -> u64 {
 }
 
 /// One swept program: name, deploy-fn, repeated stream, random stream.
-type Workload = (
-    &'static str,
-    fn(bool) -> Dataplane,
-    Vec<Vec<u8>>,
-    Vec<Vec<u8>>,
-);
+type Workload = (&'static str, fn() -> Dataplane, Vec<Vec<u8>>, Vec<Vec<u8>>);
 
-fn main() {
+fn main() -> ExitCode {
     banner("flow_cache: memoized fast path, repeated vs uniform-random flows");
-    let cores = netdebug_bench::host_cores();
+    let mut report = Report::new("flow_cache", "BENCH_flowcache.json", BATCH);
+    report.set(
+        "programs",
+        Value::List(vec!["l2_switch".into(), "exact_router".into()]),
+    );
+    report.set("batch", BATCH);
+    report.set("rounds", ROUNDS);
+    report.set("cores", host_cores());
     let programs: [Workload; 2] = [
         ("l2_switch", switch, l2_repeated(), l2_random()),
         ("exact_router", router, router_repeated(), router_random()),
     ];
 
-    let mut json_rows: Vec<String> = Vec::new();
     let mut rates = std::collections::BTreeMap::new();
-    println!(
-        "{:<58} {:>13} {:>18}",
-        "configuration", "sustained pps", "hits/misses"
-    );
     for (prog, build, repeated, random) in &programs {
-        for (mode_name, mode) in [("untraced", Mode::Untraced), ("streamed", Mode::Streamed)] {
+        for (mode_name, streamed) in [("untraced", false), ("streamed", true)] {
             for (stream_name, frames) in [("repeated", repeated), ("random", random)] {
                 for cache_on in [false, true] {
-                    let mut dp = build(mode == Mode::Streamed);
+                    let mut dp = build();
+                    dp.set_tracing(streamed);
                     dp.set_flow_cache(cache_on);
-                    let pps = measure(&mut dp, frames, mode);
+                    let pps = measure(&mut dp, frames, streamed);
                     let stats = dp.cache_stats();
-                    let label = format!(
-                        "{prog} / {mode_name} / {stream_name} / cache {}",
-                        if cache_on { "on" } else { "off" }
-                    );
-                    println!(
-                        "{label:<58} {pps:>13.0} {:>18}",
-                        format!("{}/{}", stats.hits, stats.misses)
-                    );
-                    json_rows.push(format!(
-                        "    {{\"program\": \"{prog}\", \"mode\": \"{mode_name}\", \
-                         \"stream\": \"{stream_name}\", \
-                         \"cache\": {cache_on}, \"pps\": {pps:.0}, \
-                         \"cache_stats\": {{\"hits\": {}, \"misses\": {}, \
-                         \"invalidations\": {}, \"occupancy\": {}, \"capacity\": {}}}}}",
-                        stats.hits,
-                        stats.misses,
-                        stats.invalidations,
-                        stats.occupancy,
-                        stats.capacity
-                    ));
+                    let cache_stats = Value::Obj(row!["hits" => stats.hits,
+                        "misses" => stats.misses, "invalidations" => stats.invalidations,
+                        "occupancy" => stats.occupancy, "capacity" => stats.capacity]);
+                    report.row(row!["program" => *prog, "mode" => mode_name,
+                        "stream" => stream_name, "cache" => cache_on, "pps" => dec(pps, 0),
+                        "cache_stats" => cache_stats]);
                     rates.insert((*prog, mode_name, stream_name, cache_on), pps);
                 }
             }
@@ -418,79 +382,71 @@ fn main() {
     for (prog, build, repeated, random) in &programs {
         for traced in [true, false] {
             for (stream_name, frames) in [("repeated", repeated), ("random", random)] {
-                let (mut on, mut off) = (build(traced), build(traced));
-                on.set_flow_cache(true);
-                off.set_flow_cache(false);
-                let (d_on, d_off) = (digest(&mut on, frames), digest(&mut off, frames));
-                assert_eq!(
-                    d_on, d_off,
-                    "cache-on and cache-off verdicts diverged: {prog}/{stream_name} traced={traced}"
+                let [d_on, d_off] = [true, false].map(|cache_on| {
+                    let mut dp = build();
+                    dp.set_tracing(traced);
+                    dp.set_flow_cache(cache_on);
+                    digest(&mut dp, frames)
+                });
+                report.gate(
+                    &format!("cache-on and cache-off verdicts agree: {prog}/{stream_name} traced={traced}"),
+                    d_on == d_off,
+                    format!("0x{d_on:016x} vs 0x{d_off:016x}"),
                 );
-                println!("parity digest ({prog}/{stream_name}, traced={traced}): 0x{d_on:016x}");
             }
         }
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"flow_cache\",\n  \"meta\": {},\n  \"programs\": [\"l2_switch\", \"exact_router\"],\n  \"batch\": {BATCH},\n  \"rounds\": {ROUNDS},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(BATCH),
-        json_rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flowcache.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
-
-    // ---- Smoke assertions (run in CI) ----
+    // ---- Gates (run in CI) ----
     // The headline, on the exact-match router, untraced: replaying a
     // memoized outcome must be at least twice as fast as re-running the
     // pipeline.
     let rep_on = rates[&("exact_router", "untraced", "repeated", true)];
     let rep_off = rates[&("exact_router", "untraced", "repeated", false)];
-    let rep_speedup = rep_on / rep_off;
-    println!("exact_router repeated-flow speedup (untraced): {rep_speedup:.2}x");
-    assert!(
-        rep_speedup >= 2.0,
-        "flow cache must give >= 2x on the repeated-flow sweep: \
-         {rep_on:.0} vs {rep_off:.0} pps ({rep_speedup:.2}x)"
+    report.gate(
+        "the flow cache gives >= 2x on exact_router's repeated flows (untraced)",
+        rep_on / rep_off >= 2.0,
+        format!("{rep_on:.0} vs {rep_off:.0} pps ({:.2}x)", rep_on / rep_off),
     );
     // The bound: on the all-miss stream a filtered miss (lookup + tag
     // filter) must add at most 40 ns per packet to the pipeline run.
     let rnd_on = rates[&("exact_router", "untraced", "random", true)];
     let rnd_off = rates[&("exact_router", "untraced", "random", false)];
     let miss_ns = (1.0 / rnd_on - 1.0 / rnd_off) * 1e9;
-    println!("exact_router uniform-random miss cost (untraced): {miss_ns:.1} ns/packet");
-    assert!(
+    report.gate(
+        "a filtered flow-cache miss costs <= 40 ns/packet on exact_router's uniform-random stream",
         miss_ns <= 40.0,
-        "a filtered flow-cache miss must cost <= 40 ns/packet on the uniform-random sweep: \
-         {rnd_on:.0} vs {rnd_off:.0} pps ({miss_ns:.1} ns)"
+        format!("{rnd_on:.0} vs {rnd_off:.0} pps ({miss_ns:.1} ns)"),
     );
     // Bit-packed headers at word width: three headers and three tables
     // deep must stay within 4x of the corpus minimum on the same stream.
     let l2_rnd_off = rates[&("l2_switch", "untraced", "random", false)];
-    let depth_ratio = rnd_off / l2_rnd_off;
-    println!("exact_router / l2_switch uniform-random cache-off (untraced): {depth_ratio:.2}x");
-    assert!(
-        depth_ratio >= 0.25,
-        "exact_router must reach >= 0.25x l2_switch with the cache off: \
-         {rnd_off:.0} vs {l2_rnd_off:.0} pps ({depth_ratio:.2}x)"
+    report.gate(
+        "exact_router reaches >= 0.25x l2_switch with the cache off (uniform-random, untraced)",
+        rnd_off / l2_rnd_off >= 0.25,
+        format!(
+            "{rnd_off:.0} vs {l2_rnd_off:.0} pps ({:.2}x)",
+            rnd_off / l2_rnd_off
+        ),
     );
     // l2_switch floors: its engine cost sits near the per-packet
     // allocation floor, so the margin is structurally thinner — but
     // repeated flows must still win outright and the all-miss stream
     // must not collapse.
-    let u_rep = rates[&("l2_switch", "untraced", "repeated", true)]
-        / rates[&("l2_switch", "untraced", "repeated", false)];
-    let u_rnd = rates[&("l2_switch", "untraced", "random", true)]
-        / rates[&("l2_switch", "untraced", "random", false)];
-    println!("l2_switch untraced: repeated speedup {u_rep:.2}x, random ratio {u_rnd:.2}");
-    assert!(
+    let l2_ratio = |stream| {
+        rates[&("l2_switch", "untraced", stream, true)]
+            / rates[&("l2_switch", "untraced", stream, false)]
+    };
+    let (u_rep, u_rnd) = (l2_ratio("repeated"), l2_ratio("random"));
+    report.gate(
+        "the flow cache still wins l2_switch's repeated flows (>= 1.05x)",
         u_rep >= 1.05,
-        "flow cache must still win l2_switch repeated flows: {u_rep:.2}x"
+        format!("{u_rep:.2}x"),
     );
-    assert!(
+    report.gate(
+        "the flow cache does not collapse l2_switch's all-miss stream (>= 0.75x)",
         u_rnd >= 0.75,
-        "flow cache must not collapse the l2_switch all-miss stream: {u_rnd:.2}"
+        format!("{u_rnd:.2}x"),
     );
+    report.finish()
 }

@@ -21,106 +21,43 @@
 //! * on `l2_switch`, absolute floors — untraced ≥ 7 Mpps, streamed traced
 //!   ≥ 3.4 Mpps — pin the regression budget in packets, not ratios.
 
-use netdebug_bench::banner;
+use netdebug_bench::{
+    banner, dec, host_cores, routable_frame, router_dataplane, row, switch_dataplane, time_ops,
+    Report, Value,
+};
 use netdebug_dataplane::{Dataplane, Engine, LazyTrace, TraceSink, Verdict};
-use netdebug_p4::corpus;
-use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
-use std::time::Instant;
+use netdebug_packet::{Ipv4Address, PacketBuilder};
+use std::hint::black_box;
+use std::process::ExitCode;
 
 const BATCH: usize = 1024;
-/// Minimum wall time per measured cell, seconds (three passes, best-of).
+/// Minimum wall time per measured cell, seconds (three trials, best-of).
 const MIN_MEASURE_S: f64 = 0.25;
-const PASSES: usize = 3;
+const TRIALS: usize = 3;
 
-/// A program under test: its source, the entry that makes `frame` hit,
-/// and the frame.
+/// A program under test: its name, a deployed data plane whose one entry
+/// makes `frame` hit, and the frame.
 struct Bed {
     name: &'static str,
-    source: &'static str,
-    install: fn(&mut Dataplane),
+    dataplane: fn() -> Dataplane,
     frame: Vec<u8>,
 }
 
-impl Bed {
-    fn dataplane(&self, engine: Engine) -> Dataplane {
-        let mut dp = Dataplane::new(netdebug_p4::compile(self.source).unwrap());
-        dp.set_engine(engine);
-        (self.install)(&mut dp);
-        dp
-    }
-}
-
 fn beds() -> [Bed; 2] {
-    let ethernet = || {
-        PacketBuilder::ethernet(
-            EthernetAddress::new(2, 0, 0, 0, 0, 1),
-            EthernetAddress::new(2, 0, 0, 0, 0, 2),
-        )
-    };
     [
         Bed {
             name: "l2_switch",
-            source: corpus::L2_SWITCH,
-            install: |dp| {
-                dp.install_exact("dmac", vec![0x0200_0000_0002], "forward", vec![3])
-                    .unwrap()
-            },
-            frame: ethernet().payload(b"dispatch-bench").build(),
-        },
-        Bed {
-            name: "ipv4_forward",
-            source: corpus::IPV4_FORWARD,
-            install: |dp| {
-                dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-                    .unwrap()
-            },
-            frame: ethernet()
-                .ipv4(Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(10, 1, 2, 3))
-                .udp(1000, 2000)
+            dataplane: || switch_dataplane(0x0200_0000_0002, 1),
+            frame: PacketBuilder::ethernet(netdebug_bench::src_mac(), netdebug_bench::dst_mac())
                 .payload(b"dispatch-bench")
                 .build(),
         },
+        Bed {
+            name: "ipv4_forward",
+            dataplane: router_dataplane,
+            frame: routable_frame(Ipv4Address::new(10, 1, 2, 3)),
+        },
     ]
-}
-
-/// Best-of-`PASSES` sustained packet rate for one configuration.
-fn measure(bed: &Bed, engine: Engine, traced: bool, pkts: &[(u16, &[u8])]) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..PASSES {
-        let mut dp = bed.dataplane(engine);
-        dp.set_tracing(traced);
-        // Warm up: pin snapshots, fill the flow cache.
-        std::hint::black_box(dp.process_batch(pkts, 0));
-        let mut n = 0usize;
-        let t0 = Instant::now();
-        while t0.elapsed().as_secs_f64() < MIN_MEASURE_S {
-            std::hint::black_box(dp.process_batch(pkts, 0));
-            n += pkts.len();
-        }
-        best = best.max(n as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Best-of-`PASSES` single-packet `process_untraced` rate.
-fn measure_single(bed: &Bed, engine: Engine) -> f64 {
-    let frame = &bed.frame[..];
-    let mut best = 0.0f64;
-    for _ in 0..PASSES {
-        let mut dp = bed.dataplane(engine);
-        dp.set_tracing(false);
-        std::hint::black_box(dp.process_untraced(0, frame, 0));
-        let mut n = 0usize;
-        let t0 = Instant::now();
-        while t0.elapsed().as_secs_f64() < MIN_MEASURE_S {
-            for _ in 0..256 {
-                std::hint::black_box(dp.process_untraced(0, frame, 0));
-            }
-            n += 256;
-        }
-        best = best.max(n as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// What a device tap does per packet: walk the lazy trace's state/table
@@ -137,27 +74,6 @@ impl TraceSink for StageCountSink {
     }
 }
 
-/// Best-of-`PASSES` rate for the streaming traced path
-/// (`process_batch_with` + lazy stage-walking sink — the device tap spine).
-fn measure_streamed(bed: &Bed, engine: Engine, pkts: &[(u16, &[u8])]) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..PASSES {
-        let mut dp = bed.dataplane(engine);
-        dp.set_tracing(true);
-        let mut sink = StageCountSink { stages: 0 };
-        dp.process_batch_with(pkts, 0, &mut sink);
-        let mut n = 0usize;
-        let t0 = Instant::now();
-        while t0.elapsed().as_secs_f64() < MIN_MEASURE_S {
-            dp.process_batch_with(pkts, 0, &mut sink);
-            n += pkts.len();
-        }
-        assert!(sink.stages > 0, "streamed sink must see real events");
-        best = best.max(n as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// The measured cells of one engine on one program: `(mode, traced)`.
 const CELLS: [(&str, bool); 4] = [
     ("batch", false),
@@ -169,28 +85,48 @@ const UNTRACED: usize = 0;
 const TRACED: usize = 1;
 const STREAMED: usize = 3;
 
-/// One engine's rates on one program, in `CELLS` order.
+/// One engine's best-of-`TRIALS` sustained rates on one program, in
+/// `CELLS` order.
 fn sweep(bed: &Bed, engine: Engine, pkts: &[(u16, &[u8])]) -> [f64; 4] {
-    [
-        measure(bed, engine, false, pkts),
-        measure(bed, engine, true, pkts),
-        measure_single(bed, engine),
-        measure_streamed(bed, engine, pkts),
-    ]
+    CELLS.map(|(mode, traced)| {
+        let mut dp = (bed.dataplane)();
+        dp.set_engine(engine);
+        dp.set_tracing(traced);
+        let mut sink = StageCountSink { stages: 0 };
+        let timing = time_ops(TRIALS, MIN_MEASURE_S, || match mode {
+            "batch" => {
+                black_box(dp.process_batch(pkts, 0));
+                pkts.len()
+            }
+            "single" => {
+                for _ in 0..256 {
+                    black_box(dp.process_untraced(0, &bed.frame, 0));
+                }
+                256
+            }
+            // The device tap spine: `process_batch_with` + a lazy
+            // stage-walking sink.
+            "streamed" => {
+                dp.process_batch_with(pkts, 0, &mut sink);
+                pkts.len()
+            }
+            other => unreachable!("no such cell: {other}"),
+        });
+        assert!(
+            mode != "streamed" || sink.stages > 0,
+            "streamed sink must see real events"
+        );
+        timing.rate()
+    })
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner("E13: bytecode dispatch vs the tree-walker (l2_switch, ipv4_forward)");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let mut report = Report::new("interp_dispatch", "BENCH_dispatch.json", BATCH);
+    report.set("batch", BATCH);
+    report.set("cores", host_cores());
 
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut speedups: Vec<String> = Vec::new();
-    println!(
-        "{:<52} {:>14} {:>12}",
-        "configuration", "sustained pps", "vs ref"
-    );
+    let mut speedups = Vec::new();
     let [(_, l2_compiled), (reference, compiled)] = beds().map(|bed| {
         let pkts: Vec<(u16, &[u8])> = (0..BATCH)
             .map(|i| ((i % 4) as u16, bed.frame.as_slice()))
@@ -198,82 +134,62 @@ fn main() {
         let reference = sweep(&bed, Engine::Reference, &pkts);
         let compiled = sweep(&bed, Engine::Compiled, &pkts);
         for (engine, rates) in [("reference", reference), ("compiled", compiled)] {
-            for (((mode, traced), pps), base) in CELLS.iter().zip(rates).zip(reference) {
-                println!(
-                    "{:<52} {pps:>14.0} {:>11.2}x",
-                    format!("{} {engine} {mode} traced={traced}", bed.name),
-                    pps / base
+            for ((mode, traced), pps) in CELLS.into_iter().zip(rates) {
+                report.row(
+                    row!["program" => bed.name, "engine" => engine, "mode" => mode,
+                    "traced" => traced, "pps" => dec(pps, 0)],
                 );
-                json_rows.push(format!(
-                    "    {{\"program\": \"{}\", \"engine\": \"{engine}\", \"mode\": \"{mode}\", \"traced\": {traced}, \"pps\": {pps:.0}}}",
-                    bed.name
-                ));
             }
         }
-        speedups.push(format!(
-            "    {{\"program\": \"{}\", \"speedup_untraced\": {:.3}, \"speedup_streamed_traced\": {:.3}}}",
-            bed.name,
-            compiled[UNTRACED] / reference[UNTRACED],
-            compiled[STREAMED] / reference[STREAMED]
-        ));
+        speedups.push(Value::Obj(row!["program" => bed.name,
+            "speedup_untraced" => dec(compiled[UNTRACED] / reference[UNTRACED], 3),
+            "speedup_streamed_traced" => dec(compiled[STREAMED] / reference[STREAMED], 3)]));
         (reference, compiled)
     });
+    println!("\nspeedups: {}", Value::List(speedups.clone()).json());
+    report.set("speedups", Value::List(speedups));
 
-    let json = format!(
-        "{{\n  \"experiment\": \"interp_dispatch\",\n  \"meta\": {},\n  \"batch\": {BATCH},\n  \"cores\": {cores},\n  \"speedups\": [\n{}\n  ],\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(BATCH),
-        speedups.join(",\n"),
-        json_rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dispatch.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
-
-    // Smoke checks: losing the compiled engine's edge (or silently routing
-    // the default path back through the tree-walker) fails CI loudly.
-    // Ratios are gated on ipv4_forward (on one-header l2_switch both
-    // engines sit near the API floor and a noisy run read 1.18x); the
-    // absolute floors stay on l2_switch, where they were calibrated.
-    let speedup = compiled[UNTRACED] / reference[UNTRACED];
-    assert!(
+    // Gates: losing the compiled engine's edge (or silently routing the
+    // default path back through the tree-walker) fails CI loudly. Ratios
+    // are gated on ipv4_forward (on one-header l2_switch both engines sit
+    // near the API floor and a noisy run read 1.18x); the absolute floors
+    // stay on l2_switch, where they were calibrated.
+    let vs = |cell: usize| {
+        let (c, r) = (compiled[cell], reference[cell]);
+        (c / r, format!("{c:.0} vs {r:.0} pps ({:.2}x)", c / r))
+    };
+    let (speedup, measured) = vs(UNTRACED);
+    report.gate(
+        "compiled sustains >= 1.3x the reference on untraced process_batch (ipv4_forward)",
         speedup >= 1.3,
-        "compiled must sustain >= 1.3x the reference on untraced \
-         process_batch: {:.0} vs {:.0} pps ({speedup:.2}x)",
-        compiled[UNTRACED],
-        reference[UNTRACED]
+        measured,
     );
     // The representative traced path is the streaming one: both engines
     // record into the flat buffer, both consumers walk it lazily, and
     // nothing allocates per packet. (The materialized `process_batch`
     // rows decode every trace into owned events — that decode dominates
     // and is identical work for both engines.)
-    let traced_speedup = compiled[STREAMED] / reference[STREAMED];
-    assert!(
+    let (traced_speedup, measured) = vs(STREAMED);
+    report.gate(
+        "compiled sustains >= 1.5x the reference on the streamed traced path (the flat trace buffer owns this edge)",
         traced_speedup >= 1.5,
-        "compiled must sustain >= 1.5x the reference on the streamed \
-         traced path (the flat trace buffer owns this edge): \
-         {:.0} vs {:.0} pps ({traced_speedup:.2}x)",
-        compiled[STREAMED],
-        reference[STREAMED]
+        measured,
     );
-    assert!(
-        compiled[TRACED] >= reference[TRACED] * 0.95,
-        "materialized traced path must not lose to the reference: \
-         {:.0} vs {:.0} pps",
-        compiled[TRACED],
-        reference[TRACED]
+    let (materialized, measured) = vs(TRACED);
+    report.gate(
+        "the materialized traced path does not lose to the reference (>= 0.95x)",
+        materialized >= 0.95,
+        measured,
     );
-    assert!(
+    report.gate(
+        "l2_switch untraced floor: >= 7 Mpps",
         l2_compiled[UNTRACED] >= 7_000_000.0,
-        "untraced floor: {:.0} pps < 7 Mpps",
-        l2_compiled[UNTRACED]
+        format!("{:.0} pps", l2_compiled[UNTRACED]),
     );
-    assert!(
+    report.gate(
+        "l2_switch streamed traced floor: >= 3.4 Mpps (2x the PR-5 materialized-trace baseline)",
         l2_compiled[STREAMED] >= 3_400_000.0,
-        "streamed traced floor: {:.0} pps < 3.4 Mpps \
-         (2x the PR-5 materialized-trace baseline)",
-        l2_compiled[STREAMED]
+        format!("{:.0} pps", l2_compiled[STREAMED]),
     );
+    report.finish()
 }

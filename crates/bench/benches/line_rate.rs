@@ -3,111 +3,74 @@
 //! NetDebug's checker is a hardware module with a fixed per-packet cycle
 //! budget. The alternative the paper argues against — checking on the host
 //! — is bounded by software speed. This bench measures our *actual* Rust
-//! checker and reference interpreter as stand-ins for host-based checking,
-//! and compares the sustainable packet rates against the 10G line rate and
+//! checker and interpreter as stand-ins for host-based checking, and
+//! compares the sustainable packet rates against the 10G line rate and
 //! the modelled hardware budget.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use netdebug::checker::Checker;
 use netdebug::generator::{Expectation, Generator, StreamSpec};
-use netdebug_bench::{banner, routable_frame};
-use netdebug_dataplane::Dataplane;
+use netdebug_bench::{banner, routable_frame, router_dataplane, time_ops};
 use netdebug_hw::Outcome;
-use netdebug_p4::corpus;
 use netdebug_packet::Ipv4Address;
-use std::time::Instant;
+use std::hint::black_box;
 
-fn make_outcome() -> Outcome {
-    let mut g = Generator::new();
-    let spec = StreamSpec::simple(
-        1,
-        routable_frame(Ipv4Address::new(10, 0, 0, 9)),
-        1_000_000,
-        Expectation::Forward { port: Some(1) },
-    );
-    let pkt = g.build(&spec, 0, 0);
-    Outcome::Tx {
-        port: 1,
-        data: pkt.data.to_vec(),
-    }
-}
+const LINE_RATE_64B: f64 = 14_880_952.0; // 10G, 64B frames
+const CLOCK_HZ: f64 = 200e6;
+const TRIALS: usize = 5;
+const MIN_MEASURE_S: f64 = 0.05;
 
-fn bench_software_checker(c: &mut Criterion) {
-    let outcome = make_outcome();
-    let mut checker = Checker::new();
-    checker.open_stream(1, Expectation::Forward { port: Some(1) }, u64::MAX);
-    c.bench_function("software_checker_per_packet", |b| {
-        b.iter(|| checker.observe(std::hint::black_box(&outcome), 100, "egress"))
-    });
-}
-
-fn bench_software_dataplane(c: &mut Criterion) {
-    let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let mut dp = Dataplane::new(ir);
-    dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
-    let frame = routable_frame(Ipv4Address::new(10, 0, 0, 9));
-    c.bench_function("software_dataplane_per_packet", |b| {
-        b.iter(|| dp.process_untraced(0, std::hint::black_box(&frame), 0))
-    });
-}
-
-fn line_rate_summary(_c: &mut Criterion) {
+fn main() {
     banner("E8: who can check at line rate?");
-    const LINE_RATE_64B: f64 = 14_880_952.0; // 10G, 64B frames
-    const CLOCK_HZ: f64 = 200e6;
-
-    // Measure the software checker directly.
-    let outcome = make_outcome();
-    let mut checker = Checker::new();
-    checker.open_stream(1, Expectation::Forward { port: Some(1) }, u64::MAX);
-    let n = 200_000u64;
-    let t0 = Instant::now();
-    for i in 0..n {
-        checker.observe(&outcome, i, "egress");
-    }
-    let sw_checker_pps = n as f64 / t0.elapsed().as_secs_f64();
-
-    // Measure the software data plane (host-based replay checking needs
-    // both: re-run the spec AND compare).
-    let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let mut dp = Dataplane::new(ir);
-    dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
     let frame = routable_frame(Ipv4Address::new(10, 0, 0, 9));
-    let n = 100_000u64;
-    let t0 = Instant::now();
-    for _ in 0..n {
-        dp.process_untraced(0, &frame, 0);
-    }
-    let sw_dataplane_pps = n as f64 / t0.elapsed().as_secs_f64();
+
+    // The software checker, fed one forwarded test frame over and over.
+    let forward = Expectation::Forward { port: Some(1) };
+    let spec = StreamSpec::simple(1, frame.clone(), 1_000_000, forward);
+    let outcome = Outcome::Tx {
+        port: 1,
+        data: Generator::new().build(&spec, 0, 0).data.to_vec(),
+    };
+    let mut checker = Checker::new();
+    checker.open_stream(1, forward, u64::MAX);
+    let sw_checker = time_ops(TRIALS, MIN_MEASURE_S, || {
+        for now in 0..1024 {
+            checker.observe(black_box(&outcome), now, "egress");
+        }
+        1024
+    });
+
+    // The software data plane (host-based replay checking needs both:
+    // re-run the spec AND compare).
+    let mut dp = router_dataplane();
+    let sw_dataplane = time_ops(TRIALS, MIN_MEASURE_S, || {
+        for _ in 0..1024 {
+            black_box(dp.process_untraced(0, black_box(&frame), 0));
+        }
+        1024
+    });
 
     // The hardware checker's modelled budget.
-    let hw_checker = Checker::new();
-    let hw_pps = CLOCK_HZ / hw_checker.check_cycles_per_packet as f64;
+    let hw_pps = CLOCK_HZ / Checker::new().check_cycles_per_packet as f64;
 
     println!(
-        "{:<38} {:>14} {:>12}",
-        "checking strategy", "sustained pps", "line rate?"
+        "{:<38} {:>14} {:>12} {:>12}",
+        "checking strategy", "sustained pps", "median ns", "line rate?"
     );
-    let row = |name: &str, pps: f64| {
-        println!(
-            "{:<38} {:>14.0} {:>12}",
-            name,
-            pps,
-            if pps >= LINE_RATE_64B { "YES" } else { "no" }
-        );
+    let row = |name: &str, ns: f64| {
+        let verdict = if 1e9 / ns >= LINE_RATE_64B {
+            "YES"
+        } else {
+            "no"
+        };
+        println!("{name:<38} {:>14.0} {ns:>12.1} {verdict:>12}", 1e9 / ns);
     };
-    row("in-device checker (2 cyc @ 200 MHz)", hw_pps);
-    row("host software: checker only", sw_checker_pps);
+    row("in-device checker (2 cyc @ 200 MHz)", 1e9 / hw_pps);
+    row("host software: checker only", sw_checker.median_ns);
     row(
         "host software: spec replay + check",
-        1.0 / (1.0 / sw_checker_pps + 1.0 / sw_dataplane_pps),
+        sw_checker.median_ns + sw_dataplane.median_ns,
     );
-    println!(
-        "{:<38} {:>14.0}",
-        "10G line rate, 64B frames", LINE_RATE_64B
-    );
+    println!("{:<38} {LINE_RATE_64B:>14.0}", "10G line rate, 64B frames");
 
     println!("\nshape check (paper): only the in-device hardware checker has");
     println!("headroom over the 64B line rate on every lane; host-based");
@@ -118,11 +81,3 @@ fn line_rate_summary(_c: &mut Criterion) {
         "hardware budget must exceed line rate"
     );
 }
-
-criterion_group!(
-    benches,
-    bench_software_checker,
-    bench_software_dataplane,
-    line_rate_summary
-);
-criterion_main!(benches);

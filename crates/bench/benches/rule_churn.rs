@@ -27,11 +27,15 @@
 //! group is touched at one bucket (a removal that walks the list, or that
 //! rescans its group to keep the group's highest priority, fails it).
 
-use netdebug_bench::banner;
+use netdebug_bench::{
+    banner, dec, host_cores, routable_frame, router_dataplane, row, time_ops, Report,
+};
 use netdebug_dataplane::{lpm_pattern, ControlPlane, Dataplane};
 use netdebug_p4::corpus;
 use netdebug_p4::ir::IrPattern;
-use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
+use netdebug_packet::Ipv4Address;
+use std::hint::black_box;
+use std::process::ExitCode;
 use std::time::Instant;
 
 const BATCH: usize = 2048;
@@ -39,15 +43,6 @@ const ROUNDS: usize = 60;
 /// LPM publications per round: 8 installs before the window, 8 removes
 /// after it.
 const INSTALLS_PER_ROUND: usize = 8;
-
-fn router_dataplane() -> Dataplane {
-    let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let mut dp = Dataplane::new(ir);
-    dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
-    dp.set_tracing(false);
-    dp
-}
 
 /// Resident entry counts of the publication-cost sweep.
 const OCCUPANCIES: [usize; 3] = [16, 2048, 32_768];
@@ -240,132 +235,92 @@ fn limiter_dataplane() -> Dataplane {
     dp
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner("E11: rule churn + metered batches");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let frame = PacketBuilder::ethernet(
-        EthernetAddress::new(2, 0, 0, 0, 0, 1),
-        EthernetAddress::new(2, 0, 0, 0, 0, 2),
-    )
-    .ipv4(Ipv4Address::new(10, 0, 0, 1), Ipv4Address::new(10, 7, 0, 9))
-    .udp(1000, 2000)
-    .payload(b"churn")
-    .build();
+    let mut report = Report::new("rule_churn", "BENCH_churn.json", BATCH);
+    report.set("batch", BATCH);
+    report.set("rounds", ROUNDS);
+    report.set("installs_per_round", INSTALLS_PER_ROUND);
+    report.set("cores", host_cores());
+    let frame = routable_frame(Ipv4Address::new(10, 7, 0, 9));
     let pkts: Vec<(u16, &[u8])> = (0..BATCH)
         .map(|i| ((i % 4) as u16, frame.as_slice()))
         .collect();
 
-    let mut json_rows: Vec<String> = Vec::new();
-
-    // ---- Part 1: churned routing ----
-    println!("\nchurned routing (ipv4_forward): {INSTALLS_PER_ROUND} installs + {INSTALLS_PER_ROUND} removes per {BATCH}-pkt window");
-    println!(
-        "{:<28} {:>14} {:>16}",
-        "configuration", "pkts/sec", "publications/sec"
-    );
+    // ---- Part 1: churned routing — a burst of fresh /24 routes lands
+    // before each window and is withdrawn after it, so occupancy stays
+    // bounded ----
     let mut dp = router_dataplane();
+    dp.set_tracing(false);
     let cp = dp.control_plane();
     let epoch_before = cp.epoch("ipv4_lpm").unwrap();
-    let mut publications = 0usize;
-    let t0 = Instant::now();
-    for round in 0..ROUNDS {
-        // Churn in: a burst of fresh /24 routes lands before the window.
-        for k in 0..INSTALLS_PER_ROUND {
-            let third = ((round * INSTALLS_PER_ROUND + k) % 200) as u128;
-            cp.install_lpm(
-                "ipv4_lpm",
-                0x0A07_0000 | (third << 8),
-                24,
-                "ipv4_forward",
-                vec![0xCC, 2],
-            )
-            .unwrap();
-            publications += 1;
-        }
-        std::hint::black_box(dp.process_batch(&pkts, round as u64));
-        // Churn out: withdraw the burst so occupancy stays bounded.
-        for k in 0..INSTALLS_PER_ROUND {
-            let third = ((round * INSTALLS_PER_ROUND + k) % 200) as u128;
-            cp.remove(
-                "ipv4_lpm",
-                &[netdebug_dataplane::lpm_pattern(
-                    0x0A07_0000 | (third << 8),
+    let (mut publications, mut round) = (0u64, 0usize);
+    let route = |round: usize, k: usize| {
+        let third = ((round * INSTALLS_PER_ROUND + k) % 200) as u128;
+        0x0A07_0000 | (third << 8)
+    };
+    let churned = time_ops(1, 0.0, || {
+        for _ in 0..ROUNDS {
+            for k in 0..INSTALLS_PER_ROUND {
+                cp.install_lpm(
+                    "ipv4_lpm",
+                    route(round, k),
                     24,
-                    32,
-                )],
-                24,
-            )
-            .unwrap();
-            publications += 1;
+                    "ipv4_forward",
+                    vec![0xCC, 2],
+                )
+                .unwrap();
+            }
+            black_box(dp.process_batch(&pkts, round as u64));
+            for k in 0..INSTALLS_PER_ROUND {
+                cp.remove("ipv4_lpm", &[lpm_pattern(route(round, k), 24, 32)], 24)
+                    .unwrap();
+            }
+            publications += 2 * INSTALLS_PER_ROUND as u64;
+            round += 1;
         }
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    let pps = (ROUNDS * BATCH) as f64 / dt;
-    let ips = publications as f64 / dt;
-    println!("{:<28} {:>14.0} {:>16.0}", "churn", pps, ips);
-    json_rows.push(format!(
-        "    {{\"workload\": \"churned_routing\", \"pps\": {pps:.0}, \"publications_per_sec\": {ips:.0}}}"
-    ));
+        ROUNDS * BATCH
+    });
+    let per_packet = (2 * INSTALLS_PER_ROUND) as f64 / BATCH as f64;
+    report.row(
+        row!["workload" => "churned_routing", "pps" => dec(churned.rate(), 0),
+        "publications_per_sec" => dec(churned.rate() * per_packet, 0)],
+    );
     assert_eq!(
         cp.epoch("ipv4_lpm").unwrap(),
-        epoch_before + publications as u64,
+        epoch_before + publications,
         "every install/remove must land as its own epoch while batches run"
     );
 
-    // ---- Part 2: publication cost against occupancy ----
-    println!("\npublication cost vs resident entries ({FRESH} fresh entries installed, then withdrawn, per round)");
-    println!(
-        "{:<8} {:>9} {:>9} {:>14} {:>14}",
-        "kind", "resident", "pinned", "install ns", "remove ns"
-    );
-    // (kind, resident, pinned, install ns, remove ns), for the smoke
-    // assertions.
+    // ---- Part 2: publication cost against occupancy (`FRESH` fresh
+    // entries installed, then withdrawn, per round) ----
+    // (kind, resident, pinned, install ns, remove ns), for the gates.
     let mut cost: Vec<(&str, usize, bool, f64, f64)> = Vec::new();
     for shape in &SWEEP_TABLES {
         for resident in OCCUPANCIES {
             for pinned in [false, true] {
                 let (install_ns, remove_ns) = publication_ns(shape, resident, pinned);
-                println!(
-                    "{:<8} {:>9} {:>9} {:>14.0} {:>14.0}",
-                    shape.kind, resident, pinned, install_ns, remove_ns
-                );
-                json_rows.push(format!(
-                    "    {{\"workload\": \"publication_cost\", \"kind\": \"{}\", \"resident\": {resident}, \"pinned\": {pinned}, \"install_ns\": {install_ns:.0}, \"remove_ns\": {remove_ns:.0}}}",
-                    shape.kind
-                ));
+                report.row(row!["workload" => "publication_cost", "kind" => shape.kind,
+                    "resident" => resident, "pinned" => pinned,
+                    "install_ns" => dec(install_ns, 0), "remove_ns" => dec(remove_ns, 0)]);
                 cost.push((shape.kind, resident, pinned, install_ns, remove_ns));
             }
         }
     }
 
-    // ---- Part 3: metered policing ----
-    println!("\nmetered policing (rate_limiter)");
-    println!("{:<28} {:>14}", "configuration", "pkts/sec");
+    // ---- Part 3: metered policing (rate_limiter) ----
     let mut dp = limiter_dataplane();
-    let t0 = Instant::now();
-    for round in 0..ROUNDS {
-        std::hint::black_box(dp.process_batch(&pkts, (round * 1000) as u64));
-    }
-    let meter_pps = (ROUNDS * BATCH) as f64 / t0.elapsed().as_secs_f64();
-    println!("{:<28} {:>14.0}", "process_batch", meter_pps);
-    json_rows.push(format!(
-        "    {{\"workload\": \"metered\", \"pps\": {meter_pps:.0}}}"
-    ));
+    let mut clock = 0u64;
+    let metered = time_ops(1, 0.0, || {
+        for _ in 0..ROUNDS {
+            black_box(dp.process_batch(&pkts, clock));
+            clock += 1000;
+        }
+        ROUNDS * BATCH
+    });
+    report.row(row!["workload" => "metered", "pps" => dec(metered.rate(), 0)]);
 
-    let json = format!(
-        "{{\n  \"experiment\": \"rule_churn\",\n  \"meta\": {},\n  \"batch\": {BATCH},\n  \"rounds\": {ROUNDS},\n  \"installs_per_round\": {INSTALLS_PER_ROUND},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(BATCH),
-        json_rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_churn.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
-
-    // ---- Smoke assertions (run in CI): publication stays O(delta) ----
+    // ---- Gates (run in CI): publication stays O(delta) ----
     let cost_ns = |(kind, resident, pinned)| {
         let cell = cost
             .iter()
@@ -373,18 +328,18 @@ fn main() {
         let &(.., install_ns, remove_ns) = cell.expect("measured above");
         (install_ns, remove_ns)
     };
-    let install_ns = |cell| cost_ns(cell).0;
     let (small, large) = (OCCUPANCIES[0], OCCUPANCIES[2]);
     let (flat_small, flat_large) = (
-        install_ns(("exact", small, false)),
-        install_ns(("exact", large, false)),
+        cost_ns(("exact", small, false)).0,
+        cost_ns(("exact", large, false)).0,
     );
     // An unpinned exact install appends one slot and inserts one hash key
     // however many entries are resident. The 4x slack is timer noise and
     // colder cache lines, not a linear factor (the sweep spans 2048x).
-    assert!(
+    report.gate(
+        "unpinned exact install stays flat with occupancy (< 4x): no table copy or re-index",
         flat_large < flat_small * 4.0,
-        "unpinned exact install grew with occupancy: {flat_small:.0} ns at {small} entries vs {flat_large:.0} ns at {large} — publication copies or re-indexes the table again"
+        format!("{flat_small:.0} ns at {small} entries vs {flat_large:.0} ns at {large}"),
     );
     // A ternary install finds its mask tuple's group and claims one
     // bucket there; a removal vacates one and, at most, reads the group's
@@ -393,22 +348,25 @@ fn main() {
         cost_ns(("ternary", small, false)),
         cost_ns(("ternary", large, false)),
     );
-    assert!(
+    report.gate(
+        "unpinned ternary install stays flat (< 4x): the tuple-space index is maintained, not rebuilt",
         ternary_large.0 < ternary_small.0 * 4.0,
-        "unpinned ternary install grew with occupancy: {:.0} ns at {small} entries vs {:.0} ns at {large} — the tuple-space index is rebuilt, not maintained",
-        ternary_small.0,
-        ternary_large.0
+        format!("{:.0} ns at {small} entries vs {:.0} ns at {large}", ternary_small.0, ternary_large.0),
     );
-    assert!(
+    report.gate(
+        "unpinned ternary remove stays flat (< 4x): no list walk, no group rescan",
         ternary_large.1 < ternary_small.1 * 4.0,
-        "unpinned ternary remove grew with occupancy: {:.0} ns at {small} entries vs {:.0} ns at {large} — the removal walks the list or rescans its group",
-        ternary_small.1,
-        ternary_large.1
+        format!(
+            "{:.0} ns at {small} entries vs {:.0} ns at {large}",
+            ternary_small.1, ternary_large.1
+        ),
     );
     // And the pinned column really measures the copy-on-write path.
-    let copied = install_ns(("exact", large, true));
-    assert!(
+    let copied = cost_ns(("exact", large, true)).0;
+    report.gate(
+        "a pinned install pays for its copy (> 8x unpinned): the pinned column measures copy-on-write",
         copied > flat_large * 8.0,
-        "a pinned install at {large} entries ({copied:.0} ns) costs like an unpinned one ({flat_large:.0} ns): the pin did not force a copy, the measurement is broken"
+        format!("{copied:.0} ns pinned vs {flat_large:.0} ns unpinned at {large} entries"),
     );
+    report.finish()
 }

@@ -4,17 +4,13 @@
 use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::session::NetDebug;
 use netdebug::usecases::status::monitor;
-use netdebug_bench::{banner, routable_frame};
-use netdebug_hw::{Backend, Device};
-use netdebug_p4::corpus;
+use netdebug_bench::{banner, routable_frame, router_device};
+use netdebug_hw::Backend;
 use netdebug_packet::Ipv4Address;
 
 fn main() {
     banner("E6: status monitoring timeline (IPv4 router, 800 packets)");
-    let mut dev = Device::deploy_source(&Backend::reference(), corpus::IPV4_FORWARD).unwrap();
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
-    let mut nd = NetDebug::new(dev);
+    let mut nd = NetDebug::new(router_device(&Backend::reference()));
 
     let traffic = StreamSpec {
         stream: 1,

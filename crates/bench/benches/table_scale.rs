@@ -24,13 +24,13 @@
 //! index arrived, while the measured scan must grow with the entry
 //! count.
 
-use netdebug_bench::banner;
-use netdebug_dataplane::{lpm_pattern, Dataplane, RuntimeEntry, TableState};
+use netdebug_bench::{banner, dec, host_cores, row, switch_dataplane, time_ops, Report};
+use netdebug_dataplane::{lpm_pattern, EntrySnapshot, RuntimeEntry, TableState};
 use netdebug_p4::ast::MatchKind;
-use netdebug_p4::corpus;
 use netdebug_p4::ir::{ActionCall, ActionIr, IrExpr, IrPattern, TableIr, TableKey};
 use netdebug_packet::{EthernetAddress, PacketBuilder};
-use std::time::Instant;
+use std::hint::black_box;
+use std::process::ExitCode;
 
 const SIZES: [usize; 4] = [1, 16, 256, 4096];
 /// Probe keys per measurement pass (mix of hits and misses).
@@ -201,49 +201,33 @@ fn probe_keys(sweep: Sweep, n: usize) -> Vec<u128> {
         .collect()
 }
 
-/// ns/lookup of `f` (which runs one full probe pass), measured over at
-/// least [`MIN_MEASURE_S`] of wall time.
-fn measure_ns_per_lookup(mut pass: impl FnMut() -> usize) -> f64 {
-    // Warm-up pass (hash tables touch their buckets, caches warm).
-    std::hint::black_box(pass());
-    let t0 = Instant::now();
-    let mut lookups = 0usize;
-    while t0.elapsed().as_secs_f64() < MIN_MEASURE_S {
-        lookups += pass();
-    }
-    t0.elapsed().as_secs_f64() * 1e9 / lookups as f64
+/// ns/lookup of `lookup` over one probe set, timed for at least
+/// [`MIN_MEASURE_S`].
+fn ns_per_lookup<R>(keys: &[u128], lookup: impl Fn(&[u128]) -> R) -> f64 {
+    let pass = || {
+        for k in keys {
+            black_box(lookup(std::slice::from_ref(k)));
+        }
+        keys.len()
+    };
+    time_ops(1, MIN_MEASURE_S, pass).best_ns
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner("E12: table snapshot lookup indexes (exact/lpm/ternary sweep)");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut json_rows: Vec<String> = Vec::new();
+    let mut report = Report::new("table_scale", "BENCH_lookup.json", PROBES);
+    report.set("probes", PROBES);
+    report.set("cores", host_cores());
 
-    println!(
-        "\n{:<10} {:>8} {:>14} {:>14} {:>10}",
-        "kind", "entries", "indexed ns/op", "scan ns/op", "speedup"
-    );
-    // indexed/scan ns per (sweep, size), for the smoke assertions below.
+    // (indexed, scan) ns per (sweep, size), for the gates below.
     let mut measured: Vec<(Sweep, usize, f64, f64)> = Vec::new();
     for sweep in [Sweep::Exact, Sweep::Lpm, Sweep::Ternary, Sweep::Ternary8] {
         for &n in &SIZES {
             let state = filled_state(sweep, n);
             let keys = probe_keys(sweep, n);
-            let snap = state.snapshot();
-            let indexed = measure_ns_per_lookup(|| {
-                for k in &keys {
-                    std::hint::black_box(snap.lookup(std::slice::from_ref(k)));
-                }
-                keys.len()
-            });
-            let scan = measure_ns_per_lookup(|| {
-                for k in &keys {
-                    std::hint::black_box(snap.lookup_scan(std::slice::from_ref(k)));
-                }
-                keys.len()
-            });
+            let snap: &EntrySnapshot = &state.snapshot();
+            let indexed = ns_per_lookup(&keys, |k| snap.lookup(k));
+            let scan = ns_per_lookup(&keys, |k| snap.lookup_scan(k));
             // The index must agree with the scan on every probe — a cheap
             // end-of-run sanity net under the proptests.
             for k in &keys {
@@ -253,42 +237,19 @@ fn main() {
                     "index/scan divergence at key {k:#x} ({sweep:?}, {n} entries)"
                 );
             }
-            let kind_name = sweep.name();
-            println!(
-                "{:<10} {:>8} {:>14.1} {:>14.1} {:>9.1}x",
-                kind_name,
-                n,
-                indexed,
-                scan,
-                scan / indexed
-            );
-            json_rows.push(format!(
-                "    {{\"kind\": \"{kind_name}\", \"entries\": {n}, \"indexed_ns\": {indexed:.1}, \"scan_ns\": {scan:.1}}}"
-            ));
+            report.row(row!["kind" => sweep.name(), "entries" => n,
+                "indexed_ns" => dec(indexed, 1), "scan_ns" => dec(scan, 1)]);
             measured.push((sweep, n, indexed, scan));
         }
     }
 
-    // End to end: an exact-table program's batch throughput as the table
-    // fills. The compiled hash keeps pps flat; the seed scan degraded
-    // linearly with occupancy.
-    println!("\nprocess_batch on l2_switch (exact dmac hash), untraced:");
-    println!("{:<10} {:>14}", "entries", "pkts/sec");
-    let mut batch_pps: Vec<(usize, f64)> = Vec::new();
+    // End to end: an exact-table program's untraced batch throughput as
+    // the table fills. The compiled hash keeps pps flat; the seed scan
+    // degraded linearly with occupancy.
+    let mut batch_pps = Vec::new();
     for &n in &SIZES {
-        let ir = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
-        let caps = vec![8192u64; ir.tables.len()];
-        let mut dp = Dataplane::with_table_capacities(ir, &caps);
+        let mut dp = switch_dataplane(0x0200_0000_0000, n);
         dp.set_tracing(false);
-        for i in 0..n {
-            dp.install_exact(
-                "dmac",
-                vec![0x0200_0000_0000 + i as u128],
-                "forward",
-                vec![(i % 4) as u128],
-            )
-            .unwrap();
-        }
         let frames: Vec<Vec<u8>> = (0..2048)
             .map(|i| {
                 PacketBuilder::ethernet(
@@ -306,95 +267,75 @@ fn main() {
             .enumerate()
             .map(|(i, f)| ((i % 4) as u16, f.as_slice()))
             .collect();
-        // Warm-up window before the timer (allocator + caches).
-        std::hint::black_box(dp.process_batch(&pkts, 0));
-        let t0 = Instant::now();
-        let mut done = 0usize;
-        while t0.elapsed().as_secs_f64() < 2.0 * MIN_MEASURE_S {
-            std::hint::black_box(dp.process_batch(&pkts, 0));
-            done += pkts.len();
-        }
-        let pps = done as f64 / t0.elapsed().as_secs_f64();
-        println!("{n:<10} {pps:>14.0}");
-        json_rows.push(format!(
-            "    {{\"workload\": \"batch_exact\", \"entries\": {n}, \"pps\": {pps:.0}}}"
-        ));
-        batch_pps.push((n, pps));
+        let pps = time_ops(1, 2.0 * MIN_MEASURE_S, || {
+            black_box(dp.process_batch(&pkts, 0));
+            pkts.len()
+        })
+        .rate();
+        report.row(row!["workload" => "batch_exact", "entries" => n, "pps" => dec(pps, 0)]);
+        batch_pps.push(pps);
     }
 
-    let json = format!(
-        "{{\n  \"experiment\": \"table_scale\",\n  \"meta\": {},\n  \"probes\": {PROBES},\n  \"cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
-        netdebug_bench::meta_json(PROBES),
-        json_rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lookup.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
-    }
-
-    // ---- Smoke assertions (run in CI): losing the index must fail loudly ----
+    // ---- Gates (run in CI): losing the index must fail loudly ----
     let cell = |sweep: Sweep, n: usize| {
-        measured
-            .iter()
-            .find(|(k, m, _, _)| *k == sweep && *m == n)
-            .map(|(_, _, i, s)| (*i, *s))
-            .expect("measured above")
+        let hit = measured.iter().find(|(k, m, ..)| *k == sweep && *m == n);
+        hit.map(|&(_, _, i, s)| (i, s)).expect("measured above")
     };
     let (exact_idx_1, exact_scan_1) = cell(Sweep::Exact, 1);
     let (exact_idx_4k, exact_scan_4k) = cell(Sweep::Exact, 4096);
-    // Exact-match lookup cost must not grow with entry count: both ends
-    // of the sweep are one hash probe. The 8x slack absorbs timer noise
-    // on shared single-core CI hosts, not a linear factor (the scan's
-    // 1 -> 4096 ratio is ~three orders of magnitude).
-    assert!(
+    // Both ends of the sweep are one hash probe. The 8x slack absorbs
+    // timer noise on shared single-core CI hosts, not a linear factor (the
+    // scan's 1 -> 4096 ratio is ~three orders of magnitude).
+    report.gate(
+        "exact indexed lookup stays flat 1 -> 4096 entries (< 8x): the hash index is there",
         exact_idx_4k < exact_idx_1 * 8.0,
-        "exact-match indexed lookup grew with entry count: {exact_idx_1:.1} ns at 1 entry vs {exact_idx_4k:.1} ns at 4096 — the hash index is gone"
+        format!("{exact_idx_1:.1} ns at 1 entry vs {exact_idx_4k:.1} ns at 4096"),
     );
-    // And the measured baseline really is the linear scan the index
-    // replaced: it must grow markedly across the same sweep.
-    assert!(
+    report.gate(
+        "the seed scan grows with entry count (> 8x): the baseline is really the scan",
         exact_scan_4k > exact_scan_1 * 8.0,
-        "seed scan did not grow with entry count ({exact_scan_1:.1} -> {exact_scan_4k:.1} ns): the baseline measurement is broken"
+        format!("{exact_scan_1:.1} -> {exact_scan_4k:.1} ns"),
     );
-    // At 4096 entries the index must beat the scan outright.
-    assert!(
+    report.gate(
+        "indexed exact lookup beats the scan 4x at 4096 entries",
         exact_idx_4k * 4.0 < exact_scan_4k,
-        "indexed exact lookup ({exact_idx_4k:.1} ns) must clearly beat the {exact_scan_4k:.1} ns scan at 4096 entries"
+        format!("{exact_idx_4k:.1} ns vs {exact_scan_4k:.1} ns"),
     );
     // The exact and LPM cells did not move when ternary tables got their
     // index: ≈ 5.5 ns and ≈ 17-24 ns on the 2-core box it arrived on.
     // The ceilings leave a shared CI host a factor of four.
     let lpm_idx_4k = cell(Sweep::Lpm, 4096).0;
-    assert!(
+    report.gate(
+        "indexed exact < 22 ns and LPM < 96 ns at 4096 entries (bands ≈ 5.5 / ≈ 24 ns)",
         exact_idx_4k < 22.0 && lpm_idx_4k < 96.0,
-        "indexed exact ({exact_idx_4k:.1} ns) or LPM ({lpm_idx_4k:.1} ns) lookup at 4096 entries left its band (≈ 5.5 / ≈ 24 ns)"
+        format!("exact {exact_idx_4k:.1} ns, LPM {lpm_idx_4k:.1} ns"),
     );
     // One mask tuple is one hash probe, however many entries share it.
-    let ternary_idx_1 = cell(Sweep::Ternary, 1).0;
-    let ternary_idx_4k = cell(Sweep::Ternary, 4096).0;
-    assert!(
+    let (ternary_idx_1, ternary_idx_4k) = (cell(Sweep::Ternary, 1).0, cell(Sweep::Ternary, 4096).0);
+    report.gate(
+        "single-tuple ternary lookup stays flat 1 -> 4096 entries (< 8x): the tuple-space index is there",
         ternary_idx_4k < ternary_idx_1 * 8.0,
-        "single-tuple ternary lookup grew with entry count: {ternary_idx_1:.1} ns at 1 entry vs {ternary_idx_4k:.1} ns at 4096 — the tuple-space index is gone"
+        format!("{ternary_idx_1:.1} ns at 1 entry vs {ternary_idx_4k:.1} ns at 4096"),
     );
     // Eight tuples are eight probes at 256 entries and at 4096 (colder
     // buckets aside), and nowhere near the scan of half the table.
     let ternary8_idx_256 = cell(Sweep::Ternary8, 256).0;
     let (ternary8_idx_4k, ternary8_scan_4k) = cell(Sweep::Ternary8, 4096);
-    assert!(
+    report.gate(
+        "eight-tuple ternary lookup stays within 4x from 256 to 4096 entries",
         ternary8_idx_4k < ternary8_idx_256 * 4.0,
-        "eight-tuple ternary lookup grew with entry count: {ternary8_idx_256:.1} ns at 256 entries vs {ternary8_idx_4k:.1} ns at 4096"
+        format!("{ternary8_idx_256:.1} ns at 256 entries vs {ternary8_idx_4k:.1} ns at 4096"),
     );
-    assert!(
+    report.gate(
+        "eight-tuple ternary lookup beats its scan 8x at 4096 entries",
         ternary8_idx_4k * 8.0 < ternary8_scan_4k,
-        "eight-tuple ternary lookup ({ternary8_idx_4k:.1} ns) must clearly beat the {ternary8_scan_4k:.1} ns scan at 4096 entries"
+        format!("{ternary8_idx_4k:.1} ns vs {ternary8_scan_4k:.1} ns"),
     );
-    // End-to-end batch throughput stays flat (within generous noise)
-    // while the table fills 1 -> 4096.
-    let pps_1 = batch_pps.first().expect("sweep ran").1;
-    let pps_4k = batch_pps.last().expect("sweep ran").1;
-    assert!(
+    let (pps_1, pps_4k) = (batch_pps[0], batch_pps[SIZES.len() - 1]);
+    report.gate(
+        "batch throughput holds (> 0.5x) while the exact table fills 1 -> 4096",
         pps_4k > pps_1 * 0.5,
-        "batch throughput collapsed as the exact table filled: {pps_1:.0} pps at 1 entry vs {pps_4k:.0} pps at 4096"
+        format!("{pps_1:.0} pps at 1 entry vs {pps_4k:.0} pps at 4096"),
     );
+    report.finish()
 }

@@ -360,15 +360,6 @@ impl Checker {
         }
     }
 
-    /// Feed one whole injected window to the checker: `processed[i]` is
-    /// the device's outcome for stream `stream`'s packet `first_seq + i`.
-    /// Equivalent to calling [`Checker::observe_processed`] per packet.
-    pub fn observe_batch(&mut self, stream: u16, first_seq: u64, processed: &[Processed]) {
-        for (i, p) in processed.iter().enumerate() {
-            self.observe_processed(stream, first_seq + i as u64, p);
-        }
-    }
-
     /// Record that a generated packet was dropped inside the device.
     pub fn observe_drop(&mut self, stream: u16, seq: u64, last_stage: &str) {
         let record = self.streams.entry(stream).or_default();

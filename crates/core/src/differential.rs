@@ -42,7 +42,12 @@ impl DiffReport {
     }
 }
 
-pub(crate) fn stages_reached(dev: &mut Device, port: u16, data: &[u8]) -> (Outcome, Vec<String>) {
+/// What one device showed for one probe: the outcome plus the internal
+/// stages used to localise a divergence (the full stage set on the probe
+/// path, the last stage reached on the fleet's window path).
+pub(crate) type Observation = (Outcome, Vec<String>);
+
+pub(crate) fn stages_reached(dev: &mut Device, port: u16, data: &[u8]) -> Observation {
     let before: Vec<u64> = dev.stage_counts().to_vec();
     let processed = dev.inject(port, data);
     let after: Vec<u64> = dev.stage_counts().to_vec();
@@ -56,14 +61,17 @@ pub(crate) fn stages_reached(dev: &mut Device, port: u16, data: &[u8]) -> (Outco
     (processed.outcome, stages)
 }
 
+/// Inject every probe into `dev`, one at a time so each probe's tap delta
+/// is attributable, and keep what the device showed.
+pub(crate) fn observe_probes(dev: &mut Device, probes: &[Probe]) -> Vec<Observation> {
+    probes
+        .iter()
+        .map(|p| stages_reached(dev, 0, &p.data))
+        .collect()
+}
+
 /// Describe how two observed behaviours differ, or `None` when they agree.
-///
-/// `stages_*` carry each device's internal view (full stage sets for
-/// probe-at-a-time diffing, or just the last stage reached on the batched
-/// fleet path) — what lets a divergence be *localised*, not just detected.
-/// Shared by the pairwise [`diff_devices`] and the N-backend
-/// [`crate::fleet::DifferentialFleet`].
-pub(crate) fn outcome_divergence(
+fn outcome_divergence(
     out_a: &Outcome,
     out_b: &Outcome,
     stages_a: &[String],
@@ -120,29 +128,50 @@ pub(crate) fn outcome_divergence(
     }
 }
 
-/// Run every probe through both devices and report divergences.
-pub fn diff_devices(a: &mut Device, b: &mut Device, probes: &[Probe]) -> DiffReport {
-    let mut divergences = Vec::new();
-    let mut agreements = 0usize;
-    for (i, probe) in probes.iter().enumerate() {
-        let (out_a, stages_a) = stages_reached(a, 0, &probe.data);
-        let (out_b, stages_b) = stages_reached(b, 0, &probe.data);
-        let detail = outcome_divergence(&out_a, &out_b, &stages_a, &stages_b);
-        match detail {
-            Some(detail) => divergences.push(Divergence {
-                probe_index: i,
-                probe_path: probe.path.clone(),
-                detail,
-                stages_a,
-                stages_b,
-            }),
-            None => agreements += 1,
-        }
-    }
+/// The comparison loop, and the only one: the reference's observations
+/// (taken once) against one member's, yielding `(index, detail)` for every
+/// probe or packet on which the member diverges. [`diff_devices`], the
+/// compiler check and [`crate::fleet::DifferentialFleet`] all diff
+/// through here.
+pub(crate) fn divergences<'a>(
+    reference: &'a [Observation],
+    member: &'a [Observation],
+) -> impl Iterator<Item = (usize, String)> + 'a {
+    reference.iter().zip(member).enumerate().filter_map(
+        |(i, ((out_a, stages_a), (out_b, stages_b)))| {
+            outcome_divergence(out_a, out_b, stages_a, stages_b).map(|detail| (i, detail))
+        },
+    )
+}
+
+/// [`divergences`] over two probe runs, as a [`DiffReport`].
+pub(crate) fn diff_observations(
+    a: &[Observation],
+    b: &[Observation],
+    probes: &[Probe],
+) -> DiffReport {
+    let divergences: Vec<Divergence> = divergences(a, b)
+        .map(|(i, detail)| Divergence {
+            probe_index: i,
+            probe_path: probes[i].path.clone(),
+            detail,
+            stages_a: a[i].1.clone(),
+            stages_b: b[i].1.clone(),
+        })
+        .collect();
     DiffReport {
-        agreements,
+        agreements: probes.len() - divergences.len(),
         divergences,
     }
+}
+
+/// Run every probe through both devices and report divergences.
+pub fn diff_devices(a: &mut Device, b: &mut Device, probes: &[Probe]) -> DiffReport {
+    diff_observations(
+        &observe_probes(a, probes),
+        &observe_probes(b, probes),
+        probes,
+    )
 }
 
 #[cfg(test)]

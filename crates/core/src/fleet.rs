@@ -23,7 +23,7 @@
 //! artefact.
 
 use crate::churn::{ChurnError, ChurnSchedule};
-use crate::differential::{outcome_divergence, stages_reached};
+use crate::differential::{divergences, stages_reached, Observation};
 use crate::generator::{Generator, StreamSpec};
 use crate::probes::Probe;
 use crate::runtime::{
@@ -168,9 +168,8 @@ struct FleetMember {
     device: Device,
 }
 
-/// One member's per-packet observations: the outcome plus the stage set
-/// used to localise divergences.
-type MemberObservations = Vec<(Outcome, Vec<String>)>;
+/// One member's per-packet (or per-probe) observations.
+type MemberObservations = Vec<Observation>;
 
 /// [`DeviceSink`] that records the window-path observation per packet:
 /// the outcome and the last stage the member's pipeline reached.
@@ -523,45 +522,40 @@ impl DifferentialFleet {
     ) -> FleetReport {
         let members: Vec<String> = self.members.iter().map(|m| m.label.clone()).collect();
         let reference = members.first().cloned().unwrap_or_default();
-        let mut divergences = Vec::new();
+        // What the recovery path books for a skipped culprit frame.
+        const SKIPPED: Outcome = Outcome::Dropped {
+            reason: DropReason::Faulted,
+        };
+        let mut found = Vec::new();
         let mut agreements = 0usize;
         if let Some((Some(ref_results), rest)) = per_member.split_first() {
-            for i in 0..packets {
-                let (ref_out, ref_stages) = &ref_results[i];
-                let mut clean = true;
-                for (m, results) in rest.iter().enumerate() {
-                    let Some(results) = results else { continue };
-                    let (out, stages) = &results[i];
-                    if matches!(
-                        out,
-                        Outcome::Dropped {
-                            reason: DropReason::Faulted
-                        }
-                    ) {
-                        continue;
-                    }
-                    if let Some(detail) = outcome_divergence(ref_out, out, ref_stages, stages) {
-                        clean = false;
-                        divergences.push(FleetDivergence {
+            for (m, results) in rest.iter().enumerate() {
+                let Some(results) = results else { continue };
+                for (i, detail) in divergences(ref_results, results) {
+                    if results[i].0 != SKIPPED {
+                        found.push(FleetDivergence {
                             index: i,
                             member: members[m + 1].clone(),
                             detail,
-                            stages_reference: ref_stages.clone(),
-                            stages_member: stages.clone(),
+                            stages_reference: ref_results[i].1.clone(),
+                            stages_member: results[i].1.clone(),
                         });
                     }
                 }
-                if clean {
-                    agreements += 1;
-                }
             }
+            // Diffed member by member, reported packet by packet (the
+            // sort is stable: member order holds within a packet).
+            found.sort_by_key(|d| d.index);
+            let mut diverging: Vec<usize> = found.iter().map(|d| d.index).collect();
+            diverging.dedup();
+            agreements = packets - diverging.len();
         }
         FleetReport {
             reference,
             members,
             packets,
             agreements,
-            divergences,
+            divergences: found,
             faults,
             recoveries,
         }
@@ -776,6 +770,53 @@ mod tests {
             );
             assert_eq!(d.member, "sdnet-2018");
         }
+    }
+
+    #[test]
+    fn diff_probes_is_the_contained_form_of_diff_devices() {
+        // Same engine, two front ends: on every corpus program the 2018
+        // backend accepts, the pairwise differ and a two-member fleet
+        // agree on the count and on every divergence's index, detail and
+        // both stage sets.
+        let mut diverging_programs = 0;
+        for program in corpus::corpus() {
+            let ir = netdebug_p4::compile(program.source).unwrap();
+            let Ok(target) = Device::deploy(&Backend::sdnet_2018(), &ir) else {
+                continue;
+            };
+            let reference = Device::deploy(&Backend::reference(), &ir).unwrap();
+            let probes = parser_path_probes(&ir);
+            let pairwise = crate::differential::diff_devices(
+                &mut reference.clone(),
+                &mut target.clone(),
+                &probes,
+            );
+            let fleet = DifferentialFleet::new()
+                .with("reference", reference)
+                .with("sdnet-2018", target)
+                .diff_probes(&probes);
+            assert_eq!(fleet.agreements, pairwise.agreements, "{}", program.name);
+            let flat = |d: &FleetDivergence| {
+                (
+                    d.index,
+                    d.detail.clone(),
+                    d.stages_reference.clone(),
+                    d.stages_member.clone(),
+                )
+            };
+            assert_eq!(
+                fleet.divergences.iter().map(flat).collect::<Vec<_>>(),
+                pairwise
+                    .divergences
+                    .into_iter()
+                    .map(|d| (d.probe_index, d.detail, d.stages_a, d.stages_b))
+                    .collect::<Vec<_>>(),
+                "{}",
+                program.name
+            );
+            diverging_programs += usize::from(!fleet.divergences.is_empty());
+        }
+        assert_eq!(diverging_programs, 4, "the four silent divergences");
     }
 
     #[test]

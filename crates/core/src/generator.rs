@@ -228,7 +228,8 @@ impl Generator {
             .ok()
             .and_then(|n| n.checked_mul(frame_len))
             .expect("the window's bytes fit the address space");
-        let ts_of = move |k: u64| start_cycles + gap_cycles * (k + 1);
+        // Saturating, in step with the due time `FlowRun::due` schedules.
+        let ts_of = move |k: u64| start_cycles.saturating_add(gap_cycles.saturating_mul(k + 1));
         let expect_flags = match spec.expect {
             Expectation::Drop => testhdr::FLAG_EXPECT_DROP,
             _ => 0,

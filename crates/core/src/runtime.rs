@@ -1100,13 +1100,11 @@ struct PoolWorker {
 /// the 1-worker run the reference for the determinism contract.
 pub struct FleetRuntime {
     target: usize,
-    max_batch: usize,
     recovery: Option<RecoveryPolicy>,
     job_tx: Sender<PoolJob>,
     job_rx: Arc<Mutex<Receiver<PoolJob>>>,
     workers: Vec<PoolWorker>,
     stats: RuntimeStats,
-    runs: u64,
 }
 
 impl std::fmt::Debug for FleetRuntime {
@@ -1114,14 +1112,17 @@ impl std::fmt::Debug for FleetRuntime {
         f.debug_struct("FleetRuntime")
             .field("target", &self.target)
             .field("workers", &self.workers.len())
-            .field("runs", &self.runs)
             .finish()
     }
 }
 
 impl Default for FleetRuntime {
+    /// A runtime sized for this host: `min(4, available cores)` workers.
     fn default() -> Self {
-        Self::with_default_workers()
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        Self::new(cores.min(4))
     }
 }
 
@@ -1132,22 +1133,12 @@ impl FleetRuntime {
         let (job_tx, job_rx) = channel::<PoolJob>();
         FleetRuntime {
             target: workers.max(1),
-            max_batch: DEFAULT_MAX_BATCH,
             recovery: None,
             job_tx,
             job_rx: Arc::new(Mutex::new(job_rx)),
             workers: Vec::new(),
             stats: RuntimeStats::default(),
-            runs: 0,
         }
-    }
-
-    /// A runtime sized for this host: `min(4, available cores)` workers.
-    pub fn with_default_workers() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(cores.min(4))
     }
 
     /// The worker-count target.
@@ -1159,11 +1150,6 @@ impl FleetRuntime {
     /// observability for the reuse regression tests).
     pub fn pool_workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Coalesced-dispatch cap handed to every device loop.
-    pub fn set_max_batch(&mut self, max_batch: usize) {
-        self.max_batch = max_batch.max(1);
     }
 
     /// The [`RecoveryPolicy`] every [`FleetRuntime::run`] device is
@@ -1178,11 +1164,6 @@ impl FleetRuntime {
     /// The active recovery policy, if any.
     pub fn recovery(&self) -> Option<RecoveryPolicy> {
         self.recovery
-    }
-
-    /// Runs completed.
-    pub fn runs(&self) -> u64 {
-        self.runs
     }
 
     /// Counters accumulated across every task of every run.
@@ -1273,8 +1254,6 @@ impl FleetRuntime {
     where
         S: DeviceSink + Send + 'static,
     {
-        self.runs += 1;
-        let max_batch = self.max_batch;
         let recovery = self.recovery;
         let jobs: Vec<_> = tasks
             .into_iter()
@@ -1284,7 +1263,7 @@ impl FleetRuntime {
                     let mut run = drive_device_with(
                         &mut task.device,
                         &task.flows,
-                        max_batch,
+                        DEFAULT_MAX_BATCH,
                         &mut task.sink,
                         recovery,
                     );

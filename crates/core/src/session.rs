@@ -6,7 +6,7 @@
 //! generator and checker, runs streams, and assembles a [`SessionReport`].
 
 use crate::checker::{Checker, StreamStats, Violation};
-use crate::generator::{Expectation, Generator, StreamSpec};
+use crate::generator::{Generator, StreamSpec};
 use crate::runtime::{
     drive_device_with, DeviceFault, DeviceRecovery, DeviceSink, FlowRun, RecoveryPolicy,
     RuntimeStats, DEFAULT_MAX_BATCH,
@@ -126,7 +126,7 @@ impl NetDebug {
         while seq < spec.count {
             let n = Self::STREAM_WINDOW.min(spec.count - seq);
             frames.extend(self.generator.build_batch(spec, seq, n, window_start, gap));
-            window_start += gap * n;
+            window_start = window_start.saturating_add(gap.saturating_mul(n));
             seq += n;
         }
         let first_ts = frames.first().map(|p| p.ts_cycles);
@@ -189,15 +189,6 @@ impl NetDebug {
     /// field carries `stream-<id>`.
     pub fn last_recoveries(&self) -> &[DeviceRecovery] {
         &self.last_recoveries
-    }
-
-    /// Switch the device's packet-execution engine (see
-    /// [`netdebug_dataplane::Engine`]): the flat compiled engine is the
-    /// default on every path; [`netdebug_dataplane::Engine::Reference`]
-    /// selects the tree-walking oracle, which the parity property tests
-    /// use for differential self-validation of whole NetDebug sessions.
-    pub fn set_engine(&mut self, engine: netdebug_dataplane::Engine) {
-        self.device.set_engine(engine);
     }
 
     /// The wall-clock window a completed stream spanned, in device cycles.
@@ -303,22 +294,10 @@ impl core::fmt::Display for SessionReport {
     }
 }
 
-/// Convenience: build and run a one-stream session against a device.
-pub fn quick_check(
-    device: Device,
-    template: Vec<u8>,
-    count: u64,
-    expect: Expectation,
-) -> SessionReport {
-    let mut nd = NetDebug::new(device);
-    let spec = StreamSpec::simple(1, template, count, expect);
-    nd.run_session(std::slice::from_ref(&spec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::FieldSweep;
+    use crate::generator::{Expectation, FieldSweep};
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 
@@ -453,6 +432,29 @@ mod tests {
     }
 
     #[test]
+    fn a_slow_stream_saturates_the_clock_instead_of_overflowing() {
+        // 1e-12 pps at 200 MHz is a gap of `u64::MAX` cycles: every stamp,
+        // window start and due time past the first saturates at the end of
+        // virtual time, in step with `FlowRun::due`.
+        let dev = Device::deploy_source(&Backend::reference(), corpus::REFLECTOR).unwrap();
+        let spec = StreamSpec {
+            rate_pps: Some(1e-12),
+            ..StreamSpec::simple(9, frame(4), 4, Expectation::Any)
+        };
+        let gap = Generator::gap_cycles(&spec, dev.config().core_clock_hz);
+        assert_eq!(gap, u64::MAX);
+        let report = NetDebug::new(dev).run_session(std::slice::from_ref(&spec));
+        let (_, stats) = &report.streams[0];
+        assert_eq!((stats.sent, stats.received, stats.lost()), (4, 4, 0));
+        let stamps: Vec<u64> = Generator::new()
+            .build_batch(&spec, 0, 4, 0, gap)
+            .iter()
+            .map(|p| p.ts_cycles)
+            .collect();
+        assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+    }
+
+    #[test]
     fn stream_recovers_from_a_mid_stream_crash() {
         use netdebug_hw::FaultSpec;
         let mut dev = router_device(&Backend::reference());
@@ -483,16 +485,5 @@ mod tests {
         assert_eq!(stats.received, 29, "all but the skipped culprit forward");
         assert_eq!(stats.dropped, 1, "the culprit is checked as a drop");
         assert_eq!(stats.lost(), 0, "recovery loses nothing");
-    }
-
-    #[test]
-    fn quick_check_helper() {
-        let report = quick_check(
-            router_device(&Backend::reference()),
-            frame(4),
-            5,
-            Expectation::Forward { port: Some(1) },
-        );
-        assert!(report.passed);
     }
 }

@@ -8,8 +8,9 @@
 //! packets (with internal stage diffs), latency, and resource cost.
 
 use crate::differential::{diff_devices, DiffReport};
-use crate::probes::parser_path_probes;
+use crate::probes::{parser_path_probes, Probe};
 use netdebug_hw::{Backend, DeployError, Device};
+use netdebug_p4::ir::Program;
 use serde::{Deserialize, Serialize};
 
 /// The full comparison verdict.
@@ -68,19 +69,52 @@ impl core::fmt::Display for ComparisonReport {
     }
 }
 
-fn mean_probe_latency(dev: &mut Device, probes: &[crate::probes::Probe]) -> f64 {
-    let mut sum = 0u64;
-    let mut n = 0u64;
-    for p in probes {
-        let processed = dev.inject(0, &p.data);
-        sum += processed.pipeline_cycles;
-        n += 1;
+fn mean_probe_latency(dev: &mut Device, probes: &[Probe]) -> f64 {
+    let sum: u64 = probes
+        .iter()
+        .map(|p| dev.inject(0, &p.data).pipeline_cycles)
+        .sum();
+    match probes.len() {
+        0 => 0.0,
+        n => sum as f64 / n as f64,
     }
-    if n == 0 {
-        0.0
-    } else {
-        sum as f64 / n as f64
+}
+
+/// The shared tail of both comparisons: behavioural diff, then mean probe
+/// latency and resource totals, side A then side B.
+fn compare(
+    (a, mut dev_a): (String, Device),
+    (b, mut dev_b): (String, Device),
+    probes: &[Probe],
+) -> ComparisonReport {
+    let behaviour = diff_devices(&mut dev_a, &mut dev_b, probes);
+    let latency_cycles = (
+        mean_probe_latency(&mut dev_a, probes),
+        mean_probe_latency(&mut dev_b, probes),
+    );
+    let totals = |dev: &Device| {
+        let res = &dev.compiled().resources;
+        (res.total_luts(), res.total_bram36())
+    };
+    ComparisonReport {
+        a,
+        b,
+        behaviour,
+        latency_cycles,
+        resources: (totals(&dev_a), totals(&dev_b)),
     }
+}
+
+fn source_error(e: netdebug_p4::Diag) -> DeployError {
+    DeployError {
+        messages: vec![e.to_string()],
+    }
+}
+
+/// One side of a comparison: `program` deployed on `backend`, labelled.
+fn side(backend: &Backend, program: &Program) -> Result<(String, Device), DeployError> {
+    let label = format!("{}@{}", program.name, backend.name());
+    Ok((label, Device::deploy(backend, program)?))
 }
 
 /// Compare one program deployed on two backends.
@@ -89,27 +123,9 @@ pub fn compare_backends(
     a: &Backend,
     b: &Backend,
 ) -> Result<ComparisonReport, DeployError> {
-    let ir = netdebug_p4::compile(source).map_err(|e| DeployError {
-        messages: vec![e.to_string()],
-    })?;
+    let ir = netdebug_p4::compile(source).map_err(source_error)?;
     let probes = parser_path_probes(&ir);
-    let mut dev_a = Device::deploy(a, &ir)?;
-    let mut dev_b = Device::deploy(b, &ir)?;
-    let behaviour = diff_devices(&mut dev_a, &mut dev_b, &probes);
-    let lat_a = mean_probe_latency(&mut dev_a, &probes);
-    let lat_b = mean_probe_latency(&mut dev_b, &probes);
-    let res_a = &dev_a.compiled().resources;
-    let res_b = &dev_b.compiled().resources;
-    Ok(ComparisonReport {
-        a: format!("{}@{}", ir.name, a.name()),
-        b: format!("{}@{}", ir.name, b.name()),
-        behaviour,
-        latency_cycles: (lat_a, lat_b),
-        resources: (
-            (res_a.total_luts(), res_a.total_bram36()),
-            (res_b.total_luts(), res_b.total_bram36()),
-        ),
-    })
+    Ok(compare(side(a, &ir)?, side(b, &ir)?, &probes))
 }
 
 /// Compare two programs (claimed equivalent) on the same backend. Probes
@@ -119,30 +135,15 @@ pub fn compare_programs(
     source_b: &str,
     backend: &Backend,
 ) -> Result<ComparisonReport, DeployError> {
-    let to_err = |e: netdebug_p4::Diag| DeployError {
-        messages: vec![e.to_string()],
-    };
-    let ir_a = netdebug_p4::compile(source_a).map_err(to_err)?;
-    let ir_b = netdebug_p4::compile(source_b).map_err(to_err)?;
+    let ir_a = netdebug_p4::compile(source_a).map_err(source_error)?;
+    let ir_b = netdebug_p4::compile(source_b).map_err(source_error)?;
     let mut probes = parser_path_probes(&ir_a);
     probes.extend(parser_path_probes(&ir_b));
-    let mut dev_a = Device::deploy(backend, &ir_a)?;
-    let mut dev_b = Device::deploy(backend, &ir_b)?;
-    let behaviour = diff_devices(&mut dev_a, &mut dev_b, &probes);
-    let lat_a = mean_probe_latency(&mut dev_a, &probes);
-    let lat_b = mean_probe_latency(&mut dev_b, &probes);
-    let res_a = &dev_a.compiled().resources;
-    let res_b = &dev_b.compiled().resources;
-    Ok(ComparisonReport {
-        a: format!("{}@{}", ir_a.name, backend.name()),
-        b: format!("{}@{}", ir_b.name, backend.name()),
-        behaviour,
-        latency_cycles: (lat_a, lat_b),
-        resources: (
-            (res_a.total_luts(), res_a.total_bram36()),
-            (res_b.total_luts(), res_b.total_bram36()),
-        ),
-    })
+    Ok(compare(
+        side(backend, &ir_a)?,
+        side(backend, &ir_b)?,
+        &probes,
+    ))
 }
 
 #[cfg(test)]

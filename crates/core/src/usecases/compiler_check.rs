@@ -11,10 +11,11 @@
 //!   steer probe packets down every parser path, and diff behaviour and
 //!   stage coverage. The SDNet reject bug is exactly such a finding.
 
-use crate::differential::diff_devices;
-use crate::probes::parser_path_probes;
+use crate::differential::{diff_observations, observe_probes, Observation};
+use crate::probes::{parser_path_probes, Probe};
 use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus::CorpusProgram;
+use netdebug_p4::ir::Program;
 use serde::{Deserialize, Serialize};
 
 /// Conformance verdict for one (program, backend) pair.
@@ -95,51 +96,64 @@ impl core::fmt::Display for CompilerCheckReport {
     }
 }
 
-/// Check one program against one backend.
-pub fn check_program(source: &str, name: &str, backend: &Backend) -> ConformanceRow {
-    let row = |conformance| ConformanceRow {
+/// A program ready for checking: compiled, probed, and the reference
+/// deployed and observed — once, however many backends follow. The outer
+/// `Err` is a source that does not compile, the inner one a reference that
+/// does not deploy.
+type Reference = Result<(Program, Vec<Probe>, Result<Vec<Observation>, String>), String>;
+
+fn observe_reference(source: &str) -> Reference {
+    let ir = netdebug_p4::compile(source).map_err(|e| e.to_string())?;
+    let probes = parser_path_probes(&ir);
+    let observed = Device::deploy(&Backend::reference(), &ir)
+        .map(|mut dev| observe_probes(&mut dev, &probes))
+        .map_err(|e| e.to_string());
+    Ok((ir, probes, observed))
+}
+
+/// One deployment (its diagnostics are the `Diagnosed` verdict) and one
+/// diff against the reference's observations.
+fn check_against(reference: &Reference, name: &str, backend: &Backend) -> ConformanceRow {
+    let conformance = match reference {
+        Err(e) => Conformance::Invalid(e.clone()),
+        Ok((ir, probes, observed)) => match (Device::deploy(backend, ir), observed) {
+            (Err(e), _) => Conformance::Diagnosed(e.messages),
+            (Ok(_), Err(e)) => Conformance::Invalid(e.clone()),
+            (Ok(mut target), Ok(observed)) => {
+                let seen = observe_probes(&mut target, probes);
+                let diff = diff_observations(observed, &seen, probes);
+                match diff.divergences.first() {
+                    None => Conformance::Pass,
+                    Some(first) => Conformance::SilentDivergence {
+                        diverging_probes: diff.divergences.len(),
+                        first: format!("{} (probe path: {})", first.detail, first.probe_path),
+                    },
+                }
+            }
+        },
+    };
+    ConformanceRow {
         program: name.to_string(),
         backend: backend.name().to_string(),
         conformance,
-    };
-    let ir = match netdebug_p4::compile(source) {
-        Ok(ir) => ir,
-        Err(e) => return row(Conformance::Invalid(e.to_string())),
-    };
-    let compiled = match backend.compile(&ir) {
-        Ok(c) => c,
-        Err(diags) => return row(Conformance::Diagnosed(diags)),
-    };
-    drop(compiled);
-
-    // Differential testing against the reference deployment.
-    let mut reference = match Device::deploy(&Backend::reference(), &ir) {
-        Ok(d) => d,
-        Err(e) => return row(Conformance::Invalid(e.to_string())),
-    };
-    let mut target = Device::deploy(backend, &ir).expect("compile already succeeded");
-    let probes = parser_path_probes(&ir);
-    let diff = diff_devices(&mut reference, &mut target, &probes);
-    if diff.equivalent() {
-        row(Conformance::Pass)
-    } else {
-        row(Conformance::SilentDivergence {
-            diverging_probes: diff.divergences.len(),
-            first: format!(
-                "{} (probe path: {})",
-                diff.divergences[0].detail, diff.divergences[0].probe_path
-            ),
-        })
     }
+}
+
+/// Check one program against one backend.
+pub fn check_program(source: &str, name: &str, backend: &Backend) -> ConformanceRow {
+    check_against(&observe_reference(source), name, backend)
 }
 
 /// Check a corpus of programs against several backends.
 pub fn check_corpus(programs: &[CorpusProgram], backends: &[Backend]) -> CompilerCheckReport {
     let mut rows = Vec::new();
     for program in programs {
-        for backend in backends {
-            rows.push(check_program(program.source, program.name, backend));
-        }
+        let reference = observe_reference(program.source);
+        rows.extend(
+            backends
+                .iter()
+                .map(|b| check_against(&reference, program.name, b)),
+        );
     }
     CompilerCheckReport { rows }
 }
@@ -207,6 +221,28 @@ mod tests {
             .rows
             .iter()
             .any(|r| matches!(r.conformance, Conformance::Diagnosed(_))));
+    }
+
+    #[test]
+    fn observing_the_reference_once_changes_no_row() {
+        // The whole matrix against the 51-call loop that deploys a fresh
+        // reference per (program, backend) — the stateful programs
+        // (flow_counter, rate_limiter, feature_stateful) included, where a
+        // probe that left state behind would make the two differ.
+        let backends = [
+            Backend::reference(),
+            Backend::sdnet_2018(),
+            Backend::sdnet_fixed(),
+        ];
+        let programs = corpus::corpus();
+        let report = check_corpus(&programs, &backends);
+        let looped: Vec<ConformanceRow> = programs
+            .iter()
+            .flat_map(|p| backends.iter().map(|b| check_program(p.source, p.name, b)))
+            .collect();
+        assert_eq!(looped.len(), 51);
+        assert_eq!(report.rows, looped);
+        assert_eq!(report.silent_bugs().len(), 4);
     }
 
     #[test]

@@ -99,15 +99,22 @@ pub fn monitor(nd: &mut NetDebug, traffic: &StreamSpec, samples: usize) -> Statu
     };
     let chunk = (traffic.count / samples.max(1) as u64).max(1);
     let mut sent = 0u64;
-    let mut slice = 0u16;
-    while sent < traffic.count {
-        let n = chunk.min(traffic.count - sent);
+    // One stream id per slice, counting up from `traffic.stream`; the last
+    // id takes whatever is left rather than wrapping onto stream 0.
+    for stream in traffic.stream..=u16::MAX {
+        let left = traffic.count - sent;
+        if left == 0 {
+            break;
+        }
         let mut spec = traffic.clone();
-        spec.stream = traffic.stream + slice;
-        spec.count = n;
+        spec.stream = stream;
+        spec.count = if stream == u16::MAX {
+            left
+        } else {
+            chunk.min(left)
+        };
         nd.run_stream(&spec);
-        sent += n;
-        slice += 1;
+        sent += spec.count;
         timeline.samples.push(snapshot(nd, sent));
     }
     timeline
@@ -161,6 +168,31 @@ mod tests {
         let last = timeline.samples.last().unwrap();
         let port2 = last.ports.iter().find(|(p, _, _)| *p == 2).unwrap();
         assert_eq!(port2.2, 40, "tx on port 2");
+    }
+
+    #[test]
+    fn slices_never_wrap_the_stream_id() {
+        // Stream 65 535 has one id left: two requested samples become one
+        // slice of all ten packets, not a second slice on stream 0.
+        let dev = Device::deploy_source(&Backend::reference(), corpus::REFLECTOR).unwrap();
+        let mut nd = NetDebug::new(dev);
+        let traffic = StreamSpec::simple(
+            u16::MAX,
+            PacketBuilder::ethernet(
+                EthernetAddress::new(2, 0, 0, 0, 0, 1),
+                EthernetAddress::new(2, 0, 0, 0, 0, 2),
+            )
+            .build(),
+            10,
+            Expectation::Any,
+        );
+        let timeline = monitor(&mut nd, &traffic, 2);
+        assert_eq!(timeline.samples.len(), 2);
+        assert_eq!(timeline.samples[1].injected, 10);
+        let streams = nd.checker().streams();
+        assert_eq!(streams.len(), 1, "one slice, one stream id");
+        let stats = &streams[&u16::MAX];
+        assert_eq!((stats.received, stats.duplicates, stats.lost()), (10, 0, 0));
     }
 
     #[test]

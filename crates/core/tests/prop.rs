@@ -230,7 +230,7 @@ proptest! {
         .build();
         let run = |engine: Engine| {
             let mut nd = NetDebug::deploy(&Backend::reference(), corpus::L2_SWITCH).unwrap();
-            nd.set_engine(engine);
+            nd.device_mut().set_engine(engine);
             let spec = StreamSpec::simple(
                 1,
                 template.clone(),
@@ -293,7 +293,7 @@ proptest! {
             let mut nd = NetDebug::deploy(&Backend::reference(), corpus::L2_SWITCH).unwrap();
             match cache {
                 Some(on) => nd.device_mut().set_flow_cache(on),
-                None => nd.set_engine(Engine::Reference),
+                None => nd.device_mut().set_engine(Engine::Reference),
             }
             let spec = StreamSpec::simple(
                 1,

@@ -487,11 +487,6 @@ impl Dataplane {
         &self.program
     }
 
-    /// The load-time-compiled bytecode the default engine executes.
-    pub fn compiled_program(&self) -> &CompiledProgram {
-        &self.compiled
-    }
-
     /// A printable disassembly of the bytecode — one line per
     /// instruction with mnemonic, resolved names and jump targets.
     pub fn disassemble(&self) -> crate::disasm::Disassembly<'_> {
@@ -532,11 +527,6 @@ impl Dataplane {
         } else if self.flow_cache.is_none() {
             self.flow_cache = self.cache_key_cap.map(FlowCache::new);
         }
-    }
-
-    /// Whether [`Dataplane::process_batch`] records per-packet traces.
-    pub fn tracing(&self) -> bool {
-        self.tracing
     }
 
     /// Turn batch-path tracing on or off.

@@ -53,8 +53,8 @@ pub use table::{
     TableStats, TableView,
 };
 pub use trace::{
-    CollectSink, DropReason, LazyTrace, NullSink, Stage, Trace, TraceEvent, TraceName, TraceSink,
-    Verdict, VerdictSummary,
+    DropReason, LazyTrace, NullSink, Stage, Trace, TraceEvent, TraceName, TraceSink, Verdict,
+    VerdictSummary,
 };
 
 #[cfg(test)]

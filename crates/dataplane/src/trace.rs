@@ -633,21 +633,6 @@ impl<'a> LazyTrace<'a> {
     /// Decode into a freshly allocated [`Trace`], sized exactly.
     pub fn decode(&self) -> Trace {
         let mut out = Trace::with_capacity(self.event_count());
-        self.decode_append(&mut out);
-        out
-    }
-
-    /// Decode into `out`, clearing it first and reusing its allocation.
-    pub fn decode_into(&self, out: &mut Trace) {
-        out.events.clear();
-        let n = self.event_count();
-        if out.events.capacity() < n {
-            out.events.reserve(n - out.events.capacity());
-        }
-        self.decode_append(out);
-    }
-
-    fn decode_append(&self, out: &mut Trace) {
         let names = self.names;
         for rec in self.records() {
             out.push(match rec {
@@ -685,6 +670,7 @@ impl<'a> LazyTrace<'a> {
                 Rec::Final(summary) => TraceEvent::Final { verdict: summary },
             });
         }
+        out
     }
 }
 
@@ -697,8 +683,7 @@ impl<'a> LazyTrace<'a> {
 /// batch outlives its packet unless the sink keeps it, so traced batch
 /// runs allocate nothing per packet beyond the output frame: tap
 /// accounting and counters can walk the records in place, checkers and log
-/// writers call [`LazyTrace::decode`] (or [`LazyTrace::decode_into`] a
-/// reused [`Trace`]) when they need the semantic events.
+/// writers call [`LazyTrace::decode`] when they need the semantic events.
 pub trait TraceSink {
     /// Observe packet `index`'s verdict and (undecoded) trace, before the
     /// next packet of the batch executes.
@@ -715,23 +700,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn observe(&mut self, _index: usize, _verdict: Verdict, _trace: &LazyTrace<'_>) {}
-}
-
-/// A sink that keeps every verdict and decodes every trace — the
-/// compatibility shim behind APIs that still return materialised results.
-#[derive(Debug, Clone, Default)]
-pub struct CollectSink {
-    /// Collected verdicts, one per observed packet, in batch order.
-    pub verdicts: Vec<Verdict>,
-    /// Collected traces, one per observed packet, in batch order.
-    pub traces: Vec<Trace>,
-}
-
-impl TraceSink for CollectSink {
-    fn observe(&mut self, _index: usize, verdict: Verdict, trace: &LazyTrace<'_>) {
-        self.verdicts.push(verdict);
-        self.traces.push(trace.decode());
-    }
 }
 
 #[cfg(test)]
@@ -858,11 +826,6 @@ mod tests {
                 verdict: VerdictSummary::Forward { port: 7, len: 33 }
             }
         );
-
-        // decode_into reuses the allocation and produces the same events.
-        let mut reused = Trace::default();
-        lazy.decode_into(&mut reused);
-        assert_eq!(reused, t);
 
         // A cleared buffer is an empty trace.
         buf.clear();

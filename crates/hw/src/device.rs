@@ -161,38 +161,11 @@ pub struct Device {
     /// counters. Cloning the device clones the counters, which is what
     /// lets a pre-run snapshot replay to the same trip point.
     faults: FaultState,
-    /// Driver-path publication retry policy (see [`RetryPolicy`]).
-    retry: RetryPolicy,
     /// Publications that landed only after the retry loop outlasted a
     /// transient driver failure.
     retried_publications: u64,
     /// Reconciled epoch of the most recent retried publication.
     last_retried_epoch: Option<u64>,
-}
-
-/// How [`Device::install`] survives transient publication failures: up to
-/// `max_attempts` tries, backing off exponentially in **virtual** device
-/// cycles (`backoff_cycles << attempt` charged to the clock before each
-/// retry — deterministic, no wall clocks). When every attempt trips, the
-/// final typed panic is raised exactly as before, so a permanent
-/// [`FaultSpec::FailPublication`] still quarantines the device while a
-/// [`FaultSpec::TransientPublication`] degrades to a publication that
-/// lands late but epoch-atomically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Total publication attempts before the panic propagates (min 1).
-    pub max_attempts: u32,
-    /// Virtual-cycle backoff before the first retry; doubles per attempt.
-    pub backoff_cycles: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_cycles: 64,
-        }
-    }
 }
 
 /// A consistent capture of a device's full runtime state, produced by
@@ -245,8 +218,8 @@ struct TapState {
     drop_counts: BTreeMap<String, u64>,
     deparser_tap: usize,
     egress_tap: usize,
-    /// `last_stage` of a packet that recorded no tap (tracing off, or a
-    /// skipped frame): interned once here, like the names above.
+    /// `last_stage` of a packet that recorded no tap (a skipped frame):
+    /// interned once here, like the names above.
     untapped_stage: Arc<str>,
 }
 
@@ -318,7 +291,6 @@ impl Device {
             compiled,
             dataplane,
             faults: FaultState::default(),
-            retry: RetryPolicy::default(),
             retried_publications: 0,
             last_retried_epoch: None,
         };
@@ -361,7 +333,9 @@ impl Device {
 
     /// Let the device idle for `cycles`.
     pub fn advance(&mut self, cycles: u64) {
-        self.taps.now_cycles += cycles;
+        // Saturating, like every virtual-clock site: a caller may schedule
+        // arrivals up to `u64::MAX`.
+        self.taps.now_cycles = self.taps.now_cycles.saturating_add(cycles);
     }
 
     /// Capture the device's full runtime state. Cheap: table state pins
@@ -423,16 +397,6 @@ impl Device {
             summary,
             None,
         )
-    }
-
-    /// The publication retry policy [`Device::install`] applies.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Replace the publication retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Publications that landed only after retrying past a transient
@@ -521,7 +485,7 @@ impl Device {
         self.taps.port_stats[port as usize].rx_packets += 1;
         self.taps.port_stats[port as usize].rx_bytes += data.len() as u64;
         let mac_in_ns = MAC_FIXED_NS + self.config.wire_ns(data.len());
-        self.taps.now_cycles += self.config.ns_to_cycles(self.config.wire_ns(data.len()));
+        self.advance(self.config.ns_to_cycles(self.config.wire_ns(data.len())));
         self.inject_one(port, data, Some(mac_in_ns))
     }
 
@@ -598,7 +562,7 @@ impl Device {
         if gap_cycles > 0 {
             let now = self.taps.now_cycles;
             let due: Vec<u64> = (1..=frames.len() as u64)
-                .map(|i| now + gap_cycles * i)
+                .map(|i| now.saturating_add(gap_cycles.saturating_mul(i)))
                 .collect();
             self.inject_batch_at(&pkts, &due, visit)
                 .expect("due list built in lockstep with the frame list");
@@ -699,22 +663,9 @@ impl Device {
             self.dataplane.process_batch_with(pkts, now, &mut sink);
         }
         if let Some(trip) = trip {
-            self.taps.now_cycles += trip.wedge_cycles;
+            self.advance(trip.wedge_cycles);
             std::panic::panic_any(trip.panic);
         }
-    }
-
-    /// Whether the embedded data plane records traces on the batch path.
-    ///
-    /// Traces feed the stage tap counters and the per-packet latency
-    /// model, so they default to on (real hardware taps cannot be turned
-    /// off either). This is now a thin shim over the streaming
-    /// [`TraceSink`] machinery: disabling it makes the sink see empty
-    /// traces, modelling a stripped throughput-only fast path where
-    /// [`Device::inject_batch`] skips tap accounting and charges every
-    /// packet the parser-less base latency.
-    pub fn set_batch_tracing(&mut self, tracing: bool) {
-        self.dataplane.set_tracing(tracing);
     }
 
     // ------------------------------------------------------------------
@@ -744,9 +695,10 @@ impl Device {
     /// This is the modeled vendor-driver path, so armed publication
     /// faults trip here (and in everything that funnels through:
     /// [`Device::install_exact`], [`Device::install_lpm`], churn
-    /// triggers). The driver retries through its [`RetryPolicy`]: each
-    /// failed attempt charges an exponentially growing **virtual-cycle**
-    /// backoff to the device clock and tries again, so a
+    /// triggers). The driver tries up to four times: each failed attempt
+    /// charges an exponentially growing **virtual-cycle** backoff (64
+    /// cycles, doubling — deterministic, no wall clocks) to the device
+    /// clock and tries again, so a
     /// [`FaultSpec::TransientPublication`] degrades to a publication that
     /// lands late (stale-but-consistent reads in between) instead of a
     /// crash, while a permanent [`FaultSpec::FailPublication`] exhausts
@@ -764,13 +716,17 @@ impl Device {
         args: Vec<u128>,
         priority: i32,
     ) -> Result<(), netdebug_dataplane::ControlError> {
+        /// Publication attempts before the panic propagates.
+        const MAX_ATTEMPTS: u32 = 4;
+        /// Virtual-cycle backoff before the first retry; doubles per attempt.
+        const BACKOFF_CYCLES: u64 = 64;
         let mut attempt: u32 = 0;
         while let Some(panic) = self.faults.check_publication() {
             attempt += 1;
-            if attempt >= self.retry.max_attempts.max(1) {
+            if attempt >= MAX_ATTEMPTS {
                 std::panic::panic_any(panic);
             }
-            self.taps.now_cycles += self.retry.backoff_cycles << (attempt - 1);
+            self.advance(BACKOFF_CYCLES << (attempt - 1));
         }
         let p = self.effective_priority(priority);
         self.dataplane.install(table, patterns, action, args, p)?;
@@ -994,8 +950,7 @@ impl TapState {
     /// without decoding it into
     /// [`TraceEvent`](netdebug_dataplane::TraceEvent)s or resolving a
     /// name: an id is both the tap index and the index of the stage's
-    /// cost in the latency model. An empty trace (tracing disabled) yields
-    /// the parser-less base latency, matching the historical fast path.
+    /// cost in the latency model.
     fn tap_packet_lazy(&mut self, trace: &LazyTrace<'_>, latency: &LatencyModel) -> TapSummary {
         let (mut last_state, mut last_table) = (None, None);
         let mut pipeline_cycles = latency.base_cycles();
@@ -1591,6 +1546,29 @@ mod tests {
     }
 
     #[test]
+    fn a_paced_batch_saturates_like_the_advance_loop() {
+        // A gap that overflows `now + gap * i` by the third frame: both
+        // paths park the clock at the end of virtual time.
+        const GAP: u64 = u64::MAX / 2;
+        let mixed = mixed_frames(4);
+        let frames: Vec<&[u8]> = mixed.iter().map(|f| f.as_slice()).collect();
+        let mut batched = deploy(&Backend::reference());
+        let mut looped = batched.clone();
+        let mut a = Vec::new();
+        batched.inject_batch_with(0, &frames, GAP, |_, p| a.push(p));
+        let b: Vec<Processed> = frames
+            .iter()
+            .map(|f| {
+                looped.advance(GAP);
+                looped.inject(0, f)
+            })
+            .collect();
+        assert_eq!(a, b);
+        assert_eq!((batched.now(), looped.now()), (u64::MAX, u64::MAX));
+        assert_eq!(batched.stage_counts(), looped.stage_counts());
+    }
+
+    #[test]
     fn inject_batch_at_coalesces_equal_dues() {
         // Mixed ports, duplicate due instants, and a due in the past (the
         // clock never moves backwards): the explicit-schedule hook must
@@ -1720,15 +1698,12 @@ mod tests {
     #[test]
     fn untapped_packets_share_one_last_stage() {
         let mut dev = deploy(&Backend::reference());
-        dev.set_batch_tracing(false);
-        let reject = ipv4(Ipv4Address::new(10, 0, 0, 9), 5);
-        let dropped = dev.inject_batch(0, &[&reject, &reject], 0);
-        let skipped = dev.skip_faulted(0, 0);
-        for p in [&dropped[0], &dropped[1], &skipped] {
+        let skipped = [dev.skip_faulted(0, 0), dev.skip_faulted(1, 0)];
+        for p in &skipped {
             assert!(matches!(p.outcome, Outcome::Dropped { .. }));
             assert_eq!(&*p.last_stage, "parser:start");
             assert!(
-                Arc::ptr_eq(&p.last_stage, &dropped[0].last_stage),
+                Arc::ptr_eq(&p.last_stage, &skipped[0].last_stage),
                 "interned once, not built per packet"
             );
         }

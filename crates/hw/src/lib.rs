@@ -36,7 +36,7 @@ pub use backend::{ArchLimits, Backend, Compiled, LatencyModel, SdnetProfile};
 pub use bugs::{BugRuntime, BugSpec};
 pub use device::{
     DeployError, Device, DeviceCheckpoint, DeviceConfig, Outcome, PortStats, Processed,
-    RetryPolicy, MAC_FIXED_NS,
+    MAC_FIXED_NS,
 };
 pub use faults::{FaultError, FaultPanic, FaultSpec, FaultState, FaultTrip};
 pub use resources::{ResourceBudget, ResourceReport, SUME_BUDGET};

@@ -1,12 +1,12 @@
 //! Experiment E12 — compiled lookup indexes vs the seed linear scan.
 //!
 //! Every published `EntrySnapshot` carries a `LookupIndex` shaped by the
-//! table's key signature: exact tables hash the packed key tuple,
+//! table's key signature: single-key exact tables hash the key,
 //! single-key LPM tables bucket by priority (prefix length) with a
-//! uniform-mask hash per level, and ternary tables group their entries
-//! by mask tuple and probe one hash per group (tuple-space search); the
-//! priority-ordered scan that *defines* the semantics stays as the
-//! oracle. This bench sweeps entry counts {1, 16, 256, 4096} × {exact,
+//! uniform-mask hash per level, and ternary and multi-key exact tables
+//! group their entries by mask tuple and probe one hash per group
+//! (tuple-space search); the priority-ordered scan that *defines* the
+//! semantics stays as the oracle. This bench sweeps entry counts {1, 16, 256, 4096} × {exact,
 //! lpm, ternary, ternary8} and measures ns/lookup through the index
 //! (`EntrySnapshot::lookup`) against the seed scan
 //! (`EntrySnapshot::lookup_scan`), plus end-to-end `process_batch`

@@ -1,14 +1,13 @@
 //! Multi-device differential fleets.
 //!
 //! The N-backend generalisation of [`crate::differential`]: one generated
-//! window of test packets is fed — **concurrently, on the fleet's
-//! persistent [`FleetRuntime`] worker set** — to every deployment in the
-//! fleet, and the observed verdicts are diffed against the fleet's
-//! reference member (the first one added). This is the scenario the
-//! paper's comparison use-case gestures at and Parasol-style parameter
-//! sweeps need: the same stimulus against a reference build, a vendor
-//! toolchain, a patched toolchain and any number of fault-injected
-//! variants, in one run.
+//! window of test packets is fed — **concurrently, fanned out by the
+//! fleet's [`FleetRuntime`]** — to every deployment in the fleet, and
+//! the observed verdicts are diffed against the fleet's reference member
+//! (the first one added). This is the scenario the paper's comparison
+//! use-case gestures at and Parasol-style parameter sweeps need: the same
+//! stimulus against a reference build, a vendor toolchain, a patched
+//! toolchain and any number of fault-injected variants, in one run.
 //!
 //! Each device is an independent simulated board, so fleet execution is
 //! embarrassingly parallel; the runtime drives each member as a
@@ -27,8 +26,8 @@ use crate::differential::{divergences, stages_reached, Observation};
 use crate::generator::{Generator, StreamSpec};
 use crate::probes::Probe;
 use crate::runtime::{
-    CulpritFrame, DeviceFault, DeviceRecovery, DeviceSink, DeviceTask, DriveReport, FleetRuntime,
-    FlowRun, RecoveryPolicy, RuntimeStats, DEFAULT_WATCHDOG_CYCLES,
+    drive_device_with, CulpritFrame, DeviceFault, DeviceRecovery, DeviceSink, FleetRuntime,
+    FlowRun, RecoveryPolicy, RuntimeStats, DEFAULT_MAX_BATCH, DEFAULT_WATCHDOG_CYCLES,
 };
 use netdebug_dataplane::DropReason;
 use netdebug_hw::{Device, Outcome, Processed};
@@ -187,8 +186,9 @@ impl DeviceSink for FleetSink {
 ///
 /// The first member added is the **reference** (conventionally the
 /// [`netdebug_hw::Backend::reference`] build); every other member is
-/// diffed against it. Members execute on a persistent [`FleetRuntime`]
-/// worker set that survives across windows and runs.
+/// diffed against it. Each run drives the members in place, fanned out
+/// by the fleet's [`FleetRuntime`] over at most
+/// [`DifferentialFleet::runtime_workers`] threads.
 #[derive(Default)]
 pub struct DifferentialFleet {
     members: Vec<FleetMember>,
@@ -258,16 +258,13 @@ impl DifferentialFleet {
         self.runtime.target_workers()
     }
 
-    /// Retarget the fleet's persistent runtime at `workers` OS threads
-    /// (clamped to at least 1). The existing worker set is joined and the
-    /// next run spawns at most `workers` fresh threads; outputs are
-    /// bit-identical at any setting.
+    /// Spread later runs over at most `workers` OS threads, the caller's
+    /// included (clamped to at least 1). Threads live for one run only;
+    /// outputs are bit-identical at any setting.
     pub fn set_runtime_workers(&mut self, workers: usize) {
-        if workers.max(1) != self.runtime.target_workers() {
-            let recovery = self.runtime.recovery();
-            self.runtime = FleetRuntime::new(workers);
-            self.runtime.set_recovery(recovery);
-        }
+        let recovery = self.runtime.recovery();
+        self.runtime = FleetRuntime::new(workers);
+        self.runtime.set_recovery(recovery);
     }
 
     /// Set the recovery policy of the fleet's window path. With a budget,
@@ -286,12 +283,6 @@ impl DifferentialFleet {
         self.runtime.recovery()
     }
 
-    /// Pool threads the runtime has actually spawned so far (they are
-    /// created lazily and reused across windows).
-    pub fn runtime_pool_workers(&self) -> usize {
-        self.runtime.pool_workers()
-    }
-
     /// Observability counters from the most recent fleet run, summed over
     /// members: scheduled instants, coalesced-batch sizes and
     /// ready-queue depth.
@@ -300,8 +291,8 @@ impl DifferentialFleet {
     }
 
     /// Generate **one** window from `spec` and feed the identical frames
-    /// to every device concurrently (each member is a task on the fleet's
-    /// persistent runtime, running the batched internal path). Outcomes
+    /// to every device concurrently (each member is one job of the
+    /// fleet's runtime, running the batched internal path). Outcomes
     /// are joined in member order and every member's packet-by-packet
     /// behaviour is diffed against the reference; the member's last-stage
     /// taps localise any divergence.
@@ -316,7 +307,7 @@ impl DifferentialFleet {
     /// `w` through its epoch-snapshot control plane — so rule churn lands
     /// at the same stream offset on every member and their verdicts stay
     /// comparable packet by packet. Members run concurrently on the
-    /// fleet's persistent [`FleetRuntime`]: each member becomes one
+    /// fleet's [`FleetRuntime`]: each member becomes one
     /// virtual-time flow whose churn ops are seq-keyed triggers, so churn
     /// epochs land at the same scheduled virtual instant on every device
     /// regardless of worker count. A schedule keying an op to a window
@@ -350,12 +341,16 @@ impl DifferentialFleet {
         let frames = Arc::new(frames);
         let triggers = schedule.triggers(window);
 
-        let members = std::mem::take(&mut self.members);
-        let mut labels = Vec::with_capacity(members.len());
-        let tasks: Vec<DeviceTask<FleetSink>> = members
-            .into_iter()
+        // Every member is driven in place, one job per member on the
+        // fleet's runtime. A member that crashed mid-run is quarantined:
+        // its fault record (culprit frame attached) joins the report and
+        // its observations are excluded from diffing; healthy members are
+        // diffed as usual.
+        let recovery = self.runtime.recovery();
+        let jobs: Vec<_> = self
+            .members
+            .iter_mut()
             .map(|m| {
-                labels.push(m.label);
                 let flow = FlowRun {
                     id: u32::from(spec.stream),
                     as_port: spec.as_port,
@@ -364,43 +359,41 @@ impl DifferentialFleet {
                     gap,
                     triggers: triggers.clone(),
                 };
-                DeviceTask {
-                    device: m.device,
-                    flows: vec![flow],
-                    sink: FleetSink {
+                move || {
+                    let mut sink = FleetSink {
                         obs: Vec::with_capacity(spec.count as usize),
-                    },
+                    };
+                    let run = drive_device_with(
+                        &mut m.device,
+                        std::slice::from_ref(&flow),
+                        DEFAULT_MAX_BATCH,
+                        &mut sink,
+                        recovery,
+                    );
+                    (run, sink.obs)
                 }
             })
             .collect();
-        let done = self.runtime.run(tasks);
+        let runs = self.runtime.execute(jobs);
 
-        // Devices come back in task order — restore them (and the labels)
-        // before deciding pass/fail, so a churn error never loses a member.
-        // A member that crashed mid-run is quarantined: its fault record
-        // (culprit frame attached) joins the report and its observations
-        // are excluded from diffing; healthy members are diffed as usual.
-        let mut per_member: Vec<Option<MemberObservations>> = Vec::with_capacity(done.len());
+        let mut per_member: Vec<Option<MemberObservations>> = Vec::with_capacity(runs.len());
         let mut faults: Vec<DeviceFault> = Vec::new();
         let mut recoveries: Vec<DeviceRecovery> = Vec::new();
         let mut stats = RuntimeStats::default();
         let mut first_err: Option<netdebug_dataplane::ControlError> = None;
-        for (label, d) in labels.into_iter().zip(done) {
-            stats.absorb(&d.stats);
-            let mut run = DriveReport {
-                stats: d.stats,
-                result: d.result,
-                recoveries: d.recoveries,
-                fault: d.fault,
-            };
-            run.label(&label);
+        for (m, run) in self.members.iter().zip(runs) {
+            // `drive_device_with` contains device panics itself; one that
+            // escapes came from the harness — propagate it.
+            let (mut run, obs) = run.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            stats.absorb(&run.stats);
+            run.label(&m.label);
             recoveries.extend(run.recoveries);
             if let Some(f) = run.fault {
                 faults.push(f);
                 per_member.push(None);
             } else {
                 match run.result {
-                    Ok(()) => per_member.push(Some(d.sink.obs)),
+                    Ok(()) => per_member.push(Some(obs)),
                     Err(e) => {
                         per_member.push(None);
                         if first_err.is_none() {
@@ -409,10 +402,6 @@ impl DifferentialFleet {
                     }
                 }
             }
-            self.members.push(FleetMember {
-                label,
-                device: d.device,
-            });
         }
         self.last_stats = stats;
         if let Some(e) = first_err {
@@ -427,30 +416,25 @@ impl DifferentialFleet {
 
     /// Run a probe set through every device concurrently and diff, with
     /// full per-probe stage sets (the probe path injects one packet at a
-    /// time so each probe's tap delta is attributable). Probe jobs run on
-    /// the same persistent runtime workers as the window path.
+    /// time so each probe's tap delta is attributable). Probe jobs fan
+    /// out over the same runtime as the window path.
     pub fn diff_probes(&mut self, probes: &[Probe]) -> FleetReport {
-        let probes_shared: Arc<Vec<Probe>> = Arc::new(probes.to_vec());
-        let members = std::mem::take(&mut self.members);
-        let mut labels = Vec::with_capacity(members.len());
-        let jobs: Vec<_> = members
-            .into_iter()
+        let jobs: Vec<_> = self
+            .members
+            .iter_mut()
             .map(|m| {
-                labels.push(m.label);
-                let probes = Arc::clone(&probes_shared);
-                let mut device = m.device;
+                let device = &mut m.device;
                 move || {
                     // Each probe runs under `catch_unwind`: a member that
                     // crashes on probe `i` — or swallows it in a silent
                     // stall wedge, charged the watchdog deadline like any
                     // permanent stall — is quarantined with probe `i` as
-                    // its culprit, and the device (in whatever state the
-                    // trip left it) still comes back to the fleet.
+                    // its culprit, and the device stays in the fleet in
+                    // whatever state the trip left it.
                     let mut obs: MemberObservations = Vec::with_capacity(probes.len());
-                    let mut fault: Option<DeviceFault> = None;
                     for (i, p) in probes.iter().enumerate() {
                         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            stages_reached(&mut device, 0, &p.data)
+                            stages_reached(device, 0, &p.data)
                         }));
                         let payload = match out {
                             Ok(o) if !device.is_wedged() => {
@@ -470,36 +454,32 @@ impl DifferentialFleet {
                             bytes: p.data.clone(),
                             prior_stage: None,
                         };
-                        fault = Some(DeviceFault::from_trip(
+                        let fault = DeviceFault::from_trip(
                             payload.as_deref(),
                             Some(culprit),
                             None,
                             i as u64,
-                        ));
-                        break;
+                        );
+                        return (obs, Some(fault));
                     }
-                    (device, obs, fault)
+                    (obs, None)
                 }
             })
             .collect();
         let results = self.runtime.execute(jobs);
         let mut per_member: Vec<Option<MemberObservations>> = Vec::with_capacity(results.len());
         let mut faults: Vec<DeviceFault> = Vec::new();
-        for (label, res) in labels.into_iter().zip(results) {
+        for (m, res) in self.members.iter().zip(results) {
             // The job catches every probe panic itself, so an escaping
             // panic is harness breakage — propagate it.
-            let (device, obs, fault) = match res {
-                Ok(r) => r,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
+            let (obs, fault) = res.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
             if let Some(mut f) = fault {
-                f.member = label.clone();
+                f.member = m.label.clone();
                 faults.push(f);
                 per_member.push(None);
             } else {
                 per_member.push(Some(obs));
             }
-            self.members.push(FleetMember { label, device });
         }
         self.diff(per_member, probes.len(), faults, Vec::new())
     }
@@ -817,31 +797,6 @@ mod tests {
             diverging_programs += usize::from(!fleet.divergences.is_empty());
         }
         assert_eq!(diverging_programs, 4, "the four silent divergences");
-    }
-
-    #[test]
-    fn runtime_workers_are_reused_across_windows() {
-        // The fleet's worker set spawns lazily on first use and is reused
-        // by every subsequent window — no per-window thread churn.
-        let mut fleet = three_member_fleet();
-        fleet.set_runtime_workers(3);
-        assert_eq!(fleet.runtime_workers(), 3);
-        assert_eq!(fleet.runtime_pool_workers(), 0, "workers spawn lazily");
-        let spec = StreamSpec::simple(1, frame(5), 8, Expectation::Any);
-        fleet.run_window(&spec);
-        let spawned = fleet.runtime_pool_workers();
-        assert_eq!(spawned, 3, "three members wake all three workers");
-        for _ in 0..4 {
-            fleet.run_window(&spec);
-        }
-        assert_eq!(
-            fleet.runtime_pool_workers(),
-            spawned,
-            "repeat windows reuse the same threads"
-        );
-        let stats = fleet.runtime_stats();
-        assert_eq!(stats.packets, 3 * 8, "last run drove 8 packets per member");
-        assert!(stats.dispatches >= 3, "at least one dispatch per member");
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //!   traffic on the parallel path throughout);
 //! * [`runtime`] — the virtual-time event-loop fleet runtime: a
 //!   scheduler over device cycles, same-instant injection coalescing, and a
-//!   persistent worker set that multiplexes hundreds of devices onto a
-//!   few threads with bit-reproducible ordering;
+//!   scoped fan-out that splits hundreds of devices over a few threads
+//!   (the caller's first) with bit-reproducible ordering;
 //! * [`usecases`] — one measurable driver per §3 use-case, plus the
 //!   Figure 2 coverage matrix.
 //!

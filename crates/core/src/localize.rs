@@ -49,31 +49,22 @@ impl core::fmt::Display for Localization {
 /// Inject a probe packet and localise how far it got, using only the
 /// register bus (exactly what the host tool can do against real hardware).
 pub fn localize(device: &mut Device, as_port: u16, packet: &[u8]) -> Localization {
-    let stage_names: Vec<String> = device.stage_names().iter().map(|n| n.to_string()).collect();
-    let before: Vec<u64> = device.stage_counts().to_vec();
-    let processed = device.inject(as_port, packet);
-    let after: Vec<u64> = device.stage_counts().to_vec();
-
-    let mut stages_reached = Vec::new();
-    for (i, name) in stage_names.iter().enumerate() {
-        if after[i] > before[i] {
-            stages_reached.push(name.clone());
-        }
-    }
+    let (outcome, stages_reached) = crate::differential::stages_reached(device, as_port, packet);
     let deepest = stages_reached
         .last()
         .cloned()
         .unwrap_or_else(|| "ingress".to_string());
-    let forwarded = processed.outcome.transmitted();
+    let forwarded = outcome.transmitted();
     let vanished_before = if forwarded {
         None
     } else {
         // Next stage in pipeline order after the deepest reached.
+        let stage_names = device.stage_names();
         stage_names
             .iter()
-            .position(|n| *n == deepest)
+            .position(|n| **n == *deepest)
             .and_then(|i| stage_names.get(i + 1))
-            .cloned()
+            .map(|n| n.to_string())
     };
 
     Localization {

@@ -8,9 +8,10 @@
 //! active flow in a binary heap, the loop pops the earliest pending virtual
 //! instant, coalesces *every* injection due at that instant into one
 //! batch-engine dispatch ([`netdebug_hw::Device::inject_batch_at`]), and
-//! a small fixed pool of persistent workers ([`FleetRuntime`]) multiplexes
-//! hundreds of devices — tens of thousands of paced flows — onto a few OS
-//! threads.
+//! [`FleetRuntime`] fans hundreds of devices — tens of thousands of paced
+//! flows — out over a few OS threads. It keeps no pool: each call splits
+//! its devices into contiguous lanes, runs the first on the caller's
+//! thread and the rest on scoped threads that end with the call.
 //!
 //! ## Determinism contract
 //!
@@ -18,10 +19,11 @@
 //! independent, so cross-device parallelism cannot reorder anything a
 //! device observes; within a device the loop fixes a total order:
 //! virtual time first, then flow (declaration order), then sequence
-//! number. Results are joined in task (device) order, so verdicts, taps,
-//! stats and drop counters from a 4-worker run are byte-identical to the
-//! 1-worker (fully inline) run — property-tested against the sequential
-//! one-device-at-a-time reference in `tests/prop.rs`.
+//! number. Each lane writes its results into its own block of one
+//! task-ordered result list, so verdicts, taps, stats and drop counters
+//! from a 4-worker run are byte-identical to the 1-worker (fully inline)
+//! run — property-tested against the sequential one-device-at-a-time
+//! reference in `tests/prop.rs`.
 //!
 //! ## Churn epochs in virtual time
 //!
@@ -40,9 +42,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// Default coalesced-dispatch cap: the event loop flushes its pending
 /// frames to the device at least this often, matching the historical
@@ -376,11 +376,12 @@ pub struct DeviceFault {
 
 type PanicPayload = Box<dyn std::any::Any + Send>;
 
-/// What the locating replay caught: the culprit (frame or trigger) and
-/// the panic payload it raised (none for a silent stall).
+/// What the locating replay caught: the culprit (frame or trigger, and a
+/// frame's flow as a position), and the panic payload (none for a stall).
 #[derive(Default)]
 struct Caught {
     culprit: Option<CulpritFrame>,
+    flow: usize,
     trigger: Option<String>,
     payload: Option<PanicPayload>,
 }
@@ -403,7 +404,8 @@ type DriveExit = Result<DriveEnd, ControlError>;
 
 /// The state one drive threads through its emission and flush sites:
 /// where frames go (device, sink, stats), what happens around each
-/// dispatch, and the frames emitted but not yet dispatched.
+/// dispatch, and the frames emitted but not yet dispatched. `meta` is
+/// (flow id, flow position, seq) per frame: ids are labels and may repeat.
 struct Drive<'a, 'f, S: ?Sized> {
     device: &'a mut Device,
     sink: &'a mut S,
@@ -411,7 +413,7 @@ struct Drive<'a, 'f, S: ?Sized> {
     mode: Mode<'a>,
     pkts: Vec<(u16, &'f [u8])>,
     dues: Vec<u64>,
-    meta: Vec<(u32, u64)>,
+    meta: Vec<(u32, u32, u64)>,
 }
 
 impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
@@ -452,12 +454,13 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         }
     }
 
-    /// Queue frame `seq` of `flow`, due at `due`.
-    fn push(&mut self, flow: &'f FlowRun, seq: u64, due: u64) {
+    /// Queue frame `seq` of `flow`, the drive's flow number `fi`, due at
+    /// `due`.
+    fn push(&mut self, flow: &'f FlowRun, fi: u32, seq: u64, due: u64) {
         self.pkts
             .push((flow.as_port, flow.frames[seq as usize].data.as_slice()));
         self.dues.push(due);
-        self.meta.push((flow.id, seq));
+        self.meta.push((flow.id, fi, seq));
     }
 
     /// Dispatch the pending frames; `Some` ends the drive. Outside the
@@ -487,7 +490,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         let mut end = None;
         if let Mode::Locating(caught) = mode {
             for i in 0..pkts.len() {
-                let (flow, seq) = meta[i];
+                let (flow, fi, seq) = meta[i];
                 let mut seen = false;
                 let solo = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     device
@@ -515,15 +518,16 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                     bytes: pkts[i].1.to_vec(),
                     prior_stage: None,
                 });
+                caught.flow = fi as usize;
                 break;
             }
         } else {
-            let labels: &[(u32, u64)] = meta;
+            let labels: &[(u32, u32, u64)] = meta;
             let mut seen = 0usize;
             device
                 .inject_batch_at(pkts, dues, |i, p| {
                     seen += 1;
-                    let (flow, seq) = labels[i];
+                    let (flow, _, seq) = labels[i];
                     sink.on_packet(flow, seq, p);
                 })
                 .expect("frame and due lists are built in lockstep");
@@ -619,7 +623,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                 self.stats.instants += 1;
                 last_due = Some(due);
             }
-            self.push(flow, s, due);
+            self.push(flow, 0, s, due);
             cursors[0].next_seq += 1;
             if self.pkts.len() >= max_batch {
                 self.flush(Some(cursors))?;
@@ -660,7 +664,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                     if s >= count || flow.due(s) > instant {
                         break;
                     }
-                    self.push(flow, s, instant);
+                    self.push(flow, ready_flow, s, instant);
                     cursors[fi].next_seq += 1;
                     if self.pkts.len() >= max_batch {
                         self.flush(Some(cursors))?;
@@ -847,10 +851,7 @@ pub fn drive_device_with<S: DeviceSink + ?Sized>(
         let budget_left = recoveries.len() < policy.max_recoveries as usize;
         if budget_left && record.trigger.is_none() {
             if let Some(culprit) = record.culprit.take() {
-                let fi = flows
-                    .iter()
-                    .position(|f| f.id == culprit.flow)
-                    .expect("culprit flow comes from this drive's flow list");
+                let fi = trip.flow;
                 // Skip the culprit: account it as a Faulted drop at its
                 // due instant and move the emission cursor past it.
                 let p = device.skip_faulted(culprit.port, flows[fi].due(culprit.seq));
@@ -921,6 +922,8 @@ pub fn drive_device_with<S: DeviceSink + ?Sized>(
 /// the device rejoins instead.
 struct Located {
     fault: DeviceFault,
+    /// The culprit frame's flow, as a position in the drive's flow list.
+    flow: usize,
     /// Virtual cycle the restored checkpoint was taken at.
     checkpoint_cycle: u64,
     /// Frames the replay delivered between the checkpoint and the trip.
@@ -982,6 +985,7 @@ fn locate(
     }
     Located {
         fault,
+        flow: caught.flow,
         checkpoint_cycle,
         frames_replayed: counter.delivered,
     }
@@ -1047,7 +1051,7 @@ impl DeviceSink for LastStageSink {
 }
 
 // ---------------------------------------------------------------------
-// The persistent worker fleet
+// The fleet fan-out
 // ---------------------------------------------------------------------
 
 /// One device's work order for [`FleetRuntime::run`]: the device (moved
@@ -1063,8 +1067,7 @@ pub struct DeviceTask<S> {
 }
 
 /// What one [`DeviceTask`] came back as: the device and sink (returned
-/// even when a churn op failed, so fleets can restore their members), the
-/// run's counters, and the run outcome.
+/// even when a churn op failed), the run's counters, and the run outcome.
 pub struct DeviceDone<S> {
     /// The device, clock advanced past its last dispatched instant.
     pub device: Device,
@@ -1085,35 +1088,17 @@ pub struct DeviceDone<S> {
     pub recoveries: Vec<DeviceRecovery>,
 }
 
-type PoolJob = Box<dyn FnOnce() + Send>;
-
-struct PoolWorker {
-    handle: Option<JoinHandle<()>>,
-}
-
-/// A persistent, lazily-spawned worker set that multiplexes any number of
-/// [`DeviceTask`]s onto at most `workers` OS threads (untyped, so one
-/// pool serves every task shape). Workers survive across runs — a fleet
-/// no longer spawns fresh threads every window — and are joined on drop. With
-/// `workers <= 1` (or a single task) everything runs inline on the
-/// caller's thread: no threads, identical results, which is what makes
-/// the 1-worker run the reference for the determinism contract.
+/// Fans per-device jobs out over at most `workers` OS threads and keeps
+/// none between calls: each call splits its jobs into contiguous lanes,
+/// runs the first on the caller's thread and the rest on scoped threads —
+/// a static device→thread partition with no shared queue. With
+/// `workers <= 1` (or one job) nothing is spawned: the 1-worker run is
+/// the determinism contract's reference.
+#[derive(Debug)]
 pub struct FleetRuntime {
-    target: usize,
+    workers: usize,
     recovery: Option<RecoveryPolicy>,
-    job_tx: Sender<PoolJob>,
-    job_rx: Arc<Mutex<Receiver<PoolJob>>>,
-    workers: Vec<PoolWorker>,
     stats: RuntimeStats,
-}
-
-impl std::fmt::Debug for FleetRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetRuntime")
-            .field("target", &self.target)
-            .field("workers", &self.workers.len())
-            .finish()
-    }
 }
 
 impl Default for FleetRuntime {
@@ -1127,29 +1112,19 @@ impl Default for FleetRuntime {
 }
 
 impl FleetRuntime {
-    /// A runtime targeting exactly `workers` OS threads (min 1; 1 = fully
-    /// inline).
+    /// A runtime that fans out over at most `workers` OS threads, the
+    /// caller's included (min 1; 1 = fully inline).
     pub fn new(workers: usize) -> Self {
-        let (job_tx, job_rx) = channel::<PoolJob>();
         FleetRuntime {
-            target: workers.max(1),
+            workers: workers.max(1),
             recovery: None,
-            job_tx,
-            job_rx: Arc::new(Mutex::new(job_rx)),
-            workers: Vec::new(),
             stats: RuntimeStats::default(),
         }
     }
 
     /// The worker-count target.
     pub fn target_workers(&self) -> usize {
-        self.target
-    }
-
-    /// OS threads currently alive (0 until the first multi-task run;
-    /// observability for the reuse regression tests).
-    pub fn pool_workers(&self) -> usize {
-        self.workers.len()
+        self.workers
     }
 
     /// The [`RecoveryPolicy`] every [`FleetRuntime::run`] device is
@@ -1171,80 +1146,50 @@ impl FleetRuntime {
         self.stats
     }
 
-    fn ensure(&mut self, workers: usize) {
-        while self.workers.len() < workers {
-            let rx = Arc::clone(&self.job_rx);
-            let idx = self.workers.len();
-            let handle = std::thread::Builder::new()
-                .name(format!("netdebug-fleet-{idx}"))
-                .spawn(move || loop {
-                    // Hold the lock only while receiving; execution happens
-                    // unlocked so idle workers can pick up the next job.
-                    let job = {
-                        // A worker that panicked while holding the lock
-                        // poisons it; the queue itself is still coherent
-                        // (recv is atomic), so recover instead of taking
-                        // the whole pool down.
-                        let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard.recv()
-                    };
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break,
-                    }
-                })
-                .expect("spawn fleet runtime worker");
-            self.workers.push(PoolWorker {
-                handle: Some(handle),
-            });
-        }
-    }
-
-    /// Run arbitrary per-device jobs on the persistent worker set and
-    /// collect their outcomes **in job order**. Jobs run inline when a
-    /// single worker is targeted (or there is only one job); otherwise
-    /// they are dealt to the workers and collected by index. A panicking
-    /// job no longer unwinds the caller (or wedges the pool): its panic
-    /// payload comes back as the `Err` arm of its slot, and the worker
-    /// that ran it survives for later jobs.
-    ///
-    /// [`FleetRuntime::run`] is built on this; it is also the untyped
-    /// escape hatch for device-shaped work that is not flow-driven
-    /// (e.g. probe diffing).
-    pub fn execute<R, F>(&mut self, jobs: Vec<F>) -> Vec<std::thread::Result<R>>
+    /// Run per-device jobs and return their outcomes **in job order**. Each
+    /// lane replaces its jobs with their outcomes in its own block of one
+    /// job-ordered list, so nothing a job owns outlives its run; jobs may
+    /// borrow from the caller. A panicking job costs only its own slot: its
+    /// payload comes back as that slot's `Err` and the rest of its lane
+    /// still runs. [`FleetRuntime::run`] is built on this; fleets call it
+    /// directly to drive their members in place.
+    pub fn execute<R, F>(&self, jobs: Vec<F>) -> Vec<std::thread::Result<R>>
     where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
+        R: Send,
+        F: FnOnce() -> R + Send,
     {
-        let n = jobs.len();
-        if self.target <= 1 || n <= 1 {
-            return jobs
-                .into_iter()
-                .map(|job| std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)))
-                .collect();
+        /// A job, then (once its lane has run it) its outcome, in place.
+        enum Slot<F, R> {
+            Job(F),
+            Running,
+            Done(std::thread::Result<R>),
         }
-        self.ensure(self.target.min(n));
-        let (result_tx, result_rx) = channel::<(usize, std::thread::Result<R>)>();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let tx = result_tx.clone();
-            let boxed: PoolJob = Box::new(move || {
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                let _ = tx.send((i, out));
-            });
-            self.job_tx.send(boxed).expect("fleet worker queue closed");
+        fn run_lane<R, F: FnOnce() -> R>(lane: &mut [Slot<F, R>]) {
+            for slot in lane {
+                if let Slot::Job(job) = std::mem::replace(slot, Slot::Running) {
+                    *slot = Slot::Done(std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)));
+                }
+            }
         }
-        drop(result_tx);
-        let mut slots: Vec<Option<std::thread::Result<R>>> = Vec::new();
-        slots.resize_with(n, || None);
-        for _ in 0..n {
-            let (i, res) = result_rx
-                .recv()
-                .expect("fleet runtime result channel closed");
-            slots[i] = Some(res);
-        }
+        let lane = jobs.len().div_ceil(self.workers).max(1);
+        let mut slots: Vec<Slot<F, R>> = jobs.into_iter().map(Slot::Job).collect();
+        std::thread::scope(|scope| {
+            let mut lanes = slots.chunks_mut(lane);
+            let first = lanes.next();
+            for rest in lanes {
+                scope.spawn(move || run_lane(rest));
+            }
+            if let Some(first) = first {
+                run_lane(first);
+            }
+        });
         slots
             .into_iter()
-            .map(|s| s.expect("every job reports exactly once"))
+            .map(|slot| match slot {
+                Slot::Done(outcome) => outcome,
+                // Every lane ran all its jobs under `catch_unwind` by the join.
+                Slot::Job(_) | Slot::Running => unreachable!("every job ran"),
+            })
             .collect()
     }
 
@@ -1252,7 +1197,7 @@ impl FleetRuntime {
     /// deterministic cross-device ordering (task index is the device id).
     pub fn run<S>(&mut self, tasks: Vec<DeviceTask<S>>) -> Vec<DeviceDone<S>>
     where
-        S: DeviceSink + Send + 'static,
+        S: DeviceSink + Send,
     {
         let recovery = self.recovery;
         let jobs: Vec<_> = tasks
@@ -1282,32 +1227,14 @@ impl FleetRuntime {
         let done: Vec<DeviceDone<S>> = self
             .execute(jobs)
             .into_iter()
-            .map(|res| match res {
-                Ok(d) => d,
-                // `drive_device_with` catches device panics itself, so
-                // a panic escaping the job means the sink (or harness)
-                // itself blew up — that is a caller bug, not a device
-                // fault, and hiding it would mask broken tests.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
+            // `drive_device_with` contains device panics, so one escaping a
+            // job is a sink or harness bug: re-raise it, never hide it.
+            .map(|done| done.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect();
         for d in &done {
             self.stats.absorb(&d.stats);
         }
         done
-    }
-}
-
-impl Drop for FleetRuntime {
-    fn drop(&mut self) {
-        // Closing the job channel ends each worker's recv loop; join so no
-        // detached thread outlives the runtime.
-        drop(std::mem::replace(&mut self.job_tx, channel().0));
-        for w in &mut self.workers {
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -1462,34 +1389,123 @@ mod tests {
         assert_eq!(dev.now(), u64::MAX);
     }
 
-    /// A worker that dies while holding the pool's job-queue lock leaves
-    /// it poisoned; `ensure()`'s receive loop must shrug the poison off
-    /// (the queue itself is still coherent) so the **next** run executes
-    /// normally instead of panicking every worker on lock acquisition.
+    /// The fan-out over every small job count and worker count: outcomes
+    /// come back in job order, jobs write through borrows of a local
+    /// (which needs no `'static`), job 0 runs on the caller's thread, no
+    /// more than `min(workers, n)` threads run jobs, and a panicking job
+    /// costs only its own slot.
     #[test]
-    fn pool_survives_a_poisoned_job_lock() {
-        let mut rt = FleetRuntime::new(3);
-        let rx = Arc::clone(&rt.job_rx);
-        let _ = std::thread::Builder::new()
-            .name("poisoner".into())
-            .spawn(move || {
-                let _guard = rx.lock().unwrap();
-                panic!("die holding the fleet pool lock");
-            })
-            .expect("spawn poisoner")
-            .join();
-        assert!(
-            rt.job_rx.is_poisoned(),
-            "the lock must actually be poisoned"
+    fn execute_fans_out_in_job_order_on_at_most_workers_threads() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        let caller = thread::current().id();
+        for n in [0usize, 1, 2, 3, 5, 64] {
+            for workers in [1usize, 2, 3, 4, 8] {
+                let rt = FleetRuntime::new(workers);
+                let mut cells = vec![0usize; n];
+                let jobs: Vec<_> = cells
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, cell)| {
+                        move || {
+                            *cell = i * 3 + 1;
+                            (i, thread::current().id())
+                        }
+                    })
+                    .collect();
+                let out: Vec<(usize, ThreadId)> = rt
+                    .execute(jobs)
+                    .into_iter()
+                    .map(|r| r.unwrap_or_else(|_| panic!("no job panics here")))
+                    .collect();
+                let case = format!("n {n}, workers {workers}");
+                let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+                assert_eq!(order, (0..n).collect::<Vec<_>>(), "{case}");
+                assert_eq!(
+                    cells,
+                    (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>(),
+                    "{case}"
+                );
+                if let Some(&(_, first)) = out.first() {
+                    assert_eq!(first, caller, "{case}: lane 0 runs on the caller");
+                }
+                let threads: HashSet<ThreadId> = out.iter().map(|&(_, t)| t).collect();
+                assert!(threads.len() <= workers.min(n), "{case}: {threads:?}");
+
+                if n == 0 {
+                    continue;
+                }
+                let bad = n / 2;
+                let jobs: Vec<_> = (0..n)
+                    .map(|i| {
+                        move || {
+                            if i == bad {
+                                panic!("job {i} panics");
+                            }
+                            i
+                        }
+                    })
+                    .collect();
+                for (i, r) in rt.execute(jobs).into_iter().enumerate() {
+                    match r {
+                        Ok(v) => assert_eq!(v, i, "{case}"),
+                        Err(_) => assert_eq!(i, bad, "{case}: only the panicking slot"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A panic that escapes [`drive_device_with`] — here the sink blows
+    /// up on the Faulted drop that recovery hands it, outside the drive's
+    /// own containment — is a harness bug: `run` re-raises it on the
+    /// caller whichever lane it ran on.
+    #[test]
+    fn run_reraises_a_panicking_sink() {
+        use netdebug_hw::{Backend, FaultSpec};
+        struct Fragile;
+        impl DeviceSink for Fragile {
+            fn on_packet(&mut self, _flow: u32, _seq: u64, p: Processed) {
+                assert!(p.outcome.transmitted(), "sink cannot take a drop");
+            }
+        }
+        let frames: Arc<Vec<GeneratedPacket>> = Arc::new(
+            (0..4)
+                .map(|seq| GeneratedPacket {
+                    data: vec![seq as u8; 64].into(),
+                    stream: 1,
+                    seq,
+                    ts_cycles: 0,
+                })
+                .collect(),
         );
-        let jobs: Vec<_> = (0..8).map(|i: u64| move || i * 2).collect();
-        let out: Vec<u64> = rt
-            .execute(jobs)
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|_| panic!("job panicked")))
-            .collect();
-        assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
-        assert!(rt.pool_workers() > 0, "jobs ran on the pooled workers");
+        for faulty in 0..2 {
+            let tasks: Vec<DeviceTask<Fragile>> = (0..2)
+                .map(|i| {
+                    let mut device = Device::deploy_source(
+                        &Backend::reference(),
+                        netdebug_p4::corpus::REFLECTOR,
+                    )
+                    .unwrap();
+                    if i == faulty {
+                        device.arm_fault(FaultSpec::PanicAfterN { n: 1 });
+                    }
+                    DeviceTask {
+                        device,
+                        flows: vec![FlowRun::new(1, 0, Arc::clone(&frames))],
+                        sink: Fragile,
+                    }
+                })
+                .collect();
+            let mut rt = FleetRuntime::new(2);
+            rt.set_recovery(Some(RecoveryPolicy::default()));
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.run(tasks)));
+            let payload = out.err().expect("the sink's panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"sink cannot take a drop")
+            );
+        }
     }
 
     /// A stall that ends permanent charges the watchdog deadline to the
@@ -1527,6 +1543,84 @@ mod tests {
             assert_eq!(fault.packets_delivered, last);
             assert_eq!(dev.now(), DEFAULT_WATCHDOG_CYCLES, "budget {budget}");
         }
+    }
+
+    /// A flow id is a caller label, so two flows may share one. Recovery
+    /// must skip the culprit in the flow it came from — here the second
+    /// of two flows labelled 7 — not rewind the first flow with that id.
+    #[test]
+    fn recovery_skips_the_culprit_of_the_right_flow_when_ids_repeat() {
+        use netdebug_hw::{Backend, FaultSpec};
+        struct Delivered(Vec<(u32, u64, netdebug_hw::Outcome)>);
+        impl DeviceSink for Delivered {
+            fn on_packet(&mut self, flow: u32, seq: u64, p: Processed) {
+                self.0.push((flow, seq, p.outcome));
+            }
+        }
+        let frames: Arc<Vec<GeneratedPacket>> = Arc::new(
+            (0..8)
+                .map(|seq| GeneratedPacket {
+                    data: vec![seq as u8; 64].into(),
+                    stream: 1,
+                    seq,
+                    ts_cycles: 0,
+                })
+                .collect(),
+        );
+        let run = |ids: [u32; 2]| {
+            let flows: Vec<FlowRun> = ids
+                .iter()
+                .zip([0, 15])
+                .map(|(&id, origin)| FlowRun {
+                    origin,
+                    gap: 10,
+                    ..FlowRun::new(id, 0, Arc::clone(&frames))
+                })
+                .collect();
+            let mut dev =
+                Device::deploy_source(&Backend::reference(), netdebug_p4::corpus::REFLECTOR)
+                    .unwrap();
+            dev.arm_fault(FaultSpec::PanicAfterN { n: 6 });
+            let mut sink = Delivered(Vec::new());
+            let report = drive_device_with(
+                &mut dev,
+                &flows,
+                8,
+                &mut sink,
+                Some(RecoveryPolicy::default()),
+            );
+            assert!(report.fault.is_none(), "{:?}", report.fault);
+            assert_eq!(report.recoveries.len(), 1);
+            let culprit = report.recoveries[0].culprit.clone().unwrap();
+            (sink.0, (culprit.flow, culprit.seq))
+        };
+        let (distinct, culprit) = run([7, 8]);
+        assert_eq!(culprit, (8, 2), "the second flow's third frame trips");
+        let mut seen: Vec<(u32, u64)> = distinct.iter().map(|&(f, s, _)| (f, s)).collect();
+        seen.sort_unstable();
+        let every: Vec<(u32, u64)> = [7, 8]
+            .into_iter()
+            .flat_map(|f| (0..8).map(move |s| (f, s)))
+            .collect();
+        assert_eq!(seen, every, "every frame delivered exactly once");
+        let skipped = netdebug_hw::Outcome::Dropped {
+            reason: netdebug_dataplane::DropReason::Faulted,
+        };
+        let faulted: Vec<(u32, u64)> = distinct
+            .iter()
+            .filter(|d| d.2 == skipped)
+            .map(|&(f, s, _)| (f, s))
+            .collect();
+        assert_eq!(faulted, vec![(8, 2)], "the culprit is the one Faulted drop");
+
+        let (shared, culprit) = run([7, 7]);
+        assert_eq!(culprit, (7, 2));
+        assert_eq!(shared.len(), 16, "no frame delivered twice");
+        let unlabelled =
+            |d: &[(u32, u64, netdebug_hw::Outcome)]| -> Vec<(u64, netdebug_hw::Outcome)> {
+                d.iter().map(|(_, s, o)| (*s, o.clone())).collect()
+            };
+        assert_eq!(unlabelled(&shared), unlabelled(&distinct));
     }
 
     #[test]

@@ -70,17 +70,20 @@ impl NetDebug {
         &self.checker
     }
 
-    /// Packets generated, injected and checked per batch window in
-    /// [`NetDebug::run_stream`].
+    /// The window a stream is generated and stamped in, and the unit
+    /// churn schedules key their ops to, in [`NetDebug::run_stream`] and
+    /// [`NetDebug::run_stream_churn`].
     pub const STREAM_WINDOW: u64 = 256;
 
     /// Run one stream to completion.
     ///
-    /// The stream is driven in windows of [`NetDebug::STREAM_WINDOW`]
-    /// packets: the generator stamps a whole window up front
-    /// ([`Generator::build_batch`]), the device ingests it through the
-    /// streaming batched internal path
-    /// ([`netdebug_hw::Device::inject_batch_with`]), and each outcome is
+    /// The whole stream is built before the first frame is injected, one
+    /// [`NetDebug::STREAM_WINDOW`] at a time ([`Generator::build_batch`]),
+    /// each window stamped at the device clock it starts on. The stream
+    /// then runs as one flow through [`crate::runtime::drive_device_with`],
+    /// which hands the device coalesced dispatches of at most
+    /// [`DEFAULT_MAX_BATCH`] frames
+    /// ([`netdebug_hw::Device::inject_batch_at`]), and each outcome is
     /// handed to the checker ([`Checker::observe_processed`]) the moment
     /// the device accounts it — no window of outcomes is ever
     /// materialised. Verdicts, statistics and violations are identical to

@@ -15,9 +15,10 @@
 //! construction (and pinned by property tests), falling back to the scan
 //! for anything it cannot prove equivalent.
 //!
-//! **Ternary and mixed-kind tables: tuple-space search.** Every maskable
-//! pattern is `key & mask == value` (`Value` → all ones, `Any` → zero),
-//! so the entries of a table fall into groups by their tuple of masks,
+//! **Ternary, mixed-kind and multi-key exact tables: tuple-space
+//! search.** Every maskable pattern is `key & mask == value` (`Value` →
+//! all ones, `Any` → zero), so the entries of a table fall into groups by
+//! their tuple of masks (a multi-key exact table is one all-ones group),
 //! and within a group a lookup is an exact match on the masked key: one
 //! hash probe per [`TupleGroup`] instead of one comparison per rule. The
 //! groups' answers are merged by priority — a group whose best priority
@@ -232,21 +233,6 @@ fn maskable(p: &IrPattern) -> Option<(u128, u128)> {
         IrPattern::Any => Some((0, 0)),
         IrPattern::Range { .. } => None,
     }
-}
-
-/// The packed key of an all-exact entry, if it is one: `key_count`
-/// value patterns.
-fn exact_tuple(patterns: &[IrPattern], key_count: usize) -> Option<Vec<u128>> {
-    if patterns.len() != key_count {
-        return None;
-    }
-    patterns
-        .iter()
-        .map(|p| match *p {
-            IrPattern::Value(v) => Some(v),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Errors from control-plane table manipulation.
@@ -646,17 +632,10 @@ impl TupleGroup {
 pub enum LookupIndex {
     /// Single exact key: one hash probe on the key value.
     ExactOne(FxMap<u128>),
-    /// Multi-key all-exact table: one hash probe on the packed key tuple.
-    ExactTuple {
-        /// Declared key count (every stored tuple has this length).
-        tuple_len: usize,
-        /// Packed key tuple → first matching entry in priority order.
-        map: FxMap<Vec<u128>>,
-    },
     /// Single-key LPM table: levels in descending priority, probed
     /// longest-prefix-first.
     Lpm(Vec<LpmLevel>),
-    /// Ternary, range-free and mixed-kind tables: tuple-space search.
+    /// Ternary, mixed-kind and multi-key exact tables: tuple-space search.
     /// One [`TupleGroup`] per distinct tuple of masks among the resident
     /// entries, one hash probe per group; the best-priority answer wins
     /// and the list's equal-priority run settles a tie between groups.
@@ -676,18 +655,17 @@ impl LookupIndex {
     fn empty(signature: KeySignature, key_count: usize) -> LookupIndex {
         match signature {
             KeySignature::AllExact if key_count == 1 => LookupIndex::ExactOne(FxMap::default()),
-            KeySignature::AllExact => LookupIndex::ExactTuple {
-                tuple_len: key_count,
-                map: FxMap::default(),
-            },
             KeySignature::SingleLpm => LookupIndex::Lpm(Vec::new()),
-            KeySignature::Generic if (1..=MAX_TUPLE_KEYS).contains(&key_count) => {
+            // A multi-key exact table is one group with every mask all ones.
+            KeySignature::AllExact | KeySignature::Generic
+                if (1..=MAX_TUPLE_KEYS).contains(&key_count) =>
+            {
                 LookupIndex::Tuples {
                     key_count,
                     groups: Vec::new(),
                 }
             }
-            KeySignature::Generic => LookupIndex::Scan,
+            KeySignature::AllExact | KeySignature::Generic => LookupIndex::Scan,
         }
     }
 
@@ -702,12 +680,6 @@ impl LookupIndex {
                 [IrPattern::Value(v)] => claim(map, v, entry),
                 _ => *self = LookupIndex::Scan,
             },
-            LookupIndex::ExactTuple { tuple_len, map } => {
-                match exact_tuple(&entry.patterns, *tuple_len) {
-                    Some(tuple) => claim(map, tuple, entry),
-                    None => *self = LookupIndex::Scan,
-                }
-            }
             LookupIndex::Lpm(levels) => {
                 if entry.patterns.len() != 1 {
                     *self = LookupIndex::Scan;
@@ -743,24 +715,18 @@ impl LookupIndex {
     /// index is the scan: the caller decides whether the remaining
     /// entries deserve a structure again.
     fn remove(&mut self, gone: &Slot, entries: &[Slot], pos: usize) -> bool {
-        // The first entry behind the edit point that carries the same
-        // key takes over a departing winner's slot.
-        let same_patterns = || {
-            entries[pos..]
-                .iter()
-                .find(|s| s.holds(&gone.entry.patterns))
-        };
         match self {
             LookupIndex::ExactOne(map) => {
                 let [IrPattern::Value(key)] = gone.entry.patterns[..] else {
                     unreachable!("an exact index holds value patterns only")
                 };
-                release(map, &key, &gone.entry, same_patterns);
-            }
-            LookupIndex::ExactTuple { tuple_len, map } => {
-                let key = exact_tuple(&gone.entry.patterns, *tuple_len)
-                    .expect("an exact index holds value tuples only");
-                release(map, &key, &gone.entry, same_patterns);
+                // The first entry behind the edit point that carries the
+                // same key takes over a departing winner's slot.
+                release(map, &key, &gone.entry, || {
+                    entries[pos..]
+                        .iter()
+                        .find(|s| s.holds(&gone.entry.patterns))
+                });
             }
             LookupIndex::Lpm(levels) => {
                 let at = levels.partition_point(|l| l.priority > gone.priority);
@@ -831,9 +797,6 @@ impl LookupIndex {
                 [IrPattern::Value(v)] => map.get(v),
                 _ => None,
             }),
-            LookupIndex::ExactTuple { tuple_len, map } => {
-                Some(exact_tuple(patterns, *tuple_len).and_then(|t| map.get(&t)))
-            }
             LookupIndex::Lpm(levels) => {
                 let at = levels.partition_point(|l| l.priority > priority);
                 let Some(level) = levels.get(at).filter(|l| l.priority == priority) else {
@@ -1053,13 +1016,6 @@ impl<'a> TableView<'a> {
                 Some(k) => map.get(k).map(|w| &w.entry),
                 None => self.scan(keys),
             },
-            LookupIndex::ExactTuple { tuple_len, map } => {
-                if keys.len() >= *tuple_len {
-                    map.get(&keys[..*tuple_len]).map(|w| &w.entry)
-                } else {
-                    self.scan(keys)
-                }
-            }
             LookupIndex::Lpm(levels) => match keys.first() {
                 Some(k) => levels.iter().find_map(|level| match &level.hash {
                     Some((mask, map)) => map.get(&(k & mask)).map(|w| &w.entry),
@@ -1139,7 +1095,7 @@ pub struct TableState {
     capacity: u64,
     /// Declared key signature: picks the [`LookupIndex`] structure.
     signature: KeySignature,
-    /// Declared key count (tuple length of the exact-hash index).
+    /// Declared key count (the tuple length of a tuple-space index).
     key_count: usize,
 }
 
@@ -1603,11 +1559,23 @@ mod tests {
             fwd_entry(vec![IrPattern::Value(1), IrPattern::Value(2)], 0),
         )
         .unwrap();
-        assert!(matches!(
-            s.snapshot().index(),
-            LookupIndex::ExactTuple { tuple_len: 2, .. }
-        ));
+        s.install(
+            &t,
+            &a,
+            fwd_entry(vec![IrPattern::Value(3), IrPattern::Value(4)], 0),
+        )
+        .unwrap();
+        // A multi-key exact table is one tuple group, every mask all ones.
+        match s.snapshot().index() {
+            LookupIndex::Tuples { key_count, groups } => {
+                assert_eq!((*key_count, groups.len()), (2, 1));
+                assert_eq!(groups[0].masks[..2], [u128::MAX; 2]);
+                assert_eq!(groups[0].len, 2);
+            }
+            other => panic!("{other:?}"),
+        }
         assert!(s.lookup(&[1, 2]).is_some());
+        assert!(s.lookup(&[3, 4]).is_some());
         assert!(s.lookup(&[2, 1]).is_none());
 
         let (t, a) = table_ir(MatchKind::Lpm, 8);
@@ -1662,10 +1630,13 @@ mod tests {
             .unwrap();
         assert_eq!(groups(&s), Some(2), "an emptied group is dropped");
 
-        // More keys than a group's inline masks hold: the scan.
-        let (t, _) = table_ir_keys(&[MatchKind::Ternary; MAX_TUPLE_KEYS + 1], 8);
-        let s = TableState::new(&t);
-        assert!(matches!(s.snapshot().index(), LookupIndex::Scan));
+        // More keys than a group's inline masks hold: the scan, whatever
+        // the match kinds.
+        for kind in [MatchKind::Ternary, MatchKind::Exact] {
+            let (t, _) = table_ir_keys(&[kind; MAX_TUPLE_KEYS + 1], 8);
+            let s = TableState::new(&t);
+            assert!(matches!(s.snapshot().index(), LookupIndex::Scan));
+        }
     }
 
     /// A two-key ternary table with these `(patterns, priority)` entries;

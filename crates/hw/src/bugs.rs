@@ -117,19 +117,6 @@ impl BugSpec {
             BugSpec::ExtraLatency { cycles } => format!("{cycles} cycles extra latency"),
         }
     }
-
-    /// Whether this bug rewrites the compiled IR (vs pure runtime effect).
-    pub fn is_ir_transform(&self) -> bool {
-        matches!(
-            self,
-            BugSpec::RejectStateIgnored
-                | BugSpec::DropPrimitiveIgnored
-                | BugSpec::SelectPatternTruncated { .. }
-                | BugSpec::SelectValueRewritten { .. }
-                | BugSpec::StageBudgetSilentTruncation { .. }
-                | BugSpec::MeterAlwaysGreen
-        )
-    }
 }
 
 /// Runtime-behaviour flags derived from the active bug set; consumed by the

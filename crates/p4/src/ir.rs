@@ -81,11 +81,6 @@ impl Program {
         self.externs.iter().position(|e| e.name == name)
     }
 
-    /// Total bits of all headers (an upper bound on parsed bytes).
-    pub fn max_parsed_bits(&self) -> u32 {
-        self.headers.iter().map(|h| h.bit_width).sum()
-    }
-
     /// Classify whether per-packet outcomes of this program may be
     /// **memoized** by a flow cache keyed on the ingress port, the frame
     /// bytes the parser can observe, and the pinned snapshot generation

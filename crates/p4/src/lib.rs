@@ -1,7 +1,7 @@
 //! Hand-rolled P4-16 front end for the NetDebug reproduction.
 //!
-//! Pipeline: [`lexer`] → [`parser`] → [`ast`] → ([`check`](mod@check)) → [`lower`] →
-//! [`ir`]. The [`corpus`] module ships the data-plane programs used by the
+//! Pipeline: [`lexer`] → [`parser`] → [`ast`] → [`lower`] → [`ir`]. The
+//! [`corpus`] module ships the data-plane programs used by the
 //! experiments, and [`pretty`] prints ASTs back to source.
 //!
 //! The supported subset is the SDNet-era core of P4-16:
@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod check;
 pub mod corpus;
 pub mod ir;
 pub mod lexer;
@@ -41,7 +40,6 @@ pub mod pretty;
 pub mod span;
 pub mod token;
 
-pub use check::{check, CheckReport};
 pub use span::{Diag, Severity, Span};
 
 /// Compile P4 source all the way to IR.

@@ -97,15 +97,6 @@ impl Diag {
             message: message.into(),
         }
     }
-
-    /// Construct a warning diagnostic.
-    pub fn warning(span: Span, message: impl Into<String>) -> Self {
-        Diag {
-            severity: Severity::Warning,
-            span,
-            message: message.into(),
-        }
-    }
 }
 
 impl core::fmt::Display for Diag {

@@ -192,9 +192,11 @@ impl Generator {
     /// device clock advances by one inter-packet gap *before* each
     /// injection, so packet `k` of the window is stamped
     /// `start_cycles + gap_cycles * (k + 1)` (which degenerates to
-    /// `start_cycles` for back-to-back streams). A batched window is
-    /// therefore byte-identical to generating the same packets one at a
-    /// time against a live device clock.
+    /// `start_cycles` for back-to-back streams). A window started at
+    /// `origin + gap_cycles * first_seq` is therefore byte-identical to
+    /// the same frames cut from the whole stream stamped in one call, or
+    /// generated one at a time against a live device clock — which is what
+    /// lets [`run_stream`] generate each window just before driving it.
     ///
     /// [`run_stream`]: ../session/struct.NetDebug.html#method.run_stream
     pub fn build_batch(

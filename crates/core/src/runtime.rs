@@ -49,8 +49,12 @@ use std::sync::Arc;
 /// 256-packet stream window so batch-engine arena sizes stay bounded.
 pub const DEFAULT_MAX_BATCH: usize = 256;
 
-/// One paced (or back-to-back) stream of pre-built frames aimed at a
-/// device, plus the churn triggers scheduled against it.
+/// One paced (or back-to-back) stream of frames aimed at a device, plus
+/// the churn triggers scheduled against it. [`drive_device`],
+/// [`drive_device_with`] and [`FleetRuntime::run`] take every frame of
+/// the stream up front; a session drive
+/// ([`crate::session::NetDebug::run_stream`]) swaps in one window of them
+/// at a time, seqs and triggers staying absolute.
 #[derive(Debug, Clone)]
 pub struct FlowRun {
     /// Caller-chosen flow label, handed back to the [`DeviceSink`] with
@@ -244,7 +248,10 @@ pub struct RecoveryPolicy {
     /// Checkpoint cadence in **delivered frames**: a bounded-replay knob
     /// — after a trip, at most this many frames (plus the failed batch)
     /// replay silently from the last checkpoint. Unused with a zero
-    /// budget.
+    /// budget. A stream driven window by window
+    /// ([`crate::session::NetDebug::run_stream`]) is also checkpointed at
+    /// each window start, off the cadence, since a replay needs its
+    /// checkpoint's frames; that only shortens replays.
     pub checkpoint_interval: u64,
 }
 
@@ -290,28 +297,33 @@ pub struct DeviceRecovery {
 struct DriveCheckpoint {
     device: netdebug_hw::DeviceCheckpoint,
     cursors: Vec<FlowCursor>,
-    delivered: u64,
 }
 
-/// The checkpoint state of one [`drive_device_with`] call: the last
-/// checkpoint, plus the delivered-frame cadence that schedules the next
-/// one while a recovery budget remains.
+/// Frames a device has consumed when `cursors` stand at a flush boundary:
+/// every frame below a cursor was delivered, or skipped as a culprit,
+/// exactly once.
+fn consumed(cursors: &[FlowCursor]) -> u64 {
+    cursors.iter().map(|c| c.next_seq).sum()
+}
+
+/// The checkpoint state of one contained drive: the last checkpoint, plus
+/// the delivered-frame cadence that schedules the next one while a
+/// recovery budget remains.
 struct Checkpoints {
     interval: u64,
-    delivered: u64,
     next_at: u64,
     last: Option<DriveCheckpoint>,
 }
 
 impl Checkpoints {
-    /// Capture a checkpoint at the current drive position.
+    /// Capture a checkpoint at the current drive position and restart the
+    /// cadence from it.
     fn take(&mut self, device: &Device, cursors: &[FlowCursor]) {
         self.last = Some(DriveCheckpoint {
             device: device.checkpoint(),
             cursors: cursors.to_vec(),
-            delivered: self.delivered,
         });
-        self.next_at = self.delivered + self.interval;
+        self.next_at = consumed(cursors).saturating_add(self.interval);
     }
 }
 
@@ -402,15 +414,26 @@ enum Mode<'a> {
 /// control error of a rejected churn op.
 type DriveExit = Result<DriveEnd, ControlError>;
 
+/// Which frames a drive's flows hold: seqs `first_seq ..` of each flow,
+/// with `more` of the stream to come in later windows (single-flow drives
+/// only stop short for it). The default window is a whole stream.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Window {
+    pub(crate) first_seq: u64,
+    pub(crate) more: bool,
+}
+
 /// The state one drive threads through its emission and flush sites:
 /// where frames go (device, sink, stats), what happens around each
-/// dispatch, and the frames emitted but not yet dispatched. `meta` is
-/// (flow id, flow position, seq) per frame: ids are labels and may repeat.
+/// dispatch, which window of seqs the flows hold, and the frames emitted
+/// but not yet dispatched. `meta` is (flow id, flow position, seq) per
+/// frame: ids are labels and may repeat.
 struct Drive<'a, 'f, S: ?Sized> {
     device: &'a mut Device,
     sink: &'a mut S,
     stats: &'a mut RuntimeStats,
     mode: Mode<'a>,
+    window: Window,
     pkts: Vec<(u16, &'f [u8])>,
     dues: Vec<u64>,
     meta: Vec<(u32, u32, u64)>,
@@ -422,16 +445,23 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         sink: &'a mut S,
         stats: &'a mut RuntimeStats,
         mode: Mode<'a>,
+        window: Window,
     ) -> Self {
         Drive {
             device,
             sink,
             stats,
             mode,
+            window,
             pkts: Vec::new(),
             dues: Vec::new(),
             meta: Vec::new(),
         }
+    }
+
+    /// One past the last seq of `flow` this drive holds.
+    fn end(&self, flow: &FlowRun) -> u64 {
+        self.window.first_seq + flow.frames.len() as u64
     }
 
     /// Emit every frame of `flows` from `cursors` on, in the determinism
@@ -457,8 +487,8 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
     /// Queue frame `seq` of `flow`, the drive's flow number `fi`, due at
     /// `due`.
     fn push(&mut self, flow: &'f FlowRun, fi: u32, seq: u64, due: u64) {
-        self.pkts
-            .push((flow.as_port, flow.frames[seq as usize].data.as_slice()));
+        let frame = &flow.frames[(seq - self.window.first_seq) as usize];
+        self.pkts.push((flow.as_port, frame.data.as_slice()));
         self.dues.push(due);
         self.meta.push((flow.id, fi, seq));
     }
@@ -480,6 +510,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
             pkts,
             dues,
             meta,
+            ..
         } = self;
         if pkts.is_empty() {
             return None;
@@ -550,16 +581,12 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
     /// past an op that has not been applied yet, so a checkpoint would
     /// replay without it.
     fn flush(&mut self, checkpoint_at: Option<&[FlowCursor]>) -> ControlFlow<DriveExit> {
-        let n = self.pkts.len() as u64;
         if let Some(end) = self.dispatch() {
             return ControlFlow::Break(Ok(end));
         }
-        if let Mode::Checkpointing(ckpts) = &mut self.mode {
-            ckpts.delivered += n;
-            if let Some(cursors) = checkpoint_at {
-                if ckpts.delivered >= ckpts.next_at {
-                    ckpts.take(self.device, cursors);
-                }
+        if let (Mode::Checkpointing(ckpts), Some(cursors)) = (&mut self.mode, checkpoint_at) {
+            if consumed(cursors) >= ckpts.next_at {
+                ckpts.take(self.device, cursors);
             }
         }
         ControlFlow::Continue(())
@@ -607,17 +634,35 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
     /// skip it entirely so paced single-stream drivers (NetDebug sessions,
     /// fleet members) pay no scheduling overhead per packet. Emission
     /// order is identical by construction.
+    /// With `more` to come, a dispatch the window cannot end is left to
+    /// the next window, so dispatches and the checkpoints taken on them
+    /// fall where they would over the whole stream.
     fn run_single(
         &mut self,
         flow: &'f FlowRun,
         cursors: &mut [FlowCursor],
         max_batch: usize,
     ) -> ControlFlow<DriveExit> {
-        let count = flow.frames.len() as u64;
-        let mut last_due: Option<u64> = None;
-        while cursors[0].next_seq < count {
+        let end = self.end(flow);
+        if cursors[0].next_seq < end {
+            self.stats.max_ready_depth = self.stats.max_ready_depth.max(1);
+        }
+        // Sized once, not grown again window after window.
+        let room = usize::try_from(end - cursors[0].next_seq).unwrap_or(max_batch);
+        let room = room.min(max_batch);
+        self.pkts.reserve(room);
+        self.dues.reserve(room);
+        self.meta.reserve(room);
+        let mut last_due = cursors[0].next_seq.checked_sub(1).map(|s| flow.due(s));
+        while cursors[0].next_seq < end {
             let s = cursors[0].next_seq;
             self.drain_triggers(flow, &mut cursors[0], s)?;
+            // With nothing pending a dispatch starts here; one the window
+            // cannot hold whole is left to the next window.
+            let full = s.saturating_add(max_batch as u64) <= end;
+            if self.window.more && self.pkts.is_empty() && !full {
+                break;
+            }
             let due = flow.due(s);
             if last_due != Some(due) {
                 self.stats.instants += 1;
@@ -630,7 +675,6 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
             }
         }
         self.flush(None)?;
-        self.stats.max_ready_depth = self.stats.max_ready_depth.max(1);
         ControlFlow::Continue(())
     }
 
@@ -644,7 +688,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
     ) -> ControlFlow<DriveExit> {
         let mut scheduler = Scheduler::new(self.device.now());
         for (i, flow) in flows.iter().enumerate() {
-            if cursors[i].next_seq < flow.frames.len() as u64 {
+            if cursors[i].next_seq < self.end(flow) {
                 scheduler.schedule(flow.due(cursors[i].next_seq), i as u32);
             }
         }
@@ -655,13 +699,13 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
             for &ready_flow in &ready {
                 let fi = ready_flow as usize;
                 let flow = &flows[fi];
-                let count = flow.frames.len() as u64;
+                let end = self.end(flow);
                 loop {
                     let s = cursors[fi].next_seq;
                     self.drain_triggers(flow, &mut cursors[fi], s)?;
                     // A frame whose due instant the device clock had
                     // already passed when it was filed fires now.
-                    if s >= count || flow.due(s) > instant {
+                    if s >= end || flow.due(s) > instant {
                         break;
                     }
                     self.push(flow, ready_flow, s, instant);
@@ -670,7 +714,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                         self.flush(Some(cursors))?;
                     }
                 }
-                if cursors[fi].next_seq < count {
+                if cursors[fi].next_seq < end {
                     scheduler.schedule(flow.due(cursors[fi].next_seq), ready_flow);
                 }
             }
@@ -703,7 +747,7 @@ pub fn drive_device<S: DeviceSink + ?Sized>(
     let cache_before = device.cache_stats();
     let mut stats = RuntimeStats::default();
     let mut cursors = vec![FlowCursor::default(); flows.len()];
-    let result = Drive::new(device, sink, &mut stats, Mode::Plain)
+    let result = Drive::new(device, sink, &mut stats, Mode::Plain, Window::default())
         .run(flows, &mut cursors, max_batch)
         .map(|_| ());
     fold_cache_delta(&mut stats, device, cache_before);
@@ -792,134 +836,259 @@ pub fn drive_device_with<S: DeviceSink + ?Sized>(
     sink: &mut S,
     policy: Option<RecoveryPolicy>,
 ) -> DriveReport {
-    let policy = policy.unwrap_or(RecoveryPolicy {
-        max_recoveries: 0,
-        ..RecoveryPolicy::default()
-    });
-    let recovering = policy.max_recoveries > 0;
-    let cache_before = device.cache_stats();
-    let retried_before = device.retried_publications();
-    let mut stats = RuntimeStats::default();
-    let mut cursors = vec![FlowCursor::default(); flows.len()];
-    let mut ckpts = Checkpoints {
-        interval: policy.checkpoint_interval.max(1),
-        delivered: 0,
-        next_at: 0,
-        last: None,
-    };
-    if recovering || !device.armed_faults().is_empty() {
-        ckpts.take(device, &cursors);
+    let mut drive = ContainedDrive::new(device, flows.len(), max_batch, policy);
+    drive.run(device, flows, Window::default(), sink);
+    drive.finish(device)
+}
+
+/// Everything a contained drive carries from one window of its flows to
+/// the next: cursors at **absolute** seqs, checkpoints, the report so far
+/// (counters, recoveries against the budget, the fault) and the baselines
+/// its deltas start from. [`drive_device_with`] runs it over one window
+/// that holds every frame; a session runs it window after window, so
+/// culprit seqs, trigger text, the budget and `packets_delivered` stay per
+/// stream.
+pub(crate) struct ContainedDrive {
+    budget: usize,
+    max_batch: usize,
+    cache_before: netdebug_dataplane::CacheStats,
+    retried_before: u64,
+    cursors: Vec<FlowCursor>,
+    ckpts: Checkpoints,
+    report: DriveReport,
+}
+
+impl ContainedDrive {
+    pub(crate) fn new(
+        device: &Device,
+        flows: usize,
+        max_batch: usize,
+        policy: Option<RecoveryPolicy>,
+    ) -> Self {
+        let budget = policy.map_or(0, |p| p.max_recoveries as usize);
+        let recovering = budget > 0;
+        let interval = policy.unwrap_or_default().checkpoint_interval.max(1);
+        let mut drive = ContainedDrive {
+            budget,
+            // Checkpoints are only taken at flush boundaries, so the
+            // cadence clamps the batch to the checkpoint interval —
+            // otherwise a short run inside one big batch would never
+            // re-checkpoint and every recovery would replay from the
+            // start. Batch size never changes device outcomes (the
+            // locating replay depends on that), so the clamp only affects
+            // dispatch accounting.
+            max_batch: match usize::try_from(interval) {
+                Ok(interval) if recovering => max_batch.min(interval),
+                _ => max_batch,
+            },
+            cache_before: device.cache_stats(),
+            retried_before: device.retried_publications(),
+            cursors: vec![FlowCursor::default(); flows],
+            ckpts: Checkpoints {
+                interval,
+                next_at: 0,
+                last: None,
+            },
+            report: DriveReport {
+                stats: RuntimeStats::default(),
+                result: Ok(()),
+                recoveries: Vec::new(),
+                fault: None,
+            },
+        };
+        if recovering || !device.armed_faults().is_empty() {
+            drive.ckpts.take(device, &drive.cursors);
+        }
+        drive
     }
-    // Checkpoints are only taken at flush boundaries, so the cadence
-    // clamps the batch to the checkpoint interval — otherwise a short run
-    // inside one big batch would never re-checkpoint and every recovery
-    // would replay from the start. Batch size never changes device
-    // outcomes (the locating replay depends on that), so the clamp only
-    // affects dispatch accounting.
-    let max_batch = if recovering {
-        max_batch.min(usize::try_from(ckpts.interval).unwrap_or(usize::MAX))
-    } else {
-        max_batch
-    };
-    let mut recoveries: Vec<DeviceRecovery> = Vec::new();
-    let mut fault = None;
-    let result = loop {
-        let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mode = if recovering {
-                Mode::Checkpointing(&mut ckpts)
-            } else {
-                Mode::Plain
+
+    /// Drive the frames `flows` hold (`window` says which seqs those are)
+    /// from the cursors on, containing every trip. Returns the seq the
+    /// next window of the first flow starts at, or `None` once the device
+    /// was quarantined or a churn op was rejected.
+    pub(crate) fn run<S: DeviceSink + ?Sized>(
+        &mut self,
+        device: &mut Device,
+        flows: &[FlowRun],
+        window: Window,
+        sink: &mut S,
+    ) -> Option<u64> {
+        // A replay needs its checkpoint's frames: one taken in an earlier
+        // window is taken again here, cadence unchanged.
+        let stale = |c: &DriveCheckpoint| c.cursors.iter().any(|c| c.next_seq < window.first_seq);
+        if self.ckpts.last.as_ref().is_some_and(stale) {
+            let next_at = self.ckpts.next_at;
+            self.ckpts.take(device, &self.cursors);
+            self.ckpts.next_at = next_at;
+        }
+        let recovering = self.budget > 0;
+        loop {
+            let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mode = if recovering {
+                    Mode::Checkpointing(&mut self.ckpts)
+                } else {
+                    Mode::Plain
+                };
+                let stats = &mut self.report.stats;
+                Drive::new(&mut *device, &mut *sink, stats, mode, window).run(
+                    flows,
+                    &mut self.cursors,
+                    self.max_batch,
+                )
+            }));
+            let payload = match end {
+                Ok(Err(e)) => {
+                    self.report.result = Err(e);
+                    return None;
+                }
+                Ok(Ok(DriveEnd::Stalled)) => None,
+                // `Interrupted` is the locating replay's exit only.
+                Ok(Ok(DriveEnd::Completed | DriveEnd::Interrupted)) => {
+                    return Some(self.cursors.first().map_or(0, |c| c.next_seq))
+                }
+                Err(payload) => Some(payload),
             };
-            Drive::new(&mut *device, &mut *sink, &mut stats, mode).run(
-                flows,
-                &mut cursors,
-                max_batch,
-            )
-        }));
-        let payload = match end {
-            Ok(Err(e)) => break Err(e),
-            Ok(Ok(DriveEnd::Stalled)) => None,
-            // `Interrupted` is the locating replay's exit only.
-            Ok(Ok(DriveEnd::Completed | DriveEnd::Interrupted)) => break Ok(()),
-            Err(payload) => Some(payload),
-        };
-        stats.faults += 1;
-        let stalled = payload.is_none();
-        let ckpt = ckpts.last.as_ref();
-        let trip = locate(device, flows, &mut cursors, ckpt, payload, stats.packets);
-        let mut record = trip.fault;
-        let budget_left = recoveries.len() < policy.max_recoveries as usize;
-        if budget_left && record.trigger.is_none() {
-            if let Some(culprit) = record.culprit.take() {
-                let fi = trip.flow;
-                // Skip the culprit: account it as a Faulted drop at its
-                // due instant and move the emission cursor past it.
-                let p = device.skip_faulted(culprit.port, flows[fi].due(culprit.seq));
-                stats.packets += 1;
-                sink.on_packet(culprit.flow, culprit.seq, p);
-                cursors[fi].next_seq = culprit.seq + 1;
-                ckpts.delivered = record.packets_delivered + 1;
-                ckpts.take(device, &cursors);
-                stats.recoveries += 1;
-                recoveries.push(DeviceRecovery {
-                    member: record.member,
-                    fault: record.fault,
-                    stage: record.stage,
-                    detail: record.detail,
-                    checkpoint_cycle: trip.checkpoint_cycle,
-                    frames_replayed: trip.frames_replayed,
-                    culprit: Some(culprit),
-                    recovered_at_cycle: device.now(),
-                });
-                continue;
+            self.report.stats.faults += 1;
+            let stalled = payload.is_none();
+            let trip = self.locate(device, flows, window, payload);
+            let mut record = trip.fault;
+            let budget_left = self.report.recoveries.len() < self.budget;
+            if budget_left && record.trigger.is_none() {
+                if let Some(culprit) = record.culprit.take() {
+                    let fi = trip.flow;
+                    // Skip the culprit: account it as a Faulted drop at
+                    // its due instant and move the emission cursor past it.
+                    let p = device.skip_faulted(culprit.port, flows[fi].due(culprit.seq));
+                    self.report.stats.packets += 1;
+                    sink.on_packet(culprit.flow, culprit.seq, p);
+                    self.cursors[fi].next_seq = culprit.seq + 1;
+                    self.ckpts.take(device, &self.cursors);
+                    self.report.stats.recoveries += 1;
+                    self.report.recoveries.push(DeviceRecovery {
+                        member: record.member,
+                        fault: record.fault,
+                        stage: record.stage,
+                        detail: record.detail,
+                        checkpoint_cycle: trip.checkpoint_cycle,
+                        frames_replayed: trip.frames_replayed,
+                        culprit: Some(culprit),
+                        recovered_at_cycle: device.now(),
+                    });
+                    continue;
+                }
             }
+            if stalled {
+                device.advance(DEFAULT_WATCHDOG_CYCLES);
+            }
+            if recovering && !budget_left {
+                record.detail.push_str(" (recovery budget exhausted)");
+            }
+            self.report.fault = Some(record);
+            return None;
         }
-        if stalled {
-            device.advance(DEFAULT_WATCHDOG_CYCLES);
-        }
-        if recovering && !budget_left {
-            record.detail.push_str(" (recovery budget exhausted)");
-        }
-        fault = Some(record);
-        break Ok(());
-    };
-    // Publication retries are the device-level arm of the same recovery
-    // machinery: a transient driver crash absorbed by
-    // [`netdebug_hw::Device::install`]'s bounded backoff converged to a
-    // consistent snapshot instead of quarantining the device. Surface the
-    // convergence as a recovery record so fleet reports account for it.
-    let retried = device.retried_publications() - retried_before;
-    if recovering && retried > 0 && fault.is_none() {
-        let detail = match device.last_retried_epoch() {
-            Some(e) => format!(
-                "{retried} publication(s) converged after transient driver crashes (last reconciled at table epoch {e})"
-            ),
-            None => format!("{retried} publication(s) converged after transient driver crashes"),
-        };
-        stats.recoveries += 1;
-        recoveries.push(DeviceRecovery {
-            member: String::new(),
-            fault: "transient-publication".into(),
-            stage: "driver".into(),
-            detail,
-            checkpoint_cycle: 0,
-            frames_replayed: 0,
-            culprit: None,
-            recovered_at_cycle: device.now(),
-        });
     }
-    fold_cache_delta(&mut stats, device, cache_before);
-    DriveReport {
-        stats,
-        result,
-        recoveries,
-        fault,
+
+    /// The report of the whole drive, every window of it.
+    pub(crate) fn finish(mut self, device: &Device) -> DriveReport {
+        // Publication retries are the device-level arm of the same
+        // recovery machinery: a transient driver crash absorbed by
+        // [`netdebug_hw::Device::install`]'s bounded backoff converged to a
+        // consistent snapshot instead of quarantining the device. Surface
+        // the convergence as a recovery record so fleet reports account
+        // for it.
+        let retried = device.retried_publications() - self.retried_before;
+        let report = &mut self.report;
+        if self.budget > 0 && retried > 0 && report.fault.is_none() {
+            let epoch = device.last_retried_epoch();
+            let at = epoch.map(|e| format!(" (last reconciled at table epoch {e})"));
+            report.stats.recoveries += 1;
+            report.recoveries.push(DeviceRecovery {
+                member: String::new(),
+                fault: "transient-publication".into(),
+                stage: "driver".into(),
+                detail: format!(
+                    "{retried} publication(s) converged after transient driver crashes{}",
+                    at.unwrap_or_default()
+                ),
+                checkpoint_cycle: 0,
+                frames_replayed: 0,
+                culprit: None,
+                recovered_at_cycle: device.now(),
+            });
+        }
+        fold_cache_delta(&mut report.stats, device, self.cache_before);
+        self.report
+    }
+
+    /// The one containment step: restore the last checkpoint, then replay
+    /// silently from it through `window`'s frames at `max_batch = 1` in
+    /// [`Mode::Locating`] until the trip recurs. The sink already holds
+    /// every pre-culprit outcome from the original attempt (batching does
+    /// not change device results), so the replay counts frames instead of
+    /// re-delivering them; the solo dispatch leaves the cursors exactly
+    /// one past a culprit frame. `payload` is what the original attempt
+    /// raised (`None` for a watchdog-detected stall) and speaks only when
+    /// the replay catches nothing itself: without a checkpoint (a genuine
+    /// engine panic on an unarmed device; the dispatched count then stands
+    /// in for the delivered count), or when the replay runs clean because
+    /// the panic came from the caller's sink, not the device.
+    fn locate(
+        &mut self,
+        device: &mut Device,
+        flows: &[FlowRun],
+        window: Window,
+        payload: Option<PanicPayload>,
+    ) -> Located {
+        let mut caught = Caught::default();
+        let mut counter = LastStageSink::default();
+        let mut reproduced = true;
+        let (checkpoint_cycle, delivered_before) = match &self.ckpts.last {
+            Some(ckpt) => {
+                device.restore(&ckpt.device);
+                self.cursors.clone_from(&ckpt.cursors);
+                let mut scratch = RuntimeStats::default();
+                // Frames and triggers trip solo inside the replay, so this
+                // outer catch is defensive only (a panic escaping it would
+                // be a harness bug, not a device fault).
+                let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mode = Mode::Locating(&mut caught);
+                    Drive::new(&mut *device, &mut counter, &mut scratch, mode, window).run(
+                        flows,
+                        &mut self.cursors,
+                        1,
+                    )
+                }));
+                reproduced = !matches!(end, Ok(Ok(DriveEnd::Completed)));
+                (ckpt.device.at_cycle(), consumed(&ckpt.cursors))
+            }
+            None => (0, self.report.stats.packets),
+        };
+        if let Some(c) = &mut caught.culprit {
+            c.prior_stage = counter.last_stage.take().map(|s| s.to_string());
+        }
+        let mut fault = DeviceFault::from_trip(
+            caught.payload.or(payload).as_deref(),
+            caught.culprit,
+            caught.trigger,
+            delivered_before + counter.delivered,
+        );
+        if !reproduced {
+            fault
+                .detail
+                .push_str(" (did not reproduce on device replay)");
+        }
+        Located {
+            fault,
+            flow: caught.flow,
+            checkpoint_cycle,
+            frames_replayed: counter.delivered,
+        }
     }
 }
 
-/// A trip as [`locate`] pinned it down: the quarantine record as it
-/// would stand, plus the replay figures a [`DeviceRecovery`] adds when
-/// the device rejoins instead.
+/// A trip as [`ContainedDrive::locate`] pinned it down: the quarantine
+/// record as it would stand, plus the replay figures a [`DeviceRecovery`]
+/// adds when the device rejoins instead.
 struct Located {
     fault: DeviceFault,
     /// The culprit frame's flow, as a position in the drive's flow list.
@@ -928,67 +1097,6 @@ struct Located {
     checkpoint_cycle: u64,
     /// Frames the replay delivered between the checkpoint and the trip.
     frames_replayed: u64,
-}
-
-/// The one containment step: restore `ckpt`, then replay silently from
-/// it at `max_batch = 1` in [`Mode::Locating`] until the trip recurs. The
-/// sink already holds every pre-culprit outcome from the original attempt
-/// (batching does not change device results), so the replay counts frames
-/// instead of re-delivering them; the solo dispatch leaves `cursors`
-/// exactly one past a culprit frame. `payload` is what the original
-/// attempt raised (`None` for a watchdog-detected stall) and speaks only
-/// when the replay catches nothing itself: without a checkpoint (a
-/// genuine engine panic on an unarmed device; `dispatched` then stands in
-/// for the delivered count), or when the replay runs clean because the
-/// panic came from the caller's sink, not the device.
-fn locate(
-    device: &mut Device,
-    flows: &[FlowRun],
-    cursors: &mut Vec<FlowCursor>,
-    ckpt: Option<&DriveCheckpoint>,
-    payload: Option<PanicPayload>,
-    dispatched: u64,
-) -> Located {
-    let mut caught = Caught::default();
-    let mut counter = LastStageSink::default();
-    let mut reproduced = true;
-    let (checkpoint_cycle, delivered_before) = match ckpt {
-        Some(ckpt) => {
-            device.restore(&ckpt.device);
-            cursors.clone_from(&ckpt.cursors);
-            let mut scratch = RuntimeStats::default();
-            // Frames and triggers trip solo inside the replay, so this
-            // outer catch is defensive only (a panic escaping it would be
-            // a harness bug, not a device fault).
-            let end = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mode = Mode::Locating(&mut caught);
-                Drive::new(&mut *device, &mut counter, &mut scratch, mode).run(flows, cursors, 1)
-            }));
-            reproduced = !matches!(end, Ok(Ok(DriveEnd::Completed)));
-            (ckpt.device.at_cycle(), ckpt.delivered)
-        }
-        None => (0, dispatched),
-    };
-    if let Some(c) = &mut caught.culprit {
-        c.prior_stage = counter.last_stage.take().map(|s| s.to_string());
-    }
-    let mut fault = DeviceFault::from_trip(
-        caught.payload.or(payload).as_deref(),
-        caught.culprit,
-        caught.trigger,
-        delivered_before + counter.delivered,
-    );
-    if !reproduced {
-        fault
-            .detail
-            .push_str(" (did not reproduce on device replay)");
-    }
-    Located {
-        fault,
-        flow: caught.flow,
-        checkpoint_cycle,
-        frames_replayed: counter.delivered,
-    }
 }
 
 impl DeviceFault {
@@ -1543,6 +1651,37 @@ mod tests {
             assert_eq!(fault.packets_delivered, last);
             assert_eq!(dev.now(), DEFAULT_WATCHDOG_CYCLES, "budget {budget}");
         }
+    }
+
+    /// A single-flow drive that a fault ends early still records the flow
+    /// it had ready, and one with no frame to emit records none.
+    #[test]
+    fn an_early_exit_still_records_the_ready_depth() {
+        use netdebug_hw::{Backend, FaultSpec};
+        let frames: Vec<GeneratedPacket> = (0..16)
+            .map(|seq| GeneratedPacket {
+                data: vec![seq as u8; 64].into(),
+                stream: 1,
+                seq,
+                ts_cycles: 0,
+            })
+            .collect();
+        let deploy = || {
+            Device::deploy_source(&Backend::reference(), netdebug_p4::corpus::REFLECTOR).unwrap()
+        };
+        let mut dev = deploy();
+        dev.arm_fault(FaultSpec::PanicAfterN { n: 5 });
+        let flows = [FlowRun::new(1, 0, Arc::new(frames))];
+        let mut sink = LastStageSink::default();
+        let run = drive_device_with(&mut dev, &flows, 8, &mut sink, None);
+        assert_eq!(
+            run.fault.expect("budget 0 quarantines").packets_delivered,
+            5
+        );
+        assert_eq!(run.stats.max_ready_depth, 1);
+        let empty = [FlowRun::new(1, 0, Arc::default())];
+        let (stats, _) = drive_device(&mut deploy(), &empty, 8, &mut sink);
+        assert_eq!(stats.max_ready_depth, 0);
     }
 
     /// A flow id is a caller label, so two flows may share one. Recovery

@@ -8,11 +8,16 @@
 use crate::checker::{Checker, StreamStats, Violation};
 use crate::generator::{Generator, StreamSpec};
 use crate::runtime::{
-    drive_device_with, DeviceFault, DeviceRecovery, DeviceSink, FlowRun, RecoveryPolicy,
-    RuntimeStats, DEFAULT_MAX_BATCH,
+    ContainedDrive, DeviceFault, DeviceRecovery, DeviceSink, FlowRun, RecoveryPolicy, RuntimeStats,
+    Window, DEFAULT_MAX_BATCH,
 };
 use netdebug_hw::{Backend, DeployError, Device, Processed};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+// A window holds at least one full dispatch, so a window the drive stops
+// short of still moves the stream on.
+const _: () = assert!(DEFAULT_MAX_BATCH as u64 <= NetDebug::STREAM_WINDOW);
 
 /// A NetDebug instance attached to one device.
 #[derive(Debug)]
@@ -70,32 +75,33 @@ impl NetDebug {
         &self.checker
     }
 
-    /// The window a stream is generated and stamped in, and the unit
-    /// churn schedules key their ops to, in [`NetDebug::run_stream`] and
-    /// [`NetDebug::run_stream_churn`].
+    /// The window a stream is generated and driven in (the most frames of
+    /// it alive at once), and the unit churn schedules key their ops to,
+    /// in [`NetDebug::run_stream`] and [`NetDebug::run_stream_churn`].
     pub const STREAM_WINDOW: u64 = 256;
 
     /// Run one stream to completion.
     ///
-    /// The whole stream is built before the first frame is injected, one
-    /// [`NetDebug::STREAM_WINDOW`] at a time ([`Generator::build_batch`]),
-    /// each window stamped at the device clock it starts on. The stream
-    /// then runs as one flow through [`crate::runtime::drive_device_with`],
-    /// which hands the device coalesced dispatches of at most
-    /// [`DEFAULT_MAX_BATCH`] frames
-    /// ([`netdebug_hw::Device::inject_batch_at`]), and each outcome is
-    /// handed to the checker ([`Checker::observe_processed`]) the moment
-    /// the device accounts it — no window of outcomes is ever
-    /// materialised. Verdicts, statistics and violations are identical to
-    /// the historical packet-at-a-time loop.
+    /// The stream is generated and driven one [`NetDebug::STREAM_WINDOW`]
+    /// at a time ([`Generator::build_batch`]), so its live frames are one
+    /// window whatever its length. Each frame is stamped at the device
+    /// clock the whole stream's schedule gives it, and the windows run as
+    /// one flow through one contained drive (the loop behind
+    /// [`crate::runtime::drive_device_with`]), which hands the device
+    /// coalesced dispatches of at most [`DEFAULT_MAX_BATCH`] frames
+    /// ([`netdebug_hw::Device::inject_batch_at`]). Each outcome is handed
+    /// to the checker ([`Checker::observe_processed`]) the moment the
+    /// device accounts it — no window of outcomes is ever materialised.
+    /// Verdicts, statistics, violations, fault and recovery records are
+    /// those of the same stream pre-built and driven as one flow.
     pub fn run_stream(&mut self, spec: &StreamSpec) {
         self.run_stream_churn(spec, &crate::churn::ChurnSchedule::new())
             .expect("an empty churn schedule cannot fail");
     }
 
     /// Run one stream with **rule churn**: the stream becomes one
-    /// [`FlowRun`] on the virtual-time event loop
-    /// ([`crate::runtime::drive_device_with`]), and every
+    /// [`FlowRun`] on the virtual-time event loop, generated and driven
+    /// window by window as in [`NetDebug::run_stream`], and every
     /// [`crate::churn::ChurnOp`] the schedule keys to a window index
     /// becomes a trigger at that window's first sequence number — it
     /// publishes through the device's epoch-snapshot control plane at the
@@ -120,23 +126,10 @@ impl NetDebug {
             .open_stream(spec.stream, spec.expect, spec.count);
         let gap = Generator::gap_cycles(spec, self.device.config().core_clock_hz);
         let origin = self.device.now();
-        // Pre-build the whole stream, window by window, stamping each
-        // window at the device clock it would historically have observed
-        // (paced windows advance it by gap × window length).
-        let mut frames = Vec::with_capacity(spec.count as usize);
-        let mut window_start = origin;
-        let mut seq = 0u64;
-        while seq < spec.count {
-            let n = Self::STREAM_WINDOW.min(spec.count - seq);
-            frames.extend(self.generator.build_batch(spec, seq, n, window_start, gap));
-            window_start = window_start.saturating_add(gap.saturating_mul(n));
-            seq += n;
-        }
-        let first_ts = frames.first().map(|p| p.ts_cycles);
-        let flow = FlowRun {
+        let mut flow = FlowRun {
             id: u32::from(spec.stream),
             as_port: spec.as_port,
-            frames: std::sync::Arc::new(frames),
+            frames: Default::default(),
             origin,
             gap,
             triggers: schedule.triggers(Self::STREAM_WINDOW),
@@ -146,14 +139,30 @@ impl NetDebug {
             stream: spec.stream,
             last_done: 0,
         };
-        let mut run = drive_device_with(
-            &mut self.device,
-            std::slice::from_ref(&flow),
-            DEFAULT_MAX_BATCH,
-            &mut sink,
-            self.recovery,
-        );
+        let mut drive = ContainedDrive::new(&self.device, 1, DEFAULT_MAX_BATCH, self.recovery);
+        let (mut first_ts, mut next) = (None, Some(0));
+        // Each window starts where the drive stopped: where the last one
+        // ended or, mid-stream, up to one dispatch before it.
+        while let Some(seq) = next.filter(|&seq| seq < spec.count) {
+            let n = Self::STREAM_WINDOW.min(spec.count - seq);
+            let start = origin.saturating_add(gap.saturating_mul(seq));
+            drop(std::mem::take(&mut flow.frames)); // before its successor is built
+            flow.frames = Arc::new(self.generator.build_batch(spec, seq, n, start, gap));
+            first_ts = first_ts.or(flow.frames.first().map(|p| p.ts_cycles));
+            let more = seq + n < spec.count;
+            let window = Window {
+                first_seq: seq,
+                more,
+            };
+            next = drive.run(
+                &mut self.device,
+                std::slice::from_ref(&flow),
+                window,
+                &mut sink,
+            );
+        }
         let last_done = sink.last_done;
+        let mut run = drive.finish(&self.device);
         self.runtime.absorb(&run.stats);
         run.label(&format!("stream-{}", spec.stream));
         self.last_recoveries = run.recoveries;

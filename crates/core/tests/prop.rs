@@ -793,3 +793,212 @@ proptest! {
         }
     }
 }
+
+/// A template `l2_switch` forwards out of port 1 once its dmac entry is in.
+fn l2_frame() -> Vec<u8> {
+    PacketBuilder::ethernet(
+        EthernetAddress::new(2, 0, 0, 0, 0, 1),
+        EthernetAddress::new(2, 0, 0, 0, 0, 2),
+    )
+    .payload(b"windowed")
+    .build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A session stream lives one window at a time, and a caller cannot
+    /// tell: `run_stream_churn` over 0-5 windows (a partial last one
+    /// included), back-to-back or paced, with churn keyed to random
+    /// windows (sometimes an op the control plane rejects), crash and
+    /// stall faults at random seqs and every recovery policy shape,
+    /// equals `drive_device_with` over the whole stream pre-built — the
+    /// checker's statistics and violations, the device's clock and taps,
+    /// the churn error, the fault record and every recovery's fault,
+    /// culprit and rejoin cycle, and the event-loop counters (bar the
+    /// flow cache's, which count the replays). A recovery replays no more
+    /// frames than the pre-built drive's: a window start only adds a
+    /// checkpoint.
+    #[test]
+    fn windowed_session_equals_one_prebuilt_drive(
+        count in 0u64..=1100,
+        paced in any::<bool>(),
+        raw_ops in proptest::collection::vec((0u64..5, 0u8..3), 0..4),
+        reject in proptest::option::of(0u64..5),
+        raw_faults in proptest::collection::vec((any::<bool>(), 0u64..1100), 0..3),
+        policy_sel in 0u8..5,
+    ) {
+        use netdebug::checker::Checker;
+        use netdebug::churn::{ChurnError, ChurnOp, ChurnSchedule};
+        use netdebug::generator::Generator;
+        use netdebug::runtime::DEFAULT_MAX_BATCH;
+        use netdebug::{drive_device_with, DeviceSink, FlowRun, RecoveryPolicy, RuntimeStats};
+        use netdebug_hw::{FaultSpec, Processed};
+        use std::sync::Arc;
+
+        let windows = count.div_ceil(NetDebug::STREAM_WINDOW);
+        let key = 0x0200_0000_0002u128;
+        let mut schedule = ChurnSchedule::new();
+        if windows > 0 {
+            for &(w, op) in &raw_ops {
+                let op = match op {
+                    0 => ChurnOp::Exact {
+                        table: "dmac".into(),
+                        keys: vec![key],
+                        action: "forward".into(),
+                        args: vec![u128::from(w % 4)],
+                    },
+                    1 => ChurnOp::Remove {
+                        table: "dmac".into(),
+                        patterns: vec![netdebug_p4::ir::IrPattern::Value(key)],
+                        priority: 0,
+                    },
+                    _ => ChurnOp::Clear { table: "dmac".into() },
+                };
+                schedule = schedule.before_window(w % windows, op);
+            }
+            if let Some(w) = reject {
+                let op = ChurnOp::Clear { table: "no_such_table".into() };
+                schedule = schedule.before_window(w % windows, op);
+            }
+        }
+        let policy = match policy_sel {
+            0 => None,
+            1 => Some(RecoveryPolicy::default()),
+            2 => Some(RecoveryPolicy { checkpoint_interval: 8, ..RecoveryPolicy::default() }),
+            3 => Some(RecoveryPolicy { checkpoint_interval: 100, ..RecoveryPolicy::default() }),
+            _ => Some(RecoveryPolicy { max_recoveries: 1, checkpoint_interval: 300 }),
+        };
+        let device = || {
+            let mut dev = Device::deploy_source(&Backend::reference(), corpus::L2_SWITCH).unwrap();
+            dev.install_exact("dmac", vec![key], "forward", vec![1]).unwrap();
+            for &(stall, at) in &raw_faults {
+                let at = at % count.max(1);
+                dev.arm_fault(if stall {
+                    FaultSpec::Stall { after: at }
+                } else {
+                    FaultSpec::PanicAfterN { n: at }
+                });
+            }
+            dev
+        };
+        let clock_hz = device().config().core_clock_hz;
+        let spec = StreamSpec {
+            stream: 1,
+            template: l2_frame(),
+            count,
+            rate_pps: paced.then(|| clock_hz / 37.0),
+            as_port: 0,
+            sweeps: vec![],
+            expect: Expectation::Forward { port: Some(1) },
+        };
+        let gap = Generator::gap_cycles(&spec, clock_hz);
+        prop_assert_eq!(gap, if paced { 37 } else { 0 });
+
+        let mut nd = NetDebug::new(device());
+        nd.set_recovery(policy);
+        let windowed = nd.run_stream_churn(&spec, &schedule);
+
+        struct CheckerSink(Checker);
+        impl DeviceSink for CheckerSink {
+            fn on_packet(&mut self, _flow: u32, seq: u64, p: Processed) {
+                self.0.observe_processed(1, seq, &p);
+            }
+        }
+        let mut dev = device();
+        let flow = FlowRun {
+            id: 1,
+            as_port: 0,
+            frames: Arc::new(Generator::new().build_batch(&spec, 0, count, 0, gap)),
+            origin: 0,
+            gap,
+            triggers: schedule.triggers(NetDebug::STREAM_WINDOW),
+        };
+        let mut sink = CheckerSink(Checker::new());
+        sink.0.open_stream(1, spec.expect, count);
+        let mut prebuilt =
+            drive_device_with(&mut dev, &[flow], DEFAULT_MAX_BATCH, &mut sink, policy);
+        prebuilt.label("stream-1");
+
+        prop_assert_eq!(windowed, prebuilt.result.clone().map_err(ChurnError::Control));
+        prop_assert_eq!(nd.checker().streams().get(&1), sink.0.streams().get(&1));
+        prop_assert_eq!(nd.checker().violations(), sink.0.violations());
+        let taps = |d: &Device| {
+            let ports: Vec<_> = (0..d.config().ports).map(|p| d.port_stats(p)).collect();
+            (d.now(), d.stage_counts().to_vec(), d.drop_counts().clone(), format!("{ports:?}"))
+        };
+        prop_assert_eq!(taps(nd.device()), taps(&dev));
+        prop_assert_eq!(nd.last_fault(), prebuilt.fault.as_ref());
+        let recoveries = nd.last_recoveries();
+        prop_assert_eq!(recoveries.len(), prebuilt.recoveries.len());
+        for (w, p) in recoveries.iter().zip(&prebuilt.recoveries) {
+            prop_assert_eq!((&w.fault, &w.culprit), (&p.fault, &p.culprit));
+            prop_assert_eq!(w.recovered_at_cycle, p.recovered_at_cycle);
+            prop_assert!(
+                w.frames_replayed <= p.frames_replayed,
+                "windowed replay {} > pre-built {}",
+                w.frames_replayed,
+                p.frames_replayed
+            );
+        }
+        let loop_counts = |s: RuntimeStats| RuntimeStats {
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_invalidations: 0,
+            ..s
+        };
+        prop_assert_eq!(loop_counts(nd.runtime_stats()), loop_counts(prebuilt.stats));
+    }
+}
+
+/// Five needles in a four-window stream under the default policy: four
+/// recoveries at the stream's own seqs, each replaying from the
+/// checkpoint the whole pre-built stream would have used, then a
+/// quarantine once the budget of four is spent — the budget, culprit seqs
+/// and delivered count are per stream, not per window.
+#[test]
+fn five_faults_across_four_windows_recover_then_quarantine() {
+    use netdebug::RecoveryPolicy;
+    use netdebug_hw::FaultSpec;
+    let mut nd = reflector();
+    for n in [100, 300, 500, 700, 900] {
+        nd.device_mut().arm_fault(FaultSpec::PanicAfterN { n });
+    }
+    nd.set_recovery(Some(RecoveryPolicy::default()));
+    nd.run_stream(&StreamSpec::simple(
+        1,
+        l2_frame(),
+        4 * NetDebug::STREAM_WINDOW,
+        Expectation::Any,
+    ));
+    let recoveries: Vec<(u64, u64)> = nd
+        .last_recoveries()
+        .iter()
+        .map(|r| (r.culprit.as_ref().unwrap().seq, r.frames_replayed))
+        .collect();
+    assert_eq!(recoveries, [(100, 36), (300, 7), (500, 7), (700, 7)]);
+    let fault = nd.last_fault().expect("the fifth needle quarantines");
+    assert_eq!(fault.member, "stream-1");
+    assert!(
+        fault.detail.ends_with("(recovery budget exhausted)"),
+        "{}",
+        fault.detail
+    );
+    assert_eq!(fault.culprit.as_ref().unwrap().seq, 900);
+    assert_eq!(fault.packets_delivered, 900);
+    let s = &nd.checker().streams()[&1];
+    assert_eq!(
+        (s.sent, s.received, s.dropped, s.lost()),
+        (1024, 896, 4, 124)
+    );
+    assert_eq!(nd.runtime_stats().max_ready_depth, 1);
+
+    // Budget 0 keeps only the start-of-stream checkpoint, which a later
+    // window cannot replay from: the needle in window 2 is still located.
+    let mut nd = reflector();
+    nd.device_mut().arm_fault(FaultSpec::PanicAfterN { n: 700 });
+    nd.run_stream(&StreamSpec::simple(1, l2_frame(), 1024, Expectation::Any));
+    let fault = nd.last_fault().expect("budget 0 quarantines");
+    assert_eq!(fault.culprit.as_ref().unwrap().seq, 700);
+    assert_eq!(fault.packets_delivered, 700);
+}

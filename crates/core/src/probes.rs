@@ -251,6 +251,12 @@ fn read_key(program: &ir::Program, placed: &[Placed], key: &IrExpr, bytes: &[u8]
 fn unmatched_value(key: &IrExpr, patterns: &[&IrPattern], program: &ir::Program) -> Option<u128> {
     let width = key.width(program);
     let max = ir::all_ones(width);
+    // A pattern that matches both 0 and `max` matches every value of the
+    // width (`Any`, a mask with no bit inside it, a range over [0, max]):
+    // that arm is a catch-all, and no value reaches the default edge.
+    if patterns.iter().any(|p| p.matches(0) && p.matches(max)) {
+        return None;
+    }
     // Try a few candidates; packet fields are wide enough that one of these
     // almost always misses every arm.
     for candidate in [max, max - 1, 0x5A, 1, 0].iter().copied() {
@@ -267,6 +273,47 @@ mod tests {
     use super::*;
     use netdebug_dataplane::{Dataplane, DropReason, Verdict};
     use netdebug_p4::corpus;
+    use proptest::prelude::*;
+
+    /// `unmatched_value` without its catch-all check: the five candidates,
+    /// then a scan of the first 65 537 values.
+    fn unmatched_value_by_scan(width: u16, patterns: &[&IrPattern]) -> Option<u128> {
+        let max = ir::all_ones(width);
+        let candidates = [max, max - 1, 0x5A, 1, 0].into_iter().map(|v| v & max);
+        (candidates.chain(0..=max.min(1 << 16))).find(|v| patterns.iter().all(|p| !p.matches(*v)))
+    }
+
+    proptest! {
+        /// The catch-all check only ever answers what the scan answers:
+        /// random sets of values, masks (some with no bit inside the
+        /// width), ranges (some covering it) and `Any`, on widths 1..=12.
+        #[test]
+        fn unmatched_value_equals_the_scan(
+            width in 1u16..=12,
+            raw in proptest::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 0..6),
+        ) {
+            let program = netdebug_p4::compile(corpus::L2_SWITCH).unwrap();
+            let max = ir::all_ones(width);
+            let patterns: Vec<IrPattern> = raw
+                .iter()
+                .map(|&(sel, a, b)| {
+                    let (a, b) = (u128::from(a), u128::from(b));
+                    match sel {
+                        0 => IrPattern::Value(a & max),
+                        1 => IrPattern::Mask { value: a, mask: b },
+                        2 => IrPattern::Mask { value: a & 1, mask: b << width },
+                        3 => IrPattern::Range { lo: a % 4, hi: (max + a % 2).saturating_sub(b % 4) },
+                        _ => IrPattern::Any,
+                    }
+                })
+                .collect();
+            let patterns: Vec<&IrPattern> = patterns.iter().collect();
+            prop_assert_eq!(
+                unmatched_value(&IrExpr::konst(0, width), &patterns, &program),
+                unmatched_value_by_scan(width, &patterns)
+            );
+        }
+    }
 
     #[test]
     fn probes_cover_reject_and_accept_paths() {

@@ -23,9 +23,12 @@
 //! * header extraction and deparsing run from per-header
 //!   `HeaderPlan`s: a header always starts on a byte, so each field's
 //!   byte span, shift and mask relative to the header start are resolved
-//!   here, once, and every field of every header — Ethernet's whole
-//!   bytes, IPv4's nibbles and its 3+13-bit pair alike — is one
-//!   word-wide load or store through the same loop;
+//!   here, once — Ethernet's whole bytes, IPv4's nibbles and its
+//!   3+13-bit pair alike are one word-wide load or store. A scan of the
+//!   finished code marks which fields it reads or writes: extract loads
+//!   only those, and deparse copies an extracted header's ingress bytes
+//!   and stores only the fields the code wrote over them, so an
+//!   unreordered frame leaves as one copy plus the written fields;
 //! * every trace-visible name (parser states, headers, controls, tables,
 //!   actions) is interned as an `Arc<str>` at compile time, so traced
 //!   execution clones pointers, never strings.
@@ -49,6 +52,7 @@ use netdebug_p4::ir::{
     self, all_ones, truncate, IrExpr, IrPattern, IrStmt, IrTransition, LValue, Op, StdField,
     TransTarget,
 };
+use std::mem::{replace, take};
 
 /// Sentinel for "no hit-capture local" in [`OpCode::Apply`].
 pub(crate) const NO_HIT_LOCAL: u32 = u32::MAX;
@@ -219,6 +223,32 @@ pub(crate) struct HeaderPlan {
     byte_width: usize,
     /// Field moves in declaration order, relative to the header start.
     fields: Vec<FieldPlan>,
+    /// Field names, for the disassembly.
+    pub(crate) names: Vec<Box<str>>,
+    /// Fields the code reads or writes, ascending: all extract loads. A
+    /// field outside this set is never read, so its slot needs no value.
+    pub(crate) live: Vec<usize>,
+    /// Fields the code writes (a subset of `live`): all deparse stores over
+    /// a copied header. Every other field still holds its wire bytes, and
+    /// one of these that a path left alone holds what extract loaded.
+    pub(crate) written: Vec<usize>,
+}
+
+impl HeaderPlan {
+    /// Load the live fields of the header at the start of `bytes`.
+    fn load_live(&self, bytes: &[u8], slots: &mut [u128]) {
+        for &f in &self.live {
+            slots[f] = self.fields[f].load(bytes);
+        }
+    }
+
+    /// Store the written fields of `slots` over the header's wire bytes.
+    fn store_written(&self, bytes: &mut [u8], slots: &[u128]) {
+        for &f in &self.written {
+            let field = &self.fields[f];
+            field.xor_into(bytes, field.load(bytes) ^ slots[f]);
+        }
+    }
 }
 
 /// An [`ir::Program`] lowered to the flat instruction array, plus the
@@ -397,17 +427,32 @@ impl<'p> Compiler<'p> {
             }
         }
 
+        // ---- Field liveness, from the finished code: one flag byte per
+        // field of every header, flat (bit 0 touched, bit 1 written). ----
+        let mut first = Vec::with_capacity(prog.headers.len());
+        let mut touched = Vec::new();
+        for h in &prog.headers {
+            first.push(touched.len());
+            touched.resize(touched.len() + h.fields.len(), 0u8);
+        }
+        for (h, f, written) in self.code.iter().filter_map(field_access) {
+            touched[first[h as usize] + f as usize] |= 1 | u8::from(written) << 1;
+        }
+
         // ---- Side tables. ----
         let headers = prog
             .headers
             .iter()
-            .map(|h| {
+            .zip(first)
+            .map(|(h, first)| {
                 assert!(
                     h.bit_width.is_multiple_of(8),
                     "header `{}` is {} bits — headers must be whole bytes",
                     h.name,
                     h.bit_width
                 );
+                let flags = &touched[first..first + h.fields.len()];
+                let with = |bit: u8| (0..flags.len()).filter(|&f| flags[f] & bit != 0).collect();
                 HeaderPlan {
                     byte_width: h.byte_width(),
                     fields: h
@@ -415,6 +460,9 @@ impl<'p> Compiler<'p> {
                         .iter()
                         .map(|f| FieldPlan::new(f.offset_bits as usize, f.width_bits as usize))
                         .collect(),
+                    names: h.fields.iter().map(|f| f.name.as_str().into()).collect(),
+                    live: with(1),
+                    written: with(2),
                 }
             })
             .collect();
@@ -674,6 +722,27 @@ impl<'p> Compiler<'p> {
     }
 }
 
+/// The header field `op` reads or writes, as `(header, field, written)`.
+/// No wildcard arm: an opcode that touches a field must be classified
+/// here, or extract would not load the field and deparse would not store it.
+fn field_access(op: &OpCode) -> Option<(u32, u32, bool)> {
+    use OpCode::*;
+    match *op {
+        LoadField(h, f) | LoadFieldRaw(h, f) | FieldApply { h, f, .. } => Some((h, f, false)),
+        StoreField(h, f, _) => Some((h, f, true)),
+        // Extract defines the fields it loads; `setInvalid()` zeroes them
+        // all and drops the header's ingress bytes, so neither needs one.
+        Extract(_) | SetValidHdr(..) => None,
+        Const(_) | LoadMeta(_) | LoadStd(_) | LoadParam(..) | LoadLocal(_) | LoadIsValid(_) => None,
+        Un(..) | Bin(..) | Concat(..) | SliceE(..) | CastE(_) | SliceMerge(..) => None,
+        StoreMeta(..) | StoreLocal(..) | StoreEgressSpec | StorePacketLength => None,
+        StoreTimestamp | Pop | Jump(_) | BranchIfZero(_) | Return | Exit(_) | Apply { .. } => None,
+        MarkDrop | CounterInc(_) | RegisterRead(_) | RegisterWrite(_) | MeterExecute(_) => None,
+        StateEnter(_) | Select(_) | Accept | Reject | ControlEnter(_) | Finish => None,
+        ConstBin(..) | CmpBranch(..) | ConstCmpBranch(..) => None,
+    }
+}
+
 /// Run one packet through the flat engine.
 ///
 /// The single non-recursive dispatch loop behind every compiled-engine
@@ -900,6 +969,7 @@ pub(crate) fn exec(
                 let hv = &mut env.headers[h as usize];
                 hv.valid = valid;
                 if !valid {
+                    hv.offset = None;
                     for f in &mut hv.fields {
                         *f = 0;
                     }
@@ -955,9 +1025,8 @@ pub(crate) fn exec(
                 }
                 let hv = &mut env.headers[hid];
                 hv.valid = true;
-                for (slot, f) in hv.fields.iter_mut().zip(&plan.fields) {
-                    *slot = f.load(bytes);
-                }
+                hv.offset = Some(cursor);
+                plan.load_live(bytes, &mut hv.fields);
                 cursor += plan.byte_width;
             }
             OpCode::Select(sel) => {
@@ -1001,7 +1070,7 @@ pub(crate) fn exec(
                 if !env.egress_written {
                     return Verdict::Drop(DropReason::NoEgress);
                 }
-                let out = deparse(cp, env, &data[payload_start..], &mut trace);
+                let out = deparse(cp, env, data, payload_start, &mut trace);
                 return if env.egress_spec == FLOOD_PORT {
                     Verdict::Flood { data: out }
                 } else if env.egress_spec > FLOOD_PORT {
@@ -1086,42 +1155,59 @@ fn bin_op(op: BinOp, x: u128, y: u128, w: u16) -> u128 {
     }
 }
 
-/// Emit valid headers in deparse order from the compiled plans, then the
-/// payload. Byte-identical to the reference deparser; the output starts
-/// zeroed, so each field is stored by XOR and sub-byte neighbours merge.
+/// Emit valid headers in deparse order, then the payload of `data` from
+/// `payload_start`; byte-identical to the reference deparser.
+///
+/// An extracted header is its ingress bytes. Headers that lie back to back
+/// in `data` are copied as one run, and the payload continues the last run
+/// when it starts where that run ends, so an unreordered frame is one copy.
+/// The `written` fields of every copied header are then stored over the
+/// copy. A header with no ingress bytes (added by `setValid()`, or
+/// invalidated since extract) is built from its fields: zeroed, then each
+/// field XORed in, so sub-byte neighbours merge.
 fn deparse(
     cp: &CompiledProgram,
     env: &Env,
-    payload: &[u8],
+    data: &[u8],
+    payload_start: usize,
     trace: &mut Option<&mut TraceBuf>,
 ) -> Vec<u8> {
-    let mut header_bytes = 0usize;
-    for &hid in &cp.deparse {
-        if env.headers[hid as usize].valid {
-            header_bytes += cp.headers[hid as usize].byte_width;
-        }
-    }
-    // Only the header bytes are zeroed (fields are XORed in); the payload
-    // region is written once, by the copy.
-    let mut out = Vec::with_capacity(header_bytes + payload.len());
-    out.resize(header_bytes, 0);
-    let mut cursor = 0usize;
-    for &hid in &cp.deparse {
-        let hid = hid as usize;
-        if !env.headers[hid].valid {
-            continue;
-        }
-        let plan = &cp.headers[hid];
+    let valid = || {
+        let header = |&h: &u32| (h, &env.headers[h as usize], &cp.headers[h as usize]);
+        cp.deparse.iter().map(header).filter(|(_, hv, _)| hv.valid)
+    };
+    let header_bytes: usize = valid().map(|(_, _, plan)| plan.byte_width).sum();
+    let mut out = Vec::with_capacity(header_bytes + data.len() - payload_start);
+    // Ingress bytes that come next in the output, not yet copied.
+    let mut run = 0..0;
+    for (hid, hv, plan) in valid() {
         if let Some(t) = trace.as_deref_mut() {
-            t.emit(hid as u32);
+            t.emit(hid);
         }
-        let bytes = &mut out[cursor..cursor + plan.byte_width];
-        for (f, value) in plan.fields.iter().zip(&env.headers[hid].fields) {
-            f.xor_into(bytes, *value);
+        match hv.offset {
+            Some(at) if at == run.end => run.end += plan.byte_width,
+            Some(at) => out.extend_from_slice(&data[replace(&mut run, at..at + plan.byte_width)]),
+            None => {
+                out.extend_from_slice(&data[take(&mut run)]);
+                let at = out.len();
+                out.resize(at + plan.byte_width, 0);
+                for (f, value) in plan.fields.iter().zip(&hv.fields) {
+                    f.xor_into(&mut out[at..], *value);
+                }
+            }
         }
-        cursor += plan.byte_width;
     }
-    out.extend_from_slice(payload);
+    if run.end != payload_start {
+        out.extend_from_slice(&data[replace(&mut run, payload_start..payload_start)]);
+    }
+    out.extend_from_slice(&data[run.start..]);
+    let mut at = 0;
+    for (_, hv, plan) in valid() {
+        if hv.offset.is_some() {
+            plan.store_written(&mut out[at..], &hv.fields);
+        }
+        at += plan.byte_width;
+    }
     out
 }
 
@@ -1220,10 +1306,66 @@ mod tests {
         assert_eq!(code[42], ConstBin(Add, 8, 8));
     }
 
+    /// Which fields each header's extract loads and its deparse stores
+    /// over the copy, pinned on the benchmark programs and on a program
+    /// with one statement per shape liveness must handle.
+    #[test]
+    fn live_sets_are_pinned() {
+        let sets = |source: &str| -> Vec<String> {
+            let cp = CompiledProgram::compile(&netdebug_p4::compile(source).unwrap());
+            let names = |plan: &HeaderPlan, which: &[usize]| {
+                which
+                    .iter()
+                    .map(|&f| &*plan.names[f])
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            (cp.names.headers.iter().zip(&cp.headers))
+                .map(|(h, plan)| {
+                    let (live, written) = (names(plan, &plan.live), names(plan, &plan.written));
+                    format!(
+                        "{h} {}/{} [{live}] [{written}]",
+                        plan.live.len(),
+                        plan.names.len()
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(sets(corpus::L2_SWITCH), ["ethernet 1/3 [dstAddr] []"]);
+        assert_eq!(
+            sets(corpus::IPV4_FORWARD),
+            [
+                "ethernet 3/3 [dstAddr srcAddr etherType] [dstAddr srcAddr]",
+                "ipv4 3/12 [version ttl dstAddr] [ttl]",
+            ]
+        );
+        assert_eq!(
+            sets(corpus::ACL_FIREWALL),
+            [
+                "ethernet 1/3 [etherType] []",
+                "ipv4 3/12 [protocol srcAddr dstAddr] []",
+                "ports 1/2 [dstPort] []",
+            ]
+        );
+        assert_eq!(
+            sets(include_str!("../tests/liveness_shapes.p4")),
+            [
+                "outer 1/2 [o] [o]",
+                "a 4/4 [kind n x y] [x y]",
+                "b 3/3 [tag v w] [v w]",
+                "c 1/2 [q] [q]",
+            ]
+        );
+    }
+
     /// For every header of every corpus program, extracting through the
     /// compiled field plans reads what the bit loop reads, and emitting
     /// the extracted values into a zeroed buffer writes what the bit loop
-    /// writes — on random header bytes.
+    /// writes — on random header bytes. What the engine runs, extract of
+    /// the live fields and the written fields stored over a copy of the
+    /// wire bytes, equals a full extract and a full emit of the same
+    /// writes: for the plan's own written set and with every field live
+    /// and written, each written field taking a new value or keeping its own.
     #[test]
     fn header_plans_match_the_bit_loop() {
         use crate::bits::oracle;
@@ -1235,9 +1377,16 @@ mod tests {
                 let what = format!("{}: header {}", prog.name, layout.name);
                 assert_eq!(plan.byte_width * 8, layout.bit_width as usize, "{what}");
                 assert_eq!(plan.fields.len(), layout.fields.len(), "{what}");
+                let every: Vec<usize> = (0..plan.fields.len()).collect();
+                let all_written = HeaderPlan {
+                    live: every.clone(),
+                    written: every,
+                    ..plan.clone()
+                };
                 for _ in 0..32 {
                     let wire: Vec<u8> = (0..plan.byte_width).map(|_| next()).collect();
                     let (mut fast, mut slow) = (vec![0u8; wire.len()], vec![0u8; wire.len()]);
+                    let mut full = Vec::new();
                     for (f, field) in plan.fields.iter().zip(&layout.fields) {
                         let (off, width) = (field.offset_bits as usize, field.width_bits as usize);
                         let value = f.load(&wire);
@@ -1249,10 +1398,37 @@ mod tests {
                         );
                         f.xor_into(&mut fast, value);
                         oracle::write_bits(&mut slow, off, width, value);
+                        full.push(value);
                     }
                     assert_eq!(fast, slow, "{what}: emit");
                     // Fields tile the header, so emission reproduces it.
                     assert_eq!(fast, wire, "{what}: round trip");
+
+                    for plan in [plan, &all_written] {
+                        let mut slots = vec![0u128; full.len()];
+                        plan.load_live(&wire, &mut slots);
+                        let mut written = full.clone();
+                        for (f, (slot, value)) in slots.iter().zip(&full).enumerate() {
+                            let live = plan.live.contains(&f);
+                            assert_eq!(*slot, if live { *value } else { 0 }, "{what}: live load");
+                        }
+                        for &f in &plan.written {
+                            if next() & 1 == 1 {
+                                let new = u128::from_be_bytes(std::array::from_fn(|_| next()));
+                                slots[f] = truncate(new, layout.fields[f].width_bits);
+                            }
+                            written[f] = slots[f];
+                        }
+                        let mut copied = wire.clone();
+                        plan.store_written(&mut copied, &slots);
+                        let mut emitted = vec![0u8; wire.len()];
+                        for (field, value) in layout.fields.iter().zip(&written) {
+                            let (off, width) =
+                                (field.offset_bits as usize, field.width_bits as usize);
+                            oracle::write_bits(&mut emitted, off, width, *value);
+                        }
+                        assert_eq!(copied, emitted, "{what}: copy and patch");
+                    }
                 }
             }
         }

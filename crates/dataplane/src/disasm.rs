@@ -11,6 +11,11 @@
 //! ```text
 //! 0011  field_apply      ethernet[0] dmac -> a0 smac_learn
 //! ```
+//!
+//! Each `extract` lists the fields it loads (every other field stays 0 in
+//! the packet environment), and `finish` the fields deparse stores over
+//! copied headers: `extract ipv4 [version ttl dstAddr]`, `finish writes
+//! ethernet [dstAddr srcAddr] ipv4 [ttl]`.
 
 use crate::compile::{CompiledProgram, OpCode, NO_HIT_LOCAL};
 use core::fmt;
@@ -33,6 +38,13 @@ impl fmt::Display for Disassembly<'_> {
         let cp = self.cp;
         let names = cp.names();
         let hdr = |h: u32| names.headers[h as usize].as_ref();
+        // `ipv4 [version ttl]`: a header's live or its written fields.
+        let fields = |h: usize, written: bool| {
+            let plan = &cp.headers[h];
+            let which = if written { &plan.written } else { &plan.live };
+            let names: Vec<&str> = which.iter().map(|&x| &*plan.names[x]).collect();
+            format!("{} [{}]", hdr(h as u32), names.join(" "))
+        };
         for (pc, op) in cp.code.iter().enumerate() {
             for (aid, &entry) in cp.action_pcs.iter().enumerate() {
                 if entry as usize == pc {
@@ -112,7 +124,9 @@ impl fmt::Display for Disassembly<'_> {
                 OpCode::StateEnter(sid) => {
                     writeln!(f, "{:<17}{}", "state_enter", names.states[sid as usize])?
                 }
-                OpCode::Extract(h) => writeln!(f, "{:<17}{}", "extract", hdr(h))?,
+                OpCode::Extract(h) => {
+                    writeln!(f, "{:<17}{}", "extract", fields(h as usize, false))?
+                }
                 OpCode::Select(sid) => {
                     let sel = &cp.selects[sid as usize];
                     write!(f, "{:<17}nkeys={}", "select", sel.nkeys)?;
@@ -126,7 +140,16 @@ impl fmt::Display for Disassembly<'_> {
                 OpCode::ControlEnter(cid) => {
                     writeln!(f, "{:<17}{}", "control_enter", names.controls[cid as usize])?
                 }
-                OpCode::Finish => writeln!(f, "finish")?,
+                OpCode::Finish => {
+                    let writes =
+                        (0..cp.headers.len()).filter(|&h| !cp.headers[h].written.is_empty());
+                    let writes: Vec<String> = writes.map(|h| fields(h, true)).collect();
+                    if writes.is_empty() {
+                        writeln!(f, "finish")?
+                    } else {
+                        writeln!(f, "{:<17}writes {}", "finish", writes.join(" "))?
+                    }
+                }
                 OpCode::ConstBin(op, w, k) => {
                     writeln!(f, "{:<17}{op:?} w{w} k={k:#x}", "const_bin")?
                 }
@@ -162,7 +185,7 @@ mod tests {
     fn reflector_disassembly_is_pinned() {
         let expected = "\
 0000  state_enter      start
-0001  extract          ethernet
+0001  extract          ethernet [dstAddr srcAddr]
 0002  jump             -> 0004
 0003  reject
 0004  accept
@@ -175,7 +198,7 @@ mod tests {
 0011  store_field      ethernet[1] w48
 0012  load_std         IngressPort
 0013  store_egress_spec
-0014  finish
+0014  finish           writes ethernet [dstAddr srcAddr]
 NoAction:
 0015  return
 ";
@@ -189,7 +212,7 @@ NoAction:
     fn l2_switch_disassembly_is_pinned() {
         let expected = "\
 0000  state_enter      start
-0001  extract          ethernet
+0001  extract          ethernet [dstAddr]
 0002  jump             -> 0004
 0003  reject
 0004  accept
@@ -216,11 +239,11 @@ flood:
     fn ipv4_forward_disassembly_is_pinned() {
         let expected = "\
 0000  state_enter      start
-0001  extract          ethernet
+0001  extract          ethernet [dstAddr srcAddr etherType]
 0002  load_field       ethernet[2]
 0003  select           nkeys=1 [Value(2048)] -> 0004 [Any] -> 0009 default -> 0008
 0004  state_enter      parse_ipv4
-0005  extract          ipv4
+0005  extract          ipv4 [version ttl dstAddr]
 0006  load_field       ipv4[0]
 0007  select           nkeys=1 [Value(4)] -> 0009 [Any] -> 0008 default -> 0008
 0008  reject
@@ -235,7 +258,7 @@ flood:
 0017  field_apply      ipv4[11] ipv4_lpm
 0018  jump             -> 0020
 0019  mark_drop
-0020  finish
+0020  finish           writes ethernet [dstAddr srcAddr] ipv4 [ttl]
 NoAction:
 0021  return
 drop:

@@ -88,10 +88,18 @@ pub enum Engine {
 }
 
 /// Runtime value of one header instance.
+///
+/// Under the compiled engine `fields` holds only what the code touches:
+/// extract loads the header plan's live fields, and every other slot stays
+/// 0, as no code reads it.
 #[derive(Debug, Clone)]
 pub(crate) struct HeaderVal {
     pub(crate) valid: bool,
     pub(crate) fields: Vec<u128>,
+    /// Byte offset of the compiled engine's extract in the ingress frame;
+    /// deparse copies the header from there. `None` before extract and
+    /// after `setInvalid()`, and always under the reference engine.
+    pub(crate) offset: Option<usize>,
 }
 
 /// Per-packet execution environment, shared by both engines.
@@ -130,6 +138,7 @@ impl Env {
                 .map(|h| HeaderVal {
                     valid: false,
                     fields: vec![0; h.fields.len()],
+                    offset: None,
                 })
                 .collect(),
             meta: vec![0; program.metadata.len()],
@@ -151,6 +160,7 @@ impl Env {
     pub(crate) fn reset(&mut self, port: u16, packet_len: usize, now_cycles: u64) {
         for h in &mut self.headers {
             h.valid = false;
+            h.offset = None;
             for f in &mut h.fields {
                 *f = 0;
             }
@@ -967,7 +977,7 @@ impl ExecCtx<'_> {
                 out_bits += prog.headers[hid].bit_width as usize;
             }
         }
-        // As in the compiled engine: zero the header bytes only.
+        // Zero the header bytes only; the payload is written once, by the copy.
         let mut out = Vec::with_capacity(out_bits / 8 + payload.len());
         out.resize(out_bits / 8, 0);
         let mut cursor = 0usize;

@@ -1183,6 +1183,84 @@ proptest! {
     }
 }
 
+/// One generated frame for `liveness_shapes.p4`: `(a.kind, a.n, b.tag,
+/// soup, cut)`. The steering byte comes first and `b.tag` (byte 4) comes
+/// from the installed entries' domain; the frame is then cut to an
+/// arbitrary length, so short, odd-length and mid-header frames all occur.
+type LivenessCase = (u8, u8, u8, Vec<u8>, usize);
+
+fn liveness_case() -> impl Strategy<Value = LivenessCase> {
+    (
+        0u8..4,
+        0u8..8,
+        0u8..4,
+        proptest::collection::vec(any::<u8>(), 0..24),
+        0usize..32,
+    )
+}
+
+fn liveness_frame((kind, n, tag, soup, cut): &LivenessCase) -> Vec<u8> {
+    let mut frame = [&[kind << 4 | n][..], soup].concat();
+    if let Some(b_tag) = frame.get_mut(4) {
+        *b_tag = *tag;
+    }
+    frame.truncate(*cut);
+    frame
+}
+
+/// `liveness_shapes.p4` deployed with `by_tag` entries for `tags`.
+fn liveness_dataplane(tags: &[u8], engine: Engine) -> Dataplane {
+    let ir = netdebug_p4::compile(include_str!("liveness_shapes.p4")).unwrap();
+    let mut dp = Dataplane::new(ir);
+    dp.set_engine(engine);
+    for &tag in tags {
+        // A duplicate key is refused by both engines alike.
+        let _ = dp.install_exact(
+            "by_tag",
+            vec![u128::from(tag)],
+            "mark",
+            vec![0x10 | u128::from(tag)],
+        );
+    }
+    dp
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Engine parity where extract loads only the live fields and deparse
+    /// copies ingress bytes: a field written on one branch, a header
+    /// invalidated and re-validated, encap in front, decap, a deparse
+    /// order unlike the parse order, a slice store and a select key no
+    /// control reads — verdict bytes, traces, table statistics and
+    /// counters identical, single-packet and batched.
+    #[test]
+    fn engines_agree_on_liveness_shapes(
+        frames in proptest::collection::vec((0u16..4, liveness_case()), 1..16),
+        tags in proptest::collection::vec(0u8..4, 0..4),
+        tracing in any::<bool>(),
+    ) {
+        let mut compiled_dp = liveness_dataplane(&tags, Engine::Compiled);
+        let mut reference_dp = liveness_dataplane(&tags, Engine::Reference);
+        let built: Vec<(u16, Vec<u8>)> =
+            frames.iter().map(|(port, case)| (*port, liveness_frame(case))).collect();
+        for (port, data) in &built {
+            let (cv, ct) = compiled_dp.process(*port, data, 0);
+            let (rv, rt) = reference_dp.process(*port, data, 0);
+            prop_assert_eq!(&cv, &rv, "verdict diverged on {:02x?}", data);
+            prop_assert_eq!(&ct, &rt, "trace diverged on {:02x?}", data);
+        }
+        compiled_dp.set_tracing(tracing);
+        reference_dp.set_tracing(tracing);
+        let pkts: Vec<(u16, &[u8])> = built.iter().map(|(p, f)| (*p, f.as_slice())).collect();
+        prop_assert_eq!(
+            compiled_dp.process_batch(&pkts, 0),
+            reference_dp.process_batch(&pkts, 0)
+        );
+        assert_runtime_state_matches(&compiled_dp, &reference_dp)?;
+    }
+}
+
 /// A control-plane thread hammering installs *while* a batch is in
 /// flight: memory-safe, every packet gets a verdict consistent with
 /// *some* published epoch (the pinned one), and the batch after the join
@@ -1458,5 +1536,45 @@ proptest! {
         prop_assert_eq!(&c2, &r2, "post-install window: cache-on vs reference");
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
+    }
+}
+
+proptest! {
+    /// Cache parity on `liveness_shapes.p4`: a hit replays the header bytes
+    /// a miss emitted from copied ingress bytes and built headers alike, so
+    /// the cached default, the cache-off compiled engine and the reference
+    /// agree on a repetitive stream (a small pool, processed twice).
+    #[test]
+    fn flow_cache_parity_on_liveness_shapes(
+        pool in proptest::collection::vec((0u16..4, liveness_case()), 1..6),
+        picks in proptest::collection::vec(any::<u16>(), 1..40),
+        tags in proptest::collection::vec(0u8..4, 0..4),
+        tracing in any::<bool>(),
+    ) {
+        let mut cached_dp = liveness_dataplane(&tags, Engine::Compiled);
+        let mut uncached_dp = liveness_dataplane(&tags, Engine::Compiled);
+        uncached_dp.set_flow_cache(false);
+        let mut reference_dp = liveness_dataplane(&tags, Engine::Reference);
+        prop_assert!(cached_dp.flow_cache_enabled(), "liveness_shapes is cacheable");
+        for dp in [&mut cached_dp, &mut uncached_dp, &mut reference_dp] {
+            dp.set_tracing(tracing);
+        }
+        let built: Vec<(u16, Vec<u8>)> =
+            pool.iter().map(|(port, case)| (*port, liveness_frame(case))).collect();
+        let pkts: Vec<(u16, &[u8])> = picks
+            .iter()
+            .map(|ix| {
+                let (port, frame) = &built[usize::from(*ix) % built.len()];
+                (*port, frame.as_slice())
+            })
+            .collect();
+        for round in 0..2u64 {
+            let c = cached_dp.process_batch(&pkts, round);
+            prop_assert_eq!(&c, &uncached_dp.process_batch(&pkts, round), "cache-on vs cache-off");
+            prop_assert_eq!(&c, &reference_dp.process_batch(&pkts, round), "cache-on vs reference");
+        }
+        assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
+        assert_runtime_state_matches(&cached_dp, &reference_dp)?;
+        prop_assert!(cached_dp.cache_stats().hits > 0, "the second round replays");
     }
 }

@@ -9,8 +9,11 @@
 //! LPM apply and a four-field rewrite — sweeping {reference, compiled} ×
 //! {traced, untraced} `process_batch`, the single-packet
 //! `process_untraced` path and the streaming traced path
-//! (`process_batch_with` + a stage-walking sink, i.e. what a device tap
-//! actually runs). Numbers land in `BENCH_dispatch.json`.
+//! (`process_batch_with` + a sink that walks each trace's stage lane,
+//! i.e. what a device tap actually runs). The bed's one frame repeats, so
+//! the compiled rows are flow-cache hits, and a streamed hit's stage lane
+//! is read in place from its cache entry. Numbers land in
+//! `BENCH_dispatch.json`.
 //!
 //! Smoke assertions:
 //! * on `ipv4_forward` (the engines are far enough apart there that a
@@ -18,6 +21,10 @@
 //!   the reference engine's untraced batch throughput, and **≥ 1.5×** its
 //!   streamed traced one (the flat trace buffer is what buys the traced
 //!   edge);
+//! * on both programs, the compiled streamed traced path — the tap path —
+//!   must sustain **≥ 1.0×** compiled untraced `process_batch`: a tap
+//!   that reads only the stage lane costs less than materialising the
+//!   batch's result vector, so a tap that walks the records again fails;
 //! * on `l2_switch`, absolute floors — untraced ≥ 7 Mpps, streamed traced
 //!   ≥ 3.4 Mpps — pin the regression budget in packets, not ratios.
 
@@ -60,8 +67,8 @@ fn beds() -> [Bed; 2] {
     ]
 }
 
-/// What a device tap does per packet: walk the lazy trace's state/table
-/// stage ids without ever decoding it. Keeps the consumer honest
+/// What a device tap does per packet: walk the lazy trace's stage lane
+/// without ever decoding it. Keeps the consumer honest
 /// — the streamed row measures trace *production and inspection*, not a
 /// discarded buffer.
 struct StageCountSink {
@@ -181,6 +188,17 @@ fn main() -> ExitCode {
         materialized >= 0.95,
         measured,
     );
+    // The tap path against the untraced batch, compiled, on both beds.
+    for (name, rates) in [("l2_switch", l2_compiled), ("ipv4_forward", compiled)] {
+        let (s, u) = (rates[STREAMED], rates[UNTRACED]);
+        report.gate(
+            &format!(
+                "compiled streamed traced (a device tap) >= 1.0x compiled untraced process_batch ({name})"
+            ),
+            s >= u,
+            format!("{s:.0} vs {u:.0} pps ({:.2}x)", s / u),
+        );
+    }
     report.gate(
         "l2_switch untraced floor: >= 7 Mpps",
         l2_compiled[UNTRACED] >= 7_000_000.0,

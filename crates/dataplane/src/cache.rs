@@ -35,8 +35,11 @@
 //!   payload split point, plus the verdict and output header bytes
 //!   derived from the returned [`Verdict`]. A hit replays those without
 //!   entering the interpreter loop. Traced packets store the flat trace
-//!   record bytes too, so `LazyTrace` consumers of a cached hit decode
-//!   the identical event stream.
+//!   too — record lane then stage lane, in the one vector, split at a
+//!   `u32` offset — and a traced hit hands that stored trace to its
+//!   `LazyTrace` in place, without copying it into the trace buffer, so
+//!   consumers of a cached hit decode the identical event stream and a
+//!   tap walks the identical stage path.
 //!
 //! Programs whose verdicts read meter/register state or the ingress
 //! timestamp, and programs whose parser can loop (so no finite key
@@ -46,7 +49,7 @@
 
 use crate::externs::ExternState;
 use crate::table::{FxHasher, TableStats};
-use crate::trace::{DropReason, TraceBuf, Verdict};
+use crate::trace::{DropReason, TraceBytes, Verdict};
 use std::hash::Hasher;
 
 /// Flow-cache observability counters ([`crate::Dataplane::cache_stats`]).
@@ -113,9 +116,13 @@ struct Outcome {
     applies: Vec<(u32, bool)>,
     /// `(counter id, cell index)` replays into the extern state.
     counters: Vec<(u32, u64)>,
-    /// Flat trace record bytes (including the final-verdict record),
-    /// present only when the entry was recorded on a traced path.
+    /// The flat trace (including the final-verdict record), present only
+    /// when the entry was recorded on a traced path: the record lane, then
+    /// the stage lane, in one allocation.
     trace: Option<Vec<u8>>,
+    /// Where the stage lane starts in `trace`. A `u32` sits in the padding
+    /// after `kind`, so an entry is no larger than with the records alone.
+    trace_split: u32,
 }
 
 /// One resident flow: its key and what to replay for it.
@@ -144,6 +151,7 @@ impl Entry {
                 applies: Vec::new(),
                 counters: Vec::new(),
                 trace: None,
+                trace_split: 0,
             },
         }
     }
@@ -256,10 +264,11 @@ impl FlowCache {
     }
 
     /// Probe for `(port, frame)`. A hit replays the memoized outcome
-    /// into the mutable runtime state and returns the verdict; `None` is
-    /// a miss (the caller runs the engine with `self.scratch` recording
-    /// and then calls [`FlowCache::commit`]). A traced lookup of an
-    /// entry recorded untraced is a miss — the re-run re-records the
+    /// into the mutable runtime state and returns the verdict plus the hit
+    /// entry's arena position (its trace is [`FlowCache::trace`] of it);
+    /// `None` is a miss (the caller runs the engine with `self.scratch`
+    /// recording and then calls [`FlowCache::commit`]). A traced lookup of
+    /// an entry recorded untraced is a miss — the re-run re-records the
     /// entry with its trace bytes, so tracing consumers never observe a
     /// degraded event stream.
     pub(crate) fn lookup(
@@ -269,31 +278,27 @@ impl FlowCache {
         tracing: bool,
         table_stats: &mut [TableStats],
         externs: &mut ExternState,
-        buf: &mut TraceBuf,
-    ) -> Option<Verdict> {
+    ) -> Option<(Verdict, usize)> {
         let key = self.key_of(data);
         let hash = Self::hash_key(port, data.len(), key);
         let slot = (hash as usize) & (self.index.len() - 1);
         self.last_hash = hash;
         self.last_slot = slot;
-        let resident = match self.index[slot] {
-            0 => None,
-            at => Some(&self.arena[at as usize - 1]),
-        }
-        .filter(|e| {
-            e.hash == hash
-                && e.port == port
-                && e.len as usize == data.len()
-                && e.key.as_slice() == key
-        });
+        let resident = (self.index[slot] as usize)
+            .checked_sub(1)
+            .map(|at| (at, &self.arena[at]))
+            .filter(|(_, e)| {
+                e.hash == hash
+                    && e.port == port
+                    && e.len as usize == data.len()
+                    && e.key.as_slice() == key
+            });
         // A traced hit needs the trace bytes too: an entry recorded
         // untraced is resident but not a hit (re-record with trace).
-        let hit = match resident {
-            Some(e) if tracing => e.outcome.trace.as_deref().map(|t| (&e.outcome, Some(t))),
-            Some(e) => Some((&e.outcome, None)),
-            None => None,
-        };
-        let Some((outcome, trace)) = hit else {
+        let Some((at, outcome)) = resident
+            .map(|(at, e)| (at, &e.outcome))
+            .filter(|(_, o)| !tracing || o.trace.is_some())
+        else {
             self.misses += 1;
             self.install = resident.is_some() || self.tags[slot] == hash;
             self.tags[slot] = hash;
@@ -307,10 +312,6 @@ impl FlowCache {
         for &(id, idx) in &outcome.counters {
             externs.counter_inc(id as usize, idx as usize, data.len());
         }
-        match trace {
-            Some(bytes) => buf.load(bytes),
-            None => buf.clear(),
-        }
         let rebuild = |header: &[u8], payload_start: usize| {
             let payload = &data[payload_start..];
             let mut out = Vec::with_capacity(header.len() + payload.len());
@@ -318,7 +319,7 @@ impl FlowCache {
             out.extend_from_slice(payload);
             out
         };
-        Some(match outcome.kind {
+        let verdict = match outcome.kind {
             OutcomeKind::Drop(reason) => Verdict::Drop(reason),
             OutcomeKind::Forward(p) => Verdict::Forward {
                 port: p,
@@ -327,7 +328,22 @@ impl FlowCache {
             OutcomeKind::Flood => Verdict::Flood {
                 data: rebuild(&outcome.header, outcome.payload_start),
             },
-        })
+        };
+        Some((verdict, at))
+    }
+
+    /// The trace stored in the entry at arena position `at` (as a
+    /// [`FlowCache::lookup`] hit returns it), read in place; empty for an
+    /// entry recorded untraced.
+    pub(crate) fn trace(&self, at: usize) -> TraceBytes<'_> {
+        let outcome = &self.arena[at].outcome;
+        match &outcome.trace {
+            Some(stored) => {
+                let (records, lane) = stored.split_at(outcome.trace_split as usize);
+                TraceBytes { records, lane }
+            }
+            None => TraceBytes::default(),
+        }
     }
 
     /// The recording buffers for the engine run that follows a miss.
@@ -347,14 +363,14 @@ impl FlowCache {
     /// hash and slot are carried over). First-time misses are filtered
     /// to a tag write in `lookup` and return without installing; a key's
     /// second miss overwrites the slot's entry (direct-mapped), reusing
-    /// its buffers. `trace` carries the packet's flat trace record bytes
-    /// when the run was traced.
+    /// its buffers. `trace` carries the packet's flat trace (records and
+    /// stage lane) when the run was traced.
     pub(crate) fn commit<'v>(
         &mut self,
         port: u16,
         data: &[u8],
         verdict: &'v Verdict,
-        trace: Option<&[u8]>,
+        trace: Option<TraceBytes<'_>>,
     ) {
         if !self.install {
             return;
@@ -397,13 +413,16 @@ impl FlowCache {
         out.applies.extend_from_slice(&rec.applies);
         out.counters.clear();
         out.counters.extend_from_slice(&rec.counters);
-        match (trace, &mut out.trace) {
-            (Some(bytes), Some(stored)) => {
+        match trace {
+            Some(t) => {
+                let stored = out.trace.get_or_insert_with(Vec::new);
                 stored.clear();
-                stored.extend_from_slice(bytes);
+                stored.reserve_exact(t.records.len() + t.lane.len());
+                stored.extend_from_slice(t.records);
+                stored.extend_from_slice(t.lane);
+                out.trace_split = t.records.len() as u32;
             }
-            (Some(bytes), stored @ None) => *stored = Some(bytes.to_vec()),
-            (None, stored) => *stored = None,
+            None => out.trace = None,
         }
     }
 }
@@ -420,13 +439,10 @@ mod tests {
         // Fake an occupied slot through the public surface: a miss + commit.
         let mut stats: Vec<TableStats> = vec![];
         let mut ext = ExternState::new(&[]);
-        let mut buf = TraceBuf::default();
         let frame = [0u8; 32];
         // First miss only arms the tag filter; the second installs.
         for _ in 0..2 {
-            assert!(c
-                .lookup(0, &frame, false, &mut stats, &mut ext, &mut buf)
-                .is_none());
+            assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_none());
             c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         }
         assert_eq!(c.stats().occupancy, 1);
@@ -443,12 +459,9 @@ mod tests {
         let mut c = FlowCache::new(4);
         let mut stats: Vec<TableStats> = vec![TableStats::default()];
         let mut ext = ExternState::new(&[]);
-        let mut buf = TraceBuf::default();
         let a = [1u8, 2, 3, 4, 0xAA, 0xBB];
         for _ in 0..2 {
-            assert!(c
-                .lookup(7, &a, false, &mut stats, &mut ext, &mut buf)
-                .is_none());
+            assert!(c.lookup(7, &a, false, &mut stats, &mut ext).is_none());
             c.record().payload_start = 4;
             c.record().applies.push((0, true));
             c.commit(
@@ -463,9 +476,7 @@ mod tests {
         }
         // Same key, different payload: the hit splices the live bytes.
         let b = [1u8, 2, 3, 4, 0xCC, 0xDD];
-        let v = c
-            .lookup(7, &b, false, &mut stats, &mut ext, &mut buf)
-            .expect("hit");
+        let (v, _) = c.lookup(7, &b, false, &mut stats, &mut ext).expect("hit");
         assert_eq!(
             v,
             Verdict::Forward {
@@ -476,12 +487,8 @@ mod tests {
         assert_eq!(stats[0].hits, 1, "apply replayed into table stats");
         assert_eq!(c.stats().hits, 1);
         // Different port or length: miss.
-        assert!(c
-            .lookup(8, &b, false, &mut stats, &mut ext, &mut buf)
-            .is_none());
-        assert!(c
-            .lookup(7, &b[..5], false, &mut stats, &mut ext, &mut buf)
-            .is_none());
+        assert!(c.lookup(8, &b, false, &mut stats, &mut ext).is_none());
+        assert!(c.lookup(7, &b[..5], false, &mut stats, &mut ext).is_none());
     }
 
     #[test]
@@ -489,31 +496,40 @@ mod tests {
         let mut c = FlowCache::new(2);
         let mut stats: Vec<TableStats> = vec![];
         let mut ext = ExternState::new(&[]);
-        let mut buf = TraceBuf::default();
         let frame = [5u8, 6, 7];
         for _ in 0..2 {
-            assert!(c
-                .lookup(0, &frame, false, &mut stats, &mut ext, &mut buf)
-                .is_none());
+            assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_none());
             c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         }
         // Untraced hit works…
-        assert!(c
-            .lookup(0, &frame, false, &mut stats, &mut ext, &mut buf)
-            .is_some());
+        assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_some());
         // …but a traced probe must re-run to capture the event stream.
-        assert!(c
-            .lookup(0, &frame, true, &mut stats, &mut ext, &mut buf)
-            .is_none());
-        c.commit(
-            0,
-            &frame,
-            &Verdict::Drop(DropReason::NoEgress),
-            Some(&[1, 2, 3, 4]),
-        );
-        assert!(c
-            .lookup(0, &frame, true, &mut stats, &mut ext, &mut buf)
-            .is_some());
+        assert!(c.lookup(0, &frame, true, &mut stats, &mut ext).is_none());
+        let trace = TraceBytes {
+            records: &[1, 2, 3, 4],
+            lane: &[5, 6, 7, 8],
+        };
+        c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), Some(trace));
+        let (_, at) = c
+            .lookup(0, &frame, true, &mut stats, &mut ext)
+            .expect("traced hit");
+        // The hit's trace is read where the entry stores it, split back
+        // into its two lanes.
+        let stored = c.trace(at);
+        assert_eq!((stored.records, stored.lane), (trace.records, trace.lane));
+        // An untraced re-record drops the stored trace.
+        c.install = true;
+        c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
+        assert!(c.trace(at).records.is_empty() && c.trace(at).lane.is_empty());
+    }
+
+    /// A stored trace costs its entry no size: the lane split point lives
+    /// in `Outcome`'s padding, and the lanes share one allocation.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn the_lane_split_does_not_grow_an_entry() {
+        assert_eq!(std::mem::size_of::<Outcome>(), 112);
+        assert_eq!(std::mem::size_of::<Entry>(), 152);
     }
 
     #[test]
@@ -521,12 +537,9 @@ mod tests {
         let mut c = FlowCache::new(1);
         let mut stats: Vec<TableStats> = vec![];
         let mut ext = ExternState::new(&[]);
-        let mut buf = TraceBuf::default();
         let hot = [0xA0u8, 0, 0];
         for _ in 0..2 {
-            assert!(c
-                .lookup(0, &hot, false, &mut stats, &mut ext, &mut buf)
-                .is_none());
+            assert!(c.lookup(0, &hot, false, &mut stats, &mut ext).is_none());
             c.commit(0, &hot, &Verdict::Drop(DropReason::NoEgress), None);
         }
         assert_eq!(c.stats().occupancy, 1);
@@ -535,26 +548,19 @@ mod tests {
         // hot key keeps hitting even if a one-off collides with its slot.
         for b in 0u8..32 {
             let frame = [b, 1, 2];
-            assert!(c
-                .lookup(0, &frame, false, &mut stats, &mut ext, &mut buf)
-                .is_none());
+            assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_none());
             assert!(!c.will_install());
             c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         }
         assert_eq!(c.stats().occupancy, 1);
-        assert!(c
-            .lookup(0, &hot, false, &mut stats, &mut ext, &mut buf)
-            .is_some());
+        assert!(c.lookup(0, &hot, false, &mut stats, &mut ext).is_some());
     }
 
     /// Miss on `frame` with a `Forward` verdict to `out_port` until the
     /// tag filter lets it in.
     fn install(c: &mut FlowCache, frame: &[u8], out_port: u16) {
-        let (mut stats, mut ext, mut buf) = (vec![], ExternState::new(&[]), TraceBuf::default());
-        while c
-            .lookup(0, frame, false, &mut stats, &mut ext, &mut buf)
-            .is_none()
-        {
+        let (mut stats, mut ext) = (vec![], ExternState::new(&[]));
+        while c.lookup(0, frame, false, &mut stats, &mut ext).is_none() {
             c.commit(
                 0,
                 frame,
@@ -568,8 +574,9 @@ mod tests {
     }
 
     fn probe(c: &mut FlowCache, frame: &[u8]) -> Option<Verdict> {
-        let (mut stats, mut ext, mut buf) = (vec![], ExternState::new(&[]), TraceBuf::default());
-        c.lookup(0, frame, false, &mut stats, &mut ext, &mut buf)
+        let (mut stats, mut ext) = (vec![], ExternState::new(&[]));
+        c.lookup(0, frame, false, &mut stats, &mut ext)
+            .map(|(v, _)| v)
     }
 
     #[test]

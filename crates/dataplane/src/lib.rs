@@ -225,6 +225,45 @@ mod tests {
         assert_eq!(dp.cache_stats().occupancy, 0);
     }
 
+    /// A flow-cache hit's trace is read in place from its entry for that
+    /// packet only: whatever path the next packet takes — the reference
+    /// engine, which skips the cache, or a traced miss after an untraced
+    /// hit — its trace is its own.
+    #[test]
+    fn a_hit_trace_never_outlives_its_packet() {
+        let hot = ipv4_frame(Ipv4Address::new(10, 1, 2, 3), 64);
+        let mut rejected = hot.clone();
+        rejected[14] = 0x55;
+        let missed = ipv4_frame(Ipv4Address::new(192, 168, 0, 1), 64);
+        let own = |frame: &[u8]| {
+            let mut dp = router();
+            dp.set_engine(Engine::Reference);
+            dp.process(0, frame, 0).1
+        };
+        let mut dp = router();
+        for _ in 0..2 {
+            dp.process(0, &hot, 0);
+        }
+        // 1. A traced hit.
+        let hits = dp.cache_stats().hits;
+        assert_eq!(dp.process(0, &hot, 0).1, own(&hot));
+        assert_eq!(dp.cache_stats().hits, hits + 1);
+        // 2-3. The reference engine skips the cache; its trace is its own.
+        dp.set_engine(Engine::Reference);
+        assert_eq!(dp.process(0, &rejected, 0).1, own(&rejected));
+        // 4. An untraced hit has no trace.
+        dp.set_engine(Engine::Compiled);
+        dp.set_tracing(false);
+        assert_eq!(dp.process_batch(&[(0, &hot)], 0)[0].1, None);
+        assert_eq!(dp.cache_stats().hits, hits + 2);
+        // 5. A traced miss records its own.
+        dp.set_tracing(true);
+        let misses = dp.cache_stats().misses;
+        let traced = dp.process_batch(&[(0, &missed)], 0);
+        assert_eq!(traced[0].1, Some(own(&missed)));
+        assert_eq!(dp.cache_stats().misses, misses + 1);
+    }
+
     #[test]
     fn acl_firewall_ternary_rules() {
         let ir = netdebug_p4::compile(corpus::ACL_FIREWALL).unwrap();

@@ -14,11 +14,16 @@
 //! `TraceBuf`: a **flat binary event buffer** of `u32`-tagged
 //! little-endian records appended to one reused `Vec<u8>` per packet, so
 //! recording an event writes a few words instead of constructing an enum
-//! (no `Arc` clone, no key-vector clone, no `String`). A [`LazyTrace`]
-//! borrows that buffer plus the program's interned name tables and decodes
-//! to [`TraceEvent`]s **only when a consumer actually inspects it** — a
-//! [`TraceSink`] that just counts stages iterates the records without ever
-//! materialising a `Trace`.
+//! (no `Arc` clone, no key-vector clone, no `String`). The buffer has two
+//! lanes. The **records** lane holds every event in order. The **stage
+//! lane** holds the packet's stage path: one `u32` word per parser state
+//! entered or table applied, the id a state or table record would
+//! otherwise carry. Each id is stored once, in the lane; a record reads
+//! its id back from there. A [`LazyTrace`] borrows both lanes — from the
+//! buffer, or from the flow-cache entry a hit replays — plus the program's
+//! interned name tables, and decodes to [`TraceEvent`]s **only when a
+//! consumer actually inspects it**: a [`TraceSink`] that just counts
+//! stages walks the stage lane without touching a record.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -310,55 +315,78 @@ const TAG_EXIT: u32 = 7;
 const TAG_EMIT: u32 = 8;
 const TAG_FINAL: u32 = 9;
 
+/// Set in a stage-lane word that names a table; clear for a parser state.
+const LANE_TABLE: u32 = 1 << 31;
+
 /// The flat binary event buffer both engines record into on traced paths.
 ///
-/// Records are `u32`-tagged little-endian words appended to one reused
-/// `Vec<u8>`; table keys are inlined as 16-byte words. Recording an event
-/// is a bounds-checked `extend_from_slice` of a few words — no enum
-/// construction, no `Arc` clone, no per-event allocation once the buffer
-/// has grown to its packet-lifetime high-water mark. Decode to semantic
-/// [`TraceEvent`]s through [`LazyTrace`].
+/// Two lanes of little-endian words, each one reused `Vec<u8>`:
+///
+/// * `records` — every event, `u32`-tagged, in execution order; table
+///   keys are inlined as 16-byte words. A `TAG_STATE` record is the tag
+///   alone, and a `TAG_TABLE` record carries no table id: both ids live
+///   in the stage lane.
+/// * `lane` — the stage path: one `u32` per state or table record, in
+///   the same order. A state word is its IR id; a table word is its IR
+///   id with bit 31 ([`LANE_TABLE`]) set.
+///
+/// Recording an event is a bounds-checked `extend_from_slice` of a few
+/// words — no enum construction, no `Arc` clone, no per-event allocation
+/// once the lanes have grown to their packet-lifetime high-water marks.
+/// Decode to semantic [`TraceEvent`]s through [`LazyTrace`].
 #[derive(Debug, Default)]
 pub(crate) struct TraceBuf {
-    bytes: Vec<u8>,
+    records: Vec<u8>,
+    lane: Vec<u8>,
+}
+
+/// Where one packet's trace lives: its records and its stage lane, as
+/// [`TraceBuf`] lays them out. Borrowed from the buffer, or from the
+/// flow-cache entry a hit replays; the default is the empty trace.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct TraceBytes<'a> {
+    pub(crate) records: &'a [u8],
+    pub(crate) lane: &'a [u8],
 }
 
 impl TraceBuf {
-    /// Forget the previous packet's records, keeping the allocation.
+    /// Forget the previous packet's records, keeping the allocations.
     #[inline]
     pub(crate) fn clear(&mut self) {
-        self.bytes.clear();
+        self.records.clear();
+        self.lane.clear();
     }
 
-    /// The raw record bytes of the current packet (the flow cache stores
-    /// these verbatim so a cached hit replays the exact event stream).
+    /// The current packet's records and stage lane (the flow cache stores
+    /// them verbatim so a cached hit replays the exact event stream).
     #[inline]
-    pub(crate) fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Replace the buffer contents with previously captured record
-    /// bytes, reusing the allocation (the flow-cache hit path).
-    #[inline]
-    pub(crate) fn load(&mut self, bytes: &[u8]) {
-        self.bytes.clear();
-        self.bytes.extend_from_slice(bytes);
+    pub(crate) fn bytes(&self) -> TraceBytes<'_> {
+        TraceBytes {
+            records: &self.records,
+            lane: &self.lane,
+        }
     }
 
     #[inline]
     fn word(&mut self, w: u32) {
-        self.bytes.extend_from_slice(&w.to_le_bytes());
+        self.records.extend_from_slice(&w.to_le_bytes());
     }
 
     #[inline]
     fn wide(&mut self, v: u128) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.records.extend_from_slice(&v.to_le_bytes());
+    }
+
+    #[inline]
+    fn stage(&mut self, w: u32) {
+        self.lane.extend_from_slice(&w.to_le_bytes());
     }
 
     #[inline]
     pub(crate) fn state(&mut self, sid: u32) {
+        debug_assert!(sid < LANE_TABLE, "parser state id {sid} overflows the lane");
         self.word(TAG_STATE);
-        self.word(sid);
+        self.stage(sid);
     }
 
     #[inline]
@@ -386,8 +414,9 @@ impl TraceBuf {
 
     #[inline]
     pub(crate) fn table(&mut self, tid: u32, aid: u32, hit: bool, keys: &[u128]) {
+        debug_assert!(tid < LANE_TABLE, "table id {tid} overflows the lane");
         self.word(TAG_TABLE);
-        self.word(tid);
+        self.stage(tid | LANE_TABLE);
         self.word(aid);
         self.word(hit as u32);
         self.word(keys.len() as u32);
@@ -469,6 +498,18 @@ pub enum Stage {
     Table(u32),
 }
 
+impl Stage {
+    /// The stage a [`TraceBuf`] lane word names.
+    #[inline]
+    fn from_lane(word: u32) -> Stage {
+        if word & LANE_TABLE != 0 {
+            Stage::Table(word & !LANE_TABLE)
+        } else {
+            Stage::State(word)
+        }
+    }
+}
+
 /// One parsed record of a [`TraceBuf`]; table keys stay in the buffer
 /// (offset + count) so walking records allocates nothing.
 #[derive(Clone, Copy)]
@@ -491,10 +532,24 @@ enum Rec {
     Final(VerdictSummary),
 }
 
-/// Zero-allocation walker over the records of a [`TraceBuf`].
+/// Zero-allocation walker over the records of a [`TraceBuf`]. A state or
+/// table record takes its id from the next stage-lane word, so the walk
+/// advances both lanes in step.
 struct Records<'a> {
     bytes: &'a [u8],
     off: usize,
+    lane: &'a [u8],
+    lane_off: usize,
+}
+
+impl Records<'_> {
+    /// The id the next stage-lane word carries.
+    #[inline]
+    fn lane_id(&mut self) -> u32 {
+        let word = u32_at(self.lane, self.lane_off);
+        self.lane_off += 4;
+        word & !LANE_TABLE
+    }
 }
 
 impl Iterator for Records<'_> {
@@ -507,11 +562,7 @@ impl Iterator for Records<'_> {
         let tag = u32_at(self.bytes, self.off);
         self.off += 4;
         let rec = match tag {
-            TAG_STATE => {
-                let sid = u32_at(self.bytes, self.off);
-                self.off += 4;
-                Rec::State(sid)
-            }
+            TAG_STATE => Rec::State(self.lane_id()),
             TAG_EXTRACT => {
                 let hid = u32_at(self.bytes, self.off);
                 let at = u32_at(self.bytes, self.off + 4);
@@ -526,11 +577,11 @@ impl Iterator for Records<'_> {
                 Rec::Control(cid)
             }
             TAG_TABLE => {
-                let tid = u32_at(self.bytes, self.off);
-                let aid = u32_at(self.bytes, self.off + 4);
-                let hit = u32_at(self.bytes, self.off + 8) != 0;
-                let nkeys = u32_at(self.bytes, self.off + 12);
-                let keys_off = self.off + 16;
+                let tid = self.lane_id();
+                let aid = u32_at(self.bytes, self.off);
+                let hit = u32_at(self.bytes, self.off + 4) != 0;
+                let nkeys = u32_at(self.bytes, self.off + 8);
+                let keys_off = self.off + 12;
                 self.off = keys_off + nkeys as usize * 16;
                 Rec::Table {
                     tid,
@@ -567,39 +618,39 @@ impl Iterator for Records<'_> {
     }
 }
 
-/// A borrowed, undecoded per-packet trace: the flat record buffer plus the
-/// program's interned name tables.
+/// A borrowed, undecoded per-packet trace: the flat record lane and stage
+/// lane (from the trace buffer, or in place in the flow-cache entry a hit
+/// replays) plus the program's interned name tables.
 ///
 /// This is what a [`TraceSink`] observes on the streaming batch path.
-/// Consumers that only need counts or stage ids iterate the records in
-/// place ([`LazyTrace::stages`]) without allocating or touching a name;
-/// consumers that keep the trace decode it ([`LazyTrace::decode`]) into a
-/// semantic [`Trace`], pre-sized exactly from the record count. Decoding
-/// is the only point that clones name `Arc`s or allocates key vectors —
-/// the recording engines never do.
+/// Consumers that only need the stage path walk the stage lane
+/// ([`LazyTrace::stages`]) without reading a record, allocating or
+/// touching a name; consumers that keep the trace decode it
+/// ([`LazyTrace::decode`]) into a semantic [`Trace`], pre-sized exactly
+/// from the record count. Decoding is the only point that clones name
+/// `Arc`s or allocates key vectors — the recording engines never do.
 pub struct LazyTrace<'a> {
-    bytes: &'a [u8],
+    bytes: TraceBytes<'a>,
     names: &'a TraceTables,
 }
 
 impl<'a> LazyTrace<'a> {
-    pub(crate) fn over(buf: &'a TraceBuf, names: &'a TraceTables) -> LazyTrace<'a> {
-        LazyTrace {
-            bytes: &buf.bytes,
-            names,
-        }
+    pub(crate) fn over(bytes: TraceBytes<'a>, names: &'a TraceTables) -> LazyTrace<'a> {
+        LazyTrace { bytes, names }
     }
 
     fn records(&self) -> Records<'a> {
         Records {
-            bytes: self.bytes,
+            bytes: self.bytes.records,
             off: 0,
+            lane: self.bytes.lane,
+            lane_off: 0,
         }
     }
 
     /// True when no events were recorded (tracing disabled).
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.bytes.records.is_empty()
     }
 
     /// Number of recorded events (one walk over the records, no decode).
@@ -621,13 +672,13 @@ impl<'a> LazyTrace<'a> {
     }
 
     /// The parser states entered and tables applied, in execution order,
-    /// by IR id — one walk over the records, no decode, no name lookup.
+    /// by IR id — one walk over the stage lane, one word per stage; no
+    /// record is read, nothing is decoded, no name is looked up.
     pub fn stages(&self) -> impl Iterator<Item = Stage> + 'a {
-        self.records().filter_map(|r| match r {
-            Rec::State(sid) => Some(Stage::State(sid)),
-            Rec::Table { tid, .. } => Some(Stage::Table(tid)),
-            _ => None,
-        })
+        self.bytes
+            .lane
+            .chunks_exact(4)
+            .map(|w| Stage::from_lane(u32::from_le_bytes(w.try_into().expect("lane word"))))
     }
 
     /// Decode into a freshly allocated [`Trace`], sized exactly.
@@ -657,7 +708,7 @@ impl<'a> LazyTrace<'a> {
                 } => TraceEvent::TableApply {
                     table: names.tables[tid as usize].clone(),
                     keys: (0..nkeys as usize)
-                        .map(|k| u128_at(self.bytes, keys_off + 16 * k))
+                        .map(|k| u128_at(self.bytes.records, keys_off + 16 * k))
                         .collect(),
                     hit,
                     action: names.actions[aid as usize].clone(),
@@ -679,18 +730,21 @@ impl<'a> LazyTrace<'a> {
 /// `Dataplane::process_batch_with` records each packet's events into **one
 /// reused flat buffer** and hands the sink the packet's [`Verdict`] — by
 /// value, the moment it is produced: the sink owns it, egress frame
-/// included — with that buffer as an undecoded [`LazyTrace`]. Nothing of a
-/// batch outlives its packet unless the sink keeps it, so traced batch
-/// runs allocate nothing per packet beyond the output frame: tap
-/// accounting and counters can walk the records in place, checkers and log
-/// writers call [`LazyTrace::decode`] when they need the semantic events.
+/// included — with its trace as an undecoded [`LazyTrace`]: over that
+/// buffer, or, for a flow-cache hit, over the trace stored in the hit
+/// entry, read in place. Nothing of a batch outlives its packet unless the
+/// sink keeps it, so traced batch runs allocate nothing per packet beyond
+/// the output frame: tap accounting walks the stage lane in place,
+/// checkers and log writers call [`LazyTrace::decode`] when they need the
+/// semantic events.
 pub trait TraceSink {
     /// Observe packet `index`'s verdict and (undecoded) trace, before the
     /// next packet of the batch executes.
     ///
     /// The borrow is only valid for the duration of the call — the buffer
-    /// is cleared and reused for the next packet. When tracing is disabled
-    /// on the data plane the trace is empty.
+    /// is cleared and reused for the next packet, and a cache entry may be
+    /// overwritten by it. When tracing is disabled on the data plane the
+    /// trace is empty.
     fn observe(&mut self, index: usize, verdict: Verdict, trace: &LazyTrace<'_>);
 }
 
@@ -794,7 +848,12 @@ mod tests {
             data: vec![0; 33],
         });
 
-        let lazy = LazyTrace::over(&buf, &names);
+        // Each of the three stage ids is one lane word instead of one
+        // record word: the two lanes together are the size the records
+        // would have been with the ids inline.
+        assert_eq!((buf.records.len(), buf.lane.len()), (124, 12));
+
+        let lazy = LazyTrace::over(buf.bytes(), &names);
         assert!(!lazy.is_empty());
         assert_eq!(lazy.event_count(), 11);
         assert!(!lazy.parser_rejected());
@@ -827,11 +886,20 @@ mod tests {
             }
         );
 
+        // The same lanes stored elsewhere (a cache entry keeps records then
+        // lane in one vector) read back the identical trace.
+        let stored = [buf.records.as_slice(), &buf.lane].concat();
+        let (records, lane) = stored.split_at(buf.records.len());
+        let moved = LazyTrace::over(TraceBytes { records, lane }, &names);
+        assert!(moved.stages().eq(lazy.stages()));
+        assert_eq!(moved.decode(), t);
+
         // A cleared buffer is an empty trace.
         buf.clear();
-        let lazy = LazyTrace::over(&buf, &names);
+        let lazy = LazyTrace::over(buf.bytes(), &names);
         assert!(lazy.is_empty());
         assert_eq!(lazy.event_count(), 0);
+        assert_eq!(lazy.stages().count(), 0);
         assert_eq!(lazy.decode(), Trace::default());
     }
 
@@ -845,7 +913,7 @@ mod tests {
         buf.state(0);
         buf.reject();
         buf.final_verdict(&Verdict::Drop(DropReason::PacketTooShort));
-        let lazy = LazyTrace::over(&buf, &names);
+        let lazy = LazyTrace::over(buf.bytes(), &names);
         assert!(lazy.parser_rejected());
         assert_eq!(
             lazy.final_verdict(),

@@ -1,7 +1,8 @@
 //! Property-based tests for the reference interpreter.
 
 use netdebug_dataplane::{
-    lpm_pattern, Dataplane, Engine, EntrySnapshot, MeterConfig, RuntimeEntry, TableState, Verdict,
+    lpm_pattern, Dataplane, Engine, EntrySnapshot, LazyTrace, MeterConfig, RuntimeEntry, Stage,
+    TableState, Trace, TraceEvent, TraceSink, Verdict,
 };
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::corpus;
@@ -1576,5 +1577,121 @@ proptest! {
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
         prop_assert!(cached_dp.cache_stats().hits > 0, "the second round replays");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The stage lane: what a device tap reads
+// ---------------------------------------------------------------------
+
+/// What a tap-like sink keeps per packet: the verdict, the stage path
+/// `stages()` walks and the decoded trace.
+#[derive(Default)]
+struct LaneSink(Vec<(Verdict, Vec<Stage>, Trace)>);
+
+impl TraceSink for LaneSink {
+    fn observe(&mut self, _index: usize, verdict: Verdict, trace: &LazyTrace<'_>) {
+        self.0
+            .push((verdict, trace.stages().collect(), trace.decode()));
+    }
+}
+
+/// The stage path a decoded trace's `ParserState`/`TableApply` events
+/// name, as IR ids.
+fn decoded_stages(dp: &Dataplane, trace: &Trace) -> Vec<Stage> {
+    let program = dp.program();
+    let states = &program.parser.states;
+    trace
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::ParserState { name } => {
+                let sid = states.iter().position(|s| *s.name == **name);
+                Some(Stage::State(sid.expect("a traced state exists") as u32))
+            }
+            TraceEvent::TableApply { table, .. } => {
+                let tid = program.table_by_name(table);
+                Some(Stage::Table(tid.expect("a traced table exists") as u32))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Program `idx` of the corpus (the router with its two routes for
+/// `ipv4_forward`), or `liveness_shapes.p4` with every tag installed one
+/// past the corpus.
+fn lane_dataplane(idx: usize, engine: Engine) -> Dataplane {
+    let mut dp = match corpus::corpus().get(idx) {
+        Some(p) if p.source == corpus::IPV4_FORWARD => router(),
+        Some(p) => Dataplane::new(netdebug_p4::compile(p.source).unwrap()),
+        None => liveness_dataplane(&[0, 1, 2, 3], engine),
+    };
+    dp.set_engine(engine);
+    dp
+}
+
+proptest! {
+    /// The stage lane on the path a device tap runs: `process_batch_with`
+    /// plus a sink that walks `stages()`. Over every corpus program and
+    /// `liveness_shapes.p4`, with routable, malformed, truncated and
+    /// arbitrary frames, `stages()` is exactly the `ParserState` /
+    /// `TableApply` events of `decode()` in order, and verdict, lane and
+    /// trace agree between the cached compiled engine, the cache-off one
+    /// and the reference. Three rounds of one stream: a key is installed
+    /// on its second miss, so the third round reads every cacheable
+    /// packet's trace in place from its entry.
+    #[test]
+    fn stage_lane_matches_records(
+        prog_idx in 0usize..=corpus::corpus().len(),
+        pool in proptest::collection::vec(
+            (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..96)), 1..6),
+        picks in proptest::collection::vec(any::<u16>(), 1..40),
+        tracing in any::<bool>(),
+    ) {
+        let mut cached_dp = lane_dataplane(prog_idx, Engine::Compiled);
+        let mut uncached_dp = lane_dataplane(prog_idx, Engine::Compiled);
+        uncached_dp.set_flow_cache(false);
+        let mut reference_dp = lane_dataplane(prog_idx, Engine::Reference);
+        for dp in [&mut cached_dp, &mut uncached_dp, &mut reference_dp] {
+            dp.set_tracing(tracing);
+        }
+        let built: Vec<(u16, Vec<u8>)> = pool
+            .iter()
+            .map(|(port, kind, soup)| (*port, mixed_frame(*kind, soup)))
+            .collect();
+        let pkts: Vec<(u16, &[u8])> = picks
+            .iter()
+            .map(|ix| {
+                let (port, frame) = &built[usize::from(*ix) % built.len()];
+                (*port, frame.as_slice())
+            })
+            .collect();
+        for round in 0..3 {
+            let mut runs = [LaneSink::default(), LaneSink::default(), LaneSink::default()];
+            for (dp, sink) in [&mut cached_dp, &mut uncached_dp, &mut reference_dp]
+                .into_iter()
+                .zip(&mut runs)
+            {
+                dp.process_batch_with(&pkts, 0, sink);
+                prop_assert_eq!(sink.0.len(), pkts.len());
+                for (i, (_, stages, trace)) in sink.0.iter().enumerate() {
+                    prop_assert_eq!(stages, &decoded_stages(dp, trace),
+                        "lane vs records, {:?} (round {}, packet {})", dp.engine(), round, i);
+                    prop_assert_eq!(trace.events.is_empty(), !tracing);
+                }
+            }
+            let [cached, uncached, reference] = &runs;
+            for (i, ((c, u), r)) in cached.0.iter().zip(&uncached.0).zip(&reference.0).enumerate() {
+                prop_assert_eq!(c, u, "cache-on vs cache-off (round {}, packet {})", round, i);
+                prop_assert_eq!(c, r, "cache-on vs reference (round {}, packet {})", round, i);
+            }
+        }
+        if cached_dp.flow_cache_enabled() {
+            prop_assert!(cached_dp.cache_stats().hits >= pkts.len() as u64,
+                "the third round replays every packet: {:?}", cached_dp.cache_stats());
+        }
+        assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
+        assert_runtime_state_matches(&cached_dp, &reference_dp)?;
     }
 }

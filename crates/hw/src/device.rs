@@ -208,8 +208,8 @@ struct TapState {
     port_stats: Vec<PortStats>,
     /// Tap names in IR order — parser states, tables, deparser, egress —
     /// so the tap of parser state `sid` is `sid` and the tap of table
-    /// `tid` is `first_table_tap + tid`: trace records carry those ids and
-    /// per-packet accounting never sees a name.
+    /// `tid` is `first_table_tap + tid`: the trace's stage lane carries
+    /// those ids and per-packet accounting never sees a name.
     stage_names: Arc<[Arc<str>]>,
     first_table_tap: usize,
     stage_counts: Vec<u64>,
@@ -223,8 +223,8 @@ struct TapState {
     untapped_stage: Arc<str>,
 }
 
-/// Trace-derived per-packet accounting, produced from the live trace
-/// buffer ([`TapState::tap_packet_lazy`]) and consumed with the verdict
+/// Trace-derived per-packet accounting, produced from the packet's stage
+/// lane ([`TapState::tap_packet_lazy`]) and consumed with the verdict
 /// ([`TapState::finish`]).
 #[derive(Debug, Clone, Copy)]
 struct TapSummary {
@@ -910,12 +910,14 @@ impl Device {
 }
 
 /// The device's half of the streaming batch path: a [`TraceSink`] that
-/// turns each packet — its (borrowed) trace folded into the stage tap
+/// turns each packet — its (borrowed) stage path folded into the stage tap
 /// counters, its verdict into the post-verdict accounting — into a
 /// [`Processed`] and hands that to the caller's visitor before the next
-/// packet of the group executes. Nothing of a packet stays behind: the
-/// only per-packet allocation of a group is the egress frame, and only one
-/// of those is alive at a time.
+/// packet of the group executes. The stage path is the trace's stage lane,
+/// one word per parser state or table, so a tap reads no record, and a
+/// flow-cache hit's lane is read where its entry stores it. Nothing of a
+/// packet stays behind: the only per-packet allocation of a group is the
+/// egress frame, and only one of those is alive at a time.
 struct TapSink<'a, V> {
     taps: &'a mut TapState,
     config: &'a DeviceConfig,
@@ -946,7 +948,8 @@ impl<V: FnMut(usize, Processed)> TraceSink for TapSink<'_, V> {
 
 impl TapState {
     /// Count the stages a trace visited and derive the packet's
-    /// [`TapSummary`] in one walk over the stage ids of a [`LazyTrace`],
+    /// [`TapSummary`] in one walk over the stage lane of a [`LazyTrace`]
+    /// ([`LazyTrace::stages`]: one word per stage, no record read),
     /// without decoding it into
     /// [`TraceEvent`](netdebug_dataplane::TraceEvent)s or resolving a
     /// name: an id is both the tap index and the index of the stage's
@@ -1693,6 +1696,57 @@ mod tests {
                 assert_eq!(delivered, b[..n as usize], "{engine:?}: prefix of {n}");
             }
         }
+    }
+
+    /// On a device clone (whose data plane caches on its own, starting
+    /// cold), a flow-cache hit taps the hit's own stage path, and the next
+    /// packet — on the reference engine, which skips the cache — taps its
+    /// own.
+    #[test]
+    fn a_clone_taps_each_packet_on_its_own_stage_path() {
+        let hot = ipv4(Ipv4Address::new(10, 0, 0, 9), 4);
+        let rejected = ipv4(Ipv4Address::new(10, 0, 0, 9), 5);
+        let mut dev = deploy(&Backend::reference());
+        dev.inject(0, &hot);
+        let mut twin = dev.clone();
+        for _ in 0..2 {
+            twin.inject(0, &hot);
+        }
+        let (counts, hits) = (twin.stage_counts().to_vec(), twin.cache_stats().hits);
+        // 1. A traced hit: the whole path, deparser and egress included.
+        let p = twin.inject(0, &hot);
+        assert_eq!(twin.cache_stats().hits, hits + 1);
+        assert_eq!(&*p.last_stage, "egress");
+        let tapped: Vec<u64> = twin
+            .stage_counts()
+            .iter()
+            .zip(&counts)
+            .map(|(a, b)| a - b)
+            .collect();
+        assert_eq!(
+            tapped, [1; 5],
+            "start, parse_ipv4, ipv4_lpm, deparser, egress"
+        );
+        // 2-3. On the reference engine a rejected frame taps only the
+        // parser states it entered, exactly as on a fresh device.
+        twin.set_engine(Engine::Reference);
+        let counts = twin.stage_counts().to_vec();
+        let p = twin.inject(0, &rejected);
+        let mut fresh = deploy(&Backend::reference());
+        fresh.set_engine(Engine::Reference);
+        let want = fresh.inject(0, &rejected);
+        assert_eq!(&*p.last_stage, "parser:parse_ipv4");
+        assert_eq!(
+            (&p.outcome, p.pipeline_cycles),
+            (&want.outcome, want.pipeline_cycles)
+        );
+        let tapped: Vec<u64> = twin
+            .stage_counts()
+            .iter()
+            .zip(&counts)
+            .map(|(a, b)| a - b)
+            .collect();
+        assert_eq!(tapped, fresh.stage_counts());
     }
 
     #[test]

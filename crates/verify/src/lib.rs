@@ -89,35 +89,7 @@ mod tests {
     #[test]
     fn detects_read_of_invalid_header() {
         // hdr.ipv4 is read without a validity guard on the non-IPv4 path.
-        let report = run(r#"
-            const bit<16> TYPE_IPV4 = 0x800;
-            header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
-            header ipv4_t { bit<8> ttl; bit<8> proto; bit<16> csum; bit<32> a; bit<32> b; }
-            struct headers_t { ethernet_t ethernet; ipv4_t ipv4; }
-            struct meta_t { bit<8> t; }
-            parser P(packet_in pkt, out headers_t hdr, inout meta_t m,
-                     inout standard_metadata_t std) {
-                state start {
-                    pkt.extract(hdr.ethernet);
-                    transition select(hdr.ethernet.etherType) {
-                        TYPE_IPV4: parse_ipv4;
-                        default: accept;
-                    }
-                }
-                state parse_ipv4 { pkt.extract(hdr.ipv4); transition accept; }
-            }
-            control I(inout headers_t hdr, inout meta_t m,
-                      inout standard_metadata_t std) {
-                apply {
-                    // BUG: no isValid() guard.
-                    m.t = hdr.ipv4.ttl;
-                    std.egress_spec = 1;
-                }
-            }
-            control D(packet_out pkt, in headers_t hdr) {
-                apply { pkt.emit(hdr.ethernet); pkt.emit(hdr.ipv4); }
-            }
-            "#);
+        let report = run(include_str!("../tests/programs/read_invalid_header.p4"));
         assert!(!report.verified());
         assert!(
             report
@@ -131,63 +103,13 @@ mod tests {
 
     #[test]
     fn guarded_read_is_clean() {
-        let report = run(r#"
-            const bit<16> TYPE_IPV4 = 0x800;
-            header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
-            header ipv4_t { bit<8> ttl; }
-            struct headers_t { ethernet_t ethernet; ipv4_t ipv4; }
-            struct meta_t { bit<8> t; }
-            parser P(packet_in pkt, out headers_t hdr, inout meta_t m,
-                     inout standard_metadata_t std) {
-                state start {
-                    pkt.extract(hdr.ethernet);
-                    transition select(hdr.ethernet.etherType) {
-                        TYPE_IPV4: parse_ipv4;
-                        default: accept;
-                    }
-                }
-                state parse_ipv4 { pkt.extract(hdr.ipv4); transition accept; }
-            }
-            control I(inout headers_t hdr, inout meta_t m,
-                      inout standard_metadata_t std) {
-                apply {
-                    if (hdr.ipv4.isValid()) {
-                        m.t = hdr.ipv4.ttl;
-                    }
-                    std.egress_spec = 1;
-                }
-            }
-            control D(packet_out pkt, in headers_t hdr) {
-                apply { pkt.emit(hdr.ethernet); pkt.emit(hdr.ipv4); }
-            }
-            "#);
+        let report = run(include_str!("../tests/programs/guarded_read.p4"));
         assert!(report.verified(), "{:#?}", report.findings);
     }
 
     #[test]
     fn detects_missing_verdict() {
-        let report = run(r#"
-            header h_t { bit<8> x; }
-            struct headers_t { h_t h; }
-            struct meta_t { bit<8> y; }
-            parser P(packet_in pkt, out headers_t hdr, inout meta_t m,
-                     inout standard_metadata_t std) {
-                state start { pkt.extract(hdr.h); transition accept; }
-            }
-            control I(inout headers_t hdr, inout meta_t m,
-                      inout standard_metadata_t std) {
-                apply {
-                    // Forward only half the value space; the other half
-                    // falls through with no verdict.
-                    if (hdr.h.x < 128) {
-                        std.egress_spec = 1;
-                    }
-                }
-            }
-            control D(packet_out pkt, in headers_t hdr) {
-                apply { pkt.emit(hdr.h); }
-            }
-            "#);
+        let report = run(include_str!("../tests/programs/missing_verdict.p4"));
         assert!(report
             .findings
             .iter()
@@ -207,40 +129,7 @@ mod tests {
 
     #[test]
     fn infeasible_branches_are_pruned() {
-        let report = run(r#"
-            header h_t { bit<8> x; }
-            struct headers_t { h_t h; }
-            struct meta_t { bit<8> y; }
-            parser P(packet_in pkt, out headers_t hdr, inout meta_t m,
-                     inout standard_metadata_t std) {
-                state start {
-                    pkt.extract(hdr.h);
-                    transition select(hdr.h.x) {
-                        1: one;
-                        default: accept;
-                    }
-                }
-                state one { transition accept; }
-            }
-            control I(inout headers_t hdr, inout meta_t m,
-                      inout standard_metadata_t std) {
-                apply {
-                    if (hdr.h.x == 1) {
-                        if (hdr.h.x == 2) {
-                            // Unreachable: no verdict here must NOT fire.
-                            m.y = 1;
-                        } else {
-                            std.egress_spec = 1;
-                        }
-                    } else {
-                        std.egress_spec = 2;
-                    }
-                }
-            }
-            control D(packet_out pkt, in headers_t hdr) {
-                apply { pkt.emit(hdr.h); }
-            }
-            "#);
+        let report = run(include_str!("../tests/programs/infeasible_branch.p4"));
         // The x==1 && x==2 path is infeasible; without pruning it would be
         // reported as NoVerdict.
         assert!(
@@ -254,32 +143,7 @@ mod tests {
     fn table_actions_all_explored() {
         // An action that writes an invalid header is only reachable through
         // a table hit — the "for all control planes" model must find it.
-        let report = run(r#"
-            header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
-            header ipv4_t { bit<8> ttl; }
-            struct headers_t { ethernet_t ethernet; ipv4_t ipv4; }
-            struct meta_t { bit<8> t; }
-            parser P(packet_in pkt, out headers_t hdr, inout meta_t m,
-                     inout standard_metadata_t std) {
-                state start { pkt.extract(hdr.ethernet); transition accept; }
-            }
-            control I(inout headers_t hdr, inout meta_t m,
-                      inout standard_metadata_t std) {
-                action bad() {
-                    hdr.ipv4.ttl = 7;   // ipv4 never extracted!
-                    std.egress_spec = 1;
-                }
-                table t {
-                    key = { hdr.ethernet.etherType: exact; }
-                    actions = { bad; NoAction; }
-                    default_action = NoAction();
-                }
-                apply { t.apply(); std.egress_spec = 2; }
-            }
-            control D(packet_out pkt, in headers_t hdr) {
-                apply { pkt.emit(hdr.ethernet); }
-            }
-            "#);
+        let report = run(include_str!("../tests/programs/invalid_write_in_action.p4"));
         assert!(report
             .findings
             .iter()

@@ -9,7 +9,7 @@ use netdebug_bench::{banner, malformed_frame, router_device};
 use netdebug_hw::Backend;
 use netdebug_p4::corpus;
 use netdebug_tester::{check_forwarding, ExternalView};
-use netdebug_verify::{verify, Options};
+use netdebug_verify::verify;
 
 fn main() {
     banner("E1: the SDNet reject-state bug (paper §4)");
@@ -18,7 +18,7 @@ fn main() {
     // Tool 1: spec-level formal verification.
     let t0 = std::time::Instant::now();
     let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let vreport = verify(&ir, Options::default());
+    let vreport = verify(&ir);
     let verifier_time = t0.elapsed();
     println!(
         "{:<18} detected={:<5} packets=-    localisation=-            ({} paths, {:.2?})",

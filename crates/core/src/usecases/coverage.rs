@@ -17,7 +17,7 @@ use crate::usecases::{architecture, comparison, compiler_check, performance, res
 use netdebug_hw::{Backend, BugSpec, Device};
 use netdebug_p4::corpus;
 use netdebug_tester::{check_forwarding, ExternalView};
-use netdebug_verify::{verify, FindingKind, Options};
+use netdebug_verify::{verify, FindingKind};
 use serde::{Deserialize, Serialize};
 
 /// A cell score, as in the paper's figure.
@@ -147,7 +147,7 @@ fn malformed_ipv4() -> Vec<u8> {
 fn functional_row() -> CoverageRow {
     // Probe 1: catch a specification bug before deployment.
     let spec_ir = netdebug_p4::compile(SPEC_BUGGY).unwrap();
-    let v1 = !verify(&spec_ir, Options::default()).clean_of(FindingKind::NoVerdict);
+    let v1 = !verify(&spec_ir).clean_of(FindingKind::NoVerdict);
     // Externally: intended behaviour is unknown to the tester; the spec bug
     // only shows if the user supplies the exact losing vector. Probe: the
     // tester replays the program's own parser-path probes (all x=0) — the
@@ -180,7 +180,7 @@ fn functional_row() -> CoverageRow {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         // The verifier sees only the spec — which is clean. It cannot flag
         // the deployed artifact.
-        !verify(&ir, Options::default()).verified()
+        !verify(&ir).verified()
     };
     let e2 = {
         let mut dev = router_on(&Backend::sdnet_2018());
@@ -315,7 +315,7 @@ fn compiler_row() -> CoverageRow {
     // Probe 1: detect the silent reject mis-compilation.
     let v1 = {
         let ir = netdebug_p4::compile(corpus::FEATURE_REJECT).unwrap();
-        !verify(&ir, Options::default()).verified() // clean spec: nothing to see
+        !verify(&ir).verified() // clean spec: nothing to see
     };
     let e1 = {
         let mut dev =
@@ -491,8 +491,8 @@ fn comparison_row() -> CoverageRow {
     let v1 = {
         let clean = netdebug_p4::compile(corpus::REFLECTOR).unwrap();
         let buggy = netdebug_p4::compile(SPEC_BUGGY).unwrap();
-        let a = verify(&clean, Options::default()).verified();
-        let b = verify(&buggy, Options::default()).verified();
+        let a = verify(&clean).verified();
+        let b = verify(&buggy).verified();
         a != b
     };
     let e1 = false; // intent not visible on the wire (see functional probe 1)

@@ -1,7 +1,8 @@
 //! Load-time bytecode compilation of the pipeline IR.
 //!
-//! The tree-walking interpreter in [`crate::interp`] *defines* the
-//! semantics of this reproduction, but it pays for that clarity on every
+//! The IR walker (`netdebug_p4::walk`, run by [`crate::interp`]'s
+//! reference engine) *defines* the semantics of this reproduction, but it
+//! pays for that clarity on every
 //! packet: recursive [`IrExpr`] evaluation, enum dispatch per statement,
 //! and a pointer chase per parser state. [`CompiledProgram::compile`]
 //! lowers an [`ir::Program`] **once at load time** into a single flat
@@ -33,6 +34,9 @@
 //!   actions) is interned as an `Arc<str>` at compile time, so traced
 //!   execution clones pointers, never strings.
 //!
+//! The opcodes compute with the walker's own operator semantics
+//! (`eval_un`, `eval_bin`) and parser state budget.
+//!
 //! The compiled engine is **bit-identical** to the tree-walker by
 //! construction and by property test (see `tests/prop.rs`): same
 //! verdicts, same traces, same statistics and extern state, packet by
@@ -44,7 +48,7 @@
 use crate::bits::FieldPlan;
 use crate::cache::MissRecord;
 use crate::externs::ExternState;
-use crate::interp::{Env, TablesRef, FLOOD_PORT, PARSER_STATE_BUDGET};
+use crate::interp::{Env, TablesRef, FLOOD_PORT};
 use crate::table::TableStats;
 use crate::trace::{DropReason, TraceBuf, TraceName, TraceTables, Verdict};
 use netdebug_p4::ast::{BinOp, UnOp};
@@ -52,6 +56,7 @@ use netdebug_p4::ir::{
     self, all_ones, truncate, IrExpr, IrPattern, IrStmt, IrTransition, LValue, Op, StdField,
     TransTarget,
 };
+use netdebug_p4::walk::{eval_bin, eval_un, PARSER_STATE_BUDGET};
 use std::mem::{replace, take};
 
 /// Sentinel for "no hit-capture local" in [`OpCode::Apply`].
@@ -70,11 +75,11 @@ pub enum OpCode {
     /// Push a constant.
     Const(u128),
     /// Push a header field (0 when the header is invalid, as the
-    /// reference `eval` defines for reads of invalid headers).
+    /// walker defines reads of invalid headers).
     LoadField(u32, u32),
     /// Push a header field without the validity check (the
     /// read-modify-write half of a slice assignment, mirroring the
-    /// reference `read_lvalue`).
+    /// walker's `read_lvalue`).
     LoadFieldRaw(u32, u32),
     /// Push a user-metadata field.
     LoadMeta(u32),
@@ -675,7 +680,7 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Pop the top of stack into `lv`, replicating the reference
+    /// Pop the top of stack into `lv`, replicating the walker's
     /// `assign` — including the read-modify-write recursion for slices.
     fn emit_store(&mut self, lv: &LValue) {
         match lv {
@@ -706,7 +711,7 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Push the current value of `lv` (reference `read_lvalue`: **no**
+    /// Push the current value of `lv` (the walker's `read_lvalue`: **no**
     /// validity check on header fields).
     fn emit_read_lvalue(&mut self, lv: &LValue) {
         match lv {
@@ -800,21 +805,17 @@ pub(crate) fn exec(
             OpCode::LoadIsValid(h) => env.stack.push(env.headers[h as usize].valid as u128),
             OpCode::Un(op, width) => {
                 let v = env.stack.last_mut().expect("un operand");
-                *v = match op {
-                    UnOp::Not => truncate(!*v, width),
-                    UnOp::Neg => truncate(v.wrapping_neg(), width),
-                    UnOp::LNot => (*v == 0) as u128,
-                };
+                *v = eval_un(op, *v, width);
             }
             OpCode::Bin(op, w) => {
                 let y = env.stack.pop().expect("bin rhs");
                 let x = env.stack.last_mut().expect("bin lhs");
-                *x = bin_op(op, *x, y, w);
+                *x = eval_bin(op, *x, y, w, 0);
             }
             OpCode::Concat(shift, width) => {
                 let y = env.stack.pop().expect("concat rhs");
                 let x = env.stack.last_mut().expect("concat lhs");
-                *x = truncate((*x << shift) | y, width);
+                *x = eval_bin(BinOp::Concat, *x, y, width, shift);
             }
             OpCode::SliceE(hi, lo) => {
                 let v = env.stack.last_mut().expect("slice base");
@@ -867,19 +868,19 @@ pub(crate) fn exec(
             // -------- superinstructions --------
             OpCode::ConstBin(op, w, k) => {
                 let x = env.stack.last_mut().expect("const-bin lhs");
-                *x = bin_op(op, *x, k, w);
+                *x = eval_bin(op, *x, k, w, 0);
             }
             OpCode::CmpBranch(op, w, t) => {
                 let y = env.stack.pop().expect("cmp-branch rhs");
                 let x = env.stack.pop().expect("cmp-branch lhs");
-                if bin_op(op, x, y, w) == 0 {
+                if eval_bin(op, x, y, w, 0) == 0 {
                     pc = t as usize;
                     continue;
                 }
             }
             OpCode::ConstCmpBranch(op, w, k, t) => {
                 let x = env.stack.pop().expect("const-cmp-branch lhs");
-                if bin_op(op, x, k, w) == 0 {
+                if eval_bin(op, x, k, w, 0) == 0 {
                     pc = t as usize;
                     continue;
                 }
@@ -1127,32 +1128,6 @@ fn apply_keys(
         tr.table(tid as u32, aid as u32, hit, &env.key_scratch);
     }
     aid
-}
-
-/// Binary operator semantics, shared verbatim with the reference `eval`.
-#[inline]
-fn bin_op(op: BinOp, x: u128, y: u128, w: u16) -> u128 {
-    match op {
-        BinOp::Add => truncate(x.wrapping_add(y), w),
-        BinOp::Sub => truncate(x.wrapping_sub(y), w),
-        BinOp::Mul => truncate(x.wrapping_mul(y), w),
-        BinOp::Div => truncate(x.checked_div(y).unwrap_or(0), w),
-        BinOp::Mod => truncate(x.checked_rem(y).unwrap_or(0), w),
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        BinOp::Shl => truncate(x.checked_shl(y as u32).unwrap_or(0), w),
-        BinOp::Shr => x.checked_shr(y as u32).unwrap_or(0),
-        BinOp::Eq => (x == y) as u128,
-        BinOp::Ne => (x != y) as u128,
-        BinOp::Lt => (x < y) as u128,
-        BinOp::Le => (x <= y) as u128,
-        BinOp::Gt => (x > y) as u128,
-        BinOp::Ge => (x >= y) as u128,
-        BinOp::LAnd => (x != 0 && y != 0) as u128,
-        BinOp::LOr => (x != 0 || y != 0) as u128,
-        BinOp::Concat => unreachable!("Concat compiles to OpCode::Concat"),
-    }
 }
 
 /// Emit valid headers in deparse order, then the payload of `data` from

@@ -23,11 +23,15 @@
 //!   statement walks, a value stack instead of expression-tree recursion,
 //!   header fields moved from byte spans, shifts and masks resolved at
 //!   load time. This is the fast path every batch and fleet driver takes.
-//! * [`Engine::Reference`] — the original tree-walking interpreter, kept
-//!   as the executable specification. It is the differential oracle the
-//!   parity property tests run the compiled engine against (same
-//!   verdicts, traces, statistics and extern state on every packet), the
-//!   same role the paper gives its reference model against hardware.
+//! * [`Engine::Reference`] — the executable specification: the IR walker
+//!   (`netdebug_p4::walk`, the one tree-walker in the workspace) over
+//!   `u128` values in this module's `Concrete` domain, which records the
+//!   trace and updates tables and externs, followed by a field-by-field
+//!   deparse. It is the differential oracle the parity property tests run
+//!   the compiled engine against (same verdicts, traces, statistics and
+//!   extern state on every packet), the same role the paper gives its
+//!   reference model against hardware. The verifier runs the same walker
+//!   over symbolic values, so oracle and verifier share one semantics.
 //!
 //! Execution is split into `ExecCtx`-style borrows internally: the
 //! read-mostly state (program IR, compiled code, table entry lists) is
@@ -55,18 +59,13 @@ use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
 use crate::table::{EntrySnapshot, RuntimeEntry, TableState, TableStats, TableView};
 use crate::trace::{DropReason, LazyTrace, Trace, TraceBuf, TraceBytes, TraceSink, Verdict};
-use netdebug_p4::ast::{BinOp, UnOp};
-use netdebug_p4::ir::{
-    self, truncate, Cacheability, IrExpr, IrStmt, IrTransition, LValue, Op, TransTarget,
-};
+use netdebug_p4::ir::{self, truncate, Cacheability, StdField, TransTarget};
+use netdebug_p4::walk::{self, Domain, End, Event, Place};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The flood "port" value in `egress_spec`.
 pub const FLOOD_PORT: u128 = 511;
-
-/// Maximum parser states visited per packet before declaring a loop.
-pub(crate) const PARSER_STATE_BUDGET: usize = 256;
 
 /// Which execution engine runs the packet paths.
 ///
@@ -77,8 +76,8 @@ pub(crate) const PARSER_STATE_BUDGET: usize = 256;
 ///
 /// * [`Engine::Compiled`]: the flat bytecode engine compiled at load
 ///   time ([`crate::compile`]); the default everywhere.
-/// * [`Engine::Reference`]: the tree-walking interpreter, retained as
-///   the executable specification and differential oracle.
+/// * [`Engine::Reference`]: the IR walker over concrete values, retained
+///   as the executable specification and differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Tree-walking reference interpreter (the specification oracle).
@@ -118,7 +117,6 @@ pub(crate) struct Env {
     pub(crate) packet_length: u128,
     pub(crate) ts_cycles: u128,
     pub(crate) drop_flag: bool,
-    pub(crate) exited: bool,
     /// Arguments of the action currently executing (reused buffer; table
     /// applies cannot nest inside actions, so a flat buffer suffices).
     pub(crate) action_args: Vec<u128>,
@@ -149,7 +147,6 @@ impl Env {
             packet_length: 0,
             ts_cycles: 0,
             drop_flag: false,
-            exited: false,
             action_args: Vec::new(),
             key_scratch: Vec::new(),
             stack: Vec::new(),
@@ -177,7 +174,6 @@ impl Env {
         self.packet_length = packet_len as u128;
         self.ts_cycles = u128::from(now_cycles);
         self.drop_flag = false;
-        self.exited = false;
         self.action_args.clear();
         self.key_scratch.clear();
     }
@@ -956,7 +952,8 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// The tree-walking reference engine: the executable specification
+    /// The reference engine: the IR walker ([`walk::walk`]) over `u128`
+    /// values, then the verdict and deparse. The executable specification
     /// the compiled engine is differentially validated against.
     fn run_reference(
         &mut self,
@@ -964,435 +961,241 @@ impl ExecCtx<'_> {
         data: &[u8],
         now_cycles: u64,
         env: &mut Env,
-        mut trace: Option<&mut TraceBuf>,
+        trace: Option<&mut TraceBuf>,
     ) -> Verdict {
-        let prog = self.program;
         env.reset(port, data.len(), now_cycles);
-
-        // ---- Parse ----
-        let payload_start = match parse_packet(prog, data, env, &mut trace) {
-            Ok(offset) => offset,
-            Err(reason) => return Verdict::Drop(reason),
+        let mut d = Concrete {
+            prog: self.program,
+            tables: self.tables,
+            table_stats: self.table_stats,
+            externs: self.externs,
+            env,
+            trace,
+            data,
+            cursor_bits: 0,
+            now: now_cycles,
         };
-        // The unparsed payload stays a borrowed slice; the deparser copies
-        // it straight into the output frame (no intermediate allocation).
-        let payload = &data[payload_start..];
-
-        // ---- Pipeline ----
-        for (cid, control) in prog.controls.iter().enumerate() {
-            if env.exited {
-                break;
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                t.control(cid as u32);
-            }
-            self.exec_block(&control.body, env, now_cycles, &mut trace, data.len());
-        }
-
-        // ---- Verdict + deparse ----
-        if env.drop_flag {
-            return Verdict::Drop(DropReason::ActionDrop);
-        }
-        if !env.egress_written {
-            return Verdict::Drop(DropReason::NoEgress);
-        }
-        let out = self.deparse(env, payload, &mut trace);
-        if env.egress_spec == FLOOD_PORT {
-            Verdict::Flood { data: out }
-        } else if env.egress_spec > FLOOD_PORT {
-            Verdict::Drop(DropReason::BadEgress)
-        } else {
-            Verdict::Forward {
-                port: env.egress_spec as u16,
-                data: out,
-            }
-        }
-    }
-
-    fn deparse(&self, env: &Env, payload: &[u8], trace: &mut Option<&mut TraceBuf>) -> Vec<u8> {
-        let prog = self.program;
-        let mut out_bits = 0usize;
-        for &hid in &prog.deparse {
-            if env.headers[hid].valid {
-                out_bits += prog.headers[hid].bit_width as usize;
-            }
-        }
-        // Zero the header bytes only; the payload is written once, by the copy.
-        let mut out = Vec::with_capacity(out_bits / 8 + payload.len());
-        out.resize(out_bits / 8, 0);
-        let mut cursor = 0usize;
-        for &hid in &prog.deparse {
-            if !env.headers[hid].valid {
-                continue;
-            }
-            let layout = &prog.headers[hid];
-            if let Some(t) = trace.as_deref_mut() {
-                t.emit(hid as u32);
-            }
-            for (f, value) in layout.fields.iter().zip(&env.headers[hid].fields) {
-                write_bits(
-                    &mut out,
-                    cursor + f.offset_bits as usize,
-                    f.width_bits as usize,
-                    *value,
-                );
-            }
-            cursor += layout.bit_width as usize;
-        }
-        out.extend_from_slice(payload);
-        out
-    }
-
-    fn exec_block(
-        &mut self,
-        body: &[IrStmt],
-        env: &mut Env,
-        now: u64,
-        trace: &mut Option<&mut TraceBuf>,
-        pkt_len: usize,
-    ) {
-        for stmt in body {
-            if env.exited {
-                return;
-            }
-            match stmt {
-                IrStmt::ApplyTable { table, hit_into } => {
-                    self.apply_table(*table, *hit_into, env, now, trace, pkt_len);
-                }
-                IrStmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                } => {
-                    if eval(self.program, cond, env) != 0 {
-                        self.exec_block(then_branch, env, now, trace, pkt_len);
-                    } else {
-                        self.exec_block(else_branch, env, now, trace, pkt_len);
+        match walk::walk(self.program, &mut d) {
+            End::Rejected => Verdict::Drop(DropReason::ParserReject),
+            End::TooShort => Verdict::Drop(DropReason::PacketTooShort),
+            End::Done { dropped: true, .. } => Verdict::Drop(DropReason::ActionDrop),
+            End::Done {
+                egress_written: false,
+                ..
+            } => Verdict::Drop(DropReason::NoEgress),
+            End::Done { .. } => {
+                // The unparsed payload stays a borrowed slice; the deparser
+                // copies it straight into the output frame.
+                let payload = &data[(d.cursor_bits / 8).min(data.len())..];
+                let out = deparse(self.program, d.env, payload, &mut d.trace);
+                let egress = d.env.egress_spec;
+                if egress == FLOOD_PORT {
+                    Verdict::Flood { data: out }
+                } else if egress > FLOOD_PORT {
+                    Verdict::Drop(DropReason::BadEgress)
+                } else {
+                    Verdict::Forward {
+                        port: egress as u16,
+                        data: out,
                     }
                 }
-                IrStmt::Op(op) => self.exec_op(op, env, now, trace, pkt_len),
-                IrStmt::Exit => {
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.exit();
-                    }
-                    env.exited = true;
-                }
             }
         }
     }
+}
 
-    fn apply_table(
-        &mut self,
-        tid: usize,
-        hit_into: Option<usize>,
-        env: &mut Env,
-        now: u64,
-        trace: &mut Option<&mut TraceBuf>,
-        pkt_len: usize,
-    ) {
-        let prog = self.program;
-        let table = &prog.tables[tid];
-        env.key_scratch.clear();
-        for k in &table.keys {
-            let v = eval(prog, &k.expr, env);
-            env.key_scratch.push(v);
+/// Emit the valid headers in deparse order from their field values, then
+/// the payload.
+fn deparse(
+    prog: &ir::Program,
+    env: &Env,
+    payload: &[u8],
+    trace: &mut Option<&mut TraceBuf>,
+) -> Vec<u8> {
+    let mut out_bits = 0usize;
+    for &hid in &prog.deparse {
+        if env.headers[hid].valid {
+            out_bits += prog.headers[hid].bit_width as usize;
         }
-        let (aid, hit) = match self.tables.lookup(tid, &env.key_scratch) {
+    }
+    // Zero the header bytes only; the payload is written once, by the copy.
+    let mut out = Vec::with_capacity(out_bits / 8 + payload.len());
+    out.resize(out_bits / 8, 0);
+    let mut cursor = 0usize;
+    for &hid in &prog.deparse {
+        if !env.headers[hid].valid {
+            continue;
+        }
+        let layout = &prog.headers[hid];
+        if let Some(t) = trace.as_deref_mut() {
+            t.emit(hid as u32);
+        }
+        for (f, value) in layout.fields.iter().zip(&env.headers[hid].fields) {
+            write_bits(
+                &mut out,
+                cursor + f.offset_bits as usize,
+                f.width_bits as usize,
+                *value,
+            );
+        }
+        cursor += layout.bit_width as usize;
+    }
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The reference engine's value domain: `u128` bit-vectors in the packet's
+/// [`Env`]. It decides every branch by evaluating it, and as it goes it
+/// records the trace (raw state, header and table ids, named lazily on
+/// decode, as the compiled engine records them), updates table statistics
+/// and runs the externs.
+struct Concrete<'a, 'p> {
+    prog: &'p ir::Program,
+    tables: TablesRef<'p>,
+    table_stats: &'a mut [TableStats],
+    externs: &'a mut ExternState,
+    env: &'a mut Env,
+    trace: Option<&'a mut TraceBuf>,
+    data: &'a [u8],
+    /// The parser's position in `data`.
+    cursor_bits: usize,
+    now: u64,
+}
+
+impl Concrete<'_, '_> {
+    /// Where `place` lives in the environment.
+    fn slot(&mut self, place: Place) -> &mut u128 {
+        let env = &mut *self.env;
+        match place {
+            Place::Field(h, f) => &mut env.headers[h].fields[f],
+            Place::Meta(m) => &mut env.meta[m],
+            Place::Std(StdField::IngressPort) => &mut env.ingress_port,
+            Place::Std(StdField::EgressSpec | StdField::EgressPort) => &mut env.egress_spec,
+            Place::Std(StdField::PacketLength) => &mut env.packet_length,
+            Place::Std(StdField::IngressTimestamp) => &mut env.ts_cycles,
+            Place::Local(l) => &mut env.locals[l],
+        }
+    }
+}
+
+impl Domain for Concrete<'_, '_> {
+    type Val = u128;
+
+    fn valid(&self, h: usize) -> bool {
+        self.env.headers[h].valid
+    }
+
+    fn set_valid(&mut self, h: usize, valid: bool) {
+        let hv = &mut self.env.headers[h];
+        hv.valid = valid;
+        if !valid {
+            hv.fields.fill(0);
+        }
+    }
+
+    fn load(&mut self, place: Place) -> u128 {
+        *self.slot(place)
+    }
+
+    fn store(&mut self, place: Place, v: u128) {
+        *self.slot(place) = truncate(v, place.width(self.prog));
+    }
+
+    fn param(&mut self, index: usize, width: u16) -> u128 {
+        truncate(self.env.action_args.get(index).copied().unwrap_or(0), width)
+    }
+
+    fn key_buf(&mut self) -> &mut Vec<u128> {
+        &mut self.env.key_scratch
+    }
+
+    fn event(&mut self, event: Event) {
+        let Some(t) = self.trace.as_deref_mut() else {
+            return;
+        };
+        match event {
+            Event::State(s) => t.state(s as u32),
+            Event::Accept => t.accept(),
+            Event::Reject => t.reject(),
+            Event::Control(c) => t.control(c as u32),
+            Event::Exit => t.exit(),
+            Event::MarkDrop => t.mark_drop(),
+            Event::Goto(_) => {}
+        }
+    }
+
+    fn extract(&mut self, h: usize) -> bool {
+        let layout = &self.prog.headers[h];
+        let at = self.cursor_bits;
+        if at + layout.bit_width as usize > self.data.len() * 8 {
+            return false;
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.extract(h as u32, at as u32);
+        }
+        let hv = &mut self.env.headers[h];
+        hv.valid = true;
+        for (slot, f) in hv.fields.iter_mut().zip(&layout.fields) {
+            *slot = read_bits(
+                self.data,
+                at + f.offset_bits as usize,
+                f.width_bits as usize,
+            );
+        }
+        self.cursor_bits += layout.bit_width as usize;
+        true
+    }
+
+    fn select(
+        &mut self,
+        keys: &[u128],
+        arms: &[ir::SelectArm],
+        default: TransTarget,
+    ) -> TransTarget {
+        arms.iter()
+            .find(|arm| arm.patterns.iter().zip(keys).all(|(p, k)| p.matches(*k)))
+            .map_or(default, |arm| arm.target)
+    }
+
+    fn branch(&mut self, cond: u128) -> bool {
+        cond != 0
+    }
+
+    fn apply(&mut self, tid: usize, keys: &[u128]) -> (usize, bool) {
+        let args = &mut self.env.action_args;
+        args.clear();
+        let (aid, hit) = match self.tables.lookup(tid, keys) {
             Some(entry) => {
-                env.action_args.clear();
-                env.action_args.extend_from_slice(&entry.action.args);
+                args.extend_from_slice(&entry.action.args);
                 (entry.action.action, true)
             }
             None => {
-                let default = &table.default_action;
-                env.action_args.clear();
-                env.action_args.extend_from_slice(&default.args);
+                let default = &self.prog.tables[tid].default_action;
+                args.extend_from_slice(&default.args);
                 (default.action, false)
             }
         };
         self.table_stats[tid].record(hit);
-        if let Some(local) = hit_into {
-            env.locals[local] = hit as u128;
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.table(tid as u32, aid as u32, hit, keys);
         }
-        let action = &prog.actions[aid];
-        if let Some(t) = trace.as_deref_mut() {
-            t.table(tid as u32, aid as u32, hit, &env.key_scratch);
-        }
-        for op in &action.ops {
-            self.exec_op(op, env, now, trace, pkt_len);
-        }
+        (aid, hit)
     }
 
-    fn exec_op(
-        &mut self,
-        op: &Op,
-        env: &mut Env,
-        now: u64,
-        trace: &mut Option<&mut TraceBuf>,
-        pkt_len: usize,
-    ) {
-        let prog = self.program;
-        match op {
-            Op::Assign(lv, e) => {
-                let v = eval(prog, e, env);
-                assign(prog, lv, v, env);
-            }
-            Op::SetValid(hid, valid) => {
-                env.headers[*hid].valid = *valid;
-                if !*valid {
-                    for f in &mut env.headers[*hid].fields {
-                        *f = 0;
-                    }
-                }
-            }
-            Op::Drop => {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.mark_drop();
-                }
-                env.drop_flag = true;
-            }
-            Op::CounterInc(id, idx) => {
-                let i = eval(prog, idx, env) as usize;
-                self.externs.counter_inc(*id, i, pkt_len);
-            }
-            Op::RegisterRead(lv, id, idx) => {
-                let i = eval(prog, idx, env) as usize;
-                let v = self.externs.register_read(*id, i);
-                assign(prog, lv, v, env);
-            }
-            Op::RegisterWrite(id, idx, val) => {
-                let i = eval(prog, idx, env) as usize;
-                let v = eval(prog, val, env);
-                self.externs.register_write(*id, i, v);
-            }
-            Op::MeterExecute(id, idx, lv) => {
-                let i = eval(prog, idx, env) as usize;
-                let colour = self.externs.meter_execute(*id, i, now);
-                assign(prog, lv, colour, env);
-            }
-            Op::NoOp => {}
-        }
+    fn count(&mut self, id: usize, index: u128) {
+        self.externs
+            .counter_inc(id, index as usize, self.data.len());
     }
-}
 
-/// Run the parser FSM over `data`, filling `env`'s headers/metadata.
-/// Returns the byte offset of the unparsed payload on accept, or the drop
-/// reason on reject. `env` must have been [`Env::reset`] first. Trace
-/// records carry raw state/header ids; names resolve lazily through the
-/// compiled program's interned set when a trace is actually decoded, so
-/// both engines' traces stay content-identical at zero per-event cost.
-///
-/// Pure with respect to tables, externs and statistics.
-fn parse_packet(
-    prog: &ir::Program,
-    data: &[u8],
-    env: &mut Env,
-    trace: &mut Option<&mut TraceBuf>,
-) -> Result<usize, DropReason> {
-    let mut cursor_bits = 0usize;
-    let total_bits = data.len() * 8;
-    let mut state = 0usize;
-    let mut visited = 0usize;
-    loop {
-        visited += 1;
-        if visited > PARSER_STATE_BUDGET {
-            if let Some(t) = trace.as_deref_mut() {
-                t.reject();
-            }
-            return Err(DropReason::ParserReject);
-        }
-        let st = &prog.parser.states[state];
-        if let Some(t) = trace.as_deref_mut() {
-            t.state(state as u32);
-        }
-        for op in &st.ops {
-            match op {
-                ir::ParserOp::Extract(hid) => {
-                    let layout = &prog.headers[*hid];
-                    let width = layout.bit_width as usize;
-                    if cursor_bits + width > total_bits {
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.reject();
-                        }
-                        return Err(DropReason::PacketTooShort);
-                    }
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.extract(*hid as u32, cursor_bits as u32);
-                    }
-                    let hv = &mut env.headers[*hid];
-                    hv.valid = true;
-                    for (slot, f) in hv.fields.iter_mut().zip(&layout.fields) {
-                        *slot = read_bits(
-                            data,
-                            cursor_bits + f.offset_bits as usize,
-                            f.width_bits as usize,
-                        );
-                    }
-                    cursor_bits += width;
-                }
-                ir::ParserOp::Assign(lv, e) => {
-                    let v = eval(prog, e, env);
-                    assign(prog, lv, v, env);
-                }
-            }
-        }
-        let target = match &st.transition {
-            IrTransition::Accept => TransTarget::Accept,
-            IrTransition::Reject => TransTarget::Reject,
-            IrTransition::Goto(s) => TransTarget::State(*s),
-            IrTransition::Select {
-                keys,
-                arms,
-                default,
-            } => {
-                env.key_scratch.clear();
-                for k in keys {
-                    let v = eval(prog, k, env);
-                    env.key_scratch.push(v);
-                }
-                arms.iter()
-                    .find(|arm| {
-                        arm.patterns
-                            .iter()
-                            .zip(&env.key_scratch)
-                            .all(|(p, k)| p.matches(*k))
-                    })
-                    .map(|arm| arm.target)
-                    .unwrap_or(*default)
-            }
-        };
-        match target {
-            TransTarget::Accept => {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.accept();
-                }
-                return Ok((cursor_bits / 8).min(data.len()));
-            }
-            TransTarget::Reject => {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.reject();
-                }
-                return Err(DropReason::ParserReject);
-            }
-            TransTarget::State(s) => state = s,
-        }
+    fn register_read(&mut self, id: usize, index: u128) -> u128 {
+        self.externs.register_read(id, index as usize)
     }
-}
 
-fn assign(prog: &ir::Program, lv: &LValue, value: u128, env: &mut Env) {
-    match lv {
-        LValue::Field(h, f) => {
-            let width = prog.headers[*h].fields[*f].width_bits;
-            env.headers[*h].fields[*f] = truncate(value, width);
-        }
-        LValue::Meta(m) => {
-            env.meta[*m] = truncate(value, prog.metadata[*m].width);
-        }
-        LValue::Std(s) => match s {
-            ir::StdField::EgressSpec => {
-                env.egress_spec = truncate(value, 9);
-                env.egress_written = true;
-                // v1model: a later egress write revives the packet.
-                env.drop_flag = false;
-            }
-            ir::StdField::EgressPort | ir::StdField::IngressPort => {
-                // Read-only from the data plane; writes ignored.
-            }
-            ir::StdField::PacketLength => env.packet_length = truncate(value, 32),
-            ir::StdField::IngressTimestamp => env.ts_cycles = truncate(value, 48),
-        },
-        LValue::Local(l) => {
-            env.locals[*l] = truncate(value, prog.locals[*l].width);
-        }
-        LValue::Slice(inner, hi, lo) => {
-            let current = read_lvalue(inner, env);
-            let slice_w = hi - lo + 1;
-            let mask = ir::all_ones(slice_w) << lo;
-            let new = (current & !mask) | ((truncate(value, slice_w)) << lo);
-            assign(prog, inner, new, env);
-        }
+    fn register_write(&mut self, id: usize, index: u128, value: u128) {
+        self.externs.register_write(id, index as usize, value);
     }
-}
 
-fn read_lvalue(lv: &LValue, env: &Env) -> u128 {
-    match lv {
-        LValue::Field(h, f) => env.headers[*h].fields[*f],
-        LValue::Meta(m) => env.meta[*m],
-        LValue::Std(s) => match s {
-            ir::StdField::IngressPort => env.ingress_port,
-            ir::StdField::EgressSpec => env.egress_spec,
-            ir::StdField::EgressPort => env.egress_spec,
-            ir::StdField::PacketLength => env.packet_length,
-            ir::StdField::IngressTimestamp => env.ts_cycles,
-        },
-        LValue::Local(l) => env.locals[*l],
-        LValue::Slice(inner, hi, lo) => truncate(read_lvalue(inner, env) >> lo, hi - lo + 1),
-    }
-}
-
-fn eval(prog: &ir::Program, e: &IrExpr, env: &Env) -> u128 {
-    match e {
-        IrExpr::Const { value, .. } => *value,
-        IrExpr::Field(h, f) => {
-            if env.headers[*h].valid {
-                env.headers[*h].fields[*f]
-            } else {
-                // Reading an invalid header is undefined in P4; the
-                // reference returns 0 deterministically.
-                0
-            }
-        }
-        IrExpr::Meta(m) => env.meta[*m],
-        IrExpr::Std(s) => match s {
-            ir::StdField::IngressPort => env.ingress_port,
-            ir::StdField::EgressSpec => env.egress_spec,
-            ir::StdField::EgressPort => env.egress_spec,
-            ir::StdField::PacketLength => env.packet_length,
-            ir::StdField::IngressTimestamp => env.ts_cycles,
-        },
-        IrExpr::Param { index, width } => {
-            truncate(env.action_args.get(*index).copied().unwrap_or(0), *width)
-        }
-        IrExpr::Local(l) => env.locals[*l],
-        IrExpr::IsValid(h) => env.headers[*h].valid as u128,
-        IrExpr::Un { op, a, width } => {
-            let v = eval(prog, a, env);
-            match op {
-                UnOp::Not => truncate(!v, *width),
-                UnOp::Neg => truncate(v.wrapping_neg(), *width),
-                UnOp::LNot => (v == 0) as u128,
-            }
-        }
-        IrExpr::Bin { op, a, b, width } => {
-            let x = eval(prog, a, env);
-            let y = eval(prog, b, env);
-            let w = *width;
-            match op {
-                BinOp::Add => truncate(x.wrapping_add(y), w),
-                BinOp::Sub => truncate(x.wrapping_sub(y), w),
-                BinOp::Mul => truncate(x.wrapping_mul(y), w),
-                BinOp::Div => truncate(x.checked_div(y).unwrap_or(0), w),
-                BinOp::Mod => truncate(x.checked_rem(y).unwrap_or(0), w),
-                BinOp::And => x & y,
-                BinOp::Or => x | y,
-                BinOp::Xor => x ^ y,
-                BinOp::Shl => truncate(x.checked_shl(y as u32).unwrap_or(0), w),
-                BinOp::Shr => x.checked_shr(y as u32).unwrap_or(0),
-                BinOp::Eq => (x == y) as u128,
-                BinOp::Ne => (x != y) as u128,
-                BinOp::Lt => (x < y) as u128,
-                BinOp::Le => (x <= y) as u128,
-                BinOp::Gt => (x > y) as u128,
-                BinOp::Ge => (x >= y) as u128,
-                BinOp::LAnd => (x != 0 && y != 0) as u128,
-                BinOp::LOr => (x != 0 || y != 0) as u128,
-                BinOp::Concat => {
-                    let bw = b.width(prog);
-                    truncate((x << bw) | y, w)
-                }
-            }
-        }
-        IrExpr::Slice { base, hi, lo } => truncate(eval(prog, base, env) >> lo, hi - lo + 1),
-        IrExpr::Cast { expr, width } => truncate(eval(prog, expr, env), *width),
+    fn meter(&mut self, id: usize, index: u128) -> u128 {
+        self.externs.meter_execute(id, index as usize, self.now)
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! Two engines implement the semantics ([`Engine`]): the default flat
 //! bytecode engine compiled at load time ([`compile`]) and the
-//! tree-walking reference interpreter it is differentially validated
-//! against, bit for bit, by the parity property tests. The lowering
+//! reference engine — `netdebug_p4::walk`'s IR walker over concrete values
+//! — it is differentially validated against, bit for bit, by the parity
+//! property tests. The lowering
 //! selects a few superinstructions as it emits; the result can be
 //! inspected with [`Dataplane::disassemble`].
 //!

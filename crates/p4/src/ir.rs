@@ -353,7 +353,7 @@ pub struct LocalVar {
 
 /// Built-in standard metadata fields (v1model-flavoured, which is what the
 /// SDNet-era toolchains exposed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum StdField {
     /// Port the packet arrived on (9 bits).
     IngressPort,

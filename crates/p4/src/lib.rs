@@ -2,7 +2,9 @@
 //!
 //! Pipeline: [`lexer`] → [`parser`] → [`ast`] → [`lower`] → [`ir`]. The
 //! [`corpus`] module ships the data-plane programs used by the
-//! experiments, and [`pretty`] prints ASTs back to source.
+//! experiments, and [`walk`] defines what the IR means: one tree-walker over
+//! it, generic over the value domain (concrete in the reference engine,
+//! symbolic in the verifier).
 //!
 //! The supported subset is the SDNet-era core of P4-16:
 //!
@@ -36,9 +38,9 @@ pub mod ir;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
-pub mod pretty;
 pub mod span;
 pub mod token;
+pub mod walk;
 
 pub use span::{Diag, Severity, Span};
 

@@ -1265,6 +1265,25 @@ mod tests {
     }
 
     #[test]
+    fn parentheses_override_precedence() {
+        let prog = parse("control C(inout h_t h) { apply { h.x = (h.a + h.b) * h.c; } }").unwrap();
+        let c = prog.controls().next().unwrap();
+        match &c.apply.stmts[0] {
+            Stmt::Assign { rhs, .. } => match rhs {
+                Expr::Binary {
+                    op: BinOp::Mul,
+                    lhs: inner,
+                    ..
+                } => {
+                    assert!(matches!(**inner, Expr::Binary { op: BinOp::Add, .. }));
+                }
+                other => panic!("expected * at top, got {other:?}"),
+            },
+            _ => panic!("expected assign"),
+        }
+    }
+
+    #[test]
     fn masks_and_ranges_in_select() {
         let src = r#"
             parser P(packet_in pkt, out h_t hdr) {

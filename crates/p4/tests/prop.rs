@@ -1,6 +1,6 @@
 //! Property-based tests for the P4 front end.
 
-use netdebug_p4::{corpus, lexer, parser, pretty};
+use netdebug_p4::lexer;
 use proptest::prelude::*;
 
 proptest! {
@@ -45,27 +45,5 @@ proptest! {
             }
             other => prop_assert!(false, "expected int, got {:?}", other),
         }
-    }
-}
-
-/// Pretty-printing every corpus program and re-parsing it reaches a fixpoint
-/// (the canonical form re-parses to itself) and preserves the lowered IR.
-#[test]
-fn corpus_pretty_reparse_fixpoint() {
-    for prog in corpus::corpus() {
-        let ast1 = parser::parse(prog.source)
-            .unwrap_or_else(|e| panic!("{}: parse failed: {e}", prog.name));
-        let printed = pretty::pretty(&ast1);
-        let ast2 = parser::parse(&printed)
-            .unwrap_or_else(|e| panic!("{}: re-parse failed: {e}\n{printed}", prog.name));
-        let printed2 = pretty::pretty(&ast2);
-        assert_eq!(printed, printed2, "{}: pretty not a fixpoint", prog.name);
-
-        // The IR lowered from the pretty-printed source must be identical.
-        let ir1 = netdebug_p4::lower::lower(&ast1)
-            .unwrap_or_else(|e| panic!("{}: lower failed: {e}", prog.name));
-        let ir2 = netdebug_p4::lower::lower(&ast2)
-            .unwrap_or_else(|e| panic!("{}: lower of pretty failed: {e}", prog.name));
-        assert_eq!(ir1, ir2, "{}: IR changed through pretty-print", prog.name);
     }
 }

@@ -1,772 +1,364 @@
-//! Symbolic execution of pipeline IR.
+//! Symbolic exploration of pipeline IR.
 //!
-//! The executor explores every feasible path of a program: parser select
-//! edges, `if` branches, and — following p4v's "for all control planes"
-//! model — every action a table could run (installed entries are unknown at
-//! verification time, so each permitted action and the miss/default case are
-//! all explored, with action arguments as fresh symbolic atoms).
-//!
-//! Checks:
-//! * **read/write of invalid headers** (the canonical p4v check);
-//! * **no-verdict paths**: packet neither dropped nor given an egress port;
-//! * **reject-path certification**: every feasible path that takes a parser
-//!   `reject` ends in a drop — trivially true of the *specification*
-//!   semantics, which is precisely why spec-level verification cannot see
-//!   the SDNet bug: the hardware, not the spec, violates it.
+//! [`verify`] runs the IR walker ([`netdebug_p4::walk`]) over [`Sym`]
+//! values once per feasible path: parser select edges, `if` branches and,
+//! following p4v's "for all control planes" model, every action a table
+//! could run plus its miss, with each action's arguments as fresh atoms. A
+//! walk replays a decision prefix without calling the solver. Past the
+//! prefix, each branch point takes its first feasible alternative and
+//! queues the others as longer prefixes, so the search is depth-first in
+//! program order (execution-generated testing, as in EXE and KLEE).
 
 use crate::solver::{solve, Sat};
-use crate::sym::{AtomInfo, Sym};
-use netdebug_p4::ast::BinOp;
-use netdebug_p4::ir::{self, IrExpr, IrStmt, IrTransition, LValue, Op, ParserOp, TransTarget};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use std::rc::Rc;
+use crate::sym::{arms_condition, AtomInfo, Sym};
+use crate::{Finding, FindingKind, VerifyReport};
+use netdebug_p4::ir::{ActionId, Program, SelectArm, StateId, StdField, TableId, TransTarget};
+use netdebug_p4::walk::{walk, Domain, End, Event, Place};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Verifier configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    /// Maximum paths explored before the verifier reports saturation.
-    pub max_paths: usize,
-    /// Maximum parser states visited per path (loop guard).
-    pub max_parser_depth: usize,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            max_paths: 20_000,
-            max_parser_depth: 64,
-        }
-    }
-}
-
-/// Kinds of findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum FindingKind {
-    /// An expression reads a field of a header not valid on this path.
-    ReadInvalidHeader,
-    /// An assignment writes a field of a header not valid on this path.
-    WriteInvalidHeader,
-    /// A path terminates with neither a drop nor an egress assignment.
-    NoVerdict,
-    /// Path budget exhausted; verification is incomplete.
-    PathBudgetExhausted,
-}
-
-/// One verifier finding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Finding {
-    /// Category.
-    pub kind: FindingKind,
-    /// Human-readable description.
-    pub detail: String,
-    /// The path on which it occurred.
-    pub path: String,
-    /// A witness assignment (atom name → value), when the solver found one.
-    pub witness: Vec<(String, u128)>,
-}
-
-/// The verification report for one program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VerifyReport {
-    /// Program name.
-    pub program: String,
-    /// Feasible paths explored.
-    pub paths_explored: usize,
-    /// Findings (deduplicated by kind+detail).
-    pub findings: Vec<Finding>,
-    /// Number of feasible parser paths ending in `reject`.
-    pub reject_paths: usize,
-    /// True: on every explored reject path the packet is dropped. This is
-    /// a property of the *specification*; hardware may still violate it.
-    pub spec_reject_drops: bool,
-}
-
-impl VerifyReport {
-    /// True if no findings of the given kind exist.
-    pub fn clean_of(&self, kind: FindingKind) -> bool {
-        !self.findings.iter().any(|f| f.kind == kind)
-    }
-
-    /// True if the program verified with no findings at all.
-    pub fn verified(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
+/// Paths explored before the verifier reports saturation.
+const MAX_PATHS: usize = 20_000;
 
 /// Verify a program.
-pub fn verify(program: &ir::Program, options: Options) -> VerifyReport {
-    Executor::new(program, options).run()
+pub fn verify(program: &Program) -> VerifyReport {
+    let ingress_port = AtomInfo {
+        name: "standard_metadata.ingress_port".to_string(),
+        width: 9,
+    };
+    let mut x = Explorer {
+        program,
+        findings: Vec::new(),
+        seen: BTreeSet::new(),
+        prefix: Vec::new(),
+        queued: Vec::new(),
+        depth: 0,
+        dead: false,
+        atoms: vec![ingress_port],
+        pc: Vec::new(),
+        desc: Vec::new(),
+        valid: vec![false; program.headers.len()],
+        vals: BTreeMap::new(),
+        args: Vec::new(),
+        keys: Vec::new(),
+    };
+    let (mut paths_explored, mut reject_paths) = (0, 0);
+    loop {
+        match walk(program, &mut x) {
+            _ if x.dead => {}
+            End::Rejected | End::TooShort => reject_paths += 1,
+            End::Done {
+                dropped: false,
+                egress_written: false,
+            } => x.report(
+                FindingKind::NoVerdict,
+                "path ends with neither mark_to_drop nor an egress_spec write".to_string(),
+            ),
+            End::Done { .. } => {}
+        }
+        paths_explored += usize::from(!x.dead);
+        let Some((depth, choice)) = x.queued.pop() else {
+            break;
+        };
+        if paths_explored >= MAX_PATHS {
+            x.findings.push(Finding {
+                kind: FindingKind::PathBudgetExhausted,
+                detail: format!("exploration stopped at {MAX_PATHS} paths"),
+                path: String::new(),
+                witness: Vec::new(),
+            });
+            break;
+        }
+        x.restart(depth, choice);
+    }
+    VerifyReport {
+        program: program.name.clone(),
+        paths_explored,
+        findings: x.findings,
+        reject_paths,
+        // In IR semantics a reject transition terminates the packet: there
+        // is no continuation to explore, so the property holds on every
+        // explored path by construction. We still count paths so reports
+        // can show how many drop paths the spec promises.
+        spec_reject_drops: true,
+    }
 }
 
-#[derive(Clone)]
-struct PathState {
-    header_valid: Vec<bool>,
-    fields: Vec<Vec<Rc<Sym>>>,
-    meta: Vec<Rc<Sym>>,
-    locals: Vec<Rc<Sym>>,
-    action_args: Vec<Rc<Sym>>,
-    egress_written: bool,
-    drop_flag: bool,
-    exited: bool,
-    pc: Vec<Sym>,
-    desc: Vec<String>,
-}
-
-struct Executor<'p> {
-    program: &'p ir::Program,
-    options: Options,
-    atoms: Vec<AtomInfo>,
+/// The symbolic domain, one path per walk. The findings and the search
+/// frontier outlive a walk; the rest is the current path's state.
+struct Explorer<'p> {
+    program: &'p Program,
     findings: Vec<Finding>,
-    finding_keys: BTreeSet<(FindingKind, String)>,
-    paths_explored: usize,
-    reject_paths: usize,
-    budget_hit: bool,
+    seen: BTreeSet<(FindingKind, String)>,
+    /// The decisions (alternative indexes) taken so far: replayed up to the
+    /// queued sibling this walk started from, then appended as they are made.
+    prefix: Vec<u32>,
+    /// Queued siblings: `(depth, alternative)` extends `prefix[..depth]`.
+    queued: Vec<(usize, u32)>,
+    /// Decisions this walk has reached.
+    depth: usize,
+    /// No alternative of some decision was feasible: the walk runs to its
+    /// end, but it is no path and reports nothing.
+    dead: bool,
+    /// This path's atoms in creation order; atom 0 is the ingress port.
+    atoms: Vec<AtomInfo>,
+    pc: Vec<Sym>,
+    desc: Vec<Step>,
+    valid: Vec<bool>,
+    /// Places written or read so far; any other place holds 0.
+    vals: BTreeMap<Place, Sym>,
+    args: Vec<Sym>,
+    keys: Vec<Sym>,
 }
 
-impl<'p> Executor<'p> {
-    fn new(program: &'p ir::Program, options: Options) -> Self {
-        Executor {
-            program,
-            options,
-            atoms: vec![AtomInfo {
-                name: "standard_metadata.ingress_port".to_string(),
-                width: 9,
-            }],
-            findings: Vec::new(),
-            finding_keys: BTreeSet::new(),
-            paths_explored: 0,
-            reject_paths: 0,
-            budget_hit: false,
+/// One step of a path after `start`, named only when a finding prints it.
+#[derive(Clone, Copy)]
+enum Step {
+    Goto(StateId),
+    Select(TransTarget),
+    If(bool),
+    /// A table apply: the action on a hit, `None` on a miss.
+    Apply(TableId, Option<ActionId>),
+    Exit,
+}
+
+impl Explorer<'_> {
+    /// The path so far, as a finding names it.
+    fn path(&self) -> String {
+        let prog = self.program;
+        let state = |s: StateId| prog.parser.states[s].name.clone();
+        let steps = self.desc.iter().map(|step| match *step {
+            Step::Goto(s) => state(s),
+            Step::Select(TransTarget::Accept) => "select[accept]".to_string(),
+            Step::Select(TransTarget::Reject) => "select[reject]".to_string(),
+            Step::Select(TransTarget::State(s)) => format!("select[{}]", state(s)),
+            Step::If(then) => (if then { "if-then" } else { "if-else" }).to_string(),
+            Step::Apply(t, hit) => {
+                let table = &prog.tables[t];
+                let (outcome, a) = match hit {
+                    Some(a) => ("hit", a),
+                    None => ("miss", table.default_action.action),
+                };
+                format!("{}:{outcome}({})", table.name, prog.actions[a].name)
+            }
+            Step::Exit => "exit".to_string(),
+        });
+        let path: Vec<String> = std::iter::once("start".to_string()).chain(steps).collect();
+        path.join(" -> ")
+    }
+
+    /// Start the next walk: the prefix up to `depth`, then `choice`.
+    fn restart(&mut self, depth: usize, choice: u32) {
+        self.prefix.truncate(depth);
+        self.prefix.push(choice);
+        self.depth = 0;
+        self.dead = false;
+        self.atoms.truncate(1);
+        self.pc.clear();
+        self.desc.clear();
+        self.valid.fill(false);
+        self.vals.clear();
+        self.args.clear();
+    }
+
+    fn atom(&mut self, name: String, width: u16) -> Sym {
+        self.atoms.push(AtomInfo { name, width });
+        let id = self.atoms.len() - 1;
+        Sym::Atom { id, width }
+    }
+
+    /// Fresh atoms for the fields of header `h`.
+    fn fresh_fields(&mut self, h: usize, suffix: &str) {
+        let layout = &self.program.headers[h];
+        for (f, field) in layout.fields.iter().enumerate() {
+            let name = format!("{}.{}{suffix}", layout.name, field.name);
+            let v = self.atom(name, field.width_bits);
+            self.vals.insert(Place::Field(h, f), v);
         }
     }
 
-    fn fresh_atom(&mut self, name: String, width: u16) -> Rc<Sym> {
-        let id = self.atoms.len();
-        self.atoms.push(AtomInfo { name, width });
-        Rc::new(Sym::Atom { id, width })
-    }
-
-    fn atom_widths(&self) -> Vec<u16> {
-        self.atoms.iter().map(|a| a.width).collect()
-    }
-
-    fn report(&mut self, kind: FindingKind, detail: String, state: &PathState, model: &Sat) {
-        let key = (kind, detail.clone());
-        if !self.finding_keys.insert(key) {
+    fn report(&mut self, kind: FindingKind, detail: String) {
+        if self.dead || !self.seen.insert((kind, detail.clone())) {
             return;
         }
-        let witness = match model {
-            Sat::Sat(m) => m
-                .iter()
-                .map(|(id, v)| (self.atoms[*id].name.clone(), *v))
-                .collect(),
+        let model = match solve(&self.pc, &self.atoms) {
+            Sat::Sat(model) => model,
             _ => Vec::new(),
         };
+        let witness = model
+            .into_iter()
+            .map(|(id, v)| (self.atoms[id].name.clone(), v))
+            .collect();
+        let path = self.path();
         self.findings.push(Finding {
             kind,
             detail,
-            path: state.desc.join(" -> "),
+            path,
             witness,
         });
     }
 
-    fn run(mut self) -> VerifyReport {
-        let initial = PathState {
-            header_valid: vec![false; self.program.headers.len()],
-            fields: self
-                .program
-                .headers
-                .iter()
-                .map(|h| {
-                    (0..h.fields.len())
-                        .map(|_| Rc::new(Sym::konst(0, 1)))
-                        .collect()
-                })
-                .collect(),
-            meta: self
-                .program
-                .metadata
-                .iter()
-                .map(|m| Rc::new(Sym::konst(0, m.width)))
-                .collect(),
-            locals: self
-                .program
-                .locals
-                .iter()
-                .map(|l| Rc::new(Sym::konst(0, l.width)))
-                .collect(),
-            action_args: Vec::new(),
-            egress_written: false,
-            drop_flag: false,
-            exited: false,
-            pc: Vec::new(),
-            desc: vec!["start".to_string()],
-        };
-        self.parse_state(0, initial, 0);
-
-        VerifyReport {
-            program: self.program.name.clone(),
-            paths_explored: self.paths_explored,
-            findings: if self.budget_hit {
-                let mut f = self.findings;
-                f.push(Finding {
-                    kind: FindingKind::PathBudgetExhausted,
-                    detail: format!("exploration stopped at {} paths", self.options.max_paths),
-                    path: String::new(),
-                    witness: Vec::new(),
+    /// Take the next decision among `n` alternatives; `alt(i)` is
+    /// alternative `i`'s constraints and path label. A replayed decision
+    /// calls no solver. A new one checks every alternative, takes the
+    /// first feasible one and queues the later feasible ones.
+    fn decide(&mut self, n: usize, alt: impl Fn(usize) -> (Vec<Sym>, Step)) -> usize {
+        let depth = self.depth;
+        self.depth += 1;
+        if self.dead {
+            return 0;
+        }
+        let choice = match self.prefix.get(depth) {
+            Some(&replayed) => replayed,
+            None => {
+                let (pc, atoms) = (&mut self.pc, &self.atoms);
+                let mut feasible = (0..n as u32).filter(|&i| {
+                    let base = pc.len();
+                    pc.extend(alt(i as usize).0);
+                    let possible = pc.len() == base || solve(pc, atoms).possible();
+                    pc.truncate(base);
+                    possible
                 });
-                f
-            } else {
-                self.findings
-            },
-            reject_paths: self.reject_paths,
-            // In IR semantics a reject transition terminates the packet:
-            // there is no continuation to explore, so the property holds on
-            // every explored path by construction. We still count paths so
-            // reports can show how many drop paths the spec promises.
-            spec_reject_drops: true,
-        }
-    }
-
-    fn over_budget(&mut self) -> bool {
-        if self.paths_explored >= self.options.max_paths {
-            self.budget_hit = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Parser
-    // ------------------------------------------------------------------
-
-    fn parse_state(&mut self, state_id: usize, mut state: PathState, depth: usize) {
-        if self.over_budget() || depth > self.options.max_parser_depth {
-            return;
-        }
-        let pstate = &self.program.parser.states[state_id];
-        for op in &pstate.ops {
-            match op {
-                ParserOp::Extract(hid) => {
-                    let layout = &self.program.headers[*hid];
-                    state.header_valid[*hid] = true;
-                    state.fields[*hid] = layout
-                        .fields
-                        .iter()
-                        .map(|f| {
-                            self.fresh_atom(format!("{}.{}", layout.name, f.name), f.width_bits)
-                        })
-                        .collect();
-                }
-                ParserOp::Assign(lv, e) => {
-                    let v = self.sym_of(e, &mut state);
-                    self.assign(lv, v, &mut state);
-                }
+                let Some(first) = feasible.next() else {
+                    self.dead = true;
+                    return 0;
+                };
+                let later: Vec<u32> = feasible.collect();
+                self.queued
+                    .extend(later.into_iter().rev().map(|i| (depth, i)));
+                self.prefix.push(first);
+                first
             }
-        }
-        match pstate.transition.clone() {
-            IrTransition::Accept => self.enter_pipeline(state),
-            IrTransition::Reject => self.finish_reject(state),
-            IrTransition::Goto(next) => {
-                state
-                    .desc
-                    .push(self.program.parser.states[next].name.clone());
-                self.parse_state(next, state, depth + 1);
-            }
-            IrTransition::Select {
-                keys,
-                arms,
-                default,
-            } => {
-                let key_syms: Vec<Rc<Sym>> =
-                    keys.iter().map(|k| self.sym_of(k, &mut state)).collect();
-                // Arms are ordered: arm i fires iff its patterns match and
-                // no earlier arm matched.
-                let mut not_earlier: Vec<Sym> = Vec::new();
-                for arm in &arms {
-                    let cond = arms_condition(&key_syms, &arm.patterns);
-                    let mut branch = state.clone();
-                    branch.pc.extend(not_earlier.iter().cloned());
-                    branch.pc.push(cond.clone());
-                    if solve(&branch.pc, &self.atom_widths()).possible() {
-                        let mut b = branch;
-                        b.desc.push(format!(
-                            "select[{}]",
-                            target_name(self.program, &arm.target)
-                        ));
-                        self.follow_target(&arm.target, b, depth);
-                    }
-                    not_earlier.push(negate(cond));
-                    if self.over_budget() {
-                        return;
-                    }
-                }
-                // Default (no arm matched).
-                let mut fallthrough = state;
-                fallthrough.pc.extend(not_earlier);
-                if solve(&fallthrough.pc, &self.atom_widths()).possible() {
-                    fallthrough
-                        .desc
-                        .push(format!("select[{}]", target_name(self.program, &default)));
-                    self.follow_target(&default, fallthrough, depth);
-                }
-            }
+        };
+        let (conds, label) = alt(choice as usize);
+        self.pc.extend(conds);
+        self.desc.push(label);
+        choice as usize
+    }
+}
+
+impl Domain for Explorer<'_> {
+    type Val = Sym;
+
+    fn valid(&self, h: usize) -> bool {
+        self.valid[h]
+    }
+
+    fn set_valid(&mut self, h: usize, valid: bool) {
+        self.valid[h] = valid;
+        // A newly validated header's fields are unspecified.
+        if valid {
+            self.fresh_fields(h, "!");
         }
     }
 
-    fn follow_target(&mut self, target: &TransTarget, state: PathState, depth: usize) {
-        match target {
-            TransTarget::Accept => self.enter_pipeline(state),
-            TransTarget::Reject => self.finish_reject(state),
-            TransTarget::State(s) => self.parse_state(*s, state, depth + 1),
+    fn load(&mut self, place: Place) -> Sym {
+        if let Some(v) = self.vals.get(&place) {
+            return v.clone();
+        }
+        let v = match place {
+            Place::Std(StdField::IngressPort) => Sym::Atom { id: 0, width: 9 },
+            Place::Std(StdField::PacketLength) => self.atom("packet_length".to_string(), 32),
+            Place::Std(StdField::IngressTimestamp) => self.atom("timestamp".to_string(), 48),
+            _ => return Sym::konst(0, place.width(self.program)),
+        };
+        self.vals.insert(place, v.clone());
+        v
+    }
+
+    fn store(&mut self, place: Place, v: Sym) {
+        self.vals.insert(place, v);
+    }
+
+    fn param(&mut self, index: usize, width: u16) -> Sym {
+        let arg = self.args.get(index).cloned();
+        arg.unwrap_or_else(|| Sym::konst(0, width))
+    }
+
+    fn invalid_access(&mut self, h: usize, f: usize, write: bool) {
+        let layout = &self.program.headers[h];
+        let (header, field) = (&layout.name, &layout.fields[f].name);
+        let (kind, access) = match write {
+            true => (FindingKind::WriteInvalidHeader, "write to"),
+            false => (FindingKind::ReadInvalidHeader, "read of"),
+        };
+        let detail = format!("{access} {header}.{field} while `{header}` is not valid");
+        self.report(kind, detail);
+    }
+
+    fn key_buf(&mut self) -> &mut Vec<Sym> {
+        &mut self.keys
+    }
+
+    fn event(&mut self, event: Event) {
+        match event {
+            Event::Goto(s) => self.desc.push(Step::Goto(s)),
+            Event::Exit => self.desc.push(Step::Exit),
+            _ => {}
         }
     }
 
-    fn finish_reject(&mut self, state: PathState) {
-        self.paths_explored += 1;
-        self.reject_paths += 1;
-        // Reject == drop in the specification; nothing further to check.
-        let _ = state;
+    fn extract(&mut self, h: usize) -> bool {
+        self.valid[h] = true;
+        self.fresh_fields(h, "");
+        true
     }
 
-    // ------------------------------------------------------------------
-    // Pipeline
-    // ------------------------------------------------------------------
-
-    fn enter_pipeline(&mut self, state: PathState) {
-        self.run_controls(0, state);
-    }
-
-    /// Run control `idx` on `state`, continuing into the next control on
-    /// every completed path.
-    fn run_controls(&mut self, idx: usize, state: PathState) {
-        if idx >= self.program.controls.len() || state.exited {
-            self.finish_path(state);
-            return;
-        }
-        let body = self.program.controls[idx].body.clone();
-        self.exec_stmts(&body, 0, state, &mut |this, s| {
-            this.run_controls(idx + 1, s);
+    fn select(&mut self, keys: &[Sym], arms: &[SelectArm], default: TransTarget) -> TransTarget {
+        let conds: Vec<Sym> = arms
+            .iter()
+            .map(|arm| arms_condition(keys, &arm.patterns))
+            .collect();
+        let target = |i: usize| arms.get(i).map_or(default, |arm| arm.target);
+        // Arm i fires iff its patterns match and no earlier arm matched.
+        let i = self.decide(arms.len() + 1, |i| {
+            let mut c: Vec<Sym> = conds[..i].iter().cloned().map(Sym::negate).collect();
+            c.extend(conds.get(i).cloned());
+            (c, Step::Select(target(i)))
         });
+        target(i)
     }
 
-    fn exec_stmts(
-        &mut self,
-        body: &[IrStmt],
-        idx: usize,
-        mut state: PathState,
-        done: &mut dyn FnMut(&mut Self, PathState),
-    ) {
-        if self.over_budget() {
-            return;
-        }
-        if idx >= body.len() || state.exited {
-            done(self, state);
-            return;
-        }
-        match &body[idx] {
-            IrStmt::Op(op) => {
-                self.exec_op(op, &mut state);
-                self.exec_stmts(body, idx + 1, state, done);
-            }
-            IrStmt::Exit => {
-                state.exited = true;
-                state.desc.push("exit".to_string());
-                done(self, state);
-            }
-            IrStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let c = self.sym_of(cond, &mut state);
-                let then_cond = truthy(&c);
-                let else_cond = negate(then_cond.clone());
-                let widths = self.atom_widths();
-
-                let mut then_state = state.clone();
-                then_state.pc.push(then_cond);
-                if solve(&then_state.pc, &widths).possible() {
-                    then_state.desc.push("if-then".to_string());
-                    let then_body = then_branch.clone();
-                    let rest = body[idx + 1..].to_vec();
-                    self.exec_stmts(&then_body, 0, then_state, &mut |this, s| {
-                        this.exec_stmts(&rest, 0, s, done);
-                    });
-                }
-                let mut else_state = state;
-                else_state.pc.push(else_cond);
-                if solve(&else_state.pc, &widths).possible() {
-                    else_state.desc.push("if-else".to_string());
-                    let else_body = else_branch.clone();
-                    let rest = body[idx + 1..].to_vec();
-                    self.exec_stmts(&else_body, 0, else_state, &mut |this, s| {
-                        this.exec_stmts(&rest, 0, s, done);
-                    });
-                }
-            }
-            IrStmt::ApplyTable { table, hit_into } => {
-                let t = self.program.tables[*table].clone();
-                // Hit with each permitted action (control plane unknown).
-                for &aid in &t.actions {
-                    if self.over_budget() {
-                        return;
-                    }
-                    let mut hit_state = state.clone();
-                    if let Some(l) = hit_into {
-                        hit_state.locals[*l] = Rc::new(Sym::konst(1, 1));
-                    }
-                    hit_state.desc.push(format!(
-                        "{}:hit({})",
-                        t.name, self.program.actions[aid].name
-                    ));
-                    self.run_action(aid, None, &mut hit_state);
-                    let rest = body[idx + 1..].to_vec();
-                    self.exec_stmts(&rest, 0, hit_state, done);
-                }
-                // Miss: default action.
-                let mut miss_state = state;
-                if let Some(l) = hit_into {
-                    miss_state.locals[*l] = Rc::new(Sym::konst(0, 1));
-                }
-                let default = t.default_action.clone();
-                miss_state.desc.push(format!(
-                    "{}:miss({})",
-                    t.name, self.program.actions[default.action].name
-                ));
-                self.run_action(default.action, Some(&default.args), &mut miss_state);
-                self.exec_stmts(body, idx + 1, miss_state, done);
-            }
-        }
+    fn branch(&mut self, cond: Sym) -> bool {
+        let then = cond.truthy();
+        self.decide(2, |i| match i {
+            0 => (vec![then.clone()], Step::If(true)),
+            _ => (vec![then.clone().negate()], Step::If(false)),
+        }) == 0
     }
 
-    fn run_action(&mut self, aid: usize, args: Option<&[u128]>, state: &mut PathState) {
-        let action = self.program.actions[aid].clone();
-        let arg_syms: Vec<Rc<Sym>> = match args {
-            Some(concrete) => concrete
-                .iter()
-                .zip(&action.params)
-                .map(|(v, (_, w))| Rc::new(Sym::konst(*v, *w)))
-                .collect(),
-            None => action
-                .params
-                .iter()
-                .map(|(name, w)| self.fresh_atom(format!("{}::{}", action.name, name), *w))
-                .collect(),
+    fn apply(&mut self, t: usize, _keys: &[Sym]) -> (usize, bool) {
+        let prog = self.program;
+        let (table, actions) = (&prog.tables[t], &prog.actions);
+        let default = &table.default_action;
+        let i = self.decide(table.actions.len() + 1, |i| {
+            (Vec::new(), Step::Apply(t, table.actions.get(i).copied()))
+        });
+        let Some(&aid) = table.actions.get(i) else {
+            let widths = actions[default.action].params.iter().map(|(_, w)| *w);
+            let args = default.args.iter().zip(widths);
+            self.args = args.map(|(v, w)| Sym::konst(*v, w)).collect();
+            return (default.action, false);
         };
-        let saved = std::mem::replace(&mut state.action_args, arg_syms);
-        for op in &action.ops {
-            self.exec_op(op, state);
-        }
-        state.action_args = saved;
+        let action = &actions[aid];
+        self.args = action
+            .params
+            .iter()
+            .map(|(name, w)| self.atom(format!("{}::{name}", action.name), *w))
+            .collect();
+        (aid, true)
     }
 
-    fn exec_op(&mut self, op: &Op, state: &mut PathState) {
-        match op {
-            Op::Assign(lv, e) => {
-                let v = self.sym_of(e, state);
-                self.assign(lv, v, state);
-            }
-            Op::SetValid(h, v) => {
-                state.header_valid[*h] = *v;
-                if *v {
-                    // Fields of a newly validated header are unspecified:
-                    // fresh atoms.
-                    let layout = &self.program.headers[*h];
-                    state.fields[*h] = layout
-                        .fields
-                        .iter()
-                        .map(|f| {
-                            self.fresh_atom(format!("{}.{}!", layout.name, f.name), f.width_bits)
-                        })
-                        .collect();
-                }
-            }
-            Op::Drop => {
-                state.drop_flag = true;
-            }
-            Op::CounterInc(_, idx) => {
-                let _ = self.sym_of(idx, state); // checks invalid reads
-            }
-            Op::RegisterRead(lv, ext, idx) => {
-                let _ = self.sym_of(idx, state);
-                let w = self.program.externs[*ext].width;
-                let v =
-                    self.fresh_atom(format!("register::{}", self.program.externs[*ext].name), w);
-                self.assign(lv, v, state);
-            }
-            Op::RegisterWrite(_, idx, val) => {
-                let _ = self.sym_of(idx, state);
-                let _ = self.sym_of(val, state);
-            }
-            Op::MeterExecute(ext, idx, lv) => {
-                let _ = self.sym_of(idx, state);
-                let v = self.fresh_atom(format!("meter::{}", self.program.externs[*ext].name), 2);
-                self.assign(lv, v, state);
-            }
-            Op::NoOp => {}
-        }
+    fn count(&mut self, _: usize, _: Sym) {}
+
+    fn register_read(&mut self, id: usize, _: Sym) -> Sym {
+        let ext = &self.program.externs[id];
+        self.atom(format!("register::{}", ext.name), ext.width)
     }
 
-    fn finish_path(&mut self, state: PathState) {
-        self.paths_explored += 1;
-        if !state.drop_flag && !state.egress_written {
-            let model = solve(&state.pc, &self.atom_widths());
-            self.report(
-                FindingKind::NoVerdict,
-                "path ends with neither mark_to_drop nor an egress_spec write".to_string(),
-                &state,
-                &model,
-            );
-        }
-    }
+    fn register_write(&mut self, _: usize, _: Sym, _: Sym) {}
 
-    // ------------------------------------------------------------------
-    // Expression → symbolic conversion (with invalid-read checks)
-    // ------------------------------------------------------------------
-
-    fn sym_of(&mut self, e: &IrExpr, state: &mut PathState) -> Rc<Sym> {
-        match e {
-            IrExpr::Const { value, width } => Rc::new(Sym::konst(*value, *width)),
-            IrExpr::Field(h, f) => {
-                if !state.header_valid[*h] {
-                    let model = solve(&state.pc, &self.atom_widths());
-                    let layout = &self.program.headers[*h];
-                    self.report(
-                        FindingKind::ReadInvalidHeader,
-                        format!(
-                            "read of {}.{} while `{}` is not valid",
-                            layout.name, layout.fields[*f].name, layout.name
-                        ),
-                        state,
-                        &model,
-                    );
-                    return Rc::new(Sym::konst(0, layout.fields[*f].width_bits));
-                }
-                state.fields[*h][*f].clone()
-            }
-            IrExpr::Meta(m) => state.meta[*m].clone(),
-            IrExpr::Std(s) => match s {
-                ir::StdField::IngressPort => Rc::new(Sym::Atom { id: 0, width: 9 }),
-                ir::StdField::EgressSpec | ir::StdField::EgressPort => Rc::new(Sym::konst(0, 9)),
-                ir::StdField::PacketLength => self.fresh_atom("packet_length".into(), 32),
-                ir::StdField::IngressTimestamp => self.fresh_atom("timestamp".into(), 48),
-            },
-            IrExpr::Param { index, width } => state
-                .action_args
-                .get(*index)
-                .cloned()
-                .unwrap_or_else(|| Rc::new(Sym::konst(0, *width))),
-            IrExpr::Local(l) => state.locals[*l].clone(),
-            IrExpr::IsValid(h) => Rc::new(Sym::konst(state.header_valid[*h] as u128, 1)),
-            IrExpr::Un { op, a, width } => {
-                let sa = self.sym_of(a, state);
-                Rc::new(
-                    Sym::Un {
-                        op: *op,
-                        a: sa,
-                        width: *width,
-                    }
-                    .simplify(),
-                )
-            }
-            IrExpr::Bin { op, a, b, width } => {
-                let sa = self.sym_of(a, state);
-                let sb = self.sym_of(b, state);
-                Rc::new(
-                    Sym::Bin {
-                        op: *op,
-                        a: sa,
-                        b: sb,
-                        width: *width,
-                    }
-                    .simplify(),
-                )
-            }
-            IrExpr::Slice { base, hi, lo } => {
-                let sb = self.sym_of(base, state);
-                Rc::new(
-                    Sym::Slice {
-                        base: sb,
-                        hi: *hi,
-                        lo: *lo,
-                    }
-                    .simplify(),
-                )
-            }
-            IrExpr::Cast { expr, width } => {
-                let se = self.sym_of(expr, state);
-                Rc::new(
-                    Sym::Cast {
-                        a: se,
-                        width: *width,
-                    }
-                    .simplify(),
-                )
-            }
-        }
-    }
-
-    fn assign(&mut self, lv: &LValue, value: Rc<Sym>, state: &mut PathState) {
-        match lv {
-            LValue::Field(h, f) => {
-                if !state.header_valid[*h] {
-                    let model = solve(&state.pc, &self.atom_widths());
-                    let layout = &self.program.headers[*h];
-                    self.report(
-                        FindingKind::WriteInvalidHeader,
-                        format!(
-                            "write to {}.{} while `{}` is not valid",
-                            layout.name, layout.fields[*f].name, layout.name
-                        ),
-                        state,
-                        &model,
-                    );
-                    return;
-                }
-                state.fields[*h][*f] = value;
-            }
-            LValue::Meta(m) => state.meta[*m] = value,
-            LValue::Std(s) => {
-                if matches!(s, ir::StdField::EgressSpec) {
-                    state.egress_written = true;
-                    state.drop_flag = false;
-                }
-            }
-            LValue::Local(l) => state.locals[*l] = value,
-            LValue::Slice(inner, hi, lo) => {
-                // Read-modify-write on the inner lvalue.
-                let current = self.read_lvalue(inner, state);
-                let w = current.width();
-                let slice_w = hi - lo + 1;
-                let mask = ir::all_ones(slice_w) << lo;
-                let cleared = Sym::Bin {
-                    op: BinOp::And,
-                    a: Rc::new((*current).clone()),
-                    b: Rc::new(Sym::konst(!mask, w)),
-                    width: w,
-                };
-                let shifted = Sym::Bin {
-                    op: BinOp::Shl,
-                    a: Rc::new(Sym::Cast { a: value, width: w }),
-                    b: Rc::new(Sym::konst(u128::from(*lo), 16)),
-                    width: w,
-                };
-                let merged = Sym::Bin {
-                    op: BinOp::Or,
-                    a: Rc::new(cleared),
-                    b: Rc::new(shifted),
-                    width: w,
-                };
-                self.assign(inner, Rc::new(merged.simplify()), state);
-            }
-        }
-    }
-
-    fn read_lvalue(&mut self, lv: &LValue, state: &mut PathState) -> Rc<Sym> {
-        match lv {
-            LValue::Field(h, f) => self.sym_of(&IrExpr::Field(*h, *f), state),
-            LValue::Meta(m) => state.meta[*m].clone(),
-            LValue::Std(_) => Rc::new(Sym::konst(0, 9)),
-            LValue::Local(l) => state.locals[*l].clone(),
-            LValue::Slice(inner, hi, lo) => {
-                let base = self.read_lvalue(inner, state);
-                Rc::new(
-                    Sym::Slice {
-                        base,
-                        hi: *hi,
-                        lo: *lo,
-                    }
-                    .simplify(),
-                )
-            }
-        }
-    }
-}
-
-/// `key == pattern` as a symbolic boolean, per pattern kind.
-fn arms_condition(keys: &[Rc<Sym>], patterns: &[ir::IrPattern]) -> Sym {
-    let mut conds: Vec<Sym> = Vec::new();
-    for (key, pat) in keys.iter().zip(patterns) {
-        let w = key.width();
-        let c = match pat {
-            ir::IrPattern::Value(v) => Sym::Bin {
-                op: BinOp::Eq,
-                a: key.clone(),
-                b: Rc::new(Sym::konst(*v, w)),
-                width: 1,
-            },
-            ir::IrPattern::Mask { value, mask } => Sym::Bin {
-                op: BinOp::Eq,
-                a: Rc::new(Sym::Bin {
-                    op: BinOp::And,
-                    a: key.clone(),
-                    b: Rc::new(Sym::konst(*mask, w)),
-                    width: w,
-                }),
-                b: Rc::new(Sym::konst(value & mask, w)),
-                width: 1,
-            },
-            ir::IrPattern::Range { lo, hi } => Sym::Bin {
-                op: BinOp::LAnd,
-                a: Rc::new(Sym::Bin {
-                    op: BinOp::Ge,
-                    a: key.clone(),
-                    b: Rc::new(Sym::konst(*lo, w)),
-                    width: 1,
-                }),
-                b: Rc::new(Sym::Bin {
-                    op: BinOp::Le,
-                    a: key.clone(),
-                    b: Rc::new(Sym::konst(*hi, w)),
-                    width: 1,
-                }),
-                width: 1,
-            },
-            ir::IrPattern::Any => Sym::konst(1, 1),
-        };
-        conds.push(c);
-    }
-    conds
-        .into_iter()
-        .reduce(|a, b| Sym::Bin {
-            op: BinOp::LAnd,
-            a: Rc::new(a),
-            b: Rc::new(b),
-            width: 1,
-        })
-        .unwrap_or_else(|| Sym::konst(1, 1))
-        .simplify()
-}
-
-fn truthy(s: &Rc<Sym>) -> Sym {
-    if s.width() == 1 {
-        (**s).clone()
-    } else {
-        Sym::Bin {
-            op: BinOp::Ne,
-            a: s.clone(),
-            b: Rc::new(Sym::konst(0, s.width())),
-            width: 1,
-        }
-    }
-}
-
-fn negate(s: Sym) -> Sym {
-    Sym::Un {
-        op: netdebug_p4::ast::UnOp::LNot,
-        a: Rc::new(s),
-        width: 1,
-    }
-    .simplify()
-}
-
-fn target_name(program: &ir::Program, t: &TransTarget) -> String {
-    match t {
-        TransTarget::Accept => "accept".to_string(),
-        TransTarget::Reject => "reject".to_string(),
-        TransTarget::State(s) => program.parser.states[*s].name.clone(),
+    fn meter(&mut self, id: usize, _: Sym) -> Sym {
+        let ext = &self.program.externs[id];
+        self.atom(format!("meter::{}", ext.name), 2)
     }
 }

@@ -5,8 +5,10 @@
 //! ingress port). Path conditions are conjunctions of boolean (`width == 1`)
 //! symbolic expressions.
 
+use crate::solver::AtomWidths;
 use netdebug_p4::ast::{BinOp, UnOp};
-use netdebug_p4::ir::truncate;
+use netdebug_p4::ir::{truncate, IrPattern};
+use netdebug_p4::walk::{eval_bin, eval_un, Value};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -115,45 +117,16 @@ impl Sym {
         match self {
             Sym::Atom { id, width } => truncate(assignment(*id), *width),
             Sym::Const { value, .. } => *value,
-            Sym::Un { op, a, width } => {
-                let v = a.eval(assignment);
-                match op {
-                    UnOp::Not => truncate(!v, *width),
-                    UnOp::Neg => truncate(v.wrapping_neg(), *width),
-                    UnOp::LNot => (v == 0) as u128,
-                }
-            }
-            Sym::Bin { op, a, b, width } => {
-                let x = a.eval(assignment);
-                let y = b.eval(assignment);
-                let w = *width;
-                match op {
-                    BinOp::Add => truncate(x.wrapping_add(y), w),
-                    BinOp::Sub => truncate(x.wrapping_sub(y), w),
-                    BinOp::Mul => truncate(x.wrapping_mul(y), w),
-                    BinOp::Div => truncate(x.checked_div(y).unwrap_or(0), w),
-                    BinOp::Mod => truncate(x.checked_rem(y).unwrap_or(0), w),
-                    BinOp::And => x & y,
-                    BinOp::Or => x | y,
-                    BinOp::Xor => x ^ y,
-                    BinOp::Shl => truncate(x.checked_shl(y as u32).unwrap_or(0), w),
-                    BinOp::Shr => x.checked_shr(y as u32).unwrap_or(0),
-                    BinOp::Eq => (x == y) as u128,
-                    BinOp::Ne => (x != y) as u128,
-                    BinOp::Lt => (x < y) as u128,
-                    BinOp::Le => (x <= y) as u128,
-                    BinOp::Gt => (x > y) as u128,
-                    BinOp::Ge => (x >= y) as u128,
-                    BinOp::LAnd => (x != 0 && y != 0) as u128,
-                    BinOp::LOr => (x != 0 || y != 0) as u128,
-                    BinOp::Concat => {
-                        let bw = b.width();
-                        truncate((x << bw) | y, w)
-                    }
-                }
-            }
-            Sym::Slice { base, hi, lo } => truncate(base.eval(assignment) >> lo, hi - lo + 1),
-            Sym::Cast { a, width } => truncate(a.eval(assignment), *width),
+            Sym::Un { op, a, width } => eval_un(*op, a.eval(assignment), *width),
+            Sym::Bin { op, a, b, width } => eval_bin(
+                *op,
+                a.eval(assignment),
+                b.eval(assignment),
+                *width,
+                b.width(),
+            ),
+            Sym::Slice { base, hi, lo } => u128::slice(base.eval(assignment), *hi, *lo),
+            Sym::Cast { a, width } => u128::cast(a.eval(assignment), *width),
         }
     }
 
@@ -162,12 +135,7 @@ impl Sym {
         match &self {
             Sym::Un { op, a, width } => {
                 if let Some(v) = a.as_const() {
-                    let folded = match op {
-                        UnOp::Not => truncate(!v, *width),
-                        UnOp::Neg => truncate(v.wrapping_neg(), *width),
-                        UnOp::LNot => (v == 0) as u128,
-                    };
-                    return Sym::konst(folded, *width);
+                    return Sym::konst(eval_un(*op, v, *width), *width);
                 }
                 self
             }
@@ -195,6 +163,115 @@ impl Sym {
     }
 }
 
+/// Symbolic values for the IR walker: an operator on constants folds to a
+/// constant (as [`Sym::simplify`] would), anything else builds its node.
+impl Value for Sym {
+    fn konst(value: u128, width: u16) -> Sym {
+        Sym::konst(value, width)
+    }
+
+    fn un(op: UnOp, a: Sym, width: u16) -> Sym {
+        match a.as_const() {
+            Some(v) => Sym::konst(u128::un(op, v, width), width),
+            None => Sym::Un {
+                op,
+                a: Rc::new(a),
+                width,
+            },
+        }
+    }
+
+    fn bin(op: BinOp, a: Sym, b: Sym, width: u16, _rhs_width: u16) -> Sym {
+        match (a.as_const(), b.as_const()) {
+            (Some(x), Some(y)) => Sym::konst(u128::bin(op, x, y, width, b.width()), width),
+            _ => Sym::Bin {
+                op,
+                a: Rc::new(a),
+                b: Rc::new(b),
+                width,
+            },
+        }
+    }
+
+    fn slice(base: Sym, hi: u16, lo: u16) -> Sym {
+        match base.as_const() {
+            Some(v) => Sym::konst(u128::slice(v, hi, lo), hi - lo + 1),
+            None => Sym::Slice {
+                base: Rc::new(base),
+                hi,
+                lo,
+            },
+        }
+    }
+
+    fn cast(a: Sym, width: u16) -> Sym {
+        match a.as_const() {
+            Some(v) => Sym::konst(v, width),
+            None => Sym::Cast {
+                a: Rc::new(a),
+                width,
+            },
+        }
+    }
+}
+
+impl Sym {
+    /// Logical not of a boolean, folded.
+    pub fn negate(self) -> Sym {
+        let a = Rc::new(self);
+        Sym::Un {
+            op: UnOp::LNot,
+            a,
+            width: 1,
+        }
+        .simplify()
+    }
+
+    /// `self != 0` as a boolean (a width-1 value already is one).
+    pub fn truthy(self) -> Sym {
+        match self.width() {
+            1 => self,
+            w => Sym::Bin {
+                op: BinOp::Ne,
+                a: Rc::new(self),
+                b: Rc::new(Sym::konst(0, w)),
+                width: 1,
+            },
+        }
+    }
+}
+
+/// `keys` match `patterns`, as a symbolic boolean: the one place a select
+/// pattern becomes a [`Sym`].
+pub fn arms_condition(keys: &[Sym], patterns: &[IrPattern]) -> Sym {
+    let bin = |op, a, b: Sym, width| Sym::Bin {
+        op,
+        a: Rc::new(a),
+        b: Rc::new(b),
+        width,
+    };
+    let conds = keys.iter().zip(patterns).map(|(key, pat)| {
+        let (key, w) = (key.clone(), key.width());
+        match *pat {
+            IrPattern::Value(v) => bin(BinOp::Eq, key, Sym::konst(v, w), 1),
+            IrPattern::Mask { value, mask } => {
+                let masked = bin(BinOp::And, key, Sym::konst(mask, w), w);
+                bin(BinOp::Eq, masked, Sym::konst(value & mask, w), 1)
+            }
+            IrPattern::Range { lo, hi } => {
+                let ge = bin(BinOp::Ge, key.clone(), Sym::konst(lo, w), 1);
+                let le = bin(BinOp::Le, key, Sym::konst(hi, w), 1);
+                bin(BinOp::LAnd, ge, le, 1)
+            }
+            IrPattern::Any => Sym::konst(1, 1),
+        }
+    });
+    conds
+        .reduce(|a, b| bin(BinOp::LAnd, a, b, 1))
+        .unwrap_or_else(|| Sym::konst(1, 1))
+        .simplify()
+}
+
 /// Named description of one symbolic atom (for reporting counterexamples).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AtomInfo {
@@ -202,6 +279,12 @@ pub struct AtomInfo {
     pub name: String,
     /// Width in bits.
     pub width: u16,
+}
+
+impl AtomWidths for Vec<AtomInfo> {
+    fn atom_width(&self, id: usize) -> u16 {
+        self[id].width
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use netdebug_tester::{check_forwarding, ExternalView};
-use netdebug_verify::{verify, Options};
+use netdebug_verify::verify;
 
 fn malformed_packet() -> Vec<u8> {
     let mut f = PacketBuilder::ethernet(
@@ -40,7 +40,7 @@ fn main() {
 
     // --- Step 1: formal verification of the specification -------------
     let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let report = verify(&ir, Options::default());
+    let report = verify(&ir);
     println!(
         "[p4v-style verifier] paths explored: {}",
         report.paths_explored

@@ -10,7 +10,7 @@ use netdebug::usecases::{architecture, compiler_check, performance};
 use netdebug_hw::{Backend, BugSpec, Device};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
-use netdebug_verify::{verify, Options};
+use netdebug_verify::verify;
 
 fn buggy(bugs: Vec<BugSpec>) -> Backend {
     Backend::sdnet_with_bugs("campaign", bugs)
@@ -26,7 +26,7 @@ fn verifier_is_blind_to_all_backend_bugs() {
         corpus::FEATURE_MANY_TABLES,
     ] {
         let ir = netdebug_p4::compile(src).unwrap();
-        let report = verify(&ir, Options::default());
+        let report = verify(&ir);
         // Whatever the backend later does, this is all the verifier sees.
         let semantic = report
             .findings

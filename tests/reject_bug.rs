@@ -11,7 +11,7 @@ use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use netdebug_tester::{check_forwarding, ExternalView};
-use netdebug_verify::{verify, Options};
+use netdebug_verify::verify;
 
 fn malformed() -> Vec<u8> {
     let mut f = PacketBuilder::ethernet(
@@ -38,7 +38,7 @@ fn deploy(backend: &Backend) -> Device {
 #[test]
 fn spec_level_verification_passes_the_program() {
     let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let report = verify(&ir, Options::default());
+    let report = verify(&ir);
     assert!(report.verified(), "{:#?}", report.findings);
     assert!(report.reject_paths > 0);
     assert!(report.spec_reject_drops);

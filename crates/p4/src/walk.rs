@@ -77,7 +77,8 @@ pub trait Value: Clone {
     fn konst(value: u128, width: u16) -> Self;
     /// A unary operation.
     fn un(op: UnOp, a: Self, width: u16) -> Self;
-    /// A binary operation (`rhs_width` is `b`'s width).
+    /// A binary operation (`rhs_width` is `b`'s width for a
+    /// concatenation, and 0 otherwise).
     fn bin(op: BinOp, a: Self, b: Self, width: u16, rhs_width: u16) -> Self;
     /// Bits `hi..=lo` of `a`.
     fn slice(a: Self, hi: u16, lo: u16) -> Self;
@@ -419,7 +420,11 @@ impl<D: Domain> Walker<'_, D> {
             IrExpr::Bin { op, a, b, width } => {
                 let x = self.eval(a);
                 let y = self.eval(b);
-                D::Val::bin(*op, x, y, *width, b.width(self.prog))
+                let rhs_width = match op {
+                    BinOp::Concat => b.width(self.prog),
+                    _ => 0,
+                };
+                D::Val::bin(*op, x, y, *width, rhs_width)
             }
             IrExpr::Slice { base, hi, lo } => {
                 let v = self.eval(base);

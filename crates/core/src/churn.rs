@@ -200,11 +200,6 @@ impl ChurnSchedule {
         self
     }
 
-    /// Total scheduled mutations.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()

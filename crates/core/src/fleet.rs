@@ -22,12 +22,11 @@
 //! artefact.
 
 use crate::churn::{ChurnError, ChurnSchedule};
-use crate::differential::{divergences, stages_reached, Observation};
+use crate::differential::{divergences, Observation};
 use crate::generator::{Generator, StreamSpec};
-use crate::probes::Probe;
 use crate::runtime::{
-    drive_device_with, CulpritFrame, DeviceFault, DeviceRecovery, DeviceSink, FleetRuntime,
-    FlowRun, RecoveryPolicy, RuntimeStats, DEFAULT_MAX_BATCH, DEFAULT_WATCHDOG_CYCLES,
+    drive_device_with, DeviceFault, DeviceRecovery, DeviceSink, FleetRuntime, FlowRun,
+    RecoveryPolicy, DEFAULT_MAX_BATCH,
 };
 use netdebug_dataplane::DropReason;
 use netdebug_hw::{Device, Outcome, Processed};
@@ -63,14 +62,14 @@ impl From<ChurnError> for FleetError {
 /// One divergence between a fleet member and the reference device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetDivergence {
-    /// Index of the packet (or probe) that exposed it.
+    /// Index of the packet that exposed it.
     pub index: usize,
     /// Label of the diverging member.
     pub member: String,
     /// What differed, reference vs member.
     pub detail: String,
-    /// Internal stages the reference traversed (full stage set on the
-    /// probe path, the last stage reached on the window path).
+    /// Internal stages the reference traversed: the last stage its
+    /// pipeline reached.
     pub stages_reference: Vec<String>,
     /// Internal stages the diverging member traversed.
     pub stages_member: Vec<String>,
@@ -83,7 +82,7 @@ pub struct FleetReport {
     pub reference: String,
     /// All member labels, in fleet order.
     pub members: Vec<String>,
-    /// Packets (or probes) in the stimulus.
+    /// Packets in the stimulus.
     pub packets: usize,
     /// Packets on which **every** member agreed with the reference.
     pub agreements: usize,
@@ -167,7 +166,7 @@ struct FleetMember {
     device: Device,
 }
 
-/// One member's per-packet (or per-probe) observations.
+/// One member's per-packet observations.
 type MemberObservations = Vec<Observation>;
 
 /// [`DeviceSink`] that records the window-path observation per packet:
@@ -187,13 +186,12 @@ impl DeviceSink for FleetSink {
 /// The first member added is the **reference** (conventionally the
 /// [`netdebug_hw::Backend::reference`] build); every other member is
 /// diffed against it. Each run drives the members in place, fanned out
-/// by the fleet's [`FleetRuntime`] over at most
-/// [`DifferentialFleet::runtime_workers`] threads.
+/// by the fleet's [`FleetRuntime`] over at most the threads set by
+/// [`DifferentialFleet::set_runtime_workers`].
 #[derive(Default)]
 pub struct DifferentialFleet {
     members: Vec<FleetMember>,
     runtime: FleetRuntime,
-    last_stats: RuntimeStats,
 }
 
 impl DifferentialFleet {
@@ -218,21 +216,6 @@ impl DifferentialFleet {
         self
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the fleet has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Member labels in fleet order.
-    pub fn labels(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.label.as_str()).collect()
-    }
-
     /// Mutable access to a member's device (control-plane configuration —
     /// e.g. installing the same routes on every member).
     pub fn device_mut(&mut self, label: &str) -> Option<&mut Device> {
@@ -240,22 +223,6 @@ impl DifferentialFleet {
             .iter_mut()
             .find(|m| m.label == label)
             .map(|m| &mut m.device)
-    }
-
-    /// Install the same table entries on every member via a closure.
-    pub fn configure_all(
-        &mut self,
-        mut f: impl FnMut(&mut Device) -> Result<(), netdebug_dataplane::ControlError>,
-    ) -> Result<(), netdebug_dataplane::ControlError> {
-        for m in &mut self.members {
-            f(&mut m.device)?;
-        }
-        Ok(())
-    }
-
-    /// Number of OS threads the fleet's runtime targets.
-    pub fn runtime_workers(&self) -> usize {
-        self.runtime.target_workers()
     }
 
     /// Spread later runs over at most `workers` OS threads, the caller's
@@ -281,24 +248,6 @@ impl DifferentialFleet {
     /// The fleet's current recovery policy (`None` when recovery is off).
     pub fn recovery(&self) -> Option<RecoveryPolicy> {
         self.runtime.recovery()
-    }
-
-    /// Observability counters from the most recent fleet run, summed over
-    /// members: scheduled instants, coalesced-batch sizes and
-    /// ready-queue depth.
-    pub fn runtime_stats(&self) -> RuntimeStats {
-        self.last_stats
-    }
-
-    /// Generate **one** window from `spec` and feed the identical frames
-    /// to every device concurrently (each member is one job of the
-    /// fleet's runtime, running the batched internal path). Outcomes
-    /// are joined in member order and every member's packet-by-packet
-    /// behaviour is diffed against the reference; the member's last-stage
-    /// taps localise any divergence.
-    pub fn run_window(&mut self, spec: &StreamSpec) -> FleetReport {
-        self.run_churn(spec, &crate::churn::ChurnSchedule::new(), spec.count.max(1))
-            .expect("an empty churn schedule cannot fail")
     }
 
     /// Run a churned stream across the fleet: the stimulus is cut into
@@ -379,13 +328,11 @@ impl DifferentialFleet {
         let mut per_member: Vec<Option<MemberObservations>> = Vec::with_capacity(runs.len());
         let mut faults: Vec<DeviceFault> = Vec::new();
         let mut recoveries: Vec<DeviceRecovery> = Vec::new();
-        let mut stats = RuntimeStats::default();
         let mut first_err: Option<netdebug_dataplane::ControlError> = None;
         for (m, run) in self.members.iter().zip(runs) {
             // `drive_device_with` contains device panics itself; one that
             // escapes came from the harness — propagate it.
             let (mut run, obs) = run.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            stats.absorb(&run.stats);
             run.label(&m.label);
             recoveries.extend(run.recoveries);
             if let Some(f) = run.fault {
@@ -403,7 +350,6 @@ impl DifferentialFleet {
                 }
             }
         }
-        self.last_stats = stats;
         if let Some(e) = first_err {
             return Err(e.into());
         }
@@ -412,76 +358,6 @@ impl DifferentialFleet {
             .find_map(|r| r.as_ref().map(|r| r.len()))
             .unwrap_or(0);
         Ok(self.diff(per_member, packets, faults, recoveries))
-    }
-
-    /// Run a probe set through every device concurrently and diff, with
-    /// full per-probe stage sets (the probe path injects one packet at a
-    /// time so each probe's tap delta is attributable). Probe jobs fan
-    /// out over the same runtime as the window path.
-    pub fn diff_probes(&mut self, probes: &[Probe]) -> FleetReport {
-        let jobs: Vec<_> = self
-            .members
-            .iter_mut()
-            .map(|m| {
-                let device = &mut m.device;
-                move || {
-                    // Each probe runs under `catch_unwind`: a member that
-                    // crashes on probe `i` — or swallows it in a silent
-                    // stall wedge, charged the watchdog deadline like any
-                    // permanent stall — is quarantined with probe `i` as
-                    // its culprit, and the device stays in the fleet in
-                    // whatever state the trip left it.
-                    let mut obs: MemberObservations = Vec::with_capacity(probes.len());
-                    for (i, p) in probes.iter().enumerate() {
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            stages_reached(device, 0, &p.data)
-                        }));
-                        let payload = match out {
-                            Ok(o) if !device.is_wedged() => {
-                                obs.push(o);
-                                continue;
-                            }
-                            Ok(_) => {
-                                device.advance(DEFAULT_WATCHDOG_CYCLES);
-                                None
-                            }
-                            Err(payload) => Some(payload),
-                        };
-                        let culprit = CulpritFrame {
-                            flow: 0,
-                            seq: i as u64,
-                            port: 0,
-                            bytes: p.data.clone(),
-                            prior_stage: None,
-                        };
-                        let fault = DeviceFault::from_trip(
-                            payload.as_deref(),
-                            Some(culprit),
-                            None,
-                            i as u64,
-                        );
-                        return (obs, Some(fault));
-                    }
-                    (obs, None)
-                }
-            })
-            .collect();
-        let results = self.runtime.execute(jobs);
-        let mut per_member: Vec<Option<MemberObservations>> = Vec::with_capacity(results.len());
-        let mut faults: Vec<DeviceFault> = Vec::new();
-        for (m, res) in self.members.iter().zip(results) {
-            // The job catches every probe panic itself, so an escaping
-            // panic is harness breakage — propagate it.
-            let (obs, fault) = res.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            if let Some(mut f) = fault {
-                f.member = m.label.clone();
-                faults.push(f);
-                per_member.push(None);
-            } else {
-                per_member.push(Some(obs));
-            }
-        }
-        self.diff(per_member, probes.len(), faults, Vec::new())
     }
 
     /// Diff joined per-member observations against the reference, in
@@ -674,7 +550,6 @@ impl DifferentialFleet {
 mod tests {
     use super::*;
     use crate::generator::Expectation;
-    use crate::probes::parser_path_probes;
     use netdebug_hw::Backend;
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -698,6 +573,14 @@ mod tests {
         f
     }
 
+    /// One window of `spec` across the fleet: a churn run with nothing
+    /// scheduled.
+    fn run_window(fleet: &mut DifferentialFleet, spec: &StreamSpec) -> FleetReport {
+        fleet
+            .run_churn(spec, &crate::churn::ChurnSchedule::new(), spec.count.max(1))
+            .expect("an empty churn schedule cannot fail")
+    }
+
     fn three_member_fleet() -> DifferentialFleet {
         DifferentialFleet::new()
             .with("reference", router(&Backend::reference()))
@@ -708,10 +591,13 @@ mod tests {
     #[test]
     fn fleet_catches_the_reject_bug_and_exonerates_the_fix() {
         let mut fleet = three_member_fleet();
-        assert_eq!(fleet.len(), 3);
         // Malformed version-5 packets: the reference and the fixed SDNet
         // drop them, the 2018 SDNet silently forwards them.
-        let report = fleet.run_window(&StreamSpec::simple(1, frame(5), 12, Expectation::Any));
+        let report = run_window(
+            &mut fleet,
+            &StreamSpec::simple(1, frame(5), 12, Expectation::Any),
+        );
+        assert_eq!(report.members, ["reference", "sdnet-fixed", "sdnet-2018"]);
         assert_eq!(report.packets, 12);
         assert_eq!(report.reference, "reference");
         assert!(!report.equivalent());
@@ -726,77 +612,12 @@ mod tests {
     #[test]
     fn fleet_agrees_on_well_formed_traffic() {
         let mut fleet = three_member_fleet();
-        let report = fleet.run_window(&StreamSpec::simple(
-            2,
-            frame(4),
-            20,
-            Expectation::Forward { port: Some(1) },
-        ));
+        let report = run_window(
+            &mut fleet,
+            &StreamSpec::simple(2, frame(4), 20, Expectation::Forward { port: Some(1) }),
+        );
         assert!(report.equivalent(), "{:#?}", report.divergences);
         assert_eq!(report.agreements, 20);
-    }
-
-    #[test]
-    fn fleet_probe_diffing_localises_reject_paths() {
-        let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-        let probes = parser_path_probes(&ir);
-        let mut fleet = three_member_fleet();
-        let report = fleet.diff_probes(&probes);
-        assert!(!report.equivalent());
-        for d in &report.divergences {
-            assert!(
-                probes[d.index].hits_reject,
-                "only reject-path probes diverge: {d:?}"
-            );
-            assert_eq!(d.member, "sdnet-2018");
-        }
-    }
-
-    #[test]
-    fn diff_probes_is_the_contained_form_of_diff_devices() {
-        // Same engine, two front ends: on every corpus program the 2018
-        // backend accepts, the pairwise differ and a two-member fleet
-        // agree on the count and on every divergence's index, detail and
-        // both stage sets.
-        let mut diverging_programs = 0;
-        for program in corpus::corpus() {
-            let ir = netdebug_p4::compile(program.source).unwrap();
-            let Ok(target) = Device::deploy(&Backend::sdnet_2018(), &ir) else {
-                continue;
-            };
-            let reference = Device::deploy(&Backend::reference(), &ir).unwrap();
-            let probes = parser_path_probes(&ir);
-            let pairwise = crate::differential::diff_devices(
-                &mut reference.clone(),
-                &mut target.clone(),
-                &probes,
-            );
-            let fleet = DifferentialFleet::new()
-                .with("reference", reference)
-                .with("sdnet-2018", target)
-                .diff_probes(&probes);
-            assert_eq!(fleet.agreements, pairwise.agreements, "{}", program.name);
-            let flat = |d: &FleetDivergence| {
-                (
-                    d.index,
-                    d.detail.clone(),
-                    d.stages_reference.clone(),
-                    d.stages_member.clone(),
-                )
-            };
-            assert_eq!(
-                fleet.divergences.iter().map(flat).collect::<Vec<_>>(),
-                pairwise
-                    .divergences
-                    .into_iter()
-                    .map(|d| (d.probe_index, d.detail, d.stages_a, d.stages_b))
-                    .collect::<Vec<_>>(),
-                "{}",
-                program.name
-            );
-            diverging_programs += usize::from(!fleet.divergences.is_empty());
-        }
-        assert_eq!(diverging_programs, 4, "the four silent divergences");
     }
 
     #[test]
@@ -825,11 +646,12 @@ mod tests {
     #[test]
     fn empty_and_single_member_fleets_are_trivially_equivalent() {
         let mut empty = DifferentialFleet::new();
-        assert!(empty.is_empty());
         let spec = StreamSpec::simple(1, frame(4), 4, Expectation::Any);
-        assert!(empty.run_window(&spec).equivalent());
+        let report = run_window(&mut empty, &spec);
+        assert!(report.members.is_empty());
+        assert!(report.equivalent());
         let mut solo = DifferentialFleet::new().with("only", router(&Backend::reference()));
-        let report = solo.run_window(&spec);
+        let report = run_window(&mut solo, &spec);
         assert!(report.equivalent());
         assert_eq!(report.agreements, 4);
     }
@@ -849,13 +671,10 @@ mod tests {
             }
             fleet.add(format!("member-{i}"), dev);
         }
-        assert_eq!(fleet.len(), 16);
-        let report = fleet.run_window(&StreamSpec::simple(
-            1,
-            frame(4),
-            12,
-            Expectation::Forward { port: Some(1) },
-        ));
+        let report = run_window(
+            &mut fleet,
+            &StreamSpec::simple(1, frame(4), 12, Expectation::Forward { port: Some(1) }),
+        );
         assert!(!report.equivalent(), "a crashed member is not equivalence");
         assert_eq!(report.faulted_members(), vec!["member-6"]);
         let f = &report.faults[0];
@@ -869,7 +688,11 @@ mod tests {
         // the reference on all 12 packets, exactly as in a fault-free run.
         assert!(report.divergences.is_empty(), "{:#?}", report.divergences);
         assert_eq!(report.agreements, 12);
-        assert_eq!(fleet.len(), 16, "the crashed device returns to the fleet");
+        assert_eq!(
+            report.members.len(),
+            16,
+            "the crashed device returns to the fleet"
+        );
     }
 
     #[test]
@@ -969,7 +792,11 @@ mod tests {
         assert_eq!(pub_rec.fault, "transient-publication");
         assert_eq!(pub_rec.stage, "driver");
         assert!(pub_rec.culprit.is_none(), "absorbed before any frame died");
-        assert_eq!(fleet.len(), 16, "every member returns to the fleet");
+        assert_eq!(
+            report.members.len(),
+            16,
+            "every member returns to the fleet"
+        );
     }
 
     #[test]
@@ -983,7 +810,7 @@ mod tests {
         let mut clean = DifferentialFleet::new()
             .with("reference", router(&Backend::reference()))
             .with("subject", router(&Backend::sdnet_fixed()));
-        let clean_report = clean.run_window(&spec);
+        let clean_report = run_window(&mut clean, &spec);
         assert!(clean_report.equivalent());
         let mut faulty_dev = router(&Backend::sdnet_fixed());
         faulty_dev.arm_fault(FaultSpec::PanicAfterN { n: 9 });
@@ -994,7 +821,7 @@ mod tests {
             checkpoint_interval: 4,
             ..RecoveryPolicy::default()
         }));
-        let report = faulty.run_window(&spec);
+        let report = run_window(&mut faulty, &spec);
         assert!(report.faults.is_empty(), "{:#?}", report.faults);
         assert!(report.divergences.is_empty(), "{:#?}", report.divergences);
         assert_eq!(report.recoveries.len(), 1);
@@ -1022,53 +849,7 @@ mod tests {
             Some(4),
             "recovery survives a worker retarget"
         );
-        assert_eq!(wide.run_window(&spec), report);
-    }
-
-    #[test]
-    fn probe_diffing_quarantines_a_crashing_member() {
-        use netdebug_hw::FaultSpec;
-        let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-        let probes = parser_path_probes(&ir);
-        assert!(probes.len() > 1);
-        let mut faulty = router(&Backend::reference());
-        faulty.arm_fault(FaultSpec::PanicAfterN { n: 1 });
-        let mut fleet = DifferentialFleet::new()
-            .with("reference", router(&Backend::reference()))
-            .with("crashes-on-probe-1", faulty);
-        let report = fleet.diff_probes(&probes);
-        assert_eq!(report.faulted_members(), vec!["crashes-on-probe-1"]);
-        let f = &report.faults[0];
-        let culprit = f.culprit.as_ref().expect("the probe is the culprit");
-        assert_eq!(culprit.seq, 1);
-        assert_eq!(culprit.bytes, probes[1].data);
-        assert!(report.divergences.is_empty(), "no healthy member diverges");
-        assert_eq!(fleet.len(), 2, "the crashed device returns to the fleet");
-    }
-
-    #[test]
-    fn probe_diffing_quarantines_a_stalled_member() {
-        use netdebug_hw::FaultSpec;
-        let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-        let probes = parser_path_probes(&ir);
-        assert!(probes.len() > 1);
-        let mut faulty = router(&Backend::reference());
-        faulty.arm_fault(FaultSpec::Stall { after: 1 });
-        let mut fleet = DifferentialFleet::new()
-            .with("reference", router(&Backend::reference()))
-            .with("wedges-on-probe-1", faulty);
-        let report = fleet.diff_probes(&probes);
-        assert_eq!(report.faulted_members(), vec!["wedges-on-probe-1"]);
-        let f = &report.faults[0];
-        assert_eq!((f.fault.as_str(), f.stage.as_str()), ("stall", "watchdog"));
-        assert_eq!(f.packets_delivered, 1);
-        let culprit = f.culprit.as_ref().expect("the probe is the culprit");
-        assert_eq!(culprit.seq, 1);
-        assert_eq!(culprit.bytes, probes[1].data);
-        assert!(report.divergences.is_empty(), "no healthy member diverges");
-        let wedged = fleet.device_mut("wedges-on-probe-1").unwrap();
-        assert!(wedged.is_wedged());
-        assert_eq!(wedged.now(), DEFAULT_WATCHDOG_CYCLES, "watchdog charged");
+        assert_eq!(run_window(&mut wide, &spec), report);
     }
 
     /// Two-member fleet for the bisection tests: a reference and a
@@ -1151,7 +932,7 @@ mod tests {
         assert_eq!(bisection.report.diverging_members(), vec!["prio-inverted"]);
         // The fleet hands back its pre-bisection devices: tables are
         // empty again, so a plain window agrees (both members drop).
-        let after = fleet.run_window(&spec);
+        let after = run_window(&mut fleet, &spec);
         assert!(after.equivalent(), "{:#?}", after.divergences);
         assert_eq!(after.agreements, 32);
     }
@@ -1198,30 +979,5 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, FleetError::EmptyFleet);
         assert!(err.to_string().contains("no members"));
-    }
-
-    #[test]
-    fn configure_all_reaches_every_member() {
-        let mut fleet = DifferentialFleet::new()
-            .with(
-                "a",
-                Device::deploy_source(&Backend::reference(), corpus::IPV4_FORWARD).unwrap(),
-            )
-            .with(
-                "b",
-                Device::deploy_source(&Backend::sdnet_fixed(), corpus::IPV4_FORWARD).unwrap(),
-            );
-        fleet
-            .configure_all(|d| {
-                d.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            })
-            .unwrap();
-        let report = fleet.run_window(&StreamSpec::simple(
-            1,
-            frame(4),
-            8,
-            Expectation::Forward { port: Some(1) },
-        ));
-        assert!(report.equivalent());
     }
 }

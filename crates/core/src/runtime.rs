@@ -1230,11 +1230,6 @@ impl FleetRuntime {
         }
     }
 
-    /// The worker-count target.
-    pub fn target_workers(&self) -> usize {
-        self.workers
-    }
-
     /// The [`RecoveryPolicy`] every [`FleetRuntime::run`] device is
     /// driven under ([`drive_device_with`]): with a budget, a crash-class
     /// fault costs one skipped frame and a [`DeviceRecovery`] record

@@ -13,7 +13,9 @@
 use crate::generator::Expectation;
 use crate::localize::localize;
 use crate::session::NetDebug;
-use crate::usecases::{architecture, comparison, compiler_check, performance, resources, status};
+use crate::usecases::{
+    architecture, comparison, compiler_check, functional, performance, resources, status,
+};
 use netdebug_hw::{Backend, BugSpec, Device};
 use netdebug_p4::corpus;
 use netdebug_tester::{check_forwarding, ExternalView};
@@ -189,16 +191,13 @@ fn functional_row() -> CoverageRow {
     };
     let n2 = {
         let mut nd = NetDebug::new(router_on(&Backend::sdnet_2018()));
-        nd.run_stream(&crate::generator::StreamSpec {
-            stream: 2,
-            template: malformed_ipv4(),
-            count: 1,
-            rate_pps: None,
+        let vector = functional::TestVector {
+            name: "malformed ipv4".into(),
             as_port: 0,
-            sweeps: vec![],
+            packet: malformed_ipv4(),
             expect: Expectation::Drop,
-        });
-        !nd.checker().violations().is_empty()
+        };
+        !functional::run(&mut nd, &[vector]).all_passed()
     };
 
     // Probe 3: localise a failure to a pipeline stage.

@@ -16,6 +16,9 @@
 //!
 //! [`coverage`] aggregates them into the paper's Figure 2 matrix by probing
 //! what each tool (verifier, external tester, NetDebug) can actually do.
+//! Where a probe is a use case's own procedure, the matrix calls its
+//! driver: NetDebug's hardware-bug probe in the functional row is one
+//! [`functional::run`] vector.
 
 pub mod architecture;
 pub mod comparison;

@@ -26,7 +26,7 @@
 //! landed since it last pinned.
 
 use crate::table::{RuntimeEntry, TableError, TableState};
-use netdebug_p4::ir::{self, IrPattern, KeySignature};
+use netdebug_p4::ir::{self, IrPattern};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -112,11 +112,6 @@ impl ControlPlane {
             self.generation.fetch_add(1, Ordering::Release);
         }
         out
-    }
-
-    /// The program these tables belong to.
-    pub fn program(&self) -> &ir::Program {
-        &self.program
     }
 
     fn table_id(&self, name: &str) -> Result<usize, ControlError> {
@@ -224,12 +219,5 @@ impl ControlPlane {
         let tid = self.table_id(table)?;
         let t = &self.tables[tid];
         Ok((t.len(), t.capacity()))
-    }
-
-    /// The key signature a table's lookup index is shaped by — which
-    /// structure ([`crate::LookupIndex`]) its snapshots carry.
-    pub fn key_signature(&self, table: &str) -> Result<KeySignature, ControlError> {
-        let tid = self.table_id(table)?;
-        Ok(self.tables[tid].key_signature())
     }
 }

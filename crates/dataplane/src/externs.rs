@@ -180,20 +180,6 @@ impl ExternState {
             }
         }
     }
-
-    /// Reset all counters and registers (meters keep their configs).
-    pub fn clear(&mut self) {
-        for inst in &mut self.instances {
-            match inst {
-                ExternCells::Register { cells, .. } => cells.iter_mut().for_each(|c| *c = 0),
-                ExternCells::Counter { packets, bytes } => {
-                    packets.iter_mut().for_each(|c| *c = 0);
-                    bytes.iter_mut().for_each(|c| *c = 0);
-                }
-                ExternCells::Meter { .. } => {}
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -242,8 +228,6 @@ mod tests {
         s.counter_inc(1, 1, 1500);
         assert_eq!(s.counter_read(1, 0), (2, 192));
         assert_eq!(s.counter_read(1, 1), (1, 1500));
-        s.clear();
-        assert_eq!(s.counter_read(1, 0), (0, 0));
     }
 
     #[test]

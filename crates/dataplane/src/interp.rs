@@ -610,18 +610,6 @@ impl Dataplane {
         Ok(self.externs.register_read(self.extern_id(name)?, index))
     }
 
-    /// Write a register cell from the control plane.
-    pub fn set_register(
-        &mut self,
-        name: &str,
-        index: usize,
-        value: u128,
-    ) -> Result<(), ControlError> {
-        let id = self.extern_id(name)?;
-        self.externs.register_write(id, index, value);
-        Ok(())
-    }
-
     /// Configure a meter cell.
     pub fn configure_meter(
         &mut self,

@@ -958,11 +958,6 @@ impl EntrySnapshot {
         self.view().scan(keys).map(|e| &**e)
     }
 
-    /// The lookup structure.
-    pub fn index(&self) -> &LookupIndex {
-        &self.index
-    }
-
     /// Flatten this snapshot into a [`TableView`]: direct borrows of the
     /// index and entry list, resolved once per batch so the per-apply cost
     /// is a slice index instead of an `Arc` dereference.
@@ -1137,11 +1132,6 @@ impl TableState {
         }
     }
 
-    /// The key signature the table's lookup indexes are shaped by.
-    pub fn key_signature(&self) -> KeySignature {
-        self.signature
-    }
-
     fn current(&self) -> MutexGuard<'_, Arc<EntrySnapshot>> {
         self.snapshot.lock().expect("table snapshot poisoned")
     }
@@ -1273,10 +1263,7 @@ impl TableState {
     pub fn lookup(&self, keys: &[u128]) -> Option<EntryRef> {
         let current = self.current();
         let entry = Arc::clone(current.view().find(keys)?);
-        Some(EntryRef {
-            entry,
-            epoch: current.epoch,
-        })
+        Some(EntryRef { entry })
     }
 }
 
@@ -1289,14 +1276,6 @@ impl TableState {
 #[derive(Debug, Clone)]
 pub struct EntryRef {
     entry: Arc<RuntimeEntry>,
-    epoch: u64,
-}
-
-impl EntryRef {
-    /// The epoch of the snapshot the match came from.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 impl core::ops::Deref for EntryRef {
@@ -1549,7 +1528,7 @@ mod tests {
         let s = TableState::new(&t);
         s.install(&t, &a, fwd_entry(vec![IrPattern::Value(1)], 0))
             .unwrap();
-        assert!(matches!(s.snapshot().index(), LookupIndex::ExactOne(_)));
+        assert!(matches!(&s.snapshot().index, LookupIndex::ExactOne(_)));
 
         let (t, a) = table_ir_keys(&[MatchKind::Exact, MatchKind::Exact], 8);
         let s = TableState::new(&t);
@@ -1566,7 +1545,7 @@ mod tests {
         )
         .unwrap();
         // A multi-key exact table is one tuple group, every mask all ones.
-        match s.snapshot().index() {
+        match &s.snapshot().index {
             LookupIndex::Tuples { key_count, groups } => {
                 assert_eq!((*key_count, groups.len()), (2, 1));
                 assert_eq!(groups[0].masks[..2], [u128::MAX; 2]);
@@ -1582,14 +1561,14 @@ mod tests {
         let s = TableState::new(&t);
         s.install(&t, &a, fwd_entry(vec![lpm_pattern(0x0A00_0000, 8, 32)], 8))
             .unwrap();
-        assert!(matches!(s.snapshot().index(), LookupIndex::Lpm(_)));
+        assert!(matches!(&s.snapshot().index, LookupIndex::Lpm(_)));
 
         // Ternary and mixed-kind tables: tuple-space groups, one per
         // mask tuple, for as long as every entry is maskable. A range
         // pattern demotes the table to the scan; its departure refolds.
         let (t, a) = table_ir_keys(&[MatchKind::Ternary, MatchKind::Exact, MatchKind::Lpm], 8);
         let s = TableState::new(&t);
-        let groups = |s: &TableState| match s.snapshot().index() {
+        let groups = |s: &TableState| match &s.snapshot().index {
             LookupIndex::Tuples { key_count, groups } => {
                 assert_eq!(*key_count, 3);
                 Some(groups.len())
@@ -1635,7 +1614,7 @@ mod tests {
         for kind in [MatchKind::Ternary, MatchKind::Exact] {
             let (t, _) = table_ir_keys(&[kind; MAX_TUPLE_KEYS + 1], 8);
             let s = TableState::new(&t);
-            assert!(matches!(s.snapshot().index(), LookupIndex::Scan));
+            assert!(matches!(&s.snapshot().index, LookupIndex::Scan));
         }
     }
 
@@ -1673,9 +1652,7 @@ mod tests {
                 ([IrPattern::Any, IrPattern::Value(9)], 6),
             ]);
             let snap = s.snapshot();
-            assert!(
-                matches!(snap.index(), LookupIndex::Tuples { groups, .. } if groups.len() == 3)
-            );
+            assert!(matches!(&snap.index, LookupIndex::Tuples { groups, .. } if groups.len() == 3));
             assert_eq!(snap.lookup(&[0x3412, 0]).unwrap().action.args, vec![0]);
             assert_eq!(snap.lookup(&[0x3412, 9]).unwrap().action.args, vec![2]);
             assert_eq!(
@@ -1706,7 +1683,7 @@ mod tests {
             ([clean, IrPattern::Value(1)], 3),
             ([clean, IrPattern::Value(1)], 7),
         ]);
-        let keys_in_one_group = |s: &TableState| match s.snapshot().index() {
+        let keys_in_one_group = |s: &TableState| match &s.snapshot().index {
             LookupIndex::Tuples { groups, .. } => {
                 assert_eq!(groups.len(), 1);
                 groups[0].len
@@ -1727,7 +1704,7 @@ mod tests {
         s.remove(&[clean, IrPattern::Value(1)], 3).unwrap();
         assert!(s.lookup(&[0x12, 1]).is_none());
         assert!(
-            matches!(s.snapshot().index(), LookupIndex::Tuples { groups, .. } if groups.is_empty())
+            matches!(&s.snapshot().index, LookupIndex::Tuples { groups, .. } if groups.is_empty())
         );
     }
 
@@ -1740,7 +1717,7 @@ mod tests {
             ([IrPattern::Value(3), IrPattern::Any], 9),
         ]);
         let snap = s.snapshot();
-        assert!(matches!(snap.index(), LookupIndex::Tuples { .. }));
+        assert!(matches!(&snap.index, LookupIndex::Tuples { .. }));
         assert_eq!(snap.lookup(&[1]).unwrap().action.args, vec![0]);
         assert_eq!(snap.lookup(&[]).unwrap().action.args, vec![1]);
         assert!(snap.lookup(&[1, 3]).is_none());
@@ -1837,7 +1814,7 @@ mod tests {
         s.install(&t, &a, fwd_entry(vec![IrPattern::Value(9)], 0))
             .unwrap();
         let hit = s.lookup(&[9]).expect("installed");
-        assert_eq!(hit.epoch(), 1);
+        assert_eq!(s.epoch(), 1);
         // Mutations underneath the guard never move the matched entry.
         s.clear();
         assert_eq!(hit.action.args, vec![3]);

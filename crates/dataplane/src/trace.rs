@@ -142,21 +142,6 @@ impl Verdict {
             Verdict::Drop(reason) => VerdictSummary::Drop(*reason),
         }
     }
-
-    /// A short human-readable summary (the [`VerdictSummary`] rendered).
-    /// Formatting the full frame into a trace (as `{:?}` would) costs more
-    /// than processing the packet, so only kind, port and length appear.
-    pub fn label(&self) -> String {
-        self.summary().to_string()
-    }
-
-    /// The output bytes, if any.
-    pub fn data(&self) -> Option<&[u8]> {
-        match self {
-            Verdict::Forward { data, .. } | Verdict::Flood { data } => Some(data),
-            Verdict::Drop(_) => None,
-        }
-    }
 }
 
 /// A [`Verdict`] without the frame bytes: kind, egress port, output
@@ -648,27 +633,9 @@ impl<'a> LazyTrace<'a> {
         }
     }
 
-    /// True when no events were recorded (tracing disabled).
-    pub fn is_empty(&self) -> bool {
-        self.bytes.records.is_empty()
-    }
-
     /// Number of recorded events (one walk over the records, no decode).
     pub fn event_count(&self) -> usize {
         self.records().count()
-    }
-
-    /// True if the parser rejected the packet.
-    pub fn parser_rejected(&self) -> bool {
-        self.records().any(|r| matches!(r, Rec::Reject))
-    }
-
-    /// The final verdict summary, if recorded.
-    pub fn final_verdict(&self) -> Option<VerdictSummary> {
-        self.records().find_map(|r| match r {
-            Rec::Final(s) => Some(s),
-            _ => None,
-        })
     }
 
     /// The parser states entered and tables applied, in execution order,
@@ -803,10 +770,8 @@ mod tests {
             data: vec![1, 2, 3],
         };
         assert!(v.is_forwarded());
-        assert_eq!(v.data(), Some(&[1u8, 2, 3][..]));
         let d = Verdict::Drop(DropReason::ParserReject);
         assert!(!d.is_forwarded());
-        assert_eq!(d.data(), None);
         assert_eq!(DropReason::ParserReject.to_string(), "parser reject");
     }
 
@@ -816,11 +781,11 @@ mod tests {
             port: 3,
             data: vec![0; 64],
         };
-        assert_eq!(fwd.label(), "Forward { port: 3, len: 64 }");
+        assert_eq!(fwd.summary().to_string(), "Forward { port: 3, len: 64 }");
         let flood = Verdict::Flood { data: vec![0; 60] };
-        assert_eq!(flood.label(), "Flood { len: 60 }");
+        assert_eq!(flood.summary().to_string(), "Flood { len: 60 }");
         let drop = Verdict::Drop(DropReason::NoEgress);
-        assert_eq!(drop.label(), "Drop(NoEgress)");
+        assert_eq!(drop.summary().to_string(), "Drop(NoEgress)");
     }
 
     #[test]
@@ -854,19 +819,14 @@ mod tests {
         assert_eq!((buf.records.len(), buf.lane.len()), (124, 12));
 
         let lazy = LazyTrace::over(buf.bytes(), &names);
-        assert!(!lazy.is_empty());
         assert_eq!(lazy.event_count(), 11);
-        assert!(!lazy.parser_rejected());
         assert_eq!(
             lazy.stages().collect::<Vec<_>>(),
             vec![Stage::State(0), Stage::State(1), Stage::Table(0)]
         );
-        assert_eq!(
-            lazy.final_verdict(),
-            Some(VerdictSummary::Forward { port: 7, len: 33 })
-        );
 
         let t = lazy.decode();
+        assert!(!t.parser_rejected());
         assert_eq!(t.events.len(), 11);
         assert_eq!(t.states_visited(), vec!["start", "parse_ipv4"]);
         assert_eq!(t.tables_applied(), vec!["ipv4_lpm"]);
@@ -897,7 +857,6 @@ mod tests {
         // A cleared buffer is an empty trace.
         buf.clear();
         let lazy = LazyTrace::over(buf.bytes(), &names);
-        assert!(lazy.is_empty());
         assert_eq!(lazy.event_count(), 0);
         assert_eq!(lazy.stages().count(), 0);
         assert_eq!(lazy.decode(), Trace::default());
@@ -913,13 +872,13 @@ mod tests {
         buf.state(0);
         buf.reject();
         buf.final_verdict(&Verdict::Drop(DropReason::PacketTooShort));
-        let lazy = LazyTrace::over(buf.bytes(), &names);
-        assert!(lazy.parser_rejected());
-        assert_eq!(
-            lazy.final_verdict(),
-            Some(VerdictSummary::Drop(DropReason::PacketTooShort))
-        );
-        let t = lazy.decode();
+        let t = LazyTrace::over(buf.bytes(), &names).decode();
         assert!(t.parser_rejected());
+        assert_eq!(
+            t.events.last(),
+            Some(&TraceEvent::Final {
+                verdict: VerdictSummary::Drop(DropReason::PacketTooShort)
+            })
+        );
     }
 }

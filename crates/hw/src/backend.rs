@@ -126,17 +126,6 @@ impl Backend {
         })
     }
 
-    /// An SDNet profile carrying both silent bugs and crash-class
-    /// faults (robustness campaigns against a hostile device).
-    pub fn sdnet_with_faults(name: &str, bugs: Vec<BugSpec>, faults: Vec<FaultSpec>) -> Backend {
-        Backend::SdnetSim(SdnetProfile {
-            name: name.to_string(),
-            bugs,
-            limits: ArchLimits::SDNET_2018,
-            faults,
-        })
-    }
-
     /// Backend name for reports.
     pub fn name(&self) -> &str {
         match self {
@@ -409,11 +398,6 @@ impl LatencyModel {
         let match_action: u64 = tables.iter().map(|t| cost(&self.table_cycles, t, 2)).sum();
         self.base_cycles() + parse + match_action
     }
-
-    /// Peak packets per second the pipeline sustains at `clock_hz`.
-    pub fn peak_pps(&self, clock_hz: f64) -> f64 {
-        clock_hz / self.initiation_interval as f64
-    }
 }
 
 #[cfg(test)]
@@ -504,8 +488,8 @@ mod tests {
         assert_eq!(m.table_cycles[0], ("ipv4_lpm".to_string(), 5));
         let lat = m.packet_cycles(&["start", "parse_ipv4"], &["ipv4_lpm"]);
         assert_eq!(lat, 6 + 3 + 4 + 5 + m.deparse_cycles);
-        // 200 MHz, II = 4 (parse_ipv4 dominates) -> 50 Mpps.
-        assert!((m.peak_pps(200e6) - 50e6).abs() < 1.0);
+        // II = 4: parse_ipv4 dominates.
+        assert_eq!(m.initiation_interval, 4);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl DeviceCheckpoint {
     pub fn at_cycle(&self) -> u64 {
         self.taps.now_cycles
     }
-
-    /// The table epochs the checkpoint pinned, in declaration order.
-    pub fn epochs(&self) -> Vec<u64> {
-        self.dataplane.epochs()
-    }
 }
 
 /// The device's mutable bookkeeping: clock, pipeline occupancy, per-port
@@ -445,11 +440,6 @@ impl Device {
         self.dataplane.set_engine(engine);
     }
 
-    /// Which engine the embedded data plane executes.
-    pub fn engine(&self) -> Engine {
-        self.dataplane.engine()
-    }
-
     /// Flow-cache counters of the embedded data plane (hits, misses,
     /// invalidations, occupancy, capacity) — see
     /// [`netdebug_dataplane::Dataplane::cache_stats`]. All-zero when the
@@ -519,25 +509,12 @@ impl Device {
 
     /// Internal path, batched: inject every frame as `as_port`, advancing
     /// the device clock by `gap_cycles` before each injection (0 =
-    /// back-to-back). Results are identical to calling [`Device::inject`]
-    /// in a loop.
-    pub fn inject_batch(
-        &mut self,
-        as_port: u16,
-        frames: &[&[u8]],
-        gap_cycles: u64,
-    ) -> Vec<Processed> {
-        let mut out = Vec::with_capacity(frames.len());
-        self.inject_batch_with(as_port, frames, gap_cycles, |_, p| out.push(p));
-        out
-    }
-
-    /// Internal batched path, streaming: like [`Device::inject_batch`] but
-    /// each [`Processed`] outcome is handed to `visit` (with its window
-    /// index) as soon as it is accounted — before the next frame of the
-    /// window executes — so callers consume the window without a
-    /// `Vec<Processed>` ever materialising and one egress frame is alive
-    /// at a time.
+    /// back-to-back), with results identical to calling [`Device::inject`]
+    /// in a loop. Each [`Processed`] outcome is handed to `visit` (with
+    /// its window index) as soon as it is accounted — before the next
+    /// frame of the window executes — so callers consume the window
+    /// without a `Vec<Processed>` ever materialising and one egress frame
+    /// is alive at a time.
     ///
     /// Back-to-back windows (`gap_cycles == 0`) run through the data
     /// plane's batch engine as one group, streamed through one reused
@@ -797,25 +774,6 @@ impl Device {
             }
             _ => (pkts, bytes),
         })
-    }
-
-    /// Read a register cell.
-    pub fn register(
-        &self,
-        name: &str,
-        index: usize,
-    ) -> Result<u128, netdebug_dataplane::ControlError> {
-        self.dataplane.register(name, index)
-    }
-
-    /// Write a register cell.
-    pub fn set_register(
-        &mut self,
-        name: &str,
-        index: usize,
-        value: u128,
-    ) -> Result<(), netdebug_dataplane::ControlError> {
-        self.dataplane.set_register(name, index, value)
     }
 
     /// Configure a meter cell.
@@ -1088,6 +1046,14 @@ mod tests {
         f
     }
 
+    /// One `inject_batch_with` window as `port 0`, its outcomes collected
+    /// in window order.
+    fn inject_window(dev: &mut Device, frames: &[&[u8]], gap_cycles: u64) -> Vec<Processed> {
+        let mut out = Vec::with_capacity(frames.len());
+        dev.inject_batch_with(0, frames, gap_cycles, |_, p| out.push(p));
+        out
+    }
+
     fn deploy(backend: &Backend) -> Device {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(backend, &ir).unwrap();
@@ -1245,8 +1211,12 @@ mod tests {
 
     #[test]
     fn faulty_backend_profile_arms_deployed_devices() {
-        let backend =
-            Backend::sdnet_with_faults("crashy", vec![], vec![FaultSpec::PanicOnPort { port: 2 }]);
+        let backend = Backend::SdnetSim(crate::backend::SdnetProfile {
+            name: "crashy".into(),
+            bugs: vec![],
+            limits: crate::backend::ArchLimits::SDNET_2018,
+            faults: vec![FaultSpec::PanicOnPort { port: 2 }],
+        });
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(&backend, &ir).unwrap();
         assert_eq!(dev.armed_faults(), backend.faults());
@@ -1428,7 +1398,7 @@ mod tests {
                 cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
                     .unwrap()
             });
-            let outcomes = dev.inject_batch(0, &frames, 0);
+            let outcomes = inject_window(&mut dev, &frames, 0);
             (outcomes, mutator.join().expect("mutator thread"))
         });
         assert_eq!(epoch, 2, "deploy install was epoch 1, churn is epoch 2");
@@ -1447,7 +1417,7 @@ mod tests {
             );
         }
         // The next window observes the published /16 route.
-        let after = dev.inject_batch(0, &frames[..4], 0);
+        let after = inject_window(&mut dev, &frames[..4], 0);
         for p in &after {
             assert!(matches!(&p.outcome, Outcome::Tx { port: 2, .. }));
         }
@@ -1478,7 +1448,7 @@ mod tests {
                 cp.install_exact("dmac", vec![dst], "forward", vec![3])
                     .unwrap()
             });
-            dev.inject_batch(0, &frames, 0)
+            inject_window(&mut dev, &frames, 0)
         });
         let forwarded = matches!(outcomes[0].outcome, Outcome::Tx { port: 3, .. });
         for p in &outcomes {
@@ -1488,7 +1458,7 @@ mod tests {
             }
         }
         // The next window observes the republished hash index.
-        let after = dev.inject_batch(0, &frames[..4], 0);
+        let after = inject_window(&mut dev, &frames[..4], 0);
         for p in &after {
             assert!(matches!(&p.outcome, Outcome::Tx { port: 3, .. }));
         }
@@ -1532,7 +1502,7 @@ mod tests {
         for gap in [1u64, 7, 1000] {
             let mut batched = deploy(&Backend::reference());
             let mut looped = deploy(&Backend::reference());
-            let a = batched.inject_batch(0, &frames, gap);
+            let a = inject_window(&mut batched, &frames, gap);
             let mut b = Vec::new();
             for f in &frames {
                 looped.advance(gap);
@@ -1671,7 +1641,7 @@ mod tests {
             let mut batched = deploy(&Backend::reference());
             batched.set_engine(engine);
             let mut looped = batched.clone();
-            let a = batched.inject_batch(0, &frames, 0);
+            let a = inject_window(&mut batched, &frames, 0);
             let b: Vec<Processed> = frames.iter().map(|f| looped.inject(0, f)).collect();
             assert_eq!(a, b, "{engine:?}");
             assert_eq!(batched.now(), looped.now());

@@ -17,22 +17,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// All header declarations.
-    pub fn headers(&self) -> impl Iterator<Item = &HeaderDecl> {
-        self.items.iter().filter_map(|i| match i {
-            Item::Header(h) => Some(h),
-            _ => None,
-        })
-    }
-
-    /// All struct declarations.
-    pub fn structs(&self) -> impl Iterator<Item = &StructDecl> {
-        self.items.iter().filter_map(|i| match i {
-            Item::Struct(s) => Some(s),
-            _ => None,
-        })
-    }
-
     /// All parser declarations.
     pub fn parsers(&self) -> impl Iterator<Item = &ParserDecl> {
         self.items.iter().filter_map(|i| match i {
@@ -113,16 +97,6 @@ pub enum TypeKind {
     Bool,
     /// A named type (header, struct or typedef).
     Named(String),
-}
-
-impl TypeRef {
-    /// Shorthand constructor for `bit<N>`.
-    pub fn bit(width: u16) -> Self {
-        TypeRef {
-            kind: TypeKind::Bit(width),
-            span: Span::NONE,
-        }
-    }
 }
 
 /// `header <name> { <fields> }`
@@ -643,14 +617,6 @@ impl Expr {
             _ => None,
         }
     }
-
-    /// Build a path expression from segments (no span).
-    pub fn path(segments: &[&str]) -> Expr {
-        Expr::Path {
-            segments: segments.iter().map(|s| s.to_string()).collect(),
-            span: Span::NONE,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -679,7 +645,10 @@ mod tests {
 
     #[test]
     fn expr_path_helpers() {
-        let e = Expr::path(&["hdr", "ipv4", "ttl"]);
+        let e = Expr::Path {
+            segments: vec!["hdr".into(), "ipv4".into(), "ttl".into()],
+            span: Span::NONE,
+        };
         assert_eq!(
             e.as_path().unwrap(),
             &["hdr".to_string(), "ipv4".into(), "ttl".into()][..]

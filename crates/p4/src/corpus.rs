@@ -917,11 +917,6 @@ pub fn corpus() -> Vec<CorpusProgram> {
     ]
 }
 
-/// Look up a corpus program by name.
-pub fn by_name(name: &str) -> Option<CorpusProgram> {
-    corpus().into_iter().find(|p| p.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,11 +952,5 @@ mod tests {
                 if arms.iter().any(|a| matches!(a.target, crate::ir::TransTarget::Reject)))
         });
         assert!(has_reject, "case-study program must have a reject edge");
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert!(by_name("l2_switch").is_some());
-        assert!(by_name("nonexistent").is_none());
     }
 }

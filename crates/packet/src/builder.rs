@@ -7,11 +7,8 @@
 
 use crate::ethernet::{self, EtherType, EthernetAddress, EthernetFrame};
 use crate::ipv4::{self, IpProtocol, Ipv4Address, Ipv4Packet};
-use crate::ipv6::{self, Ipv6Address, Ipv6Packet};
 use crate::tcp::{self, TcpFlags, TcpSegment};
-use crate::testhdr::{TestHeader, TEST_HEADER_LEN};
 use crate::udp::{self, UdpDatagram};
-use crate::vlan::{self, VlanTag};
 
 /// Layer-3 configuration for a built frame.
 #[derive(Debug, Clone)]
@@ -21,16 +18,6 @@ enum L3 {
         src: Ipv4Address,
         dst: Ipv4Address,
         ttl: u8,
-        dscp: u8,
-        ident: u16,
-        dont_frag: bool,
-    },
-    Ipv6 {
-        src: Ipv6Address,
-        dst: Ipv6Address,
-        hop_limit: u8,
-        traffic_class: u8,
-        flow_label: u32,
     },
 }
 
@@ -52,15 +39,6 @@ enum L4 {
     },
 }
 
-/// NetDebug test header configuration.
-#[derive(Debug, Clone, Copy)]
-struct TestCfg {
-    stream: u16,
-    flags: u16,
-    seq: u64,
-    ts_cycles: u64,
-}
-
 /// Builds complete frames layer by layer.
 ///
 /// ```
@@ -80,13 +58,10 @@ struct TestCfg {
 pub struct PacketBuilder {
     src_mac: EthernetAddress,
     dst_mac: EthernetAddress,
-    vlan: Option<(u8, bool, u16)>,
     ethertype_override: Option<EtherType>,
     l3: L3,
     l4: L4,
-    test: Option<TestCfg>,
     payload: Vec<u8>,
-    pad_to: usize,
 }
 
 impl PacketBuilder {
@@ -95,23 +70,14 @@ impl PacketBuilder {
         PacketBuilder {
             src_mac: src,
             dst_mac: dst,
-            vlan: None,
             ethertype_override: None,
             l3: L3::None,
             l4: L4::None,
-            test: None,
             payload: Vec::new(),
-            pad_to: 0,
         }
     }
 
-    /// Insert an 802.1Q tag.
-    pub fn vlan(mut self, pcp: u8, dei: bool, vid: u16) -> Self {
-        self.vlan = Some((pcp, dei, vid));
-        self
-    }
-
-    /// Force a specific (inner) EtherType; only meaningful when no L3 layer
+    /// Force a specific EtherType; only meaningful when no L3 layer
     /// is added (e.g. raw NetDebug-over-Ethernet test frames).
     pub fn ethertype(mut self, ty: EtherType) -> Self {
         self.ethertype_override = Some(ty);
@@ -120,14 +86,7 @@ impl PacketBuilder {
 
     /// Add an IPv4 header with default TTL 64.
     pub fn ipv4(mut self, src: Ipv4Address, dst: Ipv4Address) -> Self {
-        self.l3 = L3::Ipv4 {
-            src,
-            dst,
-            ttl: 64,
-            dscp: 0,
-            ident: 0,
-            dont_frag: true,
-        };
+        self.l3 = L3::Ipv4 { src, dst, ttl: 64 };
         self
     }
 
@@ -135,37 +94,7 @@ impl PacketBuilder {
     pub fn ttl(mut self, ttl: u8) -> Self {
         if let L3::Ipv4 { ttl: t, .. } = &mut self.l3 {
             *t = ttl;
-        } else if let L3::Ipv6 { hop_limit, .. } = &mut self.l3 {
-            *hop_limit = ttl;
         }
-        self
-    }
-
-    /// Override the IPv4 DSCP (no-op unless `ipv4` was called).
-    pub fn dscp(mut self, dscp: u8) -> Self {
-        if let L3::Ipv4 { dscp: d, .. } = &mut self.l3 {
-            *d = dscp;
-        }
-        self
-    }
-
-    /// Override the IPv4 identification field.
-    pub fn ident(mut self, ident: u16) -> Self {
-        if let L3::Ipv4 { ident: i, .. } = &mut self.l3 {
-            *i = ident;
-        }
-        self
-    }
-
-    /// Add an IPv6 header with default hop limit 64.
-    pub fn ipv6(mut self, src: Ipv6Address, dst: Ipv6Address) -> Self {
-        self.l3 = L3::Ipv6 {
-            src,
-            dst,
-            hop_limit: 64,
-            traffic_class: 0,
-            flow_label: 0,
-        };
         self
     }
 
@@ -188,48 +117,15 @@ impl PacketBuilder {
         self
     }
 
-    /// Add a NetDebug test header in front of the payload.
-    pub fn test_header(mut self, stream: u16, flags: u16, seq: u64, ts_cycles: u64) -> Self {
-        self.test = Some(TestCfg {
-            stream,
-            flags,
-            seq,
-            ts_cycles,
-        });
-        self
-    }
-
     /// Set the innermost payload bytes.
     pub fn payload(mut self, data: &[u8]) -> Self {
         self.payload = data.to_vec();
         self
     }
 
-    /// Pad the finished frame with zero bytes up to `len` (e.g. the 64-byte
-    /// Ethernet minimum). Padding is appended after the payload and is NOT
-    /// covered by the test-header CRC.
-    pub fn pad_to(mut self, len: usize) -> Self {
-        self.pad_to = len;
-        self
-    }
-
     /// Assemble the frame, computing lengths and checksums.
     pub fn build(self) -> Vec<u8> {
-        // Innermost content: optional test header + payload.
-        let mut inner = if let Some(cfg) = self.test {
-            let mut buf = vec![0u8; TEST_HEADER_LEN + self.payload.len()];
-            let mut h = TestHeader::new_unchecked(&mut buf[..]);
-            h.set_magic();
-            h.set_stream(cfg.stream);
-            h.set_flags(cfg.flags);
-            h.set_seq(cfg.seq);
-            h.set_ts_cycles(cfg.ts_cycles);
-            h.payload_mut().copy_from_slice(&self.payload);
-            h.fill_payload_crc();
-            buf
-        } else {
-            self.payload.clone()
-        };
+        let mut inner = self.payload;
 
         // Layer 4.
         let l4_proto;
@@ -280,23 +176,14 @@ impl PacketBuilder {
             L3::None => {
                 ethertype = self.ethertype_override.unwrap_or(EtherType::NetDebugTest);
             }
-            L3::Ipv4 {
-                src,
-                dst,
-                ttl,
-                dscp,
-                ident,
-                dont_frag,
-            } => {
+            L3::Ipv4 { src, dst, ttl } => {
                 let total = ipv4::HEADER_LEN + inner.len();
                 let mut buf = vec![0u8; total];
                 {
                     let mut p = Ipv4Packet::new_unchecked(&mut buf[..]);
                     p.set_version_and_len(ipv4::HEADER_LEN);
-                    p.set_dscp(dscp);
                     p.set_total_len(total as u16);
-                    p.set_ident(ident);
-                    p.set_flags_frag(dont_frag, false, 0);
+                    p.set_flags_frag(true, false, 0);
                     p.set_ttl(ttl);
                     if let Some(proto) = l4_proto {
                         p.set_protocol(proto);
@@ -327,63 +214,16 @@ impl PacketBuilder {
                 inner = buf;
                 ethertype = EtherType::Ipv4;
             }
-            L3::Ipv6 {
-                src,
-                dst,
-                hop_limit,
-                traffic_class,
-                flow_label,
-            } => {
-                let mut buf = vec![0u8; ipv6::HEADER_LEN + inner.len()];
-                {
-                    let mut p = Ipv6Packet::new_unchecked(&mut buf[..]);
-                    p.set_ver_tc_flow(traffic_class, flow_label);
-                    p.set_payload_len(inner.len() as u16);
-                    if let Some(proto) = l4_proto {
-                        p.set_next_header(proto);
-                    } else {
-                        p.set_next_header(IpProtocol::Unknown(0x3B)); // no next header
-                    }
-                    p.set_hop_limit(hop_limit);
-                    p.set_src_addr(src);
-                    p.set_dst_addr(dst);
-                    p.payload_mut().copy_from_slice(&inner);
-                }
-                inner = buf;
-                ethertype = EtherType::Ipv6;
-            }
-        }
-
-        // Optional VLAN tag.
-        if let Some((pcp, dei, vid)) = self.vlan {
-            let mut buf = vec![0u8; vlan::TAG_LEN + inner.len()];
-            {
-                let mut tag = VlanTag::new_unchecked(&mut buf[..]);
-                tag.set_pcp(pcp);
-                tag.set_dei(dei);
-                tag.set_vid(vid);
-                tag.set_ethertype(ethertype);
-                tag.payload_mut().copy_from_slice(&inner);
-            }
-            inner = buf;
         }
 
         // Ethernet framing.
-        let outer_type = if self.vlan.is_some() {
-            EtherType::Vlan
-        } else {
-            ethertype
-        };
         let mut frame = vec![0u8; ethernet::HEADER_LEN + inner.len()];
         {
             let mut e = EthernetFrame::new_unchecked(&mut frame[..]);
             e.set_dst_addr(self.dst_mac);
             e.set_src_addr(self.src_mac);
-            e.set_ethertype(outer_type);
+            e.set_ethertype(ethertype);
             e.payload_mut().copy_from_slice(&inner);
-        }
-        if frame.len() < self.pad_to {
-            frame.resize(self.pad_to, 0);
         }
         frame
     }
@@ -392,7 +232,8 @@ impl PacketBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ipv4Packet;
+    use crate::checksum;
+    use crate::testhdr::{TestHeader, TEST_HEADER_LEN};
 
     fn macs() -> (EthernetAddress, EthernetAddress) {
         (
@@ -413,7 +254,7 @@ mod tests {
         assert_eq!(eth.ethertype(), EtherType::Ipv4);
         let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
         assert!(ip.verify_checksum());
-        assert_eq!(ip.protocol(), IpProtocol::Udp);
+        assert_eq!(IpProtocol::from(eth.payload()[9]), IpProtocol::Udp);
         let u = UdpDatagram::new_checked(ip.payload()).unwrap();
         assert_eq!(u.src_port(), 1111);
         assert_eq!(u.dst_port(), 2222);
@@ -439,80 +280,36 @@ mod tests {
             .build();
         let eth = EthernetFrame::new_checked(&frame[..]).unwrap();
         let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-        assert_eq!(ip.protocol(), IpProtocol::Tcp);
+        assert_eq!(IpProtocol::from(eth.payload()[9]), IpProtocol::Tcp);
         let t = TcpSegment::new_checked(ip.payload()).unwrap();
         assert_eq!(t.src_port(), 80);
         assert_eq!(t.seq_number(), 42);
         assert!(t.flags().syn);
-        assert_eq!(t.payload(), b"xyz");
-        assert!(t.verify_checksum_v4(*ip.src_addr().as_bytes(), *ip.dst_addr().as_bytes()));
-    }
-
-    #[test]
-    fn vlan_and_test_header_nest_correctly() {
-        let (s, d) = macs();
-        let frame = PacketBuilder::ethernet(s, d)
-            .vlan(3, false, 0x0AB)
-            .ipv4(Ipv4Address::new(1, 1, 1, 1), Ipv4Address::new(2, 2, 2, 2))
-            .udp(7, 7)
-            .test_header(9, 0, 1000, 555)
-            .payload(b"payload!")
-            .build();
-        let eth = EthernetFrame::new_checked(&frame[..]).unwrap();
-        assert_eq!(eth.ethertype(), EtherType::Vlan);
-        let tag = VlanTag::new_checked(eth.payload()).unwrap();
-        assert_eq!(tag.vid(), 0x0AB);
-        assert_eq!(tag.ethertype(), EtherType::Ipv4);
-        let ip = Ipv4Packet::new_checked(tag.payload()).unwrap();
-        let u = UdpDatagram::new_checked(ip.payload()).unwrap();
-        let th = TestHeader::new_checked(u.payload()).unwrap();
-        assert_eq!(th.stream(), 9);
-        assert_eq!(th.seq(), 1000);
-        assert_eq!(th.ts_cycles(), 555);
-        assert_eq!(th.payload(), b"payload!");
-        assert!(th.verify_payload());
+        assert_eq!(&ip.payload()[tcp::HEADER_LEN..], b"xyz");
+        let (src, dst) = (*ip.src_addr().as_bytes(), *ip.dst_addr().as_bytes());
+        let acc = checksum::pseudo_header_v4(src, dst, 6, ip.payload().len() as u16);
+        assert_eq!(
+            checksum::fold(checksum::ones_complement_sum(acc, ip.payload())),
+            0
+        );
     }
 
     #[test]
     fn raw_test_frame_over_ethernet() {
         let (s, d) = macs();
-        let frame = PacketBuilder::ethernet(s, d)
-            .test_header(1, 0, 7, 0)
-            .payload(b"raw")
-            .build();
+        let mut header = [0u8; TEST_HEADER_LEN + 3];
+        {
+            let mut h = TestHeader::new_unchecked(&mut header[..]);
+            h.set_magic();
+            h.set_seq(7);
+            h.payload_mut().copy_from_slice(b"raw");
+            h.fill_payload_crc();
+        }
+        let frame = PacketBuilder::ethernet(s, d).payload(&header).build();
         let eth = EthernetFrame::new_checked(&frame[..]).unwrap();
         assert_eq!(eth.ethertype(), EtherType::NetDebugTest);
         let th = TestHeader::new_checked(eth.payload()).unwrap();
         assert_eq!(th.seq(), 7);
         assert!(th.verify_payload());
-    }
-
-    #[test]
-    fn padding_applies() {
-        let (s, d) = macs();
-        let frame = PacketBuilder::ethernet(s, d)
-            .payload(b"x")
-            .pad_to(64)
-            .build();
-        assert_eq!(frame.len(), 64);
-    }
-
-    #[test]
-    fn ipv6_udp_frame() {
-        let (s, d) = macs();
-        let frame = PacketBuilder::ethernet(s, d)
-            .ipv6(
-                Ipv6Address::new([0xfd00, 0, 0, 0, 0, 0, 0, 1]),
-                Ipv6Address::new([0xfd00, 0, 0, 0, 0, 0, 0, 2]),
-            )
-            .udp(53, 53)
-            .payload(b"q")
-            .build();
-        let eth = EthernetFrame::new_checked(&frame[..]).unwrap();
-        assert_eq!(eth.ethertype(), EtherType::Ipv6);
-        let ip = Ipv6Packet::new_checked(eth.payload()).unwrap();
-        assert_eq!(ip.next_header(), IpProtocol::Udp);
-        let u = UdpDatagram::new_checked(ip.payload()).unwrap();
-        assert_eq!(u.payload(), b"q");
     }
 }

@@ -1,6 +1,6 @@
 //! Internet checksum (RFC 1071) and CRC-32 helpers.
 //!
-//! The ones-complement checksum is used by IPv4, ICMP, UDP and TCP; the
+//! The ones-complement checksum is used by IPv4, UDP and TCP; the
 //! CRC-32 (IEEE 802.3 polynomial) is used by the NetDebug test header to
 //! detect payload corruption inside the device under test.
 
@@ -44,17 +44,6 @@ pub fn pseudo_header_v4(src: [u8; 4], dst: [u8; 4], protocol: u8, length: u16) -
     acc = ones_complement_sum(acc, &dst);
     acc += u32::from(protocol);
     acc += u32::from(length);
-    acc
-}
-
-/// IPv6 pseudo-header contribution for TCP/UDP checksums.
-pub fn pseudo_header_v6(src: [u8; 16], dst: [u8; 16], protocol: u8, length: u32) -> u32 {
-    let mut acc = 0u32;
-    acc = ones_complement_sum(acc, &src);
-    acc = ones_complement_sum(acc, &dst);
-    acc += length >> 16;
-    acc += length & 0xFFFF;
-    acc += u32::from(protocol);
     acc
 }
 

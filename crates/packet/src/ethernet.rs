@@ -7,9 +7,6 @@ use crate::{get_u16, set_u16, Error, Result};
 pub struct EthernetAddress(pub [u8; 6]);
 
 impl EthernetAddress {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: EthernetAddress = EthernetAddress([0xFF; 6]);
-
     /// Construct from six octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8) -> Self {
         EthernetAddress([a, b, c, d, e, f])
@@ -25,26 +22,6 @@ impl EthernetAddress {
     /// Raw octets.
     pub const fn as_bytes(&self) -> &[u8; 6] {
         &self.0
-    }
-
-    /// True for `ff:ff:ff:ff:ff:ff`.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the group bit (LSB of first octet) is set and not broadcast.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0 && !self.is_broadcast()
-    }
-
-    /// True for a unicast (individual) address.
-    pub fn is_unicast(&self) -> bool {
-        self.0[0] & 0x01 == 0
-    }
-
-    /// True if the locally-administered bit is set.
-    pub fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
     }
 }
 
@@ -146,11 +123,6 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
         }
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Destination MAC address.
     pub fn dst_addr(&self) -> EthernetAddress {
         EthernetAddress::from_bytes(&self.buffer.as_ref()[field::DST])
@@ -169,11 +141,6 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
     /// Bytes following the Ethernet header.
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[field::PAYLOAD..]
-    }
-
-    /// Total frame length in bytes.
-    pub fn total_len(&self) -> usize {
-        self.buffer.as_ref().len()
     }
 }
 
@@ -213,7 +180,7 @@ mod tests {
     #[test]
     fn parse_fields() {
         let frame = EthernetFrame::new_checked(&FRAME[..]).unwrap();
-        assert!(frame.dst_addr().is_broadcast());
+        assert_eq!(frame.dst_addr(), EthernetAddress([0xff; 6]));
         assert_eq!(
             frame.src_addr(),
             EthernetAddress::new(0x02, 0, 0, 0, 0, 0x01)
@@ -245,12 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn address_classification() {
-        assert!(EthernetAddress::BROADCAST.is_broadcast());
-        assert!(!EthernetAddress::BROADCAST.is_multicast());
-        assert!(EthernetAddress::new(0x01, 0, 0x5e, 0, 0, 1).is_multicast());
-        assert!(EthernetAddress::new(0x02, 0, 0, 0, 0, 1).is_unicast());
-        assert!(EthernetAddress::new(0x02, 0, 0, 0, 0, 1).is_local());
+    fn address_display() {
         assert_eq!(
             EthernetAddress::new(0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff).to_string(),
             "aa:bb:cc:dd:ee:ff"

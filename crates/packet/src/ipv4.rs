@@ -7,11 +7,6 @@ use crate::{checksum, get_u16, set_u16, Error, Result};
 pub struct Ipv4Address(pub [u8; 4]);
 
 impl Ipv4Address {
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ipv4Address = Ipv4Address([0; 4]);
-    /// The limited broadcast address `255.255.255.255`.
-    pub const BROADCAST: Ipv4Address = Ipv4Address([255; 4]);
-
     /// Construct from four octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Ipv4Address([a, b, c, d])
@@ -37,34 +32,6 @@ impl Ipv4Address {
     /// Build from a host-order `u32`.
     pub fn from_u32(v: u32) -> Self {
         Ipv4Address(v.to_be_bytes())
-    }
-
-    /// True for `255.255.255.255`.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True for `224.0.0.0/4`.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0xF0 == 0xE0
-    }
-
-    /// True for `127.0.0.0/8`.
-    pub fn is_loopback(&self) -> bool {
-        self.0[0] == 127
-    }
-
-    /// True if `self` is inside `net/prefix_len`.
-    pub fn in_subnet(&self, net: Ipv4Address, prefix_len: u8) -> bool {
-        if prefix_len == 0 {
-            return true;
-        }
-        let mask = if prefix_len >= 32 {
-            u32::MAX
-        } else {
-            u32::MAX << (32 - prefix_len)
-        };
-        (self.to_u32() & mask) == (net.to_u32() & mask)
     }
 }
 
@@ -127,7 +94,6 @@ pub struct Ipv4Packet<T: AsRef<[u8]>> {
 
 mod field {
     pub const VER_IHL: usize = 0;
-    pub const DSCP_ECN: usize = 1;
     pub const LENGTH: usize = 2;
     pub const IDENT: usize = 4;
     pub const FLAGS_FRAG: usize = 6;
@@ -169,11 +135,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         Ok(())
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// IP version field (must be 4).
     pub fn version(&self) -> u8 {
         self.buffer.as_ref()[field::VER_IHL] >> 4
@@ -184,54 +145,14 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         usize::from(self.buffer.as_ref()[field::VER_IHL] & 0x0F) * 4
     }
 
-    /// Differentiated services code point.
-    pub fn dscp(&self) -> u8 {
-        self.buffer.as_ref()[field::DSCP_ECN] >> 2
-    }
-
-    /// Explicit congestion notification bits.
-    pub fn ecn(&self) -> u8 {
-        self.buffer.as_ref()[field::DSCP_ECN] & 0x03
-    }
-
     /// Total length field.
     pub fn total_len(&self) -> u16 {
         get_u16(self.buffer.as_ref(), field::LENGTH)
     }
 
-    /// Identification field.
-    pub fn ident(&self) -> u16 {
-        get_u16(self.buffer.as_ref(), field::IDENT)
-    }
-
-    /// Don't-fragment flag.
-    pub fn dont_frag(&self) -> bool {
-        get_u16(self.buffer.as_ref(), field::FLAGS_FRAG) & 0x4000 != 0
-    }
-
-    /// More-fragments flag.
-    pub fn more_frags(&self) -> bool {
-        get_u16(self.buffer.as_ref(), field::FLAGS_FRAG) & 0x2000 != 0
-    }
-
-    /// Fragment offset in 8-byte units.
-    pub fn frag_offset(&self) -> u16 {
-        get_u16(self.buffer.as_ref(), field::FLAGS_FRAG) & 0x1FFF
-    }
-
     /// Time to live.
     pub fn ttl(&self) -> u8 {
         self.buffer.as_ref()[field::TTL]
-    }
-
-    /// Encapsulated protocol.
-    pub fn protocol(&self) -> IpProtocol {
-        IpProtocol::from(self.buffer.as_ref()[field::PROTOCOL])
-    }
-
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        get_u16(self.buffer.as_ref(), field::CHECKSUM)
     }
 
     /// Source address.
@@ -262,12 +183,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     /// Set version and IHL from a header length in bytes.
     pub fn set_version_and_len(&mut self, header_len: usize) {
         self.buffer.as_mut()[field::VER_IHL] = 0x40 | ((header_len / 4) as u8 & 0x0F);
-    }
-
-    /// Set the DSCP field.
-    pub fn set_dscp(&mut self, dscp: u8) {
-        let b = self.buffer.as_ref()[field::DSCP_ECN];
-        self.buffer.as_mut()[field::DSCP_ECN] = (dscp << 2) | (b & 0x03);
     }
 
     /// Set the total length field.
@@ -361,12 +276,9 @@ mod tests {
         assert_eq!(p.version(), 4);
         assert_eq!(p.header_len(), 20);
         assert_eq!(p.total_len(), 28);
-        assert_eq!(p.ident(), 0x1234);
-        assert!(p.dont_frag());
-        assert!(!p.more_frags());
-        assert_eq!(p.frag_offset(), 0);
+        assert_eq!(&buf[4..8], &[0x12, 0x34, 0x40, 0x00]); // ident, DF, offset 0
         assert_eq!(p.ttl(), 64);
-        assert_eq!(p.protocol(), IpProtocol::Udp);
+        assert_eq!(IpProtocol::from(buf[9]), IpProtocol::Udp);
         assert_eq!(p.src_addr(), Ipv4Address::new(192, 168, 1, 1));
         assert_eq!(p.dst_addr(), Ipv4Address::new(10, 0, 0, 1));
         assert!(p.verify_checksum());
@@ -414,19 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn subnet_membership() {
-        let a = Ipv4Address::new(192, 168, 1, 77);
-        assert!(a.in_subnet(Ipv4Address::new(192, 168, 1, 0), 24));
-        assert!(!a.in_subnet(Ipv4Address::new(192, 168, 2, 0), 24));
-        assert!(a.in_subnet(Ipv4Address::new(0, 0, 0, 0), 0));
-        assert!(a.in_subnet(a, 32));
-    }
-
-    #[test]
-    fn address_classes() {
-        assert!(Ipv4Address::new(224, 0, 0, 5).is_multicast());
-        assert!(Ipv4Address::new(127, 0, 0, 1).is_loopback());
-        assert!(Ipv4Address::BROADCAST.is_broadcast());
+    fn address_display() {
         assert_eq!(Ipv4Address::new(1, 2, 3, 4).to_string(), "1.2.3.4");
     }
 

@@ -13,7 +13,7 @@
 //! * a `payload()` / `payload_mut()` pair exposing the encapsulated bytes.
 //!
 //! On top of the views, [`builder::PacketBuilder`] composes whole frames
-//! (Ethernet → VLAN → IPv4/IPv6 → UDP/TCP → NetDebug test header) with
+//! (Ethernet → IPv4 → UDP/TCP) with
 //! correct lengths and checksums, and [`pcap::PcapWriter`] dumps captures for
 //! offline inspection.
 //!
@@ -28,30 +28,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arp;
 pub mod builder;
 pub mod checksum;
 pub mod ethernet;
-pub mod icmp;
 pub mod ipv4;
-pub mod ipv6;
 pub mod pcap;
 pub mod tcp;
 pub mod testhdr;
 pub mod udp;
-pub mod vlan;
 
-pub use arp::{ArpOperation, ArpPacket};
 pub use builder::PacketBuilder;
 pub use ethernet::{EtherType, EthernetAddress, EthernetFrame};
-pub use icmp::{IcmpPacket, IcmpType};
 pub use ipv4::{IpProtocol, Ipv4Address, Ipv4Packet};
-pub use ipv6::{Ipv6Address, Ipv6Packet};
 pub use pcap::PcapWriter;
 pub use tcp::TcpSegment;
 pub use testhdr::{TestHeader, TEST_HEADER_LEN, TEST_MAGIC};
 pub use udp::UdpDatagram;
-pub use vlan::VlanTag;
 
 /// Errors produced when interpreting raw bytes as a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

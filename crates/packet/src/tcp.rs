@@ -61,7 +61,6 @@ mod field {
     pub const FLAGS: usize = 13;
     pub const WINDOW: usize = 14;
     pub const CHECKSUM: usize = 16;
-    pub const URGENT: usize = 18;
 }
 
 impl<T: AsRef<[u8]>> TcpSegment<T> {
@@ -82,11 +81,6 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
             return Err(Error::BadLength);
         }
         Ok(seg)
-    }
-
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
     }
 
     /// Source port.
@@ -122,29 +116,6 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
     /// Receive window.
     pub fn window(&self) -> u16 {
         get_u16(self.buffer.as_ref(), field::WINDOW)
-    }
-
-    /// Checksum field.
-    pub fn checksum_field(&self) -> u16 {
-        get_u16(self.buffer.as_ref(), field::CHECKSUM)
-    }
-
-    /// Urgent pointer.
-    pub fn urgent_pointer(&self) -> u16 {
-        get_u16(self.buffer.as_ref(), field::URGENT)
-    }
-
-    /// Payload bytes after header + options.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[self.header_len()..]
-    }
-
-    /// Verify the checksum given an IPv4 pseudo-header.
-    pub fn verify_checksum_v4(&self, src: [u8; 4], dst: [u8; 4]) -> bool {
-        let data = self.buffer.as_ref();
-        let mut acc = checksum::pseudo_header_v4(src, dst, 6, data.len() as u16);
-        acc = checksum::ones_complement_sum(acc, data);
-        checksum::fold(acc) == 0
     }
 }
 
@@ -187,11 +158,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
     /// Set the checksum field to an explicit value.
     pub fn set_checksum_field(&mut self, v: u16) {
         set_u16(self.buffer.as_mut(), field::CHECKSUM, v);
-    }
-
-    /// Set the urgent pointer.
-    pub fn set_urgent_pointer(&mut self, v: u16) {
-        set_u16(self.buffer.as_mut(), field::URGENT, v);
     }
 
     /// Compute and fill the checksum given an IPv4 pseudo-header.
@@ -244,8 +210,9 @@ mod tests {
         assert_eq!(t.header_len(), 20);
         assert!(t.flags().syn && t.flags().ack && !t.flags().fin);
         assert_eq!(t.window(), 8192);
-        assert_eq!(t.payload(), b"data");
-        assert!(t.verify_checksum_v4(src, dst));
+        assert_eq!(&buf[HEADER_LEN..], b"data");
+        let acc = checksum::pseudo_header_v4(src, dst, 6, buf.len() as u16);
+        assert_eq!(checksum::fold(checksum::ones_complement_sum(acc, &buf)), 0);
     }
 
     #[test]

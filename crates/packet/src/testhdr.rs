@@ -38,8 +38,6 @@ pub const TEST_HEADER_LEN: usize = 28;
 
 /// Flag bit: this packet is the last of its stream.
 pub const FLAG_LAST: u16 = 0x0001;
-/// Flag bit: the checker should bounce this packet back to the generator.
-pub const FLAG_LOOPBACK: u16 = 0x0002;
 /// Flag bit: this packet is expected to be *dropped* by the program under
 /// test; seeing it at an output port is a failure.
 pub const FLAG_EXPECT_DROP: u16 = 0x0004;
@@ -76,11 +74,6 @@ impl<T: AsRef<[u8]>> TestHeader<T> {
             return Err(Error::BadMagic);
         }
         Ok(h)
-    }
-
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
     }
 
     /// Magic constant (must equal [`TEST_MAGIC`]).
@@ -181,9 +174,7 @@ mod tests {
         }
         let h = TestHeader::new_checked(&buf[..]).unwrap();
         assert_eq!(h.stream(), 3);
-        assert_eq!(h.flags() & FLAG_LAST, FLAG_LAST);
-        assert_eq!(h.flags() & FLAG_EXPECT_DROP, FLAG_EXPECT_DROP);
-        assert_eq!(h.flags() & FLAG_LOOPBACK, 0);
+        assert_eq!(h.flags(), FLAG_LAST | FLAG_EXPECT_DROP);
         assert_eq!(h.seq(), 0xDEAD_0000_BEEF);
         assert_eq!(h.ts_cycles(), 123_456_789);
         assert!(h.verify_payload());

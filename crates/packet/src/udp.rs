@@ -39,11 +39,6 @@ impl<T: AsRef<[u8]>> UdpDatagram<T> {
         Ok(dgram)
     }
 
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
     /// Source port.
     pub fn src_port(&self) -> u16 {
         get_u16(self.buffer.as_ref(), field::SRC_PORT)

@@ -143,32 +143,19 @@ proptest! {
         dst in any::<u32>(),
         sport in any::<u16>(),
         dport in any::<u16>(),
-        use_vlan in any::<bool>(),
-        vid in 0u16..4096,
         payload in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
-        let mut b = PacketBuilder::ethernet(
+        let frame = PacketBuilder::ethernet(
             EthernetAddress::new(2, 0, 0, 0, 0, 1),
             EthernetAddress::new(2, 0, 0, 0, 0, 2),
-        );
-        if use_vlan {
-            b = b.vlan(0, false, vid);
-        }
-        let frame = b
+        )
             .ipv4(Ipv4Address::from_u32(src), Ipv4Address::from_u32(dst))
             .udp(sport, dport)
             .payload(&payload)
             .build();
 
         let eth = EthernetFrame::new_checked(&frame[..]).unwrap();
-        let ip_bytes = if use_vlan {
-            let tag = VlanTag::new_checked(eth.payload()).unwrap();
-            prop_assert_eq!(tag.vid(), vid);
-            tag.payload().to_vec()
-        } else {
-            eth.payload().to_vec()
-        };
-        let ip = Ipv4Packet::new_checked(&ip_bytes[..]).unwrap();
+        let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
         prop_assert!(ip.verify_checksum());
         let u = UdpDatagram::new_checked(ip.payload()).unwrap();
         prop_assert_eq!(u.payload(), &payload[..]);
@@ -183,12 +170,8 @@ proptest! {
     fn checked_parsers_never_panic(data in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = EthernetFrame::new_checked(&data[..]);
         let _ = Ipv4Packet::new_checked(&data[..]);
-        let _ = Ipv6Packet::new_checked(&data[..]);
         let _ = UdpDatagram::new_checked(&data[..]);
         let _ = TcpSegment::new_checked(&data[..]);
-        let _ = IcmpPacket::new_checked(&data[..]);
-        let _ = ArpPacket::new_checked(&data[..]);
         let _ = TestHeader::new_checked(&data[..]);
-        let _ = VlanTag::new_checked(&data[..]);
     }
 }

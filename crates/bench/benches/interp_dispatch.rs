@@ -68,7 +68,8 @@ fn beds() -> [Bed; 2] {
 }
 
 /// What a device tap does per packet: walk the lazy trace's stage lane
-/// without ever decoding it. Keeps the consumer honest
+/// without ever decoding it, and say so, so only the lane is recorded.
+/// Keeps the consumer honest
 /// — the streamed row measures trace *production and inspection*, not a
 /// discarded buffer.
 struct StageCountSink {
@@ -78,6 +79,12 @@ struct StageCountSink {
 impl TraceSink for StageCountSink {
     fn observe(&mut self, _index: usize, _verdict: Verdict, trace: &LazyTrace<'_>) {
         self.stages += trace.stages().count() as u64;
+    }
+
+    /// Like a device tap, it reads the stage lane alone, so the data
+    /// plane records nothing else.
+    fn reads_records(&self) -> bool {
+        false
     }
 }
 

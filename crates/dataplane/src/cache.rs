@@ -39,7 +39,24 @@
 //!   `u32` offset — and a traced hit hands that stored trace to its
 //!   `LazyTrace` in place, without copying it into the trace buffer, so
 //!   consumers of a cached hit decode the identical event stream and a
-//!   tap walks the identical stage path.
+//!   tap walks the identical stage path. A packet recorded for a sink
+//!   that reads no records stores a **stages-only** entry: the stage
+//!   lane with empty records (a full trace always ends in a final-verdict
+//!   record, so no full entry has empty records). An entry serves a
+//!   lookup only if it was recorded at the level the lookup needs or
+//!   above, so a records reader that meets a stages-only entry misses and
+//!   re-records it in full, as a traced lookup re-records an untraced one.
+//! * **Dormancy** — a cache whose last `DORMANT_AFTER` (256) lookups
+//!   brought no hit and no install is dormant: traffic that does not
+//!   repeat pays for a hash, a probe and a tag write per packet and gets
+//!   nothing back. While dormant, 15 packets in 16 bypass the cache
+//!   (counted in [`CacheStats::skipped`]) and every `PROBE_EVERY`th
+//!   probes; a probe that hits or installs wakes it. Traffic that repeats
+//!   is found again: a flow that repeats every P packets comes round on
+//!   the probe stride again within `PROBE_EVERY`·P packets, and its
+//!   second probe installs it (a single repeated flow wakes the cache
+//!   within 32 packets). A generation bump does not reset the count, or a
+//!   cache under steady churn would pay a full 256 probes per publication.
 //!
 //! Programs whose verdicts read meter/register state or the ingress
 //! timestamp, and programs whose parser can loop (so no finite key
@@ -49,19 +66,24 @@
 
 use crate::externs::ExternState;
 use crate::table::{FxHasher, TableStats};
-use crate::trace::{DropReason, TraceBytes, Verdict};
+use crate::trace::{DropReason, Recording, TraceBytes, Verdict};
 use std::hash::Hasher;
 
 /// Flow-cache observability counters ([`crate::Dataplane::cache_stats`]).
 ///
-/// Hit/miss/invalidation counts are cumulative since construction;
-/// occupancy and capacity are instantaneous.
+/// Hit/miss/skip/invalidation counts are cumulative since construction;
+/// occupancy and capacity are instantaneous. Every packet the cached
+/// compiled engine runs is exactly one of a hit, a miss or a skip.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Packets replayed from a cached outcome.
     pub hits: u64,
-    /// Packets that ran the full engine (and recorded an outcome).
+    /// Probes that found no usable entry: the packet ran the full engine
+    /// (and, from a key's second miss on, recorded an outcome).
     pub misses: u64,
+    /// Packets a dormant cache let through unprobed: they ran the full
+    /// engine as with the cache off.
+    pub skipped: u64,
     /// Generation bumps that dropped a non-empty cache.
     pub invalidations: u64,
     /// Entries currently resident.
@@ -116,13 +138,26 @@ struct Outcome {
     applies: Vec<(u32, bool)>,
     /// `(counter id, cell index)` replays into the extern state.
     counters: Vec<(u32, u64)>,
-    /// The flat trace (including the final-verdict record), present only
-    /// when the entry was recorded on a traced path: the record lane, then
-    /// the stage lane, in one allocation.
+    /// The flat trace, present only when the entry was recorded on a
+    /// traced path: the record lane (including the final-verdict record;
+    /// empty for a stages-only entry), then the stage lane, in one
+    /// allocation.
     trace: Option<Vec<u8>>,
     /// Where the stage lane starts in `trace`. A `u32` sits in the padding
     /// after `kind`, so an entry is no larger than with the records alone.
     trace_split: u32,
+}
+
+impl Outcome {
+    /// The recording level the stored trace serves: none, the stage lane
+    /// alone (empty records), or everything.
+    fn level(&self) -> Recording {
+        match self.trace {
+            None => Recording::Nothing,
+            Some(_) if self.trace_split == 0 => Recording::Stages,
+            Some(_) => Recording::Everything,
+        }
+    }
 }
 
 /// One resident flow: its key and what to replay for it.
@@ -160,6 +195,13 @@ impl Entry {
 /// Number of direct-mapped slots (power of two).
 const SLOTS: usize = 4096;
 
+/// Lookups without a hit or an install after which the cache goes
+/// dormant: one 256-frame session window.
+const DORMANT_AFTER: u32 = 256;
+
+/// A dormant cache probes one packet in this many (a power of two).
+const PROBE_EVERY: u32 = 16;
+
 /// A per-dataplane direct-mapped flow cache.
 ///
 /// Collisions overwrite — repeated flows keep their slot hot, one-off
@@ -193,31 +235,37 @@ pub(crate) struct FlowCache {
     generation: u64,
     /// Reused miss-side recording buffers (see [`MissRecord`]).
     scratch: MissRecord,
-    /// Key hash/slot of the last lookup, reused by [`FlowCache::commit`].
+    /// Key hash of the last lookup, reused by [`FlowCache::commit`].
     last_hash: u64,
-    last_slot: usize,
     /// Whether the last miss passed the tag filter (commit installs).
     install: bool,
+    /// Packets since the last hit or install: every one a lookup until
+    /// [`DORMANT_AFTER`], where the cache goes dormant, and then the
+    /// 1-in-[`PROBE_EVERY`] stride. A generation bump leaves it alone.
+    /// It wraps after 2^32 packets, which costs one more awake stretch.
+    idle: u32,
     hits: u64,
     misses: u64,
+    skipped: u64,
     invalidations: u64,
 }
 
 impl FlowCache {
-    pub(crate) fn new(key_cap: usize) -> FlowCache {
+    pub(crate) fn new(key_cap: u32) -> FlowCache {
         FlowCache {
             index: vec![0; SLOTS],
             arena: Vec::new(),
             live: 0,
             tags: vec![0; SLOTS],
-            key_cap,
+            key_cap: key_cap as usize,
             generation: 0,
             scratch: MissRecord::default(),
             last_hash: 0,
-            last_slot: 0,
             install: false,
+            idle: 0,
             hits: 0,
             misses: 0,
+            skipped: 0,
             invalidations: 0,
         }
     }
@@ -227,6 +275,7 @@ impl FlowCache {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
+            skipped: self.skipped,
             invalidations: self.invalidations,
             occupancy: self.live,
             capacity: self.index.len(),
@@ -250,6 +299,26 @@ impl FlowCache {
         self.generation = generation;
     }
 
+    /// Whether the next packet probes the cache: always while the cache
+    /// is awake; one packet in [`PROBE_EVERY`] while it is dormant. A
+    /// packet that does not probe is counted as skipped and must take the
+    /// cache-off path.
+    #[inline]
+    pub(crate) fn probes(&mut self) -> bool {
+        if self.idle < DORMANT_AFTER || self.idle.is_multiple_of(PROBE_EVERY) {
+            return true;
+        }
+        self.idle = self.idle.wrapping_add(1);
+        self.skipped += 1;
+        false
+    }
+
+    /// The direct-mapped slot of a key hash.
+    #[inline]
+    fn slot_of(&self, hash: u64) -> usize {
+        (hash as usize) & (self.index.len() - 1)
+    }
+
     #[inline]
     fn key_of<'d>(&self, data: &'d [u8]) -> &'d [u8] {
         &data[..self.key_cap.min(data.len())]
@@ -267,23 +336,23 @@ impl FlowCache {
     /// into the mutable runtime state and returns the verdict plus the hit
     /// entry's arena position (its trace is [`FlowCache::trace`] of it);
     /// `None` is a miss (the caller runs the engine with `self.scratch`
-    /// recording and then calls [`FlowCache::commit`]). A traced lookup of
-    /// an entry recorded untraced is a miss — the re-run re-records the
-    /// entry with its trace bytes, so tracing consumers never observe a
-    /// degraded event stream.
+    /// recording and then calls [`FlowCache::commit`]). A lookup at a
+    /// recording `level` above the entry's is a miss — the re-run
+    /// re-records the entry at the level asked for, so a consumer never
+    /// observes a degraded event stream. A hit or an install wakes a
+    /// dormant cache; any other lookup counts towards dormancy.
     pub(crate) fn lookup(
         &mut self,
         port: u16,
         data: &[u8],
-        tracing: bool,
+        level: Recording,
         table_stats: &mut [TableStats],
         externs: &mut ExternState,
     ) -> Option<(Verdict, usize)> {
         let key = self.key_of(data);
         let hash = Self::hash_key(port, data.len(), key);
-        let slot = (hash as usize) & (self.index.len() - 1);
+        let slot = self.slot_of(hash);
         self.last_hash = hash;
-        self.last_slot = slot;
         let resident = (self.index[slot] as usize)
             .checked_sub(1)
             .map(|at| (at, &self.arena[at]))
@@ -293,19 +362,25 @@ impl FlowCache {
                     && e.len as usize == data.len()
                     && e.key.as_slice() == key
             });
-        // A traced hit needs the trace bytes too: an entry recorded
-        // untraced is resident but not a hit (re-record with trace).
+        // A traced hit needs the trace bytes too: an entry recorded at a
+        // lower level is resident but not a hit (re-record at this one).
         let Some((at, outcome)) = resident
             .map(|(at, e)| (at, &e.outcome))
-            .filter(|(_, o)| !tracing || o.trace.is_some())
+            .filter(|(_, o)| o.level() >= level)
         else {
             self.misses += 1;
             self.install = resident.is_some() || self.tags[slot] == hash;
+            self.idle = if self.install {
+                0
+            } else {
+                self.idle.wrapping_add(1)
+            };
             self.tags[slot] = hash;
             self.scratch.clear();
             return None;
         };
         self.hits += 1;
+        self.idle = 0;
         for &(tid, was_hit) in &outcome.applies {
             table_stats[tid as usize].record(was_hit);
         }
@@ -334,7 +409,7 @@ impl FlowCache {
 
     /// The trace stored in the entry at arena position `at` (as a
     /// [`FlowCache::lookup`] hit returns it), read in place; empty for an
-    /// entry recorded untraced.
+    /// entry recorded untraced, and records-empty for a stages-only one.
     pub(crate) fn trace(&self, at: usize) -> TraceBytes<'_> {
         let outcome = &self.arena[at].outcome;
         match &outcome.trace {
@@ -360,11 +435,11 @@ impl FlowCache {
 
     /// Memoize the outcome of the engine run a miss triggered; must
     /// directly follow the [`FlowCache::lookup`] that missed (the key
-    /// hash and slot are carried over). First-time misses are filtered
+    /// hash is carried over). First-time misses are filtered
     /// to a tag write in `lookup` and return without installing; a key's
     /// second miss overwrites the slot's entry (direct-mapped), reusing
     /// its buffers. `trace` carries the packet's flat trace (records and
-    /// stage lane) when the run was traced.
+    /// stage lane, or the stage lane alone) when the run was traced.
     pub(crate) fn commit<'v>(
         &mut self,
         port: u16,
@@ -387,13 +462,14 @@ impl FlowCache {
         // A resident slot is overwritten where it is; an empty one takes
         // the next arena position, buffers and all if a dropped entry is
         // parked there.
-        let at = match self.index[self.last_slot] {
+        let slot = self.slot_of(self.last_hash);
+        let at = match self.index[slot] {
             0 => {
                 if self.live == self.arena.len() {
                     self.arena.push(Entry::new(kind));
                 }
                 self.live += 1;
-                self.index[self.last_slot] = self.live as u32;
+                self.index[slot] = self.live as u32;
                 self.live - 1
             }
             at => at as usize - 1,
@@ -430,6 +506,7 @@ impl FlowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Recording::{Everything, Nothing, Stages};
 
     #[test]
     fn generation_sync_drops_entries_once() {
@@ -442,7 +519,7 @@ mod tests {
         let frame = [0u8; 32];
         // First miss only arms the tag filter; the second installs.
         for _ in 0..2 {
-            assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_none());
+            assert!(c.lookup(0, &frame, Nothing, &mut stats, &mut ext).is_none());
             c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         }
         assert_eq!(c.stats().occupancy, 1);
@@ -461,7 +538,7 @@ mod tests {
         let mut ext = ExternState::new(&[]);
         let a = [1u8, 2, 3, 4, 0xAA, 0xBB];
         for _ in 0..2 {
-            assert!(c.lookup(7, &a, false, &mut stats, &mut ext).is_none());
+            assert!(c.lookup(7, &a, Nothing, &mut stats, &mut ext).is_none());
             c.record().payload_start = 4;
             c.record().applies.push((0, true));
             c.commit(
@@ -476,7 +553,7 @@ mod tests {
         }
         // Same key, different payload: the hit splices the live bytes.
         let b = [1u8, 2, 3, 4, 0xCC, 0xDD];
-        let (v, _) = c.lookup(7, &b, false, &mut stats, &mut ext).expect("hit");
+        let (v, _) = c.lookup(7, &b, Nothing, &mut stats, &mut ext).expect("hit");
         assert_eq!(
             v,
             Verdict::Forward {
@@ -487,8 +564,10 @@ mod tests {
         assert_eq!(stats[0].hits, 1, "apply replayed into table stats");
         assert_eq!(c.stats().hits, 1);
         // Different port or length: miss.
-        assert!(c.lookup(8, &b, false, &mut stats, &mut ext).is_none());
-        assert!(c.lookup(7, &b[..5], false, &mut stats, &mut ext).is_none());
+        assert!(c.lookup(8, &b, Nothing, &mut stats, &mut ext).is_none());
+        assert!(c
+            .lookup(7, &b[..5], Nothing, &mut stats, &mut ext)
+            .is_none());
     }
 
     #[test]
@@ -498,20 +577,22 @@ mod tests {
         let mut ext = ExternState::new(&[]);
         let frame = [5u8, 6, 7];
         for _ in 0..2 {
-            assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_none());
+            assert!(c.lookup(0, &frame, Nothing, &mut stats, &mut ext).is_none());
             c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         }
         // Untraced hit works…
-        assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_some());
+        assert!(c.lookup(0, &frame, Nothing, &mut stats, &mut ext).is_some());
         // …but a traced probe must re-run to capture the event stream.
-        assert!(c.lookup(0, &frame, true, &mut stats, &mut ext).is_none());
+        assert!(c
+            .lookup(0, &frame, Everything, &mut stats, &mut ext)
+            .is_none());
         let trace = TraceBytes {
             records: &[1, 2, 3, 4],
             lane: &[5, 6, 7, 8],
         };
         c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), Some(trace));
         let (_, at) = c
-            .lookup(0, &frame, true, &mut stats, &mut ext)
+            .lookup(0, &frame, Everything, &mut stats, &mut ext)
             .expect("traced hit");
         // The hit's trace is read where the entry stores it, split back
         // into its two lanes.
@@ -521,6 +602,151 @@ mod tests {
         c.install = true;
         c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         assert!(c.trace(at).records.is_empty() && c.trace(at).lane.is_empty());
+    }
+
+    #[test]
+    fn a_records_reader_re_records_a_stages_only_entry() {
+        let mut c = FlowCache::new(2);
+        let mut stats: Vec<TableStats> = vec![];
+        let mut ext = ExternState::new(&[]);
+        let frame = [5u8, 6, 7];
+        let drop = Verdict::Drop(DropReason::NoEgress);
+        let lane_only = TraceBytes {
+            records: &[],
+            lane: &[1, 0, 0, 0],
+        };
+        for _ in 0..2 {
+            assert!(c.lookup(0, &frame, Stages, &mut stats, &mut ext).is_none());
+            c.commit(0, &frame, &drop, Some(lane_only));
+        }
+        // A stages-only entry serves the stage lane, and untraced lookups…
+        let (_, at) = c
+            .lookup(0, &frame, Stages, &mut stats, &mut ext)
+            .expect("stages hit");
+        assert_eq!(
+            (c.trace(at).records, c.trace(at).lane),
+            (lane_only.records, lane_only.lane)
+        );
+        assert!(c.lookup(0, &frame, Nothing, &mut stats, &mut ext).is_some());
+        // …but a records reader misses and re-records it in full.
+        assert!(c
+            .lookup(0, &frame, Everything, &mut stats, &mut ext)
+            .is_none());
+        assert!(c.will_install());
+        let full = TraceBytes {
+            records: &[9, 0, 0, 0],
+            lane: &[1, 0, 0, 0],
+        };
+        c.commit(0, &frame, &drop, Some(full));
+        let (_, at) = c
+            .lookup(0, &frame, Everything, &mut stats, &mut ext)
+            .expect("full hit");
+        assert_eq!(
+            (c.trace(at).records, c.trace(at).lane),
+            (full.records, full.lane)
+        );
+        // The full entry now serves every level, in the same slot.
+        assert!(c.lookup(0, &frame, Stages, &mut stats, &mut ext).is_some());
+        assert_eq!(c.stats().occupancy, 1);
+        assert_eq!((c.stats().hits, c.stats().misses), (4, 3));
+    }
+
+    /// One packet through the cache as `run_one` drives it: the dormancy
+    /// gate, a lookup, and a commit on a miss. `None` if the packet was
+    /// let through unprobed, else whether it hit.
+    fn drive(c: &mut FlowCache, frame: &[u8]) -> Option<bool> {
+        if !c.probes() {
+            return None;
+        }
+        let (mut stats, mut ext) = (vec![], ExternState::new(&[]));
+        let hit = c.lookup(0, frame, Nothing, &mut stats, &mut ext).is_some();
+        if !hit {
+            c.commit(0, frame, &Verdict::Drop(DropReason::NoEgress), None);
+        }
+        Some(hit)
+    }
+
+    /// A cache that has seen `DORMANT_AFTER` one-off keys, each probed.
+    fn dormant_cache() -> FlowCache {
+        let mut c = FlowCache::new(4);
+        for k in 0..DORMANT_AFTER {
+            assert_eq!(drive(&mut c, &k.to_be_bytes()), Some(false), "key {k}");
+        }
+        c
+    }
+
+    #[test]
+    fn one_off_traffic_puts_the_cache_to_sleep() {
+        let mut c = dormant_cache();
+        assert_eq!(c.stats().skipped, 0, "awake for the first 256 lookups");
+        let strides = 8;
+        let seen: Vec<Option<bool>> = (0..strides * PROBE_EVERY)
+            .map(|k| drive(&mut c, &(1 << 20 | k).to_be_bytes()))
+            .collect();
+        for stride in seen.chunks(PROBE_EVERY as usize) {
+            assert_eq!(
+                stride.iter().filter(|o| o.is_none()).count(),
+                15,
+                "{stride:?}"
+            );
+            assert_eq!(stride[0], Some(false), "one packet in 16 probes");
+        }
+        let stats = c.stats();
+        assert_eq!(stats.skipped, u64::from(strides * (PROBE_EVERY - 1)));
+        assert_eq!(
+            stats.hits + stats.misses + stats.skipped,
+            u64::from(DORMANT_AFTER + strides * PROBE_EVERY)
+        );
+        // A publication drops the entries but not the count.
+        c.sync_generation(7);
+        let skipped = (0..PROBE_EVERY)
+            .filter(|k| drive(&mut c, &(2 << 20 | k).to_be_bytes()).is_none())
+            .count();
+        assert_eq!(skipped, 15, "still dormant after a generation bump");
+    }
+
+    #[test]
+    fn a_repeated_flow_wakes_a_dormant_cache() {
+        let mut c = dormant_cache();
+        let flow = [0xEEu8; 4];
+        // The stride's first probe arms the tag, its second installs.
+        let woke = (1..=32).find(|_| {
+            drive(&mut c, &flow);
+            c.stats().occupancy == 1
+        });
+        assert!(woke.is_some(), "{:?}", c.stats());
+        let skipped = c.stats().skipped;
+        for _ in 0..3 * DORMANT_AFTER {
+            assert_eq!(drive(&mut c, &flow), Some(true));
+        }
+        assert_eq!(
+            c.stats().skipped,
+            skipped,
+            "an awake cache probes every packet"
+        );
+    }
+
+    #[test]
+    fn every_packet_is_a_hit_a_miss_or_a_skip() {
+        let ir = netdebug_p4::compile(netdebug_p4::corpus::L2_SWITCH).unwrap();
+        let mut dp = crate::Dataplane::new(ir);
+        let frame = |k: u32| {
+            let mut f = vec![0u8; 64];
+            f[2..6].copy_from_slice(&k.to_be_bytes());
+            f
+        };
+        let one_off: Vec<Vec<u8>> = (0..1000).map(frame).collect();
+        let repeated = vec![frame(u32::MAX); 300];
+        for frames in [&one_off, &repeated] {
+            for window in frames.chunks(100) {
+                let pkts: Vec<(u16, &[u8])> = window.iter().map(|f| (1, f.as_slice())).collect();
+                dp.process_batch(&pkts, 0);
+                dp.process_batch_with(&pkts, 0, &mut crate::NullSink);
+            }
+        }
+        let s = dp.cache_stats();
+        assert!(s.skipped > 0 && s.hits > 0, "{s:?}");
+        assert_eq!(s.hits + s.misses + s.skipped, dp.packets_processed());
     }
 
     /// A stored trace costs its entry no size: the lane split point lives
@@ -539,7 +765,7 @@ mod tests {
         let mut ext = ExternState::new(&[]);
         let hot = [0xA0u8, 0, 0];
         for _ in 0..2 {
-            assert!(c.lookup(0, &hot, false, &mut stats, &mut ext).is_none());
+            assert!(c.lookup(0, &hot, Nothing, &mut stats, &mut ext).is_none());
             c.commit(0, &hot, &Verdict::Drop(DropReason::NoEgress), None);
         }
         assert_eq!(c.stats().occupancy, 1);
@@ -548,19 +774,19 @@ mod tests {
         // hot key keeps hitting even if a one-off collides with its slot.
         for b in 0u8..32 {
             let frame = [b, 1, 2];
-            assert!(c.lookup(0, &frame, false, &mut stats, &mut ext).is_none());
+            assert!(c.lookup(0, &frame, Nothing, &mut stats, &mut ext).is_none());
             assert!(!c.will_install());
             c.commit(0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         }
         assert_eq!(c.stats().occupancy, 1);
-        assert!(c.lookup(0, &hot, false, &mut stats, &mut ext).is_some());
+        assert!(c.lookup(0, &hot, Nothing, &mut stats, &mut ext).is_some());
     }
 
     /// Miss on `frame` with a `Forward` verdict to `out_port` until the
     /// tag filter lets it in.
     fn install(c: &mut FlowCache, frame: &[u8], out_port: u16) {
         let (mut stats, mut ext) = (vec![], ExternState::new(&[]));
-        while c.lookup(0, frame, false, &mut stats, &mut ext).is_none() {
+        while c.lookup(0, frame, Nothing, &mut stats, &mut ext).is_none() {
             c.commit(
                 0,
                 frame,
@@ -575,7 +801,7 @@ mod tests {
 
     fn probe(c: &mut FlowCache, frame: &[u8]) -> Option<Verdict> {
         let (mut stats, mut ext) = (vec![], ExternState::new(&[]));
-        c.lookup(0, frame, false, &mut stats, &mut ext)
+        c.lookup(0, frame, Nothing, &mut stats, &mut ext)
             .map(|(v, _)| v)
     }
 

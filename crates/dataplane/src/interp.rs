@@ -58,7 +58,9 @@ use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
 use crate::table::{EntrySnapshot, RuntimeEntry, TableState, TableStats, TableView};
-use crate::trace::{DropReason, LazyTrace, Trace, TraceBuf, TraceBytes, TraceSink, Verdict};
+use crate::trace::{
+    DropReason, LazyTrace, Recording, Trace, TraceBuf, TraceBytes, TraceSink, Verdict,
+};
 use netdebug_p4::ir::{self, truncate, Cacheability, StdField, TransTarget};
 use netdebug_p4::walk::{self, Domain, End, Event, Place};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,8 +234,10 @@ pub struct Dataplane {
     /// program is cacheable and caching is enabled.
     flow_cache: Option<FlowCache>,
     /// Key-prefix bytes for this program's cache (None = program
-    /// classified [`Cacheability::Uncacheable`], cache impossible).
-    cache_key_cap: Option<usize>,
+    /// classified [`Cacheability::Uncacheable`], cache impossible). A
+    /// `u32` keeps the field at 8 bytes, so the trace buffer's level flag
+    /// costs a data plane no size.
+    cache_key_cap: Option<u32>,
 }
 
 impl Clone for Dataplane {
@@ -395,7 +399,7 @@ impl Dataplane {
         let cache_key_cap = match program.cacheability() {
             Cacheability::Cacheable => program
                 .parser_longest_path_bits()
-                .map(|bits| (bits as usize).div_ceil(8)),
+                .and_then(|bits| u32::try_from(bits.div_ceil(8)).ok()),
             Cacheability::Uncacheable => None,
         };
         Dataplane {
@@ -544,6 +548,16 @@ impl Dataplane {
     /// frame.
     pub fn set_tracing(&mut self, tracing: bool) {
         self.tracing = tracing;
+    }
+
+    /// What the batch paths record: everything, or nothing with tracing
+    /// off.
+    fn batch_level(&self) -> Recording {
+        if self.tracing {
+            Recording::Everything
+        } else {
+            Recording::Nothing
+        }
     }
 
     // ------------------------------------------------------------------
@@ -716,7 +730,15 @@ impl Dataplane {
     /// recording a full trace.
     pub fn process(&mut self, port: u16, data: &[u8], now_cycles: u64) -> (Verdict, Trace) {
         self.with_pins(1, |ctx, cache, env, buf| {
-            let (verdict, trace) = ctx.run_one(cache, port, data, now_cycles, env, buf, true);
+            let (verdict, trace) = ctx.run_one(
+                cache,
+                port,
+                data,
+                now_cycles,
+                env,
+                buf,
+                Recording::Everything,
+            );
             (verdict, ctx.trace(trace).decode())
         })
     }
@@ -724,7 +746,7 @@ impl Dataplane {
     /// Process without tracing (fast path for throughput benchmarks).
     pub fn process_untraced(&mut self, port: u16, data: &[u8], now_cycles: u64) -> Verdict {
         self.with_pins(1, |ctx, cache, env, buf| {
-            ctx.run_one(cache, port, data, now_cycles, env, buf, false)
+            ctx.run_one(cache, port, data, now_cycles, env, buf, Recording::Nothing)
                 .0
         })
     }
@@ -743,7 +765,7 @@ impl Dataplane {
         pkts: &[(u16, &[u8])],
         now_cycles: u64,
     ) -> Vec<(Verdict, Option<Trace>)> {
-        let tracing = self.tracing;
+        let (tracing, level) = (self.tracing, self.batch_level());
         self.with_pins(pkts.len(), |ctx, mut cache, env, buf| {
             // Each packet records into the one reused flat buffer (or
             // replays a cache entry's stored trace); the returned owned
@@ -753,7 +775,7 @@ impl Dataplane {
                 .map(|&(port, data)| {
                     let cache = cache.as_deref_mut();
                     let (verdict, trace) =
-                        ctx.run_one(cache, port, data, now_cycles, env, buf, tracing);
+                        ctx.run_one(cache, port, data, now_cycles, env, buf, level);
                     (verdict, tracing.then(|| ctx.trace(trace).decode()))
                 })
                 .collect()
@@ -770,7 +792,9 @@ impl Dataplane {
     /// keep), before the next packet executes —
     /// so at most one egress frame of the batch is alive unless the sink
     /// keeps them. When tracing is disabled ([`Dataplane::set_tracing`])
-    /// the sink still sees every packet, with an empty trace.
+    /// the sink still sees every packet, with an empty trace; when the
+    /// sink reads no records ([`TraceSink::reads_records`], asked once per
+    /// call) each trace holds the stage lane alone.
     /// Semantically identical to [`Dataplane::process_batch`] — this is
     /// the zero-allocation spine under traced device batching: a sink
     /// that only counts or inspects names never allocates per packet at
@@ -781,12 +805,14 @@ impl Dataplane {
         now_cycles: u64,
         sink: &mut dyn TraceSink,
     ) {
-        let tracing = self.tracing;
+        let level = match self.batch_level() {
+            Recording::Everything if !sink.reads_records() => Recording::Stages,
+            level => level,
+        };
         self.with_pins(pkts.len(), |ctx, mut cache, env, buf| {
             for (i, &(port, data)) in pkts.iter().enumerate() {
                 let cache = cache.as_deref_mut();
-                let (verdict, trace) =
-                    ctx.run_one(cache, port, data, now_cycles, env, buf, tracing);
+                let (verdict, trace) = ctx.run_one(cache, port, data, now_cycles, env, buf, level);
                 sink.observe(i, verdict, &ctx.trace(trace));
             }
         })
@@ -800,23 +826,31 @@ impl ExecCtx<'_> {
         LazyTrace::over(trace, self.compiled.names())
     }
 
-    /// Run one packet with full tracing: clears the flat record buffer,
-    /// records every event and appends the final verdict summary. The
-    /// single finalisation point shared by every traced path —
-    /// single-packet, batch and streaming, under either engine — which
-    /// is what keeps their traces bit-identical (the
-    /// equivalence the proptests pin down).
-    fn run_traced(
+    /// Run one packet, recording its trace into `buf` at `level`: clears
+    /// the flat record buffer, records the events and appends the final
+    /// verdict summary (the stage lane alone at [`Recording::Stages`],
+    /// nothing at [`Recording::Nothing`]). `rec` captures a flow-cache
+    /// miss's outcome. The single finalisation point shared by every
+    /// path — single-packet, batch and streaming, cached or not, under
+    /// either engine — which is what keeps their traces bit-identical
+    /// (the equivalence the proptests pin down).
+    #[allow(clippy::too_many_arguments)]
+    fn run_recorded(
         &mut self,
         port: u16,
         data: &[u8],
         now_cycles: u64,
         env: &mut Env,
-        trace: &mut TraceBuf,
+        buf: &mut TraceBuf,
+        level: Recording,
+        rec: Option<&mut crate::cache::MissRecord>,
     ) -> Verdict {
-        trace.clear();
-        let verdict = self.run(port, data, now_cycles, env, Some(trace), None);
-        trace.final_verdict(&verdict);
+        buf.start(level);
+        if level == Recording::Nothing {
+            return self.run(port, data, now_cycles, env, None, rec);
+        }
+        let verdict = self.run(port, data, now_cycles, env, Some(buf), rec);
+        buf.final_verdict(&verdict);
         verdict
     }
 
@@ -824,16 +858,16 @@ impl ExecCtx<'_> {
     /// replays the memoized outcome (table statistics, counter bumps,
     /// verdict) without entering either engine; a miss runs the compiled
     /// engine with outcome recording and commits the entry. With no cache
-    /// — uncacheable program, cache disabled, or the reference engine
-    /// (which stays the unmemoized oracle) — this is exactly the pre-cache
-    /// traced/untraced path.
+    /// — uncacheable program, cache disabled, the reference engine
+    /// (which stays the unmemoized oracle), or a dormant cache letting
+    /// the packet through unprobed — this is exactly the pre-cache path.
     ///
     /// Returns the verdict and where the packet's trace is: `buf`, or, for
     /// a traced hit, the hit entry's stored trace, read in place. The
-    /// trace holds every record (final verdict included) when `tracing`
-    /// and is empty otherwise, so streaming consumers see identical event
-    /// streams either way. Each call names its own packet's trace, so a
-    /// later packet never reads an earlier hit's.
+    /// trace holds what `level` asks for (every record, final verdict
+    /// included; the stage lane alone; or nothing), so streaming consumers
+    /// see identical event streams either way. Each call names its own
+    /// packet's trace, so a later packet never reads an earlier hit's.
     ///
     /// Always inlined into the entry points, with the miss half out of
     /// line. Called out of line, the returned view went through the stack
@@ -849,31 +883,23 @@ impl ExecCtx<'_> {
         now_cycles: u64,
         env: &mut Env,
         buf: &'t mut TraceBuf,
-        tracing: bool,
+        level: Recording,
     ) -> (Verdict, TraceBytes<'t>) {
-        let cache = match cache {
-            Some(c) if self.engine == Engine::Compiled => c,
-            _ => {
-                let verdict = if tracing {
-                    self.run_traced(port, data, now_cycles, env, buf)
-                } else {
-                    buf.clear();
-                    self.run(port, data, now_cycles, env, None, None)
-                };
-                return (verdict, buf.bytes());
-            }
+        let cache = cache.filter(|_| self.engine == Engine::Compiled);
+        let Some(cache) = cache.and_then(|c| c.probes().then_some(c)) else {
+            let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, None);
+            return (verdict, buf.bytes());
         };
-        if let Some((verdict, at)) =
-            cache.lookup(port, data, tracing, self.table_stats, self.externs)
+        if let Some((verdict, at)) = cache.lookup(port, data, level, self.table_stats, self.externs)
         {
-            let trace = if tracing {
-                cache.trace(at)
-            } else {
+            let trace = if level == Recording::Nothing {
                 TraceBytes::default()
+            } else {
+                cache.trace(at)
             };
             return (verdict, trace);
         }
-        let verdict = self.run_miss(cache, port, data, now_cycles, env, buf, tracing);
+        let verdict = self.run_miss(cache, port, data, now_cycles, env, buf, level);
         (verdict, buf.bytes())
     }
 
@@ -889,23 +915,16 @@ impl ExecCtx<'_> {
         now_cycles: u64,
         env: &mut Env,
         buf: &mut TraceBuf,
-        tracing: bool,
+        level: Recording,
     ) -> Verdict {
         // First-time misses fail the cache's tag filter and will not be
         // installed — skip the side-effect recording entirely for those.
         let install = cache.will_install();
-        buf.clear();
-        let verdict = if tracing {
-            let rec = install.then(|| cache.record());
-            let v = self.run(port, data, now_cycles, env, Some(buf), rec);
-            buf.final_verdict(&v);
-            v
-        } else {
-            let rec = install.then(|| cache.record());
-            self.run(port, data, now_cycles, env, None, rec)
-        };
+        let rec = install.then(|| cache.record());
+        let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, rec);
         if install {
-            cache.commit(port, data, &verdict, tracing.then(|| buf.bytes()));
+            let trace = (level != Recording::Nothing).then(|| buf.bytes());
+            cache.commit(port, data, &verdict, trace);
         }
         verdict
     }

@@ -23,7 +23,9 @@
 //! buffer, or from the flow-cache entry a hit replays — plus the program's
 //! interned name tables, and decodes to [`TraceEvent`]s **only when a
 //! consumer actually inspects it**: a [`TraceSink`] that just counts
-//! stages walks the stage lane without touching a record.
+//! stages walks the stage lane without touching a record. A sink that
+//! says so ([`TraceSink::reads_records`]) does not even have the records
+//! written: its batches record the stage lane alone.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -303,6 +305,19 @@ const TAG_FINAL: u32 = 9;
 /// Set in a stage-lane word that names a table; clear for a parser state.
 const LANE_TABLE: u32 = 1 << 31;
 
+/// How much of a packet's trace the engines record, in increasing order:
+/// a cache entry recorded at one level serves a lookup at any level up to
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Recording {
+    /// No trace (tracing off).
+    Nothing,
+    /// The stage lane alone: what a sink that reads no records walks.
+    Stages,
+    /// Every record and the stage lane.
+    Everything,
+}
+
 /// The flat binary event buffer both engines record into on traced paths.
 ///
 /// Two lanes of little-endian words, each one reused `Vec<u8>`:
@@ -315,6 +330,10 @@ const LANE_TABLE: u32 = 1 << 31;
 ///   the same order. A state word is its IR id; a table word is its IR
 ///   id with bit 31 ([`LANE_TABLE`]) set.
 ///
+/// At [`Recording::Stages`] only the lane is written and the records
+/// stay empty. A full trace always ends in a `TAG_FINAL` record, so empty
+/// records with a lane are what a stages-only trace looks like.
+///
 /// Recording an event is a bounds-checked `extend_from_slice` of a few
 /// words — no enum construction, no `Arc` clone, no per-event allocation
 /// once the lanes have grown to their packet-lifetime high-water marks.
@@ -323,6 +342,8 @@ const LANE_TABLE: u32 = 1 << 31;
 pub(crate) struct TraceBuf {
     records: Vec<u8>,
     lane: Vec<u8>,
+    /// Write the stage lane only ([`Recording::Stages`]).
+    stages_only: bool,
 }
 
 /// Where one packet's trace lives: its records and its stage lane, as
@@ -335,11 +356,13 @@ pub(crate) struct TraceBytes<'a> {
 }
 
 impl TraceBuf {
-    /// Forget the previous packet's records, keeping the allocations.
+    /// Forget the previous packet's records, keeping the allocations, and
+    /// record the next packet at `level`.
     #[inline]
-    pub(crate) fn clear(&mut self) {
+    pub(crate) fn start(&mut self, level: Recording) {
         self.records.clear();
         self.lane.clear();
+        self.stages_only = level == Recording::Stages;
     }
 
     /// The current packet's records and stage lane (the flow cache stores
@@ -352,14 +375,19 @@ impl TraceBuf {
         }
     }
 
+    /// Append a record word, unless only the stage lane is recorded.
     #[inline]
     fn word(&mut self, w: u32) {
-        self.records.extend_from_slice(&w.to_le_bytes());
+        if !self.stages_only {
+            self.records.extend_from_slice(&w.to_le_bytes());
+        }
     }
 
     #[inline]
     fn wide(&mut self, v: u128) {
-        self.records.extend_from_slice(&v.to_le_bytes());
+        if !self.stages_only {
+            self.records.extend_from_slice(&v.to_le_bytes());
+        }
     }
 
     #[inline]
@@ -614,6 +642,11 @@ impl Iterator for Records<'_> {
 /// ([`LazyTrace::decode`]) into a semantic [`Trace`], pre-sized exactly
 /// from the record count. Decoding is the only point that clones name
 /// `Arc`s or allocates key vectors — the recording engines never do.
+///
+/// A trace recorded for a sink that reads no records
+/// ([`TraceSink::reads_records`] is `false`) may hold the stage lane
+/// alone: its `stages()` are complete, and its `decode()` and
+/// `event_count()` are empty.
 pub struct LazyTrace<'a> {
     bytes: TraceBytes<'a>,
     names: &'a TraceTables,
@@ -703,7 +736,8 @@ impl<'a> LazyTrace<'a> {
 /// sink keeps it, so traced batch runs allocate nothing per packet beyond
 /// the output frame: tap accounting walks the stage lane in place,
 /// checkers and log writers call [`LazyTrace::decode`] when they need the
-/// semantic events.
+/// semantic events. A sink that only walks the stage lane says so through
+/// [`TraceSink::reads_records`], and its batches record nothing else.
 pub trait TraceSink {
     /// Observe packet `index`'s verdict and (undecoded) trace, before the
     /// next packet of the batch executes.
@@ -713,14 +747,29 @@ pub trait TraceSink {
     /// overwritten by it. When tracing is disabled on the data plane the
     /// trace is empty.
     fn observe(&mut self, index: usize, verdict: Verdict, trace: &LazyTrace<'_>);
+
+    /// Whether this sink reads a trace's records ([`LazyTrace::decode`],
+    /// [`LazyTrace::event_count`]) and not just its stage lane
+    /// ([`LazyTrace::stages`]). `process_batch_with` asks once per batch;
+    /// for a sink that answers `false` it records the stage lane alone,
+    /// so the sink's `decode()` may then be empty. Defaults to `true`.
+    fn reads_records(&self) -> bool {
+        true
+    }
 }
 
-/// A sink that drops everything (pure-throughput runs).
+/// A sink that drops everything (pure-throughput runs). It reads no
+/// records, so a traced batch into it records what a device tap's does:
+/// the stage lane alone.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn observe(&mut self, _index: usize, _verdict: Verdict, _trace: &LazyTrace<'_>) {}
+
+    fn reads_records(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -855,11 +904,50 @@ mod tests {
         assert_eq!(moved.decode(), t);
 
         // A cleared buffer is an empty trace.
-        buf.clear();
+        buf.start(Recording::Everything);
         let lazy = LazyTrace::over(buf.bytes(), &names);
         assert_eq!(lazy.event_count(), 0);
         assert_eq!(lazy.stages().count(), 0);
         assert_eq!(lazy.decode(), Trace::default());
+    }
+
+    #[test]
+    fn the_stages_level_writes_the_lane_alone() {
+        let names = TraceTables {
+            states: vec!["start".into()],
+            tables: vec!["dmac".into()],
+            actions: vec!["fwd".into()],
+            headers: vec!["ethernet".into()],
+            ..TraceTables::default()
+        };
+        let record = |buf: &mut TraceBuf, level| {
+            buf.start(level);
+            buf.state(0);
+            buf.extract(0, 0);
+            buf.accept();
+            buf.control(0);
+            buf.table(0, 0, false, &[7]);
+            buf.mark_drop();
+            buf.exit();
+            buf.emit(0);
+            buf.final_verdict(&Verdict::Drop(DropReason::ActionDrop));
+        };
+        let mut buf = TraceBuf::default();
+        record(&mut buf, Recording::Everything);
+        let full = LazyTrace::over(buf.bytes(), &names)
+            .stages()
+            .collect::<Vec<_>>();
+        assert_eq!(full, vec![Stage::State(0), Stage::Table(0)]);
+        // The same events at the stages level: the identical lane, and no
+        // record, so the trace decodes to nothing.
+        record(&mut buf, Recording::Stages);
+        assert!(buf.records.is_empty());
+        let lazy = LazyTrace::over(buf.bytes(), &names);
+        assert_eq!(lazy.stages().collect::<Vec<_>>(), full);
+        assert_eq!((lazy.event_count(), lazy.decode()), (0, Trace::default()));
+        // Starting the next packet at the full level records it all again.
+        record(&mut buf, Recording::Everything);
+        assert_eq!(LazyTrace::over(buf.bytes(), &names).event_count(), 9);
     }
 
     #[test]

@@ -1419,6 +1419,24 @@ proptest! {
 // must invalidate rather than replay stale outcomes.
 // ---------------------------------------------------------------------
 
+/// More lookups than a flow cache makes before it goes dormant when none
+/// hits or installs.
+const DORMANT_PREFIX: usize = 300;
+
+/// `DORMANT_PREFIX` frames no two of which share a flow-cache key: `base`
+/// padded with 0..`DORMANT_PREFIX` trailing bytes, so every length differs.
+/// A cache that sees them first goes dormant, and the stream after them
+/// runs the skip path and its 1-in-16 probes.
+fn one_off_frames(base: &[u8]) -> Vec<Vec<u8>> {
+    (0..DORMANT_PREFIX)
+        .map(|pad| [base, &vec![0xD0; pad]].concat())
+        .collect()
+}
+
+fn as_batch(frames: &[Vec<u8>], port: u16) -> Vec<(u16, &[u8])> {
+    frames.iter().map(|f| (port, f.as_slice())).collect()
+}
+
 proptest! {
     /// Three-way parity over the whole program corpus: a repetitive
     /// stream (draws from a small frame pool, processed twice so the
@@ -1427,7 +1445,9 @@ proptest! {
     /// compiled engine and the reference oracle — for every corpus
     /// program, arbitrary (including malformed) frame bytes, ports,
     /// timestamps and both tracing modes. Uncacheable programs pass
-    /// trivially (the cache never engages); cacheable ones replay.
+    /// trivially (the cache never engages); cacheable ones replay. With
+    /// `dormant`, one-off frames go first, so the stream meets a dormant
+    /// cache that skips 15 packets in 16.
     #[test]
     fn flow_cache_parity_across_corpus(
         prog_idx in 0usize..corpus::corpus().len(),
@@ -1436,6 +1456,7 @@ proptest! {
         picks in proptest::collection::vec(any::<u16>(), 1..40),
         now in any::<u32>(),
         tracing in any::<bool>(),
+        dormant in any::<bool>(),
     ) {
         let programs = corpus::corpus();
         let prog = &programs[prog_idx % programs.len()];
@@ -1456,6 +1477,13 @@ proptest! {
                 (*port, frame.as_slice())
             })
             .collect();
+        if dormant {
+            let prefix = one_off_frames(&pool[0].1);
+            let prefix = as_batch(&prefix, pool[0].0);
+            let c = cached_dp.process_batch(&prefix, u64::from(now));
+            prop_assert_eq!(&c, &uncached_dp.process_batch(&prefix, u64::from(now)));
+            prop_assert_eq!(&c, &reference_dp.process_batch(&prefix, u64::from(now)));
+        }
         // Two rounds of the same stream: round 0 populates the cache,
         // round 1 replays it (the timestamp moves between rounds, which
         // must not matter — timestamp readers classify Uncacheable).
@@ -1486,13 +1514,16 @@ proptest! {
     /// epoch bump must invalidate resident entries, never replay a
     /// pre-install outcome. Streams repeat frames from a small pool
     /// (routable, unroutable, malformed, truncated, soup) so the cache
-    /// genuinely replays within and across windows.
+    /// genuinely replays within and across windows. With `dormant`, a
+    /// window of one-off frames goes first, so the windows after it meet
+    /// a dormant cache, across the republication too.
     #[test]
     fn flow_cache_parity_on_batches_and_republication(
         pool in proptest::collection::vec(
             (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 1..6),
         picks in proptest::collection::vec(any::<u16>(), 2..48),
         now in any::<u32>(),
+        dormant in any::<bool>(),
     ) {
         let built: Vec<(u16, Vec<u8>)> = pool
             .iter()
@@ -1508,6 +1539,8 @@ proptest! {
         let split = stream.len() / 2;
         let (w1, w2) = stream.split_at(split.max(1));
         let now = u64::from(now);
+        let prefix_frames = if dormant { one_off_frames(&built[0].1) } else { Vec::new() };
+        let prefix = as_batch(&prefix_frames, built[0].0);
 
         let deploy = |engine: Engine, cache: bool| {
             let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
@@ -1521,7 +1554,8 @@ proptest! {
         let run = |engine: Engine, cache: bool| {
             let mut dp = deploy(engine, cache);
             let cp = dp.control_plane();
-            let win1 = dp.process_batch(w1, now);
+            let win0 = dp.process_batch(&prefix, now);
+            let win1 = [win0, dp.process_batch(w1, now)].concat();
             cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
                 .unwrap();
             let win2 = dp.process_batch(w2, now);
@@ -1544,13 +1578,16 @@ proptest! {
     /// Cache parity on `liveness_shapes.p4`: a hit replays the header bytes
     /// a miss emitted from copied ingress bytes and built headers alike, so
     /// the cached default, the cache-off compiled engine and the reference
-    /// agree on a repetitive stream (a small pool, processed twice).
+    /// agree on a repetitive stream (a small pool, processed three times),
+    /// after a prefix of one-off frames that puts the cache to sleep with
+    /// `dormant`.
     #[test]
     fn flow_cache_parity_on_liveness_shapes(
         pool in proptest::collection::vec((0u16..4, liveness_case()), 1..6),
         picks in proptest::collection::vec(any::<u16>(), 1..40),
         tags in proptest::collection::vec(0u8..4, 0..4),
         tracing in any::<bool>(),
+        dormant in any::<bool>(),
     ) {
         let mut cached_dp = liveness_dataplane(&tags, Engine::Compiled);
         let mut uncached_dp = liveness_dataplane(&tags, Engine::Compiled);
@@ -1569,14 +1606,24 @@ proptest! {
                 (*port, frame.as_slice())
             })
             .collect();
-        for round in 0..2u64 {
-            let c = cached_dp.process_batch(&pkts, round);
-            prop_assert_eq!(&c, &uncached_dp.process_batch(&pkts, round), "cache-on vs cache-off");
-            prop_assert_eq!(&c, &reference_dp.process_batch(&pkts, round), "cache-on vs reference");
+        let prefix_frames = if dormant { one_off_frames(&built[0].1) } else { Vec::new() };
+        let prefix = as_batch(&prefix_frames, built[0].0);
+        // A key installs on its second miss, so the third pass hits.
+        for (round, pkts) in [&prefix, &pkts, &pkts, &pkts].into_iter().enumerate() {
+            let round = round as u64;
+            let c = cached_dp.process_batch(pkts, round);
+            prop_assert_eq!(&c, &uncached_dp.process_batch(pkts, round), "cache-on vs cache-off");
+            prop_assert_eq!(&c, &reference_dp.process_batch(pkts, round), "cache-on vs reference");
         }
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
-        prop_assert!(cached_dp.cache_stats().hits > 0, "the second round replays");
+        let stats = cached_dp.cache_stats();
+        if dormant {
+            prop_assert!(stats.skipped > 0, "the stream meets a dormant cache: {:?}", stats);
+        } else {
+            prop_assert!(stats.hits > 0, "the third pass replays");
+        }
+        prop_assert_eq!(stats.hits + stats.misses + stats.skipped, cached_dp.packets_processed());
     }
 }
 
@@ -1690,6 +1737,81 @@ proptest! {
         if cached_dp.flow_cache_enabled() {
             prop_assert!(cached_dp.cache_stats().hits >= pkts.len() as u64,
                 "the third round replays every packet: {:?}", cached_dp.cache_stats());
+        }
+        assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
+        assert_runtime_state_matches(&cached_dp, &reference_dp)?;
+    }
+}
+
+/// What a device tap keeps per packet: the verdict and the stage path.
+/// It reads no records, so its batches record the stage lane alone.
+#[derive(Default)]
+struct StageSink(Vec<(Verdict, Vec<Stage>)>);
+
+impl TraceSink for StageSink {
+    fn observe(&mut self, _index: usize, verdict: Verdict, trace: &LazyTrace<'_>) {
+        self.0.push((verdict, trace.stages().collect()));
+    }
+
+    fn reads_records(&self) -> bool {
+        false
+    }
+}
+
+proptest! {
+    /// One cached data plane fed by sinks that want different amounts of
+    /// trace: each round of one stream goes to a records reader (a
+    /// `LaneSink`) or to a stages-only `StageSink`, so stages-only cache
+    /// entries meet records readers and full ones meet stage walkers.
+    /// Over every corpus program and `liveness_shapes.p4`, its verdicts and
+    /// stage lanes equal those of a cache-off compiled data plane and of the
+    /// reference (both reading every record), every trace the records sink
+    /// decodes equals the reference's, and the runtime state agrees.
+    #[test]
+    fn mixed_recording_levels_keep_cache_parity(
+        prog_idx in 0usize..=corpus::corpus().len(),
+        pool in proptest::collection::vec(
+            (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..96)), 1..6),
+        picks in proptest::collection::vec(any::<u16>(), 1..40),
+        reads_records in proptest::collection::vec(any::<bool>(), 2..6),
+    ) {
+        let mut cached_dp = lane_dataplane(prog_idx, Engine::Compiled);
+        let mut uncached_dp = lane_dataplane(prog_idx, Engine::Compiled);
+        uncached_dp.set_flow_cache(false);
+        let mut reference_dp = lane_dataplane(prog_idx, Engine::Reference);
+        let built: Vec<(u16, Vec<u8>)> = pool
+            .iter()
+            .map(|(port, kind, soup)| (*port, mixed_frame(*kind, soup)))
+            .collect();
+        let pkts: Vec<(u16, &[u8])> = picks
+            .iter()
+            .map(|ix| {
+                let (port, frame) = &built[usize::from(*ix) % built.len()];
+                (*port, frame.as_slice())
+            })
+            .collect();
+        for (round, &records) in reads_records.iter().enumerate() {
+            let (mut uncached, mut reference) = (LaneSink::default(), LaneSink::default());
+            uncached_dp.process_batch_with(&pkts, 0, &mut uncached);
+            reference_dp.process_batch_with(&pkts, 0, &mut reference);
+            prop_assert_eq!(&uncached.0, &reference.0, "cache-off vs reference (round {})", round);
+            let cached: Vec<(Verdict, Vec<Stage>)> = if records {
+                let mut sink = LaneSink::default();
+                cached_dp.process_batch_with(&pkts, 0, &mut sink);
+                for (i, (c, r)) in sink.0.iter().zip(&reference.0).enumerate() {
+                    prop_assert_eq!(&c.2, &r.2, "decoded trace (round {}, packet {})", round, i);
+                }
+                sink.0.into_iter().map(|(v, stages, _)| (v, stages)).collect()
+            } else {
+                let mut sink = StageSink::default();
+                cached_dp.process_batch_with(&pkts, 0, &mut sink);
+                sink.0
+            };
+            prop_assert_eq!(cached.len(), pkts.len());
+            for (i, (c, r)) in cached.iter().zip(&reference.0).enumerate() {
+                prop_assert_eq!(&c.0, &r.0, "verdict (round {}, packet {})", round, i);
+                prop_assert_eq!(&c.1, &r.1, "stage lane (round {}, packet {})", round, i);
+            }
         }
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;

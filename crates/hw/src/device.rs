@@ -873,7 +873,9 @@ impl Device {
 /// [`Processed`] and hands that to the caller's visitor before the next
 /// packet of the group executes. The stage path is the trace's stage lane,
 /// one word per parser state or table, so a tap reads no record, and a
-/// flow-cache hit's lane is read where its entry stores it. Nothing of a
+/// flow-cache hit's lane is read where its entry stores it. The sink says
+/// it reads no record ([`TraceSink::reads_records`]), so the data plane
+/// writes none: it records the stage lane alone. Nothing of a
 /// packet stays behind: the only per-packet allocation of a group is the
 /// egress frame, and only one of those is alive at a time.
 struct TapSink<'a, V> {
@@ -901,6 +903,12 @@ impl<V: FnMut(usize, Processed)> TraceSink for TapSink<'_, V> {
             self.mac_in_ns,
         );
         (self.visit)(self.base + index, p);
+    }
+
+    /// Taps walk the stage lane alone, so the data plane records nothing
+    /// else for the device.
+    fn reads_records(&self) -> bool {
+        false
     }
 }
 

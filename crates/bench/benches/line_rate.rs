@@ -31,7 +31,7 @@ fn main() {
     let spec = StreamSpec::simple(1, frame.clone(), 1_000_000, forward);
     let outcome = Outcome::Tx {
         port: 1,
-        data: Generator::new().build(&spec, 0, 0).data.to_vec(),
+        data: Generator::new().build(&spec, 0, 0).data.to_vec().into(),
     };
     let mut checker = Checker::new();
     checker.open_stream(1, forward, u64::MAX);

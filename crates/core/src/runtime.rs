@@ -1148,7 +1148,7 @@ impl DeviceFault {
 #[derive(Default)]
 struct LastStageSink {
     delivered: u64,
-    last_stage: Option<Arc<str>>,
+    last_stage: Option<&'static str>,
 }
 
 impl DeviceSink for LastStageSink {

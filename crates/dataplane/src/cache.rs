@@ -66,7 +66,7 @@
 
 use crate::externs::ExternState;
 use crate::table::{FxHasher, TableStats};
-use crate::trace::{DropReason, Recording, TraceBytes, Verdict};
+use crate::trace::{egress_buffer, DropReason, Recording, TraceBytes, Verdict};
 use std::hash::Hasher;
 
 /// Flow-cache observability counters ([`crate::Dataplane::cache_stats`]).
@@ -206,9 +206,10 @@ const PROBE_EVERY: u32 = 16;
 ///
 /// Collisions overwrite — repeated flows keep their slot hot, one-off
 /// keys cycle through without evicting more than one entry each. Entry
-/// buffers are reused on overwrite and across invalidations, so the
+/// buffers are reused on overwrite and across invalidations, and a hit's
+/// output frame is rebuilt in the thread's spare egress buffer, so the
 /// steady state of both the all-hit and the all-miss extreme allocates
-/// nothing per packet beyond the output frame.
+/// nothing per packet for a consumer that drops each frame.
 #[derive(Debug)]
 pub(crate) struct FlowCache {
     /// Per slot, the resident entry's arena position plus one (0 = empty).
@@ -389,10 +390,10 @@ impl FlowCache {
         }
         let rebuild = |header: &[u8], payload_start: usize| {
             let payload = &data[payload_start..];
-            let mut out = Vec::with_capacity(header.len() + payload.len());
+            let mut out = egress_buffer(header.len() + payload.len());
             out.extend_from_slice(header);
             out.extend_from_slice(payload);
-            out
+            out.into()
         };
         let verdict = match outcome.kind {
             OutcomeKind::Drop(reason) => Verdict::Drop(reason),
@@ -546,7 +547,7 @@ mod tests {
                 &a,
                 &Verdict::Forward {
                     port: 3,
-                    data: vec![9, 9, 0xAA, 0xBB],
+                    data: vec![9, 9, 0xAA, 0xBB].into(),
                 },
                 None,
             );
@@ -558,7 +559,7 @@ mod tests {
             v,
             Verdict::Forward {
                 port: 3,
-                data: vec![9, 9, 0xCC, 0xDD],
+                data: vec![9, 9, 0xCC, 0xDD].into(),
             }
         );
         assert_eq!(stats[0].hits, 1, "apply replayed into table stats");
@@ -792,7 +793,7 @@ mod tests {
                 frame,
                 &Verdict::Forward {
                     port: out_port,
-                    data: frame.to_vec(),
+                    data: frame.to_vec().into(),
                 },
                 None,
             );
@@ -872,7 +873,7 @@ mod tests {
                 probe(&mut c, f),
                 Some(Verdict::Forward {
                     port: 2,
-                    data: f.to_vec()
+                    data: f.to_vec().into()
                 })
             );
         }

@@ -50,7 +50,9 @@ use crate::cache::MissRecord;
 use crate::externs::ExternState;
 use crate::interp::{Env, TablesRef, FLOOD_PORT};
 use crate::table::TableStats;
-use crate::trace::{DropReason, TraceBuf, TraceName, TraceTables, Verdict};
+use crate::trace::{
+    egress_buffer, DropReason, EgressFrame, TraceBuf, TraceName, TraceTables, Verdict,
+};
 use netdebug_p4::ast::{BinOp, UnOp};
 use netdebug_p4::ir::{
     self, all_ones, truncate, IrExpr, IrPattern, IrStmt, IrTransition, LValue, Op, StdField,
@@ -1146,13 +1148,13 @@ fn deparse(
     data: &[u8],
     payload_start: usize,
     trace: &mut Option<&mut TraceBuf>,
-) -> Vec<u8> {
+) -> EgressFrame {
     let valid = || {
         let header = |&h: &u32| (h, &env.headers[h as usize], &cp.headers[h as usize]);
         cp.deparse.iter().map(header).filter(|(_, hv, _)| hv.valid)
     };
     let header_bytes: usize = valid().map(|(_, _, plan)| plan.byte_width).sum();
-    let mut out = Vec::with_capacity(header_bytes + data.len() - payload_start);
+    let mut out = egress_buffer(header_bytes + data.len() - payload_start);
     // Ingress bytes that come next in the output, not yet copied.
     let mut run = 0..0;
     for (hid, hv, plan) in valid() {
@@ -1183,7 +1185,7 @@ fn deparse(
         }
         at += plan.byte_width;
     }
-    out
+    out.into()
 }
 
 #[cfg(test)]

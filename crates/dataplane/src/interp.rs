@@ -59,7 +59,8 @@ use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
 use crate::table::{EntrySnapshot, RuntimeEntry, TableState, TableStats, TableView};
 use crate::trace::{
-    DropReason, LazyTrace, Recording, Trace, TraceBuf, TraceBytes, TraceSink, Verdict,
+    egress_buffer, DropReason, EgressFrame, LazyTrace, Recording, Trace, TraceBuf, TraceBytes,
+    TraceSink, Verdict,
 };
 use netdebug_p4::ir::{self, truncate, Cacheability, StdField, TransTarget};
 use netdebug_p4::walk::{self, Domain, End, Event, Place};
@@ -545,7 +546,7 @@ impl Dataplane {
     /// the single-packet [`Dataplane::process`] always has). Turning it off
     /// is the fast path for throughput work: `process_batch` then returns
     /// `None` traces and allocates nothing per packet beyond the output
-    /// frame.
+    /// frame it keeps.
     pub fn set_tracing(&mut self, tracing: bool) {
         self.tracing = tracing;
     }
@@ -1018,7 +1019,7 @@ fn deparse(
     env: &Env,
     payload: &[u8],
     trace: &mut Option<&mut TraceBuf>,
-) -> Vec<u8> {
+) -> EgressFrame {
     let mut out_bits = 0usize;
     for &hid in &prog.deparse {
         if env.headers[hid].valid {
@@ -1026,7 +1027,7 @@ fn deparse(
         }
     }
     // Zero the header bytes only; the payload is written once, by the copy.
-    let mut out = Vec::with_capacity(out_bits / 8 + payload.len());
+    let mut out = egress_buffer(out_bits / 8 + payload.len());
     out.resize(out_bits / 8, 0);
     let mut cursor = 0usize;
     for &hid in &prog.deparse {
@@ -1048,7 +1049,7 @@ fn deparse(
         cursor += layout.bit_width as usize;
     }
     out.extend_from_slice(payload);
-    out
+    out.into()
 }
 
 /// The reference engine's value domain: `u128` bit-vectors in the packet's

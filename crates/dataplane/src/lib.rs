@@ -54,8 +54,8 @@ pub use table::{
     TableStats, TableView,
 };
 pub use trace::{
-    DropReason, LazyTrace, NullSink, Stage, Trace, TraceEvent, TraceName, TraceSink, Verdict,
-    VerdictSummary,
+    DropReason, EgressFrame, LazyTrace, NullSink, Stage, Trace, TraceEvent, TraceName, TraceSink,
+    Verdict, VerdictSummary,
 };
 
 #[cfg(test)]
@@ -468,9 +468,41 @@ mod tests {
                 .unwrap();
             // Eleven default `bump`s, then t11 hits `NoAction`.
             let (v, _) = dp.process(0, &[7], 0);
-            let data = vec![7];
+            let data = vec![7].into();
             assert_eq!(v, Verdict::Forward { port: 11, data }, "{engine:?}");
             assert_eq!(dp.table_stats("t11").unwrap().0, 1, "{engine:?} hits");
+        }
+    }
+
+    /// Dropping an egress frame hands its buffer to the next one built on
+    /// the thread, whichever path builds it (either deparser, or the flow
+    /// cache's hit rebuild), and a shorter frame in a longer frame's
+    /// buffer carries exactly its own bytes.
+    #[test]
+    fn a_dropped_egress_frame_is_the_next_ones_buffer() {
+        let reflected = |f: &[u8]| [&f[6..12], &f[..6], &f[12..]].concat();
+        let long: Vec<u8> = (0..1518).map(|i| i as u8).collect();
+        let short: Vec<u8> = (0..64).map(|i| !(i as u8)).collect();
+        for engine in [Engine::Compiled, Engine::Reference] {
+            let mut dp = Dataplane::new(netdebug_p4::compile(corpus::REFLECTOR).unwrap());
+            dp.set_engine(engine);
+            let Verdict::Forward { data, .. } = dp.process_untraced(3, &long, 0) else {
+                panic!("{engine:?}: the reflector forwards");
+            };
+            assert_eq!(data, reflected(&long), "{engine:?}");
+            let buffer = data.as_ptr();
+            drop(data);
+            // Three rounds, so the compiled engine's third one is a hit.
+            for round in 0..3 {
+                let Verdict::Forward { data, .. } = dp.process_untraced(3, &short, 0) else {
+                    panic!("{engine:?}: the reflector forwards");
+                };
+                assert_eq!(data.as_ptr(), buffer, "{engine:?} round {round}");
+                assert_eq!(data.len(), short.len(), "{engine:?} round {round}");
+                assert_eq!(data, reflected(&short), "{engine:?} round {round}");
+            }
+            let hits = u64::from(engine == Engine::Compiled);
+            assert_eq!(dp.cache_stats().hits, hits, "{engine:?}");
         }
     }
 

@@ -28,6 +28,9 @@
 //! written: its batches record the stage lane alone.
 
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
+use std::mem::take;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// An interned name inside a [`TraceEvent`].
@@ -104,6 +107,86 @@ impl core::fmt::Display for DropReason {
     }
 }
 
+thread_local! {
+    /// This thread's one spare egress buffer: the last [`EgressFrame`]
+    /// dropped here, handed out again by [`egress_buffer`].
+    static SPARE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// An empty buffer for the next egress frame, with room for `capacity`
+/// bytes: this thread's spare when it is large enough, else a fresh
+/// allocation. Every egress frame's bytes come from here (both deparsers
+/// and the flow cache's hit rebuild), so a consumer that drops each frame
+/// before the next packet runs allocates no frame at all. (Not `reserve`
+/// on a spare that is too small or absent: `Vec`'s growth path cost a
+/// consumer that keeps every frame ~10 ns a frame more than
+/// `with_capacity`.)
+pub(crate) fn egress_buffer(capacity: usize) -> Vec<u8> {
+    match SPARE.try_with(Cell::take) {
+        Ok(mut spare) if spare.capacity() >= capacity => {
+            spare.clear();
+            spare
+        }
+        _ => Vec::with_capacity(capacity),
+    }
+}
+
+/// The bytes a packet leaves the data plane with, from the verdict
+/// ([`Verdict::Forward`], [`Verdict::Flood`]) through to the device's
+/// outcome. It reads as a `[u8]`, compares and prints as its bytes, and
+/// [`EgressFrame::into_vec`] hands the buffer out. Dropping a frame
+/// parks its buffer as the thread's one spare, which the next egress
+/// frame built on the thread reuses: at most one spare per thread, not a
+/// pool. A frame that is kept (cloned, collected, converted) holds its
+/// own allocation as a `Vec<u8>` would.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EgressFrame(Vec<u8>);
+
+impl EgressFrame {
+    /// The frame's bytes as an owned vector; the buffer leaves the reuse
+    /// cycle with it.
+    pub fn into_vec(mut self) -> Vec<u8> {
+        take(&mut self.0)
+    }
+}
+
+impl Drop for EgressFrame {
+    fn drop(&mut self) {
+        if self.0.capacity() > 0 {
+            let buf = take(&mut self.0);
+            // During thread teardown the slot may already be gone; the
+            // buffer is then simply freed.
+            let _ = SPARE.try_with(|spare| spare.set(buf));
+        }
+    }
+}
+
+impl Deref for EgressFrame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl core::fmt::Debug for EgressFrame {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl From<Vec<u8>> for EgressFrame {
+    fn from(bytes: Vec<u8>) -> EgressFrame {
+        EgressFrame(bytes)
+    }
+}
+
+impl PartialEq<Vec<u8>> for EgressFrame {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.0 == *other
+    }
+}
+
 /// The final fate of a processed packet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Verdict {
@@ -112,12 +195,12 @@ pub enum Verdict {
         /// Egress port.
         port: u16,
         /// Serialized packet bytes.
-        data: Vec<u8>,
+        data: EgressFrame,
     },
     /// Send out of every port except the ingress (egress_spec 511).
     Flood {
         /// Serialized packet bytes.
-        data: Vec<u8>,
+        data: EgressFrame,
     },
     /// Discard.
     Drop(DropReason),
@@ -733,8 +816,9 @@ impl<'a> LazyTrace<'a> {
 /// included — with its trace as an undecoded [`LazyTrace`]: over that
 /// buffer, or, for a flow-cache hit, over the trace stored in the hit
 /// entry, read in place. Nothing of a batch outlives its packet unless the
-/// sink keeps it, so traced batch runs allocate nothing per packet beyond
-/// the output frame: tap accounting walks the stage lane in place,
+/// sink keeps it, so traced batch runs allocate nothing per packet (a
+/// dropped egress frame's buffer is the next one's, see [`EgressFrame`]):
+/// tap accounting walks the stage lane in place,
 /// checkers and log writers call [`LazyTrace::decode`] when they need the
 /// semantic events. A sink that only walks the stage lane says so through
 /// [`TraceSink::reads_records`], and its batches record nothing else.
@@ -812,11 +896,37 @@ mod tests {
         assert!(t.tables_applied().is_empty());
     }
 
+    /// A frame dropped while its thread exits, from another thread-local's
+    /// destructor, is freed whether or not the spare slot is gone by then.
+    #[test]
+    fn a_frame_dropped_during_thread_exit_is_freed() {
+        thread_local! {
+            static KEPT: std::cell::RefCell<Option<EgressFrame>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        // Both registration orders, so the spare slot is destroyed before
+        // the kept frame in one of them.
+        for spare_first in [true, false] {
+            std::thread::spawn(move || {
+                let park_spare = || drop(EgressFrame::from(egress_buffer(64)));
+                if spare_first {
+                    park_spare();
+                }
+                KEPT.with(|kept| *kept.borrow_mut() = Some(vec![7; 64].into()));
+                if !spare_first {
+                    park_spare();
+                }
+            })
+            .join()
+            .expect("dropping a frame at thread exit does not panic");
+        }
+    }
+
     #[test]
     fn verdict_helpers() {
         let v = Verdict::Forward {
             port: 2,
-            data: vec![1, 2, 3],
+            data: vec![1, 2, 3].into(),
         };
         assert!(v.is_forwarded());
         let d = Verdict::Drop(DropReason::ParserReject);
@@ -828,10 +938,12 @@ mod tests {
     fn verdict_summary_renders_like_the_old_labels() {
         let fwd = Verdict::Forward {
             port: 3,
-            data: vec![0; 64],
+            data: vec![0; 64].into(),
         };
         assert_eq!(fwd.summary().to_string(), "Forward { port: 3, len: 64 }");
-        let flood = Verdict::Flood { data: vec![0; 60] };
+        let flood = Verdict::Flood {
+            data: vec![0; 60].into(),
+        };
         assert_eq!(flood.summary().to_string(), "Flood { len: 60 }");
         let drop = Verdict::Drop(DropReason::NoEgress);
         assert_eq!(drop.summary().to_string(), "Drop(NoEgress)");
@@ -859,7 +971,7 @@ mod tests {
         buf.emit(0);
         buf.final_verdict(&Verdict::Forward {
             port: 7,
-            data: vec![0; 33],
+            data: vec![0; 33].into(),
         });
 
         // Each of the three stage ids is one lane word instead of one

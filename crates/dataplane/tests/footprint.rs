@@ -153,8 +153,9 @@ fn resident_memory_follows_resident_flows() {
     }
 
     // Invalidation keeps the buffers: sixteen rounds of {generation bump,
-    // the same 64 flows again}, and only the first round allocates beyond
-    // each packet's own output frame.
+    // the same 64 flows again}, and only the first round allocates. No
+    // round allocates an output frame: each is dropped before the next
+    // packet runs, and the next one reuses its buffer.
     let mut dp = router();
     let frames: Vec<Vec<u8>> = (0..64).map(frame).collect();
     let warm_up = frame(0xFFFF);
@@ -177,11 +178,13 @@ fn resident_memory_follows_resident_flows() {
         rounds.push(calls);
     }
     assert_eq!(dp.cache_stats().invalidations, 15);
-    let output_frames = 2 * frames.len() as u64;
-    assert!(rounds[0] > output_frames, "round 0 builds the entries");
+    assert!(
+        rounds[0] >= frames.len() as u64,
+        "round 0 builds the entries"
+    );
     assert_eq!(
         rounds[1..],
-        [output_frames; 15],
-        "a refill after a generation bump allocated more than its output frames"
+        [0; 15],
+        "a refill after a generation bump allocated"
     );
 }

@@ -1180,7 +1180,7 @@ proptest! {
         }
         let mut dp = Dataplane::new(ir);
         let (verdict, _) = dp.process(0, &frame, 0);
-        prop_assert_eq!(verdict, Verdict::Forward { port: 1, data: expected });
+        prop_assert_eq!(verdict, Verdict::Forward { port: 1, data: expected.into() });
     }
 }
 

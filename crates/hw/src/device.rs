@@ -18,12 +18,12 @@
 use crate::backend::{Backend, Compiled, LatencyModel};
 use crate::faults::{silence_fault_panics, FaultError, FaultSpec, FaultState};
 use netdebug_dataplane::{
-    Dataplane, DropReason, Engine, LazyTrace, MeterConfig, Stage, TraceSink, Verdict,
+    Dataplane, DropReason, EgressFrame, Engine, LazyTrace, MeterConfig, Stage, TraceSink, Verdict,
 };
 use netdebug_p4::ir::IrPattern;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Physical configuration of the board.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,12 +89,12 @@ pub enum Outcome {
         /// Egress port.
         port: u16,
         /// Wire bytes.
-        data: Vec<u8>,
+        data: EgressFrame,
     },
     /// Flooded to all ports except the ingress.
     Flood {
         /// Wire bytes (sent on each port).
-        data: Vec<u8>,
+        data: EgressFrame,
     },
     /// Dropped inside the device.
     Dropped {
@@ -123,9 +123,10 @@ pub struct Processed {
     pub total_ns: f64,
     /// Device time (cycles) when processing finished.
     pub done_at_cycle: u64,
-    /// Name of the last pipeline stage the packet reached — shared with
-    /// the device's stage-name table, so recording it copies no string.
-    pub last_stage: Arc<str>,
+    /// Name of the last pipeline stage the packet reached. Stage names
+    /// are interned process-wide when a program is deployed, so recording
+    /// one copies two words: no string, no reference count.
+    pub last_stage: &'static str,
 }
 
 /// Errors when deploying onto the device.
@@ -205,7 +206,7 @@ struct TapState {
     /// so the tap of parser state `sid` is `sid` and the tap of table
     /// `tid` is `first_table_tap + tid`: the trace's stage lane carries
     /// those ids and per-packet accounting never sees a name.
-    stage_names: Arc<[Arc<str>]>,
+    stage_names: Arc<[&'static str]>,
     first_table_tap: usize,
     stage_counts: Vec<u64>,
     /// Drops by reason. Ordered map so iteration (reports, serialisation)
@@ -213,9 +214,32 @@ struct TapState {
     drop_counts: BTreeMap<String, u64>,
     deparser_tap: usize,
     egress_tap: usize,
-    /// `last_stage` of a packet that recorded no tap (a skipped frame):
-    /// interned once here, like the names above.
-    untapped_stage: Arc<str>,
+}
+
+/// `last_stage` of a packet that recorded no tap (a skipped frame).
+const UNTAPPED_STAGE: &str = "parser:start";
+
+/// The process-wide stage-name interner: each distinct name is leaked
+/// once, the first time any deployment uses it, and every later
+/// deployment gets the same `&'static str` back. Memory is bounded by the
+/// distinct names the process has seen, so redeploying a program
+/// allocates nothing, and a packet's `last_stage` is a plain copy.
+fn intern_stage(name: &str) -> &'static str {
+    static NAMES: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    // Each update is one insert of a complete name, so the set is valid
+    // even if a thread panicked while holding the lock.
+    let mut names = NAMES
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    match names.get(name) {
+        Some(&interned) => interned,
+        None => {
+            let interned: &'static str = Box::leak(name.into());
+            names.insert(interned);
+            interned
+        }
+    }
 }
 
 /// Trace-derived per-packet accounting, produced from the packet's stage
@@ -260,12 +284,12 @@ impl Device {
 
         // Stage map: parser states, tables (IR order), deparser, egress.
         let (states, tables) = (&compiled.program.parser.states, &compiled.program.tables);
-        let stage_names: Arc<[Arc<str>]> = states
+        let stage_names: Arc<[&'static str]> = states
             .iter()
             .map(|s| format!("parser:{}", s.name))
             .chain(tables.iter().map(|t| format!("table:{}", t.name)))
-            .map(Arc::from)
-            .chain(["deparser".into(), "egress".into()])
+            .map(|name| intern_stage(&name))
+            .chain(["deparser", "egress"])
             .collect();
         let deparser_tap = states.len() + tables.len();
 
@@ -280,7 +304,6 @@ impl Device {
                 drop_counts: BTreeMap::new(),
                 deparser_tap,
                 egress_tap: deparser_tap + 1,
-                untapped_stage: "parser:start".into(),
             },
             config,
             compiled,
@@ -415,8 +438,9 @@ impl Device {
             .unwrap_or_default()
     }
 
-    /// Names of all tap stages, in pipeline order.
-    pub fn stage_names(&self) -> &[Arc<str>] {
+    /// Names of all tap stages, in pipeline order, interned process-wide
+    /// (a redeployed program gets the same `&'static str`s back).
+    pub fn stage_names(&self) -> &[&'static str] {
         &self.taps.stage_names
     }
 
@@ -469,7 +493,7 @@ impl Device {
                 pipeline_cycles: 0,
                 total_ns: 0.0,
                 done_at_cycle: self.taps.now_cycles,
-                last_stage: "mac".into(),
+                last_stage: "mac",
             };
         }
         self.taps.port_stats[port as usize].rx_packets += 1;
@@ -503,7 +527,7 @@ impl Device {
             pipeline_cycles: 0,
             total_ns: 0.0,
             done_at_cycle: self.taps.now_cycles,
-            last_stage: "ingress".into(),
+            last_stage: "ingress",
         })
     }
 
@@ -876,8 +900,9 @@ impl Device {
 /// flow-cache hit's lane is read where its entry stores it. The sink says
 /// it reads no record ([`TraceSink::reads_records`]), so the data plane
 /// writes none: it records the stage lane alone. Nothing of a
-/// packet stays behind: the only per-packet allocation of a group is the
-/// egress frame, and only one of those is alive at a time.
+/// packet stays behind: one egress frame is alive at a time, and a
+/// visitor that drops it before the next packet hands its buffer to the
+/// next frame, so a group allocates nothing per packet.
 struct TapSink<'a, V> {
     taps: &'a mut TapState,
     config: &'a DeviceConfig,
@@ -999,8 +1024,8 @@ impl TapState {
             }
         };
         let last_stage = match last_tap {
-            Some(i) => self.stage_names[i].clone(),
-            None => self.untapped_stage.clone(),
+            Some(i) => self.stage_names[i],
+            None => UNTAPPED_STAGE,
         };
 
         let mac_out_ns = if mac_in_ns.is_some() && outcome.transmitted() {
@@ -1075,7 +1100,7 @@ mod tests {
         let mut dev = deploy(&Backend::reference());
         let p = dev.rx(0, &ipv4(Ipv4Address::new(10, 0, 0, 9), 4));
         assert!(matches!(p.outcome, Outcome::Tx { port: 1, .. }));
-        assert_eq!(&*p.last_stage, "egress");
+        assert_eq!(p.last_stage, "egress");
         assert!(p.pipeline_cycles > 0);
         assert!(p.total_ns > 500.0, "MAC latency must show: {}", p.total_ns);
         assert_eq!(dev.port_stats(0).rx_packets, 1);
@@ -1099,11 +1124,11 @@ mod tests {
         ));
         // The packet reached parse_ipv4 and vanished there — the tap
         // counters localise the drop.
-        assert_eq!(&*p.last_stage, "parser:parse_ipv4");
+        assert_eq!(p.last_stage, "parser:parse_ipv4");
         let idx = dev
             .stage_names()
             .iter()
-            .position(|n| &**n == "deparser")
+            .position(|n| *n == "deparser")
             .unwrap();
         assert_eq!(dev.stage_counts()[idx], 0);
     }
@@ -1694,7 +1719,7 @@ mod tests {
         // 1. A traced hit: the whole path, deparser and egress included.
         let p = twin.inject(0, &hot);
         assert_eq!(twin.cache_stats().hits, hits + 1);
-        assert_eq!(&*p.last_stage, "egress");
+        assert_eq!(p.last_stage, "egress");
         let tapped: Vec<u64> = twin
             .stage_counts()
             .iter()
@@ -1713,7 +1738,7 @@ mod tests {
         let mut fresh = deploy(&Backend::reference());
         fresh.set_engine(Engine::Reference);
         let want = fresh.inject(0, &rejected);
-        assert_eq!(&*p.last_stage, "parser:parse_ipv4");
+        assert_eq!(p.last_stage, "parser:parse_ipv4");
         assert_eq!(
             (&p.outcome, p.pipeline_cycles),
             (&want.outcome, want.pipeline_cycles)
@@ -1727,15 +1752,85 @@ mod tests {
         assert_eq!(tapped, fresh.stage_counts());
     }
 
+    /// Egress frames reuse one buffer per thread, and nothing shows it: a
+    /// 1 518 / 64 / 256 B mix whose every outcome is dropped before the
+    /// next frame runs equals, byte for byte, what a fresh reference-engine
+    /// device produces, on both engines with the flow cache on and off.
+    #[test]
+    fn egress_buffer_reuse_is_invisible() {
+        let sized = |len: usize, host: u8| {
+            PacketBuilder::ethernet(
+                EthernetAddress::new(2, 0, 0, 0, 0, 1),
+                EthernetAddress::new(2, 0, 0, 0, 0, 2),
+            )
+            .ipv4(
+                Ipv4Address::new(10, 0, 0, 1),
+                Ipv4Address::new(10, 0, 0, host),
+            )
+            .udp(5, 5)
+            .payload(&vec![host; len - 42])
+            .build()
+        };
+        // Twelve flows, four times each: the cache installs a flow on its
+        // second miss and hits from the third.
+        let mix: Vec<Vec<u8>> = (0..48)
+            .map(|i| sized([1518, 64, 256][i % 3], (i % 4) as u8))
+            .collect();
+        let frames: Vec<&[u8]> = mix.iter().map(|f| f.as_slice()).collect();
+        let mut reference = deploy(&Backend::reference());
+        reference.set_engine(Engine::Reference);
+        let want: Vec<Processed> = frames.iter().map(|f| reference.inject(0, f)).collect();
+        assert!(want.iter().all(|p| matches!(p.outcome, Outcome::Tx { .. })));
+        for engine in [Engine::Compiled, Engine::Reference] {
+            for cache in [true, false] {
+                let mut dev = deploy(&Backend::reference());
+                dev.set_engine(engine);
+                dev.set_flow_cache(cache);
+                let mut done = 0;
+                for window in frames.chunks(16) {
+                    dev.inject_batch_with(0, window, 0, |i, p| {
+                        let i = done + i;
+                        assert_eq!(p, want[i], "{engine:?}, cache {cache}, frame {i}");
+                    });
+                    done += window.len();
+                }
+                let hits = dev.cache_stats().hits;
+                assert_eq!(hits > 0, cache && engine == Engine::Compiled, "{engine:?}");
+            }
+        }
+    }
+
+    /// Stage names are interned once per process: a redeployed program
+    /// gets the very same `&'static str`s, and another program shares the
+    /// names it has in common, so repeated deploys add nothing.
+    #[test]
+    fn redeploys_share_interned_stage_names() {
+        let (first, again) = (deploy(&Backend::reference()), deploy(&Backend::reference()));
+        let ir = netdebug_p4::compile(corpus::VLAN_ROUTER).unwrap();
+        let other = Device::deploy(&Backend::reference(), &ir).unwrap();
+        assert_eq!(first.stage_names(), again.stage_names());
+        for (a, b) in first.stage_names().iter().zip(again.stage_names()) {
+            assert!(std::ptr::eq(*a, *b), "{a} interned twice");
+        }
+        let mut shared = 0;
+        for name in other.stage_names() {
+            if let Some(seen) = first.stage_names().iter().find(|n| *n == name) {
+                assert!(std::ptr::eq(*seen, *name), "{name} interned twice");
+                shared += 1;
+            }
+        }
+        assert!(other.stage_names().contains(&"parser:start") && shared >= 3);
+    }
+
     #[test]
     fn untapped_packets_share_one_last_stage() {
         let mut dev = deploy(&Backend::reference());
         let skipped = [dev.skip_faulted(0, 0), dev.skip_faulted(1, 0)];
         for p in &skipped {
             assert!(matches!(p.outcome, Outcome::Dropped { .. }));
-            assert_eq!(&*p.last_stage, "parser:start");
+            assert_eq!(p.last_stage, "parser:start");
             assert!(
-                Arc::ptr_eq(&p.last_stage, &skipped[0].last_stage),
+                std::ptr::eq(p.last_stage, skipped[0].last_stage),
                 "interned once, not built per packet"
             );
         }

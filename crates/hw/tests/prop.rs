@@ -45,8 +45,8 @@ proptest! {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(&Backend::reference(), &ir).unwrap();
         let mut prev: Vec<u64> = dev.stage_counts().to_vec();
-        let deparser = dev.stage_names().iter().position(|n| &**n == "deparser").unwrap();
-        let egress = dev.stage_names().iter().position(|n| &**n == "egress").unwrap();
+        let deparser = dev.stage_names().iter().position(|n| *n == "deparser").unwrap();
+        let egress = dev.stage_names().iter().position(|n| *n == "egress").unwrap();
         for frame in &frames {
             dev.inject(0, frame);
             let now: Vec<u64> = dev.stage_counts().to_vec();

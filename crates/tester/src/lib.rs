@@ -65,13 +65,13 @@ impl<'a> ExternalView<'a> {
         let processed = self.dev.rx(port, data);
         match processed.outcome {
             Outcome::Tx { port: out, data } => ExternalObservation {
-                outputs: vec![(out, data)],
+                outputs: vec![(out, data.into_vec())],
                 latency_ns: Some(processed.total_ns),
             },
             Outcome::Flood { data } => {
                 let outputs = (0..self.ports())
                     .filter(|&p| p != port)
-                    .map(|p| (p, data.clone()))
+                    .map(|p| (p, data.to_vec()))
                     .collect();
                 ExternalObservation {
                     outputs,

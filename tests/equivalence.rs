@@ -132,8 +132,8 @@ fn id_indexed_taps_agree_with_the_by_name_model() {
                 assert_eq!(p.pipeline_cycles, pipeline_cycles, "{ctx}");
                 assert_eq!(p.done_at_cycle, start + pipeline_cycles, "{ctx}");
                 assert_eq!(
-                    &*p.last_stage,
-                    last.map_or("parser:start", |i| &*names[i]),
+                    p.last_stage,
+                    last.map_or("parser:start", |i| names[i]),
                     "{ctx}"
                 );
                 assert_eq!(dev.stage_counts(), counts, "{ctx}");

@@ -18,11 +18,13 @@
 //! index** (exact hash / LPM levels / tuple groups — see
 //! `netdebug_dataplane::LookupIndex`) by the one entry that changed: the
 //! cost is the change's, not the table's, and it lands on the
-//! control-plane side of the epoch. The first publication after a window
-//! copies the snapshot once — the window's batch pinned it — and the
-//! rest of the burst edits that copy in place, so churned tables keep
-//! their O(1)/per-level/per-group applies on the packet path and the in-flight
-//! window's flattened `TableView`s still read the epoch they pinned —
+//! control-plane side of the epoch. A window's batch pins its tables only
+//! while it runs, so the burst between two windows edits the snapshot in
+//! place; only a publication that lands mid-window, or on a table a
+//! checkpoint or a device clone pins, copies it once. Churned tables keep
+//! their O(1)/per-level/per-group applies on the packet path, and the
+//! in-flight window's flattened `TableView`s still read the epoch they
+//! pinned —
 //! engine and flow-cache parity under churn are property-tested against
 //! exactly this republication path.
 

@@ -285,8 +285,7 @@ impl FlowCache {
 
     /// Align the cache with the pinned snapshot generation: if any table
     /// republished since the resident entries were recorded, drop them
-    /// all. This is the *only* invalidation path — a generation compare,
-    /// exactly like the packet paths' own re-pin check.
+    /// all. This is the *only* invalidation path — a generation compare.
     pub(crate) fn sync_generation(&mut self, generation: u64) {
         if generation == self.generation {
             return;

@@ -16,14 +16,14 @@
 //! table's declared [`netdebug_p4::ir::KeySignature`]; a `Range` pattern
 //! puts its table on the priority scan while it is resident) is
 //! maintained by inserting or removing the one entry, in place while
-//! nobody has the snapshot pinned. The first publication after a pin — the packet path re-pins
-//! once per generation, checkpoints and device clones pin too — copies
-//! the snapshot once (refcount bumps, not entry copies) and leaves the
-//! pin on its epoch; see [`crate::table`] for why that is race-free.
-//! Either way the packet path never pays for index maintenance, and the
-//! only synchronisation between the two sides is the brief publication
-//! lock a pin point takes when (and only when) a publication actually
-//! landed since it last pinned.
+//! nobody has the snapshot pinned. A batch pins every table only while it
+//! runs, so a publication between batches edits in place. The first
+//! publication while a pin is held — by an in-flight batch, a checkpoint
+//! or a device clone — copies the snapshot once (refcount bumps, not
+//! entry copies) and leaves the pin on its epoch; see [`crate::table`]
+//! for why that is race-free. Either way the packet path never pays for
+//! index maintenance, and the only synchronisation between the two sides
+//! is the brief publication lock each pin point takes once per batch.
 
 use crate::table::{RuntimeEntry, TableError, TableState};
 use netdebug_p4::ir::{self, IrPattern};
@@ -73,12 +73,12 @@ impl From<TableError> for ControlError {
 pub struct ControlPlane {
     program: Arc<ir::Program>,
     tables: Arc<Vec<TableState>>,
-    /// Bumped (release) after every successful publication; the packet
-    /// path re-pins its cached snapshots only when this moves, so
-    /// single-packet processing costs one atomic load per packet instead
-    /// of a lock-and-allocate per table.
+    /// Bumped (release) after every successful publication: the flow
+    /// cache's invalidation signal (a batch that pins at a new generation
+    /// drops the cache's entries).
     generation: Arc<AtomicU64>,
-    /// Held across every publication *and* across a multi-table re-pin:
+    /// Held across every publication *and* across a batch's multi-table
+    /// pin:
     /// serialising the two is what makes a pinned snapshot *set* a
     /// publication-order prefix — a window can never observe mutation K+1
     /// without mutation K, even when they touch different tables.

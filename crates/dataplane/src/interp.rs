@@ -189,11 +189,11 @@ impl Env {
 /// * **read-mostly** — the program (immutable, behind an `Arc`), its
 ///   load-time-compiled bytecode ([`CompiledProgram`], also `Arc`-shared
 ///   with clones) and the table entry lists: each table publishes
-///   [`EntrySnapshot`]s that the packet path pins per batch, while the
-///   control plane — possibly from another thread, through a detached
-///   [`ControlPlane`] handle — publishes successor epochs atomically;
-///   a pinned snapshot is never edited (a mid-batch install copies it
-///   first, see [`crate::table`]).
+///   [`EntrySnapshot`]s that the packet path pins for the length of each
+///   batch, while the control plane — possibly from another thread,
+///   through a detached [`ControlPlane`] handle — publishes successor
+///   epochs atomically; a pinned snapshot is never edited (a mid-batch
+///   install copies it first, see [`crate::table`]).
 /// * **mutable** — table hit/miss statistics (`table_stats`) and extern
 ///   state (`externs`), owned by the one thread running the batch.
 #[derive(Debug)]
@@ -210,16 +210,17 @@ pub struct Dataplane {
     packets_processed: u64,
     tracing: bool,
     /// Publication generation shared with every [`ControlPlane`] handle:
-    /// bumped after each snapshot publication. The packet path re-pins
-    /// `pin_cache` only when it moves, so steady-state processing pays
-    /// one atomic load per pin point instead of a lock per table.
+    /// bumped after each snapshot publication. The flow cache's
+    /// invalidation signal: a batch reads it as it pins.
     generation: Arc<AtomicU64>,
-    /// The pinned snapshots as of `pin_gen` (lazily refreshed).
+    /// Batch-scoped scratch: the snapshots the running batch pinned.
+    /// [`Dataplane::with_pins`] fills it at batch entry and empties it
+    /// (keeping the capacity) when the batch body returns, so between
+    /// batches this data plane pins nothing and a publication edits the
+    /// table in place.
     pin_cache: Vec<Arc<EntrySnapshot>>,
-    /// Generation `pin_cache` was pinned at (0 = never pinned).
-    pin_gen: u64,
     /// Shared with every [`ControlPlane`] handle: held across each
-    /// publication and across a multi-table re-pin, so a pinned snapshot
+    /// publication and across a batch's multi-table pin, so a pinned snapshot
     /// *set* always corresponds to a prefix of the publication order —
     /// never an interleaving that mixes a later mutation without an
     /// earlier one.
@@ -274,8 +275,7 @@ impl Clone for Dataplane {
             packets_processed: self.packets_processed,
             tracing: self.tracing,
             generation,
-            pin_cache: self.pin_cache.clone(),
-            pin_gen: self.pin_gen,
+            pin_cache: Vec::new(),
             publish_lock: Arc::new(std::sync::Mutex::new(())),
             env_scratch: Env::new(&self.program),
             trace_buf: TraceBuf::default(),
@@ -414,7 +414,6 @@ impl Dataplane {
             tracing: true,
             generation: Arc::new(AtomicU64::new(1)),
             pin_cache: Vec::new(),
-            pin_gen: 0,
             publish_lock: Arc::new(std::sync::Mutex::new(())),
             env_scratch,
             trace_buf: TraceBuf::default(),
@@ -477,9 +476,9 @@ impl Dataplane {
     /// Reinstate a [`DataplaneCheckpoint`] taken from this data plane (or
     /// a clone sharing its program): table snapshots swap back to the
     /// checkpointed epochs, externs and statistics are overwritten, and
-    /// the publication generation is *bumped* (not rewound) so pinned
-    /// snapshot caches and the epoch-keyed flow cache re-pin on the next
-    /// batch instead of serving post-checkpoint state.
+    /// the publication generation is *bumped* (not rewound) so the
+    /// epoch-keyed flow cache drops its entries on the next batch instead
+    /// of serving post-checkpoint state.
     pub fn restore(&mut self, checkpoint: &DataplaneCheckpoint) {
         {
             let _guard = self.publish_lock.lock().expect("publish lock poisoned");
@@ -648,83 +647,80 @@ impl Dataplane {
         Ok((s.hits, s.misses, t.len(), t.capacity()))
     }
 
-    /// Refresh the pinned snapshots in `pin_cache` if any publication
-    /// happened since they were last pinned. This is the single
-    /// epoch-pinning point of every packet path: consulted once per batch
-    /// on the batch paths (one coherent table state per window) and once
-    /// per packet on the single-packet paths (each packet observes the
-    /// epochs current at its injection instant). Steady state — no churn
-    /// in flight — costs one atomic load; only an actual publication pays
-    /// the per-table lock-and-clone re-pin. The generation is bumped
-    /// *after* the snapshot swap, so observing a new generation always
-    /// means the new snapshots are visible (re-pinning at a stale
-    /// generation merely re-pins once more on the next call).
-    fn refresh_pins(&mut self) {
-        if self.generation.load(Ordering::Acquire) == self.pin_gen {
-            return;
-        }
-        // Re-pin under the publication lock: no mutation can land between
-        // the first and the last table's pin, so the pinned set is always
-        // a publication-order prefix — even for multi-table churn.
+    /// Pin every table's current snapshot into `pin_cache` and return
+    /// the generation they were published at. This is the single
+    /// epoch-pinning point of every packet path: once per batch on the
+    /// batch paths (one coherent table state per window) and once per
+    /// packet on the single-packet paths (each packet observes the epochs
+    /// current at its injection instant). It costs one uncontended lock
+    /// plus one lock and one refcount per table. The pins are taken under
+    /// the publication lock: no mutation can land between the first and
+    /// the last table's pin, so the pinned set is always a
+    /// publication-order prefix — even for multi-table churn — and the
+    /// generation read with them is exactly theirs.
+    fn refresh_pins(&mut self) -> u64 {
         let _guard = self.publish_lock.lock().expect("publish lock poisoned");
+        // Empty unless a panicking batch skipped its release: its pins
+        // are replaced here.
         self.pin_cache.clear();
         self.pin_cache
             .extend(self.tables.iter().map(|t| t.snapshot()));
-        self.pin_gen = self.generation.load(Ordering::Acquire);
-    }
-
-    /// Align the flow cache with the pinned generation (must follow
-    /// [`Dataplane::refresh_pins`] on every cached packet path): a
-    /// publication since the entries were recorded drops them all.
-    fn sync_cache(&mut self) {
-        if let Some(c) = self.flow_cache.as_mut() {
-            c.sync_generation(self.pin_gen);
-        }
+        self.generation.load(Ordering::Acquire)
     }
 
     // ------------------------------------------------------------------
     // Packet processing
     // ------------------------------------------------------------------
 
-    /// The one prologue under every `process*` entry point: count the
-    /// `n` packets, pin the current epochs ([`Dataplane::refresh_pins`]),
-    /// align the flow cache, build the execution context, then hand
-    /// `body` the context plus the flow cache, scratch environment and
-    /// trace buffer every [`ExecCtx::run_one`] call takes. The entry
-    /// points differ only in what `body` does with each packet's
-    /// verdict and trace records.
+    /// The one prologue and epilogue around every `process*` entry
+    /// point: count the `n` packets, pin the current epochs
+    /// ([`Dataplane::refresh_pins`]), align the flow cache with their
+    /// generation (a publication since its entries were recorded drops
+    /// them all), build the execution context, hand `body` the context
+    /// plus the flow cache, scratch environment and trace buffer every
+    /// [`ExecCtx::run_one`] call takes, and release the pins when `body`
+    /// returns. A publication during `body` copies the pinned snapshot
+    /// once and leaves the batch on its epoch; one between batches finds
+    /// no pin and edits in place. The entry points differ only in what
+    /// `body` does with each packet's verdict and trace records.
     fn with_pins<R>(
         &mut self,
         n: usize,
         body: impl FnOnce(&mut ExecCtx<'_>, Option<&mut FlowCache>, &mut Env, &mut TraceBuf) -> R,
     ) -> R {
         self.packets_processed += n as u64;
-        self.refresh_pins();
-        self.sync_cache();
-        // A batch amortises one flat view array over its packets; a lone
-        // packet has nothing to amortise it against and reads through
-        // the pinned `Arc`s instead (no allocation).
-        let views;
-        let tables = if n > 1 {
-            views = resolve_views(&self.pin_cache);
-            TablesRef::Views(&views)
-        } else {
-            TablesRef::Pinned(&self.pin_cache)
+        let generation = self.refresh_pins();
+        if let Some(c) = self.flow_cache.as_mut() {
+            c.sync_generation(generation);
+        }
+        let out = {
+            // A batch amortises one flat view array over its packets; a
+            // lone packet has nothing to amortise it against and reads
+            // through the pinned `Arc`s instead (no allocation).
+            let views;
+            let tables = if n > 1 {
+                views = resolve_views(&self.pin_cache);
+                TablesRef::Views(&views)
+            } else {
+                TablesRef::Pinned(&self.pin_cache)
+            };
+            let mut ctx = ExecCtx {
+                program: &self.program,
+                compiled: &self.compiled,
+                engine: self.engine,
+                tables,
+                table_stats: &mut self.table_stats,
+                externs: &mut self.externs,
+            };
+            body(
+                &mut ctx,
+                self.flow_cache.as_mut(),
+                &mut self.env_scratch,
+                &mut self.trace_buf,
+            )
         };
-        let mut ctx = ExecCtx {
-            program: &self.program,
-            compiled: &self.compiled,
-            engine: self.engine,
-            tables,
-            table_stats: &mut self.table_stats,
-            externs: &mut self.externs,
-        };
-        body(
-            &mut ctx,
-            self.flow_cache.as_mut(),
-            &mut self.env_scratch,
-            &mut self.trace_buf,
-        )
+        self.pin_cache.clear();
+        out
     }
 
     /// Process a packet arriving on `port` at device time `now_cycles`,

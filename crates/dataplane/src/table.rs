@@ -38,8 +38,8 @@
 //! * nobody holds a pin → the snapshot is edited **in place**: one slot
 //!   inserted into (or removed from) the sorted list, one key inserted
 //!   into (or removed from) the index, the epoch bumped;
-//! * somebody holds a pin (a reader batch, a checkpoint, a device clone)
-//!   → the snapshot is **copied exactly once** — refcount bumps, the
+//! * somebody holds a pin (an in-flight batch, a checkpoint, a device
+//!   clone) → the snapshot is **copied exactly once** — refcount bumps, the
 //!   list holds `Arc<RuntimeEntry>` — the copy is edited, and the pin
 //!   keeps reading its epoch bit for bit. Publications that follow edit
 //!   the copy in place until someone pins again.
@@ -59,9 +59,11 @@
 //! the victim's equal-priority run.
 //!
 //! Readers pin a snapshot once (per packet on the single-packet path,
-//! per batch on the batch paths) and keep reading it no matter what the
+//! per batch on the batch paths), keep reading it no matter what the
 //! control plane does concurrently — which is what lets installs land
-//! *mid-batch* without pausing or locking against the packet path. The
+//! *mid-batch* without pausing or locking against the packet path — and
+//! drop the pin when the batch returns, so the publications between
+//! batches find the snapshot unpinned and edit it in place. The
 //! batch paths flatten the pins further into [`TableView`]s — direct
 //! borrows of the index and entry list — so a table apply costs one
 //! slice index, not an `Arc` dereference.
@@ -1138,8 +1140,10 @@ impl TableState {
 
     /// Pin the currently published snapshot. The returned `Arc` stays
     /// valid (and unchanged) however many epochs the control plane
-    /// publishes afterwards; the first of those publications pays for
-    /// one copy of the snapshot.
+    /// publishes afterwards; the first of those publications made while
+    /// the pin is held pays for one copy of the snapshot. The packet path
+    /// holds its pins for one batch; a checkpoint or a device clone holds
+    /// its pins until it is dropped.
     pub fn snapshot(&self) -> Arc<EntrySnapshot> {
         self.current().clone()
     }

@@ -169,7 +169,7 @@ fn resident_memory_follows_resident_flows() {
             vec![0xBB, 1],
         )
         .unwrap();
-        // The first packet after a publication re-pins the snapshots.
+        // The first packet after a publication drops the cache's entries.
         dp.process_untraced(0, &warm_up, 0);
         let invalidations = dp.cache_stats().invalidations;
         let (calls, _) = cost_of(|| install_flows(&mut dp, &frames));

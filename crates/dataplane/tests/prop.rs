@@ -1329,7 +1329,8 @@ fn concurrent_installs_mid_batch_are_epoch_atomic() {
 
 /// One step of a random control/packet interleaving on the router:
 /// installs and removals over a small prefix domain (duplicates, absent
-/// victims), a batch (which re-pins the packet path's snapshots), a rare
+/// victims), a batch (which pins the packet path's snapshots while it
+/// runs), a rare
 /// `clear`.
 fn churn_step(dp: &mut Dataplane, (sel, x, len): (u8, u8, u8), probes: &[(u16, &[u8])]) {
     let prefix = 0x0A00_0000 | u128::from(x % 4) << 16 | u128::from(x % 3) << 8;

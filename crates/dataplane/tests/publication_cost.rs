@@ -3,14 +3,21 @@
 //! allocations per install however many entries are resident), a pinned
 //! one is copied exactly once, by reference count rather than by value —
 //! on an exact table (one hash map) and on a four-key ternary one (a
-//! tuple-space group per mask tuple, which stores no key).
+//! tuple-space group per mask tuple, which stores no key). On a live data
+//! plane a batch holds its pins only while it runs: a publication between
+//! batches edits in place, one from inside a batch copies once and leaves
+//! the rest of the batch on its epoch.
 //!
 //! Its own test binary because it installs a counting global allocator;
 //! one `#[test]` so nothing else allocates while it counts.
 
-use netdebug_dataplane::{RuntimeEntry, TableState};
+use netdebug_dataplane::{
+    ControlPlane, Dataplane, LazyTrace, RuntimeEntry, TableState, TraceSink, Verdict,
+};
 use netdebug_p4::ast::MatchKind;
+use netdebug_p4::corpus;
 use netdebug_p4::ir::{ActionCall, ActionIr, IrExpr, IrPattern, TableIr, TableKey};
+use netdebug_packet::{EthernetAddress, PacketBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -156,6 +163,151 @@ fn allocs_in(body: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// The first `dmac` key of the data-plane cases.
+const MAC: u128 = 0x0200_0000_0000;
+/// Resident `dmac` entries in the data-plane cases.
+const SWITCHED: u128 = 2048;
+
+/// `l2_switch` with [`SWITCHED`] resident `dmac` entries `MAC + i → port
+/// i % 4`.
+fn switch() -> Dataplane {
+    let mut dp = Dataplane::new(netdebug_p4::compile(corpus::L2_SWITCH).unwrap());
+    for i in 0..SWITCHED {
+        dp.install_exact("dmac", vec![MAC + i], "forward", vec![i % 4])
+            .unwrap();
+    }
+    dp
+}
+
+/// A frame to `dmac` key `mac`.
+fn frame_to(mac: u128) -> Vec<u8> {
+    let b = mac.to_be_bytes();
+    PacketBuilder::ethernet(
+        EthernetAddress::new(2, 0, 0, 0, 0, 1),
+        EthernetAddress::new(b[10], b[11], b[12], b[13], b[14], b[15]),
+    )
+    .payload(b"x")
+    .build()
+}
+
+/// Allocations of one churn window's publications through `cp`: four
+/// installs of keys past the resident ones, then their four removals.
+fn window_churn_allocs(cp: &ControlPlane) -> u64 {
+    allocs_in(|| {
+        for key in MAC + SWITCHED..MAC + SWITCHED + 4 {
+            cp.install_exact("dmac", vec![key], "forward", vec![1])
+                .unwrap();
+        }
+        for key in MAC + SWITCHED..MAC + SWITCHED + 4 {
+            cp.remove("dmac", &[IrPattern::Value(key)], 0)
+                .unwrap()
+                .unwrap();
+        }
+    })
+}
+
+/// A batch's sink that, after packet `at`, installs `MAC + SWITCHED →
+/// port 3` and then `MAC + SWITCHED + 1 → port 3` through a detached
+/// handle, counting each publication's allocations, and keeps every
+/// verdict.
+struct PublishingSink {
+    cp: ControlPlane,
+    at: usize,
+    allocs: Vec<u64>,
+    verdicts: Vec<Verdict>,
+}
+
+impl TraceSink for PublishingSink {
+    fn observe(&mut self, index: usize, verdict: Verdict, _: &LazyTrace<'_>) {
+        self.verdicts.push(verdict);
+        if index == self.at {
+            for key in [MAC + SWITCHED, MAC + SWITCHED + 1] {
+                let cp = &self.cp;
+                let allocs = allocs_in(|| {
+                    cp.install_exact("dmac", vec![key], "forward", vec![3])
+                        .unwrap();
+                });
+                self.allocs.push(allocs);
+            }
+        }
+    }
+}
+
+/// Between batches a live data plane pins nothing: a window's
+/// publications through a detached handle allocate what they do on a
+/// data plane that never ran a batch, whose tables nobody ever pinned.
+fn between_batch_publications_edit_in_place() {
+    let frames: Vec<Vec<u8>> = (0..8).map(|i| frame_to(MAC + i)).collect();
+    let pkts: Vec<(u16, &[u8])> = frames.iter().map(|f| (0, f.as_slice())).collect();
+    let mut live = switch();
+    live.process_batch(&pkts, 0);
+    let idle = switch();
+    let (live_cp, idle_cp) = (live.control_plane(), idle.control_plane());
+    let unpinned = window_churn_allocs(&idle_cp);
+    let between = window_churn_allocs(&live_cp);
+    assert!(
+        between <= unpinned,
+        "a window's publications after a batch allocated {between}, unpinned {unpinned}: \
+         the batch still pins its snapshot"
+    );
+    assert_eq!(live_cp.epochs(), idle_cp.epochs());
+}
+
+/// A publication from inside a batch copies the pinned snapshot once;
+/// the rest of the batch reads its pinned epoch, and the next batch sees
+/// the new entry.
+fn a_mid_batch_publication_copies_once() {
+    const AT: usize = 2;
+    let frames: Vec<Vec<u8>> = (0..8).map(|i| frame_to(MAC + SWITCHED + i % 2)).collect();
+    let pkts: Vec<(u16, &[u8])> = frames.iter().map(|f| (0, f.as_slice())).collect();
+    let mut dp = switch();
+    let mut sink = PublishingSink {
+        cp: dp.control_plane(),
+        at: AT,
+        allocs: vec![],
+        verdicts: vec![],
+    };
+    dp.process_batch_with(&pkts, 0, &mut sink);
+
+    // The same two installs on a table nobody pins.
+    let idle = switch().control_plane();
+    let unpinned: Vec<u64> = [MAC + SWITCHED, MAC + SWITCHED + 1]
+        .map(|key| {
+            allocs_in(|| {
+                idle.install_exact("dmac", vec![key], "forward", vec![3])
+                    .unwrap();
+            })
+        })
+        .into();
+    assert!(
+        sink.allocs[0] > unpinned[0],
+        "the first mid-batch publication allocated {} against {} unpinned: \
+         it edited the batch's pinned snapshot",
+        sink.allocs[0],
+        unpinned[0]
+    );
+    assert!(
+        sink.allocs[1] <= unpinned[1],
+        "the second mid-batch publication allocated {} against {} unpinned: \
+         it copied again",
+        sink.allocs[1],
+        unpinned[1]
+    );
+
+    // Every packet of the batch, before and after the publications, on
+    // the pinned epoch: verdicts equal to a run without them.
+    let unpublished = switch().process_batch(&pkts, 0);
+    assert_eq!(sink.verdicts.len(), pkts.len());
+    for (i, (published, (alone, _))) in sink.verdicts.iter().zip(&unpublished).enumerate() {
+        assert_eq!(published, alone, "packet {i} left its batch's epoch");
+        assert!(matches!(published, Verdict::Flood { .. }));
+    }
+    // The next batch reads the new entries.
+    for (verdict, _) in dp.process_batch(&pkts, 1) {
+        assert!(matches!(verdict, Verdict::Forward { port: 3, .. }));
+    }
+}
+
 #[test]
 fn publication_costs_the_change_not_the_table() {
     const RESIDENT: u128 = 4096;
@@ -270,4 +422,7 @@ fn publication_costs_the_change_not_the_table() {
     let keys = [5000 << 8, 5000 << 12, 5000 % 3, 5000 << 9];
     assert!(pin.lookup(&keys).unwrap().priority < 4096);
     assert_eq!(s.lookup(&keys).unwrap().priority, 5000);
+
+    between_batch_publications_edit_in_place();
+    a_mid_batch_publication_copies_once();
 }

@@ -374,9 +374,9 @@ impl Device {
     /// Reinstate a [`DeviceCheckpoint`]: table epochs rewind to the pinned
     /// snapshots, extern state, tap accounting (clock, pipeline occupancy,
     /// port/stage/drop counters) and fault admission counters all return
-    /// to capture time. The data plane's pin generation is bumped (never
-    /// rewound), so flow caches and pinned lookup snapshots re-pin instead
-    /// of serving post-checkpoint state.
+    /// to capture time. The data plane's publication generation is bumped
+    /// (never rewound), so flow caches drop their entries instead of
+    /// serving post-checkpoint state.
     pub fn restore(&mut self, checkpoint: &DeviceCheckpoint) {
         self.dataplane.restore(&checkpoint.dataplane);
         self.taps = checkpoint.taps.clone();

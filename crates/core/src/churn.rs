@@ -23,10 +23,10 @@
 //! place; only a publication that lands mid-window, or on a table a
 //! checkpoint or a device clone pins, copies it once. Churned tables keep
 //! their O(1)/per-level/per-group applies on the packet path, and the
-//! in-flight window's flattened `TableView`s still read the epoch they
-//! pinned —
-//! engine and flow-cache parity under churn are property-tested against
-//! exactly this republication path.
+//! in-flight window's flattened `TableView`s borrow the one cut of every
+//! table the window pinned, so they read its epochs whatever lands
+//! meanwhile — engine and flow-cache parity under churn are
+//! property-tested against exactly this republication path.
 
 use netdebug_dataplane::ControlError;
 use netdebug_hw::Device;

@@ -1,14 +1,14 @@
 //! The control-plane handle: epoch-publishing table mutation that is safe
 //! to use **while batches are in flight**.
 //!
-//! A [`ControlPlane`] is a cheap clone of a few `Arc`s — the compiled
-//! program (for validation and name resolution), the shared table cells,
-//! and the publication generation/lock. It can be handed to another
-//! thread and used to `install`/`remove`/`clear` entries while the owning
-//! [`crate::Dataplane`] is mid-`process_batch`: each mutation publishes
-//! the table's next epoch atomically, the in-flight batch keeps reading
-//! the [`crate::EntrySnapshot`]s it pinned at batch start, and the next
-//! batch (or the next single packet) observes the new epochs.
+//! A [`ControlPlane`] is a cheap clone of two `Arc`s: the compiled program
+//! (for validation and name resolution) and the data plane's one
+//! publication cell, which holds every table as one value. It can be
+//! handed to another thread and used to `install`/`remove`/`clear`
+//! entries while the owning [`crate::Dataplane`] is mid-`process_batch`:
+//! each mutation locks the cell and publishes the table's next epoch, the
+//! in-flight batch keeps reading the tables it pinned at batch start, and
+//! the next batch (or the next single packet) observes the new epochs.
 //!
 //! A publication costs **what changed**: the snapshot's
 //! [`crate::LookupIndex`] (exact → hash, LPM → prefix-length levels,
@@ -16,19 +16,16 @@
 //! table's declared [`netdebug_p4::ir::KeySignature`]; a `Range` pattern
 //! puts its table on the priority scan while it is resident) is
 //! maintained by inserting or removing the one entry, in place while
-//! nobody has the snapshot pinned. A batch pins every table only while it
-//! runs, so a publication between batches edits in place. The first
-//! publication while a pin is held — by an in-flight batch, a checkpoint
-//! or a device clone — copies the snapshot once (refcount bumps, not
-//! entry copies) and leaves the pin on its epoch; see [`crate::table`]
-//! for why that is race-free. Either way the packet path never pays for
-//! index maintenance, and the only synchronisation between the two sides
-//! is the brief publication lock each pin point takes once per batch.
+//! nobody holds the tables. A batch pins them only while it runs, so a
+//! publication between batches edits in place. The first publication
+//! while a pin is held — by an in-flight batch, a checkpoint or a device
+//! clone — copies the vector of tables (refcount bumps) and the one
+//! snapshot it edits, and leaves the pin on its cut; see [`crate::table`].
+//! Either way the packet path never pays for index maintenance.
 
-use crate::table::{RuntimeEntry, TableError, TableState};
+use crate::table::{RuntimeEntry, Table, TableError, Tables};
 use netdebug_p4::ir::{self, IrPattern};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Errors from the control-plane API.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,44 +69,30 @@ impl From<TableError> for ControlError {
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     program: Arc<ir::Program>,
-    tables: Arc<Vec<TableState>>,
-    /// Bumped (release) after every successful publication: the flow
-    /// cache's invalidation signal (a batch that pins at a new generation
-    /// drops the cache's entries).
-    generation: Arc<AtomicU64>,
-    /// Held across every publication *and* across a batch's multi-table
-    /// pin:
-    /// serialising the two is what makes a pinned snapshot *set* a
-    /// publication-order prefix — a window can never observe mutation K+1
-    /// without mutation K, even when they touch different tables.
-    publish_lock: Arc<std::sync::Mutex<()>>,
+    /// The data plane's publication cell, shared with it and every other
+    /// handle.
+    tables: Arc<Mutex<Arc<Tables>>>,
 }
 
 impl ControlPlane {
-    pub(crate) fn new(
-        program: Arc<ir::Program>,
-        tables: Arc<Vec<TableState>>,
-        generation: Arc<AtomicU64>,
-        publish_lock: Arc<std::sync::Mutex<()>>,
-    ) -> Self {
-        ControlPlane {
-            program,
-            tables,
-            generation,
-            publish_lock,
-        }
+    pub(crate) fn new(program: Arc<ir::Program>, tables: Arc<Mutex<Arc<Tables>>>) -> Self {
+        ControlPlane { program, tables }
     }
 
-    /// Run `publish` under the publication lock and bump the generation
-    /// if `published` says a snapshot went out (a rejected install or the
-    /// removal of an absent entry publishes nothing), so a reader
-    /// observing the new generation always sees the new snapshot and no
-    /// reader can pin a snapshot set that interleaves two publications.
-    fn publishing<T>(&self, publish: impl FnOnce() -> T, published: impl FnOnce(&T) -> bool) -> T {
-        let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-        let out = publish();
+    /// Apply `edit` to table `tid` under the cell's lock and bump the
+    /// generation if `published` says a snapshot went out (a rejected
+    /// install or the removal of an absent entry publishes nothing).
+    fn publishing<T>(
+        &self,
+        tid: usize,
+        edit: impl FnOnce(&mut Table) -> T,
+        published: impl FnOnce(&T) -> bool,
+    ) -> T {
+        let mut cell = Tables::lock(&self.tables);
+        let tables = Arc::make_mut(&mut cell);
+        let out = edit(&mut tables.tables[tid]);
         if published(&out) {
-            self.generation.fetch_add(1, Ordering::Release);
+            tables.generation += 1;
         }
         out
     }
@@ -143,7 +126,8 @@ impl ControlPlane {
             priority,
         };
         let epoch = self.publishing(
-            || self.tables[tid].install(&self.program.tables[tid], &self.program.actions, entry),
+            tid,
+            |t| t.install(&self.program.tables[tid], &self.program.actions, entry),
             Result::is_ok,
         )?;
         Ok(epoch)
@@ -191,33 +175,31 @@ impl ControlPlane {
         priority: i32,
     ) -> Result<Option<u64>, ControlError> {
         let tid = self.table_id(table)?;
-        Ok(self.publishing(
-            || self.tables[tid].remove(patterns, priority),
-            Option::is_some,
-        ))
+        Ok(self.publishing(tid, |t| t.remove(patterns, priority), Option::is_some))
     }
 
     /// Remove all entries from a table; returns the new epoch.
     pub fn clear(&self, table: &str) -> Result<u64, ControlError> {
         let tid = self.table_id(table)?;
-        Ok(self.publishing(|| self.tables[tid].clear(), |_| true))
+        Ok(self.publishing(tid, Table::clear, |_| true))
     }
 
     /// The current epoch of a table.
     pub fn epoch(&self, table: &str) -> Result<u64, ControlError> {
         let tid = self.table_id(table)?;
-        Ok(self.tables[tid].epoch())
+        Ok(Tables::lock(&self.tables).tables[tid].snapshot.epoch())
     }
 
     /// Current epochs of every table, in program table order.
     pub fn epochs(&self) -> Vec<u64> {
-        self.tables.iter().map(|t| t.epoch()).collect()
+        Tables::lock(&self.tables).epochs()
     }
 
     /// Occupancy and capacity of a table: (installed entries, capacity).
     pub fn occupancy(&self, table: &str) -> Result<(usize, u64), ControlError> {
         let tid = self.table_id(table)?;
-        let t = &self.tables[tid];
-        Ok((t.len(), t.capacity()))
+        let cell = Tables::lock(&self.tables);
+        let t = &cell.tables[tid];
+        Ok((t.snapshot.len(), t.capacity))
     }
 }

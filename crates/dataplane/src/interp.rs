@@ -57,15 +57,14 @@ use crate::cache::{CacheStats, FlowCache};
 use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
-use crate::table::{EntrySnapshot, RuntimeEntry, TableState, TableStats, TableView};
+use crate::table::{RuntimeEntry, Table, TableStats, TableView, Tables};
 use crate::trace::{
     egress_buffer, DropReason, EgressFrame, LazyTrace, Recording, Trace, TraceBuf, TraceBytes,
     TraceSink, Verdict,
 };
 use netdebug_p4::ir::{self, truncate, Cacheability, StdField, TransTarget};
 use netdebug_p4::walk::{self, Domain, End, Event, Place};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The flood "port" value in `egress_spec`.
 pub const FLOOD_PORT: u128 = 511;
@@ -188,12 +187,13 @@ impl Env {
 ///
 /// * **read-mostly** — the program (immutable, behind an `Arc`), its
 ///   load-time-compiled bytecode ([`CompiledProgram`], also `Arc`-shared
-///   with clones) and the table entry lists: each table publishes
-///   [`EntrySnapshot`]s that the packet path pins for the length of each
-///   batch, while the control plane — possibly from another thread,
-///   through a detached [`ControlPlane`] handle — publishes successor
-///   epochs atomically; a pinned snapshot is never edited (a mid-batch
-///   install copies it first, see [`crate::table`]).
+///   with clones) and the tables: one publication cell holds every
+///   table's [`crate::EntrySnapshot`] as one value, which the packet path
+///   pins with one `Arc` clone for the length of each batch, while the
+///   control plane — possibly from another thread, through a detached
+///   [`ControlPlane`] handle — publishes successor epochs under the
+///   cell's lock; a pinned cut is never edited (a mid-batch install
+///   copies what it touches first, see [`crate::table`]).
 /// * **mutable** — table hit/miss statistics (`table_stats`) and extern
 ///   state (`externs`), owned by the one thread running the batch.
 #[derive(Debug)]
@@ -204,27 +204,13 @@ pub struct Dataplane {
     compiled: Arc<CompiledProgram>,
     /// Which engine the packet paths run ([`Engine::Compiled`] default).
     engine: Engine,
-    tables: Arc<Vec<TableState>>,
+    /// The publication cell, shared with every [`ControlPlane`] handle:
+    /// the current tables and their generation.
+    tables: Arc<Mutex<Arc<Tables>>>,
     table_stats: Vec<TableStats>,
     externs: ExternState,
     packets_processed: u64,
     tracing: bool,
-    /// Publication generation shared with every [`ControlPlane`] handle:
-    /// bumped after each snapshot publication. The flow cache's
-    /// invalidation signal: a batch reads it as it pins.
-    generation: Arc<AtomicU64>,
-    /// Batch-scoped scratch: the snapshots the running batch pinned.
-    /// [`Dataplane::with_pins`] fills it at batch entry and empties it
-    /// (keeping the capacity) when the batch body returns, so between
-    /// batches this data plane pins nothing and a publication edits the
-    /// table in place.
-    pin_cache: Vec<Arc<EntrySnapshot>>,
-    /// Shared with every [`ControlPlane`] handle: held across each
-    /// publication and across a batch's multi-table pin, so a pinned snapshot
-    /// *set* always corresponds to a prefix of the publication order —
-    /// never an interleaving that mixes a later mutation without an
-    /// earlier one.
-    publish_lock: Arc<std::sync::Mutex<()>>,
     /// The per-packet execution environment, allocated once and reused
     /// by every packet path (single-packet and batch alike).
     env_scratch: Env,
@@ -243,40 +229,22 @@ pub struct Dataplane {
 }
 
 impl Clone for Dataplane {
-    /// Deep-copies the runtime state: the clone gets its own table cells
-    /// and publication counter (sharing the current snapshots is safe —
-    /// a mutation on either side copies a shared snapshot before editing
-    /// it) so control-plane handles and installs on one copy never leak
-    /// into the other. The compiled program and bytecode are shared. The
-    /// table snapshots are
-    /// captured under the publication lock, so even a clone taken during
-    /// concurrent multi-table churn observes a publication-order prefix,
-    /// never a torn cross-table cut.
+    /// Deep-copies the runtime state: the clone gets its own publication
+    /// cell around the same tables (sharing them is safe — a publication
+    /// on either side copies what it edits first), so control-plane
+    /// handles and installs on one copy never leak into the other. The
+    /// compiled program and bytecode are shared.
     fn clone(&self) -> Self {
-        let (tables, generation) = {
-            let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-            (
-                Arc::new(
-                    self.tables
-                        .iter()
-                        .map(TableState::clone)
-                        .collect::<Vec<_>>(),
-                ),
-                Arc::new(AtomicU64::new(self.generation.load(Ordering::Acquire))),
-            )
-        };
+        let tables = Arc::clone(&Tables::lock(&self.tables));
         Dataplane {
             program: Arc::clone(&self.program),
             compiled: Arc::clone(&self.compiled),
             engine: self.engine,
-            tables,
+            tables: Arc::new(Mutex::new(tables)),
             table_stats: self.table_stats.clone(),
             externs: self.externs.clone(),
             packets_processed: self.packets_processed,
             tracing: self.tracing,
-            generation,
-            pin_cache: Vec::new(),
-            publish_lock: Arc::new(std::sync::Mutex::new(())),
             env_scratch: Env::new(&self.program),
             trace_buf: TraceBuf::default(),
             // The clone caches independently (its table state may diverge
@@ -294,16 +262,16 @@ impl Clone for Dataplane {
 /// A consistent capture of a [`Dataplane`]'s runtime state, produced by
 /// [`Dataplane::checkpoint`] and reinstated by [`Dataplane::restore`].
 ///
-/// Table entry state is held as pinned `Arc<EntrySnapshot>`s — the same
-/// epochs the packet path pins — so a checkpoint costs one `Arc` clone
-/// per table plus the extern/statistics copies, not a deep copy of the
-/// entry lists (the first publication after it pays for one shallow
-/// copy of the table it touches). Checkpoints are the substrate of the
-/// fault-recovery path: quarantined devices rewind to their last
-/// checkpoint and replay forward past the culprit frame.
+/// Table entry state is held as one pinned cut of every table — the same
+/// value a batch pins — so a checkpoint costs one `Arc` clone plus the
+/// extern/statistics copies, not a copy of the entry lists (the first
+/// publication after it copies the vector of tables and the one snapshot
+/// it edits). Checkpoints are the substrate of the fault-recovery path:
+/// quarantined devices rewind to their last checkpoint and replay
+/// forward past the culprit frame.
 #[derive(Debug, Clone)]
 pub struct DataplaneCheckpoint {
-    snapshots: Vec<Arc<EntrySnapshot>>,
+    tables: Arc<Tables>,
     externs: ExternState,
     table_stats: Vec<TableStats>,
     packets_processed: u64,
@@ -313,7 +281,7 @@ impl DataplaneCheckpoint {
     /// The table epochs this checkpoint pinned, in table-declaration
     /// order.
     pub fn epochs(&self) -> Vec<u64> {
-        self.snapshots.iter().map(|s| s.epoch()).collect()
+        self.tables.epochs()
     }
 }
 
@@ -323,7 +291,7 @@ impl DataplaneCheckpoint {
 /// shared references is what lets both engines walk parser states,
 /// control bodies and action bodies without cloning them per packet, and
 /// holding the pinned entry state through `&[TableView]` — resolved
-/// **once per batch** from the pinned `Arc<EntrySnapshot>`s — is what
+/// **once per batch** from the batch's pinned tables — is what
 /// makes a table apply one slice index plus an index probe, no per-apply
 /// `Arc` dereference, while the control plane publishes new epochs
 /// mid-batch without perturbing in-flight packets.
@@ -338,17 +306,17 @@ pub(crate) struct ExecCtx<'p> {
 
 /// How an execution context reaches the pinned table state.
 ///
-/// The batch paths resolve the pins into a flat [`TableView`] array once
-/// per batch (amortised over hundreds of packets); the single-packet
-/// paths keep the pinned `Arc` slice directly — a one-packet call has
-/// nothing to amortise a view array against, and the seed's per-apply
-/// cost there was exactly one `Arc` dereference anyway.
+/// The batch paths resolve the pinned tables into a flat [`TableView`]
+/// array once per batch (amortised over hundreds of packets); the
+/// single-packet paths read the pinned tables directly — a one-packet
+/// call has nothing to amortise a view array against, and the per-apply
+/// cost there is one `Arc` dereference.
 #[derive(Clone, Copy)]
 pub(crate) enum TablesRef<'p> {
     /// Per-batch flattened views: one slice index per apply.
     Views(&'p [TableView<'p>]),
-    /// Pinned snapshots: one `Arc` dereference per apply.
-    Pinned(&'p [Arc<EntrySnapshot>]),
+    /// Pinned tables: one `Arc` dereference per apply.
+    Pinned(&'p [Table]),
 }
 
 impl<'p> TablesRef<'p> {
@@ -356,24 +324,21 @@ impl<'p> TablesRef<'p> {
     pub(crate) fn lookup(&self, tid: usize, keys: &[u128]) -> Option<&'p RuntimeEntry> {
         match self {
             TablesRef::Views(views) => views[tid].lookup(keys),
-            TablesRef::Pinned(pinned) => pinned[tid].lookup(keys),
+            TablesRef::Pinned(pinned) => pinned[tid].snapshot.lookup(keys),
         }
     }
 }
 
-/// Resolve pinned snapshots into the per-batch flat [`TableView`] array.
-/// Free function (not a method) so callers can keep disjoint borrows of
-/// the other `Dataplane` fields while the views live.
-fn resolve_views(pinned: &[Arc<EntrySnapshot>]) -> Vec<TableView<'_>> {
-    pinned.iter().map(|s| s.view()).collect()
+/// Resolve pinned tables into the per-batch flat [`TableView`] array.
+fn resolve_views(pinned: &[Table]) -> Vec<TableView<'_>> {
+    pinned.iter().map(|t| t.snapshot.view()).collect()
 }
 
 impl Dataplane {
     /// Instantiate a data plane for a compiled program (const entries
     /// installed, externs zeroed).
     pub fn new(program: ir::Program) -> Self {
-        let tables = program.tables.iter().map(TableState::new).collect();
-        Self::assemble(program, tables)
+        Self::with_table_capacities(program, &[])
     }
 
     /// Instantiate with per-table capacity overrides (used by hardware
@@ -384,15 +349,8 @@ impl Dataplane {
             .tables
             .iter()
             .enumerate()
-            .map(|(tid, t)| match capacities.get(tid) {
-                Some(&cap) => TableState::with_capacity(t, cap),
-                None => TableState::new(t),
-            })
+            .map(|(tid, t)| Table::new(t, capacities.get(tid).copied().unwrap_or(t.size)))
             .collect();
-        Self::assemble(program, tables)
-    }
-
-    fn assemble(program: ir::Program, tables: Vec<TableState>) -> Self {
         let externs = ExternState::new(&program.externs);
         let table_stats = vec![TableStats::default(); program.tables.len()];
         let compiled = Arc::new(CompiledProgram::compile(&program));
@@ -407,14 +365,14 @@ impl Dataplane {
             program: Arc::new(program),
             compiled,
             engine: Engine::Compiled,
-            tables: Arc::new(tables),
+            tables: Arc::new(Mutex::new(Arc::new(Tables {
+                generation: 1,
+                tables,
+            }))),
             table_stats,
             externs,
             packets_processed: 0,
             tracing: true,
-            generation: Arc::new(AtomicU64::new(1)),
-            pin_cache: Vec::new(),
-            publish_lock: Arc::new(std::sync::Mutex::new(())),
             env_scratch,
             trace_buf: TraceBuf::default(),
             flow_cache: cache_key_cap.map(FlowCache::new),
@@ -441,32 +399,22 @@ impl Dataplane {
 
     /// A detached control-plane handle: clone it onto any thread and
     /// install/remove/clear entries **while batches run**; every mutation
-    /// publishes a new table epoch atomically, and the in-flight batch
-    /// keeps the snapshots it pinned. Priority semantics are the data plane's
+    /// publishes a new table epoch under the data plane's one publication
+    /// lock, and the in-flight batch keeps the tables it pinned. Priority semantics are the data plane's
     /// own (hardware-bug transforms such as priority inversion live in
     /// `netdebug-hw`'s `Device::install`, not here).
     pub fn control_plane(&self) -> ControlPlane {
-        ControlPlane::new(
-            Arc::clone(&self.program),
-            Arc::clone(&self.tables),
-            Arc::clone(&self.generation),
-            Arc::clone(&self.publish_lock),
-        )
+        ControlPlane::new(Arc::clone(&self.program), Arc::clone(&self.tables))
     }
 
-    /// Capture a checkpoint of the runtime state: the published table
-    /// snapshots (pinned `Arc`s — O(tables), no entry copies), extern
-    /// counters/registers/meters, table statistics and the processing
-    /// counters. The snapshot set is captured under the publication lock,
-    /// so even a checkpoint taken during concurrent multi-table churn
-    /// observes a publication-order prefix, never a torn cross-table cut.
+    /// Capture a checkpoint of the runtime state: the published tables
+    /// (one pinned `Arc`, no entry copies), extern counters/registers/meters,
+    /// table statistics and the processing counters. The tables are one
+    /// published value, so even a checkpoint taken during concurrent
+    /// multi-table churn holds a cut some publication order produced.
     pub fn checkpoint(&self) -> DataplaneCheckpoint {
-        let snapshots = {
-            let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-            self.tables.iter().map(TableState::snapshot).collect()
-        };
         DataplaneCheckpoint {
-            snapshots,
+            tables: Arc::clone(&Tables::lock(&self.tables)),
             externs: self.externs.clone(),
             table_stats: self.table_stats.clone(),
             packets_processed: self.packets_processed,
@@ -479,13 +427,18 @@ impl Dataplane {
     /// the publication generation is *bumped* (not rewound) so the
     /// epoch-keyed flow cache drops its entries on the next batch instead
     /// of serving post-checkpoint state.
+    ///
+    /// Later publications resume counting each table's epoch from the
+    /// restored one (copying first: the checkpoint still pins it), so a
+    /// replayed churn schedule republishes the epoch sequence it produced
+    /// the first time.
     pub fn restore(&mut self, checkpoint: &DataplaneCheckpoint) {
         {
-            let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-            for (table, snapshot) in self.tables.iter().zip(&checkpoint.snapshots) {
-                table.restore(Arc::clone(snapshot));
-            }
-            self.generation.fetch_add(1, Ordering::AcqRel);
+            let mut cell = Tables::lock(&self.tables);
+            *cell = Arc::new(Tables {
+                generation: cell.generation + 1,
+                tables: checkpoint.tables.tables.clone(),
+            });
         }
         self.externs = checkpoint.externs.clone();
         self.table_stats = checkpoint.table_stats.clone();
@@ -642,45 +595,25 @@ impl Dataplane {
             .program
             .table_by_name(name)
             .ok_or_else(|| ControlError::NoSuchTable(name.to_string()))?;
-        let t = &self.tables[tid];
+        let cell = Tables::lock(&self.tables);
+        let t = &cell.tables[tid];
         let s = &self.table_stats[tid];
-        Ok((s.hits, s.misses, t.len(), t.capacity()))
-    }
-
-    /// Pin every table's current snapshot into `pin_cache` and return
-    /// the generation they were published at. This is the single
-    /// epoch-pinning point of every packet path: once per batch on the
-    /// batch paths (one coherent table state per window) and once per
-    /// packet on the single-packet paths (each packet observes the epochs
-    /// current at its injection instant). It costs one uncontended lock
-    /// plus one lock and one refcount per table. The pins are taken under
-    /// the publication lock: no mutation can land between the first and
-    /// the last table's pin, so the pinned set is always a
-    /// publication-order prefix — even for multi-table churn — and the
-    /// generation read with them is exactly theirs.
-    fn refresh_pins(&mut self) -> u64 {
-        let _guard = self.publish_lock.lock().expect("publish lock poisoned");
-        // Empty unless a panicking batch skipped its release: its pins
-        // are replaced here.
-        self.pin_cache.clear();
-        self.pin_cache
-            .extend(self.tables.iter().map(|t| t.snapshot()));
-        self.generation.load(Ordering::Acquire)
+        Ok((s.hits, s.misses, t.snapshot.len(), t.capacity))
     }
 
     // ------------------------------------------------------------------
     // Packet processing
     // ------------------------------------------------------------------
 
-    /// The one prologue and epilogue around every `process*` entry
-    /// point: count the `n` packets, pin the current epochs
-    /// ([`Dataplane::refresh_pins`]), align the flow cache with their
+    /// The one prologue around every `process*` entry point: count the
+    /// `n` packets, pin the current tables (one `Arc` clone under the
+    /// cell's lock, held in a local), align the flow cache with their
     /// generation (a publication since its entries were recorded drops
-    /// them all), build the execution context, hand `body` the context
-    /// plus the flow cache, scratch environment and trace buffer every
-    /// [`ExecCtx::run_one`] call takes, and release the pins when `body`
-    /// returns. A publication during `body` copies the pinned snapshot
-    /// once and leaves the batch on its epoch; one between batches finds
+    /// them all), build the execution context, and hand `body` the
+    /// context plus the flow cache, scratch environment and trace buffer
+    /// every [`ExecCtx::run_one`] call takes. The pin drops when `body`
+    /// returns or unwinds. A publication during `body` copies what it
+    /// edits and leaves the batch on its cut; one between batches finds
     /// no pin and edits in place. The entry points differ only in what
     /// `body` does with each packet's verdict and trace records.
     fn with_pins<R>(
@@ -689,38 +622,34 @@ impl Dataplane {
         body: impl FnOnce(&mut ExecCtx<'_>, Option<&mut FlowCache>, &mut Env, &mut TraceBuf) -> R,
     ) -> R {
         self.packets_processed += n as u64;
-        let generation = self.refresh_pins();
+        let pin = Arc::clone(&Tables::lock(&self.tables));
         if let Some(c) = self.flow_cache.as_mut() {
-            c.sync_generation(generation);
+            c.sync_generation(pin.generation);
         }
-        let out = {
-            // A batch amortises one flat view array over its packets; a
-            // lone packet has nothing to amortise it against and reads
-            // through the pinned `Arc`s instead (no allocation).
-            let views;
-            let tables = if n > 1 {
-                views = resolve_views(&self.pin_cache);
-                TablesRef::Views(&views)
-            } else {
-                TablesRef::Pinned(&self.pin_cache)
-            };
-            let mut ctx = ExecCtx {
-                program: &self.program,
-                compiled: &self.compiled,
-                engine: self.engine,
-                tables,
-                table_stats: &mut self.table_stats,
-                externs: &mut self.externs,
-            };
-            body(
-                &mut ctx,
-                self.flow_cache.as_mut(),
-                &mut self.env_scratch,
-                &mut self.trace_buf,
-            )
+        // A batch amortises one flat view array over its packets; a lone
+        // packet has nothing to amortise it against and reads through the
+        // pin instead (no allocation).
+        let views;
+        let tables = if n > 1 {
+            views = resolve_views(&pin.tables);
+            TablesRef::Views(&views)
+        } else {
+            TablesRef::Pinned(&pin.tables)
         };
-        self.pin_cache.clear();
-        out
+        let mut ctx = ExecCtx {
+            program: &self.program,
+            compiled: &self.compiled,
+            engine: self.engine,
+            tables,
+            table_stats: &mut self.table_stats,
+            externs: &mut self.externs,
+        };
+        body(
+            &mut ctx,
+            self.flow_cache.as_mut(),
+            &mut self.env_scratch,
+            &mut self.trace_buf,
+        )
     }
 
     /// Process a packet arriving on `port` at device time `now_cycles`,

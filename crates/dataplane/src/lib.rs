@@ -389,6 +389,24 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_and_its_original_publish_apart() {
+        let ir = netdebug_p4::compile(corpus::TUNNEL_ENCAP).unwrap();
+        let mut dp = Dataplane::new(ir);
+        dp.install_lpm("tunnel_fwd", 0x0A00_0000, 8, "encap", vec![7, 3])
+            .unwrap();
+        let mut clone = dp.clone();
+        clone
+            .install_lpm("tunnel_fwd", 0x0B00_0000, 8, "encap", vec![8, 2])
+            .unwrap();
+        dp.install_lpm("tunnel_term", 0x0C00_0000, 8, "decap", vec![1])
+            .unwrap();
+        assert_eq!(dp.table_stats("tunnel_fwd").unwrap().2, 1);
+        assert_eq!(clone.table_stats("tunnel_fwd").unwrap().2, 2);
+        assert_eq!(dp.control_plane().epochs(), [1, 1]);
+        assert_eq!(clone.control_plane().epochs(), [2, 0]);
+    }
+
+    #[test]
     fn exit_stops_pipeline() {
         let ir = netdebug_p4::compile(corpus::FEATURE_EXIT).unwrap();
         let mut dp = Dataplane::new(ir);

@@ -32,8 +32,8 @@
 //! than the table declares — takes the scan.
 //!
 //! **A publication costs what changed, not what is resident.** A
-//! [`TableState`] holds an [`Arc`]`<`[`EntrySnapshot`]`>` behind a mutex
-//! and `install`/`remove` edit it through [`Arc::make_mut`]:
+//! table holds an [`Arc`]`<`[`EntrySnapshot`]`>`, and `install`/`remove`
+//! edit it through [`Arc::make_mut`]:
 //!
 //! * nobody holds a pin → the snapshot is edited **in place**: one slot
 //!   inserted into (or removed from) the sorted list, one key inserted
@@ -44,29 +44,30 @@
 //!   keeps reading its epoch bit for bit. Publications that follow edit
 //!   the copy in place until someone pins again.
 //!
-//! The uniqueness check is race-free because every pin is handed out by
-//! [`TableState::snapshot`] **under the same mutex** the mutation holds:
-//! a reference count of one, observed with the lock held, means no other
-//! thread has the snapshot and none can get it before the edit is done.
-//! (A pin dropped concurrently can only make the check pessimistic — one
-//! copy that was not strictly needed.) The index is position-free —
-//! hash values are the winning entry itself, LPM levels are keyed by
-//! priority, tuple groups by their masks — so editing the list never
-//! invalidates it, and the from-scratch build (const entries, `clear`)
-//! is the fold of the same one-entry insert. What stays O(n) per
-//! publication is the sorted list's `memmove` (16 bytes per resident
-//! entry behind the edit point) and, for `remove`, the pointer walk over
-//! the victim's equal-priority run.
+//! A data plane publishes all of its tables as one value behind one
+//! mutex-guarded cell. A batch pins every table at once with one `Arc`
+//! clone of that value and drops it when the batch returns; a
+//! publication made while it is held copies the vector of tables
+//! (refcount bumps) before it copies the one snapshot it edits. The
+//! uniqueness checks are race-free because every pin is taken under the
+//! lock the publication holds: a reference count of one, observed with
+//! the lock held, means no other thread has the value and none can get
+//! it before the edit is done. (A pin dropped concurrently can only
+//! make the check pessimistic — one copy that was not strictly needed.)
+//! The index is position-free — hash values are the winning entry
+//! itself, LPM levels are keyed by priority, tuple groups by their masks
+//! — so editing the list never invalidates it, and the from-scratch
+//! build (const entries, `clear`) is the fold of the same one-entry
+//! insert. What stays O(n) per publication is the sorted list's
+//! `memmove` (16 bytes per resident entry behind the edit point) and,
+//! for `remove`, the pointer walk over the victim's equal-priority run.
 //!
-//! Readers pin a snapshot once (per packet on the single-packet path,
-//! per batch on the batch paths), keep reading it no matter what the
-//! control plane does concurrently — which is what lets installs land
-//! *mid-batch* without pausing or locking against the packet path — and
-//! drop the pin when the batch returns, so the publications between
-//! batches find the snapshot unpinned and edit it in place. The
-//! batch paths flatten the pins further into [`TableView`]s — direct
-//! borrows of the index and entry list — so a table apply costs one
-//! slice index, not an `Arc` dereference.
+//! A pinned cut stays as it was whatever the control plane publishes
+//! concurrently, which is what lets installs land *mid-batch* without
+//! pausing or locking against the packet path. The batch paths flatten
+//! the pinned cut further into [`TableView`]s — direct borrows of the
+//! index and entry list — so a table apply costs one slice index, not an
+//! `Arc` dereference.
 
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::ir::{self, ActionCall, IrPattern, KeySignature};
@@ -828,9 +829,8 @@ impl LookupIndex {
 /// A snapshot someone has pinned is never mutated: the packet path pins
 /// one with an [`Arc`] clone and reads it lock-free for as long as it
 /// likes, while the control plane publishes successors through
-/// [`TableState::install`]/[`TableState::remove`]/[`TableState::clear`]
-/// — editing the snapshot in place only while nobody but the table
-/// holds it (see the module docs).
+/// `install`/`remove`/`clear` — editing the snapshot in place only while
+/// nobody but the table holds it (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntrySnapshot {
     /// Publication sequence number: 0 for the const-entry snapshot, +1 per
@@ -1069,52 +1069,29 @@ fn first_match<'a>(slots: &'a [Slot], keys: &[u128]) -> Option<&'a Arc<RuntimeEn
         .find(|e| entry_matches(e, keys))
 }
 
-/// Runtime state of one table: the current [`EntrySnapshot`] plus the
-/// configured capacity.
+/// One table's published state: the current [`EntrySnapshot`], the
+/// configured capacity, and what shapes the snapshot's [`LookupIndex`].
 ///
-/// All mutation goes through `&self` (the snapshot pointer sits behind a
-/// mutex that only the control plane ever contends on): the packet path
-/// never locks per lookup, it pins the current snapshot once via
-/// [`TableState::snapshot`] and works off that. `snapshot` is the only
-/// thing that hands out pins — the scalar readers (`epoch`, `len`,
-/// `is_empty`) read under the lock instead, because a pin that outlives
-/// the lock, however briefly, makes a concurrent publication copy the
-/// table. Lookup statistics live in [`TableStats`], owned by the caller.
-/// `Clone` pins the current snapshot for the clone (a later mutation on
-/// either copy takes its own copy first) and gives the clone its own
-/// publication cell.
-#[derive(Debug)]
-pub struct TableState {
-    /// Currently published snapshot; edited in place while unpinned,
-    /// copied once before the edit otherwise.
-    snapshot: Mutex<Arc<EntrySnapshot>>,
+/// The one edit path: [`Table::install`], [`Table::remove`] and
+/// [`Table::clear`] validate, then edit the snapshot through
+/// [`Arc::make_mut`] — in place while nobody else holds it, on a copy
+/// otherwise. Whoever owns the `Table` decides who may hold its snapshot:
+/// a data plane's [`Tables`] cell or a [`TableState`].
+#[derive(Debug, Clone)]
+pub(crate) struct Table {
+    /// Currently published snapshot.
+    pub(crate) snapshot: Arc<EntrySnapshot>,
     /// Capacity from the IR (may be further limited by a backend).
-    capacity: u64,
+    pub(crate) capacity: u64,
     /// Declared key signature: picks the [`LookupIndex`] structure.
     signature: KeySignature,
     /// Declared key count (the tuple length of a tuple-space index).
     key_count: usize,
 }
 
-impl Clone for TableState {
-    fn clone(&self) -> Self {
-        TableState {
-            snapshot: Mutex::new(self.snapshot()),
-            capacity: self.capacity,
-            signature: self.signature,
-            key_count: self.key_count,
-        }
-    }
-}
-
-impl TableState {
-    /// Build the initial state for a table: const entries pre-installed.
-    pub fn new(table: &ir::TableIr) -> Self {
-        Self::with_capacity(table, table.size)
-    }
-
-    /// Build with an explicit capacity override (backends quantize/truncate).
-    pub fn with_capacity(table: &ir::TableIr, capacity: u64) -> Self {
+impl Table {
+    /// The initial state of a table: const entries pre-installed.
+    pub(crate) fn new(table: &ir::TableIr, capacity: u64) -> Self {
         let entries = table.const_entries.iter().map(|e| {
             Arc::new(RuntimeEntry {
                 patterns: e.patterns.clone(),
@@ -1124,54 +1101,19 @@ impl TableState {
         });
         let signature = table.key_signature();
         let key_count = table.keys.len();
-        TableState {
-            snapshot: Mutex::new(Arc::new(EntrySnapshot::publish(
-                0, entries, signature, key_count,
-            ))),
+        Table {
+            snapshot: Arc::new(EntrySnapshot::publish(0, entries, signature, key_count)),
             capacity,
             signature,
             key_count,
         }
     }
 
-    fn current(&self) -> MutexGuard<'_, Arc<EntrySnapshot>> {
-        self.snapshot.lock().expect("table snapshot poisoned")
-    }
-
-    /// Pin the currently published snapshot. The returned `Arc` stays
-    /// valid (and unchanged) however many epochs the control plane
-    /// publishes afterwards; the first of those publications made while
-    /// the pin is held pays for one copy of the snapshot. The packet path
-    /// holds its pins for one batch; a checkpoint or a device clone holds
-    /// its pins until it is dropped.
-    pub fn snapshot(&self) -> Arc<EntrySnapshot> {
-        self.current().clone()
-    }
-
-    /// The currently published epoch.
-    pub fn epoch(&self) -> u64 {
-        self.current().epoch
-    }
-
-    /// Number of installed entries (in the current snapshot).
-    pub fn len(&self) -> usize {
-        self.current().len()
-    }
-
-    /// True if no entries are installed (in the current snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.current().is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Install an entry, validating against the table's IR declaration,
-    /// and publish the successor snapshot. Returns the new epoch.
-    pub fn install(
-        &self,
+    /// and publish the successor snapshot. Returns the new epoch. A
+    /// rejected entry publishes nothing and copies nothing.
+    pub(crate) fn install(
+        &mut self,
         table: &ir::TableIr,
         actions: &[ir::ActionIr],
         entry: RuntimeEntry,
@@ -1206,15 +1148,12 @@ impl TableState {
                 return Err(TableError::BadPattern);
             }
         }
-        let mut current = self.current();
-        if current.entries.len() as u64 >= self.capacity {
+        if self.snapshot.entries.len() as u64 >= self.capacity {
             return Err(TableError::Full {
                 capacity: self.capacity,
             });
         }
-        // In place unless pinned; pins are only handed out under the
-        // lock held here, so "unpinned" cannot change under the edit.
-        let successor = Arc::make_mut(&mut current);
+        let successor = Arc::make_mut(&mut self.snapshot);
         successor.insert(Arc::new(entry));
         successor.epoch += 1;
         Ok(successor.epoch)
@@ -1223,10 +1162,9 @@ impl TableState {
     /// Remove the first installed entry with exactly these patterns and
     /// priority; publishes a successor snapshot and returns its epoch, or
     /// `None` if no such entry exists (no epoch is spent, no copy made).
-    pub fn remove(&self, patterns: &[IrPattern], priority: i32) -> Option<u64> {
-        let mut current = self.current();
-        let pos = current.position_of(patterns, priority)?;
-        let successor = Arc::make_mut(&mut current);
+    pub(crate) fn remove(&mut self, patterns: &[IrPattern], priority: i32) -> Option<u64> {
+        let pos = self.snapshot.position_of(patterns, priority)?;
+        let successor = Arc::make_mut(&mut self.snapshot);
         successor.remove(pos, self.signature, self.key_count);
         successor.epoch += 1;
         Some(successor.epoch)
@@ -1234,10 +1172,9 @@ impl TableState {
 
     /// Remove all installed entries (const entries included) and publish
     /// the empty successor snapshot. Returns the new epoch.
-    pub fn clear(&self) -> u64 {
-        let mut current = self.current();
-        let epoch = current.epoch + 1;
-        *current = Arc::new(EntrySnapshot::publish(
+    pub(crate) fn clear(&mut self) -> u64 {
+        let epoch = self.snapshot.epoch + 1;
+        self.snapshot = Arc::new(EntrySnapshot::publish(
             epoch,
             [],
             self.signature,
@@ -1245,16 +1182,109 @@ impl TableState {
         ));
         epoch
     }
+}
 
-    /// Reinstate a previously pinned snapshot as the published state.
-    ///
-    /// Checkpoint/restore recovery rewinds a table to the exact epoch a
-    /// checkpoint pinned: the `Arc` swap is O(1) and later publications
-    /// resume counting from the restored epoch — copying first, the
-    /// checkpoint still pins it — so a replayed churn schedule
-    /// republishes the same epoch sequence it produced the first time.
-    pub fn restore(&self, snapshot: Arc<EntrySnapshot>) {
-        *self.current() = snapshot;
+/// Every table of a data plane at one publication: the value a batch, a
+/// checkpoint or a clone pins with one `Arc` clone.
+///
+/// A data plane keeps the current `Arc<Tables>` in one mutex-guarded cell
+/// that it shares with every [`crate::ControlPlane`]; a publication locks
+/// the cell and edits through [`Arc::make_mut`], outer value then
+/// [`Table`] (see the module docs). Since pins are only taken under the
+/// cell's lock, a pinned cut is always one that some publication order
+/// produced, across tables too.
+#[derive(Debug, Clone)]
+pub(crate) struct Tables {
+    /// Bumped with every publication: the flow cache's invalidation
+    /// signal.
+    pub(crate) generation: u64,
+    /// One per program table, in declaration order.
+    pub(crate) tables: Vec<Table>,
+}
+
+impl Tables {
+    /// Lock a data plane's publication cell.
+    pub(crate) fn lock(cell: &Mutex<Arc<Tables>>) -> MutexGuard<'_, Arc<Tables>> {
+        cell.lock().expect("table cell poisoned")
+    }
+
+    /// Every table's epoch, in declaration order.
+    pub(crate) fn epochs(&self) -> Vec<u64> {
+        self.tables.iter().map(|t| t.snapshot.epoch).collect()
+    }
+}
+
+/// One table on its own behind a mutex: a data plane's table edit path,
+/// with pins handed out by [`TableState::snapshot`], for callers that
+/// hold a single table rather than a data plane.
+///
+/// All mutation goes through `&self`. The scalar readers (`epoch`, `len`,
+/// `is_empty`) read under the lock instead of pinning, because a pin that
+/// outlives the lock, however briefly, makes a concurrent publication
+/// copy the table. Lookup statistics live in [`TableStats`], owned by the
+/// caller.
+#[derive(Debug)]
+pub struct TableState {
+    table: Mutex<Table>,
+}
+
+impl TableState {
+    /// Build the initial state for a table: const entries pre-installed.
+    pub fn new(table: &ir::TableIr) -> Self {
+        TableState {
+            table: Mutex::new(Table::new(table, table.size)),
+        }
+    }
+
+    fn current(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("table poisoned")
+    }
+
+    /// Pin the currently published snapshot. The returned `Arc` stays
+    /// valid (and unchanged) however many epochs are published
+    /// afterwards; the first of those publications made while the pin is
+    /// held pays for one copy of the snapshot.
+    pub fn snapshot(&self) -> Arc<EntrySnapshot> {
+        Arc::clone(&self.current().snapshot)
+    }
+
+    /// The currently published epoch.
+    pub fn epoch(&self) -> u64 {
+        self.current().snapshot.epoch
+    }
+
+    /// Number of installed entries (in the current snapshot).
+    pub fn len(&self) -> usize {
+        self.current().snapshot.len()
+    }
+
+    /// True if no entries are installed (in the current snapshot).
+    pub fn is_empty(&self) -> bool {
+        self.current().snapshot.is_empty()
+    }
+
+    /// Install an entry, validating against the table's IR declaration,
+    /// and publish the successor snapshot. Returns the new epoch.
+    pub fn install(
+        &self,
+        table: &ir::TableIr,
+        actions: &[ir::ActionIr],
+        entry: RuntimeEntry,
+    ) -> Result<u64, TableError> {
+        self.current().install(table, actions, entry)
+    }
+
+    /// Remove the first installed entry with exactly these patterns and
+    /// priority; publishes a successor snapshot and returns its epoch, or
+    /// `None` if no such entry exists.
+    pub fn remove(&self, patterns: &[IrPattern], priority: i32) -> Option<u64> {
+        self.current().remove(patterns, priority)
+    }
+
+    /// Remove all installed entries (const entries included). Returns the
+    /// new epoch.
+    pub fn clear(&self) -> u64 {
+        self.current().clear()
     }
 
     /// Look up against the *current* snapshot, through its index; the
@@ -1266,7 +1296,7 @@ impl TableState {
     /// [`TableView`].
     pub fn lookup(&self, keys: &[u128]) -> Option<EntryRef> {
         let current = self.current();
-        let entry = Arc::clone(current.view().find(keys)?);
+        let entry = Arc::clone(current.snapshot.view().find(keys)?);
         Some(EntryRef { entry })
     }
 }
@@ -1889,21 +1919,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_snapshot_but_not_publications() {
-        let (t, a) = table_ir(MatchKind::Exact, 4);
-        let s = TableState::new(&t);
-        s.install(&t, &a, fwd_entry(vec![IrPattern::Value(1)], 0))
-            .unwrap();
-        let c = s.clone();
-        assert!(Arc::ptr_eq(&s.snapshot(), &c.snapshot()));
-        // Publishing on the clone leaves the original untouched.
-        c.install(&t, &a, fwd_entry(vec![IrPattern::Value(2)], 0))
-            .unwrap();
-        assert_eq!(c.len(), 2);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn full_table_rejects_atomically() {
         let (t, a) = table_ir(MatchKind::Exact, 1);
         let s = TableState::new(&t);
@@ -2113,13 +2128,17 @@ mod tests {
                     }
                     _ => {}
                 }
+                let (signature, key_count) = {
+                    let table = s.current();
+                    (table.signature, table.key_count)
+                };
                 let oracle = EntrySnapshot::publish(
                     epoch,
                     installed.iter().cloned().map(Arc::new),
-                    s.signature,
-                    s.key_count,
+                    signature,
+                    key_count,
                 );
-                prop_assert_eq!(&**s.current(), &oracle, "after {:?}", (sel, x, y, p));
+                prop_assert_eq!(&*s.current().snapshot, &oracle, "after {:?}", (sel, x, y, p));
                 if sel == 15 || y % 7 == 0 {
                     pins.push((s.snapshot(), oracle));
                 }

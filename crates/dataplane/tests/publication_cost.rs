@@ -4,9 +4,11 @@
 //! one is copied exactly once, by reference count rather than by value —
 //! on an exact table (one hash map) and on a four-key ternary one (a
 //! tuple-space group per mask tuple, which stores no key). On a live data
-//! plane a batch holds its pins only while it runs: a publication between
-//! batches edits in place, one from inside a batch copies once and leaves
-//! the rest of the batch on its epoch.
+//! plane a batch holds its pin only while it runs, and drops it when it
+//! unwinds too: a publication between batches edits in place, one from
+//! inside a batch copies once and leaves the rest of the batch on its
+//! epoch. A checkpoint pins every table as one cut, and the publication
+//! that copies it copies only the table it edits.
 //!
 //! Its own test binary because it installs a counting global allocator;
 //! one `#[test]` so nothing else allocates while it counts.
@@ -308,6 +310,97 @@ fn a_mid_batch_publication_copies_once() {
     }
 }
 
+/// A sink that panics when it is handed packet `at`.
+struct PanickingSink {
+    at: usize,
+}
+
+impl TraceSink for PanickingSink {
+    fn observe(&mut self, index: usize, _: Verdict, _: &LazyTrace<'_>) {
+        assert_ne!(index, self.at, "the sink fails at packet {index}");
+    }
+}
+
+/// A batch that unwinds holds no pin: after a sink panics at packet 3, a
+/// window's publications allocate what they do on a data plane that never
+/// ran a batch.
+fn an_unwound_batch_holds_no_pin() {
+    let frames: Vec<Vec<u8>> = (0..8).map(|i| frame_to(MAC + i)).collect();
+    let pkts: Vec<(u16, &[u8])> = frames.iter().map(|f| (0, f.as_slice())).collect();
+    let mut live = switch();
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        live.process_batch_with(&pkts, 0, &mut PanickingSink { at: 3 });
+    }));
+    std::panic::set_hook(hook);
+    assert!(unwound.is_err(), "the sink did not panic");
+    let idle = switch();
+    let unpinned = window_churn_allocs(&idle.control_plane());
+    let after = window_churn_allocs(&live.control_plane());
+    assert!(
+        after <= unpinned,
+        "a window's publications after an unwound batch allocated {after}, unpinned \
+         {unpinned}: the batch still pins its tables"
+    );
+}
+
+/// `tunnel_encap` with `routes` resident `tunnel_fwd` routes.
+fn tunnel(routes: u128) -> Dataplane {
+    let mut dp = Dataplane::new(netdebug_p4::compile(corpus::TUNNEL_ENCAP).unwrap());
+    for i in 0..routes {
+        dp.install_lpm("tunnel_fwd", 0x0A00_0000 | i << 8, 24, "encap", vec![7, 3])
+            .unwrap();
+    }
+    dp
+}
+
+/// Allocations of one `tunnel_term` install of route `i` through `cp`.
+fn term_install_allocs(cp: &ControlPlane, i: u128) -> u64 {
+    allocs_in(|| {
+        cp.install_lpm("tunnel_term", 0x0B00_0000 | i << 8, 24, "decap", vec![2])
+            .unwrap();
+    })
+}
+
+/// A checkpoint pins both of `tunnel_encap`'s tables as one cut. The
+/// first `tunnel_term` install after it copies the cut shallowly: it
+/// allocates the same whether `tunnel_fwd` holds 0 or 128 routes, so the
+/// untouched table is never copied. The second costs what an unpinned
+/// install does, the checkpoint keeps its epochs, and `restore` brings
+/// them back.
+fn a_pinned_cut_copies_only_the_table_it_edits() {
+    let firsts = [0, 128].map(|routes| {
+        let mut dp = tunnel(routes);
+        let cp = dp.control_plane();
+        let checkpoint = dp.checkpoint();
+        let pinned = checkpoint.epochs();
+        let first = term_install_allocs(&cp, 0);
+        let second = term_install_allocs(&cp, 1);
+
+        let idle = tunnel(routes).control_plane();
+        let unpinned = [0, 1].map(|i| term_install_allocs(&idle, i));
+        assert!(
+            first > unpinned[0],
+            "the first install onto a checkpoint's cut allocated {first}, unpinned {}: \
+             it edited the checkpoint's tables",
+            unpinned[0]
+        );
+        assert_eq!(second, unpinned[1], "the second install copied again");
+
+        assert_eq!(checkpoint.epochs(), pinned, "the checkpoint's epochs moved");
+        assert_ne!(cp.epochs(), pinned);
+        dp.restore(&checkpoint);
+        assert_eq!(cp.epochs(), pinned, "restore did not bring the epochs back");
+        first
+    });
+    assert_eq!(
+        firsts[0], firsts[1],
+        "copying the cut allocated {} with 0 tunnel_fwd routes and {} with 128",
+        firsts[0], firsts[1]
+    );
+}
+
 #[test]
 fn publication_costs_the_change_not_the_table() {
     const RESIDENT: u128 = 4096;
@@ -425,4 +518,6 @@ fn publication_costs_the_change_not_the_table() {
 
     between_batch_publications_edit_in_place();
     a_mid_batch_publication_copies_once();
+    an_unwound_batch_holds_no_pin();
+    a_pinned_cut_copies_only_the_table_it_edits();
 }

@@ -356,11 +356,11 @@ impl Device {
         self.taps.now_cycles = self.taps.now_cycles.saturating_add(cycles);
     }
 
-    /// Capture the device's full runtime state. Cheap: table state pins
-    /// the published `Arc<EntrySnapshot>` chain (no entry copies), and the
-    /// rest is counters. The capture is consistent — tables are pinned
-    /// under the data plane's publish lock, so a checkpoint never splits
-    /// an epoch-atomic churn window.
+    /// Capture the device's full runtime state. Cheap: table state is one
+    /// pin of the tables the data plane published (no entry copies), and
+    /// the rest is counters. The capture is consistent — every table is
+    /// pinned as one published value, so a checkpoint never splits an
+    /// epoch-atomic churn window.
     pub fn checkpoint(&self) -> DeviceCheckpoint {
         DeviceCheckpoint {
             dataplane: self.dataplane.checkpoint(),

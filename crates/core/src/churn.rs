@@ -23,8 +23,8 @@
 //! place; only a publication that lands mid-window, or on a table a
 //! checkpoint or a device clone pins, copies it once. Churned tables keep
 //! their O(1)/per-level/per-group applies on the packet path, and the
-//! in-flight window's flattened `TableView`s borrow the one cut of every
-//! table the window pinned, so they read its epochs whatever lands
+//! in-flight window reads every table through the one cut it pinned, so
+//! it reads that cut's epochs whatever lands
 //! meanwhile — engine and flow-cache parity under churn are
 //! property-tested against exactly this republication path.
 

@@ -6,12 +6,14 @@
 //! window. The runtime replaces both with an **event loop over virtual
 //! device cycles**: each device's drive keeps one scheduler entry per
 //! active flow in a binary heap, the loop pops the earliest pending virtual
-//! instant, coalesces *every* injection due at that instant into one
-//! batch-engine dispatch ([`netdebug_hw::Device::inject_batch_at`]), and
-//! [`FleetRuntime`] fans hundreds of devices — tens of thousands of paced
-//! flows — out over a few OS threads. It keeps no pool: each call splits
-//! its devices into contiguous lanes, runs the first on the caller's
-//! thread and the rest on scoped threads that end with the call.
+//! instant and queues every injection due at it, one flow or many, and a
+//! batch-engine dispatch ([`netdebug_hw::Device::inject_batch_at`]) goes
+//! out whenever `max_batch` frames are queued — so a dispatch may span
+//! instants, and the device runs each equal-due group of it at its own
+//! instant. [`FleetRuntime`] fans hundreds of devices — tens of thousands
+//! of paced flows — out over a few OS threads. It keeps no pool: each
+//! call splits its devices into contiguous lanes, runs the first on the
+//! caller's thread and the rest on scoped threads that end with the call.
 //!
 //! ## Determinism contract
 //!
@@ -19,11 +21,12 @@
 //! independent, so cross-device parallelism cannot reorder anything a
 //! device observes; within a device the loop fixes a total order:
 //! virtual time first, then flow (declaration order), then sequence
-//! number. Each lane writes its results into its own block of one
-//! task-ordered result list, so verdicts, taps, stats and drop counters
-//! from a 4-worker run are byte-identical to the 1-worker (fully inline)
-//! run — property-tested against the sequential one-device-at-a-time
-//! reference in `tests/prop.rs`.
+//! number. Where a dispatch ends never changes what a device observes,
+//! only how many calls it takes. Each lane writes its results into its
+//! own block of one task-ordered result list, so verdicts, taps, stats
+//! and drop counters from a 4-worker run are byte-identical to the
+//! 1-worker (fully inline) run — property-tested against the sequential
+//! one-device-at-a-time reference in `tests/prop.rs`.
 //!
 //! ## Churn epochs in virtual time
 //!
@@ -110,17 +113,21 @@ pub trait DeviceSink {
 /// [`FleetRuntime::stats`], accumulated across a whole fleet).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Distinct virtual instants the loop dispatched at.
+    /// Distinct virtual instants the loop emitted frames at. An instant
+    /// a stream window boundary or a recovery splits counts once.
     pub instants: u64,
     /// Packets emitted through the event loop.
     pub packets: u64,
     /// Coalesced dispatches into the device (each one batch-engine call
-    /// chain via `inject_batch_at`).
+    /// chain via `inject_batch_at`). A dispatch closes when it holds
+    /// `max_batch` frames, before a churn trigger, or when the drive
+    /// ends — not at an instant boundary.
     pub dispatches: u64,
     /// Largest number of flows ready at one virtual instant (ready-queue
     /// depth).
     pub max_ready_depth: u64,
-    /// Largest coalesced dispatch, in frames.
+    /// Largest coalesced dispatch, in frames: at most the drive's
+    /// `max_batch`, whatever instants its frames are due at.
     pub max_batch: u64,
     /// Always 0; kept because serialized reports and the repo benchmark
     /// read it.
@@ -415,8 +422,9 @@ enum Mode<'a> {
 type DriveExit = Result<DriveEnd, ControlError>;
 
 /// Which frames a drive's flows hold: seqs `first_seq ..` of each flow,
-/// with `more` of the stream to come in later windows (single-flow drives
-/// only stop short for it). The default window is a whole stream.
+/// with `more` of the stream to come in later windows (the drive then
+/// stops short of a dispatch the window cannot fill). The default window
+/// is a whole stream.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Window {
     pub(crate) first_seq: u64,
@@ -473,12 +481,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         max_batch: usize,
     ) -> DriveExit {
         debug_assert_eq!(cursors.len(), flows.len());
-        let max_batch = max_batch.max(1);
-        let exit = match flows {
-            [flow] => self.run_single(flow, cursors, max_batch),
-            _ => self.run_scheduled(flows, cursors, max_batch),
-        };
-        match exit {
+        match self.emit(flows, cursors, max_batch.max(1)) {
             ControlFlow::Continue(()) => Ok(DriveEnd::Completed),
             ControlFlow::Break(exit) => exit,
         }
@@ -630,71 +633,42 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         ControlFlow::Continue(())
     }
 
-    /// Single-flow fast path: the scheduler degenerates to "next seq" —
-    /// skip it entirely so paced single-stream drivers (NetDebug sessions,
-    /// fleet members) pay no scheduling overhead per packet. Emission
-    /// order is identical by construction.
-    /// With `more` to come, a dispatch the window cannot end is left to
-    /// the next window, so dispatches and the checkpoints taken on them
-    /// fall where they would over the whole stream.
-    fn run_single(
-        &mut self,
-        flow: &'f FlowRun,
-        cursors: &mut [FlowCursor],
-        max_batch: usize,
-    ) -> ControlFlow<DriveExit> {
-        let end = self.end(flow);
-        if cursors[0].next_seq < end {
-            self.stats.max_ready_depth = self.stats.max_ready_depth.max(1);
-        }
-        // Sized once, not grown again window after window.
-        let room = usize::try_from(end - cursors[0].next_seq).unwrap_or(max_batch);
-        let room = room.min(max_batch);
-        self.pkts.reserve(room);
-        self.dues.reserve(room);
-        self.meta.reserve(room);
-        let mut last_due = cursors[0].next_seq.checked_sub(1).map(|s| flow.due(s));
-        while cursors[0].next_seq < end {
-            let s = cursors[0].next_seq;
-            self.drain_triggers(flow, &mut cursors[0], s)?;
-            // With nothing pending a dispatch starts here; one the window
-            // cannot hold whole is left to the next window.
-            let full = s.saturating_add(max_batch as u64) <= end;
-            if self.window.more && self.pkts.is_empty() && !full {
-                break;
-            }
-            let due = flow.due(s);
-            if last_due != Some(due) {
-                self.stats.instants += 1;
-                last_due = Some(due);
-            }
-            self.push(flow, 0, s, due);
-            cursors[0].next_seq += 1;
-            if self.pkts.len() >= max_batch {
-                self.flush(Some(cursors))?;
-            }
-        }
-        self.flush(None)?;
-        ControlFlow::Continue(())
-    }
-
-    /// The general path: pop each virtual instant off the scheduler and
-    /// coalesce every frame due at it, flow by flow in declaration order.
-    fn run_scheduled(
+    /// The one emission loop, for one flow or many: pop each virtual
+    /// instant off the scheduler and queue every frame due at it, flow by
+    /// flow in declaration order. A dispatch goes out once `max_batch`
+    /// frames are queued and may span instants: `inject_batch_at` runs
+    /// each equal-due group at its own instant, so where a dispatch ends
+    /// never changes an outcome. With `more` to come, a dispatch the
+    /// window cannot hold whole is left to the next window, so dispatches
+    /// and the checkpoints taken on them fall where they would over the
+    /// whole stream.
+    fn emit(
         &mut self,
         flows: &'f [FlowRun],
         cursors: &mut [FlowCursor],
         max_batch: usize,
     ) -> ControlFlow<DriveExit> {
         let mut scheduler = Scheduler::new(self.device.now());
+        // The frames the window still holds, and the instant the frame
+        // before each cursor went out at: an instant a window boundary
+        // or a rejoin splits is counted once.
+        let mut left = 0u64;
+        let mut last_instant = None;
         for (i, flow) in flows.iter().enumerate() {
-            if cursors[i].next_seq < self.end(flow) {
-                scheduler.schedule(flow.due(cursors[i].next_seq), i as u32);
+            let (next, end) = (cursors[i].next_seq, self.end(flow));
+            if next < end {
+                left += end - next;
+                scheduler.schedule(flow.due(next), i as u32);
             }
+            last_instant = last_instant.max(next.checked_sub(1).map(|s| flow.due(s)));
         }
+        // Sized once, not grown again window after window.
+        let room = usize::try_from(left).map_or(max_batch, |left| left.min(max_batch));
+        self.pkts.reserve(room);
+        self.dues.reserve(room);
+        self.meta.reserve(room);
         let mut ready: Vec<u32> = Vec::new();
         while let Some(instant) = scheduler.pop_next(&mut ready) {
-            self.stats.instants += 1;
             self.stats.max_ready_depth = self.stats.max_ready_depth.max(ready.len() as u64);
             for &ready_flow in &ready {
                 let fi = ready_flow as usize;
@@ -708,8 +682,17 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                     if s >= end || flow.due(s) > instant {
                         break;
                     }
+                    // With nothing queued a dispatch starts here.
+                    if self.window.more && self.pkts.is_empty() && left < max_batch as u64 {
+                        return ControlFlow::Continue(());
+                    }
+                    if last_instant != Some(instant) {
+                        self.stats.instants += 1;
+                        last_instant = Some(instant);
+                    }
                     self.push(flow, ready_flow, s, instant);
                     cursors[fi].next_seq += 1;
+                    left -= 1;
                     if self.pkts.len() >= max_batch {
                         self.flush(Some(cursors))?;
                     }
@@ -718,11 +701,8 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                     scheduler.schedule(flow.due(cursors[fi].next_seq), ready_flow);
                 }
             }
-            // Flush at the instant boundary: dispatches never span a clock
-            // step, so `inject_batch_at` groups stay whole-instant batches.
-            self.flush(Some(cursors))?;
         }
-        ControlFlow::Continue(())
+        self.flush(None)
     }
 }
 
@@ -730,12 +710,12 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
 /// with no fault containment: a device panic unwinds the caller and a
 /// silent stall wedge just ends the drive early (every later frame would
 /// be swallowed anyway). Emission order is the determinism contract —
-/// virtual time, then flow declaration order, then seq — and every run of
-/// frames due at one instant coalesces into batch-engine dispatches of at
-/// most `max_batch` frames. Churn triggers flush pending frames, publish
-/// their epochs, then emission resumes; the first rejected op aborts the
-/// run (frames dispatched before it have already been accounted and
-/// delivered to `sink`).
+/// virtual time, then flow declaration order, then seq — and the frames
+/// coalesce in that order into batch-engine dispatches of at most
+/// `max_batch` frames, across instants. Churn triggers flush pending
+/// frames, publish their epochs, then emission resumes; the first
+/// rejected op aborts the run (frames dispatched before it have already
+/// been accounted and delivered to `sink`).
 pub fn drive_device<S: DeviceSink + ?Sized>(
     device: &mut Device,
     flows: &[FlowRun],
@@ -1439,6 +1419,76 @@ mod tests {
         assert_eq!(scheduler.pop_next(&mut ready), Some(290));
         assert_eq!(scheduler.pop_next(&mut ready), Some(300));
         assert_eq!(ready, vec![1]);
+    }
+
+    /// Two paced flows with different gaps share a dispatch whenever
+    /// `max_batch` frames are queued, whatever instants those frames are
+    /// due at: 128 frames over 112 instants go out in 128 / 16 = 8
+    /// dispatches, and every outcome, completion cycle and device counter
+    /// equals the per-frame advance-then-inject reference.
+    #[test]
+    fn paced_flows_dispatch_across_instants() {
+        use netdebug_hw::{Backend, Outcome};
+        struct Record(Vec<(u32, u64, Outcome, u64, &'static str)>);
+        impl DeviceSink for Record {
+            fn on_packet(&mut self, flow: u32, seq: u64, p: Processed) {
+                self.0
+                    .push((flow, seq, p.outcome, p.done_at_cycle, p.last_stage));
+            }
+        }
+        let frames: Arc<Vec<GeneratedPacket>> = Arc::new(
+            (0..64)
+                .map(|seq| GeneratedPacket {
+                    data: vec![seq as u8; 64].into(),
+                    stream: 1,
+                    seq,
+                    ts_cycles: 0,
+                })
+                .collect(),
+        );
+        let flows: Vec<FlowRun> = [(80, 1), (320, 2)]
+            .into_iter()
+            .enumerate()
+            .map(|(id, (gap, port))| FlowRun {
+                gap,
+                ..FlowRun::new(id as u32, port, Arc::clone(&frames))
+            })
+            .collect();
+        let deploy = || {
+            Device::deploy_source(&Backend::reference(), netdebug_p4::corpus::REFLECTOR).unwrap()
+        };
+        let mut dev = deploy();
+        let mut sink = Record(Vec::new());
+        let (stats, result) = drive_device(&mut dev, &flows, 16, &mut sink);
+        assert!(result.is_ok());
+        assert_eq!(
+            (stats.packets, stats.dispatches, stats.max_batch),
+            (128, 8, 16)
+        );
+        // Flow 0 is due at 80, 160, ..., 5120; flow 1 at 320, ..., 20480,
+        // 16 of them on flow 0's instants.
+        assert_eq!((stats.instants, stats.max_ready_depth), (112, 2));
+
+        let mut events: Vec<(u64, u32, u64)> = flows
+            .iter()
+            .flat_map(|f| (0..64).map(|seq| (f.due(seq), f.id, seq)))
+            .collect();
+        events.sort_unstable();
+        let mut twin = deploy();
+        let mut expected = Vec::new();
+        for (due, id, seq) in events {
+            twin.advance(due - twin.now());
+            let flow = &flows[id as usize];
+            let p = twin.inject(flow.as_port, &flow.frames[seq as usize].data);
+            expected.push((id, seq, p.outcome, p.done_at_cycle, p.last_stage));
+        }
+        assert_eq!(sink.0, expected);
+        assert_eq!(dev.now(), twin.now());
+        assert_eq!(dev.stage_counts(), twin.stage_counts());
+        assert_eq!(dev.drop_counts(), twin.drop_counts());
+        for port in 0..4 {
+            assert_eq!(dev.port_stats(port), twin.port_stats(port));
+        }
     }
 
     /// A gap large enough to overflow `origin + gap * (seq + 1)` saturates

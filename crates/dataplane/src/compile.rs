@@ -48,8 +48,8 @@
 use crate::bits::FieldPlan;
 use crate::cache::MissRecord;
 use crate::externs::ExternState;
-use crate::interp::{Env, TablesRef, FLOOD_PORT};
-use crate::table::TableStats;
+use crate::interp::{Env, FLOOD_PORT};
+use crate::table::{Table, TableStats};
 use crate::trace::{
     egress_buffer, DropReason, EgressFrame, TraceBuf, TraceName, TraceTables, Verdict,
 };
@@ -761,7 +761,7 @@ fn field_access(op: &OpCode) -> Option<(u32, u32, bool)> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec(
     cp: &CompiledProgram,
-    tables: TablesRef<'_>,
+    tables: &[Table],
     table_stats: &mut [TableStats],
     externs: &mut ExternState,
     env: &mut Env,
@@ -1097,7 +1097,7 @@ pub(crate) fn exec(
 #[allow(clippy::too_many_arguments)]
 fn apply_keys(
     cp: &CompiledProgram,
-    tables: TablesRef<'_>,
+    tables: &[Table],
     table_stats: &mut [TableStats],
     env: &mut Env,
     trace: &mut Option<&mut TraceBuf>,
@@ -1106,7 +1106,7 @@ fn apply_keys(
     hit_into: u32,
 ) -> usize {
     let tid = tid as usize;
-    let (aid, hit) = match tables.lookup(tid, &env.key_scratch) {
+    let (aid, hit) = match tables[tid].snapshot.lookup(&env.key_scratch) {
         Some(entry) => {
             env.action_args.clear();
             env.action_args.extend_from_slice(&entry.action.args);

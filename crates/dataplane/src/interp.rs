@@ -57,7 +57,7 @@ use crate::cache::{CacheStats, FlowCache};
 use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
-use crate::table::{RuntimeEntry, Table, TableStats, TableView, Tables};
+use crate::table::{Table, TableStats, Tables};
 use crate::trace::{
     egress_buffer, DropReason, EgressFrame, LazyTrace, Recording, Trace, TraceBuf, TraceBytes,
     TraceSink, Verdict,
@@ -286,52 +286,22 @@ impl DataplaneCheckpoint {
 }
 
 /// Split borrows for the execution hot path: the immutable program (IR
-/// and compiled bytecode) and flattened table views on one side, the
+/// and compiled bytecode) and the batch's pinned tables on one side, the
 /// mutable runtime state on the other. Holding the program through plain
 /// shared references is what lets both engines walk parser states,
 /// control bodies and action bodies without cloning them per packet, and
-/// holding the pinned entry state through `&[TableView]` — resolved
-/// **once per batch** from the batch's pinned tables — is what
-/// makes a table apply one slice index plus an index probe, no per-apply
-/// `Arc` dereference, while the control plane publishes new epochs
-/// mid-batch without perturbing in-flight packets.
+/// holding the tables through the batch's pin (`&[Table]`, borrowed from
+/// the one `Arc<Tables>` the batch cloned) is what lets the control plane
+/// publish new epochs mid-batch without perturbing in-flight packets: a
+/// table apply reads `tables[tid].snapshot`, which such a publication
+/// copies rather than edits.
 pub(crate) struct ExecCtx<'p> {
     pub(crate) program: &'p ir::Program,
     pub(crate) compiled: &'p CompiledProgram,
     pub(crate) engine: Engine,
-    pub(crate) tables: TablesRef<'p>,
+    pub(crate) tables: &'p [Table],
     pub(crate) table_stats: &'p mut [TableStats],
     pub(crate) externs: &'p mut ExternState,
-}
-
-/// How an execution context reaches the pinned table state.
-///
-/// The batch paths resolve the pinned tables into a flat [`TableView`]
-/// array once per batch (amortised over hundreds of packets); the
-/// single-packet paths read the pinned tables directly — a one-packet
-/// call has nothing to amortise a view array against, and the per-apply
-/// cost there is one `Arc` dereference.
-#[derive(Clone, Copy)]
-pub(crate) enum TablesRef<'p> {
-    /// Per-batch flattened views: one slice index per apply.
-    Views(&'p [TableView<'p>]),
-    /// Pinned tables: one `Arc` dereference per apply.
-    Pinned(&'p [Table]),
-}
-
-impl<'p> TablesRef<'p> {
-    #[inline]
-    pub(crate) fn lookup(&self, tid: usize, keys: &[u128]) -> Option<&'p RuntimeEntry> {
-        match self {
-            TablesRef::Views(views) => views[tid].lookup(keys),
-            TablesRef::Pinned(pinned) => pinned[tid].snapshot.lookup(keys),
-        }
-    }
-}
-
-/// Resolve pinned tables into the per-batch flat [`TableView`] array.
-fn resolve_views(pinned: &[Table]) -> Vec<TableView<'_>> {
-    pinned.iter().map(|t| t.snapshot.view()).collect()
 }
 
 impl Dataplane {
@@ -626,21 +596,11 @@ impl Dataplane {
         if let Some(c) = self.flow_cache.as_mut() {
             c.sync_generation(pin.generation);
         }
-        // A batch amortises one flat view array over its packets; a lone
-        // packet has nothing to amortise it against and reads through the
-        // pin instead (no allocation).
-        let views;
-        let tables = if n > 1 {
-            views = resolve_views(&pin.tables);
-            TablesRef::Views(&views)
-        } else {
-            TablesRef::Pinned(&pin.tables)
-        };
         let mut ctx = ExecCtx {
             program: &self.program,
             compiled: &self.compiled,
             engine: self.engine,
-            tables,
+            tables: &pin.tables,
             table_stats: &mut self.table_stats,
             externs: &mut self.externs,
         };
@@ -984,7 +944,7 @@ fn deparse(
 /// and runs the externs.
 struct Concrete<'a, 'p> {
     prog: &'p ir::Program,
-    tables: TablesRef<'p>,
+    tables: &'p [Table],
     table_stats: &'a mut [TableStats],
     externs: &'a mut ExternState,
     env: &'a mut Env,
@@ -1113,7 +1073,7 @@ impl Domain for Concrete<'_, '_> {
     fn apply(&mut self, tid: usize, keys: &[u128]) -> (usize, bool) {
         let args = &mut self.env.action_args;
         args.clear();
-        let (aid, hit) = match self.tables.lookup(tid, keys) {
+        let (aid, hit) = match self.tables[tid].snapshot.lookup(keys) {
             Some(entry) => {
                 args.extend_from_slice(&entry.action.args);
                 (entry.action.action, true)

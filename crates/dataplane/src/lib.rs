@@ -51,7 +51,7 @@ pub use externs::MeterConfig;
 pub use interp::{Dataplane, DataplaneCheckpoint, Engine, FLOOD_PORT};
 pub use table::{
     lpm_pattern, EntryRef, EntrySnapshot, LookupIndex, RuntimeEntry, TableError, TableState,
-    TableStats, TableView,
+    TableStats,
 };
 pub use trace::{
     DropReason, EgressFrame, LazyTrace, NullSink, Stage, Trace, TraceEvent, TraceName, TraceSink,
@@ -489,6 +489,35 @@ mod tests {
             let data = vec![7].into();
             assert_eq!(v, Verdict::Forward { port: 11, data }, "{engine:?}");
             assert_eq!(dp.table_stats("t11").unwrap().0, 1, "{engine:?} hits");
+        }
+    }
+
+    /// A shift amount of 2^32 + 1 is at least the width, so `1 << s` is 0
+    /// and the packet leaves on port 0 on both engines; read as a `u32`
+    /// it would act as a shift by 1 and pick port 2.
+    #[test]
+    fn a_shift_by_2_pow_32_plus_1_shifts_everything_out() {
+        const SHIFT: &str = r#"
+            header h_t { bit<8> x; bit<40> s; }
+            struct headers_t { h_t h; }
+            parser P(packet_in pkt, out headers_t hdr) {
+                state start { pkt.extract(hdr.h); transition accept; }
+            }
+            control I(inout headers_t hdr, inout standard_metadata_t std) {
+                apply { std.egress_spec = (bit<9>)(hdr.h.x << hdr.h.s); }
+            }
+            control D(packet_out pkt, in headers_t hdr) {
+                apply { pkt.emit(hdr.h); }
+            }
+            V1Switch(P(), I(), D()) main;
+        "#;
+        let frame = [1, 0x01, 0, 0, 0, 0x01];
+        for engine in [Engine::Compiled, Engine::Reference] {
+            let mut dp = Dataplane::new(netdebug_p4::compile(SHIFT).unwrap());
+            dp.set_engine(engine);
+            let (v, _) = dp.process(3, &frame, 0);
+            let data = frame.to_vec().into();
+            assert_eq!(v, Verdict::Forward { port: 0, data }, "{engine:?}");
         }
     }
 

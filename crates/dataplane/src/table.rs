@@ -64,10 +64,9 @@
 //!
 //! A pinned cut stays as it was whatever the control plane publishes
 //! concurrently, which is what lets installs land *mid-batch* without
-//! pausing or locking against the packet path. The batch paths flatten
-//! the pinned cut further into [`TableView`]s — direct borrows of the
-//! index and entry list — so a table apply costs one slice index, not an
-//! `Arc` dereference.
+//! pausing or locking against the packet path. The batch paths read
+//! the pinned cut directly: a table apply is one `Arc` dereference to
+//! the table's snapshot, then the index probe.
 
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::ir::{self, ActionCall, IrPattern, KeySignature};
@@ -947,9 +946,15 @@ impl EntrySnapshot {
     /// Look up the given key values through the index; returns the
     /// matched entry.
     ///
-    /// Pure read — callers record the outcome in their own [`TableStats`].
+    /// Bit-identical to [`EntrySnapshot::lookup_scan`] on every path: the
+    /// hash structures store the first matching entry in priority order,
+    /// and any key or entry shape outside a structure's contract (short
+    /// key slices, unvalidated const-entry patterns) falls back to the
+    /// scan itself. Pure read — callers record the outcome in their own
+    /// [`TableStats`].
+    #[inline]
     pub fn lookup(&self, keys: &[u128]) -> Option<&RuntimeEntry> {
-        self.view().lookup(keys)
+        self.find(keys).map(|e| &**e)
     }
 
     /// The seed linear scan: first full match over the priority-sorted
@@ -957,55 +962,17 @@ impl EntrySnapshot {
     /// benches measure it as the pre-index baseline and property tests
     /// pin `lookup == lookup_scan` for arbitrary entry sets.
     pub fn lookup_scan(&self, keys: &[u128]) -> Option<&RuntimeEntry> {
-        self.view().scan(keys).map(|e| &**e)
-    }
-
-    /// Flatten this snapshot into a [`TableView`]: direct borrows of the
-    /// index and entry list, resolved once per batch so the per-apply cost
-    /// is a slice index instead of an `Arc` dereference.
-    pub fn view(&self) -> TableView<'_> {
-        TableView {
-            index: &self.index,
-            entries: &self.entries,
-        }
+        self.scan(keys).map(|e| &**e)
     }
 
     /// Iterate installed entries in priority order.
     pub fn entries(&self) -> impl Iterator<Item = &RuntimeEntry> {
         self.entries.iter().map(|s| &*s.entry)
     }
-}
 
-/// A per-batch resolved view of one pinned table: the snapshot's
-/// [`LookupIndex`] and entry list, borrowed directly.
-///
-/// The batch paths resolve every pinned `Arc<EntrySnapshot>` into a
-/// `TableView` **once at batch entry**; each table apply then costs one
-/// slice index plus the index probe. Views are `Copy` and stay
-/// epoch-atomic by construction: they borrow the pinned snapshot, which
-/// mid-batch control-plane publications never touch.
-#[derive(Debug, Clone, Copy)]
-pub struct TableView<'a> {
-    index: &'a LookupIndex,
-    entries: &'a [Slot],
-}
-
-impl<'a> TableView<'a> {
-    /// Look up the given key values; returns the matched entry.
-    ///
-    /// Bit-identical to [`EntrySnapshot::lookup_scan`] on every path: the
-    /// hash structures store the first matching entry in priority order,
-    /// and any key or entry shape outside a structure's contract (short
-    /// key slices, unvalidated const-entry patterns) falls back to the
-    /// scan itself.
-    #[inline]
-    pub fn lookup(&self, keys: &[u128]) -> Option<&'a RuntimeEntry> {
-        self.find(keys).map(|e| &**e)
-    }
-
-    fn find(&self, keys: &[u128]) -> Option<&'a Arc<RuntimeEntry>> {
-        let entries: &'a [Slot] = self.entries;
-        match self.index {
+    fn find(&self, keys: &[u128]) -> Option<&Arc<RuntimeEntry>> {
+        let entries = &self.entries[..];
+        match &self.index {
             // The scan zips patterns against keys and a shorter key slice
             // vacuously matches the leftover patterns, so the hash paths
             // only engage once every stored pattern has a key to check.
@@ -1028,7 +995,7 @@ impl<'a> TableView<'a> {
                 let Some(keys) = keys.get(..*key_count) else {
                     return self.scan(keys);
                 };
-                let mut best: Option<&'a Winner> = None;
+                let mut best: Option<&Winner> = None;
                 let mut tied = false;
                 for group in groups {
                     if best.is_some_and(|b| group.max_priority < b.entry.priority) {
@@ -1056,8 +1023,8 @@ impl<'a> TableView<'a> {
     }
 
     /// The seed scan: the first entry of the whole list that matches.
-    fn scan(&self, keys: &[u128]) -> Option<&'a Arc<RuntimeEntry>> {
-        first_match(self.entries, keys)
+    fn scan(&self, keys: &[u128]) -> Option<&Arc<RuntimeEntry>> {
+        first_match(&self.entries, keys)
     }
 }
 
@@ -1292,11 +1259,11 @@ impl TableState {
     /// cloned.
     ///
     /// Convenience for control-plane introspection and tests; the packet
-    /// path pins a snapshot once per batch instead and resolves it into a
-    /// [`TableView`].
+    /// path pins every table once per batch instead and reads the pinned
+    /// snapshots.
     pub fn lookup(&self, keys: &[u128]) -> Option<EntryRef> {
         let current = self.current();
-        let entry = Arc::clone(current.snapshot.view().find(keys)?);
+        let entry = Arc::clone(current.snapshot.find(keys)?);
         Some(EntryRef { entry })
     }
 }

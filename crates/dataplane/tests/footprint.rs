@@ -2,12 +2,13 @@
 //! timed: an empty cache is an index and a tag array (48 KiB), resident
 //! bytes follow resident flows rather than the 4 096 logical slots, and a
 //! generation bump hands the dropped entries' buffers to the flows that
-//! come back.
+//! come back. And what a batch costs with the cache and tracing off: no
+//! allocation at all, however many tables it reads through its pin.
 //!
 //! Its own test binary because it installs a byte-counting global
 //! allocator; one `#[test]` so nothing else allocates while it counts.
 
-use netdebug_dataplane::{Dataplane, Verdict};
+use netdebug_dataplane::{Dataplane, NullSink, Verdict};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -187,4 +188,22 @@ fn resident_memory_follows_resident_flows() {
         [0; 15],
         "a refill after a generation bump allocated"
     );
+
+    // A batch over twelve tables, tracing and the flow cache off, into a
+    // sink that drops every frame: after a warm-up batch (the egress
+    // buffer, the scratch environment), a batch allocates nothing.
+    let ir = netdebug_p4::compile(corpus::FEATURE_MANY_TABLES).unwrap();
+    let mut dp = Dataplane::new(ir);
+    dp.install_exact("t3", vec![7], "NoAction", vec![]).unwrap();
+    dp.set_tracing(false);
+    dp.set_flow_cache(false);
+    let frames: Vec<[u8; 1]> = (0..64u8).map(|i| [i]).collect();
+    let batch: Vec<(u16, &[u8])> = frames.iter().map(|f| (0, &f[..])).collect();
+    dp.process_batch_with(&batch, 0, &mut NullSink);
+    let (calls, _) = cost_of(|| {
+        for _ in 0..8 {
+            dp.process_batch_with(&batch, 0, &mut NullSink);
+        }
+    });
+    assert_eq!(calls, 0, "eight batches over twelve tables allocated");
 }

@@ -9,6 +9,7 @@
 use crate::ast::{self, BinOp, Expr, KeySet, Stmt, TypeKind, UnOp};
 use crate::ir::{self, truncate, IrExpr, IrPattern, IrStmt, IrTransition, LValue, Op, TransTarget};
 use crate::span::{Diag, Span};
+use crate::walk;
 use std::collections::HashMap;
 
 /// Lower a parsed program to IR.
@@ -143,99 +144,40 @@ impl<'a> Lowerer<'a> {
                     Diag::error(*span, format!("`{}` is not a known constant", segments[0]))
                 })
             }
-            Expr::Unary { op, expr, span } => {
+            // The operators fold through the walker's own semantics.
+            Expr::Unary { op, expr, .. } => {
                 let v = self.const_eval(expr)?;
-                let w = v.width.unwrap_or(128);
-                let value = match op {
-                    UnOp::Not => truncate(!v.value, w),
-                    UnOp::Neg => truncate(v.value.wrapping_neg(), w),
-                    UnOp::LNot => (v.value == 0) as u128,
-                };
-                let _ = span;
                 Ok(ConstVal {
-                    value,
+                    value: walk::eval_un(*op, v.value, v.width.unwrap_or(128)),
                     width: v.width,
                 })
             }
             Expr::Binary { op, lhs, rhs, span } => {
                 let a = self.const_eval(lhs)?;
-                let b = self.const_eval(rhs)?;
-                let width = a.width.or(b.width);
-                let w = width.unwrap_or(128);
-                let value = match op {
-                    BinOp::Add => a.value.wrapping_add(b.value),
-                    BinOp::Sub => a.value.wrapping_sub(b.value),
-                    BinOp::Mul => a.value.wrapping_mul(b.value),
-                    BinOp::Div => {
-                        if b.value == 0 {
-                            return Err(Diag::error(*span, "constant division by zero"));
-                        }
-                        a.value / b.value
+                let mut b = self.const_eval(rhs)?;
+                let (width, rhs_width) = match op {
+                    BinOp::Div if b.value == 0 => {
+                        return Err(Diag::error(*span, "constant division by zero"))
                     }
-                    BinOp::Mod => {
-                        if b.value == 0 {
-                            return Err(Diag::error(*span, "constant modulo by zero"));
-                        }
-                        a.value % b.value
+                    BinOp::Mod if b.value == 0 => {
+                        return Err(Diag::error(*span, "constant modulo by zero"))
                     }
-                    BinOp::And => a.value & b.value,
-                    BinOp::Or => a.value | b.value,
-                    BinOp::Xor => a.value ^ b.value,
-                    BinOp::Shl => a.value.checked_shl(b.value as u32).unwrap_or(0),
-                    BinOp::Shr => a.value.checked_shr(b.value as u32).unwrap_or(0),
-                    BinOp::Eq => {
-                        return Ok(ConstVal {
-                            value: (a.value == b.value) as u128,
-                            width: Some(1),
-                        })
+                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                        (Some(1), 0)
                     }
-                    BinOp::Ne => {
-                        return Ok(ConstVal {
-                            value: (a.value != b.value) as u128,
-                            width: Some(1),
-                        })
-                    }
-                    BinOp::Lt => {
-                        return Ok(ConstVal {
-                            value: (a.value < b.value) as u128,
-                            width: Some(1),
-                        })
-                    }
-                    BinOp::Le => {
-                        return Ok(ConstVal {
-                            value: (a.value <= b.value) as u128,
-                            width: Some(1),
-                        })
-                    }
-                    BinOp::Gt => {
-                        return Ok(ConstVal {
-                            value: (a.value > b.value) as u128,
-                            width: Some(1),
-                        })
-                    }
-                    BinOp::Ge => {
-                        return Ok(ConstVal {
-                            value: (a.value >= b.value) as u128,
-                            width: Some(1),
-                        })
-                    }
-                    BinOp::LAnd => (a.value != 0 && b.value != 0) as u128,
-                    BinOp::LOr => (a.value != 0 || b.value != 0) as u128,
                     BinOp::Concat => {
-                        let bw = b.width.ok_or_else(|| {
-                            Diag::error(*span, "concat operands need explicit widths")
-                        })?;
-                        let aw = a.width.ok_or_else(|| {
-                            Diag::error(*span, "concat operands need explicit widths")
-                        })?;
-                        return Ok(ConstVal {
-                            value: (a.value << bw) | truncate(b.value, bw),
-                            width: Some(aw + bw),
-                        });
+                        let explicit =
+                            || Diag::error(*span, "concat operands need explicit widths");
+                        let bw = b.width.ok_or_else(explicit)?;
+                        let aw = a.width.ok_or_else(explicit)?;
+                        b.value = truncate(b.value, bw);
+                        (Some(aw + bw), bw)
                     }
+                    _ => (a.width.or(b.width), 0),
                 };
+                let w = width.unwrap_or(128);
                 Ok(ConstVal {
-                    value: truncate(value, w),
+                    value: truncate(walk::eval_bin(*op, a.value, b.value, w, rhs_width), w),
                     width,
                 })
             }
@@ -2012,5 +1954,100 @@ mod tests {
             IrPattern::Mask { .. }
         ));
         assert!(matches!(t.const_entries[1].patterns[0], IrPattern::Any));
+    }
+
+    /// A `const` folds through the walker's operators: every operator over
+    /// a few widths lowers to what `eval_un`/`eval_bin` return, truncated
+    /// to the declared width, with comparisons 1 bit wide. A shift by at
+    /// least the width leaves 0, also by 2^32 + 1 and by 2^64, and a zero
+    /// divisor is a diagnostic, not a value.
+    #[test]
+    fn const_folding_matches_the_walker_operators() {
+        use crate::ir::all_ones;
+        use BinOp::*;
+        let lowered = |rw: u16, expr: &str| -> Result<u128, Diag> {
+            let pad = (8 - rw % 8) % 8;
+            let pad = if pad == 0 {
+                String::new()
+            } else {
+                format!("bit<{pad}> pad;")
+            };
+            let src = format!(
+                "const bit<{rw}> C = {expr};
+                header h_t {{ bit<{rw}> a; {pad} }}
+                struct headers_t {{ h_t h; }}
+                parser P(packet_in pkt, out headers_t hdr) {{
+                    state start {{ pkt.extract(hdr.h); transition accept; }}
+                }}
+                control I(inout headers_t hdr) {{ apply {{ hdr.h.a = C; }} }}"
+            );
+            let p = lower(&parse(&src).unwrap())?;
+            match &p.controls[0].body[0] {
+                IrStmt::Op(Op::Assign(_, IrExpr::Const { value, width })) => {
+                    assert_eq!(*width, rw, "{expr}");
+                    Ok(*value)
+                }
+                other => panic!("{expr}: expected a constant assign, got {other:?}"),
+            }
+        };
+        let ops = [
+            (Add, "+"),
+            (Sub, "-"),
+            (Mul, "*"),
+            (Div, "/"),
+            (Mod, "%"),
+            (And, "&"),
+            (Or, "|"),
+            (Xor, "^"),
+            (Shl, "<<"),
+            (Shr, ">>"),
+            (Eq, "=="),
+            (Ne, "!="),
+            (Lt, "<"),
+            (Le, "<="),
+            (Gt, ">"),
+            (Ge, ">="),
+            (LAnd, "&&"),
+            (LOr, "||"),
+            (Concat, "++"),
+        ];
+        for (w, wide) in [(8u16, 9u128), (16, 16), (40, (1 << 32) + 1), (72, 1 << 64)] {
+            let ones = all_ones(w);
+            for (x, y) in [(ones - 2, 3), (6, 6), (0x5A, 0), (1, wide), (ones, wide)] {
+                for (op, sym) in ops {
+                    let rw = match op {
+                        Eq | Ne | Lt | Le | Gt | Ge => 1,
+                        Concat if w > 64 => continue,
+                        Concat => 2 * w,
+                        _ => w,
+                    };
+                    let expr = format!("{w}w{x} {sym} {w}w{y}");
+                    match lowered(rw, &expr) {
+                        Err(e) => {
+                            assert!(matches!(op, Div | Mod) && y == 0, "{expr}: {e}");
+                            assert!(e.message.contains("by zero"), "{expr}: {e}");
+                        }
+                        Ok(v) => {
+                            assert_eq!(v, truncate(walk::eval_bin(op, x, y, rw, w), rw), "{expr}");
+                            if matches!(op, Shl | Shr) && y >= u128::from(w) {
+                                assert_eq!(v, 0, "{expr}");
+                            }
+                        }
+                    }
+                }
+            }
+            for (op, sym) in [(UnOp::Not, "~"), (UnOp::Neg, "-"), (UnOp::LNot, "!")] {
+                for x in [0, 1, ones - 2] {
+                    let expr = format!("{sym}{w}w{x}");
+                    assert_eq!(
+                        lowered(w, &expr).unwrap(),
+                        walk::eval_un(op, x, w),
+                        "{expr}"
+                    );
+                }
+            }
+        }
+        let err = lowered(16, "8w1 ++ 8").unwrap_err();
+        assert!(err.message.contains("explicit widths"), "{err}");
     }
 }

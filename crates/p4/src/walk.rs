@@ -57,8 +57,10 @@ pub fn eval_bin(op: BinOp, x: u128, y: u128, width: u16, rhs_width: u16) -> u128
         BinOp::And => x & y,
         BinOp::Or => x | y,
         BinOp::Xor => x ^ y,
-        BinOp::Shl => truncate(x.checked_shl(y as u32).unwrap_or(0), w),
-        BinOp::Shr => x.checked_shr(y as u32).unwrap_or(0),
+        // An amount of at least the width shifts every bit out; one too
+        // wide for a `u32` saturates to an amount that does.
+        BinOp::Shl => truncate(x.checked_shl(shift_amount(y)).unwrap_or(0), w),
+        BinOp::Shr => x.checked_shr(shift_amount(y)).unwrap_or(0),
         BinOp::Eq => (x == y) as u128,
         BinOp::Ne => (x != y) as u128,
         BinOp::Lt => (x < y) as u128,
@@ -69,6 +71,12 @@ pub fn eval_bin(op: BinOp, x: u128, y: u128, width: u16, rhs_width: u16) -> u128
         BinOp::LOr => (x != 0 || y != 0) as u128,
         BinOp::Concat => truncate((x << rhs_width) | y, w),
     }
+}
+
+/// A shift amount as `checked_shl`/`checked_shr` take it.
+#[inline]
+fn shift_amount(y: u128) -> u32 {
+    u32::try_from(y).unwrap_or(u32::MAX)
 }
 
 /// A value of some domain: constants and the operators over them.
@@ -501,6 +509,36 @@ impl<D: Domain> Walker<'_, D> {
             LValue::Std(s) => s.width(),
             LValue::Local(l) => Place::Local(*l).width(self.prog),
             LValue::Slice(_, hi, lo) => hi - lo + 1,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shift amount of at least the width leaves 0, also one too wide
+    /// for a `u32`: 2^32 + 1 must not act as a shift by 1, nor 2^64 as a
+    /// shift by 0.
+    #[test]
+    fn shift_amounts_past_u32_shift_everything_out() {
+        for (y, expect_shl, expect_shr) in [
+            (1u128, 0x02, 0x40),
+            (7, 0x80, 0x01),
+            (8, 0x00, 0x00),
+            ((1 << 32) + 1, 0x00, 0x00),
+            (1 << 64, 0x00, 0x00),
+        ] {
+            assert_eq!(
+                eval_bin(BinOp::Shl, 0x81, y, 8, 72),
+                expect_shl,
+                "0x81 << {y}"
+            );
+            assert_eq!(
+                eval_bin(BinOp::Shr, 0x81, y, 8, 72),
+                expect_shr,
+                "0x81 >> {y}"
+            );
         }
     }
 }

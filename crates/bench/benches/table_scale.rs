@@ -2,18 +2,23 @@
 //!
 //! Every published `EntrySnapshot` carries a `LookupIndex` shaped by the
 //! table's key signature: single-key exact tables hash the key,
-//! single-key LPM tables bucket by priority (prefix length) with a
-//! uniform-mask hash per level, and ternary and multi-key exact tables
-//! group their entries by mask tuple and probe one hash per group
-//! (tuple-space search); the priority-ordered scan that *defines* the
-//! semantics stays as the oracle. This bench sweeps entry counts {1, 16, 256, 4096} × {exact,
-//! lpm, ternary, ternary8} and measures ns/lookup through the index
-//! (`EntrySnapshot::lookup`) against the seed scan
-//! (`EntrySnapshot::lookup_scan`), plus end-to-end `process_batch`
-//! throughput on an exact-table program as the table fills. `ternary`
-//! holds full-mask entries only — one mask tuple, one probe; `ternary8`
-//! deals its entries over eight mask tuples, which is what a rule set
-//! looks like and what a lookup's cost actually scales with.
+//! single-key LPM tables hash each prefix length and probe only the
+//! lengths a filter on the key's top octet names, and ternary and
+//! multi-key exact tables group their entries by mask tuple and probe
+//! one hash per group (tuple-space search); the priority-ordered scan
+//! that *defines* the semantics stays as the oracle. This bench sweeps
+//! entry counts {1, 16, 256, 4096} × {exact, lpm, ternary, ternary8}
+//! and measures ns/lookup through the index (`EntrySnapshot::lookup`)
+//! against the seed scan (`EntrySnapshot::lookup_scan`), plus
+//! end-to-end `process_batch` throughput on an exact-table program as
+//! the table fills. `lpm` cycles seven prefix lengths; `ternary` holds
+//! full-mask entries only — one mask tuple, one probe; `ternary8` deals
+//! its entries over eight mask tuples, which is what a rule set looks
+//! like and what a lookup's cost actually scales with. One more row,
+//! `lpm25`, is a router's table: 1 000 routes, 40 at each length
+//! /8../32 under random first octets laid out as the repo benchmark's
+//! `router_many_flows` lays them out, probed with hits spread over the
+//! lengths and 20 % misses under octets no route uses.
 //!
 //! Numbers land in `BENCH_lookup.json`. The smoke assertions guard the
 //! index itself: exact-match and single-tuple ternary lookup cost must
@@ -21,8 +26,9 @@
 //! O(n) applies silently), the eight-tuple table must stay within a
 //! small factor of its own 256-entry cost and far ahead of its scan,
 //! the exact and LPM cells must sit where they sat before the ternary
-//! index arrived, while the measured scan must grow with the entry
-//! count.
+//! index arrived, the 25-length router table must cost less than twice
+//! the seven-length cell (a walk over every length costs about three
+//! times), while the measured scan must grow with the entry count.
 
 use netdebug_bench::{banner, dec, host_cores, row, switch_dataplane, time_ops, Report};
 use netdebug_dataplane::{lpm_pattern, EntrySnapshot, RuntimeEntry, TableState};
@@ -41,6 +47,8 @@ const PROBES: usize = 1024;
 const LENS: [u16; 7] = [8, 12, 16, 20, 24, 28, 32];
 /// Minimum wall time per measured cell, seconds.
 const MIN_MEASURE_S: f64 = 0.05;
+/// Routes per prefix length of the `lpm25` row, at each of /8../32.
+const LPM25_PER_LEN: usize = 40;
 
 /// One row family of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -201,6 +209,63 @@ fn probe_keys(sweep: Sweep, n: usize) -> Vec<u128> {
         .collect()
 }
 
+/// A deterministic xorshift64 stream.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// The `lpm25` table and its probe keys, laid out as the repo
+/// benchmark's `router_many_flows` lays out its routes: /8../24 under
+/// random first octets 1..=99, /25../32 under 100..=119. Every fifth
+/// probe is a miss under 128..=255, the others hit a route, the lengths
+/// taken in turn, at random low bits.
+fn router_table() -> (TableState, Vec<u128>) {
+    let (table, actions) = standalone_table(MatchKind::Lpm);
+    let state = TableState::new(&table);
+    let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+    let mut routes: Vec<(u128, u16)> = Vec::new();
+    for len in 8..=32u16 {
+        while routes.iter().filter(|r| r.1 == len).count() < LPM25_PER_LEN {
+            let mask = u128::from(u32::MAX << (32 - len));
+            let octets = if len <= 24 { 1..100 } else { 100..120 };
+            let octet = octets.start + next() % (octets.end - octets.start);
+            let prefix = u128::from(octet << 24 | next() & 0x00FF_FFFF) & mask;
+            if routes.contains(&(prefix, len)) {
+                continue;
+            }
+            routes.push((prefix, len));
+            let entry = RuntimeEntry {
+                patterns: vec![lpm_pattern(prefix, len, 32)],
+                action: ActionCall {
+                    action: 0,
+                    args: vec![routes.len() as u128],
+                },
+                priority: i32::from(len),
+            };
+            state
+                .install(&table, &actions, entry)
+                .expect("capacity 8192 covers the routes");
+        }
+    }
+    let keys = (0..PROBES)
+        .map(|p| {
+            let low = u128::from(next() as u32);
+            if p % 5 == 4 {
+                return 0x8000_0000 | low;
+            }
+            // The p-th hit takes length 8 + (its rank mod 25).
+            let (prefix, len) = routes[(p - p / 5) % 25 * LPM25_PER_LEN + p % LPM25_PER_LEN];
+            prefix | low & u128::from(u32::MAX.checked_shr(u32::from(len)).unwrap_or(0))
+        })
+        .collect();
+    (state, keys)
+}
+
 /// ns/lookup of `lookup` over one probe set, timed for at least
 /// [`MIN_MEASURE_S`].
 fn ns_per_lookup<R>(keys: &[u128], lookup: impl Fn(&[u128]) -> R) -> f64 {
@@ -219,28 +284,48 @@ fn main() -> ExitCode {
     report.set("probes", PROBES);
     report.set("cores", host_cores());
 
+    // (indexed, scan) ns of one filled table, and its row.
+    let mut measure = |kind: &str, state: &TableState, keys: &[u128]| {
+        let snap: &EntrySnapshot = &state.snapshot();
+        let indexed = ns_per_lookup(keys, |k| snap.lookup(k));
+        let scan = ns_per_lookup(keys, |k| snap.lookup_scan(k));
+        // The index must agree with the scan on every probe — a cheap
+        // end-of-run sanity net under the proptests.
+        for k in keys {
+            assert_eq!(
+                snap.lookup(std::slice::from_ref(k)),
+                snap.lookup_scan(std::slice::from_ref(k)),
+                "index/scan divergence at key {k:#x} ({kind}, {} entries)",
+                snap.len()
+            );
+        }
+        report.row(row!["kind" => kind, "entries" => snap.len(),
+            "indexed_ns" => dec(indexed, 1), "scan_ns" => dec(scan, 1)]);
+        (indexed, scan)
+    };
     // (indexed, scan) ns per (sweep, size), for the gates below.
     let mut measured: Vec<(Sweep, usize, f64, f64)> = Vec::new();
     for sweep in [Sweep::Exact, Sweep::Lpm, Sweep::Ternary, Sweep::Ternary8] {
         for &n in &SIZES {
-            let state = filled_state(sweep, n);
-            let keys = probe_keys(sweep, n);
-            let snap: &EntrySnapshot = &state.snapshot();
-            let indexed = ns_per_lookup(&keys, |k| snap.lookup(k));
-            let scan = ns_per_lookup(&keys, |k| snap.lookup_scan(k));
-            // The index must agree with the scan on every probe — a cheap
-            // end-of-run sanity net under the proptests.
-            for k in &keys {
-                assert_eq!(
-                    snap.lookup(std::slice::from_ref(k)),
-                    snap.lookup_scan(std::slice::from_ref(k)),
-                    "index/scan divergence at key {k:#x} ({sweep:?}, {n} entries)"
-                );
-            }
-            report.row(row!["kind" => sweep.name(), "entries" => n,
-                "indexed_ns" => dec(indexed, 1), "scan_ns" => dec(scan, 1)]);
+            let (indexed, scan) =
+                measure(sweep.name(), &filled_state(sweep, n), &probe_keys(sweep, n));
             measured.push((sweep, n, indexed, scan));
         }
+    }
+    let (router, router_keys) = router_table();
+    let (lpm25_idx, lpm25_scan) = measure("lpm25", &router, &router_keys);
+    // The gate below sets lpm25 against the 7-length cell at 4096
+    // entries. Time the two again in alternation, best of five each, so
+    // that a busy moment of the host lands on both or on neither.
+    let (lpm_4k, lpm_4k_keys) = (filled_state(Sweep::Lpm, 4096), probe_keys(Sweep::Lpm, 4096));
+    let indexed = |state: &TableState, keys: &[u128]| {
+        let snap: &EntrySnapshot = &state.snapshot();
+        ns_per_lookup(keys, |k| snap.lookup(k))
+    };
+    let (mut lpm_paired, mut lpm25_paired) = (f64::MAX, f64::MAX);
+    for _ in 0..5 {
+        lpm_paired = lpm_paired.min(indexed(&lpm_4k, &lpm_4k_keys));
+        lpm25_paired = lpm25_paired.min(indexed(&router, &router_keys));
     }
 
     // End to end: an exact-table program's untraced batch throughput as
@@ -309,6 +394,19 @@ fn main() -> ExitCode {
         "indexed exact < 22 ns and LPM < 96 ns at 4096 entries (bands ≈ 5.5 / ≈ 24 ns)",
         exact_idx_4k < 22.0 && lpm_idx_4k < 96.0,
         format!("exact {exact_idx_4k:.1} ns, LPM {lpm_idx_4k:.1} ns"),
+    );
+    // The router's table probes the few lengths its first octets hold,
+    // not all 25: a walk over every length probed ≈ 15 maps a lookup
+    // against the 7-length cell's ≈ 5, and read about 3x its cost.
+    report.gate(
+        "25-length LPM (router shape) beats its scan 8x",
+        lpm25_idx * 8.0 < lpm25_scan,
+        format!("{lpm25_idx:.1} ns vs {lpm25_scan:.1} ns"),
+    );
+    report.gate(
+        "25-length LPM costs < 2x the 7-length LPM cell at 4096 entries: the length filter is there",
+        lpm25_paired < lpm_paired * 2.0,
+        format!("{lpm25_paired:.1} ns vs {lpm_paired:.1} ns, timed in alternation"),
     );
     // One mask tuple is one hash probe, however many entries share it.
     let (ternary_idx_1, ternary_idx_4k) = (cell(Sweep::Ternary, 1).0, cell(Sweep::Ternary, 4096).0);

@@ -15,14 +15,14 @@
 //! verdicts stay comparable window by window.
 //!
 //! Every scheduled publication also **updates the target table's lookup
-//! index** (exact hash / LPM levels / tuple groups — see
+//! index** (exact hash / LPM length maps / tuple groups — see
 //! `netdebug_dataplane::LookupIndex`) by the one entry that changed: the
 //! cost is the change's, not the table's, and it lands on the
 //! control-plane side of the epoch. A window's batch pins its tables only
 //! while it runs, so the burst between two windows edits the snapshot in
 //! place; only a publication that lands mid-window, or on a table a
 //! checkpoint or a device clone pins, copies it once. Churned tables keep
-//! their O(1)/per-level/per-group applies on the packet path, and the
+//! their O(1)/per-length/per-group applies on the packet path, and the
 //! in-flight window reads every table through the one cut it pinned, so
 //! it reads that cut's epochs whatever lands
 //! meanwhile — engine and flow-cache parity under churn are

@@ -313,10 +313,12 @@ impl FlowCache {
         false
     }
 
-    /// The direct-mapped slot of a key hash.
+    /// The direct-mapped slot of a key hash: its top bits. The hash ends
+    /// in a multiplication, whose low bits never see the high bytes of a
+    /// word, so keys one byte apart there would share a few slots.
     #[inline]
-    fn slot_of(&self, hash: u64) -> usize {
-        (hash as usize) & (self.index.len() - 1)
+    fn slot_of(hash: u64) -> usize {
+        (hash >> (u64::BITS - SLOTS.trailing_zeros())) as usize
     }
 
     #[inline]
@@ -351,7 +353,7 @@ impl FlowCache {
     ) -> Option<(Verdict, usize)> {
         let key = self.key_of(data);
         let hash = Self::hash_key(port, data.len(), key);
-        let slot = self.slot_of(hash);
+        let slot = Self::slot_of(hash);
         self.last_hash = hash;
         let resident = (self.index[slot] as usize)
             .checked_sub(1)
@@ -462,7 +464,7 @@ impl FlowCache {
         // A resident slot is overwritten where it is; an empty one takes
         // the next arena position, buffers and all if a dropped entry is
         // parked there.
-        let slot = self.slot_of(self.last_hash);
+        let slot = Self::slot_of(self.last_hash);
         let at = match self.index[slot] {
             0 => {
                 if self.live == self.arena.len() {
@@ -735,13 +737,18 @@ mod tests {
             f[2..6].copy_from_slice(&k.to_be_bytes());
             f
         };
-        let one_off: Vec<Vec<u8>> = (0..1000).map(frame).collect();
+        // Each one-off key is sent once, so the cache goes dormant; the
+        // windows alternate between the two batch paths.
+        let one_off: Vec<Vec<u8>> = (0..2000).map(frame).collect();
         let repeated = vec![frame(u32::MAX); 300];
         for frames in [&one_off, &repeated] {
-            for window in frames.chunks(100) {
+            for (i, window) in frames.chunks(100).enumerate() {
                 let pkts: Vec<(u16, &[u8])> = window.iter().map(|f| (1, f.as_slice())).collect();
-                dp.process_batch(&pkts, 0);
-                dp.process_batch_with(&pkts, 0, &mut crate::NullSink);
+                if i % 2 == 0 {
+                    dp.process_batch(&pkts, 0);
+                } else {
+                    dp.process_batch_with(&pkts, 0, &mut crate::NullSink);
+                }
             }
         }
         let s = dp.cache_stats();
@@ -806,8 +813,39 @@ mod tests {
     }
 
     #[test]
+    fn one_byte_sweeps_spread_over_the_slots() {
+        // A 64 B frame's key as deep as each program parses — Ethernet,
+        // IPv4, UDP — and the byte a session sweeps in it: the low byte
+        // of the destination MAC, of the IPv4 destination, of the UDP
+        // destination port, each in one of the last two words hashed.
+        // Taken from the hash's low bits, each sweep's 256 keys shared at
+        // most 32 slots.
+        const SWEEPS: [(usize, usize); 3] = [(5, 14), (33, 34), (37, 42)];
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..8 {
+            let mut frame = [0u8; 64];
+            for byte in &mut frame {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                *byte = rng as u8;
+            }
+            for (at, key_cap) in SWEEPS {
+                let slots: std::collections::HashSet<usize> = (0..=255u8)
+                    .map(|b| {
+                        frame[at] = b;
+                        let hash = FlowCache::hash_key(0, frame.len(), &frame[..key_cap]);
+                        FlowCache::slot_of(hash)
+                    })
+                    .collect();
+                assert!(slots.len() >= 160, "byte {at}: {} slots", slots.len());
+            }
+        }
+    }
+
+    #[test]
     fn colliding_key_overwrites_its_arena_entry_in_place() {
-        let slot_of = |f: &[u8; 4]| FlowCache::hash_key(0, 4, f) as usize & (SLOTS - 1);
+        let slot_of = |f: &[u8; 4]| FlowCache::slot_of(FlowCache::hash_key(0, 4, f));
         let a = 0u32.to_be_bytes();
         let b = (1u32..)
             .map(u32::to_be_bytes)
@@ -844,7 +882,7 @@ mod tests {
         let mut slots = std::collections::HashSet::new();
         let frames: Vec<[u8; 4]> = (0u32..)
             .map(u32::to_be_bytes)
-            .filter(|f| slots.insert(FlowCache::hash_key(0, 4, f) as usize & (SLOTS - 1)))
+            .filter(|f| slots.insert(FlowCache::slot_of(FlowCache::hash_key(0, 4, f))))
             .take(64)
             .collect();
         let mut c = FlowCache::new(4);

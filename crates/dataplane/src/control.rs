@@ -11,16 +11,18 @@
 //! the next batch (or the next single packet) observes the new epochs.
 //!
 //! A publication costs **what changed**: the snapshot's
-//! [`crate::LookupIndex`] (exact → hash, LPM → prefix-length levels,
-//! ternary and mixed kinds → one hash per mask tuple, picked by the
-//! table's declared [`netdebug_p4::ir::KeySignature`]; a `Range` pattern
-//! puts its table on the priority scan while it is resident) is
-//! maintained by inserting or removing the one entry, in place while
-//! nobody holds the tables. A batch pins them only while it runs, so a
-//! publication between batches edits in place. The first publication
-//! while a pin is held — by an in-flight batch, a checkpoint or a device
-//! clone — copies the vector of tables (refcount bumps) and the one
-//! snapshot it edits, and leaves the pin on its cut; see [`crate::table`].
+//! [`crate::LookupIndex`] (exact → hash, LPM → one hash per prefix
+//! length behind a top-octet length filter, ternary and mixed kinds →
+//! one hash per mask tuple, picked by the table's declared
+//! [`netdebug_p4::ir::KeySignature`]; a pattern the structure cannot
+//! hold, such as a `Range`, puts its table on the priority scan while it
+//! is resident) is maintained by inserting or removing the one entry, in
+//! place while nobody holds the tables. A batch pins them only while it
+//! runs, so a publication between batches edits in place. The first
+//! publication while a pin is held — by an in-flight batch, a checkpoint
+//! or a device clone — copies the vector of tables (refcount bumps) and
+//! the one snapshot it edits, and leaves the pin on its cut; see
+//! [`crate::table`].
 //! Either way the packet path never pays for index maintenance.
 
 use crate::table::{RuntimeEntry, Table, TableError, Tables};
@@ -147,7 +149,8 @@ impl ControlPlane {
     }
 
     /// Install an LPM entry on a single-key LPM table (priority = prefix
-    /// length, so longest prefix wins); returns the new epoch.
+    /// length, so longest prefix wins); returns the new epoch. A prefix
+    /// longer than the key is [`TableError::BadPattern`].
     pub fn install_lpm(
         &self,
         table: &str,
@@ -162,6 +165,9 @@ impl ControlPlane {
             .first()
             .map(|k| k.width)
             .unwrap_or(32);
+        if prefix_len > width {
+            return Err(TableError::BadPattern.into());
+        }
         let pattern = crate::table::lpm_pattern(prefix, prefix_len, width);
         self.install(table, vec![pattern], action, args, i32::from(prefix_len))
     }

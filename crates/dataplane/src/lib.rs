@@ -94,6 +94,22 @@ mod tests {
     }
 
     #[test]
+    fn a_prefix_longer_than_the_key_is_rejected() {
+        let dp = router();
+        let cp = dp.control_plane();
+        let before = cp.epoch("ipv4_lpm").unwrap();
+        assert_eq!(
+            cp.install_lpm("ipv4_lpm", 0x0A01_0203, 33, "ipv4_forward", vec![0xCC, 3]),
+            Err(ControlError::Table(TableError::BadPattern))
+        );
+        assert_eq!(cp.epoch("ipv4_lpm").unwrap(), before);
+        assert_eq!(cp.occupancy("ipv4_lpm").unwrap().0, 2);
+        // A /32 is the longest a 32-bit key takes.
+        cp.install_lpm("ipv4_lpm", 0x0A01_0203, 32, "ipv4_forward", vec![0xCC, 3])
+            .unwrap();
+    }
+
+    #[test]
     fn reflector_swaps_and_bounces() {
         let ir = netdebug_p4::compile(corpus::REFLECTOR).unwrap();
         let mut dp = Dataplane::new(ir);

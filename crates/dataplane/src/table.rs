@@ -10,10 +10,22 @@
 //! per apply, so each snapshot also carries a [`LookupIndex`] shaped by
 //! the table's [`netdebug_p4::ir::KeySignature`], the way real targets
 //! compile match kinds into hardware memories (exact → hash unit, LPM →
-//! per-prefix-length levels, ternary → TCAM, here tuple-space search).
+//! per-prefix-length memories, ternary → TCAM, here tuple-space search).
 //! The index answers exactly what the scan would — bit-identical by
 //! construction (and pinned by property tests), falling back to the scan
 //! for anything it cannot prove equivalent.
+//!
+//! **Single-key LPM tables: a hash per prefix length behind a length
+//! filter.** An `install_lpm` entry is a prefix whose priority is its
+//! length, so the longest matching prefix is the scan's first match.
+//! [`LpmIndex`] keeps one hash map per length and, per value of the key's
+//! top octet, a bitmap of the lengths some resident prefix under that
+//! octet has: a lookup probes only those lengths, longest first, instead
+//! of every length the table holds. A router's first octet is shared by
+//! routes of a handful of its lengths, and an address no route covers
+//! usually probes nothing. Any other entry shape (a raw priority, a
+//! value, a mask that is no prefix) puts the table on the scan while it
+//! is resident.
 //!
 //! **Ternary, mixed-kind and multi-key exact tables: tuple-space
 //! search.** Every maskable pattern is `key & mask == value` (`Value` →
@@ -55,8 +67,8 @@
 //! it before the edit is done. (A pin dropped concurrently can only
 //! make the check pessimistic — one copy that was not strictly needed.)
 //! The index is position-free — hash values are the winning entry
-//! itself, LPM levels are keyed by priority, tuple groups by their masks
-//! — so editing the list never invalidates it, and the from-scratch
+//! itself, LPM maps are keyed by prefix length, tuple groups by their
+//! masks — so editing the list never invalidates it, and the from-scratch
 //! build (const entries, `clear`) is the fold of the same one-entry
 //! insert. What stays O(n) per publication is the sorted list's
 //! `memmove` (16 bytes per resident entry behind the edit point) and,
@@ -358,38 +370,228 @@ fn priority_run(entries: &[Slot], priority: i32) -> (usize, &[Slot]) {
     )
 }
 
-/// One priority level of an LPM index, optionally accelerated by a
-/// uniform-mask hash.
+/// Most bits of a key an [`LpmIndex`] filter bucket is named by.
+const FILTER_BITS: u32 = 8;
+
+/// The index of a single-key LPM table: one hash map per prefix length,
+/// and a filter that names the lengths able to match a key before any
+/// map is probed.
 ///
-/// `install_lpm`-shaped entries give every entry of a priority level the
-/// same mask (the prefix length *is* the priority), so the whole level
-/// resolves with one `key & mask` hash probe. Levels whose entries carry
-/// mixed masks (possible through the raw `install` API) scan their run
-/// of the sorted list — the index never guesses.
+/// **Contract.** Every entry is in `install_lpm` shape: one `Mask`
+/// pattern whose mask is the `W`-bit prefix mask of the length its
+/// priority gives, or `Any` at priority 0 (`W` is the key's declared
+/// width, at most 128). Priority order is then length order, and two
+/// entries of one length match the same keys exactly when their masked
+/// values agree, so the first hit, longest length first, is the scan's
+/// first match and equal-length duplicates share one [`Winner`]. An
+/// entry of any other shape demotes the table to [`LookupIndex::Scan`].
+///
+/// **The filter** is the software form of a per-length membership test
+/// (Dharmapurikar et al., "Longest Prefix Matching Using Bloom Filters",
+/// SIGCOMM 2003), made exact by keying it on the key's top
+/// `B = min(8, W)` bits: bucket `b`'s bit `l − 1` is set iff some
+/// resident prefix of length `l ≥ 1` agrees with `b` on its first
+/// `min(l, B)` bits. A lookup reads its bucket and probes only the
+/// lengths whose bit is set, longest first; a miss in an octet no route
+/// uses probes nothing. Length 0, the default route, is checked last.
+/// Per length, a count of resident prefixes per bucket lets a removal
+/// clear a bit exactly when the last prefix behind it leaves. A
+/// publication edits one map and one count — a prefix shorter than `B`
+/// bits covers `2^(B − l)` buckets — however many routes are resident.
+///
+/// An empty index allocates nothing: the maps, the filter and the
+/// counts arrive with the first prefix and leave with the last, and a
+/// length's counts arrive and leave with its prefixes, so a maintained
+/// index equals the fold of the same entries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LpmLevel {
-    priority: i32,
-    /// `(mask, masked value → winner)` while every entry of the level
-    /// shares `mask`; `None` keeps the per-level scan.
-    hash: Option<(u128, FxMap<u128>)>,
+pub struct LpmIndex {
+    /// `None` while no prefix is resident.
+    prefixes: Option<Box<Prefixes>>,
+    /// `W`.
+    width: u16,
 }
 
-impl LpmLevel {
-    /// An empty level at `priority`, hashed on `first`'s mask if it has
-    /// one.
-    fn new(priority: i32, first: &IrPattern) -> LpmLevel {
-        LpmLevel {
-            priority,
-            hash: maskable(first).map(|(mask, _)| (mask, FxMap::default())),
+/// What a non-empty [`LpmIndex`] holds, behind one pointer so that an
+/// empty table's index stays two words.
+#[derive(Debug, Clone, PartialEq)]
+struct Prefixes {
+    /// One length bitmap per bucket; the first `2^B` are used.
+    filter: [u128; 1 << FILTER_BITS],
+    /// Per prefix length `0..=W`.
+    lengths: Vec<Length>,
+}
+
+/// One prefix length of an [`LpmIndex`].
+#[derive(Debug, Clone, PartialEq)]
+struct Length {
+    /// The length's prefix mask, kept here so that a probe masks its key
+    /// with one load instead of `u128` shifts.
+    mask: u128,
+    /// Masked value → winner.
+    winners: FxMap<u128>,
+    /// The resident prefixes behind each bucket's bit; empty while the
+    /// length has none.
+    counts: Vec<u32>,
+}
+
+impl LpmIndex {
+    /// The empty index of a `width`-bit key.
+    fn new(width: u16) -> LpmIndex {
+        LpmIndex {
+            prefixes: None,
+            width,
         }
     }
 
-    /// Add one single-pattern entry; a mask that differs from the
-    /// level's demotes the level to its scan.
-    fn insert(&mut self, entry: &Arc<RuntimeEntry>) {
-        match (&mut self.hash, maskable(&entry.patterns[0])) {
-            (Some((mask, map)), Some((m, value))) if *mask == m => claim(map, value, entry),
-            _ => self.hash = None,
+    /// The mask of a length-`len` prefix.
+    fn mask(&self, len: u32) -> u128 {
+        let ones = ir::all_ones(self.width);
+        ones & !ones.checked_shr(len).unwrap_or(0)
+    }
+
+    /// Bits a bucket is named by: `B`.
+    #[inline]
+    fn bucket_bits(&self) -> u32 {
+        u32::from(self.width).min(FILTER_BITS)
+    }
+
+    /// The bucket of a key: its top `B` of `W` bits.
+    #[inline]
+    fn bucket(&self, key: u128) -> usize {
+        let below = u32::from(self.width) - self.bucket_bits();
+        (key >> below) as usize & ((1 << self.bucket_bits()) - 1)
+    }
+
+    /// The prefix — length and masked value — an entry of these patterns
+    /// at this priority is, or `None` outside the `install_lpm` shape.
+    fn prefix(&self, patterns: &[IrPattern], priority: i32) -> Option<(u32, u128)> {
+        let len = u32::try_from(priority)
+            .ok()
+            .filter(|&len| len <= u32::from(self.width))?;
+        match *patterns {
+            [IrPattern::Any] if len == 0 => Some((0, 0)),
+            [IrPattern::Mask { value, mask }] if mask == self.mask(len) => {
+                Some((len, value & mask))
+            }
+            _ => None,
+        }
+    }
+
+    /// The longest resident prefix that matches `key`.
+    #[inline]
+    fn get(&self, key: u128) -> Option<&Winner> {
+        let prefixes = self.prefixes.as_deref()?;
+        let bits = prefixes.filter[self.bucket(key)];
+        // Longest first: lengths 65..=128 sit in the high half of the
+        // bitmap, 1..=64 in the low one, each walked in `u64` arithmetic.
+        for (half, below) in [((bits >> 64) as u64, 65), (bits as u64, 1)] {
+            let mut half = half;
+            while half != 0 {
+                let top = u64::BITS - 1 - half.leading_zeros();
+                let length = &prefixes.lengths[below + top as usize];
+                if let Some(w) = length.winners.get(&(key & length.mask)) {
+                    return Some(w);
+                }
+                half ^= 1 << top;
+            }
+        }
+        prefixes.lengths[0].winners.get(&0)
+    }
+
+    /// The winner on the prefix these patterns at this priority are.
+    fn find(&self, patterns: &[IrPattern], priority: i32) -> Option<&Winner> {
+        let (len, key) = self.prefix(patterns, priority)?;
+        self.prefixes.as_deref()?.lengths[len as usize]
+            .winners
+            .get(&key)
+    }
+
+    /// Index one entry; `false` if it is not in `install_lpm` shape.
+    fn insert(&mut self, entry: &Arc<RuntimeEntry>) -> bool {
+        let Some((len, key)) = self.prefix(&entry.patterns, entry.priority) else {
+            return false;
+        };
+        if self.prefixes.is_none() {
+            let lengths = (0..=u32::from(self.width)).map(|len| Length {
+                mask: self.mask(len),
+                winners: FxMap::default(),
+                counts: Vec::new(),
+            });
+            self.prefixes = Some(Box::new(Prefixes {
+                filter: [0; 1 << FILTER_BITS],
+                lengths: lengths.collect(),
+            }));
+        }
+        let prefixes = self.prefixes.as_mut().expect("allocated above");
+        claim(&mut prefixes.lengths[len as usize].winners, key, entry);
+        self.count(len, key, true);
+        true
+    }
+
+    /// Account for `gone` having left position `pos` of the sorted list
+    /// (`entries` is the list without it).
+    fn remove(&mut self, gone: &Slot, entries: &[Slot], pos: usize) {
+        let (len, key) = self
+            .prefix(&gone.entry.patterns, gone.priority)
+            .expect("an LPM index holds prefixes only");
+        // Each length has its own mask, so equal mask and masked value
+        // is the same prefix, and a shadowed duplicate sits behind the
+        // edit point in the same run.
+        let prefix = Some((self.mask(len), key));
+        let prefixes = self.prefixes.as_mut().expect("a resident prefix");
+        release(
+            &mut prefixes.lengths[len as usize].winners,
+            &key,
+            &gone.entry,
+            || {
+                entries[pos..]
+                    .iter()
+                    .find(|s| maskable(&s.entry.patterns[0]) == prefix)
+            },
+        );
+        if prefixes
+            .lengths
+            .iter()
+            .all(|length| length.winners.is_empty())
+        {
+            self.prefixes = None;
+        } else {
+            self.count(len, key, false);
+        }
+    }
+
+    /// One prefix of length `len` at `key` has arrived in (`up`) or
+    /// left the length's map: its buckets' counts move by one, and a bit
+    /// is set or cleared where a count leaves or reaches zero. A length's
+    /// counts are allocated with its first prefix and freed with its
+    /// last.
+    fn count(&mut self, len: u32, key: u128, up: bool) {
+        if len == 0 {
+            return;
+        }
+        let first = self.bucket(key);
+        let span = 1 << self.bucket_bits().saturating_sub(len);
+        let buckets = 1 << self.bucket_bits();
+        let prefixes = self.prefixes.as_mut().expect("a resident prefix");
+        let length = &mut prefixes.lengths[len as usize];
+        if length.counts.is_empty() {
+            length.counts = vec![0; buckets];
+        }
+        let bit = 1u128 << (len - 1);
+        let filter = prefixes.filter[first..first + span].iter_mut();
+        for (count, bits) in length.counts[first..first + span].iter_mut().zip(filter) {
+            if up {
+                *count += 1;
+                *bits |= bit;
+            } else {
+                *count -= 1;
+                if *count == 0 {
+                    *bits &= !bit;
+                }
+            }
+        }
+        if length.winners.is_empty() {
+            length.counts = Vec::new();
         }
     }
 }
@@ -625,7 +827,8 @@ impl TupleGroup {
 /// Chosen per table from the [`KeySignature`] of its declared keys, then
 /// *verified* against each entry as it arrives — an entry shape the
 /// structure cannot represent exactly (a range pattern in a ternary
-/// table, a masked const entry in an exact one) demotes the snapshot to
+/// table, a masked const entry in an exact one, a prefix at a priority
+/// other than its length in an LPM one) demotes the snapshot to
 /// [`LookupIndex::Scan`] for as long as that entry is resident, so every
 /// variant answers bit-identically to the seed priority-ordered linear
 /// scan. No variant stores a list position: inserting into or removing
@@ -634,9 +837,10 @@ impl TupleGroup {
 pub enum LookupIndex {
     /// Single exact key: one hash probe on the key value.
     ExactOne(FxMap<u128>),
-    /// Single-key LPM table: levels in descending priority, probed
-    /// longest-prefix-first.
-    Lpm(Vec<LpmLevel>),
+    /// Single-key LPM table of `install_lpm`-shaped entries: one hash
+    /// map per prefix length, probed longest first but only at the
+    /// lengths the key's top-octet filter names (see [`LpmIndex`]).
+    Lpm(LpmIndex),
     /// Ternary, mixed-kind and multi-key exact tables: tuple-space search.
     /// One [`TupleGroup`] per distinct tuple of masks among the resident
     /// entries, one hash probe per group; the best-priority answer wins
@@ -657,7 +861,10 @@ impl LookupIndex {
     fn empty(signature: KeySignature, key_count: usize) -> LookupIndex {
         match signature {
             KeySignature::AllExact if key_count == 1 => LookupIndex::ExactOne(FxMap::default()),
-            KeySignature::SingleLpm => LookupIndex::Lpm(Vec::new()),
+            // A length bitmap has a bit for each length up to 128.
+            KeySignature::SingleLpm { width } if width <= 128 => {
+                LookupIndex::Lpm(LpmIndex::new(width))
+            }
             // A multi-key exact table is one group with every mask all ones.
             KeySignature::AllExact | KeySignature::Generic
                 if (1..=MAX_TUPLE_KEYS).contains(&key_count) =>
@@ -667,31 +874,28 @@ impl LookupIndex {
                     groups: Vec::new(),
                 }
             }
-            KeySignature::AllExact | KeySignature::Generic => LookupIndex::Scan,
+            KeySignature::AllExact | KeySignature::Generic | KeySignature::SingleLpm { .. } => {
+                LookupIndex::Scan
+            }
         }
     }
 
     /// Account for one entry joining the sorted list (behind every
     /// resident entry of equal or higher priority). An entry the
     /// structure cannot represent — a range pattern in a tuple-space
-    /// table; for the other arms only unvalidated const entries —
-    /// demotes the index to the scan.
+    /// table, anything but an `install_lpm` prefix in an LPM one, an
+    /// unvalidated const entry in an exact one — demotes the index to
+    /// the scan.
     fn insert(&mut self, entry: &Arc<RuntimeEntry>) {
         match self {
             LookupIndex::ExactOne(map) => match entry.patterns[..] {
                 [IrPattern::Value(v)] => claim(map, v, entry),
                 _ => *self = LookupIndex::Scan,
             },
-            LookupIndex::Lpm(levels) => {
-                if entry.patterns.len() != 1 {
+            LookupIndex::Lpm(index) => {
+                if !index.insert(entry) {
                     *self = LookupIndex::Scan;
-                    return;
                 }
-                let at = levels.partition_point(|l| l.priority > entry.priority);
-                if levels.get(at).is_none_or(|l| l.priority != entry.priority) {
-                    levels.insert(at, LpmLevel::new(entry.priority, &entry.patterns[0]));
-                }
-                levels[at].insert(entry);
             }
             LookupIndex::Tuples { key_count, groups } => {
                 let patterns = &entry.patterns[..];
@@ -730,30 +934,7 @@ impl LookupIndex {
                         .find(|s| s.holds(&gone.entry.patterns))
                 });
             }
-            LookupIndex::Lpm(levels) => {
-                let at = levels.partition_point(|l| l.priority > gone.priority);
-                let (_, run) = priority_run(entries, gone.priority);
-                if run.is_empty() {
-                    levels.remove(at);
-                } else if let Some((_, map)) = &mut levels[at].hash {
-                    let key =
-                        maskable(&gone.entry.patterns[0]).expect("a hashed level is maskable");
-                    // One mask per hashed level: equal masked values are
-                    // equal keys, and a shadowed duplicate sits in the
-                    // level's own run, ahead of any lower level.
-                    release(map, &key.1, &gone.entry, || {
-                        entries[pos..]
-                            .iter()
-                            .find(|s| maskable(&s.entry.patterns[0]) == Some(key))
-                    });
-                } else {
-                    // The departed entry may have been the odd mask out:
-                    // refold the level over what is left of its run.
-                    let mut level = LpmLevel::new(gone.priority, &run[0].entry.patterns[0]);
-                    run.iter().for_each(|s| level.insert(&s.entry));
-                    levels[at] = level;
-                }
-            }
+            LookupIndex::Lpm(index) => index.remove(gone, entries, pos),
             LookupIndex::Tuples { key_count, groups } => {
                 let patterns = &gone.entry.patterns[..];
                 let hash = tuple_key(patterns, *key_count)
@@ -789,8 +970,8 @@ impl LookupIndex {
     }
 
     /// What the index knows about resident entries holding exactly
-    /// `patterns` at `priority`: `None` — it cannot say (scan, mixed
-    /// level); `Some(None)` — there is none; `Some(Some(w))` — they
+    /// `patterns` at `priority`: `None` — it cannot say (the scan);
+    /// `Some(None)` — there is none; `Some(Some(w))` — they
     /// share `w`'s key, and `w` is the first of them in list order if it
     /// is one of them.
     fn probe(&self, patterns: &[IrPattern], priority: i32) -> Option<Option<&Winner>> {
@@ -799,19 +980,7 @@ impl LookupIndex {
                 [IrPattern::Value(v)] => map.get(v),
                 _ => None,
             }),
-            LookupIndex::Lpm(levels) => {
-                let at = levels.partition_point(|l| l.priority > priority);
-                let Some(level) = levels.get(at).filter(|l| l.priority == priority) else {
-                    return Some(None);
-                };
-                let (mask, map) = level.hash.as_ref()?;
-                Some(match patterns {
-                    [p] => maskable(p)
-                        .filter(|(m, _)| m == mask)
-                        .and_then(|(_, value)| map.get(&value)),
-                    _ => None,
-                })
-            }
+            LookupIndex::Lpm(index) => Some(index.find(patterns, priority)),
             LookupIndex::Tuples { key_count, groups } => {
                 Some(tuple_key(patterns, *key_count).and_then(|hash| {
                     let at = groups.binary_search_by(|g| g.cmp_masks(patterns));
@@ -980,15 +1149,8 @@ impl EntrySnapshot {
                 Some(k) => map.get(k).map(|w| &w.entry),
                 None => self.scan(keys),
             },
-            LookupIndex::Lpm(levels) => match keys.first() {
-                Some(k) => levels.iter().find_map(|level| match &level.hash {
-                    Some((mask, map)) => map.get(&(k & mask)).map(|w| &w.entry),
-                    None => priority_run(entries, level.priority)
-                        .1
-                        .iter()
-                        .find(|s| s.entry.patterns[0].matches(*k))
-                        .map(|s| &s.entry),
-                }),
+            LookupIndex::Lpm(index) => match keys.first() {
+                Some(k) => index.get(*k).map(|w| &w.entry),
                 None => self.scan(keys),
             },
             LookupIndex::Tuples { key_count, groups } => {
@@ -1788,8 +1950,8 @@ mod tests {
 
     #[test]
     fn lpm_mixed_mask_level_falls_back_to_scan_semantics() {
-        // Through the raw install API one priority level can carry mixed
-        // masks; the bucket then keeps the scan and stays bit-identical.
+        // Through the raw install API one priority can carry mixed masks;
+        // the table then takes the scan and stays bit-identical.
         let (t, a) = table_ir(MatchKind::Lpm, 8);
         let s = TableState::new(&t);
         s.install(&t, &a, fwd_entry(vec![lpm_pattern(0x0A00_0000, 8, 32)], 3))
@@ -1805,6 +1967,101 @@ mod tests {
                 snap.lookup_scan(&[key]),
                 "key {key:#x}"
             );
+        }
+    }
+
+    /// An LPM table's index, which the test expects to be the filter's.
+    fn lpm_index(s: &TableState) -> LpmIndex {
+        match &s.snapshot().index {
+            LookupIndex::Lpm(index) => index.clone(),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// What a non-empty LPM table's index holds.
+    fn prefixes(s: &TableState) -> Prefixes {
+        *lpm_index(s).prefixes.expect("a resident prefix")
+    }
+
+    #[test]
+    fn prefixes_sharing_a_length_and_bucket_leave_one_at_a_time() {
+        let (t, a) = table_ir(MatchKind::Lpm, 8);
+        let s = TableState::new(&t);
+        let route = |prefix: u128, len: u16, port: u128| {
+            let mut entry = fwd_entry(vec![lpm_pattern(prefix, len, 32)], i32::from(len));
+            entry.action.args = vec![port];
+            entry
+        };
+        // 10.1/16 and 10.2/16 share length 16 and bucket 10 above 10/8;
+        // 12/6 covers buckets 12..=15.
+        for (prefix, len, port) in [
+            (0x0A00_0000, 8, 8),
+            (0x0A01_0000, 16, 1),
+            (0x0A02_0000, 16, 2),
+            (0x0C00_0000, 6, 6),
+        ] {
+            s.install(&t, &a, route(prefix, len, port)).unwrap();
+        }
+        let index = prefixes(&s);
+        assert_eq!(index.filter[10], 1 << 15 | 1 << 7);
+        assert_eq!(index.lengths[16].counts[10], 2);
+        assert_eq!(index.filter[12..16], [1 << 5; 4]);
+        assert_eq!(index.filter[11] | index.filter[16], 0);
+        let port = |key: u128| s.lookup(&[key]).map(|e| e.action.args[0]);
+        assert_eq!(port(0x0F12_3456), Some(6));
+
+        // One of the pair leaves: the other stays reachable behind the
+        // bit, and the departed one's keys fall through to the /8.
+        s.remove(&[lpm_pattern(0x0A01_0000, 16, 32)], 16).unwrap();
+        assert_eq!(prefixes(&s).filter[10], 1 << 15 | 1 << 7);
+        assert_eq!(prefixes(&s).lengths[16].counts[10], 1);
+        assert_eq!(port(0x0A02_0304), Some(2));
+        assert_eq!(port(0x0A01_0304), Some(8));
+        // Both gone: the bit clears, the length's counts are freed, and
+        // every key of the bucket falls through to the /8.
+        s.remove(&[lpm_pattern(0x0A02_0000, 16, 32)], 16).unwrap();
+        let index = prefixes(&s);
+        assert_eq!(index.filter[10], 1 << 7);
+        assert!(index.lengths[16].counts.is_empty());
+        assert_eq!((port(0x0A01_0304), port(0x0A02_0304)), (Some(8), Some(8)));
+        // The last prefix gone, the index holds no allocation again.
+        s.remove(&[lpm_pattern(0x0A00_0000, 8, 32)], 8).unwrap();
+        s.remove(&[lpm_pattern(0x0C00_0000, 6, 32)], 6).unwrap();
+        assert_eq!(lpm_index(&s), LpmIndex::new(32));
+        assert_eq!(port(0x0A01_0304), None);
+    }
+
+    #[test]
+    fn an_entry_outside_the_lpm_shape_demotes_until_it_leaves() {
+        let (t, a) = table_ir(MatchKind::Lpm, 8);
+        let s = TableState::new(&t);
+        s.install(&t, &a, fwd_entry(vec![lpm_pattern(0x0A00_0000, 8, 32)], 8))
+            .unwrap();
+        s.install(&t, &a, fwd_entry(vec![IrPattern::Any], 0))
+            .unwrap();
+        let shaped = lpm_index(&s);
+        let odd = [
+            // A raw priority, a value, a mask that is no prefix.
+            (lpm_pattern(0x0A01_0000, 16, 32), 3),
+            (IrPattern::Value(0x0A01_0203), 32),
+            (
+                IrPattern::Mask {
+                    value: 0x0A00_0001,
+                    mask: 0xFF00_00FF,
+                },
+                16,
+            ),
+        ];
+        for (pattern, priority) in odd {
+            s.install(&t, &a, fwd_entry(vec![pattern], priority))
+                .unwrap();
+            assert!(matches!(&s.snapshot().index, LookupIndex::Scan));
+            let snap = s.snapshot();
+            for key in [0x0A01_0203u128, 0x0A00_0001, 0x0B00_0000] {
+                assert_eq!(snap.lookup(&[key]), snap.lookup_scan(&[key]));
+            }
+            s.remove(&[pattern], priority).unwrap();
+            assert_eq!(lpm_index(&s), shaped);
         }
     }
 
@@ -1916,8 +2173,8 @@ mod tests {
 
     /// A table of one of [`SHAPES`] shapes, with the const entries that
     /// make shapes 4 and 5 start life demoted: (4) a masked entry in an
-    /// exact table, (5) a range entry (mixed level) and a two-pattern
-    /// entry (whole index on the scan) in an LPM table.
+    /// exact table, (5) a range entry and a two-pattern entry in an LPM
+    /// table.
     fn shaped_table(shape: u8) -> (TableIr, Vec<ActionIr>) {
         let odd = |patterns: Vec<IrPattern>, priority: i32| ir::IrEntry {
             patterns,
@@ -1991,7 +2248,7 @@ mod tests {
                 let pattern =
                     lpm_pattern(u128::from(x % 4) << 28 | u128::from(x % 3) << 8, len, 32);
                 // Mostly the `install_lpm` convention; sometimes a raw
-                // priority, which mixes masks within one level.
+                // priority, which puts the table on the scan.
                 let priority = if sel.is_multiple_of(3) {
                     i32::from(p % 3) * 8
                 } else {
@@ -2018,6 +2275,106 @@ mod tests {
                 args: vec![u128::from(x)],
             },
             priority,
+        }
+    }
+
+    /// The eight leaves of a binary tree of 32-bit keys that branches at
+    /// bits 2, 5 and 19 from the top: two branchings inside the filter's
+    /// top octet, one below it. A leaf's prefixes at lengths 0..=32 nest.
+    fn tree_leaf(i: u32) -> u32 {
+        0xA5C3_5A3C ^ (i & 1) << 29 ^ (i >> 1 & 1) << 26 ^ (i >> 2 & 1) << 12
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Nested prefixes of every length, the default route and the
+        /// lengths below eight bits (which cover several buckets) among
+        /// them, through random install/remove/clear sequences: at every
+        /// epoch the index is the filter's, it equals the from-scratch
+        /// fold, each filter bit is set exactly where a resident prefix
+        /// agrees with its bucket, and lookups agree with the scan inside
+        /// and beside every prefix.
+        #[test]
+        fn nested_prefixes_keep_the_length_filter_exact(
+            ops in proptest::collection::vec((0u8..8, 0u32..8, 0u16..=32, 0u8..4), 1..48),
+            flips in proptest::collection::vec(0u32..32, 1..6),
+        ) {
+            use proptest::prelude::*;
+            let (t, a) = table_ir(MatchKind::Lpm, 4096);
+            let s = TableState::new(&t);
+            let mut installed: Vec<RuntimeEntry> = Vec::new();
+            let mut epoch = 0;
+            for &(sel, leaf, len, port) in &ops {
+                let entry = fwd_entry(vec![lpm_pattern(tree_leaf(leaf).into(), len, 32)], len.into());
+                match sel {
+                    0..=4 => {
+                        let mut entry = entry;
+                        entry.action.args = vec![port.into()];
+                        epoch += 1;
+                        prop_assert_eq!(s.install(&t, &a, entry.clone()), Ok(epoch));
+                        installed.push(entry);
+                    }
+                    5 | 6 => {
+                        // A resident prefix, or the drawn one if absent.
+                        let victim = match installed.len() {
+                            0 => entry,
+                            n => installed[leaf as usize * 7 % n].clone(),
+                        };
+                        let at = installed.iter().position(|e| {
+                            e.patterns == victim.patterns && e.priority == victim.priority
+                        });
+                        let removed = s.remove(&victim.patterns, victim.priority);
+                        if let Some(at) = at {
+                            epoch += 1;
+                            prop_assert_eq!(removed, Some(epoch));
+                            installed.remove(at);
+                        } else {
+                            prop_assert_eq!(removed, None);
+                        }
+                    }
+                    _ if port == 0 => {
+                        epoch += 1;
+                        prop_assert_eq!(s.clear(), epoch);
+                        installed.clear();
+                    }
+                    _ => {}
+                }
+                let table = s.current();
+                let oracle = EntrySnapshot::publish(
+                    epoch,
+                    installed.iter().cloned().map(Arc::new),
+                    table.signature,
+                    table.key_count,
+                );
+                let snap = &*table.snapshot;
+                prop_assert_eq!(snap, &oracle);
+                let LookupIndex::Lpm(index) = &snap.index else {
+                    return Err(TestCaseError::fail("an LPM table left the filter"));
+                };
+                prop_assert_eq!(index.prefixes.is_none(), installed.is_empty());
+                let filter = index.prefixes.as_ref().map_or([0; 256], |p| p.filter);
+                for (bucket, &lengths) in filter.iter().enumerate() {
+                    for len in 1..=32u16 {
+                        let agree = 32 - u32::from(len.min(8));
+                        let want = installed.iter().any(|e| {
+                            let IrPattern::Mask { value, .. } = e.patterns[0] else {
+                                return false;
+                            };
+                            e.priority == i32::from(len)
+                                && value >> agree == bucket as u128 >> (agree - 24)
+                        });
+                        prop_assert_eq!(lengths >> (len - 1) & 1 == 1, want, "bucket {} /{}", bucket, len);
+                    }
+                }
+                for leaf in 0..8 {
+                    let inside = u128::from(tree_leaf(leaf));
+                    let keys = flips.iter().map(|bit| inside ^ 1 << bit).chain([inside, !inside & 0xFFFF_FFFF]);
+                    for key in keys {
+                        prop_assert_eq!(snap.lookup(&[key]), snap.lookup_scan(&[key]), "key {:#x}", key);
+                    }
+                }
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Property-based tests for the reference interpreter.
 
 use netdebug_dataplane::{
-    lpm_pattern, Dataplane, Engine, EntrySnapshot, LazyTrace, MeterConfig, RuntimeEntry, Stage,
-    TableState, Trace, TraceEvent, TraceSink, Verdict,
+    lpm_pattern, ControlError, Dataplane, Engine, EntrySnapshot, LazyTrace, MeterConfig,
+    RuntimeEntry, Stage, TableError, TableState, Trace, TraceEvent, TraceSink, Verdict,
 };
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::corpus;
@@ -463,9 +463,8 @@ proptest! {
                     let len = (y % 33) as u16;
                     let pattern = lpm_pattern(u128::from(x), len, 32);
                     // Mostly the install_lpm convention (priority = prefix
-                    // length, uniform-mask buckets); sometimes an arbitrary
-                    // priority, which mixes masks within one level and must
-                    // demote that bucket to the scan.
+                    // length); sometimes an arbitrary priority, which must
+                    // demote the table to the scan while it is resident.
                     let priority = if sel % 3 == 0 { i32::from(p) } else { i32::from(len) };
                     (pattern, priority)
                 }
@@ -1324,6 +1323,80 @@ fn concurrent_installs_mid_batch_are_epoch_atomic() {
             matches!(v, Verdict::Forward { port: 2, .. }),
             "post-churn batch must see the /16 route: {v:?}"
         );
+    }
+}
+
+/// The eight leaves of a binary tree of IPv4 addresses that branches at
+/// bits 2, 5 and 19 from the top (twice inside the first octet, once
+/// below it): a leaf's prefixes at lengths 0..=32 nest.
+fn tree_leaf(i: u8) -> u32 {
+    0xA5C3_5A3C ^ u32::from(i & 1) << 29 ^ u32::from(i >> 1 & 1) << 26 ^ u32::from(i >> 2 & 1) << 12
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Nested routes on the router — every length /0../32, the default
+    /// route and the lengths under eight bits among them — installed and
+    /// removed through the control plane in random order, and now and
+    /// then a /33, which is rejected and publishes nothing: after every
+    /// step, a packet to each leaf of the tree and to addresses one bit
+    /// beside it leaves by the port of the longest installed prefix that
+    /// covers it (the earliest installed of equal ones), or is dropped
+    /// where none does.
+    #[test]
+    fn nested_prefixes_route_by_the_longest_match(
+        ops in proptest::collection::vec((0u8..6, 0u8..8, 0u16..=33, 0u8..4), 1..32),
+        flips in proptest::collection::vec(0u32..32, 1..4),
+    ) {
+        let mut dp = Dataplane::new(netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap());
+        let cp = dp.control_plane();
+        // Installed routes in install order: (prefix, length, port).
+        let mut routes: Vec<(u32, u16, u8)> = Vec::new();
+        for &(sel, leaf, len, port) in &ops {
+            let prefix = u128::from(tree_leaf(leaf));
+            if len == 33 {
+                let epoch = cp.epoch("ipv4_lpm").unwrap();
+                let args = vec![1, port.into()];
+                prop_assert_eq!(
+                    cp.install_lpm("ipv4_lpm", prefix, len, "ipv4_forward", args),
+                    Err(ControlError::Table(TableError::BadPattern))
+                );
+                prop_assert_eq!(cp.epoch("ipv4_lpm").unwrap(), epoch);
+            } else if sel < 4 {
+                cp.install_lpm("ipv4_lpm", prefix, len, "ipv4_forward", vec![1, port.into()])
+                    .unwrap();
+                routes.push((tree_leaf(leaf), len, port));
+            } else {
+                let removed = cp.remove("ipv4_lpm", &[lpm_pattern(prefix, len, 32)], len.into());
+                let mask = |len: u16| u32::MAX.checked_shl(32 - u32::from(len)).unwrap_or(0);
+                let at = routes
+                    .iter()
+                    .position(|&(p, l, _)| l == len && (p ^ tree_leaf(leaf)) & mask(len) == 0);
+                prop_assert_eq!(removed.unwrap().is_some(), at.is_some());
+                if let Some(at) = at {
+                    routes.remove(at);
+                }
+            }
+            let mut longest_first = routes.clone();
+            longest_first.sort_by_key(|&(_, len, _)| core::cmp::Reverse(len));
+            for leaf in 0..8 {
+                let inside = tree_leaf(leaf);
+                for dst in flips.iter().map(|bit| inside ^ 1 << bit).chain([inside]) {
+                    let want = longest_first.iter().find(|&&(p, len, _)| {
+                        u64::from(p ^ dst) >> (32 - len) == 0
+                    });
+                    let (verdict, _) = dp.process(0, &routed_frame(dst.to_be_bytes().into(), 64), 0);
+                    match (want, verdict) {
+                        (Some(&(.., port)), Verdict::Forward { port: out, .. }) => {
+                            prop_assert_eq!(out, u16::from(port), "dst {:#x}", dst)
+                        }
+                        (None, Verdict::Drop(_)) => {}
+                        (want, got) => prop_assert!(false, "dst {:#x}: {:?}, got {:?}", dst, want, got),
+                    }
+                }
+            }
+        }
     }
 }
 

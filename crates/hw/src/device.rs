@@ -755,7 +755,8 @@ impl Device {
         )
     }
 
-    /// Install an LPM entry.
+    /// Install an LPM entry. A prefix longer than the key is rejected
+    /// before it reaches the driver.
     pub fn install_lpm(
         &mut self,
         table: &str,
@@ -774,6 +775,9 @@ impl Device {
             .first()
             .map(|k| k.width)
             .unwrap_or(32);
+        if prefix_len > width {
+            return Err(netdebug_dataplane::TableError::BadPattern.into());
+        }
         self.install(
             table,
             vec![netdebug_dataplane::lpm_pattern(prefix, prefix_len, width)],
@@ -1093,6 +1097,21 @@ mod tests {
         dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
             .unwrap();
         dev
+    }
+
+    #[test]
+    fn a_prefix_longer_than_the_key_is_rejected() {
+        let mut dev = deploy(&Backend::reference());
+        let cp = dev.control_plane();
+        let before = cp.epoch("ipv4_lpm").unwrap();
+        assert_eq!(
+            dev.install_lpm("ipv4_lpm", 0x0A01_0203, 33, "ipv4_forward", vec![0xCC, 3]),
+            Err(netdebug_dataplane::ControlError::Table(
+                netdebug_dataplane::TableError::BadPattern
+            ))
+        );
+        assert_eq!(cp.epoch("ipv4_lpm").unwrap(), before);
+        assert_eq!(cp.occupancy("ipv4_lpm").unwrap().0, 1);
     }
 
     #[test]

@@ -569,9 +569,13 @@ pub struct TableKey {
 pub enum KeySignature {
     /// Every key is `exact`: entries are point tuples, lookup can hash.
     AllExact,
-    /// Exactly one key and it is `lpm`: entries are prefixes, lookup
-    /// probes descending prefix lengths (longest prefix first).
-    SingleLpm,
+    /// Exactly one key and it is `lpm`: entries are prefixes of a key
+    /// this many bits wide, lookup probes descending prefix lengths
+    /// (longest prefix first).
+    SingleLpm {
+        /// The key's declared width.
+        width: u16,
+    },
     /// Anything else — ternary or range keys, or mixed kinds: resolved by
     /// priority, through one hash per mask tuple while every entry is
     /// maskable and by the priority-ordered scan otherwise.
@@ -584,7 +588,9 @@ impl TableIr {
         if self.keys.iter().all(|k| k.kind == MatchKind::Exact) {
             KeySignature::AllExact
         } else if self.keys.len() == 1 && self.keys[0].kind == MatchKind::Lpm {
-            KeySignature::SingleLpm
+            KeySignature::SingleLpm {
+                width: self.keys[0].width,
+            }
         } else {
             KeySignature::Generic
         }
@@ -869,7 +875,7 @@ mod tests {
         );
         assert_eq!(
             table(vec![key(Lpm)]).key_signature(),
-            KeySignature::SingleLpm
+            KeySignature::SingleLpm { width: 32 }
         );
         // LPM only compiles to the prefix structure when it is the sole key.
         assert_eq!(

@@ -6,7 +6,7 @@
 //!
 //! 1. **Fault-free overhead** — one unarmed workload through the raw
 //!    event loop (`drive_device`), the containing driver at budget 0
-//!    (one `armed_faults` check and one `catch_unwind` frame) and at the
+//!    (one armed-fault check and one `catch_unwind` frame) and at the
 //!    default `RecoveryPolicy` (periodic `Device::checkpoint`s, which pin
 //!    `Arc` snapshot chains instead of cloning tables), best-of-N with
 //!    the three interleaved. Gates: ≤ 5% raw → budget 0 and ≤ 5% budget
@@ -327,8 +327,8 @@ fn main() -> ExitCode {
         // Retried publications reconcile to the unfaulted epoch, and
         // exactly one publication (the first) was retried.
         let converged = epoch == twin_epoch
-            && dev.retried_publications() == 1
-            && dev.last_retried_epoch() == Some(epoch - 3);
+            && dev.faults().retried_publications == 1
+            && dev.faults().last_retried_epoch == Some(epoch - 3);
         retries_converged &= converged;
         retry_rows.push(Value::Obj(row!["fail_first" => u64::from(fail_first),
             "attempts" => u64::from(fail_first + 1), "backoff_cycles" => backoff,
@@ -372,7 +372,8 @@ fn main() -> ExitCode {
     //    finish the run — and exactly three recoveries, each naming its
     //    fault and culprit.
     let names_culprit = |i: usize, fault: &str, seq: Option<u64>| {
-        rec_of(i).fault == fault && rec_of(i).culprit.as_ref().map(|c| c.seq) == seq
+        let trip = &rec_of(i).trip;
+        trip.fault == fault && trip.culprit.as_ref().map(|c| c.seq) == seq
     };
     report.gate(
         "storm: zero permanent quarantines, exactly three recoveries, each naming its fault and culprit",
@@ -380,13 +381,13 @@ fn main() -> ExitCode {
             && recoveries_total == 3
             && names_culprit(PANIC_DEVICE, "panic-after-n", Some(PANIC_AT))
             && names_culprit(STALL_DEVICE, "stall", Some(STALL_AT))
-            && rec_of(STALL_DEVICE).stage == "watchdog"
+            && rec_of(STALL_DEVICE).trip.stage == "watchdog"
             && names_culprit(PUB_DEVICE, "transient-publication", None),
         format!(
             "{permanent_total} quarantined, {recoveries_total} recoveries: [{}] [{}] [{}]",
-            rec_of(PANIC_DEVICE).fault,
-            rec_of(STALL_DEVICE).fault,
-            rec_of(PUB_DEVICE).fault
+            rec_of(PANIC_DEVICE).trip.fault,
+            rec_of(STALL_DEVICE).trip.fault,
+            rec_of(PUB_DEVICE).trip.fault
         ),
     );
     // 4. Recovery is bounded: at most one checkpoint interval replayed,

@@ -1,6 +1,6 @@
 //! Experiment F2 — regenerates the paper's Figure 2 (use-case coverage by
 //! tool). Every cell is measured by capability probes; see
-//! `netdebug::usecases::coverage` and EXPERIMENTS.md §F2.
+//! `netdebug::usecases::coverage`.
 
 use netdebug::usecases::coverage::figure2;
 use netdebug_bench::banner;

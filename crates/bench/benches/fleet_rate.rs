@@ -72,7 +72,8 @@ fn device_digest(mut h: u64, dev: &Device) -> u64 {
 }
 
 /// Run `devices` × `flows` on `workers` runtime threads; return the fleet
-/// digest (task order), the sustained packet rate and the runtime stats.
+/// digest (task order), the sustained packet rate and the devices'
+/// runtime stats, summed.
 fn run_fleet(devices: usize, flows: &[FlowRun], workers: usize) -> (u64, f64, RuntimeStats) {
     let mut runtime = FleetRuntime::new(workers);
     let tasks: Vec<DeviceTask<DigestSink>> = (0..devices)
@@ -87,12 +88,14 @@ fn run_fleet(devices: usize, flows: &[FlowRun], workers: usize) -> (u64, f64, Ru
     let secs = start.elapsed().as_secs_f64();
     let mut digest = FNV_OFFSET;
     let mut packets = 0u64;
+    let mut stats = RuntimeStats::default();
     for d in &done {
         digest = fnv(digest, &d.sink.digest.to_le_bytes());
         digest = device_digest(digest, &d.device);
         packets += d.sink.packets;
+        stats.absorb(&d.stats);
     }
-    (digest, packets as f64 / secs, runtime.stats())
+    (digest, packets as f64 / secs, stats)
 }
 
 /// The historical paced path: one device at a time, the flat

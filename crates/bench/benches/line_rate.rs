@@ -37,7 +37,7 @@ fn main() {
     checker.open_stream(1, forward, u64::MAX);
     let sw_checker = time_ops(TRIALS, MIN_MEASURE_S, || {
         for now in 0..1024 {
-            checker.observe(black_box(&outcome), now, "egress");
+            checker.observe(black_box(&outcome), now);
         }
         1024
     });

@@ -280,9 +280,8 @@ impl Checker {
     /// Feed one device outcome (the device's output side) to the checker.
     ///
     /// `now_cycles` is the device time when the packet appeared at the
-    /// output; `last_stage` comes from the stage taps and is only used to
-    /// annotate drop violations.
-    pub fn observe(&mut self, outcome: &Outcome, now_cycles: u64, last_stage: &str) {
+    /// output.
+    pub fn observe(&mut self, outcome: &Outcome, now_cycles: u64) {
         match outcome {
             Outcome::Tx { port, data } => self.observe_output(*port, data, now_cycles),
             Outcome::Flood { data } => {
@@ -290,11 +289,9 @@ impl Checker {
                 // before replication).
                 self.observe_output(u16::MAX, data, now_cycles);
             }
-            Outcome::Dropped { .. } => {
-                // Drops are only attributable via the generator's records;
-                // session bookkeeping calls `observe_drop` directly.
-                let _ = last_stage;
-            }
+            // Drops are only attributable via the generator's records;
+            // session bookkeeping calls `observe_drop` directly.
+            Outcome::Dropped { .. } => {}
         }
     }
 
@@ -362,7 +359,7 @@ impl Checker {
     pub fn observe_processed(&mut self, stream: u16, seq: u64, p: &Processed) {
         match &p.outcome {
             Outcome::Dropped { .. } => self.observe_drop(stream, seq, p.last_stage),
-            outcome => self.observe(outcome, p.done_at_cycle, p.last_stage),
+            outcome => self.observe(outcome, p.done_at_cycle),
         }
     }
 
@@ -398,14 +395,14 @@ mod tests {
         c.open_stream(1, Expectation::Forward { port: Some(2) }, 5);
         for (seq, ts, now) in [(0u64, 0u64, 50u64), (1, 100, 160), (3, 300, 420)] {
             let f = gen_frame(1, seq, ts, Expectation::Forward { port: Some(2) });
-            c.observe(&Outcome::Tx { port: 2, data: f }, now, "egress");
+            c.observe(&Outcome::Tx { port: 2, data: f }, now);
         }
         // Out-of-order arrival of seq 2 after 3.
         let f = gen_frame(1, 2, 200, Expectation::Forward { port: Some(2) });
-        c.observe(&Outcome::Tx { port: 2, data: f }, 500, "egress");
+        c.observe(&Outcome::Tx { port: 2, data: f }, 500);
         // Duplicate of seq 3.
         let f = gen_frame(1, 3, 300, Expectation::Forward { port: Some(2) });
-        c.observe(&Outcome::Tx { port: 2, data: f }, 520, "egress");
+        c.observe(&Outcome::Tx { port: 2, data: f }, 520);
 
         let s = c.stream(1).unwrap();
         assert_eq!(s.received, 5);
@@ -424,7 +421,7 @@ mod tests {
         let mut c = Checker::new();
         c.open_stream(9, Expectation::Drop, 1);
         let f = gen_frame(9, 0, 0, Expectation::Drop);
-        c.observe(&Outcome::Tx { port: 1, data: f }, 10, "egress");
+        c.observe(&Outcome::Tx { port: 1, data: f }, 10);
         assert_eq!(
             c.violations(),
             &[Violation::ForwardedButExpectedDrop {
@@ -467,7 +464,7 @@ mod tests {
         let mut c = Checker::new();
         c.open_stream(2, Expectation::Forward { port: Some(3) }, 1);
         let f = gen_frame(2, 0, 0, Expectation::Forward { port: Some(3) });
-        c.observe(&Outcome::Tx { port: 1, data: f }, 5, "egress");
+        c.observe(&Outcome::Tx { port: 1, data: f }, 5);
         assert!(matches!(
             c.violations()[0],
             Violation::WrongPort {
@@ -491,7 +488,6 @@ mod tests {
                 data: f.into(),
             },
             5,
-            "egress",
         );
         assert!(matches!(c.violations()[0], Violation::Corrupted { .. }));
     }
@@ -505,7 +501,6 @@ mod tests {
                 data: vec![0u8; 64].into(),
             },
             5,
-            "egress",
         );
         assert!(matches!(
             c.violations()[0],
@@ -552,7 +547,7 @@ mod tests {
                     scan.push(seq);
                 }
                 let data = stamped(3, seq);
-                c.observe(&Outcome::Tx { port: 0, data }, 0, "egress");
+                c.observe(&Outcome::Tx { port: 0, data }, 0);
             }
             if let Some(s) = c.stream(3) {
                 proptest::prop_assert_eq!(s.duplicates, duplicates);
@@ -584,7 +579,6 @@ mod tests {
                 data: stamped(1, 0),
             },
             0,
-            "egress",
         );
         let tracker = |c: &Checker| {
             let runs = &c.streams()[&1].seen.runs;
@@ -593,7 +587,7 @@ mod tests {
         let (ptr, capacity, _) = tracker(&c);
         for seq in 1..1u64 << 17 {
             let data = stamped(1, seq);
-            c.observe(&Outcome::Tx { port: 0, data }, 0, "egress");
+            c.observe(&Outcome::Tx { port: 0, data }, 0);
         }
         assert_eq!(tracker(&c), (ptr, capacity, vec![(0, (1 << 17) - 1)]));
         let s = c.stream(1).unwrap();

@@ -131,8 +131,8 @@ impl FleetReport {
     pub fn recovered_members(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
         for r in &self.recoveries {
-            if !out.contains(&r.member.as_str()) {
-                out.push(&r.member);
+            if !out.contains(&r.trip.member.as_str()) {
+                out.push(&r.trip.member);
             }
         }
         out
@@ -419,7 +419,7 @@ impl DifferentialFleet {
 
     /// Binary-search the churn-epoch axis for the first epoch whose
     /// publication makes the fleet fail (diverge from the reference or
-    /// crash a member) — ROADMAP hook (e).
+    /// crash a member).
     ///
     /// Every probe replays the identical stimulus against clones of the
     /// current members with the schedule truncated to its first `k`
@@ -777,7 +777,8 @@ mod tests {
             report
                 .recoveries
                 .iter()
-                .find(|r| r.member == label)
+                .find(|r| r.trip.member == label)
+                .map(|r| &r.trip)
                 .unwrap()
         };
         let panic_rec = by_member("member-3");
@@ -826,8 +827,8 @@ mod tests {
         assert!(report.divergences.is_empty(), "{:#?}", report.divergences);
         assert_eq!(report.recoveries.len(), 1);
         let rec = &report.recoveries[0];
-        assert_eq!(rec.member, "subject");
-        assert_eq!(rec.culprit.as_ref().unwrap().seq, 9);
+        assert_eq!(rec.trip.member, "subject");
+        assert_eq!(rec.trip.culprit.as_ref().unwrap().seq, 9);
         assert!(
             rec.frames_replayed <= 4,
             "bounded replay: at most one checkpoint interval, got {}",

@@ -109,9 +109,11 @@ pub trait DeviceSink {
     fn on_packet(&mut self, flow: u32, seq: u64, p: Processed);
 }
 
-/// Observability counters for one event-loop run (or, via
-/// [`FleetRuntime::stats`], accumulated across a whole fleet).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Observability counters for one event-loop run. Every run returns its
+/// own ([`DriveReport::stats`], [`DeviceDone::stats`]);
+/// [`RuntimeStats::absorb`] sums several, as a session's report does
+/// over its streams.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RuntimeStats {
     /// Distinct virtual instants the loop emitted frames at. An instant
     /// a stream window boundary or a recovery splits counts once.
@@ -275,25 +277,21 @@ impl Default for RecoveryPolicy {
 /// silent), was restored from its last checkpoint, silently replayed the
 /// frames it had already delivered, skipped the isolated culprit (booked
 /// as [`netdebug_dataplane::DropReason::Faulted`]) and rejoined the run.
+/// The trip itself is the [`DeviceFault`] the replay located — the record
+/// the device would have been quarantined with — so one trip makes one
+/// record, recovered or not.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceRecovery {
-    /// Which device: the fleet member label, or `device-<task index>`
-    /// for bare [`FleetRuntime::run`] tasks.
-    pub member: String,
-    /// Stable fault id (as in [`DeviceFault::fault`]; `"stall"` for a
-    /// watchdog-detected silent wedge).
-    pub fault: String,
-    /// Pipeline position (`"ingress"`, `"parser"`, `"driver"`, or
-    /// `"watchdog"` for stalls).
-    pub stage: String,
-    /// Human-readable payload detail.
-    pub detail: String,
+    /// What tripped, where, and the skipped culprit frame. A
+    /// `"transient-publication"` recovery (publications
+    /// [`netdebug_hw::Device::install`] retried to convergence) names no
+    /// culprit, and its `packets_delivered` is the run's whole count,
+    /// since retries are tallied when the run ends.
+    pub trip: DeviceFault,
     /// Virtual cycle the restored checkpoint was taken at.
     pub checkpoint_cycle: u64,
     /// Frames silently replayed between the checkpoint and the culprit.
     pub frames_replayed: u64,
-    /// The skipped culprit frame.
-    pub culprit: Option<CulpritFrame>,
     /// Virtual cycle the device rejoined the run at.
     pub recovered_at_cycle: u64,
 }
@@ -366,8 +364,9 @@ pub struct CulpritFrame {
     pub prior_stage: Option<String>,
 }
 
-/// Structured record of a quarantined device: what fired, where, and the
-/// culprit the solo replay isolated.
+/// Structured record of one trip: what fired, where, and the culprit the
+/// solo replay isolated. A quarantined device ends its run with one; a
+/// recovered trip carries its own in [`DeviceRecovery::trip`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceFault {
     /// Which device: the fleet member label, or `device-<task index>`
@@ -745,7 +744,8 @@ fn fold_cache_delta(
     stats.cache_invalidations = after.invalidations.saturating_sub(before.invalidations);
 }
 
-/// What one [`drive_device_with`] call produced.
+/// What one [`drive_device_with`] call produced: its counters and one
+/// record per trip, in the order they happened.
 #[derive(Debug)]
 pub struct DriveReport {
     /// Event-loop counters for the run; `faults` counts trips, recovered
@@ -761,13 +761,11 @@ pub struct DriveReport {
 }
 
 impl DriveReport {
-    /// Name `member` as the device in the fault and recovery records.
+    /// Name `member` as the device in every trip record.
     pub fn label(&mut self, member: &str) {
-        if let Some(f) = &mut self.fault {
-            f.member = member.to_string();
-        }
-        for r in &mut self.recoveries {
-            r.member = member.to_string();
+        let recovered = self.recoveries.iter_mut().map(|r| &mut r.trip);
+        for trip in recovered.chain(&mut self.fault) {
+            trip.member = member.to_string();
         }
     }
 }
@@ -802,10 +800,14 @@ impl DriveReport {
 ///    where the replay stopped, just short of the culprit; fleets exclude
 ///    it from diffing rather than reusing it.
 ///
+/// Each trip leaves exactly one record in the returned [`DriveReport`]:
+/// a [`DeviceRecovery`] holding the located [`DeviceFault`] as its
+/// `trip`, or the quarantine's [`DeviceFault`] itself.
+///
 /// With a budget, checkpoints are taken every `checkpoint_interval`
 /// delivered frames (cheap: table state pins the published `Arc` snapshot
 /// chain). With budget 0 only the start of the run is checkpointed, and
-/// only when faults are armed — a healthy device pays one `armed_faults`
+/// only when faults are armed — a healthy device pays one armed-fault
 /// check and one `catch_unwind` frame, and an engine panic on it is
 /// reported without a culprit. Both overheads are gated ≤ 5% in
 /// `BENCH_fault.json`.
@@ -862,7 +864,7 @@ impl ContainedDrive {
                 _ => max_batch,
             },
             cache_before: device.cache_stats(),
-            retried_before: device.retried_publications(),
+            retried_before: device.faults().retried_publications,
             cursors: vec![FlowCursor::default(); flows],
             ckpts: Checkpoints {
                 interval,
@@ -876,7 +878,7 @@ impl ContainedDrive {
                 fault: None,
             },
         };
-        if recovering || !device.armed_faults().is_empty() {
+        if recovering || !device.faults().armed().is_empty() {
             drive.ckpts.take(device, &drive.cursors);
         }
         drive
@@ -934,24 +936,21 @@ impl ContainedDrive {
             let mut record = trip.fault;
             let budget_left = self.report.recoveries.len() < self.budget;
             if budget_left && record.trigger.is_none() {
-                if let Some(culprit) = record.culprit.take() {
+                if let Some(culprit) = &record.culprit {
                     let fi = trip.flow;
                     // Skip the culprit: account it as a Faulted drop at
                     // its due instant and move the emission cursor past it.
-                    let p = device.skip_faulted(culprit.port, flows[fi].due(culprit.seq));
+                    let (flow, seq) = (culprit.flow, culprit.seq);
+                    let p = device.skip_faulted(culprit.port, flows[fi].due(seq));
                     self.report.stats.packets += 1;
-                    sink.on_packet(culprit.flow, culprit.seq, p);
-                    self.cursors[fi].next_seq = culprit.seq + 1;
+                    sink.on_packet(flow, seq, p);
+                    self.cursors[fi].next_seq = seq + 1;
                     self.ckpts.take(device, &self.cursors);
                     self.report.stats.recoveries += 1;
                     self.report.recoveries.push(DeviceRecovery {
-                        member: record.member,
-                        fault: record.fault,
-                        stage: record.stage,
-                        detail: record.detail,
+                        trip: record,
                         checkpoint_cycle: trip.checkpoint_cycle,
                         frames_replayed: trip.frames_replayed,
-                        culprit: Some(culprit),
                         recovered_at_cycle: device.now(),
                     });
                     continue;
@@ -976,23 +975,27 @@ impl ContainedDrive {
         // consistent snapshot instead of quarantining the device. Surface
         // the convergence as a recovery record so fleet reports account
         // for it.
-        let retried = device.retried_publications() - self.retried_before;
+        let retried = device.faults().retried_publications - self.retried_before;
         let report = &mut self.report;
         if self.budget > 0 && retried > 0 && report.fault.is_none() {
-            let epoch = device.last_retried_epoch();
+            let epoch = device.faults().last_retried_epoch;
             let at = epoch.map(|e| format!(" (last reconciled at table epoch {e})"));
             report.stats.recoveries += 1;
             report.recoveries.push(DeviceRecovery {
-                member: String::new(),
-                fault: "transient-publication".into(),
-                stage: "driver".into(),
-                detail: format!(
-                    "{retried} publication(s) converged after transient driver crashes{}",
-                    at.unwrap_or_default()
-                ),
+                trip: DeviceFault {
+                    member: String::new(),
+                    fault: "transient-publication".into(),
+                    stage: "driver".into(),
+                    detail: format!(
+                        "{retried} publication(s) converged after transient driver crashes{}",
+                        at.unwrap_or_default()
+                    ),
+                    packets_delivered: report.stats.packets,
+                    culprit: None,
+                    trigger: None,
+                },
                 checkpoint_cycle: 0,
                 frames_replayed: 0,
-                culprit: None,
                 recovered_at_cycle: device.now(),
             });
         }
@@ -1179,14 +1182,14 @@ pub struct DeviceDone<S> {
 /// Fans per-device jobs out over at most `workers` OS threads and keeps
 /// none between calls: each call splits its jobs into contiguous lanes,
 /// runs the first on the caller's thread and the rest on scoped threads —
-/// a static device→thread partition with no shared queue. With
+/// a static device→thread partition with no shared queue. It keeps no
+/// counters either: each [`DeviceDone`] carries its own run's. With
 /// `workers <= 1` (or one job) nothing is spawned: the 1-worker run is
 /// the determinism contract's reference.
 #[derive(Debug)]
 pub struct FleetRuntime {
     workers: usize,
     recovery: Option<RecoveryPolicy>,
-    stats: RuntimeStats,
 }
 
 impl Default for FleetRuntime {
@@ -1206,7 +1209,6 @@ impl FleetRuntime {
         FleetRuntime {
             workers: workers.max(1),
             recovery: None,
-            stats: RuntimeStats::default(),
         }
     }
 
@@ -1222,11 +1224,6 @@ impl FleetRuntime {
     /// The active recovery policy, if any.
     pub fn recovery(&self) -> Option<RecoveryPolicy> {
         self.recovery
-    }
-
-    /// Counters accumulated across every task of every run.
-    pub fn stats(&self) -> RuntimeStats {
-        self.stats
     }
 
     /// Run per-device jobs and return their outcomes **in job order**. Each
@@ -1278,6 +1275,8 @@ impl FleetRuntime {
 
     /// Run every task and hand the devices back **in task order** — the
     /// deterministic cross-device ordering (task index is the device id).
+    /// Each [`DeviceDone`] carries its own run's counters and trip
+    /// records; the runtime keeps nothing between calls.
     pub fn run<S>(&mut self, tasks: Vec<DeviceTask<S>>) -> Vec<DeviceDone<S>>
     where
         S: DeviceSink + Send,
@@ -1307,17 +1306,12 @@ impl FleetRuntime {
                 }
             })
             .collect();
-        let done: Vec<DeviceDone<S>> = self
-            .execute(jobs)
+        self.execute(jobs)
             .into_iter()
             // `drive_device_with` contains device panics, so one escaping a
             // job is a sink or harness bug: re-raise it, never hide it.
             .map(|done| done.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect();
-        for d in &done {
-            self.stats.absorb(&d.stats);
-        }
-        done
+            .collect()
     }
 }
 
@@ -1775,7 +1769,7 @@ mod tests {
             );
             assert!(report.fault.is_none(), "{:?}", report.fault);
             assert_eq!(report.recoveries.len(), 1);
-            let culprit = report.recoveries[0].culprit.clone().unwrap();
+            let culprit = report.recoveries[0].trip.culprit.clone().unwrap();
             (sink.0, (culprit.flow, culprit.seq))
         };
         let (distinct, culprit) = run([7, 8]);

@@ -3,7 +3,8 @@
 //! The paper's software tool "uses a dedicated interface to configure the
 //! generation of test packets and to collect test results". [`NetDebug`]
 //! plays that role: it owns a deployed [`Device`], programs the in-device
-//! generator and checker, runs streams, and assembles a [`SessionReport`].
+//! generator and checker, runs streams, and assembles a [`SessionReport`]
+//! of everything every stream recorded, in stream order.
 
 use crate::checker::{Checker, StreamStats, Violation};
 use crate::generator::{Generator, StreamSpec};
@@ -19,7 +20,8 @@ use std::sync::Arc;
 // short of still moves the stream on.
 const _: () = assert!(DEFAULT_MAX_BATCH as u64 <= NetDebug::STREAM_WINDOW);
 
-/// A NetDebug instance attached to one device.
+/// A NetDebug instance attached to one device. It keeps every record its
+/// streams make, and [`NetDebug::report`] returns them.
 #[derive(Debug)]
 pub struct NetDebug {
     device: Device,
@@ -28,16 +30,17 @@ pub struct NetDebug {
     /// Per-stream (first injection cycle, last completion cycle) — the
     /// wall-clock window performance measurements are computed over.
     windows: std::collections::HashMap<u16, (u64, u64)>,
-    /// Event-loop counters accumulated across every stream run.
+    /// Device clock when the session's first stream started.
+    started: Option<u64>,
+    /// Event-loop counters summed over every stream run.
     runtime: RuntimeStats,
-    /// The most recent crash-class fault the device tripped mid-stream
-    /// (`None` while the device behaves). See [`NetDebug::last_fault`].
-    last_fault: Option<DeviceFault>,
     /// Recovery policy for stream runs (`None` is budget 0: the first
     /// trip quarantines).
     recovery: Option<RecoveryPolicy>,
-    /// Recoveries the most recent stream run performed.
-    last_recoveries: Vec<DeviceRecovery>,
+    /// Every stream's quarantine record, in stream order.
+    faults: Vec<DeviceFault>,
+    /// Every stream's recoveries, in stream order.
+    recoveries: Vec<DeviceRecovery>,
 }
 
 impl NetDebug {
@@ -48,10 +51,11 @@ impl NetDebug {
             generator: Generator::new(),
             checker: Checker::new(),
             windows: std::collections::HashMap::new(),
+            started: None,
             runtime: RuntimeStats::default(),
-            last_fault: None,
             recovery: None,
-            last_recoveries: Vec::new(),
+            faults: Vec::new(),
+            recoveries: Vec::new(),
         }
     }
 
@@ -93,7 +97,8 @@ impl NetDebug {
     /// to the checker ([`Checker::observe_processed`]) the moment the
     /// device accounts it — no window of outcomes is ever materialised.
     /// Verdicts, statistics, violations, fault and recovery records are
-    /// those of the same stream pre-built and driven as one flow.
+    /// those of the same stream pre-built and driven as one flow; they
+    /// join the session's [`NetDebug::report`].
     pub fn run_stream(&mut self, spec: &StreamSpec) {
         self.run_stream_churn(spec, &crate::churn::ChurnSchedule::new())
             .expect("an empty churn schedule cannot fail");
@@ -115,7 +120,8 @@ impl NetDebug {
     /// — otherwise the op would silently never publish and the run would
     /// report plain traffic as a churn scenario. Control-plane rejections
     /// propagate from the first failing op (traffic injected up to that
-    /// point has already been checked).
+    /// point has already been checked, and the run's fault and recovery
+    /// records are kept all the same).
     pub fn run_stream_churn(
         &mut self,
         spec: &StreamSpec,
@@ -126,6 +132,7 @@ impl NetDebug {
             .open_stream(spec.stream, spec.expect, spec.count);
         let gap = Generator::gap_cycles(spec, self.device.config().core_clock_hz);
         let origin = self.device.now();
+        self.started.get_or_insert(origin);
         let mut flow = FlowRun {
             id: u32::from(spec.stream),
             as_port: spec.as_port,
@@ -163,12 +170,10 @@ impl NetDebug {
         }
         let last_done = sink.last_done;
         let mut run = drive.finish(&self.device);
-        self.runtime.absorb(&run.stats);
         run.label(&format!("stream-{}", spec.stream));
-        self.last_recoveries = run.recoveries;
-        if run.fault.is_some() {
-            self.last_fault = run.fault;
-        }
+        self.runtime.absorb(&run.stats);
+        self.recoveries.append(&mut run.recoveries);
+        self.faults.extend(run.fault);
         run.result.map_err(crate::churn::ChurnError::Control)?;
         if let Some(first) = first_ts {
             self.windows.insert(spec.stream, (first, last_done));
@@ -176,31 +181,14 @@ impl NetDebug {
         Ok(())
     }
 
-    /// The most recent crash-class fault ([`DeviceFault`]) the device
-    /// tripped while a stream was running, if any. The session survives a
-    /// device panic: frames checked before the trip keep their verdicts,
-    /// the panic is isolated to its culprit frame (or publication), and
-    /// the record stays here until a later stream trips again. The
-    /// `member` field carries `stream-<id>` of the stream that tripped it.
-    pub fn last_fault(&self) -> Option<&DeviceFault> {
-        self.last_fault.as_ref()
-    }
-
     /// Enable (or disable with `None`) checkpoint/restore recovery for
     /// stream runs: a device that crashes or stalls mid-stream is
     /// restored from its last checkpoint, replayed, the culprit frame
     /// skipped (checked as a [`netdebug_dataplane::DropReason::Faulted`]
-    /// drop) and the stream finishes. Off by default — faults quarantine
-    /// via [`NetDebug::last_fault`] exactly as before.
+    /// drop) and the stream finishes. Off by default: a trip quarantines
+    /// the rest of its stream and lands in [`SessionReport::faults`].
     pub fn set_recovery(&mut self, policy: Option<RecoveryPolicy>) {
         self.recovery = policy;
-    }
-
-    /// Quarantine-rejoin records from the most recent stream run (empty
-    /// when the run was clean or recovery is disabled). The `member`
-    /// field carries `stream-<id>`.
-    pub fn last_recoveries(&self) -> &[DeviceRecovery] {
-        &self.last_recoveries
     }
 
     /// The wall-clock window a completed stream spanned, in device cycles.
@@ -208,20 +196,18 @@ impl NetDebug {
         self.windows.get(&stream).copied()
     }
 
-    /// Event-loop runtime counters accumulated across every stream this
-    /// session ran ([`RuntimeStats`]): coalesced-dispatch sizes and
-    /// ready-queue depth.
-    pub fn runtime_stats(&self) -> RuntimeStats {
-        self.runtime
-    }
-
-    /// Run several streams and produce a report.
+    /// Run several streams, then [`NetDebug::report`].
     pub fn run_session(&mut self, specs: &[StreamSpec]) -> SessionReport {
-        let start = self.device.now();
         for spec in specs {
             self.run_stream(spec);
         }
-        let duration_cycles = self.device.now() - start;
+        self.report()
+    }
+
+    /// The report of every stream this session has run, whichever way it
+    /// ran them ([`NetDebug::run_session`], [`NetDebug::run_stream`],
+    /// [`NetDebug::run_stream_churn`]).
+    pub fn report(&self) -> SessionReport {
         let mut streams: Vec<(u16, StreamStats)> = self
             .checker
             .streams()
@@ -236,7 +222,12 @@ impl NetDebug {
             passed: violations.is_empty() && streams.iter().all(|(_, s)| s.lost() == 0),
             streams,
             violations,
-            duration_cycles,
+            duration_cycles: self
+                .started
+                .map_or(0, |start| self.device.now().saturating_sub(start)),
+            faults: self.faults.clone(),
+            recoveries: self.recoveries.clone(),
+            runtime: self.runtime,
         }
     }
 }
@@ -268,10 +259,21 @@ pub struct SessionReport {
     pub streams: Vec<(u16, StreamStats)>,
     /// All violations, in detection order.
     pub violations: Vec<Violation>,
-    /// Device cycles the session took.
+    /// Device cycles from the start of the session's first stream to
+    /// the report (0 before any stream ran): traffic the device carried
+    /// in between, such as live frames, counts too.
     pub duration_cycles: u64,
-    /// True when no violations and no unexplained loss.
+    /// True when no violations and no unexplained loss. A recovered
+    /// culprit is checked as a drop, so only a quarantine, which loses
+    /// the rest of its stream, fails the session.
     pub passed: bool,
+    /// Every stream's quarantine record, in stream order; `member` is
+    /// `stream-<id>`.
+    pub faults: Vec<DeviceFault>,
+    /// Every stream's recoveries, in stream order.
+    pub recoveries: Vec<DeviceRecovery>,
+    /// Event-loop counters summed over every stream.
+    pub runtime: RuntimeStats,
 }
 
 impl core::fmt::Display for SessionReport {
@@ -301,6 +303,16 @@ impl core::fmt::Display for SessionReport {
         }
         for v in &self.violations {
             writeln!(f, "  violation: {v:?}")?;
+        }
+        let faults = self.faults.iter().map(|t| ("fault", t));
+        for (kind, t) in faults.chain(self.recoveries.iter().map(|r| ("recovered", &r.trip))) {
+            let at = t.culprit.as_ref().map(|c| format!(" at seq {}", c.seq));
+            let (who, at) = (&t.member, at.unwrap_or_default());
+            writeln!(
+                f,
+                "  {kind}: {who} {}@{}{at}: {}",
+                t.fault, t.stage, t.detail
+            )?;
         }
         Ok(())
     }
@@ -486,16 +498,88 @@ mod tests {
             expect: Expectation::Any,
         };
         nd.run_stream(&spec);
-        assert!(nd.last_fault().is_none(), "{:?}", nd.last_fault());
-        let recs = nd.last_recoveries();
+        let report = nd.report();
+        assert!(report.faults.is_empty(), "{:?}", report.faults);
+        let recs = &report.recoveries;
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].member, "stream-4");
-        assert_eq!(recs[0].fault, "panic-after-n");
-        assert_eq!(recs[0].culprit.as_ref().unwrap().seq, 12);
+        assert_eq!(recs[0].trip.member, "stream-4");
+        assert_eq!(recs[0].trip.fault, "panic-after-n");
+        assert_eq!(recs[0].trip.culprit.as_ref().unwrap().seq, 12);
         let stats = nd.checker().streams().get(&4).unwrap();
         assert_eq!(stats.sent, 30, "every frame of the stream was checked");
         assert_eq!(stats.received, 29, "all but the skipped culprit forward");
         assert_eq!(stats.dropped, 1, "the culprit is checked as a drop");
         assert_eq!(stats.lost(), 0, "recovery loses nothing");
+    }
+    #[test]
+    fn a_session_reports_every_streams_recoveries() {
+        use netdebug_hw::FaultSpec;
+        // Frames 10 and 60 of the device's life fall in streams 1 and 2,
+        // each at its own seq 10; stream 3 runs clean after them.
+        let mut dev = Device::deploy_source(&Backend::reference(), corpus::REFLECTOR).unwrap();
+        dev.arm_fault(FaultSpec::PanicAfterN { n: 10 });
+        dev.arm_fault(FaultSpec::PanicAfterN { n: 60 });
+        let mut nd = NetDebug::new(dev);
+        nd.set_recovery(Some(RecoveryPolicy::default()));
+        let specs: Vec<StreamSpec> = (1..=3)
+            .map(|id| StreamSpec::simple(id, frame(4), 50, Expectation::Any))
+            .collect();
+        let report = nd.run_session(&specs);
+        assert!(report.passed, "{report}");
+        assert!(report.faults.is_empty(), "{:?}", report.faults);
+        let culprits: Vec<(&str, u64)> = report
+            .recoveries
+            .iter()
+            .map(|r| (r.trip.member.as_str(), r.trip.culprit.as_ref().unwrap().seq))
+            .collect();
+        assert_eq!(culprits, [("stream-1", 10), ("stream-2", 10)]);
+        assert_eq!((report.runtime.faults, report.runtime.recoveries), (2, 2));
+        let counts: Vec<(u64, u64, u64)> = report
+            .streams
+            .iter()
+            .map(|(_, s)| (s.sent, s.received, s.dropped))
+            .collect();
+        assert_eq!(counts, [(50, 49, 1), (50, 49, 1), (50, 50, 0)]);
+        let text = report.to_string();
+        assert!(
+            text.contains("recovered: stream-1 panic-after-n@ingress"),
+            "{text}"
+        );
+        assert!(
+            text.contains("recovered: stream-2 panic-after-n@ingress"),
+            "{text}"
+        );
+        assert_eq!(nd.report(), report, "the report reads, it does not drain");
+    }
+
+    #[test]
+    fn a_quarantined_stream_stays_in_the_report_after_a_clean_one() {
+        use netdebug_hw::FaultSpec;
+        // Budget 0: stream 1 trips on its port-2 frames and loses the
+        // rest of its run; stream 2 rides port 0 and runs clean.
+        let mut dev = Device::deploy_source(&Backend::reference(), corpus::REFLECTOR).unwrap();
+        dev.arm_fault(FaultSpec::PanicOnPort { port: 2 });
+        let mut nd = NetDebug::new(dev);
+        nd.run_stream(&StreamSpec {
+            as_port: 2,
+            ..StreamSpec::simple(1, frame(4), 20, Expectation::Any)
+        });
+        nd.run_stream(&StreamSpec::simple(2, frame(4), 20, Expectation::Any));
+        let report = nd.report();
+        assert_eq!(report.faults.len(), 1, "{:?}", report.faults);
+        let fault = &report.faults[0];
+        assert_eq!(
+            (fault.member.as_str(), fault.fault.as_str()),
+            ("stream-1", "panic-on-port")
+        );
+        assert_eq!(fault.culprit.as_ref().unwrap().seq, 0);
+        assert!(report.recoveries.is_empty());
+        assert_eq!((report.runtime.faults, report.runtime.recoveries), (1, 0));
+        let lost: Vec<u64> = report.streams.iter().map(|(_, s)| s.lost()).collect();
+        assert_eq!(lost, [20, 0], "the quarantine loses stream 1's frames only");
+        assert!(!report.passed, "{report}");
+        assert!(report
+            .to_string()
+            .contains("fault: stream-1 panic-on-port@ingress"));
     }
 }

@@ -627,7 +627,7 @@ proptest! {
             if i == 2 {
                 prop_assert_eq!(s.recoveries.len(), 1);
                 let r = &s.recoveries[0];
-                prop_assert_eq!(r.culprit.as_ref().unwrap().seq, culprit_at);
+                prop_assert_eq!(r.trip.culprit.as_ref().unwrap().seq, culprit_at);
                 prop_assert!(
                     r.frames_replayed <= interval,
                     "bounded replay: {} frames for interval {}",
@@ -665,7 +665,7 @@ proptest! {
                 continue;
             }
             prop_assert_eq!(s.recoveries.len(), 1);
-            prop_assert_eq!(s.recoveries[0].culprit.as_ref().unwrap().seq, first);
+            prop_assert_eq!(s.recoveries[0].trip.culprit.as_ref().unwrap().seq, first);
             let f = s.fault.as_ref().expect("the second needle is permanent");
             prop_assert!(f.detail.contains("budget exhausted"), "{}", f.detail);
             prop_assert_eq!(f.packets_delivered, second);
@@ -928,11 +928,12 @@ proptest! {
             (d.now(), d.stage_counts().to_vec(), d.drop_counts().clone(), format!("{ports:?}"))
         };
         prop_assert_eq!(taps(nd.device()), taps(&dev));
-        prop_assert_eq!(nd.last_fault(), prebuilt.fault.as_ref());
-        let recoveries = nd.last_recoveries();
+        let report = nd.report();
+        prop_assert_eq!(report.faults.as_slice(), prebuilt.fault.as_slice());
+        let recoveries = &report.recoveries;
         prop_assert_eq!(recoveries.len(), prebuilt.recoveries.len());
         for (w, p) in recoveries.iter().zip(&prebuilt.recoveries) {
-            prop_assert_eq!((&w.fault, &w.culprit), (&p.fault, &p.culprit));
+            prop_assert_eq!((&w.trip.fault, &w.trip.culprit), (&p.trip.fault, &p.trip.culprit));
             prop_assert_eq!(w.recovered_at_cycle, p.recovered_at_cycle);
             prop_assert!(
                 w.frames_replayed <= p.frames_replayed,
@@ -947,7 +948,7 @@ proptest! {
             cache_invalidations: 0,
             ..s
         };
-        prop_assert_eq!(loop_counts(nd.runtime_stats()), loop_counts(prebuilt.stats));
+        prop_assert_eq!(loop_counts(report.runtime), loop_counts(prebuilt.stats));
     }
 }
 
@@ -971,13 +972,16 @@ fn five_faults_across_four_windows_recover_then_quarantine() {
         4 * NetDebug::STREAM_WINDOW,
         Expectation::Any,
     ));
-    let recoveries: Vec<(u64, u64)> = nd
-        .last_recoveries()
+    let report = nd.report();
+    let recoveries: Vec<(u64, u64)> = report
+        .recoveries
         .iter()
-        .map(|r| (r.culprit.as_ref().unwrap().seq, r.frames_replayed))
+        .map(|r| (r.trip.culprit.as_ref().unwrap().seq, r.frames_replayed))
         .collect();
     assert_eq!(recoveries, [(100, 36), (300, 7), (500, 7), (700, 7)]);
-    let fault = nd.last_fault().expect("the fifth needle quarantines");
+    let [fault] = report.faults.as_slice() else {
+        panic!("the fifth needle quarantines: {:?}", report.faults)
+    };
     assert_eq!(fault.member, "stream-1");
     assert!(
         fault.detail.ends_with("(recovery budget exhausted)"),
@@ -991,14 +995,17 @@ fn five_faults_across_four_windows_recover_then_quarantine() {
         (s.sent, s.received, s.dropped, s.lost()),
         (1024, 896, 4, 124)
     );
-    assert_eq!(nd.runtime_stats().max_ready_depth, 1);
+    assert_eq!(report.runtime.max_ready_depth, 1);
 
     // Budget 0 keeps only the start-of-stream checkpoint, which a later
     // window cannot replay from: the needle in window 2 is still located.
     let mut nd = reflector();
     nd.device_mut().arm_fault(FaultSpec::PanicAfterN { n: 700 });
     nd.run_stream(&StreamSpec::simple(1, l2_frame(), 1024, Expectation::Any));
-    let fault = nd.last_fault().expect("budget 0 quarantines");
+    let report = nd.report();
+    let [fault] = report.faults.as_slice() else {
+        panic!("budget 0 quarantines: {:?}", report.faults)
+    };
     assert_eq!(fault.culprit.as_ref().unwrap().seq, 700);
     assert_eq!(fault.packets_delivered, 700);
 }

@@ -158,15 +158,11 @@ pub struct Device {
     compiled: Compiled,
     dataplane: Dataplane,
     taps: TapState,
-    /// Armed crash-class faults plus their deterministic admission
-    /// counters. Cloning the device clones the counters, which is what
-    /// lets a pre-run snapshot replay to the same trip point.
+    /// Armed crash-class faults, their deterministic admission counters
+    /// and the publication retries. Cloning the device clones the
+    /// counters, which is what lets a pre-run snapshot replay to the same
+    /// trip point.
     faults: FaultState,
-    /// Publications that landed only after the retry loop outlasted a
-    /// transient driver failure.
-    retried_publications: u64,
-    /// Reconciled epoch of the most recent retried publication.
-    last_retried_epoch: Option<u64>,
 }
 
 /// A consistent capture of a device's full runtime state, produced by
@@ -174,7 +170,8 @@ pub struct Device {
 /// embedded data plane's pinned table snapshots + extern state (mostly
 /// `Arc` clones — see [`netdebug_dataplane::DataplaneCheckpoint`]), the
 /// tap accounting (clock, pipeline occupancy, port/stage/drop counters)
-/// and the armed-fault admission counters. Checkpoints are what let the
+/// and the fault bookkeeping ([`FaultState`]: admission counters and
+/// publication retries). Checkpoints are what let the
 /// fleet runtime rewind a quarantined member and replay it past a culprit
 /// frame instead of losing it for the rest of the run.
 #[derive(Debug, Clone)]
@@ -182,8 +179,6 @@ pub struct DeviceCheckpoint {
     dataplane: netdebug_dataplane::DataplaneCheckpoint,
     taps: TapState,
     faults: FaultState,
-    retried_publications: u64,
-    last_retried_epoch: Option<u64>,
 }
 
 impl DeviceCheckpoint {
@@ -309,8 +304,6 @@ impl Device {
             compiled,
             dataplane,
             faults: FaultState::default(),
-            retried_publications: 0,
-            last_retried_epoch: None,
         };
         for spec in device.compiled.faults.clone() {
             device.arm_fault(spec);
@@ -329,9 +322,11 @@ impl Device {
         self.faults.arm(spec);
     }
 
-    /// The crash-class faults armed on this device.
-    pub fn armed_faults(&self) -> &[FaultSpec] {
-        self.faults.armed()
+    /// The device's fault bookkeeping: the armed crash-class faults,
+    /// whether a [`FaultSpec::Stall`] has wedged it, and the publications
+    /// [`Device::install`] retried.
+    pub fn faults(&self) -> &FaultState {
+        &self.faults
     }
 
     /// Board configuration.
@@ -366,29 +361,19 @@ impl Device {
             dataplane: self.dataplane.checkpoint(),
             taps: self.taps.clone(),
             faults: self.faults.clone(),
-            retried_publications: self.retried_publications,
-            last_retried_epoch: self.last_retried_epoch,
         }
     }
 
     /// Reinstate a [`DeviceCheckpoint`]: table epochs rewind to the pinned
     /// snapshots, extern state, tap accounting (clock, pipeline occupancy,
-    /// port/stage/drop counters) and fault admission counters all return
-    /// to capture time. The data plane's publication generation is bumped
+    /// port/stage/drop counters) and fault bookkeeping all return to
+    /// capture time. The data plane's publication generation is bumped
     /// (never rewound), so flow caches drop their entries instead of
     /// serving post-checkpoint state.
     pub fn restore(&mut self, checkpoint: &DeviceCheckpoint) {
         self.dataplane.restore(&checkpoint.dataplane);
         self.taps = checkpoint.taps.clone();
         self.faults = checkpoint.faults.clone();
-        self.retried_publications = checkpoint.retried_publications;
-        self.last_retried_epoch = checkpoint.last_retried_epoch;
-    }
-
-    /// Whether a [`FaultSpec::Stall`] has wedged this device: it swallows
-    /// injected frames silently instead of processing (or panicking).
-    pub fn is_wedged(&self) -> bool {
-        self.faults.is_wedged()
     }
 
     /// Recovery hook: account the isolated culprit frame as **skipped**
@@ -415,18 +400,6 @@ impl Device {
             summary,
             None,
         )
-    }
-
-    /// Publications that landed only after retrying past a transient
-    /// driver failure.
-    pub fn retried_publications(&self) -> u64 {
-        self.retried_publications
-    }
-
-    /// Reconciled table epoch of the most recent retried publication —
-    /// `None` until a retry has succeeded.
-    pub fn last_retried_epoch(&self) -> Option<u64> {
-        self.last_retried_epoch
     }
 
     /// Per-port statistics.
@@ -510,7 +483,8 @@ impl Device {
     /// A device wedged by a [`FaultSpec::Stall`] swallows the frame: no
     /// tap, counter or pipeline slot is booked, and the returned record is
     /// a placeholder [`DropReason::Faulted`] drop — check
-    /// [`Device::is_wedged`] to tell it from a processed frame.
+    /// [`FaultState::is_wedged`] on [`Device::faults`] to tell it from a
+    /// processed frame.
     pub fn inject(&mut self, as_port: u16, data: &[u8]) -> Processed {
         self.inject_one(as_port, data, None)
     }
@@ -704,9 +678,11 @@ impl Device {
     /// lands late (stale-but-consistent reads in between) instead of a
     /// crash, while a permanent [`FaultSpec::FailPublication`] exhausts
     /// the attempts and raises the final typed panic exactly as before.
-    /// A retried success reconciles the table's epoch — readable via
-    /// [`Device::last_retried_epoch`] — confirming the snapshot chain
-    /// advanced exactly once despite the repeated driver calls. The
+    /// A retried success is booked in [`Device::faults`]: the count of
+    /// retried publications and the table's reconciled epoch
+    /// ([`FaultState::last_retried_epoch`]), which confirms the snapshot
+    /// chain advanced exactly once despite the repeated driver calls. A
+    /// checkpoint keeps both and a restore rewinds them. The
     /// detached [`Device::control_plane`] handle bypasses the driver and
     /// is unaffected, like the bug transforms.
     pub fn install(
@@ -732,8 +708,8 @@ impl Device {
         let p = self.effective_priority(priority);
         self.dataplane.install(table, patterns, action, args, p)?;
         if attempt > 0 {
-            self.retried_publications += 1;
-            self.last_retried_epoch = self.dataplane.control_plane().epoch(table).ok();
+            self.faults.retried_publications += 1;
+            self.faults.last_retried_epoch = self.dataplane.control_plane().epoch(table).ok();
         }
         Ok(())
     }
@@ -1202,7 +1178,7 @@ mod tests {
         dev.arm_fault(FaultSpec::Stall { after: 1 });
         let frame = ipv4(Ipv4Address::new(10, 0, 0, 9), 4);
         assert!(matches!(dev.inject(0, &frame).outcome, Outcome::Tx { .. }));
-        assert!(!dev.is_wedged());
+        assert!(!dev.faults().is_wedged());
         let taps = dev.stage_counts().to_vec();
         for p in [dev.inject(0, &frame), dev.rx(0, &frame)] {
             assert_eq!(
@@ -1212,7 +1188,10 @@ mod tests {
                 }
             );
         }
-        assert!(dev.is_wedged(), "frame #1 wedges the one-frame path");
+        assert!(
+            dev.faults().is_wedged(),
+            "frame #1 wedges the one-frame path"
+        );
         assert_eq!(dev.stage_counts(), taps, "a swallowed frame books nothing");
         assert!(dev.drop_counts().is_empty());
         assert_eq!(dev.port_stats(1).tx_packets, 1);
@@ -1271,7 +1250,7 @@ mod tests {
         });
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(&backend, &ir).unwrap();
-        assert_eq!(dev.armed_faults(), backend.faults());
+        assert_eq!(dev.faults().armed(), backend.faults());
         let frame = ipv4(Ipv4Address::new(10, 0, 0, 9), 4);
         dev.inject(0, &frame); // port 0 is clean
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

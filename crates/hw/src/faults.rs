@@ -157,8 +157,10 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Per-device armed-fault state: the specs plus the deterministic
-/// admission counters they key on.
+/// Per-device fault bookkeeping: the armed specs, the deterministic
+/// admission counters they key on, and the publications the driver's
+/// retry loop carried past a transient failure. A device checkpoint
+/// clones all of it and a restore reinstates it.
 ///
 /// The packet counter advances **only for cleanly admitted frames** — a
 /// tripping frame leaves it untouched — so replaying the same frame
@@ -178,6 +180,12 @@ pub struct FaultState {
     /// Set once [`FaultSpec::Stall`] wedges the device; cleared only by
     /// [`FaultState::skip_faulted`] (recovery) or a state restore.
     wedged: bool,
+    /// Publications [`Device::install`](crate::Device::install) landed
+    /// only after retrying past a transient driver failure.
+    pub retried_publications: u64,
+    /// Reconciled table epoch of the most recent retried publication —
+    /// `None` until a retry has succeeded.
+    pub last_retried_epoch: Option<u64>,
 }
 
 impl FaultState {

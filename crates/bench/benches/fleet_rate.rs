@@ -75,7 +75,7 @@ fn device_digest(mut h: u64, dev: &Device) -> u64 {
 /// digest (task order), the sustained packet rate and the devices'
 /// runtime stats, summed.
 fn run_fleet(devices: usize, flows: &[FlowRun], workers: usize) -> (u64, f64, RuntimeStats) {
-    let mut runtime = FleetRuntime::new(workers);
+    let runtime = FleetRuntime::new(workers);
     let tasks: Vec<DeviceTask<DigestSink>> = (0..devices)
         .map(|_| DeviceTask {
             device: router(),

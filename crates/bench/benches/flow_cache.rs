@@ -4,9 +4,11 @@
 //! Real validation traffic is heavily flow-repetitive: the same few
 //! key-tuples arrive over and over while the table state sits still. The
 //! flow cache (`netdebug_dataplane::cache`) memoizes the full compiled
-//! execution per (port, length, parsed-key-prefix) and replays it on a
-//! hit without entering the interpreter loop. Two programs from the
-//! cacheable (stateless, exact-match) class:
+//! execution per (port, length, live bytes of the parsed prefix) and
+//! replays it on a hit without entering the interpreter loop: the bytes
+//! the program never reads are not part of the key, and a hit passes
+//! them through from its own packet. Two programs from the cacheable
+//! (stateless, exact-match) class:
 //!
 //! * **`l2_switch`** — the corpus minimum: one-header parse, one exact
 //!   table, one counter. Its engine cost is already close to the
@@ -22,7 +24,10 @@
 //! Two streams per program: **repeated** (8 installed flows cycling
 //! through every batch — all-hit after warm-up) and **uniform-random**
 //! (65,536 LCG-scattered flow keys, far beyond the cache's slots — the
-//! all-miss adversarial bound). Each runs cache-on and cache-off,
+//! all-miss adversarial bound). `exact_router` gets a third, **swept**:
+//! the repeated flows with the UDP source port, which the program never
+//! reads, swept over 65,536 frames, so no two frames of a batch are
+//! alike and every one hits. Each runs cache-on and cache-off,
 //! untraced (`process_batch`) and on the streaming
 //! traced path (`process_batch_with` into a `NullSink`, which reads no
 //! records, so only the stage lane is recorded, as for a device tap).
@@ -32,7 +37,9 @@
 //! their `cache_stats` say so in `skipped`.
 //!
 //! Smoke gates (run in CI), on `exact_router`, untraced: cache-on ≥ 2×
-//! cache-off on the repeated stream, and the cache (a dormant one's
+//! cache-off on the repeated stream and on the swept one, whose hit
+//! ratio must reach 0.99 (a key over the whole parsed prefix read 0.03
+//! there), and the cache (a dormant one's
 //! stride counter, plus one filtered first-time miss — one hash + two
 //! filter words — per 16 packets) adds ≤ 40 ns/packet on the all-miss
 //! stream —
@@ -63,8 +70,9 @@ const RANDOM_FLOWS: usize = 65_536;
 
 /// The deeper cacheable pipeline: same class as `l2_switch` (stateless,
 /// pure exact-match, counters only), three headers and three tables
-/// deep. Every parsed field below is covered by the cache key prefix
-/// (42 bytes — the parser's longest path), so memoizing on it is sound.
+/// deep. The cache keys on the fields the code reads — the destination
+/// MAC, the EtherType, the IPv4 protocol and destination and the UDP
+/// destination port — and nothing else of the 42-byte parsed prefix.
 const EXACT_ROUTER: &str = r#"
     const bit<16> TYPE_IPV4 = 0x800;
     const bit<8>  PROTO_UDP = 17;
@@ -213,10 +221,10 @@ fn l2_frame(dmac_low: u64) -> Vec<u8> {
         .build()
 }
 
-fn router_frame(dmac_low: u64, dst: Ipv4Address, dport: u16) -> Vec<u8> {
+fn router_frame(dmac_low: u64, dst: Ipv4Address, sport: u16, dport: u16) -> Vec<u8> {
     PacketBuilder::ethernet(EthernetAddress::new(2, 0, 0, 0, 0, 1), mac(dmac_low))
         .ipv4(Ipv4Address::new(10, 9, 0, 1), dst)
-        .udp(4000, dport)
+        .udp(sport, dport)
         .payload(b"flow-cache-bench")
         .build()
 }
@@ -246,15 +254,25 @@ fn l2_random() -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Frame `i` of the repeated router flows, from UDP source port `sport`.
+fn router_flow(i: usize, sport: u16) -> Vec<u8> {
+    let j = (i % FLOWS) as u64;
+    router_frame(
+        0x0200_0000_0020 + j,
+        Ipv4Address::new(10, 0, 0, j as u8),
+        sport,
+        4000 + j as u16,
+    )
+}
+
 fn router_repeated() -> Vec<Vec<u8>> {
-    (0..FLOWS as u64)
-        .map(|j| {
-            router_frame(
-                0x0200_0000_0020 + j,
-                Ipv4Address::new(10, 0, 0, j as u8),
-                4000 + j as u16,
-            )
-        })
+    (0..FLOWS).map(|i| router_flow(i, 4000)).collect()
+}
+
+/// The repeated flows, each frame from its own UDP source port.
+fn router_swept() -> Vec<Vec<u8>> {
+    (0..RANDOM_FLOWS)
+        .map(|i| router_flow(i, (i / FLOWS) as u16))
         .collect()
 }
 
@@ -267,6 +285,7 @@ fn router_random() -> Vec<Vec<u8>> {
             router_frame(
                 0x0200_0000_0020,
                 Ipv4Address::new(172, b[5], b[6], b[7]),
+                4000,
                 4000,
             )
         })
@@ -340,8 +359,12 @@ fn digest(dp: &mut Dataplane, frames: &[Vec<u8>]) -> u64 {
     h
 }
 
-/// One swept program: name, deploy-fn, repeated stream, random stream.
-type Workload = (&'static str, fn() -> Dataplane, Vec<Vec<u8>>, Vec<Vec<u8>>);
+/// One measured program: name, deploy-fn, and its named streams.
+type Workload = (
+    &'static str,
+    fn() -> Dataplane,
+    Vec<(&'static str, Vec<Vec<u8>>)>,
+);
 
 fn main() -> ExitCode {
     banner("flow_cache: memoized fast path, repeated vs uniform-random flows");
@@ -354,14 +377,27 @@ fn main() -> ExitCode {
     report.set("rounds", ROUNDS);
     report.set("cores", host_cores());
     let programs: [Workload; 2] = [
-        ("l2_switch", switch, l2_repeated(), l2_random()),
-        ("exact_router", router, router_repeated(), router_random()),
+        (
+            "l2_switch",
+            switch,
+            vec![("repeated", l2_repeated()), ("random", l2_random())],
+        ),
+        (
+            "exact_router",
+            router,
+            vec![
+                ("repeated", router_repeated()),
+                ("random", router_random()),
+                ("swept", router_swept()),
+            ],
+        ),
     ];
 
     let mut rates = std::collections::BTreeMap::new();
-    for (prog, build, repeated, random) in &programs {
+    let mut hit_ratios = std::collections::BTreeMap::new();
+    for (prog, build, streams) in &programs {
         for (mode_name, streamed) in [("untraced", false), ("streamed", true)] {
-            for (stream_name, frames) in [("repeated", repeated), ("random", random)] {
+            for (stream_name, frames) in streams {
                 for cache_on in [false, true] {
                     let mut dp = build();
                     dp.set_tracing(streamed);
@@ -373,21 +409,26 @@ fn main() -> ExitCode {
                         "invalidations" => stats.invalidations,
                         "occupancy" => stats.occupancy, "capacity" => stats.capacity]);
                     report.row(row!["program" => *prog, "mode" => mode_name,
-                        "stream" => stream_name, "cache" => cache_on, "pps" => dec(pps, 0),
+                        "stream" => *stream_name, "cache" => cache_on, "pps" => dec(pps, 0),
                         "cache_stats" => cache_stats]);
-                    rates.insert((*prog, mode_name, stream_name, cache_on), pps);
+                    rates.insert((*prog, mode_name, *stream_name, cache_on), pps);
+                    let probed = stats.hits + stats.misses + stats.skipped;
+                    hit_ratios.insert(
+                        (*prog, mode_name, *stream_name, cache_on),
+                        stats.hits as f64 / probed.max(1) as f64,
+                    );
                 }
             }
         }
     }
 
     // Parity witness: identical verdict digests with the cache on and
-    // off, on both streams of both programs (repeated exercises the
-    // hit-replay path, random the miss/filter path), traced and
-    // untraced.
-    for (prog, build, repeated, random) in &programs {
+    // off, on every stream of both programs (repeated exercises the
+    // hit-replay path, random the miss/filter path, swept hits that pass
+    // unkeyed bytes through), traced and untraced.
+    for (prog, build, streams) in &programs {
         for traced in [true, false] {
-            for (stream_name, frames) in [("repeated", repeated), ("random", random)] {
+            for (stream_name, frames) in streams {
                 let [d_on, d_off] = [true, false].map(|cache_on| {
                     let mut dp = build();
                     dp.set_tracing(traced);
@@ -413,6 +454,24 @@ fn main() -> ExitCode {
         "the flow cache gives >= 2x on exact_router's repeated flows (untraced)",
         rep_on / rep_off >= 2.0,
         format!("{rep_on:.0} vs {rep_off:.0} pps ({:.2}x)", rep_on / rep_off),
+    );
+    // The swept stream differs frame to frame only in bytes the program
+    // never reads, so it hits as the repeated one does.
+    let swept_on = rates[&("exact_router", "untraced", "swept", true)];
+    let swept_off = rates[&("exact_router", "untraced", "swept", false)];
+    let swept_hits = hit_ratios[&("exact_router", "untraced", "swept", true)];
+    report.gate(
+        "exact_router's UDP source-port sweep hits (hit ratio >= 0.99, untraced)",
+        swept_hits >= 0.99,
+        format!("{swept_hits:.4}"),
+    );
+    report.gate(
+        "the flow cache gives >= 2x on exact_router's UDP source-port sweep (untraced)",
+        swept_on / swept_off >= 2.0,
+        format!(
+            "{swept_on:.0} vs {swept_off:.0} pps ({:.2}x)",
+            swept_on / swept_off
+        ),
     );
     // The bound: on the all-miss stream the cache (dormant after 256
     // lookups, so a filtered miss per 16 packets) must add at most 40 ns

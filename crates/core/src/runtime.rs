@@ -118,7 +118,9 @@ pub struct RuntimeStats {
     /// Distinct virtual instants the loop emitted frames at. An instant
     /// a stream window boundary or a recovery splits counts once.
     pub instants: u64,
-    /// Packets emitted through the event loop.
+    /// Packets the event loop delivered to the sink, each once: a frame
+    /// a trip cut off before the device returned it counts when a
+    /// recovery re-drives it, not before.
     pub packets: u64,
     /// Coalesced dispatches into the device (each one batch-engine call
     /// chain via `inject_batch_at`). A dispatch closes when it holds
@@ -167,7 +169,7 @@ impl RuntimeStats {
         self.recoveries += other.recoveries;
     }
 
-    /// Mean frames per coalesced dispatch.
+    /// Mean delivered frames per coalesced dispatch.
     pub fn mean_batch(&self) -> f64 {
         if self.dispatches == 0 {
             0.0
@@ -382,8 +384,9 @@ pub struct DeviceFault {
     pub stage: String,
     /// Human-readable payload detail.
     pub detail: String,
-    /// Packets the device delivered before the trip (exact when the
-    /// locating replay ran; the dispatched count otherwise).
+    /// Packets the device delivered before the trip (replayed from the
+    /// checkpoint when the locating replay ran; the run's delivered count
+    /// otherwise).
     pub packets_delivered: u64,
     /// The single culprit frame, when the fault keyed on a frame.
     pub culprit: Option<CulpritFrame>,
@@ -518,7 +521,6 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
             return None;
         }
         stats.dispatches += 1;
-        stats.packets += pkts.len() as u64;
         stats.max_batch = stats.max_batch.max(pkts.len() as u64);
         let mut end = None;
         if let Mode::Locating(caught) = mode {
@@ -529,6 +531,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
                     device
                         .inject_batch_at(&pkts[i..=i], &dues[i..=i], |_, p| {
                             seen = true;
+                            stats.packets += 1;
                             sink.on_packet(flow, seq, p);
                         })
                         .expect("one frame, one due time");
@@ -560,6 +563,7 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
             device
                 .inject_batch_at(pkts, dues, |i, p| {
                     seen += 1;
+                    stats.packets += 1;
                     let (flow, _, seq) = labels[i];
                     sink.on_packet(flow, seq, p);
                 })
@@ -1012,8 +1016,8 @@ impl ContainedDrive {
     /// one past a culprit frame. `payload` is what the original attempt
     /// raised (`None` for a watchdog-detected stall) and speaks only when
     /// the replay catches nothing itself: without a checkpoint (a genuine
-    /// engine panic on an unarmed device; the dispatched count then stands
-    /// in for the delivered count), or when the replay runs clean because
+    /// engine panic on an unarmed device; the run's delivered count then
+    /// says how far it got), or when the replay runs clean because
     /// the panic came from the caller's sink, not the device.
     fn locate(
         &mut self,
@@ -1277,7 +1281,7 @@ impl FleetRuntime {
     /// deterministic cross-device ordering (task index is the device id).
     /// Each [`DeviceDone`] carries its own run's counters and trip
     /// records; the runtime keeps nothing between calls.
-    pub fn run<S>(&mut self, tasks: Vec<DeviceTask<S>>) -> Vec<DeviceDone<S>>
+    pub fn run<S>(&self, tasks: Vec<DeviceTask<S>>) -> Vec<DeviceDone<S>>
     where
         S: DeviceSink + Send,
     {

@@ -534,6 +534,9 @@ mod tests {
             .collect();
         assert_eq!(culprits, [("stream-1", 10), ("stream-2", 10)]);
         assert_eq!((report.runtime.faults, report.runtime.recoveries), (2, 2));
+        // Each frame counts once: the culprits as their skips, the frames
+        // a trip cut off as their re-drive.
+        assert_eq!(report.runtime.packets, 150);
         let counts: Vec<(u64, u64, u64)> = report
             .streams
             .iter()

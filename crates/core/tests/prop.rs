@@ -755,9 +755,9 @@ proptest! {
                 .collect()
         };
 
-        let mut rt = FleetRuntime::new(workers);
+        let rt = FleetRuntime::new(workers);
         let seeded = rt.run(build_tasks(true));
-        let mut rt_clean = FleetRuntime::new(workers);
+        let rt_clean = FleetRuntime::new(workers);
         let clean = rt_clean.run(build_tasks(false));
         let mut rt_zero = FleetRuntime::new(workers);
         rt_zero.set_recovery(Some(RecoveryPolicy {

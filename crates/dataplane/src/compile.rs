@@ -46,7 +46,7 @@
 //! to hardware: the fast data plane is itself a validated data plane.
 
 use crate::bits::FieldPlan;
-use crate::cache::MissRecord;
+use crate::cache::{CacheKey, MissRecord, READ, WRITTEN};
 use crate::externs::ExternState;
 use crate::interp::{Env, FLOOD_PORT};
 use crate::table::{Table, TableStats};
@@ -55,8 +55,8 @@ use crate::trace::{
 };
 use netdebug_p4::ast::{BinOp, UnOp};
 use netdebug_p4::ir::{
-    self, all_ones, truncate, IrExpr, IrPattern, IrStmt, IrTransition, LValue, Op, StdField,
-    TransTarget,
+    self, all_ones, truncate, Cacheability, IrExpr, IrPattern, IrStmt, IrTransition, LValue, Op,
+    ParserOp, StateId, StdField, TransTarget,
 };
 use netdebug_p4::walk::{eval_bin, eval_un, PARSER_STATE_BUDGET};
 use std::mem::{replace, take};
@@ -258,6 +258,105 @@ impl HeaderPlan {
     }
 }
 
+/// The flow-cache key of a [`Cacheability::Cacheable`] program.
+///
+/// An execution reads only the live fields of the headers it extracts,
+/// so the key is the union, over every parser path, of each extracted
+/// header's live fields at that path's offset, a byte at a time. The
+/// written fields are live too, and must be: a field one path writes and
+/// another passes through decides the egress bytes. Every byte no path
+/// writes leaves as it came in, at the same offset, as long as the
+/// deparse re-emits exactly the extracted headers, once each, in
+/// extraction order. A program that can move a header (any `setValid()`
+/// or `setInvalid()`, a header the deparse lists twice, a path whose
+/// deparse drops or reorders what it extracted) keys on the whole prefix
+/// the parser can consume instead, and passes nothing through.
+///
+/// The walk enters a state once per byte offset and deparse position of
+/// the header extracted last, whatever path led there, so its cost is
+/// bounded by states x prefix bytes x deparse entries, not by paths.
+fn cache_key(prog: &ir::Program, headers: &[HeaderPlan], code: &[OpCode]) -> Option<CacheKey> {
+    struct Walk<'a> {
+        prog: &'a ir::Program,
+        headers: &'a [HeaderPlan],
+        /// [`READ`] and [`WRITTEN`] per byte of the longest path.
+        flags: Vec<u8>,
+        whole: bool,
+        /// Whether `(state, at, last)` was entered, at
+        /// [`Walk::seen_at`]: what follows depends on nothing else.
+        seen: Vec<bool>,
+    }
+    impl Walk<'_> {
+        fn seen_at(&self, s: StateId, at: usize, last: Option<usize>) -> usize {
+            let lasts = self.prog.deparse.len() + 1;
+            (s * (self.flags.len() + 1) + at) * lasts + last.map_or(0, |p| p + 1)
+        }
+
+        /// Enter state `s` at byte `at`, the header extracted last sitting
+        /// at deparse position `last`.
+        fn enter(&mut self, s: StateId, mut at: usize, mut last: Option<usize>) {
+            // A dangling id (or an empty parser's start) rejects at runtime.
+            let Some(state) = self.prog.parser.states.get(s) else {
+                return;
+            };
+            let seen = self.seen_at(s, at, last);
+            if self.whole || replace(&mut self.seen[seen], true) {
+                return;
+            }
+            for op in &state.ops {
+                let ParserOp::Extract(h) = *op else { continue };
+                match self.prog.deparse.iter().position(|&d| d == h) {
+                    Some(p) if last < Some(p) => last = Some(p),
+                    _ => self.whole = true,
+                }
+                let (plan, fields) = (&self.headers[h], &self.prog.headers[h].fields);
+                for &f in &plan.live {
+                    let flag = if plan.written.contains(&f) {
+                        READ | WRITTEN
+                    } else {
+                        READ
+                    };
+                    let (off, width) = (fields[f].offset_bits as usize, fields[f].width_bits);
+                    let bytes = off / 8..(off + usize::from(width)).div_ceil(8);
+                    for byte in &mut self.flags[at + bytes.start..at + bytes.end] {
+                        *byte |= flag;
+                    }
+                }
+                at += plan.byte_width;
+            }
+            match &state.transition {
+                IrTransition::Accept | IrTransition::Reject => {}
+                IrTransition::Goto(t) => self.enter(*t, at, last),
+                IrTransition::Select { arms, default, .. } => {
+                    for target in arms.iter().map(|arm| &arm.target).chain([default]) {
+                        if let TransTarget::State(t) = *target {
+                            self.enter(t, at, last);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if prog.cacheability() != Cacheability::Cacheable {
+        return None;
+    }
+    let cap = usize::try_from(prog.parser_longest_path_bits()?.div_ceil(8)).ok()?;
+    let emitted_twice =
+        (0..prog.deparse.len()).any(|i| prog.deparse[..i].contains(&prog.deparse[i]));
+    let mut walk = Walk {
+        prog,
+        headers,
+        flags: vec![0; cap],
+        whole: emitted_twice || code.iter().any(|op| matches!(op, OpCode::SetValidHdr(..))),
+        seen: vec![false; prog.parser.states.len() * (cap + 1) * (prog.deparse.len() + 1)],
+    };
+    walk.enter(0, 0, None);
+    if walk.whole {
+        walk.flags.fill(READ | WRITTEN);
+    }
+    Some(CacheKey::new(&walk.flags))
+}
+
 /// An [`ir::Program`] lowered to the flat instruction array, plus the
 /// side tables the executor indexes: select dispatch, header plans,
 /// per-table default actions, action entry points and interned names.
@@ -272,6 +371,9 @@ pub struct CompiledProgram {
     pub(crate) deparse: Vec<u32>,
     /// Per-table default action id + bound args + declared key count.
     pub(crate) table_defaults: Vec<(u32, Vec<u128>)>,
+    /// What a flow-cache entry keys on ([`cache_key`]); `None` for an
+    /// [`Cacheability::Uncacheable`] program.
+    pub(crate) cache_key: Option<CacheKey>,
     /// Interned names (states, controls, tables, actions, headers),
     /// indexed by the corresponding IR id — the tables a `LazyTrace`
     /// resolves flat record ids against.
@@ -472,9 +574,11 @@ impl<'p> Compiler<'p> {
                     written: with(2),
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let cache_key = cache_key(prog, &headers, &self.code);
         let intern = |s: &str| -> TraceName { s.into() };
         CompiledProgram {
+            cache_key,
             code: self.code,
             action_pcs,
             selects: self.selects,

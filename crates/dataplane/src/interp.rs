@@ -53,7 +53,7 @@
 //! * no write to `egress_spec` — drop (`NoEgress`).
 
 use crate::bits::{read_bits, write_bits};
-use crate::cache::{CacheStats, FlowCache};
+use crate::cache::{CacheKey, CacheStats, FlowCache};
 use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane};
 use crate::externs::{ExternState, MeterConfig};
@@ -62,7 +62,7 @@ use crate::trace::{
     egress_buffer, DropReason, EgressFrame, LazyTrace, Recording, Trace, TraceBuf, TraceBytes,
     TraceSink, Verdict,
 };
-use netdebug_p4::ir::{self, truncate, Cacheability, StdField, TransTarget};
+use netdebug_p4::ir::{self, truncate, StdField, TransTarget};
 use netdebug_p4::walk::{self, Domain, End, Event, Place};
 use std::sync::{Arc, Mutex};
 
@@ -221,11 +221,6 @@ pub struct Dataplane {
     /// The epoch-keyed flow cache ([`crate::cache`]): present when the
     /// program is cacheable and caching is enabled.
     flow_cache: Option<FlowCache>,
-    /// Key-prefix bytes for this program's cache (None = program
-    /// classified [`Cacheability::Uncacheable`], cache impossible). A
-    /// `u32` keeps the field at 8 bytes, so the trace buffer's level flag
-    /// costs a data plane no size.
-    cache_key_cap: Option<u32>,
 }
 
 impl Clone for Dataplane {
@@ -250,11 +245,10 @@ impl Clone for Dataplane {
             // The clone caches independently (its table state may diverge
             // immediately); it starts cold with its own counters.
             flow_cache: if self.flow_cache.is_some() {
-                self.cache_key_cap.map(FlowCache::new)
+                self.compiled.cache_key.is_some().then(FlowCache::new)
             } else {
                 None
             },
-            cache_key_cap: self.cache_key_cap,
         }
     }
 }
@@ -325,15 +319,8 @@ impl Dataplane {
         let table_stats = vec![TableStats::default(); program.tables.len()];
         let compiled = Arc::new(CompiledProgram::compile(&program));
         let env_scratch = Env::new(&program);
-        let cache_key_cap = match program.cacheability() {
-            Cacheability::Cacheable => program
-                .parser_longest_path_bits()
-                .and_then(|bits| u32::try_from(bits.div_ceil(8)).ok()),
-            Cacheability::Uncacheable => None,
-        };
         Dataplane {
             program: Arc::new(program),
-            compiled,
             engine: Engine::Compiled,
             tables: Arc::new(Mutex::new(Arc::new(Tables {
                 generation: 1,
@@ -345,8 +332,8 @@ impl Dataplane {
             tracing: true,
             env_scratch,
             trace_buf: TraceBuf::default(),
-            flow_cache: cache_key_cap.map(FlowCache::new),
-            cache_key_cap,
+            flow_cache: compiled.cache_key.is_some().then(FlowCache::new),
+            compiled,
         }
     }
 
@@ -442,7 +429,7 @@ impl Dataplane {
     }
 
     /// Whether the flow cache is active (the program classified
-    /// [`Cacheability::Cacheable`] and caching has not been switched
+    /// [`ir::Cacheability::Cacheable`] and caching has not been switched
     /// off).
     pub fn flow_cache_enabled(&self) -> bool {
         self.flow_cache.is_some()
@@ -458,7 +445,7 @@ impl Dataplane {
         if !enabled {
             self.flow_cache = None;
         } else if self.flow_cache.is_none() {
-            self.flow_cache = self.cache_key_cap.map(FlowCache::new);
+            self.flow_cache = self.compiled.cache_key.is_some().then(FlowCache::new);
         }
     }
 
@@ -772,11 +759,15 @@ impl ExecCtx<'_> {
         level: Recording,
     ) -> (Verdict, TraceBytes<'t>) {
         let cache = cache.filter(|_| self.engine == Engine::Compiled);
-        let Some(cache) = cache.and_then(|c| c.probes().then_some(c)) else {
+        let Some((cache, key)) = cache
+            .and_then(|c| c.probes().then_some(c))
+            .zip(self.compiled.cache_key.as_ref())
+        else {
             let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, None);
             return (verdict, buf.bytes());
         };
-        if let Some((verdict, at)) = cache.lookup(port, data, level, self.table_stats, self.externs)
+        if let Some((verdict, at)) =
+            cache.lookup(key, port, data, level, self.table_stats, self.externs)
         {
             let trace = if level == Recording::Nothing {
                 TraceBytes::default()
@@ -785,7 +776,7 @@ impl ExecCtx<'_> {
             };
             return (verdict, trace);
         }
-        let verdict = self.run_miss(cache, port, data, now_cycles, env, buf, level);
+        let verdict = self.run_miss(cache, key, port, data, now_cycles, env, buf, level);
         (verdict, buf.bytes())
     }
 
@@ -796,6 +787,7 @@ impl ExecCtx<'_> {
     fn run_miss(
         &mut self,
         cache: &mut FlowCache,
+        key: &CacheKey,
         port: u16,
         data: &[u8],
         now_cycles: u64,
@@ -810,7 +802,7 @@ impl ExecCtx<'_> {
         let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, rec);
         if install {
             let trace = (level != Recording::Nothing).then(|| buf.bytes());
-            cache.commit(port, data, &verdict, trace);
+            cache.commit(key, port, data, &verdict, trace);
         }
         verdict
     }

@@ -1,5 +1,5 @@
 //! What a data plane's flow cache costs in memory, counted instead of
-//! timed: an empty cache is an index and a tag array (48 KiB), resident
+//! timed: an empty cache is an index and a tag array (24 KiB), resident
 //! bytes follow resident flows rather than the 4 096 logical slots, and a
 //! generation bump hands the dropped entries' buffers to the flows that
 //! come back. What deploying a router costs before its first route: no

@@ -1521,7 +1521,11 @@ proptest! {
     /// timestamps and both tracing modes. Uncacheable programs pass
     /// trivially (the cache never engages); cacheable ones replay. With
     /// `dormant`, one-off frames go first, so the stream meets a dormant
-    /// cache that skips 15 packets in 16.
+    /// cache that skips 15 packets in 16. With `sweep`, the stream's
+    /// packets differ in one byte, as a generator's sweep makes them:
+    /// where the program never reads that byte, its packets share a key,
+    /// so hits serve packets whose unkeyed bytes differ from the recorded
+    /// packet's.
     #[test]
     fn flow_cache_parity_across_corpus(
         prog_idx in 0usize..corpus::corpus().len(),
@@ -1531,6 +1535,7 @@ proptest! {
         now in any::<u32>(),
         tracing in any::<bool>(),
         dormant in any::<bool>(),
+        sweep in proptest::option::of(0usize..64),
     ) {
         let programs = corpus::corpus();
         let prog = &programs[prog_idx % programs.len()];
@@ -1544,13 +1549,19 @@ proptest! {
             dp.set_tracing(tracing);
         }
         prop_assert!(!uncached_dp.flow_cache_enabled());
-        let pkts: Vec<(u16, &[u8])> = picks
+        let frames: Vec<(u16, Vec<u8>)> = picks
             .iter()
-            .map(|ix| {
+            .enumerate()
+            .map(|(i, ix)| {
                 let (port, frame) = &pool[usize::from(*ix) % pool.len()];
-                (*port, frame.as_slice())
+                let mut frame = frame.clone();
+                if let Some(byte) = sweep.and_then(|at| frame.get_mut(at)) {
+                    *byte ^= i as u8;
+                }
+                (*port, frame)
             })
             .collect();
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|(port, f)| (*port, f.as_slice())).collect();
         if dormant {
             let prefix = one_off_frames(&pool[0].1);
             let prefix = as_batch(&prefix, pool[0].0);

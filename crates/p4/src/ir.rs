@@ -138,24 +138,24 @@ impl Program {
     /// cycle — consumption is then bounded only by the runtime parse
     /// budget, not by the graph. For acyclic parsers this bounds the frame
     /// prefix that can influence parsing, and with it the whole pipeline
-    /// of a [`Cacheability::Cacheable`] program: it is the flow cache's
-    /// key-prefix length.
+    /// of a [`Cacheability::Cacheable`] program: the flow cache keys on
+    /// bytes of this prefix.
     pub fn parser_longest_path_bits(&self) -> Option<u64> {
-        // Memoized DFS with an explicit on-stack color for cycle detection.
+        // Memoized DFS with an explicit on-stack mark for cycle detection.
         #[derive(Clone, Copy, PartialEq)]
-        enum Color {
+        enum Mark {
             White,
             OnStack,
-            Done,
+            Done(u64),
         }
-        fn cost(prog: &Program, s: StateId, colors: &mut [Color], memo: &mut [u64]) -> Option<u64> {
-            match colors.get(s).copied() {
+        fn cost(prog: &Program, s: StateId, marks: &mut [Mark]) -> Option<u64> {
+            match marks.get(s).copied() {
                 None => return Some(0), // dangling id: parser rejects at runtime
-                Some(Color::OnStack) => return None,
-                Some(Color::Done) => return Some(memo[s]),
-                Some(Color::White) => {}
+                Some(Mark::OnStack) => return None,
+                Some(Mark::Done(bits)) => return Some(bits),
+                Some(Mark::White) => {}
             }
-            colors[s] = Color::OnStack;
+            marks[s] = Mark::OnStack;
             let state = &prog.parser.states[s];
             let here: u64 = state
                 .ops
@@ -166,34 +166,24 @@ impl Program {
                 })
                 .sum();
             let mut onward = 0u64;
-            let mut targets: Vec<StateId> = Vec::new();
             match &state.transition {
                 IrTransition::Accept | IrTransition::Reject => {}
-                IrTransition::Goto(t) => targets.push(*t),
+                IrTransition::Goto(t) => onward = cost(prog, *t, marks)?,
                 IrTransition::Select { arms, default, .. } => {
-                    for arm in arms {
-                        if let TransTarget::State(t) = arm.target {
-                            targets.push(t);
+                    for target in arms.iter().map(|arm| &arm.target).chain([default]) {
+                        if let TransTarget::State(t) = *target {
+                            onward = onward.max(cost(prog, t, marks)?);
                         }
-                    }
-                    if let TransTarget::State(t) = default {
-                        targets.push(*t);
                     }
                 }
             }
-            for t in targets {
-                onward = onward.max(cost(prog, t, colors, memo)?);
-            }
-            colors[s] = Color::Done;
-            memo[s] = here + onward;
-            Some(memo[s])
+            marks[s] = Mark::Done(here + onward);
+            Some(here + onward)
         }
         if self.parser.states.is_empty() {
             return Some(0);
         }
-        let mut colors = vec![Color::White; self.parser.states.len()];
-        let mut memo = vec![0u64; self.parser.states.len()];
-        cost(self, 0, &mut colors, &mut memo)
+        cost(self, 0, &mut vec![Mark::White; self.parser.states.len()])
     }
 
     /// Walk every expression in the program — parser assignments and

@@ -27,7 +27,7 @@
 //!    epoch 17 of 24: `DifferentialFleet::bisect_churn` finds it in
 //!    ≤ 2 + ceil(log2(24)) fleet runs, against 25 for a linear scan.
 //! 5. **Publication-retry convergence** — a driver that dies on its
-//!    first k publication attempts, k = 1..3: `Device::install`'s bounded
+//!    first k publication attempts, k = 1..3: `Device::write`'s bounded
 //!    backoff (charged to the virtual clock) converges every time, to an
 //!    unfaulted twin's table epoch.
 //!
@@ -43,6 +43,7 @@ use netdebug::DifferentialFleet;
 use netdebug_bench::{
     banner, dec, routable_frame, router_device, router_flows, row, DigestSink, Report, Value,
 };
+use netdebug_dataplane::{lpm_pattern, TableEntry, Update};
 use netdebug_hw::{ArchLimits, Backend, BugSpec, Device, FaultSpec, SdnetProfile};
 use netdebug_p4::corpus;
 use netdebug_packet::Ipv4Address;
@@ -156,12 +157,12 @@ fn bisect_schedule() -> ChurnSchedule {
             BAD_EPOCH => (0x0A00_0000, 16, vec![0xBB, 2]),
             _ => (0x1400_0000 | (u128::from(w) << 16), 16, vec![0xCC, 3]),
         };
-        let op = ChurnOp::Lpm {
+        let op = ChurnOp::Install {
             table: "ipv4_lpm".into(),
-            prefix,
-            prefix_len,
+            patterns: vec![lpm_pattern(prefix, prefix_len, 32)],
             action: "ipv4_forward".into(),
             args,
+            priority: i32::from(prefix_len),
         };
         schedule = schedule.before_window(w, op);
     }
@@ -237,12 +238,12 @@ fn main() -> ExitCode {
     let mut recovery_flow = build_flows(1, RECOVERY_FRAMES, RECOVERY_GAP_CYCLES).remove(0);
     recovery_flow.triggers = vec![(
         PUB_TRIGGER_AT,
-        ChurnOp::Lpm {
+        ChurnOp::Install {
             table: "ipv4_lpm".into(),
-            prefix: 0x1400_0000,
-            prefix_len: 8,
+            patterns: vec![lpm_pattern(0x1400_0000, 8, 32)],
             action: "ipv4_forward".into(),
             args: vec![0xCC, 3],
+            priority: 8,
         },
     )];
     let policy = Some(RecoveryPolicy::default());
@@ -308,13 +309,15 @@ fn main() -> ExitCode {
         let clock_before = dev.now();
         for k in 0..4u8 {
             for d in [&mut twin, &mut dev] {
-                d.install_lpm(
+                d.write(&[Update::Insert(
                     "ipv4_lpm",
-                    0x1500_0000 + (u128::from(k) << 16),
-                    16,
-                    "ipv4_forward",
-                    vec![0xDD, u128::from(k % 4)],
-                )
+                    TableEntry::lpm(
+                        0x1500_0000 + (u128::from(k) << 16),
+                        16,
+                        "ipv4_forward",
+                        vec![0xDD, u128::from(k % 4)],
+                    ),
+                )])
                 .expect("twin installs cleanly, the armed device's retry must converge");
             }
         }

@@ -11,8 +11,10 @@
 use netdebug::generator::{Expectation, Generator, StreamSpec};
 use netdebug::runtime::{DeviceSink, FlowRun};
 use netdebug_dataplane::Dataplane;
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, Device, Outcome, Processed};
 use netdebug_p4::corpus;
+use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -54,8 +56,12 @@ pub fn template_for(size: usize) -> Vec<u8> {
 
 /// `ipv4_forward` with the one route every bench forwards on: 10/8 → port 1.
 pub fn router_dataplane() -> Dataplane {
-    let mut dp = Dataplane::new(netdebug_p4::compile(corpus::IPV4_FORWARD).expect("corpus"));
-    dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+    let dp = Dataplane::new(netdebug_p4::compile(corpus::IPV4_FORWARD).expect("corpus"));
+    dp.control_plane()
+        .write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
         .expect("install default route");
     dp
 }
@@ -63,8 +69,11 @@ pub fn router_dataplane() -> Dataplane {
 /// [`router_dataplane`] deployed on a board through `backend`.
 pub fn router_device(backend: &Backend) -> Device {
     let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).expect("deploy router");
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .expect("install default route");
+    dev.write(&[Update::Insert(
+        "ipv4_lpm",
+        TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+    )])
+    .expect("install default route");
     dev
 }
 
@@ -76,8 +85,14 @@ pub fn switch_dataplane(first_mac: u128, entries: usize) -> Dataplane {
     let mut dp = Dataplane::with_table_capacities(ir, &caps);
     for i in 0..entries {
         let port = (i % 4) as u128;
-        dp.install_exact("dmac", vec![first_mac + i as u128], "forward", vec![port])
-            .expect("capacity covers the sweep");
+        dp.install(
+            "dmac",
+            vec![IrPattern::Value(first_mac + i as u128)],
+            "forward",
+            vec![port],
+            0,
+        )
+        .expect("capacity covers the sweep");
     }
     dp
 }

@@ -3,7 +3,7 @@
 //! The paper's central scenario is a tester exercising a deployed data
 //! plane *while the control plane keeps installing rules* — routes
 //! arriving as traffic flows, policies swapping mid-test. With the
-//! epoch-snapshot tables each mutation publishes atomically between
+//! epoch-snapshot tables each publication lands atomically between
 //! batch windows (or even mid-window, through a detached
 //! `netdebug_hw::Device::control_plane` handle on another thread), so a
 //! churn-heavy workload stays on the batched path the whole way.
@@ -14,21 +14,17 @@
 //! fleet, applying the identical schedule to every member so their
 //! verdicts stay comparable window by window.
 //!
-//! Every scheduled publication also **updates the target table's lookup
-//! index** (exact hash / LPM length maps / tuple groups — see
-//! `netdebug_dataplane::LookupIndex`) by the one entry that changed: the
-//! cost is the change's, not the table's, and it lands on the
-//! control-plane side of the epoch. A window's batch pins its tables only
-//! while it runs, so the burst between two windows edits the snapshot in
-//! place; only a publication that lands mid-window, or on a table a
-//! checkpoint or a device clone pins, copies it once. Churned tables keep
-//! their O(1)/per-length/per-group applies on the packet path, and the
-//! in-flight window reads every table through the one cut it pinned, so
-//! it reads that cut's epochs whatever lands
+//! A window's ops publish as **one batch** through the device's driver,
+//! `netdebug_hw::Device::write`: installs and removals alike take the
+//! driver's bug transforms and publication faults, and each churned
+//! table advances one epoch per window. Each update maintains the
+//! table's lookup index by the one entry it changes, in place between
+//! windows (a window's packets pin their tables only while they run).
+//! The in-flight window reads the one cut it pinned, whatever lands
 //! meanwhile — engine and flow-cache parity under churn are
 //! property-tested against exactly this republication path.
 
-use netdebug_dataplane::ControlError;
+use netdebug_dataplane::{ControlError, TableEntry, Update};
 use netdebug_hw::Device;
 use netdebug_p4::ir::IrPattern;
 use serde::{Deserialize, Serialize};
@@ -70,34 +66,11 @@ impl From<ControlError> for ChurnError {
     }
 }
 
-/// One scripted control-plane mutation.
+/// One scripted control-plane mutation: one [`Update`] of the batch its
+/// window publishes (an LPM route is an `Install` of an `lpm_pattern`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ChurnOp {
-    /// Install an exact-match entry.
-    Exact {
-        /// Table name.
-        table: String,
-        /// One value per key.
-        keys: Vec<u128>,
-        /// Bound action.
-        action: String,
-        /// Action arguments.
-        args: Vec<u128>,
-    },
-    /// Install an LPM entry (priority = prefix length).
-    Lpm {
-        /// Table name.
-        table: String,
-        /// Prefix value.
-        prefix: u128,
-        /// Prefix length in bits.
-        prefix_len: u16,
-        /// Bound action.
-        action: String,
-        /// Action arguments.
-        args: Vec<u128>,
-    },
-    /// Install an arbitrary entry with an explicit priority.
+    /// Install an entry.
     Install {
         /// Table name.
         table: String,
@@ -110,7 +83,7 @@ pub enum ChurnOp {
         /// Priority (higher wins).
         priority: i32,
     },
-    /// Remove the entry with exactly these patterns and priority.
+    /// Remove the entry with exactly these patterns and priority, if any.
     Remove {
         /// Table name.
         table: String,
@@ -119,63 +92,38 @@ pub enum ChurnOp {
         /// Priority of the entry to remove.
         priority: i32,
     },
-    /// Remove every entry from a table.
-    Clear {
-        /// Table name.
-        table: String,
-    },
 }
 
 impl ChurnOp {
-    /// Apply this mutation to a device. Installs go through
-    /// [`Device::install`] and friends — the modeled vendor *driver*
-    /// path, so backend bug transforms such as priority inversion apply
-    /// to churned rules exactly as they would to pre-deployed ones, and
-    /// differential churn scenarios keep their bug-detection power.
-    /// Removals go through the raw epoch-publishing handle (no driver
-    /// bug is modeled for entry removal); a [`ChurnOp::Remove`] of an
-    /// absent entry is a no-op, matching idempotent re-play of a
-    /// schedule. Either way the mutation lands as an atomic epoch
-    /// publication.
-    pub fn apply(&self, device: &mut Device) -> Result<(), ControlError> {
+    /// The op as a [`Device::write`] update that borrows its fields.
+    pub(crate) fn update(&self) -> Update<'_> {
         match self {
-            ChurnOp::Exact {
-                table,
-                keys,
-                action,
-                args,
-            } => {
-                device.install_exact(table, keys.clone(), action, args.clone())?;
-            }
-            ChurnOp::Lpm {
-                table,
-                prefix,
-                prefix_len,
-                action,
-                args,
-            } => {
-                device.install_lpm(table, *prefix, *prefix_len, action, args.clone())?;
-            }
             ChurnOp::Install {
                 table,
                 patterns,
                 action,
                 args,
                 priority,
-            } => {
-                device.install(table, patterns.clone(), action, args.clone(), *priority)?;
-            }
+            } => Update::Insert(
+                table,
+                TableEntry::new(&patterns[..], action, &args[..], *priority),
+            ),
             ChurnOp::Remove {
                 table,
                 patterns,
                 priority,
-            } => {
-                device.control_plane().remove(table, patterns, *priority)?;
-            }
-            ChurnOp::Clear { table } => {
-                device.control_plane().clear(table)?;
-            }
+            } => Update::Delete(
+                table,
+                TableEntry::new(&patterns[..], "", Vec::new(), *priority),
+            ),
         }
+    }
+
+    /// Apply this op on its own: a one-update [`Device::write`] through
+    /// the modelled vendor *driver*, whose bug transforms and publication
+    /// faults apply to churned installs and removals alike.
+    pub fn apply(&self, device: &mut Device) -> Result<(), ControlError> {
+        device.write(&[self.update()])?;
         Ok(())
     }
 }
@@ -207,20 +155,24 @@ impl ChurnSchedule {
         self.ops.is_empty()
     }
 
-    /// Apply every op scheduled for `window`, in schedule order.
+    /// Publish every op scheduled for `window` as one [`Device::write`]
+    /// batch, in schedule order — the batch the runtime publishes before
+    /// that window. Returns how many ops it held.
     pub fn apply_for_window(
         &self,
         window: u64,
         device: &mut Device,
     ) -> Result<usize, ControlError> {
-        let mut applied = 0;
-        for (w, op) in &self.ops {
-            if *w == window {
-                op.apply(device)?;
-                applied += 1;
-            }
+        let batch: Vec<Update<'_>> = self
+            .ops
+            .iter()
+            .filter(|(w, _)| *w == window)
+            .map(|(_, op)| op.update())
+            .collect();
+        if !batch.is_empty() {
+            device.write(&batch)?;
         }
-        Ok(applied)
+        Ok(batch.len())
     }
 
     /// The schedule as seq-keyed [`crate::runtime::FlowRun::triggers`]
@@ -259,6 +211,7 @@ mod tests {
     use crate::fleet::DifferentialFleet;
     use crate::generator::{Expectation, StreamSpec};
     use crate::session::NetDebug;
+    use netdebug_dataplane::lpm_pattern;
     use netdebug_hw::Backend;
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -273,14 +226,28 @@ mod tests {
         .build()
     }
 
-    fn route_op() -> ChurnOp {
-        ChurnOp::Lpm {
+    /// Install the route `prefix/len` to `args` on `ipv4_lpm`.
+    fn route(prefix: u128, len: u16, args: [u128; 2]) -> ChurnOp {
+        ChurnOp::Install {
             table: "ipv4_lpm".into(),
-            prefix: 0x0A00_0000,
-            prefix_len: 8,
+            patterns: vec![lpm_pattern(prefix, len, 32)],
             action: "ipv4_forward".into(),
-            args: vec![0xAA, 1],
+            args: args.into(),
+            priority: len.into(),
         }
+    }
+
+    /// Withdraw the route `prefix/len` from `ipv4_lpm`.
+    fn withdraw(prefix: u128, len: u16) -> ChurnOp {
+        ChurnOp::Remove {
+            table: "ipv4_lpm".into(),
+            patterns: vec![lpm_pattern(prefix, len, 32)],
+            priority: len.into(),
+        }
+    }
+
+    fn route_op() -> ChurnOp {
+        route(0x0A00_0000, 8, [0xAA, 1])
     }
 
     #[test]
@@ -313,8 +280,8 @@ mod tests {
 
     #[test]
     fn churn_phases_follow_the_schedule() {
-        // Install, overlapping install, clear: each publication lands
-        // before its window and the run repeats exactly.
+        // Install, overlapping install, withdraw both: each window's
+        // batch lands before it and the run repeats exactly.
         let run = || {
             let mut nd = NetDebug::deploy(&Backend::reference(), corpus::IPV4_FORWARD).unwrap();
             let spec = StreamSpec::simple(
@@ -325,22 +292,9 @@ mod tests {
             );
             let schedule = ChurnSchedule::new()
                 .before_window(1, route_op())
-                .before_window(
-                    2,
-                    ChurnOp::Lpm {
-                        table: "ipv4_lpm".into(),
-                        prefix: 0x0A01_0000,
-                        prefix_len: 16,
-                        action: "ipv4_forward".into(),
-                        args: vec![0xBB, 2],
-                    },
-                )
-                .before_window(
-                    3,
-                    ChurnOp::Clear {
-                        table: "ipv4_lpm".into(),
-                    },
-                );
+                .before_window(2, route(0x0A01_0000, 16, [0xBB, 2]))
+                .before_window(3, withdraw(0x0A00_0000, 8))
+                .before_window(3, withdraw(0x0A01_0000, 16));
             nd.run_stream_churn(&spec, &schedule).unwrap();
             nd.checker().streams()[&1].clone()
         };
@@ -375,19 +329,24 @@ mod tests {
         assert_eq!(report.diverging_members(), vec!["sdnet-2018"]);
     }
 
-    #[test]
-    fn churned_installs_go_through_the_modeled_driver() {
-        // Churned rules arrive through the vendor driver stack, so driver
-        // bug transforms must apply to them: a priority-inverting backend
-        // diverges from the reference once churn installs overlapping
-        // routes (the broad /8 shadows the /16 on the buggy member).
+    /// A backend whose vendor driver inverts every priority it writes.
+    fn inverted_backend() -> Backend {
         use netdebug_hw::{ArchLimits, BugSpec, SdnetProfile};
-        let inverted = Backend::SdnetSim(SdnetProfile {
+        Backend::SdnetSim(SdnetProfile {
             name: "prio-inverted".into(),
             bugs: vec![BugSpec::PriorityInverted],
             limits: ArchLimits::UNLIMITED,
             faults: vec![],
-        });
+        })
+    }
+
+    #[test]
+    fn churned_updates_go_through_the_modeled_driver() {
+        // Churned installs and removals arrive through the vendor driver
+        // stack, so its bug transforms apply to both: a priority-inverting
+        // backend diverges from the reference exactly while churn leaves
+        // overlapping routes resident (the broad /8 shadows the /16 on
+        // the buggy member), and agrees again once the /8 is withdrawn.
         let mut fleet = DifferentialFleet::new()
             .with(
                 "reference",
@@ -395,39 +354,68 @@ mod tests {
             )
             .with(
                 "prio-inverted",
-                Device::deploy_source(&inverted, corpus::IPV4_FORWARD).unwrap(),
+                Device::deploy_source(&inverted_backend(), corpus::IPV4_FORWARD).unwrap(),
             );
         // Traffic to 10.1.2.3: window 0 installs the /8 (port 1), window 1
-        // the more-specific /16 (port 2). The reference switches to port 2
-        // in window 1; the inverted member keeps preferring the /8.
+        // the more-specific /16 (port 2), window 2 withdraws the /8. The
+        // reference switches to port 2 in window 1; the inverted member
+        // keeps preferring the /8 until its driver removes it.
         let spec = StreamSpec::simple(
             9,
             frame(Ipv4Address::new(10, 1, 2, 3)),
-            32,
+            48,
             Expectation::Any,
         );
         let schedule = ChurnSchedule::new()
             .before_window(0, route_op())
-            .before_window(
-                1,
-                ChurnOp::Lpm {
-                    table: "ipv4_lpm".into(),
-                    prefix: 0x0A01_0000,
-                    prefix_len: 16,
-                    action: "ipv4_forward".into(),
-                    args: vec![0xBB, 2],
-                },
-            );
+            .before_window(1, route(0x0A01_0000, 16, [0xBB, 2]))
+            .before_window(2, withdraw(0x0A00_0000, 8));
         let report = fleet.run_churn(&spec, &schedule, 16).unwrap();
         assert_eq!(
             report.diverging_members(),
             vec!["prio-inverted"],
             "driver-level priority inversion must stay detectable under churn"
         );
-        // Window 0 (single route) agrees; every window-1 packet diverges.
-        assert_eq!(report.agreements, 16);
+        // Windows 0 and 2 (one route resident) agree; every window-1
+        // packet diverges.
+        assert_eq!(report.agreements, 32);
         assert_eq!(report.divergences.len(), 16);
-        assert!(report.divergences.iter().all(|d| d.index >= 16));
+        assert!(report
+            .divergences
+            .iter()
+            .all(|d| (16..32).contains(&d.index)));
+    }
+
+    #[test]
+    fn an_inverted_driver_removes_the_route_it_installed() {
+        // The driver inverts a removal's priority as it inverted the
+        // install's, so the removal finds the entry: both backends go
+        // from one resident route to none.
+        for backend in [Backend::reference(), inverted_backend()] {
+            let mut dev = Device::deploy_source(&backend, corpus::IPV4_FORWARD).unwrap();
+            let cp = dev.control_plane();
+            route_op().apply(&mut dev).unwrap();
+            assert_eq!(cp.occupancy("ipv4_lpm").unwrap().0, 1);
+            withdraw(0x0A00_0000, 8).apply(&mut dev).unwrap();
+            assert_eq!(cp.occupancy("ipv4_lpm").unwrap().0, 0, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn a_window_publishes_as_one_batch() {
+        // Three ops before window 1 land as one generation bump, and the
+        // table they share advances one epoch.
+        let mut dev = Device::deploy_source(&Backend::reference(), corpus::IPV4_FORWARD).unwrap();
+        let cp = dev.control_plane();
+        let schedule = ChurnSchedule::new()
+            .before_window(1, route_op())
+            .before_window(1, route(0x0A01_0000, 16, [0xBB, 2]))
+            .before_window(1, withdraw(0x0A00_0000, 8));
+        let before = cp.epoch("ipv4_lpm").unwrap();
+        assert_eq!(schedule.apply_for_window(0, &mut dev), Ok(0));
+        assert_eq!(schedule.apply_for_window(1, &mut dev), Ok(3));
+        assert_eq!(cp.epoch("ipv4_lpm").unwrap(), before + 1);
+        assert_eq!(cp.occupancy("ipv4_lpm").unwrap().0, 1);
     }
 
     #[test]

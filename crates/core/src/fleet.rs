@@ -550,14 +550,18 @@ impl DifferentialFleet {
 mod tests {
     use super::*;
     use crate::generator::Expectation;
+    use netdebug_dataplane::{lpm_pattern, TableEntry, Update};
     use netdebug_hw::Backend;
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 
     fn router(backend: &Backend) -> Device {
         let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).unwrap();
-        dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            .unwrap();
+        dev.write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
+        .unwrap();
         dev
     }
 
@@ -627,8 +631,10 @@ mod tests {
         let spec = StreamSpec::simple(3, frame(5), 24, Expectation::Any);
         let schedule = crate::churn::ChurnSchedule::new().before_window(
             1,
-            crate::churn::ChurnOp::Clear {
+            crate::churn::ChurnOp::Remove {
                 table: "ipv4_lpm".into(),
+                patterns: vec![lpm_pattern(0x0A00_0000, 8, 32)],
+                priority: 8,
             },
         );
         let mut reference: Option<FleetReport> = None;
@@ -708,12 +714,12 @@ mod tests {
         let spec = StreamSpec::simple(1, frame(4), 16, Expectation::Any);
         let schedule = crate::churn::ChurnSchedule::new().before_window(
             1,
-            crate::churn::ChurnOp::Lpm {
+            crate::churn::ChurnOp::Install {
                 table: "ipv4_lpm".into(),
-                prefix: 0x1400_0000,
-                prefix_len: 8,
+                patterns: vec![lpm_pattern(0x1400_0000, 8, 32)],
                 action: "ipv4_forward".into(),
                 args: vec![0xCC, 3],
+                priority: 8,
             },
         );
         let report = fleet.run_churn(&spec, &schedule, 8).unwrap();
@@ -726,7 +732,7 @@ mod tests {
             trigger.contains("seq 8"),
             "window 1 starts at seq 8: {trigger}"
         );
-        assert!(trigger.contains("Lpm"), "{trigger}");
+        assert!(trigger.contains("Insert"), "{trigger}");
     }
 
     #[test]
@@ -740,12 +746,12 @@ mod tests {
         let spec = StreamSpec::simple(1, frame(4), 48, Expectation::Forward { port: Some(1) });
         let schedule = crate::churn::ChurnSchedule::new().before_window(
             1,
-            crate::churn::ChurnOp::Lpm {
+            crate::churn::ChurnOp::Install {
                 table: "ipv4_lpm".into(),
-                prefix: 0x1400_0000,
-                prefix_len: 8,
+                patterns: vec![lpm_pattern(0x1400_0000, 8, 32)],
                 action: "ipv4_forward".into(),
                 args: vec![0xCC, 3],
+                priority: 8,
             },
         );
         let mut fleet = DifferentialFleet::new();
@@ -883,29 +889,29 @@ mod tests {
         let mut schedule = crate::churn::ChurnSchedule::new();
         for w in 0..epochs {
             let op = if w == 0 {
-                crate::churn::ChurnOp::Lpm {
+                crate::churn::ChurnOp::Install {
                     table: "ipv4_lpm".into(),
-                    prefix: 0x0A00_0000,
-                    prefix_len: 8,
+                    patterns: vec![lpm_pattern(0x0A00_0000, 8, 32)],
                     action: "ipv4_forward".into(),
                     args: vec![0xAA, 1],
+                    priority: 8,
                 }
             } else if w == bad {
-                crate::churn::ChurnOp::Lpm {
+                crate::churn::ChurnOp::Install {
                     table: "ipv4_lpm".into(),
-                    prefix: 0x0A00_0000,
-                    prefix_len: 16,
+                    patterns: vec![lpm_pattern(0x0A00_0000, 16, 32)],
                     action: "ipv4_forward".into(),
                     args: vec![0xBB, 2],
+                    priority: 16,
                 }
             } else {
                 // 20.<w>.0.0/16: never matches the 10.0.0.9 traffic.
-                crate::churn::ChurnOp::Lpm {
+                crate::churn::ChurnOp::Install {
                     table: "ipv4_lpm".into(),
-                    prefix: 0x1400_0000 | (w as u128) << 16,
-                    prefix_len: 16,
+                    patterns: vec![lpm_pattern(0x1400_0000 | (w as u128) << 16, 16, 32)],
                     action: "ipv4_forward".into(),
                     args: vec![0xCC, 3],
+                    priority: 16,
                 }
             };
             schedule = schedule.before_window(w, op);

@@ -48,15 +48,15 @@
 //! ```
 //! use netdebug::generator::{Expectation, StreamSpec};
 //! use netdebug::session::NetDebug;
+//! use netdebug_dataplane::{TableEntry, Update};
 //! use netdebug_hw::Backend;
 //! use netdebug_p4::corpus;
 //! use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 //!
 //! // Deploy the paper's case-study router on the buggy SDNet model.
 //! let mut nd = NetDebug::deploy(&Backend::sdnet_2018(), corpus::IPV4_FORWARD).unwrap();
-//! nd.device_mut()
-//!     .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-//!     .unwrap();
+//! let route = TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]);
+//! nd.device_mut().write(&[Update::Insert("ipv4_lpm", route)]).unwrap();
 //!
 //! // Inject malformed packets that the P4 program must reject…
 //! let mut malformed = PacketBuilder::ethernet(

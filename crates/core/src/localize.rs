@@ -78,6 +78,7 @@ pub fn localize(device: &mut Device, as_port: u16, packet: &[u8]) -> Localizatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netdebug_dataplane::{TableEntry, Update};
     use netdebug_hw::Backend;
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -85,8 +86,11 @@ mod tests {
     fn router() -> Device {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(&Backend::reference(), &ir).unwrap();
-        dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            .unwrap();
+        dev.write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
+        .unwrap();
         dev
     }
 
@@ -142,8 +146,11 @@ mod tests {
         // reject.
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(&Backend::sdnet_2018(), &ir).unwrap();
-        dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            .unwrap();
+        dev.write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
+        .unwrap();
         let loc = localize(&mut dev, 0, &frame(5, Ipv4Address::new(10, 0, 0, 9)));
         assert!(loc.forwarded, "{loc}");
         assert_eq!(loc.deepest, "egress");

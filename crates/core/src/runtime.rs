@@ -32,14 +32,15 @@
 //!
 //! A [`FlowRun`] carries churn triggers keyed to sequence numbers: when
 //! the loop reaches trigger seq `s` it flushes every frame already
-//! emitted, applies the scheduled [`ChurnOp`]s (atomic epoch
-//! publications), and only then dispatches `s` — so churn epochs land at
+//! emitted, publishes the [`ChurnOp`]s scheduled at `s` as one batch
+//! through the device's driver (one atomic epoch), and only then
+//! dispatches `s` — so churn epochs land at
 //! scheduled virtual times across the whole fleet, identically on every
 //! member and at every worker count.
 
 use crate::churn::ChurnOp;
 use crate::generator::GeneratedPacket;
-use netdebug_dataplane::ControlError;
+use netdebug_dataplane::{ControlError, Update};
 use netdebug_hw::{Device, FaultPanic, Processed};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -286,7 +287,7 @@ impl Default for RecoveryPolicy {
 pub struct DeviceRecovery {
     /// What tripped, where, and the skipped culprit frame. A
     /// `"transient-publication"` recovery (publications
-    /// [`netdebug_hw::Device::install`] retried to convergence) names no
+    /// [`netdebug_hw::Device::write`] retried to convergence) names no
     /// culprit, and its `packets_delivered` is the run's whole count,
     /// since retries are tallied when the run ends.
     pub trip: DeviceFault,
@@ -598,36 +599,39 @@ impl<'a, 'f, S: DeviceSink + ?Sized> Drive<'a, 'f, S> {
         ControlFlow::Continue(())
     }
 
-    /// Publish the triggers of `flow` due at or before seq `s`, each
-    /// after flushing the frames emitted ahead of it. The locating replay
-    /// catches a device panic inside the op (e.g. a `FailPublication`
-    /// fault) so the publication that tripped can be named in the
-    /// [`DeviceFault`] record.
+    /// Publish the triggers of `flow` due at or before seq `s`, the ops of
+    /// one seq as one [`Device::write`] after flushing the frames ahead of
+    /// it. The locating replay catches a device panic inside the write
+    /// (e.g. a `FailPublication` fault) so the batch that tripped can be
+    /// named in the [`DeviceFault`] record.
     fn drain_triggers(
         &mut self,
         flow: &FlowRun,
         cursor: &mut FlowCursor,
         s: u64,
     ) -> ControlFlow<DriveExit> {
-        while cursor.trigger < flow.triggers.len() && flow.triggers[cursor.trigger].0 <= s {
-            let op = &flow.triggers[cursor.trigger].1;
-            cursor.trigger += 1;
+        while let Some(&(due, _)) = flow.triggers.get(cursor.trigger).filter(|t| t.0 <= s) {
+            let ops = flow.triggers[cursor.trigger..]
+                .iter()
+                .take_while(|t| t.0 == due);
+            let batch: Vec<Update<'_>> = ops.map(|(_, op)| op.update()).collect();
+            cursor.trigger += batch.len();
             self.flush(None)?;
             let applied = match &mut self.mode {
                 Mode::Locating(caught) => {
                     let device = &mut *self.device;
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        op.apply(device)
+                        device.write(&batch)
                     })) {
                         Ok(applied) => applied,
                         Err(payload) => {
-                            caught.trigger = Some(format!("flow {} seq {s}: {op:?}", flow.id));
+                            caught.trigger = Some(format!("flow {} seq {s}: {batch:?}", flow.id));
                             caught.payload = Some(payload);
                             return ControlFlow::Break(Ok(DriveEnd::Interrupted));
                         }
                     }
                 }
-                _ => op.apply(self.device),
+                _ => self.device.write(&batch),
             };
             if let Err(e) = applied {
                 return ControlFlow::Break(Err(e));
@@ -795,7 +799,7 @@ impl DriveReport {
 ///    device is re-checkpointed, and the drive resumes with a
 ///    [`DeviceRecovery`] logged.
 /// 3. **Quarantined** otherwise — out of budget, tripped *inside a churn
-///    publication* (the retry in [`netdebug_hw::Device::install`] is the
+///    publication* (the retry in [`netdebug_hw::Device::write`] is the
 ///    recovery path for those; skipping a publication would fork the
 ///    table state from the schedule), or not reproducible on replay (the
 ///    panic came from the caller's sink): the run ends with the
@@ -975,7 +979,7 @@ impl ContainedDrive {
     pub(crate) fn finish(mut self, device: &Device) -> DriveReport {
         // Publication retries are the device-level arm of the same
         // recovery machinery: a transient driver crash absorbed by
-        // [`netdebug_hw::Device::install`]'s bounded backoff converged to a
+        // [`netdebug_hw::Device::write`]'s bounded backoff converged to a
         // consistent snapshot instead of quarantining the device. Surface
         // the convergence as a recovery record so fleet reports account
         // for it.

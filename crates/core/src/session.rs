@@ -322,14 +322,18 @@ impl core::fmt::Display for SessionReport {
 mod tests {
     use super::*;
     use crate::generator::{Expectation, FieldSweep};
+    use netdebug_dataplane::{TableEntry, Update};
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 
     fn router_device(backend: &Backend) -> Device {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(backend, &ir).unwrap();
-        dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            .unwrap();
+        dev.write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
+        .unwrap();
         dev
     }
 

@@ -8,6 +8,7 @@
 //! installing entries until the device says "full" — which is how NetDebug
 //! exposes the silent `TableCapacityTruncated` defect.
 
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, Device};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -195,8 +196,9 @@ pub fn probe_table_capacity(backend: &Backend, declared: u64) -> (u64, u64) {
     let mut dev = Device::deploy_source(backend, &src).expect("capacity program compiles");
     let mut installed = 0u64;
     for key in 0..declared {
-        match dev.install_exact("cap", vec![key as u128], "fwd", vec![1]) {
-            Ok(()) => installed += 1,
+        let entry = TableEntry::exact([key as u128], "fwd", vec![1]);
+        match dev.write(&[Update::Insert("cap", entry)]) {
+            Ok(_) => installed += 1,
             Err(_) => break,
         }
     }

@@ -16,6 +16,7 @@ use crate::session::NetDebug;
 use crate::usecases::{
     architecture, comparison, compiler_check, functional, performance, resources, status,
 };
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, BugSpec, Device};
 use netdebug_p4::corpus;
 use netdebug_tester::{check_forwarding, ExternalView};
@@ -124,8 +125,8 @@ const SPEC_BUGGY: &str = r#"
 
 fn router_on(backend: &Backend) -> Device {
     let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).unwrap();
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    let route = TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]);
+    dev.write(&[Update::Insert("ipv4_lpm", route)]).unwrap();
     dev
 }
 

@@ -133,6 +133,7 @@ pub fn run(nd: &mut NetDebug, vectors: &[TestVector]) -> FunctionalReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netdebug_dataplane::{TableEntry, Update};
     use netdebug_hw::{Backend, Device};
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -173,8 +174,8 @@ mod tests {
 
     fn device(backend: &Backend) -> Device {
         let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).unwrap();
-        dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            .unwrap();
+        let route = TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]);
+        dev.write(&[Update::Insert("ipv4_lpm", route)]).unwrap();
         dev
     }
 

@@ -3,8 +3,10 @@
 
 use netdebug::generator::{find_test_header, Expectation, FieldSweep, StreamSpec};
 use netdebug::session::NetDebug;
+use netdebug_dataplane::{lpm_pattern, TableEntry, Update};
 use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
+use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, PacketBuilder, TestHeader, TEST_HEADER_LEN};
 use proptest::prelude::*;
 
@@ -198,7 +200,7 @@ proptest! {
     /// obligation the dataplane proptests pin packet by packet.
     #[test]
     fn churned_streams_identical_across_engines(
-        raw_ops in proptest::collection::vec((0u64..3, 0u8..3, 0u8..4), 0..10),
+        raw_ops in proptest::collection::vec((0u64..3, 0u8..2, 0u8..4), 0..10),
         dst in 0u8..4,
     ) {
         use netdebug::churn::{ChurnOp, ChurnSchedule};
@@ -207,18 +209,12 @@ proptest! {
         for &(window, op_sel, mac) in &raw_ops {
             let key = 0x0200_0000_0000u128 + u128::from(mac);
             let op = match op_sel {
-                0 => ChurnOp::Exact {
-                    table: "dmac".into(),
-                    keys: vec![key],
-                    action: "forward".into(),
-                    args: vec![u128::from(mac % 4)],
-                },
-                1 => ChurnOp::Remove {
+                0 => ChurnOp::Install { table: "dmac".into(), patterns: vec![IrPattern::Value(key)], action: "forward".into(), args: vec![u128::from(mac % 4)], priority: 0 },
+                _ => ChurnOp::Remove {
                     table: "dmac".into(),
                     patterns: vec![netdebug_p4::ir::IrPattern::Value(key)],
                     priority: 0,
                 },
-                _ => ChurnOp::Clear { table: "dmac".into() },
             };
             schedule = schedule.before_window(window, op);
         }
@@ -257,7 +253,7 @@ proptest! {
     /// republication boundary.
     #[test]
     fn churned_streams_identical_with_flow_cache(
-        raw_ops in proptest::collection::vec((0u64..3, 0u8..3, 0u8..4), 0..10),
+        raw_ops in proptest::collection::vec((0u64..3, 0u8..2, 0u8..4), 0..10),
         dst in 0u8..4,
     ) {
         use netdebug::churn::{ChurnOp, ChurnSchedule};
@@ -266,18 +262,12 @@ proptest! {
         for &(window, op_sel, mac) in &raw_ops {
             let key = 0x0200_0000_0000u128 + u128::from(mac);
             let op = match op_sel {
-                0 => ChurnOp::Exact {
-                    table: "dmac".into(),
-                    keys: vec![key],
-                    action: "forward".into(),
-                    args: vec![u128::from(mac % 4)],
-                },
-                1 => ChurnOp::Remove {
+                0 => ChurnOp::Install { table: "dmac".into(), patterns: vec![IrPattern::Value(key)], action: "forward".into(), args: vec![u128::from(mac % 4)], priority: 0 },
+                _ => ChurnOp::Remove {
                     table: "dmac".into(),
                     patterns: vec![netdebug_p4::ir::IrPattern::Value(key)],
                     priority: 0,
                 },
-                _ => ChurnOp::Clear { table: "dmac".into() },
             };
             schedule = schedule.before_window(window, op);
         }
@@ -320,8 +310,11 @@ proptest! {
 
 fn router(backend: &Backend) -> Device {
     let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).unwrap();
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    dev.write(&[Update::Insert(
+        "ipv4_lpm",
+        TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+    )])
+    .unwrap();
     dev
 }
 
@@ -363,21 +356,13 @@ proptest! {
         let mut schedule = ChurnSchedule::new();
         for &(w, op_sel, octet) in &raw_ops {
             let op = match op_sel {
-                0 => ChurnOp::Lpm {
+                0 => ChurnOp::Install { table: "ipv4_lpm".into(), patterns: vec![lpm_pattern(0x0A00_0000 + (u128::from(octet) << 8), 24, 32)], action: "ipv4_forward".into(), args: vec![0xBB, u128::from(octet % 4)], priority: 24 },
+                1 => ChurnOp::Remove {
                     table: "ipv4_lpm".into(),
-                    prefix: 0x0A00_0000 + (u128::from(octet) << 8),
-                    prefix_len: 24,
-                    action: "ipv4_forward".into(),
-                    args: vec![0xBB, u128::from(octet % 4)],
+                    patterns: vec![lpm_pattern(0x0A00_0000, 8, 32)],
+                    priority: 8,
                 },
-                1 => ChurnOp::Clear { table: "ipv4_lpm".into() },
-                _ => ChurnOp::Lpm {
-                    table: "ipv4_lpm".into(),
-                    prefix: 0x0A00_0000,
-                    prefix_len: 8,
-                    action: "ipv4_forward".into(),
-                    args: vec![0xAA, 1],
-                },
+                _ => ChurnOp::Install { table: "ipv4_lpm".into(), patterns: vec![lpm_pattern(0x0A00_0000, 8, 32)], action: "ipv4_forward".into(), args: vec![0xAA, 1], priority: 8 },
             };
             schedule = schedule.before_window(w % windows_total, op);
         }
@@ -823,7 +808,7 @@ proptest! {
     fn windowed_session_equals_one_prebuilt_drive(
         count in 0u64..=1100,
         paced in any::<bool>(),
-        raw_ops in proptest::collection::vec((0u64..5, 0u8..3), 0..4),
+        raw_ops in proptest::collection::vec((0u64..5, 0u8..2), 0..4),
         reject in proptest::option::of(0u64..5),
         raw_faults in proptest::collection::vec((any::<bool>(), 0u64..1100), 0..3),
         policy_sel in 0u8..5,
@@ -842,23 +827,21 @@ proptest! {
         if windows > 0 {
             for &(w, op) in &raw_ops {
                 let op = match op {
-                    0 => ChurnOp::Exact {
-                        table: "dmac".into(),
-                        keys: vec![key],
-                        action: "forward".into(),
-                        args: vec![u128::from(w % 4)],
-                    },
-                    1 => ChurnOp::Remove {
+                    0 => ChurnOp::Install { table: "dmac".into(), patterns: vec![IrPattern::Value(key)], action: "forward".into(), args: vec![u128::from(w % 4)], priority: 0 },
+                    _ => ChurnOp::Remove {
                         table: "dmac".into(),
                         patterns: vec![netdebug_p4::ir::IrPattern::Value(key)],
                         priority: 0,
                     },
-                    _ => ChurnOp::Clear { table: "dmac".into() },
                 };
                 schedule = schedule.before_window(w % windows, op);
             }
             if let Some(w) = reject {
-                let op = ChurnOp::Clear { table: "no_such_table".into() };
+                let op = ChurnOp::Remove {
+                    table: "no_such_table".into(),
+                    patterns: vec![netdebug_p4::ir::IrPattern::Value(key)],
+                    priority: 0,
+                };
                 schedule = schedule.before_window(w % windows, op);
             }
         }
@@ -871,7 +854,7 @@ proptest! {
         };
         let device = || {
             let mut dev = Device::deploy_source(&Backend::reference(), corpus::L2_SWITCH).unwrap();
-            dev.install_exact("dmac", vec![key], "forward", vec![1]).unwrap();
+            dev.install("dmac", vec![IrPattern::Value(key)], "forward", vec![1], 0).unwrap();
             for &(stall, at) in &raw_faults {
                 let at = at % count.max(1);
                 dev.arm_fault(if stall {

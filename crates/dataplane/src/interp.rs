@@ -55,7 +55,7 @@
 use crate::bits::{read_bits, write_bits};
 use crate::cache::{CacheKey, CacheStats, FlowCache};
 use crate::compile::{self, CompiledProgram};
-use crate::control::{ControlError, ControlPlane};
+use crate::control::{ControlError, ControlPlane, TableEntry, Update};
 use crate::externs::{ExternState, MeterConfig};
 use crate::table::{Table, TableStats, Tables};
 use crate::trace::{
@@ -275,7 +275,11 @@ impl DataplaneCheckpoint {
     /// The table epochs this checkpoint pinned, in table-declaration
     /// order.
     pub fn epochs(&self) -> Vec<u64> {
-        self.tables.epochs()
+        self.tables
+            .tables
+            .iter()
+            .map(|t| t.snapshot.epoch())
+            .collect()
     }
 }
 
@@ -355,11 +359,9 @@ impl Dataplane {
     }
 
     /// A detached control-plane handle: clone it onto any thread and
-    /// install/remove/clear entries **while batches run**; every mutation
-    /// publishes a new table epoch under the data plane's one publication
-    /// lock, and the in-flight batch keeps the tables it pinned. Priority semantics are the data plane's
-    /// own (hardware-bug transforms such as priority inversion live in
-    /// `netdebug-hw`'s `Device::install`, not here).
+    /// write entries **while batches run**, each write one epoch; the
+    /// in-flight batch keeps the tables it pinned. Hardware-bug transforms
+    /// live in `netdebug-hw`'s driver, `Device::write`, not here.
     pub fn control_plane(&self) -> ControlPlane {
         ControlPlane::new(Arc::clone(&self.program), Arc::clone(&self.tables))
     }
@@ -480,9 +482,8 @@ impl Dataplane {
             .ok_or_else(|| ControlError::NoSuchExtern(name.to_string()))
     }
 
-    /// Install an arbitrary entry (publishes a new table epoch; see
-    /// [`Dataplane::control_plane`] for the detached, mid-batch-capable
-    /// handle these methods delegate to).
+    /// Install an entry: the one-insert view of [`ControlPlane::write`],
+    /// moving the pattern and argument lists into the table uncopied.
     pub fn install(
         &mut self,
         table: &str,
@@ -491,36 +492,9 @@ impl Dataplane {
         args: Vec<u128>,
         priority: i32,
     ) -> Result<(), ControlError> {
+        let entry = TableEntry::new(patterns, action, args, priority);
         self.control_plane()
-            .install(table, patterns, action, args, priority)?;
-        Ok(())
-    }
-
-    /// Install an exact-match entry (one value per key).
-    pub fn install_exact(
-        &mut self,
-        table: &str,
-        keys: Vec<u128>,
-        action: &str,
-        args: Vec<u128>,
-    ) -> Result<(), ControlError> {
-        self.control_plane()
-            .install_exact(table, keys, action, args)?;
-        Ok(())
-    }
-
-    /// Install an LPM entry on a single-key LPM table (priority = prefix
-    /// length, so longest prefix wins).
-    pub fn install_lpm(
-        &mut self,
-        table: &str,
-        prefix: u128,
-        prefix_len: u16,
-        action: &str,
-        args: Vec<u128>,
-    ) -> Result<(), ControlError> {
-        self.control_plane()
-            .install_lpm(table, prefix, prefix_len, action, args)?;
+            .commit(&mut [Update::Insert(table, entry)])?;
         Ok(())
     }
 

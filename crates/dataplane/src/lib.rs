@@ -45,13 +45,12 @@ pub mod trace;
 
 pub use cache::CacheStats;
 pub use compile::CompiledProgram;
-pub use control::{ControlError, ControlPlane};
+pub use control::{ControlError, ControlPlane, TableEntry, Update};
 pub use disasm::Disassembly;
 pub use externs::MeterConfig;
 pub use interp::{Dataplane, DataplaneCheckpoint, Engine, FLOOD_PORT};
 pub use table::{
-    lpm_pattern, EntryRef, EntrySnapshot, LookupIndex, RuntimeEntry, TableError, TableState,
-    TableStats,
+    lpm_pattern, EntrySnapshot, LookupIndex, RuntimeEntry, TableError, TableState, TableStats,
 };
 pub use trace::{
     DropReason, EgressFrame, LazyTrace, NullSink, Stage, Trace, TraceEvent, TraceName, TraceSink,
@@ -62,6 +61,7 @@ pub use trace::{
 mod tests {
     use super::*;
     use netdebug_p4::corpus;
+    use netdebug_p4::ir::IrPattern;
     use netdebug_packet::tcp::TcpFlags;
     use netdebug_packet::*;
 
@@ -84,11 +84,19 @@ mod tests {
 
     fn router() -> Dataplane {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-        let mut dp = Dataplane::new(ir);
+        let dp = Dataplane::new(ir);
         // 10.0.0.0/8 -> port 1, 10.1.0.0/16 -> port 2.
-        dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+            )])
             .unwrap();
-        dp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]),
+            )])
             .unwrap();
         dp
     }
@@ -99,14 +107,20 @@ mod tests {
         let cp = dp.control_plane();
         let before = cp.epoch("ipv4_lpm").unwrap();
         assert_eq!(
-            cp.install_lpm("ipv4_lpm", 0x0A01_0203, 33, "ipv4_forward", vec![0xCC, 3]),
+            cp.write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A01_0203, 33, "ipv4_forward", vec![0xCC, 3])
+            )]),
             Err(ControlError::Table(TableError::BadPattern))
         );
         assert_eq!(cp.epoch("ipv4_lpm").unwrap(), before);
         assert_eq!(cp.occupancy("ipv4_lpm").unwrap().0, 2);
         // A /32 is the longest a 32-bit key takes.
-        cp.install_lpm("ipv4_lpm", 0x0A01_0203, 32, "ipv4_forward", vec![0xCC, 3])
-            .unwrap();
+        cp.write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A01_0203, 32, "ipv4_forward", vec![0xCC, 3]),
+        )])
+        .unwrap();
     }
 
     #[test]
@@ -205,8 +219,14 @@ mod tests {
                 .iter()
                 .fold(0u128, |acc, b| (acc << 8) | u128::from(*b))
         };
-        dp.install_exact("dmac", vec![mac_as_u128(&d)], "forward", vec![3])
-            .unwrap();
+        dp.install(
+            "dmac",
+            vec![IrPattern::Value(mac_as_u128(&d))],
+            "forward",
+            vec![3],
+            0,
+        )
+        .unwrap();
         let frame = PacketBuilder::ethernet(s, d).payload(b"k").build();
         let (v, _) = dp.process(0, &frame, 0);
         assert!(matches!(v, Verdict::Forward { port: 3, .. }));
@@ -332,7 +352,7 @@ mod tests {
     fn flow_counter_accumulates_bytes() {
         let ir = netdebug_p4::compile(corpus::FLOW_COUNTER).unwrap();
         let mut dp = Dataplane::new(ir);
-        dp.install_exact("fwd", vec![0], "forward", vec![1])
+        dp.install("fwd", vec![IrPattern::Value(0)], "forward", vec![1], 0)
             .unwrap();
         let (s, d) = macs();
         let frame = PacketBuilder::ethernet(s, d).payload(&[0u8; 50]).build();
@@ -349,7 +369,7 @@ mod tests {
     fn rate_limiter_drops_red() {
         let ir = netdebug_p4::compile(corpus::RATE_LIMITER).unwrap();
         let mut dp = Dataplane::new(ir);
-        dp.install_exact("fwd", vec![0], "forward", vec![1])
+        dp.install("fwd", vec![IrPattern::Value(0)], "forward", vec![1], 0)
             .unwrap();
         dp.configure_meter(
             "port_meter",
@@ -381,7 +401,11 @@ mod tests {
     fn tunnel_encap_grows_packet() {
         let ir = netdebug_p4::compile(corpus::TUNNEL_ENCAP).unwrap();
         let mut dp = Dataplane::new(ir);
-        dp.install_lpm("tunnel_fwd", 0x0A00_0000, 8, "encap", vec![7, 3])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "tunnel_fwd",
+                TableEntry::lpm(0x0A00_0000, 8, "encap", vec![7, 3]),
+            )])
             .unwrap();
         let (s, d) = macs();
         let frame = PacketBuilder::ethernet(s, d)
@@ -407,14 +431,26 @@ mod tests {
     #[test]
     fn a_clone_and_its_original_publish_apart() {
         let ir = netdebug_p4::compile(corpus::TUNNEL_ENCAP).unwrap();
-        let mut dp = Dataplane::new(ir);
-        dp.install_lpm("tunnel_fwd", 0x0A00_0000, 8, "encap", vec![7, 3])
+        let dp = Dataplane::new(ir);
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "tunnel_fwd",
+                TableEntry::lpm(0x0A00_0000, 8, "encap", vec![7, 3]),
+            )])
             .unwrap();
-        let mut clone = dp.clone();
+        let clone = dp.clone();
         clone
-            .install_lpm("tunnel_fwd", 0x0B00_0000, 8, "encap", vec![8, 2])
+            .control_plane()
+            .write(&[Update::Insert(
+                "tunnel_fwd",
+                TableEntry::lpm(0x0B00_0000, 8, "encap", vec![8, 2]),
+            )])
             .unwrap();
-        dp.install_lpm("tunnel_term", 0x0C00_0000, 8, "decap", vec![1])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "tunnel_term",
+                TableEntry::lpm(0x0C00_0000, 8, "decap", vec![1]),
+            )])
             .unwrap();
         assert_eq!(dp.table_stats("tunnel_fwd").unwrap().2, 1);
         assert_eq!(clone.table_stats("tunnel_fwd").unwrap().2, 2);
@@ -476,13 +512,25 @@ mod tests {
     #[test]
     fn table_capacity_override() {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-        let mut dp = Dataplane::with_table_capacities(ir, &[2]);
-        dp.install_lpm("ipv4_lpm", 0x0A000000, 8, "drop", vec![])
+        let dp = Dataplane::with_table_capacities(ir, &[2]);
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A000000, 8, "drop", vec![]),
+            )])
             .unwrap();
-        dp.install_lpm("ipv4_lpm", 0x0B000000, 8, "drop", vec![])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0B000000, 8, "drop", vec![]),
+            )])
             .unwrap();
         let err = dp
-            .install_lpm("ipv4_lpm", 0x0C000000, 8, "drop", vec![])
+            .control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0C000000, 8, "drop", vec![]),
+            )])
             .unwrap_err();
         assert!(matches!(
             err,
@@ -498,7 +546,7 @@ mod tests {
             let ir = netdebug_p4::compile(corpus::FEATURE_MANY_TABLES).unwrap();
             let mut dp = Dataplane::with_table_capacities(ir, &[1]);
             dp.set_engine(engine);
-            dp.install_exact("t11", vec![7], "NoAction", vec![])
+            dp.install("t11", vec![IrPattern::Value(7)], "NoAction", vec![], 0)
                 .unwrap();
             // Eleven default `bump`s, then t11 hits `NoAction`.
             let (v, _) = dp.process(0, &[7], 0);
@@ -574,7 +622,7 @@ mod tests {
         let ir = netdebug_p4::compile(corpus::REFLECTOR).unwrap();
         let mut dp = Dataplane::new(ir);
         assert!(matches!(
-            dp.install_exact("nope", vec![1], "x", vec![]),
+            dp.install("nope", vec![IrPattern::Value(1)], "x", vec![], 0),
             Err(ControlError::NoSuchTable(_))
         ));
         assert!(dp.counter("nope", 0).is_err());

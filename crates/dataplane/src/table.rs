@@ -16,7 +16,7 @@
 //! for anything it cannot prove equivalent.
 //!
 //! **Single-key LPM tables: a hash per prefix length behind a length
-//! filter.** An `install_lpm` entry is a prefix whose priority is its
+//! filter.** An LPM entry (`TableEntry::lpm`) is a prefix whose priority is its
 //! length, so the longest matching prefix is the scan's first match.
 //! [`LpmIndex`] keeps one hash map per length and, per value of the key's
 //! top octet, a bitmap of the lengths some resident prefix under that
@@ -377,7 +377,7 @@ const FILTER_BITS: u32 = 8;
 /// and a filter that names the lengths able to match a key before any
 /// map is probed.
 ///
-/// **Contract.** Every entry is in `install_lpm` shape: one `Mask`
+/// **Contract.** Every entry is in LPM shape: one `Mask`
 /// pattern whose mask is the `W`-bit prefix mask of the length its
 /// priority gives, or `Any` at priority 0 (`W` is the key's declared
 /// width, at most 128). Priority order is then length order, and two
@@ -463,7 +463,7 @@ impl LpmIndex {
     }
 
     /// The prefix — length and masked value — an entry of these patterns
-    /// at this priority is, or `None` outside the `install_lpm` shape.
+    /// at this priority is, or `None` outside the LPM shape.
     fn prefix(&self, patterns: &[IrPattern], priority: i32) -> Option<(u32, u128)> {
         let len = u32::try_from(priority)
             .ok()
@@ -506,7 +506,7 @@ impl LpmIndex {
             .get(&key)
     }
 
-    /// Index one entry; `false` if it is not in `install_lpm` shape.
+    /// Index one entry; `false` if it is not in LPM shape.
     fn insert(&mut self, entry: &Arc<RuntimeEntry>) -> bool {
         let Some((len, key)) = self.prefix(&entry.patterns, entry.priority) else {
             return false;
@@ -837,7 +837,7 @@ impl TupleGroup {
 pub enum LookupIndex {
     /// Single exact key: one hash probe on the key value.
     ExactOne(FxMap<u128>),
-    /// Single-key LPM table of `install_lpm`-shaped entries: one hash
+    /// Single-key LPM table of LPM-shaped entries: one hash
     /// map per prefix length, probed longest first but only at the
     /// lengths the key's top-octet filter names (see [`LpmIndex`]).
     Lpm(LpmIndex),
@@ -883,7 +883,7 @@ impl LookupIndex {
     /// Account for one entry joining the sorted list (behind every
     /// resident entry of equal or higher priority). An entry the
     /// structure cannot represent — a range pattern in a tuple-space
-    /// table, anything but an `install_lpm` prefix in an LPM one, an
+    /// table, anything but an LPM prefix in an LPM one, an
     /// unvalidated const entry in an exact one — demotes the index to
     /// the scan.
     fn insert(&mut self, entry: &Arc<RuntimeEntry>) {
@@ -1201,10 +1201,10 @@ fn first_match<'a>(slots: &'a [Slot], keys: &[u128]) -> Option<&'a Arc<RuntimeEn
 /// One table's published state: the current [`EntrySnapshot`], the
 /// configured capacity, and what shapes the snapshot's [`LookupIndex`].
 ///
-/// The one edit path: [`Table::install`], [`Table::remove`] and
-/// [`Table::clear`] validate, then edit the snapshot through
-/// [`Arc::make_mut`] — in place while nobody else holds it, on a copy
-/// otherwise. Whoever owns the `Table` decides who may hold its snapshot:
+/// The one edit path: [`Table::insert`], [`Table::delete`] and
+/// [`Table::clear`] edit the snapshot through [`Arc::make_mut`] (in place
+/// while nobody else holds it) as part of a numbered publication, which
+/// advances the epoch once. Whoever owns the `Table` decides who may hold its snapshot:
 /// a data plane's [`Tables`] cell or a [`TableState`].
 #[derive(Debug, Clone)]
 pub(crate) struct Table {
@@ -1212,6 +1212,8 @@ pub(crate) struct Table {
     pub(crate) snapshot: Arc<EntrySnapshot>,
     /// Capacity from the IR (may be further limited by a backend).
     pub(crate) capacity: u64,
+    /// The number of the last publication that changed this table.
+    pub(crate) published_at: u64,
     /// Declared key signature: picks the [`LookupIndex`] structure.
     signature: KeySignature,
     /// Declared key count (the tuple length of a tuple-space index).
@@ -1233,37 +1235,39 @@ impl Table {
         Table {
             snapshot: Arc::new(EntrySnapshot::publish(0, entries, signature, key_count)),
             capacity,
+            published_at: 0,
             signature,
             key_count,
         }
     }
 
-    /// Install an entry, validating against the table's IR declaration,
-    /// and publish the successor snapshot. Returns the new epoch. A
-    /// rejected entry publishes nothing and copies nothing.
-    pub(crate) fn install(
-        &mut self,
+    /// Check an entry's shape against the table's IR declaration (room
+    /// for it is [`Table::insert`]'s to check).
+    #[inline]
+    pub(crate) fn admit(
         table: &ir::TableIr,
         actions: &[ir::ActionIr],
-        entry: RuntimeEntry,
-    ) -> Result<u64, TableError> {
-        if entry.patterns.len() != table.keys.len() {
+        patterns: &[IrPattern],
+        action: ir::ActionId,
+        args: usize,
+    ) -> Result<(), TableError> {
+        if patterns.len() != table.keys.len() {
             return Err(TableError::KeyCountMismatch {
-                got: entry.patterns.len(),
+                got: patterns.len(),
                 want: table.keys.len(),
             });
         }
-        if !table.actions.contains(&entry.action.action) {
+        if !table.actions.contains(&action) {
             return Err(TableError::ActionNotPermitted);
         }
-        let action = &actions[entry.action.action];
-        if entry.action.args.len() != action.params.len() {
+        let params = actions[action].params.len();
+        if args != params {
             return Err(TableError::BadActionArgs {
-                got: entry.action.args.len(),
-                want: action.params.len(),
+                got: args,
+                want: params,
             });
         }
-        for (pattern, key) in entry.patterns.iter().zip(&table.keys) {
+        for (pattern, key) in patterns.iter().zip(&table.keys) {
             let ok = match key.kind {
                 MatchKind::Exact => matches!(pattern, IrPattern::Value(_)),
                 MatchKind::Lpm => matches!(
@@ -1277,39 +1281,60 @@ impl Table {
                 return Err(TableError::BadPattern);
             }
         }
+        Ok(())
+    }
+
+    /// Place an admitted entry, in publication `generation`. A full
+    /// table is [`TableError::Full`] and copies nothing.
+    #[inline]
+    pub(crate) fn insert(
+        &mut self,
+        entry: RuntimeEntry,
+        generation: u64,
+    ) -> Result<(), TableError> {
         if self.snapshot.entries.len() as u64 >= self.capacity {
             return Err(TableError::Full {
                 capacity: self.capacity,
             });
         }
-        let successor = Arc::make_mut(&mut self.snapshot);
-        successor.insert(Arc::new(entry));
-        successor.epoch += 1;
-        Ok(successor.epoch)
+        self.edit(generation).insert(Arc::new(entry));
+        Ok(())
     }
 
-    /// Remove the first installed entry with exactly these patterns and
-    /// priority; publishes a successor snapshot and returns its epoch, or
-    /// `None` if no such entry exists (no epoch is spent, no copy made).
-    pub(crate) fn remove(&mut self, patterns: &[IrPattern], priority: i32) -> Option<u64> {
-        let pos = self.snapshot.position_of(patterns, priority)?;
-        let successor = Arc::make_mut(&mut self.snapshot);
-        successor.remove(pos, self.signature, self.key_count);
-        successor.epoch += 1;
-        Some(successor.epoch)
+    /// Remove the first entry with exactly these patterns and priority,
+    /// in publication `generation`; false, copying nothing, if none.
+    pub(crate) fn delete(
+        &mut self,
+        patterns: &[IrPattern],
+        priority: i32,
+        generation: u64,
+    ) -> bool {
+        let Some(pos) = self.snapshot.position_of(patterns, priority) else {
+            return false;
+        };
+        let (signature, key_count) = (self.signature, self.key_count);
+        self.edit(generation).remove(pos, signature, key_count);
+        true
     }
 
-    /// Remove all installed entries (const entries included) and publish
-    /// the empty successor snapshot. Returns the new epoch.
-    pub(crate) fn clear(&mut self) -> u64 {
-        let epoch = self.snapshot.epoch + 1;
-        self.snapshot = Arc::new(EntrySnapshot::publish(
-            epoch,
-            [],
-            self.signature,
-            self.key_count,
-        ));
-        epoch
+    /// Remove every entry, const entries included, in publication
+    /// `generation`.
+    pub(crate) fn clear(&mut self, generation: u64) {
+        let epoch = self.snapshot.epoch + u64::from(self.published_at != generation);
+        self.published_at = generation;
+        let empty = EntrySnapshot::publish(epoch, [], self.signature, self.key_count);
+        self.snapshot = Arc::new(empty);
+    }
+
+    /// The snapshot to edit in publication `generation` (copied if held
+    /// elsewhere), its epoch advanced on that publication's first edit.
+    fn edit(&mut self, generation: u64) -> &mut EntrySnapshot {
+        let snapshot = Arc::make_mut(&mut self.snapshot);
+        if self.published_at != generation {
+            self.published_at = generation;
+            snapshot.epoch += 1;
+        }
+        snapshot
     }
 }
 
@@ -1336,22 +1361,13 @@ impl Tables {
     pub(crate) fn lock(cell: &Mutex<Arc<Tables>>) -> MutexGuard<'_, Arc<Tables>> {
         cell.lock().expect("table cell poisoned")
     }
-
-    /// Every table's epoch, in declaration order.
-    pub(crate) fn epochs(&self) -> Vec<u64> {
-        self.tables.iter().map(|t| t.snapshot.epoch).collect()
-    }
 }
 
 /// One table on its own behind a mutex: a data plane's table edit path,
-/// with pins handed out by [`TableState::snapshot`], for callers that
-/// hold a single table rather than a data plane.
-///
-/// All mutation goes through `&self`. The scalar readers (`epoch`, `len`,
-/// `is_empty`) read under the lock instead of pinning, because a pin that
-/// outlives the lock, however briefly, makes a concurrent publication
-/// copy the table. Lookup statistics live in [`TableStats`], owned by the
-/// caller.
+/// for callers that hold a single table rather than a data plane. All
+/// mutation goes through `&self`; everything is read through a pin
+/// ([`TableState::snapshot`]). Lookup statistics live in [`TableStats`],
+/// owned by the caller.
 #[derive(Debug)]
 pub struct TableState {
     table: Mutex<Table>,
@@ -1377,75 +1393,32 @@ impl TableState {
         Arc::clone(&self.current().snapshot)
     }
 
-    /// The currently published epoch.
-    pub fn epoch(&self) -> u64 {
-        self.current().snapshot.epoch
-    }
-
-    /// Number of installed entries (in the current snapshot).
-    pub fn len(&self) -> usize {
-        self.current().snapshot.len()
-    }
-
-    /// True if no entries are installed (in the current snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.current().snapshot.is_empty()
-    }
-
     /// Install an entry, validating against the table's IR declaration,
-    /// and publish the successor snapshot. Returns the new epoch.
+    /// and publish the successor snapshot. Returns the new epoch. A
+    /// rejected entry publishes nothing and copies nothing.
     pub fn install(
         &self,
         table: &ir::TableIr,
         actions: &[ir::ActionIr],
         entry: RuntimeEntry,
     ) -> Result<u64, TableError> {
-        self.current().install(table, actions, entry)
+        let (action, args) = (entry.action.action, entry.action.args.len());
+        Table::admit(table, actions, &entry.patterns, action, args)?;
+        let mut current = self.current();
+        let next = current.published_at + 1;
+        current.insert(entry, next)?;
+        Ok(current.snapshot.epoch)
     }
 
     /// Remove the first installed entry with exactly these patterns and
     /// priority; publishes a successor snapshot and returns its epoch, or
     /// `None` if no such entry exists.
     pub fn remove(&self, patterns: &[IrPattern], priority: i32) -> Option<u64> {
-        self.current().remove(patterns, priority)
-    }
-
-    /// Remove all installed entries (const entries included). Returns the
-    /// new epoch.
-    pub fn clear(&self) -> u64 {
-        self.current().clear()
-    }
-
-    /// Look up against the *current* snapshot, through its index; the
-    /// matched entry is returned **shared** (an [`EntryRef`] guard), not
-    /// cloned.
-    ///
-    /// Convenience for control-plane introspection and tests; the packet
-    /// path pins every table once per batch instead and reads the pinned
-    /// snapshots.
-    pub fn lookup(&self, keys: &[u128]) -> Option<EntryRef> {
-        let current = self.current();
-        let entry = Arc::clone(current.snapshot.find(keys)?);
-        Some(EntryRef { entry })
-    }
-}
-
-/// A matched table entry, shared with the snapshot it was found in — no
-/// [`RuntimeEntry`] clone, and no pin on the snapshot either: the guard
-/// keeps the one entry alive, not the table.
-///
-/// Dereferences to the entry, which stays as it was matched however many
-/// publications the control plane lands afterwards.
-#[derive(Debug, Clone)]
-pub struct EntryRef {
-    entry: Arc<RuntimeEntry>,
-}
-
-impl core::ops::Deref for EntryRef {
-    type Target = RuntimeEntry;
-
-    fn deref(&self) -> &RuntimeEntry {
-        &self.entry
+        let mut current = self.current();
+        let next = current.published_at + 1;
+        current
+            .delete(patterns, priority, next)
+            .then_some(current.snapshot.epoch)
     }
 }
 
@@ -1466,6 +1439,19 @@ mod tests {
     use super::*;
     use netdebug_p4::ast::MatchKind;
     use netdebug_p4::ir::{ActionIr, IrExpr, TableIr, TableKey};
+
+    /// The entry `keys` match in `s`'s current snapshot.
+    fn lookup(s: &TableState, keys: &[u128]) -> Option<RuntimeEntry> {
+        s.snapshot().lookup(keys).cloned()
+    }
+
+    /// Clear `s` as one publication; returns the new epoch.
+    fn clear(s: &TableState) -> u64 {
+        let mut table = s.current();
+        let next = table.published_at + 1;
+        table.clear(next);
+        table.snapshot.epoch
+    }
 
     fn table_ir(kind: MatchKind, size: u64) -> (TableIr, Vec<ActionIr>) {
         let actions = vec![
@@ -1519,8 +1505,8 @@ mod tests {
         s.install(&t, &a, fwd_entry(vec![IrPattern::Value(42)], 0))
             .unwrap();
         let mut stats = TableStats::default();
-        stats.record(s.lookup(&[42]).is_some());
-        stats.record(s.lookup(&[43]).is_some());
+        stats.record(lookup(&s, &[42]).is_some());
+        stats.record(lookup(&s, &[43]).is_some());
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
     }
@@ -1559,13 +1545,13 @@ mod tests {
         )
         .unwrap();
         // 10.1.2.3 matches both; /16 must win.
-        let hit = s.lookup(&[0x0A01_0203]).unwrap();
+        let hit = lookup(&s, &[0x0A01_0203]).unwrap();
         assert_eq!(hit.action.args, vec![2]);
         // 10.9.0.1 only matches /8.
-        let hit = s.lookup(&[0x0A09_0001]).unwrap();
+        let hit = lookup(&s, &[0x0A09_0001]).unwrap();
         assert_eq!(hit.action.args, vec![1]);
         // 11.0.0.1 matches nothing.
-        assert!(s.lookup(&[0x0B00_0001]).is_none());
+        assert!(lookup(&s, &[0x0B00_0001]).is_none());
     }
 
     #[test]
@@ -1601,8 +1587,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(s.lookup(&[0x08AA]).unwrap().action.args, vec![1]);
-        assert_eq!(s.lookup(&[0x1234]).unwrap().action.args, vec![9]);
+        assert_eq!(lookup(&s, &[0x08AA]).unwrap().action.args, vec![1]);
+        assert_eq!(lookup(&s, &[0x1234]).unwrap().action.args, vec![9]);
     }
 
     #[test]
@@ -1716,9 +1702,9 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(s.lookup(&[1, 2]).is_some());
-        assert!(s.lookup(&[3, 4]).is_some());
-        assert!(s.lookup(&[2, 1]).is_none());
+        assert!(lookup(&s, &[1, 2]).is_some());
+        assert!(lookup(&s, &[3, 4]).is_some());
+        assert!(lookup(&s, &[2, 1]).is_none());
 
         let (t, a) = table_ir(MatchKind::Lpm, 8);
         let s = TableState::new(&t);
@@ -1765,7 +1751,7 @@ mod tests {
         ];
         s.install(&t, &a, fwd_entry(range.clone(), 4)).unwrap();
         assert_eq!(groups(&s), None, "a range pattern has no mask");
-        assert_eq!(s.lookup(&[5, 1, 0]).unwrap().priority, 4);
+        assert_eq!(lookup(&s, &[5, 1, 0]).unwrap().priority, 4);
         s.remove(&range, 4).unwrap();
         assert_eq!(groups(&s), Some(3));
         s.remove(&[masked, IrPattern::Value(1), IrPattern::Any], 0)
@@ -1827,7 +1813,7 @@ mod tests {
             }
             // The earlier one gone, the later one answers.
             s.remove(&[first, IrPattern::Any], 5).unwrap();
-            assert_eq!(s.lookup(&[0x3412, 0]).unwrap().action.args, vec![1]);
+            assert_eq!(lookup(&s, &[0x3412, 0]).unwrap().action.args, vec![1]);
         }
     }
 
@@ -1855,17 +1841,17 @@ mod tests {
         };
         // One key, one winner, two shadowed behind it.
         assert_eq!(keys_in_one_group(&s), 1);
-        assert_eq!(s.lookup(&[0xFF12, 1]).unwrap().action.args, vec![2]);
+        assert_eq!(lookup(&s, &[0xFF12, 1]).unwrap().action.args, vec![2]);
         // Each spelling is removable as itself, and the key passes on in
         // list order: the stray-bit entry was installed first.
         s.remove(&[clean, IrPattern::Value(1)], 7).unwrap();
-        assert_eq!(s.lookup(&[0x12, 1]).unwrap().action.args, vec![0]);
+        assert_eq!(lookup(&s, &[0x12, 1]).unwrap().action.args, vec![0]);
         assert_eq!(s.remove(&[stray, IrPattern::Value(2)], 3), None);
         s.remove(&[stray, IrPattern::Value(1)], 3).unwrap();
-        assert_eq!(s.lookup(&[0x12, 1]).unwrap().action.args, vec![1]);
+        assert_eq!(lookup(&s, &[0x12, 1]).unwrap().action.args, vec![1]);
         assert_eq!(keys_in_one_group(&s), 1);
         s.remove(&[clean, IrPattern::Value(1)], 3).unwrap();
-        assert!(s.lookup(&[0x12, 1]).is_none());
+        assert!(lookup(&s, &[0x12, 1]).is_none());
         assert!(
             matches!(&s.snapshot().index, LookupIndex::Tuples { groups, .. } if groups.is_empty())
         );
@@ -1929,7 +1915,7 @@ mod tests {
         assert_eq!(snap.lookup(&[7]), snap.lookup_scan(&[7]));
         // Removing the winner promotes the later duplicate.
         s.remove(&[IrPattern::Value(7)], 0).unwrap();
-        assert_eq!(s.lookup(&[7]).unwrap().action.args, vec![222]);
+        assert_eq!(lookup(&s, &[7]).unwrap().action.args, vec![222]);
 
         let (t, a) = table_ir(MatchKind::Ternary, 8);
         let s = TableState::new(&t);
@@ -1945,7 +1931,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(s.lookup(&[42]).unwrap().action.args, vec![1]);
+        assert_eq!(lookup(&s, &[42]).unwrap().action.args, vec![1]);
     }
 
     #[test]
@@ -2007,7 +1993,7 @@ mod tests {
         assert_eq!(index.lengths[16].counts[10], 2);
         assert_eq!(index.filter[12..16], [1 << 5; 4]);
         assert_eq!(index.filter[11] | index.filter[16], 0);
-        let port = |key: u128| s.lookup(&[key]).map(|e| e.action.args[0]);
+        let port = |key: u128| lookup(&s, &[key]).map(|e| e.action.args[0]);
         assert_eq!(port(0x0F12_3456), Some(6));
 
         // One of the pair leaves: the other stays reachable behind the
@@ -2066,18 +2052,19 @@ mod tests {
     }
 
     #[test]
-    fn entry_ref_pins_its_snapshot() {
+    fn a_pinned_entry_outlives_publications() {
         let (t, a) = table_ir(MatchKind::Exact, 4);
         let s = TableState::new(&t);
         s.install(&t, &a, fwd_entry(vec![IrPattern::Value(9)], 0))
             .unwrap();
-        let hit = s.lookup(&[9]).expect("installed");
-        assert_eq!(s.epoch(), 1);
-        // Mutations underneath the guard never move the matched entry.
-        s.clear();
+        let pin = s.snapshot();
+        let hit = pin.lookup(&[9]).expect("installed");
+        assert_eq!(pin.epoch(), 1);
+        // Publications underneath the pin never move the matched entry.
+        clear(&s);
         assert_eq!(hit.action.args, vec![3]);
         assert_eq!(hit.patterns, vec![IrPattern::Value(9)]);
-        assert!(s.lookup(&[9]).is_none());
+        assert!(lookup(&s, &[9]).is_none());
     }
 
     #[test]
@@ -2102,7 +2089,7 @@ mod tests {
     fn epochs_advance_per_mutation() {
         let (t, a) = table_ir(MatchKind::Exact, 4);
         let s = TableState::new(&t);
-        assert_eq!(s.epoch(), 0);
+        assert_eq!(s.snapshot().epoch(), 0);
         let e1 = s
             .install(&t, &a, fwd_entry(vec![IrPattern::Value(1)], 0))
             .unwrap();
@@ -2113,12 +2100,12 @@ mod tests {
         assert_eq!(e2, 2);
         // Removing a non-existent entry spends no epoch.
         assert_eq!(s.remove(&[IrPattern::Value(9)], 0), None);
-        assert_eq!(s.epoch(), 2);
+        assert_eq!(s.snapshot().epoch(), 2);
         assert_eq!(s.remove(&[IrPattern::Value(1)], 0), Some(3));
-        assert!(s.lookup(&[1]).is_none());
-        assert!(s.lookup(&[2]).is_some());
-        assert_eq!(s.clear(), 4);
-        assert!(s.is_empty());
+        assert!(lookup(&s, &[1]).is_none());
+        assert!(lookup(&s, &[2]).is_some());
+        assert_eq!(clear(&s), 4);
+        assert!(s.snapshot().is_empty());
     }
 
     #[test]
@@ -2131,15 +2118,15 @@ mod tests {
         // Mutate underneath the pin: install, remove, clear.
         s.install(&t, &a, fwd_entry(vec![IrPattern::Value(2)], 0))
             .unwrap();
-        s.clear();
+        clear(&s);
         // The pin still reads the epoch-1 world, bit for bit.
         assert_eq!(pinned.epoch(), 1);
         assert_eq!(pinned.len(), 1);
         assert!(pinned.lookup(&[1]).is_some());
         assert!(pinned.lookup(&[2]).is_none());
         // The live table reads the epoch-3 world.
-        assert_eq!(s.epoch(), 3);
-        assert!(s.is_empty());
+        assert_eq!(s.snapshot().epoch(), 3);
+        assert!(s.snapshot().is_empty());
     }
 
     #[test]
@@ -2148,13 +2135,13 @@ mod tests {
         let s = TableState::new(&t);
         s.install(&t, &a, fwd_entry(vec![IrPattern::Value(1)], 0))
             .unwrap();
-        let before = s.epoch();
+        let before = s.snapshot().epoch();
         let err = s
             .install(&t, &a, fwd_entry(vec![IrPattern::Value(2)], 0))
             .unwrap_err();
         assert_eq!(err, TableError::Full { capacity: 1 });
         // A rejected install publishes nothing.
-        assert_eq!(s.epoch(), before);
+        assert_eq!(s.snapshot().epoch(), before);
     }
 
     /// Key kinds of the mixed-kind, multi-key shapes (6..): tuple-space
@@ -2247,7 +2234,7 @@ mod tests {
                 let len = (y % 5) as u16 * 8;
                 let pattern =
                     lpm_pattern(u128::from(x % 4) << 28 | u128::from(x % 3) << 8, len, 32);
-                // Mostly the `install_lpm` convention; sometimes a raw
+                // Mostly the `TableEntry::lpm` convention; sometimes a raw
                 // priority, which puts the table on the scan.
                 let priority = if sel.is_multiple_of(3) {
                     i32::from(p % 3) * 8
@@ -2335,7 +2322,7 @@ mod tests {
                     }
                     _ if port == 0 => {
                         epoch += 1;
-                        prop_assert_eq!(s.clear(), epoch);
+                        prop_assert_eq!(clear(&s), epoch);
                         installed.clear();
                     }
                     _ => {}
@@ -2444,7 +2431,7 @@ mod tests {
                     }
                     13 if x % 4 == 0 => {
                         epoch += 1;
-                        prop_assert_eq!(s.clear(), epoch);
+                        prop_assert_eq!(clear(&s), epoch);
                         installed.clear();
                     }
                     14 if !pins.is_empty() => {
@@ -2485,8 +2472,8 @@ mod tests {
                             .find(|e| e.patterns.iter().zip(keys).all(|(p, k)| p.matches(*k)));
                         prop_assert_eq!(current.lookup(keys), want.copied(), "keys {:?}", keys);
                         prop_assert_eq!(current.lookup_scan(keys), want.copied());
-                        let live = s.lookup(keys);
-                        prop_assert_eq!(live.as_deref(), want.copied());
+                        let live = lookup(&s, keys);
+                        prop_assert_eq!(live.as_ref(), want.copied());
                     }
                 }
             }

@@ -10,8 +10,9 @@
 //! Its own test binary because it installs a byte-counting global
 //! allocator; one `#[test]` so nothing else allocates while it counts.
 
-use netdebug_dataplane::{Dataplane, NullSink, Verdict};
+use netdebug_dataplane::{Dataplane, NullSink, TableEntry, Update, Verdict};
 use netdebug_p4::corpus;
+use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,16 +89,19 @@ fn frame(i: u32) -> Vec<u8> {
 
 fn router() -> Dataplane {
     let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let mut dp = Dataplane::new(ir);
+    let dp = Dataplane::new(ir);
     for i in 0..64u32 {
-        dp.install_lpm(
-            "ipv4_lpm",
-            0x0A00_0000 | u128::from(i) << 16,
-            16,
-            "ipv4_forward",
-            vec![0xAA, u128::from(i % 4)],
-        )
-        .unwrap();
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(
+                    0x0A00_0000 | u128::from(i) << 16,
+                    16,
+                    "ipv4_forward",
+                    vec![0xAA, u128::from(i % 4)],
+                ),
+            )])
+            .unwrap();
     }
     dp
 }
@@ -164,14 +168,17 @@ fn resident_memory_follows_resident_flows() {
     let warm_up = frame(0xFFFF);
     let mut rounds = Vec::new();
     for round in 0..16u32 {
-        dp.install_lpm(
-            "ipv4_lpm",
-            0x0B00_0000 | u128::from(round),
-            32,
-            "ipv4_forward",
-            vec![0xBB, 1],
-        )
-        .unwrap();
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(
+                    0x0B00_0000 | u128::from(round),
+                    32,
+                    "ipv4_forward",
+                    vec![0xBB, 1],
+                ),
+            )])
+            .unwrap();
         // The first packet after a publication drops the cache's entries.
         dp.process_untraced(0, &warm_up, 0);
         let invalidations = dp.cache_stats().invalidations;
@@ -210,7 +217,8 @@ fn resident_memory_follows_resident_flows() {
     // buffer, the scratch environment), a batch allocates nothing.
     let ir = netdebug_p4::compile(corpus::FEATURE_MANY_TABLES).unwrap();
     let mut dp = Dataplane::new(ir);
-    dp.install_exact("t3", vec![7], "NoAction", vec![]).unwrap();
+    dp.install("t3", vec![IrPattern::Value(7)], "NoAction", vec![], 0)
+        .unwrap();
     dp.set_tracing(false);
     dp.set_flow_cache(false);
     let frames: Vec<[u8; 1]> = (0..64u8).map(|i| [i]).collect();

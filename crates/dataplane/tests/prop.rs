@@ -4,6 +4,7 @@ use netdebug_dataplane::{
     lpm_pattern, ControlError, Dataplane, Engine, EntrySnapshot, LazyTrace, MeterConfig,
     RuntimeEntry, Stage, TableError, TableState, Trace, TraceEvent, TraceSink, Verdict,
 };
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::corpus;
 use netdebug_p4::ir::{ActionCall, ActionIr, IrExpr, IrPattern, TableIr, TableKey};
@@ -28,10 +29,18 @@ fn routed_frame(dst: Ipv4Address, ttl: u8) -> Vec<u8> {
 /// through packet processing).
 fn router() -> Dataplane {
     let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-    let mut dp = Dataplane::new(ir);
-    dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+    let dp = Dataplane::new(ir);
+    dp.control_plane()
+        .write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
         .unwrap();
-    dp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
+    dp.control_plane()
+        .write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]),
+        )])
         .unwrap();
     dp
 }
@@ -147,14 +156,14 @@ proptest! {
         // between the windows.
         let deploy = || {
             let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
-            let mut dp = Dataplane::new(ir);
-            dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            let dp = Dataplane::new(ir);
+            dp.control_plane().write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]))])
                 .unwrap();
             dp
         };
         let mut seq_dp = deploy();
         let seq1 = seq_dp.process_batch(w1, now);
-        seq_dp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
+        seq_dp.control_plane().write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]))])
             .unwrap();
         let seq2 = seq_dp.process_batch(w2, now);
 
@@ -162,10 +171,9 @@ proptest! {
         let cp = cp_dp.control_plane();
         prop_assert_eq!(cp.epoch("ipv4_lpm").unwrap(), 1, "deploy-time install = epoch 1");
         let cp1 = cp_dp.process_batch(w1, now);
-        let epoch = cp
-            .install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
-            .unwrap();
-        prop_assert_eq!(epoch, 2, "handle publication bumps the epoch");
+        let route = TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]);
+        cp.write(&[Update::Insert("ipv4_lpm", route)]).unwrap();
+        prop_assert_eq!(cp.epoch("ipv4_lpm").unwrap(), 2, "handle publication bumps the epoch");
         let cp2 = cp_dp.process_batch(w2, now);
 
         prop_assert_eq!(&cp1, &seq1, "pre-install window diverged");
@@ -233,13 +241,7 @@ proptest! {
         let mut dp = Dataplane::new(ir);
         for (i, (prefix, len)) in prefixes.iter().enumerate() {
             // Port arg encodes the entry index so we can identify the winner.
-            dp.install_lpm(
-                "ipv4_lpm",
-                u128::from(*prefix),
-                *len,
-                "ipv4_forward",
-                vec![0, (i as u128) % 512],
-            )
+            dp.control_plane().write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(u128::from(*prefix), *len, "ipv4_forward", vec![0, (i as u128) % 512]))])
             .unwrap();
         }
         for key in keys {
@@ -462,7 +464,7 @@ proptest! {
                 MatchKind::Lpm => {
                     let len = (y % 33) as u16;
                     let pattern = lpm_pattern(u128::from(x), len, 32);
-                    // Mostly the install_lpm convention (priority = prefix
+                    // Mostly the `TableEntry::lpm` convention (priority = prefix
                     // length); sometimes an arbitrary priority, which must
                     // demote the table to the scan while it is resident.
                     let priority = if sel % 3 == 0 { i32::from(p) } else { i32::from(len) };
@@ -518,7 +520,11 @@ proptest! {
             s.remove(patterns, *priority);
             assert_index_matches_oracle(&s.snapshot(), &probes)?;
         }
-        s.clear();
+        // Then down to empty.
+        for (patterns, priority) in installed.iter().skip(removals) {
+            s.remove(patterns, *priority);
+        }
+        prop_assert!(s.snapshot().is_empty());
         assert_index_matches_oracle(&s.snapshot(), &probes)?;
     }
 
@@ -633,8 +639,7 @@ proptest! {
             for m in macs {
                 // Duplicate installs are fine: first in priority order wins
                 // on both paths.
-                dp.install_exact("dmac", vec![0x0200_0000_0000 + u128::from(*m)],
-                    "forward", vec![u128::from(*m % 4)]).unwrap();
+                dp.install("dmac", vec![IrPattern::Value(0x0200_0000_0000 + u128::from(*m))], "forward", vec![u128::from(*m % 4)], 0).unwrap();
             }
             dp
         };
@@ -669,7 +674,7 @@ proptest! {
             let cp = dp.control_plane();
             cp.remove("dmac",
                 &[IrPattern::Value(0x0200_0000_0000 + u128::from(macs[0]))], 0).unwrap();
-            cp.install_exact("dmac", vec![0x0200_0000_0000 + 40], "forward", vec![1]).unwrap();
+            cp.write(&[Update::Insert("dmac", TableEntry::exact([0x0200_0000_0000 + 40], "forward", vec![1]))]).unwrap();
         }
         prop_assert_eq!(batch_dp.process_batch(&pkts, 1), one_by_one(&mut seq_dp, 1));
         prop_assert_eq!(
@@ -831,7 +836,7 @@ proptest! {
             let mut dp = Dataplane::new(ir);
             dp.set_engine(engine);
             for port in 0..4u128 {
-                dp.install_exact("fwd", vec![port], "forward", vec![(port + 1) % 4])
+                dp.install("fwd", vec![IrPattern::Value(port)], "forward", vec![(port + 1) % 4], 0)
                     .unwrap();
                 dp.configure_meter("port_meter", port as usize, MeterConfig {
                     cir_per_mcycle: cir,
@@ -891,7 +896,7 @@ proptest! {
             let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
             let mut dp = Dataplane::new(ir);
             dp.set_engine(engine);
-            dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            dp.control_plane().write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]))])
                 .unwrap();
             dp
         };
@@ -899,7 +904,7 @@ proptest! {
             let mut dp = deploy(engine);
             let cp = dp.control_plane();
             let win1 = dp.process_batch(w1, now);
-            cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
+            cp.write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]))])
                 .unwrap();
             let win2 = dp.process_batch(w2, now);
             (win1, win2, dp)
@@ -932,9 +937,9 @@ proptest! {
             for &(a, b) in &installed {
                 let (a, b) = (u128::from(a), u128::from(b));
                 // A duplicate key is refused by both engines alike.
-                let _ = dp.install_exact("by_field", vec![a], "mark", vec![0x10]);
-                let _ = dp.install_exact("by_meta", vec![b], "mark", vec![0x20]);
-                let _ = dp.install_exact("by_pair", vec![a, b], "mark", vec![0x40]);
+                let _ = dp.install("by_field", vec![IrPattern::Value(a)], "mark", vec![0x10], 0);
+                let _ = dp.install("by_meta", vec![IrPattern::Value(b)], "mark", vec![0x20], 0);
+                let _ = dp.install("by_pair", vec![IrPattern::Value(a), IrPattern::Value(b)], "mark", vec![0x40], 0);
             }
         }
         for (port, a, b, tail) in &frames {
@@ -1133,7 +1138,7 @@ proptest! {
         for dp in [&mut compiled_dp, &mut reference_dp] {
             for f in &installed {
                 // A duplicate key is refused by both engines alike.
-                let _ = dp.install_exact("by_f", vec![u128::from(*f)], "NoAction", vec![]);
+                let _ = dp.install("by_f", vec![IrPattern::Value(u128::from(*f))], "NoAction", vec![], 0);
             }
         }
         for (port, data) in &frames {
@@ -1215,11 +1220,12 @@ fn liveness_dataplane(tags: &[u8], engine: Engine) -> Dataplane {
     dp.set_engine(engine);
     for &tag in tags {
         // A duplicate key is refused by both engines alike.
-        let _ = dp.install_exact(
+        let _ = dp.install(
             "by_tag",
-            vec![u128::from(tag)],
+            vec![IrPattern::Value(u128::from(tag))],
             "mark",
             vec![0x10 | u128::from(tag)],
+            0,
         );
     }
     dp
@@ -1269,7 +1275,11 @@ proptest! {
 fn concurrent_installs_mid_batch_are_epoch_atomic() {
     let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
     let mut dp = Dataplane::new(ir);
-    dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+    dp.control_plane()
+        .write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
         .unwrap();
     let cp = dp.control_plane();
 
@@ -1285,16 +1295,23 @@ fn concurrent_installs_mid_batch_are_epoch_atomic() {
     let results = std::thread::scope(|scope| {
         let churn = scope.spawn(move || {
             for i in 0..64u128 {
-                cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
-                    .unwrap();
+                cp.write(&[Update::Insert(
+                    "ipv4_lpm",
+                    TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]),
+                )])
+                .unwrap();
                 cp.remove("ipv4_lpm", &[lpm_pattern(0x0A01_0000, 16, 32)], 16)
                     .unwrap()
                     .unwrap();
                 std::hint::black_box(i);
             }
             // Leave the /16 route installed.
-            cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
-                .unwrap()
+            cp.write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]),
+            )])
+            .unwrap();
+            cp.epoch("ipv4_lpm").unwrap()
         });
         let results = dp.process_batch(&pkts, 0);
         let final_epoch = churn.join().expect("churn thread panicked");
@@ -1359,12 +1376,12 @@ proptest! {
                 let epoch = cp.epoch("ipv4_lpm").unwrap();
                 let args = vec![1, port.into()];
                 prop_assert_eq!(
-                    cp.install_lpm("ipv4_lpm", prefix, len, "ipv4_forward", args),
+                    cp.write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(prefix, len, "ipv4_forward", args))]),
                     Err(ControlError::Table(TableError::BadPattern))
                 );
                 prop_assert_eq!(cp.epoch("ipv4_lpm").unwrap(), epoch);
             } else if sel < 4 {
-                cp.install_lpm("ipv4_lpm", prefix, len, "ipv4_forward", vec![1, port.into()])
+                cp.write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(prefix, len, "ipv4_forward", vec![1, port.into()]))])
                     .unwrap();
                 routes.push((tree_leaf(leaf), len, port));
             } else {
@@ -1412,8 +1429,11 @@ fn churn_step(dp: &mut Dataplane, (sel, x, len): (u8, u8, u8), probes: &[(u16, &
     match sel {
         0..=3 => {
             let args = vec![u128::from(x), u128::from(x % 4)];
-            cp.install_lpm("ipv4_lpm", prefix, len, "ipv4_forward", args)
-                .unwrap();
+            cp.write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(prefix, len, "ipv4_forward", args),
+            )])
+            .unwrap();
         }
         4 | 5 => {
             cp.remove("ipv4_lpm", &[lpm_pattern(prefix, len, 32)], i32::from(len))
@@ -1423,7 +1443,7 @@ fn churn_step(dp: &mut Dataplane, (sel, x, len): (u8, u8, u8), probes: &[(u16, &
             dp.process_batch(probes, 0);
         }
         _ if x % 8 == 0 => {
-            cp.clear("ipv4_lpm").unwrap();
+            cp.write(&[Update::Clear("ipv4_lpm")]).unwrap();
         }
         _ => {}
     }
@@ -1632,7 +1652,7 @@ proptest! {
             let mut dp = Dataplane::new(ir);
             dp.set_engine(engine);
             dp.set_flow_cache(cache);
-            dp.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            dp.control_plane().write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]))])
                 .unwrap();
             dp
         };
@@ -1641,7 +1661,7 @@ proptest! {
             let cp = dp.control_plane();
             let win0 = dp.process_batch(&prefix, now);
             let win1 = [win0, dp.process_batch(w1, now)].concat();
-            cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
+            cp.write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]))])
                 .unwrap();
             let win2 = dp.process_batch(w2, now);
             (win1, win2, dp)

@@ -16,6 +16,7 @@
 use netdebug_dataplane::{
     ControlPlane, Dataplane, LazyTrace, RuntimeEntry, TableState, TraceSink, Verdict,
 };
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_p4::ast::MatchKind;
 use netdebug_p4::corpus;
 use netdebug_p4::ir::{ActionCall, ActionIr, IrExpr, IrPattern, TableIr, TableKey};
@@ -154,7 +155,7 @@ fn ternary_churn_allocs(resident: u128, fresh: u128) -> (u64, u64) {
     churn();
     let counted = churn();
     assert_eq!(Arc::as_ptr(&s.snapshot()), home, "edited in place");
-    assert_eq!(s.len() as u128, resident);
+    assert_eq!(s.snapshot().len() as u128, resident);
     counted
 }
 
@@ -175,8 +176,14 @@ const SWITCHED: u128 = 2048;
 fn switch() -> Dataplane {
     let mut dp = Dataplane::new(netdebug_p4::compile(corpus::L2_SWITCH).unwrap());
     for i in 0..SWITCHED {
-        dp.install_exact("dmac", vec![MAC + i], "forward", vec![i % 4])
-            .unwrap();
+        dp.install(
+            "dmac",
+            vec![IrPattern::Value(MAC + i)],
+            "forward",
+            vec![i % 4],
+            0,
+        )
+        .unwrap();
     }
     dp
 }
@@ -197,8 +204,11 @@ fn frame_to(mac: u128) -> Vec<u8> {
 fn window_churn_allocs(cp: &ControlPlane) -> u64 {
     allocs_in(|| {
         for key in MAC + SWITCHED..MAC + SWITCHED + 4 {
-            cp.install_exact("dmac", vec![key], "forward", vec![1])
-                .unwrap();
+            cp.write(&[Update::Insert(
+                "dmac",
+                TableEntry::exact([key], "forward", vec![1]),
+            )])
+            .unwrap();
         }
         for key in MAC + SWITCHED..MAC + SWITCHED + 4 {
             cp.remove("dmac", &[IrPattern::Value(key)], 0)
@@ -226,8 +236,11 @@ impl TraceSink for PublishingSink {
             for key in [MAC + SWITCHED, MAC + SWITCHED + 1] {
                 let cp = &self.cp;
                 let allocs = allocs_in(|| {
-                    cp.install_exact("dmac", vec![key], "forward", vec![3])
-                        .unwrap();
+                    cp.write(&[Update::Insert(
+                        "dmac",
+                        TableEntry::exact([key], "forward", vec![3]),
+                    )])
+                    .unwrap();
                 });
                 self.allocs.push(allocs);
             }
@@ -276,8 +289,11 @@ fn a_mid_batch_publication_copies_once() {
     let unpinned: Vec<u64> = [MAC + SWITCHED, MAC + SWITCHED + 1]
         .map(|key| {
             allocs_in(|| {
-                idle.install_exact("dmac", vec![key], "forward", vec![3])
-                    .unwrap();
+                idle.write(&[Update::Insert(
+                    "dmac",
+                    TableEntry::exact([key], "forward", vec![3]),
+                )])
+                .unwrap();
             })
         })
         .into();
@@ -347,9 +363,13 @@ fn an_unwound_batch_holds_no_pin() {
 
 /// `tunnel_encap` with `routes` resident `tunnel_fwd` routes.
 fn tunnel(routes: u128) -> Dataplane {
-    let mut dp = Dataplane::new(netdebug_p4::compile(corpus::TUNNEL_ENCAP).unwrap());
+    let dp = Dataplane::new(netdebug_p4::compile(corpus::TUNNEL_ENCAP).unwrap());
     for i in 0..routes {
-        dp.install_lpm("tunnel_fwd", 0x0A00_0000 | i << 8, 24, "encap", vec![7, 3])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "tunnel_fwd",
+                TableEntry::lpm(0x0A00_0000 | i << 8, 24, "encap", vec![7, 3]),
+            )])
             .unwrap();
     }
     dp
@@ -358,8 +378,11 @@ fn tunnel(routes: u128) -> Dataplane {
 /// Allocations of one `tunnel_term` install of route `i` through `cp`.
 fn term_install_allocs(cp: &ControlPlane, i: u128) -> u64 {
     allocs_in(|| {
-        cp.install_lpm("tunnel_term", 0x0B00_0000 | i << 8, 24, "decap", vec![2])
-            .unwrap();
+        cp.write(&[Update::Insert(
+            "tunnel_term",
+            TableEntry::lpm(0x0B00_0000 | i << 8, 24, "decap", vec![2]),
+        )])
+        .unwrap();
     })
 }
 
@@ -424,7 +447,7 @@ fn publication_costs_the_change_not_the_table() {
         }
     });
     assert_eq!(at(&s), home, "an unpinned publication moved the snapshot");
-    assert_eq!(s.epoch(), (RESIDENT + INSTALLS) as u64);
+    assert_eq!(s.snapshot().epoch(), (RESIDENT + INSTALLS) as u64);
     assert!(
         unpinned <= 3 * INSTALLS as u64 + 8,
         "{unpinned} allocations for {INSTALLS} unpinned installs"
@@ -465,7 +488,7 @@ fn publication_costs_the_change_not_the_table() {
     );
     // The pin reads its epoch, bit for bit; the copy shares its entries.
     assert_eq!(pin.len(), resident);
-    assert_eq!(pin.epoch() + 10, s.epoch());
+    assert_eq!(pin.epoch() + 10, s.snapshot().epoch());
     assert!(pin.lookup(&[1 << 20]).is_none());
     assert!(std::ptr::eq(
         pin.lookup(&[7]).unwrap(),
@@ -514,7 +537,7 @@ fn publication_costs_the_change_not_the_table() {
     assert_eq!(pin.len(), 4096);
     let keys = [5000 << 8, 5000 << 12, 5000 % 3, 5000 << 9];
     assert!(pin.lookup(&keys).unwrap().priority < 4096);
-    assert_eq!(s.lookup(&keys).unwrap().priority, 5000);
+    assert_eq!(s.snapshot().lookup(&keys).unwrap().priority, 5000);
 
     between_batch_publications_edit_in_place();
     a_mid_batch_publication_copies_once();

@@ -272,8 +272,9 @@ fn truncate_pattern(p: ir::IrPattern, width: u16) -> ir::IrPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netdebug_dataplane::{Dataplane, DropReason, Verdict};
+    use netdebug_dataplane::{Dataplane, DropReason, TableEntry, Update, Verdict};
     use netdebug_p4::corpus;
+    use netdebug_p4::ir::IrPattern;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 
     fn frame(version_byte: Option<u8>) -> Vec<u8> {
@@ -299,14 +300,22 @@ mod tests {
 
         let mut reference = Dataplane::new(ir.clone());
         reference
-            .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            .control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+            )])
             .unwrap();
 
         let mut bugged_ir = ir;
         apply_ir_bugs(&mut bugged_ir, &[BugSpec::RejectStateIgnored]);
         let mut bugged = Dataplane::new(bugged_ir);
         bugged
-            .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            .control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+            )])
             .unwrap();
 
         let malformed = frame(Some(0x55)); // IPv4 version 5
@@ -332,7 +341,11 @@ mod tests {
         // No routes: default action drop — but drop is a no-op, and since
         // egress_spec is never written the packet still dies as NoEgress.
         // The observable deviation needs a prior egress write; TTL==0 path:
-        dp.install_lpm("ipv4_lpm", 0, 0, "ipv4_forward", vec![0xAA, 1])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0, 0, "ipv4_forward", vec![0xAA, 1]),
+            )])
             .unwrap();
         let mut f = frame(None);
         // Set TTL to 0: reference drops before the table.
@@ -357,7 +370,11 @@ mod tests {
             }],
         );
         let mut dp = Dataplane::new(bugged_ir);
-        dp.install_lpm("ipv4_lpm", 0, 0, "ipv4_forward", vec![0xAA, 1])
+        dp.control_plane()
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0, 0, "ipv4_forward", vec![0xAA, 1]),
+            )])
             .unwrap();
         // A normal IPv4 packet no longer matches parse_ipv4: ethernet-only
         // parse, ipv4 invalid, pipeline drops it as non-IP.
@@ -372,7 +389,7 @@ mod tests {
         let mut bugged_ir = ir;
         apply_ir_bugs(&mut bugged_ir, &[BugSpec::MeterAlwaysGreen]);
         let mut dp = Dataplane::new(bugged_ir);
-        dp.install_exact("fwd", vec![0], "forward", vec![1])
+        dp.install("fwd", vec![IrPattern::Value(0)], "forward", vec![1], 0)
             .unwrap();
         dp.configure_meter(
             "port_meter",

@@ -18,7 +18,8 @@
 use crate::backend::{Backend, Compiled, LatencyModel};
 use crate::faults::{silence_fault_panics, FaultError, FaultSpec, FaultState};
 use netdebug_dataplane::{
-    Dataplane, DropReason, EgressFrame, Engine, LazyTrace, MeterConfig, Stage, TraceSink, Verdict,
+    ControlError, ControlPlane, Dataplane, DropReason, EgressFrame, Engine, LazyTrace, MeterConfig,
+    Stage, TraceSink, Update, Verdict,
 };
 use netdebug_p4::ir::IrPattern;
 use serde::{Deserialize, Serialize};
@@ -324,7 +325,7 @@ impl Device {
 
     /// The device's fault bookkeeping: the armed crash-class faults,
     /// whether a [`FaultSpec::Stall`] has wedged it, and the publications
-    /// [`Device::install`] retried.
+    /// [`Device::write`] retried.
     pub fn faults(&self) -> &FaultState {
         &self.faults
     }
@@ -647,44 +648,37 @@ impl Device {
     // Control plane
     // ------------------------------------------------------------------
 
-    /// A detached control-plane handle onto the deployed data plane:
-    /// clonable, thread-safe, and usable **while batches are in flight**
-    /// on another thread. Mutations through the
-    /// handle speak to the true data plane — backend bug transforms such
-    /// as [`crate::bugs::BugSpec::PriorityInverted`] model the vendor
-    /// *driver* stack and therefore apply only to [`Device::install`].
-    pub fn control_plane(&self) -> netdebug_dataplane::ControlPlane {
+    /// A detached control-plane handle onto the deployed data plane,
+    /// usable **while batches are in flight** on another thread. It
+    /// writes past the modelled vendor driver ([`Device::write`]), so
+    /// neither the driver's bug transforms nor its faults apply to it.
+    pub fn control_plane(&self) -> ControlPlane {
         self.dataplane.control_plane()
     }
 
-    fn effective_priority(&self, priority: i32) -> i32 {
-        if self.compiled.runtime.invert_priorities {
-            -priority
-        } else {
-            priority
+    /// Publish a batch of table updates through the modelled vendor
+    /// driver, as one [`ControlPlane::write`]; returns the generation.
+    ///
+    /// Bug transforms apply to inserts and deletes alike (priority
+    /// inversion negates both, so a delete finds what the driver
+    /// installed). Armed publication faults trip once per batch; the
+    /// driver tries four times with a doubling **virtual-cycle** backoff
+    /// (64 cycles first), so a [`FaultSpec::TransientPublication`] lands
+    /// late and a [`FaultSpec::FailPublication`] raises the final typed
+    /// panic. A retry is booked in [`Device::faults`].
+    pub fn write(&mut self, updates: &[Update<'_>]) -> Result<u64, ControlError> {
+        let mut batch = updates.to_vec();
+        for update in &mut batch {
+            if let Update::Insert(_, entry) | Update::Delete(_, entry) = update {
+                entry.priority = self.driven(entry.priority);
+            }
         }
+        let table = updates.last().map_or("", Update::table);
+        self.drive(table, |dp| dp.control_plane().write(&batch))
     }
 
-    /// Install a table entry (applies the priority-inversion bug if active).
-    ///
-    /// This is the modeled vendor-driver path, so armed publication
-    /// faults trip here (and in everything that funnels through:
-    /// [`Device::install_exact`], [`Device::install_lpm`], churn
-    /// triggers). The driver tries up to four times: each failed attempt
-    /// charges an exponentially growing **virtual-cycle** backoff (64
-    /// cycles, doubling — deterministic, no wall clocks) to the device
-    /// clock and tries again, so a
-    /// [`FaultSpec::TransientPublication`] degrades to a publication that
-    /// lands late (stale-but-consistent reads in between) instead of a
-    /// crash, while a permanent [`FaultSpec::FailPublication`] exhausts
-    /// the attempts and raises the final typed panic exactly as before.
-    /// A retried success is booked in [`Device::faults`]: the count of
-    /// retried publications and the table's reconciled epoch
-    /// ([`FaultState::last_retried_epoch`]), which confirms the snapshot
-    /// chain advanced exactly once despite the repeated driver calls. A
-    /// checkpoint keeps both and a restore rewinds them. The
-    /// detached [`Device::control_plane`] handle bypasses the driver and
-    /// is unaffected, like the bug transforms.
+    /// Install one entry: the one-insert view of [`Device::write`], moving
+    /// the pattern and argument lists into the table uncopied.
     pub fn install(
         &mut self,
         table: &str,
@@ -692,7 +686,29 @@ impl Device {
         action: &str,
         args: Vec<u128>,
         priority: i32,
-    ) -> Result<(), netdebug_dataplane::ControlError> {
+    ) -> Result<(), ControlError> {
+        let priority = self.driven(priority);
+        self.drive(table, |dp| {
+            dp.install(table, patterns, action, args, priority)
+        })
+    }
+
+    /// The priority the driver writes for `priority`.
+    fn driven(&self, priority: i32) -> i32 {
+        if self.compiled.runtime.invert_priorities {
+            -priority
+        } else {
+            priority
+        }
+    }
+
+    /// Run one publication through the driver's fault check and retries
+    /// (see [`Device::write`]), booking `table`'s epoch on a retry.
+    fn drive<T>(
+        &mut self,
+        table: &str,
+        publish: impl FnOnce(&mut Dataplane) -> Result<T, ControlError>,
+    ) -> Result<T, ControlError> {
         /// Publication attempts before the panic propagates.
         const MAX_ATTEMPTS: u32 = 4;
         /// Virtual-cycle backoff before the first retry; doubles per attempt.
@@ -705,71 +721,17 @@ impl Device {
             }
             self.advance(BACKOFF_CYCLES << (attempt - 1));
         }
-        let p = self.effective_priority(priority);
-        self.dataplane.install(table, patterns, action, args, p)?;
+        let published = publish(&mut self.dataplane)?;
         if attempt > 0 {
             self.faults.retried_publications += 1;
             self.faults.last_retried_epoch = self.dataplane.control_plane().epoch(table).ok();
         }
-        Ok(())
-    }
-
-    /// Install an exact entry.
-    pub fn install_exact(
-        &mut self,
-        table: &str,
-        keys: Vec<u128>,
-        action: &str,
-        args: Vec<u128>,
-    ) -> Result<(), netdebug_dataplane::ControlError> {
-        self.install(
-            table,
-            keys.into_iter().map(IrPattern::Value).collect(),
-            action,
-            args,
-            0,
-        )
-    }
-
-    /// Install an LPM entry. A prefix longer than the key is rejected
-    /// before it reaches the driver.
-    pub fn install_lpm(
-        &mut self,
-        table: &str,
-        prefix: u128,
-        prefix_len: u16,
-        action: &str,
-        args: Vec<u128>,
-    ) -> Result<(), netdebug_dataplane::ControlError> {
-        let tid = self
-            .compiled
-            .program
-            .table_by_name(table)
-            .ok_or_else(|| netdebug_dataplane::ControlError::NoSuchTable(table.to_string()))?;
-        let width = self.compiled.program.tables[tid]
-            .keys
-            .first()
-            .map(|k| k.width)
-            .unwrap_or(32);
-        if prefix_len > width {
-            return Err(netdebug_dataplane::TableError::BadPattern.into());
-        }
-        self.install(
-            table,
-            vec![netdebug_dataplane::lpm_pattern(prefix, prefix_len, width)],
-            action,
-            args,
-            i32::from(prefix_len),
-        )
+        Ok(published)
     }
 
     /// Read a counter (the `CounterWidthWrapped` bug applies here, as the
     /// register bus is how counters leave the chip).
-    pub fn counter(
-        &self,
-        name: &str,
-        index: usize,
-    ) -> Result<(u64, u64), netdebug_dataplane::ControlError> {
+    pub fn counter(&self, name: &str, index: usize) -> Result<(u64, u64), ControlError> {
         let (pkts, bytes) = self.dataplane.counter(name, index)?;
         Ok(match self.compiled.runtime.counter_wrap_bits {
             Some(bits) if bits < 64 => {
@@ -786,15 +748,12 @@ impl Device {
         name: &str,
         index: usize,
         config: MeterConfig,
-    ) -> Result<(), netdebug_dataplane::ControlError> {
+    ) -> Result<(), ControlError> {
         self.dataplane.configure_meter(name, index, config)
     }
 
     /// Table statistics: (hits, misses, occupancy, capacity).
-    pub fn table_stats(
-        &self,
-        name: &str,
-    ) -> Result<(u64, u64, usize, u64), netdebug_dataplane::ControlError> {
+    pub fn table_stats(&self, name: &str) -> Result<(u64, u64, usize, u64), ControlError> {
         self.dataplane.table_stats(name)
     }
 
@@ -1042,6 +1001,7 @@ impl TapState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netdebug_dataplane::TableEntry;
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 
@@ -1070,8 +1030,11 @@ mod tests {
     fn deploy(backend: &Backend) -> Device {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(backend, &ir).unwrap();
-        dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            .unwrap();
+        dev.write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
+        .unwrap();
         dev
     }
 
@@ -1081,7 +1044,10 @@ mod tests {
         let cp = dev.control_plane();
         let before = cp.epoch("ipv4_lpm").unwrap();
         assert_eq!(
-            dev.install_lpm("ipv4_lpm", 0x0A01_0203, 33, "ipv4_forward", vec![0xCC, 3]),
+            dev.write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A01_0203, 33, "ipv4_forward", vec![0xCC, 3])
+            )]),
             Err(netdebug_dataplane::ControlError::Table(
                 netdebug_dataplane::TableError::BadPattern
             ))
@@ -1222,7 +1188,10 @@ mod tests {
         let mut dev = Device::deploy(&Backend::reference(), &ir).unwrap();
         dev.arm_fault(FaultSpec::FailPublication);
         let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            dev.write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+            )])
         }))
         .expect_err("driver publication must trip");
         assert_eq!(
@@ -1233,11 +1202,51 @@ mod tests {
         );
         // The detached control-plane handle bypasses the modeled driver.
         dev.control_plane()
-            .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+            )])
             .unwrap();
         // Packets still flow: the fault is publication-selective.
         let p = dev.inject(0, &ipv4(Ipv4Address::new(10, 0, 0, 9), 4));
         assert!(matches!(p.outcome, Outcome::Tx { port: 1, .. }));
+    }
+
+    #[test]
+    fn publication_faults_trip_on_every_update_kind() {
+        // A delete and a clear pass the driver as an insert does: a
+        // transient fault retries each to the unfaulted result, and a
+        // permanent one trips on each and lands nothing.
+        let route = |len| TableEntry::lpm(0x0A00_0000, len, "ipv4_forward", vec![0xBB, 2]);
+        let updates = [
+            Update::Insert("ipv4_lpm", route(16)),
+            Update::Delete("ipv4_lpm", route(8)),
+            Update::Clear("ipv4_lpm"),
+        ];
+        for update in updates {
+            let batch = std::slice::from_ref(&update);
+            let mut twin = deploy(&Backend::reference());
+            twin.write(batch).unwrap();
+            let mut dev = deploy(&Backend::reference());
+            dev.arm_fault(FaultSpec::TransientPublication { fail_first: 2 });
+            let clock = dev.now();
+            dev.write(batch).unwrap();
+            assert_eq!(dev.now() - clock, 64 + 128, "{update:?}: two backoffs");
+            let (cp, twin_cp) = (dev.control_plane(), twin.control_plane());
+            let epoch = cp.epoch("ipv4_lpm").unwrap();
+            assert_eq!(epoch, twin_cp.epoch("ipv4_lpm").unwrap(), "{update:?}");
+            assert_eq!(cp.occupancy("ipv4_lpm"), twin_cp.occupancy("ipv4_lpm"));
+            assert_eq!(dev.faults().retried_publications, 1, "{update:?}");
+            assert_eq!(dev.faults().last_retried_epoch, Some(epoch));
+
+            let mut dev = deploy(&Backend::reference());
+            dev.arm_fault(FaultSpec::FailPublication);
+            let trip = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dev.write(batch)))
+                .expect_err("a permanent fault trips on every update kind");
+            let panic = trip.downcast_ref::<crate::faults::FaultPanic>();
+            assert_eq!(panic.expect("typed payload").fault, "fail-publication");
+            assert_eq!(dev.control_plane().occupancy("ipv4_lpm").unwrap().0, 1);
+        }
     }
 
     #[test]
@@ -1426,8 +1435,9 @@ mod tests {
         let cp = dev.control_plane();
         let (outcomes, epoch) = std::thread::scope(|scope| {
             let mutator = scope.spawn(move || {
-                cp.install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
-                    .unwrap()
+                let route = TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]);
+                cp.write(&[Update::Insert("ipv4_lpm", route)]).unwrap();
+                cp.epoch("ipv4_lpm").unwrap()
             });
             let outcomes = inject_window(&mut dev, &frames, 0);
             (outcomes, mutator.join().expect("mutator thread"))
@@ -1476,8 +1486,11 @@ mod tests {
         let cp = dev.control_plane();
         let outcomes = std::thread::scope(|scope| {
             scope.spawn(move || {
-                cp.install_exact("dmac", vec![dst], "forward", vec![3])
-                    .unwrap()
+                cp.write(&[Update::Insert(
+                    "dmac",
+                    TableEntry::exact([dst], "forward", vec![3]),
+                )])
+                .unwrap()
             });
             inject_window(&mut dev, &frames, 0)
         });
@@ -1498,7 +1511,7 @@ mod tests {
     #[test]
     fn control_plane_handle_bypasses_driver_bugs() {
         // The priority-inversion bug models the vendor driver stack:
-        // Device::install applies it, the raw handle speaks to the silicon.
+        // Device::write applies it, the raw handle speaks to the silicon.
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let backend = Backend::SdnetSim(crate::backend::SdnetProfile {
             name: "prio".to_string(),
@@ -1508,10 +1521,16 @@ mod tests {
         });
         let mut dev = Device::deploy(&backend, &ir).unwrap();
         dev.control_plane()
-            .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+            )])
             .unwrap();
         dev.control_plane()
-            .install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
+            .write(&[Update::Insert(
+                "ipv4_lpm",
+                TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]),
+            )])
             .unwrap();
         // Handle-installed priorities are un-inverted: /16 still wins.
         let p = dev.inject(0, &ipv4(Ipv4Address::new(10, 1, 0, 9), 4));

@@ -51,7 +51,7 @@ pub enum FaultSpec {
         budget_cycles: u64,
     },
     /// Every driver-path table publication crashes the driver
-    /// (`Device::install` and everything funnelling through it).
+    /// (`Device::write` and everything funnelling through it).
     FailPublication,
     /// Seeded flaky crash: each admitted frame independently trips with
     /// probability `rate_ppm`/1e6, drawn from splitmix64 over
@@ -180,7 +180,7 @@ pub struct FaultState {
     /// Set once [`FaultSpec::Stall`] wedges the device; cleared only by
     /// [`FaultState::skip_faulted`] (recovery) or a state restore.
     wedged: bool,
-    /// Publications [`Device::install`](crate::Device::install) landed
+    /// Publications [`Device::write`](crate::Device::write) landed
     /// only after retrying past a transient driver failure.
     pub retried_publications: u64,
     /// Reconciled table epoch of the most recent retried publication —

@@ -280,6 +280,7 @@ pub fn check_forwarding(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netdebug_dataplane::{TableEntry, Update};
     use netdebug_hw::Backend;
     use netdebug_p4::corpus;
     use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -287,8 +288,11 @@ mod tests {
     fn router(backend: &Backend) -> Device {
         let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
         let mut dev = Device::deploy(backend, &ir).unwrap();
-        dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-            .unwrap();
+        dev.write(&[Update::Insert(
+            "ipv4_lpm",
+            TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        )])
+        .unwrap();
         dev
     }
 

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example pcap_capture`
 
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder, PcapWriter};
@@ -13,8 +14,8 @@ use std::fs::File;
 
 fn router(backend: &Backend) -> Device {
     let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).unwrap();
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    let route = TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]);
+    dev.write(&[Update::Insert("ipv4_lpm", route)]).unwrap();
     dev
 }
 

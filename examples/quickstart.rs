@@ -6,6 +6,7 @@
 
 use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::session::NetDebug;
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::Backend;
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -38,12 +39,12 @@ fn main() {
     }
 
     // 2. Install forwarding state through the control plane.
-    nd.device_mut()
-        .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
-    nd.device_mut()
-        .install_lpm("ipv4_lpm", 0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2])
-        .unwrap();
+    let routes = [
+        TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+        TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]),
+    ];
+    let batch = routes.map(|route| Update::Insert("ipv4_lpm", route));
+    nd.device_mut().write(&batch).unwrap();
     println!("\ninstalled routes: 10.0.0.0/8 -> port 1, 10.1.0.0/16 -> port 2");
 
     // 3. Program two test streams: well-formed packets that must forward,

@@ -16,6 +16,7 @@
 use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::localize::localize;
 use netdebug::session::NetDebug;
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -63,9 +64,11 @@ fn main() {
     // --- Step 2: deploy on the 2018 SDNet toolchain -------------------
     // The compile SUCCEEDS: the bug is silent.
     let mut device = Device::deploy(&Backend::sdnet_2018(), &ir).unwrap();
-    device
-        .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    let route = [Update::Insert(
+        "ipv4_lpm",
+        TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+    )];
+    device.write(&route).unwrap();
     println!(
         "[sdnet-2018] compile ok, {} LUTs, {} BRAM36 — no warnings, no errors\n",
         device.compiled().resources.total_luts(),
@@ -112,9 +115,7 @@ fn main() {
 
     // Contrast with the reference deployment.
     let mut reference = Device::deploy(&Backend::reference(), &ir).unwrap();
-    reference
-        .install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    reference.write(&route).unwrap();
     let ref_loc = localize(&mut reference, 0, &malformed);
     println!("[reference]  localisation: {ref_loc}");
 

@@ -9,6 +9,7 @@ use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::session::NetDebug;
 use netdebug::usecases::resources::quantify;
 use netdebug::usecases::status::monitor;
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -16,8 +17,8 @@ use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 fn main() {
     println!("=== Status monitoring (IPv4 router under mixed traffic) ===\n");
     let mut dev = Device::deploy_source(&Backend::reference(), corpus::IPV4_FORWARD).unwrap();
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    let route = TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]);
+    dev.write(&[Update::Insert("ipv4_lpm", route)]).unwrap();
     let mut nd = NetDebug::new(dev);
 
     let routable = PacketBuilder::ethernet(

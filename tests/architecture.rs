@@ -6,6 +6,7 @@ use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::session::NetDebug;
 use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
+use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, PacketBuilder};
 
 fn reflector() -> Device {
@@ -107,9 +108,9 @@ fn register_bus_is_sufficient_for_collection() {
 #[test]
 fn generator_impersonates_ports() {
     let mut dev = Device::deploy_source(&Backend::reference(), corpus::FLOW_COUNTER).unwrap();
-    dev.install_exact("fwd", vec![2], "forward", vec![3])
+    dev.install("fwd", vec![IrPattern::Value(2)], "forward", vec![3], 0)
         .unwrap();
-    dev.install_exact("fwd", vec![0], "forward", vec![1])
+    dev.install("fwd", vec![IrPattern::Value(0)], "forward", vec![1], 0)
         .unwrap();
     let p = dev.inject(2, &frame());
     match p.outcome {

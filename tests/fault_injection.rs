@@ -7,8 +7,10 @@
 use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::session::NetDebug;
 use netdebug::usecases::{architecture, compiler_check, performance};
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, BugSpec, Device};
 use netdebug_p4::corpus;
+use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use netdebug_verify::verify;
 
@@ -59,8 +61,11 @@ fn catches_drop_primitive_ignored() {
     )
     .unwrap();
     // Route installed so the drop branch (ttl==0) is the only guard.
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    dev.write(&[Update::Insert(
+        "ipv4_lpm",
+        TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+    )])
+    .unwrap();
     let mut nd = NetDebug::new(dev);
     let mut pkt = PacketBuilder::ethernet(
         EthernetAddress::new(2, 0, 0, 0, 0, 1),
@@ -186,7 +191,7 @@ fn catches_meter_always_green() {
     // Policing disabled: a paced meter lets everything through.
     let deploy = |backend: &Backend| {
         let mut dev = Device::deploy_source(backend, corpus::RATE_LIMITER).unwrap();
-        dev.install_exact("fwd", vec![0], "forward", vec![1])
+        dev.install("fwd", vec![IrPattern::Value(0)], "forward", vec![1], 0)
             .unwrap();
         dev.configure_meter(
             "port_meter",

@@ -7,6 +7,7 @@ use netdebug::generator::{Expectation, StreamSpec};
 use netdebug::localize::localize;
 use netdebug::session::NetDebug;
 use netdebug::Violation;
+use netdebug_dataplane::{TableEntry, Update};
 use netdebug_hw::{Backend, Device};
 use netdebug_p4::corpus;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
@@ -28,8 +29,11 @@ fn malformed() -> Vec<u8> {
 
 fn deploy(backend: &Backend) -> Device {
     let mut dev = Device::deploy_source(backend, corpus::IPV4_FORWARD).unwrap();
-    dev.install_lpm("ipv4_lpm", 0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1])
-        .unwrap();
+    dev.write(&[Update::Insert(
+        "ipv4_lpm",
+        TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]),
+    )])
+    .unwrap();
     dev
 }
 

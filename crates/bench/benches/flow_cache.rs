@@ -1,5 +1,5 @@
-//! flow_cache — the epoch-keyed memoized fast path under flow-repetitive
-//! vs adversarial traffic.
+//! flow_cache — the memoized fast path under flow-repetitive,
+//! adversarial and churned traffic.
 //!
 //! Real validation traffic is heavily flow-repetitive: the same few
 //! key-tuples arrive over and over while the table state sits still. The
@@ -36,6 +36,18 @@
 //! no hit and no install it lets 15 packets in 16 through unprobed, and
 //! their `cache_stats` say so in `skipped`.
 //!
+//! The **churn** rows hold `l2_switch` flows resident in all 4 096 slots
+//! (one frame per slot, found by installing 65 536 candidate keys and
+//! keeping those that hit) while a controller publishes one 8-update
+//! exact window (4 inserts, 4 deletes) before each batch of every flow.
+//! `churn_none` windows name no flow's key; `churn_one` windows also
+//! route one resident flow. A publication drops only the flows whose
+//! lookups it can change, so `churn_none` hits on every packet and
+//! `churn_one` misses once per window, on the flow it routed. The sync's
+//! cost is timed as a window's publication plus a one-packet batch,
+//! whose prologue runs the sync over every resident flow, minus the same
+//! on a cache-off twin: the median over the windows, in microseconds.
+//!
 //! Smoke gates (run in CI), on `exact_router`, untraced: cache-on ≥ 2×
 //! cache-off on the repeated stream and on the swept one, whose hit
 //! ratio must reach 0.99 (a key over the whole parsed prefix read 0.03
@@ -50,7 +62,10 @@
 //! `l2_switch` gets no-collapse floors (repeated must still win; random
 //! must stay within noise of its floor-bound baseline), and every
 //! configuration must produce FNV-identical verdict streams with the
-//! cache on and off. The two cache-off random rows also gate what
+//! cache on and off, the churn streams included. Under churn the hit
+//! ratio must reach 0.95 when no window names a flow (it read 0.0000
+//! while every publication dropped the whole cache), and a window that
+//! routes a flow must make exactly that flow miss again. The two cache-off random rows also gate what
 //! bit-packed headers cost: `exact_router` (Ethernet + IPv4's nibbles and
 //! 3+13-bit pair + UDP, three tables) must reach ≥ 0.25× `l2_switch`
 //! (Ethernet only, one table) — it read 0.17× while field access looped
@@ -59,7 +74,7 @@
 use netdebug_bench::{
     banner, dec, fnv, host_cores, row, switch_dataplane, time_ops, Report, Value, FNV_OFFSET,
 };
-use netdebug_dataplane::{Dataplane, NullSink, Verdict};
+use netdebug_dataplane::{Dataplane, NullSink, TableEntry, Update, Verdict};
 use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::hint::black_box;
@@ -75,6 +90,10 @@ const MISS_PAIRS: usize = 21;
 const MISS_ROUNDS: usize = 10;
 const FLOWS: usize = 8;
 const RANDOM_FLOWS: usize = 65_536;
+/// Publications the churn rows time, one before each batch.
+const CHURN_WINDOWS: usize = 64;
+/// The first `dmac` key a churn window writes: no flow's key.
+const CHURN_MAC: u128 = 0x0300_0000_0000;
 
 /// The deeper cacheable pipeline: same class as `l2_switch` (stateless,
 /// pure exact-match, counters only), three headers and three tables
@@ -408,6 +427,147 @@ fn digest(dp: &mut Dataplane, frames: &[Vec<u8>]) -> u64 {
     h
 }
 
+/// One `l2_switch` frame per flow-cache slot: of 65 536 candidate
+/// destination MACs, each sent twice (its second miss installs it), the
+/// ones still resident afterwards, which a batch of them all hits in
+/// full. No candidate is routed, so each floods. The survivors are the
+/// last ones into their slots, so they are looked for from the last
+/// candidate back: from the first one on, the cache would meet 256
+/// misses in a row and go dormant before the survivors.
+fn churn_flows() -> Vec<Vec<u8>> {
+    let candidates: Vec<Vec<u8>> = (0..RANDOM_FLOWS as u64)
+        .map(|k| l2_frame(0x0200_0001_0000 + k))
+        .collect();
+    let mut dp = switch();
+    dp.set_tracing(false);
+    for f in &candidates {
+        for _ in 0..2 {
+            dp.process_untraced(1, f, 0);
+        }
+    }
+    candidates
+        .into_iter()
+        .rev()
+        .filter(|f| {
+            let hits = dp.cache_stats().hits;
+            dp.process_untraced(1, f, 0);
+            dp.cache_stats().hits > hits
+        })
+        .collect()
+}
+
+/// Churn window `w`: four inserts of keys no flow sends to and the four
+/// deletes of window `w - 1`'s, plus, with `touch`, a route for that
+/// flow's destination MAC (its frame's first six bytes).
+fn churn_window(w: usize, touch: Option<&[u8]>) -> Vec<Update<'static>> {
+    let key = |w: usize, j: usize| CHURN_MAC + (w * 4 + j) as u128;
+    let mut updates: Vec<Update<'static>> = (0..4)
+        .map(|j| Update::Insert("dmac", TableEntry::exact([key(w, j)], "forward", vec![1])))
+        .collect();
+    if let Some(w) = w.checked_sub(1) {
+        updates.extend(
+            (0..4).map(|j| Update::Delete("dmac", TableEntry::exact([key(w, j)], "", vec![]))),
+        );
+    }
+    if let Some(frame) = touch {
+        let mac = frame[..6]
+            .iter()
+            .fold(0u128, |m, &b| m << 8 | u128::from(b));
+        updates.push(Update::Insert(
+            "dmac",
+            TableEntry::exact([mac], "forward", vec![2]),
+        ));
+    }
+    updates
+}
+
+/// What one churn run measured: the rate over the timed windows (each a
+/// publication, then a batch of every flow), the hits and misses those
+/// batches added, and the digest of their verdicts.
+struct Churn {
+    pps: f64,
+    hits: u64,
+    misses: u64,
+    digest: u64,
+}
+
+/// `CHURN_WINDOWS` windows on a fresh `l2_switch`, untraced, after one
+/// untimed warm-up window; with `touch`, window `w` routes flow `w`.
+fn churn(flows: &[Vec<u8>], cache_on: bool, touch: bool) -> Churn {
+    let mut dp = switch();
+    dp.set_tracing(false);
+    dp.set_flow_cache(cache_on);
+    let cp = dp.control_plane();
+    let pkts: Vec<(u16, &[u8])> = flows.iter().map(|f| (1, f.as_slice())).collect();
+    for _ in 0..2 {
+        black_box(dp.process_batch(&pkts, 0));
+    }
+    cp.write(&churn_window(0, None))
+        .expect("window 0 publishes");
+    black_box(dp.process_batch(&pkts, 0));
+    let before = dp.cache_stats();
+    let (mut digest, mut elapsed) = (FNV_OFFSET, 0.0);
+    for (w, flow) in flows.iter().enumerate().take(CHURN_WINDOWS + 1).skip(1) {
+        let updates = churn_window(w, touch.then_some(flow.as_slice()));
+        let t0 = Instant::now();
+        cp.write(&updates).expect("a churn window publishes");
+        let verdicts = black_box(dp.process_batch(&pkts, 0));
+        elapsed += t0.elapsed().as_secs_f64();
+        for (verdict, _) in &verdicts {
+            if let Verdict::Forward { port, .. } = verdict {
+                digest = fnv(digest, &port.to_le_bytes());
+            } else {
+                digest = fnv(digest, &[0]);
+            }
+        }
+    }
+    let after = dp.cache_stats();
+    Churn {
+        pps: (CHURN_WINDOWS * pkts.len()) as f64 / elapsed,
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        digest,
+    }
+}
+
+/// The sync's cost with `flows` resident: the median, over the windows,
+/// of a window's publication plus a one-packet batch (which syncs) minus
+/// the same on a cache-off twin, the two timed back to back in
+/// alternating order. Windows name no flow (`touch` false) or route one.
+fn sync_cost_us(flows: &[Vec<u8>], touch: bool) -> f64 {
+    let pkts: Vec<(u16, &[u8])> = flows.iter().map(|f| (1, f.as_slice())).collect();
+    let [mut on, mut off] = [true, false].map(|cache_on| {
+        let mut dp = switch();
+        dp.set_tracing(false);
+        dp.set_flow_cache(cache_on);
+        for _ in 0..2 {
+            black_box(dp.process_batch(&pkts, 0));
+        }
+        dp
+    });
+    let probe = [pkts[0]];
+    let window = |dp: &mut Dataplane, w: usize| {
+        let updates = churn_window(w, touch.then(|| flows[w].as_slice()));
+        let t0 = Instant::now();
+        dp.control_plane()
+            .write(&updates)
+            .expect("a churn window publishes");
+        black_box(dp.process_batch(&probe, 0));
+        t0.elapsed().as_secs_f64() * 1e6
+    };
+    let mut diffs: Vec<f64> = (1..=CHURN_WINDOWS)
+        .map(|w| match w % 2 {
+            0 => window(&mut on, w) - window(&mut off, w),
+            _ => {
+                let off_us = window(&mut off, w);
+                window(&mut on, w) - off_us
+            }
+        })
+        .collect();
+    diffs.sort_by(f64::total_cmp);
+    diffs[diffs.len() / 2]
+}
+
 /// One measured program: name, deploy-fn, and its named streams.
 type Workload = (
     &'static str,
@@ -493,6 +653,35 @@ fn main() -> ExitCode {
         }
     }
 
+    // Churn: 8-update windows between batches of every resident flow.
+    let flows = churn_flows();
+    let mut churned = std::collections::BTreeMap::new();
+    for (stream, touch) in [("churn_none", false), ("churn_one", true)] {
+        for cache_on in [false, true] {
+            let run = churn(&flows, cache_on, touch);
+            let probed = run.hits + run.misses;
+            report.row(
+                row!["program" => "l2_switch", "mode" => "untraced", "stream" => stream,
+                "cache" => cache_on, "flows" => flows.len(), "windows" => CHURN_WINDOWS,
+                "pps" => dec(run.pps, 0),
+                "hit_ratio" => dec(run.hits as f64 / probed.max(1) as f64, 4),
+                "misses" => run.misses],
+            );
+            churned.insert((stream, cache_on), run);
+        }
+        let sync_us = sync_cost_us(&flows, touch);
+        report.row(
+            row!["program" => "l2_switch", "mode" => "untraced", "stream" => stream,
+            "flows" => flows.len(), "sync_us" => dec(sync_us, 2)],
+        );
+        let (on, off) = (&churned[&(stream, true)], &churned[&(stream, false)]);
+        report.gate(
+            &format!("cache-on and cache-off verdicts agree: l2_switch/{stream}"),
+            on.digest == off.digest,
+            format!("0x{:016x} vs 0x{:016x}", on.digest, off.digest),
+        );
+    }
+
     // ---- Gates (run in CI) ----
     // The headline, on the exact-match router, untraced: replaying a
     // memoized outcome must be at least twice as fast as re-running the
@@ -547,6 +736,22 @@ fn main() -> ExitCode {
             "{rnd_off:.0} vs {l2_rnd_off:.0} pps ({:.2}x)",
             rnd_off / l2_rnd_off
         ),
+    );
+    // Under churn, a publication drops only the flows it changes: with
+    // every slot resident, windows that name no flow leave every packet
+    // a hit, and a window that routes a flow makes that flow alone miss.
+    let none = &churned[&("churn_none", true)];
+    let none_ratio = none.hits as f64 / (none.hits + none.misses).max(1) as f64;
+    report.gate(
+        "8-update windows that name no resident flow keep the hit ratio >= 0.95 (4 096 resident flows)",
+        none_ratio >= 0.95 && flows.len() >= 4000,
+        format!("{none_ratio:.4} over {} flows", flows.len()),
+    );
+    let one = &churned[&("churn_one", true)];
+    report.gate(
+        "a window that routes one resident flow makes exactly that flow miss again",
+        one.misses == CHURN_WINDOWS as u64,
+        format!("{} misses over {CHURN_WINDOWS} windows", one.misses),
     );
     // l2_switch floors: its engine cost sits near the per-packet
     // allocation floor, so the margin is structurally thinner — but

@@ -1,4 +1,4 @@
-//! The epoch-keyed flow cache: a memoized fast path for repeated flows.
+//! The flow cache: a memoized fast path for repeated flows.
 //!
 //! Real traffic is heavily flow-repetitive — the validation streams the
 //! fleet runtime replays doubly so — yet the engines re-parse, re-probe
@@ -26,24 +26,33 @@
 //!   that can move a header (`setValid()`/`setInvalid()`, a deparse that
 //!   drops or reorders an extracted header) keys on the whole parsed
 //!   prefix instead.
-//! * **Epoch** — entries are valid for exactly one pinned snapshot
-//!   generation. A [`ControlPlane`](crate::ControlPlane) install bumps
-//!   the shared generation; the next `FlowCache::sync_generation`
-//!   observes the move and drops every entry. There is no explicit
-//!   flush path — invalidation *is* the PR-3/PR-4 epoch machinery.
+//! * **Invalidation by dependency** — an entry records, per table apply,
+//!   the hash of the key tuple it looked up. Each
+//!   [`ControlPlane`](crate::ControlPlane) publication appends a
+//!   `(table, dependency)` record per changed table to the write log in
+//!   the data plane's publication cell: the key tuple of an exact entry,
+//!   or the whole table for a masked, range or LPM entry and a clear.
+//!   The next batch hands the log to `FlowCache::sync`, under the lock it
+//!   pins the tables with, and the sync drops exactly the entries with an
+//!   apply that a record names (see its soundness argument); the others
+//!   stay valid for the new tables and keep hitting. A gap in the log (it
+//!   overflowed, or a checkpoint was restored) drops every entry. The
+//!   sync is the only invalidation path.
 //! * **Storage** — 4 096 logical direct-mapped slots, but resident
 //!   memory follows resident flows: a slot is one `u16` in an index
 //!   (8 KiB) pointing into a dense arena of entries that grows with
 //!   occupancy, so an empty cache is the index plus the second-chance
 //!   tags (one `u32` a slot, 16 KiB) and a device that sees 64 flows
-//!   holds 64 entries. An entry stores the frame's keyed bytes as the
-//!   masked 8-byte windows the key reads them in (three words for
-//!   `acl_firewall`'s 13 live bytes of 38), and the output bytes ahead of
-//!   the payload; a hit rebuilds its frame from those and the live
-//!   payload, then copies the bytes no execution writes from its own
-//!   packet (none, for a key over the whole prefix). Dropping every
-//!   entry zeroes the index and keeps the arena's buffers for the flows
-//!   that come back.
+//!   holds 64 entries. An entry is a 72-byte record of offsets around one
+//!   buffer, sized exactly: the frame's keyed bytes as the masked 8-byte
+//!   windows the key reads them in (three words for `acl_firewall`'s 13
+//!   live bytes of 38), the replay lists, the output bytes ahead of the
+//!   payload, the dependencies and the stored trace; an `l2_switch`
+//!   entry is about 120 bytes in all. A hit rebuilds its frame from the
+//!   stored header and the live payload, then copies the bytes no
+//!   execution writes from its own packet (none, for a key over the
+//!   whole prefix). A dropped entry parks behind the resident ones and
+//!   keeps its buffer for the flows that come back.
 //! * **Outcome** — a miss runs the compiled bytecode normally while a
 //!   `MissRecord` captures the replayable side effects: the per-apply
 //!   hit/miss sequence (table statistics), the counter increments, the
@@ -70,8 +79,8 @@
 //!   is found again: a flow that repeats every P packets comes round on
 //!   the probe stride again within `PROBE_EVERY`·P packets, and its
 //!   second probe installs it (a single repeated flow wakes the cache
-//!   within 32 packets). A generation bump does not reset the count, or a
-//!   cache under steady churn would pay a full 256 probes per publication.
+//!   within 32 packets). A sync does not reset the count, or a cache
+//!   under steady churn would pay a full 256 probes per publication.
 //!
 //! Programs whose verdicts read meter/register state or the ingress
 //! timestamp, and programs whose parser can loop (so no finite key
@@ -80,7 +89,7 @@
 //! the unmemoized oracle the parity property tests compare against.
 
 use crate::externs::ExternState;
-use crate::table::{FxHasher, TableStats};
+use crate::table::{FxHasher, TableStats, WHOLE_TABLE};
 use crate::trace::{egress_buffer, DropReason, Recording, TraceBytes, Verdict};
 use std::hash::Hasher;
 use std::ops::Range;
@@ -100,7 +109,8 @@ pub struct CacheStats {
     /// Packets a dormant cache let through unprobed: they ran the full
     /// engine as with the cache off.
     pub skipped: u64,
-    /// Generation bumps that dropped a non-empty cache.
+    /// Publications, seen at the next batch, that dropped at least one
+    /// resident entry.
     pub invalidations: u64,
     /// Entries currently resident.
     pub occupancy: usize,
@@ -115,8 +125,10 @@ pub struct CacheStats {
 /// touch point.
 #[derive(Debug, Default)]
 pub(crate) struct MissRecord {
-    /// `(table id, hit)` per apply, in execution order.
-    pub(crate) applies: Vec<(u32, bool)>,
+    /// `(table id, hit, dependency)` per apply, in execution order; the
+    /// dependency is the apply's key tuple as the write log names it
+    /// (`table::key_dependency`).
+    pub(crate) applies: Vec<(u32, bool, u64)>,
     /// `(counter id, cell index)` per increment, in execution order.
     pub(crate) counters: Vec<(u32, u64)>,
     /// Byte offset of the unparsed payload (set by parser accept).
@@ -211,70 +223,132 @@ enum OutcomeKind {
     Drop(DropReason),
 }
 
-/// One memoized execution: everything needed to replay a packet with
-/// this key without entering the interpreter loop.
-#[derive(Debug)]
-struct Outcome {
-    kind: OutcomeKind,
-    /// Output bytes **before** the payload (the deparsed headers).
-    header: Vec<u8>,
-    /// Where the live packet's payload starts.
-    payload_start: usize,
-    /// `(table id, hit)` replays into the table statistics.
-    applies: Vec<(u32, bool)>,
-    /// `(counter id, cell index)` replays into the extern state.
-    counters: Vec<(u32, u64)>,
-    /// The flat trace, present only when the entry was recorded on a
-    /// traced path: the record lane (including the final-verdict record;
-    /// empty for a stages-only entry), then the stage lane, in one
-    /// allocation.
-    trace: Option<Vec<u8>>,
-    /// Where the stage lane starts in `trace`. A `u32` sits in the padding
-    /// after `kind`, so an entry is no larger than with the records alone.
-    trace_split: u32,
+/// The little-endian `u32` at the front of `bytes`.
+#[inline]
+fn u32_at(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"))
 }
 
-impl Outcome {
-    /// The recording level the stored trace serves: none, the stage lane
-    /// alone (empty records), or everything.
-    fn level(&self) -> Recording {
-        match self.trace {
-            None => Recording::Nothing,
-            Some(_) if self.trace_split == 0 => Recording::Stages,
-            Some(_) => Recording::Everything,
-        }
-    }
+/// The little-endian `u64` at the front of `bytes`.
+#[inline]
+fn u64_at(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"))
 }
 
-/// One resident flow: its key and what to replay for it.
+/// One resident flow: its key and everything needed to replay a packet
+/// with that key without entering the interpreter loop.
+///
+/// What varies in size lives in one buffer, sized exactly when it is
+/// first filled and reused after a drop. Back to back, each section
+/// starting where the entry's offset says:
+///
+/// * the frame's keyed words ([`CacheKey`]), 8 bytes each, compared in
+///   full on probe;
+/// * the applies, 4 bytes each: table id and hit bit, replayed into the
+///   table statistics;
+/// * the counter increments, 12 bytes each: counter id and cell index,
+///   replayed into the extern state;
+/// * the output bytes **before** the payload (the deparsed headers);
+/// * the applies' dependencies, 8 bytes each, in apply order: read only
+///   by [`FlowCache::sync`];
+/// * the flat trace, when the entry was recorded on a traced path: the
+///   record lane (including the final-verdict record; empty for a
+///   stages-only entry), then the stage lane.
 #[derive(Debug)]
 struct Entry {
+    buf: Vec<u8>,
     hash: u64,
-    port: u16,
+    /// The frame length.
     len: u32,
-    /// The frame's keyed words ([`CacheKey`]), compared in full.
-    key: Vec<u64>,
-    outcome: Outcome,
+    /// Where the live packet's payload starts.
+    payload_start: u32,
+    applies_at: u32,
+    counters_at: u32,
+    header_at: u32,
+    deps_at: u32,
+    records_at: u32,
+    lane_at: u32,
+    port: u16,
+    kind: OutcomeKind,
+    /// The recording level the stored trace serves: none, the stage lane
+    /// alone (empty records), or everything.
+    level: Recording,
 }
 
 impl Entry {
-    /// An entry with empty buffers; [`FlowCache::commit`] fills it in.
+    /// An entry with an empty buffer; [`FlowCache::commit`] fills it in.
     fn new(kind: OutcomeKind) -> Entry {
         Entry {
+            buf: Vec::new(),
             hash: 0,
-            port: 0,
             len: 0,
-            key: Vec::new(),
-            outcome: Outcome {
-                kind,
-                header: Vec::new(),
-                payload_start: 0,
-                applies: Vec::new(),
-                counters: Vec::new(),
-                trace: None,
-                trace_split: 0,
-            },
+            payload_start: 0,
+            applies_at: 0,
+            counters_at: 0,
+            header_at: 0,
+            deps_at: 0,
+            records_at: 0,
+            lane_at: 0,
+            port: 0,
+            kind,
+            level: Recording::Nothing,
         }
+    }
+
+    fn section(&self, from: u32, to: u32) -> &[u8] {
+        &self.buf[from as usize..to as usize]
+    }
+
+    /// The keyed words.
+    #[inline]
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.section(0, self.applies_at).chunks_exact(8).map(u64_at)
+    }
+
+    /// `(table id, hit)` per apply.
+    #[inline]
+    fn applies(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let applies = self.section(self.applies_at, self.counters_at);
+        applies.chunks_exact(4).map(|a| {
+            let a = u32_at(a);
+            ((a >> 1) as usize, a & 1 != 0)
+        })
+    }
+
+    /// `(counter id, cell index)` per increment.
+    #[inline]
+    fn counters(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let counters = self.section(self.counters_at, self.header_at);
+        counters
+            .chunks_exact(12)
+            .map(|c| (u32_at(c) as usize, u64_at(&c[4..]) as usize))
+    }
+
+    /// The output bytes ahead of the payload.
+    #[inline]
+    fn header(&self) -> &[u8] {
+        self.section(self.header_at, self.deps_at)
+    }
+
+    /// The stored trace: empty for an entry recorded untraced, and
+    /// records-empty for a stages-only one.
+    fn trace(&self) -> TraceBytes<'_> {
+        TraceBytes {
+            records: self.section(self.records_at, self.lane_at),
+            lane: &self.buf[self.lane_at as usize..],
+        }
+    }
+
+    /// Whether one of `writes` (sorted `(table id, dependency)` records)
+    /// can change what one of the entry's applies looked up: it names the
+    /// apply's key tuple on the apply's table, or that whole table.
+    fn touched(&self, writes: &[(u32, u64)]) -> bool {
+        let deps = self.section(self.deps_at, self.records_at).chunks_exact(8);
+        self.applies().zip(deps).any(|((tid, _), dep)| {
+            let tid = tid as u32;
+            writes.binary_search(&(tid, u64_at(dep))).is_ok()
+                || writes.binary_search(&(tid, WHOLE_TABLE)).is_ok()
+        })
     }
 }
 
@@ -307,9 +381,8 @@ pub(crate) struct FlowCache {
     /// Each resident entry holds its own slot, so positions stay below
     /// [`SLOTS`].
     index: Vec<u16>,
-    /// The entries, dense, in installation order: `arena[..live]` are
-    /// resident, anything behind them was dropped by a generation bump
-    /// and is kept for its buffers.
+    /// The entries, dense: `arena[..live]` are resident, anything behind
+    /// them was dropped and is kept for its buffer.
     arena: Vec<Entry>,
     live: usize,
     /// Second-chance filter: the low 32 bits of the key hash of each
@@ -320,7 +393,8 @@ pub(crate) struct FlowCache {
     /// whether an entry is installed, never what a lookup serves, so two
     /// keys sharing a slot and a tag (one in 2^32) change no verdict.
     tags: Vec<u32>,
-    /// Snapshot generation the resident entries are valid for.
+    /// Snapshot generation the resident entries are valid for (0: none
+    /// yet).
     generation: u64,
     /// Reused miss-side recording buffers (see [`MissRecord`]).
     scratch: MissRecord,
@@ -330,8 +404,8 @@ pub(crate) struct FlowCache {
     install: bool,
     /// Packets since the last hit or install: every one a lookup until
     /// [`DORMANT_AFTER`], where the cache goes dormant, and then the
-    /// 1-in-[`PROBE_EVERY`] stride. A generation bump leaves it alone.
-    /// It wraps after 2^32 packets, which costs one more awake stretch.
+    /// 1-in-[`PROBE_EVERY`] stride. A sync leaves it alone. It wraps
+    /// after 2^32 packets, which costs one more awake stretch.
     idle: u32,
     hits: u64,
     misses: u64,
@@ -370,20 +444,61 @@ impl FlowCache {
         }
     }
 
-    /// Align the cache with the pinned snapshot generation: if any table
-    /// republished since the resident entries were recorded, drop them
-    /// all. This is the *only* invalidation path — a generation compare.
-    pub(crate) fn sync_generation(&mut self, generation: u64) {
+    /// Align the cache with the tables of publication `generation`, given
+    /// the sorted `(table id, dependency)` records of every write
+    /// published since the last sync (`None`: some went unlogged).
+    ///
+    /// An entry is a function of its packet's key and of the lookups its
+    /// applies made; a lookup of key tuple `k` in table `T` returns the
+    /// first of `T`'s entries that matches `k`, so only a write of an
+    /// entry matching `k` can change it: one with exactly `k`'s values,
+    /// or one with a masked, range or LPM pattern (logged as the whole
+    /// table), or a clear. An entry none of whose applies such a write
+    /// names makes the same lookups in the new tables — by induction
+    /// along its applies, since each one's key follows from the packet
+    /// and the lookups before it — and stays. The others are dropped, and
+    /// keep their slot's tag, so a flow that comes back is installed on
+    /// its first miss. With a gap, or nothing recorded yet, everything
+    /// goes, tags included.
+    pub(crate) fn sync(&mut self, generation: u64, writes: Option<&[(u32, u64)]>) {
         if generation == self.generation {
             return;
         }
-        if self.live > 0 {
-            self.index.fill(0);
-            self.live = 0;
+        let dropped = self.live;
+        match writes {
+            Some(writes) if self.generation != 0 => self.drop_touched(writes),
+            _ => {
+                self.index.fill(0);
+                self.live = 0;
+                self.tags.fill(0);
+            }
+        }
+        if self.live < dropped {
             self.invalidations += 1;
         }
-        self.tags.fill(0);
         self.generation = generation;
+    }
+
+    /// Drop the resident entries that `writes` touch
+    /// ([`Entry::touched`]): each swaps places with the last resident
+    /// entry, whose slot follows it, and parks behind the live ones.
+    fn drop_touched(&mut self, writes: &[(u32, u64)]) {
+        if writes.is_empty() {
+            return;
+        }
+        let mut at = 0;
+        while at < self.live {
+            if !self.arena[at].touched(writes) {
+                at += 1;
+                continue;
+            }
+            self.index[Self::slot_of(self.arena[at].hash)] = 0;
+            self.live -= 1;
+            self.arena.swap(at, self.live);
+            if at < self.live {
+                self.index[Self::slot_of(self.arena[at].hash)] = at as u16 + 1;
+            }
+        }
     }
 
     /// Whether the next packet probes the cache: always while the cache
@@ -441,6 +556,10 @@ impl FlowCache {
         let hash = Self::hash_key(key, port, data);
         let slot = Self::slot_of(hash);
         self.last_hash = hash;
+        // Every entry stores one word per window of the one key, so a
+        // zip compares them all (`Iterator::eq`, which also compares the
+        // lengths, cost an all-hit `l2_switch` stream about 3 ns a packet
+        // on a 2-core x86-64 host).
         let resident = (self.index[slot] as usize)
             .checked_sub(1)
             .map(|at| (at, &self.arena[at]))
@@ -448,14 +567,13 @@ impl FlowCache {
                 e.hash == hash
                     && e.port == port
                     && e.len as usize == data.len()
-                    && e.key.iter().copied().eq(key.of(data))
+                    && e.words()
+                        .zip(key.of(data))
+                        .all(|(stored, word)| stored == word)
             });
         // A traced hit needs the trace bytes too: an entry recorded at a
         // lower level is resident but not a hit (re-record at this one).
-        let Some((at, outcome)) = resident
-            .map(|(at, e)| (at, &e.outcome))
-            .filter(|(_, o)| o.level() >= level)
-        else {
+        let Some((at, e)) = resident.filter(|(_, e)| e.level >= level) else {
             self.misses += 1;
             self.install = resident.is_some() || self.tags[slot] == hash as u32;
             self.idle = if self.install {
@@ -469,18 +587,19 @@ impl FlowCache {
         };
         self.hits += 1;
         self.idle = 0;
-        for &(tid, was_hit) in &outcome.applies {
-            table_stats[tid as usize].record(was_hit);
+        for (tid, was_hit) in e.applies() {
+            table_stats[tid].record(was_hit);
         }
-        for &(id, idx) in &outcome.counters {
-            externs.counter_inc(id as usize, idx as usize, data.len());
+        for (id, idx) in e.counters() {
+            externs.counter_inc(id, idx, data.len());
         }
         // The recorded header bytes, then the live payload; then, from
         // this packet, the bytes ahead of the payload that no execution
         // writes: they include the unkeyed ones, which can differ from the
         // recorded packet's (the keyed ones among them cannot). A program
         // that can move a header passes nothing through.
-        let rebuild = |header: &[u8], payload_start: usize| {
+        let rebuild = || {
+            let (header, payload_start) = (e.header(), e.payload_start as usize);
             let payload = &data[payload_start..];
             let mut out = egress_buffer(header.len() + payload.len());
             out.extend_from_slice(header);
@@ -494,15 +613,13 @@ impl FlowCache {
             }
             out.into()
         };
-        let verdict = match outcome.kind {
+        let verdict = match e.kind {
             OutcomeKind::Drop(reason) => Verdict::Drop(reason),
             OutcomeKind::Forward(p) => Verdict::Forward {
                 port: p,
-                data: rebuild(&outcome.header, outcome.payload_start),
+                data: rebuild(),
             },
-            OutcomeKind::Flood => Verdict::Flood {
-                data: rebuild(&outcome.header, outcome.payload_start),
-            },
+            OutcomeKind::Flood => Verdict::Flood { data: rebuild() },
         };
         Some((verdict, at))
     }
@@ -511,14 +628,7 @@ impl FlowCache {
     /// [`FlowCache::lookup`] hit returns it), read in place; empty for an
     /// entry recorded untraced, and records-empty for a stages-only one.
     pub(crate) fn trace(&self, at: usize) -> TraceBytes<'_> {
-        let outcome = &self.arena[at].outcome;
-        match &outcome.trace {
-            Some(stored) => {
-                let (records, lane) = stored.split_at(outcome.trace_split as usize);
-                TraceBytes { records, lane }
-            }
-            None => TraceBytes::default(),
-        }
+        self.arena[at].trace()
     }
 
     /// The recording buffers for the engine run that follows a miss.
@@ -538,7 +648,7 @@ impl FlowCache {
     /// hash is carried over). First-time misses are filtered
     /// to a tag write in `lookup` and return without installing; a key's
     /// second miss overwrites the slot's entry (direct-mapped), reusing
-    /// its buffers. `trace` carries the packet's flat trace (records and
+    /// its buffer. `trace` carries the packet's flat trace (records and
     /// stage lane, or the stage lane alone) when the run was traced.
     pub(crate) fn commit<'v>(
         &mut self,
@@ -560,7 +670,7 @@ impl FlowCache {
             Verdict::Flood { data: frame } => (OutcomeKind::Flood, header(frame)),
         };
         // A resident slot is overwritten where it is; an empty one takes
-        // the next arena position, buffers and all if a dropped entry is
+        // the next arena position, buffer and all if a dropped entry is
         // parked there.
         let slot = Self::slot_of(self.last_hash);
         let at = match self.index[slot] {
@@ -578,28 +688,46 @@ impl FlowCache {
         e.hash = self.last_hash;
         e.port = port;
         e.len = data.len() as u32;
-        e.key.clear();
-        e.key.extend(key.of(data));
-        let out = &mut e.outcome;
-        out.kind = kind;
-        out.header.clear();
-        out.header.extend_from_slice(header);
-        out.payload_start = rec.payload_start;
-        out.applies.clear();
-        out.applies.extend_from_slice(&rec.applies);
-        out.counters.clear();
-        out.counters.extend_from_slice(&rec.counters);
-        match trace {
-            Some(t) => {
-                let stored = out.trace.get_or_insert_with(Vec::new);
-                stored.clear();
-                stored.reserve_exact(t.records.len() + t.lane.len());
-                stored.extend_from_slice(t.records);
-                stored.extend_from_slice(t.lane);
-                out.trace_split = t.records.len() as u32;
-            }
-            None => out.trace = None,
+        e.kind = kind;
+        e.payload_start = rec.payload_start as u32;
+        let traced = trace.map_or(0, |t| t.records.len() + t.lane.len());
+        let buf = &mut e.buf;
+        buf.clear();
+        buf.reserve_exact(
+            8 * key.words.len()
+                + 12 * rec.applies.len()
+                + 12 * rec.counters.len()
+                + header.len()
+                + traced,
+        );
+        let at = |buf: &Vec<u8>| buf.len() as u32;
+        key.of(data)
+            .for_each(|w| buf.extend_from_slice(&w.to_le_bytes()));
+        e.applies_at = at(buf);
+        for &(tid, hit, _) in &rec.applies {
+            buf.extend_from_slice(&(tid << 1 | u32::from(hit)).to_le_bytes());
         }
+        e.counters_at = at(buf);
+        for &(id, idx) in &rec.counters {
+            buf.extend_from_slice(&id.to_le_bytes());
+            buf.extend_from_slice(&idx.to_le_bytes());
+        }
+        e.header_at = at(buf);
+        buf.extend_from_slice(header);
+        e.deps_at = at(buf);
+        for &(_, _, dep) in &rec.applies {
+            buf.extend_from_slice(&dep.to_le_bytes());
+        }
+        e.records_at = at(buf);
+        let t = trace.unwrap_or_default();
+        buf.extend_from_slice(t.records);
+        e.lane_at = at(buf);
+        buf.extend_from_slice(t.lane);
+        e.level = match trace {
+            None => Recording::Nothing,
+            Some(t) if t.records.is_empty() => Recording::Stages,
+            Some(_) => Recording::Everything,
+        };
     }
 }
 
@@ -607,6 +735,7 @@ impl FlowCache {
 mod tests {
     use super::*;
     use crate::compile::CompiledProgram;
+    use netdebug_p4::ir::IrPattern;
     use Recording::{Everything, Nothing, Stages};
 
     /// The key of a program that can move a header and parses `cap`
@@ -665,9 +794,9 @@ mod tests {
     }
 
     #[test]
-    fn generation_sync_drops_entries_once() {
+    fn a_gap_drops_every_entry_once() {
         let (mut c, key) = (FlowCache::new(), whole(14));
-        c.sync_generation(1);
+        c.sync(1, None);
         assert_eq!(c.stats().invalidations, 0, "empty cache: nothing dropped");
         // Fake an occupied slot through the public surface: a miss + commit.
         let mut stats: Vec<TableStats> = vec![];
@@ -681,12 +810,168 @@ mod tests {
             c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         }
         assert_eq!(c.stats().occupancy, 1);
-        c.sync_generation(2);
+        c.sync(2, None);
         assert_eq!(c.stats().occupancy, 0);
         assert_eq!(c.stats().invalidations, 1);
         // Same generation again: no further invalidation.
-        c.sync_generation(2);
+        c.sync(2, None);
         assert_eq!(c.stats().invalidations, 1);
+        // The tags went with the entries: the flow's next miss only arms.
+        assert!(c
+            .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
+            .is_none());
+        assert!(!c.will_install());
+    }
+
+    /// The first `dmac` key of the publication tests.
+    const MAC: u128 = 0x0200_0000_0000;
+
+    /// A 64 B frame to `dmac` key `mac`.
+    fn frame_to(mac: u128) -> Vec<u8> {
+        let mut f = vec![0u8; 64];
+        f[..6].copy_from_slice(&mac.to_be_bytes()[10..]);
+        f[12..14].copy_from_slice(&[0x08, 0x00]);
+        f
+    }
+
+    /// `l2_switch` forwarding `MAC + i` to port `i % 4` for `i < 16`, and
+    /// one frame to each of those keys: each flow resident after two
+    /// batches, in a slot of its own.
+    fn switch() -> (crate::Dataplane, Vec<Vec<u8>>) {
+        let ir = netdebug_p4::compile(netdebug_p4::corpus::L2_SWITCH).unwrap();
+        let mut dp = crate::Dataplane::new(ir);
+        let mut frames = Vec::new();
+        for i in 0..16 {
+            dp.install(
+                "dmac",
+                vec![IrPattern::Value(MAC + i)],
+                "forward",
+                vec![i % 4],
+                0,
+            )
+            .unwrap();
+            frames.push(frame_to(MAC + i));
+        }
+        for _ in 0..2 {
+            batch(&mut dp, &frames);
+        }
+        assert_eq!(dp.cache_stats().occupancy, 16);
+        (dp, frames)
+    }
+
+    /// One batch of `frames`: its verdicts, and the hits and misses it
+    /// added.
+    fn batch(dp: &mut crate::Dataplane, frames: &[Vec<u8>]) -> (Vec<Verdict>, u64, u64) {
+        let before = dp.cache_stats();
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|f| (1, f.as_slice())).collect();
+        let verdicts = dp.process_batch(&pkts, 0).into_iter().map(|(v, _)| v);
+        let verdicts = verdicts.collect();
+        let after = dp.cache_stats();
+        (
+            verdicts,
+            after.hits - before.hits,
+            after.misses - before.misses,
+        )
+    }
+
+    /// The exact `dmac` entry `MAC + i → port`.
+    fn route(i: u128, port: u128) -> crate::Update<'static> {
+        crate::Update::Insert(
+            "dmac",
+            crate::TableEntry::exact([MAC + i], "forward", vec![port]),
+        )
+    }
+
+    /// The delete of `dmac` entry `MAC + i`.
+    fn unroute(i: u128) -> crate::Update<'static> {
+        crate::Update::Delete("dmac", crate::TableEntry::exact([MAC + i], "", vec![]))
+    }
+
+    #[test]
+    fn an_unrelated_exact_publication_keeps_every_flow() {
+        let (mut dp, frames) = switch();
+        let invalidations = dp.cache_stats().invalidations;
+        let cp = dp.control_plane();
+        cp.write(&[route(100, 1), route(101, 2), unroute(102)])
+            .unwrap();
+        cp.write(&[unroute(100)]).unwrap();
+        let (_, hits, misses) = batch(&mut dp, &frames);
+        assert_eq!((hits, misses), (16, 0));
+        assert_eq!(dp.cache_stats().invalidations, invalidations);
+        assert_eq!(dp.cache_stats().occupancy, 16);
+    }
+
+    #[test]
+    fn a_touching_publication_drops_exactly_the_flows_it_names() {
+        let (mut dp, frames) = switch();
+        let invalidations = dp.cache_stats().invalidations;
+        dp.control_plane()
+            .write(&[unroute(3), unroute(5), route(5, 3), route(200, 1)])
+            .unwrap();
+        // Each touched flow misses once and is installed again at once:
+        // its slot kept its tag.
+        let (verdicts, hits, misses) = batch(&mut dp, &frames);
+        assert_eq!((hits, misses), (14, 2));
+        assert_eq!(dp.cache_stats().invalidations, invalidations + 1);
+        assert!(matches!(verdicts[3], Verdict::Flood { .. }));
+        assert!(matches!(verdicts[5], Verdict::Forward { port: 3, .. }));
+        let (again, hits, misses) = batch(&mut dp, &frames);
+        assert_eq!((hits, misses), (16, 0));
+        assert_eq!(again, verdicts);
+    }
+
+    #[test]
+    fn a_gap_a_restore_and_a_clone_each_flush() {
+        // Every flow misses, and only arms its tag: nothing was kept.
+        let flushed = |dp: &mut crate::Dataplane, frames: &[Vec<u8>]| {
+            let (_, hits, misses) = batch(dp, frames);
+            assert_eq!((hits, misses, dp.cache_stats().occupancy), (0, 16, 0));
+        };
+        // A log past its bound: unrelated writes, one publication each.
+        let (mut dp, frames) = switch();
+        let cp = dp.control_plane();
+        for i in 0..=crate::table::LOG_LIMIT as u128 {
+            cp.write(&[route(1000 + i, 1)]).unwrap();
+        }
+        flushed(&mut dp, &frames);
+        // A restore, even of the tables the cache holds flows for.
+        let (mut dp, frames) = switch();
+        let checkpoint = dp.checkpoint();
+        dp.restore(&checkpoint);
+        flushed(&mut dp, &frames);
+        // A clone starts cold; the original keeps its flows.
+        let (mut dp, frames) = switch();
+        flushed(&mut dp.clone(), &frames);
+        assert_eq!(batch(&mut dp, &frames).1, 16);
+    }
+
+    /// A sink that, at the batch's first packet, has another thread
+    /// publish `update`.
+    struct Publisher(crate::ControlPlane, crate::Update<'static>);
+
+    impl crate::TraceSink for Publisher {
+        fn observe(&mut self, index: usize, _: Verdict, _: &crate::LazyTrace<'_>) {
+            if index == 0 {
+                let (cp, update) = (&self.0, &self.1);
+                std::thread::scope(|s| {
+                    s.spawn(|| cp.write(std::slice::from_ref(update)).unwrap());
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn a_publication_during_a_batch_drops_its_flows_at_the_next() {
+        let (mut dp, frames) = switch();
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|f| (1, f.as_slice())).collect();
+        let hits = dp.cache_stats().hits;
+        let mut sink = Publisher(dp.control_plane(), unroute(7));
+        dp.process_batch_with(&pkts, 0, &mut sink);
+        // The batch keeps the tables and the flows it started with.
+        assert_eq!(dp.cache_stats().hits, hits + 16);
+        let (verdicts, hits, misses) = batch(&mut dp, &frames);
+        assert_eq!((hits, misses), (15, 1));
+        assert!(matches!(verdicts[7], Verdict::Flood { .. }));
     }
 
     #[test]
@@ -700,7 +985,7 @@ mod tests {
                 .lookup(&key, 7, &a, Nothing, &mut stats, &mut ext)
                 .is_none());
             c.record().payload_start = 4;
-            c.record().applies.push((0, true));
+            c.record().applies.push((0, true, 0));
             c.commit(
                 &key,
                 7,
@@ -881,11 +1166,11 @@ mod tests {
             u64::from(DORMANT_AFTER + strides * PROBE_EVERY)
         );
         // A publication drops the entries but not the count.
-        c.sync_generation(7);
+        c.sync(7, None);
         let skipped = (0..PROBE_EVERY)
             .filter(|k| drive(&mut c, &(2 << 20 | k).to_be_bytes()).is_none())
             .count();
-        assert_eq!(skipped, 15, "still dormant after a generation bump");
+        assert_eq!(skipped, 15, "still dormant after a sync");
     }
 
     #[test]
@@ -937,13 +1222,13 @@ mod tests {
         assert_eq!(s.hits + s.misses + s.skipped, dp.packets_processed());
     }
 
-    /// A stored trace costs its entry no size: the lane split point lives
-    /// in `Outcome`'s padding, and the lanes share one allocation.
+    /// An entry is its offsets around one buffer: a stored trace, its
+    /// lane split and the applies' dependencies are sections of that
+    /// buffer, not fields or buffers of their own.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn the_lane_split_does_not_grow_an_entry() {
-        assert_eq!(std::mem::size_of::<Outcome>(), 112);
-        assert_eq!(std::mem::size_of::<Entry>(), 152);
+        assert_eq!(std::mem::size_of::<Entry>(), 72);
     }
 
     #[test]
@@ -1071,7 +1356,7 @@ mod tests {
             );
         }
         assert_eq!(
-            c.arena[0].key,
+            c.arena[0].words().collect::<Vec<_>>(),
             [u64::from_le_bytes([1, 0, 3, 4, 0, 0, 0, 0])],
             "only the keyed bytes are stored"
         );
@@ -1349,12 +1634,12 @@ mod tests {
             .take(64)
             .collect();
         let mut c = FlowCache::new();
-        c.sync_generation(1);
+        c.sync(1, None);
         for f in &frames {
             install(&mut c, f, 1);
         }
         assert_eq!((c.stats().occupancy, c.arena.len()), (64, 64));
-        c.sync_generation(2);
+        c.sync(2, None);
         assert_eq!((c.stats().occupancy, c.arena.len()), (0, 64));
         // Every old key misses — twice, so it is not the tag filter
         // talking — although its entry still sits in the arena.

@@ -49,7 +49,7 @@ use crate::bits::FieldPlan;
 use crate::cache::{CacheKey, MissRecord, READ, WRITTEN};
 use crate::externs::ExternState;
 use crate::interp::{Env, FLOOD_PORT};
-use crate::table::{Table, TableStats};
+use crate::table::{key_dependency, Table, TableStats};
 use crate::trace::{
     egress_buffer, DropReason, EgressFrame, TraceBuf, TraceName, TraceTables, Verdict,
 };
@@ -1196,7 +1196,9 @@ pub(crate) fn exec(
 
 /// The shared tail of [`OpCode::Apply`] and [`OpCode::FieldApply`]:
 /// lookup on `env.key_scratch`, action-argument binding, statistics,
-/// hit-capture local, trace record. Returns the action id to enter.
+/// the flow-cache record (with the lookup's dependency, which decides
+/// which publications drop the entry), hit-capture local, trace record.
+/// Returns the action id to enter.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn apply_keys(
@@ -1225,7 +1227,8 @@ fn apply_keys(
     };
     table_stats[tid].record(hit);
     if let Some(r) = rec.as_deref_mut() {
-        r.applies.push((tid as u32, hit));
+        r.applies
+            .push((tid as u32, hit, key_dependency(&env.key_scratch)));
     }
     if hit_into != NO_HIT_LOCAL {
         env.locals[hit_into as usize] = hit as u128;

@@ -10,8 +10,16 @@
 //! [`crate::LookupIndex`] by one entry, in place unless a pin (an
 //! in-flight batch, a checkpoint, a device clone) holds the table, which
 //! is then copied once (see [`crate::table`]).
+//!
+//! Each update that changes a table also appends one record to the
+//! cell's write log: the table and the one key tuple the update can
+//! change the lookup of (an exact entry's), or the whole table (a masked,
+//! range or LPM entry, a clear). The next batch hands the log to the
+//! flow cache, which drops only the flows whose table lookups a record
+//! names. A rejected batch logs nothing.
 
-use crate::table::{lpm_pattern, RuntimeEntry, Table, TableError, Tables};
+use crate::table::WHOLE_TABLE;
+use crate::table::{dependency, lpm_pattern, Cell, RuntimeEntry, Table, TableError, Tables};
 use netdebug_p4::ir::{self, IrPattern};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
@@ -161,11 +169,11 @@ pub struct ControlPlane {
     program: Arc<ir::Program>,
     /// The data plane's publication cell, shared with it and every other
     /// handle.
-    tables: Arc<Mutex<Arc<Tables>>>,
+    tables: Arc<Mutex<Cell>>,
 }
 
 impl ControlPlane {
-    pub(crate) fn new(program: Arc<ir::Program>, tables: Arc<Mutex<Arc<Tables>>>) -> Self {
+    pub(crate) fn new(program: Arc<ir::Program>, tables: Arc<Mutex<Cell>>) -> Self {
         ControlPlane { program, tables }
     }
 
@@ -212,11 +220,13 @@ impl ControlPlane {
         &self,
         updates: &mut [Update<'_>],
     ) -> Result<(u64, Option<u64>), ControlError> {
-        let mut cell = Tables::lock(&self.tables);
+        let mut guard = Cell::lock(&self.tables);
+        let cell = &mut *guard;
         // A lone update is checked before it edits; a batch is checked
         // whole first. Only a full table depends on earlier updates: a
         // batch with room for all its inserts is applied in place, any
-        // other rehearsed on a copy, kept only if every update lands.
+        // other rehearsed on a copy, kept only if every update lands
+        // (and logged only then).
         let inserts = updates
             .iter()
             .filter(|u| matches!(u, Update::Insert(..)))
@@ -224,7 +234,7 @@ impl ControlPlane {
         let mut crowded = false;
         if updates.len() > 1 {
             for update in updates.iter_mut() {
-                let t = &cell.tables[self.check(update)?.0];
+                let t = &cell.tables.tables[self.check(update)?.0];
                 crowded = matches!(update, Update::Insert(..))
                     && (t.snapshot.len() + inserts) as u64 > t.capacity;
                 if crowded {
@@ -232,13 +242,33 @@ impl ControlPlane {
                 }
             }
         }
-        if !crowded {
-            return self.apply(Arc::make_mut(&mut cell), updates);
+        let published = if crowded {
+            self.rehearse(cell, updates)
+        } else {
+            let log = (!cell.gap).then_some(&mut cell.log);
+            self.apply(Arc::make_mut(&mut cell.tables), log, updates)
+        };
+        cell.bound();
+        published
+    }
+
+    /// Apply `updates` to a copy of `cell`'s tables and publish the copy,
+    /// and what it logged, only if every update lands.
+    #[cold]
+    fn rehearse(
+        &self,
+        cell: &mut Cell,
+        updates: &mut [Update<'_>],
+    ) -> Result<(u64, Option<u64>), ControlError> {
+        let logged = cell.log.len();
+        let mut rehearsal = Tables::clone(&cell.tables);
+        let log = (!cell.gap).then_some(&mut cell.log);
+        let published = self.apply(&mut rehearsal, log, updates);
+        match published {
+            Ok(_) => cell.tables = Arc::new(rehearsal),
+            Err(_) => cell.log.truncate(logged),
         }
-        let mut rehearsal = Tables::clone(&cell);
-        let published = self.apply(&mut rehearsal, updates)?;
-        *cell = Arc::new(rehearsal);
-        Ok(published)
+        published
     }
 
     /// The checks an update passes whatever the tables hold: its table
@@ -264,15 +294,17 @@ impl ControlPlane {
     }
 
     /// Check and apply `updates` in order as the next publication of
-    /// `tables`; the first error stops it part-way. Returns what
-    /// [`ControlPlane::commit`] does.
+    /// `tables`, appending a record of each change to `log`; the first
+    /// error stops it part-way. Returns what [`ControlPlane::commit`]
+    /// does.
     #[inline]
     fn apply(
         &self,
         tables: &mut Tables,
+        mut log: Option<&mut Vec<(u32, u64)>>,
         updates: &mut [Update<'_>],
     ) -> Result<(u64, Option<u64>), ControlError> {
-        let generation = tables.generation + 1;
+        let (generation, logging) = (tables.generation + 1, log.is_some());
         let mut last = None;
         for update in updates.iter_mut() {
             let (tid, action) = self.check(update)?;
@@ -283,25 +315,32 @@ impl ControlPlane {
                     let action = ir::ActionCall { action, args };
                     let priority = entry.priority;
                     let patterns = entry.patterns(ir, true)?.into_owned();
+                    let dep = logging.then(|| dependency(&patterns));
                     let entry = RuntimeEntry {
                         patterns,
                         action,
                         priority,
                     };
                     table.insert(entry, generation)?;
-                    true
+                    Some(dep)
                 }
                 Update::Delete(_, entry) => {
-                    let priority = entry.priority;
-                    table.delete(&entry.patterns(ir, false)?, priority, generation)
+                    let (priority, patterns) = (entry.priority, entry.patterns(ir, false)?);
+                    let deleted = table.delete(&patterns, priority, generation);
+                    deleted.then(|| logging.then(|| dependency(&patterns)))
                 }
                 Update::Clear(_) => {
                     table.clear(generation);
-                    true
+                    Some(Some(WHOLE_TABLE))
                 }
             };
-            if changed {
-                last = Some(table.snapshot.epoch());
+            // What changed, and, while the log is kept, what it can change.
+            let Some(dep) = changed else {
+                continue;
+            };
+            last = Some(table.snapshot.epoch());
+            if let Some((log, dep)) = log.as_deref_mut().zip(dep) {
+                log.push((tid as u32, dep));
             }
         }
         if last.is_some() {
@@ -313,20 +352,24 @@ impl ControlPlane {
     /// The current epoch of a table.
     pub fn epoch(&self, table: &str) -> Result<u64, ControlError> {
         let tid = self.table_id(table)?;
-        Ok(Tables::lock(&self.tables).tables[tid].snapshot.epoch())
+        Ok(Cell::lock(&self.tables).tables.tables[tid].snapshot.epoch())
     }
 
     /// Current epochs of every table, in program table order.
     pub fn epochs(&self) -> Vec<u64> {
-        let tables = &Tables::lock(&self.tables).tables;
-        tables.iter().map(|t| t.snapshot.epoch()).collect()
+        let cell = Cell::lock(&self.tables);
+        cell.tables
+            .tables
+            .iter()
+            .map(|t| t.snapshot.epoch())
+            .collect()
     }
 
     /// Occupancy and capacity of a table: (installed entries, capacity).
     pub fn occupancy(&self, table: &str) -> Result<(usize, u64), ControlError> {
         let tid = self.table_id(table)?;
-        let cell = Tables::lock(&self.tables);
-        let t = &cell.tables[tid];
+        let cell = Cell::lock(&self.tables);
+        let t = &cell.tables.tables[tid];
         Ok((t.snapshot.len(), t.capacity))
     }
 }
@@ -348,9 +391,9 @@ mod tests {
 
     /// The generation and every table's snapshot, as one cut.
     fn state(cp: &ControlPlane) -> (u64, Vec<Arc<EntrySnapshot>>) {
-        let cell = Tables::lock(&cp.tables);
-        let snapshots = cell.tables.iter().map(|t| Arc::clone(&t.snapshot));
-        (cell.generation, snapshots.collect())
+        let cell = Cell::lock(&cp.tables);
+        let snapshots = cell.tables.tables.iter().map(|t| Arc::clone(&t.snapshot));
+        (cell.tables.generation, snapshots.collect())
     }
 
     fn entries(snapshot: &EntrySnapshot) -> Vec<RuntimeEntry> {

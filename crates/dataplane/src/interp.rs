@@ -57,7 +57,7 @@ use crate::cache::{CacheKey, CacheStats, FlowCache};
 use crate::compile::{self, CompiledProgram};
 use crate::control::{ControlError, ControlPlane, TableEntry, Update};
 use crate::externs::{ExternState, MeterConfig};
-use crate::table::{Table, TableStats, Tables};
+use crate::table::{Cell, Table, TableStats, Tables};
 use crate::trace::{
     egress_buffer, DropReason, EgressFrame, LazyTrace, Recording, Trace, TraceBuf, TraceBytes,
     TraceSink, Verdict,
@@ -205,8 +205,8 @@ pub struct Dataplane {
     /// Which engine the packet paths run ([`Engine::Compiled`] default).
     engine: Engine,
     /// The publication cell, shared with every [`ControlPlane`] handle:
-    /// the current tables and their generation.
-    tables: Arc<Mutex<Arc<Tables>>>,
+    /// the current tables, their generation and the write log.
+    tables: Arc<Mutex<Cell>>,
     table_stats: Vec<TableStats>,
     externs: ExternState,
     packets_processed: u64,
@@ -218,7 +218,7 @@ pub struct Dataplane {
     /// reused by every traced path; it grows to the batch's high-water
     /// event volume and stays there (see [`crate::trace::TraceBuf`]).
     trace_buf: TraceBuf,
-    /// The epoch-keyed flow cache ([`crate::cache`]): present when the
+    /// The flow cache ([`crate::cache`]): present when the
     /// program is cacheable and caching is enabled.
     flow_cache: Option<FlowCache>,
 }
@@ -226,16 +226,16 @@ pub struct Dataplane {
 impl Clone for Dataplane {
     /// Deep-copies the runtime state: the clone gets its own publication
     /// cell around the same tables (sharing them is safe — a publication
-    /// on either side copies what it edits first), so control-plane
-    /// handles and installs on one copy never leak into the other. The
-    /// compiled program and bytecode are shared.
+    /// on either side copies what it edits first), with an empty write
+    /// log, so control-plane handles and installs on one copy never leak
+    /// into the other. The compiled program and bytecode are shared.
     fn clone(&self) -> Self {
-        let tables = Arc::clone(&Tables::lock(&self.tables));
+        let tables = Arc::clone(&Cell::lock(&self.tables).tables);
         Dataplane {
             program: Arc::clone(&self.program),
             compiled: Arc::clone(&self.compiled),
             engine: self.engine,
-            tables: Arc::new(Mutex::new(tables)),
+            tables: Arc::new(Mutex::new(Cell::new(tables))),
             table_stats: self.table_stats.clone(),
             externs: self.externs.clone(),
             packets_processed: self.packets_processed,
@@ -326,10 +326,10 @@ impl Dataplane {
         Dataplane {
             program: Arc::new(program),
             engine: Engine::Compiled,
-            tables: Arc::new(Mutex::new(Arc::new(Tables {
+            tables: Arc::new(Mutex::new(Cell::new(Arc::new(Tables {
                 generation: 1,
                 tables,
-            }))),
+            })))),
             table_stats,
             externs,
             packets_processed: 0,
@@ -373,7 +373,7 @@ impl Dataplane {
     /// multi-table churn holds a cut some publication order produced.
     pub fn checkpoint(&self) -> DataplaneCheckpoint {
         DataplaneCheckpoint {
-            tables: Arc::clone(&Tables::lock(&self.tables)),
+            tables: Arc::clone(&Cell::lock(&self.tables).tables),
             externs: self.externs.clone(),
             table_stats: self.table_stats.clone(),
             packets_processed: self.packets_processed,
@@ -383,9 +383,9 @@ impl Dataplane {
     /// Reinstate a [`DataplaneCheckpoint`] taken from this data plane (or
     /// a clone sharing its program): table snapshots swap back to the
     /// checkpointed epochs, externs and statistics are overwritten, and
-    /// the publication generation is *bumped* (not rewound) so the
-    /// epoch-keyed flow cache drops its entries on the next batch instead
-    /// of serving post-checkpoint state.
+    /// the publication generation is *bumped* (not rewound) with a gap in
+    /// the write log, so the flow cache drops every entry on the next
+    /// batch instead of serving post-checkpoint state.
     ///
     /// Later publications resume counting each table's epoch from the
     /// restored one (copying first: the checkpoint still pins it), so a
@@ -393,11 +393,12 @@ impl Dataplane {
     /// the first time.
     pub fn restore(&mut self, checkpoint: &DataplaneCheckpoint) {
         {
-            let mut cell = Tables::lock(&self.tables);
-            *cell = Arc::new(Tables {
-                generation: cell.generation + 1,
+            let mut cell = Cell::lock(&self.tables);
+            cell.tables = Arc::new(Tables {
+                generation: cell.tables.generation + 1,
                 tables: checkpoint.tables.tables.clone(),
             });
+            cell.lose();
         }
         self.externs = checkpoint.externs.clone();
         self.table_stats = checkpoint.table_stats.clone();
@@ -526,8 +527,8 @@ impl Dataplane {
             .program
             .table_by_name(name)
             .ok_or_else(|| ControlError::NoSuchTable(name.to_string()))?;
-        let cell = Tables::lock(&self.tables);
-        let t = &cell.tables[tid];
+        let cell = Cell::lock(&self.tables);
+        let t = &cell.tables.tables[tid];
         let s = &self.table_stats[tid];
         Ok((s.hits, s.misses, t.snapshot.len(), t.capacity))
     }
@@ -537,10 +538,11 @@ impl Dataplane {
     // ------------------------------------------------------------------
 
     /// The one prologue around every `process*` entry point: count the
-    /// `n` packets, pin the current tables (one `Arc` clone under the
-    /// cell's lock, held in a local), align the flow cache with their
-    /// generation (a publication since its entries were recorded drops
-    /// them all), build the execution context, and hand `body` the
+    /// `n` packets; under one lock of the publication cell, pin the
+    /// current tables (one `Arc` clone, held in a local), hand the write
+    /// log to the flow cache, which drops the entries whose lookups a
+    /// logged write can change (all of them after a gap), and empty the
+    /// log; then build the execution context, and hand `body` the
     /// context plus the flow cache, scratch environment and trace buffer
     /// every [`ExecCtx::run_one`] call takes. The pin drops when `body`
     /// returns or unwinds. A publication during `body` copies what it
@@ -553,10 +555,14 @@ impl Dataplane {
         body: impl FnOnce(&mut ExecCtx<'_>, Option<&mut FlowCache>, &mut Env, &mut TraceBuf) -> R,
     ) -> R {
         self.packets_processed += n as u64;
-        let pin = Arc::clone(&Tables::lock(&self.tables));
-        if let Some(c) = self.flow_cache.as_mut() {
-            c.sync_generation(pin.generation);
-        }
+        let pin = {
+            let mut cell = Cell::lock(&self.tables);
+            if let Some(c) = self.flow_cache.as_mut() {
+                c.sync(cell.tables.generation, cell.writes());
+            }
+            cell.consumed(self.flow_cache.is_some());
+            Arc::clone(&cell.tables)
+        };
         let mut ctx = ExecCtx {
             program: &self.program,
             compiled: &self.compiled,

@@ -1341,25 +1341,122 @@ impl Table {
 /// Every table of a data plane at one publication: the value a batch, a
 /// checkpoint or a clone pins with one `Arc` clone.
 ///
-/// A data plane keeps the current `Arc<Tables>` in one mutex-guarded cell
-/// that it shares with every [`crate::ControlPlane`]; a publication locks
-/// the cell and edits through [`Arc::make_mut`], outer value then
+/// A data plane keeps the current `Arc<Tables>` in its publication
+/// [`Cell`], shared with every [`crate::ControlPlane`]; a publication
+/// locks the cell and edits through [`Arc::make_mut`], outer value then
 /// [`Table`] (see the module docs). Since pins are only taken under the
 /// cell's lock, a pinned cut is always one that some publication order
 /// produced, across tables too.
 #[derive(Debug, Clone)]
 pub(crate) struct Tables {
-    /// Bumped with every publication: the flow cache's invalidation
-    /// signal.
+    /// Bumped with every publication that changes a table.
     pub(crate) generation: u64,
     /// One per program table, in declaration order.
     pub(crate) tables: Vec<Table>,
 }
 
-impl Tables {
+/// The dependency a write log record carries for a write that can change
+/// the lookup of any key: a masked, range or LPM pattern, or a clear.
+pub(crate) const WHOLE_TABLE: u64 = u64::MAX;
+
+/// Records the write log holds before it gives up (frees its buffer and
+/// leaves a gap): past that, dropping every cached flow is cheaper than
+/// matching them against the log.
+pub(crate) const LOG_LIMIT: usize = 256;
+
+/// Records the log's buffer is given when the packet path starts
+/// consuming it: a churn window's writes, logged without allocating.
+const LOG_SPARE: usize = 16;
+
+/// The dependency of a write whose entry has `patterns`: the hash of the
+/// key tuple it alone matches when every pattern is a value (what
+/// [`key_dependency`] gives that tuple), else [`WHOLE_TABLE`].
+pub(crate) fn dependency(patterns: &[IrPattern]) -> u64 {
+    let mut hasher = FxHasher::default();
+    for p in patterns {
+        match p {
+            IrPattern::Value(v) => hasher.add_folded(*v),
+            _ => return WHOLE_TABLE,
+        }
+    }
+    hasher.finish()
+}
+
+/// The dependency of a lookup on the key tuple `keys`: only a write of an
+/// entry that matches exactly these values, or a [`WHOLE_TABLE`] write,
+/// can change what it returns. A hash that happens to equal a record of
+/// another tuple (or [`WHOLE_TABLE`]) costs one needless drop.
+#[inline]
+pub(crate) fn key_dependency(keys: &[u128]) -> u64 {
+    tuple_hash(keys.iter().copied())
+}
+
+/// A data plane's publication cell: the current [`Tables`] and the
+/// forward write log — one `(table id, dependency)` record per update
+/// that changed a table since the packet path last consumed it, which is
+/// what lets the flow cache drop only the flows a publication changes.
+///
+/// The log sits beside the `Arc<Tables>`, not inside it, so a pinned
+/// publication's copy never copies it and a clone never inherits it.
+/// While `gap` is set nothing is logged: the log lost records (it
+/// overflowed [`LOG_LIMIT`], a checkpoint was restored, or nobody
+/// consumes it), and its consumer must assume every table changed.
+#[derive(Debug)]
+pub(crate) struct Cell {
+    pub(crate) tables: Arc<Tables>,
+    pub(crate) log: Vec<(u32, u64)>,
+    pub(crate) gap: bool,
+}
+
+impl Cell {
+    /// A cell around `tables` whose log starts with a gap: nothing is
+    /// logged until the packet path first consumes it.
+    pub(crate) fn new(tables: Arc<Tables>) -> Cell {
+        Cell {
+            tables,
+            log: Vec::new(),
+            gap: true,
+        }
+    }
+
     /// Lock a data plane's publication cell.
-    pub(crate) fn lock(cell: &Mutex<Arc<Tables>>) -> MutexGuard<'_, Arc<Tables>> {
+    pub(crate) fn lock(cell: &Mutex<Cell>) -> MutexGuard<'_, Cell> {
         cell.lock().expect("table cell poisoned")
+    }
+
+    /// Give up on a log that grew past [`LOG_LIMIT`]: free its buffer and
+    /// leave a gap.
+    pub(crate) fn bound(&mut self) {
+        if self.log.len() > LOG_LIMIT {
+            self.lose();
+            self.log = Vec::new();
+        }
+    }
+
+    /// Leave a gap: what was published can no longer be told apart.
+    pub(crate) fn lose(&mut self) {
+        self.log.clear();
+        self.gap = true;
+    }
+
+    /// The writes logged since the last [`Cell::consumed`], sorted, or
+    /// `None` if there is a gap.
+    pub(crate) fn writes(&mut self) -> Option<&[(u32, u64)]> {
+        if self.gap {
+            return None;
+        }
+        self.log.sort_unstable();
+        Some(&self.log)
+    }
+
+    /// The log was read: empty it, and keep logging if `logging` (a
+    /// consumer will read it again), else leave a gap.
+    pub(crate) fn consumed(&mut self, logging: bool) {
+        self.log.clear();
+        self.gap = !logging;
+        if logging && self.log.capacity() == 0 {
+            self.log.reserve_exact(LOG_SPARE);
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! What a data plane's flow cache costs in memory, counted instead of
 //! timed: an empty cache is an index and a tag array (24 KiB), resident
 //! bytes follow resident flows rather than the 4 096 logical slots, and a
-//! generation bump hands the dropped entries' buffers to the flows that
+//! publication that drops entries hands their buffers to the flows that
 //! come back. What deploying a router costs before its first route: no
 //! more than before LPM tables had a length filter. And what a batch
 //! costs with the cache and tracing off: no allocation at all, however
@@ -159,13 +159,12 @@ fn resident_memory_follows_resident_flows() {
         );
     }
 
-    // Invalidation keeps the buffers: sixteen rounds of {generation bump,
-    // the same 64 flows again}, and only the first round allocates. No
-    // round allocates an output frame: each is dropped before the next
-    // packet runs, and the next one reuses its buffer.
+    // Invalidation keeps the buffers: sixteen rounds of {a route
+    // publication, the same 64 flows again}, and only the first round
+    // allocates. No round allocates an output frame: each is dropped
+    // before the next packet runs, and the next one reuses its buffer.
     let mut dp = router();
     let frames: Vec<Vec<u8>> = (0..64).map(frame).collect();
-    let warm_up = frame(0xFFFF);
     let mut rounds = Vec::new();
     for round in 0..16u32 {
         dp.control_plane()
@@ -179,8 +178,11 @@ fn resident_memory_follows_resident_flows() {
                 ),
             )])
             .unwrap();
-        // The first packet after a publication drops the cache's entries.
-        dp.process_untraced(0, &warm_up, 0);
+        // The first packet after a publication drops the cache's entries:
+        // a route is a masked write, which names the whole `ipv4_lpm`
+        // table, and every flow looked it up. Its own flow comes back at
+        // once (its slot kept its tag); the other 63 on their next miss.
+        dp.process_untraced(0, &frames[0], 0);
         let invalidations = dp.cache_stats().invalidations;
         let (calls, _) = cost_of(|| install_flows(&mut dp, &frames));
         assert_eq!(dp.cache_stats().invalidations, invalidations);
@@ -195,7 +197,7 @@ fn resident_memory_follows_resident_flows() {
     assert_eq!(
         rounds[1..],
         [0; 15],
-        "a refill after a generation bump allocated"
+        "a refill after a route publication allocated"
     );
 
     // Deploying the router, its LPM table still empty, allocates no more

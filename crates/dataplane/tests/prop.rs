@@ -1679,6 +1679,157 @@ proptest! {
     }
 }
 
+/// Every `(table, key tuple)` a traced reference run of a fresh `ir`
+/// data plane applies on `pkts`: what a write must name to touch the
+/// stream's cached flows.
+fn applied_keys(ir: &netdebug_p4::ir::Program, pkts: &[(u16, &[u8])]) -> Vec<(String, Vec<u128>)> {
+    let mut dp = Dataplane::new(ir.clone());
+    dp.set_engine(Engine::Reference);
+    let mut applied = Vec::new();
+    for (_, trace) in dp.process_batch(pkts, 0) {
+        for event in trace.expect("tracing is on").events {
+            if let TraceEvent::TableApply { table, keys, .. } = event {
+                applied.push((table.to_string(), keys));
+            }
+        }
+    }
+    applied
+}
+
+/// One churn write on `ir`'s table `table`, drawn by `sel` over the key
+/// tuples the stream applies (`applied`, which may not name the table):
+/// an exact insert or delete of a tuple the stream looks up, an exact
+/// insert of a tuple next to it (it touches no flow), a masked or LPM
+/// insert over it (on an exact table the write is rejected), or a clear.
+fn churn_update<'a>(
+    ir: &'a netdebug_p4::ir::Program,
+    applied: &[(String, Vec<u128>)],
+    (sel, table, pick, arg, priority): (u8, usize, usize, u8, u8),
+) -> Update<'a> {
+    let t = &ir.tables[table % ir.tables.len()];
+    let looked_up: Vec<&Vec<u128>> = applied
+        .iter()
+        .filter(|(name, keys)| *name == t.name && keys.len() == t.keys.len())
+        .map(|(_, keys)| keys)
+        .collect();
+    let mut keys: Vec<u128> = match looked_up.len() {
+        0 => vec![u128::from(arg); t.keys.len()],
+        n => looked_up[pick % n].clone(),
+    };
+    let action = &ir.actions[t.actions[usize::from(arg) % t.actions.len()]];
+    let args: Vec<u128> = (0..action.params.len() as u128)
+        .map(|i| (u128::from(arg) + i) % 4)
+        .collect();
+    let priority = i32::from(priority % 4);
+    let exact = |keys: Vec<u128>| keys.into_iter().map(IrPattern::Value).collect::<Vec<_>>();
+    match sel % 8 {
+        0..=2 => Update::Insert(
+            &t.name,
+            TableEntry::new(exact(keys), &action.name, args, priority),
+        ),
+        3 => Update::Delete(&t.name, TableEntry::new(exact(keys), "", vec![], priority)),
+        4 => {
+            if let Some(k) = keys.first_mut() {
+                *k ^= 1;
+            }
+            Update::Insert(
+                &t.name,
+                TableEntry::new(exact(keys), &action.name, args, priority),
+            )
+        }
+        5 if t.keys.len() == 1 => {
+            let len = [0, 8, 16, 24][usize::from(arg) % 4].min(t.keys[0].width);
+            Update::Insert(&t.name, TableEntry::lpm(keys[0], len, &action.name, args))
+        }
+        5 | 6 => {
+            let masked = keys
+                .iter()
+                .map(|&value| IrPattern::Mask {
+                    value,
+                    mask: 0xF0F0,
+                })
+                .collect::<Vec<_>>();
+            Update::Insert(
+                &t.name,
+                TableEntry::new(masked, &action.name, args, priority),
+            )
+        }
+        _ => Update::Clear(&t.name),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Cache parity under churn, over the whole program corpus: a
+    /// repetitive stream runs three rounds, with random batches of writes
+    /// published between them through the detached `ControlPlane` — exact
+    /// inserts and deletes that name the key tuples the stream looks up
+    /// and ones that miss them, masked and LPM inserts, clears, and
+    /// batches some table rejects. The cached default, the cache-off
+    /// compiled engine and the reference agree on every write's result,
+    /// every verdict and trace, the table statistics and the counters: a
+    /// publication drops exactly the cached flows whose lookups it can
+    /// change, and a flow it leaves resident replays what the new tables
+    /// would compute.
+    #[test]
+    fn flow_cache_parity_under_churn(
+        prog_idx in 0usize..corpus::corpus().len(),
+        pool in proptest::collection::vec(
+            (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 1..6),
+        picks in proptest::collection::vec(any::<u16>(), 1..32),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>(), any::<u8>(), any::<u8>()), 0..4),
+            2),
+        tracing in any::<bool>(),
+    ) {
+        let programs = corpus::corpus();
+        let prog = &programs[prog_idx % programs.len()];
+        let ir = netdebug_p4::compile(prog.source).unwrap();
+        if ir.tables.is_empty() {
+            return Ok(());
+        }
+        let frames: Vec<(u16, Vec<u8>)> = picks
+            .iter()
+            .map(|ix| {
+                let (port, kind, soup) = &pool[usize::from(*ix) % pool.len()];
+                (*port, mixed_frame(*kind, soup))
+            })
+            .collect();
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|(port, f)| (*port, f.as_slice())).collect();
+        let applied = applied_keys(&ir, &pkts);
+        let mut cached_dp = Dataplane::new(ir.clone());
+        let mut uncached_dp = Dataplane::new(ir.clone());
+        uncached_dp.set_flow_cache(false);
+        let mut reference_dp = Dataplane::new(ir.clone());
+        reference_dp.set_engine(Engine::Reference);
+        for dp in [&mut cached_dp, &mut uncached_dp, &mut reference_dp] {
+            dp.set_tracing(tracing);
+        }
+        let cps = [&cached_dp, &uncached_dp, &reference_dp].map(|dp| dp.control_plane());
+        for round in 0..3usize {
+            if let Some(batch) = round.checked_sub(1).map(|b| &batches[b]) {
+                let updates: Vec<Update<'_>> =
+                    batch.iter().map(|&u| churn_update(&ir, &applied, u)).collect();
+                let [c, u, r] = cps.each_ref().map(|cp| cp.write(&updates));
+                prop_assert_eq!(&c, &u, "{}: write results diverged", prog.name);
+                prop_assert_eq!(&c, &r, "{}: write results diverged", prog.name);
+            }
+            let c = cached_dp.process_batch(&pkts, 0);
+            let u = uncached_dp.process_batch(&pkts, 0);
+            let r = reference_dp.process_batch(&pkts, 0);
+            for (i, ((c, u), r)) in c.iter().zip(&u).zip(&r).enumerate() {
+                prop_assert_eq!(c, u,
+                    "cache-on vs cache-off diverged on {} (round {}, packet {})", prog.name, round, i);
+                prop_assert_eq!(c, r,
+                    "cache-on vs reference diverged on {} (round {}, packet {})", prog.name, round, i);
+            }
+        }
+        assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
+        assert_runtime_state_matches(&cached_dp, &reference_dp)?;
+    }
+}
+
 proptest! {
     /// Cache parity on `liveness_shapes.p4`: a hit replays the header bytes
     /// a miss emitted from copied ingress bytes and built headers alike, so

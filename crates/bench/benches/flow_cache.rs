@@ -31,6 +31,12 @@
 //! untraced (`process_batch`) and on the streaming
 //! traced path (`process_batch_with` into a `NullSink`, which reads no
 //! records, so only the stage lane is recorded, as for a device tap).
+//! A third program, **`ipv4_forward`** with 1 000 routes of 8 to 24
+//! bits, gets one stream, **swept_route**: 128 streams of 256 frames,
+//! each sweeping the low byte of its own destination /24, as the
+//! generator sweeps a field through a rule. A route lookup examines only
+//! the top bits of the destination its routes decide on, and an entry
+//! keys on no more of it, so the sweeps hit.
 //! Numbers and end-of-run `CacheStats` land in `BENCH_flowcache.json`.
 //! The all-miss rows measure a **dormant** cache: after 256 lookups with
 //! no hit and no install it lets 15 packets in 16 through unprobed, and
@@ -65,7 +71,9 @@
 //! cache on and off, the churn streams included. Under churn the hit
 //! ratio must reach 0.95 when no window names a flow (it read 0.0000
 //! while every publication dropped the whole cache), and a window that
-//! routes a flow must make exactly that flow miss again. The two cache-off random rows also gate what
+//! routes a flow must make exactly that flow miss again. The swept-route
+//! stream's hit ratio must reach 0.98 (it read 0.0000 while an entry
+//! keyed every byte of the destination). The two cache-off random rows also gate what
 //! bit-packed headers cost: `exact_router` (Ethernet + IPv4's nibbles and
 //! 3+13-bit pair + UDP, three tables) must reach ≥ 0.25× `l2_switch`
 //! (Ethernet only, one table) — it read 0.17× while field access looped
@@ -326,6 +334,47 @@ fn router_random() -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// Routes the swept-route rows install in `ipv4_forward`.
+const ROUTES: usize = 1000;
+/// Streams of the swept-route rows, each sweeping the low byte of its
+/// own destination /24 over 256 frames.
+const ROUTE_STREAMS: usize = 128;
+
+/// `ipv4_forward` with [`ROUTES`] LCG-drawn routes of 8 to 24 bits: no
+/// route is longer than a /24, so a lookup examines at most the top
+/// three bytes of the destination and a flow-cache entry keys on no
+/// more.
+fn lpm_router() -> Dataplane {
+    let ir = netdebug_p4::compile(netdebug_p4::corpus::IPV4_FORWARD).unwrap();
+    let dp = Dataplane::new(ir);
+    let mut s = 0x5851_F42D_4C95_7F2Du64;
+    let routes: Vec<Update<'static>> = (0..ROUTES)
+        .map(|i| {
+            let (prefix, len) = (lcg(&mut s) >> 32, 8 + lcg(&mut s) % 17);
+            let route = TableEntry::lpm(prefix.into(), len as u16, "ipv4_forward", vec![0xAA, (i % 4) as u128]);
+            Update::Insert("ipv4_lpm", route)
+        })
+        .collect();
+    dp.control_plane().write(&routes).unwrap();
+    dp
+}
+
+/// The swept-route stream: [`ROUTE_STREAMS`] streams of 256 frames, one
+/// after the other, each to every address of its own LCG-drawn /24 (most
+/// under a route, some under none), as a generator sweeps a destination
+/// through a rule.
+fn route_swept() -> Vec<Vec<u8>> {
+    let mut s = 0x1405_7B7E_F767_814Fu64;
+    (0..ROUTE_STREAMS)
+        .flat_map(|_| {
+            let base = (lcg(&mut s) >> 32) as u32 & 0xFFFF_FF00;
+            (0..256u32).map(move |low| {
+                router_frame(0x0200_0000_0020, Ipv4Address::from_u32(base | low), 4000, 4000)
+            })
+        })
+        .collect()
+}
+
 fn batch_of(frames: &[Vec<u8>], round: usize) -> Vec<(u16, &[u8])> {
     (0..BATCH)
         .map(|i| {
@@ -580,12 +629,12 @@ fn main() -> ExitCode {
     let mut report = Report::new("flow_cache", "BENCH_flowcache.json", BATCH);
     report.set(
         "programs",
-        Value::List(vec!["l2_switch".into(), "exact_router".into()]),
+        Value::List(vec!["l2_switch".into(), "exact_router".into(), "ipv4_forward".into()]),
     );
     report.set("batch", BATCH);
     report.set("rounds", ROUNDS);
     report.set("cores", host_cores());
-    let programs: [Workload; 2] = [
+    let programs: [Workload; 3] = [
         (
             "l2_switch",
             switch,
@@ -600,6 +649,7 @@ fn main() -> ExitCode {
                 ("swept", router_swept()),
             ],
         ),
+        ("ipv4_forward", lpm_router, vec![("swept_route", route_swept())]),
     ];
 
     let mut rates = std::collections::BTreeMap::new();
@@ -710,6 +760,16 @@ fn main() -> ExitCode {
             "{swept_on:.0} vs {swept_off:.0} pps ({:.2}x)",
             swept_on / swept_off
         ),
+    );
+    // A stream that sweeps a destination through a route hits: an entry
+    // keys on the destination bytes the route lookup examined (at most
+    // the top three of four here), so each stream misses twice, on its
+    // first two frames per ingress port, and its other frames hit.
+    let route_hits = hit_ratios[&("ipv4_forward", "untraced", "swept_route", true)];
+    report.gate(
+        "ipv4_forward's destination sweeps through 1 000 routes hit (hit ratio >= 0.98, untraced)",
+        route_hits >= 0.98,
+        format!("{route_hits:.4}"),
     );
     // The bound: on the all-miss stream the cache (dormant after 256
     // lookups, so a filtered miss per 16 packets) must add at most 40 ns

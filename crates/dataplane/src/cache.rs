@@ -12,20 +12,44 @@
 //! fixed table state. The crate-internal `FlowCache` memoizes on
 //! exactly that key:
 //!
-//! * **Key** — `(port, len, live bytes of the parsed prefix)`, hashed
-//!   with the same Fx hash the table indexes use, verified by a full
-//!   compare on probe. The live bytes (`CacheKey`, computed once per
-//!   program by the compiler) are the union, over every parser path, of
-//!   the fields the code reads or writes in each header that path
-//!   extracts, at that path's offset: they determine the parse path,
-//!   every table key, every action choice and every byte the deparse
-//!   writes; the length covers `standard_metadata.packet_length`. Every
-//!   other byte ahead of the payload passes through at its own offset,
-//!   like the payload, so a stream that sweeps a byte the program never
-//!   reads (a generator's L4 source-port sweep, say) hits. A program
-//!   that can move a header (`setValid()`/`setInvalid()`, a deparse that
-//!   drops or reorders an extracted header) keys on the whole parsed
-//!   prefix instead.
+//! * **Key** — `(port, len, live bytes of the parsed prefix)` under the
+//!   entry's key mask, hashed with the same Fx hash the table indexes
+//!   use, verified by a full compare on probe. The live bytes
+//!   (`CacheKey`, computed once per program by the compiler) are the
+//!   union, over every parser path, of the fields the code reads or
+//!   writes in each header that path extracts, at that path's offset:
+//!   they determine the parse path, every table key, every action choice
+//!   and every byte the deparse writes; the length covers
+//!   `standard_metadata.packet_length`. Every other byte ahead of the
+//!   payload passes through at its own offset, like the payload, so a
+//!   stream that sweeps a byte the program never reads (a generator's L4
+//!   source-port sweep, say) hits. A program that can move a header
+//!   (`setValid()`/`setInvalid()`, a deparse that drops or reorders an
+//!   extracted header) keys on the whole parsed prefix instead.
+//! * **Wildcards** — a field the code reads only as the key of one-field
+//!   table applies and never writes (a router's IPv4 destination, an
+//!   `l2_switch` destination MAC) is keyed only on the bytes its lookups
+//!   examined, the way Open vSwitch's megaflows are (Pfaff et al., NSDI
+//!   2015). A miss asks each such lookup which bits decided it
+//!   (`EntrySnapshot::examined`: an LPM index's bucket octet and its
+//!   longest prefix length there, a ternary table's union of tuple masks,
+//!   every bit of an exact or scanned table, none of an empty one), and
+//!   the entry's mask leaves out every byte of the field that carries no
+//!   examined bit and passes through — all of it, on a path that applies
+//!   no table to it. So a stream that sweeps a destination inside one
+//!   route hits: the entry stands for every address that takes the same
+//!   lookups. An apply whose key a mask left partly out depends on its
+//!   whole table (`FlowCache::sync`). The cache keeps the short list of
+//!   masks its resident entries use (at most 8; one, keying every byte,
+//!   for a program with no wildcard field or lookups that examine every
+//!   bit) and probes under each, most recently hit first. A flow that
+//!   repeats one packet is keyed on every byte (a wildcard would only add
+//!   a mask for every lookup to probe); a wildcarded entry is installed
+//!   once two packets that differ in its unkeyed bytes have missed. An entry that
+//!   stores every trace record is keyed on every byte, because its table
+//!   records carry its own packet's keys, so a records reader is never
+//!   served from a wildcarded entry; a stage-lane reader, such as a
+//!   device tap, and an untraced lookup are.
 //! * **Invalidation by dependency** — an entry records, per table apply,
 //!   the hash of the key tuple it looked up. Each
 //!   [`ControlPlane`](crate::ControlPlane) publication appends a
@@ -46,19 +70,28 @@
 //!   holds 64 entries. An entry is a 72-byte record of offsets around one
 //!   buffer, sized exactly: the frame's keyed bytes as the masked 8-byte
 //!   windows the key reads them in (three words for `acl_firewall`'s 13
-//!   live bytes of 38), the replay lists, the output bytes ahead of the
+//!   live bytes of 38), under its mask, the replay lists, the output
+//!   bytes ahead of the
 //!   payload, the dependencies and the stored trace; an `l2_switch`
 //!   entry is about 120 bytes in all. A hit rebuilds its frame from the
 //!   stored header and the live payload, then copies the bytes no
-//!   execution writes from its own packet (none, for a key over the
-//!   whole prefix). A dropped entry parks behind the resident ones and
-//!   keeps its buffer for the flows that come back.
+//!   execution writes from its own packet, the wildcarded ones among
+//!   them (none, for a key over the whole prefix). A dropped entry
+//!   parks behind the resident ones and keeps its buffer for the flows
+//!   that come back.
 //! * **Outcome** — a miss runs the compiled bytecode normally while a
 //!   `MissRecord` captures the replayable side effects: the per-apply
 //!   hit/miss sequence (table statistics), the counter increments, the
-//!   payload split point, plus the verdict and output header bytes
-//!   derived from the returned [`Verdict`]. A hit replays those without
-//!   entering the interpreter loop. Traced packets store the flat trace
+//!   payload split point and what the wildcard fields' lookups examined,
+//!   plus the verdict and output header bytes derived from the returned
+//!   [`Verdict`]. A key is installed only on its second miss (a
+//!   second-chance tag per slot): a packet that missed before is
+//!   installed keyed on every byte, and a packet seen for the first time
+//!   is installed wildcarded when another packet with its masked key
+//!   missed before, which only the commit can tell, once the run has said
+//!   what its lookups examined. While no table can leave a key bit
+//!   unexamined, a first miss is not recorded at all. A hit replays the
+//!   recorded effects without entering the interpreter loop. Traced packets store the flat trace
 //!   too — record lane then stage lane, in the one vector, split at a
 //!   `u32` offset — and a traced hit hands that stored trace to its
 //!   `LazyTrace` in place, without copying it into the trace buffer, so
@@ -125,21 +158,97 @@ pub struct CacheStats {
 /// touch point.
 #[derive(Debug, Default)]
 pub(crate) struct MissRecord {
-    /// `(table id, hit, dependency)` per apply, in execution order; the
-    /// dependency is the apply's key tuple as the write log names it
-    /// (`table::key_dependency`).
-    pub(crate) applies: Vec<(u32, bool, u64)>,
+    /// `(table id, hit, dependency, field)` per apply, in execution
+    /// order; the dependency is the apply's key tuple as the write log
+    /// names it (`table::key_dependency`), and the field is the wildcard
+    /// field the apply was keyed on ([`NOT_WILD`]: none).
+    pub(crate) applies: Vec<(u32, bool, u64, u8)>,
     /// `(counter id, cell index)` per increment, in execution order.
     pub(crate) counters: Vec<(u32, u64)>,
     /// Byte offset of the unparsed payload (set by parser accept).
     pub(crate) payload_start: usize,
+    /// Per wildcard field of the key ([`CacheKey`]'s `wild`): where its
+    /// header sat on the packet's path (`None`: not extracted; set once
+    /// the run is over), and the bits of its value the path's lookups
+    /// examined.
+    pub(crate) fields: Vec<(Option<usize>, u128)>,
 }
+
+/// The field of an apply keyed on no wildcard field ([`MissRecord`]).
+pub(crate) const NOT_WILD: u8 = u8::MAX;
 
 impl MissRecord {
     fn clear(&mut self) {
         self.applies.clear();
         self.counters.clear();
         self.payload_start = 0;
+        self.fields.clear();
+    }
+
+    /// All wildcard fields of `key`, none located or examined yet.
+    fn fields_of(&mut self, key: &CacheKey) -> &mut [(Option<usize>, u128)] {
+        if self.fields.is_empty() {
+            self.fields.reserve_exact(key.wild.len());
+            self.fields.resize(key.wild.len(), (None, 0));
+        }
+        &mut self.fields
+    }
+
+    /// The apply just recorded was keyed on header `h`'s field `f` and
+    /// examined `bits` of it (asked only when that is a wildcard field).
+    pub(crate) fn examined(&mut self, key: &CacheKey, h: u32, f: u32, bits: impl FnOnce() -> u128) {
+        let Some(w) = key.wild.iter().position(|w| (w.header, w.field) == (h as usize, f as usize))
+        else {
+            return;
+        };
+        self.fields_of(key)[w].1 |= bits();
+        if let Some(apply) = self.applies.last_mut() {
+            apply.3 = w as u8;
+        }
+    }
+
+    /// The run is over, and header `h` sat at `offset(h)` on the packet's
+    /// path, whether the parser accepted it or not.
+    pub(crate) fn located(&mut self, key: &CacheKey, offset: impl Fn(usize) -> Option<usize>) {
+        self.fields_of(key);
+        for (field, w) in self.fields.iter_mut().zip(&key.wild) {
+            field.0 = offset(w.header);
+        }
+    }
+}
+
+/// A wildcard field: a header field the code reads only as the key of
+/// one-field table applies and never writes. A cache entry keys on the
+/// bytes of it that its lookups examined, and a hit takes the others
+/// from its own packet, like any unwritten byte.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Wild {
+    /// Header and field ids.
+    pub(crate) header: usize,
+    pub(crate) field: usize,
+    /// The field's first bit in its header, and its width.
+    pub(crate) offset_bits: usize,
+    pub(crate) width: usize,
+    /// Every bit of the field's value: what a lookup that examined all
+    /// of it reports.
+    pub(crate) value: u128,
+    /// Bit `i`: the field's `i`th byte holds no other live field of the
+    /// header (a field spans at most 17 bytes).
+    pub(crate) own: u32,
+}
+
+impl Wild {
+    /// The bytes of the field no other live field of its header shares:
+    /// each one's offset in the header, and the bits of the field's value
+    /// it carries (the value's top bits are its first bytes on the wire).
+    fn bytes(&self) -> impl Iterator<Item = (usize, u128)> + '_ {
+        let (off, end) = (self.offset_bits, self.offset_bits + self.width);
+        (off / 8..end.div_ceil(8))
+            .filter(move |b| self.own >> (b - off / 8) & 1 != 0)
+            .map(move |b| {
+                let (lo, hi) = ((8 * b).max(off), (8 * b + 8).min(end));
+                (b, netdebug_p4::ir::all_ones((hi - lo) as u16) << (end - hi))
+            })
     }
 }
 
@@ -162,16 +271,20 @@ pub(crate) struct CacheKey {
     /// writes or moves: they leave as they came in, at their own offsets.
     /// Empty for a program that can move a header.
     through: Vec<Range<usize>>,
+    /// The wildcard fields, at most 64 (none for a program that can move
+    /// a header).
+    pub(crate) wild: Vec<Wild>,
 }
 
 impl CacheKey {
     /// The key over a parsed prefix whose byte `b` carries `flags[b]`
     /// ([`READ`], [`WRITTEN`]): every flagged byte is keyed, and every
-    /// unwritten one passes through.
-    pub(crate) fn new(flags: &[u8]) -> CacheKey {
+    /// unwritten one passes through; `wild` are its wildcard fields.
+    pub(crate) fn new(flags: &[u8], wild: Vec<Wild>) -> CacheKey {
         let mut key = CacheKey {
             words: Vec::new(),
             through: Vec::new(),
+            wild,
         };
         for (b, &flag) in flags.iter().enumerate() {
             if flag != 0 {
@@ -208,8 +321,34 @@ impl CacheKey {
 
     /// The keyed words of `data`, window by window.
     #[inline]
-    fn of<'d>(&'d self, data: &'d [u8]) -> impl Iterator<Item = u64> + 'd {
+    fn whole<'d>(&'d self, data: &'d [u8]) -> impl Iterator<Item = u64> + 'd {
         self.words.iter().map(|&window| Self::word(data, window))
+    }
+
+    /// The words of `data` under `mask` (one mask per window), window by
+    /// window.
+    #[inline]
+    fn of<'d>(&'d self, data: &'d [u8], mask: &'d [u64]) -> impl Iterator<Item = u64> + 'd {
+        let windows = self.words.iter().zip(mask);
+        windows.map(|(&(at, _), &mask)| Self::word(data, (at, mask)))
+    }
+
+    /// Take frame byte `b` out of `mask`, if it passes through (no
+    /// execution writes it, so a hit takes it from its own packet) and
+    /// `mask` keys it; whether it did.
+    fn unkey(&self, mask: &mut [u64], b: usize) -> bool {
+        if !self.through.iter().any(|run| run.contains(&b)) {
+            return false;
+        }
+        let Some(w) = self.words.partition_point(|&(at, _)| at <= b).checked_sub(1) else {
+            return false;
+        };
+        let at = self.words[w].0;
+        if b >= at + 8 || mask[w] >> (8 * (b - at)) & 0xFF == 0 {
+            return false;
+        }
+        mask[w] &= !(0xFF << (8 * (b - at)));
+        true
     }
 }
 
@@ -273,6 +412,8 @@ struct Entry {
     /// The recording level the stored trace serves: none, the stage lane
     /// alone (empty records), or everything.
     level: Recording,
+    /// The id of the key mask the entry's words are stored under.
+    mask: u8,
 }
 
 impl Entry {
@@ -292,6 +433,7 @@ impl Entry {
             port: 0,
             kind,
             level: Recording::Nothing,
+            mask: 0,
         }
     }
 
@@ -341,13 +483,20 @@ impl Entry {
 
     /// Whether one of `writes` (sorted `(table id, dependency)` records)
     /// can change what one of the entry's applies looked up: it names the
-    /// apply's key tuple on the apply's table, or that whole table.
+    /// apply's key tuple on the apply's table, or that whole table, or the
+    /// apply's key was wildcarded (its dependency is the whole table) and
+    /// the record is any write to that table.
     fn touched(&self, writes: &[(u32, u64)]) -> bool {
         let deps = self.section(self.deps_at, self.records_at).chunks_exact(8);
         self.applies().zip(deps).any(|((tid, _), dep)| {
             let tid = tid as u32;
-            writes.binary_search(&(tid, u64_at(dep))).is_ok()
-                || writes.binary_search(&(tid, WHOLE_TABLE)).is_ok()
+            let logged = |dep| writes.binary_search(&(tid, dep)).is_ok();
+            match u64_at(dep) {
+                WHOLE_TABLE => writes
+                    .get(writes.partition_point(|&(t, _)| t < tid))
+                    .is_some_and(|&(t, _)| t == tid),
+                dep => logged(dep) || logged(WHOLE_TABLE),
+            }
         })
     }
 }
@@ -363,6 +512,18 @@ const DORMANT_AFTER: u32 = 256;
 
 /// A dormant cache probes one packet in this many (a power of two).
 const PROBE_EVERY: u32 = 16;
+
+/// Most key masks a cache keeps (ids fit an entry's `u8`): an entry whose
+/// wildcards would need one more is keyed on every byte.
+const MASKS: usize = 8;
+
+/// One key mask ([`FlowCache::masks`]): a mask per window of the key,
+/// and how many resident entries are stored under it.
+#[derive(Debug)]
+struct Mask {
+    words: Vec<u64>,
+    users: u32,
+}
 
 /// A per-dataplane direct-mapped flow cache.
 ///
@@ -386,22 +547,39 @@ pub(crate) struct FlowCache {
     arena: Vec<Entry>,
     live: usize,
     /// Second-chance filter: the low 32 bits of the key hash of each
-    /// slot's most recent miss. A full entry is installed only when a key
-    /// misses twice, so one-off keys (the uniform-random worst case) cost
-    /// one word write here instead of a full entry write — and cannot
-    /// evict a hot resident entry on a slot collision. A tag only decides
-    /// whether an entry is installed, never what a lookup serves, so two
-    /// keys sharing a slot and a tag (one in 2^32) change no verdict.
+    /// slot's most recent miss, whole or masked. A full entry is installed
+    /// only when a key misses twice, so one-off keys (the uniform-random
+    /// worst case) cost one word write here instead of a full entry
+    /// write — and cannot evict a hot resident entry on a slot collision.
+    /// A tag only decides whether an entry is installed, never what a
+    /// lookup serves, so two keys sharing a slot and a tag (one in 2^32)
+    /// change no verdict.
     tags: Vec<u32>,
+    /// The key masks entries are stored under, by id: id 0 keys every
+    /// byte of the key (set up by the first miss), the others leave out the
+    /// bytes of wildcard fields some entry's lookups did not examine. A
+    /// mask no resident entry uses is kept for the next one that needs it.
+    masks: Vec<Mask>,
+    /// The ids of the masks resident entries use, most recently hit
+    /// first: the masks a lookup probes under, in order.
+    order: Vec<u8>,
     /// Snapshot generation the resident entries are valid for (0: none
     /// yet).
     generation: u64,
     /// Reused miss-side recording buffers (see [`MissRecord`]).
     scratch: MissRecord,
-    /// Key hash of the last lookup, reused by [`FlowCache::commit`].
-    last_hash: u64,
-    /// Whether the last miss passed the tag filter (commit installs).
-    install: bool,
+    /// Reused buffer in which a commit builds its entry's mask.
+    unkeyed: Vec<u64>,
+    /// The whole-key hash of the last lookup's packet, if it probed
+    /// under mask 0: its commit does not hash the key again.
+    whole: Option<u64>,
+    /// Whether the tables may leave key bits of a wildcard field
+    /// unexamined ([`FlowCache::set_wildcards`]).
+    wildcards: bool,
+    /// The second-chance filter's verdict on the last miss when the lookup
+    /// could take it ([`FlowCache::missed`]): install keyed on every byte,
+    /// or only tag. `None`: the commit decides ([`FlowCache::admit`]).
+    filtered: Option<bool>,
     /// Packets since the last hit or install: every one a lookup until
     /// [`DORMANT_AFTER`], where the cache goes dormant, and then the
     /// 1-in-[`PROBE_EVERY`] stride. A sync leaves it alone. It wraps
@@ -420,10 +598,14 @@ impl FlowCache {
             arena: Vec::new(),
             live: 0,
             tags: vec![0; SLOTS],
+            masks: Vec::new(),
+            order: Vec::new(),
             generation: 0,
             scratch: MissRecord::default(),
-            last_hash: 0,
-            install: false,
+            unkeyed: Vec::new(),
+            whole: None,
+            wildcards: false,
+            filtered: None,
             idle: 0,
             hits: 0,
             misses: 0,
@@ -448,18 +630,28 @@ impl FlowCache {
     /// the sorted `(table id, dependency)` records of every write
     /// published since the last sync (`None`: some went unlogged).
     ///
-    /// An entry is a function of its packet's key and of the lookups its
-    /// applies made; a lookup of key tuple `k` in table `T` returns the
-    /// first of `T`'s entries that matches `k`, so only a write of an
-    /// entry matching `k` can change it: one with exactly `k`'s values,
-    /// or one with a masked, range or LPM pattern (logged as the whole
-    /// table), or a clear. An entry none of whose applies such a write
-    /// names makes the same lookups in the new tables — by induction
-    /// along its applies, since each one's key follows from the packet
-    /// and the lookups before it — and stays. The others are dropped, and
-    /// keep their slot's tag, so a flow that comes back is installed on
-    /// its first miss. With a gap, or nothing recorded yet, everything
-    /// goes, tags included.
+    /// An entry is a function of its packet's keyed bytes and of the
+    /// lookups its applies made; a lookup of key tuple `k` in table `T`
+    /// returns the first of `T`'s entries that matches `k`, so only a
+    /// write of an entry matching `k` can change it: one with exactly
+    /// `k`'s values, or one with a masked, range or LPM pattern (logged
+    /// as the whole table), or a clear. An apply whose key a wildcard
+    /// mask left partly unkeyed stands for every key that agrees with it
+    /// on the examined bits, and those bits were chosen for the table as
+    /// it was (the longest prefix in a bucket, the tuple masks), so it
+    /// depends on the whole table and any write to that table drops it.
+    ///
+    /// An entry none of whose applies such a write names makes the same
+    /// lookups in the new tables as its packet did, and so does every
+    /// packet it serves — by induction along its applies: a packet that
+    /// agrees with the recorded one on the entry's masked bytes takes the
+    /// same parser path (its select keys are keyed bytes), and if it made
+    /// the same lookups up to an apply, that apply's key is the same
+    /// tuple, or (a wildcard field's) one that agrees on every bit the
+    /// table examined, so the lookup returns the same entry. Such entries
+    /// stay. The others are dropped, and keep their slot's tag, so a flow
+    /// that comes back is installed on its first miss. With a gap, or
+    /// nothing recorded yet, everything goes, tags included.
     pub(crate) fn sync(&mut self, generation: u64, writes: Option<&[(u32, u64)]>) {
         if generation == self.generation {
             return;
@@ -471,12 +663,24 @@ impl FlowCache {
                 self.index.fill(0);
                 self.live = 0;
                 self.tags.fill(0);
+                self.masks.iter_mut().for_each(|m| m.users = 0);
+                self.order.clear();
             }
         }
         if self.live < dropped {
             self.invalidations += 1;
         }
         self.generation = generation;
+    }
+
+    /// Whether the pinned tables may leave key bits of a wildcard field
+    /// unexamined (some table is an LPM or one-key ternary index, or
+    /// empty). While none may, every entry keys every byte, so the
+    /// second-chance filter runs at lookup, and a first miss, which only
+    /// tags its slot, runs the engine without recording, as for a program
+    /// without wildcard fields.
+    pub(crate) fn set_wildcards(&mut self, wildcards: bool) {
+        self.wildcards = wildcards;
     }
 
     /// Drop the resident entries that `writes` touch
@@ -493,11 +697,32 @@ impl FlowCache {
                 continue;
             }
             self.index[Self::slot_of(self.arena[at].hash)] = 0;
+            self.release(self.arena[at].mask);
             self.live -= 1;
             self.arena.swap(at, self.live);
             if at < self.live {
                 self.index[Self::slot_of(self.arena[at].hash)] = at as u16 + 1;
             }
+        }
+    }
+
+    /// One more resident entry is stored under mask `id`: a mask that
+    /// gains its first goes to the front of the probe order.
+    fn hold(&mut self, id: u8) {
+        let mask = &mut self.masks[usize::from(id)];
+        mask.users += 1;
+        if mask.users == 1 {
+            self.order.insert(0, id);
+        }
+    }
+
+    /// One fewer resident entry is stored under mask `id`: a mask that
+    /// loses its last is probed no more.
+    fn release(&mut self, id: u8) {
+        let mask = &mut self.masks[usize::from(id)];
+        mask.users -= 1;
+        if mask.users == 0 {
+            self.order.retain(|&o| o != id);
         }
     }
 
@@ -523,27 +748,44 @@ impl FlowCache {
         (hash >> (u64::BITS - SLOTS.trailing_zeros())) as usize
     }
 
-    /// The key hash of `(port, data)`, read window by window from the
-    /// frame.
+    /// The key hash of `(port, data)` keyed on every byte: its hash under
+    /// mask 0, read with the key's own windows.
     #[inline]
-    fn hash_key(key: &CacheKey, port: u16, data: &[u8]) -> u64 {
+    fn hash_whole(key: &CacheKey, port: u16, data: &[u8]) -> u64 {
         let mut h = FxHasher::default();
         h.write_u64((u64::from(port) << 48) ^ data.len() as u64);
-        for word in key.of(data) {
+        for word in key.whole(data) {
             h.write_u64(word);
         }
         h.finish()
     }
 
-    /// Probe for `(port, frame)`. A hit replays the memoized outcome
-    /// into the mutable runtime state and returns the verdict plus the hit
-    /// entry's arena position (its trace is [`FlowCache::trace`] of it);
-    /// `None` is a miss (the caller runs the engine with `self.scratch`
-    /// recording and then calls [`FlowCache::commit`]). A lookup at a
-    /// recording `level` above the entry's is a miss — the re-run
-    /// re-records the entry at the level asked for, so a consumer never
-    /// observes a degraded event stream. A hit or an install wakes a
-    /// dormant cache; any other lookup counts towards dormancy.
+    /// The key hash of `(port, data)` under `mask`, read window by
+    /// window from the frame. It depends on the masked bytes alone, not
+    /// on the mask's id (a mask no entry uses may take another id by the
+    /// next miss, and the tag of a first miss must still match).
+    #[inline]
+    fn hash_key(key: &CacheKey, mask: &[u64], port: u16, data: &[u8]) -> u64 {
+        let mut h = FxHasher::default();
+        h.write_u64((u64::from(port) << 48) ^ data.len() as u64);
+        for word in key.of(data, mask) {
+            h.write_u64(word);
+        }
+        h.finish()
+    }
+
+    /// Probe for `(port, frame)` under each mask in use, most recently
+    /// hit first. A hit replays the memoized outcome into the mutable
+    /// runtime state and returns the verdict plus the hit entry's arena
+    /// position (its trace is [`FlowCache::trace`] of it); `None` is a
+    /// miss (the caller runs the engine with `self.scratch` recording and
+    /// then calls [`FlowCache::commit`]). An entry recorded at a lower
+    /// recording `level` than the lookup's is no hit — the re-run
+    /// re-records it at the level asked for, so a consumer never observes
+    /// a degraded event stream; and since an entry that stores every
+    /// record is keyed exactly (see [`FlowCache::commit`]), a records
+    /// reader is never served from a wildcarded one. A hit wakes a
+    /// dormant cache; a miss counts towards dormancy.
     pub(crate) fn lookup(
         &mut self,
         key: &CacheKey,
@@ -553,40 +795,50 @@ impl FlowCache {
         table_stats: &mut [TableStats],
         externs: &mut ExternState,
     ) -> Option<(Verdict, usize)> {
-        let hash = Self::hash_key(key, port, data);
-        let slot = Self::slot_of(hash);
-        self.last_hash = hash;
         // Every entry stores one word per window of the one key, so a
         // zip compares them all (`Iterator::eq`, which also compares the
         // lengths, cost an all-hit `l2_switch` stream about 3 ns a packet
         // on a 2-core x86-64 host).
-        let resident = (self.index[slot] as usize)
-            .checked_sub(1)
-            .map(|at| (at, &self.arena[at]))
-            .filter(|(_, e)| {
-                e.hash == hash
-                    && e.port == port
-                    && e.len as usize == data.len()
-                    && e.words()
-                        .zip(key.of(data))
-                        .all(|(stored, word)| stored == word)
-            });
-        // A traced hit needs the trace bytes too: an entry recorded at a
-        // lower level is resident but not a hit (re-record at this one).
-        let Some((at, e)) = resident.filter(|(_, e)| e.level >= level) else {
-            self.misses += 1;
-            self.install = resident.is_some() || self.tags[slot] == hash as u32;
-            self.idle = if self.install {
-                0
-            } else {
-                self.idle.wrapping_add(1)
+        // Mask 0 is the key's own: probed with the key's windows alone.
+        let (mut found, mut whole) = (None, None);
+        for (i, &id) in self.order.iter().enumerate() {
+            let mask = (id != 0).then(|| &self.masks[usize::from(id)].words[..]);
+            let hash = match mask {
+                None => Self::hash_whole(key, port, data),
+                Some(mask) => Self::hash_key(key, mask, port, data),
             };
-            self.tags[slot] = hash as u32;
-            self.scratch.clear();
+            if id == 0 {
+                whole = Some(hash);
+            }
+            let Some(at) = (self.index[Self::slot_of(hash)] as usize).checked_sub(1) else {
+                continue;
+            };
+            let e = &self.arena[at];
+            let same = |words: &mut dyn Iterator<Item = u64>| e.words().zip(words).all(|(a, b)| a == b);
+            if e.hash == hash
+                && e.mask == id
+                && e.port == port
+                && e.len as usize == data.len()
+                && e.level >= level
+                && match mask {
+                    None => same(&mut key.whole(data)),
+                    Some(mask) => same(&mut key.of(data, mask)),
+                }
+            {
+                found = Some((i, at));
+                break;
+            }
+        }
+        let Some((i, at)) = found else {
+            self.missed(key, port, data, whole);
             return None;
         };
+        if i != 0 {
+            self.order[..=i].rotate_right(1);
+        }
         self.hits += 1;
         self.idle = 0;
+        let e = &self.arena[at];
         for (tid, was_hit) in e.applies() {
             table_stats[tid].record(was_hit);
         }
@@ -595,9 +847,10 @@ impl FlowCache {
         }
         // The recorded header bytes, then the live payload; then, from
         // this packet, the bytes ahead of the payload that no execution
-        // writes: they include the unkeyed ones, which can differ from the
-        // recorded packet's (the keyed ones among them cannot). A program
-        // that can move a header passes nothing through.
+        // writes: they include the unkeyed and the wildcarded ones, which
+        // can differ from the recorded packet's (the keyed ones among them
+        // cannot). A program that can move a header passes nothing
+        // through.
         let rebuild = || {
             let (header, payload_start) = (e.header(), e.payload_start as usize);
             let payload = &data[payload_start..];
@@ -624,6 +877,29 @@ impl FlowCache {
         Some((verdict, at))
     }
 
+    /// Count a miss, and run the second-chance filter on the whole key
+    /// (`whole`: its hash, if the lookup computed it): the whole key's
+    /// slot keeps the low 32 bits of the hash of its last miss, and a key
+    /// that missed before, or is resident at a lower recording level, is
+    /// installed keyed on every byte — a flow that repeats gains nothing
+    /// from a wildcard but the probes it would add to lookups. A first
+    /// miss only tags the slot, and runs the engine without recording,
+    /// unless the tables may leave key bits unexamined: then the commit
+    /// decides whether it installs wildcarded ([`FlowCache::admit`]).
+    #[cold]
+    fn missed(&mut self, key: &CacheKey, port: u16, data: &[u8], whole: Option<u64>) {
+        self.misses += 1;
+        self.idle = self.idle.wrapping_add(1);
+        self.scratch.clear();
+        self.whole = whole;
+        let whole = self.whole_hash(key, port, data);
+        let tag = whole as u32;
+        let seen = std::mem::replace(&mut self.tags[Self::slot_of(whole)], tag);
+        let again = seen == tag || self.resident(whole, 0);
+        let wildcards = self.wildcards && !key.wild.is_empty();
+        self.filtered = (again || !wildcards).then_some(again);
+    }
+
     /// The trace stored in the entry at arena position `at` (as a
     /// [`FlowCache::lookup`] hit returns it), read in place; empty for an
     /// entry recorded untraced, and records-empty for a stages-only one.
@@ -631,25 +907,134 @@ impl FlowCache {
         self.arena[at].trace()
     }
 
-    /// The recording buffers for the engine run that follows a miss.
-    pub(crate) fn record(&mut self) -> &mut MissRecord {
-        &mut self.scratch
+    /// The recording buffers for the engine run that follows a miss, or
+    /// `None` if the miss will only tag its slot.
+    pub(crate) fn record(&mut self) -> Option<&mut MissRecord> {
+        (self.filtered != Some(false)).then_some(&mut self.scratch)
     }
 
-    /// Whether the miss the last [`FlowCache::lookup`] reported passed
-    /// the tag filter, i.e. [`FlowCache::commit`] will install an entry
-    /// (callers may skip recording otherwise).
-    pub(crate) fn will_install(&self) -> bool {
-        self.install
+    /// The whole-key hash of the last lookup's packet (mask 0 keys every
+    /// byte; the first miss sets it up).
+    fn whole_hash(&mut self, key: &CacheKey, port: u16, data: &[u8]) -> u64 {
+        if self.masks.is_empty() {
+            let words = key.words.iter().map(|&(_, mask)| mask).collect();
+            self.masks.reserve_exact(1);
+            self.masks.push(Mask { words, users: 0 });
+        }
+        let whole = match self.whole {
+            Some(whole) => whole,
+            None => Self::hash_key(key, &self.masks[0].words, port, data),
+        };
+        self.whole = Some(whole);
+        whole
+    }
+
+    /// Build in `self.unkeyed` the mask of an entry recorded at `level`,
+    /// and return which wildcard fields it leaves bytes of unkeyed (bit
+    /// `w` for field `w`; 0: none, and the mask is not built). Every byte
+    /// of a wildcard field that no lookup on the packet's path examined a
+    /// bit of is left out, if it passes through. An entry that stores
+    /// every record keys every byte, because its table records carry its
+    /// own packet's keys.
+    fn wildcard_mask(&mut self, key: &CacheKey, level: Recording) -> u64 {
+        if level == Recording::Everything {
+            return 0;
+        }
+        // Most lookups examine every bit (an exact table, a bucket with a
+        // host route): their fields are passed over at once.
+        let fields = key.wild.iter().zip(&self.scratch.fields).enumerate();
+        let mut partly = fields.filter_map(|(w, (field, &(at, examined)))| {
+            let at = at.filter(|_| examined & field.value != field.value)?;
+            Some((w, field, at, examined))
+        });
+        let Some(first) = partly.next() else {
+            return 0;
+        };
+        let mut mask = std::mem::take(&mut self.unkeyed);
+        mask.clone_from(&self.masks[0].words);
+        let mut wild = 0u64;
+        for (w, field, at, examined) in std::iter::once(first).chain(partly) {
+            for (b, bits) in field.bytes() {
+                if examined & bits == 0 && key.unkey(&mut mask, at + b) {
+                    wild |= 1 << w;
+                }
+            }
+        }
+        self.unkeyed = mask;
+        wild
+    }
+
+    /// The id of the mask in `self.unkeyed`: one that holds it already,
+    /// or one no resident entry uses, or a new one; `None` with
+    /// [`MASKS`] in use.
+    fn mask_id(&mut self) -> Option<u8> {
+        let id = match self.masks.iter().position(|m| m.words == self.unkeyed) {
+            Some(id) => id,
+            None => match (1..self.masks.len()).find(|&id| self.masks[id].users == 0) {
+                Some(id) => {
+                    self.masks[id].words.clone_from(&self.unkeyed);
+                    id
+                }
+                None if self.masks.len() < MASKS => {
+                    let words = self.unkeyed.clone();
+                    self.masks.push(Mask { words, users: 0 });
+                    self.masks.len() - 1
+                }
+                None => return None,
+            },
+        };
+        Some(id as u8)
+    }
+
+    /// Whether the slot of `hash` holds the entry stored under mask `id`
+    /// with that hash (at a lower recording level, for a miss).
+    fn resident(&self, hash: u64, id: u8) -> bool {
+        let at = (self.index[Self::slot_of(hash)] as usize).checked_sub(1);
+        at.is_some_and(|at| self.arena[at].hash == hash && self.arena[at].mask == id)
+    }
+
+    /// The second-chance filter's second half, at commit, for a miss the
+    /// lookup could not decide ([`FlowCache::missed`]: a packet not seen
+    /// before, while wildcards are possible): whether its outcome is
+    /// installed wildcarded, under which mask id, with which key hash,
+    /// leaving which wildcard fields' bytes out ([`FlowCache::wildcard_mask`]).
+    /// A masked key resident at a lower recording level is installed
+    /// again. Otherwise the masked key's slot keeps a tag of its last miss,
+    /// and the entry is installed when the tag matches: another packet
+    /// with the same masked key missed before. A key with nothing to
+    /// leave out was tagged at lookup and is not installed.
+    fn admit(
+        &mut self,
+        key: &CacheKey,
+        port: u16,
+        data: &[u8],
+        level: Recording,
+    ) -> Option<(u8, u64, u64)> {
+        let wild = self.wildcard_mask(key, level);
+        if wild == 0 {
+            return None;
+        }
+        let hash = Self::hash_key(key, &self.unkeyed, port, data);
+        let held = self.masks.iter().position(|m| m.words == self.unkeyed);
+        if let Some(id) = held.map(|id| id as u8).filter(|&id| self.resident(hash, id)) {
+            return Some((id, hash, wild));
+        }
+        let tag = hash as u32;
+        let seen = std::mem::replace(&mut self.tags[Self::slot_of(hash)], tag);
+        if seen != tag {
+            return None;
+        }
+        Some((self.mask_id()?, hash, wild))
     }
 
     /// Memoize the outcome of the engine run a miss triggered; must
-    /// directly follow the [`FlowCache::lookup`] that missed (the key
-    /// hash is carried over). First-time misses are filtered
-    /// to a tag write in `lookup` and return without installing; a key's
-    /// second miss overwrites the slot's entry (direct-mapped), reusing
-    /// its buffer. `trace` carries the packet's flat trace (records and
-    /// stage lane, or the stage lane alone) when the run was traced.
+    /// directly follow the [`FlowCache::lookup`] that missed (the run
+    /// recorded into [`FlowCache::record`]). A key the second-chance
+    /// filter ([`FlowCache::admit`]) does not install only tags its slot
+    /// and returns `false`. Otherwise the entry overwrites its slot's
+    /// (direct-mapped), reusing its buffer, and `true` is returned. `trace` carries the packet's flat
+    /// trace (records and stage lane, or the stage lane alone) when the
+    /// run was traced.
     pub(crate) fn commit<'v>(
         &mut self,
         key: &CacheKey,
@@ -657,10 +1042,21 @@ impl FlowCache {
         data: &[u8],
         verdict: &'v Verdict,
         trace: Option<TraceBytes<'_>>,
-    ) {
-        if !self.install {
-            return;
-        }
+    ) -> bool {
+        let level = match trace {
+            None => Recording::Nothing,
+            Some(t) if t.records.is_empty() => Recording::Stages,
+            Some(_) => Recording::Everything,
+        };
+        let admitted = match self.filtered {
+            Some(install) => install.then(|| (0, self.whole_hash(key, port, data), 0)),
+            None => self.admit(key, port, data, level),
+        };
+        let Some((id, hash, wild)) = admitted else {
+            return false;
+        };
+        let slot = Self::slot_of(hash);
+        self.idle = 0;
         let rec = &self.scratch;
         // The output bytes ahead of the payload the parser left unread.
         let header = |frame: &'v [u8]| &frame[..frame.len() - (data.len() - rec.payload_start)];
@@ -672,7 +1068,6 @@ impl FlowCache {
         // A resident slot is overwritten where it is; an empty one takes
         // the next arena position, buffer and all if a dropped entry is
         // parked there.
-        let slot = Self::slot_of(self.last_hash);
         let at = match self.index[slot] {
             0 => {
                 if self.live == self.arena.len() {
@@ -682,29 +1077,39 @@ impl FlowCache {
                 self.index[slot] = self.live as u16;
                 self.live - 1
             }
-            at => at as usize - 1,
+            at => {
+                let at = at as usize - 1;
+                let old = self.arena[at].mask;
+                self.release(old);
+                at
+            }
         };
+        self.hold(id);
+        let (rec, mask) = (&self.scratch, &self.masks[usize::from(id)].words);
         let e = &mut self.arena[at];
-        e.hash = self.last_hash;
+        e.hash = hash;
+        e.mask = id;
         e.port = port;
         e.len = data.len() as u32;
         e.kind = kind;
+        e.level = level;
         e.payload_start = rec.payload_start as u32;
-        let traced = trace.map_or(0, |t| t.records.len() + t.lane.len());
+        let t = trace.unwrap_or_default();
         let buf = &mut e.buf;
         buf.clear();
         buf.reserve_exact(
-            8 * key.words.len()
+            8 * mask.len()
                 + 12 * rec.applies.len()
                 + 12 * rec.counters.len()
                 + header.len()
-                + traced,
+                + t.records.len()
+                + t.lane.len(),
         );
         let at = |buf: &Vec<u8>| buf.len() as u32;
-        key.of(data)
+        key.of(data, mask)
             .for_each(|w| buf.extend_from_slice(&w.to_le_bytes()));
         e.applies_at = at(buf);
-        for &(tid, hit, _) in &rec.applies {
+        for &(tid, hit, ..) in &rec.applies {
             buf.extend_from_slice(&(tid << 1 | u32::from(hit)).to_le_bytes());
         }
         e.counters_at = at(buf);
@@ -715,19 +1120,18 @@ impl FlowCache {
         e.header_at = at(buf);
         buf.extend_from_slice(header);
         e.deps_at = at(buf);
-        for &(_, _, dep) in &rec.applies {
+        // An apply keyed on a wildcard field the mask left bytes of out
+        // depends on its whole table (see `sync`).
+        for &(_, _, dep, w) in &rec.applies {
+            let wildcarded = w != NOT_WILD && wild >> w & 1 != 0;
+            let dep = if wildcarded { WHOLE_TABLE } else { dep };
             buf.extend_from_slice(&dep.to_le_bytes());
         }
         e.records_at = at(buf);
-        let t = trace.unwrap_or_default();
         buf.extend_from_slice(t.records);
         e.lane_at = at(buf);
         buf.extend_from_slice(t.lane);
-        e.level = match trace {
-            None => Recording::Nothing,
-            Some(t) if t.records.is_empty() => Recording::Stages,
-            Some(_) => Recording::Everything,
-        };
+        true
     }
 }
 
@@ -741,7 +1145,13 @@ mod tests {
     /// The key of a program that can move a header and parses `cap`
     /// bytes: all of them.
     fn whole(cap: usize) -> CacheKey {
-        CacheKey::new(&vec![READ | WRITTEN; cap])
+        CacheKey::new(&vec![READ | WRITTEN; cap], Vec::new())
+    }
+
+    /// The key hash of a port-0 `frame` with every byte of `key` keyed.
+    fn hash(key: &CacheKey, frame: &[u8]) -> u64 {
+        let mask: Vec<u64> = key.words.iter().map(|&(_, mask)| mask).collect();
+        FlowCache::hash_key(key, &mask, 0, frame)
     }
 
     /// The bytes `key` keys on, as ascending runs.
@@ -820,7 +1230,7 @@ mod tests {
         assert!(c
             .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
             .is_none());
-        assert!(!c.will_install());
+        assert!(!c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None));
     }
 
     /// The first `dmac` key of the publication tests.
@@ -984,8 +1394,8 @@ mod tests {
             assert!(c
                 .lookup(&key, 7, &a, Nothing, &mut stats, &mut ext)
                 .is_none());
-            c.record().payload_start = 4;
-            c.record().applies.push((0, true, 0));
+            c.scratch.payload_start = 4;
+            c.scratch.applies.push((0, true, 0, NOT_WILD));
             c.commit(
                 &key,
                 7,
@@ -1059,7 +1469,6 @@ mod tests {
         let stored = c.trace(at);
         assert_eq!((stored.records, stored.lane), (trace.records, trace.lane));
         // An untraced re-record drops the stored trace.
-        c.install = true;
         c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
         assert!(c.trace(at).records.is_empty() && c.trace(at).lane.is_empty());
     }
@@ -1096,12 +1505,11 @@ mod tests {
         assert!(c
             .lookup(&key, 0, &frame, Everything, &mut stats, &mut ext)
             .is_none());
-        assert!(c.will_install());
         let full = TraceBytes {
             records: &[9, 0, 0, 0],
             lane: &[1, 0, 0, 0],
         };
-        c.commit(&key, 0, &frame, &drop, Some(full));
+        assert!(c.commit(&key, 0, &frame, &drop, Some(full)));
         let (_, at) = c
             .lookup(&key, 0, &frame, Everything, &mut stats, &mut ext)
             .expect("full hit");
@@ -1198,6 +1606,10 @@ mod tests {
     fn every_packet_is_a_hit_a_miss_or_a_skip() {
         let ir = netdebug_p4::compile(netdebug_p4::corpus::L2_SWITCH).unwrap();
         let mut dp = crate::Dataplane::new(ir);
+        // A `dmac` entry, so the lookups examine every destination bit (an
+        // empty table examines none, and one-off keys would share a flow).
+        dp.install("dmac", vec![IrPattern::Value(MAC)], "forward", vec![1], 0)
+            .unwrap();
         let frame = |k: u32| {
             let mut f = vec![0u8; 64];
             f[2..6].copy_from_slice(&k.to_be_bytes());
@@ -1252,8 +1664,7 @@ mod tests {
             assert!(c
                 .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
                 .is_none());
-            assert!(!c.will_install());
-            c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
+            assert!(!c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None));
         }
         assert_eq!(c.stats().occupancy, 1);
         assert!(c
@@ -1320,7 +1731,7 @@ mod tests {
                 let slots: std::collections::HashSet<usize> = (0..=255u8)
                     .map(|b| {
                         frame[*at] = b;
-                        FlowCache::slot_of(FlowCache::hash_key(key, 0, &frame))
+                        FlowCache::slot_of(hash(key, &frame))
                     })
                     .collect();
                 assert!(slots.len() >= 160, "byte {at}: {} slots", slots.len());
@@ -1333,7 +1744,7 @@ mod tests {
         // Bytes 1 and 3..5 key the entry, and 3 may be written; 0, 2
         // and 5 ahead of the payload (which starts at 6) pass through
         // unread.
-        let key = CacheKey::new(&[0, READ, 0, READ | WRITTEN, READ, 0]);
+        let key = CacheKey::new(&[0, READ, 0, READ | WRITTEN, READ, 0], Vec::new());
         let mut c = FlowCache::new();
         let (mut stats, mut ext) = (vec![], ExternState::new(&[]));
         let a = [0xA0, 1, 0xA2, 3, 4, 0xA5, 0xA6, 0xA7];
@@ -1341,7 +1752,7 @@ mod tests {
             assert!(c
                 .lookup(&key, 0, &a, Nothing, &mut stats, &mut ext)
                 .is_none());
-            c.record().payload_start = 6;
+            c.scratch.payload_start = 6;
             let mut out = a;
             out[3] = 0x33; // a written field
             c.commit(
@@ -1593,7 +2004,7 @@ mod tests {
 
     #[test]
     fn colliding_key_overwrites_its_arena_entry_in_place() {
-        let slot_of = |f: &[u8; 4]| FlowCache::slot_of(FlowCache::hash_key(&whole(4), 0, f));
+        let slot_of = |f: &[u8; 4]| FlowCache::slot_of(hash(&whole(4), f));
         let a = 0u32.to_be_bytes();
         let b = (1u32..)
             .map(u32::to_be_bytes)
@@ -1630,7 +2041,7 @@ mod tests {
         let mut slots = std::collections::HashSet::new();
         let frames: Vec<[u8; 4]> = (0u32..)
             .map(u32::to_be_bytes)
-            .filter(|f| slots.insert(FlowCache::slot_of(FlowCache::hash_key(&whole(4), 0, f))))
+            .filter(|f| slots.insert(FlowCache::slot_of(hash(&whole(4), f))))
             .take(64)
             .collect();
         let mut c = FlowCache::new();

@@ -46,7 +46,7 @@
 //! to hardware: the fast data plane is itself a validated data plane.
 
 use crate::bits::FieldPlan;
-use crate::cache::{CacheKey, MissRecord, READ, WRITTEN};
+use crate::cache::{CacheKey, MissRecord, Wild, NOT_WILD, READ, WRITTEN};
 use crate::externs::ExternState;
 use crate::interp::{Env, FLOOD_PORT};
 use crate::table::{key_dependency, Table, TableStats};
@@ -353,8 +353,60 @@ fn cache_key(prog: &ir::Program, headers: &[HeaderPlan], code: &[OpCode]) -> Opt
     walk.enter(0, 0, None);
     if walk.whole {
         walk.flags.fill(READ | WRITTEN);
+        return Some(CacheKey::new(&walk.flags, Vec::new()));
     }
-    Some(CacheKey::new(&walk.flags))
+    Some(CacheKey::new(&walk.flags, wild_fields(prog, headers, code)))
+}
+
+/// The wildcard fields of a program that moves no header ([`Wild`]):
+/// the header fields that every opcode touching them reads as the key of
+/// a one-field table apply, and none writes. At most 64: a commit notes
+/// the fields it leaves bytes of unkeyed in one word.
+fn wild_fields(prog: &ir::Program, headers: &[HeaderPlan], code: &[OpCode]) -> Vec<Wild> {
+    let only_keyed = |h, f| {
+        code.iter().all(|op| {
+            matches!(op, OpCode::FieldApply { .. })
+                || field_access(op).is_none_or(|(h2, f2, _)| (h2, f2) != (h, f))
+        })
+    };
+    // Each wildcard field once, at its first apply.
+    let fields = || {
+        code.iter().enumerate().filter_map(|(at, op)| match *op {
+            OpCode::FieldApply { h, f, .. }
+                if only_keyed(h, f)
+                    && !code[..at]
+                        .iter()
+                        .any(|op| matches!(*op, OpCode::FieldApply { h: h2, f: f2, .. } if (h2, f2) == (h, f))) =>
+            {
+                Some((h as usize, f as usize))
+            }
+            _ => None,
+        })
+    };
+    let span = |field: &ir::FieldLayout| {
+        let off = field.offset_bits as usize;
+        off / 8..(off + usize::from(field.width_bits)).div_ceil(8)
+    };
+    let wild = fields().take(64).map(|(h, f)| {
+        let fields = &prog.headers[h].fields;
+        let others = || headers[h].live.iter().filter(|&&g| g != f);
+        let own = span(&fields[f])
+            .enumerate()
+            .filter(|&(_, b)| !others().any(|&g| span(&fields[g]).contains(&b)))
+            .fold(0, |own, (i, _)| own | 1 << i);
+        Wild {
+            header: h,
+            field: f,
+            offset_bits: fields[f].offset_bits as usize,
+            width: usize::from(fields[f].width_bits),
+            value: all_ones(fields[f].width_bits),
+            own,
+        }
+    });
+    // Sized exactly: every data plane of the program holds the list.
+    let mut list = Vec::with_capacity(fields().take(64).count());
+    list.extend(wild);
+    list
 }
 
 /// An [`ir::Program`] lowered to the flat instruction array, plus the
@@ -539,7 +591,7 @@ impl<'p> Compiler<'p> {
         // ---- Field liveness, from the finished code: one flag byte per
         // field of every header, flat (bit 0 touched, bit 1 written). ----
         let mut first = Vec::with_capacity(prog.headers.len());
-        let mut touched = Vec::new();
+        let mut touched = Vec::with_capacity(prog.headers.iter().map(|h| h.fields.len()).sum());
         for h in &prog.headers {
             first.push(touched.len());
             touched.resize(touched.len() + h.fields.len(), 0u8);
@@ -1062,6 +1114,11 @@ pub(crate) fn exec(
                     tid,
                     hit_into,
                 );
+                if let (Some(r), Some(cache_key)) = (rec.as_deref_mut(), &cp.cache_key) {
+                    r.examined(cache_key, h, f, || {
+                        tables[tid as usize].snapshot.examined(key)
+                    });
+                }
                 link = pc + 1;
                 pc = cp.action_pcs[aid] as usize;
                 continue;
@@ -1227,8 +1284,8 @@ fn apply_keys(
     };
     table_stats[tid].record(hit);
     if let Some(r) = rec.as_deref_mut() {
-        r.applies
-            .push((tid as u32, hit, key_dependency(&env.key_scratch)));
+        let dependency = key_dependency(&env.key_scratch);
+        r.applies.push((tid as u32, hit, dependency, NOT_WILD));
     }
     if hit_into != NO_HIT_LOCAL {
         env.locals[hit_into as usize] = hit as u128;

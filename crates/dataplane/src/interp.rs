@@ -559,6 +559,8 @@ impl Dataplane {
             let mut cell = Cell::lock(&self.tables);
             if let Some(c) = self.flow_cache.as_mut() {
                 c.sync(cell.tables.generation, cell.writes());
+                let tables = &cell.tables.tables;
+                c.set_wildcards(tables.iter().any(|t| !t.snapshot.examines_every_bit()));
             }
             cell.consumed(self.flow_cache.is_some());
             Arc::clone(&cell.tables)
@@ -761,8 +763,9 @@ impl ExecCtx<'_> {
     }
 
     /// The flow-cache miss half of [`ExecCtx::run_one`]: run the compiled
-    /// engine, recording the outcome when the cache will install it, and
-    /// leave the packet's trace in `buf`.
+    /// engine, recording the outcome, and leave the packet's trace in
+    /// `buf`. Whether the cache installs the outcome is decided by the
+    /// commit, once the run knows which key bytes its lookups examined.
     #[allow(clippy::too_many_arguments)]
     fn run_miss(
         &mut self,
@@ -775,15 +778,12 @@ impl ExecCtx<'_> {
         buf: &mut TraceBuf,
         level: Recording,
     ) -> Verdict {
-        // First-time misses fail the cache's tag filter and will not be
-        // installed — skip the side-effect recording entirely for those.
-        let install = cache.will_install();
-        let rec = install.then(|| cache.record());
-        let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, rec);
-        if install {
-            let trace = (level != Recording::Nothing).then(|| buf.bytes());
-            cache.commit(key, port, data, &verdict, trace);
+        let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, cache.record());
+        if let Some(rec) = cache.record() {
+            rec.located(key, |h| env.headers[h].offset);
         }
+        let trace = (level != Recording::Nothing).then(|| buf.bytes());
+        cache.commit(key, port, data, &verdict, trace);
         verdict
     }
 

@@ -498,6 +498,18 @@ impl LpmIndex {
         prefixes.lengths[0].winners.get(&0)
     }
 
+    /// The bits of `key` that decide [`LpmIndex::get`]: the bucket's `B`
+    /// bits and every bit of the longest length its filter names. A key
+    /// that agrees with `key` there reads the same bucket, probes the same
+    /// lengths, and masks each to the same value.
+    fn examined(&self, key: u128) -> u128 {
+        let Some(prefixes) = self.prefixes.as_deref() else {
+            return 0;
+        };
+        let longest = u128::BITS - prefixes.filter[self.bucket(key)].leading_zeros();
+        self.mask(longest.max(self.bucket_bits()))
+    }
+
     /// The winner on the prefix these patterns at this priority are.
     fn find(&self, patterns: &[IrPattern], priority: i32) -> Option<&Winner> {
         let (len, key) = self.prefix(patterns, priority)?;
@@ -1132,6 +1144,39 @@ impl EntrySnapshot {
     /// pin `lookup == lookup_scan` for arbitrary entry sets.
     pub fn lookup_scan(&self, keys: &[u128]) -> Option<&RuntimeEntry> {
         self.scan(keys).map(|e| &**e)
+    }
+
+    /// The bits of a one-key lookup's `key` that decide what
+    /// [`EntrySnapshot::lookup`] returns: any key that agrees with `key`
+    /// on them gets the same entry (or none). Nothing for an empty table;
+    /// for an LPM index, the top bits its filter and longest length
+    /// examine ([`LpmIndex`]); for a tuple-space one, the union of its
+    /// groups' masks, since every group hashes and every winner matches
+    /// on masked bits only; every bit for an exact hash or the scan.
+    /// Asked only when a flow-cache miss records its outcome.
+    pub(crate) fn examined(&self, key: u128) -> u128 {
+        if self.entries.is_empty() {
+            return 0;
+        }
+        match &self.index {
+            LookupIndex::Lpm(index) => index.examined(key),
+            LookupIndex::Tuples {
+                key_count: 1,
+                groups,
+            } => groups.iter().fold(0, |bits, g| bits | g.masks[0]),
+            LookupIndex::ExactOne(_) | LookupIndex::Tuples { .. } | LookupIndex::Scan => u128::MAX,
+        }
+    }
+
+    /// Whether [`EntrySnapshot::examined`] reports every bit of every
+    /// key: the table is not empty, and its index is an exact hash or the
+    /// scan.
+    pub(crate) fn examines_every_bit(&self) -> bool {
+        !self.entries.is_empty()
+            && matches!(
+                self.index,
+                LookupIndex::ExactOne(_) | LookupIndex::Scan | LookupIndex::Tuples { key_count: 2.., .. }
+            )
     }
 
     /// Iterate installed entries in priority order.
@@ -2359,6 +2404,69 @@ mod tests {
                 args: vec![u128::from(x)],
             },
             priority,
+        }
+    }
+
+    /// What a flow-cache entry may leave unkeyed, checked by brute force
+    /// over every key of narrow widths: for random LPM route sets (every
+    /// length from the default route to the full key, some with a
+    /// `Value` entry among them, which puts the table on the scan) and
+    /// random one-key ternary rule sets, any two keys that agree on the
+    /// bits [`EntrySnapshot::examined`] reports for one of them get the
+    /// same `lookup_scan` result.
+    #[test]
+    fn keys_that_agree_on_the_examined_bits_find_the_same_entry() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for width in 1u16..=10 {
+            for round in 0..24 {
+                let kind = if round % 3 == 2 {
+                    MatchKind::Ternary
+                } else {
+                    MatchKind::Lpm
+                };
+                let (mut t, a) = table_ir(kind, 64);
+                t.keys[0].width = width;
+                let s = TableState::new(&t);
+                let keys = 1u128 << width;
+                for _ in 0..=below(12) {
+                    let value = u128::from(below(1 << width));
+                    let entry = match kind {
+                        MatchKind::Lpm if round % 6 == 0 && below(4) == 0 => {
+                            fwd_entry(vec![IrPattern::Value(value)], width.into())
+                        }
+                        MatchKind::Lpm => {
+                            let len = below(u64::from(width) + 1) as u16;
+                            fwd_entry(vec![lpm_pattern(value, len, width)], len.into())
+                        }
+                        _ => {
+                            let mask = u128::from(below(1 << width));
+                            let pattern = IrPattern::Mask {
+                                value: value & mask,
+                                mask,
+                            };
+                            fwd_entry(vec![pattern], below(3) as i32)
+                        }
+                    };
+                    s.install(&t, &a, entry).unwrap();
+                }
+                let snap = s.snapshot();
+                let found: Vec<_> = (0..keys).map(|k| snap.lookup_scan(&[k]).cloned()).collect();
+                for key in 0..keys {
+                    let bits = snap.examined(key);
+                    for other in (0..keys).filter(|o| o & bits == key & bits) {
+                        assert_eq!(
+                            found[other as usize], found[key as usize],
+                            "width {width}, round {round}: {other:#x} agrees with {key:#x} on {bits:#x}"
+                        );
+                    }
+                }
+            }
         }
     }
 

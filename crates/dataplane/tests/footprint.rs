@@ -71,10 +71,13 @@ fn cost_of(body: impl FnOnce()) -> (u64, u64) {
     )
 }
 
-/// A routable frame of flow `i` (10.0.x.y falls under the 10/8 route).
+/// A routable frame of flow `i` (10.0.x.y falls under the 10.0/16
+/// route). Flows differ in the destination MAC too: the route examines
+/// only the top two bytes of the IPv4 destination, so a flow cache keys
+/// on no more of it, but the router reads every byte of the MAC.
 fn frame(i: u32) -> Vec<u8> {
     PacketBuilder::ethernet(
-        EthernetAddress::new(2, 0, 0, 0, 0, 1),
+        EthernetAddress::new(2, 0, 0, 0, (i >> 8) as u8, i as u8),
         EthernetAddress::new(2, 0, 0, 0, 0, 2),
     )
     .ipv4(

@@ -2073,3 +2073,235 @@ proptest! {
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
     }
 }
+
+// ---------------------------------------------------------------------
+// Wildcarded flow-cache keys: streams that sweep a table key's low byte
+// ---------------------------------------------------------------------
+
+/// A flow's base key: its stream sweeps the key's low byte from here.
+type Base = u128;
+
+/// Program `ternary` (`feature_wide_key`: one 128-bit ternary key, the
+/// whole header) or `ipv4_forward`, as a three-way parity set: the
+/// cached compiled engine, the cache-off one and the reference.
+fn swept_dataplanes(ternary: bool) -> [Dataplane; 3] {
+    let source = if ternary {
+        corpus::FEATURE_WIDE_KEY
+    } else {
+        corpus::IPV4_FORWARD
+    };
+    let ir = netdebug_p4::compile(source).unwrap();
+    let cached = Dataplane::new(ir.clone());
+    let mut uncached = Dataplane::new(ir.clone());
+    uncached.set_flow_cache(false);
+    let mut reference = Dataplane::new(ir);
+    reference.set_engine(Engine::Reference);
+    [cached, uncached, reference]
+}
+
+/// The low key byte of packet `i` of a stream that sweeps it in strides
+/// of `step` (made odd, so a stream of up to 256 packets never repeats
+/// a byte, and reaches both halves of it early).
+fn swept_low(i: u8, step: u8) -> u8 {
+    i.wrapping_mul(step | 1)
+}
+
+/// Packet `i` of a stream from `base`: the key's low byte is `i`. On the
+/// router, `kind` 1 has TTL 0 (dropped before the lookup) and `kind` 2 is
+/// IPv4 version 5 (rejected by the parser); the frame is `size` bytes of
+/// UDP payload longer for `size` 1.
+fn swept_frame(ternary: bool, base: Base, i: u8, kind: u8, size: u8) -> Vec<u8> {
+    let key = base & !0xFF | u128::from(i);
+    let payload = vec![0x5A; 8 + 200 * usize::from(size)];
+    if ternary {
+        return [&key.to_be_bytes()[..], &payload].concat();
+    }
+    let dst = Ipv4Address::from_u32(key as u32);
+    let mut f = PacketBuilder::ethernet(
+        EthernetAddress::new(2, 0, 0, 0, 0, 1),
+        EthernetAddress::new(2, 0, 0, 0, 0, 2),
+    )
+    .ipv4(Ipv4Address::new(10, 0, 0, 1), dst)
+    .ttl(if kind == 1 { 0 } else { 64 })
+    .udp(1000, 2000)
+    .payload(&payload)
+    .build();
+    if kind == 2 {
+        f[14] = 0x55;
+    }
+    f
+}
+
+/// A table entry for the swept-key parity test, near base `near` when
+/// it is `Some` (its value agrees with the base above the low byte): on
+/// the router a route of `len` bits (`/0` to `/32`), or a `Value` entry
+/// for `len` 33; on the ternary program a rule whose mask keeps the top
+/// `len` bytes of the key (all sixteen: a `Value` entry for `len` 16).
+fn swept_entry(ternary: bool, len: u8, value: u128, port: u8, priority: u8) -> TableEntry<'static> {
+    let port = u128::from(port % 4);
+    if ternary {
+        let len = u32::from(len % 17);
+        let pattern = match len {
+            16 => IrPattern::Value(value),
+            len => {
+                let mask = u128::MAX.checked_shl(8 * (16 - len)).unwrap_or(0);
+                IrPattern::Mask {
+                    value: value & mask,
+                    mask,
+                }
+            }
+        };
+        return TableEntry::new(vec![pattern], "fwd", vec![port], i32::from(priority % 4));
+    }
+    match len % 34 {
+        33 => TableEntry::new(
+            vec![IrPattern::Value(value & 0xFFFF_FFFF)],
+            "ipv4_forward",
+            vec![0xAA, port],
+            32,
+        ),
+        len => TableEntry::lpm(value & 0xFFFF_FFFF, len.into(), "ipv4_forward", vec![0xBB, port]),
+    }
+}
+
+/// The key value of a swept-parity draw: next to base `bases[pick]` (its
+/// low byte replaced by `low`) when `near`, else `far` itself.
+fn swept_value(bases: &[Base], (near, pick, low, far): (bool, usize, u8, u128)) -> u128 {
+    if near {
+        bases[pick % bases.len()] & !0xFF | u128::from(low)
+    } else {
+        far
+    }
+}
+
+/// What a round of the swept-key parity test reads: each packet's
+/// verdict, and the stage lane or the whole decoded trace where the
+/// round records them.
+type Round = Vec<(Verdict, Vec<Stage>, Option<Trace>)>;
+
+/// One round of `pkts` through `dp` at recording level `level`: untraced
+/// (0), every record (1) or the stage lane alone, as a device tap reads
+/// it (2).
+fn swept_round(dp: &mut Dataplane, pkts: &[(u16, &[u8])], level: u8) -> Round {
+    match level {
+        0 | 1 => {
+            dp.set_tracing(level == 1);
+            let out = dp.process_batch(pkts, 0);
+            out.into_iter().map(|(v, t)| (v, Vec::new(), t)).collect()
+        }
+        _ => {
+            let mut sink = StageSink::default();
+            dp.process_batch_with(pkts, 0, &mut sink);
+            sink.0.into_iter().map(|(v, s)| (v, s, None)).collect()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Cache parity where entries are wildcarded: on `ipv4_forward` (an
+    /// LPM key) and `feature_wide_key` (a ternary one), streams sweep the
+    /// low byte of the key field over random entry sets near and far from
+    /// the streams — routes of every length, `/0`-`/7` and `/25`-`/32`
+    /// included, rules masking off any number of low bytes, and `Value`
+    /// entries — so a flow's entry keys on only the bytes its lookup
+    /// examined and serves packets with other low bytes. Between rounds,
+    /// random write batches insert `/32`s, `Value` entries and routes
+    /// inside the streams' prefixes, delete entries and clear the table.
+    /// Rounds run untraced, with every record or with the stage lane
+    /// alone, and the cached default, the cache-off compiled engine and
+    /// the reference agree on every write's result, every verdict, stage
+    /// lane and trace, the table statistics and the counters.
+    #[test]
+    fn flow_cache_parity_on_swept_keys(
+        ternary in any::<bool>(),
+        bases in proptest::collection::vec(any::<u128>(), 1..4),
+        entries in proptest::collection::vec(
+            (0u8..34, (any::<bool>(), any::<usize>(), any::<u8>(), any::<u128>()), any::<u8>(), any::<u8>()),
+            0..10),
+        streams in proptest::collection::vec((any::<usize>(), 0u16..4, 0u8..3, 0u8..2), 1..4),
+        sweep in 1u8..48,
+        step in any::<u8>(),
+        churn in proptest::collection::vec(
+            proptest::collection::vec(
+                (0u8..8, 0u8..34, (any::<bool>(), any::<usize>(), any::<u8>(), any::<u128>()), any::<u8>()),
+                0..4),
+            2),
+        levels in proptest::collection::vec(0u8..3, 3),
+    ) {
+        let table = if ternary { "wide" } else { "ipv4_lpm" };
+        let bases: Vec<Base> = bases
+            .iter()
+            .map(|&b| if ternary { b } else { b & 0xFFFF_FFFF })
+            .collect();
+        let mut dps = swept_dataplanes(ternary);
+        let cps = dps.each_ref().map(|dp| dp.control_plane());
+        let initial: Vec<Update<'_>> = entries
+            .iter()
+            .map(|&(len, at, port, priority)| {
+                Update::Insert(table, swept_entry(ternary, len, swept_value(&bases, at), port, priority))
+            })
+            .collect();
+        for cp in &cps {
+            // A batch that overfills no table lands whole.
+            cp.write(&initial).unwrap();
+        }
+        let frames: Vec<(u16, Vec<u8>)> = streams
+            .iter()
+            .flat_map(|&(pick, port, kind, size)| {
+                let base = bases[pick % bases.len()];
+                (0..sweep).map(move |i| {
+                    (port, swept_frame(ternary, base, swept_low(i, step), kind, size))
+                })
+            })
+            .collect();
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|(port, f)| (*port, f.as_slice())).collect();
+        for (round, &level) in levels.iter().enumerate() {
+            if let Some(batch) = round.checked_sub(1).map(|b| &churn[b]) {
+                let updates: Vec<Update<'_>> = batch
+                    .iter()
+                    .map(|&(sel, len, (near, pick, low, far), port)| {
+                        let value = swept_value(&bases, (near, pick, low, far));
+                        match sel {
+                            // On a packet of a stream: a host route, or a
+                            // `Value` entry (on the router, an exact match
+                            // in an LPM table).
+                            0 | 1 => {
+                                let low = swept_low(low % sweep, step);
+                                let value = swept_value(&bases, (true, pick, low, far));
+                                Update::Insert(
+                                table,
+                                    swept_entry(ternary, if ternary { 16 } else { 32 + sel }, value, port, 3),
+                                )
+                            }
+                            2..=4 => Update::Insert(table, swept_entry(ternary, len, value, port, port)),
+                            5 | 6 => {
+                                let entry = &entries[usize::from(len) % entries.len().max(1)..];
+                                match entry.first() {
+                                    Some(&(len, at, port, priority)) => Update::Delete(
+                                        table,
+                                        swept_entry(ternary, len, swept_value(&bases, at), port, priority),
+                                    ),
+                                    None => Update::Clear(table),
+                                }
+                            }
+                            _ => Update::Clear(table),
+                        }
+                    })
+                    .collect();
+                let [c, u, r] = cps.each_ref().map(|cp| cp.write(&updates));
+                prop_assert_eq!(&c, &u, "write results diverged");
+                prop_assert_eq!(&c, &r, "write results diverged");
+            }
+            let [c, u, r] = dps.each_mut().map(|dp| swept_round(dp, &pkts, level));
+            for (i, ((c, u), r)) in c.iter().zip(&u).zip(&r).enumerate() {
+                prop_assert_eq!(c, u, "cache-on vs cache-off (round {}, level {}, packet {})", round, level, i);
+                prop_assert_eq!(c, r, "cache-on vs reference (round {}, level {}, packet {})", round, level, i);
+            }
+        }
+        let [cached, uncached, reference] = &dps;
+        assert_runtime_state_matches(cached, uncached)?;
+        assert_runtime_state_matches(cached, reference)?;
+    }
+}

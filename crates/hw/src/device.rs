@@ -666,15 +666,28 @@ impl Device {
     /// (64 cycles first), so a [`FaultSpec::TransientPublication`] lands
     /// late and a [`FaultSpec::FailPublication`] raises the final typed
     /// panic. A retry is booked in [`Device::faults`].
+    ///
+    /// A driver that rewrites no priority hands the batch on as it is, so
+    /// the data plane's copy is its only one.
     pub fn write(&mut self, updates: &[Update<'_>]) -> Result<u64, ControlError> {
-        let mut batch = updates.to_vec();
-        for update in &mut batch {
-            if let Update::Insert(_, entry) | Update::Delete(_, entry) = update {
-                entry.priority = self.driven(entry.priority);
-            }
-        }
+        let inverted: Vec<Update<'_>>;
+        let batch = if self.compiled.runtime.invert_priorities {
+            inverted = updates
+                .iter()
+                .cloned()
+                .map(|mut update| {
+                    if let Update::Insert(_, entry) | Update::Delete(_, entry) = &mut update {
+                        entry.priority = self.driven(entry.priority);
+                    }
+                    update
+                })
+                .collect();
+            &inverted
+        } else {
+            updates
+        };
         let table = updates.last().map_or("", Update::table);
-        self.drive(table, |dp| dp.control_plane().write(&batch))
+        self.drive(table, |dp| dp.control_plane().write(batch))
     }
 
     /// Install one entry: the one-insert view of [`Device::write`], moving

@@ -351,7 +351,12 @@ fn lpm_router() -> Dataplane {
     let routes: Vec<Update<'static>> = (0..ROUTES)
         .map(|i| {
             let (prefix, len) = (lcg(&mut s) >> 32, 8 + lcg(&mut s) % 17);
-            let route = TableEntry::lpm(prefix.into(), len as u16, "ipv4_forward", vec![0xAA, (i % 4) as u128]);
+            let route = TableEntry::lpm(
+                prefix.into(),
+                len as u16,
+                "ipv4_forward",
+                vec![0xAA, (i % 4) as u128],
+            );
             Update::Insert("ipv4_lpm", route)
         })
         .collect();
@@ -369,7 +374,12 @@ fn route_swept() -> Vec<Vec<u8>> {
         .flat_map(|_| {
             let base = (lcg(&mut s) >> 32) as u32 & 0xFFFF_FF00;
             (0..256u32).map(move |low| {
-                router_frame(0x0200_0000_0020, Ipv4Address::from_u32(base | low), 4000, 4000)
+                router_frame(
+                    0x0200_0000_0020,
+                    Ipv4Address::from_u32(base | low),
+                    4000,
+                    4000,
+                )
             })
         })
         .collect()
@@ -629,7 +639,11 @@ fn main() -> ExitCode {
     let mut report = Report::new("flow_cache", "BENCH_flowcache.json", BATCH);
     report.set(
         "programs",
-        Value::List(vec!["l2_switch".into(), "exact_router".into(), "ipv4_forward".into()]),
+        Value::List(vec![
+            "l2_switch".into(),
+            "exact_router".into(),
+            "ipv4_forward".into(),
+        ]),
     );
     report.set("batch", BATCH);
     report.set("rounds", ROUNDS);
@@ -649,7 +663,11 @@ fn main() -> ExitCode {
                 ("swept", router_swept()),
             ],
         ),
-        ("ipv4_forward", lpm_router, vec![("swept_route", route_swept())]),
+        (
+            "ipv4_forward",
+            lpm_router,
+            vec![("swept_route", route_swept())],
+        ),
     ];
 
     let mut rates = std::collections::BTreeMap::new();

@@ -90,13 +90,16 @@
 //!   is installed wildcarded when another packet with its masked key
 //!   missed before, which only the commit can tell, once the run has said
 //!   what its lookups examined. While no table can leave a key bit
-//!   unexamined, a first miss is not recorded at all. A hit replays the
-//!   recorded effects without entering the interpreter loop. Traced packets store the flat trace
-//!   too — record lane then stage lane, in the one vector, split at a
-//!   `u32` offset — and a traced hit hands that stored trace to its
-//!   `LazyTrace` in place, without copying it into the trace buffer, so
-//!   consumers of a cached hit decode the identical event stream and a
-//!   tap walks the identical stage path. A packet recorded for a sink
+//!   unexamined, a first miss is not recorded at all; while the cache is
+//!   quiet (its last 16 wildcard admissions installed nothing: flows that
+//!   each repeat one packet, one-off probes), one first miss in 16 is,
+//!   which still finds a sweep that starts. A hit replays the recorded
+//!   effects without entering the interpreter loop. Traced packets store
+//!   the flat trace too — record lane then stage lane, in the one
+//!   vector, split at a `u32` offset — and a traced hit hands that stored
+//!   trace to its `LazyTrace` in place, without copying it into the
+//!   trace buffer, so consumers of a cached hit decode the identical
+//!   event stream and a tap walks the identical stage path. A packet recorded for a sink
 //!   that reads no records stores a **stages-only** entry: the stage
 //!   lane with empty records (a full trace always ends in a final-verdict
 //!   record, so no full entry has empty records). An entry serves a
@@ -170,7 +173,9 @@ pub(crate) struct MissRecord {
     /// Per wildcard field of the key ([`CacheKey`]'s `wild`): where its
     /// header sat on the packet's path (`None`: not extracted; set once
     /// the run is over), and the bits of its value the path's lookups
-    /// examined.
+    /// examined. Empty unless the commit decides how the outcome is keyed
+    /// ([`FlowCache::admit`]): an outcome installed keyed on every byte
+    /// needs neither.
     pub(crate) fields: Vec<(Option<usize>, u128)>,
 }
 
@@ -185,23 +190,21 @@ impl MissRecord {
         self.fields.clear();
     }
 
-    /// All wildcard fields of `key`, none located or examined yet.
-    fn fields_of(&mut self, key: &CacheKey) -> &mut [(Option<usize>, u128)] {
-        if self.fields.is_empty() {
-            self.fields.reserve_exact(key.wild.len());
-            self.fields.resize(key.wild.len(), (None, 0));
-        }
-        &mut self.fields
-    }
-
     /// The apply just recorded was keyed on header `h`'s field `f` and
-    /// examined `bits` of it (asked only when that is a wildcard field).
+    /// examined `bits` of it (asked only when that is a wildcard field
+    /// and the run notes its fields).
     pub(crate) fn examined(&mut self, key: &CacheKey, h: u32, f: u32, bits: impl FnOnce() -> u128) {
-        let Some(w) = key.wild.iter().position(|w| (w.header, w.field) == (h as usize, f as usize))
+        let Some(w) = key
+            .wild
+            .iter()
+            .position(|w| (w.header, w.field) == (h as usize, f as usize))
         else {
             return;
         };
-        self.fields_of(key)[w].1 |= bits();
+        let Some(field) = self.fields.get_mut(w) else {
+            return;
+        };
+        field.1 |= bits();
         if let Some(apply) = self.applies.last_mut() {
             apply.3 = w as u8;
         }
@@ -210,7 +213,6 @@ impl MissRecord {
     /// The run is over, and header `h` sat at `offset(h)` on the packet's
     /// path, whether the parser accepted it or not.
     pub(crate) fn located(&mut self, key: &CacheKey, offset: impl Fn(usize) -> Option<usize>) {
-        self.fields_of(key);
         for (field, w) in self.fields.iter_mut().zip(&key.wild) {
             field.0 = offset(w.header);
         }
@@ -226,29 +228,28 @@ pub(crate) struct Wild {
     /// Header and field ids.
     pub(crate) header: usize,
     pub(crate) field: usize,
-    /// The field's first bit in its header, and its width.
-    pub(crate) offset_bits: usize,
-    pub(crate) width: usize,
+    /// The field's first byte in its header, and how many bytes it spans
+    /// (at most 16).
+    pub(crate) first: usize,
+    pub(crate) span: u32,
+    /// The bits below the field's last bit in its last byte: the value
+    /// shifted left by `pad` lines its bytes up with the wire's.
+    pub(crate) pad: u32,
     /// Every bit of the field's value: what a lookup that examined all
     /// of it reports.
     pub(crate) value: u128,
     /// Bit `i`: the field's `i`th byte holds no other live field of the
-    /// header (a field spans at most 17 bytes).
+    /// header.
     pub(crate) own: u32,
 }
 
 impl Wild {
-    /// The bytes of the field no other live field of its header shares:
-    /// each one's offset in the header, and the bits of the field's value
-    /// it carries (the value's top bits are its first bytes on the wire).
-    fn bytes(&self) -> impl Iterator<Item = (usize, u128)> + '_ {
-        let (off, end) = (self.offset_bits, self.offset_bits + self.width);
-        (off / 8..end.div_ceil(8))
-            .filter(move |b| self.own >> (b - off / 8) & 1 != 0)
-            .map(move |b| {
-                let (lo, hi) = ((8 * b).max(off), (8 * b + 8).min(end));
-                (b, netdebug_p4::ir::all_ones((hi - lo) as u16) << (end - hi))
-            })
+    /// The bytes of the field that carry no bit of `examined` and that
+    /// no other live field shares, as bits of [`Wild::own`].
+    fn unexamined(&self, examined: u128) -> u32 {
+        let wire = ((examined & self.value) << self.pad).to_be_bytes();
+        let bytes = wire[16 - self.span as usize..].iter().enumerate();
+        bytes.fold(0, |cut, (i, &b)| cut | u32::from(b == 0) << i) & self.own
     }
 }
 
@@ -319,12 +320,6 @@ impl CacheKey {
         u64::from_le_bytes(word) & mask
     }
 
-    /// The keyed words of `data`, window by window.
-    #[inline]
-    fn whole<'d>(&'d self, data: &'d [u8]) -> impl Iterator<Item = u64> + 'd {
-        self.words.iter().map(|&window| Self::word(data, window))
-    }
-
     /// The words of `data` under `mask` (one mask per window), window by
     /// window.
     #[inline]
@@ -340,7 +335,11 @@ impl CacheKey {
         if !self.through.iter().any(|run| run.contains(&b)) {
             return false;
         }
-        let Some(w) = self.words.partition_point(|&(at, _)| at <= b).checked_sub(1) else {
+        let Some(w) = self
+            .words
+            .partition_point(|&(at, _)| at <= b)
+            .checked_sub(1)
+        else {
             return false;
         };
         let at = self.words[w].0;
@@ -447,6 +446,28 @@ impl Entry {
         self.section(0, self.applies_at).chunks_exact(8).map(u64_at)
     }
 
+    /// Whether the entry holds the key of `(port, data)` whose hash and
+    /// words under the entry's mask are `hash` and `words`, recorded at
+    /// `level` or above. Every entry stores one word per window of the
+    /// one key, so a zip compares them all (`Iterator::eq`, which also
+    /// compares the lengths, cost an all-hit `l2_switch` stream about
+    /// 3 ns a packet on a 2-core x86-64 host).
+    #[inline]
+    fn holds(
+        &self,
+        hash: u64,
+        port: u16,
+        data: &[u8],
+        level: Recording,
+        words: impl Iterator<Item = u64>,
+    ) -> bool {
+        self.hash == hash
+            && self.port == port
+            && self.len as usize == data.len()
+            && self.level >= level
+            && self.words().zip(words).all(|(a, b)| a == b)
+    }
+
     /// `(table id, hit)` per apply.
     #[inline]
     fn applies(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
@@ -513,17 +534,14 @@ const DORMANT_AFTER: u32 = 256;
 /// A dormant cache probes one packet in this many (a power of two).
 const PROBE_EVERY: u32 = 16;
 
+/// Wildcard admissions in a row that found no other packet with their
+/// masked key, after which a cache records only one first miss in
+/// [`PROBE_EVERY`] ([`FlowCache::record`]).
+const QUIET_AFTER: u32 = 16;
+
 /// Most key masks a cache keeps (ids fit an entry's `u8`): an entry whose
 /// wildcards would need one more is keyed on every byte.
 const MASKS: usize = 8;
-
-/// One key mask ([`FlowCache::masks`]): a mask per window of the key,
-/// and how many resident entries are stored under it.
-#[derive(Debug)]
-struct Mask {
-    words: Vec<u64>,
-    users: u32,
-}
 
 /// A per-dataplane direct-mapped flow cache.
 ///
@@ -555,14 +573,20 @@ pub(crate) struct FlowCache {
     /// lookup serves, so two keys sharing a slot and a tag (one in 2^32)
     /// change no verdict.
     tags: Vec<u32>,
-    /// The key masks entries are stored under, by id: id 0 keys every
-    /// byte of the key (set up by the first miss), the others leave out the
-    /// bytes of wildcard fields some entry's lookups did not examine. A
-    /// mask no resident entry uses is kept for the next one that needs it.
-    masks: Vec<Mask>,
+    /// The key masks entries are stored under, a row of one mask per
+    /// window of the key each, by id: id 0 keys every byte of the key (set
+    /// up by the first miss), the others leave out the bytes of wildcard
+    /// fields some entry's lookups did not examine. A mask no resident
+    /// entry uses is kept for the next one that needs it.
+    masks: Vec<u64>,
+    /// Per mask id, how many resident entries are stored under it.
+    users: [u32; MASKS],
     /// The ids of the masks resident entries use, most recently hit
-    /// first: the masks a lookup probes under, in order.
-    order: Vec<u8>,
+    /// first (`order[..probed]`): the masks a lookup probes under, in
+    /// order. Inline, so a lookup under one mask reads no more memory than
+    /// the key and that mask.
+    order: [u8; MASKS],
+    probed: usize,
     /// Snapshot generation the resident entries are valid for (0: none
     /// yet).
     generation: u64,
@@ -571,20 +595,20 @@ pub(crate) struct FlowCache {
     /// Reused buffer in which a commit builds its entry's mask.
     unkeyed: Vec<u64>,
     /// The whole-key hash of the last lookup's packet, if it probed
-    /// under mask 0: its commit does not hash the key again.
+    /// under mask 0 or missed: its commit does not hash the key again.
     whole: Option<u64>,
-    /// Whether the tables may leave key bits of a wildcard field
-    /// unexamined ([`FlowCache::set_wildcards`]).
-    wildcards: bool,
     /// The second-chance filter's verdict on the last miss when the lookup
-    /// could take it ([`FlowCache::missed`]): install keyed on every byte,
-    /// or only tag. `None`: the commit decides ([`FlowCache::admit`]).
+    /// or [`FlowCache::record`] could take it: install keyed on every
+    /// byte, or only tag. `None`: the commit decides ([`FlowCache::admit`]).
     filtered: Option<bool>,
     /// Packets since the last hit or install: every one a lookup until
     /// [`DORMANT_AFTER`], where the cache goes dormant, and then the
     /// 1-in-[`PROBE_EVERY`] stride. A sync leaves it alone. It wraps
     /// after 2^32 packets, which costs one more awake stretch.
     idle: u32,
+    /// Wildcard admissions in a row ([`FlowCache::admit`]) that installed
+    /// nothing; from [`QUIET_AFTER`] on the cache is quiet.
+    futile: u32,
     hits: u64,
     misses: u64,
     skipped: u64,
@@ -599,14 +623,16 @@ impl FlowCache {
             live: 0,
             tags: vec![0; SLOTS],
             masks: Vec::new(),
-            order: Vec::new(),
+            users: [0; MASKS],
+            order: [0; MASKS],
+            probed: 0,
             generation: 0,
             scratch: MissRecord::default(),
             unkeyed: Vec::new(),
             whole: None,
-            wildcards: false,
             filtered: None,
             idle: 0,
+            futile: 0,
             hits: 0,
             misses: 0,
             skipped: 0,
@@ -663,24 +689,14 @@ impl FlowCache {
                 self.index.fill(0);
                 self.live = 0;
                 self.tags.fill(0);
-                self.masks.iter_mut().for_each(|m| m.users = 0);
-                self.order.clear();
+                self.users = [0; MASKS];
+                self.probed = 0;
             }
         }
         if self.live < dropped {
             self.invalidations += 1;
         }
         self.generation = generation;
-    }
-
-    /// Whether the pinned tables may leave key bits of a wildcard field
-    /// unexamined (some table is an LPM or one-key ternary index, or
-    /// empty). While none may, every entry keys every byte, so the
-    /// second-chance filter runs at lookup, and a first miss, which only
-    /// tags its slot, runs the engine without recording, as for a program
-    /// without wildcard fields.
-    pub(crate) fn set_wildcards(&mut self, wildcards: bool) {
-        self.wildcards = wildcards;
     }
 
     /// Drop the resident entries that `writes` touch
@@ -709,21 +725,34 @@ impl FlowCache {
     /// One more resident entry is stored under mask `id`: a mask that
     /// gains its first goes to the front of the probe order.
     fn hold(&mut self, id: u8) {
-        let mask = &mut self.masks[usize::from(id)];
-        mask.users += 1;
-        if mask.users == 1 {
-            self.order.insert(0, id);
+        let users = &mut self.users[usize::from(id)];
+        *users += 1;
+        if *users == 1 {
+            self.order.copy_within(..self.probed, 1);
+            self.order[0] = id;
+            self.probed += 1;
         }
     }
 
     /// One fewer resident entry is stored under mask `id`: a mask that
     /// loses its last is probed no more.
     fn release(&mut self, id: u8) {
-        let mask = &mut self.masks[usize::from(id)];
-        mask.users -= 1;
-        if mask.users == 0 {
-            self.order.retain(|&o| o != id);
+        let users = &mut self.users[usize::from(id)];
+        *users -= 1;
+        if *users == 0 {
+            let probed = &self.order[..self.probed];
+            let at = probed
+                .iter()
+                .position(|&o| o == id)
+                .expect("a held mask is probed");
+            self.order.copy_within(at + 1..self.probed, at);
+            self.probed -= 1;
         }
+    }
+
+    /// The row of mask `id`, for a key of `n` windows.
+    fn mask(&self, id: u8, n: usize) -> &[u64] {
+        &self.masks[usize::from(id) * n..][..n]
     }
 
     /// Whether the next packet probes the cache: always while the cache
@@ -746,18 +775,6 @@ impl FlowCache {
     #[inline]
     fn slot_of(hash: u64) -> usize {
         (hash >> (u64::BITS - SLOTS.trailing_zeros())) as usize
-    }
-
-    /// The key hash of `(port, data)` keyed on every byte: its hash under
-    /// mask 0, read with the key's own windows.
-    #[inline]
-    fn hash_whole(key: &CacheKey, port: u16, data: &[u8]) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64((u64::from(port) << 48) ^ data.len() as u64);
-        for word in key.whole(data) {
-            h.write_u64(word);
-        }
-        h.finish()
     }
 
     /// The key hash of `(port, data)` under `mask`, read window by
@@ -795,38 +812,42 @@ impl FlowCache {
         table_stats: &mut [TableStats],
         externs: &mut ExternState,
     ) -> Option<(Verdict, usize)> {
-        // Every entry stores one word per window of the one key, so a
-        // zip compares them all (`Iterator::eq`, which also compares the
-        // lengths, cost an all-hit `l2_switch` stream about 3 ns a packet
-        // on a 2-core x86-64 host).
-        // Mask 0 is the key's own: probed with the key's windows alone.
+        // One mask in use, as for every program without wildcard fields:
+        // every resident entry is stored under it, so one probe serves,
+        // straight line and with no check of the entry's mask (a loop over
+        // the one mask cost an all-hit `l2_switch` stream about 1.5 ns a
+        // packet on a 2-core x86-64 host, as did the probe behind a
+        // closure).
+        let n = key.words.len();
         let (mut found, mut whole) = (None, None);
-        for (i, &id) in self.order.iter().enumerate() {
-            let mask = (id != 0).then(|| &self.masks[usize::from(id)].words[..]);
-            let hash = match mask {
-                None => Self::hash_whole(key, port, data),
-                Some(mask) => Self::hash_key(key, mask, port, data),
-            };
-            if id == 0 {
-                whole = Some(hash);
-            }
-            let Some(at) = (self.index[Self::slot_of(hash)] as usize).checked_sub(1) else {
-                continue;
-            };
-            let e = &self.arena[at];
-            let same = |words: &mut dyn Iterator<Item = u64>| e.words().zip(words).all(|(a, b)| a == b);
-            if e.hash == hash
-                && e.mask == id
-                && e.port == port
-                && e.len as usize == data.len()
-                && e.level >= level
-                && match mask {
-                    None => same(&mut key.whole(data)),
-                    Some(mask) => same(&mut key.of(data, mask)),
+        if self.probed == 1 {
+            let id = self.order[0];
+            let mask = self.mask(id, n);
+            let hash = Self::hash_key(key, mask, port, data);
+            whole = (id == 0).then_some(hash);
+            if let Some(at) = (self.index[Self::slot_of(hash)] as usize).checked_sub(1) {
+                if self.arena[at].holds(hash, port, data, level, key.of(data, mask)) {
+                    found = Some((0, at));
                 }
-            {
-                found = Some((i, at));
-                break;
+            }
+        } else {
+            for (i, &id) in self.order[..self.probed].iter().enumerate() {
+                let mask = self.mask(id, n);
+                let hash = Self::hash_key(key, mask, port, data);
+                if id == 0 {
+                    whole = Some(hash);
+                }
+                let Some(at) = (self.index[Self::slot_of(hash)] as usize).checked_sub(1) else {
+                    continue;
+                };
+                // An entry stored under another mask can hold the same
+                // words (its unkeyed bytes read as zero): only one stored
+                // under `id` stands for this key.
+                let e = &self.arena[at];
+                if e.mask == id && e.holds(hash, port, data, level, key.of(data, mask)) {
+                    found = Some((i, at));
+                    break;
+                }
             }
         }
         let Some((i, at)) = found else {
@@ -883,9 +904,8 @@ impl FlowCache {
     /// that missed before, or is resident at a lower recording level, is
     /// installed keyed on every byte — a flow that repeats gains nothing
     /// from a wildcard but the probes it would add to lookups. A first
-    /// miss only tags the slot, and runs the engine without recording,
-    /// unless the tables may leave key bits unexamined: then the commit
-    /// decides whether it installs wildcarded ([`FlowCache::admit`]).
+    /// miss of a key without wildcard fields only tags the slot; for one
+    /// with them, [`FlowCache::record`] decides.
     #[cold]
     fn missed(&mut self, key: &CacheKey, port: u16, data: &[u8], whole: Option<u64>) {
         self.misses += 1;
@@ -895,9 +915,8 @@ impl FlowCache {
         let whole = self.whole_hash(key, port, data);
         let tag = whole as u32;
         let seen = std::mem::replace(&mut self.tags[Self::slot_of(whole)], tag);
-        let again = seen == tag || self.resident(whole, 0);
-        let wildcards = self.wildcards && !key.wild.is_empty();
-        self.filtered = (again || !wildcards).then_some(again);
+        let again = seen == tag || self.resident(whole);
+        self.filtered = (again || key.wild.is_empty()).then_some(again);
     }
 
     /// The trace stored in the entry at arena position `at` (as a
@@ -908,22 +927,49 @@ impl FlowCache {
     }
 
     /// The recording buffers for the engine run that follows a miss, or
-    /// `None` if the miss will only tag its slot.
-    pub(crate) fn record(&mut self) -> Option<&mut MissRecord> {
+    /// `None` if the miss will only tag its slot. A first miss of a key
+    /// with wildcard fields is recorded only if `wildcards()`: some pinned
+    /// table may leave key bits unexamined (an LPM or one-key ternary
+    /// index, or an empty table). Otherwise every entry keys every byte,
+    /// and the miss only tags its slot, as for a key without them.
+    ///
+    /// A quiet cache (the last [`QUIET_AFTER`] wildcard admissions
+    /// installed nothing: flows that repeat one packet, or one-off
+    /// packets) records one first miss in [`PROBE_EVERY`], picked by the
+    /// key's hash, so traffic that gains nothing from wildcards stops
+    /// paying for them, and a sweep that starts is still found: two of
+    /// its packets that are recorded install it, and wake the cache.
+    pub(crate) fn record(
+        &mut self,
+        key: &CacheKey,
+        wildcards: impl FnOnce() -> bool,
+    ) -> Option<&mut MissRecord> {
+        if self.filtered.is_none() {
+            if self.quiet() || !wildcards() {
+                self.filtered = Some(false);
+            } else {
+                self.scratch.fields.resize(key.wild.len(), (None, 0));
+            }
+        }
         (self.filtered != Some(false)).then_some(&mut self.scratch)
+    }
+
+    /// Whether a quiet cache skips the last lookup's first miss.
+    fn quiet(&self) -> bool {
+        let pick = self.whole.unwrap_or_default() >> 32;
+        self.futile >= QUIET_AFTER && !pick.is_multiple_of(u64::from(PROBE_EVERY))
     }
 
     /// The whole-key hash of the last lookup's packet (mask 0 keys every
     /// byte; the first miss sets it up).
     fn whole_hash(&mut self, key: &CacheKey, port: u16, data: &[u8]) -> u64 {
         if self.masks.is_empty() {
-            let words = key.words.iter().map(|&(_, mask)| mask).collect();
-            self.masks.reserve_exact(1);
-            self.masks.push(Mask { words, users: 0 });
+            self.masks.reserve_exact(key.words.len());
+            self.masks.extend(key.words.iter().map(|&(_, mask)| mask));
         }
         let whole = match self.whole {
             Some(whole) => whole,
-            None => Self::hash_key(key, &self.masks[0].words, port, data),
+            None => Self::hash_key(key, self.mask(0, key.words.len()), port, data),
         };
         self.whole = Some(whole);
         whole
@@ -940,27 +986,22 @@ impl FlowCache {
         if level == Recording::Everything {
             return 0;
         }
-        // Most lookups examine every bit (an exact table, a bucket with a
-        // host route): their fields are passed over at once.
-        let fields = key.wild.iter().zip(&self.scratch.fields).enumerate();
-        let mut partly = fields.filter_map(|(w, (field, &(at, examined)))| {
-            let at = at.filter(|_| examined & field.value != field.value)?;
-            Some((w, field, at, examined))
-        });
-        let Some(first) = partly.next() else {
-            return 0;
-        };
-        let mut mask = std::mem::take(&mut self.unkeyed);
-        mask.clone_from(&self.masks[0].words);
-        let mut wild = 0u64;
-        for (w, field, at, examined) in std::iter::once(first).chain(partly) {
-            for (b, bits) in field.bytes() {
-                if examined & bits == 0 && key.unkey(&mut mask, at + b) {
+        let (mut wild, mut fresh) = (0, true);
+        for (w, (field, &(at, examined))) in key.wild.iter().zip(&self.scratch.fields).enumerate() {
+            let (Some(at), cut) = (at, field.unexamined(examined)) else {
+                continue;
+            };
+            for i in (0..field.span).filter(|i| cut >> i & 1 != 0) {
+                if std::mem::take(&mut fresh) {
+                    self.unkeyed.clear();
+                    self.unkeyed
+                        .extend_from_slice(&self.masks[..key.words.len()]);
+                }
+                if key.unkey(&mut self.unkeyed, at + field.first + i as usize) {
                     wild |= 1 << w;
                 }
             }
         }
-        self.unkeyed = mask;
         wild
     }
 
@@ -968,17 +1009,22 @@ impl FlowCache {
     /// or one no resident entry uses, or a new one; `None` with
     /// [`MASKS`] in use.
     fn mask_id(&mut self) -> Option<u8> {
-        let id = match self.masks.iter().position(|m| m.words == self.unkeyed) {
+        let n = self.unkeyed.len();
+        let rows = self.masks.len() / n;
+        let id = match self
+            .masks
+            .chunks_exact(n)
+            .position(|row| row == self.unkeyed)
+        {
             Some(id) => id,
-            None => match (1..self.masks.len()).find(|&id| self.masks[id].users == 0) {
+            None => match (1..rows).find(|&id| self.users[id] == 0) {
                 Some(id) => {
-                    self.masks[id].words.clone_from(&self.unkeyed);
+                    self.masks[id * n..][..n].copy_from_slice(&self.unkeyed);
                     id
                 }
-                None if self.masks.len() < MASKS => {
-                    let words = self.unkeyed.clone();
-                    self.masks.push(Mask { words, users: 0 });
-                    self.masks.len() - 1
+                None if rows < MASKS => {
+                    self.masks.extend_from_slice(&self.unkeyed);
+                    rows
                 }
                 None => return None,
             },
@@ -986,11 +1032,11 @@ impl FlowCache {
         Some(id as u8)
     }
 
-    /// Whether the slot of `hash` holds the entry stored under mask `id`
-    /// with that hash (at a lower recording level, for a miss).
-    fn resident(&self, hash: u64, id: u8) -> bool {
+    /// Whether the slot of `hash` holds an entry with that hash (at a
+    /// lower recording level, for a miss).
+    fn resident(&self, hash: u64) -> bool {
         let at = (self.index[Self::slot_of(hash)] as usize).checked_sub(1);
-        at.is_some_and(|at| self.arena[at].hash == hash && self.arena[at].mask == id)
+        at.is_some_and(|at| self.arena[at].hash == hash)
     }
 
     /// The second-chance filter's second half, at commit, for a miss the
@@ -998,11 +1044,12 @@ impl FlowCache {
     /// before, while wildcards are possible): whether its outcome is
     /// installed wildcarded, under which mask id, with which key hash,
     /// leaving which wildcard fields' bytes out ([`FlowCache::wildcard_mask`]).
-    /// A masked key resident at a lower recording level is installed
-    /// again. Otherwise the masked key's slot keeps a tag of its last miss,
-    /// and the entry is installed when the tag matches: another packet
-    /// with the same masked key missed before. A key with nothing to
-    /// leave out was tagged at lookup and is not installed.
+    /// The masked key's slot keeps a tag of its last miss, and the entry
+    /// is installed when the tag matches (another packet with the same
+    /// masked key missed before), or when the masked key is resident at a
+    /// lower recording level. A key with nothing to leave out was tagged
+    /// at lookup and is not installed. An admission that installs nothing
+    /// counts towards a quiet cache ([`FlowCache::record`]).
     fn admit(
         &mut self,
         key: &CacheKey,
@@ -1010,20 +1057,18 @@ impl FlowCache {
         data: &[u8],
         level: Recording,
     ) -> Option<(u8, u64, u64)> {
+        self.futile = self.futile.saturating_add(1);
         let wild = self.wildcard_mask(key, level);
         if wild == 0 {
             return None;
         }
         let hash = Self::hash_key(key, &self.unkeyed, port, data);
-        let held = self.masks.iter().position(|m| m.words == self.unkeyed);
-        if let Some(id) = held.map(|id| id as u8).filter(|&id| self.resident(hash, id)) {
-            return Some((id, hash, wild));
-        }
         let tag = hash as u32;
         let seen = std::mem::replace(&mut self.tags[Self::slot_of(hash)], tag);
-        if seen != tag {
+        if seen != tag && !self.resident(hash) {
             return None;
         }
+        self.futile = 0;
         Some((self.mask_id()?, hash, wild))
     }
 
@@ -1085,7 +1130,8 @@ impl FlowCache {
             }
         };
         self.hold(id);
-        let (rec, mask) = (&self.scratch, &self.masks[usize::from(id)].words);
+        let n = key.words.len();
+        let (rec, mask) = (&self.scratch, &self.masks[usize::from(id) * n..][..n]);
         let e = &mut self.arena[at];
         e.hash = hash;
         e.mask = id;
@@ -1579,6 +1625,56 @@ mod tests {
             .filter(|k| drive(&mut c, &(2 << 20 | k).to_be_bytes()).is_none())
             .count();
         assert_eq!(skipped, 15, "still dormant after a sync");
+    }
+
+    /// An `ipv4_forward` frame to `dst` (no options, UDP, 64 bytes).
+    fn frame_to_ip(dst: u32) -> Vec<u8> {
+        let mut f = vec![0u8; 64];
+        f[..6].copy_from_slice(&[2, 0, 0, 0, 0, 2]);
+        f[6..12].copy_from_slice(&[2, 0, 0, 0, 0, 1]);
+        f[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
+        f[14] = 0x45;
+        f[22] = 64;
+        f[23] = 17;
+        f[30..34].copy_from_slice(&dst.to_be_bytes());
+        f
+    }
+
+    #[test]
+    fn a_quiet_cache_still_finds_a_sweep() {
+        let router = || {
+            let ir = netdebug_p4::compile(netdebug_p4::corpus::IPV4_FORWARD).unwrap();
+            let mut dp = crate::Dataplane::new(ir);
+            dp.set_tracing(false);
+            let route = crate::TableEntry::lpm(0x0A01_0200, 24, "ipv4_forward", vec![0xAA, 1]);
+            dp.control_plane()
+                .write(&[crate::Update::Insert("ipv4_lpm", route)])
+                .unwrap();
+            dp
+        };
+        // Low bytes from 1: a packet whose unkeyed bytes are all zero has
+        // its masked key's hash on its own whole-key tag.
+        let sweep: Vec<_> = (1..256).map(|low| frame_to_ip(0x0A01_0200 | low)).collect();
+        // Awake, the sweep's second packet installs the route.
+        let (_, hits, misses) = batch(&mut router(), &sweep);
+        assert_eq!((hits, misses), (253, 2));
+        // One-off packets to as many top octets as there are admissions to
+        // spend: no two share a masked key, so none installs, and the
+        // cache goes quiet.
+        let mut dp = router();
+        let one_offs: Vec<_> = (0..2 * QUIET_AFTER)
+            .map(|o| frame_to_ip((64 + o) << 24 | 0x01_0101))
+            .collect();
+        let (_, hits, misses) = batch(&mut dp, &one_offs);
+        assert_eq!((hits, misses), (0, u64::from(2 * QUIET_AFTER)));
+        // Quiet, it records one first miss in 16, and the second recorded
+        // one installs the route.
+        let (_, hits, misses) = batch(&mut dp, &sweep);
+        assert!(misses > 2 && hits >= 128, "{hits} hits, {misses} misses");
+        // The install woke it: the next sweep installs on its second packet.
+        let next: Vec<_> = (1..256).map(|low| frame_to_ip(0x0A01_0300 | low)).collect();
+        let (_, hits, misses) = batch(&mut dp, &next);
+        assert_eq!((hits, misses), (253, 2));
     }
 
     #[test]

@@ -359,15 +359,20 @@ fn cache_key(prog: &ir::Program, headers: &[HeaderPlan], code: &[OpCode]) -> Opt
 }
 
 /// The wildcard fields of a program that moves no header ([`Wild`]):
-/// the header fields that every opcode touching them reads as the key of
-/// a one-field table apply, and none writes. At most 64: a commit notes
-/// the fields it leaves bytes of unkeyed in one word.
+/// the header fields of at most 16 bytes that every opcode touching them
+/// reads as the key of a one-field table apply, and none writes. At most
+/// 64: a commit notes the fields it leaves bytes of unkeyed in one word.
 fn wild_fields(prog: &ir::Program, headers: &[HeaderPlan], code: &[OpCode]) -> Vec<Wild> {
-    let only_keyed = |h, f| {
-        code.iter().all(|op| {
-            matches!(op, OpCode::FieldApply { .. })
-                || field_access(op).is_none_or(|(h2, f2, _)| (h2, f2) != (h, f))
-        })
+    let span = |field: &ir::FieldLayout| {
+        let off = field.offset_bits as usize;
+        off / 8..(off + usize::from(field.width_bits)).div_ceil(8)
+    };
+    let only_keyed = |h: u32, f: u32| {
+        span(&prog.headers[h as usize].fields[f as usize]).len() <= 16
+            && code.iter().all(|op| {
+                matches!(op, OpCode::FieldApply { .. })
+                    || field_access(op).is_none_or(|(h2, f2, _)| (h2, f2) != (h, f))
+            })
     };
     // Each wildcard field once, at its first apply.
     let fields = || {
@@ -383,22 +388,22 @@ fn wild_fields(prog: &ir::Program, headers: &[HeaderPlan], code: &[OpCode]) -> V
             _ => None,
         })
     };
-    let span = |field: &ir::FieldLayout| {
-        let off = field.offset_bits as usize;
-        off / 8..(off + usize::from(field.width_bits)).div_ceil(8)
-    };
     let wild = fields().take(64).map(|(h, f)| {
         let fields = &prog.headers[h].fields;
         let others = || headers[h].live.iter().filter(|&&g| g != f);
-        let own = span(&fields[f])
+        let bytes = span(&fields[f]);
+        let own = bytes
+            .clone()
             .enumerate()
             .filter(|&(_, b)| !others().any(|&g| span(&fields[g]).contains(&b)))
             .fold(0, |own, (i, _)| own | 1 << i);
+        let end = fields[f].offset_bits as usize + usize::from(fields[f].width_bits);
         Wild {
             header: h,
             field: f,
-            offset_bits: fields[f].offset_bits as usize,
-            width: usize::from(fields[f].width_bits),
+            first: bytes.start,
+            span: bytes.len() as u32,
+            pad: (8 * bytes.end - end) as u32,
             value: all_ones(fields[f].width_bits),
             own,
         }

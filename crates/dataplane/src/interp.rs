@@ -559,8 +559,6 @@ impl Dataplane {
             let mut cell = Cell::lock(&self.tables);
             if let Some(c) = self.flow_cache.as_mut() {
                 c.sync(cell.tables.generation, cell.writes());
-                let tables = &cell.tables.tables;
-                c.set_wildcards(tables.iter().any(|t| !t.snapshot.examines_every_bit()));
             }
             cell.consumed(self.flow_cache.is_some());
             Arc::clone(&cell.tables)
@@ -778,8 +776,13 @@ impl ExecCtx<'_> {
         buf: &mut TraceBuf,
         level: Recording,
     ) -> Verdict {
-        let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, cache.record());
-        if let Some(rec) = cache.record() {
+        let tables = self.tables;
+        let mut rec = cache.record(key, || {
+            tables.iter().any(|t| !t.snapshot.examines_every_bit())
+        });
+        let verdict =
+            self.run_recorded(port, data, now_cycles, env, buf, level, rec.as_deref_mut());
+        if let Some(rec) = rec {
             rec.located(key, |h| env.headers[h].offset);
         }
         let trace = (level != Recording::Nothing).then(|| buf.bytes());

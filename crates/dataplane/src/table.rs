@@ -1148,34 +1148,35 @@ impl EntrySnapshot {
 
     /// The bits of a one-key lookup's `key` that decide what
     /// [`EntrySnapshot::lookup`] returns: any key that agrees with `key`
-    /// on them gets the same entry (or none). Nothing for an empty table;
-    /// for an LPM index, the top bits its filter and longest length
-    /// examine ([`LpmIndex`]); for a tuple-space one, the union of its
-    /// groups' masks, since every group hashes and every winner matches
-    /// on masked bits only; every bit for an exact hash or the scan.
-    /// Asked only when a flow-cache miss records its outcome.
+    /// on them gets the same entry (or none). Every bit where
+    /// [`EntrySnapshot::examines_every_bit`] says so; otherwise nothing
+    /// for an empty table, the top bits its filter and longest length
+    /// examine for an LPM index ([`LpmIndex`]), and for a one-key
+    /// tuple-space index the union of its groups' masks, since every
+    /// group hashes and every winner matches on masked bits only. Asked
+    /// only when a flow-cache miss records its outcome.
     pub(crate) fn examined(&self, key: u128) -> u128 {
-        if self.entries.is_empty() {
-            return 0;
-        }
         match &self.index {
+            _ if self.examines_every_bit() => u128::MAX,
+            _ if self.entries.is_empty() => 0,
             LookupIndex::Lpm(index) => index.examined(key),
-            LookupIndex::Tuples {
-                key_count: 1,
-                groups,
-            } => groups.iter().fold(0, |bits, g| bits | g.masks[0]),
-            LookupIndex::ExactOne(_) | LookupIndex::Tuples { .. } | LookupIndex::Scan => u128::MAX,
+            LookupIndex::Tuples { groups, .. } => {
+                groups.iter().fold(0, |bits, g| bits | g.masks[0])
+            }
+            LookupIndex::ExactOne(_) | LookupIndex::Scan => u128::MAX,
         }
     }
 
-    /// Whether [`EntrySnapshot::examined`] reports every bit of every
-    /// key: the table is not empty, and its index is an exact hash or the
-    /// scan.
+    /// Whether every lookup examines every bit of its keys: the table is
+    /// not empty, and its index is an exact hash, the scan or a
+    /// tuple-space index over more than one key.
     pub(crate) fn examines_every_bit(&self) -> bool {
         !self.entries.is_empty()
             && matches!(
                 self.index,
-                LookupIndex::ExactOne(_) | LookupIndex::Scan | LookupIndex::Tuples { key_count: 2.., .. }
+                LookupIndex::ExactOne(_)
+                    | LookupIndex::Scan
+                    | LookupIndex::Tuples { key_count: 2.., .. }
             )
     }
 

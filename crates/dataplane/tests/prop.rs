@@ -2160,7 +2160,12 @@ fn swept_entry(ternary: bool, len: u8, value: u128, port: u8, priority: u8) -> T
             vec![0xAA, port],
             32,
         ),
-        len => TableEntry::lpm(value & 0xFFFF_FFFF, len.into(), "ipv4_forward", vec![0xBB, port]),
+        len => TableEntry::lpm(
+            value & 0xFFFF_FFFF,
+            len.into(),
+            "ipv4_forward",
+            vec![0xBB, port],
+        ),
     }
 }
 

@@ -17,10 +17,12 @@
 //!   keys are already on the stack, the matched action's body is entered
 //!   by jumping to its pre-compiled address (actions cannot apply tables,
 //!   so a single link register replaces a call stack);
-//! * where the IR shape in hand has a fused form — a constant right
-//!   operand, a comparison under an `if`, a one-header-field table key —
-//!   that superinstruction is emitted in place of the generic sequence
-//!   (nothing rewrites the code afterwards);
+//! * a table keyed on one header field applies through the one fused
+//!   opcode, [`OpCode::FieldApply`] (the flow cache's wildcard analysis
+//!   is defined on it); every other shape is the generic stack sequence;
+//! * the finished code is **checked once** (`check`): every reachable pc
+//!   gets one value-stack depth, so no pop finds the stack empty and the
+//!   executor's stack is a buffer sized to the deepest pc;
 //! * header extraction and deparsing run from per-header
 //!   `HeaderPlan`s: a header always starts on a byte, so each field's
 //!   byte span, shift and mask relative to the header start are resolved
@@ -47,9 +49,8 @@
 
 use crate::bits::FieldPlan;
 use crate::cache::{CacheKey, MissRecord, Wild, NOT_WILD, READ, WRITTEN};
-use crate::externs::ExternState;
-use crate::interp::{Env, FLOOD_PORT};
-use crate::table::{key_dependency, Table, TableStats};
+use crate::interp::{Env, ExecCtx, FLOOD_PORT};
+use crate::table::key_dependency;
 use crate::trace::{
     egress_buffer, DropReason, EgressFrame, TraceBuf, TraceName, TraceTables, Verdict,
 };
@@ -179,26 +180,12 @@ pub enum OpCode {
     ControlEnter(u32),
     /// Pipeline epilogue: drop checks, deparse, verdict. Terminal.
     Finish,
-
-    // -------- superinstructions (selected by the lowering) --------
-    /// Superinstruction `push-const + binop`, selected for a binary
-    /// expression whose right operand is a constant: replaces the top of
-    /// stack `x` with `op(x, k)` at the given width — one dispatch
-    /// instead of a push and a pop.
-    ConstBin(BinOp, u16, u128),
-    /// Superinstruction `compare + branch`, selected for an `if` whose
-    /// condition is a binary expression: pops rhs then lhs, jumps to the
-    /// target when `op(lhs, rhs)` is zero; nothing is pushed.
-    CmpBranch(BinOp, u16, u32),
-    /// Superinstruction `compare-with-constant + branch`, selected when
-    /// that condition's right operand is a constant: pops the lhs, jumps
-    /// to the target when `op(lhs, k)` is zero.
-    ConstCmpBranch(BinOp, u16, u128, u32),
-    /// Superinstruction `load-field + apply`, selected for a table whose
-    /// single key is a header field: evaluates the key (0 when the header
-    /// is invalid, as [`OpCode::LoadField`] defines) straight into the
-    /// key scratch and applies the table — the l2_switch/corpus hot
-    /// pair, skipping the value stack entirely.
+    /// `load-field + apply`, selected for a table whose single key is a
+    /// header field: evaluates the key (0 when the header is invalid, as
+    /// [`OpCode::LoadField`] defines) and applies the table without the
+    /// value stack. The flow cache's wildcard fields are defined on it: a
+    /// field every opcode touching it reads as this key is one whose
+    /// unexamined bits a cache entry may ignore (`wild_fields`).
     FieldApply {
         /// Header id of the key field.
         h: u32,
@@ -435,14 +422,25 @@ pub struct CompiledProgram {
     /// indexed by the corresponding IR id — the tables a `LazyTrace`
     /// resolves flat record ids against.
     pub(crate) names: TraceTables,
+    /// The deepest value stack any reachable pc runs at, from [`check`]:
+    /// what `exec`'s stack buffer holds.
+    pub(crate) max_depth: usize,
 }
 
 impl CompiledProgram {
-    /// Lower `prog` into the flat engine. Called once per
-    /// [`crate::Dataplane`] construction; the result is immutable and
-    /// shared (`Arc`) across clones.
+    /// Lower `prog` into the flat engine and `check` the result. Called
+    /// once per [`crate::Dataplane`] construction; the result is immutable
+    /// and shared (`Arc`) across clones.
+    ///
+    /// # Panics
+    ///
+    /// When the check refuses the lowered code: a lowering bug, reported
+    /// once here with the pc and the rule it breaks, instead of on every
+    /// packet that reaches it.
     pub fn compile(prog: &ir::Program) -> CompiledProgram {
-        Compiler::new(prog).run()
+        let mut cp = Compiler::new(prog).run();
+        cp.max_depth = check(&cp).unwrap_or_else(|e| panic!("bytecode check: {e}"));
+        cp
     }
 
     /// Number of flat instructions (observability for tests/benches).
@@ -578,47 +576,27 @@ impl<'p> Compiler<'p> {
         for (loc, target) in std::mem::take(&mut self.fixups) {
             let pc = resolve(target);
             match loc {
-                FixLoc::Code(i) => match &mut self.code[i] {
-                    OpCode::Jump(t) => *t = pc,
-                    other => unreachable!("fixup on non-jump {other:?}"),
-                },
+                FixLoc::Code(i) => self.patch_jump(i, pc),
                 FixLoc::Arm(s, a) => self.selects[s].arms[a].1 = pc,
                 FixLoc::Default(s) => self.selects[s].default = pc,
             }
         }
         for i in std::mem::take(&mut self.exit_fixups) {
-            match &mut self.code[i] {
-                OpCode::Exit(t) => *t = finish_pc,
-                other => unreachable!("exit fixup on {other:?}"),
-            }
-        }
-
-        // ---- Field liveness, from the finished code: one flag byte per
-        // field of every header, flat (bit 0 touched, bit 1 written). ----
-        let mut first = Vec::with_capacity(prog.headers.len());
-        let mut touched = Vec::with_capacity(prog.headers.iter().map(|h| h.fields.len()).sum());
-        for h in &prog.headers {
-            first.push(touched.len());
-            touched.resize(touched.len() + h.fields.len(), 0u8);
-        }
-        for (h, f, written) in self.code.iter().filter_map(field_access) {
-            touched[first[h as usize] + f as usize] |= 1 | u8::from(written) << 1;
+            self.patch_jump(i, finish_pc);
         }
 
         // ---- Side tables. ----
-        let headers = prog
+        let mut headers = prog
             .headers
             .iter()
-            .zip(first)
-            .map(|(h, first)| {
+            .map(|h| {
+                // Load-time invariant: the front end refuses such headers.
                 assert!(
                     h.bit_width.is_multiple_of(8),
                     "header `{}` is {} bits — headers must be whole bytes",
                     h.name,
                     h.bit_width
                 );
-                let flags = &touched[first..first + h.fields.len()];
-                let with = |bit: u8| (0..flags.len()).filter(|&f| flags[f] & bit != 0).collect();
                 HeaderPlan {
                     byte_width: h.byte_width(),
                     fields: h
@@ -627,11 +605,23 @@ impl<'p> Compiler<'p> {
                         .map(|f| FieldPlan::new(f.offset_bits as usize, f.width_bits as usize))
                         .collect(),
                     names: h.fields.iter().map(|f| f.name.as_str().into()).collect(),
-                    live: with(1),
-                    written: with(2),
+                    live: Vec::new(),
+                    written: Vec::new(),
                 }
             })
             .collect::<Vec<_>>();
+        // ---- Field liveness, from the finished code, kept ascending. ----
+        for (h, f, writes) in self.code.iter().filter_map(field_access) {
+            let HeaderPlan { live, written, .. } = &mut headers[h as usize];
+            for set in [Some(live), writes.then_some(written)]
+                .into_iter()
+                .flatten()
+            {
+                if let Err(at) = set.binary_search(&(f as usize)) {
+                    set.insert(at, f as usize);
+                }
+            }
+        }
         let cache_key = cache_key(prog, &headers, &self.code);
         let intern = |s: &str| -> TraceName { s.into() };
         CompiledProgram {
@@ -658,6 +648,7 @@ impl<'p> Compiler<'p> {
                 actions: prog.actions.iter().map(|a| intern(&a.name)).collect(),
                 headers: prog.headers.iter().map(|h| intern(&h.name)).collect(),
             },
+            max_depth: 0,
         }
     }
 
@@ -701,7 +692,9 @@ impl<'p> Compiler<'p> {
                     then_branch,
                     else_branch,
                 } => {
-                    let br = self.emit_branch(cond);
+                    self.emit_expr(cond);
+                    let br = self.code.len();
+                    self.code.push(OpCode::BranchIfZero(u32::MAX));
                     self.emit_block(then_branch);
                     if else_branch.is_empty() {
                         let end = self.code.len() as u32;
@@ -725,46 +718,11 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Emit `cond` and the branch taken when it is zero, comparing in the
-    /// branch itself when the condition is a binary expression. Returns
-    /// the branch's index for [`Self::patch_jump`].
-    fn emit_branch(&mut self, cond: &IrExpr) -> usize {
-        let branch = match cond {
-            IrExpr::Bin { op, a, b, width } if *op != BinOp::Concat => {
-                self.emit_expr(a);
-                match self.emit_rhs(b) {
-                    Some(k) => OpCode::ConstCmpBranch(*op, *width, k, u32::MAX),
-                    None => OpCode::CmpBranch(*op, *width, u32::MAX),
-                }
-            }
-            _ => {
-                self.emit_expr(cond);
-                OpCode::BranchIfZero(u32::MAX)
-            }
-        };
-        self.code.push(branch);
-        self.code.len() - 1
-    }
-
-    /// A constant right operand rides in the instruction: returns it, or
-    /// emits `b` and returns `None`.
-    fn emit_rhs(&mut self, b: &IrExpr) -> Option<u128> {
-        match *b {
-            IrExpr::Const { value, .. } => Some(value),
-            _ => {
-                self.emit_expr(b);
-                None
-            }
-        }
-    }
-
+    /// Point the jump at `code[at]` to `target`. A patch that misses its
+    /// jump leaves the target unpatched, which [`check`] refuses.
     fn patch_jump(&mut self, at: usize, target: u32) {
-        match &mut self.code[at] {
-            OpCode::Jump(t)
-            | OpCode::BranchIfZero(t)
-            | OpCode::CmpBranch(_, _, t)
-            | OpCode::ConstCmpBranch(_, _, _, t) => *t = target,
-            other => unreachable!("patch on non-jump {other:?}"),
+        if let OpCode::Jump(t) | OpCode::BranchIfZero(t) | OpCode::Exit(t) = &mut self.code[at] {
+            *t = target;
         }
     }
 
@@ -826,11 +784,8 @@ impl<'p> Compiler<'p> {
             }
             IrExpr::Bin { op, a, b, width } => {
                 self.emit_expr(a);
-                let bin = match self.emit_rhs(b) {
-                    Some(k) => OpCode::ConstBin(*op, *width, k),
-                    None => OpCode::Bin(*op, *width),
-                };
-                self.code.push(bin);
+                self.emit_expr(b);
+                self.code.push(OpCode::Bin(*op, *width));
             }
             IrExpr::Slice { base, hi, lo } => {
                 self.emit_expr(base);
@@ -890,6 +845,111 @@ impl<'p> Compiler<'p> {
     }
 }
 
+/// The bytecode check: works out the one value-stack depth each reachable
+/// pc runs at, following every jump, branch, `exit`, `select` arm and
+/// default, and every action body a table apply can enter, and returns
+/// the deepest. It refuses, naming the pc and the rule,
+///
+/// * an opcode that pops more than the stack holds,
+/// * a pc reached at two depths,
+/// * a target past the end of the code or never patched (`u32::MAX`),
+/// * an action body that returns at another depth than it entered, a
+///   `return` outside one and a table apply inside one (one link
+///   register holds the return pc),
+/// * a `finish` at a non-zero depth.
+///
+/// So every pop `exec` makes has an operand and every push fits its
+/// buffer, on every packet.
+pub(crate) fn check(cp: &CompiledProgram) -> Result<usize, String> {
+    // Per pc, once reached: its depth, and the depth its action body was
+    // entered at (`None` outside action bodies).
+    let mut reached: Vec<Option<(usize, Option<usize>)>> = vec![None; cp.code.len()];
+    // Reach `to` from `pc` at `at`: whether `to` is newly reached.
+    let reach = |reached: &mut [_], pc: usize, to: u32, at| match reached.get_mut(to as usize) {
+        _ if to == u32::MAX => Err(format!("pc {pc:04} jumps to a target never patched")),
+        None => Err(format!("pc {pc:04} jumps past the end of the code")),
+        Some(Some(depth)) if *depth != at => Err(format!("pc {to:04} is reached at two depths")),
+        Some(slot) => Ok(slot.replace(at).is_none()),
+    };
+    reach(&mut reached, 0, 0, (0, None))?;
+    // Follow the reached pcs in order: a pc an edge newly reaches forward
+    // is followed later in the same sweep, so only an edge back to a pc
+    // not yet reached (a parser state going to an earlier one) costs
+    // another sweep, and no worklist is needed beside `reached`.
+    let (mut max, mut grew) = (0, true);
+    while grew {
+        grew = false;
+        for pc in 0..cp.code.len() {
+            let Some((depth, body)) = reached[pc] else {
+                continue;
+            };
+            let refuse = |rule| Err(format!("pc {pc:04} {rule}"));
+            let op = cp.code[pc];
+            let (pops, pushes) = stack_effect(op, &cp.selects);
+            if depth < pops {
+                return refuse("pops below depth 0");
+            }
+            let at = (depth - pops + pushes, body);
+            max = max.max(at.0);
+            let next = pc as u32 + 1;
+            let mut go = |to: u32, at| {
+                reach(&mut reached, pc, to, at).map(|new| grew |= new && to as usize <= pc)
+            };
+            match op {
+                OpCode::Jump(t) | OpCode::Exit(t) => go(t, at)?,
+                OpCode::BranchIfZero(t) => {
+                    go(t, at)?;
+                    go(next, at)?;
+                }
+                OpCode::Select(s) => {
+                    let sel = &cp.selects[s as usize];
+                    for t in sel.arms.iter().map(|&(_, t)| t).chain([sel.default]) {
+                        go(t, at)?;
+                    }
+                }
+                OpCode::Apply { .. } | OpCode::FieldApply { .. } if body.is_some() => {
+                    return refuse("applies a table inside an action body");
+                }
+                OpCode::Apply { .. } | OpCode::FieldApply { .. } => {
+                    // The lookup may pick any action; each returns here.
+                    for &entry in &cp.action_pcs {
+                        go(entry, (at.0, Some(at.0)))?;
+                    }
+                    go(next, at)?;
+                }
+                OpCode::Return if body.is_none() => {
+                    return refuse("returns outside an action body")
+                }
+                OpCode::Return if body != Some(depth) => {
+                    return refuse("returns at another depth than its action body entered");
+                }
+                OpCode::Finish if depth != 0 => return refuse("finishes at a non-zero depth"),
+                OpCode::Return | OpCode::Finish | OpCode::Reject => {}
+                _ => go(next, at)?,
+            }
+        }
+    }
+    Ok(max)
+}
+
+/// What `op` takes off the value stack and puts on it: `(pops, pushes)`.
+fn stack_effect(op: OpCode, selects: &[CompiledSelect]) -> (usize, usize) {
+    use OpCode::*;
+    match op {
+        Const(_) | LoadField(..) | LoadFieldRaw(..) | LoadMeta(_) | LoadStd(_) => (0, 1),
+        LoadParam(..) | LoadLocal(_) | LoadIsValid(_) => (0, 1),
+        Un(..) | SliceE(..) | CastE(_) | RegisterRead(_) | MeterExecute(_) => (1, 1),
+        Bin(..) | Concat(..) | SliceMerge(..) => (2, 1),
+        StoreField(..) | StoreMeta(..) | StoreLocal(..) | StoreEgressSpec => (1, 0),
+        StorePacketLength | StoreTimestamp | Pop | BranchIfZero(_) | CounterInc(_) => (1, 0),
+        RegisterWrite(_) => (2, 0),
+        Apply { nkeys, .. } => (usize::from(nkeys), 0),
+        Select(s) => (selects[s as usize].nkeys, 0),
+        Jump(_) | Return | Exit(_) | FieldApply { .. } | MarkDrop | SetValidHdr(..) => (0, 0),
+        StateEnter(_) | Extract(_) | Accept | Reject | ControlEnter(_) | Finish => (0, 0),
+    }
+}
+
 /// The header field `op` reads or writes, as `(header, field, written)`.
 /// No wildcard arm: an opcode that touches a field must be classified
 /// here, or extract would not load the field and deparse would not store it.
@@ -907,7 +967,6 @@ fn field_access(op: &OpCode) -> Option<(u32, u32, bool)> {
         StoreTimestamp | Pop | Jump(_) | BranchIfZero(_) | Return | Exit(_) | Apply { .. } => None,
         MarkDrop | CounterInc(_) | RegisterRead(_) | RegisterWrite(_) | MeterExecute(_) => None,
         StateEnter(_) | Select(_) | Accept | Reject | ControlEnter(_) | Finish => None,
-        ConstBin(..) | CmpBranch(..) | ConstCmpBranch(..) => None,
     }
 }
 
@@ -919,12 +978,12 @@ fn field_access(op: &OpCode) -> Option<(u32, u32, bool)> {
 /// extern effects — replicate the tree-walker arm for arm; the parity
 /// property tests in `tests/prop.rs` pin the equivalence over the whole
 /// program corpus.
-#[allow(clippy::too_many_arguments)]
+///
+/// The value stack is `env.stack`, sized to the program's checked
+/// `max_depth`, with `sp` the number of live values: [`check`] proved at
+/// load time that every pop below has an operand and every push fits.
 pub(crate) fn exec(
-    cp: &CompiledProgram,
-    tables: &[Table],
-    table_stats: &mut [TableStats],
-    externs: &mut ExternState,
+    ctx: &mut ExecCtx<'_>,
     env: &mut Env,
     port: u16,
     data: &[u8],
@@ -933,8 +992,21 @@ pub(crate) fn exec(
     mut rec: Option<&mut MissRecord>,
 ) -> Verdict {
     env.reset(port, data.len(), now_cycles);
-    env.stack.clear();
+    let (cp, tables) = (ctx.compiled, ctx.tables);
     let code = &cp.code[..];
+    let (stack, mut sp) = (&mut env.stack[..], 0usize);
+    macro_rules! push {
+        ($v:expr) => {{
+            stack[sp] = $v;
+            sp += 1;
+        }};
+    }
+    macro_rules! pop {
+        () => {{
+            sp -= 1;
+            stack[sp]
+        }};
+    }
     let mut pc = 0usize;
     let mut link = 0usize;
     // Parser cursor in bytes: headers are whole bytes (see `HeaderPlan`).
@@ -944,17 +1016,14 @@ pub(crate) fn exec(
     loop {
         match code[pc] {
             // -------- expression stack --------
-            OpCode::Const(v) => env.stack.push(v),
+            OpCode::Const(v) => push!(v),
             OpCode::LoadField(h, f) => {
                 let hv = &env.headers[h as usize];
-                env.stack
-                    .push(if hv.valid { hv.fields[f as usize] } else { 0 });
+                push!(if hv.valid { hv.fields[f as usize] } else { 0 })
             }
-            OpCode::LoadFieldRaw(h, f) => {
-                env.stack.push(env.headers[h as usize].fields[f as usize]);
-            }
-            OpCode::LoadMeta(m) => env.stack.push(env.meta[m as usize]),
-            OpCode::LoadStd(s) => env.stack.push(match s {
+            OpCode::LoadFieldRaw(h, f) => push!(env.headers[h as usize].fields[f as usize]),
+            OpCode::LoadMeta(m) => push!(env.meta[m as usize]),
+            OpCode::LoadStd(s) => push!(match s {
                 StdField::IngressPort => env.ingress_port,
                 StdField::EgressSpec | StdField::EgressPort => env.egress_spec,
                 StdField::PacketLength => env.packet_length,
@@ -962,92 +1031,43 @@ pub(crate) fn exec(
             }),
             OpCode::LoadParam(i, width) => {
                 let v = env.action_args.get(i as usize).copied().unwrap_or(0);
-                env.stack.push(truncate(v, width));
+                push!(truncate(v, width))
             }
-            OpCode::LoadLocal(l) => env.stack.push(env.locals[l as usize]),
-            OpCode::LoadIsValid(h) => env.stack.push(env.headers[h as usize].valid as u128),
-            OpCode::Un(op, width) => {
-                let v = env.stack.last_mut().expect("un operand");
-                *v = eval_un(op, *v, width);
-            }
+            OpCode::LoadLocal(l) => push!(env.locals[l as usize]),
+            OpCode::LoadIsValid(h) => push!(env.headers[h as usize].valid as u128),
+            OpCode::Un(op, width) => stack[sp - 1] = eval_un(op, stack[sp - 1], width),
             OpCode::Bin(op, w) => {
-                let y = env.stack.pop().expect("bin rhs");
-                let x = env.stack.last_mut().expect("bin lhs");
-                *x = eval_bin(op, *x, y, w, 0);
+                let y = pop!();
+                stack[sp - 1] = eval_bin(op, stack[sp - 1], y, w, 0);
             }
             OpCode::Concat(shift, width) => {
-                let y = env.stack.pop().expect("concat rhs");
-                let x = env.stack.last_mut().expect("concat lhs");
-                *x = eval_bin(BinOp::Concat, *x, y, width, shift);
+                let y = pop!();
+                stack[sp - 1] = eval_bin(BinOp::Concat, stack[sp - 1], y, width, shift);
             }
-            OpCode::SliceE(hi, lo) => {
-                let v = env.stack.last_mut().expect("slice base");
-                *v = truncate(*v >> lo, hi - lo + 1);
-            }
-            OpCode::CastE(width) => {
-                let v = env.stack.last_mut().expect("cast operand");
-                *v = truncate(*v, width);
-            }
+            OpCode::SliceE(hi, lo) => stack[sp - 1] = truncate(stack[sp - 1] >> lo, hi - lo + 1),
+            OpCode::CastE(width) => stack[sp - 1] = truncate(stack[sp - 1], width),
             OpCode::SliceMerge(hi, lo) => {
-                let current = env.stack.pop().expect("slice current");
-                let v = env.stack.last_mut().expect("slice value");
+                let current = pop!();
                 let w = hi - lo + 1;
                 let mask = all_ones(w) << lo;
-                *v = (current & !mask) | (truncate(*v, w) << lo);
+                stack[sp - 1] = (current & !mask) | (truncate(stack[sp - 1], w) << lo);
             }
 
             // -------- stores --------
             OpCode::StoreField(h, f, width) => {
-                let v = env.stack.pop().expect("store value");
-                env.headers[h as usize].fields[f as usize] = truncate(v, width);
+                env.headers[h as usize].fields[f as usize] = truncate(pop!(), width);
             }
-            OpCode::StoreMeta(m, width) => {
-                let v = env.stack.pop().expect("store value");
-                env.meta[m as usize] = truncate(v, width);
-            }
-            OpCode::StoreLocal(l, width) => {
-                let v = env.stack.pop().expect("store value");
-                env.locals[l as usize] = truncate(v, width);
-            }
+            OpCode::StoreMeta(m, width) => env.meta[m as usize] = truncate(pop!(), width),
+            OpCode::StoreLocal(l, width) => env.locals[l as usize] = truncate(pop!(), width),
             OpCode::StoreEgressSpec => {
-                let v = env.stack.pop().expect("store value");
-                env.egress_spec = truncate(v, 9);
+                env.egress_spec = truncate(pop!(), 9);
                 env.egress_written = true;
                 // v1model: a later egress write revives the packet.
                 env.drop_flag = false;
             }
-            OpCode::StorePacketLength => {
-                let v = env.stack.pop().expect("store value");
-                env.packet_length = truncate(v, 32);
-            }
-            OpCode::StoreTimestamp => {
-                let v = env.stack.pop().expect("store value");
-                env.ts_cycles = truncate(v, 48);
-            }
-            OpCode::Pop => {
-                env.stack.pop();
-            }
-
-            // -------- superinstructions --------
-            OpCode::ConstBin(op, w, k) => {
-                let x = env.stack.last_mut().expect("const-bin lhs");
-                *x = eval_bin(op, *x, k, w, 0);
-            }
-            OpCode::CmpBranch(op, w, t) => {
-                let y = env.stack.pop().expect("cmp-branch rhs");
-                let x = env.stack.pop().expect("cmp-branch lhs");
-                if eval_bin(op, x, y, w, 0) == 0 {
-                    pc = t as usize;
-                    continue;
-                }
-            }
-            OpCode::ConstCmpBranch(op, w, k, t) => {
-                let x = env.stack.pop().expect("const-cmp-branch lhs");
-                if eval_bin(op, x, k, w, 0) == 0 {
-                    pc = t as usize;
-                    continue;
-                }
-            }
+            OpCode::StorePacketLength => env.packet_length = truncate(pop!(), 32),
+            OpCode::StoreTimestamp => env.ts_cycles = truncate(pop!(), 48),
+            OpCode::Pop => sp -= 1,
 
             // -------- control flow --------
             OpCode::Jump(t) => {
@@ -1055,7 +1075,7 @@ pub(crate) fn exec(
                 continue;
             }
             OpCode::BranchIfZero(t) => {
-                if env.stack.pop().expect("branch cond") == 0 {
+                if pop!() == 0 {
                     pc = t as usize;
                     continue;
                 }
@@ -1078,23 +1098,10 @@ pub(crate) fn exec(
                 nkeys,
                 hit_into,
             } => {
-                let base = env.stack.len() - nkeys as usize;
-                env.key_scratch.clear();
-                for i in base..env.stack.len() {
-                    let v = env.stack[i];
-                    env.key_scratch.push(v);
-                }
-                env.stack.truncate(base);
-                let aid = apply_keys(
-                    cp,
-                    tables,
-                    table_stats,
-                    env,
-                    &mut trace,
-                    &mut rec,
-                    tid,
-                    hit_into,
-                );
+                sp -= nkeys as usize;
+                let keys = &stack[sp..sp + nkeys as usize];
+                let (args, locals) = (&mut env.action_args, &mut env.locals[..]);
+                let aid = apply_keys(ctx, keys, args, locals, &mut trace, &mut rec, tid, hit_into);
                 link = pc + 1;
                 pc = cp.action_pcs[aid] as usize;
                 continue;
@@ -1107,13 +1114,12 @@ pub(crate) fn exec(
             } => {
                 let hv = &env.headers[h as usize];
                 let key = if hv.valid { hv.fields[f as usize] } else { 0 };
-                env.key_scratch.clear();
-                env.key_scratch.push(key);
+                let (args, locals) = (&mut env.action_args, &mut env.locals[..]);
                 let aid = apply_keys(
-                    cp,
-                    tables,
-                    table_stats,
-                    env,
+                    ctx,
+                    &[key],
+                    args,
+                    locals,
                     &mut trace,
                     &mut rec,
                     tid,
@@ -1145,26 +1151,24 @@ pub(crate) fn exec(
                 }
             }
             OpCode::CounterInc(id) => {
-                let i = env.stack.pop().expect("counter index") as usize;
-                externs.counter_inc(id as usize, i, data.len());
+                let i = pop!() as usize;
+                ctx.externs.counter_inc(id as usize, i, data.len());
                 if let Some(r) = rec.as_deref_mut() {
                     r.counters.push((id, i as u64));
                 }
             }
             OpCode::RegisterRead(id) => {
-                let i = env.stack.pop().expect("register index") as usize;
-                let v = externs.register_read(id as usize, i);
-                env.stack.push(v);
+                stack[sp - 1] = ctx
+                    .externs
+                    .register_read(id as usize, stack[sp - 1] as usize);
             }
             OpCode::RegisterWrite(id) => {
-                let v = env.stack.pop().expect("register value");
-                let i = env.stack.pop().expect("register index") as usize;
-                externs.register_write(id as usize, i, v);
+                let v = pop!();
+                ctx.externs.register_write(id as usize, pop!() as usize, v);
             }
             OpCode::MeterExecute(id) => {
-                let i = env.stack.pop().expect("meter index") as usize;
-                let colour = externs.meter_execute(id as usize, i, now_cycles);
-                env.stack.push(colour);
+                let i = stack[sp - 1] as usize;
+                stack[sp - 1] = ctx.externs.meter_execute(id as usize, i, now_cycles);
             }
 
             // -------- parser --------
@@ -1200,15 +1204,14 @@ pub(crate) fn exec(
             }
             OpCode::Select(sel) => {
                 let s = &cp.selects[sel as usize];
-                let base = env.stack.len() - s.nkeys;
-                let keys = &env.stack[base..];
+                sp -= s.nkeys;
+                let keys = &stack[sp..sp + s.nkeys];
                 let target = s
                     .arms
                     .iter()
                     .find(|(patterns, _)| patterns.iter().zip(keys).all(|(p, k)| p.matches(*k)))
                     .map(|&(_, t)| t)
                     .unwrap_or(s.default);
-                env.stack.truncate(base);
                 pc = target as usize;
                 continue;
             }
@@ -1257,46 +1260,47 @@ pub(crate) fn exec(
 }
 
 /// The shared tail of [`OpCode::Apply`] and [`OpCode::FieldApply`]:
-/// lookup on `env.key_scratch`, action-argument binding, statistics,
-/// the flow-cache record (with the lookup's dependency, which decides
-/// which publications drop the entry), hit-capture local, trace record.
-/// Returns the action id to enter.
+/// lookup on `keys` (read where they sit), binding the action's
+/// arguments into `args`, statistics, the flow-cache record (with the
+/// lookup's dependency, which decides which publications drop the
+/// entry), the hit-capture local, trace record. Returns the action id to
+/// enter.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn apply_keys(
-    cp: &CompiledProgram,
-    tables: &[Table],
-    table_stats: &mut [TableStats],
-    env: &mut Env,
+    ctx: &mut ExecCtx<'_>,
+    keys: &[u128],
+    args: &mut Vec<u128>,
+    locals: &mut [u128],
     trace: &mut Option<&mut TraceBuf>,
     rec: &mut Option<&mut MissRecord>,
     tid: u32,
     hit_into: u32,
 ) -> usize {
     let tid = tid as usize;
-    let (aid, hit) = match tables[tid].snapshot.lookup(&env.key_scratch) {
+    let (aid, hit) = match ctx.tables[tid].snapshot.lookup(keys) {
         Some(entry) => {
-            env.action_args.clear();
-            env.action_args.extend_from_slice(&entry.action.args);
+            args.clear();
+            args.extend_from_slice(&entry.action.args);
             (entry.action.action, true)
         }
         None => {
-            let (aid, args) = &cp.table_defaults[tid];
-            env.action_args.clear();
-            env.action_args.extend_from_slice(args);
+            let (aid, default_args) = &ctx.compiled.table_defaults[tid];
+            args.clear();
+            args.extend_from_slice(default_args);
             (*aid as usize, false)
         }
     };
-    table_stats[tid].record(hit);
+    ctx.table_stats[tid].record(hit);
     if let Some(r) = rec.as_deref_mut() {
-        let dependency = key_dependency(&env.key_scratch);
-        r.applies.push((tid as u32, hit, dependency, NOT_WILD));
+        r.applies
+            .push((tid as u32, hit, key_dependency(keys), NOT_WILD));
     }
     if hit_into != NO_HIT_LOCAL {
-        env.locals[hit_into as usize] = hit as u128;
+        locals[hit_into as usize] = hit as u128;
     }
     if let Some(tr) = trace.as_deref_mut() {
-        tr.table(tid as u32, aid as u32, hit, &env.key_scratch);
+        tr.table(tid as u32, aid as u32, hit, keys);
     }
     aid
 }
@@ -1362,69 +1366,139 @@ mod tests {
     use super::*;
     use netdebug_p4::corpus;
 
-    /// Every corpus program lowers to a flat program whose action table
-    /// and name tables line up with the IR, with all targets in range.
+    /// Every corpus program and both shape programs pass the bytecode
+    /// check, which `compile` ran, and lower to a flat program whose
+    /// action and name tables line up with the IR.
     #[test]
-    fn corpus_compiles_flat() {
-        for prog in corpus::corpus() {
-            let ir = netdebug_p4::compile(prog.source).unwrap();
+    fn every_program_passes_the_check() {
+        let shapes = [
+            (
+                "liveness_shapes",
+                include_str!("../tests/liveness_shapes.p4"),
+            ),
+            (
+                "selection_shapes",
+                include_str!("../tests/selection_shapes.p4"),
+            ),
+        ];
+        let corpus = corpus::corpus().into_iter().map(|p| (p.name, p.source));
+        for (name, source) in corpus.chain(shapes) {
+            let ir = netdebug_p4::compile(source).unwrap();
             let cp = CompiledProgram::compile(&ir);
-            assert!(cp.code_len() > 0, "{}: empty code", prog.name);
-            assert_eq!(cp.action_pcs.len(), ir.actions.len(), "{}", prog.name);
-            assert_eq!(cp.names.tables.len(), ir.tables.len(), "{}", prog.name);
-            assert_eq!(
-                cp.names.states.len(),
-                ir.parser.states.len(),
-                "{}",
-                prog.name
-            );
-            // Every jump/branch/action target lands inside the code.
-            let len = cp.code_len() as u32;
-            for op in &cp.code {
-                match *op {
-                    OpCode::Jump(t)
-                    | OpCode::BranchIfZero(t)
-                    | OpCode::Exit(t)
-                    | OpCode::CmpBranch(_, _, t)
-                    | OpCode::ConstCmpBranch(_, _, _, t) => {
-                        assert!(t < len, "{}: target {t} out of range", prog.name)
-                    }
-                    _ => {}
-                }
-            }
-            for sel in &cp.selects {
-                assert!(sel.default < len, "{}: select default", prog.name);
-                for (_, t) in &sel.arms {
-                    assert!(*t < len, "{}: select arm", prog.name);
-                }
-            }
-            for &a in &cp.action_pcs {
-                assert!(a < len, "{}: action pc", prog.name);
-            }
+            assert_eq!(check(&cp), Ok(cp.max_depth), "{name}");
+            assert!(cp.max_depth > 0, "{name}: every program pushes");
+            assert_eq!(cp.action_pcs.len(), ir.actions.len(), "{name}");
+            assert_eq!(cp.names.tables.len(), ir.tables.len(), "{name}");
+            assert_eq!(cp.names.states.len(), ir.parser.states.len(), "{name}");
         }
     }
 
+    /// A parser state reached first through an edge back from a later one
+    /// is checked too: `deep` is declared before `start`'s target `hop`,
+    /// and its three-deep assignment is the program's deepest pc.
+    #[test]
+    fn a_state_reached_backwards_is_checked() {
+        let source = r#"
+            header h_t { bit<8> a; bit<8> b; }
+            struct headers_t { h_t h; }
+            struct metadata_t { bit<8> m; }
+            parser P(packet_in pkt, out headers_t hdr, inout metadata_t meta,
+                     inout standard_metadata_t standard_metadata) {
+                state start { pkt.extract(hdr.h); transition hop; }
+                state deep { meta.m = hdr.h.a + (hdr.h.b + (hdr.h.a + 1)); transition accept; }
+                state hop { transition deep; }
+            }
+            control I(inout headers_t hdr, inout metadata_t meta,
+                      inout standard_metadata_t standard_metadata) {
+                apply { standard_metadata.egress_spec = 1; }
+            }
+            control D(packet_out pkt, in headers_t hdr) { apply { pkt.emit(hdr.h); } }
+            V1Switch(P(), I(), D()) main;
+        "#;
+        let cp = CompiledProgram::compile(&netdebug_p4::compile(source).unwrap());
+        assert_eq!((check(&cp), cp.max_depth), (Ok(4), 4));
+    }
+
+    /// The check refuses each hand-made break of a compiled program, at
+    /// the pc that breaks the rule (pcs as the pinned listings in
+    /// `disasm.rs` print them).
+    #[test]
+    fn the_check_refuses_broken_code_at_its_pc() {
+        let compiled = |source| CompiledProgram::compile(&netdebug_p4::compile(source).unwrap());
+        let refused = |source, at: usize, op: OpCode| {
+            let mut cp = compiled(source);
+            cp.code[at] = op;
+            check(&cp).unwrap_err()
+        };
+        let (reflector, l2) = (corpus::REFLECTOR, corpus::L2_SWITCH);
+        // The reflector's first control statement pops instead of loading.
+        assert_eq!(
+            refused(reflector, 6, OpCode::Pop),
+            "pc 0006 pops below depth 0"
+        );
+        // Its `start` state's jump to accept.
+        let end = compiled(reflector).code_len() as u32;
+        assert_eq!(
+            refused(reflector, 2, OpCode::Jump(end)),
+            "pc 0002 jumps past the end of the code"
+        );
+        assert_eq!(
+            refused(reflector, 2, OpCode::Jump(u32::MAX)),
+            "pc 0002 jumps to a target never patched"
+        );
+        // `flood` pushes its port and then a constant where it stored.
+        assert_eq!(
+            refused(l2, 15, OpCode::Const(0)),
+            "pc 0016 returns at another depth than its action body entered"
+        );
+        // The counter index stays on the stack to the end.
+        assert_eq!(
+            refused(l2, 7, OpCode::MarkDrop),
+            "pc 0009 finishes at a non-zero depth"
+        );
+        // A parser loop that pushes on every lap.
+        let mut cp = compiled(reflector);
+        cp.code[1] = OpCode::Const(0);
+        cp.code[2] = OpCode::Jump(0);
+        assert_eq!(check(&cp).unwrap_err(), "pc 0000 is reached at two depths");
+        // An action body that applies a table, and a stray `return`.
+        let apply = OpCode::FieldApply {
+            h: 0,
+            f: 0,
+            tid: 0,
+            hit_into: NO_HIT_LOCAL,
+        };
+        assert_eq!(
+            refused(l2, 12, apply),
+            "pc 0012 applies a table inside an action body"
+        );
+        assert_eq!(
+            refused(l2, 9, OpCode::Return),
+            "pc 0009 returns outside an action body"
+        );
+    }
+
     /// Which opcode each IR shape selects, pinned on a program with one
-    /// statement per shape (pcs as `disassemble` prints them).
+    /// statement per shape (pcs as `disassemble` prints them): the generic
+    /// stack sequence everywhere but a table keyed on one header field.
     #[test]
     fn selection_is_pinned() {
         use BinOp::{Add, Eq, Lt, Sub};
         use OpCode::*;
         let ir = netdebug_p4::compile(include_str!("../tests/selection_shapes.p4")).unwrap();
-        let code = CompiledProgram::compile(&ir).code;
+        let cp = CompiledProgram::compile(&ir);
+        let code = &cp.code;
         let (a, b, x) = (LoadField(0, 0), LoadField(0, 1), LoadField(0, 2));
-        // `if (a == b)`: the comparison is the branch.
-        assert_eq!(code[8..11], [a, b, CmpBranch(Eq, 1, 13)]);
-        // `if (a < 5)`: so is the constant.
-        assert_eq!(code[13..15], [a, ConstCmpBranch(Lt, 1, 5, 18)]);
-        // `if (5 < b)`: a constant on the left stays a push.
-        assert_eq!(code[18..21], [Const(5), b, CmpBranch(Lt, 1, 24)]);
-        // `x = 1 - x` against `x = x - 1`.
-        assert_eq!(code[24..27], [Const(1), x, Bin(Sub, 8)]);
-        assert_eq!(code[28..30], [x, ConstBin(Sub, 8, 1)]);
+        // `if (a == b)`, `if (a < 5)` and `if (5 < b)`: compare, then branch.
+        assert_eq!(code[8..12], [a, b, Bin(Eq, 1), BranchIfZero(14)]);
+        assert_eq!(code[14..18], [a, Const(5), Bin(Lt, 1), BranchIfZero(22)]);
+        assert_eq!(code[22..26], [Const(5), b, Bin(Lt, 1), BranchIfZero(30)]);
+        // `x = 1 - x` and `x = x - 1`.
+        assert_eq!(code[30..33], [Const(1), x, Bin(Sub, 8)]);
+        assert_eq!(code[34..37], [x, Const(1), Bin(Sub, 8)]);
         // Metadata-keyed and two-key tables apply from the stack; the
         // header-field key fuses and keeps its hit capture, and the
-        // captured local — not a comparison — takes the plain branch.
+        // captured local takes the plain branch.
         let apply = |tid, nkeys| Apply {
             tid,
             nkeys,
@@ -1437,7 +1511,7 @@ mod tests {
             hit_into: 0,
         };
         assert_eq!(
-            code[33..41],
+            code[40..48],
             [
                 LoadMeta(0),
                 apply(1, 1),
@@ -1446,10 +1520,12 @@ mod tests {
                 apply(2, 2),
                 by_field,
                 LoadLocal(0),
-                BranchIfZero(44),
+                BranchIfZero(52),
             ]
         );
-        assert_eq!(code[42], ConstBin(Add, 8, 8));
+        assert_eq!(code[48..51], [LoadField(0, 3), Const(8), Bin(Add, 8)]);
+        // Two operands at most are ever live: `by_pair`'s keys, `a == b`.
+        assert_eq!(cp.max_depth, 2);
     }
 
     /// Which fields each header's extract loads and its deparse stores

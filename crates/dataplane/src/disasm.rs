@@ -6,11 +6,15 @@
 //! actions, headers, parser states, controls) and `-> NNNN` arrows on
 //! jump targets. Action bodies are labelled at their entry points. This
 //! is the introspection surface for the lowering's instruction selection
-//! — a fused table apply on a header-field key reads:
+//! — a table apply on a one-header-field key reads:
 //!
 //! ```text
-//! 0011  field_apply      ethernet[0] dmac -> a0 smac_learn
+//! 0008  field_apply      ethernet[0] dmac
 //! ```
+//!
+//! A header line gives the deepest value stack any reachable instruction
+//! runs at, as the load-time bytecode check worked it out (`max stack
+//! depth 2`): the size of the executor's stack buffer.
 //!
 //! Each `extract` lists the fields it loads (every other field stays 0 in
 //! the packet environment), and `finish` the fields deparse stores over
@@ -45,6 +49,7 @@ impl fmt::Display for Disassembly<'_> {
             let names: Vec<&str> = which.iter().map(|&x| &*plan.names[x]).collect();
             format!("{} [{}]", hdr(h as u32), names.join(" "))
         };
+        writeln!(f, "max stack depth {}", cp.max_depth)?;
         for (pc, op) in cp.code.iter().enumerate() {
             for (aid, &entry) in cp.action_pcs.iter().enumerate() {
                 if entry as usize == pc {
@@ -150,17 +155,6 @@ impl fmt::Display for Disassembly<'_> {
                         writeln!(f, "{:<17}writes {}", "finish", writes.join(" "))?
                     }
                 }
-                OpCode::ConstBin(op, w, k) => {
-                    writeln!(f, "{:<17}{op:?} w{w} k={k:#x}", "const_bin")?
-                }
-                OpCode::CmpBranch(op, w, t) => {
-                    writeln!(f, "{:<17}{op:?} w{w} -> {t:04}", "cmp_branch")?
-                }
-                OpCode::ConstCmpBranch(op, w, k, t) => writeln!(
-                    f,
-                    "{:<17}{op:?} w{w} k={k:#x} -> {t:04}",
-                    "const_cmp_branch"
-                )?,
             }
         }
         Ok(())
@@ -184,6 +178,7 @@ mod tests {
     #[test]
     fn reflector_disassembly_is_pinned() {
         let expected = "\
+max stack depth 1
 0000  state_enter      start
 0001  extract          ethernet [dstAddr srcAddr]
 0002  jump             -> 0004
@@ -205,12 +200,13 @@ NoAction:
         assert_listing(corpus::REFLECTOR, expected);
     }
 
-    /// The two benchmark-path programs, pinned whole: which
-    /// superinstruction sits at which pc is part of what the benchmark
-    /// measures, so a lowering change shows here first.
+    /// The two benchmark-path programs, pinned whole with the checked
+    /// stack depth: which opcode sits at which pc is part of what the
+    /// benchmark measures, so a lowering change shows here first.
     #[test]
     fn l2_switch_disassembly_is_pinned() {
         let expected = "\
+max stack depth 1
 0000  state_enter      start
 0001  extract          ethernet [dstAddr]
 0002  jump             -> 0004
@@ -238,6 +234,7 @@ flood:
     #[test]
     fn ipv4_forward_disassembly_is_pinned() {
         let expected = "\
+max stack depth 2
 0000  state_enter      start
 0001  extract          ethernet [dstAddr srcAddr etherType]
 0002  load_field       ethernet[2]
@@ -250,31 +247,34 @@ flood:
 0009  accept
 0010  control_enter    IPv4Ingress
 0011  load_is_valid    ipv4
-0012  branch_if_zero   -> 0019
+0012  branch_if_zero   -> 0021
 0013  load_field       ipv4[7]
-0014  const_cmp_branch Eq w1 k=0x0 -> 0017
-0015  mark_drop
-0016  jump             -> 0018
-0017  field_apply      ipv4[11] ipv4_lpm
+0014  const            0x0
+0015  bin              Eq w1
+0016  branch_if_zero   -> 0019
+0017  mark_drop
 0018  jump             -> 0020
-0019  mark_drop
-0020  finish           writes ethernet [dstAddr srcAddr] ipv4 [ttl]
+0019  field_apply      ipv4[11] ipv4_lpm
+0020  jump             -> 0022
+0021  mark_drop
+0022  finish           writes ethernet [dstAddr srcAddr] ipv4 [ttl]
 NoAction:
-0021  return
-drop:
-0022  mark_drop
 0023  return
+drop:
+0024  mark_drop
+0025  return
 ipv4_forward:
-0024  load_param       p1 w9
-0025  store_egress_spec
-0026  load_field       ethernet[0]
-0027  store_field      ethernet[1] w48
-0028  load_param       p0 w48
-0029  store_field      ethernet[0] w48
-0030  load_field       ipv4[7]
-0031  const_bin        Sub w8 k=0x1
-0032  store_field      ipv4[7] w8
-0033  return
+0026  load_param       p1 w9
+0027  store_egress_spec
+0028  load_field       ethernet[0]
+0029  store_field      ethernet[1] w48
+0030  load_param       p0 w48
+0031  store_field      ethernet[0] w48
+0032  load_field       ipv4[7]
+0033  const            0x1
+0034  bin              Sub w8
+0035  store_field      ipv4[7] w8
+0036  return
 ";
         assert_listing(corpus::IPV4_FORWARD, expected);
     }

@@ -122,15 +122,18 @@ pub(crate) struct Env {
     /// Arguments of the action currently executing (reused buffer; table
     /// applies cannot nest inside actions, so a flat buffer suffices).
     pub(crate) action_args: Vec<u128>,
-    /// Scratch for evaluated table/select keys (reused buffer).
+    /// The reference engine's scratch for evaluated table/select keys
+    /// (reused buffer; the compiled engine reads keys on its stack).
     pub(crate) key_scratch: Vec<u128>,
-    /// The compiled engine's value stack (reused buffer).
+    /// The compiled engine's value stack, sized to the compiled program's
+    /// checked maximum depth.
     pub(crate) stack: Vec<u128>,
 }
 
 impl Env {
-    /// Allocate an environment shaped for `program`.
-    pub(crate) fn new(program: &ir::Program) -> Self {
+    /// Allocate an environment shaped for `program`, whose compiled code
+    /// runs at stack depths up to `depth`.
+    pub(crate) fn new(program: &ir::Program, depth: usize) -> Self {
         Env {
             headers: program
                 .headers
@@ -151,7 +154,7 @@ impl Env {
             drop_flag: false,
             action_args: Vec::new(),
             key_scratch: Vec::new(),
-            stack: Vec::new(),
+            stack: vec![0; depth],
         }
     }
 
@@ -240,7 +243,7 @@ impl Clone for Dataplane {
             externs: self.externs.clone(),
             packets_processed: self.packets_processed,
             tracing: self.tracing,
-            env_scratch: Env::new(&self.program),
+            env_scratch: Env::new(&self.program, self.compiled.max_depth),
             trace_buf: TraceBuf::default(),
             // The clone caches independently (its table state may diverge
             // immediately); it starts cold with its own counters.
@@ -322,7 +325,7 @@ impl Dataplane {
         let externs = ExternState::new(&program.externs);
         let table_stats = vec![TableStats::default(); program.tables.len()];
         let compiled = Arc::new(CompiledProgram::compile(&program));
-        let env_scratch = Env::new(&program);
+        let env_scratch = Env::new(&program, compiled.max_depth);
         Dataplane {
             program: Arc::new(program),
             engine: Engine::Compiled,
@@ -804,18 +807,7 @@ impl ExecCtx<'_> {
         rec: Option<&mut crate::cache::MissRecord>,
     ) -> Verdict {
         match self.engine {
-            Engine::Compiled => compile::exec(
-                self.compiled,
-                self.tables,
-                self.table_stats,
-                self.externs,
-                env,
-                port,
-                data,
-                now_cycles,
-                trace,
-                rec,
-            ),
+            Engine::Compiled => compile::exec(self, env, port, data, now_cycles, trace, rec),
             Engine::Reference => self.run_reference(port, data, now_cycles, env, trace),
         }
     }

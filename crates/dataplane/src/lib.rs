@@ -11,9 +11,9 @@
 //! bytecode engine compiled at load time ([`compile`]) and the
 //! reference engine — `netdebug_p4::walk`'s IR walker over concrete values
 //! — it is differentially validated against, bit for bit, by the parity
-//! property tests. The lowering
-//! selects a few superinstructions as it emits; the result can be
-//! inspected with [`Dataplane::disassemble`].
+//! property tests. The lowering's output is checked once at load (one
+//! value-stack depth per instruction) and can be inspected with
+//! [`Dataplane::disassemble`].
 //!
 //! ```
 //! use netdebug_dataplane::Dataplane;

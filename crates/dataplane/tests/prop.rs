@@ -918,11 +918,13 @@ proptest! {
 }
 
 proptest! {
-    /// Engine parity where the lowering selects superinstructions: one
-    /// statement per selected (and per deliberately unselected) IR shape.
-    /// Keys and installed entries share a small domain, so the fused and
-    /// the stack-keyed applies both hit and miss; a short `tail` cuts
-    /// some frames inside the header.
+    /// Engine parity on the IR shapes the lowering's instruction
+    /// selection looks at, one statement each: comparisons under an `if`,
+    /// constants on either side of a binary operator, and the one fused
+    /// apply (a one-header-field key) beside stack-keyed ones. Keys and
+    /// installed entries share a small domain, so the fused and the
+    /// stack-keyed applies both hit and miss; a short `tail` cuts some
+    /// frames inside the header.
     #[test]
     fn engines_agree_on_selection_shapes(
         frames in proptest::collection::vec(

@@ -68,7 +68,9 @@
 //! `l2_switch` gets no-collapse floors (repeated must still win; random
 //! must stay within noise of its floor-bound baseline), and every
 //! configuration must produce FNV-identical verdict streams with the
-//! cache on and off, the churn streams included. Under churn the hit
+//! cache on and off, the churn streams included, and identical table
+//! statistics and counter cells at the end of each (a hit counts itself
+//! on its entry, and the totals fold that count in). Under churn the hit
 //! ratio must reach 0.95 when no window names a flow (it read 0.0000
 //! while every publication dropped the whole cache), and a window that
 //! routes a flow must make exactly that flow miss again. The swept-route
@@ -83,7 +85,7 @@ use netdebug_bench::{
     banner, dec, fnv, host_cores, row, switch_dataplane, time_ops, Report, Value, FNV_OFFSET,
 };
 use netdebug_dataplane::{Dataplane, NullSink, TableEntry, Update, Verdict};
-use netdebug_p4::ir::IrPattern;
+use netdebug_p4::ir::{ExternKindIr, IrPattern};
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -459,8 +461,30 @@ fn paired_cost_ns(build: fn() -> Dataplane, frames: &[Vec<u8>]) -> f64 {
     diffs[MISS_PAIRS / 2]
 }
 
-/// FNV digest over the verdict stream of one pass — the parity witness
-/// that cache-on and cache-off are observationally identical.
+/// `h` folded with every table's hits and misses and every counter cell
+/// of `dp`, as its reads report them.
+fn fold_counts(mut h: u64, dp: &Dataplane) -> u64 {
+    let prog = dp.program();
+    for t in &prog.tables {
+        let (hits, misses, ..) = dp.table_stats(&t.name).expect("a declared table");
+        h = fnv(fnv(h, &hits.to_le_bytes()), &misses.to_le_bytes());
+    }
+    for e in prog
+        .externs
+        .iter()
+        .filter(|e| e.kind == ExternKindIr::Counter)
+    {
+        for i in 0..e.size as usize {
+            let (packets, bytes) = dp.counter(&e.name, i).expect("a declared counter");
+            h = fnv(fnv(h, &packets.to_le_bytes()), &bytes.to_le_bytes());
+        }
+    }
+    h
+}
+
+/// FNV digest over the verdict stream of one pass, then the table
+/// statistics and counters it leaves — the parity witness that cache-on
+/// and cache-off are observationally identical.
 fn digest(dp: &mut Dataplane, frames: &[Vec<u8>]) -> u64 {
     let mut h = FNV_OFFSET;
     for round in 0..8 {
@@ -483,7 +507,7 @@ fn digest(dp: &mut Dataplane, frames: &[Vec<u8>]) -> u64 {
             }
         }
     }
-    h
+    fold_counts(h, dp)
 }
 
 /// One `l2_switch` frame per flow-cache slot: of 65 536 candidate
@@ -542,7 +566,8 @@ fn churn_window(w: usize, touch: Option<&[u8]>) -> Vec<Update<'static>> {
 
 /// What one churn run measured: the rate over the timed windows (each a
 /// publication, then a batch of every flow), the hits and misses those
-/// batches added, and the digest of their verdicts.
+/// batches added, and the digest of their verdicts and of the counts
+/// they leave.
 struct Churn {
     pps: f64,
     hits: u64,
@@ -585,7 +610,7 @@ fn churn(flows: &[Vec<u8>], cache_on: bool, touch: bool) -> Churn {
         pps: (CHURN_WINDOWS * pkts.len()) as f64 / elapsed,
         hits: after.hits - before.hits,
         misses: after.misses - before.misses,
-        digest,
+        digest: fold_counts(digest, &dp),
     }
 }
 
@@ -699,10 +724,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // Parity witness: identical verdict digests with the cache on and
-    // off, on every stream of both programs (repeated exercises the
-    // hit-replay path, random the miss/filter path, swept hits that pass
-    // unkeyed bytes through), traced and untraced.
+    // Parity witness: identical verdict and count digests with the cache
+    // on and off, on every stream of every program (repeated exercises
+    // the hit-replay path, random the miss/filter path, swept hits that
+    // pass unkeyed bytes through), traced and untraced.
     for (prog, build, streams) in &programs {
         for traced in [true, false] {
             for (stream_name, frames) in streams {
@@ -713,7 +738,7 @@ fn main() -> ExitCode {
                     digest(&mut dp, frames)
                 });
                 report.gate(
-                    &format!("cache-on and cache-off verdicts agree: {prog}/{stream_name} traced={traced}"),
+                    &format!("cache-on and cache-off verdicts and counts agree: {prog}/{stream_name} traced={traced}"),
                     d_on == d_off,
                     format!("0x{d_on:016x} vs 0x{d_off:016x}"),
                 );
@@ -744,7 +769,7 @@ fn main() -> ExitCode {
         );
         let (on, off) = (&churned[&(stream, true)], &churned[&(stream, false)]);
         report.gate(
-            &format!("cache-on and cache-off verdicts agree: l2_switch/{stream}"),
+            &format!("cache-on and cache-off verdicts and counts agree: l2_switch/{stream}"),
             on.digest == off.digest,
             format!("0x{:016x} vs 0x{:016x}", on.digest, off.digest),
         );

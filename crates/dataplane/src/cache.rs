@@ -67,18 +67,23 @@
 //!   (8 KiB) pointing into a dense arena of entries that grows with
 //!   occupancy, so an empty cache is the index plus the second-chance
 //!   tags (one `u32` a slot, 16 KiB) and a device that sees 64 flows
-//!   holds 64 entries. An entry is a 72-byte record of offsets around one
-//!   buffer, sized exactly: the frame's keyed bytes as the masked 8-byte
-//!   windows the key reads them in (three words for `acl_firewall`'s 13
-//!   live bytes of 38), under its mask, the replay lists, the output
-//!   bytes ahead of the
-//!   payload, the dependencies and the stored trace; an `l2_switch`
-//!   entry is about 120 bytes in all. A hit rebuilds its frame from the
-//!   stored header and the live payload, then copies the bytes no
-//!   execution writes from its own packet, the wildcarded ones among
-//!   them (none, for a key over the whole prefix). A dropped entry
-//!   parks behind the resident ones and keeps its buffer for the flows
-//!   that come back.
+//!   holds 64 entries. An entry is an 80-byte record of offsets around
+//!   one buffer, plus its hit count (8 of the 80 bytes), the buffer sized
+//!   exactly: the frame's keyed bytes as the masked 8-byte windows the
+//!   key reads them in (three words for `acl_firewall`'s 13 live bytes of
+//!   38), under its mask, the replay lists, the output bytes a hit
+//!   writes, the dependencies and the stored trace; an `l2_switch` entry,
+//!   which writes no byte ahead of the payload and so stores none, is
+//!   about 110 bytes in all. A hit of a program that moves no header
+//!   copies its own packet into the egress buffer once, then writes over
+//!   it the bytes some execution writes, from the entry: every other byte
+//!   ahead of the payload passes through, the wildcarded ones among them,
+//!   and is this packet's already. A program that can move a header keeps
+//!   the header-plus-payload form, the stored output header and then the
+//!   live payload: its output prefix need not be as long as the parsed
+//!   one, nor hold the extracted headers where they were, so nothing
+//!   passes through. A dropped entry parks behind the resident ones and
+//!   keeps its buffer for the flows that come back.
 //! * **Outcome** — a miss runs the compiled bytecode normally while a
 //!   `MissRecord` captures the replayable side effects: the per-apply
 //!   hit/miss sequence (table statistics), the counter increments, the
@@ -93,8 +98,23 @@
 //!   unexamined, a first miss is not recorded at all; while the cache is
 //!   quiet (its last 16 wildcard admissions installed nothing: flows that
 //!   each repeat one packet, one-off probes), one first miss in 16 is,
-//!   which still finds a sweep that starts. A hit replays the recorded
-//!   effects without entering the interpreter loop. Traced packets store
+//!   which still finds a sweep that starts. A hit replays the verdict
+//!   without entering the interpreter loop, and its side effects by
+//!   count: it adds one to its entry's hit count instead of walking the
+//!   applies into the table statistics and the increments into the
+//!   counters. The count is folded into those totals (`hits ×` each
+//!   apply, `hits × len` bytes per increment) where they are read
+//!   ([`crate::Dataplane::table_stats`], [`crate::Dataplane::counter`]),
+//!   where they are copied (a checkpoint, a clone), before a sync drops
+//!   the entry or a commit overwrites it, and when the cache is switched
+//!   off; a restore discards the counts, because the checkpoint it
+//!   reinstates holds them already. Open vSwitch's revalidators push
+//!   megaflow hit counts to the rules the same way (Pfaff et al., NSDI
+//!   2015). Folding at each batch's end instead (a scratch variant) read
+//!   `fleet_paced` −3 % and `l2_churn_steady` −2 %, whose entries are hit
+//!   about once a batch, so they paid the fold and a list of the entries
+//!   hit; and a fold at reads and drops has no epilogue that a sink that
+//!   unwinds could skip. Traced packets store
 //!   the flat trace too — record lane then stage lane, in the one
 //!   vector, split at a `u32` offset — and a traced hit hands that stored
 //!   trace to its `LazyTrace` in place, without copying it into the
@@ -308,8 +328,8 @@ impl CacheKey {
     /// frame's end read as zero (the frame's length is keyed too).
     #[inline]
     fn word(data: &[u8], (at, mask): (usize, u64)) -> u64 {
-        let word = match data.get(at..at + 8) {
-            Some(window) => <[u8; 8]>::try_from(window).expect("an 8-byte window"),
+        let word = match data.get(at..).and_then(<[u8]>::first_chunk) {
+            Some(&window) => window,
             None => {
                 let mut word = [0u8; 8];
                 let tail = data.get(at..).unwrap_or_default();
@@ -326,6 +346,19 @@ impl CacheKey {
     fn of<'d>(&'d self, data: &'d [u8], mask: &'d [u64]) -> impl Iterator<Item = u64> + 'd {
         let windows = self.words.iter().zip(mask);
         windows.map(|(&(at, _), &mask)| Self::word(data, (at, mask)))
+    }
+
+    /// The byte ranges below `end` (a packet's payload start) that do not
+    /// pass through: the gaps between the runs of [`CacheKey::through`],
+    /// ascending. Every byte ahead of the payload, for a key that passes
+    /// nothing through.
+    #[inline]
+    fn written(&self, end: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let starts = std::iter::once(0).chain(self.through.iter().map(|run| run.end));
+        let ends = self.through.iter().map(|run| run.start);
+        let gaps = starts.zip(ends.chain(std::iter::once(end)));
+        gaps.map(move |(from, to)| from.min(end)..to.min(end))
+            .filter(|gap| !gap.is_empty())
     }
 
     /// Take frame byte `b` out of `mask`, if it passes through (no
@@ -351,9 +384,8 @@ impl CacheKey {
     }
 }
 
-/// The verdict shape of a cached outcome (the frame bytes are
-/// reconstructed per packet from the stored header plus the live
-/// payload).
+/// The verdict shape of a cached outcome (a hit writes the frame bytes
+/// per packet, see [`FlowCache::lookup`]).
 #[derive(Debug, Clone, Copy)]
 enum OutcomeKind {
     Forward(u16),
@@ -361,16 +393,16 @@ enum OutcomeKind {
     Drop(DropReason),
 }
 
-/// The little-endian `u32` at the front of `bytes`.
+/// The little-endian `u32` at the front of `bytes` (0 if it is shorter).
 #[inline]
 fn u32_at(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes[..4].try_into().expect("four bytes"))
+    bytes.first_chunk().map_or(0, |&b| u32::from_le_bytes(b))
 }
 
-/// The little-endian `u64` at the front of `bytes`.
+/// The little-endian `u64` at the front of `bytes` (0 if it is shorter).
 #[inline]
 fn u64_at(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().expect("eight bytes"))
+    bytes.first_chunk().map_or(0, |&b| u64::from_le_bytes(b))
 }
 
 /// One resident flow: its key and everything needed to replay a packet
@@ -382,11 +414,14 @@ fn u64_at(bytes: &[u8]) -> u64 {
 ///
 /// * the frame's keyed words ([`CacheKey`]), 8 bytes each, compared in
 ///   full on probe;
-/// * the applies, 4 bytes each: table id and hit bit, replayed into the
-///   table statistics;
+/// * the applies, 4 bytes each: table id and hit bit, folded into the
+///   table statistics ([`FlowCache::fold`]);
 /// * the counter increments, 12 bytes each: counter id and cell index,
-///   replayed into the extern state;
-/// * the output bytes **before** the payload (the deparsed headers);
+///   folded into the extern state;
+/// * the output bytes a hit writes: for a key that passes bytes through
+///   ([`CacheKey::written`]), only the bytes ahead of the payload that
+///   some execution writes; for one that does not (a program that can
+///   move a header), every output byte ahead of the payload;
 /// * the applies' dependencies, 8 bytes each, in apply order: read only
 ///   by [`FlowCache::sync`];
 /// * the flat trace, when the entry was recorded on a traced path: the
@@ -396,6 +431,9 @@ fn u64_at(bytes: &[u8]) -> u64 {
 struct Entry {
     buf: Vec<u8>,
     hash: u64,
+    /// Hits served since the entry's applies and counter increments were
+    /// last folded into the totals ([`FlowCache::fold`]).
+    hits: u64,
     /// The frame length.
     len: u32,
     /// Where the live packet's payload starts.
@@ -421,6 +459,7 @@ impl Entry {
         Entry {
             buf: Vec::new(),
             hash: 0,
+            hits: 0,
             len: 0,
             payload_start: 0,
             applies_at: 0,
@@ -487,10 +526,26 @@ impl Entry {
             .map(|c| (u32_at(c) as usize, u64_at(&c[4..]) as usize))
     }
 
-    /// The output bytes ahead of the payload.
+    /// The output bytes a hit writes ([`Entry`]'s third section).
     #[inline]
-    fn header(&self) -> &[u8] {
+    fn written(&self) -> &[u8] {
         self.section(self.header_at, self.deps_at)
+    }
+
+    /// Add `n` replays of the entry's applies to `table_stats` and of its
+    /// counter increments to `externs`.
+    fn replay(&self, n: u64, table_stats: &mut [TableStats], externs: &mut ExternState) {
+        if n == 0 {
+            return;
+        }
+        for (tid, hit) in self.applies() {
+            if let Some(s) = table_stats.get_mut(tid) {
+                add(s, hit, n);
+            }
+        }
+        for (id, idx) in self.counters() {
+            externs.counter_add(id, idx, n, n * u64::from(self.len));
+        }
     }
 
     /// The stored trace: empty for an entry recorded untraced, and
@@ -522,6 +577,15 @@ impl Entry {
     }
 }
 
+/// Count `n` lookups that `hit` or missed.
+fn add(stats: &mut TableStats, hit: bool, n: u64) {
+    if hit {
+        stats.hits += n;
+    } else {
+        stats.misses += n;
+    }
+}
+
 /// Number of direct-mapped slots (power of two; an arena position plus
 /// one fits the `u16` index).
 const SLOTS: usize = 4096;
@@ -548,7 +612,7 @@ const MASKS: usize = 8;
 /// Collisions overwrite — repeated flows keep their slot hot, one-off
 /// keys cycle through without evicting more than one entry each. Entry
 /// buffers are reused on overwrite and across invalidations, and a hit's
-/// output frame is rebuilt in the thread's spare egress buffer, so the
+/// output frame is written into the thread's spare egress buffer, so the
 /// steady state of both the all-hit and the all-miss extreme allocates
 /// nothing per packet for a consumer that drops each frame.
 #[derive(Debug)]
@@ -652,9 +716,60 @@ impl FlowCache {
         }
     }
 
+    /// Add every resident entry's unfolded hits to `table_stats` and
+    /// `externs`, and keep them unfolded: the totals a checkpoint or a
+    /// clone copies.
+    pub(crate) fn folded(&self, table_stats: &mut [TableStats], externs: &mut ExternState) {
+        for e in &self.arena[..self.live] {
+            e.replay(e.hits, table_stats, externs);
+        }
+    }
+
+    /// Fold every resident entry's hits into `table_stats` and `externs`.
+    pub(crate) fn fold(&mut self, table_stats: &mut [TableStats], externs: &mut ExternState) {
+        self.folded(table_stats, externs);
+        self.discard();
+    }
+
+    /// Zero every resident entry's hit count: once it is folded, or on a
+    /// restore, which overwrites the totals with a checkpoint's that
+    /// already count the hits from before it.
+    pub(crate) fn discard(&mut self) {
+        for e in &mut self.arena[..self.live] {
+            e.hits = 0;
+        }
+    }
+
+    /// The lookups of table `tid` that resident entries served and have
+    /// not folded, as hits and misses.
+    pub(crate) fn unfolded_lookups(&self, tid: usize) -> TableStats {
+        let mut stats = TableStats::default();
+        for e in &self.arena[..self.live] {
+            for (_, hit) in e.applies().filter(|&(t, _)| t == tid) {
+                add(&mut stats, hit, e.hits);
+            }
+        }
+        stats
+    }
+
+    /// The packets and bytes that resident entries counted in cell `idx`
+    /// of counter `id` and have not folded.
+    pub(crate) fn unfolded_count(&self, id: usize, idx: usize) -> (u64, u64) {
+        let mut count = (0, 0);
+        for e in &self.arena[..self.live] {
+            for _ in e.counters().filter(|&c| c == (id, idx)) {
+                count.0 += e.hits;
+                count.1 += e.hits * u64::from(e.len);
+            }
+        }
+        count
+    }
+
     /// Align the cache with the tables of publication `generation`, given
     /// the sorted `(table id, dependency)` records of every write
-    /// published since the last sync (`None`: some went unlogged).
+    /// published since the last sync (`None`: some went unlogged). The
+    /// hits of every entry it drops are folded into `table_stats` and
+    /// `externs` first.
     ///
     /// An entry is a function of its packet's keyed bytes and of the
     /// lookups its applies made; a lookup of key tuple `k` in table `T`
@@ -678,14 +793,21 @@ impl FlowCache {
     /// stay. The others are dropped, and keep their slot's tag, so a flow
     /// that comes back is installed on its first miss. With a gap, or
     /// nothing recorded yet, everything goes, tags included.
-    pub(crate) fn sync(&mut self, generation: u64, writes: Option<&[(u32, u64)]>) {
+    pub(crate) fn sync(
+        &mut self,
+        generation: u64,
+        writes: Option<&[(u32, u64)]>,
+        table_stats: &mut [TableStats],
+        externs: &mut ExternState,
+    ) {
         if generation == self.generation {
             return;
         }
         let dropped = self.live;
         match writes {
-            Some(writes) if self.generation != 0 => self.drop_touched(writes),
+            Some(writes) if self.generation != 0 => self.drop_touched(writes, table_stats, externs),
             _ => {
+                self.fold(table_stats, externs);
                 self.index.fill(0);
                 self.live = 0;
                 self.tags.fill(0);
@@ -700,20 +822,30 @@ impl FlowCache {
     }
 
     /// Drop the resident entries that `writes` touch
-    /// ([`Entry::touched`]): each swaps places with the last resident
-    /// entry, whose slot follows it, and parks behind the live ones.
-    fn drop_touched(&mut self, writes: &[(u32, u64)]) {
+    /// ([`Entry::touched`]), folding their hits: each swaps places with
+    /// the last resident entry, whose slot follows it, and parks behind
+    /// the live ones.
+    fn drop_touched(
+        &mut self,
+        writes: &[(u32, u64)],
+        table_stats: &mut [TableStats],
+        externs: &mut ExternState,
+    ) {
         if writes.is_empty() {
             return;
         }
         let mut at = 0;
         while at < self.live {
-            if !self.arena[at].touched(writes) {
+            let e = &mut self.arena[at];
+            if !e.touched(writes) {
                 at += 1;
                 continue;
             }
-            self.index[Self::slot_of(self.arena[at].hash)] = 0;
-            self.release(self.arena[at].mask);
+            let hits = std::mem::take(&mut e.hits);
+            e.replay(hits, table_stats, externs);
+            let (slot, mask) = (Self::slot_of(e.hash), e.mask);
+            self.index[slot] = 0;
+            self.release(mask);
             self.live -= 1;
             self.arena.swap(at, self.live);
             if at < self.live {
@@ -739,12 +871,10 @@ impl FlowCache {
     fn release(&mut self, id: u8) {
         let users = &mut self.users[usize::from(id)];
         *users -= 1;
-        if *users == 0 {
-            let probed = &self.order[..self.probed];
-            let at = probed
-                .iter()
-                .position(|&o| o == id)
-                .expect("a held mask is probed");
+        if *users != 0 {
+            return;
+        }
+        if let Some(at) = self.order[..self.probed].iter().position(|&o| o == id) {
             self.order.copy_within(at + 1..self.probed, at);
             self.probed -= 1;
         }
@@ -792,9 +922,11 @@ impl FlowCache {
     }
 
     /// Probe for `(port, frame)` under each mask in use, most recently
-    /// hit first. A hit replays the memoized outcome into the mutable
-    /// runtime state and returns the verdict plus the hit entry's arena
-    /// position (its trace is [`FlowCache::trace`] of it); `None` is a
+    /// hit first. A hit counts itself on the entry (its applies and
+    /// counter increments are folded into the totals by that count, see
+    /// [`FlowCache::fold`]), writes its frame and returns the verdict
+    /// plus the hit entry's arena position (its trace is
+    /// [`FlowCache::trace`] of it); `None` is a
     /// miss (the caller runs the engine with `self.scratch` recording and
     /// then calls [`FlowCache::commit`]). An entry recorded at a lower
     /// recording `level` than the lookup's is no hit — the re-run
@@ -809,8 +941,6 @@ impl FlowCache {
         port: u16,
         data: &[u8],
         level: Recording,
-        table_stats: &mut [TableStats],
-        externs: &mut ExternState,
     ) -> Option<(Verdict, usize)> {
         // One mask in use, as for every program without wildcard fields:
         // every resident entry is stored under it, so one probe serves,
@@ -859,31 +989,34 @@ impl FlowCache {
         }
         self.hits += 1;
         self.idle = 0;
-        let e = &self.arena[at];
-        for (tid, was_hit) in e.applies() {
-            table_stats[tid].record(was_hit);
-        }
-        for (id, idx) in e.counters() {
-            externs.counter_inc(id, idx, data.len());
-        }
-        // The recorded header bytes, then the live payload; then, from
-        // this packet, the bytes ahead of the payload that no execution
-        // writes: they include the unkeyed and the wildcarded ones, which
-        // can differ from the recorded packet's (the keyed ones among them
-        // cannot). A program that can move a header passes nothing
-        // through.
-        let rebuild = || {
-            let (header, payload_start) = (e.header(), e.payload_start as usize);
-            let payload = &data[payload_start..];
-            let mut out = egress_buffer(header.len() + payload.len());
-            out.extend_from_slice(header);
-            out.extend_from_slice(payload);
-            for run in &key.through {
-                let end = run.end.min(payload_start);
-                if run.start >= end {
-                    break;
+        let e = &mut self.arena[at];
+        e.hits += 1;
+        let e = &*e;
+        // A key that passes bytes through belongs to a program that moves
+        // no header: its output is the packet with the bytes some
+        // execution writes replaced. So the packet is copied once, and
+        // only those bytes come from the entry; the others, the unkeyed
+        // and wildcarded ones among them, can differ from the recorded
+        // packet's (the keyed ones cannot). A program that can move a
+        // header passes nothing through: its output is the recorded
+        // header bytes, then the live payload.
+        let frame = || {
+            let (written, payload_start) = (e.written(), e.payload_start as usize);
+            let mut out;
+            if key.through.is_empty() {
+                let payload = &data[payload_start..];
+                out = egress_buffer(written.len() + payload.len());
+                out.extend_from_slice(written);
+                out.extend_from_slice(payload);
+            } else {
+                out = egress_buffer(data.len());
+                out.extend_from_slice(data);
+                let mut rest = written;
+                for gap in key.written(payload_start) {
+                    let (bytes, tail) = rest.split_at(gap.len());
+                    out[gap].copy_from_slice(bytes);
+                    rest = tail;
                 }
-                out[run.start..end].copy_from_slice(&data[run.start..end]);
             }
             out.into()
         };
@@ -891,9 +1024,9 @@ impl FlowCache {
             OutcomeKind::Drop(reason) => Verdict::Drop(reason),
             OutcomeKind::Forward(p) => Verdict::Forward {
                 port: p,
-                data: rebuild(),
+                data: frame(),
             },
-            OutcomeKind::Flood => Verdict::Flood { data: rebuild() },
+            OutcomeKind::Flood => Verdict::Flood { data: frame() },
         };
         Some((verdict, at))
     }
@@ -1087,9 +1220,11 @@ impl FlowCache {
     /// recorded into [`FlowCache::record`]). A key the second-chance
     /// filter ([`FlowCache::admit`]) does not install only tags its slot
     /// and returns `false`. Otherwise the entry overwrites its slot's
-    /// (direct-mapped), reusing its buffer, and `true` is returned. `trace` carries the packet's flat
-    /// trace (records and stage lane, or the stage lane alone) when the
-    /// run was traced.
+    /// (direct-mapped), reusing its buffer, after folding the old
+    /// entry's hits into `table_stats` and `externs`, and `true` is
+    /// returned. `trace` carries the packet's flat trace (records and
+    /// stage lane, or the stage lane alone) when the run was traced.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit<'v>(
         &mut self,
         key: &CacheKey,
@@ -1097,6 +1232,8 @@ impl FlowCache {
         data: &[u8],
         verdict: &'v Verdict,
         trace: Option<TraceBytes<'_>>,
+        table_stats: &mut [TableStats],
+        externs: &mut ExternState,
     ) -> bool {
         let level = match trace {
             None => Recording::Nothing,
@@ -1120,6 +1257,12 @@ impl FlowCache {
             Verdict::Forward { port, data: frame } => (OutcomeKind::Forward(*port), header(frame)),
             Verdict::Flood { data: frame } => (OutcomeKind::Flood, header(frame)),
         };
+        // What a hit writes of it (see `lookup`): the bytes that do not
+        // pass through, all of them for a key that passes nothing
+        // through. A program that moves no header re-emits the extracted
+        // ones where they were, so its header is the parsed prefix,
+        // `payload_start` bytes long.
+        let written = || key.written(header.len()).map(|range| &header[range]);
         // A resident slot is overwritten where it is; an empty one takes
         // the next arena position, buffer and all if a dropped entry is
         // parked there.
@@ -1134,8 +1277,11 @@ impl FlowCache {
             }
             at => {
                 let at = at as usize - 1;
-                let old = self.arena[at].mask;
-                self.release(old);
+                let old = &mut self.arena[at];
+                let hits = std::mem::take(&mut old.hits);
+                old.replay(hits, table_stats, externs);
+                let mask = old.mask;
+                self.release(mask);
                 at
             }
         };
@@ -1157,7 +1303,7 @@ impl FlowCache {
             8 * mask.len()
                 + 12 * rec.applies.len()
                 + 12 * rec.counters.len()
-                + header.len()
+                + written().map(<[u8]>::len).sum::<usize>()
                 + t.records.len()
                 + t.lane.len(),
         );
@@ -1174,7 +1320,7 @@ impl FlowCache {
             buf.extend_from_slice(&idx.to_le_bytes());
         }
         e.header_at = at(buf);
-        buf.extend_from_slice(header);
+        written().for_each(|bytes| buf.extend_from_slice(bytes));
         e.deps_at = at(buf);
         // An apply keyed on a wildcard field the mask left bytes of out
         // depends on its whole table (see `sync`).
@@ -1202,6 +1348,20 @@ mod tests {
     /// bytes: all of them.
     fn whole(cap: usize) -> CacheKey {
         CacheKey::new(&vec![READ | WRITTEN; cap], Vec::new())
+    }
+
+    /// [`FlowCache::commit`] with nothing to fold hits into: a test that
+    /// reads the folded totals calls it itself.
+    fn commit(
+        c: &mut FlowCache,
+        key: &CacheKey,
+        port: u16,
+        data: &[u8],
+        verdict: &Verdict,
+        trace: Option<TraceBytes<'_>>,
+    ) -> bool {
+        let mut ext = ExternState::new(&[]);
+        c.commit(key, port, data, verdict, trace, &mut [], &mut ext)
     }
 
     /// The key hash of a port-0 `frame` with every byte of `key` keyed.
@@ -1262,31 +1422,39 @@ mod tests {
     #[test]
     fn a_gap_drops_every_entry_once() {
         let (mut c, key) = (FlowCache::new(), whole(14));
-        c.sync(1, None);
+        c.sync(1, None, &mut [], &mut ExternState::new(&[]));
         assert_eq!(c.stats().invalidations, 0, "empty cache: nothing dropped");
         // Fake an occupied slot through the public surface: a miss + commit.
-        let mut stats: Vec<TableStats> = vec![];
-        let mut ext = ExternState::new(&[]);
         let frame = [0u8; 32];
         // First miss only arms the tag filter; the second installs.
         for _ in 0..2 {
-            assert!(c
-                .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
-                .is_none());
-            c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
+            assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
+            commit(
+                &mut c,
+                &key,
+                0,
+                &frame,
+                &Verdict::Drop(DropReason::NoEgress),
+                None,
+            );
         }
         assert_eq!(c.stats().occupancy, 1);
-        c.sync(2, None);
+        c.sync(2, None, &mut [], &mut ExternState::new(&[]));
         assert_eq!(c.stats().occupancy, 0);
         assert_eq!(c.stats().invalidations, 1);
         // Same generation again: no further invalidation.
-        c.sync(2, None);
+        c.sync(2, None, &mut [], &mut ExternState::new(&[]));
         assert_eq!(c.stats().invalidations, 1);
         // The tags went with the entries: the flow's next miss only arms.
-        assert!(c
-            .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
-            .is_none());
-        assert!(!c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None));
+        assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
+        assert!(!commit(
+            &mut c,
+            &key,
+            0,
+            &frame,
+            &Verdict::Drop(DropReason::NoEgress),
+            None
+        ));
     }
 
     /// The first `dmac` key of the publication tests.
@@ -1440,100 +1608,174 @@ mod tests {
         assert!(matches!(verdicts[7], Verdict::Flood { .. }));
     }
 
+    /// A sink that panics when it is handed packet `.0` of a batch.
+    struct GivesUp(usize);
+
+    impl crate::TraceSink for GivesUp {
+        fn observe(&mut self, index: usize, _: Verdict, _: &crate::LazyTrace<'_>) {
+            if index == self.0 {
+                panic!("the sink gives up at packet {index}");
+            }
+        }
+    }
+
+    /// The `dmac` hits and misses, then the `port_rx` cells of `dp`.
+    fn counts(dp: &crate::Dataplane) -> Vec<(u64, u64)> {
+        let (hits, misses, ..) = dp.table_stats("dmac").unwrap();
+        let cells = (0..4).map(|p| dp.counter("port_rx", p).unwrap());
+        std::iter::once((hits, misses)).chain(cells).collect()
+    }
+
+    /// A hit's count is on its entry the moment it is served, with no
+    /// epilogue to run at the batch's end: a batch whose sink panics
+    /// counts every packet it ran, with the cache on as with it off.
+    #[test]
+    fn a_sink_that_panics_mid_batch_loses_no_count() {
+        let (mut on, frames) = switch();
+        let mut off = on.clone();
+        off.set_flow_cache(false);
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|f| (1, f.as_slice())).collect();
+        let hits = on.cache_stats().hits;
+        for dp in [&mut on, &mut off] {
+            let run = || dp.process_batch_with(&pkts, 0, &mut GivesUp(9));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+            assert!(caught.is_err());
+        }
+        // Packets 0 to 9 ran; the sink gave up on the tenth.
+        assert_eq!(on.cache_stats().hits, hits + 10);
+        assert_eq!(counts(&on), counts(&off));
+        assert_eq!(counts(&on)[0].0, 2 * 16 + 10, "every packet hits `dmac`");
+        // The data plane is whole: the next batch counts on.
+        let (on_verdicts, ..) = batch(&mut on, &frames);
+        assert_eq!(on_verdicts, batch(&mut off, &frames).0);
+        assert_eq!(counts(&on), counts(&off));
+    }
+
+    /// A gap in the write log drops every entry, and folds their hits
+    /// first: the counts read as with the cache off.
+    #[test]
+    fn a_gap_folds_the_hits_it_drops() {
+        let (mut on, frames) = switch();
+        let mut off = on.clone();
+        off.set_flow_cache(false);
+        for dp in [&mut on, &mut off] {
+            batch(dp, &frames);
+            let cp = dp.control_plane();
+            for i in 0..=crate::table::LOG_LIMIT as u128 {
+                cp.write(&[route(1000 + i, 1)]).unwrap();
+            }
+        }
+        assert_eq!(on.cache_stats().hits, 16);
+        let (_, hits, misses) = batch(&mut on, &frames);
+        assert_eq!((hits, misses, on.cache_stats().occupancy), (0, 16, 0));
+        batch(&mut off, &frames);
+        assert_eq!(counts(&on), counts(&off));
+    }
+
+    /// A hit writes its verdict with its own payload, and counts itself
+    /// on its entry: the apply and the counter increment it replays reach
+    /// the totals when they are folded, `hits x` each at once.
     #[test]
     fn hit_replays_verdict_with_live_payload() {
         let (mut c, key) = (FlowCache::new(), whole(4));
-        let mut stats: Vec<TableStats> = vec![TableStats::default()];
-        let mut ext = ExternState::new(&[]);
+        let mut stats = vec![TableStats::default()];
+        let mut ext = ExternState::new(&[netdebug_p4::ir::ExternIr {
+            kind: netdebug_p4::ir::ExternKindIr::Counter,
+            name: "c".into(),
+            width: 64,
+            size: 2,
+        }]);
         let a = [1u8, 2, 3, 4, 0xAA, 0xBB];
+        let out = Verdict::Forward {
+            port: 3,
+            data: vec![9, 9, 0xAA, 0xBB].into(),
+        };
         for _ in 0..2 {
-            assert!(c
-                .lookup(&key, 7, &a, Nothing, &mut stats, &mut ext)
-                .is_none());
+            assert!(c.lookup(&key, 7, &a, Nothing).is_none());
             c.scratch.payload_start = 4;
             c.scratch.applies.push((0, true, 0, NOT_WILD));
-            c.commit(
-                &key,
-                7,
-                &a,
-                &Verdict::Forward {
-                    port: 3,
-                    data: vec![9, 9, 0xAA, 0xBB].into(),
-                },
-                None,
-            );
+            c.scratch.counters.push((0, 1));
+            c.commit(&key, 7, &a, &out, None, &mut stats, &mut ext);
         }
         // Same key, different payload: the hit splices the live bytes.
         let b = [1u8, 2, 3, 4, 0xCC, 0xDD];
-        let (v, _) = c
-            .lookup(&key, 7, &b, Nothing, &mut stats, &mut ext)
-            .expect("hit");
-        assert_eq!(
-            v,
-            Verdict::Forward {
-                port: 3,
-                data: vec![9, 9, 0xCC, 0xDD].into(),
-            }
-        );
-        assert_eq!(stats[0].hits, 1, "apply replayed into table stats");
-        assert_eq!(c.stats().hits, 1);
+        for _ in 0..3 {
+            let (v, _) = c.lookup(&key, 7, &b, Nothing).expect("hit");
+            let data = vec![9, 9, 0xCC, 0xDD].into();
+            assert_eq!(v, Verdict::Forward { port: 3, data });
+        }
+        assert_eq!(c.stats().hits, 3);
+        // The hits wait on the entry until a fold; a read sees them.
+        assert_eq!((stats[0].hits, ext.counter_read(0, 1)), (0, (0, 0)));
+        assert_eq!(c.unfolded_lookups(0), TableStats { hits: 3, misses: 0 });
+        assert_eq!(c.unfolded_lookups(1), TableStats::default());
+        assert_eq!(c.unfolded_count(0, 1), (3, 18));
+        assert_eq!(c.unfolded_count(0, 0), (0, 0));
+        let (mut copy, mut copied) = (stats.clone(), ext.clone());
+        c.folded(&mut copy, &mut copied);
+        c.fold(&mut stats, &mut ext);
+        assert_eq!((stats[0].hits, ext.counter_read(0, 1)), (3, (3, 18)));
+        assert_eq!((copy, copied.counter_read(0, 1)), (stats.clone(), (3, 18)));
+        // Folded once: a second fold adds nothing.
+        c.fold(&mut stats, &mut ext);
+        assert_eq!((stats[0].hits, ext.counter_read(0, 1)), (3, (3, 18)));
+        assert_eq!(c.unfolded_count(0, 1), (0, 0));
         // Different port or length: miss.
-        assert!(c
-            .lookup(&key, 8, &b, Nothing, &mut stats, &mut ext)
-            .is_none());
-        assert!(c
-            .lookup(&key, 7, &b[..5], Nothing, &mut stats, &mut ext)
-            .is_none());
+        assert!(c.lookup(&key, 8, &b, Nothing).is_none());
+        assert!(c.lookup(&key, 7, &b[..5], Nothing).is_none());
     }
 
     #[test]
     fn traced_lookup_of_untraced_entry_misses() {
         let (mut c, key) = (FlowCache::new(), whole(2));
-        let mut stats: Vec<TableStats> = vec![];
-        let mut ext = ExternState::new(&[]);
         let frame = [5u8, 6, 7];
         for _ in 0..2 {
-            assert!(c
-                .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
-                .is_none());
-            c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
+            assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
+            commit(
+                &mut c,
+                &key,
+                0,
+                &frame,
+                &Verdict::Drop(DropReason::NoEgress),
+                None,
+            );
         }
         // Untraced hit works…
-        assert!(c
-            .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
-            .is_some());
+        assert!(c.lookup(&key, 0, &frame, Nothing).is_some());
         // …but a traced probe must re-run to capture the event stream.
-        assert!(c
-            .lookup(&key, 0, &frame, Everything, &mut stats, &mut ext)
-            .is_none());
+        assert!(c.lookup(&key, 0, &frame, Everything).is_none());
         let trace = TraceBytes {
             records: &[1, 2, 3, 4],
             lane: &[5, 6, 7, 8],
         };
-        c.commit(
+        commit(
+            &mut c,
             &key,
             0,
             &frame,
             &Verdict::Drop(DropReason::NoEgress),
             Some(trace),
         );
-        let (_, at) = c
-            .lookup(&key, 0, &frame, Everything, &mut stats, &mut ext)
-            .expect("traced hit");
+        let (_, at) = c.lookup(&key, 0, &frame, Everything).expect("traced hit");
         // The hit's trace is read where the entry stores it, split back
         // into its two lanes.
         let stored = c.trace(at);
         assert_eq!((stored.records, stored.lane), (trace.records, trace.lane));
         // An untraced re-record drops the stored trace.
-        c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None);
+        commit(
+            &mut c,
+            &key,
+            0,
+            &frame,
+            &Verdict::Drop(DropReason::NoEgress),
+            None,
+        );
         assert!(c.trace(at).records.is_empty() && c.trace(at).lane.is_empty());
     }
 
     #[test]
     fn a_records_reader_re_records_a_stages_only_entry() {
         let (mut c, key) = (FlowCache::new(), whole(2));
-        let mut stats: Vec<TableStats> = vec![];
-        let mut ext = ExternState::new(&[]);
         let frame = [5u8, 6, 7];
         let drop = Verdict::Drop(DropReason::NoEgress);
         let lane_only = TraceBytes {
@@ -1541,42 +1783,30 @@ mod tests {
             lane: &[1, 0, 0, 0],
         };
         for _ in 0..2 {
-            assert!(c
-                .lookup(&key, 0, &frame, Stages, &mut stats, &mut ext)
-                .is_none());
-            c.commit(&key, 0, &frame, &drop, Some(lane_only));
+            assert!(c.lookup(&key, 0, &frame, Stages).is_none());
+            commit(&mut c, &key, 0, &frame, &drop, Some(lane_only));
         }
         // A stages-only entry serves the stage lane, and untraced lookups…
-        let (_, at) = c
-            .lookup(&key, 0, &frame, Stages, &mut stats, &mut ext)
-            .expect("stages hit");
+        let (_, at) = c.lookup(&key, 0, &frame, Stages).expect("stages hit");
         assert_eq!(
             (c.trace(at).records, c.trace(at).lane),
             (lane_only.records, lane_only.lane)
         );
-        assert!(c
-            .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
-            .is_some());
+        assert!(c.lookup(&key, 0, &frame, Nothing).is_some());
         // …but a records reader misses and re-records it in full.
-        assert!(c
-            .lookup(&key, 0, &frame, Everything, &mut stats, &mut ext)
-            .is_none());
+        assert!(c.lookup(&key, 0, &frame, Everything).is_none());
         let full = TraceBytes {
             records: &[9, 0, 0, 0],
             lane: &[1, 0, 0, 0],
         };
-        assert!(c.commit(&key, 0, &frame, &drop, Some(full)));
-        let (_, at) = c
-            .lookup(&key, 0, &frame, Everything, &mut stats, &mut ext)
-            .expect("full hit");
+        assert!(commit(&mut c, &key, 0, &frame, &drop, Some(full)));
+        let (_, at) = c.lookup(&key, 0, &frame, Everything).expect("full hit");
         assert_eq!(
             (c.trace(at).records, c.trace(at).lane),
             (full.records, full.lane)
         );
         // The full entry now serves every level, in the same slot.
-        assert!(c
-            .lookup(&key, 0, &frame, Stages, &mut stats, &mut ext)
-            .is_some());
+        assert!(c.lookup(&key, 0, &frame, Stages).is_some());
         assert_eq!(c.stats().occupancy, 1);
         assert_eq!((c.stats().hits, c.stats().misses), (4, 3));
     }
@@ -1588,12 +1818,17 @@ mod tests {
         if !c.probes() {
             return None;
         }
-        let (key, mut stats, mut ext) = (whole(4), vec![], ExternState::new(&[]));
-        let hit = c
-            .lookup(&key, 0, frame, Nothing, &mut stats, &mut ext)
-            .is_some();
+        let key = whole(4);
+        let hit = c.lookup(&key, 0, frame, Nothing).is_some();
         if !hit {
-            c.commit(&key, 0, frame, &Verdict::Drop(DropReason::NoEgress), None);
+            commit(
+                c,
+                &key,
+                0,
+                frame,
+                &Verdict::Drop(DropReason::NoEgress),
+                None,
+            );
         }
         Some(hit)
     }
@@ -1630,7 +1865,7 @@ mod tests {
             u64::from(DORMANT_AFTER + strides * PROBE_EVERY)
         );
         // A publication drops the entries but not the count.
-        c.sync(7, None);
+        c.sync(7, None, &mut [], &mut ExternState::new(&[]));
         let skipped = (0..PROBE_EVERY)
             .filter(|k| drive(&mut c, &(2 << 20 | k).to_be_bytes()).is_none())
             .count();
@@ -1740,26 +1975,31 @@ mod tests {
         assert_eq!(s.hits + s.misses + s.skipped, dp.packets_processed());
     }
 
-    /// An entry is its offsets around one buffer: a stored trace, its
-    /// lane split and the applies' dependencies are sections of that
-    /// buffer, not fields or buffers of their own.
+    /// An entry is its offsets around one buffer, plus its unfolded hit
+    /// count: a stored trace, its lane split and the applies'
+    /// dependencies are sections of that buffer, not fields or buffers of
+    /// their own. The count takes 8 bytes of the 80 (72 without it; a
+    /// `u16` or `u32` count would not fit the padding either).
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn the_lane_split_does_not_grow_an_entry() {
-        assert_eq!(std::mem::size_of::<Entry>(), 72);
+        assert_eq!(std::mem::size_of::<Entry>(), 80);
     }
 
     #[test]
     fn one_off_keys_never_evict_a_resident_entry() {
         let (mut c, key) = (FlowCache::new(), whole(1));
-        let mut stats: Vec<TableStats> = vec![];
-        let mut ext = ExternState::new(&[]);
         let hot = [0xA0u8, 0, 0];
         for _ in 0..2 {
-            assert!(c
-                .lookup(&key, 0, &hot, Nothing, &mut stats, &mut ext)
-                .is_none());
-            c.commit(&key, 0, &hot, &Verdict::Drop(DropReason::NoEgress), None);
+            assert!(c.lookup(&key, 0, &hot, Nothing).is_none());
+            commit(
+                &mut c,
+                &key,
+                0,
+                &hot,
+                &Verdict::Drop(DropReason::NoEgress),
+                None,
+            );
         }
         assert_eq!(c.stats().occupancy, 1);
         // A stream of one-off keys: each misses once, arms (and re-arms)
@@ -1767,26 +2007,27 @@ mod tests {
         // hot key keeps hitting even if a one-off collides with its slot.
         for b in 0u8..32 {
             let frame = [b, 1, 2];
-            assert!(c
-                .lookup(&key, 0, &frame, Nothing, &mut stats, &mut ext)
-                .is_none());
-            assert!(!c.commit(&key, 0, &frame, &Verdict::Drop(DropReason::NoEgress), None));
+            assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
+            assert!(!commit(
+                &mut c,
+                &key,
+                0,
+                &frame,
+                &Verdict::Drop(DropReason::NoEgress),
+                None
+            ));
         }
         assert_eq!(c.stats().occupancy, 1);
-        assert!(c
-            .lookup(&key, 0, &hot, Nothing, &mut stats, &mut ext)
-            .is_some());
+        assert!(c.lookup(&key, 0, &hot, Nothing).is_some());
     }
 
     /// Miss on `frame` with a `Forward` verdict to `out_port` until the
     /// tag filter lets it in.
     fn install(c: &mut FlowCache, frame: &[u8], out_port: u16) {
-        let (key, mut stats, mut ext) = (whole(4), vec![], ExternState::new(&[]));
-        while c
-            .lookup(&key, 0, frame, Nothing, &mut stats, &mut ext)
-            .is_none()
-        {
-            c.commit(
+        let key = whole(4);
+        while c.lookup(&key, 0, frame, Nothing).is_none() {
+            commit(
+                c,
                 &key,
                 0,
                 frame,
@@ -1800,9 +2041,8 @@ mod tests {
     }
 
     fn probe(c: &mut FlowCache, frame: &[u8]) -> Option<Verdict> {
-        let (key, mut stats, mut ext) = (whole(4), vec![], ExternState::new(&[]));
-        c.lookup(&key, 0, frame, Nothing, &mut stats, &mut ext)
-            .map(|(v, _)| v)
+        let key = whole(4);
+        c.lookup(&key, 0, frame, Nothing).map(|(v, _)| v)
     }
 
     #[test]
@@ -1852,16 +2092,14 @@ mod tests {
         // unread.
         let key = CacheKey::new(&[0, READ, 0, READ | WRITTEN, READ, 0], Vec::new());
         let mut c = FlowCache::new();
-        let (mut stats, mut ext) = (vec![], ExternState::new(&[]));
         let a = [0xA0, 1, 0xA2, 3, 4, 0xA5, 0xA6, 0xA7];
         for _ in 0..2 {
-            assert!(c
-                .lookup(&key, 0, &a, Nothing, &mut stats, &mut ext)
-                .is_none());
+            assert!(c.lookup(&key, 0, &a, Nothing).is_none());
             c.scratch.payload_start = 6;
             let mut out = a;
             out[3] = 0x33; // a written field
-            c.commit(
+            commit(
+                &mut c,
                 &key,
                 0,
                 &a,
@@ -1878,9 +2116,7 @@ mod tests {
             "only the keyed bytes are stored"
         );
         let b = [0xB0, 1, 0xB2, 3, 4, 0xB5, 0xB6, 0xB7];
-        let (v, _) = c
-            .lookup(&key, 0, &b, Nothing, &mut stats, &mut ext)
-            .expect("hit");
+        let (v, _) = c.lookup(&key, 0, &b, Nothing).expect("hit");
         assert_eq!(
             v,
             Verdict::Forward {
@@ -1891,9 +2127,7 @@ mod tests {
         // A keyed byte still tells flows apart.
         let mut d = b;
         d[4] = 0x44;
-        assert!(c
-            .lookup(&key, 0, &d, Nothing, &mut stats, &mut ext)
-            .is_none());
+        assert!(c.lookup(&key, 0, &d, Nothing).is_none());
     }
 
     /// Four programs that move a header, one way each: encap by
@@ -2037,7 +2271,7 @@ mod tests {
         /// port, the decoded trace, the table statistics and the counters
         /// as they were, and changes the egress frame in that byte only —
         /// to the flipped value, at the same offset. That is what a hit
-        /// serving a packet with other unkeyed bytes rebuilds.
+        /// serving a packet with other unkeyed bytes writes.
         #[test]
         fn unkeyed_bytes_pass_through_unread(
             prog_idx in 0usize..netdebug_p4::corpus::corpus().len() + moving_programs().len(),
@@ -2151,12 +2385,12 @@ mod tests {
             .take(64)
             .collect();
         let mut c = FlowCache::new();
-        c.sync(1, None);
+        c.sync(1, None, &mut [], &mut ExternState::new(&[]));
         for f in &frames {
             install(&mut c, f, 1);
         }
         assert_eq!((c.stats().occupancy, c.arena.len()), (64, 64));
-        c.sync(2, None);
+        c.sync(2, None, &mut [], &mut ExternState::new(&[]));
         assert_eq!((c.stats().occupancy, c.arena.len()), (0, 64));
         // Every old key misses — twice, so it is not the tag filter
         // talking — although its entry still sits in the arena.

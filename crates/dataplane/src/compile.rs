@@ -217,8 +217,6 @@ pub(crate) struct HeaderPlan {
     byte_width: usize,
     /// Field moves in declaration order, relative to the header start.
     fields: Vec<FieldPlan>,
-    /// Field names, for the disassembly.
-    pub(crate) names: Vec<Box<str>>,
     /// Fields the code reads or writes, ascending: all extract loads. A
     /// field outside this set is never read, so its slot needs no value.
     pub(crate) live: Vec<usize>,
@@ -449,10 +447,10 @@ impl CompiledProgram {
     }
 
     /// A [`Display`](core::fmt::Display)able disassembly of the flat
-    /// code: one line per instruction with index, mnemonic, resolved
-    /// operand names and jump targets.
-    pub fn disassemble(&self) -> crate::disasm::Disassembly<'_> {
-        crate::disasm::Disassembly::new(self)
+    /// code lowered from `prog`: one line per instruction with index,
+    /// mnemonic, resolved operand names and jump targets.
+    pub fn disassemble<'a>(&'a self, prog: &'a ir::Program) -> crate::disasm::Disassembly<'a> {
+        crate::disasm::Disassembly::new(self, prog)
     }
 
     /// The interned name tables (shared with the reference engine so both
@@ -460,6 +458,88 @@ impl CompiledProgram {
     pub(crate) fn names(&self) -> &TraceTables {
         &self.names
     }
+}
+
+/// How many opcodes [`Compiler::run`] emits for `prog`, so that its code
+/// vector is allocated once: one per expression node, plus what each
+/// emitter pushes around its operands (`every_program_passes_the_check`
+/// holds the two equal).
+fn code_len(prog: &ir::Program) -> usize {
+    fn expr(e: &IrExpr) -> usize {
+        let mut n = 0;
+        e.visit(&mut |_| n += 1);
+        n
+    }
+    fn read(lv: &LValue) -> usize {
+        match lv {
+            LValue::Slice(inner, ..) => read(inner) + 1,
+            _ => 1,
+        }
+    }
+    fn store(lv: &LValue) -> usize {
+        match lv {
+            LValue::Slice(inner, ..) => read(inner) + 1 + store(inner),
+            _ => 1,
+        }
+    }
+    fn op(op: &Op) -> usize {
+        match op {
+            Op::Assign(lv, e) => expr(e) + store(lv),
+            Op::SetValid(..) | Op::Drop => 1,
+            Op::CounterInc(_, idx) => expr(idx) + 1,
+            Op::RegisterRead(lv, _, idx) | Op::MeterExecute(_, idx, lv) => {
+                expr(idx) + 1 + store(lv)
+            }
+            Op::RegisterWrite(_, idx, val) => expr(idx) + expr(val) + 1,
+            Op::NoOp => 0,
+        }
+    }
+    fn block(prog: &ir::Program, body: &[IrStmt]) -> usize {
+        let stmt = |stmt: &IrStmt| match stmt {
+            IrStmt::ApplyTable { table, .. } => match prog.tables[*table].keys.as_slice() {
+                [ir::TableKey {
+                    expr: IrExpr::Field(..),
+                    ..
+                }] => 1,
+                keys => keys.iter().map(|k| expr(&k.expr)).sum::<usize>() + 1,
+            },
+            IrStmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                let orelse = if else_branch.is_empty() {
+                    0
+                } else {
+                    1 + block(prog, else_branch)
+                };
+                expr(cond) + 1 + block(prog, then_branch) + orelse
+            }
+            IrStmt::Op(o) => op(o),
+            IrStmt::Exit => 1,
+        };
+        body.iter().map(stmt).sum()
+    }
+    let state = |st: &ir::ParseState| {
+        let ops = st.ops.iter().map(|o| match o {
+            ir::ParserOp::Extract(_) => 1,
+            ir::ParserOp::Assign(lv, e) => expr(e) + store(lv),
+        });
+        let transition = match &st.transition {
+            IrTransition::Select { keys, .. } => keys.iter().map(expr).sum::<usize>() + 1,
+            _ => 1,
+        };
+        1 + ops.sum::<usize>() + transition
+    };
+    let states: usize = prog.parser.states.iter().map(state).sum();
+    let controls: usize = prog.controls.iter().map(|c| 1 + block(prog, &c.body)).sum();
+    let actions: usize = prog
+        .actions
+        .iter()
+        .map(|a| a.ops.iter().map(op).sum::<usize>() + 1)
+        .sum();
+    // The shared reject and accept, and `finish`.
+    states + 2 + controls + 1 + actions
 }
 
 /// Where a pending jump patch lands.
@@ -486,7 +566,7 @@ impl<'p> Compiler<'p> {
     fn new(prog: &'p ir::Program) -> Self {
         Compiler {
             prog,
-            code: Vec::new(),
+            code: Vec::with_capacity(code_len(prog)),
             selects: Vec::new(),
             fixups: Vec::new(),
             exit_fixups: Vec::new(),
@@ -604,7 +684,6 @@ impl<'p> Compiler<'p> {
                         .iter()
                         .map(|f| FieldPlan::new(f.offset_bits as usize, f.width_bits as usize))
                         .collect(),
-                    names: h.fields.iter().map(|f| f.name.as_str().into()).collect(),
                     live: Vec::new(),
                     written: Vec::new(),
                 }
@@ -1368,7 +1447,8 @@ mod tests {
 
     /// Every corpus program and both shape programs pass the bytecode
     /// check, which `compile` ran, and lower to a flat program whose
-    /// action and name tables line up with the IR.
+    /// action and name tables line up with the IR, into a code vector
+    /// allocated once at its final size.
     #[test]
     fn every_program_passes_the_check() {
         let shapes = [
@@ -1390,6 +1470,8 @@ mod tests {
             assert_eq!(cp.action_pcs.len(), ir.actions.len(), "{name}");
             assert_eq!(cp.names.tables.len(), ir.tables.len(), "{name}");
             assert_eq!(cp.names.states.len(), ir.parser.states.len(), "{name}");
+            let sized = (cp.code.len(), cp.code.capacity());
+            assert_eq!(sized, (code_len(&ir), code_len(&ir)), "{name}");
         }
     }
 
@@ -1534,21 +1616,20 @@ mod tests {
     #[test]
     fn live_sets_are_pinned() {
         let sets = |source: &str| -> Vec<String> {
-            let cp = CompiledProgram::compile(&netdebug_p4::compile(source).unwrap());
-            let names = |plan: &HeaderPlan, which: &[usize]| {
-                which
-                    .iter()
-                    .map(|&f| &*plan.names[f])
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
-            (cp.names.headers.iter().zip(&cp.headers))
+            let ir = netdebug_p4::compile(source).unwrap();
+            let cp = CompiledProgram::compile(&ir);
+            (ir.headers.iter().zip(&cp.headers))
                 .map(|(h, plan)| {
-                    let (live, written) = (names(plan, &plan.live), names(plan, &plan.written));
+                    let names = |which: &[usize]| {
+                        let names: Vec<&str> = which.iter().map(|&f| &*h.fields[f].name).collect();
+                        names.join(" ")
+                    };
+                    let (live, written) = (names(&plan.live), names(&plan.written));
                     format!(
-                        "{h} {}/{} [{live}] [{written}]",
+                        "{} {}/{} [{live}] [{written}]",
+                        h.name,
                         plan.live.len(),
-                        plan.names.len()
+                        plan.fields.len()
                     )
                 })
                 .collect()

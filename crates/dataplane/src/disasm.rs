@@ -23,17 +23,20 @@
 
 use crate::compile::{CompiledProgram, OpCode, NO_HIT_LOCAL};
 use core::fmt;
+use netdebug_p4::ir;
 
 /// Lazily rendered disassembly of a [`CompiledProgram`]; obtain via
-/// `CompiledProgram::disassemble()` or `Dataplane::disassemble()` and
-/// print with `{}`.
+/// `CompiledProgram::disassemble(prog)` or `Dataplane::disassemble()` and
+/// print with `{}`. Field names come from the IR program the code was
+/// lowered from.
 pub struct Disassembly<'a> {
     cp: &'a CompiledProgram,
+    prog: &'a ir::Program,
 }
 
 impl<'a> Disassembly<'a> {
-    pub(crate) fn new(cp: &'a CompiledProgram) -> Disassembly<'a> {
-        Disassembly { cp }
+    pub(crate) fn new(cp: &'a CompiledProgram, prog: &'a ir::Program) -> Disassembly<'a> {
+        Disassembly { cp, prog }
     }
 }
 
@@ -46,7 +49,8 @@ impl fmt::Display for Disassembly<'_> {
         let fields = |h: usize, written: bool| {
             let plan = &cp.headers[h];
             let which = if written { &plan.written } else { &plan.live };
-            let names: Vec<&str> = which.iter().map(|&x| &*plan.names[x]).collect();
+            let fields = &self.prog.headers[h].fields;
+            let names: Vec<&str> = which.iter().map(|&x| &*fields[x].name).collect();
             format!("{} [{}]", hdr(h as u32), names.join(" "))
         };
         writeln!(f, "max stack depth {}", cp.max_depth)?;
@@ -168,7 +172,7 @@ mod tests {
 
     fn assert_listing(source: &str, expected: &str) {
         let ir = netdebug_p4::compile(source).unwrap();
-        let text = CompiledProgram::compile(&ir).disassemble().to_string();
+        let text = CompiledProgram::compile(&ir).disassemble(&ir).to_string();
         assert_eq!(text, expected, "actual:\n{text}");
     }
 

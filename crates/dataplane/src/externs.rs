@@ -138,12 +138,18 @@ impl ExternState {
 
     /// Count a packet of `bytes` length against a counter cell.
     pub fn counter_inc(&mut self, id: usize, index: usize, byte_len: usize) {
+        self.counter_add(id, index, 1, byte_len as u64);
+    }
+
+    /// Add `n` packets of `byte_total` bytes in all to a counter cell at
+    /// once (out-of-range index is a no-op).
+    pub(crate) fn counter_add(&mut self, id: usize, index: usize, n: u64, byte_total: u64) {
         if let ExternCells::Counter { packets, bytes } = &mut self.instances[id] {
             if let Some(c) = packets.get_mut(index) {
-                *c += 1;
+                *c += n;
             }
             if let Some(b) = bytes.get_mut(index) {
-                *b += byte_len as u64;
+                *b += byte_total;
             }
         }
     }

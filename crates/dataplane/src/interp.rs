@@ -198,7 +198,9 @@ impl Env {
 ///   cell's lock; a pinned cut is never edited (a mid-batch install
 ///   copies what it touches first, see [`crate::table`]).
 /// * **mutable** — table hit/miss statistics (`table_stats`) and extern
-///   state (`externs`), owned by the one thread running the batch.
+///   state (`externs`), owned by the one thread running the batch, less
+///   the flow-cache hits not folded into them yet ([`crate::cache`]):
+///   every read and copy of them counts those in.
 #[derive(Debug)]
 pub struct Dataplane {
     program: Arc<ir::Program>,
@@ -231,16 +233,19 @@ impl Clone for Dataplane {
     /// cell around the same tables (sharing them is safe — a publication
     /// on either side copies what it edits first), with an empty write
     /// log, so control-plane handles and installs on one copy never leak
-    /// into the other. The compiled program and bytecode are shared.
+    /// into the other. The compiled program and bytecode are shared, and
+    /// the statistics and counters are copied with the flow cache's
+    /// unfolded hits counted in.
     fn clone(&self) -> Self {
         let tables = Arc::clone(&Cell::lock(&self.tables).tables);
+        let (table_stats, externs) = self.totals();
         Dataplane {
             program: Arc::clone(&self.program),
             compiled: Arc::clone(&self.compiled),
             engine: self.engine,
             tables: Arc::new(Mutex::new(Cell::new(tables))),
-            table_stats: self.table_stats.clone(),
-            externs: self.externs.clone(),
+            table_stats,
+            externs,
             packets_processed: self.packets_processed,
             tracing: self.tracing,
             env_scratch: Env::new(&self.program, self.compiled.max_depth),
@@ -261,7 +266,8 @@ impl Clone for Dataplane {
 ///
 /// Table entry state is held as one pinned cut of every table — the same
 /// value a batch pins — so a checkpoint costs one `Arc` clone plus the
-/// extern/statistics copies, not a copy of the entry lists (the first
+/// extern/statistics copies (with the flow cache's unfolded hits folded
+/// into them), not a copy of the entry lists (the first
 /// publication after it copies the vector of tables and the one snapshot
 /// it edits). Checkpoints are the substrate of the fault-recovery path:
 /// quarantined devices rewind to their last checkpoint and replay
@@ -375,12 +381,23 @@ impl Dataplane {
     /// published value, so even a checkpoint taken during concurrent
     /// multi-table churn holds a cut some publication order produced.
     pub fn checkpoint(&self) -> DataplaneCheckpoint {
+        let (table_stats, externs) = self.totals();
         DataplaneCheckpoint {
             tables: Arc::clone(&Cell::lock(&self.tables).tables),
-            externs: self.externs.clone(),
-            table_stats: self.table_stats.clone(),
+            externs,
+            table_stats,
             packets_processed: self.packets_processed,
         }
+    }
+
+    /// Copies of the table statistics and the extern state, with the hits
+    /// the flow cache has not folded yet counted in.
+    fn totals(&self) -> (Vec<TableStats>, ExternState) {
+        let (mut table_stats, mut externs) = (self.table_stats.clone(), self.externs.clone());
+        if let Some(c) = &self.flow_cache {
+            c.folded(&mut table_stats, &mut externs);
+        }
+        (table_stats, externs)
     }
 
     /// Reinstate a [`DataplaneCheckpoint`] taken from this data plane (or
@@ -388,7 +405,9 @@ impl Dataplane {
     /// checkpointed epochs, externs and statistics are overwritten, and
     /// the publication generation is *bumped* (not rewound) with a gap in
     /// the write log, so the flow cache drops every entry on the next
-    /// batch instead of serving post-checkpoint state.
+    /// batch instead of serving post-checkpoint state. The hits its
+    /// entries have not folded are forgotten: the checkpoint counts those
+    /// from before it.
     ///
     /// Later publications resume counting each table's epoch from the
     /// restored one (copying first: the checkpoint still pins it), so a
@@ -403,6 +422,9 @@ impl Dataplane {
             });
             cell.lose();
         }
+        if let Some(c) = self.flow_cache.as_mut() {
+            c.discard();
+        }
         self.externs = checkpoint.externs.clone();
         self.table_stats = checkpoint.table_stats.clone();
         self.packets_processed = checkpoint.packets_processed;
@@ -416,7 +438,7 @@ impl Dataplane {
     /// A printable disassembly of the bytecode — one line per
     /// instruction with mnemonic, resolved names and jump targets.
     pub fn disassemble(&self) -> crate::disasm::Disassembly<'_> {
-        self.compiled.disassemble()
+        self.compiled.disassemble(&self.program)
     }
 
     /// Packets processed since construction.
@@ -445,11 +467,14 @@ impl Dataplane {
     /// programs the cacheability analysis rejects **and for a cache that
     /// is already enabled** (resident entries and the cumulative
     /// [`Dataplane::cache_stats`] counters are kept, so `hits` never
-    /// runs backwards); disabling drops the resident entries and the
+    /// runs backwards); disabling folds the resident entries' hits into
+    /// the statistics and counters, then drops the entries and the cache
     /// counters with them (re-enabling starts cold).
     pub fn set_flow_cache(&mut self, enabled: bool) {
         if !enabled {
-            self.flow_cache = None;
+            if let Some(mut c) = self.flow_cache.take() {
+                c.fold(&mut self.table_stats, &mut self.externs);
+            }
         } else if self.flow_cache.is_none() {
             self.flow_cache = self.compiled.cache_key.is_some().then(FlowCache::new);
         }
@@ -504,7 +529,13 @@ impl Dataplane {
 
     /// Read a counter cell: (packets, bytes).
     pub fn counter(&self, name: &str, index: usize) -> Result<(u64, u64), ControlError> {
-        Ok(self.externs.counter_read(self.extern_id(name)?, index))
+        let id = self.extern_id(name)?;
+        let (packets, bytes) = self.externs.counter_read(id, index);
+        let (p, b) = self
+            .flow_cache
+            .as_ref()
+            .map_or((0, 0), |c| c.unfolded_count(id, index));
+        Ok((packets + p, bytes + b))
     }
 
     /// Read a register cell.
@@ -532,8 +563,10 @@ impl Dataplane {
             .ok_or_else(|| ControlError::NoSuchTable(name.to_string()))?;
         let cell = Cell::lock(&self.tables);
         let t = &cell.tables.tables[tid];
-        let s = &self.table_stats[tid];
-        Ok((s.hits, s.misses, t.snapshot.len(), t.capacity))
+        let (s, c) = (self.table_stats[tid], self.flow_cache.as_ref());
+        let unfolded = c.map(|c| c.unfolded_lookups(tid)).unwrap_or_default();
+        let (hits, misses) = (s.hits + unfolded.hits, s.misses + unfolded.misses);
+        Ok((hits, misses, t.snapshot.len(), t.capacity))
     }
 
     // ------------------------------------------------------------------
@@ -561,7 +594,8 @@ impl Dataplane {
         let pin = {
             let mut cell = Cell::lock(&self.tables);
             if let Some(c) = self.flow_cache.as_mut() {
-                c.sync(cell.tables.generation, cell.writes());
+                let (stats, externs) = (&mut self.table_stats, &mut self.externs);
+                c.sync(cell.tables.generation, cell.writes(), stats, externs);
             }
             cell.consumed(self.flow_cache.is_some());
             Arc::clone(&cell.tables)
@@ -711,9 +745,10 @@ impl ExecCtx<'_> {
     }
 
     /// Run one packet through the flow cache when one is active: a hit
-    /// replays the memoized outcome (table statistics, counter bumps,
-    /// verdict) without entering either engine; a miss runs the compiled
-    /// engine with outcome recording and commits the entry. With no cache
+    /// replays the memoized verdict, and counts itself on its entry for
+    /// the table statistics and counters, without entering either
+    /// engine; a miss runs the compiled engine with outcome recording
+    /// and commits the entry. With no cache
     /// — uncacheable program, cache disabled, the reference engine
     /// (which stays the unmemoized oracle), or a dormant cache letting
     /// the packet through unprobed — this is exactly the pre-cache path.
@@ -749,9 +784,7 @@ impl ExecCtx<'_> {
             let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, None);
             return (verdict, buf.bytes());
         };
-        if let Some((verdict, at)) =
-            cache.lookup(key, port, data, level, self.table_stats, self.externs)
-        {
+        if let Some((verdict, at)) = cache.lookup(key, port, data, level) {
             let trace = if level == Recording::Nothing {
                 TraceBytes::default()
             } else {
@@ -789,7 +822,15 @@ impl ExecCtx<'_> {
             rec.located(key, |h| env.headers[h].offset);
         }
         let trace = (level != Recording::Nothing).then(|| buf.bytes());
-        cache.commit(key, port, data, &verdict, trace);
+        cache.commit(
+            key,
+            port,
+            data,
+            &verdict,
+            trace,
+            self.table_stats,
+            self.externs,
+        );
         verdict
     }
 

@@ -587,7 +587,7 @@ mod tests {
 
     /// Dropping an egress frame hands its buffer to the next one built on
     /// the thread, whichever path builds it (either deparser, or the flow
-    /// cache's hit rebuild), and a shorter frame in a longer frame's
+    /// cache's hit), and a shorter frame in a longer frame's
     /// buffer carries exactly its own bytes.
     #[test]
     fn a_dropped_egress_frame_is_the_next_ones_buffer() {

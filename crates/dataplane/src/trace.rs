@@ -116,7 +116,7 @@ thread_local! {
 /// An empty buffer for the next egress frame, with room for `capacity`
 /// bytes: this thread's spare when it is large enough, else a fresh
 /// allocation. Every egress frame's bytes come from here (both deparsers
-/// and the flow cache's hit rebuild), so a consumer that drops each frame
+/// and the flow cache's hit), so a consumer that drops each frame
 /// before the next packet runs allocates no frame at all. (Not `reserve`
 /// on a spare that is too small or absent: `Vec`'s growth path cost a
 /// consumer that keeps every frame ~10 ns a frame more than

@@ -207,7 +207,10 @@ fn resident_memory_follows_resident_flows() {
     // than before LPM tables had a length filter (56 938 bytes in 78
     // calls on a 64-bit target): an empty LPM index holds no maps, no
     // filter and no counts, and stays two words inside its snapshot. A
-    // filter allocated up front would add 4 KiB per LPM table.
+    // filter allocated up front would add 4 KiB per LPM table. The deploy
+    // reads 57 calls and 30 576 bytes since the bytecode's code vector is
+    // allocated once at its final size and header plans keep no field
+    // names (78 calls and 33 762 bytes before).
     let ir = netdebug_p4::compile(corpus::IPV4_FORWARD).unwrap();
     let (calls, bytes) = cost_of(|| drop(Dataplane::new(ir)));
     if cfg!(target_pointer_width = "64") {

@@ -1832,6 +1832,105 @@ proptest! {
     }
 }
 
+/// `pkts` through `on` and `off` as one batch each: the same verdicts
+/// and traces.
+fn both(
+    on: &mut Dataplane,
+    off: &mut Dataplane,
+    pkts: &[(u16, &[u8])],
+) -> Result<(), TestCaseError> {
+    let (a, b) = (on.process_batch(pkts, 0), off.process_batch(pkts, 0));
+    prop_assert_eq!(a, b, "cache-on vs cache-off verdicts diverged");
+    Ok(())
+}
+
+proptest! {
+    /// A flow-cache hit counts itself on its entry, and the entry's
+    /// applies and counter increments reach the totals by that count when
+    /// they are folded: at a read, a checkpoint or a clone, before a sync
+    /// or a commit drops or overwrites the entry, and when the cache is
+    /// switched off. Over the corpus, every table's hits and misses and
+    /// every counter cell read with the cache on equal cache-off at each
+    /// of those points:
+    /// between batches; after a publication, before and after the batch
+    /// whose sync drops the flows it touches; after slot collisions evict
+    /// entries that hit (a sweep over 512 flows, three packets each: each
+    /// flow misses twice, installs, and hits once); after a
+    /// checkpoint, more hits and a restore; on a clone, and after it runs;
+    /// and after the cache is switched off.
+    #[test]
+    fn flow_cache_counts_fold_at_every_read(
+        prog_idx in 0usize..corpus::corpus().len(),
+        pool in proptest::collection::vec(
+            (0u16..4, 0u8..5, proptest::collection::vec(any::<u8>(), 0..64)), 1..6),
+        picks in proptest::collection::vec(any::<u16>(), 1..32),
+        batch in proptest::collection::vec(
+            (any::<u8>(), any::<usize>(), any::<usize>(), any::<u8>(), any::<u8>()), 1..4),
+        tracing in any::<bool>(),
+    ) {
+        let programs = corpus::corpus();
+        let prog = &programs[prog_idx % programs.len()];
+        let ir = netdebug_p4::compile(prog.source).unwrap();
+        let frames: Vec<(u16, Vec<u8>)> = picks
+            .iter()
+            .map(|ix| {
+                let (port, kind, soup) = &pool[usize::from(*ix) % pool.len()];
+                (*port, mixed_frame(*kind, soup))
+            })
+            .collect();
+        let pkts: Vec<(u16, &[u8])> = frames.iter().map(|(port, f)| (*port, f.as_slice())).collect();
+        // Flow `i` is `i` scrambled bytes long: distinct keys whose hashes
+        // land in the 4 096 slots at random, so about 32 of the 512 share
+        // a slot (a plain length sweep spreads too evenly to collide).
+        let lengths: Vec<Vec<u8>> = (0..512u32)
+            .map(|i| {
+                let mut x = 0x9E37_79B9 ^ i.wrapping_mul(0x85EB_CA6B);
+                (0..i).map(|_| { x ^= x << 13; x ^= x >> 17; x ^= x << 5; x as u8 }).collect()
+            })
+            .collect();
+        let port = frames[0].0;
+        let sweep: Vec<(u16, &[u8])> = lengths.iter().flat_map(|f| [(port, f.as_slice()); 3]).collect();
+        let mut on = Dataplane::new(ir.clone());
+        let mut off = Dataplane::new(ir.clone());
+        off.set_flow_cache(false);
+        for dp in [&mut on, &mut off] {
+            dp.set_tracing(tracing);
+        }
+        for _ in 0..2 {
+            both(&mut on, &mut off, &pkts)?;
+            assert_runtime_state_matches(&on, &off)?;
+        }
+        if !ir.tables.is_empty() {
+            let applied = applied_keys(&ir, &pkts);
+            let updates: Vec<Update<'_>> = batch.iter().map(|&u| churn_update(&ir, &applied, u)).collect();
+            let results = [&on, &off].map(|dp| dp.control_plane().write(&updates));
+            prop_assert_eq!(&results[0], &results[1], "{}: write results diverged", prog.name);
+            assert_runtime_state_matches(&on, &off)?;
+            both(&mut on, &mut off, &pkts)?;
+            assert_runtime_state_matches(&on, &off)?;
+        }
+        both(&mut on, &mut off, &sweep)?;
+        if on.flow_cache_enabled() {
+            prop_assert!(on.cache_stats().occupancy < lengths.len(), "{}: no slot collision", prog.name);
+        }
+        assert_runtime_state_matches(&on, &off)?;
+        let checkpoints = (on.checkpoint(), off.checkpoint());
+        both(&mut on, &mut off, &pkts)?;
+        on.restore(&checkpoints.0);
+        off.restore(&checkpoints.1);
+        assert_runtime_state_matches(&on, &off)?;
+        both(&mut on, &mut off, &pkts)?;
+        assert_runtime_state_matches(&on, &off)?;
+        let (mut on_clone, mut off_clone) = (on.clone(), off.clone());
+        assert_runtime_state_matches(&on_clone, &off_clone)?;
+        both(&mut on_clone, &mut off_clone, &pkts)?;
+        assert_runtime_state_matches(&on_clone, &off_clone)?;
+        assert_runtime_state_matches(&on, &off)?;
+        on.set_flow_cache(false);
+        assert_runtime_state_matches(&on, &off)?;
+    }
+}
+
 proptest! {
     /// Cache parity on `liveness_shapes.p4`: a hit replays the header bytes
     /// a miss emitted from copied ingress bytes and built headers alike, so

@@ -137,18 +137,42 @@ pub fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Short git revision of the checkout the numbers were taken at, or
-/// `"unknown"` outside a git work tree (tarball builds, sandboxes).
+/// Short git revision of the checkout the numbers were taken at, marked
+/// `<rev>-dirty` when a tracked file other than a root `BENCH_*.json`
+/// report differs from it, or `"unknown"` outside a git work tree
+/// (tarball builds, sandboxes).
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".into();
+    };
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    let mark = if status.as_deref().is_some_and(dirty) {
+        "-dirty"
+    } else {
+        ""
+    };
+    format!("{}{mark}", rev.trim())
+}
+
+/// Whether `git status --porcelain` output names a changed file other
+/// than a `BENCH_*.json` report at the repo root: the reports are what
+/// the benches write, so one bench's output must not mark the next one's
+/// stamp dirty.
+fn dirty(status: &str) -> bool {
+    let report =
+        |path: &str| !path.contains('/') && path.starts_with("BENCH_") && path.ends_with(".json");
+    status
+        .lines()
+        .any(|line| !report(line.get(3..).unwrap_or_default()))
 }
 
 /// FNV-1a offset basis — the seed for [`fnv`] digests.
@@ -533,6 +557,20 @@ mod tests {
         assert_eq!(meta[2].0, "git_rev");
         let rows: Vec<Value> = report.results.iter().cloned().map(Value::Obj).collect();
         assert_eq!(top[3].1, Value::List(rows), "{json}");
+    }
+
+    /// A tree whose only changes are bench reports at the root is clean,
+    /// whether they are staged or not; any other tracked change is dirty.
+    #[test]
+    fn only_bench_reports_leave_a_tree_clean() {
+        assert!(!dirty(""));
+        assert!(!dirty(" M BENCH_flowcache.json\nM  BENCH_fleet.json\n"));
+        assert!(dirty(
+            " M BENCH_flowcache.json\n M crates/bench/src/lib.rs\n"
+        ));
+        assert!(dirty("M  README.md\n"));
+        assert!(dirty(" M benchmark/BENCH_x.json\n"));
+        assert!(dirty(" M BENCH_notes.md\n"));
     }
 
     #[test]

@@ -45,11 +45,15 @@
 //!   bit) and probes under each, most recently hit first. A flow that
 //!   repeats one packet is keyed on every byte (a wildcard would only add
 //!   a mask for every lookup to probe); a wildcarded entry is installed
-//!   once two packets that differ in its unkeyed bytes have missed. An entry that
-//!   stores every trace record is keyed on every byte, because its table
-//!   records carry its own packet's keys, so a records reader is never
-//!   served from a wildcarded entry; a stage-lane reader, such as a
-//!   device tap, and an untraced lookup are.
+//!   once two packets that differ in its unkeyed bytes have missed.
+//!   Measured (alternating 2 s pairs, seed 1, 2-core host): probing the
+//!   one mask in use straight line, with no check of the entry's mask, is
+//!   worth 2.4 % on `l2_long_stream` (the loop over masks read −2.4 %,
+//!   2/10 pairs, parent IQR 435k); it stays because it is the path of
+//!   every program without wildcard fields. The most-recently-hit order
+//!   did not resolve: probing in id order read `router_many_flows`
+//!   −1.9 % (2/10), `acl_ternary_512` −1.0 % (4/10) and `fleet_paced`
+//!   +5.2 % (8/10), so it stays.
 //! * **Invalidation by dependency** — an entry records, per table apply,
 //!   the hash of the key tuple it looked up. Each
 //!   [`ControlPlane`](crate::ControlPlane) publication appends a
@@ -67,14 +71,14 @@
 //!   (8 KiB) pointing into a dense arena of entries that grows with
 //!   occupancy, so an empty cache is the index plus the second-chance
 //!   tags (one `u32` a slot, 16 KiB) and a device that sees 64 flows
-//!   holds 64 entries. An entry is an 80-byte record of offsets around
-//!   one buffer, plus its hit count (8 of the 80 bytes), the buffer sized
+//!   holds 64 entries. An entry is a 72-byte record of offsets around
+//!   one buffer, plus its hit count (8 of the 72 bytes), the buffer sized
 //!   exactly: the frame's keyed bytes as the masked 8-byte windows the
 //!   key reads them in (three words for `acl_firewall`'s 13 live bytes of
 //!   38), under its mask, the replay lists, the output bytes a hit
-//!   writes, the dependencies and the stored trace; an `l2_switch` entry,
+//!   writes, the dependencies and the stage lane; an `l2_switch` entry,
 //!   which writes no byte ahead of the payload and so stores none, is
-//!   about 110 bytes in all. A hit of a program that moves no header
+//!   about 120 bytes in all. A hit of a program that moves no header
 //!   copies its own packet into the egress buffer once, then writes over
 //!   it the bytes some execution writes, from the entry: every other byte
 //!   ahead of the payload passes through, the wildcarded ones among them,
@@ -114,18 +118,19 @@
 //!   `fleet_paced` −3 % and `l2_churn_steady` −2 %, whose entries are hit
 //!   about once a batch, so they paid the fold and a list of the entries
 //!   hit; and a fold at reads and drops has no epilogue that a sink that
-//!   unwinds could skip. Traced packets store
-//!   the flat trace too — record lane then stage lane, in the one
-//!   vector, split at a `u32` offset — and a traced hit hands that stored
-//!   trace to its `LazyTrace` in place, without copying it into the
-//!   trace buffer, so consumers of a cached hit decode the identical
-//!   event stream and a tap walks the identical stage path. A packet recorded for a sink
-//!   that reads no records stores a **stages-only** entry: the stage
-//!   lane with empty records (a full trace always ends in a final-verdict
-//!   record, so no full entry has empty records). An entry serves a
-//!   lookup only if it was recorded at the level the lookup needs or
-//!   above, so a records reader that meets a stages-only entry misses and
-//!   re-records it in full, as a traced lookup re-records an untraced one.
+//!   unwinds could skip.
+//! * **Stage lane** — every entry stores its packet's stage lane, the one
+//!   part of a trace the cache hands out: a miss the cache records runs
+//!   at `Recording::Stages` at least, and a hit read at that level hands
+//!   the stored lane to its `LazyTrace` in place, so a tap walks the
+//!   identical stage path. An untraced lookup gets an empty trace from a
+//!   hit as from a miss. A records reader (`Recording::Everything`:
+//!   [`crate::Dataplane::process`], a traced
+//!   [`crate::Dataplane::process_batch`], a sink whose
+//!   [`crate::TraceSink::reads_records`] is true) never meets the cache:
+//!   it runs the compiled engine as with the cache off and counts in no
+//!   [`CacheStats`] field. So no entry stores table records, and nothing
+//!   about a records reader constrains how an entry is keyed.
 //! * **Dormancy** — a cache whose last `DORMANT_AFTER` (256) lookups
 //!   brought no hit and no install is dormant: traffic that does not
 //!   repeat pays for a hash, a probe and a tag write per packet and gets
@@ -137,6 +142,11 @@
 //!   second probe installs it (a single repeated flow wakes the cache
 //!   within 32 packets). A sync does not reset the count, or a cache
 //!   under steady churn would pay a full 256 probes per publication.
+//!   Measured (five alternating runs, 2-core host): without dormancy,
+//!   `flow_cache`'s paired miss cost read a median of 65 ns against 38 ns
+//!   with it, over its 40 ns gate in 5 of 5 runs against 2 of 5. The six
+//!   repo workloads read inside their IQRs either way: none of their
+//!   caches ever sleeps.
 //!
 //! Programs whose verdicts read meter/register state or the ingress
 //! timestamp, and programs whose parser can loop (so no finite key
@@ -146,7 +156,7 @@
 
 use crate::externs::ExternState;
 use crate::table::{FxHasher, TableStats, WHOLE_TABLE};
-use crate::trace::{egress_buffer, DropReason, Recording, TraceBytes, Verdict};
+use crate::trace::{egress_buffer, DropReason, TraceBytes, Verdict};
 use std::hash::Hasher;
 use std::ops::Range;
 
@@ -154,7 +164,9 @@ use std::ops::Range;
 ///
 /// Hit/miss/skip/invalidation counts are cumulative since construction;
 /// occupancy and capacity are instantaneous. Every packet the cached
-/// compiled engine runs is exactly one of a hit, a miss or a skip.
+/// compiled engine runs for a caller that reads no records is exactly one
+/// of a hit, a miss or a skip; a records reader's packet is none of them
+/// (it bypasses the cache).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Packets replayed from a cached outcome.
@@ -424,9 +436,7 @@ fn u64_at(bytes: &[u8]) -> u64 {
 ///   move a header), every output byte ahead of the payload;
 /// * the applies' dependencies, 8 bytes each, in apply order: read only
 ///   by [`FlowCache::sync`];
-/// * the flat trace, when the entry was recorded on a traced path: the
-///   record lane (including the final-verdict record; empty for a
-///   stages-only entry), then the stage lane.
+/// * the stage lane, to the buffer's end.
 #[derive(Debug)]
 struct Entry {
     buf: Vec<u8>,
@@ -442,13 +452,8 @@ struct Entry {
     counters_at: u32,
     header_at: u32,
     deps_at: u32,
-    records_at: u32,
-    lane_at: u32,
     port: u16,
     kind: OutcomeKind,
-    /// The recording level the stored trace serves: none, the stage lane
-    /// alone (empty records), or everything.
-    level: Recording,
     /// The id of the key mask the entry's words are stored under.
     mask: u8,
 }
@@ -466,11 +471,8 @@ impl Entry {
             counters_at: 0,
             header_at: 0,
             deps_at: 0,
-            records_at: 0,
-            lane_at: 0,
             port: 0,
             kind,
-            level: Recording::Nothing,
             mask: 0,
         }
     }
@@ -486,24 +488,16 @@ impl Entry {
     }
 
     /// Whether the entry holds the key of `(port, data)` whose hash and
-    /// words under the entry's mask are `hash` and `words`, recorded at
-    /// `level` or above. Every entry stores one word per window of the
-    /// one key, so a zip compares them all (`Iterator::eq`, which also
-    /// compares the lengths, cost an all-hit `l2_switch` stream about
-    /// 3 ns a packet on a 2-core x86-64 host).
+    /// words under the entry's mask are `hash` and `words`. Every entry
+    /// stores one word per window of the one key, so a zip compares them
+    /// all (`Iterator::eq`, which also compares the lengths, cost an
+    /// all-hit `l2_switch` stream about 3 ns a packet on a 2-core x86-64
+    /// host).
     #[inline]
-    fn holds(
-        &self,
-        hash: u64,
-        port: u16,
-        data: &[u8],
-        level: Recording,
-        words: impl Iterator<Item = u64>,
-    ) -> bool {
+    fn holds(&self, hash: u64, port: u16, data: &[u8], words: impl Iterator<Item = u64>) -> bool {
         self.hash == hash
             && self.port == port
             && self.len as usize == data.len()
-            && self.level >= level
             && self.words().zip(words).all(|(a, b)| a == b)
     }
 
@@ -548,13 +542,10 @@ impl Entry {
         }
     }
 
-    /// The stored trace: empty for an entry recorded untraced, and
-    /// records-empty for a stages-only one.
-    fn trace(&self) -> TraceBytes<'_> {
-        TraceBytes {
-            records: self.section(self.records_at, self.lane_at),
-            lane: &self.buf[self.lane_at as usize..],
-        }
+    /// Where the stage lane starts: past the dependencies, 8 bytes for
+    /// each 4-byte apply.
+    fn lane_at(&self) -> u32 {
+        self.deps_at + 2 * (self.counters_at - self.applies_at)
     }
 
     /// Whether one of `writes` (sorted `(table id, dependency)` records)
@@ -563,7 +554,7 @@ impl Entry {
     /// apply's key was wildcarded (its dependency is the whole table) and
     /// the record is any write to that table.
     fn touched(&self, writes: &[(u32, u64)]) -> bool {
-        let deps = self.section(self.deps_at, self.records_at).chunks_exact(8);
+        let deps = self.section(self.deps_at, self.lane_at()).chunks_exact(8);
         self.applies().zip(deps).any(|((tid, _), dep)| {
             let tid = tid as u32;
             let logged = |dep| writes.binary_search(&(tid, dep)).is_ok();
@@ -928,19 +919,14 @@ impl FlowCache {
     /// plus the hit entry's arena position (its trace is
     /// [`FlowCache::trace`] of it); `None` is a
     /// miss (the caller runs the engine with `self.scratch` recording and
-    /// then calls [`FlowCache::commit`]). An entry recorded at a lower
-    /// recording `level` than the lookup's is no hit — the re-run
-    /// re-records it at the level asked for, so a consumer never observes
-    /// a degraded event stream; and since an entry that stores every
-    /// record is keyed exactly (see [`FlowCache::commit`]), a records
-    /// reader is never served from a wildcarded one. A hit wakes a
+    /// then calls [`FlowCache::commit`]). A records reader never looks
+    /// up: it bypasses the cache (see the module doc). A hit wakes a
     /// dormant cache; a miss counts towards dormancy.
     pub(crate) fn lookup(
         &mut self,
         key: &CacheKey,
         port: u16,
         data: &[u8],
-        level: Recording,
     ) -> Option<(Verdict, usize)> {
         // One mask in use, as for every program without wildcard fields:
         // every resident entry is stored under it, so one probe serves,
@@ -956,7 +942,7 @@ impl FlowCache {
             let hash = Self::hash_key(key, mask, port, data);
             whole = (id == 0).then_some(hash);
             if let Some(at) = (self.index[Self::slot_of(hash)] as usize).checked_sub(1) {
-                if self.arena[at].holds(hash, port, data, level, key.of(data, mask)) {
+                if self.arena[at].holds(hash, port, data, key.of(data, mask)) {
                     found = Some((0, at));
                 }
             }
@@ -974,7 +960,7 @@ impl FlowCache {
                 // words (its unkeyed bytes read as zero): only one stored
                 // under `id` stands for this key.
                 let e = &self.arena[at];
-                if e.mask == id && e.holds(hash, port, data, level, key.of(data, mask)) {
+                if e.mask == id && e.holds(hash, port, data, key.of(data, mask)) {
                     found = Some((i, at));
                     break;
                 }
@@ -1034,11 +1020,10 @@ impl FlowCache {
     /// Count a miss, and run the second-chance filter on the whole key
     /// (`whole`: its hash, if the lookup computed it): the whole key's
     /// slot keeps the low 32 bits of the hash of its last miss, and a key
-    /// that missed before, or is resident at a lower recording level, is
-    /// installed keyed on every byte — a flow that repeats gains nothing
-    /// from a wildcard but the probes it would add to lookups. A first
-    /// miss of a key without wildcard fields only tags the slot; for one
-    /// with them, [`FlowCache::record`] decides.
+    /// that missed before is installed keyed on every byte — a flow that
+    /// repeats gains nothing from a wildcard but the probes it would add
+    /// to lookups. A first miss of a key without wildcard fields only tags
+    /// the slot; for one with them, [`FlowCache::record`] decides.
     ///
     /// Measured: one masked-key filter at commit instead, with no exact
     /// install on a repeat (a scratch build of ca2f956), read `fleet_paced`
@@ -1053,15 +1038,19 @@ impl FlowCache {
         let whole = self.whole_hash(key, port, data);
         let tag = whole as u32;
         let seen = std::mem::replace(&mut self.tags[Self::slot_of(whole)], tag);
-        let again = seen == tag || self.resident(whole);
+        let again = seen == tag;
         self.filtered = (again || key.wild.is_empty()).then_some(again);
     }
 
-    /// The trace stored in the entry at arena position `at` (as a
-    /// [`FlowCache::lookup`] hit returns it), read in place; empty for an
-    /// entry recorded untraced, and records-empty for a stages-only one.
+    /// The stage lane stored in the entry at arena position `at` (as a
+    /// [`FlowCache::lookup`] hit returns it), read in place, as a trace
+    /// with no records.
     pub(crate) fn trace(&self, at: usize) -> TraceBytes<'_> {
-        self.arena[at].trace()
+        let e = &self.arena[at];
+        TraceBytes {
+            records: &[],
+            lane: &e.buf[e.lane_at() as usize..],
+        }
     }
 
     /// The recording buffers for the engine run that follows a miss, or
@@ -1118,17 +1107,12 @@ impl FlowCache {
         whole
     }
 
-    /// Build in `self.unkeyed` the mask of an entry recorded at `level`,
-    /// and return which wildcard fields it leaves bytes of unkeyed (bit
-    /// `w` for field `w`; 0: none, and the mask is not built). Every byte
-    /// of a wildcard field that no lookup on the packet's path examined a
-    /// bit of is left out, if it passes through. An entry that stores
-    /// every record keys every byte, because its table records carry its
-    /// own packet's keys.
-    fn wildcard_mask(&mut self, key: &CacheKey, level: Recording) -> u64 {
-        if level == Recording::Everything {
-            return 0;
-        }
+    /// Build in `self.unkeyed` the mask of the entry the last miss
+    /// recorded, and return which wildcard fields it leaves bytes of
+    /// unkeyed (bit `w` for field `w`; 0: none, and the mask is not
+    /// built). Every byte of a wildcard field that no lookup on the
+    /// packet's path examined a bit of is left out, if it passes through.
+    fn wildcard_mask(&mut self, key: &CacheKey) -> u64 {
         let (mut wild, mut fresh) = (0, true);
         for (w, (field, &(at, examined))) in key.wild.iter().zip(&self.scratch.fields).enumerate() {
             let (Some(at), cut) = (at, field.unexamined(examined)) else {
@@ -1175,13 +1159,6 @@ impl FlowCache {
         Some(id as u8)
     }
 
-    /// Whether the slot of `hash` holds an entry with that hash (at a
-    /// lower recording level, for a miss).
-    fn resident(&self, hash: u64) -> bool {
-        let at = (self.index[Self::slot_of(hash)] as usize).checked_sub(1);
-        at.is_some_and(|at| self.arena[at].hash == hash)
-    }
-
     /// The second-chance filter's second half, at commit, for a miss the
     /// lookup could not decide ([`FlowCache::missed`]: a packet not seen
     /// before, while wildcards are possible): whether its outcome is
@@ -1189,26 +1166,19 @@ impl FlowCache {
     /// leaving which wildcard fields' bytes out ([`FlowCache::wildcard_mask`]).
     /// The masked key's slot keeps a tag of its last miss, and the entry
     /// is installed when the tag matches (another packet with the same
-    /// masked key missed before), or when the masked key is resident at a
-    /// lower recording level. A key with nothing to leave out was tagged
+    /// masked key missed before). A key with nothing to leave out was tagged
     /// at lookup and is not installed. An admission that installs nothing
     /// counts towards a quiet cache ([`FlowCache::record`]).
-    fn admit(
-        &mut self,
-        key: &CacheKey,
-        port: u16,
-        data: &[u8],
-        level: Recording,
-    ) -> Option<(u8, u64, u64)> {
+    fn admit(&mut self, key: &CacheKey, port: u16, data: &[u8]) -> Option<(u8, u64, u64)> {
         self.futile = self.futile.saturating_add(1);
-        let wild = self.wildcard_mask(key, level);
+        let wild = self.wildcard_mask(key);
         if wild == 0 {
             return None;
         }
         let hash = Self::hash_key(key, &self.unkeyed, port, data);
         let tag = hash as u32;
         let seen = std::mem::replace(&mut self.tags[Self::slot_of(hash)], tag);
-        if seen != tag && !self.resident(hash) {
+        if seen != tag {
             return None;
         }
         self.futile = 0;
@@ -1222,8 +1192,8 @@ impl FlowCache {
     /// and returns `false`. Otherwise the entry overwrites its slot's
     /// (direct-mapped), reusing its buffer, after folding the old
     /// entry's hits into `table_stats` and `externs`, and `true` is
-    /// returned. `trace` carries the packet's flat trace (records and
-    /// stage lane, or the stage lane alone) when the run was traced.
+    /// returned. `lane` is the packet's stage lane: a run the cache
+    /// records records it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit<'v>(
         &mut self,
@@ -1231,18 +1201,13 @@ impl FlowCache {
         port: u16,
         data: &[u8],
         verdict: &'v Verdict,
-        trace: Option<TraceBytes<'_>>,
+        lane: &[u8],
         table_stats: &mut [TableStats],
         externs: &mut ExternState,
     ) -> bool {
-        let level = match trace {
-            None => Recording::Nothing,
-            Some(t) if t.records.is_empty() => Recording::Stages,
-            Some(_) => Recording::Everything,
-        };
         let admitted = match self.filtered {
             Some(install) => install.then(|| (0, self.whole_hash(key, port, data), 0)),
-            None => self.admit(key, port, data, level),
+            None => self.admit(key, port, data),
         };
         let Some((id, hash, wild)) = admitted else {
             return false;
@@ -1294,9 +1259,7 @@ impl FlowCache {
         e.port = port;
         e.len = data.len() as u32;
         e.kind = kind;
-        e.level = level;
         e.payload_start = rec.payload_start as u32;
-        let t = trace.unwrap_or_default();
         let buf = &mut e.buf;
         buf.clear();
         buf.reserve_exact(
@@ -1304,8 +1267,7 @@ impl FlowCache {
                 + 12 * rec.applies.len()
                 + 12 * rec.counters.len()
                 + written().map(<[u8]>::len).sum::<usize>()
-                + t.records.len()
-                + t.lane.len(),
+                + lane.len(),
         );
         let at = |buf: &Vec<u8>| buf.len() as u32;
         key.of(data, mask)
@@ -1329,10 +1291,7 @@ impl FlowCache {
             let dep = if wildcarded { WHOLE_TABLE } else { dep };
             buf.extend_from_slice(&dep.to_le_bytes());
         }
-        e.records_at = at(buf);
-        buf.extend_from_slice(t.records);
-        e.lane_at = at(buf);
-        buf.extend_from_slice(t.lane);
+        buf.extend_from_slice(lane);
         true
     }
 }
@@ -1342,7 +1301,6 @@ mod tests {
     use super::*;
     use crate::compile::CompiledProgram;
     use netdebug_p4::ir::IrPattern;
-    use Recording::{Everything, Nothing, Stages};
 
     /// The key of a program that can move a header and parses `cap`
     /// bytes: all of them.
@@ -1358,10 +1316,10 @@ mod tests {
         port: u16,
         data: &[u8],
         verdict: &Verdict,
-        trace: Option<TraceBytes<'_>>,
+        lane: &[u8],
     ) -> bool {
         let mut ext = ExternState::new(&[]);
-        c.commit(key, port, data, verdict, trace, &mut [], &mut ext)
+        c.commit(key, port, data, verdict, lane, &mut [], &mut ext)
     }
 
     /// The key hash of a port-0 `frame` with every byte of `key` keyed.
@@ -1428,14 +1386,14 @@ mod tests {
         let frame = [0u8; 32];
         // First miss only arms the tag filter; the second installs.
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
+            assert!(c.lookup(&key, 0, &frame).is_none());
             commit(
                 &mut c,
                 &key,
                 0,
                 &frame,
                 &Verdict::Drop(DropReason::NoEgress),
-                None,
+                &[],
             );
         }
         assert_eq!(c.stats().occupancy, 1);
@@ -1446,14 +1404,14 @@ mod tests {
         c.sync(2, None, &mut [], &mut ExternState::new(&[]));
         assert_eq!(c.stats().invalidations, 1);
         // The tags went with the entries: the flow's next miss only arms.
-        assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
+        assert!(c.lookup(&key, 0, &frame).is_none());
         assert!(!commit(
             &mut c,
             &key,
             0,
             &frame,
             &Verdict::Drop(DropReason::NoEgress),
-            None
+            &[]
         ));
     }
 
@@ -1470,10 +1428,12 @@ mod tests {
 
     /// `l2_switch` forwarding `MAC + i` to port `i % 4` for `i < 16`, and
     /// one frame to each of those keys: each flow resident after two
-    /// batches, in a slot of its own.
+    /// batches, in a slot of its own. Tracing is off, so every batch, a
+    /// sink's included, reads no records and goes through the cache.
     fn switch() -> (crate::Dataplane, Vec<Vec<u8>>) {
         let ir = netdebug_p4::compile(netdebug_p4::corpus::L2_SWITCH).unwrap();
         let mut dp = crate::Dataplane::new(ir);
+        dp.set_tracing(false);
         let mut frames = Vec::new();
         for i in 0..16 {
             dp.install(
@@ -1691,16 +1651,16 @@ mod tests {
             data: vec![9, 9, 0xAA, 0xBB].into(),
         };
         for _ in 0..2 {
-            assert!(c.lookup(&key, 7, &a, Nothing).is_none());
+            assert!(c.lookup(&key, 7, &a).is_none());
             c.scratch.payload_start = 4;
             c.scratch.applies.push((0, true, 0, NOT_WILD));
             c.scratch.counters.push((0, 1));
-            c.commit(&key, 7, &a, &out, None, &mut stats, &mut ext);
+            c.commit(&key, 7, &a, &out, &[], &mut stats, &mut ext);
         }
         // Same key, different payload: the hit splices the live bytes.
         let b = [1u8, 2, 3, 4, 0xCC, 0xDD];
         for _ in 0..3 {
-            let (v, _) = c.lookup(&key, 7, &b, Nothing).expect("hit");
+            let (v, _) = c.lookup(&key, 7, &b).expect("hit");
             let data = vec![9, 9, 0xCC, 0xDD].into();
             assert_eq!(v, Verdict::Forward { port: 3, data });
         }
@@ -1721,94 +1681,30 @@ mod tests {
         assert_eq!((stats[0].hits, ext.counter_read(0, 1)), (3, (3, 18)));
         assert_eq!(c.unfolded_count(0, 1), (0, 0));
         // Different port or length: miss.
-        assert!(c.lookup(&key, 8, &b, Nothing).is_none());
-        assert!(c.lookup(&key, 7, &b[..5], Nothing).is_none());
+        assert!(c.lookup(&key, 8, &b).is_none());
+        assert!(c.lookup(&key, 7, &b[..5]).is_none());
     }
 
+    /// Every entry stores its packet's stage lane, and a hit hands it out
+    /// where the entry keeps it, as a trace with no records; a commit
+    /// that overwrites the entry stores the new packet's lane.
     #[test]
-    fn traced_lookup_of_untraced_entry_misses() {
-        let (mut c, key) = (FlowCache::new(), whole(2));
-        let frame = [5u8, 6, 7];
-        for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
-            commit(
-                &mut c,
-                &key,
-                0,
-                &frame,
-                &Verdict::Drop(DropReason::NoEgress),
-                None,
-            );
-        }
-        // Untraced hit works…
-        assert!(c.lookup(&key, 0, &frame, Nothing).is_some());
-        // …but a traced probe must re-run to capture the event stream.
-        assert!(c.lookup(&key, 0, &frame, Everything).is_none());
-        let trace = TraceBytes {
-            records: &[1, 2, 3, 4],
-            lane: &[5, 6, 7, 8],
-        };
-        commit(
-            &mut c,
-            &key,
-            0,
-            &frame,
-            &Verdict::Drop(DropReason::NoEgress),
-            Some(trace),
-        );
-        let (_, at) = c.lookup(&key, 0, &frame, Everything).expect("traced hit");
-        // The hit's trace is read where the entry stores it, split back
-        // into its two lanes.
-        let stored = c.trace(at);
-        assert_eq!((stored.records, stored.lane), (trace.records, trace.lane));
-        // An untraced re-record drops the stored trace.
-        commit(
-            &mut c,
-            &key,
-            0,
-            &frame,
-            &Verdict::Drop(DropReason::NoEgress),
-            None,
-        );
-        assert!(c.trace(at).records.is_empty() && c.trace(at).lane.is_empty());
-    }
-
-    #[test]
-    fn a_records_reader_re_records_a_stages_only_entry() {
+    fn a_hit_reads_its_stage_lane_in_place() {
         let (mut c, key) = (FlowCache::new(), whole(2));
         let frame = [5u8, 6, 7];
         let drop = Verdict::Drop(DropReason::NoEgress);
-        let lane_only = TraceBytes {
-            records: &[],
-            lane: &[1, 0, 0, 0],
-        };
+        let lane = [1u8, 0, 0, 0, 2, 0, 0, 0x80];
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &frame, Stages).is_none());
-            commit(&mut c, &key, 0, &frame, &drop, Some(lane_only));
+            assert!(c.lookup(&key, 0, &frame).is_none());
+            commit(&mut c, &key, 0, &frame, &drop, &lane);
         }
-        // A stages-only entry serves the stage lane, and untraced lookups…
-        let (_, at) = c.lookup(&key, 0, &frame, Stages).expect("stages hit");
-        assert_eq!(
-            (c.trace(at).records, c.trace(at).lane),
-            (lane_only.records, lane_only.lane)
-        );
-        assert!(c.lookup(&key, 0, &frame, Nothing).is_some());
-        // …but a records reader misses and re-records it in full.
-        assert!(c.lookup(&key, 0, &frame, Everything).is_none());
-        let full = TraceBytes {
-            records: &[9, 0, 0, 0],
-            lane: &[1, 0, 0, 0],
-        };
-        assert!(commit(&mut c, &key, 0, &frame, &drop, Some(full)));
-        let (_, at) = c.lookup(&key, 0, &frame, Everything).expect("full hit");
-        assert_eq!(
-            (c.trace(at).records, c.trace(at).lane),
-            (full.records, full.lane)
-        );
-        // The full entry now serves every level, in the same slot.
-        assert!(c.lookup(&key, 0, &frame, Stages).is_some());
+        let (_, at) = c.lookup(&key, 0, &frame).expect("hit");
+        let stored = c.trace(at);
+        assert_eq!((stored.records, stored.lane), (&[][..], &lane[..]));
+        let other = [3u8, 0, 0, 0];
+        assert!(commit(&mut c, &key, 0, &frame, &drop, &other));
+        assert_eq!(c.trace(at).lane, other);
         assert_eq!(c.stats().occupancy, 1);
-        assert_eq!((c.stats().hits, c.stats().misses), (4, 3));
     }
 
     /// One packet through the cache as `run_one` drives it: the dormancy
@@ -1819,16 +1715,9 @@ mod tests {
             return None;
         }
         let key = whole(4);
-        let hit = c.lookup(&key, 0, frame, Nothing).is_some();
+        let hit = c.lookup(&key, 0, frame).is_some();
         if !hit {
-            commit(
-                c,
-                &key,
-                0,
-                frame,
-                &Verdict::Drop(DropReason::NoEgress),
-                None,
-            );
+            commit(c, &key, 0, frame, &Verdict::Drop(DropReason::NoEgress), &[]);
         }
         Some(hit)
     }
@@ -1957,15 +1846,18 @@ mod tests {
             f
         };
         // Each one-off key is sent once, so the cache goes dormant; the
-        // windows alternate between the two batch paths.
+        // windows alternate between the two batch paths, untraced and
+        // into a sink that reads the stage lane alone.
         let one_off: Vec<Vec<u8>> = (0..2000).map(frame).collect();
         let repeated = vec![frame(u32::MAX); 300];
         for frames in [&one_off, &repeated] {
             for (i, window) in frames.chunks(100).enumerate() {
                 let pkts: Vec<(u16, &[u8])> = window.iter().map(|f| (1, f.as_slice())).collect();
                 if i % 2 == 0 {
+                    dp.set_tracing(false);
                     dp.process_batch(&pkts, 0);
                 } else {
+                    dp.set_tracing(true);
                     dp.process_batch_with(&pkts, 0, &mut crate::NullSink);
                 }
             }
@@ -1976,14 +1868,14 @@ mod tests {
     }
 
     /// An entry is its offsets around one buffer, plus its unfolded hit
-    /// count: a stored trace, its lane split and the applies'
-    /// dependencies are sections of that buffer, not fields or buffers of
-    /// their own. The count takes 8 bytes of the 80 (72 without it; a
-    /// `u16` or `u32` count would not fit the padding either).
+    /// count: the stage lane and the applies' dependencies are sections
+    /// of that buffer, not fields or buffers of their own, and the lane's
+    /// offset follows from the others. The count takes 8 bytes of the 72
+    /// (64 without it).
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn the_lane_split_does_not_grow_an_entry() {
-        assert_eq!(std::mem::size_of::<Entry>(), 80);
+        assert_eq!(std::mem::size_of::<Entry>(), 72);
     }
 
     #[test]
@@ -1991,14 +1883,14 @@ mod tests {
         let (mut c, key) = (FlowCache::new(), whole(1));
         let hot = [0xA0u8, 0, 0];
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &hot, Nothing).is_none());
+            assert!(c.lookup(&key, 0, &hot).is_none());
             commit(
                 &mut c,
                 &key,
                 0,
                 &hot,
                 &Verdict::Drop(DropReason::NoEgress),
-                None,
+                &[],
             );
         }
         assert_eq!(c.stats().occupancy, 1);
@@ -2007,25 +1899,25 @@ mod tests {
         // hot key keeps hitting even if a one-off collides with its slot.
         for b in 0u8..32 {
             let frame = [b, 1, 2];
-            assert!(c.lookup(&key, 0, &frame, Nothing).is_none());
+            assert!(c.lookup(&key, 0, &frame).is_none());
             assert!(!commit(
                 &mut c,
                 &key,
                 0,
                 &frame,
                 &Verdict::Drop(DropReason::NoEgress),
-                None
+                &[]
             ));
         }
         assert_eq!(c.stats().occupancy, 1);
-        assert!(c.lookup(&key, 0, &hot, Nothing).is_some());
+        assert!(c.lookup(&key, 0, &hot).is_some());
     }
 
     /// Miss on `frame` with a `Forward` verdict to `out_port` until the
     /// tag filter lets it in.
     fn install(c: &mut FlowCache, frame: &[u8], out_port: u16) {
         let key = whole(4);
-        while c.lookup(&key, 0, frame, Nothing).is_none() {
+        while c.lookup(&key, 0, frame).is_none() {
             commit(
                 c,
                 &key,
@@ -2035,14 +1927,14 @@ mod tests {
                     port: out_port,
                     data: frame.to_vec().into(),
                 },
-                None,
+                &[],
             );
         }
     }
 
     fn probe(c: &mut FlowCache, frame: &[u8]) -> Option<Verdict> {
         let key = whole(4);
-        c.lookup(&key, 0, frame, Nothing).map(|(v, _)| v)
+        c.lookup(&key, 0, frame).map(|(v, _)| v)
     }
 
     #[test]
@@ -2094,7 +1986,7 @@ mod tests {
         let mut c = FlowCache::new();
         let a = [0xA0, 1, 0xA2, 3, 4, 0xA5, 0xA6, 0xA7];
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &a, Nothing).is_none());
+            assert!(c.lookup(&key, 0, &a).is_none());
             c.scratch.payload_start = 6;
             let mut out = a;
             out[3] = 0x33; // a written field
@@ -2107,7 +1999,7 @@ mod tests {
                     port: 1,
                     data: out.to_vec().into(),
                 },
-                None,
+                &[],
             );
         }
         assert_eq!(
@@ -2116,7 +2008,7 @@ mod tests {
             "only the keyed bytes are stored"
         );
         let b = [0xB0, 1, 0xB2, 3, 4, 0xB5, 0xB6, 0xB7];
-        let (v, _) = c.lookup(&key, 0, &b, Nothing).expect("hit");
+        let (v, _) = c.lookup(&key, 0, &b).expect("hit");
         assert_eq!(
             v,
             Verdict::Forward {
@@ -2127,7 +2019,7 @@ mod tests {
         // A keyed byte still tells flows apart.
         let mut d = b;
         d[4] = 0x44;
-        assert!(c.lookup(&key, 0, &d, Nothing).is_none());
+        assert!(c.lookup(&key, 0, &d).is_none());
     }
 
     /// Four programs that move a header, one way each: encap by

@@ -657,10 +657,10 @@ impl Dataplane {
     ) -> Vec<(Verdict, Option<Trace>)> {
         let (tracing, level) = (self.tracing, self.batch_level());
         self.with_pins(pkts.len(), |ctx, mut cache, env, buf| {
-            // Each packet records into the one reused flat buffer (or
-            // replays a cache entry's stored trace); the returned owned
-            // trace is decoded from there, pre-sized exactly from the
-            // record count.
+            // Each traced packet records into the one reused flat buffer
+            // (a records reader bypasses the flow cache); the returned
+            // owned trace is decoded from there, pre-sized exactly from
+            // the record count.
             pkts.iter()
                 .map(|&(port, data)| {
                     let cache = cache.as_deref_mut();
@@ -677,9 +677,10 @@ impl Dataplane {
     ///
     /// One flat record buffer is reused for the whole batch; the sink is
     /// handed each packet's verdict by value, with its events as an
-    /// undecoded [`LazyTrace`] borrowing that buffer, or the stored trace
-    /// of the flow-cache entry the packet hit ([`LazyTrace::decode`] to
-    /// keep), before the next packet executes —
+    /// undecoded [`LazyTrace`] borrowing that buffer, or for a sink that
+    /// reads no records the stage lane stored in the flow-cache entry the
+    /// packet hit ([`LazyTrace::decode`] to keep), before the next packet
+    /// executes —
     /// so at most one egress frame of the batch is alive unless the sink
     /// keeps them. When tracing is disabled ([`Dataplane::set_tracing`])
     /// the sink still sees every packet, with an empty trace; when the
@@ -750,15 +751,17 @@ impl ExecCtx<'_> {
     /// engine; a miss runs the compiled engine with outcome recording
     /// and commits the entry. With no cache
     /// — uncacheable program, cache disabled, the reference engine
-    /// (which stays the unmemoized oracle), or a dormant cache letting
-    /// the packet through unprobed — this is exactly the pre-cache path.
+    /// (which stays the unmemoized oracle), a records reader
+    /// ([`Recording::Everything`]), or a dormant cache letting the packet
+    /// through unprobed — this is exactly the pre-cache path.
     ///
     /// Returns the verdict and where the packet's trace is: `buf`, or, for
-    /// a traced hit, the hit entry's stored trace, read in place. The
-    /// trace holds what `level` asks for (every record, final verdict
-    /// included; the stage lane alone; or nothing), so streaming consumers
-    /// see identical event streams either way. Each call names its own
-    /// packet's trace, so a later packet never reads an earlier hit's.
+    /// a hit read at [`Recording::Stages`], the hit entry's stored stage
+    /// lane, read in place. The trace holds what `level` asks for (every
+    /// record, final verdict included; the stage lane alone; or nothing),
+    /// so streaming consumers see identical event streams either way. Each
+    /// call names its own packet's trace, so a later packet never reads an
+    /// earlier hit's.
     ///
     /// Always inlined into the entry points, with the miss half out of
     /// line. Called out of line, the returned view went through the stack
@@ -776,7 +779,8 @@ impl ExecCtx<'_> {
         buf: &'t mut TraceBuf,
         level: Recording,
     ) -> (Verdict, TraceBytes<'t>) {
-        let cache = cache.filter(|_| self.engine == Engine::Compiled);
+        let cache =
+            cache.filter(|_| self.engine == Engine::Compiled && level != Recording::Everything);
         let Some((cache, key)) = cache
             .and_then(|c| c.probes().then_some(c))
             .zip(self.compiled.cache_key.as_ref())
@@ -784,8 +788,9 @@ impl ExecCtx<'_> {
             let verdict = self.run_recorded(port, data, now_cycles, env, buf, level, None);
             return (verdict, buf.bytes());
         };
-        if let Some((verdict, at)) = cache.lookup(key, port, data, level) {
-            let trace = if level == Recording::Nothing {
+        let untraced = level == Recording::Nothing;
+        if let Some((verdict, at)) = cache.lookup(key, port, data) {
+            let trace = if untraced {
                 TraceBytes::default()
             } else {
                 cache.trace(at)
@@ -793,13 +798,20 @@ impl ExecCtx<'_> {
             return (verdict, trace);
         }
         let verdict = self.run_miss(cache, key, port, data, now_cycles, env, buf, level);
-        (verdict, buf.bytes())
+        let trace = if untraced {
+            TraceBytes::default()
+        } else {
+            buf.bytes()
+        };
+        (verdict, trace)
     }
 
     /// The flow-cache miss half of [`ExecCtx::run_one`]: run the compiled
     /// engine, recording the outcome, and leave the packet's trace in
-    /// `buf`. Whether the cache installs the outcome is decided by the
-    /// commit, once the run knows which key bytes its lookups examined.
+    /// `buf`. A miss the cache records runs at [`Recording::Stages`] for an
+    /// untraced caller too, so every entry stores its stage lane. Whether
+    /// the cache installs the outcome is decided by the commit, once the
+    /// run knows which key bytes its lookups examined.
     #[allow(clippy::too_many_arguments)]
     fn run_miss(
         &mut self,
@@ -816,21 +828,25 @@ impl ExecCtx<'_> {
         let mut rec = cache.record(key, || {
             tables.iter().any(|t| !t.snapshot.examines_every_bit())
         });
+        let level = match level {
+            Recording::Nothing if rec.is_some() => Recording::Stages,
+            level => level,
+        };
         let verdict =
             self.run_recorded(port, data, now_cycles, env, buf, level, rec.as_deref_mut());
         if let Some(rec) = rec {
             rec.located(key, |h| env.headers[h].offset);
+            let lane = buf.bytes().lane;
+            cache.commit(
+                key,
+                port,
+                data,
+                &verdict,
+                lane,
+                self.table_stats,
+                self.externs,
+            );
         }
-        let trace = (level != Recording::Nothing).then(|| buf.bytes());
-        cache.commit(
-            key,
-            port,
-            data,
-            &verdict,
-            trace,
-            self.table_stats,
-            self.externs,
-        );
         verdict
     }
 

@@ -262,43 +262,89 @@ mod tests {
         assert_eq!(dp.cache_stats().occupancy, 0);
     }
 
-    /// A flow-cache hit's trace is read in place from its entry for that
-    /// packet only: whatever path the next packet takes — the reference
-    /// engine, which skips the cache, or a traced miss after an untraced
-    /// hit — its trace is its own.
+    /// A sink that reads the stage lane alone, and keeps each packet's.
+    #[derive(Default)]
+    struct Lanes(Vec<Vec<Stage>>);
+
+    impl TraceSink for Lanes {
+        fn observe(&mut self, _: usize, _: Verdict, trace: &LazyTrace<'_>) {
+            self.0.push(trace.stages().collect());
+        }
+
+        fn reads_records(&self) -> bool {
+            false
+        }
+    }
+
+    /// The stage lane `dp` hands a [`Lanes`] sink for `frame`.
+    fn lane(dp: &mut Dataplane, frame: &[u8]) -> Vec<Stage> {
+        let mut lanes = Lanes::default();
+        dp.process_batch_with(&[(0, frame)], 0, &mut lanes);
+        lanes.0.pop().expect("one packet, one lane")
+    }
+
+    /// A flow-cache hit's stage lane is read in place from its entry for
+    /// that packet only: whatever path the next packet takes — the
+    /// reference engine or a records reader, which both skip the cache,
+    /// or a stage-lane miss after an untraced hit — its trace is its own.
+    /// A records reader on a warm cache counts in none of its statistics,
+    /// and an untraced caller gets an empty trace from a hit and from a
+    /// recorded miss alike, whose entry still stores the lane.
     #[test]
     fn a_hit_trace_never_outlives_its_packet() {
         let hot = ipv4_frame(Ipv4Address::new(10, 1, 2, 3), 64);
         let mut rejected = hot.clone();
         rejected[14] = 0x55;
         let missed = ipv4_frame(Ipv4Address::new(192, 168, 0, 1), 64);
-        let own = |frame: &[u8]| {
+        let reference = || {
             let mut dp = router();
             dp.set_engine(Engine::Reference);
-            dp.process(0, frame, 0).1
+            dp
         };
+        let own = |frame: &[u8]| reference().process(0, frame, 0).1;
+        let own_lane = |frame: &[u8]| lane(&mut reference(), frame);
         let mut dp = router();
         for _ in 0..2 {
-            dp.process(0, &hot, 0);
+            lane(&mut dp, &hot);
         }
-        // 1. A traced hit.
+        // 1. A stage-lane hit.
         let hits = dp.cache_stats().hits;
-        assert_eq!(dp.process(0, &hot, 0).1, own(&hot));
+        assert_eq!(lane(&mut dp, &hot), own_lane(&hot));
         assert_eq!(dp.cache_stats().hits, hits + 1);
-        // 2-3. The reference engine skips the cache; its trace is its own.
+        // 2. Records readers on the warm cache run the engine, hit key and
+        // new key alike: each trace is the reference's, and the cache
+        // counts nothing.
+        let stats = dp.cache_stats();
+        assert_eq!(dp.process(0, &hot, 0).1, own(&hot));
+        assert_eq!(dp.process_batch(&[(0, &hot)], 0)[0].1, Some(own(&hot)));
+        for _ in 0..2 {
+            assert_eq!(dp.process(0, &missed, 0).1, own(&missed));
+        }
+        assert_eq!(dp.cache_stats(), stats);
+        // 3. The reference engine skips the cache; its trace is its own.
         dp.set_engine(Engine::Reference);
         assert_eq!(dp.process(0, &rejected, 0).1, own(&rejected));
         // 4. An untraced hit has no trace.
         dp.set_engine(Engine::Compiled);
         dp.set_tracing(false);
         assert_eq!(dp.process_batch(&[(0, &hot)], 0)[0].1, None);
-        assert_eq!(dp.cache_stats().hits, hits + 2);
-        // 5. A traced miss records its own.
+        assert_eq!(lane(&mut dp, &hot), []);
+        assert_eq!(dp.cache_stats().hits, hits + 3);
+        // 5. A stage-lane miss records its own.
         dp.set_tracing(true);
         let misses = dp.cache_stats().misses;
-        let traced = dp.process_batch(&[(0, &missed)], 0);
-        assert_eq!(traced[0].1, Some(own(&missed)));
+        assert_eq!(lane(&mut dp, &missed), own_lane(&missed));
         assert_eq!(dp.cache_stats().misses, misses + 1);
+        // 6. An untraced second miss is installed with no trace for its
+        // caller, and its entry serves the next stage-lane reader its lane.
+        dp.set_tracing(false);
+        let occupancy = dp.cache_stats().occupancy;
+        assert_eq!(lane(&mut dp, &missed), []);
+        assert_eq!(dp.cache_stats().occupancy, occupancy + 1);
+        dp.set_tracing(true);
+        let hits = dp.cache_stats().hits;
+        assert_eq!(lane(&mut dp, &missed), own_lane(&missed));
+        assert_eq!(dp.cache_stats().hits, hits + 1);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! lane** holds the packet's stage path: one `u32` word per parser state
 //! entered or table applied, the id a state or table record would
 //! otherwise carry. Each id is stored once, in the lane; a record reads
-//! its id back from there. A [`LazyTrace`] borrows both lanes — from the
-//! buffer, or from the flow-cache entry a hit replays — plus the program's
-//! interned name tables, and decodes to [`TraceEvent`]s **only when a
+//! its id back from there. A [`LazyTrace`] borrows both lanes from the
+//! buffer, or the stage lane alone from the flow-cache entry a hit
+//! replays, plus the program's interned name tables, and decodes to [`TraceEvent`]s **only when a
 //! consumer actually inspects it**: a [`TraceSink`] that just counts
 //! stages walks the stage lane without touching a record. A sink that
 //! says so ([`TraceSink::reads_records`]) does not even have the records
@@ -388,10 +388,8 @@ const TAG_FINAL: u32 = 9;
 /// Set in a stage-lane word that names a table; clear for a parser state.
 const LANE_TABLE: u32 = 1 << 31;
 
-/// How much of a packet's trace the engines record, in increasing order:
-/// a cache entry recorded at one level serves a lookup at any level up to
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How much of a packet's trace the engines record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Recording {
     /// No trace (tracing off).
     Nothing,
@@ -715,8 +713,9 @@ impl Iterator for Records<'_> {
 }
 
 /// A borrowed, undecoded per-packet trace: the flat record lane and stage
-/// lane (from the trace buffer, or in place in the flow-cache entry a hit
-/// replays) plus the program's interned name tables.
+/// lane from the trace buffer (or the stage lane alone, in place in the
+/// flow-cache entry a hit replays) plus the program's interned name
+/// tables.
 ///
 /// This is what a [`TraceSink`] observes on the streaming batch path.
 /// Consumers that only need the stage path walk the stage lane
@@ -727,7 +726,7 @@ impl Iterator for Records<'_> {
 /// `Arc`s or allocates key vectors — the recording engines never do.
 ///
 /// A trace recorded for a sink that reads no records
-/// ([`TraceSink::reads_records`] is `false`) may hold the stage lane
+/// ([`TraceSink::reads_records`] is `false`) holds the stage lane
 /// alone: its `stages()` are complete, and its `decode()` and
 /// `event_count()` are empty.
 pub struct LazyTrace<'a> {

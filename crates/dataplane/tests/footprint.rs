@@ -9,18 +9,34 @@
 //!
 //! Its own test binary because it installs a byte-counting global
 //! allocator; one `#[test]` so nothing else allocates while it counts.
+//! The allocator counts the test thread's calls alone: the harness's
+//! other threads allocate now and then (a few bytes, under load) and
+//! would land in the windows that assert no allocation.
 
 use netdebug_dataplane::{Dataplane, NullSink, TableEntry, Update, Verdict};
 use netdebug_p4::corpus;
 use netdebug_p4::ir::IrPattern;
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Allocation calls, bytes requested and bytes released, all cumulative.
+/// The counted thread's allocation calls, bytes requested and bytes
+/// released, all cumulative.
 static CALLS: AtomicU64 = AtomicU64::new(0);
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
 static RELEASED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Whether this thread's calls are counted: the test sets it on its
+    /// own thread. Const-initialised and without a destructor, so reading
+    /// it allocates nothing and works during thread teardown.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted() -> bool {
+    COUNTED.try_with(Cell::get).unwrap_or(false)
+}
 
 struct Counting;
 
@@ -28,22 +44,28 @@ struct Counting;
 // the `GlobalAlloc` contract; the counters are statistics beside it.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if counted() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        RELEASED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if counted() {
+            RELEASED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
         // SAFETY: `p` came from `System.alloc` with this layout.
         unsafe { System.dealloc(p, layout) }
     }
 
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
-        RELEASED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if counted() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+            RELEASED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        }
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.realloc(p, layout, new_size) }
     }
@@ -122,6 +144,7 @@ fn install_flows(dp: &mut Dataplane, frames: &[Vec<u8>]) {
 
 #[test]
 fn resident_memory_follows_resident_flows() {
+    COUNTED.with(|c| c.set(true));
     // An empty cache: what switching it off gives back, and what a clone
     // pays for its own.
     let mut dp = router();

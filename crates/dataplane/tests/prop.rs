@@ -1937,7 +1937,10 @@ proptest! {
     /// the cached default, the cache-off compiled engine and the reference
     /// agree on a repetitive stream (a small pool, processed three times),
     /// after a prefix of one-off frames that puts the cache to sleep with
-    /// `dormant`.
+    /// `dormant`. Traced, the cached side reads the stage lane alone, as a
+    /// device tap does (a records reader bypasses the cache), and its
+    /// verdicts and lanes equal the reference's; the cache-off side and
+    /// the reference compare whole decoded traces.
     #[test]
     fn flow_cache_parity_on_liveness_shapes(
         pool in proptest::collection::vec((0u16..4, liveness_case()), 1..6),
@@ -1968,9 +1971,22 @@ proptest! {
         // A key installs on its second miss, so the third pass hits.
         for (round, pkts) in [&prefix, &pkts, &pkts, &pkts].into_iter().enumerate() {
             let round = round as u64;
-            let c = cached_dp.process_batch(pkts, round);
-            prop_assert_eq!(&c, &uncached_dp.process_batch(pkts, round), "cache-on vs cache-off");
-            prop_assert_eq!(&c, &reference_dp.process_batch(pkts, round), "cache-on vs reference");
+            let u = uncached_dp.process_batch(pkts, round);
+            let r = reference_dp.process_batch(pkts, round);
+            prop_assert_eq!(&u, &r, "cache-off vs reference");
+            if tracing {
+                let mut sink = StageSink::default();
+                cached_dp.process_batch_with(pkts, round, &mut sink);
+                let lanes: Vec<(Verdict, Vec<Stage>)> = r
+                    .into_iter()
+                    .map(|(v, t)| (v, decoded_stages(&reference_dp, &t.expect("tracing is on"))))
+                    .collect();
+                prop_assert_eq!(&sink.0, &lanes, "cache-on vs reference");
+            } else {
+                let c = cached_dp.process_batch(pkts, round);
+                prop_assert_eq!(&c, &u, "cache-on vs cache-off");
+                prop_assert_eq!(&c, &r, "cache-on vs reference");
+            }
         }
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
@@ -2040,11 +2056,13 @@ proptest! {
     /// plus a sink that walks `stages()`. Over every corpus program and
     /// `liveness_shapes.p4`, with routable, malformed, truncated and
     /// arbitrary frames, `stages()` is exactly the `ParserState` /
-    /// `TableApply` events of `decode()` in order, and verdict, lane and
-    /// trace agree between the cached compiled engine, the cache-off one
-    /// and the reference. Three rounds of one stream: a key is installed
-    /// on its second miss, so the third round reads every cacheable
-    /// packet's trace in place from its entry.
+    /// `TableApply` events of `decode()` in order on the cache-off compiled
+    /// engine and the reference, which agree on verdict, lane and trace.
+    /// The cached compiled engine is read as a tap reads it (a records
+    /// reader bypasses the cache), and its verdicts and lanes equal the
+    /// reference's. Three rounds of one stream: a key is installed on its
+    /// second miss, so the third round reads every cacheable packet's lane
+    /// in place from its entry.
     #[test]
     fn stage_lane_matches_records(
         prog_idx in 0usize..=corpus::corpus().len(),
@@ -2072,11 +2090,8 @@ proptest! {
             })
             .collect();
         for round in 0..3 {
-            let mut runs = [LaneSink::default(), LaneSink::default(), LaneSink::default()];
-            for (dp, sink) in [&mut cached_dp, &mut uncached_dp, &mut reference_dp]
-                .into_iter()
-                .zip(&mut runs)
-            {
+            let mut runs = [LaneSink::default(), LaneSink::default()];
+            for (dp, sink) in [&mut uncached_dp, &mut reference_dp].into_iter().zip(&mut runs) {
                 dp.process_batch_with(&pkts, 0, sink);
                 prop_assert_eq!(sink.0.len(), pkts.len());
                 for (i, (_, stages, trace)) in sink.0.iter().enumerate() {
@@ -2085,10 +2100,14 @@ proptest! {
                     prop_assert_eq!(trace.events.is_empty(), !tracing);
                 }
             }
-            let [cached, uncached, reference] = &runs;
+            let [uncached, reference] = &runs;
+            let mut cached = StageSink::default();
+            cached_dp.process_batch_with(&pkts, 0, &mut cached);
+            prop_assert_eq!(cached.0.len(), pkts.len());
             for (i, ((c, u), r)) in cached.0.iter().zip(&uncached.0).zip(&reference.0).enumerate() {
-                prop_assert_eq!(c, u, "cache-on vs cache-off (round {}, packet {})", round, i);
-                prop_assert_eq!(c, r, "cache-on vs reference (round {}, packet {})", round, i);
+                prop_assert_eq!(u, r, "cache-off vs reference (round {}, packet {})", round, i);
+                prop_assert_eq!((&c.0, &c.1), (&r.0, &r.1),
+                    "cache-on vs reference (round {}, packet {})", round, i);
             }
         }
         if cached_dp.flow_cache_enabled() {
@@ -2118,8 +2137,9 @@ impl TraceSink for StageSink {
 proptest! {
     /// One cached data plane fed by sinks that want different amounts of
     /// trace: each round of one stream goes to a records reader (a
-    /// `LaneSink`) or to a stages-only `StageSink`, so stages-only cache
-    /// entries meet records readers and full ones meet stage walkers.
+    /// `LaneSink`, which bypasses the cache) or to a stages-only
+    /// `StageSink`, so records readers run between stage walkers that the
+    /// cache serves, and must neither read nor disturb its entries.
     /// Over every corpus program and `liveness_shapes.p4`, its verdicts and
     /// stage lanes equal those of a cache-off compiled data plane and of the
     /// reference (both reading every record), every trace the records sink

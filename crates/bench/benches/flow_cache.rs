@@ -67,8 +67,10 @@
 //! alone by more than the bound.
 //! `l2_switch` gets no-collapse floors (repeated must still win; random
 //! must stay within noise of its floor-bound baseline), and every
-//! configuration must produce FNV-identical verdict streams with the
-//! cache on and off, the churn streams included, and identical table
+//! configuration must produce FNV-identical verdict streams (traced, with
+//! the stage lanes, streamed into a sink that reads no records, so the
+//! cache serves it) with the cache on and off, every cache-on packet a
+//! hit, a miss or a skip, the churn streams included, and identical table
 //! statistics and counter cells at the end of each (a hit counts itself
 //! on its entry, and the totals fold that count in). Under churn the hit
 //! ratio must reach 0.95 when no window names a flow (it read 0.0000
@@ -84,7 +86,9 @@
 use netdebug_bench::{
     banner, dec, fnv, host_cores, row, switch_dataplane, time_ops, Report, Value, FNV_OFFSET,
 };
-use netdebug_dataplane::{Dataplane, NullSink, TableEntry, Update, Verdict};
+use netdebug_dataplane::{
+    Dataplane, LazyTrace, NullSink, Stage, TableEntry, TraceSink, Update, Verdict,
+};
 use netdebug_p4::ir::{ExternKindIr, IrPattern};
 use netdebug_packet::{EthernetAddress, Ipv4Address, PacketBuilder};
 use std::hint::black_box;
@@ -98,6 +102,8 @@ const TRIALS: usize = 3;
 /// and the batches each side of a pair sweeps.
 const MISS_PAIRS: usize = 21;
 const MISS_ROUNDS: usize = 10;
+/// Batches of one parity digest.
+const DIGEST_ROUNDS: usize = 8;
 const FLOWS: usize = 8;
 const RANDOM_FLOWS: usize = 65_536;
 /// Publications the churn rows time, one before each batch.
@@ -482,32 +488,53 @@ fn fold_counts(mut h: u64, dp: &Dataplane) -> u64 {
     h
 }
 
-/// FNV digest over the verdict stream of one pass, then the table
-/// statistics and counters it leaves — the parity witness that cache-on
-/// and cache-off are observationally identical.
+/// FNV digest over the verdict stream of one pass, with each traced
+/// packet's stage lane, then the table statistics and counters it leaves
+/// — the parity witness that cache-on and cache-off are observationally
+/// identical. The pass streams into a [`LaneDigest`], which reads no
+/// records, so the flow cache serves it traced too (a records reader
+/// bypasses the cache).
 fn digest(dp: &mut Dataplane, frames: &[Vec<u8>]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for round in 0..8 {
-        let pkts = batch_of(frames, round);
-        for (verdict, _) in dp.process_batch(&pkts, 0) {
-            match verdict {
-                Verdict::Forward { port, data } => {
-                    h = fnv(h, &[1]);
-                    h = fnv(h, &port.to_le_bytes());
-                    h = fnv(h, &data);
-                }
-                Verdict::Flood { data } => {
-                    h = fnv(h, &[2]);
-                    h = fnv(h, &data);
-                }
-                Verdict::Drop(reason) => {
-                    h = fnv(h, &[3]);
-                    h = fnv(h, format!("{reason:?}").as_bytes());
-                }
+    let mut sink = LaneDigest(FNV_OFFSET);
+    for round in 0..DIGEST_ROUNDS {
+        dp.process_batch_with(&batch_of(frames, round), 0, &mut sink);
+    }
+    fold_counts(sink.0, dp)
+}
+
+/// FNV state over each verdict and stage lane a batch hands it.
+struct LaneDigest(u64);
+
+impl TraceSink for LaneDigest {
+    fn observe(&mut self, _index: usize, verdict: Verdict, trace: &LazyTrace<'_>) {
+        let h = &mut self.0;
+        match verdict {
+            Verdict::Forward { port, data } => {
+                *h = fnv(*h, &[1]);
+                *h = fnv(*h, &port.to_le_bytes());
+                *h = fnv(*h, &data);
+            }
+            Verdict::Flood { data } => {
+                *h = fnv(*h, &[2]);
+                *h = fnv(*h, &data);
+            }
+            Verdict::Drop(reason) => {
+                *h = fnv(*h, &[3]);
+                *h = fnv(*h, format!("{reason:?}").as_bytes());
             }
         }
+        for stage in trace.stages() {
+            let (tag, id) = match stage {
+                Stage::State(id) => (4, id),
+                Stage::Table(id) => (5, id),
+            };
+            *h = fnv(fnv(*h, &[tag]), &id.to_le_bytes());
+        }
     }
-    fold_counts(h, dp)
+
+    fn reads_records(&self) -> bool {
+        false
+    }
 }
 
 /// One `l2_switch` frame per flow-cache slot: of 65 536 candidate
@@ -724,23 +751,28 @@ fn main() -> ExitCode {
         }
     }
 
-    // Parity witness: identical verdict and count digests with the cache
-    // on and off, on every stream of every program (repeated exercises
-    // the hit-replay path, random the miss/filter path, swept hits that
-    // pass unkeyed bytes through), traced and untraced.
+    // Parity witness: identical verdict, stage-lane and count digests
+    // with the cache on and off, on every stream of every program
+    // (repeated exercises the hit-replay path, random the miss/filter
+    // path, swept hits that pass unkeyed bytes through), traced and
+    // untraced, and every packet of the cache-on run is a hit, a miss or
+    // a skip.
     for (prog, build, streams) in &programs {
         for traced in [true, false] {
             for (stream_name, frames) in streams {
-                let [d_on, d_off] = [true, false].map(|cache_on| {
+                let [(d_on, cached), (d_off, _)] = [true, false].map(|cache_on| {
                     let mut dp = build();
                     dp.set_tracing(traced);
                     dp.set_flow_cache(cache_on);
-                    digest(&mut dp, frames)
+                    let d = digest(&mut dp, frames);
+                    let s = dp.cache_stats();
+                    (d, s.hits + s.misses + s.skipped)
                 });
+                let pkts = (DIGEST_ROUNDS * BATCH) as u64;
                 report.gate(
                     &format!("cache-on and cache-off verdicts and counts agree: {prog}/{stream_name} traced={traced}"),
-                    d_on == d_off,
-                    format!("0x{d_on:016x} vs 0x{d_off:016x}"),
+                    d_on == d_off && cached == pkts,
+                    format!("0x{d_on:016x} vs 0x{d_off:016x}, {cached}/{pkts} packets through the cache"),
                 );
             }
         }

@@ -1540,14 +1540,18 @@ proptest! {
     /// traces and runtime state on the cached default, the cache-off
     /// compiled engine and the reference oracle — for every corpus
     /// program, arbitrary (including malformed) frame bytes, ports,
-    /// timestamps and both tracing modes. Uncacheable programs pass
-    /// trivially (the cache never engages); cacheable ones replay. With
-    /// `dormant`, one-off frames go first, so the stream meets a dormant
-    /// cache that skips 15 packets in 16. With `sweep`, the stream's
-    /// packets differ in one byte, as a generator's sweep makes them:
-    /// where the program never reads that byte, its packets share a key,
-    /// so hits serve packets whose unkeyed bytes differ from the recorded
-    /// packet's.
+    /// timestamps and both tracing modes. Traced, the cached side reads
+    /// the stage lane alone, as a device tap does (a records reader
+    /// bypasses the cache), and its verdicts and lanes equal the
+    /// reference's; the cache-off side and the reference compare whole
+    /// traces. Uncacheable programs pass trivially (the cache never
+    /// engages); on cacheable ones every packet of the cached side is a
+    /// hit, a miss or a skip. With `dormant`, one-off frames go first, so
+    /// the stream meets a dormant cache that skips 15 packets in 16. With
+    /// `sweep`, the stream's packets differ in one byte, as a generator's
+    /// sweep makes them: where the program never reads that byte, its
+    /// packets share a key, so hits serve packets whose unkeyed bytes
+    /// differ from the recorded packet's.
     #[test]
     fn flow_cache_parity_across_corpus(
         prog_idx in 0usize..corpus::corpus().len(),
@@ -1587,23 +1591,25 @@ proptest! {
         if dormant {
             let prefix = one_off_frames(&pool[0].1);
             let prefix = as_batch(&prefix, pool[0].0);
-            let c = cached_dp.process_batch(&prefix, u64::from(now));
-            prop_assert_eq!(&c, &uncached_dp.process_batch(&prefix, u64::from(now)));
-            prop_assert_eq!(&c, &reference_dp.process_batch(&prefix, u64::from(now)));
+            let c = cached_lanes(&mut cached_dp, &prefix, u64::from(now), tracing);
+            let r = reference_dp.process_batch(&prefix, u64::from(now));
+            prop_assert_eq!(&uncached_dp.process_batch(&prefix, u64::from(now)), &r);
+            prop_assert_eq!(&c, &lanes_of(&reference_dp, &r));
         }
         // Two rounds of the same stream: round 0 populates the cache,
         // round 1 replays it (the timestamp moves between rounds, which
         // must not matter — timestamp readers classify Uncacheable).
         for round in 0..2u64 {
             let t = u64::from(now) + round;
-            let c = cached_dp.process_batch(&pkts, t);
+            let c = cached_lanes(&mut cached_dp, &pkts, t, tracing);
             let u = uncached_dp.process_batch(&pkts, t);
             let r = reference_dp.process_batch(&pkts, t);
-            for (i, ((c, u), r)) in c.iter().zip(&u).zip(&r).enumerate() {
-                prop_assert_eq!(c, u,
-                    "cache-on vs cache-off diverged on {} (round {}, packet {})",
+            let lanes = lanes_of(&reference_dp, &r);
+            for (i, (((c, u), r), lane)) in c.iter().zip(&u).zip(&r).zip(&lanes).enumerate() {
+                prop_assert_eq!(u, r,
+                    "cache-off vs reference diverged on {} (round {}, packet {})",
                     prog.name, round, i);
-                prop_assert_eq!(c, r,
+                prop_assert_eq!(c, lane,
                     "cache-on vs reference diverged on {} (round {}, packet {})",
                     prog.name, round, i);
             }
@@ -1611,6 +1617,7 @@ proptest! {
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
         prop_assert_eq!(uncached_dp.cache_stats().hits, 0, "disabled cache must not hit");
+        all_through_cache(&cached_dp)?;
     }
 
     /// Cache parity under batches and mid-stream republication on a
@@ -1623,7 +1630,12 @@ proptest! {
     /// (routable, unroutable, malformed, truncated, soup) so the cache
     /// genuinely replays within and across windows. With `dormant`, a
     /// window of one-off frames goes first, so the windows after it meet
-    /// a dormant cache, across the republication too.
+    /// a dormant cache, across the republication too. The cached side runs
+    /// untraced, or traced into a `StageSink` as a device tap reads (a
+    /// records reader bypasses the cache), and every packet of it is a
+    /// hit, a miss or a skip; its verdicts and lanes equal the
+    /// reference's, and the cache-off side and the reference compare
+    /// whole traces.
     #[test]
     fn flow_cache_parity_on_batches_and_republication(
         pool in proptest::collection::vec(
@@ -1631,6 +1643,7 @@ proptest! {
         picks in proptest::collection::vec(any::<u16>(), 2..48),
         now in any::<u32>(),
         dormant in any::<bool>(),
+        tracing in any::<bool>(),
     ) {
         let built: Vec<(u16, Vec<u8>)> = pool
             .iter()
@@ -1654,30 +1667,40 @@ proptest! {
             let mut dp = Dataplane::new(ir);
             dp.set_engine(engine);
             dp.set_flow_cache(cache);
+            dp.set_tracing(tracing);
             dp.control_plane().write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A00_0000, 8, "ipv4_forward", vec![0xAA, 1]))])
                 .unwrap();
             dp
         };
-        let run = |engine: Engine, cache: bool| {
-            let mut dp = deploy(engine, cache);
+        /// The windows through `dp`, each read by `batch`: the prefix and
+        /// `w1` before the republication, `w2` after it.
+        fn run<T>(
+            mut dp: Dataplane,
+            [prefix, w1, w2]: [&[(u16, &[u8])]; 3],
+            batch: impl Fn(&mut Dataplane, &[(u16, &[u8])]) -> Vec<T>,
+        ) -> (Vec<T>, Vec<T>, Dataplane) {
             let cp = dp.control_plane();
-            let win0 = dp.process_batch(&prefix, now);
-            let win1 = [win0, dp.process_batch(w1, now)].concat();
+            let mut win1 = batch(&mut dp, prefix);
+            win1.extend(batch(&mut dp, w1));
             cp.write(&[Update::Insert("ipv4_lpm", TableEntry::lpm(0x0A01_0000, 16, "ipv4_forward", vec![0xBB, 2]))])
                 .unwrap();
-            let win2 = dp.process_batch(w2, now);
+            let win2 = batch(&mut dp, w2);
             (win1, win2, dp)
-        };
-        let (c1, c2, cached_dp) = run(Engine::Compiled, true);
+        }
+        let windows = [prefix.as_slice(), w1, w2];
+        let (c1, c2, cached_dp) =
+            run(deploy(Engine::Compiled, true), windows, |dp, pkts| cached_lanes(dp, pkts, now, tracing));
         prop_assert!(cached_dp.flow_cache_enabled(), "ipv4_forward is cacheable");
-        let (u1, u2, uncached_dp) = run(Engine::Compiled, false);
-        let (r1, r2, reference_dp) = run(Engine::Reference, false);
-        prop_assert_eq!(&c1, &u1, "pre-install window: cache-on vs cache-off");
-        prop_assert_eq!(&c2, &u2, "post-install window: cache-on vs cache-off");
-        prop_assert_eq!(&c1, &r1, "pre-install window: cache-on vs reference");
-        prop_assert_eq!(&c2, &r2, "post-install window: cache-on vs reference");
+        let whole = |dp: &mut Dataplane, pkts: &[(u16, &[u8])]| dp.process_batch(pkts, now);
+        let (u1, u2, uncached_dp) = run(deploy(Engine::Compiled, false), windows, whole);
+        let (r1, r2, reference_dp) = run(deploy(Engine::Reference, false), windows, whole);
+        prop_assert_eq!(&u1, &r1, "pre-install window: cache-off vs reference");
+        prop_assert_eq!(&u2, &r2, "post-install window: cache-off vs reference");
+        prop_assert_eq!(&c1, &lanes_of(&reference_dp, &r1), "pre-install window: cache-on vs reference");
+        prop_assert_eq!(&c2, &lanes_of(&reference_dp, &r2), "post-install window: cache-on vs reference");
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
+        all_through_cache(&cached_dp)?;
     }
 }
 
@@ -1770,10 +1793,13 @@ proptest! {
     /// and ones that miss them, masked and LPM inserts, clears, and
     /// batches some table rejects. The cached default, the cache-off
     /// compiled engine and the reference agree on every write's result,
-    /// every verdict and trace, the table statistics and the counters: a
-    /// publication drops exactly the cached flows whose lookups it can
-    /// change, and a flow it leaves resident replays what the new tables
-    /// would compute.
+    /// every verdict, the table statistics and the counters, and the
+    /// cache-off side and the reference on every trace; traced, the
+    /// cached side reads the stage lane alone, as a device tap does (a
+    /// records reader bypasses the cache), and its lanes equal the
+    /// reference's. A publication drops exactly the cached flows whose
+    /// lookups it can change, and a flow it leaves resident replays what
+    /// the new tables would compute.
     #[test]
     fn flow_cache_parity_under_churn(
         prog_idx in 0usize..corpus::corpus().len(),
@@ -1817,30 +1843,38 @@ proptest! {
                 prop_assert_eq!(&c, &u, "{}: write results diverged", prog.name);
                 prop_assert_eq!(&c, &r, "{}: write results diverged", prog.name);
             }
-            let c = cached_dp.process_batch(&pkts, 0);
+            let c = cached_lanes(&mut cached_dp, &pkts, 0, tracing);
             let u = uncached_dp.process_batch(&pkts, 0);
             let r = reference_dp.process_batch(&pkts, 0);
-            for (i, ((c, u), r)) in c.iter().zip(&u).zip(&r).enumerate() {
-                prop_assert_eq!(c, u,
-                    "cache-on vs cache-off diverged on {} (round {}, packet {})", prog.name, round, i);
-                prop_assert_eq!(c, r,
+            let lanes = lanes_of(&reference_dp, &r);
+            for (i, (((c, u), r), lane)) in c.iter().zip(&u).zip(&r).zip(&lanes).enumerate() {
+                prop_assert_eq!(u, r,
+                    "cache-off vs reference diverged on {} (round {}, packet {})", prog.name, round, i);
+                prop_assert_eq!(c, lane,
                     "cache-on vs reference diverged on {} (round {}, packet {})", prog.name, round, i);
             }
         }
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
+        all_through_cache(&cached_dp)?;
     }
 }
 
-/// `pkts` through `on` and `off` as one batch each: the same verdicts
-/// and traces.
+/// `pkts` through `on` as the flow cache serves them and through `off`
+/// as one batch each: the same verdicts and, with `tracing`, stage lanes.
 fn both(
     on: &mut Dataplane,
     off: &mut Dataplane,
     pkts: &[(u16, &[u8])],
+    tracing: bool,
 ) -> Result<(), TestCaseError> {
-    let (a, b) = (on.process_batch(pkts, 0), off.process_batch(pkts, 0));
-    prop_assert_eq!(a, b, "cache-on vs cache-off verdicts diverged");
+    let a = cached_lanes(on, pkts, 0, tracing);
+    let b = off.process_batch(pkts, 0);
+    prop_assert_eq!(
+        a,
+        lanes_of(off, &b),
+        "cache-on vs cache-off verdicts diverged"
+    );
     Ok(())
 }
 
@@ -1857,7 +1891,9 @@ proptest! {
     /// entries that hit (a sweep over 512 flows, three packets each: each
     /// flow misses twice, installs, and hits once); after a
     /// checkpoint, more hits and a restore; on a clone, and after it runs;
-    /// and after the cache is switched off.
+    /// and after the cache is switched off. Traced, the cached side reads
+    /// the stage lane alone, as a device tap does (a records reader
+    /// bypasses the cache, and would fold nothing).
     #[test]
     fn flow_cache_counts_fold_at_every_read(
         prog_idx in 0usize..corpus::corpus().len(),
@@ -1897,7 +1933,7 @@ proptest! {
             dp.set_tracing(tracing);
         }
         for _ in 0..2 {
-            both(&mut on, &mut off, &pkts)?;
+            both(&mut on, &mut off, &pkts, tracing)?;
             assert_runtime_state_matches(&on, &off)?;
         }
         if !ir.tables.is_empty() {
@@ -1906,24 +1942,26 @@ proptest! {
             let results = [&on, &off].map(|dp| dp.control_plane().write(&updates));
             prop_assert_eq!(&results[0], &results[1], "{}: write results diverged", prog.name);
             assert_runtime_state_matches(&on, &off)?;
-            both(&mut on, &mut off, &pkts)?;
+            both(&mut on, &mut off, &pkts, tracing)?;
             assert_runtime_state_matches(&on, &off)?;
         }
-        both(&mut on, &mut off, &sweep)?;
+        both(&mut on, &mut off, &sweep, tracing)?;
         if on.flow_cache_enabled() {
             prop_assert!(on.cache_stats().occupancy < lengths.len(), "{}: no slot collision", prog.name);
+            prop_assert!(on.cache_stats().hits > 0, "{}: the sweep replays", prog.name);
         }
+        all_through_cache(&on)?;
         assert_runtime_state_matches(&on, &off)?;
         let checkpoints = (on.checkpoint(), off.checkpoint());
-        both(&mut on, &mut off, &pkts)?;
+        both(&mut on, &mut off, &pkts, tracing)?;
         on.restore(&checkpoints.0);
         off.restore(&checkpoints.1);
         assert_runtime_state_matches(&on, &off)?;
-        both(&mut on, &mut off, &pkts)?;
+        both(&mut on, &mut off, &pkts, tracing)?;
         assert_runtime_state_matches(&on, &off)?;
         let (mut on_clone, mut off_clone) = (on.clone(), off.clone());
         assert_runtime_state_matches(&on_clone, &off_clone)?;
-        both(&mut on_clone, &mut off_clone, &pkts)?;
+        both(&mut on_clone, &mut off_clone, &pkts, tracing)?;
         assert_runtime_state_matches(&on_clone, &off_clone)?;
         assert_runtime_state_matches(&on, &off)?;
         on.set_flow_cache(false);
@@ -1974,19 +2012,8 @@ proptest! {
             let u = uncached_dp.process_batch(pkts, round);
             let r = reference_dp.process_batch(pkts, round);
             prop_assert_eq!(&u, &r, "cache-off vs reference");
-            if tracing {
-                let mut sink = StageSink::default();
-                cached_dp.process_batch_with(pkts, round, &mut sink);
-                let lanes: Vec<(Verdict, Vec<Stage>)> = r
-                    .into_iter()
-                    .map(|(v, t)| (v, decoded_stages(&reference_dp, &t.expect("tracing is on"))))
-                    .collect();
-                prop_assert_eq!(&sink.0, &lanes, "cache-on vs reference");
-            } else {
-                let c = cached_dp.process_batch(pkts, round);
-                prop_assert_eq!(&c, &u, "cache-on vs cache-off");
-                prop_assert_eq!(&c, &r, "cache-on vs reference");
-            }
+            let c = cached_lanes(&mut cached_dp, pkts, round, tracing);
+            prop_assert_eq!(&c, &lanes_of(&reference_dp, &r), "cache-on vs reference");
         }
         assert_runtime_state_matches(&cached_dp, &uncached_dp)?;
         assert_runtime_state_matches(&cached_dp, &reference_dp)?;
@@ -1996,7 +2023,7 @@ proptest! {
         } else {
             prop_assert!(stats.hits > 0, "the third pass replays");
         }
-        prop_assert_eq!(stats.hits + stats.misses + stats.skipped, cached_dp.packets_processed());
+        all_through_cache(&cached_dp)?;
     }
 }
 
@@ -2132,6 +2159,57 @@ impl TraceSink for StageSink {
     fn reads_records(&self) -> bool {
         false
     }
+}
+
+/// `pkts` through a cached data plane the way the flow cache serves
+/// them (a records reader bypasses it): untraced `process_batch`, or
+/// with `tracing` a `StageSink`, as a device tap reads. Each packet's
+/// verdict and stage lane (empty untraced).
+fn cached_lanes(
+    dp: &mut Dataplane,
+    pkts: &[(u16, &[u8])],
+    now: u64,
+    tracing: bool,
+) -> Vec<(Verdict, Vec<Stage>)> {
+    if !tracing {
+        return dp
+            .process_batch(pkts, now)
+            .into_iter()
+            .map(|(v, _)| (v, Vec::new()))
+            .collect();
+    }
+    let mut sink = StageSink::default();
+    dp.process_batch_with(pkts, now, &mut sink);
+    sink.0
+}
+
+/// A `process_batch` result as `cached_lanes` reads it: each verdict and
+/// the stage path of its decoded trace (empty untraced).
+fn lanes_of(dp: &Dataplane, out: &[(Verdict, Option<Trace>)]) -> Vec<(Verdict, Vec<Stage>)> {
+    out.iter()
+        .map(|(v, t)| {
+            (
+                v.clone(),
+                t.as_ref().map_or_else(Vec::new, |t| decoded_stages(dp, t)),
+            )
+        })
+        .collect()
+}
+
+/// Every packet `dp` processed went through its flow cache as a hit, a
+/// miss or a skip: none bypassed it as a records reader. Holds trivially
+/// where the cache is off.
+fn all_through_cache(dp: &Dataplane) -> Result<(), TestCaseError> {
+    if dp.flow_cache_enabled() {
+        let s = dp.cache_stats();
+        prop_assert_eq!(
+            s.hits + s.misses + s.skipped,
+            dp.packets_processed(),
+            "every packet is a hit, a miss or a skip: {:?}",
+            s
+        );
+    }
+    Ok(())
 }
 
 proptest! {

@@ -397,7 +397,7 @@ impl CacheKey {
 }
 
 /// The verdict shape of a cached outcome (a hit writes the frame bytes
-/// per packet, see [`FlowCache::lookup`]).
+/// per packet, see [`FlowCache::replay`]).
 #[derive(Debug, Clone, Copy)]
 enum OutcomeKind {
     Forward(u16),
@@ -913,21 +913,24 @@ impl FlowCache {
     }
 
     /// Probe for `(port, frame)` under each mask in use, most recently
-    /// hit first. A hit counts itself on the entry (its applies and
-    /// counter increments are folded into the totals by that count, see
-    /// [`FlowCache::fold`]), writes its frame and returns the verdict
-    /// plus the hit entry's arena position (its trace is
-    /// [`FlowCache::trace`] of it); `None` is a
-    /// miss (the caller runs the engine with `self.scratch` recording and
-    /// then calls [`FlowCache::commit`]). A records reader never looks
-    /// up: it bypasses the cache (see the module doc). A hit wakes a
-    /// dormant cache; a miss counts towards dormancy.
-    pub(crate) fn lookup(
-        &mut self,
-        key: &CacheKey,
-        port: u16,
-        data: &[u8],
-    ) -> Option<(Verdict, usize)> {
+    /// hit first, and return the hit entry's arena position: its verdict
+    /// is [`FlowCache::replay`] of it, its trace [`FlowCache::trace`]. A
+    /// hit counts itself on the entry (its applies and counter increments
+    /// are folded into the totals by that count, see
+    /// [`FlowCache::fold`]). `None` is a miss (the caller runs the engine
+    /// with `self.scratch` recording and then calls
+    /// [`FlowCache::commit`]). A records reader never probes: it bypasses
+    /// the cache (see the module doc). A hit wakes a dormant cache; a
+    /// miss counts towards dormancy.
+    ///
+    /// Out of line, and returning one word: [`FlowCache::replay`],
+    /// inlined into the caller, builds the verdict in the caller's frame.
+    /// One lookup that built the frame here and returned
+    /// `Option<(Verdict, usize)>` through an out-pointer read
+    /// `l2_long_stream` `session_pps` 9.90M where this split reads 11.39M
+    /// (+15 %, 10/10 alternating pairs on a 2-core x86-64 host).
+    #[inline(never)]
+    pub(crate) fn probe(&mut self, key: &CacheKey, port: u16, data: &[u8]) -> Option<usize> {
         // One mask in use, as for every program without wildcard fields:
         // every resident entry is stored under it, so one probe serves,
         // straight line and with no check of the entry's mask (a loop over
@@ -975,17 +978,32 @@ impl FlowCache {
         }
         self.hits += 1;
         self.idle = 0;
-        let e = &mut self.arena[at];
-        e.hits += 1;
-        let e = &*e;
-        // A key that passes bytes through belongs to a program that moves
-        // no header: its output is the packet with the bytes some
-        // execution writes replaced. So the packet is copied once, and
-        // only those bytes come from the entry; the others, the unkeyed
-        // and wildcarded ones among them, can differ from the recorded
-        // packet's (the keyed ones cannot). A program that can move a
-        // header passes nothing through: its output is the recorded
-        // header bytes, then the live payload.
+        self.arena[at].hits += 1;
+        Some(at)
+    }
+
+    /// The verdict of the hit at arena position `at` ([`FlowCache::probe`])
+    /// for its packet `data`, its frame written into the thread's spare
+    /// egress buffer.
+    ///
+    /// A key that passes bytes through belongs to a program that moves no
+    /// header: its output is the packet with the bytes some execution
+    /// writes replaced. So the packet is copied once, and only those
+    /// bytes come from the entry; the others, the unkeyed and wildcarded
+    /// ones among them, can differ from the recorded packet's (the keyed
+    /// ones cannot). A program that can move a header passes nothing
+    /// through: its output is the recorded header bytes, then the live
+    /// payload.
+    ///
+    /// Always inlined. Two other shapes put the verdict back through the
+    /// stack at odd offsets, each with a stalled reload at 2-3 % of an
+    /// `l2_long_stream` session's profile samples against ≈ 1 % here:
+    /// the frame built inline in the match instead of in a closure, and
+    /// `run_one` handing the verdict to a continuation instead of
+    /// returning it.
+    #[inline(always)]
+    pub(crate) fn replay(&self, key: &CacheKey, at: usize, data: &[u8]) -> Verdict {
+        let e = &self.arena[at];
         let frame = || {
             let (written, payload_start) = (e.written(), e.payload_start as usize);
             let mut out;
@@ -1006,15 +1024,14 @@ impl FlowCache {
             }
             out.into()
         };
-        let verdict = match e.kind {
+        match e.kind {
             OutcomeKind::Drop(reason) => Verdict::Drop(reason),
             OutcomeKind::Forward(p) => Verdict::Forward {
                 port: p,
                 data: frame(),
             },
             OutcomeKind::Flood => Verdict::Flood { data: frame() },
-        };
-        Some((verdict, at))
+        }
     }
 
     /// Count a miss, and run the second-chance filter on the whole key
@@ -1043,7 +1060,7 @@ impl FlowCache {
     }
 
     /// The stage lane stored in the entry at arena position `at` (as a
-    /// [`FlowCache::lookup`] hit returns it), read in place, as a trace
+    /// [`FlowCache::probe`] hit returns it), read in place, as a trace
     /// with no records.
     pub(crate) fn trace(&self, at: usize) -> TraceBytes<'_> {
         let e = &self.arena[at];
@@ -1186,7 +1203,7 @@ impl FlowCache {
     }
 
     /// Memoize the outcome of the engine run a miss triggered; must
-    /// directly follow the [`FlowCache::lookup`] that missed (the run
+    /// directly follow the [`FlowCache::probe`] that missed (the run
     /// recorded into [`FlowCache::record`]). A key the second-chance
     /// filter ([`FlowCache::admit`]) does not install only tags its slot
     /// and returns `false`. Otherwise the entry overwrites its slot's
@@ -1222,7 +1239,7 @@ impl FlowCache {
             Verdict::Forward { port, data: frame } => (OutcomeKind::Forward(*port), header(frame)),
             Verdict::Flood { data: frame } => (OutcomeKind::Flood, header(frame)),
         };
-        // What a hit writes of it (see `lookup`): the bytes that do not
+        // What a hit writes of it (see `replay`): the bytes that do not
         // pass through, all of them for a key that passes nothing
         // through. A program that moves no header re-emits the extracted
         // ones where they were, so its header is the parsed prefix,
@@ -1386,7 +1403,7 @@ mod tests {
         let frame = [0u8; 32];
         // First miss only arms the tag filter; the second installs.
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &frame).is_none());
+            assert!(c.probe(&key, 0, &frame).is_none());
             commit(
                 &mut c,
                 &key,
@@ -1404,7 +1421,7 @@ mod tests {
         c.sync(2, None, &mut [], &mut ExternState::new(&[]));
         assert_eq!(c.stats().invalidations, 1);
         // The tags went with the entries: the flow's next miss only arms.
-        assert!(c.lookup(&key, 0, &frame).is_none());
+        assert!(c.probe(&key, 0, &frame).is_none());
         assert!(!commit(
             &mut c,
             &key,
@@ -1651,7 +1668,7 @@ mod tests {
             data: vec![9, 9, 0xAA, 0xBB].into(),
         };
         for _ in 0..2 {
-            assert!(c.lookup(&key, 7, &a).is_none());
+            assert!(c.probe(&key, 7, &a).is_none());
             c.scratch.payload_start = 4;
             c.scratch.applies.push((0, true, 0, NOT_WILD));
             c.scratch.counters.push((0, 1));
@@ -1660,7 +1677,8 @@ mod tests {
         // Same key, different payload: the hit splices the live bytes.
         let b = [1u8, 2, 3, 4, 0xCC, 0xDD];
         for _ in 0..3 {
-            let (v, _) = c.lookup(&key, 7, &b).expect("hit");
+            let at = c.probe(&key, 7, &b).expect("hit");
+            let v = c.replay(&key, at, &b);
             let data = vec![9, 9, 0xCC, 0xDD].into();
             assert_eq!(v, Verdict::Forward { port: 3, data });
         }
@@ -1681,8 +1699,8 @@ mod tests {
         assert_eq!((stats[0].hits, ext.counter_read(0, 1)), (3, (3, 18)));
         assert_eq!(c.unfolded_count(0, 1), (0, 0));
         // Different port or length: miss.
-        assert!(c.lookup(&key, 8, &b).is_none());
-        assert!(c.lookup(&key, 7, &b[..5]).is_none());
+        assert!(c.probe(&key, 8, &b).is_none());
+        assert!(c.probe(&key, 7, &b[..5]).is_none());
     }
 
     /// Every entry stores its packet's stage lane, and a hit hands it out
@@ -1695,10 +1713,10 @@ mod tests {
         let drop = Verdict::Drop(DropReason::NoEgress);
         let lane = [1u8, 0, 0, 0, 2, 0, 0, 0x80];
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &frame).is_none());
+            assert!(c.probe(&key, 0, &frame).is_none());
             commit(&mut c, &key, 0, &frame, &drop, &lane);
         }
-        let (_, at) = c.lookup(&key, 0, &frame).expect("hit");
+        let at = c.probe(&key, 0, &frame).expect("hit");
         let stored = c.trace(at);
         assert_eq!((stored.records, stored.lane), (&[][..], &lane[..]));
         let other = [3u8, 0, 0, 0];
@@ -1715,7 +1733,7 @@ mod tests {
             return None;
         }
         let key = whole(4);
-        let hit = c.lookup(&key, 0, frame).is_some();
+        let hit = c.probe(&key, 0, frame).is_some();
         if !hit {
             commit(c, &key, 0, frame, &Verdict::Drop(DropReason::NoEgress), &[]);
         }
@@ -1883,7 +1901,7 @@ mod tests {
         let (mut c, key) = (FlowCache::new(), whole(1));
         let hot = [0xA0u8, 0, 0];
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &hot).is_none());
+            assert!(c.probe(&key, 0, &hot).is_none());
             commit(
                 &mut c,
                 &key,
@@ -1899,7 +1917,7 @@ mod tests {
         // hot key keeps hitting even if a one-off collides with its slot.
         for b in 0u8..32 {
             let frame = [b, 1, 2];
-            assert!(c.lookup(&key, 0, &frame).is_none());
+            assert!(c.probe(&key, 0, &frame).is_none());
             assert!(!commit(
                 &mut c,
                 &key,
@@ -1910,14 +1928,14 @@ mod tests {
             ));
         }
         assert_eq!(c.stats().occupancy, 1);
-        assert!(c.lookup(&key, 0, &hot).is_some());
+        assert!(c.probe(&key, 0, &hot).is_some());
     }
 
     /// Miss on `frame` with a `Forward` verdict to `out_port` until the
     /// tag filter lets it in.
     fn install(c: &mut FlowCache, frame: &[u8], out_port: u16) {
         let key = whole(4);
-        while c.lookup(&key, 0, frame).is_none() {
+        while c.probe(&key, 0, frame).is_none() {
             commit(
                 c,
                 &key,
@@ -1934,7 +1952,7 @@ mod tests {
 
     fn probe(c: &mut FlowCache, frame: &[u8]) -> Option<Verdict> {
         let key = whole(4);
-        c.lookup(&key, 0, frame).map(|(v, _)| v)
+        c.probe(&key, 0, frame).map(|at| c.replay(&key, at, frame))
     }
 
     #[test]
@@ -1986,7 +2004,7 @@ mod tests {
         let mut c = FlowCache::new();
         let a = [0xA0, 1, 0xA2, 3, 4, 0xA5, 0xA6, 0xA7];
         for _ in 0..2 {
-            assert!(c.lookup(&key, 0, &a).is_none());
+            assert!(c.probe(&key, 0, &a).is_none());
             c.scratch.payload_start = 6;
             let mut out = a;
             out[3] = 0x33; // a written field
@@ -2008,7 +2026,8 @@ mod tests {
             "only the keyed bytes are stored"
         );
         let b = [0xB0, 1, 0xB2, 3, 4, 0xB5, 0xB6, 0xB7];
-        let (v, _) = c.lookup(&key, 0, &b).expect("hit");
+        let at = c.probe(&key, 0, &b).expect("hit");
+        let v = c.replay(&key, at, &b);
         assert_eq!(
             v,
             Verdict::Forward {
@@ -2019,7 +2038,7 @@ mod tests {
         // A keyed byte still tells flows apart.
         let mut d = b;
         d[4] = 0x44;
-        assert!(c.lookup(&key, 0, &d).is_none());
+        assert!(c.probe(&key, 0, &d).is_none());
     }
 
     /// Four programs that move a header, one way each: encap by

@@ -166,17 +166,13 @@ impl Update<'_> {
 /// edit to a snapshot a reader has pinned.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
-    program: Arc<ir::Program>,
+    pub(crate) program: Arc<ir::Program>,
     /// The data plane's publication cell, shared with it and every other
     /// handle.
-    tables: Arc<Mutex<Cell>>,
+    pub(crate) tables: Arc<Mutex<Cell>>,
 }
 
 impl ControlPlane {
-    pub(crate) fn new(program: Arc<ir::Program>, tables: Arc<Mutex<Cell>>) -> Self {
-        ControlPlane { program, tables }
-    }
-
     fn table_id(&self, name: &str) -> Result<usize, ControlError> {
         self.program
             .table_by_name(name)
